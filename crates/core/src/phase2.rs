@@ -8,10 +8,21 @@
 //! when the full λ-weighted objective (eq. 13) decreases and both
 //! capacity rows still hold.
 //!
-//! Because the objective is separable per device
-//! (see [`crate::objective`]), evaluating a swap costs O(K) — the two
-//! affected devices' terms — which is what keeps the whole heuristic's
-//! runtime linear-ish in the cluster size (paper Fig. 10).
+//! The objective is separable per device (see [`crate::objective`]), so
+//! a swap's delta is the candidate's gain plus the victim's *eviction
+//! loss* `off − on`, and the best victim for a candidate is the
+//! cheapest-to-evict selected device whose departure makes room. The
+//! selected devices are therefore kept in a [`VictimIndex`] — ordered
+//! by eviction loss, searchable for the first one that fits — and a
+//! candidate costs O(log n) instead of a scan of the cluster, which is
+//! what makes the heuristic's runtime near-linear in the cluster size
+//! (paper Fig. 10).
+//!
+//! **Tie-break contract.** Among the fitting victims whose total delta
+//! `gain + loss` is equal as a float (distinct losses can round to one
+//! delta), the lowest device index is evicted — exactly what a scan of
+//! the victims in index order keeping the first strict minimum would
+//! choose, and what `tests/solve_linear.rs` pins against that scan.
 
 use crate::kernels::{self, Select};
 use crate::problem::SlotProblem;
@@ -20,13 +31,102 @@ use serde::{Deserialize, Serialize};
 /// Statistics of one Phase-2 run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct Phase2Stats {
-    /// Swaps evaluated.
+    /// Victim probes evaluated: fitting (candidate, victim) pairs whose
+    /// delta was computed, plus one per pure-addition test that fit.
+    /// The victim index probes one pair per candidate unless deltas tie.
     pub swaps_tried: usize,
     /// Swaps that improved the objective and were kept.
     pub swaps_accepted: usize,
     /// Unselected devices additionally admitted without eviction
     /// (possible when Phase-1 left capacity slack).
     pub additions: usize,
+}
+
+/// The in-scope devices ordered by eviction loss, with a max-(compute,
+/// storage) segment tree over the *selected* ones, answering "which is
+/// the cheapest selected device to evict that frees at least this much
+/// of both rows" by a leftmost-fit descent.
+///
+/// Devices are addressed by their slot in the scope; a position is a
+/// rank in the loss order.
+struct VictimIndex {
+    /// Slot per position: ascending `(loss, slot)`.
+    order: Vec<usize>,
+    /// Position per slot.
+    position: Vec<usize>,
+    /// Number of leaves (a power of two ≥ the scope size).
+    leaves: usize,
+    /// Heap-ordered tree, root at 1: per node the largest compute and
+    /// storage cost among the selected leaves below it, −∞ if none (an
+    /// unselected leaf can never make room).
+    max_cost: Vec<[f64; 2]>,
+}
+
+const NO_VICTIM: [f64; 2] = [f64::NEG_INFINITY; 2];
+
+impl VictimIndex {
+    /// Indexes the scope: `loss[slot]` orders it, `cost(slot)` is a
+    /// slot's (compute, storage) cost if it is currently selected.
+    fn build(loss: &[f64], cost: impl Fn(usize) -> Option<[f64; 2]>) -> Self {
+        let mut order: Vec<usize> = (0..loss.len()).collect();
+        order.sort_unstable_by(|&a, &b| {
+            loss[a].partial_cmp(&loss[b]).expect("finite objective terms").then(a.cmp(&b))
+        });
+        let mut position = vec![0; loss.len()];
+        for (p, &slot) in order.iter().enumerate() {
+            position[slot] = p;
+        }
+        let leaves = loss.len().next_power_of_two();
+        let mut max_cost = vec![NO_VICTIM; 2 * leaves];
+        for (p, &slot) in order.iter().enumerate() {
+            max_cost[leaves + p] = cost(slot).unwrap_or(NO_VICTIM);
+        }
+        for node in (1..leaves).rev() {
+            max_cost[node] = Self::join(max_cost[2 * node], max_cost[2 * node + 1]);
+        }
+        Self { order, position, leaves, max_cost }
+    }
+
+    fn join(a: [f64; 2], b: [f64; 2]) -> [f64; 2] {
+        [a[0].max(b[0]), a[1].max(b[1])]
+    }
+
+    /// Marks `slot` selected with `cost`, or unselected with `None`.
+    fn set(&mut self, slot: usize, cost: Option<[f64; 2]>) {
+        let mut node = self.leaves + self.position[slot];
+        self.max_cost[node] = cost.unwrap_or(NO_VICTIM);
+        while node > 1 {
+            node /= 2;
+            self.max_cost[node] = Self::join(self.max_cost[2 * node], self.max_cost[2 * node + 1]);
+        }
+    }
+
+    /// First position at or after `from` whose selected device `fits`.
+    /// `fits` must be monotone — true for a cost pair implies true for
+    /// any pair at least as large in both — so a subtree whose maxima
+    /// do not fit holds no fitting leaf and is skipped.
+    fn first_fit(&self, from: usize, fits: &impl Fn([f64; 2]) -> bool) -> Option<usize> {
+        self.descend(1, 0, self.leaves, from, fits)
+    }
+
+    fn descend(
+        &self,
+        node: usize,
+        lo: usize,
+        hi: usize,
+        from: usize,
+        fits: &impl Fn([f64; 2]) -> bool,
+    ) -> Option<usize> {
+        if hi <= from || !fits(self.max_cost[node]) {
+            return None;
+        }
+        if hi - lo == 1 {
+            return Some(lo);
+        }
+        let mid = lo + (hi - lo) / 2;
+        self.descend(2 * node, lo, mid, from, fits)
+            .or_else(|| self.descend(2 * node + 1, mid, hi, from, fits))
+    }
 }
 
 /// Runs Phase-2 in place on a Phase-1 selection.
@@ -57,14 +157,18 @@ pub fn run_phase2_over(
     assert_eq!(selected.len(), problem.len(), "selection has wrong length");
     let mut stats = Phase2Stats::default();
     let n = problem.len();
-    let in_scope: Option<Vec<bool>> = allowed.map(|indices| {
-        let mut mask = vec![false; n];
-        for &i in indices {
-            mask[i] = true;
+    // The scope in ascending device order, so that slot order is device
+    // order wherever a tie falls back on it. Everything below is sized
+    // by the scope, not the problem.
+    let scope: Vec<usize> = match allowed {
+        None => (0..n).collect(),
+        Some(indices) => {
+            let mut scope = indices.to_vec();
+            scope.sort_unstable();
+            scope.dedup();
+            scope
         }
-        mask
-    });
-    let scoped = |i: usize| in_scope.as_ref().is_none_or(|m| m[i]);
+    };
 
     // Per-device objective contributions under both decisions, plus
     // transform feasibility, via the batched columnar kernels — only
@@ -72,11 +176,9 @@ pub fn run_phase2_over(
     // candidates *or* victims), so a delta solve pays O(frontier·K),
     // not O(N·K). Values are bit-identical to the per-row evaluators.
     let lambda = problem.lambda;
-    let scope: Vec<usize> =
-        allowed.map_or_else(|| (0..n).collect(), <[usize]>::to_vec);
-    let mut off_scoped = Vec::new();
-    let mut on_scoped = Vec::new();
-    let mut feasible_scoped = Vec::new();
+    let mut off = Vec::new();
+    let mut on = Vec::new();
+    let mut feasible = Vec::new();
     kernels::with_problem_columns(problem, |cols| {
         let curve = &problem.curve;
         kernels::device_objective_batch(
@@ -85,26 +187,13 @@ pub fn run_phase2_over(
             Select::Uniform(false),
             lambda,
             curve,
-            &mut off_scoped,
+            &mut off,
         );
-        kernels::device_objective_batch(
-            &cols,
-            &scope,
-            Select::Uniform(true),
-            lambda,
-            curve,
-            &mut on_scoped,
-        );
-        kernels::transform_feasible_batch(&cols, &scope, &mut feasible_scoped);
+        kernels::device_objective_batch(&cols, &scope, Select::Uniform(true), lambda, curve, &mut on);
+        kernels::transform_feasible_batch(&cols, &scope, &mut feasible);
     });
-    let mut off = vec![0.0; n];
-    let mut on = vec![0.0; n];
-    let mut feasible = vec![false; n];
-    for (slot, &i) in scope.iter().enumerate() {
-        off[i] = off_scoped[slot];
-        on[i] = on_scoped[slot];
-        feasible[i] = feasible_scoped[slot];
-    }
+    // What evicting a device costs the objective.
+    let loss: Vec<f64> = off.iter().zip(&on).map(|(off, on)| off - on).collect();
 
     // Current capacity usage.
     let mut g_used = 0.0;
@@ -117,63 +206,71 @@ pub fn run_phase2_over(
     }
 
     // Candidates: unselected, transform-feasible, in-scope devices by
-    // descending anxiety degree.
-    let mut candidates: Vec<usize> = (0..n)
-        .filter(|&i| !selected[i] && feasible[i] && scoped(i))
+    // descending anxiety degree (ties in device order).
+    let mut candidates: Vec<(f64, usize)> = (0..scope.len())
+        .filter(|&slot| !selected[scope[slot]] && feasible[slot])
+        .map(|slot| (problem.curve.phi(problem.requests[scope[slot]].battery_fraction()), slot))
         .collect();
-    candidates.sort_by(|&a, &b| {
-        let aa = problem.curve.phi(problem.requests[a].battery_fraction());
-        let ab = problem.curve.phi(problem.requests[b].battery_fraction());
-        ab.partial_cmp(&aa).expect("finite anxiety")
-    });
+    candidates.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite anxiety"));
 
-    for cand in candidates {
-        let rc = &problem.requests[cand];
+    let cost = |slot: usize| {
+        let r = &problem.requests[scope[slot]];
+        [r.compute_cost, r.storage_cost_gb]
+    };
+    let mut victims = VictimIndex::build(&loss, |slot| selected[scope[slot]].then(|| cost(slot)));
+
+    for (_, cand) in candidates {
+        let [g_cand, h_cand] = cost(cand);
         let gain_in = on[cand] - off[cand]; // negative = improvement
 
         // Pure addition when slack allows.
-        if g_used + rc.compute_cost <= problem.compute_capacity + 1e-9
-            && h_used + rc.storage_cost_gb <= problem.storage_capacity_gb + 1e-9
+        if g_used + g_cand <= problem.compute_capacity + 1e-9
+            && h_used + h_cand <= problem.storage_capacity_gb + 1e-9
         {
             stats.swaps_tried += 1;
             if gain_in < -1e-12 {
-                selected[cand] = true;
-                g_used += rc.compute_cost;
-                h_used += rc.storage_cost_gb;
+                selected[scope[cand]] = true;
+                victims.set(cand, Some(cost(cand)));
+                g_used += g_cand;
+                h_used += h_cand;
                 stats.additions += 1;
             }
             continue;
         }
 
-        // Otherwise look for the eviction that leaves the best total
-        // delta: Δ = (on − off)[cand] + (off − on)[victim].
+        // Otherwise evict for the best total delta
+        // Δ = (on − off)[cand] + (off − on)[victim]: the first fitting
+        // victim in loss order. Δ is monotone in the loss, so only
+        // later victims rounding to the *same* Δ can still win, on
+        // their index.
+        let fits = |[g_victim, h_victim]: [f64; 2]| {
+            g_used - g_victim + g_cand <= problem.compute_capacity + 1e-9
+                && h_used - h_victim + h_cand <= problem.storage_capacity_gb + 1e-9
+        };
         let mut best: Option<(usize, f64)> = None;
-        for victim in 0..n {
-            if !selected[victim] || !scoped(victim) {
-                continue;
-            }
-            let rv = &problem.requests[victim];
-            let fits = g_used - rv.compute_cost + rc.compute_cost
-                <= problem.compute_capacity + 1e-9
-                && h_used - rv.storage_cost_gb + rc.storage_cost_gb
-                    <= problem.storage_capacity_gb + 1e-9;
-            if !fits {
-                continue;
-            }
+        let mut from = 0;
+        while let Some(p) = victims.first_fit(from, &fits) {
             stats.swaps_tried += 1;
-            let delta = gain_in + (off[victim] - on[victim]);
+            let victim = victims.order[p];
+            let delta = gain_in + loss[victim];
             match best {
-                Some((_, d)) if d <= delta => {}
-                _ => best = Some((victim, delta)),
+                None => best = Some((victim, delta)),
+                Some((b, d)) if d == delta => best = Some((b.min(victim), d)),
+                Some(_) => break,
             }
+            // Victims of this very loss come in slot order: the first
+            // that fits is the lowest, the rest cannot improve on it.
+            from = victims.order.partition_point(|&slot| loss[slot] <= loss[victim]);
         }
         if let Some((victim, delta)) = best {
             if delta < -1e-12 {
-                selected[victim] = false;
-                selected[cand] = true;
-                let rv = &problem.requests[victim];
-                g_used += rc.compute_cost - rv.compute_cost;
-                h_used += rc.storage_cost_gb - rv.storage_cost_gb;
+                let [g_victim, h_victim] = cost(victim);
+                selected[scope[victim]] = false;
+                selected[scope[cand]] = true;
+                victims.set(victim, None);
+                victims.set(cand, Some(cost(cand)));
+                g_used += g_cand - g_victim;
+                h_used += h_cand - h_victim;
                 stats.swaps_accepted += 1;
             }
         }

@@ -11,7 +11,7 @@
 
 use crate::compact::compact_device;
 use crate::problem::SlotProblem;
-use lpvs_solver::{LinearProgram, Relation, SolverError};
+use lpvs_solver::{BinaryProgram, KnapsackRelaxation, Relation, Sense, SolverError};
 use serde::{Deserialize, Serialize};
 
 /// Marginal values of the edge server's two capacity rows for one slot.
@@ -26,12 +26,15 @@ pub struct CapacityPrices {
 }
 
 /// Prices the slot problem's capacity rows via the Phase-1 LP
-/// relaxation.
+/// relaxation — the same [`KnapsackRelaxation`] the branch-and-bound
+/// bounds its nodes with: a row's price is the value density of the
+/// item it runs out on (of the next item, if it is filled exactly).
 ///
 /// # Errors
 ///
-/// Propagates [`SolverError`] from the LP solve (the relaxation is
-/// always feasible, so errors indicate numeric trouble only).
+/// [`SolverError::NotFinite`] on non-finite savings, costs or
+/// capacities, [`SolverError::Infeasible`] on negative costs or
+/// capacities (not a knapsack).
 ///
 /// # Example
 ///
@@ -61,26 +64,29 @@ pub fn price_capacity(problem: &SlotProblem) -> Result<CapacityPrices, SolverErr
         });
     }
     let savings: Vec<f64> = problem.requests.iter().map(|r| r.saving_j()).collect();
-    let mut lp = LinearProgram::maximize(savings)?;
-    lp.add_row(
+    let mut program = BinaryProgram::new(Sense::Maximize, savings)?;
+    program.add_constraint(
         problem.requests.iter().map(|r| r.compute_cost).collect(),
         Relation::Le,
         problem.compute_capacity,
     )?;
-    lp.add_row(
+    program.add_constraint(
         problem.requests.iter().map(|r| r.storage_cost_gb).collect(),
         Relation::Le,
         problem.storage_capacity_gb,
     )?;
     for (i, r) in problem.requests.iter().enumerate() {
-        let feasible = compact_device(r).transform_feasible;
-        lp.set_bounds(i, 0.0, if feasible { 1.0 } else { 0.0 })?;
+        if !compact_device(r).transform_feasible {
+            program.fix(i, false)?;
+        }
     }
-    let sol = lp.solve()?;
+    let relaxed = KnapsackRelaxation::of(&program)
+        .ok_or(SolverError::Infeasible)?
+        .solve(program.fixings())?;
     Ok(CapacityPrices {
-        compute_j_per_unit: sol.duals[0],
-        storage_j_per_gb: sol.duals[1],
-        saving_bound_j: sol.objective,
+        compute_j_per_unit: relaxed.duals[0],
+        storage_j_per_gb: relaxed.duals[1],
+        saving_bound_j: relaxed.objective,
     })
 }
 
@@ -144,6 +150,55 @@ mod tests {
         let with_dead = price_capacity(&p).unwrap();
         let without = price_capacity(&problem(50.0, 3)).unwrap();
         assert!((with_dead.saving_bound_j - without.saving_bound_j).abs() < 1e-9);
+    }
+
+    /// The prices as the general simplex's row duals — how they were
+    /// computed before the knapsack relaxation.
+    fn simplex_prices(problem: &SlotProblem) -> CapacityPrices {
+        use lpvs_solver::LinearProgram;
+        let column = |f: fn(&DeviceRequest) -> f64| problem.requests.iter().map(f).collect();
+        let mut lp = LinearProgram::maximize(column(|r| r.saving_j())).unwrap();
+        lp.add_row(column(|r| r.compute_cost), Relation::Le, problem.compute_capacity).unwrap();
+        lp.add_row(column(|r| r.storage_cost_gb), Relation::Le, problem.storage_capacity_gb)
+            .unwrap();
+        for (i, r) in problem.requests.iter().enumerate() {
+            let upper = if compact_device(r).transform_feasible { 1.0 } else { 0.0 };
+            lp.set_bounds(i, 0.0, upper).unwrap();
+        }
+        let sol = lp.solve().unwrap();
+        CapacityPrices {
+            compute_j_per_unit: sol.duals[0],
+            storage_j_per_gb: sol.duals[1],
+            saving_bound_j: sol.objective,
+        }
+    }
+
+    #[test]
+    fn prices_agree_with_the_simplex_duals() {
+        let mut with_dead = problem(50.0, 3);
+        with_dead.push(DeviceRequest::uniform(1.2, 10.0, 30, 1.0, 55_440.0, 0.4, 1.0, 0.1));
+        let mut storage_bound = problem(100.0, 20);
+        storage_bound.storage_capacity_gb = 0.75;
+        let mut both_bound = problem(7.5, 20);
+        both_bound.storage_capacity_gb = 0.5;
+        for (i, r) in both_bound.requests.iter_mut().enumerate() {
+            r.storage_cost_gb = 0.05 + 0.01 * (i % 7) as f64;
+        }
+        let capacities = [2.0, 5.0, 7.0, 7.5, 10.0, 15.0, 25.0, 100.0];
+        let problems = capacities
+            .iter()
+            .map(|&c| problem(c, 20))
+            .chain([with_dead, storage_bound, both_bound]);
+        for p in problems {
+            let (ours, theirs) = (price_capacity(&p).unwrap(), simplex_prices(&p));
+            for (a, b) in [
+                (ours.compute_j_per_unit, theirs.compute_j_per_unit),
+                (ours.storage_j_per_gb, theirs.storage_j_per_gb),
+                (ours.saving_bound_j, theirs.saving_bound_j),
+            ] {
+                assert!((a - b).abs() <= 1e-9 * b.abs().max(1.0), "{ours:?} vs {theirs:?}");
+            }
+        }
     }
 
     #[test]

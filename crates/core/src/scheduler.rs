@@ -146,9 +146,12 @@ pub struct ScheduleStats {
     pub infeasible_devices: usize,
     /// Branch-and-bound nodes in Phase-1.
     pub phase1_nodes: usize,
-    /// Inner solver work in Phase-1: simplex pivots summed over all LP
-    /// relaxations (exact path) or subgradient iterations (Lagrangian
-    /// path).
+    /// Inner solver work in Phase-1: general-simplex pivots summed over
+    /// all LP relaxations (exact path; 0 while the knapsack relaxation
+    /// serves every node, see [`Phase1Result::pivots`]) or subgradient
+    /// iterations (Lagrangian path).
+    ///
+    /// [`Phase1Result::pivots`]: crate::phase1::Phase1Result::pivots
     pub phase1_pivots: usize,
     /// Phase-2 swap statistics.
     pub phase2: Phase2Stats,
@@ -256,6 +259,20 @@ impl LpvsScheduler {
         previous: Option<&[bool]>,
     ) -> Result<Schedule, SolverError> {
         let start = Instant::now();
+        let phases = self.run_phases(backend, phase1_config, problem, previous)?;
+        Ok(phases.into_schedule(problem, backend.rung(), 0, start))
+    }
+
+    /// Phase-1 on `backend`, then Phase-2 if configured: the decision
+    /// without its accounting, which [`Phases::into_schedule`] does once
+    /// the caller has settled on the final selection.
+    fn run_phases(
+        &self,
+        backend: &dyn SolverBackend,
+        phase1_config: &Phase1Config,
+        problem: &SlotProblem,
+        previous: Option<&[bool]>,
+    ) -> Result<Phases, SolverError> {
         let phase1 = {
             let mut span = lpvs_obs::span!("sched.phase1", "devices" => problem.len());
             let warm = previous.map(|selected| WarmStart { selected });
@@ -274,24 +291,13 @@ impl LpvsScheduler {
         } else {
             Phase2Stats::default()
         };
-        let energy_saved_j = problem
-            .requests
-            .iter()
-            .zip(&selected)
-            .map(|(r, &x)| if x { r.saving_j() } else { 0.0 })
-            .sum();
-        let stats = ScheduleStats {
-            objective: objective_value(problem, &selected),
-            energy_saved_j,
+        Ok(Phases {
+            selected,
             infeasible_devices: phase1.infeasible_devices,
             phase1_nodes: phase1.nodes,
             phase1_pivots: phase1.pivots,
             phase2,
-            degradation: backend.rung(),
-            rejected_devices: 0,
-            runtime: start.elapsed(),
-        };
-        Ok(Schedule { selected, stats })
+        })
     }
 
     /// Infallible scheduling with graceful degradation (the robustness
@@ -362,20 +368,18 @@ impl LpvsScheduler {
             // pipeline panic-free, but a rung that panics anyway is a
             // rung that failed, not a dead slot.
             let attempt = catch_unwind(AssertUnwindSafe(|| {
-                self.schedule_with_backend(backend.as_ref(), &phase1, &clean, previous)
+                self.run_phases(backend.as_ref(), &phase1, &clean, previous)
             }));
-            if let Ok(Ok(schedule)) = attempt {
-                let mut selected = schedule.selected;
-                for (x, &ok) in selected.iter_mut().zip(&valid) {
+            if let Ok(Ok(mut phases)) = attempt {
+                for (x, &ok) in phases.selected.iter_mut().zip(&valid) {
                     *x = *x && ok;
                 }
-                if clean.capacity_feasible(&selected) {
+                if clean.capacity_feasible(&phases.selected) {
                     return finish_resilient(
                         &clean,
-                        selected,
+                        phases,
                         backend.rung(),
                         rejected,
-                        schedule.stats,
                         start,
                         slot_span,
                     );
@@ -391,23 +395,11 @@ impl LpvsScheduler {
                 let reused: Vec<bool> =
                     previous.iter().zip(&valid).map(|(&x, &ok)| x && ok).collect();
                 if clean.capacity_feasible(&reused) && reused.iter().any(|&x| x) {
-                    let stats = ScheduleStats {
-                        objective: 0.0,
-                        energy_saved_j: 0.0,
-                        infeasible_devices: 0,
-                        phase1_nodes: 0,
-                        phase1_pivots: 0,
-                        phase2: Phase2Stats::default(),
-                        degradation: Degradation::ReusedPrevious,
-                        rejected_devices: rejected,
-                        runtime: Duration::ZERO,
-                    };
                     return finish_resilient(
                         &clean,
-                        reused,
+                        Phases::unsolved(reused),
                         Degradation::ReusedPrevious,
                         rejected,
-                        stats,
                         start,
                         slot_span,
                     );
@@ -417,56 +409,85 @@ impl LpvsScheduler {
 
         // Rung 5: passthrough. The empty selection satisfies every
         // capacity row, so this rung cannot fail.
-        let stats = ScheduleStats {
-            objective: 0.0,
-            energy_saved_j: 0.0,
-            infeasible_devices: 0,
-            phase1_nodes: 0,
-            phase1_pivots: 0,
-            phase2: Phase2Stats::default(),
-            degradation: Degradation::Passthrough,
-            rejected_devices: rejected,
-            runtime: Duration::ZERO,
-        };
         finish_resilient(
             &clean,
-            vec![false; n],
+            Phases::unsolved(vec![false; n]),
             Degradation::Passthrough,
             rejected,
-            stats,
             start,
             slot_span,
         )
     }
 }
 
-/// Recomputes the final-selection metrics on the sanitized problem,
+/// What the two phases decided and the work it took, before the
+/// selection is accounted for. The resilient path masks rejected
+/// devices out of the selection first, so eq. 13 and the energy sum —
+/// each a pass over every device's chunks — run once, on the selection
+/// that is returned.
+struct Phases {
+    selected: Vec<bool>,
+    infeasible_devices: usize,
+    phase1_nodes: usize,
+    phase1_pivots: usize,
+    phase2: Phase2Stats,
+}
+
+impl Phases {
+    /// A selection no solver produced (the reuse and passthrough rungs).
+    fn unsolved(selected: Vec<bool>) -> Self {
+        Self {
+            selected,
+            infeasible_devices: 0,
+            phase1_nodes: 0,
+            phase1_pivots: 0,
+            phase2: Phase2Stats::default(),
+        }
+    }
+
+    /// Accounts for the selection on `problem` and stamps the outcome.
+    fn into_schedule(
+        self,
+        problem: &SlotProblem,
+        rung: Degradation,
+        rejected: usize,
+        start: Instant,
+    ) -> Schedule {
+        let energy_saved_j = problem
+            .requests
+            .iter()
+            .zip(&self.selected)
+            .map(|(r, &x)| if x { r.saving_j() } else { 0.0 })
+            .sum();
+        let stats = ScheduleStats {
+            objective: objective_value(problem, &self.selected),
+            energy_saved_j,
+            infeasible_devices: self.infeasible_devices,
+            phase1_nodes: self.phase1_nodes,
+            phase1_pivots: self.phase1_pivots,
+            phase2: self.phase2,
+            degradation: rung,
+            rejected_devices: rejected,
+            runtime: start.elapsed(),
+        };
+        Schedule { selected: self.selected, stats }
+    }
+}
+
+/// Computes the final-selection metrics on the sanitized problem,
 /// stamps the ladder outcome into the stats, and publishes the run's
 /// telemetry (tier counters, solver-work counters, per-tier latency)
 /// before closing the slot span.
 fn finish_resilient(
     clean: &SlotProblem,
-    selected: Vec<bool>,
+    phases: Phases,
     rung: Degradation,
     rejected: usize,
-    inner: ScheduleStats,
     start: Instant,
     mut slot_span: lpvs_obs::SpanGuard,
 ) -> Schedule {
-    let energy_saved_j = clean
-        .requests
-        .iter()
-        .zip(&selected)
-        .map(|(r, &x)| if x { r.saving_j() } else { 0.0 })
-        .sum();
-    let stats = ScheduleStats {
-        objective: objective_value(clean, &selected),
-        energy_saved_j,
-        degradation: rung,
-        rejected_devices: rejected,
-        runtime: start.elapsed(),
-        ..inner
-    };
+    let schedule = phases.into_schedule(clean, rung, rejected, start);
+    let stats = &schedule.stats;
     slot_span.record("tier", rung.severity() as f64);
     if lpvs_obs::enabled() {
         // Metric names cannot carry the dash in "reused-previous".
@@ -481,7 +502,7 @@ fn finish_resilient(
             stats.runtime.as_secs_f64(),
         );
     }
-    Schedule { selected, stats }
+    schedule
 }
 
 #[cfg(test)]

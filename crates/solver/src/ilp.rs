@@ -1,17 +1,24 @@
 //! Exact 0/1 integer programming via branch-and-bound.
 //!
 //! The search explores a depth-first tree over variable fixings. At
-//! each node the bounded-variable LP relaxation ([`crate::simplex`]) is
-//! solved; the node is pruned when the relaxation is infeasible or its
-//! bound cannot beat the incumbent. Branching picks the most fractional
-//! variable. The initial incumbent comes from greedy rounding
+//! each node the LP relaxation is solved; the node is pruned when the
+//! relaxation is infeasible or its bound cannot beat the incumbent.
+//! Branching picks the most fractional variable. The initial incumbent
+//! comes from greedy rounding
 //! ([`crate::knapsack::greedy_multi_knapsack`]) so that pruning starts
 //! working immediately — on LPVS Phase-1 instances (two knapsack rows)
 //! the relaxation has at most two fractional variables and the tree
 //! stays tiny even for the 5,000-device clusters of the paper's Fig. 10.
+//!
+//! Which relaxation solver a node gets is decided by the program's
+//! shape alone: knapsack-shaped programs over at most two rows (the
+//! Phase-1 shape) are bounded by [`crate::relax`] in O(n) per node;
+//! every other program (`≥` / `=` rows, negative data, more rows)
+//! builds a bounded-variable tableau for [`crate::simplex`].
 
 use crate::knapsack::greedy_multi_knapsack;
-use crate::problem::{BinaryProgram, BinarySolution, Relation, Sense};
+use crate::problem::{BinaryProgram, BinarySolution, Sense};
+use crate::relax::KnapsackRelaxation;
 use crate::simplex::LinearProgram;
 use crate::SolverError;
 
@@ -25,7 +32,9 @@ const EPS_PRUNE: f64 = 1e-9;
 pub struct IlpStats {
     /// LP relaxations solved (tree nodes expanded).
     pub nodes: usize,
-    /// Total simplex pivots across all nodes.
+    /// Pivots of the *general simplex* across all nodes. Nodes bounded
+    /// by [`crate::relax`] pivot nothing, so this is 0 for every
+    /// knapsack-shaped program over at most two rows.
     pub simplex_iterations: usize,
     /// Nodes pruned by the incumbent bound.
     pub pruned_by_bound: usize,
@@ -118,12 +127,15 @@ impl<'a> BranchBound<'a> {
     /// * [`SolverError::BudgetExhausted`] if the node budget runs out
     ///   before the tree is exhausted.
     pub fn solve(mut self) -> Result<BinarySolution, SolverError> {
-        let knapsack_shaped = is_knapsack_shaped(self.program);
+        let knapsack_shaped = self.program.is_knapsack_shaped();
         if knapsack_shaped {
             self.density_order = density_order(self.program);
         }
         self.seed_greedy_incumbent();
         let greedy_cost = self.incumbent_cost;
+        let relaxation = KnapsackRelaxation::of(self.program);
+        // A node's fixings over the program's own (knapsack path only).
+        let mut fixings = vec![None; self.program.num_vars()];
 
         let mut stack = vec![Node { fixings: Vec::new() }];
         while let Some(node) = stack.pop() {
@@ -143,20 +155,35 @@ impl<'a> BranchBound<'a> {
             }
             self.stats.nodes += 1;
 
-            let lp = self.build_relaxation(&node)?;
-            let relaxed = match lp.solve() {
-                Ok(sol) => sol,
+            // Bound and LP point, both in minimization form.
+            let relaxed = match &relaxation {
+                Some(knapsack) => {
+                    fixings.copy_from_slice(self.program.fixings());
+                    for &(var, v) in &node.fixings {
+                        fixings[var] = Some(v);
+                    }
+                    knapsack.solve(&fixings).map(|r| {
+                        let bound = match self.program.sense() {
+                            Sense::Minimize => r.objective,
+                            Sense::Maximize => -r.objective,
+                        };
+                        (bound, r.x)
+                    })
+                }
+                None => self.build_relaxation(&node)?.solve().map(|sol| {
+                    self.stats.simplex_iterations += sol.iterations;
+                    (sol.objective, sol.x)
+                }),
+            };
+            let (bound, lp_x) = match relaxed {
+                Ok(solved) => solved,
                 Err(SolverError::Infeasible) => {
                     self.stats.pruned_infeasible += 1;
                     continue;
                 }
                 Err(other) => return Err(other),
             };
-            self.stats.simplex_iterations += relaxed.iterations;
 
-            // The relaxation is always built in minimization form, so
-            // its objective is directly comparable with the incumbent.
-            let bound = relaxed.objective;
             let tolerance =
                 EPS_PRUNE + self.program.relative_gap() * self.incumbent_cost.abs();
             if bound >= self.incumbent_cost - tolerance {
@@ -169,13 +196,13 @@ impl<'a> BranchBound<'a> {
             // of the *program* is a valid global incumbent, so node
             // fixings are deliberately ignored during the refill.
             if knapsack_shaped {
-                self.try_rounding_incumbent(&relaxed.x);
+                self.try_rounding_incumbent(&lp_x);
             }
 
-            match most_fractional(&relaxed.x) {
+            match most_fractional(&lp_x) {
                 None => {
                     // Integral relaxation: new incumbent.
-                    let x: Vec<bool> = relaxed.x.iter().map(|&v| v > 0.5).collect();
+                    let x: Vec<bool> = lp_x.iter().map(|&v| v > 0.5).collect();
                     let cost = self.cost_at(&x);
                     if cost < self.incumbent_cost {
                         self.incumbent_cost = cost;
@@ -185,7 +212,7 @@ impl<'a> BranchBound<'a> {
                 Some(branch_var) => {
                     // Explore the rounded-toward side first (DFS pushes
                     // it last so it pops first).
-                    let toward_one = relaxed.x[branch_var] >= 0.5;
+                    let toward_one = lp_x[branch_var] >= 0.5;
                     let mut far = node.fixings.clone();
                     far.push((branch_var, !toward_one));
                     stack.push(Node { fixings: far });
@@ -257,7 +284,7 @@ impl<'a> BranchBound<'a> {
     /// shape); otherwise the search starts cold.
     fn seed_greedy_incumbent(&mut self) {
         let p = self.program;
-        if !is_knapsack_shaped(p) {
+        if !p.is_knapsack_shaped() {
             return;
         }
         // Greedy maximizes value; in minimization form profitable
@@ -276,8 +303,8 @@ impl<'a> BranchBound<'a> {
         }
     }
 
-    /// Builds the LP relaxation for a node: binary bounds `[0,1]` plus
-    /// program-level and path-level fixings.
+    /// Builds the general LP relaxation for a node: binary bounds
+    /// `[0,1]` plus program-level and path-level fixings.
     fn build_relaxation(&self, node: &Node) -> Result<LinearProgram, SolverError> {
         let p = self.program;
         let mut lp = LinearProgram::minimize(self.cost.clone())?;
@@ -299,14 +326,6 @@ impl<'a> BranchBound<'a> {
         }
         Ok(lp)
     }
-}
-
-/// True when every row is `≤` with nonnegative data (the multi-knapsack
-/// shape the rounding heuristics assume).
-fn is_knapsack_shaped(p: &BinaryProgram) -> bool {
-    p.rows().iter().all(|r| {
-        r.relation == Relation::Le && r.coeffs.iter().all(|&c| c >= 0.0) && r.rhs >= 0.0
-    })
 }
 
 /// Profitable variables by descending scaled density (the greedy order
@@ -455,8 +474,9 @@ mod tests {
 
     #[test]
     fn agrees_with_exhaustive_enumeration() {
-        // Deterministic pseudo-random instance, 12 vars, 2 rows: compare
-        // B&B against brute force.
+        // Deterministic pseudo-random instances, 12 vars, 2 rows, both
+        // binding at the root relaxation: compare B&B against brute
+        // force.
         let n = 12;
         let mut state = 0x9e3779b97f4a7c15u64;
         let mut next = move || {
@@ -465,35 +485,66 @@ mod tests {
             state ^= state << 17;
             (state >> 11) as f64 / (1u64 << 53) as f64
         };
-        let values: Vec<f64> = (0..n).map(|_| 1.0 + 9.0 * next()).collect();
-        let w1: Vec<f64> = (0..n).map(|_| 1.0 + 4.0 * next()).collect();
-        let w2: Vec<f64> = (0..n).map(|_| 1.0 + 4.0 * next()).collect();
-        let mut p = BinaryProgram::new(Sense::Maximize, values.clone()).unwrap();
-        p.add_constraint(w1.clone(), Relation::Le, 12.0).unwrap();
-        p.add_constraint(w2.clone(), Relation::Le, 10.0).unwrap();
-        let sol = p.solve().unwrap();
+        let mut both_bound = 0;
+        for _ in 0..40 {
+            let values: Vec<f64> = (0..n).map(|_| 1.0 + 9.0 * next()).collect();
+            let w1: Vec<f64> = (0..n).map(|_| 1.0 + 4.0 * next()).collect();
+            let w2: Vec<f64> = (0..n).map(|_| 1.0 + 4.0 * next()).collect();
+            let (cap1, cap2) = (8.0 + 8.0 * next(), 8.0 + 8.0 * next());
+            let mut p = BinaryProgram::new(Sense::Maximize, values.clone()).unwrap();
+            p.add_constraint(w1.clone(), Relation::Le, cap1).unwrap();
+            p.add_constraint(w2.clone(), Relation::Le, cap2).unwrap();
+            let root = KnapsackRelaxation::of(&p).unwrap().solve(p.fixings()).unwrap();
+            both_bound += usize::from(root.duals.iter().all(|&d| d > 0.0));
+            let sol = p.solve().unwrap();
+            assert_eq!(sol.stats.simplex_iterations, 0);
 
-        let mut best = 0.0f64;
-        for mask in 0u32..(1 << n) {
-            let mut v = 0.0;
-            let mut a = 0.0;
-            let mut b = 0.0;
-            for i in 0..n {
-                if mask & (1 << i) != 0 {
-                    v += values[i];
-                    a += w1[i];
-                    b += w2[i];
+            let mut best = 0.0f64;
+            for mask in 0u32..(1 << n) {
+                let mut v = 0.0;
+                let mut a = 0.0;
+                let mut b = 0.0;
+                for i in 0..n {
+                    if mask & (1 << i) != 0 {
+                        v += values[i];
+                        a += w1[i];
+                        b += w2[i];
+                    }
+                }
+                if a <= cap1 && b <= cap2 {
+                    best = best.max(v);
                 }
             }
-            if a <= 12.0 && b <= 10.0 {
-                best = best.max(v);
-            }
+            assert!(
+                (sol.objective - best).abs() < 1e-6,
+                "b&b {} vs brute force {best}",
+                sol.objective
+            );
         }
-        assert!(
-            (sol.objective - best).abs() < 1e-6,
-            "b&b {} vs brute force {best}",
-            sol.objective
-        );
+        assert!(both_bound >= 10, "only {both_bound} instances had both rows binding");
+    }
+
+    #[test]
+    fn the_simplex_runs_only_off_the_knapsack_shape() {
+        // Both rows bind at the root (the relaxation prices both), the
+        // tree branches, and no node builds a tableau.
+        let mut p =
+            BinaryProgram::new(Sense::Maximize, vec![6.0, 5.0, 4.0, 3.0, 7.0, 2.0]).unwrap();
+        p.add_constraint(vec![2.0, 1.0, 3.0, 2.0, 4.0, 1.0], Relation::Le, 6.5).unwrap();
+        p.add_constraint(vec![1.0, 2.0, 1.0, 1.0, 2.0, 3.0], Relation::Le, 4.5).unwrap();
+        let root = KnapsackRelaxation::of(&p).unwrap().solve(p.fixings()).unwrap();
+        assert!(root.duals.iter().all(|&d| d > 0.0), "{:?}", root.duals);
+        let sol = p.solve().unwrap();
+        assert!(sol.stats.nodes > 1);
+        assert_eq!(sol.stats.simplex_iterations, 0);
+
+        // A cover row and a cardinality row are not knapsacks.
+        let mut ge = BinaryProgram::new(Sense::Minimize, vec![3.0, 2.0, 4.0]).unwrap();
+        ge.add_constraint(vec![1.0, 1.0, 1.0], Relation::Ge, 2.0).unwrap();
+        assert!(ge.solve().unwrap().stats.simplex_iterations > 0);
+        let mut eq = BinaryProgram::new(Sense::Maximize, vec![5.0, 9.0, 2.0, 7.0]).unwrap();
+        eq.add_constraint(vec![1.0, 1.0, 1.0, 1.0], Relation::Eq, 2.0).unwrap();
+        assert!(eq.solve().unwrap().stats.simplex_iterations > 0);
     }
 
     #[test]

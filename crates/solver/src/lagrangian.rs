@@ -171,49 +171,104 @@ pub fn lagrangian_knapsack(
 }
 
 /// Greedy repair: while any row is violated, drop the selected free
-/// item with the lowest value per unit of aggregate violation relief.
+/// item with the lowest value per unit of aggregate violation relief
+/// (relief = its weight in the currently violated rows), ties to the
+/// lowest index.
+///
+/// An item's score only changes when the *set* of violated rows does,
+/// so the droppable items are sorted once per set and dropped in that
+/// order; on non-negative rows a set is left for good once a row is
+/// satisfied, which bounds the sorts by the row count.
 fn repair(program: &BinaryProgram, mut x: Vec<bool>) -> Vec<bool> {
+    let rows = program.rows();
+    let mut usage: Vec<RowUsage> = rows.iter().map(|r| RowUsage::of(&r.coeffs, &x)).collect();
+    let mut violated = vec![false; rows.len()];
+    // Droppable items by ascending score under `sorted_for`'s rows.
+    let mut order: Vec<(f64, usize)> = Vec::new();
+    let mut sorted_for: Option<Vec<bool>> = None;
+    let mut next = 0;
     loop {
-        let violations: Vec<f64> = program
-            .rows()
-            .iter()
-            .map(|r| {
-                let lhs: f64 = r
-                    .coeffs
-                    .iter()
-                    .zip(&x)
-                    .map(|(c, &v)| if v { *c } else { 0.0 })
-                    .sum();
-                (lhs - r.rhs).max(0.0)
-            })
-            .collect();
-        if violations.iter().all(|&v| v <= 1e-9) {
+        let mut feasible = true;
+        for ((u, row), v) in usage.iter_mut().zip(rows).zip(&mut violated) {
+            let excess = u.excess(&row.coeffs, row.rhs, &x);
+            feasible &= excess <= 1e-9;
+            *v = excess > 0.0;
+        }
+        if feasible {
             return x;
         }
-        let mut victim: Option<(usize, f64)> = None;
-        for (i, &taken) in x.iter().enumerate() {
-            if !taken || program.fixings()[i] == Some(true) {
-                continue;
+        if sorted_for.as_ref() != Some(&violated) {
+            order.clear();
+            for i in (0..x.len()).filter(|&i| x[i] && program.fixings()[i] != Some(true)) {
+                let relief: f64 = rows
+                    .iter()
+                    .zip(&violated)
+                    .map(|(r, &v)| if v { r.coeffs[i].max(0.0) } else { 0.0 })
+                    .sum();
+                if relief > 0.0 {
+                    order.push((program.objective()[i] / relief, i));
+                }
             }
-            let relief: f64 = program
-                .rows()
-                .iter()
-                .zip(&violations)
-                .map(|(r, &v)| if v > 0.0 { r.coeffs[i].max(0.0) } else { 0.0 })
-                .sum();
-            if relief <= 0.0 {
-                continue;
-            }
-            let score = program.objective()[i] / relief;
-            match victim {
-                Some((_, s)) if s <= score => {}
-                _ => victim = Some((i, score)),
-            }
+            order.sort_unstable_by(|a, b| {
+                a.0.partial_cmp(&b.0).expect("finite value over positive relief").then(a.1.cmp(&b.1))
+            });
+            sorted_for = Some(violated.clone());
+            next = 0;
         }
-        match victim {
-            Some((i, _)) => x[i] = false,
-            None => return x, // nothing droppable: give up as-is
+        let Some(&(_, victim)) = order.get(next) else {
+            return x; // nothing droppable: give up as-is
+        };
+        next += 1;
+        x[victim] = false;
+        for (u, row) in usage.iter_mut().zip(rows) {
+            u.drop_item(row.coeffs[victim]);
         }
+    }
+}
+
+/// One row's left-hand side under a shrinking selection, kept in step
+/// with the from-scratch sum `Σ coeffs[i]·x[i]` (index order) that the
+/// violation tests are defined on: the running value is trusted while
+/// it is farther from both thresholds than the worst rounding drift,
+/// and re-summed otherwise, so every verdict equals the re-summed one.
+struct RowUsage {
+    running: f64,
+    /// Whether `running` *is* the from-scratch sum.
+    exact: bool,
+    /// Bound on `|running − exact sum|` for any later selection.
+    drift: f64,
+}
+
+impl RowUsage {
+    fn sum(coeffs: &[f64], x: &[bool]) -> f64 {
+        coeffs.iter().zip(x).map(|(c, &v)| if v { *c } else { 0.0 }).sum()
+    }
+
+    fn of(coeffs: &[f64], x: &[bool]) -> Self {
+        let magnitude: f64 = coeffs.iter().zip(x).map(|(c, &v)| if v { c.abs() } else { 0.0 }).sum();
+        // n roundings in the exact sum plus at most n in the running
+        // one, each within ε of a partial sum no larger than `magnitude`.
+        let drift = 4.0 * x.len() as f64 * f64::EPSILON * magnitude;
+        Self { running: Self::sum(coeffs, x), exact: true, drift }
+    }
+
+    fn drop_item(&mut self, coeff: f64) {
+        // Dropping a weightless item replaces a `+ 0.0` by a `+ 0.0`.
+        if coeff != 0.0 {
+            self.running -= coeff;
+            self.exact = false;
+        }
+    }
+
+    /// `max(0, lhs − rhs)` with the exact `lhs` wherever the verdicts
+    /// (`> 0`, `≤ 1e-9`) could depend on it.
+    fn excess(&mut self, coeffs: &[f64], rhs: f64, x: &[bool]) -> f64 {
+        let over = self.running - rhs;
+        if !self.exact && (over.abs() <= self.drift || (over - 1e-9).abs() <= self.drift) {
+            self.running = Self::sum(coeffs, x);
+            self.exact = true;
+        }
+        (self.running - rhs).max(0.0)
     }
 }
 
@@ -230,6 +285,96 @@ mod tests {
         p.add_constraint(w1, Relation::Le, 50.0).unwrap();
         p.add_constraint(w2, Relation::Le, 7.0).unwrap();
         p
+    }
+
+    /// The repair as first written — every item rescanned per drop, every
+    /// row re-summed per drop — kept as the oracle for [`repair`].
+    fn repair_rescanning(program: &BinaryProgram, mut x: Vec<bool>) -> Vec<bool> {
+        loop {
+            let violations: Vec<f64> = program
+                .rows()
+                .iter()
+                .map(|r| {
+                    let lhs: f64 = r
+                        .coeffs
+                        .iter()
+                        .zip(&x)
+                        .map(|(c, &v)| if v { *c } else { 0.0 })
+                        .sum();
+                    (lhs - r.rhs).max(0.0)
+                })
+                .collect();
+            if violations.iter().all(|&v| v <= 1e-9) {
+                return x;
+            }
+            let mut victim: Option<(usize, f64)> = None;
+            for (i, &taken) in x.iter().enumerate() {
+                if !taken || program.fixings()[i] == Some(true) {
+                    continue;
+                }
+                let relief: f64 = program
+                    .rows()
+                    .iter()
+                    .zip(&violations)
+                    .map(|(r, &v)| if v > 0.0 { r.coeffs[i].max(0.0) } else { 0.0 })
+                    .sum();
+                if relief <= 0.0 {
+                    continue;
+                }
+                let score = program.objective()[i] / relief;
+                match victim {
+                    Some((_, s)) if s <= score => {}
+                    _ => victim = Some((i, score)),
+                }
+            }
+            match victim {
+                Some((i, _)) => x[i] = false,
+                None => return x,
+            }
+        }
+    }
+
+    #[test]
+    fn repair_matches_the_rescanning_oracle() {
+        let mut state = 0x0dd_ba11_5eed_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for case in 0..200 {
+            let n = 1 + (next() * 60.0) as usize;
+            // Even cases draw from a handful of integers (equal scores,
+            // rows met exactly, weightless items); odd ones from reals.
+            let draw = |u: f64, lo: f64, hi: f64| {
+                if case % 2 == 0 { (lo + u * (hi - lo)).floor() } else { lo + u * (hi - lo) }
+            };
+            let values: Vec<f64> = (0..n).map(|_| draw(next(), 1.0, 9.0)).collect();
+            let mut p = BinaryProgram::new(Sense::Maximize, values).unwrap();
+            for _ in 0..1 + case % 3 {
+                // Every fifth case lets weights go negative, where a
+                // satisfied row can become violated again.
+                let lo = if case % 5 == 4 { -2.0 } else { 0.0 };
+                let w: Vec<f64> = (0..n).map(|_| draw(next(), lo, 5.0)).collect();
+                let cap = draw(next(), 0.0, 0.6 * w.iter().sum::<f64>().max(0.0));
+                p.add_constraint(w, Relation::Le, cap).unwrap();
+            }
+            for i in 0..n {
+                match (next() * 10.0) as usize {
+                    0 => p.fix(i, true).unwrap(),
+                    1 => p.fix(i, false).unwrap(),
+                    _ => {}
+                }
+            }
+            let start: Vec<bool> =
+                (0..n).map(|i| p.fixings()[i].unwrap_or_else(|| next() < 0.8)).collect();
+            assert_eq!(
+                repair(&p, start.clone()),
+                repair_rescanning(&p, start),
+                "case {case}"
+            );
+        }
     }
 
     #[test]

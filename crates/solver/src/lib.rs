@@ -14,6 +14,10 @@
 //! * [`ilp`] — exact 0/1 integer programming via depth-first
 //!   branch-and-bound over the LP relaxation, with greedy rounding for
 //!   the initial incumbent and most-fractional branching.
+//! * [`relax`] — the LP relaxation of knapsack-shaped programs (at most
+//!   two `≤` rows, the Phase-1 shape) from density orders instead of a
+//!   tableau: O(n) per node, which is what the branch-and-bound bounds
+//!   with; the simplex serves every other shape.
 //! * [`knapsack`] — greedy and dynamic-programming knapsack heuristics
 //!   used both as ablation baselines and to seed the B&B incumbent.
 //! * [`lagrangian`] — subgradient ascent on the Lagrangian dual of the
@@ -50,6 +54,7 @@ pub mod knapsack;
 pub mod lagrangian;
 pub mod presolve;
 pub mod problem;
+pub mod relax;
 pub mod simplex;
 
 pub use ilp::{BranchBound, IlpStats};
@@ -57,6 +62,7 @@ pub use knapsack::{dp_knapsack, greedy_multi_knapsack, GreedyOutcome};
 pub use lagrangian::{lagrangian_knapsack, LagrangianSolution};
 pub use presolve::{presolve, Presolve};
 pub use problem::{BinaryProgram, BinarySolution, Relation, Sense};
+pub use relax::{KnapsackRelaxation, RelaxedKnapsack};
 pub use simplex::{LinearProgram, LpSolution, LpStatus, Simplex};
 
 use std::error::Error;

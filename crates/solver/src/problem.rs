@@ -234,6 +234,15 @@ impl BinaryProgram {
         BranchBound::new(self).solve()
     }
 
+    /// True when every row is `≤` with nonnegative data: the
+    /// multi-knapsack shape the rounding heuristics of [`crate::ilp`]
+    /// and the relaxation of [`crate::relax`] assume.
+    pub(crate) fn is_knapsack_shaped(&self) -> bool {
+        self.rows.iter().all(|r| {
+            r.relation == Relation::Le && r.coeffs.iter().all(|&c| c >= 0.0) && r.rhs >= 0.0
+        })
+    }
+
     /// Evaluates the objective at a binary point (caller orientation).
     ///
     /// # Panics
