@@ -2,13 +2,12 @@
 //! constraint-11 feasibility and the eq.-13 objective.
 //!
 //! These dominate the incremental Phase-2 pass over a dirty frontier —
-//! every candidate swap re-evaluates both. Three variants per kernel:
-//! `batched` (the columnar batch kernels, AVX2 where detected),
-//! `columnar` (per-row walks over the SoA columns), and `scalar` (the
-//! same arithmetic over pre-materialized [`DeviceRequest`] rows). The
-//! committed artifact lives in `BENCH_kernels.json` via the
-//! `fleet-kernels-baseline` binary; this bench is for interactive
-//! exploration.
+//! every candidate swap re-evaluates both. Two variants per kernel:
+//! `batched` (the columnar batch kernels; the objective runs AVX2 where
+//! detected) and `scalar` (the row oracles over pre-materialized
+//! [`DeviceRequest`] rows). The committed artifact lives in
+//! `BENCH_kernels.json` via the `fleet-kernels-baseline` binary; this
+//! bench is for interactive exploration.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lpvs_core::compact::compact_device;
@@ -58,15 +57,6 @@ fn bench_fleet_kernels(c: &mut Criterion) {
             black_box(&flags);
         });
     });
-    group.bench_function("transform_feasible/columnar", |b| {
-        b.iter(|| {
-            let mut feasible = 0usize;
-            for d in 0..DEVICES {
-                feasible += usize::from(black_box(&fleet).transform_feasible(d));
-            }
-            black_box(feasible)
-        });
-    });
     group.bench_function("transform_feasible/scalar", |b| {
         b.iter(|| {
             let mut feasible = 0usize;
@@ -89,15 +79,6 @@ fn bench_fleet_kernels(c: &mut Criterion) {
                 &mut values,
             );
             black_box(&values);
-        });
-    });
-    group.bench_function("device_objective/columnar", |b| {
-        b.iter(|| {
-            let mut total = 0.0;
-            for d in 0..DEVICES {
-                total += black_box(&fleet).device_objective(d, d % 2 == 0, lambda, &curve);
-            }
-            black_box(total)
         });
     });
     group.bench_function("device_objective/scalar", |b| {

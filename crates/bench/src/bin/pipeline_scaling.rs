@@ -1,5 +1,5 @@
 //! Slot throughput: the sequential engine vs. the staged
-//! [`lpvs-runtime`] pipeline (gather ∥ solve ∥ apply) at emulator
+//! [`lpvs_runtime`] pipeline (gather ∥ solve ∥ apply) at emulator
 //! scale.
 //!
 //! Three rows per fleet size decompose the win:

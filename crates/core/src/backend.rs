@@ -12,7 +12,7 @@
 //! A backend owns three responsibilities:
 //!
 //! * **solve** — produce a capacity-respecting selection for a
-//!   [`SlotProblem`], honouring the node budget and optimality gap in
+//!   [`SlotView`], honouring the node budget and optimality gap in
 //!   [`Phase1Config`];
 //! * **warm-start** — accept the previous slot's selection as a hint
 //!   (backends that cannot use hints simply ignore them);
@@ -20,9 +20,9 @@
 //!   [`Phase1Result`] (nodes, inner-iteration work, energy saved) and
 //!   name the [`Degradation`] rung it occupies on the ladder.
 
+use crate::fleet::SlotView;
 use crate::kernels;
 use crate::phase1::{Phase1Config, Phase1Result, Phase1Solver};
-use crate::problem::SlotProblem;
 use crate::scheduler::Degradation;
 use lpvs_solver::{BinaryProgram, Relation, Sense, SolverError};
 
@@ -38,14 +38,14 @@ use lpvs_solver::{BinaryProgram, Relation, Sense, SolverError};
 /// never make an infeasible selection possible.
 #[derive(Debug, Clone, Copy)]
 pub struct WarmStart<'a> {
-    /// Per-device selection aligned with the problem's request order.
+    /// Per-device selection aligned with the view's row order.
     pub selected: &'a [bool],
 }
 
 /// A Phase-1 solver behind the scheduler's degradation ladder.
 ///
 /// Implementations must be pure given their inputs: the scheduler's
-/// determinism guarantee (same problem → same schedule) rests on it.
+/// determinism guarantee (same view → same schedule) rests on it.
 pub trait SolverBackend: Send + Sync {
     /// Short stable name (used in telemetry and reports).
     fn name(&self) -> &'static str;
@@ -53,7 +53,7 @@ pub trait SolverBackend: Send + Sync {
     /// The ladder rung this backend occupies.
     fn rung(&self) -> Degradation;
 
-    /// Solves Phase-1 for `problem`, optionally warm-started with the
+    /// Solves Phase-1 over `view`, optionally warm-started with the
     /// previous slot's selection (see [`WarmStart`] for the contract).
     ///
     /// # Errors
@@ -63,7 +63,7 @@ pub trait SolverBackend: Send + Sync {
     /// empty selection satisfies every capacity row.
     fn solve(
         &self,
-        problem: &SlotProblem,
+        view: SlotView<'_>,
         config: &Phase1Config,
         warm: Option<WarmStart<'_>>,
     ) -> Result<Phase1Result, SolverError>;
@@ -80,8 +80,8 @@ fn record_warm_outcome(used: bool) {
 
 /// Per-device inputs shared by every backend: savings coefficients,
 /// energy-feasibility verdicts, and the two capacity rows. Computed
-/// once per solve via information compacting (paper §V-B), iterating
-/// the requests a single time.
+/// once per solve via information compacting (paper §V-B), touching
+/// each device's chunk table a single time.
 struct CompactedInputs {
     savings: Vec<f64>,
     feasible: Vec<bool>,
@@ -91,29 +91,25 @@ struct CompactedInputs {
 }
 
 impl CompactedInputs {
-    fn gather(problem: &SlotProblem) -> Self {
-        let _span = lpvs_obs::span!("sched.compact", "devices" => problem.len());
-        // Candidate scoring runs through the batched columnar kernels
-        // (savings + feasibility in one pass) — bit-identical to the
-        // per-row `saving_j` / `compact_device` path it replaces.
-        let indices: Vec<usize> = (0..problem.len()).collect();
+    fn gather(view: SlotView<'_>) -> Self {
+        let _span = lpvs_obs::span!("sched.compact", "devices" => view.len());
+        // Candidate scoring is one pass of the batched columnar kernel
+        // (savings + feasibility together) — bit-identical to the
+        // per-row `saving_j` / `compact_device` oracles.
         let mut savings = Vec::new();
         let mut feasible = Vec::new();
-        kernels::with_problem_columns(problem, |cols| {
-            kernels::transform_savings_batch(&cols, &indices, &mut feasible, &mut savings);
-        });
+        kernels::transform_savings_batch(&view.columns(), view.rows(), &mut feasible, &mut savings);
         let infeasible_devices = feasible.iter().filter(|&&f| !f).count();
-        let g: Vec<f64> = problem.requests.iter().map(|r| r.compute_cost).collect();
-        let h: Vec<f64> = problem.requests.iter().map(|r| r.storage_cost_gb).collect();
+        let (g, h) = (0..view.len()).map(|position| view.cost(position).into()).unzip();
         Self { savings, feasible, g, h, infeasible_devices }
     }
 
     /// Builds the 0/1 ILP over the capacity knapsacks with infeasible
     /// devices fixed out (shared by the exact and Lagrangian backends).
-    fn to_program(&self, problem: &SlotProblem) -> Result<BinaryProgram, SolverError> {
+    fn to_program(&self, view: SlotView<'_>) -> Result<BinaryProgram, SolverError> {
         let mut ilp = BinaryProgram::new(Sense::Maximize, self.savings.clone())?;
-        ilp.add_constraint(self.g.clone(), Relation::Le, problem.compute_capacity)?;
-        ilp.add_constraint(self.h.clone(), Relation::Le, problem.storage_capacity_gb)?;
+        ilp.add_constraint(self.g.clone(), Relation::Le, view.compute_capacity())?;
+        ilp.add_constraint(self.h.clone(), Relation::Le, view.storage_capacity_gb())?;
         for (i, &ok) in self.feasible.iter().enumerate() {
             if !ok {
                 ilp.fix(i, false)?;
@@ -142,11 +138,11 @@ impl CompactedInputs {
     }
 
     /// Whether a selection fits both capacity rows.
-    fn fits(&self, problem: &SlotProblem, x: &[bool]) -> bool {
+    fn fits(&self, view: SlotView<'_>, x: &[bool]) -> bool {
         let used = |costs: &[f64]| -> f64 {
             costs.iter().zip(x).map(|(c, &v)| if v { *c } else { 0.0 }).sum()
         };
-        used(&self.g) <= problem.compute_capacity && used(&self.h) <= problem.storage_capacity_gb
+        used(&self.g) <= view.compute_capacity() && used(&self.h) <= view.storage_capacity_gb()
     }
 }
 
@@ -178,16 +174,15 @@ impl SolverBackend for ExactBackend {
 
     fn solve(
         &self,
-        problem: &SlotProblem,
+        view: SlotView<'_>,
         config: &Phase1Config,
         warm: Option<WarmStart<'_>>,
     ) -> Result<Phase1Result, SolverError> {
-        let n = problem.len();
-        if n == 0 {
+        if view.is_empty() {
             return Ok(empty_result());
         }
-        let inputs = CompactedInputs::gather(problem);
-        let mut ilp = inputs.to_program(problem)?;
+        let inputs = CompactedInputs::gather(view);
+        let mut ilp = inputs.to_program(view)?;
         ilp.set_node_limit(config.node_limit);
         ilp.set_relative_gap(config.relative_gap);
         let mut search = lpvs_solver::BranchBound::new(&ilp);
@@ -232,15 +227,15 @@ impl SolverBackend for LagrangianBackend {
 
     fn solve(
         &self,
-        problem: &SlotProblem,
+        view: SlotView<'_>,
         _config: &Phase1Config,
         warm: Option<WarmStart<'_>>,
     ) -> Result<Phase1Result, SolverError> {
-        if problem.is_empty() {
+        if view.is_empty() {
             return Ok(empty_result());
         }
-        let inputs = CompactedInputs::gather(problem);
-        let ilp = inputs.to_program(problem)?;
+        let inputs = CompactedInputs::gather(view);
+        let ilp = inputs.to_program(view)?;
         let solution = lpvs_solver::lagrangian_knapsack(&ilp, LAGRANGIAN_ITERATIONS)?;
         let mut result = Phase1Result {
             energy_saved_j: inputs.energy_saved_j(&solution.x),
@@ -250,7 +245,7 @@ impl SolverBackend for LagrangianBackend {
             selected: solution.x,
             warm_start_used: false,
         };
-        adopt_hint_if_better(&mut result, &inputs, problem, warm);
+        adopt_hint_if_better(&mut result, &inputs, view, warm);
         Ok(result)
     }
 }
@@ -271,22 +266,22 @@ impl SolverBackend for GreedyBackend {
 
     fn solve(
         &self,
-        problem: &SlotProblem,
+        view: SlotView<'_>,
         _config: &Phase1Config,
         warm: Option<WarmStart<'_>>,
     ) -> Result<Phase1Result, SolverError> {
-        if problem.is_empty() {
+        if view.is_empty() {
             return Ok(empty_result());
         }
-        let inputs = CompactedInputs::gather(problem);
+        let inputs = CompactedInputs::gather(view);
         let fixings: Vec<Option<bool>> = inputs
             .feasible
             .iter()
             .map(|&ok| if ok { None } else { Some(false) })
             .collect();
         let rows: Vec<(&[f64], f64)> = vec![
-            (inputs.g.as_slice(), problem.compute_capacity),
-            (inputs.h.as_slice(), problem.storage_capacity_gb),
+            (inputs.g.as_slice(), view.compute_capacity()),
+            (inputs.h.as_slice(), view.storage_capacity_gb()),
         ];
         let selected = lpvs_solver::greedy_multi_knapsack(&inputs.savings, &rows, &fixings).x;
         let mut result = Phase1Result {
@@ -297,7 +292,7 @@ impl SolverBackend for GreedyBackend {
             selected,
             warm_start_used: false,
         };
-        adopt_hint_if_better(&mut result, &inputs, problem, warm);
+        adopt_hint_if_better(&mut result, &inputs, view, warm);
         Ok(result)
     }
 }
@@ -305,17 +300,17 @@ impl SolverBackend for GreedyBackend {
 /// Heuristic-tier warm-start adoption: the cleaned hint replaces the
 /// backend's own selection only when it is capacity-feasible and saves
 /// strictly more energy. Determinism is preserved — the outcome depends
-/// only on (problem, hint), never on timing.
+/// only on (view, hint), never on timing.
 fn adopt_hint_if_better(
     result: &mut Phase1Result,
     inputs: &CompactedInputs,
-    problem: &SlotProblem,
+    view: SlotView<'_>,
     warm: Option<WarmStart<'_>>,
 ) {
     let Some(w) = warm else { return };
     let mut used = false;
     if let Some(cleaned) = inputs.cleaned_hint(w.selected) {
-        if inputs.fits(problem, &cleaned) {
+        if inputs.fits(view, &cleaned) {
             let hint_saving = inputs.energy_saved_j(&cleaned);
             if hint_saving > result.energy_saved_j {
                 result.energy_saved_j = hint_saving;
@@ -354,7 +349,8 @@ pub fn ladder_from(solver: Phase1Solver) -> Vec<Box<dyn SolverBackend>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::DeviceRequest;
+    use crate::fleet::with_problem_view;
+    use crate::problem::{DeviceRequest, SlotProblem};
     use lpvs_survey::curve::AnxietyCurve;
 
     fn problem(capacity: f64) -> SlotProblem {
@@ -393,7 +389,8 @@ mod tests {
     fn every_backend_solves_feasibly() {
         let p = problem(2.0);
         for backend in solver_ladder() {
-            let r = backend.solve(&p, &Phase1Config::default(), None).unwrap();
+            let config = Phase1Config::default();
+            let r = with_problem_view(&p, |view| backend.solve(view, &config, None)).unwrap();
             assert!(p.capacity_feasible(&r.selected), "{} infeasible", backend.name());
             assert!(r.energy_saved_j > 0.0, "{} saved nothing", backend.name());
         }
@@ -403,7 +400,8 @@ mod tests {
     fn backends_handle_empty_problems() {
         let p = SlotProblem::new(1.0, 1.0, 1.0, AnxietyCurve::paper_shape());
         for backend in solver_ladder() {
-            let r = backend.solve(&p, &Phase1Config::default(), None).unwrap();
+            let config = Phase1Config::default();
+            let r = with_problem_view(&p, |view| backend.solve(view, &config, None)).unwrap();
             assert!(r.selected.is_empty());
         }
     }

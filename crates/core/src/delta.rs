@@ -13,13 +13,18 @@
 //!   and the shard-local dirty rows, solves a small residual problem
 //!   over the dirty rows only, merges it with the standing clean-row
 //!   decisions, and re-runs Phase-2 swapping restricted to the dirty
-//!   frontier.
+//!   frontier. The shard and the residual are both
+//!   [`SlotView`](crate::fleet::SlotView)s of the fleet the caller
+//!   already holds — the residual is the same columns over the dirty
+//!   rows with reduced capacities — so nothing is extracted or copied;
+//!   the only whole-shard work left is the eq.-13 and savings
+//!   accounting of the merged selection.
 //!
 //! The correctness argument, in layers:
 //!
 //! 1. **Clean rows are bit-identical** to when their dirty bit was last
-//!    cleared (the [`DeviceFleet`](crate::fleet::DeviceFleet) mutator
-//!    contract), so their per-device objective terms and costs are
+//!    cleared (the [`DeviceFleet`] mutator contract), so their
+//!    per-device objective terms and costs are
 //!    unchanged and the standing decision remains capacity-accounted.
 //! 2. The residual sub-problem gives the dirty rows exactly the
 //!    capacity the clean rows left behind, so the merged selection can
@@ -35,10 +40,7 @@
 
 use crate::budget::SlotBudget;
 use crate::fleet::{DeviceFleet, DirtyFrontier};
-use crate::kernels;
-use crate::objective::objective_value;
 use crate::phase2::run_phase2_over;
-use crate::problem::SlotProblem;
 use crate::scheduler::{Degradation, LpvsScheduler, Schedule, ScheduleStats, SchedulerConfig};
 use lpvs_survey::curve::AnxietyCurve;
 use serde::{Deserialize, Serialize};
@@ -90,83 +92,6 @@ impl From<DirtyFrontier> for SlotDelta {
     }
 }
 
-/// Reusable extraction buffers for the solve stage: the full-shard and
-/// residual [`SlotProblem`]s (each request's chunk vectors included)
-/// plus the index/warm-start scratch. A worker that keeps one of these
-/// across slots extracts steady-state subproblems with **zero heap
-/// allocation** — every buffer is refilled in place via
-/// [`DeviceFleet::subproblem_into`].
-#[derive(Debug, Default)]
-pub struct SolveScratch {
-    problem: Option<SlotProblem>,
-    sub_problem: Option<SlotProblem>,
-    dirty_globals: Vec<usize>,
-    sub_warm: Vec<bool>,
-    savings: Vec<f64>,
-    savings_feasible: Vec<bool>,
-}
-
-impl SolveScratch {
-    /// Empty scratch; buffers grow on first use and are reused after.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Extracts `indices` from the fleet into this scratch's full-shard
-    /// problem buffer, reusing allocations when warm.
-    pub fn extract_problem<'a>(
-        &'a mut self,
-        fleet: &DeviceFleet,
-        indices: &[usize],
-        compute_capacity: f64,
-        storage_capacity_gb: f64,
-        lambda: f64,
-        curve: &AnxietyCurve,
-    ) -> &'a SlotProblem {
-        extract_into(
-            &mut self.problem,
-            fleet,
-            indices,
-            compute_capacity,
-            storage_capacity_gb,
-            lambda,
-            curve,
-        )
-    }
-}
-
-/// Fills (or first-allocates) a scratch slot with a fleet subproblem.
-fn extract_into<'a>(
-    slot: &'a mut Option<SlotProblem>,
-    fleet: &DeviceFleet,
-    indices: &[usize],
-    compute_capacity: f64,
-    storage_capacity_gb: f64,
-    lambda: f64,
-    curve: &AnxietyCurve,
-) -> &'a SlotProblem {
-    match slot {
-        Some(problem) => {
-            fleet.subproblem_into(
-                indices,
-                compute_capacity,
-                storage_capacity_gb,
-                lambda,
-                curve,
-                problem,
-            );
-            problem
-        }
-        None => slot.get_or_insert(fleet.subproblem(
-            indices,
-            compute_capacity,
-            storage_capacity_gb,
-            lambda,
-            curve,
-        )),
-    }
-}
-
 /// Solves one shard incrementally: dirty rows are re-solved against the
 /// capacity the clean rows left behind, clean rows keep their standing
 /// decision, and Phase-2 swapping re-runs restricted to the frontier.
@@ -205,47 +130,6 @@ pub fn solve_shard_incremental(
     curve: &AnxietyCurve,
     budget: &SlotBudget,
 ) -> Schedule {
-    solve_shard_incremental_with(
-        &mut SolveScratch::new(),
-        scheduler,
-        fleet,
-        indices,
-        local_dirty,
-        previous_selected,
-        previous_degradation,
-        compute_capacity,
-        storage_capacity_gb,
-        lambda,
-        curve,
-        budget,
-    )
-}
-
-/// [`solve_shard_incremental`] with caller-provided [`SolveScratch`]:
-/// the subproblem extraction reuses the scratch's buffers, so a worker
-/// that keeps the scratch warm across slots allocates nothing on the
-/// steady-state incremental path. Results are bit-identical to the
-/// scratch-free entry point.
-///
-/// # Panics
-///
-/// Panics if `previous_selected.len() != indices.len()` or a dirty
-/// position is out of range.
-#[allow(clippy::too_many_arguments)]
-pub fn solve_shard_incremental_with(
-    scratch: &mut SolveScratch,
-    scheduler: &LpvsScheduler,
-    fleet: &DeviceFleet,
-    indices: &[usize],
-    local_dirty: &[usize],
-    previous_selected: &[bool],
-    previous_degradation: Degradation,
-    compute_capacity: f64,
-    storage_capacity_gb: f64,
-    lambda: f64,
-    curve: &AnxietyCurve,
-    budget: &SlotBudget,
-) -> Schedule {
     assert_eq!(
         previous_selected.len(),
         indices.len(),
@@ -257,15 +141,7 @@ pub fn solve_shard_incremental_with(
         "devices" => indices.len(),
         "frontier" => local_dirty.len()
     );
-    let problem = extract_into(
-        &mut scratch.problem,
-        fleet,
-        indices,
-        compute_capacity,
-        storage_capacity_gb,
-        lambda,
-        curve,
-    );
+    let view = fleet.slot_view(indices, compute_capacity, storage_capacity_gb, lambda, curve);
 
     // Capacity the clean rows' standing selections already consume.
     let mut g_clean = 0.0;
@@ -274,73 +150,54 @@ pub fn solve_shard_incremental_with(
     for &local in local_dirty {
         is_dirty[local] = true;
     }
-    for (local, r) in problem.requests.iter().enumerate() {
+    for local in 0..indices.len() {
         if previous_selected[local] && !is_dirty[local] {
-            g_clean += r.compute_cost;
-            h_clean += r.storage_cost_gb;
+            let [g, h] = view.cost(local);
+            g_clean += g;
+            h_clean += h;
         }
     }
 
     // Residual sub-problem over the dirty rows only, warm-started with
     // their previous decisions. Phase-2 is deferred to the merged
     // selection so swaps see the frontier, not the sub-problem.
-    scratch.dirty_globals.clear();
-    scratch.dirty_globals.extend(local_dirty.iter().map(|&l| indices[l]));
-    let sub_problem = extract_into(
-        &mut scratch.sub_problem,
-        fleet,
-        &scratch.dirty_globals,
+    let dirty_rows: Vec<usize> = local_dirty.iter().map(|&l| indices[l]).collect();
+    let sub_view = fleet.slot_view(
+        &dirty_rows,
         (compute_capacity - g_clean).max(0.0),
         (storage_capacity_gb - h_clean).max(0.0),
         lambda,
         curve,
     );
-    scratch.sub_warm.clear();
-    scratch.sub_warm.extend(local_dirty.iter().map(|&l| previous_selected[l]));
+    let sub_warm: Vec<bool> = local_dirty.iter().map(|&l| previous_selected[l]).collect();
     let sub_scheduler = LpvsScheduler::new(SchedulerConfig {
         enable_phase2: false,
         ..*scheduler.config()
     });
-    let sub = sub_scheduler.schedule_resilient(sub_problem, Some(&scratch.sub_warm), budget);
+    let sub = sub_scheduler.schedule_view(sub_view, Some(&sub_warm), budget);
 
     // Merge: clean rows keep their standing decision.
     let mut selected = previous_selected.to_vec();
     for (k, &local) in local_dirty.iter().enumerate() {
         selected[local] = sub.selected[k];
     }
-    if !problem.capacity_feasible(&selected) {
+    if !view.capacity_feasible(&selected) {
         // Unreachable up to rounding; a cold solve is always sound.
         span.record("cold_fallback", 1.0);
-        return scheduler.schedule_resilient(problem, Some(previous_selected), budget);
+        return scheduler.schedule_view(view, Some(previous_selected), budget);
     }
 
     let phase2 = if scheduler.config().enable_phase2 {
-        run_phase2_over(problem, &mut selected, Some(local_dirty))
+        run_phase2_over(view, &mut selected, Some(local_dirty))
     } else {
         Default::default()
     };
 
-    // Savings accounting through the batched columnar kernel (same
-    // per-row values and fold order as a sequential `saving_j` sum).
-    scratch.savings.clear();
-    scratch.savings_feasible.clear();
-    kernels::transform_savings_batch(
-        &fleet.columns(),
-        indices,
-        &mut scratch.savings_feasible,
-        &mut scratch.savings,
-    );
-    let energy_saved_j = scratch
-        .savings
-        .iter()
-        .zip(&selected)
-        .map(|(s, &x)| if x { *s } else { 0.0 })
-        .sum();
     let degradation = previous_degradation.max(sub.stats.degradation);
     span.record("tier", degradation.severity() as f64);
     let stats = ScheduleStats {
-        objective: objective_value(problem, &selected),
-        energy_saved_j,
+        objective: view.objective_value(&selected),
+        energy_saved_j: view.energy_saved_j(&selected),
         infeasible_devices: sub.stats.infeasible_devices,
         phase1_nodes: sub.stats.phase1_nodes,
         phase1_pivots: sub.stats.phase1_pivots,
@@ -356,6 +213,7 @@ pub fn solve_shard_incremental_with(
 mod tests {
     use super::*;
     use crate::fleet::DeviceFleet;
+    use crate::objective::objective_value;
     use crate::problem::DeviceRequest;
 
     fn fleet(n: usize) -> DeviceFleet {

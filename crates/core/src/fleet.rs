@@ -12,11 +12,16 @@
 //! * scalar scans (anxiety ranking, feasibility filters, partition
 //!   hashing) are cache-linear and never drag chunk data through the
 //!   cache;
-//! * a contiguous index range is an **O(1)** zero-copy [`FleetView`],
-//!   which is what the locality partitioner of
-//!   `lpvs_edge::fleet::FleetScheduler` hands to each shard;
-//! * per-device rows round-trip to [`DeviceRequest`] bit-exactly, so a
-//!   1-shard fleet schedule is bit-identical to the monolithic path.
+//! * a shard is a [`SlotView`] — the fleet's columns plus the shard's
+//!   row list and capacities, borrowed, `Copy` — and that view is the
+//!   *only* thing the solve path reads: the scheduler, all three Phase-1
+//!   backends, Phase-2 and the eq.-13 accounting run on it without ever
+//!   materializing a row;
+//! * per-device rows round-trip to [`DeviceRequest`] bit-exactly, so the
+//!   row-taking entry points (which load a [`SlotProblem`] into a
+//!   thread-local fleet through the one rows→columns loader,
+//!   [`DeviceFleet::rebuild_from_problem`]) decide bit-identically to
+//!   the fleet entry.
 //!
 //! Beyond the `SlotProblem` fields, the fleet carries the columns the
 //! orchestration layer needs and the slot problem never did: the γ
@@ -38,12 +43,12 @@
 //! contract is load-bearing for delta solving: a clean bit promises the
 //! row is bit-identical to what it was when the bit was last cleared.
 
-use crate::compact::{compact_device, CompactedDevice};
-use crate::kernels::FleetColumns;
-use crate::problem::{DeviceRequest, SlotProblem};
+use crate::kernels::{self, FleetColumns, Select};
+use crate::problem::{safe_capacity, DeviceRequest, SlotProblem};
 use lpvs_display::spec::DisplayKind;
 use lpvs_survey::curve::AnxietyCurve;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::ops::Range;
 
 /// One fleet row in struct form — the insertion/extraction format.
@@ -104,7 +109,7 @@ pub struct DeviceFleet {
     dirty: Vec<bool>,
     /// Monotone generation counter, bumped by each
     /// [`clear_dirty`](Self::clear_dirty). Lets consumers that copied
-    /// a [`DirtyFrontier`] (or a [`FleetView`]) detect staleness.
+    /// a [`DirtyFrontier`] detect staleness.
     epoch: u64,
 }
 
@@ -214,7 +219,23 @@ impl DeviceFleet {
             device.gamma_std.is_finite() && device.gamma_std >= 0.0,
             "gamma spread must be a finite nonnegative number"
         );
-        let FleetDevice { request, display, gamma_std, connected } = device;
+        self.push_row(&device.request, device.display, device.gamma_std, device.connected)
+    }
+
+    /// Appends a bare request as an LCD, exact-γ, connected row.
+    pub fn push_request(&mut self, request: DeviceRequest) -> usize {
+        self.push(FleetDevice::from_request(request))
+    }
+
+    /// Copies one already-validated row into the columns — the single
+    /// place in the workspace where a [`DeviceRequest`] becomes columns.
+    fn push_row(
+        &mut self,
+        request: &DeviceRequest,
+        display: DisplayKind,
+        gamma_std: f64,
+        connected: bool,
+    ) -> usize {
         self.power_rates_w.extend_from_slice(&request.power_rates_w);
         self.chunk_secs.extend_from_slice(&request.chunk_secs);
         self.chunk_offsets.push(self.power_rates_w.len());
@@ -230,25 +251,15 @@ impl DeviceFleet {
         self.len() - 1
     }
 
-    /// Appends a bare request as an LCD, exact-γ, connected row.
-    pub fn push_request(&mut self, request: DeviceRequest) -> usize {
-        self.push(FleetDevice::from_request(request))
-    }
-
-    /// Columnarizes an existing slot problem (exact-γ, connected, LCD
-    /// rows). The capacities/λ/curve of the problem are **not** stored
-    /// — a fleet is device state only; capacities belong to the edge
-    /// servers that schedule it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any request fails [`DeviceRequest::is_valid`].
+    /// Columnarizes an existing slot problem (exact-γ, LCD rows) — see
+    /// [`rebuild_from_problem`](Self::rebuild_from_problem) for how
+    /// invalid telemetry is stored. The capacities/λ/curve of the
+    /// problem are **not** stored — a fleet is device state only;
+    /// capacities belong to the edge servers that schedule it.
     pub fn from_problem(problem: &SlotProblem) -> Self {
         let chunks_hint = problem.requests.first().map_or(0, DeviceRequest::num_chunks);
         let mut fleet = Self::with_capacity(problem.len(), chunks_hint);
-        for request in &problem.requests {
-            fleet.push_request(request.clone());
-        }
+        fleet.rebuild_from_problem(problem);
         fleet
     }
 
@@ -271,17 +282,20 @@ impl DeviceFleet {
         self.dirty.clear();
     }
 
-    /// Refills this fleet in place from a slot problem — the recycling
-    /// counterpart of [`from_problem`](Self::from_problem): same rows,
-    /// but the column allocations of the previous slot are reused.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any request fails [`DeviceRequest::is_valid`].
+    /// Refills this fleet in place from a slot problem, reusing the
+    /// column allocations of the previous slot — the one rows→columns
+    /// loader. It never panics, whatever the telemetry: a request that
+    /// fails [`DeviceRequest::is_valid`] is stored as the inert
+    /// placeholder [`SlotProblem::sanitize`] would substitute (zero
+    /// power, zero saving, zero cost) and marked **disconnected**, so
+    /// indices stay aligned with the problem while the row can never be
+    /// selected; every other row is stored bit-exactly, connected.
     pub fn rebuild_from_problem(&mut self, problem: &SlotProblem) {
         self.clear();
+        let inert = DeviceRequest::inert();
         for request in &problem.requests {
-            self.push_request(request.clone());
+            let valid = request.is_valid();
+            self.push_row(if valid { request } else { &inert }, DisplayKind::Lcd, 0.0, valid);
         }
     }
 
@@ -311,20 +325,40 @@ impl DeviceFleet {
         }
     }
 
-    /// O(1) zero-copy view of the contiguous index range — the locality
-    /// shard. No column data is touched, only the range recorded.
+    /// The slot problem of one shard as the solve path reads it: this
+    /// fleet's columns, the shard's `rows` (global fleet indices, in
+    /// shard order — any subset, any order), the shard server's two
+    /// capacities, λ and the curve. Nothing is copied. Non-finite or
+    /// negative capacities collapse to zero and a non-finite or
+    /// negative λ to zero, by the rule of [`SlotProblem::sanitize`], so
+    /// every view is solver-safe by construction.
     ///
     /// # Panics
     ///
-    /// Panics if the range exceeds the fleet.
-    pub fn view(&self, range: Range<usize>) -> FleetView<'_> {
-        assert!(range.end <= self.len(), "view range exceeds fleet");
-        assert!(range.start <= range.end, "view range is inverted");
-        FleetView { epoch: self.epoch, fleet: self, range }
+    /// Panics if any row is out of bounds.
+    pub fn slot_view<'a>(
+        &'a self,
+        rows: &'a [usize],
+        compute_capacity: f64,
+        storage_capacity_gb: f64,
+        lambda: f64,
+        curve: &'a AnxietyCurve,
+    ) -> SlotView<'a> {
+        assert!(rows.iter().all(|&i| i < self.len()), "view row exceeds fleet");
+        SlotView {
+            fleet: self,
+            rows,
+            compute_capacity: safe_capacity(compute_capacity),
+            storage_capacity_gb: safe_capacity(storage_capacity_gb),
+            lambda: safe_capacity(lambda),
+            curve,
+        }
     }
 
-    /// Builds a [`SlotProblem`] from an arbitrary index list — the hash
-    /// shard. Rows are materialized in the order given.
+    /// Materializes an index list as a [`SlotProblem`], rows in the
+    /// order given. Off the solve path (which reads a
+    /// [`slot_view`](Self::slot_view) instead): this is for the row
+    /// oracles, reports and tests.
     ///
     /// # Panics
     ///
@@ -345,57 +379,8 @@ impl DeviceFleet {
         problem
     }
 
-    /// Rebuilds a [`SlotProblem`] in place from an index list — the
-    /// recycling counterpart of [`subproblem`](Self::subproblem): the
-    /// problem's request vector *and* each request's per-chunk vectors
-    /// are reused, so a warm scratch problem extracts a steady-state
-    /// slot with zero heap allocation. Rows are bit-identical to the
-    /// [`subproblem`](Self::subproblem) path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of bounds.
-    pub fn subproblem_into(
-        &self,
-        indices: &[usize],
-        compute_capacity: f64,
-        storage_capacity_gb: f64,
-        lambda: f64,
-        curve: &AnxietyCurve,
-        out: &mut SlotProblem,
-    ) {
-        out.compute_capacity = compute_capacity;
-        out.storage_capacity_gb = storage_capacity_gb;
-        out.lambda = lambda;
-        out.curve.clone_from(curve);
-        out.requests.truncate(indices.len());
-        for (slot, &i) in indices.iter().enumerate() {
-            match out.requests.get_mut(slot) {
-                Some(request) => self.fill_request(i, request),
-                None => out.requests.push(self.device_request(i)),
-            }
-        }
-    }
-
-    /// Overwrites `out` with row `i` — the allocation-reusing mirror of
-    /// [`device_request`](Self::device_request): every float is copied
-    /// bit-exactly and the chunk vectors are refilled in place.
-    pub fn fill_request(&self, i: usize, out: &mut DeviceRequest) {
-        let chunks = self.chunk_range(i);
-        out.power_rates_w.clear();
-        out.power_rates_w.extend_from_slice(&self.power_rates_w[chunks.clone()]);
-        out.chunk_secs.clear();
-        out.chunk_secs.extend_from_slice(&self.chunk_secs[chunks]);
-        out.energy_j = self.energy_j[i];
-        out.capacity_j = self.capacity_j[i];
-        out.gamma = self.gamma_mean[i];
-        out.compute_cost = self.compute_cost[i];
-        out.storage_cost_gb = self.storage_cost_gb[i];
-    }
-
-    /// Copies the listed rows into a new fleet, in the order given —
-    /// the materialized (owning) counterpart of [`view`](Self::view)
-    /// for non-contiguous shards. Every column value is copied
+    /// Copies the listed rows into a new fleet, in the order given.
+    /// Every column value is copied
     /// bit-exactly, never recomputed, and no validation is re-run, so
     /// a slice of a sanitized fleet reproduces its rows verbatim.
     ///
@@ -699,6 +684,10 @@ impl DeviceFleet {
         (self.energy_j[i] / self.capacity_j[i]).clamp(0.0, 1.0)
     }
 
+    // The two per-row energy accessors below are reporting helpers, not
+    // solve-path code: the benchmark package (`crates/bench/src/bin/e2e`)
+    // derives `energy_saving` from them, so they stay.
+
     /// Untransformed slot energy `Σ p·Δ` (J) of row `i`.
     pub fn untransformed_energy_j(&self, i: usize) -> f64 {
         let (rates, secs) = self.chunks(i);
@@ -708,52 +697,6 @@ impl DeviceFleet {
     /// Energy saved over the slot if row `i` is transformed (J).
     pub fn saving_j(&self, i: usize) -> f64 {
         self.gamma_mean[i] * self.untransformed_energy_j(i)
-    }
-
-    /// Compacted energy-feasibility verdict for transforming row `i` —
-    /// the columnar mirror of [`compact_device`] (constraint (11)),
-    /// computed without materializing the row.
-    pub fn transform_feasible(&self, i: usize) -> bool {
-        let (rates, secs) = self.chunks(i);
-        let k = rates.len() as f64;
-        let mut total = 0.0;
-        let mut weighted = 0.0;
-        for (idx, (p, d)) in rates.iter().zip(secs).enumerate() {
-            let kappa = (idx + 1) as f64;
-            total += p * d;
-            weighted += (k - kappa) * p * d;
-        }
-        let factor = 1.0 - self.gamma_mean[i];
-        k * self.energy_j[i] - factor * weighted >= factor * total - 1e-9
-    }
-
-    /// Full compacted quantities for row `i` (see [`compact_device`]).
-    pub fn compact(&self, i: usize) -> CompactedDevice {
-        compact_device(&self.device_request(i))
-    }
-
-    /// Row `i`'s contribution to the joint objective (eq. 13) under the
-    /// given transform decision — the columnar mirror of
-    /// [`device_objective`](crate::objective::device_objective).
-    pub fn device_objective(
-        &self,
-        i: usize,
-        selected: bool,
-        lambda: f64,
-        curve: &AnxietyCurve,
-    ) -> f64 {
-        let factor = if selected { 1.0 - self.gamma_mean[i] } else { 1.0 };
-        let (rates, secs) = self.chunks(i);
-        let mut prefix_j = 0.0;
-        let mut total = 0.0;
-        for (p, d) in rates.iter().zip(secs) {
-            let psi = factor * p;
-            let energy = (self.energy_j[i] - prefix_j).max(0.0);
-            let anxiety = curve.phi(energy / self.capacity_j[i]);
-            total += (psi + lambda * anxiety) * d;
-            prefix_j += psi * d;
-        }
-        total
     }
 
     /// Zero-copy view of the columns the batch kernels
@@ -771,74 +714,173 @@ impl DeviceFleet {
     }
 }
 
-/// Zero-copy view of a contiguous fleet range — one locality shard.
-#[derive(Debug, Clone)]
-pub struct FleetView<'a> {
-    /// Fleet epoch at view creation, so consumers that stashed a
-    /// frontier can compare against [`DeviceFleet::epoch`] later.
-    epoch: u64,
+/// One shard's slot problem, borrowed: the fleet (its columns are read
+/// in place), the shard's rows, its capacities, λ and the curve — the
+/// single argument of the solve path. Built only by [`DeviceFleet::slot_view`], so every row it names
+/// passed the fleet's insertion validation and its capacities and λ are
+/// finite and nonnegative. Selections over a view are **positional**:
+/// entry `k` decides row `rows()[k]`.
+///
+/// A row the fleet marks disconnected is *rejected*: the resilient
+/// scheduler never selects it and counts it in
+/// [`ScheduleStats::rejected_devices`](crate::scheduler::ScheduleStats::rejected_devices).
+/// That is how the row loader presents telemetry that failed validation,
+/// and it enforces the fleet's own contract for unreachable devices.
+#[derive(Debug, Clone, Copy)]
+pub struct SlotView<'a> {
     fleet: &'a DeviceFleet,
-    range: Range<usize>,
+    rows: &'a [usize],
+    compute_capacity: f64,
+    storage_capacity_gb: f64,
+    lambda: f64,
+    curve: &'a AnxietyCurve,
 }
 
-impl<'a> FleetView<'a> {
-    /// The fleet epoch captured when this view was created. If it no
-    /// longer matches [`DeviceFleet::epoch`], the fleet's dirty bits
-    /// were cleared (and possibly re-set) since — the view's notion of
-    /// "what changed" is stale.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
+impl<'a> SlotView<'a> {
     /// Number of devices in the view.
     pub fn len(&self) -> usize {
-        self.range.len()
+        self.rows.len()
     }
 
     /// True when the view spans no devices.
     pub fn is_empty(&self) -> bool {
-        self.range.is_empty()
+        self.rows.is_empty()
     }
 
-    /// The global fleet range this view covers.
-    pub fn range(&self) -> Range<usize> {
-        self.range.clone()
+    /// The global fleet rows the view covers, in shard order.
+    pub fn rows(&self) -> &'a [usize] {
+        self.rows
     }
 
-    /// Maps a view-local index to the global fleet index.
-    pub fn global_index(&self, local: usize) -> usize {
-        debug_assert!(local < self.len(), "local index out of view");
-        self.range.start + local
+    /// The fleet columns the rows index into.
+    pub(crate) fn columns(&self) -> FleetColumns<'a> {
+        self.fleet.columns()
     }
 
-    /// The underlying fleet.
-    pub fn fleet(&self) -> &'a DeviceFleet {
-        self.fleet
+    /// Edge compute capacity `C` (units).
+    pub(crate) fn compute_capacity(&self) -> f64 {
+        self.compute_capacity
     }
 
-    /// Materializes the view as a [`SlotProblem`] against the given
-    /// shard capacities. Rows keep their fleet order, so local index
-    /// `j` in the problem is global index `range.start + j`.
-    pub fn to_problem(
-        &self,
-        compute_capacity: f64,
-        storage_capacity_gb: f64,
-        lambda: f64,
-        curve: &AnxietyCurve,
-    ) -> SlotProblem {
-        let mut problem =
-            SlotProblem::new(compute_capacity, storage_capacity_gb, lambda, curve.clone());
-        for i in self.range.clone() {
-            problem.push(self.fleet.device_request(i));
+    /// Edge storage capacity `S` (GB).
+    pub(crate) fn storage_capacity_gb(&self) -> f64 {
+        self.storage_capacity_gb
+    }
+
+    /// Regularization λ.
+    pub(crate) fn lambda(&self) -> f64 {
+        self.lambda
+    }
+
+    /// The anxiety curve φ.
+    pub(crate) fn curve(&self) -> &'a AnxietyCurve {
+        self.curve
+    }
+
+    /// `[compute, storage]` cost of the device at `position`.
+    pub(crate) fn cost(&self, position: usize) -> [f64; 2] {
+        let i = self.rows[position];
+        [self.fleet.compute_cost(i), self.fleet.storage_cost_gb(i)]
+    }
+
+    /// Battery fraction of the device at `position`, clamped to `[0, 1]`.
+    pub(crate) fn battery_fraction(&self, position: usize) -> f64 {
+        self.fleet.battery_fraction(self.rows[position])
+    }
+
+    /// Whether the device at `position` may be scheduled at all (its
+    /// row is connected, i.e. carried valid telemetry).
+    pub(crate) fn accepted(&self, position: usize) -> bool {
+        self.fleet.connected(self.rows[position])
+    }
+
+    /// True if a positional selection respects both capacity rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `selected.len() != self.len()`.
+    pub fn capacity_feasible(&self, selected: &[bool]) -> bool {
+        assert_eq!(selected.len(), self.len(), "selection has wrong length");
+        let mut g = 0.0;
+        let mut h = 0.0;
+        for (position, &x) in selected.iter().enumerate() {
+            if x {
+                let [g_i, h_i] = self.cost(position);
+                g += g_i;
+                h += h_i;
+            }
         }
-        problem
+        g <= self.compute_capacity + 1e-9 && h <= self.storage_capacity_gb + 1e-9
     }
+
+    /// The joint objective (eq. 13) of a positional selection: per-row
+    /// terms from the batch kernel, summed left to right in shard order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `selected.len() != self.len()`.
+    pub fn objective_value(&self, selected: &[bool]) -> f64 {
+        assert_eq!(selected.len(), self.len(), "selection has wrong length");
+        let mut terms = Vec::new();
+        let select = Select::PerPosition(selected);
+        kernels::device_objective_batch(
+            &self.columns(),
+            self.rows,
+            select,
+            self.lambda,
+            self.curve,
+            &mut terms,
+        );
+        terms.iter().sum()
+    }
+
+    /// Energy saved by a positional selection (J): per-row `γ · Σ p·Δ`
+    /// from the batch kernel, summed left to right in shard order.
+    pub(crate) fn energy_saved_j(&self, selected: &[bool]) -> f64 {
+        let mut feasible = Vec::new();
+        let mut savings = Vec::new();
+        kernels::transform_savings_batch(&self.columns(), self.rows, &mut feasible, &mut savings);
+        savings.iter().zip(selected).map(|(s, &x)| if x { *s } else { 0.0 }).sum()
+    }
+}
+
+thread_local! {
+    /// Where the row-taking entry points stage a [`SlotProblem`]: a
+    /// fleet refilled per call (allocations reused, so a steady caller
+    /// allocates nothing) and an identity row list that only grows.
+    static ROW_STAGE: RefCell<(DeviceFleet, Vec<usize>)> =
+        RefCell::new((DeviceFleet::new(), Vec::new()));
+}
+
+/// Loads `problem` into this thread's staging fleet — once — and runs
+/// `f` over the identity view of it. Every row-taking public function
+/// of the crate is this call around the view-taking engine function;
+/// none of them holds solve logic of its own.
+pub(crate) fn with_problem_view<R>(
+    problem: &SlotProblem,
+    f: impl FnOnce(SlotView<'_>) -> R,
+) -> R {
+    ROW_STAGE.with(|stage| {
+        let mut stage = stage.borrow_mut();
+        let (fleet, identity) = &mut *stage;
+        {
+            let _span = lpvs_obs::span!("sched.sanitize");
+            fleet.rebuild_from_problem(problem);
+        }
+        identity.extend(identity.len()..fleet.len());
+        f(fleet.slot_view(
+            &identity[..fleet.len()],
+            problem.compute_capacity,
+            problem.storage_capacity_gb,
+            problem.lambda,
+            &problem.curve,
+        ))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objective::device_objective;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -891,21 +933,6 @@ mod tests {
             assert_eq!(f.battery_fraction(i), r.battery_fraction());
             assert_eq!(f.untransformed_energy_j(i), r.untransformed_energy_j());
             assert_eq!(f.num_chunks(i), r.num_chunks());
-            assert_eq!(f.transform_feasible(i), compact_device(&r).transform_feasible);
-        }
-    }
-
-    #[test]
-    fn columnar_objective_matches_struct_objective() {
-        let f = fleet(20);
-        let curve = AnxietyCurve::paper_shape();
-        for i in 0..20 {
-            let r = f.device_request(i);
-            for on in [false, true] {
-                let a = f.device_objective(i, on, 1.7, &curve);
-                let b = device_objective(&r, on, 1.7, &curve);
-                assert_eq!(a, b, "objective diverged on row {i}, selected {on}");
-            }
         }
     }
 
@@ -917,32 +944,63 @@ mod tests {
             p.push(request(100 + i));
         }
         let f = DeviceFleet::from_problem(&p);
-        let back = f.view(0..f.len()).to_problem(5.0, 2.0, 1.0, &curve);
-        assert_eq!(back, p);
+        let all: Vec<usize> = (0..f.len()).collect();
+        assert_eq!(f.subproblem(&all, 5.0, 2.0, 1.0, &curve), p);
     }
 
     #[test]
-    fn views_are_contiguous_and_zero_copy() {
-        let f = fleet(30);
-        let v = f.view(10..25);
-        assert_eq!(v.len(), 15);
+    fn loader_stores_invalid_rows_inert_and_disconnected() {
+        let curve = AnxietyCurve::paper_shape();
+        let mut p = SlotProblem::new(5.0, 2.0, 1.0, curve);
+        for i in 0..4 {
+            p.push(request(200 + i));
+        }
+        p.requests[1].gamma = f64::NAN;
+        p.requests[3].chunk_secs.pop();
+        let (clean, valid) = p.sanitize();
+        // Refill a fleet that held something else: same rows either way.
+        let mut f = fleet(9);
+        f.rebuild_from_problem(&p);
+        assert_eq!(f, DeviceFleet::from_problem(&p));
+        assert_eq!(f.len(), 4);
+        for i in 0..4 {
+            assert_eq!(f.device_request(i), clean.requests[i], "row {i}");
+            assert_eq!(f.connected(i), valid[i], "row {i}");
+        }
+    }
+
+    #[test]
+    fn slot_views_are_positional_and_clamp_their_bounds() {
+        let f = fleet(12);
+        let curve = AnxietyCurve::paper_shape();
+        let rows = [11, 0, 5];
+        let v = f.slot_view(&rows, 2.0, f64::NAN, -1.0, &curve);
+        assert_eq!(v.len(), 3);
         assert!(!v.is_empty());
-        assert_eq!(v.global_index(0), 10);
-        assert_eq!(v.global_index(14), 24);
-        assert_eq!(v.range(), 10..25);
-        let p = v.to_problem(3.0, 1.0, 1.0, &AnxietyCurve::paper_shape());
-        assert_eq!(p.len(), 15);
-        assert_eq!(p.requests[0], f.device_request(10));
-        assert_eq!(p.requests[14], f.device_request(24));
-        // Empty views are fine.
-        assert!(f.view(7..7).is_empty());
+        assert_eq!(v.rows(), &rows);
+        assert_eq!(v.cost(0), [f.compute_cost(11), f.storage_cost_gb(11)]);
+        assert_eq!(v.battery_fraction(2), f.battery_fraction(5));
+        assert_eq!((v.compute_capacity(), v.storage_capacity_gb(), v.lambda()), (2.0, 0.0, 0.0));
+        // Row 3 is disconnected in this fixture; it is rejected wherever
+        // it sits in the view.
+        assert!(!f.slot_view(&[4, 3], 1.0, 1.0, 1.0, &curve).accepted(1));
+        assert!(v.accepted(0));
+        // The view's accounting is the row oracle's, position for position.
+        let p = f.subproblem(&rows, 2.0, 0.0, 0.0, &curve);
+        let sel = [true, false, true];
+        assert_eq!(v.capacity_feasible(&sel), p.capacity_feasible(&sel));
+        assert_eq!(
+            v.objective_value(&sel).to_bits(),
+            crate::objective::objective_value(&p, &sel).to_bits()
+        );
+        assert!(f.slot_view(&[], 1.0, 1.0, 1.0, &curve).is_empty());
     }
 
     #[test]
     #[should_panic(expected = "exceeds fleet")]
-    fn oversized_view_rejected() {
+    fn out_of_range_view_rows_rejected() {
         let f = fleet(5);
-        let _ = f.view(0..6);
+        let _ = f.slot_view(&[0, 5], 1.0, 1.0, 1.0, &AnxietyCurve::paper_shape());
     }
 
     #[test]
@@ -1108,15 +1166,5 @@ mod tests {
         assert_eq!(decoded.dirty_count(), decoded.len());
         assert_eq!(decoded.epoch(), 0);
         assert_eq!(decoded, a);
-    }
-
-    #[test]
-    fn views_capture_the_creation_epoch() {
-        let mut f = fleet(8);
-        f.clear_dirty();
-        f.clear_dirty();
-        let view = f.view(2..6);
-        assert_eq!(view.epoch(), 2);
-        assert_eq!(view.epoch(), f.epoch());
     }
 }

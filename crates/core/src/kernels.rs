@@ -1,36 +1,42 @@
 //! Batched columnar kernels for the solve hot path.
 //!
-//! The columnar [`DeviceFleet`](crate::fleet::DeviceFleet) was built so
-//! the per-device hot kernels — compacted transform feasibility
-//! (constraint (11)) and the eq. (13) objective — could run over flat
-//! columns instead of materialized [`DeviceRequest`] rows. This module
-//! is the layer that finally exploits it: batch kernels that take an
-//! index slice and fill caller-provided output buffers, one verdict or
-//! value per index, with two interchangeable implementations:
+//! The columnar [`DeviceFleet`](crate::fleet::DeviceFleet) exists so the
+//! per-device hot kernels — compacted transform feasibility
+//! (constraint (11)) and the eq. (13) objective — run over flat columns
+//! instead of materialized [`DeviceRequest`](crate::problem::DeviceRequest)
+//! rows. The kernels here take an index slice and fill caller-provided
+//! output buffers, one verdict or value per index:
 //!
-//! * a **portable scalar** path — tight per-row loops over the column
-//!   slices, branchless in the chunk loop (straight-line float
-//!   arithmetic, no per-chunk control flow);
-//! * an explicit **AVX2** path (`std::arch`), selected at runtime via
+//! * constraint (11) and the transform saving have **one**
+//!   implementation — tight per-row loops over the column slices,
+//!   branchless in the chunk loop (straight-line float arithmetic, no
+//!   per-chunk control flow). An AVX2 variant existed and was deleted:
+//!   forcing these loops onto the scalar path moved no end-to-end
+//!   metric on any benchmark workload (DESIGN.md §12 records the
+//!   measurement), so its ~250 lines of `unsafe` bought nothing;
+//! * the eq. (13) objective additionally has an explicit **AVX2** path
+//!   (`std::arch`), selected at runtime via
 //!   [`is_x86_feature_detected!`], that packs **one device per SIMD
 //!   lane** (4 × f64): each lane walks its own device's chunks in
 //!   playback order, so every lane performs *exactly* the scalar
-//!   reduction — same order, same operations, no FMA contraction.
+//!   reduction — same order, same operations, no FMA contraction. It
+//!   earns 6–10× on the kernel and the kernel runs three times per
+//!   slot, so it stays.
 //!
 //! ## The bit-identity contract
 //!
-//! The repo's bit-identity suites (1-shard fleet ≡ monolith, delta ≡
+//! The repo's bit-identity suites (fleet entry ≡ row entry, delta ≡
 //! cold, halt+resume ≡ uninterrupted) only survive if batching never
 //! changes a single ULP. Vectorizing *along the chunk axis* would
-//! reorder the feasibility/objective reductions and break that, so the
-//! AVX2 kernels vectorize *across devices* instead: the per-device
-//! reduction order is untouched and `batched ≡ per-row` holds
-//! bit-for-bit on both paths (asserted by unit tests here, proptests in
-//! `tests/fleet.rs`, and schedule-level checks at 1–4 shards). Devices
-//! in a lane group may have different chunk counts; exhausted lanes are
-//! masked so their gathers return `+0.0`, which is an exact no-op on
-//! both accumulators (all contributions are nonnegative, so neither
-//! accumulator can ever hold `-0.0`).
+//! reorder the objective reduction and break that, so the AVX2 kernel
+//! vectorizes *across devices* instead: the per-device reduction order
+//! is untouched and `batched ≡ per-row` holds bit-for-bit on both paths
+//! (asserted by unit tests here, proptests in `tests/kernels.rs`, and
+//! schedule-level checks at 1–4 shards). Devices in a lane group may
+//! have different chunk counts; exhausted lanes are masked so their
+//! gathers return `+0.0`, which is an exact no-op on both accumulators
+//! (all contributions are nonnegative, so neither accumulator can ever
+//! hold `-0.0`).
 //!
 //! ## Path selection
 //!
@@ -43,7 +49,6 @@
 
 use crate::problem::SlotProblem;
 use lpvs_survey::curve::AnxietyCurve;
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
@@ -129,8 +134,7 @@ pub fn active_path() -> KernelPath {
 
 /// Borrowed view of the five columns the batch kernels read. Obtained
 /// from [`DeviceFleet::columns`](crate::fleet::DeviceFleet::columns)
-/// (zero-copy) or [`ColumnScratch::columns`] (loaded from a
-/// [`SlotProblem`]).
+/// (zero-copy).
 #[derive(Debug, Clone, Copy)]
 pub struct FleetColumns<'a> {
     /// `n + 1` chunk-range offsets, `chunk_offsets[0] == 0`.
@@ -165,74 +169,16 @@ impl<'a> FleetColumns<'a> {
     }
 }
 
-/// Owned column buffers that load a [`SlotProblem`] row set and hand
-/// out a [`FleetColumns`] view — the batch entry point for consumers
-/// that hold AoS requests rather than a fleet. Allocations are reused
-/// across [`load_problem`](Self::load_problem) calls, so a recycled
-/// scratch does zero steady-state heap allocation.
-#[derive(Debug, Default)]
-pub struct ColumnScratch {
-    chunk_offsets: Vec<usize>,
-    power_rates_w: Vec<f64>,
-    chunk_secs: Vec<f64>,
-    energy_j: Vec<f64>,
-    capacity_j: Vec<f64>,
-    gamma_mean: Vec<f64>,
-}
-
-impl ColumnScratch {
-    /// An empty scratch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Replaces the scratch contents with the problem's rows,
-    /// bit-exactly (floats are copied, never recomputed).
-    pub fn load_problem(&mut self, problem: &SlotProblem) {
-        self.chunk_offsets.clear();
-        self.chunk_offsets.push(0);
-        self.power_rates_w.clear();
-        self.chunk_secs.clear();
-        self.energy_j.clear();
-        self.capacity_j.clear();
-        self.gamma_mean.clear();
-        for r in &problem.requests {
-            self.power_rates_w.extend_from_slice(&r.power_rates_w);
-            self.chunk_secs.extend_from_slice(&r.chunk_secs);
-            self.chunk_offsets.push(self.power_rates_w.len());
-            self.energy_j.push(r.energy_j);
-            self.capacity_j.push(r.capacity_j);
-            self.gamma_mean.push(r.gamma);
-        }
-    }
-
-    /// The loaded rows as a borrowed column view.
-    pub fn columns(&self) -> FleetColumns<'_> {
-        FleetColumns {
-            chunk_offsets: &self.chunk_offsets,
-            power_rates_w: &self.power_rates_w,
-            chunk_secs: &self.chunk_secs,
-            energy_j: &self.energy_j,
-            capacity_j: &self.capacity_j,
-            gamma_mean: &self.gamma_mean,
-        }
-    }
-}
-
-thread_local! {
-    static PROBLEM_SCRATCH: RefCell<ColumnScratch> = RefCell::new(ColumnScratch::new());
-}
-
-/// Runs `f` over a column view of the problem, loading a thread-local
-/// [`ColumnScratch`] (reused across calls — no steady-state
-/// allocation). This is how the AoS consumers (`backend`, `phase2`,
-/// `objective_value`) reach the batch kernels without owning scratch.
+/// Runs `f` over a column view of the problem's rows — the row-holding
+/// consumers' way to the batch kernels. The rows are loaded by the one
+/// rows→columns loader
+/// ([`DeviceFleet::rebuild_from_problem`](crate::fleet::DeviceFleet::rebuild_from_problem),
+/// into a thread-local fleet reused across calls), so rows failing
+/// [`DeviceRequest::is_valid`](crate::problem::DeviceRequest::is_valid)
+/// appear as inert placeholders, exactly as
+/// [`SlotProblem::sanitize`] would present them.
 pub fn with_problem_columns<R>(problem: &SlotProblem, f: impl FnOnce(FleetColumns<'_>) -> R) -> R {
-    PROBLEM_SCRATCH.with(|cell| {
-        let mut scratch = cell.borrow_mut();
-        scratch.load_problem(problem);
-        f(scratch.columns())
-    })
+    crate::fleet::with_problem_view(problem, |view| f(view.columns()))
 }
 
 /// Transform decision fed to [`device_objective_batch`].
@@ -243,48 +189,44 @@ pub enum Select<'a> {
     /// Per-device decisions, indexed by the *row index* (the same index
     /// space as the `indices` argument), not by batch position.
     PerRow(&'a [bool]),
+    /// Per-device decisions parallel to the `indices` argument: entry
+    /// `k` decides row `indices[k]`. This is what a shard-local
+    /// selection over global fleet rows is.
+    PerPosition(&'a [bool]),
 }
 
-impl Select<'_> {
+impl<'a> Select<'a> {
+    /// The decision for row `row` at batch position `position`.
     #[inline]
-    fn at(&self, row: usize) -> bool {
+    fn at(&self, position: usize, row: usize) -> bool {
         match self {
             Select::Uniform(x) => *x,
             Select::PerRow(sel) => sel[row],
+            Select::PerPosition(sel) => sel[position],
+        }
+    }
+
+    /// The same decisions for a batch whose first `n` indices were
+    /// dropped (the scalar tail after the vector groups).
+    #[cfg(target_arch = "x86_64")]
+    fn skip(self, n: usize) -> Self {
+        match self {
+            Select::PerPosition(sel) => Select::PerPosition(&sel[n..]),
+            other => other,
         }
     }
 }
 
 /// Batched compacted transform-feasibility (constraint (11), `x = 1`):
 /// appends one verdict per index to `out`, bit-identical to
-/// [`DeviceFleet::transform_feasible`](crate::fleet::DeviceFleet::transform_feasible)
-/// / [`compact_device`](crate::compact::compact_device) on each row.
-/// Runs on [`active_path`].
+/// [`compact_device`](crate::compact::compact_device) on each row.
 ///
 /// # Panics
 ///
 /// Panics if any index is out of bounds for the columns.
 pub fn transform_feasible_batch(cols: &FleetColumns<'_>, indices: &[usize], out: &mut Vec<bool>) {
-    transform_feasible_batch_with(active_path(), cols, indices, out);
-}
-
-/// [`transform_feasible_batch`] on an explicit path (for tests/benches).
-pub fn transform_feasible_batch_with(
-    path: KernelPath,
-    cols: &FleetColumns<'_>,
-    indices: &[usize],
-    out: &mut Vec<bool>,
-) {
     out.reserve(indices.len());
-    match path {
-        #[cfg(target_arch = "x86_64")]
-        KernelPath::Avx2 => {
-            // Safety: callers obtain `Avx2` only through `active_path`
-            // (CPU-checked) or tests that checked `detected_path`.
-            unsafe { avx2::transform_feasible(cols, indices, out) }
-        }
-        _ => scalar::transform_feasible(cols, indices, out),
-    }
+    scalar::transform_feasible(cols, indices, out);
 }
 
 /// Batched feasibility **and** savings in one pass: per index, appends
@@ -305,25 +247,18 @@ pub fn transform_savings_batch(
 ) {
     out_feasible.reserve(indices.len());
     out_savings.reserve(indices.len());
-    match active_path() {
-        #[cfg(target_arch = "x86_64")]
-        KernelPath::Avx2 => unsafe {
-            avx2::transform_savings(cols, indices, out_feasible, out_savings)
-        },
-        _ => scalar::transform_savings(cols, indices, out_feasible, out_savings),
-    }
+    scalar::transform_savings(cols, indices, out_feasible, out_savings);
 }
 
 /// Batched eq. (13) objective contributions: appends one value per
 /// index to `out`, bit-identical to
-/// [`device_objective`](crate::objective::device_objective) /
-/// [`DeviceFleet::device_objective`](crate::fleet::DeviceFleet::device_objective)
-/// on each row. Runs on [`active_path`].
+/// [`device_objective`](crate::objective::device_objective) on each row.
+/// Runs on [`active_path`].
 ///
 /// # Panics
 ///
-/// Panics if any index is out of bounds for the columns, or
-/// (for [`Select::PerRow`]) for the selection slice.
+/// Panics if any index is out of bounds for the columns, or (for
+/// [`Select::PerRow`] / [`Select::PerPosition`]) for the selection slice.
 pub fn device_objective_batch(
     cols: &FleetColumns<'_>,
     indices: &[usize],
@@ -423,8 +358,8 @@ mod scalar {
         curve: &AnxietyCurve,
         out: &mut Vec<f64>,
     ) {
-        for &i in indices {
-            let factor = if selected.at(i) { 1.0 - cols.gamma_mean[i] } else { 1.0 };
+        for (k, &i) in indices.iter().enumerate() {
+            let factor = if selected.at(k, i) { 1.0 - cols.gamma_mean[i] } else { 1.0 };
             let (rates, secs) = cols.chunks(i);
             let energy_j = cols.energy_j[i];
             let capacity_j = cols.capacity_j[i];
@@ -442,13 +377,13 @@ mod scalar {
     }
 }
 
-/// AVX2 lane-per-device kernels. Four devices ride one `__m256d`; each
-/// lane's chunk walk is the scalar reduction verbatim (separate
-/// `mul`/`add` intrinsics — never FMA — in the scalar association
-/// order), so results are bit-identical to the scalar path. Lanes whose
-/// device has fewer chunks than the group maximum are masked: their
-/// gathers return `+0.0` and contribute exact no-ops to both
-/// accumulators.
+/// AVX2 lane-per-device eq. (13) kernel. Four devices ride one
+/// `__m256d`; each lane's chunk walk is the scalar reduction verbatim
+/// (separate `mul`/`add` intrinsics — never FMA — in the scalar
+/// association order), so results are bit-identical to the scalar path.
+/// Lanes whose device has fewer chunks than the group maximum are
+/// masked: their gathers return `+0.0` and contribute exact no-ops to
+/// both accumulators.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::{FleetColumns, Select};
@@ -457,15 +392,12 @@ mod avx2 {
 
     const LANES: usize = 4;
 
-    /// Per-group lane setup shared by the kernels.
+    /// Per-group lane setup.
     struct Group {
-        /// Flat start offset per lane, for contiguous block loads.
+        /// Flat start offset per lane.
         starts: [usize; 4],
         /// Chunk count per lane.
         lens: [i64; 4],
-        /// Shortest lane — the block phase runs while every lane is
-        /// live, so contiguous loads need no masking.
-        min_len: usize,
         /// Longest lane — the group's iteration count.
         max_len: usize,
     }
@@ -475,12 +407,10 @@ mod avx2 {
     unsafe fn group(cols: &FleetColumns<'_>, idx: &[usize]) -> Group {
         let start = |l: usize| cols.chunk_offsets[idx[l]];
         let count = |l: usize| (cols.chunk_offsets[idx[l] + 1] - cols.chunk_offsets[idx[l]]) as i64;
-        let starts = [start(0), start(1), start(2), start(3)];
         let lens = [count(0), count(1), count(2), count(3)];
         Group {
-            starts,
+            starts: [start(0), start(1), start(2), start(3)],
             lens,
-            min_len: lens.iter().copied().min().unwrap_or(0) as usize,
             max_len: lens.iter().copied().max().unwrap_or(0) as usize,
         }
     }
@@ -490,38 +420,6 @@ mod avx2 {
     #[target_feature(enable = "avx2")]
     unsafe fn len_vec(g: &Group) -> __m256i {
         _mm256_set_epi64x(g.lens[3], g.lens[2], g.lens[1], g.lens[0])
-    }
-
-    /// Loads chunk steps `j .. j+4` of all four lanes from a flat
-    /// column and transposes them into per-step vectors. The 4×4
-    /// transpose is built from 128-bit loads merged with
-    /// `vinsertf128 ymm, m128` — those merges retire on the load
-    /// ports, so only the four final unpacks compete for the shuffle
-    /// port (a plain 4-row transpose needs eight shuffle-port ops).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn load_block(
-        col: *const f64,
-        starts: &[usize; 4],
-        j: usize,
-    ) -> (__m256d, __m256d, __m256d, __m256d) {
-        // half(a, c) = [lane_a[j0], lane_a[j0+1], lane_c[j0], lane_c[j0+1]]
-        let half = |a: usize, c: usize, j0: usize| {
-            _mm256_insertf128_pd::<1>(
-                _mm256_castpd128_pd256(_mm_loadu_pd(col.add(starts[a] + j0))),
-                _mm_loadu_pd(col.add(starts[c] + j0)),
-            )
-        };
-        let s0 = half(0, 2, j); // a_j   a_j+1 c_j   c_j+1
-        let s1 = half(1, 3, j); // b_j   b_j+1 d_j   d_j+1
-        let s2 = half(0, 2, j + 2);
-        let s3 = half(1, 3, j + 2);
-        (
-            _mm256_unpacklo_pd(s0, s1), // a_j   b_j   c_j   d_j
-            _mm256_unpackhi_pd(s0, s1), // a_j+1 b_j+1 c_j+1 d_j+1
-            _mm256_unpacklo_pd(s2, s3),
-            _mm256_unpackhi_pd(s2, s3),
-        )
     }
 
     #[inline]
@@ -578,305 +476,6 @@ mod avx2 {
         _mm256_blendv_pd(r, v0, low)
     }
 
-    /// One group's constraint-(11) accumulators. Deliberately small —
-    /// the paired block loop keeps two of these live and register
-    /// pressure is what limits it (`k` is recomputed from the group at
-    /// verdict time rather than carried).
-    struct Acc {
-        /// `k − κ` for the *next* step. The scalar loop recomputes
-        /// `(k − κ)` per chunk from two exact small integers; carrying
-        /// it as a run decremented by 1.0 produces the same exact
-        /// integers (every intermediate is < 2⁵³), while keeping the
-        /// convert-and-broadcast off the hot loop.
-        km: __m256d,
-        /// `Σ p·d` per lane.
-        total: __m256d,
-        /// `Σ (k − κ)·p·d` per lane.
-        weighted: __m256d,
-    }
-
-    impl Acc {
-        /// One chunk step: `total += p·d`, then
-        /// `weighted += ((k − κ)·p)·d` — the scalar association order.
-        #[inline]
-        #[target_feature(enable = "avx2")]
-        unsafe fn step(&mut self, p: __m256d, d: __m256d) {
-            self.total = _mm256_add_pd(self.total, _mm256_mul_pd(p, d));
-            let w = _mm256_mul_pd(_mm256_mul_pd(self.km, p), d);
-            self.weighted = _mm256_add_pd(self.weighted, w);
-            self.km = _mm256_sub_pd(self.km, _mm256_set1_pd(1.0));
-        }
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn acc_new(g: &Group) -> Acc {
-        let zero = _mm256_setzero_pd();
-        // First step has κ = 1.
-        Acc { km: _mm256_sub_pd(k_vec(g), _mm256_set1_pd(1.0)), total: zero, weighted: zero }
-    }
-
-    /// k as f64 per lane: exact for any real chunk count.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn k_vec(g: &Group) -> __m256d {
-        _mm256_cvtepi32_pd(i64x4_to_i32x4(len_vec(g)))
-    }
-
-    /// Runs one group's contiguous transposed-block phase from step
-    /// `j` while every lane has four chunks left, in scalar order with
-    /// the scalar per-step arithmetic, and returns the step the scalar
-    /// lane finish must resume from.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn block_from(
-        cols: &FleetColumns<'_>,
-        g: &Group,
-        mut j: usize,
-        acc: &mut Acc,
-    ) -> usize {
-        let rates = cols.power_rates_w.as_ptr();
-        let secs = cols.chunk_secs.as_ptr();
-        while j + 4 <= g.min_len {
-            let (p0, p1, p2, p3) = load_block(rates, &g.starts, j);
-            let (d0, d1, d2, d3) = load_block(secs, &g.starts, j);
-            acc.step(p0, d0);
-            acc.step(p1, d1);
-            acc.step(p2, d2);
-            acc.step(p3, d3);
-            j += 4;
-        }
-        j
-    }
-
-    /// Interleaved block phases for two groups while both have four
-    /// chunks left in every lane; each group then continues alone via
-    /// [`block_from`]. Each group's accumulators see exactly the same
-    /// operation sequence as a solo run — interleaving only adds
-    /// instruction-level parallelism (a single group is bound on its
-    /// serial `total`/`weighted` add chains).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn block_pair(
-        cols: &FleetColumns<'_>,
-        ga: &Group,
-        gb: &Group,
-        aa: &mut Acc,
-        ab: &mut Acc,
-    ) -> usize {
-        let rates = cols.power_rates_w.as_ptr();
-        let secs = cols.chunk_secs.as_ptr();
-        let common = ga.min_len.min(gb.min_len);
-        let mut j = 0;
-        while j + 4 <= common {
-            // Consume each group's block right after loading it: the
-            // out-of-order window overlaps the two groups' serial add
-            // chains by itself, and keeping at most one block's eight
-            // vectors live avoids spilling the paired accumulators.
-            let (pa0, pa1, pa2, pa3) = load_block(rates, &ga.starts, j);
-            let (da0, da1, da2, da3) = load_block(secs, &ga.starts, j);
-            aa.step(pa0, da0);
-            aa.step(pa1, da1);
-            aa.step(pa2, da2);
-            aa.step(pa3, da3);
-            let (pb0, pb1, pb2, pb3) = load_block(rates, &gb.starts, j);
-            let (db0, db1, db2, db3) = load_block(secs, &gb.starts, j);
-            ab.step(pb0, db0);
-            ab.step(pb1, db1);
-            ab.step(pb2, db2);
-            ab.step(pb3, db3);
-            j += 4;
-        }
-        j
-    }
-
-    /// Finishes one lane's chunk walk (steps `j..len`) in scalar code —
-    /// the identical per-step arithmetic the vector lane would have
-    /// performed, so the hand-off is bit-exact — returning the final
-    /// `(total, weighted)` prefix masses. Replacing a masked vector
-    /// tail with a per-lane scalar finish costs nothing on exhausted
-    /// lanes and skips the lane-liveness masking entirely. The lane's
-    /// chunk range comes straight from the already-built [`Group`], so
-    /// no offsets are re-read.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn finish_lane(
-        rates: *const f64,
-        secs: *const f64,
-        start: usize,
-        len: usize,
-        j: usize,
-        seed: (f64, f64, f64),
-    ) -> (f64, f64) {
-        let (mut total, mut weighted, mut km) = seed;
-        for c in j..len {
-            let p = *rates.add(start + c);
-            let d = *secs.add(start + c);
-            total += p * d;
-            weighted += km * p * d;
-            km -= 1.0;
-        }
-        (total, weighted)
-    }
-
-    /// Emits one group's verdicts: scalar-finishes each lane from step
-    /// `j` and pushes the per-row verdict.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn emit_feasible(
-        cols: &FleetColumns<'_>,
-        idx: &[usize],
-        g: &Group,
-        j: usize,
-        acc: &Acc,
-        out: &mut Vec<bool>,
-    ) {
-        let rates = cols.power_rates_w.as_ptr();
-        let secs = cols.chunk_secs.as_ptr();
-        let total = to_array(acc.total);
-        let weighted = to_array(acc.weighted);
-        let km = to_array(acc.km);
-        // The lane's `km` seed carries `k − 1 − j`, so `k` is
-        // recoverable as `km + j + 1` — exact small-integer arithmetic,
-        // and cheaper than re-deriving it from the chunk offsets (an
-        // unsigned u64→f64 conversion per lane).
-        let k_off = j as f64 + 1.0;
-        let mut lanes = [false; LANES];
-        for l in 0..LANES {
-            let i = idx[l];
-            let (t, w) = finish_lane(
-                rates,
-                secs,
-                g.starts[l],
-                g.lens[l] as usize,
-                j,
-                (total[l], weighted[l], km[l]),
-            );
-            let k = km[l] + k_off;
-            // `group()` already bounds-checked `i + 1` against the
-            // offsets column, so the per-device columns (same length)
-            // are safe to read unchecked.
-            let factor = 1.0 - *cols.gamma_mean.get_unchecked(i);
-            lanes[l] =
-                k * *cols.energy_j.get_unchecked(i) - factor * w >= factor * t - 1e-9;
-        }
-        out.extend_from_slice(&lanes);
-    }
-
-    /// [`emit_feasible`], plus the per-row energy saving `γ·total`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn emit_savings(
-        cols: &FleetColumns<'_>,
-        idx: &[usize],
-        g: &Group,
-        j: usize,
-        acc: &Acc,
-        out_feasible: &mut Vec<bool>,
-        out_savings: &mut Vec<f64>,
-    ) {
-        let rates = cols.power_rates_w.as_ptr();
-        let secs = cols.chunk_secs.as_ptr();
-        let total = to_array(acc.total);
-        let weighted = to_array(acc.weighted);
-        let km = to_array(acc.km);
-        let k_off = j as f64 + 1.0;
-        let mut lanes = [false; LANES];
-        let mut saved = [0.0; LANES];
-        for l in 0..LANES {
-            let i = idx[l];
-            let (t, w) = finish_lane(
-                rates,
-                secs,
-                g.starts[l],
-                g.lens[l] as usize,
-                j,
-                (total[l], weighted[l], km[l]),
-            );
-            let k = km[l] + k_off;
-            let gamma = *cols.gamma_mean.get_unchecked(i);
-            let factor = 1.0 - gamma;
-            lanes[l] =
-                k * *cols.energy_j.get_unchecked(i) - factor * w >= factor * t - 1e-9;
-            saved[l] = gamma * t;
-        }
-        out_feasible.extend_from_slice(&lanes);
-        out_savings.extend_from_slice(&saved);
-    }
-
-    /// Narrows four i64 lanes (small nonnegative values) to the i32x4
-    /// vector `_mm256_cvtepi32_pd` wants.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn i64x4_to_i32x4(v: __m256i) -> __m128i {
-        let lo = _mm256_castsi256_si128(v);
-        let hi = _mm256_extracti128_si256::<1>(v);
-        // Keep the low 32 bits of each 64-bit lane: (l0, l1, h0, h1).
-        _mm_castps_si128(_mm_shuffle_ps::<0b10_00_10_00>(
-            _mm_castsi128_ps(lo),
-            _mm_castsi128_ps(hi),
-        ))
-    }
-
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn transform_feasible(
-        cols: &FleetColumns<'_>,
-        indices: &[usize],
-        out: &mut Vec<bool>,
-    ) {
-        let mut pairs = indices.chunks_exact(2 * LANES);
-        for idx in &mut pairs {
-            let ga = group(cols, &idx[..LANES]);
-            let gb = group(cols, &idx[LANES..]);
-            let mut aa = acc_new(&ga);
-            let mut ab = acc_new(&gb);
-            let j = block_pair(cols, &ga, &gb, &mut aa, &mut ab);
-            let ja = block_from(cols, &ga, j, &mut aa);
-            let jb = block_from(cols, &gb, j, &mut ab);
-            emit_feasible(cols, &idx[..LANES], &ga, ja, &aa, out);
-            emit_feasible(cols, &idx[LANES..], &gb, jb, &ab, out);
-        }
-        let mut groups = pairs.remainder().chunks_exact(LANES);
-        for idx in &mut groups {
-            let g = group(cols, idx);
-            let mut acc = acc_new(&g);
-            let j = block_from(cols, &g, 0, &mut acc);
-            emit_feasible(cols, idx, &g, j, &acc, out);
-        }
-        super::scalar::transform_feasible(cols, groups.remainder(), out);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn transform_savings(
-        cols: &FleetColumns<'_>,
-        indices: &[usize],
-        out_feasible: &mut Vec<bool>,
-        out_savings: &mut Vec<f64>,
-    ) {
-        let mut pairs = indices.chunks_exact(2 * LANES);
-        for idx in &mut pairs {
-            let ga = group(cols, &idx[..LANES]);
-            let gb = group(cols, &idx[LANES..]);
-            let mut aa = acc_new(&ga);
-            let mut ab = acc_new(&gb);
-            let j = block_pair(cols, &ga, &gb, &mut aa, &mut ab);
-            let ja = block_from(cols, &ga, j, &mut aa);
-            let jb = block_from(cols, &gb, j, &mut ab);
-            emit_savings(cols, &idx[..LANES], &ga, ja, &aa, out_feasible, out_savings);
-            emit_savings(cols, &idx[LANES..], &gb, jb, &ab, out_feasible, out_savings);
-        }
-        let mut groups = pairs.remainder().chunks_exact(LANES);
-        for idx in &mut groups {
-            let g = group(cols, idx);
-            let mut acc = acc_new(&g);
-            let j = block_from(cols, &g, 0, &mut acc);
-            emit_savings(cols, idx, &g, j, &acc, out_feasible, out_savings);
-        }
-        super::scalar::transform_savings(cols, groups.remainder(), out_feasible, out_savings);
-    }
-
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn device_objective(
         cols: &FleetColumns<'_>,
@@ -893,10 +492,15 @@ mod avx2 {
         let one_i = _mm256_set1_epi64x(1);
         let lam = _mm256_set1_pd(lambda);
         let mut groups = indices.chunks_exact(LANES);
-        for idx in &mut groups {
+        for (group_no, idx) in (&mut groups).enumerate() {
             let g = group(cols, idx);
-            let fac =
-                |l: usize| if selected.at(idx[l]) { 1.0 - cols.gamma_mean[idx[l]] } else { 1.0 };
+            let fac = |l: usize| {
+                if selected.at(group_no * LANES + l, idx[l]) {
+                    1.0 - cols.gamma_mean[idx[l]]
+                } else {
+                    1.0
+                }
+            };
             let factor = _mm256_set_pd(fac(3), fac(2), fac(1), fac(0));
             let energy_j = gather_lane(idx, cols.energy_j);
             let capacity = gather_lane(idx, cols.capacity_j);
@@ -927,7 +531,9 @@ mod avx2 {
             }
             out.extend_from_slice(&to_array(total));
         }
-        super::scalar::device_objective(cols, groups.remainder(), selected, lambda, curve, out);
+        let tail = groups.remainder();
+        let done = indices.len() - tail.len();
+        super::scalar::device_objective(cols, tail, selected.skip(done), lambda, curve, out);
     }
 }
 
@@ -971,16 +577,14 @@ mod tests {
     }
 
     #[test]
-    fn feasibility_matches_per_row_on_both_paths() {
+    fn feasibility_matches_per_row() {
         let fleet = mixed_fleet();
-        let cols = fleet.columns();
         let indices: Vec<usize> = (0..fleet.len()).collect();
-        for path in both_paths() {
-            let mut out = Vec::new();
-            transform_feasible_batch_with(path, &cols, &indices, &mut out);
-            for &i in &indices {
-                assert_eq!(out[i], fleet.transform_feasible(i), "row {i} on {path:?}");
-            }
+        let mut out = Vec::new();
+        transform_feasible_batch(&fleet.columns(), &indices, &mut out);
+        for &i in &indices {
+            let expected = compact_device(&fleet.device_request(i)).transform_feasible;
+            assert_eq!(out[i], expected, "row {i}");
         }
     }
 
@@ -1012,10 +616,7 @@ mod tests {
                 let mut out = Vec::new();
                 device_objective_batch_with(path, &cols, &indices, select, 1.7, &curve, &mut out);
                 for &i in &indices {
-                    let x = match select {
-                        Select::Uniform(x) => x,
-                        Select::PerRow(sel) => sel[i],
-                    };
+                    let x = select.at(i, i);
                     let expected = device_objective(&fleet.device_request(i), x, 1.7, &curve);
                     assert_eq!(out[i].to_bits(), expected.to_bits(), "row {i} on {path:?}");
                 }
@@ -1024,19 +625,40 @@ mod tests {
     }
 
     #[test]
-    fn scratch_columns_match_fleet_columns() {
+    fn positional_selection_follows_the_index_list_on_both_paths() {
+        // A non-identity, odd-length index list: every vector group and
+        // the scalar tail must read decision `k` for `indices[k]`.
+        let fleet = mixed_fleet();
+        let cols = fleet.columns();
+        let curve = AnxietyCurve::paper_shape();
+        let indices: Vec<usize> = (0..fleet.len()).rev().step_by(2).collect();
+        let selected: Vec<bool> = (0..indices.len()).map(|k| k % 3 != 1).collect();
+        for path in both_paths() {
+            let mut out = Vec::new();
+            let select = Select::PerPosition(&selected);
+            device_objective_batch_with(path, &cols, &indices, select, 1.7, &curve, &mut out);
+            for (k, &i) in indices.iter().enumerate() {
+                let expected =
+                    device_objective(&fleet.device_request(i), selected[k], 1.7, &curve);
+                assert_eq!(out[k].to_bits(), expected.to_bits(), "position {k} on {path:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn problem_columns_match_fleet_columns() {
         let fleet = mixed_fleet();
         let indices: Vec<usize> = (0..fleet.len()).collect();
         let problem =
             fleet.subproblem(&indices, 10.0, 10.0, 1.0, &AnxietyCurve::paper_shape());
         let mut direct = Vec::new();
         transform_feasible_batch(&fleet.columns(), &indices, &mut direct);
-        let via_scratch = with_problem_columns(&problem, |cols| {
+        let via_loader = with_problem_columns(&problem, |cols| {
             let mut out = Vec::new();
             transform_feasible_batch(&cols, &indices, &mut out);
             out
         });
-        assert_eq!(direct, via_scratch);
+        assert_eq!(direct, via_loader);
     }
 
     #[test]

@@ -39,12 +39,32 @@
 //!   relaxation (marginal joules per compute unit / storage GB);
 //! * [`budget`] — the per-slot compute budget ([`SlotBudget`]) the
 //!   resilient scheduler degrades against;
-//! * [`fleet`] — the columnar [`DeviceFleet`] store backing
-//!   provider-scale sharded scheduling (`lpvs_edge::fleet`), with
-//!   per-row dirty bits and epoch counters feeding the delta path;
+//! * [`fleet`] — the columnar [`DeviceFleet`] store and the
+//!   [`SlotView`] over it, with per-row dirty bits and epoch counters
+//!   feeding the delta path;
+//! * [`kernels`] — the batched columnar kernels for constraint (11)
+//!   and eq. (13) that every solve runs on;
 //! * [`delta`] — delta-aware incremental solving: [`SlotDelta`] change
 //!   sets and the residual sub-solve that re-solves only the dirty
 //!   frontier of a shard.
+//!
+//! # One solve-path representation
+//!
+//! The engine — every [`SolverBackend`], [`run_phase2_over`], the
+//! eq.-13 accounting, [`LpvsScheduler::schedule_view`],
+//! [`solve_shard_incremental`] — takes a [`SlotView`]: fleet columns,
+//! a row list, capacities, λ, curve; borrowed and `Copy`. Callers that
+//! hold a fleet (`lpvs_edge::fleet`, `lpvs_runtime`) solve views of it
+//! and copy nothing. The row-taking functions
+//! ([`LpvsScheduler::schedule_resilient`] and the other `schedule*`,
+//! [`solve_phase1`], [`run_phase2`], [`objective_value`],
+//! [`kernels::with_problem_columns`]) are adapters: they load the
+//! [`SlotProblem`] into a thread-local fleet through the one
+//! rows→columns loader ([`DeviceFleet::rebuild_from_problem`], which is
+//! also where corrupt telemetry is neutralized) and call the engine.
+//! The per-row functions of [`compact`] and [`objective`] are the
+//! oracles the kernels are tested against, and what [`explain()`],
+//! [`baseline`] and [`provision`] use off the hot path.
 //!
 //! A note on conventions: γ is the *saved* fraction — transformed
 //! power is `(1 − γ)·p` (see `lpvs_display::transform` and DESIGN.md).
@@ -90,12 +110,12 @@ pub use backend::{
 pub use baseline::{Policy, SelectionPolicy};
 pub use budget::SlotBudget;
 pub use compact::CompactedDevice;
-pub use delta::{solve_shard_incremental, solve_shard_incremental_with, SlotDelta, SolveScratch};
+pub use delta::{solve_shard_incremental, SlotDelta};
 pub use explain::{explain, Explanation, Reason};
-pub use fleet::{DeviceFleet, DirtyFrontier, FleetDevice, FleetView};
+pub use fleet::{DeviceFleet, DirtyFrontier, FleetDevice, SlotView};
 pub use kernels::{
     active_path, detected_path, device_objective_batch, set_forced_path, transform_feasible_batch,
-    transform_savings_batch, ColumnScratch, FleetColumns, KernelPath, Select,
+    transform_savings_batch, FleetColumns, KernelPath, Select,
 };
 pub use objective::{device_objective, objective_value, objective_value_recursive};
 pub use phase1::{solve_phase1, Phase1Config, Phase1Result, Phase1Solver};

@@ -18,9 +18,12 @@
 //! predicts `e(κ)` from the initial report and a running prefix sum,
 //! and a chunk-recursive reference implementing eqs. (5) + (8a)
 //! directly. They are equal by construction (eq. 12 only substitutes
-//! equalities) and the tests assert it.
+//! equalities) and the tests assert it. The row functions here are the
+//! **oracles** the batch kernels ([`crate::kernels`]) are tested against
+//! and what the off-path consumers (`explain`, `baseline`) call; the
+//! solve path itself only runs the kernels.
 
-use crate::kernels::{self, Select};
+use crate::fleet::with_problem_view;
 use crate::problem::{DeviceRequest, SlotProblem};
 use lpvs_survey::curve::AnxietyCurve;
 
@@ -47,28 +50,16 @@ pub fn device_objective(
 }
 
 /// Full objective of a selection over the slot problem (compacted
-/// evaluation). Runs through the batched columnar kernels
-/// ([`crate::kernels`]); per-device terms and their left-to-right sum
-/// are bit-identical to a sequential [`device_objective`] loop.
+/// evaluation). A row adapter: loads the problem into columns once and
+/// evaluates [`SlotView::objective_value`](crate::fleet::SlotView::objective_value);
+/// per-device terms and their left-to-right sum are bit-identical to a
+/// sequential [`device_objective`] loop.
 ///
 /// # Panics
 ///
 /// Panics if `selected.len()` differs from the device count.
 pub fn objective_value(problem: &SlotProblem, selected: &[bool]) -> f64 {
-    assert_eq!(selected.len(), problem.len(), "selection has wrong length");
-    let indices: Vec<usize> = (0..problem.len()).collect();
-    let mut terms = Vec::new();
-    kernels::with_problem_columns(problem, |cols| {
-        kernels::device_objective_batch(
-            &cols,
-            &indices,
-            Select::PerRow(selected),
-            problem.lambda,
-            &problem.curve,
-            &mut terms,
-        );
-    });
-    terms.iter().sum()
+    with_problem_view(problem, |view| view.objective_value(selected))
 }
 
 /// Reference evaluator: walks the energy recursion of eq. (5) chunk by

@@ -9,6 +9,7 @@
 //! for the solver-path ablation.
 
 use crate::backend::{backend_for, WarmStart};
+use crate::fleet::with_problem_view;
 use crate::problem::SlotProblem;
 use lpvs_solver::SolverError;
 use serde::{Deserialize, Serialize};
@@ -98,9 +99,10 @@ pub fn solve_phase1(
 /// incumbent, which both speeds certification and biases ties toward
 /// the standing selection (fewer encoder restarts between slots).
 ///
-/// Dispatches to the [`SolverBackend`](crate::backend::SolverBackend)
-/// implementing the configured solver; see [`crate::backend`] for the
-/// individual solution paths.
+/// A row adapter: loads the problem into columns once and dispatches to
+/// the [`SolverBackend`](crate::backend::SolverBackend) implementing the
+/// configured solver; see [`crate::backend`] for the individual
+/// solution paths.
 ///
 /// # Errors
 ///
@@ -111,7 +113,7 @@ pub fn solve_phase1_warm(
     hint: Option<&[bool]>,
 ) -> Result<Phase1Result, SolverError> {
     let warm = hint.map(|selected| WarmStart { selected });
-    backend_for(config.solver).solve(problem, config, warm)
+    with_problem_view(problem, |view| backend_for(config.solver).solve(view, config, warm))
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //! a swap's delta is the candidate's gain plus the victim's *eviction
 //! loss* `off − on`, and the best victim for a candidate is the
 //! cheapest-to-evict selected device whose departure makes room. The
-//! selected devices are therefore kept in a [`VictimIndex`] — ordered
+//! selected devices are therefore kept in a `VictimIndex` — ordered
 //! by eviction loss, searchable for the first one that fits — and a
 //! candidate costs O(log n) instead of a scan of the cluster, which is
 //! what makes the heuristic's runtime near-linear in the cluster size
@@ -24,6 +24,7 @@
 //! the victims in index order keeping the first strict minimum would
 //! choose, and what `tests/solve_linear.rs` pins against that scan.
 
+use crate::fleet::{with_problem_view, SlotView};
 use crate::kernels::{self, Select};
 use crate::problem::SlotProblem;
 use serde::{Deserialize, Serialize};
@@ -129,79 +130,73 @@ impl VictimIndex {
     }
 }
 
-/// Runs Phase-2 in place on a Phase-1 selection.
+/// Runs Phase-2 in place on a Phase-1 selection — the row adapter over
+/// [`run_phase2_over`]: loads the problem into columns once, swaps over
+/// the whole of it.
 ///
 /// # Panics
 ///
 /// Panics if `selected.len()` differs from the device count.
 pub fn run_phase2(problem: &SlotProblem, selected: &mut [bool]) -> Phase2Stats {
-    run_phase2_over(problem, selected, None)
+    with_problem_view(problem, |view| run_phase2_over(view, selected, None))
 }
 
-/// [`run_phase2`] restricted to a subset of device indices — the delta
-/// scheduler's dirty frontier. Both candidates (devices swapped *in*)
-/// and victims (devices swapped *out*) must lie in `allowed`, so rows
-/// outside the frontier keep their standing decision verbatim: the
-/// pure-addition criterion holds with respect to every clean row.
-/// `allowed: None` swaps over the whole problem.
+/// Phase-2 over a view, optionally restricted to a subset of its
+/// positions — the delta scheduler's dirty frontier. Both candidates
+/// (devices swapped *in*) and victims (devices swapped *out*) must lie
+/// in `allowed`, so rows outside the frontier keep their standing
+/// decision verbatim: the pure-addition criterion holds with respect to
+/// every clean row. `allowed: None` swaps over the whole view.
 ///
 /// # Panics
 ///
 /// Panics if `selected.len()` differs from the device count or an
-/// allowed index is out of range.
+/// allowed position is out of range.
 pub fn run_phase2_over(
-    problem: &SlotProblem,
+    view: SlotView<'_>,
     selected: &mut [bool],
     allowed: Option<&[usize]>,
 ) -> Phase2Stats {
-    assert_eq!(selected.len(), problem.len(), "selection has wrong length");
+    assert_eq!(selected.len(), view.len(), "selection has wrong length");
     let mut stats = Phase2Stats::default();
-    let n = problem.len();
-    // The scope in ascending device order, so that slot order is device
-    // order wherever a tie falls back on it. Everything below is sized
-    // by the scope, not the problem.
+    let n = view.len();
+    // The scope in ascending position order, so that slot order is
+    // device order wherever a tie falls back on it. Everything below is
+    // sized by the scope, not the view.
     let scope: Vec<usize> = match allowed {
         None => (0..n).collect(),
-        Some(indices) => {
-            let mut scope = indices.to_vec();
+        Some(positions) => {
+            let mut scope = positions.to_vec();
             scope.sort_unstable();
             scope.dedup();
             scope
         }
     };
+    let rows: Vec<usize> = scope.iter().map(|&p| view.rows()[p]).collect();
 
     // Per-device objective contributions under both decisions, plus
     // transform feasibility, via the batched columnar kernels — only
     // scoped rows are scored (out-of-scope rows are never read as
     // candidates *or* victims), so a delta solve pays O(frontier·K),
     // not O(N·K). Values are bit-identical to the per-row evaluators.
-    let lambda = problem.lambda;
+    let (lambda, curve, cols) = (view.lambda(), view.curve(), view.columns());
     let mut off = Vec::new();
     let mut on = Vec::new();
     let mut feasible = Vec::new();
-    kernels::with_problem_columns(problem, |cols| {
-        let curve = &problem.curve;
-        kernels::device_objective_batch(
-            &cols,
-            &scope,
-            Select::Uniform(false),
-            lambda,
-            curve,
-            &mut off,
-        );
-        kernels::device_objective_batch(&cols, &scope, Select::Uniform(true), lambda, curve, &mut on);
-        kernels::transform_feasible_batch(&cols, &scope, &mut feasible);
-    });
+    kernels::device_objective_batch(&cols, &rows, Select::Uniform(false), lambda, curve, &mut off);
+    kernels::device_objective_batch(&cols, &rows, Select::Uniform(true), lambda, curve, &mut on);
+    kernels::transform_feasible_batch(&cols, &rows, &mut feasible);
     // What evicting a device costs the objective.
     let loss: Vec<f64> = off.iter().zip(&on).map(|(off, on)| off - on).collect();
 
     // Current capacity usage.
     let mut g_used = 0.0;
     let mut h_used = 0.0;
-    for (r, &x) in problem.requests.iter().zip(selected.iter()) {
+    for (position, &x) in selected.iter().enumerate() {
         if x {
-            g_used += r.compute_cost;
-            h_used += r.storage_cost_gb;
+            let [g, h] = view.cost(position);
+            g_used += g;
+            h_used += h;
         }
     }
 
@@ -209,14 +204,11 @@ pub fn run_phase2_over(
     // descending anxiety degree (ties in device order).
     let mut candidates: Vec<(f64, usize)> = (0..scope.len())
         .filter(|&slot| !selected[scope[slot]] && feasible[slot])
-        .map(|slot| (problem.curve.phi(problem.requests[scope[slot]].battery_fraction()), slot))
+        .map(|slot| (curve.phi(view.battery_fraction(scope[slot])), slot))
         .collect();
     candidates.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite anxiety"));
 
-    let cost = |slot: usize| {
-        let r = &problem.requests[scope[slot]];
-        [r.compute_cost, r.storage_cost_gb]
-    };
+    let cost = |slot: usize| view.cost(scope[slot]);
     let mut victims = VictimIndex::build(&loss, |slot| selected[scope[slot]].then(|| cost(slot)));
 
     for (_, cand) in candidates {
@@ -224,8 +216,8 @@ pub fn run_phase2_over(
         let gain_in = on[cand] - off[cand]; // negative = improvement
 
         // Pure addition when slack allows.
-        if g_used + g_cand <= problem.compute_capacity + 1e-9
-            && h_used + h_cand <= problem.storage_capacity_gb + 1e-9
+        if g_used + g_cand <= view.compute_capacity() + 1e-9
+            && h_used + h_cand <= view.storage_capacity_gb() + 1e-9
         {
             stats.swaps_tried += 1;
             if gain_in < -1e-12 {
@@ -244,8 +236,8 @@ pub fn run_phase2_over(
         // later victims rounding to the *same* Δ can still win, on
         // their index.
         let fits = |[g_victim, h_victim]: [f64; 2]| {
-            g_used - g_victim + g_cand <= problem.compute_capacity + 1e-9
-                && h_used - h_victim + h_cand <= problem.storage_capacity_gb + 1e-9
+            g_used - g_victim + g_cand <= view.compute_capacity() + 1e-9
+                && h_used - h_victim + h_cand <= view.storage_capacity_gb() + 1e-9
         };
         let mut best: Option<(usize, f64)> = None;
         let mut from = 0;
@@ -395,7 +387,7 @@ mod tests {
         p.push(device(1.0, 0.30, 0.08));
         p.push(device(1.0, 0.25, 0.50));
         let mut sel = vec![true, false, false];
-        run_phase2_over(&p, &mut sel, Some(&[2]));
+        with_problem_view(&p, |view| run_phase2_over(view, &mut sel, Some(&[2])));
         assert!(sel[0], "out-of-scope selection was evicted");
         assert!(!sel[1], "out-of-scope candidate was admitted");
 
@@ -417,7 +409,7 @@ mod tests {
         let mut scoped = start;
         let every: Vec<usize> = (0..p.len()).collect();
         let a = run_phase2(&p, &mut all);
-        let b = run_phase2_over(&p, &mut scoped, Some(&every));
+        let b = with_problem_view(&p, |view| run_phase2_over(view, &mut scoped, Some(&every)));
         assert_eq!(all, scoped);
         assert_eq!(a, b);
     }

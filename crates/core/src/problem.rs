@@ -113,7 +113,7 @@ impl DeviceRequest {
     /// be stale or corrupt (NaN γ, negative energies, …). Such a
     /// request is only safe to hand to
     /// [`LpvsScheduler::schedule_resilient`](crate::scheduler::LpvsScheduler::schedule_resilient),
-    /// which sanitizes it; the validating [`DeviceRequest::new`] path
+    /// whose loader neutralizes it; the validating [`DeviceRequest::new`] path
     /// remains the contract for everything else.
     #[allow(clippy::too_many_arguments)]
     pub fn from_telemetry(
@@ -159,8 +159,9 @@ impl DeviceRequest {
     }
 
     /// An inert placeholder request: zero power, zero savings, zero
-    /// resource cost, full battery. Used by sanitization to keep device
-    /// indices stable while neutralizing rejected telemetry.
+    /// resource cost, full battery. Used by sanitization and the
+    /// rows→columns loader to keep device indices stable while
+    /// neutralizing rejected telemetry.
     pub(crate) fn inert() -> Self {
         Self::new(vec![0.0], vec![1.0], 1.0, 1.0, 0.0, 0.0, 0.0)
     }
@@ -187,6 +188,16 @@ impl DeviceRequest {
     /// Current battery fraction.
     pub fn battery_fraction(&self) -> f64 {
         (self.energy_j / self.capacity_j).clamp(0.0, 1.0)
+    }
+}
+
+/// The clamp sanitization applies to capacities and λ: a value we
+/// cannot trust (non-finite or negative) admits nothing / weighs nothing.
+pub(crate) fn safe_capacity(c: f64) -> f64 {
+    if c.is_finite() && c >= 0.0 {
+        c
+    } else {
+        0.0
     }
 }
 
@@ -245,7 +256,10 @@ impl SlotProblem {
     }
 
     /// Splits the problem into a solver-safe copy and a per-device
-    /// validity mask.
+    /// validity mask — the row reference for what the rows→columns
+    /// loader
+    /// ([`DeviceFleet::rebuild_from_problem`](crate::fleet::DeviceFleet::rebuild_from_problem))
+    /// does in place (the scheduler calls the loader, not this).
     ///
     /// Devices whose telemetry fails [`DeviceRequest::is_valid`] are
     /// replaced by inert placeholders (zero saving, zero cost) so that
@@ -262,7 +276,6 @@ impl SlotProblem {
             .zip(&valid)
             .map(|(r, &ok)| if ok { r.clone() } else { DeviceRequest::inert() })
             .collect();
-        let safe_capacity = |c: f64| if c.is_finite() && c >= 0.0 { c } else { 0.0 };
         let clean = SlotProblem {
             requests,
             compute_capacity: safe_capacity(self.compute_capacity),

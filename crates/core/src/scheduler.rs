@@ -2,9 +2,9 @@
 
 use crate::backend::{backend_for, ladder_from, SolverBackend, WarmStart};
 use crate::budget::SlotBudget;
-use crate::objective::objective_value;
+use crate::fleet::{with_problem_view, SlotView};
 use crate::phase1::{Phase1Config, Phase1Solver};
-use crate::phase2::{run_phase2, Phase2Stats};
+use crate::phase2::{run_phase2_over, Phase2Stats};
 use crate::problem::SlotProblem;
 use lpvs_solver::SolverError;
 use serde::{Deserialize, Serialize};
@@ -244,9 +244,9 @@ impl LpvsScheduler {
     }
 
     /// [`LpvsScheduler::schedule_warm`] with an explicit Phase-1
-    /// backend and configuration — the primitive both the plain path
-    /// (configured solver) and the resilient ladder (each rung in
-    /// turn) are built on.
+    /// backend and configuration. Like every row-taking entry point
+    /// this is an adapter: it loads the problem into columns once and
+    /// runs the same phases the resilient ladder runs per rung.
     ///
     /// # Errors
     ///
@@ -259,8 +259,10 @@ impl LpvsScheduler {
         previous: Option<&[bool]>,
     ) -> Result<Schedule, SolverError> {
         let start = Instant::now();
-        let phases = self.run_phases(backend, phase1_config, problem, previous)?;
-        Ok(phases.into_schedule(problem, backend.rung(), 0, start))
+        with_problem_view(problem, |view| {
+            let phases = self.run_phases(backend, phase1_config, view, previous)?;
+            Ok(phases.into_schedule(view, backend.rung(), 0, start))
+        })
     }
 
     /// Phase-1 on `backend`, then Phase-2 if configured: the decision
@@ -270,13 +272,13 @@ impl LpvsScheduler {
         &self,
         backend: &dyn SolverBackend,
         phase1_config: &Phase1Config,
-        problem: &SlotProblem,
+        view: SlotView<'_>,
         previous: Option<&[bool]>,
     ) -> Result<Phases, SolverError> {
         let phase1 = {
-            let mut span = lpvs_obs::span!("sched.phase1", "devices" => problem.len());
+            let mut span = lpvs_obs::span!("sched.phase1", "devices" => view.len());
             let warm = previous.map(|selected| WarmStart { selected });
-            let phase1 = backend.solve(problem, phase1_config, warm)?;
+            let phase1 = backend.solve(view, phase1_config, warm)?;
             span.record("nodes", phase1.nodes as f64);
             span.record("pivots", phase1.pivots as f64);
             phase1
@@ -284,7 +286,7 @@ impl LpvsScheduler {
         let mut selected = phase1.selected;
         let phase2 = if self.config.enable_phase2 {
             let mut span = lpvs_obs::span!("sched.phase2");
-            let phase2 = run_phase2(problem, &mut selected);
+            let phase2 = run_phase2_over(view, &mut selected, None);
             span.record("swaps_tried", phase2.swaps_tried as f64);
             span.record("swaps_accepted", phase2.swaps_accepted as f64);
             phase2
@@ -305,10 +307,32 @@ impl LpvsScheduler {
     ///
     /// Unlike [`LpvsScheduler::schedule_warm`], this never panics and
     /// never returns an error, whatever the input: the problem is
-    /// first sanitized (devices with corrupt telemetry — NaN γ,
-    /// negative energies, mismatched vectors — are rejected and forced
-    /// unselected; garbage capacities and λ collapse to safe values),
-    /// then the fallback ladder runs until a rung produces a
+    /// loaded into columns **once**, by the loader that neutralizes
+    /// corrupt telemetry (devices with NaN γ, negative energies,
+    /// mismatched vectors are rejected and forced unselected; garbage
+    /// capacities and λ collapse to safe values — see
+    /// [`DeviceFleet::rebuild_from_problem`](crate::fleet::DeviceFleet::rebuild_from_problem)),
+    /// then [`schedule_view`](Self::schedule_view) runs the fallback
+    /// ladder over the loaded view.
+    pub fn schedule_resilient(
+        &self,
+        problem: &SlotProblem,
+        previous: Option<&[bool]>,
+        budget: &SlotBudget,
+    ) -> Schedule {
+        let start = Instant::now();
+        let slot_span = lpvs_obs::span!("sched.slot", "devices" => problem.len());
+        with_problem_view(problem, |view| self.resilient(view, previous, budget, start, slot_span))
+    }
+
+    /// [`schedule_resilient`](Self::schedule_resilient) for callers that
+    /// already hold a fleet — the fleet entry the sharded scheduler, the
+    /// slot runtime and the delta path call. Nothing is copied or
+    /// loaded: the solve reads the view's columns in place. Infallible
+    /// like the row entry; `previous` and the returned selection are
+    /// positional (entry `k` is row `view.rows()[k]`).
+    ///
+    /// The fallback ladder runs until a rung produces a
     /// capacity-feasible selection within `budget`:
     ///
     /// 1. the configured solver (exact branch-and-bound by default),
@@ -318,26 +342,38 @@ impl LpvsScheduler {
     /// 5. no-transform passthrough (always feasible).
     ///
     /// The winning rung lands in [`ScheduleStats::degradation`] and
-    /// the number of rejected devices in
+    /// the number of rejected devices (rows the fleet marks
+    /// disconnected — see [`SlotView`]) in
     /// [`ScheduleStats::rejected_devices`]. The budget's node cap only
     /// ever tightens the configured node limit; the deadline is
     /// checked between rungs (a solver that started before the
     /// deadline expired is allowed to finish its bounded search).
-    pub fn schedule_resilient(
+    pub fn schedule_view(
         &self,
-        problem: &SlotProblem,
+        view: SlotView<'_>,
         previous: Option<&[bool]>,
         budget: &SlotBudget,
     ) -> Schedule {
         let start = Instant::now();
-        let mut slot_span = lpvs_obs::span!("sched.slot", "devices" => problem.len());
-        let (clean, valid) = {
-            let _span = lpvs_obs::span!("sched.sanitize");
-            problem.sanitize()
-        };
+        let slot_span = lpvs_obs::span!("sched.slot", "devices" => view.len());
+        self.resilient(view, previous, budget, start, slot_span)
+    }
+
+    /// The degradation ladder over a view; `start` and `slot_span` were
+    /// opened by the entry point, so a row entry's load counts against
+    /// the deadline and falls inside the slot span.
+    fn resilient(
+        &self,
+        view: SlotView<'_>,
+        previous: Option<&[bool]>,
+        budget: &SlotBudget,
+        start: Instant,
+        mut slot_span: lpvs_obs::SpanGuard,
+    ) -> Schedule {
+        let n = view.len();
+        let valid: Vec<bool> = (0..n).map(|position| view.accepted(position)).collect();
         let rejected = valid.iter().filter(|&&ok| !ok).count();
         slot_span.record("rejected", rejected as f64);
-        let n = clean.len();
         let node_limit = budget
             .solver_nodes
             .map_or(self.config.phase1.node_limit, |cap| {
@@ -364,19 +400,19 @@ impl LpvsScheduler {
                 break;
             }
             let phase1 = Phase1Config { node_limit, ..self.config.phase1 };
-            // Defense in depth: sanitization should make the inner
-            // pipeline panic-free, but a rung that panics anyway is a
-            // rung that failed, not a dead slot.
+            // Defense in depth: a view is solver-safe by construction,
+            // but a rung that panics anyway is a rung that failed, not
+            // a dead slot.
             let attempt = catch_unwind(AssertUnwindSafe(|| {
-                self.run_phases(backend.as_ref(), &phase1, &clean, previous)
+                self.run_phases(backend.as_ref(), &phase1, view, previous)
             }));
             if let Ok(Ok(mut phases)) = attempt {
                 for (x, &ok) in phases.selected.iter_mut().zip(&valid) {
                     *x = *x && ok;
                 }
-                if clean.capacity_feasible(&phases.selected) {
+                if view.capacity_feasible(&phases.selected) {
                     return finish_resilient(
-                        &clean,
+                        view,
                         phases,
                         backend.rung(),
                         rejected,
@@ -394,9 +430,9 @@ impl LpvsScheduler {
             if previous.len() == n {
                 let reused: Vec<bool> =
                     previous.iter().zip(&valid).map(|(&x, &ok)| x && ok).collect();
-                if clean.capacity_feasible(&reused) && reused.iter().any(|&x| x) {
+                if view.capacity_feasible(&reused) && reused.iter().any(|&x| x) {
                     return finish_resilient(
-                        &clean,
+                        view,
                         Phases::unsolved(reused),
                         Degradation::ReusedPrevious,
                         rejected,
@@ -410,7 +446,7 @@ impl LpvsScheduler {
         // Rung 5: passthrough. The empty selection satisfies every
         // capacity row, so this rung cannot fail.
         finish_resilient(
-            &clean,
+            view,
             Phases::unsolved(vec![false; n]),
             Degradation::Passthrough,
             rejected,
@@ -445,23 +481,17 @@ impl Phases {
         }
     }
 
-    /// Accounts for the selection on `problem` and stamps the outcome.
+    /// Accounts for the selection on `view` and stamps the outcome.
     fn into_schedule(
         self,
-        problem: &SlotProblem,
+        view: SlotView<'_>,
         rung: Degradation,
         rejected: usize,
         start: Instant,
     ) -> Schedule {
-        let energy_saved_j = problem
-            .requests
-            .iter()
-            .zip(&self.selected)
-            .map(|(r, &x)| if x { r.saving_j() } else { 0.0 })
-            .sum();
         let stats = ScheduleStats {
-            objective: objective_value(problem, &self.selected),
-            energy_saved_j,
+            objective: view.objective_value(&self.selected),
+            energy_saved_j: view.energy_saved_j(&self.selected),
             infeasible_devices: self.infeasible_devices,
             phase1_nodes: self.phase1_nodes,
             phase1_pivots: self.phase1_pivots,
@@ -474,19 +504,19 @@ impl Phases {
     }
 }
 
-/// Computes the final-selection metrics on the sanitized problem,
-/// stamps the ladder outcome into the stats, and publishes the run's
-/// telemetry (tier counters, solver-work counters, per-tier latency)
-/// before closing the slot span.
+/// Computes the final-selection metrics on the view, stamps the ladder
+/// outcome into the stats, and publishes the run's telemetry (tier
+/// counters, solver-work counters, per-tier latency) before closing the
+/// slot span.
 fn finish_resilient(
-    clean: &SlotProblem,
+    view: SlotView<'_>,
     phases: Phases,
     rung: Degradation,
     rejected: usize,
     start: Instant,
     mut slot_span: lpvs_obs::SpanGuard,
 ) -> Schedule {
-    let schedule = phases.into_schedule(clean, rung, rejected, start);
+    let schedule = phases.into_schedule(view, rung, rejected, start);
     let stats = &schedule.stats;
     slot_span.record("tier", rung.severity() as f64);
     if lpvs_obs::enabled() {

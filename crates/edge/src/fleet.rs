@@ -5,20 +5,18 @@
 //! server, over a fleet orders of magnitude larger than a cluster.
 //! [`FleetScheduler`] closes that gap in three steps:
 //!
-//! 1. **Partition** — the columnar
-//!    [`DeviceFleet`](lpvs_core::fleet::DeviceFleet) is split across
-//!    `N` shards, either by *locality* (contiguous index ranges — O(1)
-//!    zero-copy [`FleetView`](lpvs_core::fleet::FleetView)s, modeling
+//! 1. **Partition** — the columnar [`DeviceFleet`] is split across `N`
+//!    shards, either by *locality* (contiguous index ranges, modeling
 //!    devices already grouped by base station) or by *hash*
 //!    (deterministic scatter, modeling provider-side load balancing).
-//! 2. **Solve** — each shard materializes its own
-//!    [`SlotProblem`](lpvs_core::problem::SlotProblem) and runs the full
+//! 2. **Solve** — each shard is a zero-copy
+//!    [`SlotView`](lpvs_core::fleet::SlotView) of the fleet (its row
+//!    list plus its own server's capacities) and runs the full
 //!    resilient pipeline
-//!    ([`LpvsScheduler::schedule_resilient`](lpvs_core::scheduler::LpvsScheduler::schedule_resilient))
-//!    on its own scoped thread, against its own server's capacities.
-//!    Shards never share mutable state; results are joined in shard
-//!    order, so the outcome is deterministic regardless of thread
-//!    interleaving.
+//!    ([`LpvsScheduler::schedule_view`](lpvs_core::scheduler::LpvsScheduler::schedule_view))
+//!    on its own scoped thread. Shards never share mutable state;
+//!    results are joined in shard order, so the outcome is
+//!    deterministic regardless of thread interleaving.
 //! 3. **Rebalance** — a bounded cross-shard pass migrates marginal
 //!    low-battery viewers from saturated shards to shards with spare
 //!    capacity, reusing Phase-2's pure-addition criterion (the
@@ -43,7 +41,7 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum Partitioner {
     /// Contiguous index ranges — devices are already grouped by base
-    /// station, and each shard is an O(1) zero-copy fleet view.
+    /// station.
     #[default]
     Locality,
     /// Deterministic multiplicative-hash scatter — provider-side load
@@ -247,39 +245,35 @@ impl FleetScheduler {
         let shards = self.partition(fleet);
         // A warm start only applies when the population is unchanged.
         let previous = previous.filter(|p| p.len() == fleet.len());
-        let problems: Vec<_> = shards
-            .iter()
-            .zip(servers)
-            .map(|(indices, server)| {
-                fleet.subproblem(
-                    indices,
-                    server.compute_capacity(),
-                    server.storage_capacity_gb(),
-                    lambda,
-                    curve,
-                )
-            })
-            .collect();
         let warm: Vec<Option<Vec<bool>>> = shards
             .iter()
             .map(|indices| previous.map(|p| indices.iter().map(|&i| p[i]).collect()))
             .collect();
 
-        // One scoped thread per shard; join handles in shard order make
-        // the gather deterministic without any shared mutable state.
+        // One scoped thread per shard, each solving a view of the one
+        // fleet; join handles in shard order make the gather
+        // deterministic without any shared mutable state.
         let scheduler = LpvsScheduler::new(self.config.scheduler);
         let results: Vec<Option<Schedule>> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = problems
+            let handles: Vec<_> = shards
                 .iter()
+                .zip(servers)
                 .zip(&warm)
                 .enumerate()
-                .map(|(s, (problem, warm))| {
+                .map(|(s, ((indices, server), warm))| {
                     let scheduler = &scheduler;
                     scope.spawn(move |_| {
                         let _span = lpvs_obs::span_in!(
-                            slot_ctx, "fleet.shard", "shard" => s, "devices" => problem.len()
+                            slot_ctx, "fleet.shard", "shard" => s, "devices" => indices.len()
                         );
-                        scheduler.schedule_resilient(problem, warm.as_deref(), budget)
+                        let view = fleet.slot_view(
+                            indices,
+                            server.compute_capacity(),
+                            server.storage_capacity_gb(),
+                            lambda,
+                            curve,
+                        );
+                        scheduler.schedule_view(view, warm.as_deref(), budget)
                     })
                 })
                 .collect();

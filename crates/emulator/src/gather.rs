@@ -6,7 +6,7 @@
 //! functions `g(·)`, `h(·)`. The output is the [`SlotProblem`] the
 //! scheduler consumes.
 
-use lpvs_core::fleet::{DeviceFleet, FleetDevice};
+use lpvs_core::fleet::DeviceFleet;
 use lpvs_core::problem::{DeviceRequest, SlotProblem};
 use lpvs_display::stats::FrameStats;
 use lpvs_edge::device::Device;
@@ -71,64 +71,6 @@ pub fn gather_problem(
     problem
 }
 
-/// Builds the columnar fleet store for a multi-edge scheduling point —
-/// the provider-scale counterpart of [`gather_problem`]. Per-device
-/// request fields are derived with the same formulas; on top of those
-/// the fleet rows carry what the orchestration layer uses and the slot
-/// problem never did: the panel kind, the device's connectivity, and
-/// the γ *posterior spread* `gamma_stds[n]` (from the truncated-normal
-/// estimator's uncertainty).
-///
-/// Unlike [`gather_problem`], this path requires healthy telemetry
-/// (the fleet store validates rows on insertion) — the emulator's
-/// fault-tolerant route sanitizes a gathered [`SlotProblem`] first and
-/// columnarizes the clean copy.
-///
-/// # Panics
-///
-/// Panics if the slices disagree in length, a window is empty, or a
-/// row fails [`DeviceRequest::is_valid`].
-pub fn gather_fleet(
-    devices: &[Device],
-    chunk_windows: &[Vec<FrameStats>],
-    gammas: &[f64],
-    gamma_stds: &[f64],
-    chunk_secs: f64,
-    bitrate_kbps: f64,
-) -> DeviceFleet {
-    assert_eq!(devices.len(), chunk_windows.len(), "one chunk window per device");
-    assert_eq!(devices.len(), gammas.len(), "one gamma per device");
-    assert_eq!(devices.len(), gamma_stds.len(), "one gamma spread per device");
-
-    let chunks_hint = chunk_windows.first().map_or(0, Vec::len);
-    let mut fleet = DeviceFleet::with_capacity(devices.len(), chunks_hint);
-    for (((device, window), &gamma), &gamma_std) in
-        devices.iter().zip(chunk_windows).zip(gammas).zip(gamma_stds)
-    {
-        assert!(!window.is_empty(), "chunk window must be non-empty");
-        let rates: Vec<f64> = window
-            .iter()
-            .map(|stats| device.power_rate_watts(stats, 1.0))
-            .collect();
-        let slot_secs = chunk_secs * window.len() as f64;
-        fleet.push(FleetDevice {
-            request: DeviceRequest::new(
-                rates,
-                vec![chunk_secs; window.len()],
-                device.energy_status_joules(),
-                device.battery().capacity_joules(),
-                gamma.min(1.0 - f64::EPSILON),
-                transform_compute_units(device.spec().resolution, 30.0),
-                storage_gb(bitrate_kbps, slot_secs),
-            ),
-            display: device.spec().kind,
-            gamma_std,
-            connected: device.is_connected(),
-        });
-    }
-    fleet
-}
-
 /// Sanitizes a gathered slot problem and columnarizes the clean copy —
 /// the fault-tolerant route into the fleet store shared by the sharded
 /// engine path and the pipelined runtime driver. Rows the monolithic
@@ -136,9 +78,9 @@ pub fn gather_fleet(
 /// disconnected, so the shard schedulers never select them.
 ///
 /// `recycled` is a previously-solved fleet buffer to refill in place
-/// (the pipeline's double-buffer hand-off); its columns are rebuilt
-/// with the same `push_request` path as a fresh build, so recycling
-/// never changes a bit of the stored telemetry.
+/// (the pipeline's double-buffer hand-off); its columns are rebuilt by
+/// the same loader as a fresh build, so recycling never changes a bit
+/// of the stored telemetry.
 ///
 /// Returns the fleet alongside the sanitized problem (whose capacities,
 /// λ, and curve the caller still needs).
@@ -204,34 +146,6 @@ mod tests {
         assert!(p.requests[1].compute_cost > p.requests[0].compute_cost);
         // Brighter content → larger OLED power rate.
         assert!(p.requests[1].power_rates_w[0] > p.requests[0].power_rates_w[0]);
-    }
-
-    #[test]
-    fn fleet_rows_mirror_the_slot_problem() {
-        let devices = vec![device(0.4, Resolution::HD), device(0.8, Resolution::FHD)];
-        let windows = vec![window(30, 0.5), window(30, 0.7)];
-        let gammas = [0.3, 0.4];
-        let p = gather_problem(
-            &devices,
-            &windows,
-            &gammas,
-            10.0,
-            3000.0,
-            100.0,
-            50.0,
-            1.0,
-            &AnxietyCurve::paper_shape(),
-        );
-        let f = gather_fleet(&devices, &windows, &gammas, &[0.02, 0.05], 10.0, 3000.0);
-        assert_eq!(f.len(), 2);
-        // The request columns agree bit-for-bit with the problem path.
-        for i in 0..2 {
-            assert_eq!(f.device_request(i), p.requests[i]);
-        }
-        // Plus the columns only the fleet carries.
-        assert_eq!(f.display(0), lpvs_display::spec::DisplayKind::Oled);
-        assert_eq!(f.gamma_std(1), 0.05);
-        assert!(f.connected(0));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Recorders: where spans and metrics go.
 //!
 //! The crate keeps one process-global recorder slot, guarded by a
-//! relaxed [`AtomicBool`] so that every instrumented call site pays
+//! relaxed [`AtomicBool`](std::sync::atomic::AtomicBool) so that every instrumented call site pays
 //! exactly one atomic load when recording is disabled (the
 //! [`NoopRecorder`] regime). [`install`](crate::install) swaps in a
 //! collecting [`Recorder`]; [`set_enabled`](crate::set_enabled) toggles

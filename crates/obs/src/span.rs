@@ -135,7 +135,7 @@ struct ActiveSpan {
 
 /// RAII guard for an open span; emits a [`SpanEvent`] on drop.
 ///
-/// Obtained from [`crate::span!`] or [`start_span`]. When recording is
+/// Obtained from [`crate::span!`] or [`crate::start_span`]. When recording is
 /// disabled the guard is inert and every method is a no-op.
 #[derive(Debug)]
 pub struct SpanGuard {

@@ -149,7 +149,7 @@ pub struct ShardSnapshot {
 impl ShardSnapshot {
     /// Seals a snapshot into its on-disk container bytes. `bank_bytes`
     /// is the worker-encoded bank payload (`lpvs_bayes::codec`);
-    /// `memo_bytes` the worker-encoded delta memo ([`memo_to_bytes`]),
+    /// `memo_bytes` the worker-encoded delta memo (`memo_to_bytes`),
     /// when one was live.
     pub fn seal(
         shard: usize,
@@ -937,8 +937,8 @@ impl FlightReason {
     }
 }
 
-/// One snapshot of a shard worker's blackbox [`FlightRing`]
-/// (`lpvs_obs::FlightRing`), taken by the supervisor at the moment it
+/// One snapshot of a shard worker's blackbox
+/// [`FlightRing`](lpvs_obs::FlightRing), taken by the supervisor at the moment it
 /// learned something went wrong. The events are the last things the
 /// worker did before dying — a solve begin with no matching end, the
 /// last checkpoint it sealed, and so on.

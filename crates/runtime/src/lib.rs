@@ -53,7 +53,7 @@
 //! Only when a shard's retry budget is exhausted — or every checkpoint
 //! generation fails its checksum — does the hub drain the in-flight
 //! slot, merge every bank, and run the remaining slots inline through
-//! the sequential [`FleetScheduler`] path. The run's
+//! the sequential [`FleetScheduler`](lpvs_edge::fleet::FleetScheduler) path. The run's
 //! [`RecoveryReport`] accounts for every death, retry, and replayed
 //! slot; `fell_back` records the abandonment slot when the ladder
 //! bottomed out.

@@ -4,14 +4,14 @@
 //! [`BayesBank`] of γ estimators for the devices it is home to — and
 //! serves a FIFO command stream from the hub:
 //!
-//! * [`WorkerMsg::Prepare`] — fold last slot's observations, apply
+//! * `WorkerMsg::Prepare` — fold last slot's observations, apply
 //!   staleness forgets, answer posterior queries;
-//! * [`WorkerMsg::Solve`] — run the resilient scheduler on this shard's
+//! * `WorkerMsg::Solve` — run the resilient scheduler on this shard's
 //!   slice of the shared [`GatheredSlot`] (solver panics are contained:
 //!   the shard degrades to passthrough, the worker survives);
-//! * [`WorkerMsg::MigrateOut`]/[`WorkerMsg::MigrateIn`] — move one
+//! * `WorkerMsg::MigrateOut`/`WorkerMsg::MigrateIn` — move one
 //!   estimator to follow a cross-shard rebalance migration;
-//! * [`WorkerMsg::Finish`] — ship the bank home and exit.
+//! * `WorkerMsg::Finish` — ship the bank home and exit.
 //!
 //! FIFO ordering is the determinism backbone: a `Prepare` queued behind
 //! a `Solve` is answered only after the solve completed, which is
@@ -20,13 +20,13 @@
 //! If the worker itself dies — an injected stage fault, or a panic
 //! outside the contained solver — the bank is **not** lost: the worker
 //! ships its [`ShardState`] back to the hub on the way down
-//! ([`WorkerEvent::Down`]), so the hub can merge it and fall back to
+//! (`WorkerEvent::Down`), so the hub can merge it and fall back to
 //! the sequential path.
 
 use crate::GatheredSlot;
 use crossbeam::channel::{Receiver, Sender};
 use lpvs_bayes::{BayesBank, GammaEstimator};
-use lpvs_core::delta::{solve_shard_incremental_with, SolveScratch};
+use lpvs_core::delta::solve_shard_incremental;
 use lpvs_core::scheduler::{LpvsScheduler, Schedule, SchedulerConfig};
 use lpvs_edge::fleet::shard_frontier;
 use lpvs_obs::{FlightKind, FlightRing, SpanContext};
@@ -206,10 +206,6 @@ pub(crate) fn spawn_worker(
     std::thread::spawn(move || {
         let shard = state.shard;
         let scheduler = LpvsScheduler::new(scheduler);
-        // Per-worker solver scratch: subproblem extraction reuses these
-        // buffers across slots, so the steady-state solve path does not
-        // allocate per-slot problem storage.
-        let mut scratch = SolveScratch::new();
         let mut courier = BankCourier { events: events.clone(), state: Some(Box::new(state)) };
         while let Ok(msg) = commands.recv() {
             let state = courier.state.as_mut().expect("state is present until Finish");
@@ -265,8 +261,7 @@ pub(crate) fn spawn_worker(
                         }
                     }
                     let slot = job.slot;
-                    let schedule =
-                        solve_slice(&scheduler, shard, &job, &mut state.memo, &mut scratch, &ring);
+                    let schedule = solve_slice(&scheduler, shard, &job, &mut state.memo, &ring);
                     // Release the shared buffer before announcing, so
                     // the hub's handle is unique once all shards report.
                     drop(job);
@@ -387,9 +382,10 @@ fn classify_delta(
     }
 }
 
-/// Runs the resilient scheduler on one shard's slice — cold,
-/// incrementally over the dirty frontier, or by reusing the memo
-/// outright when nothing in the shard changed. A solver panic is
+/// Runs the resilient scheduler on one shard's slice — a view of the
+/// shared gathered fleet, never a copy of it — cold, incrementally over
+/// the dirty frontier, or by reusing the memo outright when nothing in
+/// the shard changed. A solver panic is
 /// contained here — the shard reports `None` (→ passthrough), the memo
 /// is dropped, and the worker stays up, mirroring the scoped-thread
 /// fleet path where a dead shard thread degrades the same way.
@@ -398,7 +394,6 @@ fn solve_slice(
     shard: usize,
     job: &SolveJob,
     memo: &mut Option<ShardDeltaMemo>,
-    scratch: &mut SolveScratch,
     ring: &FlightRing,
 ) -> Option<Schedule> {
     // Parented on the hub's slot span via the shipped context, so the
@@ -435,8 +430,7 @@ fn solve_slice(
         DeltaPath::Incremental => {
             let m = memo.as_ref().expect("incremental path requires a memo");
             catch_unwind(AssertUnwindSafe(|| {
-                solve_shard_incremental_with(
-                    scratch,
+                solve_shard_incremental(
                     scheduler,
                     &job.gathered.fleet,
                     &job.indices,
@@ -453,15 +447,14 @@ fn solve_slice(
             .ok()
         }
         DeltaPath::Cold => catch_unwind(AssertUnwindSafe(|| {
-            let problem = scratch.extract_problem(
-                &job.gathered.fleet,
+            let view = job.gathered.fleet.slot_view(
                 &job.indices,
                 job.compute_capacity,
                 job.storage_capacity_gb,
                 job.gathered.lambda,
                 &job.gathered.curve,
             );
-            scheduler.schedule_resilient(problem, job.warm.as_deref(), &job.gathered.budget)
+            scheduler.schedule_view(view, job.warm.as_deref(), &job.gathered.budget)
         }))
         .ok(),
     };

@@ -1,15 +1,16 @@
 //! Property tests for the batched columnar kernels: on every kernel
-//! path (portable scalar, and AVX2 where the host detects it), the
-//! batch entry points must be **bit-for-bit identical** to the per-row
-//! reference walks — across empty-chunk rows, ragged chunk counts, and
-//! arbitrary dirty/clean index mixes — and whole sharded schedules must
-//! not change when the vector path is swapped out.
+//! path (portable scalar, and AVX2 where the host detects it — only the
+//! objective kernel has one), the batch entry points must be
+//! **bit-for-bit identical** to the per-row reference walks — across
+//! rejected rows, ragged chunk counts, and arbitrary dirty/clean index
+//! mixes — and whole sharded schedules must not change when the vector
+//! path is swapped out.
 
 use lpvs::core::budget::SlotBudget;
 use lpvs::core::compact::compact_device;
 use lpvs::core::fleet::DeviceFleet;
 use lpvs::core::kernels::{
-    device_objective_batch_with, transform_feasible_batch_with, transform_savings_batch,
+    device_objective_batch_with, transform_feasible_batch, transform_savings_batch,
     with_problem_columns,
 };
 use lpvs::core::objective::device_objective;
@@ -73,8 +74,9 @@ fn frontier(fleet: &DeviceFleet, raw: &[usize]) -> Vec<usize> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Batched feasibility ≡ per-row compacting, bitwise, on every
-    /// kernel path, for arbitrary index mixes.
+    /// Batched feasibility ≡ per-row compacting, bitwise, for arbitrary
+    /// index mixes — whichever kernel path is forced (constraint (11)
+    /// has one implementation; the path may only move the objective).
     #[test]
     fn batched_feasibility_matches_per_row_on_every_path(
         fleet in arb_fleet(),
@@ -86,9 +88,12 @@ proptest! {
             .iter()
             .map(|&i| compact_device(&fleet.device_request(i)).transform_feasible)
             .collect();
+        let _guard = FORCED_PATH.lock().unwrap_or_else(|e| e.into_inner());
         for path in paths() {
+            set_forced_path(Some(path));
             let mut got = Vec::new();
-            transform_feasible_batch_with(path, &cols, &indices, &mut got);
+            transform_feasible_batch(&cols, &indices, &mut got);
+            set_forced_path(None);
             prop_assert_eq!(&got, &expect);
         }
     }
@@ -197,10 +202,11 @@ proptest! {
     }
 }
 
-/// Empty-chunk rows: the fleet store rejects them, but unsanitized
-/// telemetry can reach the kernels through the [`SlotProblem`] scratch
-/// path ([`with_problem_columns`]). Every path must agree with the
-/// per-row reference on a mix of empty and ragged rows.
+/// Empty-chunk and corrupt rows: the fleet store rejects them, and the
+/// one rows→columns loader behind [`with_problem_columns`] presents
+/// them to the kernels exactly as [`SlotProblem::sanitize`] would — as
+/// inert placeholders. Every path must agree with the per-row reference
+/// on the sanitized rows, for a mix of rejected and ragged rows.
 #[test]
 fn empty_chunk_rows_agree_with_per_row_on_every_path() {
     let curve = AnxietyCurve::paper_shape();
@@ -212,29 +218,31 @@ fn empty_chunk_rows_agree_with_per_row_on_every_path() {
             vec![10.0; chunks],
             2_000.0 + 400.0 * d as f64,
             CAPACITY_J,
-            0.1 + 0.01 * d as f64,
+            if d % 5 == 4 { f64::NAN } else { 0.1 + 0.01 * d as f64 },
             1.0,
             0.1,
         ));
     }
+    let (clean, valid) = problem.sanitize();
+    assert!(valid.iter().any(|&ok| ok) && valid.iter().any(|&ok| !ok));
     let indices: Vec<usize> = (0..problem.len()).collect();
     let sel: Vec<bool> = (0..problem.len()).map(|d| d % 3 == 0).collect();
-    let expect_feasible: Vec<bool> = problem
+    let expect_feasible: Vec<bool> = clean
         .requests
         .iter()
         .map(|r| compact_device(r).transform_feasible)
         .collect();
-    let expect_objective: Vec<f64> = problem
+    let expect_objective: Vec<f64> = clean
         .requests
         .iter()
         .enumerate()
         .map(|(d, r)| device_objective(r, sel[d], 1.3, &curve))
         .collect();
     with_problem_columns(&problem, |cols| {
+        let mut feasible = Vec::new();
+        transform_feasible_batch(&cols, &indices, &mut feasible);
+        assert_eq!(feasible, expect_feasible);
         for path in paths() {
-            let mut feasible = Vec::new();
-            transform_feasible_batch_with(path, &cols, &indices, &mut feasible);
-            assert_eq!(feasible, expect_feasible, "path {}", path.name());
             let mut values = Vec::new();
             device_objective_batch_with(
                 path,

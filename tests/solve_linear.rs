@@ -6,6 +6,7 @@
 //! linear in the cluster size.
 
 use lpvs::core::compact::compact_device;
+use lpvs::core::fleet::DeviceFleet;
 use lpvs::core::objective::device_objective;
 use lpvs::core::phase1::{solve_phase1, Phase1Config};
 use lpvs::core::phase2::{run_phase2_over, Phase2Stats};
@@ -337,7 +338,16 @@ proptest! {
         let (problem, start, frontier) = case;
         let mut indexed = start.clone();
         let mut scanned = start;
-        let ours = run_phase2_over(&problem, &mut indexed, frontier.as_deref());
+        let fleet = DeviceFleet::from_problem(&problem);
+        let rows: Vec<usize> = (0..problem.len()).collect();
+        let view = fleet.slot_view(
+            &rows,
+            problem.compute_capacity,
+            problem.storage_capacity_gb,
+            problem.lambda,
+            &problem.curve,
+        );
+        let ours = run_phase2_over(view, &mut indexed, frontier.as_deref());
         let theirs = run_phase2_scanning(&problem, &mut scanned, frontier.as_deref());
         prop_assert_eq!(indexed, scanned);
         prop_assert_eq!(ours.swaps_accepted, theirs.swaps_accepted);
