@@ -684,9 +684,10 @@ impl DeviceFleet {
         (self.energy_j[i] / self.capacity_j[i]).clamp(0.0, 1.0)
     }
 
-    // The two per-row energy accessors below are reporting helpers, not
-    // solve-path code: the benchmark package (`crates/bench/src/bin/e2e`)
-    // derives `energy_saving` from them, so they stay.
+    // The two per-row energy accessors below are accounting helpers, not
+    // solve-path code: the fleet join totals `energy_saved_j` over the
+    // selected rows with `saving_j`, and the benchmark package
+    // (`crates/bench/src/bin/e2e`) derives `energy_saving` from both.
 
     /// Untransformed slot energy `Σ p·Δ` (J) of row `i`.
     pub fn untransformed_energy_j(&self, i: usize) -> f64 {

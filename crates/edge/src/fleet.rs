@@ -37,6 +37,10 @@ use lpvs_survey::curve::AnxietyCurve;
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
+/// Rows per eq.-13 kernel call in the fleet-wide accounting: a
+/// stack-resident index block, a multiple of the kernel's lane groups.
+const ACCOUNTING_BLOCK: usize = 512;
+
 /// How the fleet is split across shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum Partitioner {
@@ -59,9 +63,12 @@ pub struct FleetConfig {
     pub partitioner: Partitioner,
     /// Per-shard scheduler configuration (solver path, Phase-2).
     pub scheduler: SchedulerConfig,
-    /// Upper bound on cross-shard migrations per slot. Bounding the
-    /// pass keeps the rebalance O(`max_migrations` · shards) after the
-    /// candidate scan and caps how much churn a single slot can inject.
+    /// Upper bound on cross-shard migrations per slot: caps how much
+    /// churn a single slot can inject, and `0` skips the pass. It does
+    /// not bound the pass's cost, which is one O(N · shards) scan for
+    /// rows some foreign shard still has room for, then O(M log M)
+    /// ranking plus two eq.-13 kernel passes over the M survivors —
+    /// M = 0 whenever every shard's knapsack is full.
     pub max_migrations: usize,
 }
 
@@ -328,10 +335,11 @@ impl FleetScheduler {
     ) -> FleetSchedule {
         let mut selected = vec![false; fleet.len()];
         let mut reports = Vec::with_capacity(shards.len());
+        let mut results = results.into_iter();
         for (s, indices) in shards.iter().enumerate() {
             let schedule = results
-                .get(s)
-                .and_then(Clone::clone)
+                .next()
+                .flatten()
                 .unwrap_or_else(|| Self::passthrough_schedule(indices.len()));
             for (&global, &x) in indices.iter().zip(&schedule.selected) {
                 selected[global] = x;
@@ -347,26 +355,33 @@ impl FleetScheduler {
         let migrations =
             self.rebalance(fleet, servers, shards, lambda, curve, &mut selected, &mut reports);
 
-        // Fleet-wide accounting through the batched columnar kernels;
-        // per-row terms and fold order match the sequential loops
-        // bit-for-bit.
+        // Fleet-wide accounting in one pass: eq. 13 through the batched
+        // kernel a block of rows at a time, savings for selected rows
+        // only. Per-row terms and the index-order fold from `Sum`'s
+        // identity match the whole-fleet vectors bit-for-bit.
         let cols = fleet.columns();
-        let all: Vec<usize> = (0..fleet.len()).collect();
-        let mut terms = Vec::new();
-        lpvs_core::device_objective_batch(
-            &cols,
-            &all,
-            lpvs_core::Select::PerRow(&selected),
-            lambda,
-            curve,
-            &mut terms,
-        );
-        let objective: f64 = terms.iter().sum();
-        let mut feasible = Vec::new();
-        let mut savings = Vec::new();
-        lpvs_core::transform_savings_batch(&cols, &all, &mut feasible, &mut savings);
-        let energy_saved_j: f64 =
-            savings.iter().zip(&selected).map(|(s, &x)| if x { *s } else { 0.0 }).sum();
+        let mut rows = [0usize; ACCOUNTING_BLOCK];
+        let mut terms = Vec::with_capacity(ACCOUNTING_BLOCK);
+        let mut objective = -0.0;
+        for start in (0..fleet.len()).step_by(ACCOUNTING_BLOCK) {
+            let block = &mut rows[..ACCOUNTING_BLOCK.min(fleet.len() - start)];
+            block.iter_mut().enumerate().for_each(|(k, row)| *row = start + k);
+            terms.clear();
+            lpvs_core::device_objective_batch(
+                &cols,
+                block,
+                lpvs_core::Select::PerRow(&selected),
+                lambda,
+                curve,
+                &mut terms,
+            );
+            objective = terms.iter().fold(objective, |sum, term| sum + term);
+        }
+        let energy_saved_j: f64 = selected
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| if x { fleet.saving_j(i) } else { 0.0 })
+            .sum();
 
         if lpvs_obs::enabled() {
             lpvs_obs::add("fleet_migrations_total", migrations as u64);
@@ -387,11 +402,12 @@ impl FleetScheduler {
 
     /// Bounded cross-shard rebalancing (the anxiety-repair pass of
     /// Phase-2, lifted fleet-wide). Candidates are the unselected,
-    /// connected, transform-feasible devices whose transform strictly
-    /// improves the λ-weighted objective (the Phase-2 pure-addition
-    /// criterion), scanned in descending anxiety order; each is
-    /// migrated to the foreign shard with the most free compute that
-    /// admits it. Returns the number of accepted migrations.
+    /// connected, transform-feasible devices that some foreign shard
+    /// still has room for and whose transform strictly improves the
+    /// λ-weighted objective (the Phase-2 pure-addition criterion),
+    /// scanned in descending anxiety order; each is migrated to the
+    /// foreign shard with the most free compute that admits it.
+    /// Returns the number of accepted migrations.
     #[allow(clippy::too_many_arguments)]
     fn rebalance(
         &self,
@@ -424,26 +440,42 @@ impl FleetScheduler {
             }
         }
 
-        // Candidates in descending anxiety order (Phase-2's ranking),
-        // index-ascending on ties for determinism. Feasibility and the
-        // eq.-13 gains run through the batched kernels: one pass over
-        // the prefiltered rows instead of per-candidate row calls.
-        let cols = fleet.columns();
-        let mut candidates: Vec<usize> = (0..fleet.len())
+        // The gate: only a row some foreign shard has room for right
+        // now can ever migrate. `try_admit` only adds, so free capacity
+        // never grows during the pass and a row that fits nowhere here
+        // fits nowhere later — dropping it is exact. Full knapsacks (the
+        // scheduler's normal end state) leave nothing to rank or score.
+        let gated: Vec<usize> = (0..fleet.len())
             .filter(|&i| !selected[i] && fleet.connected(i) && home[i] != usize::MAX)
+            .filter(|&i| {
+                let (g, h) = (fleet.compute_cost(i), fleet.storage_cost_gb(i));
+                usage.iter().enumerate().any(|(s, server)| s != home[i] && server.fits(g, h))
+            })
             .collect();
+        if lpvs_obs::enabled() {
+            lpvs_obs::gauge_set("fleet_rebalance_candidates", gated.len() as f64);
+        }
+        if gated.is_empty() {
+            return 0;
+        }
+
+        // Survivors in descending anxiety order (Phase-2's ranking),
+        // index-ascending on ties for determinism; φ is evaluated once
+        // per row, not per comparison. Feasibility and the eq.-13 gains
+        // run through the batched kernels.
+        let cols = fleet.columns();
         let mut feasible = Vec::new();
-        lpvs_core::transform_feasible_batch(&cols, &candidates, &mut feasible);
-        candidates = candidates
+        lpvs_core::transform_feasible_batch(&cols, &gated, &mut feasible);
+        let mut ranked: Vec<(f64, usize)> = gated
             .into_iter()
             .zip(feasible)
-            .filter_map(|(i, f)| f.then_some(i))
+            .filter(|&(_, f)| f)
+            .map(|(i, _)| (curve.phi(fleet.battery_fraction(i)), i))
             .collect();
-        candidates.sort_by(|&a, &b| {
-            let aa = curve.phi(fleet.battery_fraction(a));
-            let ab = curve.phi(fleet.battery_fraction(b));
-            ab.partial_cmp(&aa).expect("finite anxiety").then(a.cmp(&b))
+        ranked.sort_unstable_by(|a, b| {
+            b.0.partial_cmp(&a.0).expect("finite anxiety").then(a.1.cmp(&b.1))
         });
+        let candidates: Vec<usize> = ranked.into_iter().map(|(_, i)| i).collect();
         let mut on = Vec::new();
         let mut off = Vec::new();
         lpvs_core::device_objective_batch(

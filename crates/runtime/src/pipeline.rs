@@ -621,13 +621,7 @@ impl SlotRuntime {
                 if lpvs_obs::enabled() {
                     lpvs_obs::gauge_set("runtime_queue_depth", hub.events.len() as f64);
                 }
-                let wait = Instant::now();
                 let collected = self.join_solve(&mut hub, &mut sup, pending, &mut stats);
-                if lpvs_obs::enabled() {
-                    let waited = wait.elapsed().as_secs_f64();
-                    lpvs_obs::observe("runtime_solve_wait_seconds", waited);
-                    lpvs_obs::observe_labeled("runtime_stage_seconds", &[("stage", "join")], waited);
-                }
                 slot_span.record("joined_migrations", collected.solved.schedule.migrations as f64);
                 driver.solved(&collected.solved);
                 sup.log_decision(&collected);
@@ -1040,6 +1034,7 @@ impl SlotRuntime {
         mut pending: PendingSolve,
         stats: &mut RunStats,
     ) -> Collected {
+        let wait = Instant::now();
         let k = hub.workers.len();
         let mut results: Vec<Option<Schedule>> = (0..k).map(|_| None).collect();
         // Shards already buried (e.g. a death noticed while requesting
@@ -1139,6 +1134,9 @@ impl SlotRuntime {
             }
         }
 
+        // Two stages, two series: `join` is the hub blocked on its
+        // workers, `assemble` is the hub working alone while they idle.
+        let waited = wait.elapsed().as_secs_f64();
         let PendingSolve { slot, gathered, shards, servers, dispatched_at, .. } = pending;
         let schedule = self.scheduler.assemble(
             &gathered.fleet,
@@ -1149,6 +1147,12 @@ impl SlotRuntime {
             &gathered.curve,
             dispatched_at,
         );
+        if lpvs_obs::enabled() {
+            let assembled = wait.elapsed().as_secs_f64() - waited;
+            lpvs_obs::observe("runtime_solve_wait_seconds", waited);
+            lpvs_obs::observe_labeled("runtime_stage_seconds", &[("stage", "join")], waited);
+            lpvs_obs::observe_labeled("runtime_stage_seconds", &[("stage", "assemble")], assembled);
+        }
         let tier = schedule
             .shards
             .iter()

@@ -9,7 +9,7 @@ use lpvs::core::fleet::DeviceFleet;
 use lpvs::core::phase1::{Phase1Config, Phase1Solver};
 use lpvs::core::problem::{DeviceRequest, SlotProblem};
 use lpvs::core::scheduler::{Degradation, LpvsScheduler, Schedule, SchedulerConfig};
-use lpvs::edge::fleet::{FleetConfig, FleetScheduler, Partitioner};
+use lpvs::edge::fleet::{FleetConfig, FleetSchedule, FleetScheduler, Partitioner, ShardReport};
 use lpvs::edge::server::EdgeServer;
 use lpvs::survey::curve::AnxietyCurve;
 use proptest::prelude::*;
@@ -328,4 +328,273 @@ fn corrupt_rows_are_rejected_and_masked_at_the_row_entry() {
     assert_eq!(shut.stats.rejected_devices, 3);
     let view = fleet.slot_view(&all, -3.0, 1.2, f64::NAN, &curve);
     assert_eq!(timeless(scheduler.schedule_view(view, None, &budget)), timeless(shut));
+}
+
+/// The join as it was before its cost was made to follow what can
+/// migrate, kept as the oracle: every unselected connected row is a
+/// candidate, the sort evaluates φ inside the comparator, every
+/// candidate gets both eq.-13 gains, and the totals run over whole-fleet
+/// vectors.
+fn straight_line_assemble(
+    config: &FleetConfig,
+    fleet: &DeviceFleet,
+    servers: &[EdgeServer],
+    shards: &[Vec<usize>],
+    results: &[Option<Schedule>],
+    lambda: f64,
+    curve: &AnxietyCurve,
+) -> FleetSchedule {
+    use lpvs::core::{device_objective_batch, transform_feasible_batch, transform_savings_batch, Select};
+    let mut selected = vec![false; fleet.len()];
+    let mut reports = Vec::new();
+    for (s, indices) in shards.iter().enumerate() {
+        let schedule = results[s]
+            .clone()
+            .unwrap_or_else(|| FleetScheduler::passthrough_schedule(indices.len()));
+        for (&global, &x) in indices.iter().zip(&schedule.selected) {
+            selected[global] = x;
+        }
+        reports.push(ShardReport {
+            shard: s,
+            devices: indices.clone(),
+            stats: schedule.stats,
+            migrated_in: Vec::new(),
+        });
+    }
+
+    let cols = fleet.columns();
+    let mut migrations = 0;
+    if config.max_migrations > 0 && servers.len() >= 2 {
+        let mut usage: Vec<EdgeServer> = servers.to_vec();
+        let mut home = vec![usize::MAX; fleet.len()];
+        for (s, indices) in shards.iter().enumerate() {
+            usage[s].reset_slot();
+            for &i in indices {
+                home[i] = s;
+                if selected[i] {
+                    assert!(usage[s].try_admit(fleet.compute_cost(i), fleet.storage_cost_gb(i)));
+                }
+            }
+        }
+        let mut candidates: Vec<usize> = (0..fleet.len())
+            .filter(|&i| !selected[i] && fleet.connected(i) && home[i] != usize::MAX)
+            .collect();
+        let mut feasible = Vec::new();
+        transform_feasible_batch(&cols, &candidates, &mut feasible);
+        candidates =
+            candidates.into_iter().zip(feasible).filter_map(|(i, f)| f.then_some(i)).collect();
+        candidates.sort_by(|&a, &b| {
+            let aa = curve.phi(fleet.battery_fraction(a));
+            let ab = curve.phi(fleet.battery_fraction(b));
+            ab.partial_cmp(&aa).expect("finite anxiety").then(a.cmp(&b))
+        });
+        let (mut on, mut off) = (Vec::new(), Vec::new());
+        device_objective_batch(&cols, &candidates, Select::Uniform(true), lambda, curve, &mut on);
+        device_objective_batch(&cols, &candidates, Select::Uniform(false), lambda, curve, &mut off);
+        for (k, &i) in candidates.iter().enumerate() {
+            if migrations >= config.max_migrations {
+                break;
+            }
+            if on[k] - off[k] >= -1e-12 {
+                continue;
+            }
+            let (g, h) = (fleet.compute_cost(i), fleet.storage_cost_gb(i));
+            let target = (0..usage.len())
+                .filter(|&s| s != home[i] && usage[s].fits(g, h))
+                .max_by(|&a, &b| {
+                    usage[a]
+                        .compute_free()
+                        .partial_cmp(&usage[b].compute_free())
+                        .expect("finite capacity")
+                        .then(b.cmp(&a))
+                });
+            if let Some(s) = target {
+                assert!(usage[s].try_admit(g, h));
+                selected[i] = true;
+                reports[s].migrated_in.push(i);
+                migrations += 1;
+            }
+        }
+    }
+
+    let all: Vec<usize> = (0..fleet.len()).collect();
+    let mut terms = Vec::new();
+    device_objective_batch(&cols, &all, Select::PerRow(&selected), lambda, curve, &mut terms);
+    let objective: f64 = terms.iter().sum();
+    let (mut feasible, mut savings) = (Vec::new(), Vec::new());
+    transform_savings_batch(&cols, &all, &mut feasible, &mut savings);
+    let energy_saved_j: f64 =
+        savings.iter().zip(&selected).map(|(s, &x)| if x { *s } else { 0.0 }).sum();
+    FleetSchedule {
+        selected,
+        shards: reports,
+        migrations,
+        objective,
+        energy_saved_j,
+        runtime: std::time::Duration::ZERO,
+    }
+}
+
+/// Where the rebalance finds room, per regime of the differential test.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Slack {
+    /// Unit costs against integer capacities: every knapsack fills
+    /// exactly and nothing can move.
+    None,
+    /// The last shard can take ten compute units more than its own
+    /// rows want; the room runs out mid-pass.
+    OneShard,
+    /// The last shard has a unit and a half of compute to spare, inside
+    /// the spread of single-row costs: the gate itself turns rows away.
+    Sliver,
+    /// The last shard has room for everyone; `max_migrations` stops
+    /// the pass.
+    HitsTheBound,
+    /// The last shard has unlimited compute and 0.15 GB of storage to
+    /// spare, inside the spread of single-row costs: storage alone
+    /// decides who fits.
+    StorageOnly,
+}
+
+/// A seeded fleet for the differential test: a few disconnected rows,
+/// batteries from empty (transform-infeasible) to full, γ from zero (no
+/// gain) up.
+fn regime_fleet(n: usize, seed: u64, unit_costs: bool) -> DeviceFleet {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut fleet = DeviceFleet::new();
+    for _ in 0..n {
+        let gamma = if rng.gen_bool(0.1) { 0.0 } else { rng.gen_range(0.05..0.49) };
+        let (compute, storage) =
+            if unit_costs { (1.0, 0.1) } else { (rng.gen_range(0.1..3.0), rng.gen_range(0.01..0.3)) };
+        fleet.push_request(DeviceRequest::uniform(
+            rng.gen_range(0.5..2.0),
+            10.0,
+            rng.gen_range(1..40),
+            // Discrete levels, so equal-anxiety ties reach the sort.
+            f64::from(rng.gen_range(0u32..=20)) / 20.0 * CAPACITY_J,
+            CAPACITY_J,
+            gamma,
+            compute,
+            storage,
+        ));
+    }
+    for _ in 0..n / 25 {
+        let row = rng.gen_range(0..n);
+        fleet.set_connected(row, false);
+    }
+    fleet
+}
+
+/// Total `(compute, storage)` cost of `rows`.
+fn load(fleet: &DeviceFleet, rows: impl Iterator<Item = usize>) -> (f64, f64) {
+    rows.fold((0.0, 0.0), |(g, h), i| (g + fleet.compute_cost(i), h + fleet.storage_cost_gb(i)))
+}
+
+/// The shipped join against the straight-line oracle: same selection,
+/// same migrations into the same shards in the same order, same bits in
+/// both totals — whether nothing, something, next to nothing, a bounded
+/// number or only what storage allows can move; 2, 3 and 8 shards; both
+/// partitioners; one dead shard (all of its capacity free) among the
+/// eight.
+#[test]
+fn the_gated_join_equals_the_straight_line_join() {
+    let curve = AnxietyCurve::paper_shape();
+    let budget = SlotBudget::unbounded();
+    let mut seed = 40;
+    for slack in
+        [Slack::None, Slack::OneShard, Slack::Sliver, Slack::HitsTheBound, Slack::StorageOnly]
+    {
+        for num_shards in [2usize, 3, 8] {
+            for partitioner in [Partitioner::Locality, Partitioner::Hash] {
+                seed += 1;
+                let case = format!("{slack:?}, {num_shards} shards, {partitioner:?}, seed {seed}");
+                let config = FleetConfig {
+                    num_shards,
+                    partitioner,
+                    max_migrations: if slack == Slack::HitsTheBound { 5 } else { 64 },
+                    ..FleetConfig::default()
+                };
+                let scheduler = FleetScheduler::new(config);
+                let fleet = regime_fleet(60 * num_shards, seed, slack == Slack::None);
+                let shards = scheduler.partition(&fleet);
+                let lambda = 0.5 + (seed % 4) as f64;
+
+                let solver = LpvsScheduler::new(config.scheduler);
+                let solve = |rows: &[usize], server: &EdgeServer| {
+                    let view = fleet.slot_view(
+                        rows,
+                        server.compute_capacity(),
+                        server.storage_capacity_gb(),
+                        lambda,
+                        &curve,
+                    );
+                    solver.schedule_view(view, None, &budget)
+                };
+
+                // Every shard is offered 30 % of the compute its rows ask
+                // for; the last one is then given what an unconstrained
+                // solve of it uses, plus its regime's room.
+                let mut servers: Vec<EdgeServer> = shards
+                    .iter()
+                    .map(|rows| {
+                        let (g, h) = load(&fleet, rows.iter().copied());
+                        EdgeServer::new((0.3 * g).floor(), h)
+                    })
+                    .collect();
+                let last = &shards[num_shards - 1];
+                let unconstrained = solve(last, &EdgeServer::new(1e6, 1e6));
+                let taken = last.iter().zip(&unconstrained.selected).filter(|(_, &x)| x);
+                let (g, h) = load(&fleet, taken.map(|(&i, _)| i));
+                match slack {
+                    Slack::None => {}
+                    Slack::OneShard => servers[num_shards - 1] = EdgeServer::new(g + 10.0, h + 10.0),
+                    Slack::Sliver => servers[num_shards - 1] = EdgeServer::new(g + 1.5, h + 10.0),
+                    Slack::HitsTheBound => servers[num_shards - 1] = EdgeServer::new(1e6, 1e6),
+                    Slack::StorageOnly => servers[num_shards - 1] = EdgeServer::new(1e6, h + 0.15),
+                }
+
+                let mut results: Vec<Option<Schedule>> =
+                    shards.iter().zip(&servers).map(|(rows, server)| Some(solve(rows, server))).collect();
+                if num_shards == 8 {
+                    results[2] = None;
+                }
+
+                let want = straight_line_assemble(
+                    &config, &fleet, &servers, &shards, &results, lambda, &curve,
+                );
+                let got = scheduler.assemble(
+                    &fleet,
+                    &servers,
+                    &shards,
+                    results,
+                    lambda,
+                    &curve,
+                    std::time::Instant::now(),
+                );
+                assert_eq!(got.selected, want.selected, "{case}");
+                assert_eq!(got.migrations, want.migrations, "{case}");
+                // Whole reports: stats as solved, `migrated_in` in order.
+                assert_eq!(got.shards, want.shards, "{case}");
+                assert_eq!(got.objective.to_bits(), want.objective.to_bits(), "{case}");
+                assert_eq!(got.energy_saved_j.to_bits(), want.energy_saved_j.to_bits(), "{case}");
+
+                let moved = got.migrations;
+                match slack {
+                    // A dead shard's capacity is all free, so the
+                    // saturated regime only holds while every shard lives.
+                    Slack::None if num_shards < 8 => assert_eq!(moved, 0, "{case}"),
+                    Slack::None => assert!(moved > 0, "{case}: a dead shard is all room"),
+                    Slack::HitsTheBound => assert_eq!(moved, 5, "{case}"),
+                    Slack::OneShard | Slack::Sliver | Slack::StorageOnly if num_shards < 8 => {
+                        assert!(moved > 0 && moved < 64, "{case}: {moved} moved");
+                    }
+                    Slack::OneShard | Slack::Sliver | Slack::StorageOnly => {
+                        assert!(moved > 0, "{case}");
+                    }
+                }
+            }
+        }
+    }
 }

@@ -12,10 +12,18 @@
 
 use lpvs::bayes::{BayesBank, GammaEstimator};
 use lpvs::core::baseline::Policy;
-use lpvs::edge::fleet::{FleetConfig, Partitioner};
+use lpvs::core::budget::SlotBudget;
+use lpvs::core::fleet::DeviceFleet;
+use lpvs::core::problem::DeviceRequest;
+use lpvs::edge::fleet::{FleetConfig, FleetSchedule, FleetScheduler, Partitioner};
+use lpvs::edge::server::EdgeServer;
 use lpvs::emulator::engine::{Emulator, EmulatorConfig};
 use lpvs::emulator::FaultConfig;
-use lpvs::runtime::{RuntimeConfig, SlotRuntime};
+use lpvs::runtime::{
+    BankOps, CheckpointConfig, CheckpointStore, GatheredSlot, RuntimeConfig, SlotFeedback, SlotRuntime,
+    SlotSink, SlotSource, SolvedSlot,
+};
+use lpvs::survey::curve::AnxietyCurve;
 use proptest::prelude::*;
 
 /// Bit-compare everything deterministic about two reports
@@ -214,5 +222,191 @@ proptest! {
             prop_assert_eq!(m, mean);
             prop_assert_eq!(s, std);
         }
+    }
+}
+
+/// A driver whose shards are uneven on purpose: the first `demanding`
+/// devices (shard 0 under the locality partitioner) run on low
+/// batteries with the γ their estimators report, the rest sit on full
+/// batteries with γ = 0 — nothing worth transforming at home, so their
+/// shards' capacity is free for the rebalance to fill, every slot.
+/// Selected devices report an observation, so estimator traffic is
+/// routed to migrated owners throughout the run.
+struct SkewedDriver {
+    devices: usize,
+    demanding: usize,
+    slots: usize,
+    staged: Option<Vec<bool>>,
+    gathered: Vec<GatheredSlot>,
+    solved: Vec<SolvedSlot>,
+}
+
+impl SkewedDriver {
+    fn new(devices: usize, demanding: usize, slots: usize) -> Self {
+        Self { devices, demanding, slots, staged: None, gathered: Vec::new(), solved: Vec::new() }
+    }
+}
+
+impl SlotSource for SkewedDriver {
+    fn begin_slot(&mut self, slot: usize) -> Option<BankOps> {
+        (slot < self.slots)
+            .then(|| BankOps { forgets: Vec::new(), queries: (0..self.devices).collect() })
+    }
+
+    fn gather(
+        &mut self,
+        slot: usize,
+        posteriors: &[(f64, f64)],
+        _recycled: Option<DeviceFleet>,
+    ) -> Option<GatheredSlot> {
+        const CAPACITY_J: f64 = 55_440.0;
+        let mut fleet = DeviceFleet::new();
+        for (d, &(mean, _)) in posteriors.iter().enumerate() {
+            let (battery, gamma) = if d < self.demanding {
+                (0.06 + 0.012 * ((7 * d + 3 * slot) % 20) as f64, mean)
+            } else {
+                (0.9, 0.0)
+            };
+            fleet.push_request(DeviceRequest::uniform(
+                1.5, 10.0, 30, battery * CAPACITY_J, CAPACITY_J, gamma, 1.5, 0.1125,
+            ));
+        }
+        let gathered = GatheredSlot {
+            slot,
+            fleet,
+            device_ids: (0..self.devices).collect(),
+            compute_capacity: 24.0,
+            storage_capacity_gb: 2.7,
+            lambda: 2.0,
+            curve: AnxietyCurve::paper_shape(),
+            budget: SlotBudget::unbounded(),
+            warm: self.staged.clone(),
+            delta: None,
+        };
+        self.gathered.push(gathered.clone());
+        Some(gathered)
+    }
+}
+
+impl SlotSink for SkewedDriver {
+    fn solved(&mut self, solved: &SolvedSlot) {
+        self.staged = Some(solved.schedule.selected.clone());
+        self.solved.push(solved.clone());
+    }
+
+    fn apply(&mut self, slot: usize) -> SlotFeedback {
+        // One slot ahead: slot t plays the newest decision solved for a
+        // slot before t, whichever executor delivered it and when.
+        let observations = self
+            .solved
+            .iter()
+            .rev()
+            .find(|solved| solved.slot < slot)
+            .iter()
+            .flat_map(|solved| &solved.schedule.selected)
+            .enumerate()
+            .filter(|&(_, &x)| x)
+            .map(|(d, _)| (d, 0.2 + 0.02 * (d % 10) as f64))
+            .collect();
+        SlotFeedback { observations }
+    }
+}
+
+/// A fleet schedule with its wall-clock readings blanked.
+fn timeless(mut schedule: FleetSchedule) -> FleetSchedule {
+    schedule.runtime = std::time::Duration::ZERO;
+    for report in &mut schedule.shards {
+        report.stats.runtime = std::time::Duration::ZERO;
+    }
+    schedule
+}
+
+/// The one fleet in the root suite whose rebalance moves somebody: the
+/// pipelined workers, the sequential loop and the scoped-thread
+/// scheduler must agree on the whole `FleetSchedule` of every slot —
+/// `migrated_in` included — and the pipeline's shard banks must end up
+/// owning exactly the estimators those migrations say they own.
+#[test]
+fn executors_agree_when_the_rebalance_migrates() {
+    for num_shards in [2usize, 3] {
+        let (demanding, slots) = (20, 6);
+        let devices = demanding * num_shards;
+        let fleet = FleetConfig { num_shards, ..FleetConfig::default() };
+        let dir = std::env::temp_dir()
+            .join(format!("lpvs-runtime-it-{}-skewed-{num_shards}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let checkpoints = CheckpointConfig { interval: 1, ..CheckpointConfig::new(&dir) };
+        let estimators = vec![GammaEstimator::paper_default(); devices];
+
+        let mut sequential = SkewedDriver::new(devices, demanding, slots);
+        let seq_report = SlotRuntime::new(RuntimeConfig { fleet, ..RuntimeConfig::default() })
+            .run_sequential(&mut sequential, estimators.clone());
+        let mut pipelined = SkewedDriver::new(devices, demanding, slots);
+        let runtime = SlotRuntime::new(RuntimeConfig {
+            fleet,
+            checkpoints: Some(checkpoints.clone()),
+            ..RuntimeConfig::default()
+        });
+        let pipe_report = runtime.run(&mut pipelined, estimators);
+
+        assert_eq!(pipe_report.summary.workers_lost, 0);
+        assert_eq!(sequential.solved.len(), slots);
+        assert_eq!(pipelined.gathered, sequential.gathered, "{num_shards} shards: same inputs");
+        let scoped = FleetScheduler::new(fleet);
+        let mut owner = runtime.home_shards(devices);
+        let mut moved_per_slot = Vec::new();
+        let mut estimator_moves = 0;
+        for ((seq, pipe), g) in sequential.solved.iter().zip(&pipelined.solved).zip(&sequential.gathered)
+        {
+            let case = format!("{num_shards} shards, slot {}", seq.slot);
+            assert!(seq.schedule.migrations > 0, "{case}: the skew must make the rebalance move");
+            assert_eq!(pipe.slot, seq.slot, "{case}");
+            assert_eq!(pipe.tier, seq.tier, "{case}");
+            assert_eq!(timeless(pipe.schedule.clone()), timeless(seq.schedule.clone()), "{case}");
+            let direct = scoped.schedule_with_servers(
+                &g.fleet,
+                &FleetScheduler::split_server(
+                    &EdgeServer::new(g.compute_capacity, g.storage_capacity_gb),
+                    num_shards,
+                ),
+                g.lambda,
+                &g.curve,
+                g.warm.as_deref(),
+                &g.budget,
+            );
+            assert_eq!(timeless(direct), timeless(seq.schedule.clone()), "{case}");
+
+            // Ownership follows `migrated_in`, shard by shard in order.
+            // The horizon's last solve is joined while draining and
+            // moves nothing.
+            moved_per_slot.push(owner.clone());
+            if seq.slot + 1 < slots {
+                for report in &seq.schedule.shards {
+                    for &row in &report.migrated_in {
+                        estimator_moves += usize::from(owner[g.device_ids[row]] != report.shard);
+                        owner[g.device_ids[row]] = report.shard;
+                    }
+                }
+            }
+        }
+        assert!(estimator_moves > 0);
+        assert_eq!(pipe_report.summary.estimator_migrations, estimator_moves);
+        assert_eq!(pipe_report.estimators, seq_report.estimators, "{num_shards} shards");
+
+        // The banks on disk: the manifest's round was snapshotted after
+        // prepare(slot), i.e. after the migrations of every solve
+        // before it.
+        let store = CheckpointStore::create(&checkpoints, num_shards).expect("store reopens");
+        let manifest = store.read_manifest().expect("manifest reads").expect("a round completed");
+        assert!(manifest.slot >= 2, "rounds after the first migration must have completed");
+        for (s, &gen) in manifest.generations.iter().enumerate() {
+            let snapshot = store.load_generation(s, gen).expect("snapshot loads");
+            let mut owned: Vec<usize> = snapshot.bank.devices().collect();
+            owned.sort_unstable();
+            let expected: Vec<usize> =
+                (0..devices).filter(|&d| moved_per_slot[manifest.slot][d] == s).collect();
+            assert_eq!(owned, expected, "{num_shards} shards: shard {s} bank at slot {}", manifest.slot);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -123,9 +123,21 @@ fn pipelined_run_exports_causally_linked_chrome_trace() {
         num_edges: 2,
         ..EmulatorConfig::default()
     };
-    Emulator::new(config, Policy::Lpvs).run();
+    let report = Emulator::new(config, Policy::Lpvs).run();
     lpvs::obs::set_enabled(false);
     let events = drained_events();
+
+    // The hub's serial share of a join is its own series: one
+    // `assemble` sample per `join` sample, and the rebalance publishes
+    // how many rows its gate let through.
+    let metrics = report.obs.expect("recorder was enabled, snapshot attached").metrics;
+    let stage = |name| {
+        metrics.histogram_labeled("runtime_stage_seconds", &[("stage", name)]).map(|h| h.count)
+    };
+    assert!(stage("join") > Some(0), "the run must have joined solves");
+    assert_eq!(stage("assemble"), stage("join"));
+    assert_eq!(stage("join"), metrics.histogram("runtime_solve_wait_seconds").map(|h| h.count));
+    assert!(metrics.gauge("fleet_rebalance_candidates").is_some());
 
     // Every worker-side solve span is a child inside its slot's trace,
     // with shard attribution, on a thread other than the hub's.
