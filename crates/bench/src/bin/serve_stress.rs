@@ -10,7 +10,14 @@
 //!
 //! Per level it reports achieved throughput, p50/p99 request latency,
 //! the shed fraction (429s from the bounded connection and op queues),
-//! and the 5xx count. The acceptance claims this binary checks:
+//! the 5xx count, and connections opened per request. Every level runs
+//! in two connection shapes: `persistent` (each client thread keeps one
+//! connection and reconnects only when the server closes or evicts it)
+//! and `per_request` (every request asks for `connection: close`). The
+//! server's worker pool is fixed, so the persistent shape only stays
+//! persistent while clients ≤ workers — the artifact's host block says
+//! which side of that a run was on. The acceptance claims this binary
+//! checks, in both shapes:
 //!
 //! * **below saturation**: zero 5xx — overload never turns into server
 //!   errors;
@@ -18,16 +25,17 @@
 //!   never hangs — every request is answered inside the client timeout.
 //!
 //! Writes `BENCH_serve.json` at the repository root; the committed
-//! smoke numbers (`smoke.p99_secs`, `smoke.shed_fraction`) are gated by
-//! the bench sentinel. `--smoke` runs the single smoke operating point
-//! for CI.
+//! smoke numbers of the persistent shape (`persistent.smoke.p99_secs`,
+//! `persistent.smoke.shed_fraction`) are gated by the bench sentinel.
+//! `--smoke` runs the single smoke operating point for CI.
 //!
 //! [`diurnal_factor`]: lpvs_trace::diurnal::diurnal_factor
 
 use lpvs_obs::json::Json;
+use lpvs_serve::http::{read_response, render_request};
 use lpvs_serve::{serve, ServeConfig, TickMode};
 use lpvs_trace::diurnal::{diurnal_factor, SLOTS_PER_DAY};
-use std::io::{Read, Write};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -37,26 +45,63 @@ const PEAK: f64 = 1.5;
 /// A level whose shed fraction exceeds this is saturated.
 const SATURATION_SHED: f64 = 0.05;
 
-/// One request over one connection; returns `(status, seconds)`.
-fn timed_request(addr: SocketAddr, method: &str, path: &str, body: &str) -> Option<(u16, f64)> {
-    let started = Instant::now();
-    let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(5)).ok()?;
-    stream.set_read_timeout(Some(Duration::from_secs(5))).ok()?;
-    stream.set_write_timeout(Some(Duration::from_secs(5))).ok()?;
-    let wire = format!(
-        "{method} {path} HTTP/1.1\r\nhost: stress\r\ncontent-length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(wire.as_bytes()).ok()?;
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).ok()?;
-    let status: u16 = raw.split(' ').nth(1)?.parse().ok()?;
-    Some((status, started.elapsed().as_secs_f64()))
+/// One client thread's connection policy and connect count.
+struct Client {
+    addr: SocketAddr,
+    /// Keep the connection between requests; otherwise every request
+    /// carries `connection: close`.
+    persistent: bool,
+    conn: Option<BufReader<TcpStream>>,
+    connects: u64,
+}
+
+impl Client {
+    fn new(addr: SocketAddr, persistent: bool) -> Self {
+        Self { addr, persistent, conn: None, connects: 0 }
+    }
+
+    fn connect(&mut self) -> std::io::Result<BufReader<TcpStream>> {
+        let stream = TcpStream::connect_timeout(&self.addr, Duration::from_secs(5))?;
+        stream.set_read_timeout(Some(Duration::from_secs(5)))?;
+        stream.set_write_timeout(Some(Duration::from_secs(5)))?;
+        stream.set_nodelay(true)?;
+        self.connects += 1;
+        Ok(BufReader::new(stream))
+    }
+
+    /// Writes `wire`, reads the framed response, and keeps the
+    /// connection if both sides allow it.
+    fn exchange(&mut self, mut conn: BufReader<TcpStream>, wire: &[u8]) -> std::io::Result<u16> {
+        conn.get_mut().write_all(wire)?;
+        let response = read_response(&mut conn)?;
+        if self.persistent && response.keep_alive {
+            self.conn = Some(conn);
+        }
+        Ok(response.status)
+    }
+
+    /// One request; returns `(status, seconds)`, connect included. A
+    /// kept connection the server has meanwhile closed (idle limit,
+    /// eviction) is replaced once, inside the measured time.
+    fn timed_request(&mut self, method: &str, path: &str, body: &str) -> Option<(u16, f64)> {
+        let started = Instant::now();
+        let wire = render_request(method, path, body, !self.persistent);
+        let kept = self.conn.take().and_then(|conn| self.exchange(conn, &wire).ok());
+        let status = match kept {
+            Some(status) => status,
+            None => {
+                let conn = self.connect().ok()?;
+                self.exchange(conn, &wire).ok()?
+            }
+        };
+        Some((status, started.elapsed().as_secs_f64()))
+    }
 }
 
 struct LevelStats {
     rps_target: f64,
     total: u64,
+    connects: u64,
     shed: u64,
     http_5xx: u64,
     transport_errors: u64,
@@ -66,6 +111,10 @@ struct LevelStats {
 }
 
 impl LevelStats {
+    fn connections_per_request(&self) -> f64 {
+        self.connects as f64 / self.total.max(1) as f64
+    }
+
     fn shed_fraction(&self) -> f64 {
         if self.total == 0 {
             0.0
@@ -85,13 +134,21 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 
 /// Offers ~`rps` telemetry requests for `secs`, intensity following one
 /// compressed diurnal day, across `clients` threads.
-fn run_level(addr: SocketAddr, rps: f64, secs: f64, clients: usize, devices: usize) -> LevelStats {
+fn run_level(
+    addr: SocketAddr,
+    rps: f64,
+    secs: f64,
+    clients: usize,
+    devices: usize,
+    persistent: bool,
+) -> LevelStats {
     let end = Instant::now() + Duration::from_secs_f64(secs);
     let started = Instant::now();
-    let results: Vec<(Vec<f64>, u64, u64, u64, u64)> = std::thread::scope(|scope| {
+    let results: Vec<(Vec<f64>, u64, u64, u64, u64, u64)> = std::thread::scope(|scope| {
         (0..clients)
             .map(|c| {
                 scope.spawn(move || {
+                    let mut client = Client::new(addr, persistent);
                     let mut latencies: Vec<f64> = Vec::new();
                     let (mut total, mut shed, mut errs_5xx, mut transport) = (0u64, 0u64, 0u64, 0u64);
                     let mut i = c;
@@ -107,7 +164,7 @@ fn run_level(addr: SocketAddr, rps: f64, secs: f64, clients: usize, devices: usi
                             12000 + (i % 9000),
                             0.3 + 0.0001 * (i % 1000) as f64
                         );
-                        match timed_request(addr, "POST", "/v1/telemetry", &body) {
+                        match client.timed_request("POST", "/v1/telemetry", &body) {
                             Some((status, latency)) => {
                                 total += 1;
                                 latencies.push(latency);
@@ -127,7 +184,7 @@ fn run_level(addr: SocketAddr, rps: f64, secs: f64, clients: usize, devices: usi
                             std::thread::sleep(Duration::from_secs_f64(interval.min(0.25)));
                         }
                     }
-                    (latencies, total, shed, errs_5xx, transport)
+                    (latencies, total, shed, errs_5xx, transport, client.connects)
                 })
             })
             .collect::<Vec<_>>()
@@ -137,24 +194,99 @@ fn run_level(addr: SocketAddr, rps: f64, secs: f64, clients: usize, devices: usi
     });
     let elapsed = started.elapsed().as_secs_f64();
     let mut latencies: Vec<f64> = Vec::new();
-    let (mut total, mut shed, mut http_5xx, mut transport_errors) = (0u64, 0u64, 0u64, 0u64);
-    for (l, t, s, e, x) in results {
+    let (mut total, mut shed, mut http_5xx, mut transport_errors, mut connects) = (0u64, 0u64, 0u64, 0u64, 0u64);
+    for (l, t, s, e, x, c) in results {
         latencies.extend(l);
         total += t;
         shed += s;
         http_5xx += e;
         transport_errors += x;
+        connects += c;
     }
     latencies.sort_by(|a, b| a.total_cmp(b));
     LevelStats {
         rps_target: rps,
         total,
+        connects,
         shed,
         http_5xx,
         transport_errors,
         achieved_rps: total as f64 / elapsed,
         p50_secs: percentile(&latencies, 0.50),
         p99_secs: percentile(&latencies, 0.99),
+    }
+}
+
+/// One connection shape's sweep over the offered levels.
+struct Sweep {
+    rows: Vec<LevelStats>,
+    saturation_rps: Option<f64>,
+}
+
+fn run_sweep(addr: SocketAddr, levels: &[f64], secs: f64, clients: usize, devices: usize, persistent: bool) -> Sweep {
+    println!(
+        "\n{} connections\n{:>10} {:>10} {:>8} {:>8} {:>6} {:>10} {:>10} {:>8} {:>9}",
+        if persistent { "persistent" } else { "per-request" },
+        "offered", "achieved", "total", "shed", "5xx", "p50 (ms)", "p99 (ms)", "shed %", "conn/req"
+    );
+    let mut sweep = Sweep { rows: Vec::new(), saturation_rps: None };
+    for &rps in levels {
+        let stats = run_level(addr, rps, secs, clients, devices, persistent);
+        println!(
+            "{:>10.0} {:>10.0} {:>8} {:>8} {:>6} {:>10.2} {:>10.2} {:>7.1}% {:>9.3}",
+            stats.rps_target,
+            stats.achieved_rps,
+            stats.total,
+            stats.shed,
+            stats.http_5xx,
+            1e3 * stats.p50_secs,
+            1e3 * stats.p99_secs,
+            100.0 * stats.shed_fraction(),
+            stats.connections_per_request(),
+        );
+        if sweep.saturation_rps.is_none() && stats.shed_fraction() > SATURATION_SHED {
+            sweep.saturation_rps = Some(stats.rps_target);
+        }
+        // Below saturation the service must answer without server
+        // errors; beyond it, it sheds — it never converts load into 5xx.
+        if sweep.saturation_rps.is_none() || sweep.saturation_rps == Some(stats.rps_target) {
+            assert_eq!(stats.http_5xx, 0, "5xx below saturation at {rps} rps");
+        }
+        sweep.rows.push(stats);
+    }
+    match sweep.saturation_rps {
+        Some(rps) => println!("saturation at ~{rps:.0} rps offered (shed > {SATURATION_SHED})"),
+        None => println!("no saturation within the swept levels"),
+    }
+    sweep
+}
+
+impl LevelStats {
+    fn json(&self) -> Json {
+        Json::obj([
+            ("rps_target", Json::Num(self.rps_target)),
+            ("achieved_rps", Json::Num(self.achieved_rps)),
+            ("total", Json::Num(self.total as f64)),
+            ("connections_per_request", Json::Num(self.connections_per_request())),
+            ("shed", Json::Num(self.shed as f64)),
+            ("http_5xx", Json::Num(self.http_5xx as f64)),
+            ("transport_errors", Json::Num(self.transport_errors as f64)),
+            ("p50_secs", Json::Num(self.p50_secs)),
+            ("p99_secs", Json::Num(self.p99_secs)),
+            ("shed_fraction", Json::Num(self.shed_fraction())),
+        ])
+    }
+}
+
+impl Sweep {
+    /// `smoke` is the lowest level: the row `--smoke` runs alone and
+    /// the sentinel gates.
+    fn json(&self) -> Json {
+        Json::obj([
+            ("saturation_rps", self.saturation_rps.map(Json::Num).unwrap_or(Json::Null)),
+            ("smoke", self.rows[0].json()),
+            ("levels", Json::Arr(self.rows.iter().map(LevelStats::json).collect())),
+        ])
     }
 }
 
@@ -174,13 +306,15 @@ fn main() {
     config.http_workers = 4;
     config.conn_queue = 64;
     config.ops_queue = 256;
+    let http_workers = config.http_workers;
     let handle = serve(config).expect("bind loopback server");
     let addr = handle.addr;
 
     // Wait for the slot loop to go live, then admit the session
     // population the telemetry stream will mutate.
+    let mut control = Client::new(addr, true);
     loop {
-        if let Some((200, _)) = timed_request(addr, "GET", "/healthz", "") {
+        if let Some((200, _)) = control.timed_request("GET", "/healthz", "") {
             break;
         }
         std::thread::sleep(Duration::from_millis(10));
@@ -191,104 +325,55 @@ fn main() {
             "{{\"action\":\"arrive\",\"device\":{device},\"energy_j\":{},\"gamma\":0.3}}",
             15000 + 50 * device
         );
-        match timed_request(addr, "POST", "/v1/sessions", &body) {
+        match control.timed_request("POST", "/v1/sessions", &body) {
             Some((202, _)) => admitted += 1,
             Some((429, _)) => break, // admission-controlled edge is full
             other => panic!("arrival for {device} failed: {other:?}"),
         }
     }
+    // The control connection must not sit on a worker during the sweep.
+    control.conn = None;
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
-        "serve_stress — {devices} devices ({admitted} admitted), {clients} clients, \
-         diurnal envelope [{TROUGH}, {PEAK}]{}\n",
+        "serve_stress — {devices} devices ({admitted} admitted), {clients} clients on {http_workers} \
+         HTTP workers, {nproc} cores, diurnal envelope [{TROUGH}, {PEAK}]{}",
         if smoke { " (smoke)" } else { "" }
     );
-    println!(
-        "{:>10} {:>10} {:>8} {:>8} {:>6} {:>10} {:>10} {:>8}",
-        "offered", "achieved", "total", "shed", "5xx", "p50 (ms)", "p99 (ms)", "shed %"
-    );
-
-    let mut rows: Vec<LevelStats> = Vec::new();
-    let mut saturation_rps: Option<f64> = None;
-    for &rps in levels {
-        let stats = run_level(addr, rps, level_secs, clients, devices);
+    if clients > http_workers {
         println!(
-            "{:>10.0} {:>10.0} {:>8} {:>8} {:>6} {:>10.2} {:>10.2} {:>7.1}%",
-            stats.rps_target,
-            stats.achieved_rps,
-            stats.total,
-            stats.shed,
-            stats.http_5xx,
-            1e3 * stats.p50_secs,
-            1e3 * stats.p99_secs,
-            100.0 * stats.shed_fraction(),
+            "note: more clients than workers — idle kept-alive connections are evicted for queued \
+             ones, so the persistent shape degrades towards one request per connection"
         );
-        if saturation_rps.is_none() && stats.shed_fraction() > SATURATION_SHED {
-            saturation_rps = Some(stats.rps_target);
-        }
-        // Below saturation the service must answer without server
-        // errors; beyond it, it sheds — it never converts load into 5xx.
-        if saturation_rps.is_none() || saturation_rps == Some(stats.rps_target) {
-            assert_eq!(stats.http_5xx, 0, "5xx below saturation at {rps} rps");
-        }
-        rows.push(stats);
     }
+
+    let persistent = run_sweep(addr, levels, level_secs, clients, devices, true);
+    let per_request = run_sweep(addr, levels, level_secs, clients, devices, false);
 
     // Graceful drain: every in-flight slot joins, the final checkpoint
     // round seals (a kill here would resume bit-identically).
-    let _ = timed_request(addr, "POST", "/v1/shutdown", "{}");
+    let _ = control.timed_request("POST", "/v1/shutdown", "{}");
     handle.join();
-
-    let smoke_row = &rows[0];
-    match saturation_rps {
-        Some(rps) => println!("\nsaturation at ~{rps:.0} rps offered (shed > {SATURATION_SHED})"),
-        None => println!("\nno saturation within the swept levels"),
-    }
 
     let artifact = Json::obj([
         ("bench", Json::Str("serve_stress".into())),
         ("smoke_mode", Json::Bool(smoke)),
         ("devices", Json::Num(devices as f64)),
         ("admitted", Json::Num(admitted as f64)),
-        ("clients", Json::Num(clients as f64)),
         ("diurnal_trough", Json::Num(TROUGH)),
         ("diurnal_peak", Json::Num(PEAK)),
         (
-            "saturation_rps",
-            saturation_rps.map(Json::Num).unwrap_or(Json::Null),
-        ),
-        (
-            "smoke",
+            "host",
             Json::obj([
-                ("rps_target", Json::Num(smoke_row.rps_target)),
-                ("achieved_rps", Json::Num(smoke_row.achieved_rps)),
-                ("p50_secs", Json::Num(smoke_row.p50_secs)),
-                ("p99_secs", Json::Num(smoke_row.p99_secs)),
-                ("shed_fraction", Json::Num(smoke_row.shed_fraction())),
-                ("http_5xx", Json::Num(smoke_row.http_5xx as f64)),
+                ("nproc", Json::Num(nproc as f64)),
+                ("http_workers", Json::Num(http_workers as f64)),
+                ("clients", Json::Num(clients as f64)),
+                ("clients_exceed_workers", Json::Bool(clients > http_workers)),
             ]),
         ),
-        (
-            "levels",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("rps_target", Json::Num(r.rps_target)),
-                            ("achieved_rps", Json::Num(r.achieved_rps)),
-                            ("total", Json::Num(r.total as f64)),
-                            ("shed", Json::Num(r.shed as f64)),
-                            ("http_5xx", Json::Num(r.http_5xx as f64)),
-                            ("transport_errors", Json::Num(r.transport_errors as f64)),
-                            ("p50_secs", Json::Num(r.p50_secs)),
-                            ("p99_secs", Json::Num(r.p99_secs)),
-                            ("shed_fraction", Json::Num(r.shed_fraction())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("persistent", persistent.json()),
+        ("per_request", per_request.json()),
     ]);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
     std::fs::write(path, format!("{artifact}\n")).expect("write BENCH_serve.json");
-    println!("wrote {path}");
+    println!("\nwrote {path}");
 }

@@ -3,12 +3,27 @@
 //!
 //! The workspace vendors no async runtime and no HTTP stack, so the
 //! server speaks a deliberately small dialect over blocking
-//! [`std::io`]: one request per connection (`Connection: close` on
-//! every response), `Content-Length` bodies only (chunked transfer is
-//! rejected), and hard byte limits on every stage of the parse. The
-//! parser is generic over [`Read`] so property tests can feed it
-//! truncated, oversized, junk, and slow-trickle inputs without a
-//! socket.
+//! [`std::io`]: persistent connections carrying one request at a time,
+//! `Content-Length` bodies only (chunked transfer is rejected), and
+//! hard byte limits on every stage of the parse. The parser is generic
+//! over [`Read`] so property tests can feed it truncated, oversized,
+//! junk, and slow-trickle inputs without a socket.
+//!
+//! * **Reuse.** An HTTP/1.1 request leaves its connection open unless
+//!   it carries `connection: close`; an HTTP/1.0 request always closes
+//!   it ([`Request::keep_alive`]). Every response says which it is
+//!   (`connection: keep-alive` or `connection: close`), and the server
+//!   may answer `close` to a request that allowed reuse — see
+//!   [`crate::server`] for when.
+//! * **No pipelining.** A client sends its next request after it has
+//!   read the previous response. Bytes that follow a complete body in
+//!   the same read are not buffered for later: they fail the request
+//!   with a 4xx, like any other framing error.
+//! * **A 4xx always closes.** After a parse error the byte stream has
+//!   no trustworthy request boundary, so the error response carries
+//!   `connection: close` and the connection ends there.
+//! * **Responses** are framed by `content-length`; [`read_response`] is
+//!   the client-side framer the tests and the stress harness share.
 //!
 //! Fail-closed means two things here:
 //!
@@ -19,7 +34,7 @@
 //!   reserved with `try_reserve_exact` so an allocator refusal is a
 //!   413, not an abort.
 
-use std::io::Read;
+use std::io::{self, BufRead, Read};
 use std::time::Instant;
 
 /// Byte limits on one request — the parser's allocation contract.
@@ -74,7 +89,8 @@ impl HttpError {
     }
 }
 
-/// One parsed request: method, target path, and raw body bytes.
+/// One parsed request: method, target path, raw body bytes, and
+/// whether the client allows the connection to carry another.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
     /// Request method (`GET`, `POST`, …), uppercase as received.
@@ -83,6 +99,9 @@ pub struct Request {
     pub path: String,
     /// Raw body bytes (empty when no `Content-Length`).
     pub body: Vec<u8>,
+    /// `true` for HTTP/1.1 without a `connection: close` token; always
+    /// `false` for HTTP/1.0.
+    pub keep_alive: bool,
 }
 
 /// Reads and parses one HTTP/1.1 request from `reader`.
@@ -161,6 +180,7 @@ pub fn parse_request<R: Read>(
 
     // --- headers we care about ------------------------------------
     let mut content_length: Option<usize> = None;
+    let mut keep_alive = version == "HTTP/1.1";
     for line in lines {
         let Some((name, value)) = line.split_once(':') else {
             return Err(HttpError::BadRequest("junk header line"));
@@ -178,6 +198,10 @@ pub fn parse_request<R: Read>(
         } else if name.eq_ignore_ascii_case("transfer-encoding") {
             // Chunked framing is out of dialect; demand a plain length.
             return Err(HttpError::LengthRequired);
+        } else if name.eq_ignore_ascii_case("connection")
+            && value.split(',').any(|token| token.trim().eq_ignore_ascii_case("close"))
+        {
+            keep_alive = false;
         }
     }
 
@@ -213,7 +237,7 @@ pub fn parse_request<R: Read>(
             Err(_) => return Err(HttpError::ConnectionClosed),
         }
     }
-    Ok(Request { method: method.to_owned(), path: path.to_owned(), body })
+    Ok(Request { method: method.to_owned(), path: path.to_owned(), body, keep_alive })
 }
 
 /// Distinguishes an overlong request line (414) from an overlong
@@ -256,18 +280,107 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Serializes one response with `Connection: close` framing.
+/// Serializes one response that ends its connection
+/// (`connection: close`).
 pub fn render_response(status: u16, content_type: &str, body: &[u8]) -> Vec<u8> {
-    let head = format!(
-        "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
+    render_reply(status, content_type, body, false)
+}
+
+/// Serializes one response, telling the client whether the connection
+/// stays open for another request (`connection: keep-alive`) or ends
+/// with this one (`connection: close`).
+pub fn render_reply(status: u16, content_type: &str, body: &[u8], keep_alive: bool) -> Vec<u8> {
+    use std::io::Write;
+    // One allocation for head and body; the head is ≈ 100 bytes.
+    let mut out = Vec::with_capacity(160 + body.len());
+    write!(
+        out,
+        "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n\r\n",
         status,
         reason(status),
         content_type,
-        body.len()
-    );
-    let mut out = head.into_bytes();
+        body.len(),
+        if keep_alive { "keep-alive" } else { "close" }
+    )
+    .expect("writing to a Vec cannot fail");
     out.extend_from_slice(body);
     out
+}
+
+/// One response as a client reads it off the wire.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Response {
+    /// Status code of the status line.
+    pub status: u16,
+    /// Exactly `content-length` body bytes.
+    pub body: Vec<u8>,
+    /// Whether the server left the connection open for another request.
+    pub keep_alive: bool,
+}
+
+/// Cap on the status line plus headers [`read_response`] will buffer.
+const MAX_RESPONSE_HEAD: u64 = 8192;
+
+/// Serializes one request in the server's dialect; `close` adds
+/// `connection: close`, asking for a one-request connection.
+pub fn render_request(method: &str, path: &str, body: &str, close: bool) -> Vec<u8> {
+    format!(
+        "{method} {path} HTTP/1.1\r\nhost: lpvs\r\ncontent-length: {}\r\n{}\r\n{body}",
+        body.len(),
+        if close { "connection: close\r\n" } else { "" }
+    )
+    .into_bytes()
+}
+
+/// Reads exactly one response off `reader`: the status line, headers up
+/// to the blank line, then `content-length` body bytes and not one
+/// more — never to end of stream, which a persistent connection only
+/// reaches when the server's idle limit fires.
+///
+/// # Errors
+///
+/// `UnexpectedEof` when the stream ends before a complete response (a
+/// closed or evicted connection reads as that before the status line),
+/// `InvalidData` on malformed framing, and whatever the reader returns.
+pub fn read_response<R: BufRead>(reader: &mut R) -> io::Result<Response> {
+    let bad = |what: &'static str| io::Error::new(io::ErrorKind::InvalidData, what);
+    let mut head = reader.by_ref().take(MAX_RESPONSE_HEAD);
+    let mut line = String::new();
+    if head.read_line(&mut line)? == 0 {
+        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed before a response"));
+    }
+    let mut parts = line.split_whitespace();
+    let version = parts.next().ok_or_else(|| bad("empty status line"))?;
+    let status: u16 =
+        parts.next().and_then(|s| s.parse().ok()).ok_or_else(|| bad("status line without a status"))?;
+    let mut keep_alive = version.eq_ignore_ascii_case("HTTP/1.1");
+    let mut length: Option<usize> = None;
+    loop {
+        line.clear();
+        if head.read_line(&mut line)? == 0 {
+            return Err(bad("headers ended without a blank line"));
+        }
+        let header = line.trim_end();
+        if header.is_empty() {
+            break;
+        }
+        let (name, value) = header.split_once(':').ok_or_else(|| bad("header without a colon"))?;
+        let value = value.trim();
+        if name.eq_ignore_ascii_case("content-length") {
+            length = Some(value.parse().map_err(|_| bad("content-length is not a number"))?);
+        } else if name.eq_ignore_ascii_case("connection") {
+            keep_alive = !value.eq_ignore_ascii_case("close");
+        }
+    }
+    let length = length.ok_or_else(|| bad("response without content-length"))?;
+    // Grows with the bytes that actually arrive, so a lying length
+    // cannot make the client reserve memory up front.
+    let mut body = Vec::new();
+    reader.take(length as u64).read_to_end(&mut body)?;
+    if body.len() < length {
+        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "body cut short"));
+    }
+    Ok(Response { status, body, keep_alive })
 }
 
 /// Renders a JSON error body for `status` with a short detail string.
@@ -332,11 +445,64 @@ mod tests {
     }
 
     #[test]
+    fn reuse_is_the_http11_default_and_close_or_http10_opt_out() {
+        let keep = |bytes: &[u8]| parse(bytes).unwrap().keep_alive;
+        assert!(keep(b"GET /healthz HTTP/1.1\r\nhost: x\r\n\r\n"));
+        assert!(keep(b"GET /healthz HTTP/1.1\r\nconnection: keep-alive\r\n\r\n"));
+        assert!(!keep(b"GET /healthz HTTP/1.1\r\nConnection: Close\r\n\r\n"));
+        assert!(!keep(b"GET /healthz HTTP/1.1\r\nconnection: keep-alive, close\r\n\r\n"));
+        assert!(!keep(b"GET /healthz HTTP/1.0\r\n\r\n"));
+        assert!(!keep(b"GET /healthz HTTP/1.0\r\nconnection: keep-alive\r\n\r\n"));
+    }
+
+    #[test]
+    fn bytes_after_a_complete_request_fail_closed() {
+        // Pipelining is out of dialect: the second request is not
+        // buffered, the first one fails.
+        let two = b"POST /v1/tick HTTP/1.1\r\ncontent-length: 2\r\n\r\n{}GET /healthz HTTP/1.1\r\n\r\n";
+        assert_eq!(parse(two), Err(HttpError::PayloadTooLarge));
+        let two = b"GET /healthz HTTP/1.1\r\n\r\nGET /healthz HTTP/1.1\r\n\r\n";
+        assert_eq!(parse(two), Err(HttpError::BadRequest("body without content-length")));
+    }
+
+    #[test]
     fn response_rendering_frames_the_body() {
         let bytes = render_response(429, "application/json", b"{}");
         let text = String::from_utf8(bytes).unwrap();
         assert!(text.starts_with("HTTP/1.1 429 Too Many Requests\r\n"));
         assert!(text.contains("content-length: 2\r\n"));
+        assert!(text.contains("connection: close\r\n"));
         assert!(text.ends_with("\r\n\r\n{}"));
+    }
+
+    #[test]
+    fn responses_frame_by_length_and_carry_the_connection_verdict() {
+        let mut wire = render_reply(202, "application/json", b"{\"queued\":true}", true);
+        wire.extend_from_slice(&render_response(200, "text/plain", b"ok"));
+        let mut reader = Cursor::new(wire);
+        let first = read_response(&mut reader).unwrap();
+        assert_eq!((first.status, first.body.as_slice(), first.keep_alive), (202, &b"{\"queued\":true}"[..], true));
+        // The second response is untouched by the first read.
+        let second = read_response(&mut reader).unwrap();
+        assert_eq!((second.status, second.body.as_slice(), second.keep_alive), (200, &b"ok"[..], false));
+        let end = read_response(&mut reader).unwrap_err();
+        assert_eq!(end.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn a_response_without_a_length_or_cut_short_is_an_error() {
+        let no_length = b"HTTP/1.1 200 OK\r\n\r\nbody";
+        assert!(read_response(&mut Cursor::new(&no_length[..])).is_err());
+        let short = b"HTTP/1.1 200 OK\r\ncontent-length: 10\r\n\r\nshort";
+        assert!(read_response(&mut Cursor::new(&short[..])).is_err());
+        let endless = format!("HTTP/1.1 200 OK\r\n{}", "x-pad: y\r\n".repeat(2048));
+        assert!(read_response(&mut Cursor::new(endless.as_bytes())).is_err());
+    }
+
+    #[test]
+    fn rendered_requests_parse_back() {
+        let r = parse(&render_request("POST", "/v1/tick", "{}", false)).unwrap();
+        assert_eq!((r.method.as_str(), r.path.as_str(), r.body.as_slice(), r.keep_alive), ("POST", "/v1/tick", &b"{}"[..], true));
+        assert!(!parse(&render_request("GET", "/healthz", "", true)).unwrap().keep_alive);
     }
 }

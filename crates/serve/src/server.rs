@@ -19,17 +19,58 @@
 //!
 //! Connections queue in a bounded deque; when it is full the accept
 //! thread answers 429 inline and drops — the server never queues
-//! without bound and never hangs below its limits. Each request gets a
-//! socket timeout plus a parse deadline. Telemetry pressure raises the
-//! solver floor of upcoming slots (see [`crate::shed`]) before anything
-//! is dropped. On shutdown the slot loop drains in-flight solves, then
-//! the final bank state is sealed as one more checkpoint round so the
-//! next boot resumes exactly where this one stopped.
+//! without bound and never hangs below its limits. (A connection that
+//! arrives while the HTTP layer is being torn down gets `503 draining`
+//! instead: drain is not overload and is not counted as shed.)
+//!
+//! **Connections are persistent.** A worker answers a request with
+//! `connection: keep-alive` and stays on the connection for the next
+//! one, so a device reporting every slot pays for one TCP handshake and
+//! one accept → queue → worker hand-off, not one per report. Requests
+//! are strictly one at a time (no pipelining, see [`crate::http`]). The
+//! worker closes — and says so with `connection: close` on that last
+//! response — when the client opts out (`connection: close`,
+//! HTTP/1.0), on any parse error (a 4xx always closes), on
+//! `POST /v1/shutdown`, after [`REQUESTS_PER_CONNECTION`] requests, or
+//! when the connection has been idle for `request_deadline`. Each
+//! request gets a socket timeout plus a parse deadline that starts at
+//! the request's *first byte*, not when the connection went idle.
+//!
+//! **Idle connections never hold a worker a queued connection needs.**
+//! The pool is fixed (`http_workers`), and a worker waiting for the
+//! next request of a kept-alive connection is blocked in a read; with
+//! more persistent clients than workers that alone would leave the
+//! extra clients queued until somebody's idle limit fired. So a worker
+//! *parks* a shutdown handle of its connection in the queue's idle list
+//! while it waits for a first byte, and:
+//!
+//! * a `push` that leaves more connections queued than workers waiting
+//!   shuts the longest-idle parked connection down, which wakes its
+//!   worker to take the queued one (the evicted client sees end of
+//!   stream before any response and reconnects);
+//! * a worker touches request bytes only after it has *reclaimed* its
+//!   handle, so an evicted connection never has a request half
+//!   processed;
+//! * a worker that finishes a request while connections are queued
+//!   answers `connection: close` instead of parking;
+//! * stopping the queue evicts every parked connection, so
+//!   [`ServerHandle::join`] does not wait out idle limits.
+//!
+//! A connection's *first* request is read without parking — a queued
+//! connection may take a worker from a client that has been served, not
+//! from one that has not — so with more connections than workers the
+//! server degrades to one request per connection and never below that.
+//!
+//! Telemetry pressure raises the solver floor of upcoming slots (see
+//! [`crate::shed`]) before anything is dropped. On shutdown the slot
+//! loop drains in-flight solves, then the final bank state is sealed as
+//! one more checkpoint round so the next boot resumes exactly where
+//! this one stopped.
 
 use crate::engine::{
     Admission, Decision, EngineConfig, Op, Phase, ServeEngine, Shared, CAPACITY_J,
 };
-use crate::http::{error_body, parse_request, render_response, HttpError, HttpLimits, Request};
+use crate::http::{error_body, parse_request, render_reply, render_response, HttpError, HttpLimits, Request};
 use lpvs_bayes::codec::bank_to_bytes;
 use lpvs_bayes::BayesBank;
 use lpvs_core::scheduler::SchedulerConfig;
@@ -38,7 +79,7 @@ use lpvs_obs::json::Json;
 use lpvs_runtime::{CheckpointConfig, CheckpointStore, RuntimeConfig, SlotRuntime};
 use std::collections::VecDeque;
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -76,7 +117,8 @@ pub struct ServeConfig {
     pub ops_queue: usize,
     /// HTTP worker threads.
     pub http_workers: usize,
-    /// Per-request parse/handle deadline.
+    /// Per-request parse/handle deadline, counted from the request's
+    /// first byte; also how long a kept-alive connection may sit idle.
     pub request_deadline: Duration,
     /// HTTP parser limits.
     pub limits: HttpLimits,
@@ -136,51 +178,201 @@ impl ServerHandle {
     }
 }
 
-/// Bounded handoff between the accept thread and the HTTP workers.
+/// Requests one connection may carry before the server answers
+/// `connection: close`, so no client holds a worker of the fixed pool
+/// indefinitely by never going idle.
+pub const REQUESTS_PER_CONNECTION: usize = 1000;
+
+/// Why a connection ended — the `reason` label of
+/// `serve_connection_close_total`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Close {
+    /// The client opted out of reuse or closed its end.
+    Client,
+    /// [`REQUESTS_PER_CONNECTION`] reached.
+    Budget,
+    /// No request within `request_deadline` of the previous response.
+    Idle,
+    /// A queued connection needed the worker.
+    Evicted,
+    /// Parse error (4xx) or a transport failure.
+    Error,
+    /// `POST /v1/shutdown`, or the HTTP layer is being torn down.
+    Drain,
+}
+
+impl Close {
+    fn label(self) -> &'static str {
+        match self {
+            Close::Client => "client",
+            Close::Budget => "budget",
+            Close::Idle => "idle",
+            Close::Evicted => "evicted",
+            Close::Error => "error",
+            Close::Drain => "drain",
+        }
+    }
+}
+
+/// A connection `ConnQueue::push` handed back, and why.
+#[derive(Debug)]
+enum Refused {
+    /// The queue is at capacity: overload, shed with a 429.
+    Full(TcpStream),
+    /// The queue is stopped: the server is draining, answer 503.
+    Draining(TcpStream),
+}
+
+struct Conns {
+    /// Accepted connections no worker has picked up yet.
+    queue: VecDeque<TcpStream>,
+    /// Shutdown handles of kept-alive connections whose worker is
+    /// blocked waiting for the next request, longest idle first.
+    idle: VecDeque<(u64, TcpStream)>,
+    /// Workers blocked in `pop`.
+    waiting: usize,
+    next_token: u64,
+    stopped: bool,
+}
+
+impl Conns {
+    /// Why a connection with no request in flight must give its worker
+    /// up, if it must: the queue is stopped, or more connections are
+    /// queued than workers are coming for them.
+    fn must_yield(&self) -> Option<Close> {
+        if self.stopped {
+            Some(Close::Drain)
+        } else if self.queue.len() > self.waiting {
+            Some(Close::Evicted)
+        } else {
+            None
+        }
+    }
+}
+
+/// Bounded handoff between the accept thread and the HTTP workers, plus
+/// the idle list that lets a queued connection evict a parked one.
 struct ConnQueue {
-    queue: Mutex<(VecDeque<TcpStream>, bool)>,
+    state: Mutex<Conns>,
     ready: Condvar,
     capacity: usize,
 }
 
 impl ConnQueue {
     fn new(capacity: usize) -> Self {
-        Self { queue: Mutex::new((VecDeque::new(), false)), ready: Condvar::new(), capacity: capacity.max(1) }
+        Self {
+            state: Mutex::new(Conns {
+                queue: VecDeque::new(),
+                idle: VecDeque::new(),
+                waiting: 0,
+                next_token: 0,
+                stopped: false,
+            }),
+            ready: Condvar::new(),
+            capacity: capacity.max(1),
+        }
     }
 
-    /// `Err` hands the stream back: the queue is full, reject inline.
-    fn push(&self, stream: TcpStream) -> Result<(), TcpStream> {
-        let mut q = self.queue.lock().expect("conn queue poisoned");
-        if q.1 || q.0.len() >= self.capacity {
-            return Err(stream);
+    fn lock(&self) -> std::sync::MutexGuard<'_, Conns> {
+        self.state.lock().expect("conn queue poisoned")
+    }
+
+    /// Queues `stream` for a worker; if that leaves more queued than
+    /// workers waiting, the longest-idle parked connection is shut down
+    /// so its worker comes for it.
+    fn push(&self, stream: TcpStream) -> Result<(), Refused> {
+        let mut c = self.lock();
+        if c.stopped {
+            return Err(Refused::Draining(stream));
         }
-        q.0.push_back(stream);
-        drop(q);
+        if c.queue.len() >= self.capacity {
+            return Err(Refused::Full(stream));
+        }
+        c.queue.push_back(stream);
+        let evicted = if c.must_yield().is_some() { c.idle.pop_front() } else { None };
+        drop(c);
+        if let Some((_, handle)) = evicted {
+            let _ = handle.shutdown(Shutdown::Both);
+        }
         self.ready.notify_one();
         Ok(())
     }
 
     fn pop(&self) -> Option<TcpStream> {
-        let mut q = self.queue.lock().expect("conn queue poisoned");
+        let mut c = self.lock();
         loop {
-            if let Some(stream) = q.0.pop_front() {
+            if let Some(stream) = c.queue.pop_front() {
                 return Some(stream);
             }
-            if q.1 {
+            if c.stopped {
                 return None;
             }
-            q = self.ready.wait(q).expect("conn queue poisoned");
+            c.waiting += 1;
+            c = self.ready.wait(c).expect("conn queue poisoned");
+            c.waiting -= 1;
         }
     }
 
-    fn stop(&self) {
-        self.queue.lock().expect("conn queue poisoned").1 = true;
-        self.ready.notify_all();
+    /// Whether — and why — a worker finishing a request should close
+    /// instead of waiting for the connection's next one.
+    fn must_yield(&self) -> Option<Close> {
+        self.lock().must_yield()
     }
 
-    fn stopped(&self) -> bool {
-        self.queue.lock().expect("conn queue poisoned").1
+    /// Registers `handle` (a clone of a connection about to go idle) as
+    /// evictable. `Err` when the connection must yield right away; the
+    /// check shares `push`'s lock, so a connection queued just before
+    /// is seen here and one queued just after sees the parked handle.
+    fn park(&self, handle: TcpStream) -> Result<u64, Close> {
+        let mut c = self.lock();
+        if let Some(reason) = c.must_yield() {
+            return Err(reason);
+        }
+        let token = c.next_token;
+        c.next_token += 1;
+        c.idle.push_back((token, handle));
+        Ok(token)
     }
+
+    /// Takes a parked handle back. `Err` means it was evicted: the
+    /// socket is shut down and whatever the read returned is void.
+    fn reclaim(&self, token: u64) -> Result<TcpStream, Close> {
+        let mut c = self.lock();
+        // A stop evicts everything; otherwise it was a queued connection,
+        // even if another worker has taken that one by now.
+        let at = c
+            .idle
+            .iter()
+            .position(|(t, _)| *t == token)
+            .ok_or_else(|| c.must_yield().unwrap_or(Close::Evicted))?;
+        Ok(c.idle.remove(at).expect("position is in range").1)
+    }
+
+    /// Stops the queue: `pop` drains what is queued and then returns
+    /// `None`, `push` refuses, and every parked connection is evicted.
+    fn stop(&self) {
+        let mut c = self.lock();
+        c.stopped = true;
+        for (_, handle) in c.idle.drain(..) {
+            let _ = handle.shutdown(Shutdown::Both);
+        }
+        drop(c);
+        self.ready.notify_all();
+    }
+}
+
+/// Answers a connection the queue refused, inline on the accept thread:
+/// `429` for overload (counted as shed), `503` for drain (not counted).
+fn refuse(refused: Refused) {
+    let (mut stream, status, detail) = match refused {
+        Refused::Full(stream) => {
+            lpvs_obs::inc("serve_shed_total");
+            (stream, 429, "connection queue full")
+        }
+        Refused::Draining(stream) => (stream, 503, "draining"),
+    };
+    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
+    let _ = stream.write_all(&render_response(status, "application/json", &error_body(status, detail)));
 }
 
 /// Boots the service: binds, spawns the runtime thread, the accept
@@ -230,20 +422,16 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
         let conns_acc = Arc::clone(&conns);
         threads.push(std::thread::spawn(move || {
             for stream in listener.incoming() {
-                if conns_acc.stopped() {
-                    break;
-                }
                 let Ok(stream) = stream else { continue };
-                if let Err(rejected) = conns_acc.push(stream) {
-                    // Full queue: shed inline, never block the listener.
-                    lpvs_obs::inc("serve_shed_total");
-                    let _ = rejected.set_write_timeout(Some(Duration::from_millis(250)));
-                    let mut rejected = rejected;
-                    let _ = rejected.write_all(&render_response(
-                        429,
-                        "application/json",
-                        &error_body(429, "connection queue full"),
-                    ));
+                // Never block the listener: a refused connection is
+                // answered inline. A stopped queue also ends the loop
+                // (the connection that woke it is told `503 draining`).
+                if let Err(refused) = conns_acc.push(stream) {
+                    let draining = matches!(refused, Refused::Draining(_));
+                    refuse(refused);
+                    if draining {
+                        break;
+                    }
                 }
             }
         }));
@@ -258,7 +446,7 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
         let max_devices = config.engine.max_devices;
         threads.push(std::thread::spawn(move || {
             while let Some(stream) = conns.pop() {
-                handle_connection(stream, &shared, &limits, deadline, max_devices);
+                handle_connection(stream, &conns, &shared, &limits, deadline, max_devices);
             }
         }));
     }
@@ -325,37 +513,107 @@ fn run_slot_loop(config: ServeConfig, mut engine: ServeEngine, shared: &Shared) 
     shared.set_phase(Phase::Stopped);
 }
 
-/// Parses, routes, and answers one connection.
+/// Blocks until the next request's first byte is readable (without
+/// consuming it), the peer closes (`Ok(0)`), or the socket's read
+/// timeout — the idle limit — fires.
+fn await_first_byte(stream: &TcpStream) -> std::io::Result<usize> {
+    loop {
+        match stream.peek(&mut [0u8; 1]) {
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            other => return other,
+        }
+    }
+}
+
+/// Serves one connection: parses, routes, and answers its requests one
+/// at a time until the client, the budget, an error, the idle limit, a
+/// queued connection, or a drain ends it (module docs, "Operational
+/// behavior").
 fn handle_connection(
     mut stream: TcpStream,
+    conns: &ConnQueue,
     shared: &Shared,
     limits: &HttpLimits,
     deadline: Duration,
     max_devices: usize,
 ) {
-    let started = Instant::now();
     let _ = stream.set_read_timeout(Some(deadline));
     let _ = stream.set_write_timeout(Some(deadline));
-    let parsed = parse_request(&mut stream, limits, started + deadline);
-    let (endpoint, status, content_type, body) = match parsed {
-        Ok(req) => {
-            let endpoint = endpoint_of(&req);
-            let (status, content_type, body) = route(&req, shared, max_devices);
-            (endpoint, status, content_type, body)
+    // Responses are written whole; waiting to coalesce them with a next
+    // segment that never comes would only delay the client.
+    let _ = stream.set_nodelay(true);
+    // The shutdown handle parked while idle; cloned once, on first use.
+    let mut spare: Option<TcpStream> = None;
+    let mut served = 0usize;
+    let mut started = Instant::now();
+    let close = loop {
+        if served > 0 {
+            let Some(handle) = spare.take().or_else(|| stream.try_clone().ok()) else {
+                break Close::Error;
+            };
+            let token = match conns.park(handle) {
+                Ok(token) => token,
+                Err(reason) => break reason,
+            };
+            let first = await_first_byte(&stream);
+            // Reclaim before looking at the result: an evicted socket
+            // was shut down under the read, and its bytes are void.
+            match conns.reclaim(token) {
+                Ok(handle) => spare = Some(handle),
+                Err(reason) => break reason,
+            }
+            match first {
+                Ok(0) => break Close::Client,
+                Ok(_) => started = Instant::now(),
+                Err(e) if matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut) => {
+                    break Close::Idle;
+                }
+                Err(_) => break Close::Error,
+            }
         }
-        Err(HttpError::ConnectionClosed) => return,
-        Err(e) => {
-            let status = e.status();
-            ("parse", status, "application/json", error_body(status, "malformed request"))
+        let (endpoint, status, content_type, body, verdict) =
+            match parse_request(&mut stream, limits, started + deadline) {
+                Ok(req) => {
+                    let endpoint = endpoint_of(&req);
+                    let (status, content_type, body) = route(&req, shared, max_devices);
+                    let verdict = if !req.keep_alive {
+                        Some(Close::Client)
+                    } else if endpoint == "shutdown" {
+                        Some(Close::Drain)
+                    } else if served + 1 >= REQUESTS_PER_CONNECTION {
+                        Some(Close::Budget)
+                    } else {
+                        conns.must_yield()
+                    };
+                    (endpoint, status, content_type, body, verdict)
+                }
+                // The peer hung up (or was reset) before a whole request.
+                Err(HttpError::ConnectionClosed) => break Close::Client,
+                Err(e) => {
+                    let status = e.status();
+                    let body = error_body(status, "malformed request");
+                    ("parse", status, "application/json", body, Some(Close::Error))
+                }
+            };
+        let written = stream.write_all(&render_reply(status, content_type, &body, verdict.is_none()));
+        served += 1;
+        if lpvs_obs::enabled() {
+            lpvs_obs::observe("serve_request_seconds", started.elapsed().as_secs_f64());
+            lpvs_obs::inc_labeled(
+                "serve_requests_total",
+                &[("endpoint", endpoint), ("status", &status.to_string())],
+            );
+        }
+        match (written, verdict) {
+            (Err(_), _) => break Close::Error,
+            (Ok(()), Some(close)) => break close,
+            (Ok(()), None) => {}
         }
     };
-    let _ = stream.write_all(&render_response(status, content_type, &body));
     if lpvs_obs::enabled() {
-        lpvs_obs::observe("serve_request_seconds", started.elapsed().as_secs_f64());
-        lpvs_obs::inc_labeled(
-            "serve_requests_total",
-            &[("endpoint", endpoint), ("status", &status.to_string())],
-        );
+        lpvs_obs::inc("serve_connections_total");
+        lpvs_obs::observe("serve_connection_requests", served as f64);
+        lpvs_obs::inc_labeled("serve_connection_close_total", &[("reason", close.label())]);
     }
 }
 
@@ -615,4 +873,77 @@ fn post_brownout(req: &Request, shared: &Shared) -> Routed {
     };
     shared.admission.lock().expect("admission poisoned").brownout = factor;
     enqueue_or_shed(shared, Op::Brownout { factor })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::http::read_response;
+    use std::io::{BufReader, Read};
+
+    /// A connected loopback pair: `(server side, client side)`.
+    fn pair(listener: &TcpListener) -> (TcpStream, TcpStream) {
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        client.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        (server, client)
+    }
+
+    #[test]
+    fn drain_is_refused_with_503_and_overload_with_429() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let queue = ConnQueue::new(1);
+        let (a, _a_client) = pair(&listener);
+        assert!(queue.push(a).is_ok());
+
+        let (b, b_client) = pair(&listener);
+        let full = queue.push(b).unwrap_err();
+        assert!(matches!(full, Refused::Full(_)), "{full:?}");
+        refuse(full);
+        let reply = read_response(&mut BufReader::new(b_client)).unwrap();
+        assert_eq!(reply.status, 429);
+        assert!(String::from_utf8_lossy(&reply.body).contains("connection queue full"));
+
+        queue.stop();
+        let (c, c_client) = pair(&listener);
+        let draining = queue.push(c).unwrap_err();
+        assert!(matches!(draining, Refused::Draining(_)), "{draining:?}");
+        refuse(draining);
+        let reply = read_response(&mut BufReader::new(c_client)).unwrap();
+        assert_eq!(reply.status, 503);
+        assert!(!reply.keep_alive);
+        assert!(String::from_utf8_lossy(&reply.body).contains("draining"));
+        // What was queued before the stop is still handed out.
+        assert!(queue.pop().is_some());
+        assert!(queue.pop().is_none());
+    }
+
+    #[test]
+    fn a_queued_connection_evicts_the_longest_idle_one() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let queue = ConnQueue::new(8);
+        let (old, mut old_client) = pair(&listener);
+        let (young, _young_client) = pair(&listener);
+        let old_token = queue.park(old.try_clone().unwrap()).expect("nothing queued");
+        let young_token = queue.park(young.try_clone().unwrap()).expect("nothing queued");
+        assert_eq!(queue.must_yield(), None);
+
+        // No worker is waiting in `pop`, so the push must free one up.
+        let (queued, _queued_client) = pair(&listener);
+        assert!(queue.push(queued).is_ok());
+        assert_eq!(queue.reclaim(old_token).unwrap_err(), Close::Evicted, "the longest idle goes");
+        assert_eq!(old_client.read(&mut [0u8; 1]).unwrap(), 0, "its client sees end of stream");
+        assert!(queue.reclaim(young_token).is_ok(), "one eviction per queued connection");
+
+        // While a connection is queued, nobody may go (back) to idle.
+        assert_eq!(queue.must_yield(), Some(Close::Evicted));
+        assert_eq!(queue.park(young.try_clone().unwrap()).unwrap_err(), Close::Evicted);
+        assert!(queue.pop().is_some());
+        assert_eq!(queue.must_yield(), None);
+        let token = queue.park(young.try_clone().unwrap()).expect("queue drained");
+
+        queue.stop();
+        assert_eq!(queue.reclaim(token).unwrap_err(), Close::Drain, "stop evicts every parked handle");
+        assert_eq!(queue.park(young).unwrap_err(), Close::Drain, "and nothing parks afterwards");
+    }
 }

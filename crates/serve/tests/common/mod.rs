@@ -1,11 +1,14 @@
 //! Minimal blocking HTTP/1.1 client for the serve integration tests.
 //!
-//! One request per connection (the server answers `Connection: close`),
-//! so a request is: connect, write, read-to-EOF, split status and body.
+//! A request is: connect, write, read one response framed by its
+//! `content-length` ([`lpvs_serve::http::read_response`]), drop the
+//! connection. Never read to end of stream: the server keeps
+//! connections alive, so EOF only comes when its idle limit fires.
 
 #![allow(dead_code)]
 
-use std::io::{Read, Write};
+use lpvs_serve::http::{read_response, render_request};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -24,20 +27,9 @@ pub fn try_request(
     let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(5))?;
     stream.set_read_timeout(Some(Duration::from_secs(10)))?;
     stream.set_write_timeout(Some(Duration::from_secs(10)))?;
-    let wire = format!(
-        "{method} {path} HTTP/1.1\r\nhost: test\r\ncontent-length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(wire.as_bytes())?;
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw)?;
-    let status: u16 = raw
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "no status line"))?;
-    let body = raw.split_once("\r\n\r\n").map(|(_, b)| b.to_owned()).unwrap_or_default();
-    Ok((status, body))
+    stream.write_all(&render_request(method, path, body, false))?;
+    let response = read_response(&mut BufReader::new(stream))?;
+    Ok((response.status, String::from_utf8_lossy(&response.body).into_owned()))
 }
 
 /// Polls `/healthz` until the server reports the wanted phase.

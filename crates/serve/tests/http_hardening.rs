@@ -4,11 +4,16 @@
 //! whatever bytes arrive — random junk, truncated requests, oversized
 //! declarations, one-byte trickles, stalled peers — it must answer with
 //! a bounded-allocation 4xx and never panic, hang, or buffer without
-//! limit.
+//! limit. On a persistent connection it has one more duty: junk ends
+//! the connection, visibly (`connection: close`, then end of stream),
+//! because after a framing error there is no trustworthy boundary at
+//! which a next request could start.
 
-use lpvs_serve::http::{parse_request, HttpError, HttpLimits};
+use lpvs_serve::http::{parse_request, read_response, render_request, HttpError, HttpLimits};
+use lpvs_serve::{serve, ServeConfig};
 use proptest::prelude::*;
-use std::io::{Cursor, Read};
+use std::io::{BufReader, Cursor, ErrorKind, Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
 
 fn far() -> Instant {
@@ -133,6 +138,117 @@ proptest! {
         let mut trickle = Trickle { bytes: &full, pos: 0, step };
         let got = parse_request(&mut trickle, &HttpLimits::default(), far());
         prop_assert_eq!(got, Ok(want));
+    }
+}
+
+/// Every family of junk the properties above feed the parser, as one
+/// strategy of raw request bytes.
+fn junk() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        prop::collection::vec(any::<u8>(), 1..2048),
+        (0usize..32, 1usize..256, 0.0f64..1.0).prop_map(|(pad, body_len, cut_frac)| {
+            let full = valid_post(pad, body_len);
+            let cut = 1 + ((full.len() - 2) as f64 * cut_frac) as usize;
+            full[..cut].to_vec()
+        }),
+        prop::collection::vec(97u8..123, 1..40).prop_map(|line| {
+            let mut req = b"GET /healthz HTTP/1.1\r\n".to_vec();
+            req.extend_from_slice(&line);
+            req.extend_from_slice(b"\r\nhost: a\r\n\r\n");
+            req
+        }),
+        (1u64..u64::MAX / 2).prop_map(|extra| {
+            let declared = HttpLimits::default().max_body_bytes as u64 + extra;
+            format!("POST /v1/telemetry HTTP/1.1\r\ncontent-length: {declared}\r\n\r\n").into_bytes()
+        }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Reuse is the HTTP/1.1 default; a `close` token (any case, any
+    /// position in the list) or HTTP/1.0 turns it off, and nothing
+    /// turns it on for HTTP/1.0.
+    fn connection_header_decides_reuse(
+        http11 in any::<bool>(),
+        header in prop_oneof![
+            Just(None::<&'static str>),
+            Just(Some("keep-alive")),
+            Just(Some("close")),
+            Just(Some("Close")),
+            Just(Some("CLOSE")),
+            Just(Some("keep-alive, close")),
+            Just(Some("close , keep-alive")),
+            Just(Some("upgrade")),
+        ],
+        pad in 0usize..3,
+    ) {
+        let mut req = format!("GET /healthz HTTP/1.{}\r\n", u8::from(http11));
+        for i in 0..pad {
+            req.push_str(&format!("x-pad-{i}: y\r\n"));
+        }
+        if let Some(value) = header {
+            req.push_str(&format!("Connection: {value}\r\n"));
+        }
+        req.push_str("\r\n");
+        let asked_to_close = header.is_some_and(|v: &str| v.to_ascii_lowercase().contains("close"));
+        let got = parse(req.as_bytes()).expect("well-formed request");
+        prop_assert!(got.keep_alive == (http11 && !asked_to_close), "{:?} parsed keep_alive={}", req, got.keep_alive);
+    }
+}
+
+proptest! {
+    // Each case boots one server and sends it a batch of junk, so the
+    // batch size, not the case count, sets the coverage.
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// On the wire, junk as the *second* request of a kept-alive
+    /// connection is answered at most once, with `connection: close`,
+    /// and then the connection ends — it never stays open waiting for
+    /// a third request, and never hangs.
+    fn junk_ends_a_kept_alive_connection_on_the_wire(batch in prop::collection::vec(junk(), 32)) {
+        let mut config = ServeConfig::loopback(8);
+        // Far longer than the client's patience: a connection the
+        // server merely lets idle out fails the property.
+        config.request_deadline = Duration::from_secs(30);
+        let handle = serve(config).expect("bind");
+        for junk in &batch {
+            let mut stream = TcpStream::connect(handle.addr).expect("connect");
+            stream.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+            stream.write_all(&render_request("GET", "/healthz", "", false)).expect("first request");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            let first = read_response(&mut reader).expect("first response");
+            prop_assert!(first.status == 200 && first.keep_alive, "first request: {first:?}");
+            // The junk, then end of stream, so that a truncated request
+            // reads as truncated instead of as a slow one.
+            stream.write_all(junk).expect("junk");
+            stream.shutdown(Shutdown::Write).expect("half-close");
+            match read_response(&mut reader) {
+                Ok(reply) => {
+                    prop_assert!(
+                        (400..500).contains(&reply.status) && !reply.keep_alive,
+                        "junk {:?} answered {} keep_alive={}",
+                        String::from_utf8_lossy(junk), reply.status, reply.keep_alive
+                    );
+                }
+                // The server may hang up without a word (and with unread
+                // junk in its buffer that is a reset), never time out.
+                Err(e) => prop_assert!(
+                    matches!(e.kind(), ErrorKind::UnexpectedEof | ErrorKind::ConnectionReset),
+                    "junk {:?}: {e}", String::from_utf8_lossy(junk)
+                ),
+            }
+            let mut rest = Vec::new();
+            match reader.read_to_end(&mut rest) {
+                Ok(_) => prop_assert!(rest.is_empty(), "bytes after the closing response: {rest:?}"),
+                Err(e) => prop_assert!(e.kind() == ErrorKind::ConnectionReset, "{e}"),
+            }
+        }
+        let mut stream = TcpStream::connect(handle.addr).expect("connect");
+        stream.write_all(&render_request("POST", "/v1/shutdown", "{}", true)).expect("shutdown");
+        prop_assert_eq!(read_response(&mut BufReader::new(stream)).expect("drain ack").status, 200);
+        handle.join();
     }
 }
 
