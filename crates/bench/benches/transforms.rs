@@ -7,6 +7,8 @@ use lpvs_bench::genre_corpus;
 use lpvs_display::quality::QualityBudget;
 use lpvs_display::spec::{DisplaySpec, Resolution};
 use lpvs_display::transform::{BacklightScaling, ColorTransform, SubpixelShutoff, Transform};
+use lpvs_media::chunk::{Chunk, ChunkId};
+use lpvs_media::encoder::TransformEncoder;
 use std::hint::black_box;
 
 fn bench_transforms(c: &mut Criterion) {
@@ -43,5 +45,32 @@ fn bench_transforms(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_transforms);
+/// The whole per-chunk path the emulator's playback pays — transform,
+/// power model, reduction ratio — on each panel kind.
+fn bench_encode_chunk(c: &mut Criterion) {
+    let chunks: Vec<Chunk> = genre_corpus()
+        .into_iter()
+        .enumerate()
+        .map(|(i, stats)| Chunk::new(ChunkId(i as u32), 10.0, stats, 3000.0))
+        .collect();
+    let encoder = TransformEncoder::default();
+    let panels = [
+        ("lcd", DisplaySpec::lcd_phone(Resolution::FHD)),
+        ("oled", DisplaySpec::oled_phone(Resolution::FHD)),
+    ];
+
+    let mut group = c.benchmark_group("encode_chunk_corpus");
+    for (name, spec) in &panels {
+        group.bench_function(*name, |b| {
+            b.iter(|| {
+                for chunk in &chunks {
+                    black_box(encoder.encode_chunk(black_box(chunk), spec));
+                }
+            });
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_transforms, bench_encode_chunk);
 criterion_main!(benches);

@@ -8,10 +8,36 @@
 //! scenes admit deep dimming (large savings), bright scenes barely any
 //! — exactly the content-dependent power behaviour the paper's Fig. 4
 //! sketches.
+//!
+//! # The scan costs the occupied tail, not the grid
+//!
+//! Candidate scales are the histogram's bin centers, tried in
+//! descending order until one breaks the budget. Two facts keep that
+//! cheap without changing a bit of the answer a full 64 × 64 scan
+//! would give:
+//!
+//! * **Where it starts.** A candidate at or above the highest occupied
+//!   bin `top` clips nothing, so all of them carry the same (zero)
+//!   distortion and the same verdict, and the lowest of them — the one
+//!   at `top` — supersedes the rest. The scan starts there.
+//! * **What it sums.** The clipped fraction and the luminance lost at
+//!   candidate `i` are sums over the bins above `i`. Bins above `top`
+//!   hold exact zeros, and adding `+0.0` to a partial sum returns the
+//!   same float, so summing `hist[i+1..=top]` in ascending order gives
+//!   the very floats the sums over all 64 bins give. The one visible
+//!   trace of the skipped terms is the *sign* of an all-zero sum (an
+//!   empty `Sum` is `-0.0`, a sum of `+0.0`s is `+0.0`); adding the
+//!   sum of the empty tail, an exact signed zero computed once,
+//!   restores it.
+//!
+//! The scan also stops at the first candidate the `MIN_SCALE` clamp
+//! reaches: every lower bin clamps to that same scale and would only
+//! repeat its verdict. A chunk therefore costs the handful of bins
+//! between its brightest content and its clipping point.
 
 use crate::quality::{Distortion, QualityBudget};
 use crate::spec::{DisplayKind, DisplaySpec};
-use crate::stats::{bin_center, FrameStats, LUMA_BINS};
+use crate::stats::{bin_center, FrameStats};
 use crate::transform::{Transform, TransformOutcome};
 use serde::{Deserialize, Serialize};
 
@@ -57,34 +83,39 @@ impl BacklightScaling {
     /// Picks the smallest admissible backlight scale for `frame`,
     /// together with the clipping distortion it causes.
     fn choose_scale(&self, frame: &FrameStats) -> (f64, Distortion) {
+        let hist = frame.luma_hist();
         let mean = frame.mean_luma().max(1e-9);
+        // Highest occupied bin (a histogram always has mass), and the
+        // signed zero the empty bins above it sum to.
+        let top = hist.iter().rposition(|&p| p > 0.0).unwrap_or(0);
+        let empty_tail: f64 = hist[top + 1..].iter().sum();
         let mut best: Option<(f64, Distortion)> = None;
-        // Candidate scales at bin edges, descending (1.0 → MIN_SCALE):
-        // the deepest one still inside the budget wins.
-        for i in (0..LUMA_BINS).rev() {
-            let s = bin_center(i).max(MIN_SCALE);
-            if s < MIN_SCALE {
-                break;
-            }
-            let clipped = frame.fraction_above(s);
+        // Candidate scales at bin centers, descending from the highest
+        // occupied one: the deepest still inside the budget wins.
+        for i in (0..=top).rev() {
+            let center = bin_center(i);
+            let s = center.max(MIN_SCALE);
+            let clipped_bins = &hist[i + 1..=top];
+            let clipped = clipped_bins.iter().sum::<f64>() + empty_tail;
             // Mean luminance lost: E[max(v − s, 0)] / E[v].
-            let lost: f64 = frame
-                .luma_hist()
+            let lost = clipped_bins
                 .iter()
-                .enumerate()
-                .map(|(j, &p)| p * (bin_center(j) - s).max(0.0))
-                .sum::<f64>()
+                .zip(i + 1..)
+                .fold(0.0, |acc, (&p, j)| acc + p * (bin_center(j) - s))
                 / mean;
             let distortion = Distortion {
                 clipped_fraction: clipped,
                 luminance_loss: lost,
                 ..Distortion::none()
             };
-            if distortion.within(&self.budget) {
-                best = Some((s, distortion));
-            } else {
+            if !distortion.within(&self.budget) {
                 // Scales only get more aggressive from here; the last
                 // admissible one is final.
+                break;
+            }
+            best = Some((s, distortion));
+            if center <= MIN_SCALE {
+                // Every lower candidate clamps to this same scale.
                 break;
             }
         }
@@ -119,6 +150,7 @@ impl Transform for BacklightScaling {
 mod tests {
     use super::*;
     use crate::spec::Resolution;
+    use crate::stats::LUMA_BINS;
 
     fn spec() -> DisplaySpec {
         DisplaySpec::lcd_phone(Resolution::FHD)

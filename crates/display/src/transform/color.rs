@@ -11,10 +11,39 @@
 //! max Σ_i w_i·g_i·(1 − (1 − d_i)^γ)   s.t.  Σ d_i² = 3D²
 //! ```
 //!
-//! namely `d_i ∝ w_i·g_i·(1 − d_i)^(γ−1)`, which this module solves by
-//! bisection on the proportionality constant with an inner fixed-point
-//! loop. Because blue subpixels weigh twice green, blue is attenuated
-//! hardest — the hallmark of the published transforms.
+//! namely `d_i = min(cap, k·v_i·(1 − d_i)^(γ−1))` with `v_i = w_i·g_i`
+//! and one multiplier `k` shared by the channels. Because blue
+//! subpixels weigh twice green, blue is attenuated hardest — the
+//! hallmark of the published transforms.
+//!
+//! # The solve: Newton inside Newton
+//!
+//! Both unknowns are roots of one-dimensional monotone functions, so
+//! neither is searched for.
+//!
+//! * **Per channel, given `k`.** The residual
+//!   `d − k·v·(1 − d)^(γ−1)` is increasing and concave on `[0, 1)`, so
+//!   Newton's tangent never undershoots it: from any start the first
+//!   step lands at or left of the root and the rest climb to it
+//!   monotonically, one `powf` each (`(1 − d)^(γ−2)` serves both the
+//!   residual and its slope). The channel sits at the cap exactly when
+//!   the residual at the cap is still non-positive, i.e. when `k` has
+//!   reached `cap / (v·(1 − cap)^(γ−1))` — a threshold computed once.
+//! * **The multiplier.** `Σ d_i(k)²` is nondecreasing in `k` with the
+//!   analytic slope `Σ 2·d_i² / (k·r_i′)` over the uncapped channels
+//!   (`r_i′` the residual's slope at the root), so `k` is a Newton
+//!   iteration too, kept inside a bracket whose lower end always
+//!   satisfies the budget. It starts from the small-`d` limit
+//!   `k₀ = √(3D² / Σ v_i²)`, which lies below the root, aims each step
+//!   a quarter of the tolerance *short* of the root, bisects whenever a
+//!   step would leave the bracket, and stops at the first evaluation
+//!   that is under budget with the root — by Newton's own estimate —
+//!   within `TOLERANCE` (relative, in `k`) above it. What it returns
+//!   is always the bracket's **under-budget** end: `Σ d_i² ≤ 3D²` holds
+//!   exactly, with about `1e-12` of the budget unspent.
+//!
+//! A typical chunk takes four or five evaluations of `Σ d²`, each two
+//! or three warm-started steps per channel: about thirty `powf`.
 
 use crate::oled::CHANNEL_WEIGHTS;
 use crate::quality::{Distortion, QualityBudget};
@@ -26,6 +55,44 @@ use serde::{Deserialize, Serialize};
 /// Largest per-channel attenuation considered, to keep hue shifts in
 /// the regime the perceptual studies validated.
 const MAX_ATTENUATION: f64 = 0.45;
+
+/// The solve's one tolerance. Both Newton iterations stop once their
+/// root is within this *relative* distance — so the multiplier `k`, and
+/// with it the spent budget, is within `1e-12` of the KKT point — and a
+/// marginal value or an attenuation at or below it counts as zero.
+const TOLERANCE: f64 = 1e-12;
+
+/// Bound on the steps of either Newton loop. Convergence is quadratic
+/// (a cold channel solve takes about four steps, the multiplier about
+/// five); the bound only guarantees termination, and hitting it still
+/// returns an allocation inside the budget.
+const MAX_STEPS: usize = 64;
+
+/// Root of `d = kv·(1 − d)^(γ−1)` on `[0, 1)` by Newton from `start`,
+/// with the residual's slope there.
+///
+/// Newton's error after a step is at most `|r″/2r′|·step²`, and below
+/// the cap `|r″/2r′| < 0.18`: a step whose *square* is within tolerance
+/// leaves the root within it, so the loop stops there without taking
+/// the confirming step.
+fn channel_attenuation(kv: f64, start: f64) -> (f64, f64) {
+    let mut d = start;
+    let mut slope = 1.0;
+    for _ in 0..MAX_STEPS {
+        let t = (1.0 - d).powf(GAMMA - 2.0);
+        slope = 1.0 + (GAMMA - 1.0) * kv * t;
+        let step = (kv * (1.0 - d) * t - d) / slope;
+        d += step;
+        if step * step <= TOLERANCE * d {
+            break;
+        }
+    }
+    (d, slope)
+}
+
+fn sum_sq(d: &[f64; 3]) -> f64 {
+    d.iter().map(|x| x * x).sum()
+}
 
 /// Hue-aware channel attenuation for OLED panels.
 ///
@@ -60,71 +127,73 @@ impl ColorTransform {
     }
 
     /// Solves the constrained allocation: returns per-channel
-    /// attenuations `d` with `√(Σ d_i²/3)` equal to the budget (or
-    /// less, when the attenuation cap binds first).
-    fn allocate(&self, frame: &FrameStats) -> [f64; 3] {
+    /// attenuations `d` with `Σ d_i² ≤ 3D²` — within the solve's
+    /// tolerance of equality, or less when the attenuation cap binds
+    /// first. All zeros for a black frame or a zero budget.
+    pub fn allocate(&self, frame: &FrameStats) -> [f64; 3] {
         let g = frame.linear_mean();
         let shift_budget = self.budget.max_color_shift;
         if shift_budget <= 0.0 {
             return [0.0; 3];
         }
-        // Marginal value of attenuating channel i at d = 0.
-        let value = [
-            CHANNEL_WEIGHTS[0] * g[0],
-            CHANNEL_WEIGHTS[1] * g[1],
-            CHANNEL_WEIGHTS[2] * g[2],
-        ];
-        if value.iter().all(|&v| v <= 1e-12) {
+        // Marginal value of attenuating channel i at d = 0; a channel
+        // that emits nothing is never attenuated.
+        let value = [0, 1, 2].map(|i| {
+            let v = CHANNEL_WEIGHTS[i] * g[i];
+            if v > TOLERANCE { v } else { 0.0 }
+        });
+        if value == [0.0; 3] {
             return [0.0; 3]; // black frame: nothing to save
         }
         let target_ss = 3.0 * shift_budget * shift_budget;
 
-        // d_i(k) = min(cap, k · v_i · (1 − d_i)^(γ−1)), solved by an
-        // inner fixed point; bisection on k matches Σ d² to the budget.
-        // The fixed point contracts geometrically (d ≤ 0.45), so a
-        // handful of sweeps with an early exit suffices — this runs for
-        // every chunk of every transformed stream, so the iteration
-        // budget is deliberately tight.
-        let d_for = |k: f64| -> [f64; 3] {
-            let mut d = [0.0f64; 3];
-            for _ in 0..10 {
-                let mut moved = 0.0f64;
-                for i in 0..3 {
-                    let next = (k * value[i] * (1.0 - d[i]).max(0.0).powf(GAMMA - 1.0))
-                        .min(MAX_ATTENUATION);
-                    moved = moved.max((next - d[i]).abs());
-                    d[i] = next;
+        // Multiplier at which each channel reaches the cap (infinite
+        // for a dead channel). At the largest finite one every live
+        // channel is capped: if even that fits, the cap binds first.
+        let cap_gain = (1.0 - MAX_ATTENUATION).powf(GAMMA - 1.0);
+        let k_cap = value.map(|v| MAX_ATTENUATION / (v * cap_gain));
+        let saturated = value.map(|v| if v > 0.0 { MAX_ATTENUATION } else { 0.0 });
+        if sum_sq(&saturated) <= target_ss {
+            return saturated;
+        }
+
+        // Invariant: Σ d(lo)² ≤ target < Σ d(hi)², `under` = d(lo).
+        let mut lo = 0.0;
+        let mut under = [0.0; 3];
+        let mut hi = k_cap.iter().copied().filter(|k| k.is_finite()).fold(0.0, f64::max);
+        let mut d = [0.0; 3];
+        let mut k = (target_ss / sum_sq(&value)).sqrt();
+        for _ in 0..MAX_STEPS {
+            let mut slope = 0.0;
+            for i in 0..3 {
+                if k >= k_cap[i] {
+                    d[i] = MAX_ATTENUATION;
+                } else {
+                    let (root, residual_slope) = channel_attenuation(k * value[i], d[i]);
+                    d[i] = root.min(MAX_ATTENUATION);
+                    slope += 2.0 * root * root / (k * residual_slope);
                 }
-                if moved < 1e-9 {
+            }
+            let ss = sum_sq(&d);
+            // Newton's estimate of the distance to the root.
+            let step = (target_ss - ss) / slope;
+            if ss <= target_ss {
+                (lo, under) = (k, d);
+                if step <= TOLERANCE * k {
                     break;
                 }
-            }
-            d
-        };
-        let ss = |d: &[f64; 3]| d.iter().map(|x| x * x).sum::<f64>();
-
-        let mut lo = 0.0;
-        let mut hi = 1.0;
-        // Grow hi until the cap saturates or the budget is exceeded.
-        while ss(&d_for(hi)) < target_ss && hi < 1e6 {
-            let capped = d_for(hi).iter().all(|&x| x >= MAX_ATTENUATION - 1e-12);
-            if capped {
-                return d_for(hi);
-            }
-            hi *= 2.0;
-        }
-        for _ in 0..28 {
-            let mid = 0.5 * (lo + hi);
-            if ss(&d_for(mid)) < target_ss {
-                lo = mid;
             } else {
-                hi = mid;
+                hi = k;
             }
-            if hi - lo < 1e-6 * hi.max(1.0) {
+            if hi - lo <= TOLERANCE * hi {
                 break;
             }
+            // Aim just short of the root: once Newton has converged the
+            // next evaluation is under budget, within tolerance, and last.
+            let next = (k + step) * (1.0 - 0.25 * TOLERANCE);
+            k = if lo < next && next < hi { next } else { 0.5 * (lo + hi) };
         }
-        d_for(lo)
+        under
     }
 }
 
@@ -139,11 +208,11 @@ impl Transform for ColorTransform {
 
     fn apply(&self, frame: &FrameStats, _spec: &DisplaySpec) -> TransformOutcome {
         let d = self.allocate(frame);
-        if d.iter().all(|&x| x <= 1e-12) {
+        if d.iter().all(|&x| x <= TOLERANCE) {
             return TransformOutcome::identity(frame);
         }
         let factors = [1.0 - d[0], 1.0 - d[1], 1.0 - d[2]];
-        let rms = (d.iter().map(|x| x * x).sum::<f64>() / 3.0).sqrt();
+        let rms = (sum_sq(&d) / 3.0).sqrt();
         TransformOutcome {
             stats: frame.scale_channels(factors),
             brightness_scale: 1.0,

@@ -33,6 +33,7 @@ use lpvs_display::quality::QualityBudget;
 use lpvs_display::stats::FrameStats;
 use lpvs_edge::cache::PrefetchPolicy;
 use lpvs_edge::cluster::{ClusterGenerator, VirtualCluster};
+use lpvs_edge::device::Device;
 use lpvs_edge::fleet::{FleetConfig, FleetScheduler, Partitioner};
 use lpvs_edge::server::EdgeServer;
 use lpvs_edge::slot::SlotBudget;
@@ -338,7 +339,7 @@ impl Emulator {
                 // holds at the *scheduling point* (K_m, eq. 1); the
                 // remainder arrives during the slot, so playback still
                 // covers the full window.
-                let decision_windows: Vec<Vec<FrameStats>> = watching
+                let decision_windows: Vec<&[FrameStats]> = watching
                     .iter()
                     .zip(&windows)
                     .map(|(&i, w)| {
@@ -348,13 +349,11 @@ impl Emulator {
                             .available_chunks(w.len(), 0, self.channel_viewers[i])
                             .max(1)
                             .min(w.len());
-                        w[..k].to_vec()
+                        &w[..k]
                     })
                     .collect();
-                let devices: Vec<_> = watching
-                    .iter()
-                    .map(|&i| self.cluster.devices()[i].clone())
-                    .collect();
+                let devices: Vec<&Device> =
+                    watching.iter().map(|&i| &self.cluster.devices()[i]).collect();
                 let mut gammas: Vec<f64> = match self.config.gamma_mode {
                     GammaMode::Learned => {
                         watching.iter().map(|&i| self.estimators[i].expected()).collect()
@@ -594,16 +593,7 @@ impl Emulator {
         let mut transformed = 0.0;
         let encoder = self.encoder_for(dev_idx);
         for stats in window {
-            let encoded = encoder.encode_chunk(
-                &lpvs_media::chunk::Chunk::new(
-                    lpvs_media::chunk::ChunkId(0),
-                    self.config.chunk_secs,
-                    stats.clone(),
-                    self.bitrate_kbps,
-                ),
-                &spec,
-            );
-            let scale = 1.0 - encoded.reduction_ratio;
+            let scale = 1.0 - encoder.reduction_ratio(stats, &spec);
             orig += device.power_rate_watts(stats, 1.0);
             transformed += device.power_rate_watts(stats, scale);
         }
@@ -659,16 +649,7 @@ impl Emulator {
         for stats in window {
             let scale = if transform {
                 let encoder = if saver { &self.saver_encoder } else { &self.encoder };
-                let encoded = encoder.encode_chunk(
-                    &lpvs_media::chunk::Chunk::new(
-                        lpvs_media::chunk::ChunkId(0),
-                        self.config.chunk_secs,
-                        stats.clone(),
-                        self.bitrate_kbps,
-                    ),
-                    &spec,
-                );
-                1.0 - encoded.reduction_ratio
+                1.0 - encoder.reduction_ratio(stats, &spec)
             } else {
                 1.0
             };

@@ -12,11 +12,14 @@ use lpvs_display::stats::FrameStats;
 use lpvs_edge::device::Device;
 use lpvs_media::cost::{storage_gb, transform_compute_units};
 use lpvs_survey::curve::AnxietyCurve;
+use std::borrow::Borrow;
 
 /// Builds the slot problem for one scheduling point.
 ///
 /// `chunk_windows[n]` holds the frame statistics of the chunks device
-/// `n` will play this slot (all of equal `chunk_secs` duration);
+/// `n` will play this slot (all of equal `chunk_secs` duration) — owned
+/// windows or borrowed prefixes of them, as devices may be owned or
+/// borrowed from the cluster;
 /// `gammas[n]` is the current truncated-posterior estimate of device
 /// `n`'s *whole-device* power-reduction ratio.
 ///
@@ -24,9 +27,9 @@ use lpvs_survey::curve::AnxietyCurve;
 ///
 /// Panics if the slices disagree in length or a window is empty.
 #[allow(clippy::too_many_arguments)] // mirrors the §VI-B.1 report fields
-pub fn gather_problem(
-    devices: &[Device],
-    chunk_windows: &[Vec<FrameStats>],
+pub fn gather_problem<D: Borrow<Device>, W: AsRef<[FrameStats]>>(
+    devices: &[D],
+    chunk_windows: &[W],
     gammas: &[f64],
     chunk_secs: f64,
     bitrate_kbps: f64,
@@ -41,6 +44,7 @@ pub fn gather_problem(
     let mut problem =
         SlotProblem::new(compute_capacity, storage_capacity_gb, lambda, curve.clone());
     for ((device, window), &gamma) in devices.iter().zip(chunk_windows).zip(gammas) {
+        let (device, window) = (device.borrow(), window.as_ref());
         assert!(!window.is_empty(), "chunk window must be non-empty");
         let rates: Vec<f64> = window
             .iter()

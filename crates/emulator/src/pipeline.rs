@@ -30,6 +30,7 @@ use lpvs_bayes::GAMMA_PRIOR_MEAN;
 use lpvs_core::baseline::Policy;
 use lpvs_core::scheduler::{Degradation, LpvsScheduler};
 use lpvs_display::stats::FrameStats;
+use lpvs_edge::device::Device;
 use lpvs_edge::fleet::{FleetConfig, Partitioner};
 use lpvs_runtime::checkpoint::CheckpointConfig;
 use lpvs_runtime::pipeline::{RuntimeConfig, RuntimeReport, SlotRuntime, StageFaults};
@@ -240,7 +241,7 @@ impl SlotSource for EmulatorDriver {
         // The prefetch policy bounds how many chunks the edge holds at
         // the scheduling point (K_m, eq. 1); playback still covers the
         // full window.
-        let decision_windows: Vec<Vec<FrameStats>> = scratch
+        let decision_windows: Vec<&[FrameStats]> = scratch
             .watching
             .iter()
             .zip(&scratch.windows)
@@ -252,11 +253,11 @@ impl SlotSource for EmulatorDriver {
                     .available_chunks(w.len(), 0, self.emu.channel_viewers[i])
                     .max(1)
                     .min(w.len());
-                w[..k].to_vec()
+                &w[..k]
             })
             .collect();
-        let devices: Vec<_> =
-            scratch.watching.iter().map(|&i| self.emu.cluster.devices()[i].clone()).collect();
+        let devices: Vec<&Device> =
+            scratch.watching.iter().map(|&i| &self.emu.cluster.devices()[i]).collect();
         let mut gammas: Vec<f64> = match self.emu.config.gamma_mode {
             GammaMode::Learned => posteriors.iter().map(|&(mean, _)| mean).collect(),
             GammaMode::Fixed(g) => vec![g; scratch.watching.len()],

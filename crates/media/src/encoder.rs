@@ -11,6 +11,7 @@ use crate::chunk::Chunk;
 use crate::video::Video;
 use lpvs_display::quality::QualityBudget;
 use lpvs_display::spec::{DisplayKind, DisplaySpec};
+use lpvs_display::stats::FrameStats;
 use lpvs_display::transform::{
     BacklightScaling, ColorTransform, SubpixelShutoff, Transform, TransformOutcome,
 };
@@ -110,18 +111,31 @@ impl TransformEncoder {
         &self.budget
     }
 
-    /// Transforms one chunk for the target display: backlight scaling
-    /// for LCD; color transform chained with subpixel shutoff for OLED
-    /// (the Crayon-style combination of Table I row \[17\]).
-    pub fn encode_chunk(&self, chunk: &Chunk, spec: &DisplaySpec) -> EncodedChunk {
-        let outcome = match spec.kind {
-            DisplayKind::Lcd => BacklightScaling::new(self.budget).apply(&chunk.stats, spec),
+    /// The display-appropriate transform of one chunk's content:
+    /// backlight scaling for LCD; color transform chained with subpixel
+    /// shutoff for OLED (the Crayon-style combination of Table I row
+    /// \[17\]).
+    fn transform(&self, stats: &FrameStats, spec: &DisplaySpec) -> TransformOutcome {
+        match spec.kind {
+            DisplayKind::Lcd => BacklightScaling::new(self.budget).apply(stats, spec),
             DisplayKind::Oled => {
-                let color = ColorTransform::new(self.budget).apply(&chunk.stats, spec);
+                let color = ColorTransform::new(self.budget).apply(stats, spec);
                 let shutoff = SubpixelShutoff::new(self.budget).apply(&color.stats, spec);
                 color.then(shutoff)
             }
-        };
+        }
+    }
+
+    /// Realized power-reduction ratio γ of content `stats` transformed
+    /// for the target display — [`encode_chunk`](Self::encode_chunk)'s
+    /// `reduction_ratio`, for callers that need no [`EncodedChunk`].
+    pub fn reduction_ratio(&self, stats: &FrameStats, spec: &DisplaySpec) -> f64 {
+        self.transform(stats, spec).reduction_ratio(stats, spec)
+    }
+
+    /// Transforms one chunk for the target display.
+    pub fn encode_chunk(&self, chunk: &Chunk, spec: &DisplaySpec) -> EncodedChunk {
+        let outcome = self.transform(&chunk.stats, spec);
         let reduction_ratio = outcome.reduction_ratio(&chunk.stats, spec);
         EncodedChunk { original: chunk.clone(), outcome, reduction_ratio }
     }
