@@ -291,6 +291,7 @@ impl DeviceFleet {
     /// indices stay aligned with the problem while the row can never be
     /// selected; every other row is stored bit-exactly, connected.
     pub fn rebuild_from_problem(&mut self, problem: &SlotProblem) {
+        let _span = lpvs_obs::span!("sched.sanitize");
         self.clear();
         let inert = DeviceRequest::inert();
         for request in &problem.requests {
@@ -864,10 +865,7 @@ pub(crate) fn with_problem_view<R>(
     ROW_STAGE.with(|stage| {
         let mut stage = stage.borrow_mut();
         let (fleet, identity) = &mut *stage;
-        {
-            let _span = lpvs_obs::span!("sched.sanitize");
-            fleet.rebuild_from_problem(problem);
-        }
+        fleet.rebuild_from_problem(problem);
         identity.extend(identity.len()..fleet.len());
         f(fleet.slot_view(
             &identity[..fleet.len()],
@@ -964,9 +962,9 @@ mod tests {
         f.rebuild_from_problem(&p);
         assert_eq!(f, DeviceFleet::from_problem(&p));
         assert_eq!(f.len(), 4);
-        for i in 0..4 {
-            assert_eq!(f.device_request(i), clean.requests[i], "row {i}");
-            assert_eq!(f.connected(i), valid[i], "row {i}");
+        for (i, (request, &ok)) in clean.requests.iter().zip(&valid).enumerate() {
+            assert_eq!(&f.device_request(i), request, "row {i}");
+            assert_eq!(f.connected(i), ok, "row {i}");
         }
     }
 

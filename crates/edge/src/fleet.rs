@@ -14,9 +14,10 @@
 //!    list plus its own server's capacities) and runs the full
 //!    resilient pipeline
 //!    ([`LpvsScheduler::schedule_view`](lpvs_core::scheduler::LpvsScheduler::schedule_view))
-//!    on its own scoped thread. Shards never share mutable state;
-//!    results are joined in shard order, so the outcome is
-//!    deterministic regardless of thread interleaving.
+//!    — shard 0 on the calling thread, the others on scoped threads of
+//!    their own. Shards never share mutable state; results are joined
+//!    in shard order, so the outcome is deterministic regardless of
+//!    thread interleaving.
 //! 3. **Rebalance** — a bounded cross-shard pass migrates marginal
 //!    low-battery viewers from saturated shards to shards with spare
 //!    capacity, reusing Phase-2's pure-addition criterion (the
@@ -35,6 +36,7 @@ use lpvs_core::scheduler::{Degradation, LpvsScheduler, Schedule, ScheduleStats, 
 use lpvs_core::Phase2Stats;
 use lpvs_survey::curve::AnxietyCurve;
 use serde::{Deserialize, Serialize};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 /// Rows per eq.-13 kernel call in the fleet-wide accounting: a
@@ -217,11 +219,13 @@ impl FleetScheduler {
 
     /// Schedules the fleet against explicit per-shard servers.
     ///
-    /// Each shard runs the full resilient pipeline on its own scoped
-    /// thread; the per-slot `budget` applies to every shard
-    /// independently (shards run concurrently, so the slot deadline is
-    /// a per-shard wall-clock bound). A `previous` selection in global
-    /// fleet order warm-starts each shard with its own slice.
+    /// Each shard runs the full resilient pipeline — shard 0 on the
+    /// calling thread, every other shard on its own scoped thread, so
+    /// one shard costs no thread at all. The per-slot `budget` applies
+    /// to every shard independently (shards run concurrently, so the
+    /// slot deadline is a per-shard wall-clock bound). A `previous`
+    /// selection in global fleet order warm-starts each shard with its
+    /// own slice.
     ///
     /// # Panics
     ///
@@ -257,34 +261,33 @@ impl FleetScheduler {
             .map(|indices| previous.map(|p| indices.iter().map(|&i| p[i]).collect()))
             .collect();
 
-        // One scoped thread per shard, each solving a view of the one
-        // fleet; join handles in shard order make the gather
-        // deterministic without any shared mutable state.
+        // Shard 0 on the calling thread — which would otherwise only
+        // block in `join` — and one scoped thread for each of the
+        // others, all through the same closure over views of the one
+        // fleet; results in shard order make the gather deterministic
+        // without any shared mutable state. A panicking shard is `None`
+        // (passthrough) wherever it ran: `catch_unwind(..).ok()` is
+        // `join().ok()` for the caller's own shard.
         let scheduler = LpvsScheduler::new(self.config.scheduler);
+        let solve = |s: usize| {
+            let _span = lpvs_obs::span_in!(
+                slot_ctx, "fleet.shard", "shard" => s, "devices" => shards[s].len()
+            );
+            let view = fleet.slot_view(
+                &shards[s],
+                servers[s].compute_capacity(),
+                servers[s].storage_capacity_gb(),
+                lambda,
+                curve,
+            );
+            scheduler.schedule_view(view, warm[s].as_deref(), budget)
+        };
         let results: Vec<Option<Schedule>> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .iter()
-                .zip(servers)
-                .zip(&warm)
-                .enumerate()
-                .map(|(s, ((indices, server), warm))| {
-                    let scheduler = &scheduler;
-                    scope.spawn(move |_| {
-                        let _span = lpvs_obs::span_in!(
-                            slot_ctx, "fleet.shard", "shard" => s, "devices" => indices.len()
-                        );
-                        let view = fleet.slot_view(
-                            indices,
-                            server.compute_capacity(),
-                            server.storage_capacity_gb(),
-                            lambda,
-                            curve,
-                        );
-                        scheduler.schedule_view(view, warm.as_deref(), budget)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().ok()).collect()
+            let solve = &solve;
+            let handles: Vec<_> =
+                (1..shards.len()).map(|s| scope.spawn(move |_| solve(s))).collect();
+            let first = catch_unwind(AssertUnwindSafe(|| solve(0))).ok();
+            std::iter::once(first).chain(handles.into_iter().map(|h| h.join().ok())).collect()
         })
         .unwrap_or_default();
 

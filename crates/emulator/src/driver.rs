@@ -1,100 +1,52 @@
-//! The pipelined slot loop: the [`Emulator`] driven through the staged
-//! [`lpvs_runtime`] pipeline instead of its own sequential loop.
+//! The emulator's slot stages — the one implementation of Fig. 6's
+//! gather → schedule → transform/play loop.
 //!
-//! [`EmulatorDriver`] implements [`SlotSource`]/[`SlotSink`] by
-//! replaying the sequential engine's slot semantics stage by stage:
+//! [`EmulatorDriver`] implements the runtime's
+//! [`SlotSource`]/[`SlotSink`] traits over an [`Emulator`];
+//! [`Emulator::run`] only picks which of the runtime's two executors
+//! calls them. Per slot `t`:
 //!
 //! * `begin_slot(t)` — fault preamble (reconnects, disconnects, one
 //!   staleness forget per disconnected device) and content-window
-//!   synthesis, all of which overlaps the in-flight solve of `t − 1`;
-//! * `gather(t)` — γ assembly (posteriors answered by the shard-local
-//!   banks), telemetry corruption, brownout derating, and the
-//!   sanitize-and-columnarize step shared with the sequential sharded
-//!   path ([`sanitized_fleet`]), refilling the recycled fleet buffer;
+//!   synthesis; under the staged executor all of it overlaps the
+//!   in-flight solve of `t − 1`;
+//! * `gather(t)` — K_m prefetch windows, γ assembly (posteriors
+//!   answered by the executor's banks), telemetry corruption, brownout
+//!   derating, and the slot problem. An LPVS policy loads it into the
+//!   recycled fleet buffer and hands it to the executor; a baseline
+//!   policy decides here, stages its own selection and reports an idle
+//!   slot, so no executor ever solves for it;
 //! * `solved(s)` — stages the joined decision by device id and records
 //!   the slot's degradation tier (patching the already-pushed record
-//!   when the solve lands one slot late, as pipelined solves do);
-//! * `apply(t)` — consumes staged decisions with slot `< t` (the
-//!   one-slot-ahead rule, identical in pipelined and fallback modes),
-//!   plays every watching device, and accounts the slot.
+//!   when the solve lands one slot late, as staged solves do);
+//! * `apply(t)` — brings staged decisions into force, plays every
+//!   watching device, and accounts the slot.
 //!
-//! Because pipelining *is* one-slot-ahead scheduling, a pipelined run
-//! is bit-identical to a sequential `one_slot_ahead` run — same
-//! [`SlotRecord`]s, same final γ posteriors (`tests/runtime.rs`).
+//! Immediate and one-slot-ahead scheduling (paper §VI-B.2) differ by
+//! one number, the decision **lag**: `apply(t)` consumes stagings with
+//! `slot + lag ≤ t`. Lag 1 is one-slot-ahead, and the only lag the
+//! staged executor can serve (its `solved(t)` arrives during `t + 1`);
+//! lag 0 applies a decision in the slot it was gathered for, which the
+//! inline executor permits because it delivers `solved(t)` before
+//! `apply(t)`. Either executor at lag 1 produces the same
+//! [`SlotRecord`]s and the same final γ posteriors, bit for bit
+//! (`tests/runtime.rs`, `tests/emulator_loop.rs`).
 
 use crate::engine::{slot_budget, slots_delta, Emulator, GammaMode};
 use crate::faults::{FaultPlan, GammaCorruption, SlotFaults};
-use crate::gather::{gather_problem, sanitized_fleet};
+use crate::gather::gather_problem;
 use crate::metrics::{EmulationReport, SlotRecord};
 use lpvs_bayes::GAMMA_PRIOR_MEAN;
-use lpvs_core::baseline::Policy;
-use lpvs_core::scheduler::{Degradation, LpvsScheduler};
+use lpvs_core::baseline::SelectionPolicy;
+use lpvs_core::fleet::DeviceFleet;
+use lpvs_core::scheduler::Degradation;
 use lpvs_display::stats::FrameStats;
 use lpvs_edge::device::Device;
-use lpvs_edge::fleet::{FleetConfig, Partitioner};
-use lpvs_runtime::checkpoint::CheckpointConfig;
-use lpvs_runtime::pipeline::{RuntimeConfig, RuntimeReport, SlotRuntime, StageFaults};
+use lpvs_runtime::pipeline::RuntimeReport;
 use lpvs_runtime::{
     BankOps, GatheredSlot, SlotFeedback, SlotReplay, SlotSink, SlotSource, SolvedSlot,
 };
-
-/// Domain-separation salt for the checkpoint-corruption RNG, so it
-/// never correlates with the stage-fault decisions even under the same
-/// user-facing seed.
-const CORRUPTION_SEED_SALT: u64 = 0xC0DE_C0DE_5EED_D15C;
-
-/// Runs an emulator through the staged pipeline. The γ estimators move
-/// out of the emulator into shard-local banks for the duration of the
-/// run; the merged bank comes back in the report's `gamma_posteriors`.
-pub(crate) fn run_pipelined(mut emu: Emulator) -> EmulationReport {
-    let scheduler = match emu.policy {
-        Policy::Lpvs => LpvsScheduler::paper_default(),
-        Policy::LpvsPhase1Only => LpvsScheduler::phase1_only(),
-        other => unreachable!("pipelined run routed a baseline policy {other:?}"),
-    };
-    let estimators = std::mem::take(&mut emu.estimators);
-    let stage_faults = (emu.config.faults.stage_fault_rate > 0.0).then_some(StageFaults {
-        rate: emu.config.faults.stage_fault_rate,
-        seed: emu.config.faults.seed,
-        repeat: emu.config.faults.stage_fault_repeat,
-    });
-    let spec = emu.checkpoints.take();
-    let checkpoints = spec.as_ref().map(|s| CheckpointConfig {
-        dir: s.dir.clone(),
-        interval: s.interval,
-        generations: s.generations,
-        corruption: (emu.config.faults.checkpoint_corrupt_rate > 0.0).then_some((
-            emu.config.faults.checkpoint_corrupt_rate,
-            emu.config.faults.seed ^ CORRUPTION_SEED_SALT,
-        )),
-    });
-    let halt_after_slot = spec.as_ref().and_then(|s| s.halt_after);
-    let resume = spec.as_ref().is_some_and(|s| s.resume);
-    let runtime = SlotRuntime::new(RuntimeConfig {
-        // Mirror the sequential sharded path's fleet setup exactly, so
-        // the two modes solve identical shard problems.
-        fleet: FleetConfig {
-            num_shards: emu.config.num_edges,
-            partitioner: Partitioner::Locality,
-            scheduler: *scheduler.config(),
-            ..FleetConfig::default()
-        },
-        stage_faults,
-        checkpoints,
-        halt_after_slot,
-        ..RuntimeConfig::default()
-    });
-    let mut driver = EmulatorDriver::new(emu);
-    let report = if resume {
-        // Banks come back from the manifest's snapshot generations; the
-        // fresh estimators (same prior state the original run split)
-        // are superseded and dropped.
-        runtime.resume(&mut driver).expect("resume requires a valid run manifest")
-    } else {
-        runtime.run(&mut driver, estimators)
-    };
-    driver.finish(report)
-}
+use std::time::{Duration, Instant};
 
 /// Per-slot state carried from `begin_slot` to `gather` and `apply`.
 struct Scratch {
@@ -112,17 +64,18 @@ pub(crate) struct EmulatorDriver {
     plan: FaultPlan,
     n: usize,
     horizon: usize,
+    /// Slots between gathering a decision and applying it (0 or 1).
+    lag: usize,
     scratch: Option<Scratch>,
     /// Fleet-order device ids of dispatched, not-yet-solved slots.
     dispatched: Vec<(usize, Vec<usize>)>,
-    /// Solved decisions (by device) awaiting their application slot.
+    /// Decisions (by device) awaiting their application slot.
     staged: Vec<(usize, Vec<bool>)>,
-    /// The decision currently in force — the sequential engine's
-    /// `pending` vector.
+    /// The decision currently in force.
     pending: Vec<bool>,
     /// Applied decisions of the previous slot (churn + warm starts).
     previous_by_device: Option<Vec<bool>>,
-    /// Degradation tier per slot, set when its solve is joined.
+    /// Degradation tier per slot, set when its decision is staged.
     tiers: Vec<Option<Degradation>>,
     slots: Vec<SlotRecord>,
     initial_battery: Vec<f64>,
@@ -130,10 +83,13 @@ pub(crate) struct EmulatorDriver {
     total_display: f64,
     total_counterfactual: f64,
     total_energy: f64,
+    /// Wall clock spent in baseline `select` calls — the scheduler
+    /// time of a run whose decisions never reach an executor.
+    select_runtime: Duration,
 }
 
 impl EmulatorDriver {
-    fn new(emu: Emulator) -> Self {
+    pub(crate) fn new(emu: Emulator, lag: usize) -> Self {
         let n = emu.config.devices;
         let horizon = emu.config.slots;
         let plan = FaultPlan::generate(&emu.config.faults, horizon, n);
@@ -144,6 +100,7 @@ impl EmulatorDriver {
             plan,
             n,
             horizon,
+            lag,
             scratch: None,
             dispatched: Vec::new(),
             staged: Vec::new(),
@@ -156,11 +113,14 @@ impl EmulatorDriver {
             total_display: 0.0,
             total_counterfactual: 0.0,
             total_energy: 0.0,
+            select_runtime: Duration::ZERO,
         }
     }
 
-    /// Assembles the final report once the runtime has drained.
-    fn finish(self, report: RuntimeReport) -> EmulationReport {
+    /// Assembles the final report once the executor has drained. Only
+    /// the staged executor's summary is worth reporting; an inline run
+    /// keeps `runtime: None`.
+    pub(crate) fn finish(self, report: RuntimeReport) -> EmulationReport {
         let devices = self.emu.cluster.devices();
         EmulationReport {
             display_energy_j: self.total_display,
@@ -176,12 +136,35 @@ impl EmulatorDriver {
                 .iter()
                 .map(|e| (e.expected(), e.uncertainty()))
                 .collect(),
-            scheduler_runtime: report.solve_runtime,
-            runtime: Some(report.summary),
+            scheduler_runtime: report.solve_runtime + self.select_runtime,
+            runtime: report.summary.pipelined.then_some(report.summary),
             obs: lpvs_obs::enabled()
                 .then(|| lpvs_obs::installed().map(|r| r.snapshot()))
                 .flatten(),
             slots: self.slots,
+        }
+    }
+
+    /// Stages a decision by device id — reset, then set the devices it
+    /// covers — and records the tier of the slot it was gathered at.
+    /// A staged solve joins one slot late, after that slot's record
+    /// was pushed, so the record is patched; at lag 0, and for every
+    /// inline solve, `apply` reads the tier instead.
+    fn stage(
+        &mut self,
+        slot: usize,
+        device_ids: &[usize],
+        selected: &[bool],
+        tier: Option<Degradation>,
+    ) {
+        let mut by_device = vec![false; self.n];
+        for (&d, &x) in device_ids.iter().zip(selected) {
+            by_device[d] = x;
+        }
+        self.staged.push((slot, by_device));
+        self.tiers[slot] = tier;
+        if let Some(record) = self.slots.get_mut(slot) {
+            record.degradation = tier;
         }
     }
 }
@@ -227,7 +210,7 @@ impl SlotSource for EmulatorDriver {
         &mut self,
         slot: usize,
         posteriors: &[(f64, f64)],
-        recycled: Option<lpvs_core::fleet::DeviceFleet>,
+        recycled: Option<DeviceFleet>,
     ) -> Option<GatheredSlot> {
         let scratch = self.scratch.take().expect("gather follows begin_slot");
         debug_assert_eq!(scratch.slot, slot, "gather out of step with begin_slot");
@@ -239,8 +222,8 @@ impl SlotSource for EmulatorDriver {
             return None;
         }
         // The prefetch policy bounds how many chunks the edge holds at
-        // the scheduling point (K_m, eq. 1); playback still covers the
-        // full window.
+        // the scheduling point (K_m, eq. 1); the remainder arrives
+        // during the slot, so playback still covers the full window.
         let decision_windows: Vec<&[FrameStats]> = scratch
             .watching
             .iter()
@@ -282,56 +265,62 @@ impl SlotSource for EmulatorDriver {
         }
         // A brownout derates the capacities the scheduler sees; the
         // physical server is unchanged.
-        let (compute, storage) = match scratch.faults.brownout_factor {
-            Some(f) => {
-                let derated = self.emu.cluster.server().browned_out(f);
-                derated.publish_gauges();
-                (derated.compute_capacity(), derated.storage_capacity_gb())
-            }
+        let server = match scratch.faults.brownout_factor {
+            Some(f) => self.emu.cluster.server().browned_out(f),
             None => {
                 lpvs_obs::gauge_set("edge_brownout_factor", 1.0);
-                self.emu.cluster.server().publish_gauges();
-                (
-                    self.emu.cluster.server().compute_capacity(),
-                    self.emu.cluster.server().storage_capacity_gb(),
-                )
+                *self.emu.cluster.server()
             }
         };
+        server.publish_gauges();
         let problem = gather_problem(
             &devices,
             &decision_windows,
             &gammas,
             self.emu.config.chunk_secs,
             self.emu.bitrate_kbps,
-            compute,
-            storage,
+            server.compute_capacity(),
+            server.storage_capacity_gb(),
             self.emu.config.lambda,
             &self.emu.curve,
         );
-        let budget = slot_budget(&scratch.faults.budget_cut);
-        let warm: Option<Vec<bool>> = self
-            .previous_by_device
-            .as_ref()
-            .map(|prev| scratch.watching.iter().map(|&i| prev[i]).collect());
-        let (fleet, clean) = sanitized_fleet(&problem, recycled);
-        let gathered = GatheredSlot {
-            slot,
-            fleet,
-            device_ids: scratch.watching.clone(),
-            compute_capacity: clean.compute_capacity,
-            storage_capacity_gb: clean.storage_capacity_gb,
-            lambda: clean.lambda,
-            curve: clean.curve,
-            budget,
-            warm,
-            // The emulator rebuilds its fleet from the trace every
-            // slot, so it cannot attest to a change set — every shard
-            // solves cold, exactly as before deltas existed.
-            delta: None,
+        let gathered = if self.emu.scheduler().is_some() {
+            // The one rows→columns loader neutralises and disconnects
+            // rows with corrupt telemetry, and the shard views clamp
+            // capacities and λ, so the problem's own values travel.
+            let mut fleet = recycled.unwrap_or_default();
+            fleet.rebuild_from_problem(&problem);
+            self.dispatched.push((slot, scratch.watching.clone()));
+            Some(GatheredSlot {
+                slot,
+                fleet,
+                device_ids: scratch.watching.clone(),
+                compute_capacity: problem.compute_capacity,
+                storage_capacity_gb: problem.storage_capacity_gb,
+                lambda: problem.lambda,
+                curve: problem.curve,
+                budget: slot_budget(&scratch.faults.budget_cut),
+                warm: self
+                    .previous_by_device
+                    .as_ref()
+                    .map(|prev| scratch.watching.iter().map(|&i| prev[i]).collect()),
+                // The emulator rebuilds its fleet from the trace every
+                // slot, so it cannot attest to a change set — every
+                // shard solves cold, exactly as before deltas existed.
+                delta: None,
+            })
+        } else {
+            // Baselines keep their plain `select` path — no sanitizer,
+            // no ladder, no tier — so the decision is made here and the
+            // executor sees a slot with nothing to solve.
+            let started = Instant::now();
+            let selected = self.emu.policy.select(&problem);
+            self.select_runtime += started.elapsed();
+            self.stage(slot, &scratch.watching, &selected, None);
+            None
         };
-        self.dispatched.push((slot, scratch.watching.clone()));
         self.scratch = Some(scratch);
-        Some(gathered)
+        gathered
     }
 }
 
@@ -343,34 +332,21 @@ impl SlotSink for EmulatorDriver {
             .position(|(slot, _)| *slot == solved.slot)
             .expect("solved a slot that was never dispatched");
         let (_, ids) = self.dispatched.remove(pos);
-        // Stage the decision exactly as the sequential engine fills its
-        // `pending` vector: reset, then set the watching devices.
-        let mut by_device = vec![false; self.n];
-        for (j, &d) in ids.iter().enumerate() {
-            by_device[d] = solved.schedule.selected[j];
-        }
-        self.staged.push((solved.slot, by_device));
-        // The slot's record carries the tier of the solve *dispatched*
-        // at it. Pipelined solves join one slot late, after the record
-        // was pushed — patch it in; fallback solves join before.
-        self.tiers[solved.slot] = Some(solved.tier);
-        if let Some(record) = self.slots.get_mut(solved.slot) {
-            record.degradation = Some(solved.tier);
-        }
+        self.stage(solved.slot, &ids, &solved.schedule.selected, Some(solved.tier));
     }
 
     fn apply(&mut self, slot: usize) -> SlotFeedback {
         let scratch = self.scratch.take().expect("apply follows begin_slot");
         debug_assert_eq!(scratch.slot, slot, "apply out of step with begin_slot");
-        let _span = lpvs_obs::span!(
+        let mut span = lpvs_obs::span!(
             "emu.apply", "slot" => slot, "devices" => scratch.watching.len()
         );
-        // One-slot-ahead: decisions solved before this slot come into
-        // force now (the latest wins; earlier ones lapsed unapplied
-        // while nobody watched).
+        // Decisions at least `lag` slots old come into force now (the
+        // latest wins; earlier ones lapsed unapplied while nobody
+        // watched).
         let mut i = 0;
         while i < self.staged.len() {
-            if self.staged[i].0 < slot {
+            if self.staged[i].0 + self.lag <= slot {
                 self.pending = self.staged.remove(i).1;
             } else {
                 i += 1;
@@ -403,6 +379,7 @@ impl SlotSink for EmulatorDriver {
             flips as f64 / self.n as f64
         });
         self.previous_by_device = Some(current_by_device);
+        span.record("selected", selected_count as f64);
         let mean_anxiety = self
             .emu
             .cluster
@@ -438,18 +415,7 @@ impl SlotReplay for EmulatorDriver {
         selected: &[bool],
         tier: Degradation,
     ) {
-        // Mirrors `solved` minus the `dispatched` bookkeeping (replayed
-        // slots were never dispatched): stage the decision by device,
-        // record the tier, patch the already-pushed record.
-        let mut by_device = vec![false; self.n];
-        for (j, &d) in device_ids.iter().enumerate() {
-            by_device[d] = selected[j];
-        }
-        self.staged.push((slot, by_device));
-        self.tiers[slot] = Some(tier);
-        if let Some(record) = self.slots.get_mut(slot) {
-            record.degradation = Some(tier);
-        }
+        self.stage(slot, device_ids, selected, Some(tier));
     }
 
     fn replay_slot(&mut self, slot: usize) {

@@ -1,4 +1,6 @@
-//! The emulation engine: the slot loop of the paper's Fig. 6.
+//! The emulation engine: configuration, the cluster and content model,
+//! playback — and the choice of who runs the slot loop of the paper's
+//! Fig. 6.
 //!
 //! Each slot runs the three building blocks in order:
 //!
@@ -12,6 +14,16 @@
 //!    batteries, realized savings feed the Bayesian γ estimators, and
 //!    users abandon once their survey-derived give-up threshold is hit.
 //!
+//! Those stages are implemented once, by the crate's `EmulatorDriver`
+//! over the [`lpvs_runtime`] source/sink traits. [`Emulator::run`]
+//! holds no loop of its own: it translates the
+//! [`EmulatorConfig`] into a runtime configuration and hands the driver
+//! to one of the runtime's two executors — the inline
+//! [`SlotRuntime::run_sequential`] (every stage on the caller's thread,
+//! one global γ bank) or, for an LPVS policy with `pipelined` set, the
+//! staged [`SlotRuntime::run`] (gather ∥ solve ∥ apply over persistent
+//! shard workers).
+//!
 //! Determinism: everything derives from `EmulatorConfig::seed`, and the
 //! policy is *not* part of the seed, so paired runs (e.g. LPVS vs.
 //! `NoTransform`) see identical populations and content.
@@ -22,31 +34,29 @@
 //! Fig. 9 cohort), while comfortable users keep the conservative
 //! default.
 
-use crate::faults::{FaultConfig, FaultPlan, GammaCorruption};
-use crate::gather::gather_problem;
+use crate::driver::EmulatorDriver;
+use crate::faults::FaultConfig;
 use crate::metrics::{EmulationReport, SlotRecord};
-use lpvs_bayes::{GammaEstimator, GAMMA_PRIOR_MEAN};
-use lpvs_core::baseline::{Policy, SelectionPolicy};
-use lpvs_core::problem::SlotProblem;
-use lpvs_core::scheduler::{Degradation, LpvsScheduler};
+use lpvs_bayes::GammaEstimator;
+use lpvs_core::baseline::Policy;
+use lpvs_core::scheduler::{LpvsScheduler, SchedulerConfig};
 use lpvs_display::quality::QualityBudget;
 use lpvs_display::stats::FrameStats;
 use lpvs_edge::cache::PrefetchPolicy;
 use lpvs_edge::cluster::{ClusterGenerator, VirtualCluster};
-use lpvs_edge::device::Device;
-use lpvs_edge::fleet::{FleetConfig, FleetScheduler, Partitioner};
-use lpvs_edge::server::EdgeServer;
+use lpvs_edge::fleet::{FleetConfig, Partitioner};
 use lpvs_edge::slot::SlotBudget;
 use lpvs_media::content::{ContentModel, Genre};
 use lpvs_media::encoder::TransformEncoder;
 use lpvs_media::ladder::BitrateLadder;
+use lpvs_runtime::checkpoint::CheckpointConfig;
+use lpvs_runtime::pipeline::{RuntimeConfig, SlotRuntime, StageFaults};
 use lpvs_survey::curve::AnxietyCurve;
 use lpvs_survey::extraction::extract_curve;
 use lpvs_survey::generator::SurveyGenerator;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::time::{Duration, Instant};
 
 /// How the scheduler obtains its per-device power-reduction ratios —
 /// the knob of the `ablation_bayes` study (paper Remark 2 / §V-D).
@@ -92,7 +102,9 @@ pub struct EmulatorConfig {
     pub display_only_drain: bool,
     /// One-slot-ahead scheduling (paper §VI-B.2): the decision applied
     /// in slot `t` was computed from the state reported at the start of
-    /// slot `t − 1`. Off by default (decisions apply immediately).
+    /// slot `t − 1` — a decision lag of one slot instead of zero, for
+    /// LPVS and baseline policies alike. Off by default (decisions
+    /// apply in the slot they were gathered for).
     pub one_slot_ahead: bool,
     /// CDN→edge prefetch policy bounding each device's available chunk
     /// window `K_m` (paper eq. 1, Fig. 4).
@@ -101,20 +113,25 @@ pub struct EmulatorConfig {
     /// is salted independently of `seed`, so turning faults on does
     /// not reshuffle the population or the content trace.
     pub faults: FaultConfig,
-    /// Drive the slot loop through the staged `lpvs-runtime` pipeline —
-    /// gather(t+1) ∥ solve(t) ∥ apply(t−1) — instead of the sequential
-    /// loop. Pipelining *is* one-slot-ahead scheduling (the overlap is
-    /// where the decision lag comes from), so a pipelined run
-    /// reproduces a sequential `one_slot_ahead` run bit-for-bit.
-    /// Baseline policies ignore the flag: they bypass the resilient
-    /// scheduler entirely and keep the sequential loop.
+    /// Which of the runtime's executors drives the slot stages: the
+    /// staged one — gather(t+1) ∥ solve(t) ∥ apply(t−1) over persistent
+    /// shard workers with shard-local γ banks — instead of the inline
+    /// one. Pipelining *is* one-slot-ahead scheduling (the overlap is
+    /// where the decision lag comes from), so the flag implies
+    /// `one_slot_ahead` and a pipelined run reproduces the inline
+    /// `one_slot_ahead` run bit-for-bit. Baseline policies ignore the
+    /// flag: they decide while gathering, so there is no solve to
+    /// overlap.
     pub pipelined: bool,
-    /// Edge shards serving the cluster. With the default of 1 the
-    /// monolithic scheduling path runs unchanged; with N > 1 the slot
-    /// is scheduled by the [`FleetScheduler`] — the server's capacity
-    /// split evenly across N shards, each running the full resilient
-    /// pipeline in parallel, followed by the bounded cross-shard
-    /// rebalance.
+    /// Edge shards serving the cluster: every LPVS slot is scheduled
+    /// through the sharded fleet path
+    /// ([`FleetScheduler`](lpvs_edge::fleet::FleetScheduler) inline,
+    /// the shard workers when pipelined) — the server's capacity split
+    /// evenly across N shards, each running the full resilient ladder,
+    /// followed by the bounded cross-shard rebalance. With the default
+    /// of 1 the one shard holds the whole cluster and the whole server,
+    /// which is the monolithic scheduler bit for bit
+    /// (`tests/fleet.rs`).
     pub num_edges: usize,
 }
 
@@ -149,6 +166,11 @@ const STALL_FRACTION: f64 = 0.10;
 /// Battery fraction below which a viewer consents to the aggressive
 /// quality budget.
 const BATTERY_SAVER_THRESHOLD: f64 = 0.40;
+
+/// Domain-separation salt for the checkpoint-corruption RNG, so it
+/// never correlates with the stage-fault decisions even under the same
+/// user-facing seed.
+const CORRUPTION_SEED_SALT: u64 = 0xC0DE_C0DE_5EED_D15C;
 
 /// Checkpoint/resume options for the pipelined runtime. Lives outside
 /// [`EmulatorConfig`] (which stays `Copy` for struct-update sweeps)
@@ -188,7 +210,6 @@ pub struct Emulator {
     pub(crate) policy: Policy,
     pub(crate) cluster: VirtualCluster,
     genres: Vec<Genre>,
-    pub(crate) estimators: Vec<GammaEstimator>,
     pub(crate) curve: AnxietyCurve,
     encoder: TransformEncoder,
     saver_encoder: TransformEncoder,
@@ -229,13 +250,11 @@ impl Emulator {
                 (8.0 / u.powf(0.9)).min(30_000.0) as u32
             })
             .collect();
-        let estimators = vec![GammaEstimator::paper_default(); config.devices];
         Self {
             config,
             policy,
             cluster,
             genres,
-            estimators,
             curve,
             encoder: TransformEncoder::new(config.quality),
             saver_encoder: TransformEncoder::new(QualityBudget::aggressive()),
@@ -248,7 +267,7 @@ impl Emulator {
     }
 
     /// Attaches checkpoint/resume options for the pipelined runtime.
-    /// Ignored by sequential and baseline runs.
+    /// Ignored by inline runs — sequential and baseline alike.
     pub fn with_checkpoints(mut self, spec: CheckpointSpec) -> Self {
         self.checkpoints = Some(spec);
         self
@@ -274,300 +293,67 @@ impl Emulator {
         &self.curve
     }
 
-    /// Runs the emulation to completion. With `pipelined` set (and an
-    /// LPVS policy), the slot loop runs through the staged
-    /// [`lpvs_runtime`] pipeline instead; results are bit-identical to
-    /// a sequential `one_slot_ahead` run.
+    /// The resilient scheduler behind an LPVS policy; `None` for the
+    /// baselines, which decide through their plain
+    /// [`select`](lpvs_core::baseline::SelectionPolicy::select).
+    pub(crate) fn scheduler(&self) -> Option<LpvsScheduler> {
+        match self.policy {
+            Policy::Lpvs => Some(LpvsScheduler::paper_default()),
+            Policy::LpvsPhase1Only => Some(LpvsScheduler::phase1_only()),
+            _ => None,
+        }
+    }
+
+    /// Runs the emulation to completion: hands the slot stages (the
+    /// crate's `EmulatorDriver`) to the staged executor when `pipelined` is
+    /// set on an LPVS policy — resuming from the checkpoint store if
+    /// asked to — and to the inline executor otherwise. The γ
+    /// estimators live in the executor's banks for the duration of the
+    /// run (shard-local when staged) and come back merged in the
+    /// report's `gamma_posteriors`. Both executors produce the same
+    /// report for the same decision lag, bit for bit.
     pub fn run(mut self) -> EmulationReport {
-        if self.config.pipelined
-            && matches!(self.policy, Policy::Lpvs | Policy::LpvsPhase1Only)
-        {
-            return crate::pipeline::run_pipelined(self);
-        }
-        let n = self.config.devices;
-        let initial_battery: Vec<f64> =
-            self.cluster.devices().iter().map(|d| d.battery().fraction()).collect();
-        let mut ever_selected = vec![false; n];
-        let mut slots = Vec::with_capacity(self.config.slots);
-        let mut scheduler_runtime = Duration::ZERO;
-        let mut total_display = 0.0;
-        let mut total_counterfactual = 0.0;
-        let mut total_energy = 0.0;
-        // Device-indexed decision computed in the previous slot
-        // (one-slot-ahead mode): nobody is transformed in slot 0.
-        let mut pending: Vec<bool> = vec![false; n];
-        // Device-indexed decisions of the previous slot, for churn.
-        let mut previous_by_device: Option<Vec<bool>> = None;
-        let plan = FaultPlan::generate(&self.config.faults, self.config.slots, n);
-
-        for slot in 0..self.config.slots {
-            let mut slot_span = lpvs_obs::span!("emu.slot", "slot" => slot);
-            // --- Fault injection -------------------------------------
-            let faults = plan.slot(slot);
-            for &d in &faults.reconnects {
-                self.cluster.devices_mut()[d].reconnect();
-            }
-            for &d in &faults.disconnects {
-                self.cluster.devices_mut()[d].disconnect();
-            }
-            // A slot off the link is a slot the estimator learned
-            // nothing: inflate its uncertainty so the next observation
-            // counts for more.
-            for (i, device) in self.cluster.devices().iter().enumerate() {
-                if !device.is_connected() {
-                    self.estimators[i].forget(1);
-                }
-            }
-
-            // --- Information gathering -------------------------------
-            let watching: Vec<usize> = (0..n)
-                .filter(|&i| self.cluster.devices()[i].is_watching())
-                .collect();
-            let mut selected_count = 0usize;
-            let mut current_by_device = vec![false; n];
-            let mut slot_degradation: Option<Degradation> = None;
-
-            slot_span.record("watching", watching.len() as f64);
-
-            if !watching.is_empty() {
-                let gather_span = lpvs_obs::span!("emu.gather", "devices" => watching.len());
-                let windows: Vec<Vec<FrameStats>> = watching
-                    .iter()
-                    .map(|&i| self.content_window(i, slot))
-                    .collect();
-                // The prefetch policy bounds how many chunks the edge
-                // holds at the *scheduling point* (K_m, eq. 1); the
-                // remainder arrives during the slot, so playback still
-                // covers the full window.
-                let decision_windows: Vec<&[FrameStats]> = watching
-                    .iter()
-                    .zip(&windows)
-                    .map(|(&i, w)| {
-                        let k = self
-                            .config
-                            .prefetch
-                            .available_chunks(w.len(), 0, self.channel_viewers[i])
-                            .max(1)
-                            .min(w.len());
-                        &w[..k]
-                    })
-                    .collect();
-                let devices: Vec<&Device> =
-                    watching.iter().map(|&i| &self.cluster.devices()[i]).collect();
-                let mut gammas: Vec<f64> = match self.config.gamma_mode {
-                    GammaMode::Learned => {
-                        watching.iter().map(|&i| self.estimators[i].expected()).collect()
-                    }
-                    GammaMode::Fixed(g) => vec![g; watching.len()],
-                    GammaMode::Oracle => watching
-                        .iter()
-                        .zip(&decision_windows)
-                        .map(|(&i, window)| self.oracle_gamma(i, window))
-                        .collect(),
-                };
-                // Corrupt γ reports *after* estimation: the fault models
-                // the telemetry link, not the estimator.
-                for &(dev, kind) in &faults.gamma_corruptions {
-                    if let Some(w) = watching.iter().position(|&i| i == dev) {
-                        gammas[w] = match kind {
-                            GammaCorruption::Nan => f64::NAN,
-                            GammaCorruption::Negative => -0.4,
-                            GammaCorruption::Huge => 4.2,
-                            GammaCorruption::Stale => GAMMA_PRIOR_MEAN,
-                        };
-                    }
-                }
-                // A brownout derates the capacities the scheduler sees;
-                // the physical server is unchanged.
-                let (compute, storage) = match faults.brownout_factor {
-                    Some(f) => {
-                        let derated = self.cluster.server().browned_out(f);
-                        derated.publish_gauges();
-                        (derated.compute_capacity(), derated.storage_capacity_gb())
-                    }
-                    None => {
-                        lpvs_obs::gauge_set("edge_brownout_factor", 1.0);
-                        self.cluster.server().publish_gauges();
-                        (
-                            self.cluster.server().compute_capacity(),
-                            self.cluster.server().storage_capacity_gb(),
-                        )
-                    }
-                };
-                let problem = gather_problem(
-                    &devices,
-                    &decision_windows,
-                    &gammas,
-                    self.config.chunk_secs,
-                    self.bitrate_kbps,
-                    compute,
-                    storage,
-                    self.config.lambda,
-                    &self.curve,
-                );
-
-                drop(gather_span);
-
-                // --- Request scheduling ------------------------------
-                let budget = slot_budget(&faults.budget_cut);
-                let warm: Option<Vec<bool>> = previous_by_device
-                    .as_ref()
-                    .map(|prev| watching.iter().map(|&i| prev[i]).collect());
-                let started = Instant::now();
-                let (computed, tier) =
-                    self.schedule(&problem, warm.as_deref(), &budget);
-                scheduler_runtime += started.elapsed();
-                slot_degradation = tier;
-                let selection: Vec<bool> = if self.config.one_slot_ahead {
-                    // Execute last slot's decision now; stage the fresh
-                    // one for the next scheduling point.
-                    let current: Vec<bool> =
-                        watching.iter().map(|&i| pending[i]).collect();
-                    pending = vec![false; n];
-                    for (w_idx, &dev_idx) in watching.iter().enumerate() {
-                        pending[dev_idx] = computed[w_idx];
-                    }
-                    current
-                } else {
-                    computed
-                };
-
-                // --- Video transforming + playback -------------------
-                let _play_span = lpvs_obs::span!("emu.play", "devices" => watching.len());
-                for (w_idx, &dev_idx) in watching.iter().enumerate() {
-                    let transform = selection[w_idx];
-                    if transform {
-                        ever_selected[dev_idx] = true;
-                        selected_count += 1;
-                        current_by_device[dev_idx] = true;
-                    }
-                    let (display_j, counter_j, device_j) =
-                        self.play_slot(dev_idx, &windows[w_idx], transform);
-                    total_display += display_j;
-                    total_counterfactual += counter_j;
-                    total_energy += device_j;
-                }
-            }
-
-            // --- Accounting ------------------------------------------
-            let churn = previous_by_device.as_ref().map(|prev| {
-                let flips = prev
-                    .iter()
-                    .zip(&current_by_device)
-                    .filter(|(a, b)| a != b)
-                    .count();
-                flips as f64 / n as f64
-            });
-            previous_by_device = Some(current_by_device);
-            let mean_anxiety = self
-                .cluster
-                .devices()
-                .iter()
-                .map(|d| self.curve.phi(d.battery().fraction()))
-                .sum::<f64>()
-                / n as f64;
-            slot_span.record("selected", selected_count as f64);
-            slots.push(SlotRecord {
-                slot,
-                display_energy_j: slots_delta(&slots, total_display, |s| s.display_energy_j),
-                counterfactual_display_j: slots_delta(&slots, total_counterfactual, |s| {
-                    s.counterfactual_display_j
-                }),
-                total_energy_j: slots_delta(&slots, total_energy, |s| s.total_energy_j),
-                mean_anxiety,
-                watching: self.cluster.watching_count(),
-                selected: selected_count,
-                churn,
-                degradation: slot_degradation,
-            });
-        }
-
-        let devices = self.cluster.devices();
-        EmulationReport {
-            display_energy_j: total_display,
-            counterfactual_display_j: total_counterfactual,
-            total_energy_j: total_energy,
-            watch_minutes: devices.iter().map(|d| d.watched_secs() / 60.0).collect(),
-            initial_battery,
-            final_battery: devices.iter().map(|d| d.battery().fraction()).collect(),
-            gave_up: devices.iter().map(|d| d.has_given_up()).collect(),
-            ever_selected,
-            gamma_posteriors: self
-                .estimators
-                .iter()
-                .map(|e| (e.expected(), e.uncertainty()))
-                .collect(),
-            scheduler_runtime,
-            runtime: None,
-            obs: lpvs_obs::enabled()
-                .then(|| lpvs_obs::installed().map(|r| r.snapshot()))
-                .flatten(),
-            slots,
-        }
-    }
-
-    /// Runs the slot's selection. LPVS policies go through the
-    /// resilient scheduler — sanitized telemetry, the degradation
-    /// ladder, and the slot budget — and report which rung served the
-    /// slot; baselines keep their plain `select` path and report no
-    /// tier.
-    fn schedule(
-        &self,
-        problem: &SlotProblem,
-        warm: Option<&[bool]>,
-        budget: &SlotBudget,
-    ) -> (Vec<bool>, Option<Degradation>) {
-        let scheduler = match self.policy {
-            Policy::Lpvs => LpvsScheduler::paper_default(),
-            Policy::LpvsPhase1Only => LpvsScheduler::phase1_only(),
-            _ => return (self.policy.select(problem), None),
-        };
-        if self.config.num_edges > 1 {
-            return self.schedule_sharded(&scheduler, problem, warm, budget);
-        }
-        let schedule = scheduler.schedule_resilient(problem, warm, budget);
-        (schedule.selected, Some(schedule.stats.degradation))
-    }
-
-    /// Multi-edge scheduling path (`num_edges > 1`): the gathered slot
-    /// is columnarized into a [`DeviceFleet`](lpvs_core::fleet::DeviceFleet),
-    /// the server's capacity is
-    /// split evenly across the shards, and the [`FleetScheduler`] runs
-    /// each shard's resilient pipeline in parallel. Telemetry is
-    /// sanitized *before* the fleet is built — rows the monolithic path
-    /// would reject are marked disconnected, so they are never
-    /// scheduled, matching the resilient contract. The reported tier is
-    /// the worst rung any shard fell to.
-    fn schedule_sharded(
-        &self,
-        scheduler: &LpvsScheduler,
-        problem: &SlotProblem,
-        warm: Option<&[bool]>,
-        budget: &SlotBudget,
-    ) -> (Vec<bool>, Option<Degradation>) {
-        let (fleet, clean) = crate::gather::sanitized_fleet(problem, None);
-        let fleet_scheduler = FleetScheduler::new(FleetConfig {
-            num_shards: self.config.num_edges,
-            partitioner: Partitioner::Locality,
-            scheduler: *scheduler.config(),
-            ..FleetConfig::default()
+        let scheduler = self.scheduler();
+        let pipelined = self.config.pipelined && scheduler.is_some();
+        let faults = self.config.faults;
+        let spec = self.checkpoints.take();
+        let runtime = SlotRuntime::new(RuntimeConfig {
+            fleet: FleetConfig {
+                num_shards: self.config.num_edges,
+                partitioner: Partitioner::Locality,
+                // A baseline never hands the executor a slot to solve.
+                scheduler: scheduler.map_or_else(SchedulerConfig::default, |s| *s.config()),
+                ..FleetConfig::default()
+            },
+            stage_faults: (faults.stage_fault_rate > 0.0).then_some(StageFaults {
+                rate: faults.stage_fault_rate,
+                seed: faults.seed,
+                repeat: faults.stage_fault_repeat,
+            }),
+            checkpoints: spec.as_ref().map(|s| CheckpointConfig {
+                dir: s.dir.clone(),
+                interval: s.interval,
+                generations: s.generations,
+                corruption: (faults.checkpoint_corrupt_rate > 0.0)
+                    .then_some((faults.checkpoint_corrupt_rate, faults.seed ^ CORRUPTION_SEED_SALT)),
+            }),
+            halt_after_slot: spec.as_ref().and_then(|s| s.halt_after),
+            ..RuntimeConfig::default()
         });
-        let server = EdgeServer::new(clean.compute_capacity, clean.storage_capacity_gb);
-        let out = fleet_scheduler.schedule(
-            &fleet,
-            &server,
-            clean.lambda,
-            &clean.curve,
-            warm,
-            budget,
-        );
-        let tier = out
-            .shards
-            .iter()
-            .map(|r| r.stats.degradation)
-            .max()
-            .unwrap_or(Degradation::Passthrough);
-        (out.selected, Some(tier))
+        let estimators = vec![GammaEstimator::paper_default(); self.config.devices];
+        let lag = usize::from(pipelined || self.config.one_slot_ahead);
+        let mut driver = EmulatorDriver::new(self, lag);
+        let report = if !pipelined {
+            runtime.run_sequential(&mut driver, estimators)
+        } else if spec.is_some_and(|s| s.resume) {
+            // Banks come back from the manifest's snapshot generations;
+            // the fresh estimators (same prior state the original run
+            // split) are superseded and dropped.
+            runtime.resume(&mut driver).expect("resume requires a valid run manifest")
+        } else {
+            runtime.run(&mut driver, estimators)
+        };
+        driver.finish(report)
     }
 
     /// Synthesizes the chunk window device `i` plays in `slot`. The
@@ -604,33 +390,12 @@ impl Emulator {
     }
 
     /// Plays one device's slot; returns `(display J, counterfactual
-    /// display J, whole-device J)` and feeds the γ estimator when the
-    /// device was transformed.
-    fn play_slot(
-        &mut self,
-        dev_idx: usize,
-        window: &[FrameStats],
-        transform: bool,
-    ) -> (f64, f64, f64) {
-        let (display_j, counter_j, device_j, observed) =
-            self.play_slot_raw(dev_idx, window, transform);
-        if let Some(ratio) = observed {
-            // Observed whole-device reduction ratio Δ_n for this slot.
-            // Playback yields ratios in [0, 1] by construction, but the
-            // validated path keeps a corrupt measurement from poisoning
-            // the belief: a rejected sample counts as a stale slot.
-            if self.estimators[dev_idx].try_observe(ratio).is_err() {
-                self.estimators[dev_idx].forget(1);
-            }
-        }
-        (display_j, counter_j, device_j)
-    }
-
-    /// [`play_slot`](Self::play_slot) without the estimator update: the
-    /// pipelined driver routes the observation to the *owning shard's*
-    /// bank instead of a device-indexed vector, so playback returns the
-    /// raw measurement (`None` when the device was not transformed or
-    /// played nothing).
+    /// display J, whole-device J, observed Δ_n)`. The last is the raw
+    /// whole-device reduction ratio playback measured — `None` when the
+    /// device was not transformed or played nothing — which the caller
+    /// hands back to the executor as slot feedback: the bank that owns
+    /// the device's γ estimator folds it in, or counts a sample its
+    /// validation rejects as one stale slot.
     pub(crate) fn play_slot_raw(
         &mut self,
         dev_idx: usize,
@@ -978,21 +743,23 @@ mod tests {
 
     #[test]
     fn gamma_estimators_learn_from_observations() {
-        let config = EmulatorConfig { devices: 8, slots: 8, seed: 3, ..Default::default() };
-        let mut emulator = Emulator::new(config, Policy::Lpvs);
-        let before: Vec<f64> = emulator.estimators.iter().map(|e| e.expected()).collect();
-        // Run manually to keep access to the estimators.
-        let windows: Vec<Vec<FrameStats>> =
-            (0..8).map(|i| emulator.content_window(i, 0)).collect();
-        for (i, window) in windows.iter().enumerate() {
-            emulator.play_slot(i, window, true);
-        }
-        let after: Vec<f64> = emulator.estimators.iter().map(|e| e.expected()).collect();
-        assert_ne!(before, after);
+        // One slot, decisions applied immediately, ample capacity: the
+        // report's posteriors are the prior plus at most one observation.
+        let config = EmulatorConfig { devices: 8, slots: 1, seed: 3, ..Default::default() };
+        let prior = GammaEstimator::paper_default();
+        let report = Emulator::new(config, Policy::Lpvs).run();
+        let learned: Vec<bool> = report
+            .gamma_posteriors
+            .iter()
+            .map(|&(mean, std)| mean != prior.expected() && std < prior.uncertainty())
+            .collect();
         // Devices that start at/below their give-up threshold play zero
         // seconds and therefore produce no observation; everyone else
-        // must have folded exactly one in.
-        let observed = emulator.estimators.iter().filter(|e| e.observations() == 1).count();
+        // who was transformed must have folded exactly one in.
+        let observed = learned.iter().filter(|&&l| l).count();
         assert!(observed >= 4, "only {observed} estimators observed");
+        for (d, (&l, &selected)) in learned.iter().zip(&report.ever_selected).enumerate() {
+            assert!(selected || !l, "device {d} learned without being transformed");
+        }
     }
 }

@@ -318,8 +318,8 @@ pub fn trace_driven_sharded(
 /// through the staged `lpvs-runtime` pipeline
 /// (`EmulatorConfig::pipelined`): gather ∥ solve ∥ apply with
 /// shard-local Bayes banks. Decisions apply one slot after they are
-/// computed — the pipeline's inherent latency, identical to the
-/// sequential engine's `one_slot_ahead` mode.
+/// computed — the pipeline's inherent latency, identical to an
+/// inline run's `one_slot_ahead` mode.
 pub fn trace_driven_pipelined(
     trace: &Trace,
     max_sessions: usize,

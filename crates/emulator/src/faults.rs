@@ -306,7 +306,7 @@ mod tests {
     #[test]
     fn reconnects_only_follow_disconnects() {
         let plan = FaultPlan::generate(&FaultConfig::uniform(0.3, 7), 40, 20);
-        let mut down = vec![false; 20];
+        let mut down = [false; 20];
         for i in 0..plan.len() {
             let slot = plan.slot(i);
             for &d in &slot.reconnects {

@@ -6,7 +6,6 @@
 //! functions `g(·)`, `h(·)`. The output is the [`SlotProblem`] the
 //! scheduler consumes.
 
-use lpvs_core::fleet::DeviceFleet;
 use lpvs_core::problem::{DeviceRequest, SlotProblem};
 use lpvs_display::stats::FrameStats;
 use lpvs_edge::device::Device;
@@ -75,42 +74,10 @@ pub fn gather_problem<D: Borrow<Device>, W: AsRef<[FrameStats]>>(
     problem
 }
 
-/// Sanitizes a gathered slot problem and columnarizes the clean copy —
-/// the fault-tolerant route into the fleet store shared by the sharded
-/// engine path and the pipelined runtime driver. Rows the monolithic
-/// resilient path would reject stay present but are marked
-/// disconnected, so the shard schedulers never select them.
-///
-/// `recycled` is a previously-solved fleet buffer to refill in place
-/// (the pipeline's double-buffer hand-off); its columns are rebuilt by
-/// the same loader as a fresh build, so recycling never changes a bit
-/// of the stored telemetry.
-///
-/// Returns the fleet alongside the sanitized problem (whose capacities,
-/// λ, and curve the caller still needs).
-pub fn sanitized_fleet(
-    problem: &SlotProblem,
-    recycled: Option<DeviceFleet>,
-) -> (DeviceFleet, SlotProblem) {
-    let (clean, valid) = problem.sanitize();
-    let mut fleet = match recycled {
-        Some(mut fleet) => {
-            fleet.rebuild_from_problem(&clean);
-            fleet
-        }
-        None => DeviceFleet::from_problem(&clean),
-    };
-    for (i, &ok) in valid.iter().enumerate() {
-        if !ok {
-            fleet.set_connected(i, false);
-        }
-    }
-    (fleet, clean)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lpvs_core::fleet::DeviceFleet;
     use lpvs_display::spec::{DisplaySpec, Resolution};
     use lpvs_edge::battery::Battery;
     use lpvs_edge::device::DeviceId;
@@ -220,8 +187,9 @@ mod tests {
             1.0,
             &AnxietyCurve::paper_shape(),
         );
-        let (fresh, clean) = sanitized_fleet(&p, None);
-        // Recycle a buffer previously filled with *different* content.
+        let fresh = DeviceFleet::from_problem(&p);
+        // Recycle a buffer previously filled with *different* content,
+        // the way the driver refills the runtime's double buffer.
         let other = gather_problem(
             &devices,
             &vec![window(7, 0.2); 2],
@@ -233,13 +201,17 @@ mod tests {
             1.0,
             &AnxietyCurve::paper_shape(),
         );
-        let (stale, _) = sanitized_fleet(&other, None);
-        let (recycled, clean2) = sanitized_fleet(&p, Some(stale));
+        let mut recycled = DeviceFleet::from_problem(&other);
+        recycled.rebuild_from_problem(&p);
         assert_eq!(fresh, recycled);
-        assert_eq!(clean, clean2);
-        // The corrupt row survived sanitization but is disconnected.
+        // The corrupt row keeps its index but is disconnected — and
+        // stored as the inert row `sanitize` substitutes, though the
+        // loader never ran it.
         assert!(!recycled.connected(1));
         assert!(recycled.connected(0));
+        let (clean, _) = p.sanitize();
+        assert_eq!(recycled.device_request(1), clean.requests[1]);
+        assert_eq!(recycled.device_request(0), p.requests[0]);
     }
 
     #[test]

@@ -7,18 +7,22 @@
 //!
 //! * [`gather`] — assembles the per-slot [`SlotProblem`] from the
 //!   cluster state, the live content, and the Bayesian γ estimates;
-//! * [`engine`] — the slot loop: schedule, transform, play, drain
-//!   batteries, observe realized savings, update estimators;
+//! * [`engine`] — configuration, the cluster and content model,
+//!   playback and the γ oracle; `Emulator::run` picks which of the
+//!   [`lpvs_runtime`] executors drives the slot stages;
+//! * `driver` — those stages, implemented once over the runtime's
+//!   source/sink traits: fault preamble, gather, decision staging
+//!   (immediate or one slot ahead), playback, accounting. The inline
+//!   executor runs them on the caller's thread for every policy; the
+//!   staged gather ∥ solve ∥ apply pipeline with shard-local Bayes
+//!   banks (`EmulatorConfig::pipelined`) runs the same code and is
+//!   bit-identical to the inline one-slot-ahead run;
 //! * [`metrics`] — per-slot and end-to-end accounting: display energy
 //!   (actual vs. untransformed counterfactual), anxiety, watch time,
 //!   abandonment;
 //! * [`faults`] — deterministic, seeded fault injection: per-slot
 //!   device disconnects, corrupt γ telemetry, edge brownouts, and
 //!   solver-budget cuts, declared in a replayable [`faults::FaultPlan`];
-//! * `pipeline` — the [`lpvs_runtime`] driver: the same slot loop run
-//!   through the staged gather ∥ solve ∥ apply pipeline with
-//!   shard-local Bayes banks (`EmulatorConfig::pipelined`), bit-identical
-//!   to a sequential one-slot-ahead run;
 //! * [`experiment`] — the drivers regenerating the paper's evaluation:
 //!   Fig. 7 (sufficient capacity), Fig. 8 (limited capacity × λ),
 //!   Fig. 9 (time-per-viewer of low-battery users), Fig. 10
@@ -49,7 +53,7 @@ pub mod faults;
 pub mod fit;
 pub mod gather;
 pub mod metrics;
-pub(crate) mod pipeline;
+pub(crate) mod driver;
 pub mod qoe;
 pub mod report;
 

@@ -1,15 +1,19 @@
-//! # lpvs-runtime — the pipelined slot runtime
+//! # lpvs-runtime — the slot runtime: one driver, two executors
 //!
-//! The emulator's slot loop (`lpvs-emulator`, paper Fig. 6) is strictly
-//! sequential: gather → schedule → transform/play, one slot at a time,
-//! with the solve on the critical path of every slot. This crate turns
-//! that loop into a staged pipeline,
+//! The emulator's slot loop (`lpvs-emulator`, paper Fig. 6) is gather →
+//! schedule → transform/play, one slot at a time. This crate owns that
+//! loop for every caller: a driver implements the stages once
+//! ([`SlotSource`]/[`SlotSink`]) and the runtime executes them either
+//! **inline** ([`SlotRuntime::run_sequential`]: every stage on the
+//! caller's thread, one global γ bank, the solve on the critical path
+//! of every slot) or **staged**,
 //!
 //! ```text
 //!   gather(t+1)  ∥  solve(t)  ∥  apply+learn(t−1)
 //! ```
 //!
-//! built on plain std threads and `crossbeam` bounded channels:
+//! ([`SlotRuntime::run`]) built on plain std threads and `crossbeam`
+//! bounded channels:
 //!
 //! * a **hub** (the caller's thread) drives a [`SlotSource`]/[`SlotSink`]
 //!   pair — the Twitch-trace emulator or a synthetic generator — and
@@ -33,7 +37,8 @@
 //! Overlapping solve(t) with apply(t) means the decision applied in
 //! slot `t` was computed from the state gathered at slot `t − 1` —
 //! exactly the emulator's *one-slot-ahead* mode (paper §VI-B.2). The
-//! pipelined runtime reproduces that mode **bit-identically**: same
+//! staged executor reproduces the inline one **bit-identically** on a
+//! driver that applies its decisions one slot late: same
 //! `SlotRecord`s, same final γ posteriors (`tests/runtime.rs` pins
 //! this). The ingredients: per-device estimator operations arrive in
 //! slot order over FIFO channels, disjoint banks make cross-device
@@ -151,7 +156,7 @@ pub struct SolvedSlot {
 /// What playback learned during apply: per-device observed
 /// power-reduction ratios, folded into the owning banks at the top of
 /// the next slot (after the gather that used the pre-observation
-/// posterior — the same order as the sequential engine).
+/// posterior — the same order under either executor).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SlotFeedback {
     /// `(device, observed_ratio)` in playback order.
@@ -187,7 +192,12 @@ pub trait SlotSink {
     /// `apply(t)` for every solved slot `< t`; when pipelined, the
     /// solve for slot `t` arrives during slot `t + 1`. Sinks that stage
     /// one-slot-ahead decisions should consume stagings with
-    /// `solved.slot < t` at `apply(t)`.
+    /// `solved.slot < t` at `apply(t)` — the only rule both executors
+    /// can serve. A sink that applies a decision in the slot it was
+    /// gathered for (`solved.slot ≤ t`, a lag of zero) is legal under
+    /// [`SlotRuntime::run_sequential`] alone, which delivers
+    /// `solved(t)` before `apply(t)`; under [`SlotRuntime::run`] that
+    /// solve is still in flight while `apply(t)` plays.
     fn solved(&mut self, solved: &SolvedSlot);
 
     /// Plays slot `slot` (transform + playback + accounting) and

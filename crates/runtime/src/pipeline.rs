@@ -743,7 +743,7 @@ impl SlotRuntime {
                 sup.log_decision(&collected);
             }
             // The last slot's observations still belong in the banks —
-            // the sequential engine folds them during its final play.
+            // the inline executor folds them after its last slot too.
             // Root a span for them so the worker-side prepare spans
             // stay parented (no orphans anywhere in the runtime).
             if !feedback.is_empty() {
@@ -838,6 +838,9 @@ impl SlotRuntime {
         recycled: &mut Option<DeviceFleet>,
         stats: &mut RunStats,
     ) {
+        // The same root the staged loop opens per slot, so `fleet.slot`
+        // and the driver's spans have a parent under either executor.
+        let _slot_span = lpvs_obs::span!("runtime.slot", "slot" => slot);
         for (d, ratio) in feedback.drain(..) {
             bank.observe_or_forget(d, ratio);
         }
@@ -1212,7 +1215,7 @@ impl SlotRuntime {
     /// Routes one slot's bank maintenance and γ queries to the owning
     /// shards and gathers the posterior answers back in query order.
     /// Per-message order (observations, then forgets, then queries)
-    /// mirrors the sequential engine's per-device operation order.
+    /// mirrors the inline executor's per-device operation order.
     fn prepare(
         &self,
         hub: &Hub,

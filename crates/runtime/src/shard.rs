@@ -123,7 +123,7 @@ pub(crate) enum WorkerMsg {
     /// Estimator maintenance + posterior queries for one slot. Order
     /// inside the message matters: observations (from the *previous*
     /// slot's playback) are folded before forgets (this slot's
-    /// staleness), matching the sequential engine's per-device order.
+    /// staleness), matching the inline executor's per-device order.
     Prepare {
         observations: Vec<(usize, f64)>,
         forgets: Vec<(usize, u32)>,

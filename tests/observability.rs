@@ -36,7 +36,7 @@ fn faulty_emulation_produces_full_telemetry() {
     // Per-stage latency histograms from the span auto-fold, one per
     // pipeline stage that ran every slot.
     for stage in
-        ["sched_slot_seconds", "sched_sanitize_seconds", "emu_slot_seconds", "emu_gather_seconds"]
+        ["sched_slot_seconds", "sched_sanitize_seconds", "runtime_slot_seconds", "emu_gather_seconds"]
     {
         let h = metrics.histogram(stage).unwrap_or_else(|| panic!("missing histogram {stage}"));
         assert_eq!(h.count, slots as u64, "{stage} should record one sample per slot");

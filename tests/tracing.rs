@@ -93,7 +93,12 @@ fn scoped_shard_spans_are_never_orphans() {
             "fleet.shard must be parented under fleet.slot across the scoped-thread hop"
         );
         assert_eq!(shard.trace, slot.trace, "shard spans join the slot's trace");
-        assert_ne!(shard.thread, slot.thread, "shard spans run on worker threads");
+        let shard_id = shard.fields.iter().find(|(k, _)| k == "shard").map(|&(_, v)| v);
+        assert_eq!(
+            shard.thread == slot.thread,
+            shard_id == Some(0.0),
+            "shard 0 runs on the caller's thread, every other shard on a worker thread"
+        );
         assert!(
             shard.fields.iter().any(|(k, _)| k == "shard"),
             "shard spans carry shard attribution"
