@@ -1,4 +1,4 @@
-//! CI smoke for the staged runtime's supervised recovery: a pipelined
+//! CI smoke for the worker executor's supervised recovery: a pipelined
 //! trace-driven run over two shards with 10% stage faults, *repeated*
 //! worker deaths (each faulted shard dies again on its first respawn),
 //! and deliberately corrupted checkpoint files must absorb every death

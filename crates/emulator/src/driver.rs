@@ -8,27 +8,24 @@
 //!
 //! * `begin_slot(t)` — fault preamble (reconnects, disconnects, one
 //!   staleness forget per disconnected device) and content-window
-//!   synthesis; under the staged executor all of it overlaps the
-//!   in-flight solve of `t − 1`;
+//!   synthesis;
 //! * `gather(t)` — K_m prefetch windows, γ assembly (posteriors
 //!   answered by the executor's banks), telemetry corruption, brownout
 //!   derating, and the slot problem. An LPVS policy loads it into the
 //!   recycled fleet buffer and hands it to the executor; a baseline
 //!   policy decides here, stages its own selection and reports an idle
 //!   slot, so no executor ever solves for it;
-//! * `solved(s)` — stages the joined decision by device id and records
-//!   the slot's degradation tier (patching the already-pushed record
-//!   when the solve lands one slot late, as staged solves do);
+//! * `solved(t)` — stages the joined decision by device id and records
+//!   the slot's degradation tier;
 //! * `apply(t)` — brings staged decisions into force, plays every
 //!   watching device, and accounts the slot.
 //!
 //! Immediate and one-slot-ahead scheduling (paper §VI-B.2) differ by
 //! one number, the decision **lag**: `apply(t)` consumes stagings with
-//! `slot + lag ≤ t`. Lag 1 is one-slot-ahead, and the only lag the
-//! staged executor can serve (its `solved(t)` arrives during `t + 1`);
-//! lag 0 applies a decision in the slot it was gathered for, which the
-//! inline executor permits because it delivers `solved(t)` before
-//! `apply(t)`. Either executor at lag 1 produces the same
+//! `slot + lag ≤ t`. Lag 0 applies a decision in the slot it was
+//! gathered for, lag 1 is one-slot-ahead. The lag is this driver's —
+//! both executors deliver `solved(t)` before `apply(t)` and impose
+//! none — and at a given lag either executor produces the same
 //! [`SlotRecord`]s and the same final γ posteriors, bit for bit
 //! (`tests/runtime.rs`, `tests/emulator_loop.rs`).
 
@@ -67,8 +64,9 @@ pub(crate) struct EmulatorDriver {
     /// Slots between gathering a decision and applying it (0 or 1).
     lag: usize,
     scratch: Option<Scratch>,
-    /// Fleet-order device ids of dispatched, not-yet-solved slots.
-    dispatched: Vec<(usize, Vec<usize>)>,
+    /// Fleet-order device ids of the slot handed to the executor, until
+    /// its solve comes back.
+    dispatched: Option<Vec<usize>>,
     /// Decisions (by device) awaiting their application slot.
     staged: Vec<(usize, Vec<bool>)>,
     /// The decision currently in force.
@@ -102,7 +100,7 @@ impl EmulatorDriver {
             horizon,
             lag,
             scratch: None,
-            dispatched: Vec::new(),
+            dispatched: None,
             staged: Vec::new(),
             pending: vec![false; n],
             previous_by_device: None,
@@ -118,7 +116,7 @@ impl EmulatorDriver {
     }
 
     /// Assembles the final report once the executor has drained. Only
-    /// the staged executor's summary is worth reporting; an inline run
+    /// the worker executor's summary is worth reporting; an inline run
     /// keeps `runtime: None`.
     pub(crate) fn finish(self, report: RuntimeReport) -> EmulationReport {
         let devices = self.emu.cluster.devices();
@@ -146,10 +144,8 @@ impl EmulatorDriver {
     }
 
     /// Stages a decision by device id — reset, then set the devices it
-    /// covers — and records the tier of the slot it was gathered at.
-    /// A staged solve joins one slot late, after that slot's record
-    /// was pushed, so the record is patched; at lag 0, and for every
-    /// inline solve, `apply` reads the tier instead.
+    /// covers — and records the tier of the slot it was gathered at,
+    /// which that slot's `apply` reads.
     fn stage(
         &mut self,
         slot: usize,
@@ -163,9 +159,6 @@ impl EmulatorDriver {
         }
         self.staged.push((slot, by_device));
         self.tiers[slot] = tier;
-        if let Some(record) = self.slots.get_mut(slot) {
-            record.degradation = tier;
-        }
     }
 }
 
@@ -194,8 +187,6 @@ impl SlotSource for EmulatorDriver {
             .collect();
         let watching: Vec<usize> =
             (0..self.n).filter(|&i| self.emu.cluster.devices()[i].is_watching()).collect();
-        // Window synthesis is the bulk of gathering; running it here
-        // overlaps it with the in-flight solve of the previous slot.
         let windows: Vec<Vec<FrameStats>> =
             watching.iter().map(|&i| self.emu.content_window(i, slot)).collect();
         let queries = match self.emu.config.gamma_mode {
@@ -290,7 +281,7 @@ impl SlotSource for EmulatorDriver {
             // capacities and λ, so the problem's own values travel.
             let mut fleet = recycled.unwrap_or_default();
             fleet.rebuild_from_problem(&problem);
-            self.dispatched.push((slot, scratch.watching.clone()));
+            self.dispatched = Some(scratch.watching.clone());
             Some(GatheredSlot {
                 slot,
                 fleet,
@@ -326,12 +317,7 @@ impl SlotSource for EmulatorDriver {
 
 impl SlotSink for EmulatorDriver {
     fn solved(&mut self, solved: &SolvedSlot) {
-        let pos = self
-            .dispatched
-            .iter()
-            .position(|(slot, _)| *slot == solved.slot)
-            .expect("solved a slot that was never dispatched");
-        let (_, ids) = self.dispatched.remove(pos);
+        let ids = self.dispatched.take().expect("solved a slot that was never dispatched");
         self.stage(solved.slot, &ids, &solved.schedule.selected, Some(solved.tier));
     }
 

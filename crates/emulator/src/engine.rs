@@ -20,9 +20,9 @@
 //! [`EmulatorConfig`] into a runtime configuration and hands the driver
 //! to one of the runtime's two executors — the inline
 //! [`SlotRuntime::run_sequential`] (every stage on the caller's thread,
-//! one global γ bank) or, for an LPVS policy with `pipelined` set, the
-//! staged [`SlotRuntime::run`] (gather ∥ solve ∥ apply over persistent
-//! shard workers).
+//! one global γ bank) or, for an LPVS policy with `pipelined` set,
+//! [`SlotRuntime::run`] (the same stage order, the solves on persistent
+//! shard workers with shard-local banks).
 //!
 //! Determinism: everything derives from `EmulatorConfig::seed`, and the
 //! policy is *not* part of the seed, so paired runs (e.g. LPVS vs.
@@ -114,14 +114,14 @@ pub struct EmulatorConfig {
     /// not reshuffle the population or the content trace.
     pub faults: FaultConfig,
     /// Which of the runtime's executors drives the slot stages: the
-    /// staged one — gather(t+1) ∥ solve(t) ∥ apply(t−1) over persistent
-    /// shard workers with shard-local γ banks — instead of the inline
-    /// one. Pipelining *is* one-slot-ahead scheduling (the overlap is
-    /// where the decision lag comes from), so the flag implies
-    /// `one_slot_ahead` and a pipelined run reproduces the inline
+    /// one that solves on persistent shard workers with shard-local γ
+    /// banks, instead of the inline one. The flag also implies
+    /// `one_slot_ahead` — a lag this driver keeps for the flag's
+    /// history (the executor once overlapped solve and apply; it no
+    /// longer imposes a lag) — so a pipelined run reproduces the inline
     /// `one_slot_ahead` run bit-for-bit. Baseline policies ignore the
-    /// flag: they decide while gathering, so there is no solve to
-    /// overlap.
+    /// flag: they decide while gathering, so no executor solves for
+    /// them.
     pub pipelined: bool,
     /// Edge shards serving the cluster: every LPVS slot is scheduled
     /// through the sharded fleet path
@@ -305,11 +305,11 @@ impl Emulator {
     }
 
     /// Runs the emulation to completion: hands the slot stages (the
-    /// crate's `EmulatorDriver`) to the staged executor when `pipelined` is
+    /// crate's `EmulatorDriver`) to the worker executor when `pipelined` is
     /// set on an LPVS policy — resuming from the checkpoint store if
     /// asked to — and to the inline executor otherwise. The γ
     /// estimators live in the executor's banks for the duration of the
-    /// run (shard-local when staged) and come back merged in the
+    /// run (shard-local on the workers) and come back merged in the
     /// report's `gamma_posteriors`. Both executors produce the same
     /// report for the same decision lag, bit for bit.
     pub fn run(mut self) -> EmulationReport {

@@ -315,11 +315,10 @@ pub fn trace_driven_sharded(
 }
 
 /// [`trace_driven_sharded`] with each session's slot loop driven
-/// through the staged `lpvs-runtime` pipeline
-/// (`EmulatorConfig::pipelined`): gather ∥ solve ∥ apply with
-/// shard-local Bayes banks. Decisions apply one slot after they are
-/// computed — the pipeline's inherent latency, identical to an
-/// inline run's `one_slot_ahead` mode.
+/// through `lpvs-runtime`'s shard workers with shard-local Bayes banks
+/// (`EmulatorConfig::pipelined`). Decisions apply one slot after they
+/// are computed — the flag implies it — identical to an inline run's
+/// `one_slot_ahead` mode.
 pub fn trace_driven_pipelined(
     trace: &Trace,
     max_sessions: usize,

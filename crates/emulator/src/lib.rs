@@ -14,9 +14,9 @@
 //!   source/sink traits: fault preamble, gather, decision staging
 //!   (immediate or one slot ahead), playback, accounting. The inline
 //!   executor runs them on the caller's thread for every policy; the
-//!   staged gather ∥ solve ∥ apply pipeline with shard-local Bayes
-//!   banks (`EmulatorConfig::pipelined`) runs the same code and is
-//!   bit-identical to the inline one-slot-ahead run;
+//!   shard workers with shard-local Bayes banks
+//!   (`EmulatorConfig::pipelined`) run the same code in the same order
+//!   and are bit-identical to the inline one-slot-ahead run;
 //! * [`metrics`] — per-slot and end-to-end accounting: display energy
 //!   (actual vs. untransformed counterfactual), anxiety, watch time,
 //!   abandonment;

@@ -1,50 +1,47 @@
-//! # lpvs-runtime — the slot runtime: one driver, two executors
+//! # lpvs-runtime — the slot runtime: one driver, one order, two executors
 //!
 //! The emulator's slot loop (`lpvs-emulator`, paper Fig. 6) is gather →
 //! schedule → transform/play, one slot at a time. This crate owns that
 //! loop for every caller: a driver implements the stages once
-//! ([`SlotSource`]/[`SlotSink`]) and the runtime executes them either
-//! **inline** ([`SlotRuntime::run_sequential`]: every stage on the
-//! caller's thread, one global γ bank, the solve on the critical path
-//! of every slot) or **staged**,
+//! ([`SlotSource`]/[`SlotSink`]) and the runtime calls them in one
+//! order — `begin → gather → solve → solved → apply`, so a slot's
+//! decision is always delivered inside that slot — under either of two
+//! executors, which differ only in *who runs the shards*:
 //!
-//! ```text
-//!   gather(t+1)  ∥  solve(t)  ∥  apply+learn(t−1)
-//! ```
+//! * **inline** ([`SlotRuntime::run_sequential`]): one global γ bank on
+//!   the caller's thread, the solve through
+//!   [`FleetScheduler`](lpvs_edge::fleet::FleetScheduler)'s scoped
+//!   threads;
+//! * **workers** ([`SlotRuntime::run`]): a **hub** (the caller's
+//!   thread) owns the slot clock, and **persistent shard workers** —
+//!   plain std threads on `crossbeam` bounded channels — each own a
+//!   [`ShardState`]: the shard-local
+//!   [`BayesBank`](lpvs_bayes::BayesBank) of γ estimators and the delta
+//!   memo of its last solve. Estimators physically migrate between
+//!   workers alongside cross-shard rebalancing, so the slot path has
+//!   **no global Bayes bank and no cross-shard lock** — shards exchange
+//!   state only through migration messages. The gathered slot travels
+//!   as one shared columnar [`DeviceFleet`]; the hub takes the buffer
+//!   back once every worker has dropped its handle and hands it to the
+//!   next gather.
 //!
-//! ([`SlotRuntime::run`]) built on plain std threads and `crossbeam`
-//! bounded channels:
+//! ## Semantics: bit-identical executors
 //!
-//! * a **hub** (the caller's thread) drives a [`SlotSource`]/[`SlotSink`]
-//!   pair — the Twitch-trace emulator or a synthetic generator — and
-//!   owns the slot clock;
-//! * **persistent shard workers** each own a [`ShardState`]: their
-//!   slice of the fleet plus the shard-local
-//!   [`BayesBank`](lpvs_bayes::BayesBank) of γ estimators. Estimators
-//!   physically migrate between workers alongside cross-shard
-//!   rebalancing, so the steady-state slot path has **no global Bayes
-//!   bank and no cross-shard lock** — shards exchange state only
-//!   through migration messages;
-//! * the gathered slot travels as a **double-buffered columnar
-//!   [`DeviceFleet`]**: two buffers alternate between "being gathered"
-//!   and "being solved", and the hub recycles a buffer only after every
-//!   worker has dropped its handle, so a slow solver stalls gathering
-//!   (bounded-channel backpressure) instead of queueing slots without
-//!   bound.
-//!
-//! ## Semantics: one-slot-ahead, bit-identical
-//!
-//! Overlapping solve(t) with apply(t) means the decision applied in
-//! slot `t` was computed from the state gathered at slot `t − 1` —
-//! exactly the emulator's *one-slot-ahead* mode (paper §VI-B.2). The
-//! staged executor reproduces the inline one **bit-identically** on a
-//! driver that applies its decisions one slot late: same
-//! `SlotRecord`s, same final γ posteriors (`tests/runtime.rs` pins
-//! this). The ingredients: per-device estimator operations arrive in
-//! slot order over FIFO channels, disjoint banks make cross-device
-//! order irrelevant, and per-shard results are joined through the same
+//! The two executors produce the same `SlotRecord`s and the same final
+//! γ posteriors, bit for bit, for any driver (`tests/runtime.rs` pins
+//! the call order and the results). The ingredients: per-device
+//! estimator operations arrive in slot order over FIFO channels,
+//! disjoint banks make cross-device order irrelevant, and per-shard
+//! results are joined through the same
 //! [`FleetScheduler::assemble`](lpvs_edge::fleet::FleetScheduler::assemble)
-//! path as the scoped-thread scheduler.
+//! path as the scoped-thread scheduler. Whether a decision is *applied*
+//! in the slot it was gathered for or one slot later (the emulator's
+//! *one-slot-ahead* mode, paper §VI-B.2) is the driver's choice; no
+//! executor imposes a lag.
+//!
+//! (The hub once overlapped `gather(t+1) ∥ solve(t) ∥ apply(t−1)`,
+//! which forced that lag on every driver and measured 1.00× — hence
+//! the module name `pipeline`; DESIGN.md §7 has the numbers.)
 //!
 //! ## Supervised recovery
 //!
@@ -54,10 +51,10 @@
 //! the hub's supervisor with exponential backoff: its bank is restored
 //! from the newest valid checkpoint generation plus a write-ahead
 //! journal replay (or, with no store configured, from the state the
-//! dying worker shipped home), and the in-flight slot is re-dispatched.
+//! dying worker shipped home), and the slot is re-dispatched to it.
 //! Only when a shard's retry budget is exhausted — or every checkpoint
-//! generation fails its checksum — does the hub drain the in-flight
-//! slot, merge every bank, and run the remaining slots inline through
+//! generation fails its checksum — does the hub finish the slot, merge
+//! every bank, and run the remaining slots inline through
 //! the sequential [`FleetScheduler`](lpvs_edge::fleet::FleetScheduler) path. The run's
 //! [`RecoveryReport`] accounts for every death, retry, and replayed
 //! slot; `fell_back` records the abandonment slot when the ladder
@@ -140,8 +137,7 @@ pub struct GatheredSlot {
 }
 
 /// A completed fleet solve, delivered to [`SlotSink::solved`] once all
-/// shards have reported — one slot after dispatch when pipelined,
-/// immediately when sequential.
+/// shards have reported — inside the slot it was gathered for.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolvedSlot {
     /// The slot the decision was computed **for** (= gathered at).
@@ -173,8 +169,8 @@ pub trait SlotSource {
 
     /// Gathers slot `slot` into a solvable problem. `posteriors[i]` is
     /// the `(mean, std)` answer to `queries[i]` from [`BankOps`].
-    /// `recycled` is a previously-solved fleet buffer to refill in
-    /// place (the double-buffer hand-off); `None` on the first slots.
+    /// `recycled` is the previous solve's fleet buffer to refill in
+    /// place; `None` until a slot has been solved.
     /// Returns `None` for an idle slot (nobody watching — no solve is
     /// dispatched, but [`SlotSink::apply`] still runs).
     fn gather(
@@ -189,15 +185,10 @@ pub trait SlotSource {
 /// plays slots out.
 pub trait SlotSink {
     /// A solve completed. Called in slot order, always before
-    /// `apply(t)` for every solved slot `< t`; when pipelined, the
-    /// solve for slot `t` arrives during slot `t + 1`. Sinks that stage
-    /// one-slot-ahead decisions should consume stagings with
-    /// `solved.slot < t` at `apply(t)` — the only rule both executors
-    /// can serve. A sink that applies a decision in the slot it was
-    /// gathered for (`solved.slot ≤ t`, a lag of zero) is legal under
-    /// [`SlotRuntime::run_sequential`] alone, which delivers
-    /// `solved(t)` before `apply(t)`; under [`SlotRuntime::run`] that
-    /// solve is still in flight while `apply(t)` plays.
+    /// `apply(t)` of the same slot, under either executor. A sink may
+    /// apply the decision right there (`solved.slot == t`, a lag of
+    /// zero) or stage it for a later slot (one-slot-ahead consumes
+    /// stagings with `solved.slot < t`).
     fn solved(&mut self, solved: &SolvedSlot);
 
     /// Plays slot `slot` (transform + playback + accounting) and

@@ -1,42 +1,37 @@
-//! The slot-pipeline hub and its supervisor.
+//! The slot hub and its supervisor.
 //!
 //! [`SlotRuntime::run`] drives a [`SlotSource`]/[`SlotSink`] driver
-//! through the staged pipeline. The hub (caller's thread) executes, per
-//! slot `t`:
+//! with the solves on supervised shard workers. The hub (caller's
+//! thread) executes, per slot `t` — the same stage order as the inline
+//! executor ([`SlotRuntime::run_sequential`]):
 //!
 //! ```text
-//!  begin(t)            source advances faults/connectivity; windows are
-//!                      synthesized here, overlapping solve(t−1)
-//!  join(t−1)           block on the shard results of slot t−1
-//!                      (backpressure: a slow solver stalls everything
-//!                      downstream), assemble them through
-//!                      FleetScheduler::assemble, deliver solved(t−1),
-//!                      migrate estimators after the rebalance, recycle
-//!                      the t−1 fleet buffer
+//!  begin(t)            source advances faults/connectivity
 //!  prepare(t)          route observations(t−1) + forgets(t) + γ queries
-//!                      to the owning shard banks (FIFO guarantees they
-//!                      land after solve(t−1))
+//!                      to the owning shard banks
 //!  checkpoint(t)       every `interval` slots: ask each worker to
 //!                      encode its bank (queued between Prepare and
 //!                      Solve, so the snapshot is exactly the
-//!                      post-prepare bank); the hub persists the bytes
-//!                      while joining the next solve
+//!                      post-prepare bank); the hub persists the bytes,
+//!                      with the shard's fleet slice, during join(t)
 //!  gather(t)           source fills the recycled buffer
 //!  dispatch(t)         partition + fan the shared Arc<GatheredSlot> out
-//!  apply(t)            sink plays slot t with the decision solved at
-//!                      t−1 — overlapping solve(t), the pipeline win
+//!  join(t)             block on the shard results, assemble them
+//!                      through FleetScheduler::assemble, deliver
+//!                      solved(t), migrate estimators after the
+//!                      rebalance, recycle the fleet buffer
+//!  apply(t)            sink plays slot t
 //! ```
 //!
-//! Exactly one solve is in flight at a time and exactly two fleet
-//! buffers circulate (one being gathered, one being solved) — the
-//! double buffer. The hub recovers a buffer via `Arc::try_unwrap`,
-//! which is guaranteed to succeed because every worker drops its handle
-//! *before* announcing its result.
+//! No solve outlives its slot, so `solved(t)` always precedes
+//! `apply(t)` and one fleet buffer circulates. The hub recovers it via
+//! `Arc::try_unwrap`, which is guaranteed to succeed because every
+//! worker drops its handle *before* announcing its result.
 //!
 //! ## Supervision
 //!
 //! On worker death the hub walks a recovery ladder instead of
-//! abandoning the pipeline:
+//! abandoning its workers:
 //!
 //! 1. **Respawn** the shard with exponential backoff, restoring its
 //!    bank from the newest valid checkpoint generation plus a replay of
@@ -45,13 +40,13 @@
 //!    dying worker shipped home. Deterministic either way: the restored
 //!    bank is bit-identical to the one that died (debug builds assert
 //!    it against the shipped copy).
-//! 2. **Re-dispatch** the in-flight slot to the respawned worker with
-//!    an incremented attempt counter, so injected repeat-faults
+//! 2. **Re-dispatch** the slot being joined to the respawned worker
+//!    with an incremented attempt counter, so injected repeat-faults
 //!    eventually let it through.
 //! 3. Only when the per-shard retry budget is exhausted, or every
 //!    checkpoint generation fails its checksum, does the hub **fall
-//!    back**: drain the in-flight slot (dead shards contribute
-//!    passthrough), merge every bank, and continue inline through the
+//!    back**: finish the slot (dead shards contribute passthrough),
+//!    merge every bank, and run the following slots inline through the
 //!    sequential [`FleetScheduler`] path.
 
 use crate::checkpoint::{
@@ -65,7 +60,7 @@ use lpvs_bayes::{BayesBank, GammaEstimator};
 use lpvs_obs::{FlightRing, SpanContext};
 use lpvs_core::fleet::DeviceFleet;
 use lpvs_core::scheduler::{Degradation, Schedule};
-use lpvs_edge::fleet::{FleetConfig, FleetScheduler, Partitioner};
+use lpvs_edge::fleet::{FleetConfig, FleetSchedule, FleetScheduler, Partitioner};
 use lpvs_edge::server::EdgeServer;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -96,7 +91,7 @@ impl StageFaults {
 }
 
 /// Runtime configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RuntimeConfig {
     /// Shard count, partitioner, per-shard scheduler, and rebalance
     /// bound — shared with the scoped-thread [`FleetScheduler`] so both
@@ -105,8 +100,6 @@ pub struct RuntimeConfig {
     /// Optional injected worker crashes (exercises the recovery
     /// ladder).
     pub stage_faults: Option<StageFaults>,
-    /// Bounded capacity of each worker's command channel.
-    pub command_depth: usize,
     /// Supervisor retry budget and backoff.
     pub recovery: RecoveryConfig,
     /// Periodic shard checkpointing; `None` disables the store (worker
@@ -118,23 +111,10 @@ pub struct RuntimeConfig {
     pub halt_after_slot: Option<usize>,
 }
 
-impl Default for RuntimeConfig {
-    fn default() -> Self {
-        Self {
-            fleet: FleetConfig::default(),
-            stage_faults: None,
-            command_depth: 4,
-            recovery: RecoveryConfig::default(),
-            checkpoints: None,
-            halt_after_slot: None,
-        }
-    }
-}
-
 /// Serializable run summary (embedded in emulation reports).
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct RuntimeSummary {
-    /// Whether the staged pipeline ran (false: sequential mode).
+    /// Whether the shard workers ran the solves (false: inline).
     pub pipelined: bool,
     /// Shard worker count.
     pub shards: usize,
@@ -168,8 +148,14 @@ pub struct RuntimeReport {
     pub slot_solve_runtimes: Vec<(usize, Duration)>,
 }
 
+/// What a slot loop — either executor's — carries from one slot to the
+/// next, and its counters.
 #[derive(Default)]
-struct RunStats {
+struct SlotLoop {
+    /// Playback observations of the last applied slot, not yet in a bank.
+    feedback: Vec<(usize, f64)>,
+    /// The last solve's fleet buffer, for the next gather to refill.
+    recycled: Option<DeviceFleet>,
     slots: usize,
     solved_slots: usize,
     estimator_migrations: usize,
@@ -177,12 +163,55 @@ struct RunStats {
     slot_solve_runtimes: Vec<(usize, Duration)>,
 }
 
-impl RunStats {
+impl SlotLoop {
     fn count_solved(&mut self, slot: usize, runtime: Duration) {
         self.solve_runtime += runtime;
         self.solved_slots += 1;
         self.slot_solve_runtimes.push((slot, runtime));
     }
+
+    /// Folds the pending observations into an inline bank.
+    fn learn(&mut self, bank: &mut BayesBank) {
+        for (d, ratio) in self.feedback.drain(..) {
+            bank.observe_or_forget(d, ratio);
+        }
+    }
+
+    /// `gather(slot)` into the recycled buffer, timed — the one gather
+    /// call site of both executors, so both emit the same stage series.
+    fn gather<D: SlotSource>(
+        &mut self,
+        driver: &mut D,
+        slot: usize,
+        posteriors: &[(f64, f64)],
+    ) -> Option<crate::GatheredSlot> {
+        let start = Instant::now();
+        let gathered = driver.gather(slot, posteriors, self.recycled.take());
+        observe_stage("runtime_gather_seconds", "gather", start);
+        gathered
+    }
+
+    /// `apply(slot)`, timed and counted; keeps what the banks learn.
+    fn apply<D: SlotSink>(&mut self, driver: &mut D, slot: usize) {
+        let start = Instant::now();
+        self.feedback = driver.apply(slot).observations;
+        observe_stage("runtime_apply_seconds", "apply", start);
+        lpvs_obs::inc("runtime_slots_total");
+        self.slots += 1;
+    }
+}
+
+fn observe_stage(series: &str, stage: &str, start: Instant) {
+    if lpvs_obs::enabled() {
+        let secs = start.elapsed().as_secs_f64();
+        lpvs_obs::observe(series, secs);
+        lpvs_obs::observe_labeled("runtime_stage_seconds", &[("stage", stage)], secs);
+    }
+}
+
+/// The worst degradation rung any shard of a fleet solve fell to.
+fn worst_tier(schedule: &FleetSchedule) -> Degradation {
+    schedule.shards.iter().map(|r| r.stats.degradation).max().unwrap_or(Degradation::Passthrough)
 }
 
 /// A dispatched, not-yet-joined solve.
@@ -272,6 +301,12 @@ struct Supervisor {
     journals: Vec<ShardJournal>,
     report: RecoveryReport,
 }
+
+/// Capacity of a worker's command channel. The hub joins every solve
+/// before the next slot begins, so a worker never has more than one
+/// slot's commands queued; a burst of migrations blocks the hub's send
+/// until the worker has taken them.
+const COMMAND_DEPTH: usize = 4;
 
 /// Cap on blackbox recordings kept in one report — enough for every
 /// death in a stormy run, bounded against unrecoverable repeat-faults.
@@ -377,7 +412,7 @@ impl Supervisor {
     }
 }
 
-/// The pipelined slot runtime.
+/// The slot runtime: one stage order, two executors.
 pub struct SlotRuntime {
     config: RuntimeConfig,
     scheduler: FleetScheduler,
@@ -434,7 +469,8 @@ impl SlotRuntime {
         })
     }
 
-    /// Runs the driver through the staged pipeline. `estimators[d]` is
+    /// Runs the driver with the solves on the shard workers, in the
+    /// inline executor's stage order. `estimators[d]` is
     /// device `d`'s γ estimator; they are split into shard-local banks
     /// up front and merged back into the report at the end.
     pub fn run<D: SlotSource + SlotSink>(
@@ -504,24 +540,16 @@ impl SlotRuntime {
                 owner[d] = s;
             }
         }
-        // Replay the decided prefix: at original iteration `t` the hub
-        // delivered solved(t−1) before playing slot t, so staging
-        // mirrors that order, and the decision for `slot − 1` is staged
-        // last, ready for the resumed loop's first apply.
+        // Replay the decided prefix in the order the run produced it:
+        // slot `t`'s decision lands, then slot `t` plays.
         let decisions = store.read_decisions()?;
         let slot = manifest.slot;
-        let stage = |driver: &mut D, t: usize| {
-            if let Some(prev) = t.checked_sub(1) {
-                if let Some(d) = decisions.iter().find(|d| d.slot == prev) {
-                    driver.stage_decision(d.slot, &d.device_ids, &d.selected, d.tier);
-                }
-            }
-        };
         for t in 0..slot {
-            stage(driver, t);
+            if let Some(d) = decisions.iter().find(|d| d.slot == t) {
+                driver.stage_decision(d.slot, &d.device_ids, &d.selected, d.tier);
+            }
             driver.replay_slot(t);
         }
-        stage(driver, slot);
         if lpvs_obs::enabled() {
             lpvs_obs::observe("recovery_restore_seconds", restore_start.elapsed().as_secs_f64());
             lpvs_obs::gauge_set("recovery_restored_slots", slot as f64);
@@ -529,7 +557,7 @@ impl SlotRuntime {
         Ok(self.run_from(driver, shards, owner, slot, Some(store), Some(slot)))
     }
 
-    /// The pipelined slot loop, entered at `start_slot` with one
+    /// The worker executor's slot loop, entered at `start_slot` with one
     /// `(bank, delta memo)` pair per shard already split (memos all
     /// `None` on a fresh run) and `owner` routing devices to them.
     fn run_from<D: SlotSource + SlotSink>(
@@ -551,7 +579,7 @@ impl SlotRuntime {
             .into_iter()
             .enumerate()
             .map(|(s, (bank, memo))| {
-                let (tx, rx) = bounded(self.config.command_depth.max(2));
+                let (tx, rx) = bounded(COMMAND_DEPTH);
                 let thread = spawn_worker(
                     ShardState { shard: s, bank, memo },
                     self.config.fleet.scheduler,
@@ -576,35 +604,25 @@ impl SlotRuntime {
         let mut sup = Supervisor::new(store, k);
         let interval = self.config.checkpoints.as_ref().map(|c| c.interval);
 
-        let mut stats = RunStats::default();
-        let mut in_flight: Option<PendingSolve> = None;
-        let mut feedback: Vec<(usize, f64)> = Vec::new();
-        let mut recycled: Option<DeviceFleet> = None;
+        let mut run = SlotLoop::default();
         let mut inline: Option<BayesBank> = None;
         let mut slot = start_slot;
         // On a resume, the restored banks already hold `prepare(slot)`'s
         // maintenance (the snapshot was taken right after it), so the
         // first iteration must not re-apply forgets.
         let mut skip_maintenance = resumed_at.is_some();
+        // Whether every worker survived the last join and its
+        // migrations; a death seen at join(t) sends slot t + 1 inline.
+        let mut healthy = true;
 
-        while let Some(ops) = driver.begin_slot(slot) {
-            let mut ops = ops;
+        while let Some(mut ops) = driver.begin_slot(slot) {
             if std::mem::take(&mut skip_maintenance) {
                 ops.forgets.clear();
             }
             if let Some(bank) = inline.as_mut() {
-                // Sequential fallback: the pipeline is gone, the merged
+                // Sequential fallback: the workers are gone, the merged
                 // bank lives here, slots run inline.
-                Self::inline_slot(
-                    &self.scheduler,
-                    driver,
-                    bank,
-                    slot,
-                    &ops,
-                    &mut feedback,
-                    &mut recycled,
-                    &mut stats,
-                );
+                Self::inline_slot(&self.scheduler, driver, bank, slot, &ops, &mut run);
                 slot += 1;
                 continue;
             }
@@ -614,21 +632,6 @@ impl SlotRuntime {
             // (prepare, dispatch, re-dispatch) carries this context so
             // worker-side spans join the slot's trace.
             let slot_ctx = slot_span.context();
-            let mut healthy = true;
-
-            // --- join(t−1) ---------------------------------------------
-            if let Some(pending) = in_flight.take() {
-                if lpvs_obs::enabled() {
-                    lpvs_obs::gauge_set("runtime_queue_depth", hub.events.len() as f64);
-                }
-                let collected = self.join_solve(&mut hub, &mut sup, pending, &mut stats);
-                slot_span.record("joined_migrations", collected.solved.schedule.migrations as f64);
-                driver.solved(&collected.solved);
-                sup.log_decision(&collected);
-                healthy = hub.all_alive()
-                    && self.migrate_estimators(&mut hub, &mut sup, &collected, &mut stats).is_ok();
-                recycled = collected.buffer;
-            }
 
             // --- prepare(t) --------------------------------------------
             // `ops_consumed`: whether banks saw this slot's maintenance,
@@ -636,7 +639,7 @@ impl SlotRuntime {
             let mut ops_consumed = false;
             let posteriors = if healthy {
                 ops_consumed = true;
-                let observations = std::mem::take(&mut feedback);
+                let observations = std::mem::take(&mut run.feedback);
                 for &(d, ratio) in &observations {
                     sup.journal(hub.owner[d], JournalOp::Observe(d, ratio));
                 }
@@ -655,14 +658,12 @@ impl SlotRuntime {
                 // Snapshot every shard's blackbox after the drain —
                 // workers are quiescent, so the recording is the
                 // deterministic tail of what each did before the
-                // pipeline gave up (replay runs compare reports).
+                // hub gave up on them (replay runs compare reports).
                 for s in 0..k {
                     sup.record_flight(&hub.rings, s, slot, FlightReason::Fallback);
                 }
                 if !ops_consumed {
-                    for (d, ratio) in feedback.drain(..) {
-                        bank.observe_or_forget(d, ratio);
-                    }
+                    run.learn(&mut bank);
                     for &(d, stale) in &ops.forgets {
                         bank.forget(d, stale);
                     }
@@ -670,15 +671,7 @@ impl SlotRuntime {
                 let posteriors: Vec<(f64, f64)> =
                     ops.queries.iter().map(|&d| bank.posterior(d)).collect();
                 sup.report.fell_back = Some(slot);
-                Self::inline_gather_solve_apply(
-                    &self.scheduler,
-                    driver,
-                    slot,
-                    &posteriors,
-                    &mut feedback,
-                    &mut recycled,
-                    &mut stats,
-                );
+                Self::inline_gather_solve_apply(&self.scheduler, driver, slot, &posteriors, &mut run);
                 inline = Some(bank);
                 slot += 1;
                 continue;
@@ -691,68 +684,47 @@ impl SlotRuntime {
                 }
             }
 
-            // --- gather(t) + dispatch(t) -------------------------------
-            let gather_start = Instant::now();
-            let gathered = driver.gather(slot, &posteriors, recycled.take());
-            if lpvs_obs::enabled() {
-                let gathered_in = gather_start.elapsed().as_secs_f64();
-                lpvs_obs::observe("runtime_gather_seconds", gathered_in);
-                lpvs_obs::observe_labeled(
-                    "runtime_stage_seconds",
-                    &[("stage", "gather")],
-                    gathered_in,
-                );
-            }
-            if let Some(g) = gathered {
-                in_flight = Some(self.dispatch(&mut hub, slot, g, slot_ctx));
+            // --- gather(t) → dispatch(t) → join(t) ---------------------
+            if let Some(g) = run.gather(driver, slot, &posteriors) {
+                let pending = self.dispatch(&mut hub, slot, g, slot_ctx);
+                let collected = self.join_solve(&mut hub, &mut sup, pending, &mut run);
+                slot_span.record("joined_migrations", collected.solved.schedule.migrations as f64);
+                driver.solved(&collected.solved);
+                sup.log_decision(&collected);
+                healthy = hub.all_alive()
+                    && self.migrate_estimators(&mut hub, &mut sup, &collected, &mut run).is_ok();
+                run.recycled = collected.buffer;
             }
 
-            // --- apply(t) — overlaps solve(t) --------------------------
-            let apply_start = Instant::now();
-            feedback = driver.apply(slot).observations;
-            if lpvs_obs::enabled() {
-                let applied_in = apply_start.elapsed().as_secs_f64();
-                lpvs_obs::observe("runtime_apply_seconds", applied_in);
-                lpvs_obs::observe_labeled("runtime_stage_seconds", &[("stage", "apply")], applied_in);
-                lpvs_obs::inc("runtime_slots_total");
-            }
-            stats.slots += 1;
+            // --- apply(t) ----------------------------------------------
+            run.apply(driver, slot);
             if self.config.halt_after_slot == Some(slot) {
                 // Simulated hub crash: stop driving, but drain cleanly
-                // below so pending checkpoint bytes reach the store and
-                // the manifest names the newest complete round.
+                // below so the manifest names the newest complete round.
                 break;
             }
             slot += 1;
         }
+        // The fleet buffer is dead weight from here on; free it before
+        // the banks are merged and densified.
+        run.recycled = None;
 
         // --- drain -----------------------------------------------------
         let estimators = if let Some(mut bank) = inline.take() {
-            for (d, ratio) in feedback.drain(..) {
-                bank.observe_or_forget(d, ratio);
-            }
+            run.learn(&mut bank);
             bank.into_dense()
         } else {
-            if let Some(pending) = in_flight.take() {
-                // The horizon ended with a solve in flight: join it so
-                // the sink records its tier (its decision is never
-                // applied — the sequential one-slot-ahead engine stages
-                // its last decision the same way).
-                let collected = self.join_solve(&mut hub, &mut sup, pending, &mut stats);
-                driver.solved(&collected.solved);
-                sup.log_decision(&collected);
-            }
             // The last slot's observations still belong in the banks —
             // the inline executor folds them after its last slot too.
             // Root a span for them so the worker-side prepare spans
             // stay parented (no orphans anywhere in the runtime).
-            if !feedback.is_empty() {
+            if !run.feedback.is_empty() {
                 let tail_span =
-                    lpvs_obs::span!("runtime.tail", "observations" => feedback.len());
+                    lpvs_obs::span!("runtime.tail", "observations" => run.feedback.len());
                 let _ = self.prepare(
                     &hub,
                     &BankOps::default(),
-                    std::mem::take(&mut feedback),
+                    std::mem::take(&mut run.feedback),
                     tail_span.context(),
                 );
             }
@@ -766,91 +738,71 @@ impl SlotRuntime {
             summary: RuntimeSummary {
                 pipelined: true,
                 shards: k,
-                slots: stats.slots,
-                solved_slots: stats.solved_slots,
-                estimator_migrations: stats.estimator_migrations,
+                slots: run.slots,
+                solved_slots: run.solved_slots,
+                estimator_migrations: run.estimator_migrations,
                 workers_lost: hub.workers_lost,
                 recovery: sup.into_report(resumed_at),
             },
             estimators,
-            solve_runtime: stats.solve_runtime,
-            slot_solve_runtimes: stats.slot_solve_runtimes,
+            solve_runtime: run.solve_runtime,
+            slot_solve_runtimes: run.slot_solve_runtimes,
         }
     }
 
-    /// Runs the driver strictly sequentially — same one-slot-ahead
-    /// delivery order as the pipeline (`solved(t)` lands before
-    /// `apply(t)`, and staging sinks consume solves `< t`), but every
-    /// stage on one thread with one global bank. The baseline the
-    /// pipeline is benchmarked and determinism-tested against.
+    /// Runs the driver inline — the stage order of [`Self::run`], but
+    /// the solve through the scoped-thread [`FleetScheduler`] and one
+    /// global bank on the caller's thread. The baseline the worker
+    /// executor is benchmarked and determinism-tested against, and
+    /// what it falls back to.
     pub fn run_sequential<D: SlotSource + SlotSink>(
         &self,
         driver: &mut D,
         estimators: Vec<GammaEstimator>,
     ) -> RuntimeReport {
         let mut bank = BayesBank::from_estimators(estimators);
-        let mut stats = RunStats::default();
-        let mut feedback: Vec<(usize, f64)> = Vec::new();
-        let mut recycled: Option<DeviceFleet> = None;
+        let mut run = SlotLoop::default();
         let mut slot = 0usize;
         while let Some(ops) = driver.begin_slot(slot) {
-            Self::inline_slot(
-                &self.scheduler,
-                driver,
-                &mut bank,
-                slot,
-                &ops,
-                &mut feedback,
-                &mut recycled,
-                &mut stats,
-            );
+            Self::inline_slot(&self.scheduler, driver, &mut bank, slot, &ops, &mut run);
             slot += 1;
         }
-        for (d, ratio) in feedback.drain(..) {
-            bank.observe_or_forget(d, ratio);
-        }
+        run.learn(&mut bank);
         RuntimeReport {
             summary: RuntimeSummary {
                 pipelined: false,
                 shards: self.config.fleet.num_shards,
-                slots: stats.slots,
-                solved_slots: stats.solved_slots,
+                slots: run.slots,
+                solved_slots: run.solved_slots,
                 estimator_migrations: 0,
                 workers_lost: 0,
                 recovery: RecoveryReport::default(),
             },
             estimators: bank.into_dense(),
-            solve_runtime: stats.solve_runtime,
-            slot_solve_runtimes: stats.slot_solve_runtimes,
+            solve_runtime: run.solve_runtime,
+            slot_solve_runtimes: run.slot_solve_runtimes,
         }
     }
 
-    /// One inline (non-pipelined) slot: bank maintenance, gather, solve
+    /// One inline slot: bank maintenance, gather, solve
     /// through the scoped-thread fleet path, apply.
-    #[allow(clippy::too_many_arguments)]
     fn inline_slot<D: SlotSource + SlotSink>(
         scheduler: &FleetScheduler,
         driver: &mut D,
         bank: &mut BayesBank,
         slot: usize,
         ops: &BankOps,
-        feedback: &mut Vec<(usize, f64)>,
-        recycled: &mut Option<DeviceFleet>,
-        stats: &mut RunStats,
+        run: &mut SlotLoop,
     ) {
-        // The same root the staged loop opens per slot, so `fleet.slot`
+        // The same root the worker loop opens per slot, so `fleet.slot`
         // and the driver's spans have a parent under either executor.
         let _slot_span = lpvs_obs::span!("runtime.slot", "slot" => slot);
-        for (d, ratio) in feedback.drain(..) {
-            bank.observe_or_forget(d, ratio);
-        }
+        run.learn(bank);
         for &(d, stale) in &ops.forgets {
             bank.forget(d, stale);
         }
         let posteriors: Vec<(f64, f64)> = ops.queries.iter().map(|&d| bank.posterior(d)).collect();
-        Self::inline_gather_solve_apply(
-            scheduler, driver, slot, &posteriors, feedback, recycled, stats,
-        );
+        Self::inline_gather_solve_apply(scheduler, driver, slot, &posteriors, run);
     }
 
     /// The gather → solve → solved → apply tail of an inline slot.
@@ -859,26 +811,18 @@ impl SlotRuntime {
         driver: &mut D,
         slot: usize,
         posteriors: &[(f64, f64)],
-        feedback: &mut Vec<(usize, f64)>,
-        recycled: &mut Option<DeviceFleet>,
-        stats: &mut RunStats,
+        run: &mut SlotLoop,
     ) {
-        if let Some(g) = driver.gather(slot, posteriors, recycled.take()) {
+        if let Some(g) = run.gather(driver, slot, posteriors) {
             let server = EdgeServer::new(g.compute_capacity, g.storage_capacity_gb);
             let schedule =
                 scheduler.schedule(&g.fleet, &server, g.lambda, &g.curve, g.warm.as_deref(), &g.budget);
-            let tier = schedule
-                .shards
-                .iter()
-                .map(|r| r.stats.degradation)
-                .max()
-                .unwrap_or(Degradation::Passthrough);
-            stats.count_solved(slot, schedule.runtime);
+            let tier = worst_tier(&schedule);
+            run.count_solved(slot, schedule.runtime);
             driver.solved(&SolvedSlot { slot, schedule, tier });
-            *recycled = Some(g.fleet);
+            run.recycled = Some(g.fleet);
         }
-        *feedback = driver.apply(slot).observations;
-        stats.slots += 1;
+        run.apply(driver, slot);
     }
 
     /// Requests a checkpoint round: drains any checkpoint bytes still
@@ -1035,7 +979,7 @@ impl SlotRuntime {
         hub: &mut Hub,
         sup: &mut Supervisor,
         mut pending: PendingSolve,
-        stats: &mut RunStats,
+        run: &mut SlotLoop,
     ) -> Collected {
         let wait = Instant::now();
         let k = hub.workers.len();
@@ -1088,7 +1032,7 @@ impl SlotRuntime {
                             if let Some(old) = hub.workers[s].thread.take() {
                                 let _ = old.join();
                             }
-                            let (tx, rx) = bounded(self.config.command_depth.max(2));
+                            let (tx, rx) = bounded(COMMAND_DEPTH);
                             let faults =
                                 self.config.stage_faults.map(|f| (f.rate, f.seed, f.repeat));
                             // The respawned worker starts with no delta
@@ -1156,13 +1100,8 @@ impl SlotRuntime {
             lpvs_obs::observe_labeled("runtime_stage_seconds", &[("stage", "join")], waited);
             lpvs_obs::observe_labeled("runtime_stage_seconds", &[("stage", "assemble")], assembled);
         }
-        let tier = schedule
-            .shards
-            .iter()
-            .map(|r| r.stats.degradation)
-            .max()
-            .unwrap_or(Degradation::Passthrough);
-        stats.count_solved(slot, schedule.runtime);
+        let tier = worst_tier(&schedule);
+        run.count_solved(slot, schedule.runtime);
         // Every worker dropped its handle before reporting, so ours is
         // unique and the buffer comes back for the next gather.
         let (buffer, device_ids) = match Arc::try_unwrap(gathered) {
@@ -1182,7 +1121,7 @@ impl SlotRuntime {
         hub: &mut Hub,
         sup: &mut Supervisor,
         collected: &Collected,
-        stats: &mut RunStats,
+        run: &mut SlotLoop,
     ) -> Result<(), ()> {
         for report in &collected.solved.schedule.shards {
             for &fleet_idx in &report.migrated_in {
@@ -1205,7 +1144,7 @@ impl SlotRuntime {
                 // forced cold (all-dirty).
                 hub.force_cold[from] = true;
                 hub.force_cold[to] = true;
-                stats.estimator_migrations += 1;
+                run.estimator_migrations += 1;
                 lpvs_obs::inc("runtime_migrations_total");
             }
         }
@@ -1270,9 +1209,9 @@ impl SlotRuntime {
 
     /// Finishes every live worker, collects every bank (clean exits and
     /// casualties alike), joins the threads, and merges the banks.
-    /// Checkpoint bytes still in the event stream are persisted on the
-    /// way — a halted hub flushes its last round here, which is what
-    /// makes `halt_after_slot` + [`SlotRuntime::resume`] seamless.
+    /// Checkpoint bytes still in the event stream — a round requested
+    /// in an idle slot, which no join carried — are persisted on the
+    /// way, so a halted hub's manifest names its last round.
     fn drain_and_merge(&self, hub: &mut Hub, sup: &mut Supervisor) -> BayesBank {
         for worker in &mut hub.workers {
             if let Some(tx) = worker.commands.take() {

@@ -13,9 +13,8 @@
 //!   estimator to follow a cross-shard rebalance migration;
 //! * `WorkerMsg::Finish` — ship the bank home and exit.
 //!
-//! FIFO ordering is the determinism backbone: a `Prepare` queued behind
-//! a `Solve` is answered only after the solve completed, which is
-//! exactly the synchronization the one-slot-ahead pipeline needs.
+//! FIFO ordering is the determinism backbone: a worker sees its bank
+//! operations in exactly the order the hub issued them, slot by slot.
 //!
 //! If the worker itself dies — an injected stage fault, or a panic
 //! outside the contained solver — the bank is **not** lost: the worker

@@ -1,6 +1,6 @@
 //! The serving engine: a [`SlotSource`]/[`SlotSink`]/[`SlotReplay`]
 //! driver that turns HTTP-ingested telemetry and session churn into
-//! pipelined slot solves.
+//! slot solves, each published inside its slot.
 //!
 //! ## State model
 //!
@@ -493,8 +493,9 @@ pub struct ServeEngine {
     next_queries: Vec<usize>,
     /// The live slot's query list (journaled in the slot marker).
     queries: Vec<usize>,
-    /// Per-slot shed floor, consumed when the slot's solve lands.
-    sheds: BTreeMap<usize, Degradation>,
+    /// The live slot's shed floor: its solver floor at gather, and
+    /// what its decision is published with.
+    shed: Degradation,
     /// Engine-side brownout factor (journaled via `Op::Brownout`).
     brownout: f64,
     journal_file: Option<File>,
@@ -591,7 +592,7 @@ impl ServeEngine {
             feedback: Vec::new(),
             next_queries: Vec::new(),
             queries: Vec::new(),
-            sheds: BTreeMap::new(),
+            shed: Degradation::Exact,
             brownout: 1.0,
             journal_file,
             journaled: parsed.slots,
@@ -706,12 +707,11 @@ impl ServeEngine {
     }
 
     fn record_decision(&mut self, slot: usize, selected: Vec<usize>, tier: Degradation) {
-        let shed = self.sheds.remove(&slot).unwrap_or(Degradation::Exact);
         if lpvs_obs::enabled() {
             lpvs_obs::inc_labeled("serve_slots_solved_total", &[("tier", tier.label())]);
         }
         let mut log = self.shared.schedules.lock().expect("schedule log poisoned");
-        log.insert(slot, Decision { selected, tier, shed });
+        log.insert(slot, Decision { selected, tier, shed: self.shed });
         while log.len() > SCHEDULE_RETENTION {
             let oldest = *log.keys().next().expect("nonempty");
             log.remove(&oldest);
@@ -760,7 +760,7 @@ impl SlotSource for ServeEngine {
             (ops, shed, queries)
         };
         self.apply_ops(&ops);
-        self.sheds.insert(slot, shed);
+        self.shed = shed;
         self.queries = queries.clone();
         if lpvs_obs::enabled() {
             lpvs_obs::inc("serve_slots_total");
@@ -831,10 +831,9 @@ impl SlotSource for ServeEngine {
             }
             None => self.fleet.clone(),
         };
-        let shed = self.sheds.get(&slot).copied().unwrap_or(Degradation::Exact);
         let mut budget = SlotBudget::unbounded();
-        if shed > Degradation::Exact {
-            budget = budget.with_solver_floor(shed);
+        if self.shed > Degradation::Exact {
+            budget = budget.with_solver_floor(self.shed);
         }
         let envelope = EdgeServer::new(self.config.compute_capacity, self.config.storage_capacity_gb)
             .browned_out(self.brownout);
@@ -893,8 +892,7 @@ impl SlotReplay for ServeEngine {
         tier: Degradation,
     ) {
         self.previous = Some(selected.to_vec());
-        let shed = self.journaled.get(slot).map(|j| j.shed).unwrap_or(Degradation::Exact);
-        self.sheds.insert(slot, shed);
+        self.shed = self.journaled.get(slot).map(|j| j.shed).unwrap_or(Degradation::Exact);
         let ids: Vec<usize> = device_ids
             .iter()
             .zip(selected)

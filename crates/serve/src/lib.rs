@@ -4,9 +4,10 @@
 //! the emulator replays a trace, the synthetic driver replays a seed.
 //! This crate closes the loop with the outside world — a long-running
 //! HTTP service that **ingests** telemetry and session churn, drives
-//! the pipelined [`SlotRuntime`](lpvs_runtime::SlotRuntime) as its
-//! scheduling engine, and **serves** per-slot decisions back, while
-//! staying up under overload and across crashes:
+//! [`SlotRuntime`](lpvs_runtime::SlotRuntime)'s shard workers as its
+//! scheduling engine, and **serves** each slot's decision back inside
+//! that slot (one tick, then `GET /v1/schedule/{t}`), while staying up
+//! under overload and across crashes:
 //!
 //! * **Admission control** — arrivals are admitted against the
 //!   [`EdgeServer`](lpvs_edge::server::EdgeServer) capacity envelope

@@ -1,6 +1,8 @@
 //! The network-facing service: listener, bounded connection queue,
-//! worker pool, request routing, and the runtime thread that drives the
-//! pipelined [`SlotRuntime`] over the [`ServeEngine`].
+//! worker pool, request routing, and the runtime thread that drives
+//! [`SlotRuntime`]'s shard workers over the [`ServeEngine`]. A tick
+//! runs one slot, and the slot's decision is published before the slot
+//! ends: `POST /v1/tick`, then `GET /v1/schedule/{t}` — no second tick.
 //!
 //! ## Endpoints
 //!
@@ -44,8 +46,9 @@
 //! *parks* a shutdown handle of its connection in the queue's idle list
 //! while it waits for a first byte, and:
 //!
-//! * a `push` that leaves more connections queued than workers waiting
-//!   shuts the longest-idle parked connection down, which wakes its
+//! * a `push` that leaves more connections queued than workers are free
+//!   (not holding a connection, whether or not they have reached `pop`
+//!   yet) shuts the longest-idle parked connection down, which wakes its
 //!   worker to take the queued one (the evicted client sees end of
 //!   stream before any response and reconnects);
 //! * a worker touches request bytes only after it has *reclaimed* its
@@ -63,7 +66,7 @@
 //!
 //! Telemetry pressure raises the solver floor of upcoming slots (see
 //! [`crate::shed`]) before anything is dropped. On shutdown the slot
-//! loop drains in-flight solves, then the final bank state is sealed as
+//! loop finishes its slot, then the final bank state is sealed as
 //! one more checkpoint round so the next boot resumes exactly where
 //! this one stopped.
 
@@ -101,7 +104,7 @@ pub struct ServeConfig {
     pub addr: String,
     /// Engine (fleet/capacity/journal/horizon) configuration.
     pub engine: EngineConfig,
-    /// Shard worker count for the slot pipeline.
+    /// Shard worker count of the slot runtime.
     pub shards: usize,
     /// Slot clock mode.
     pub tick: TickMode,
@@ -229,8 +232,10 @@ struct Conns {
     /// Shutdown handles of kept-alive connections whose worker is
     /// blocked waiting for the next request, longest idle first.
     idle: VecDeque<(u64, TcpStream)>,
-    /// Workers blocked in `pop`.
-    waiting: usize,
+    /// Workers not holding a connection: blocked in `pop`, or on their
+    /// way there (spawned but not yet scheduled, or just back from a
+    /// connection) — either way about to take a queued one.
+    free: usize,
     next_token: u64,
     stopped: bool,
 }
@@ -238,11 +243,11 @@ struct Conns {
 impl Conns {
     /// Why a connection with no request in flight must give its worker
     /// up, if it must: the queue is stopped, or more connections are
-    /// queued than workers are coming for them.
+    /// queued than workers are free to come for them.
     fn must_yield(&self) -> Option<Close> {
         if self.stopped {
             Some(Close::Drain)
-        } else if self.queue.len() > self.waiting {
+        } else if self.queue.len() > self.free {
             Some(Close::Evicted)
         } else {
             None
@@ -259,12 +264,13 @@ struct ConnQueue {
 }
 
 impl ConnQueue {
-    fn new(capacity: usize) -> Self {
+    /// A queue of `capacity` served by a pool of `workers`.
+    fn new(capacity: usize, workers: usize) -> Self {
         Self {
             state: Mutex::new(Conns {
                 queue: VecDeque::new(),
                 idle: VecDeque::new(),
-                waiting: 0,
+                free: workers,
                 next_token: 0,
                 stopped: false,
             }),
@@ -278,7 +284,7 @@ impl ConnQueue {
     }
 
     /// Queues `stream` for a worker; if that leaves more queued than
-    /// workers waiting, the longest-idle parked connection is shut down
+    /// workers free, the longest-idle parked connection is shut down
     /// so its worker comes for it.
     fn push(&self, stream: TcpStream) -> Result<(), Refused> {
         let mut c = self.lock();
@@ -298,19 +304,25 @@ impl ConnQueue {
         Ok(())
     }
 
+    /// Hands a free worker its next connection; the worker stays
+    /// counted as busy until it calls [`Self::release`].
     fn pop(&self) -> Option<TcpStream> {
         let mut c = self.lock();
         loop {
             if let Some(stream) = c.queue.pop_front() {
+                c.free -= 1;
                 return Some(stream);
             }
             if c.stopped {
                 return None;
             }
-            c.waiting += 1;
             c = self.ready.wait(c).expect("conn queue poisoned");
-            c.waiting -= 1;
         }
+    }
+
+    /// The worker is done with the connection `pop` gave it.
+    fn release(&self) {
+        self.lock().free += 1;
     }
 
     /// Whether — and why — a worker finishing a request should close
@@ -387,7 +399,8 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
     let addr = listener.local_addr()?;
     let shared = Shared::new(&config.engine, config.ops_queue);
     let engine = ServeEngine::new(config.engine.clone(), Arc::clone(&shared));
-    let conns = Arc::new(ConnQueue::new(config.conn_queue));
+    let workers = config.http_workers.max(1);
+    let conns = Arc::new(ConnQueue::new(config.conn_queue, workers));
     let mut threads = Vec::new();
 
     // --- runtime thread (always index 0; join() relies on it) --------
@@ -438,7 +451,7 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
     }
 
     // --- HTTP workers --------------------------------------------------
-    for _ in 0..config.http_workers.max(1) {
+    for _ in 0..workers {
         let conns = Arc::clone(&conns);
         let shared = Arc::clone(&shared);
         let limits = config.limits;
@@ -447,6 +460,7 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
         threads.push(std::thread::spawn(move || {
             while let Some(stream) = conns.pop() {
                 handle_connection(stream, &conns, &shared, &limits, deadline, max_devices);
+                conns.release();
             }
         }));
     }
@@ -467,7 +481,6 @@ fn run_slot_loop(config: ServeConfig, mut engine: ServeEngine, shared: &Shared) 
             max_migrations: 0,
         },
         stage_faults: None,
-        command_depth: 4,
         recovery: Default::default(),
         checkpoints: config.checkpoint_dir.as_ref().map(|dir| {
             let mut c = CheckpointConfig::new(dir);
@@ -892,7 +905,7 @@ mod tests {
     #[test]
     fn drain_is_refused_with_503_and_overload_with_429() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let queue = ConnQueue::new(1);
+        let queue = ConnQueue::new(1, 1);
         let (a, _a_client) = pair(&listener);
         assert!(queue.push(a).is_ok());
 
@@ -921,14 +934,14 @@ mod tests {
     #[test]
     fn a_queued_connection_evicts_the_longest_idle_one() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let queue = ConnQueue::new(8);
+        let queue = ConnQueue::new(8, 0);
         let (old, mut old_client) = pair(&listener);
         let (young, _young_client) = pair(&listener);
         let old_token = queue.park(old.try_clone().unwrap()).expect("nothing queued");
         let young_token = queue.park(young.try_clone().unwrap()).expect("nothing queued");
         assert_eq!(queue.must_yield(), None);
 
-        // No worker is waiting in `pop`, so the push must free one up.
+        // No worker is free, so the push must free one up.
         let (queued, _queued_client) = pair(&listener);
         assert!(queue.push(queued).is_ok());
         assert_eq!(queue.reclaim(old_token).unwrap_err(), Close::Evicted, "the longest idle goes");
@@ -938,6 +951,7 @@ mod tests {
         // While a connection is queued, nobody may go (back) to idle.
         assert_eq!(queue.must_yield(), Some(Close::Evicted));
         assert_eq!(queue.park(young.try_clone().unwrap()).unwrap_err(), Close::Evicted);
+        queue.release(); // the evicted connection's worker comes for it
         assert!(queue.pop().is_some());
         assert_eq!(queue.must_yield(), None);
         let token = queue.park(young.try_clone().unwrap()).expect("queue drained");

@@ -114,19 +114,16 @@ fn tick(addr: SocketAddr) {
     assert_eq!(request(addr, "POST", "/v1/tick", "{}").0, 202);
 }
 
-/// Runs slots `from..SLOTS` of the script, recording each decision
-/// body as it lands.
-fn drive(addr: SocketAddr, from: usize, decisions: &mut Vec<String>) {
-    for t in from..SLOTS {
+/// Runs slots `slots` of the script, recording each decision body as
+/// it lands. A slot's decision is served inside the slot, so waiting
+/// for it is also what keeps the next slot's ops out of this one: the
+/// tick has been consumed and the queue drained by then.
+fn drive(addr: SocketAddr, slots: std::ops::Range<usize>, decisions: &mut Vec<String>) {
+    for t in slots {
         ops_for(addr, t);
         tick(addr);
-        if t >= 1 {
-            decisions.push(wait_schedule(addr, t - 1, WAIT));
-        }
+        decisions.push(wait_schedule(addr, t, WAIT));
     }
-    // One empty slot so the last scripted decision joins and lands.
-    tick(addr);
-    decisions.push(wait_schedule(addr, SLOTS - 1, WAIT));
 }
 
 fn shutdown_and_wait(mut server: Server) {
@@ -142,41 +139,31 @@ fn kill_and_restart_resume_bit_identically() {
     let server = boot(&ref_dirs, false);
     let ref_addr = server.addr;
     let mut reference: Vec<String> = Vec::new();
-    drive(ref_addr, 0, &mut reference);
+    drive(ref_addr, 0..SLOTS, &mut reference);
     assert_eq!(reference.len(), SLOTS);
     shutdown_and_wait(server);
 
-    // --- victim: same script, SIGKILL after slot 3's decision ------
+    // --- victim: same script, SIGKILL after slot 4's decision ------
     let kill_dirs = Dirs::fresh("kill");
     let server = boot(&kill_dirs, false);
     let addr = server.addr;
     let mut resumed: Vec<String> = Vec::new();
-    for t in 0..5 {
-        ops_for(addr, t);
-        tick(addr);
-        if t >= 1 {
-            resumed.push(wait_schedule(addr, t - 1, WAIT));
-        }
-    }
-    // Slot 4 is journaled (its predecessor's decision landed), ops 0..4
-    // are on disk: a hard kill now loses only in-flight compute.
+    drive(addr, 0..5, &mut resumed);
+    // Slot 4 is journaled and ops 0..4 are on disk, but its decision is
+    // not durable yet (the log is flushed with the next checkpoint
+    // round): a hard kill now loses only that compute.
     drop(server); // SIGKILL, no drain, no seal
 
     let server = boot(&kill_dirs, true);
     let addr = server.addr;
-    // Recovery must repopulate the already-decided slots identically.
-    for (t, want) in reference.iter().enumerate().take(4) {
+    // Recovery must repopulate the already-decided slots identically —
+    // 0..=3 replayed from the decision log, 4 re-run from the journal.
+    for (t, want) in reference.iter().enumerate().take(5) {
         let got = wait_schedule(addr, t, WAIT);
         assert_eq!(&got, want, "replayed decision for slot {t} diverged");
     }
     // Continue the script where the victim died.
-    for t in 5..SLOTS {
-        ops_for(addr, t);
-        tick(addr);
-        resumed.push(wait_schedule(addr, t - 1, WAIT));
-    }
-    tick(addr);
-    resumed.push(wait_schedule(addr, SLOTS - 1, WAIT));
+    drive(addr, 5..SLOTS, &mut resumed);
     assert_eq!(resumed.len(), SLOTS);
     for (t, (got, want)) in resumed.iter().zip(&reference).enumerate() {
         assert_eq!(got, want, "post-kill decision for slot {t} diverged from reference");

@@ -11,8 +11,8 @@
 //! * [`bayes`] — conjugate Bayesian estimation of power-reduction ratios
 //! * [`edge`] — edge servers, virtual clusters, devices and batteries
 //! * [`core`] — the LPVS scheduler (two-phase heuristic, paper §IV–V)
-//! * [`runtime`] — staged slot pipeline (gather ∥ solve ∥ apply) with
-//!   shard-local Bayes banks and graceful sequential fallback
+//! * [`runtime`] — the slot loop's two executors (inline, or supervised
+//!   shard workers with shard-local Bayes banks) in one stage order
 //! * [`emulator`] — trace-driven emulation and experiment drivers
 //! * [`obs`] — tracing spans, metrics registry, and telemetry sinks
 

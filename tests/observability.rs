@@ -43,6 +43,18 @@ fn faulty_emulation_produces_full_telemetry() {
         assert!(h.sum >= 0.0 && h.sum.is_finite());
     }
 
+    // The executor's own stage series, one sample per slot — from the
+    // inline executor too (this run is inline), so the default emulator
+    // path has a gather / apply breakdown.
+    for (stage, series) in [("gather", "runtime_gather_seconds"), ("apply", "runtime_apply_seconds")] {
+        let labeled = metrics
+            .histogram_labeled("runtime_stage_seconds", &[("stage", stage)])
+            .unwrap_or_else(|| panic!("missing runtime_stage_seconds{{stage={stage}}}"));
+        assert_eq!(labeled.count, slots as u64, "stage {stage}");
+        assert_eq!(metrics.histogram(series).map(|h| h.count), Some(slots as u64), "{series}");
+    }
+    assert_eq!(metrics.counter("runtime_slots_total"), Some(slots as u64));
+
     // Every exercised degradation tier has both a counter and a
     // latency histogram, and they agree on the sample count.
     let runs = metrics.counter("sched_runs_total").expect("sched_runs_total missing");
@@ -82,8 +94,10 @@ fn faulty_emulation_produces_full_telemetry() {
     for (name, _) in &metrics.counters {
         assert!(prom.contains(&format!("# TYPE {name} counter")), "no TYPE line for {name}");
     }
-    for (name, h) in &metrics.histograms {
-        assert!(prom.contains(&format!("{name}_bucket{{le=\"+Inf\"}} {}", h.count)));
-        assert!(prom.contains(&format!("{name}_count {}", h.count)));
+    for (key, h) in &metrics.histograms {
+        let name = &key.name;
+        let inf = key.label_block(&[("le", "+Inf")]);
+        assert!(prom.contains(&format!("{name}_bucket{inf} {}", h.count)), "{key}");
+        assert!(prom.contains(&format!("{name}_count{} {}", key.label_block(&[]), h.count)), "{key}");
     }
 }

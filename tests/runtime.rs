@@ -1,11 +1,12 @@
-//! Pipelined-runtime invariants.
+//! Slot-runtime invariants.
 //!
-//! The headline claim of `lpvs-runtime` is that overlapping
-//! gather(t+1) ∥ solve(t) ∥ apply(t−1) changes *when* work happens but
-//! not *what* is computed: a pipelined emulation reproduces the
-//! sequential engine's one-slot-ahead mode **bit-for-bit** — every
-//! `SlotRecord`, every Joule, every final γ posterior. The second claim
-//! is that shard-local Bayes banks are pure choreography: splitting the
+//! The headline claim of `lpvs-runtime` is that its two executors —
+//! inline, or supervised shard workers with shard-local banks — differ
+//! in *who runs the shards* and in nothing else: the same driver calls
+//! in the same order (`solved(t)` before `apply(t)`), and a pipelined
+//! emulation reproduces the inline one-slot-ahead run **bit-for-bit** —
+//! every `SlotRecord`, every Joule, every final γ posterior. The second
+//! claim is that shard-local Bayes banks are pure choreography: splitting the
 //! global bank, migrating estimators between shards, and merging back
 //! preserves every posterior exactly, for any shard count and either
 //! partitioner.
@@ -72,8 +73,8 @@ fn pipelined_run_is_bit_identical_to_sequential_one_slot_ahead() {
 #[test]
 fn pipelined_run_is_bit_identical_under_telemetry_faults() {
     // Disconnects, corrupt γ, brownouts, and budget cuts all hit the
-    // same slots in both modes (the plan is seed-derived); the staged
-    // pipeline must absorb every one identically.
+    // same slots in both modes (the plan is seed-derived); the shard
+    // workers must absorb every one identically.
     for num_edges in [2usize, 3] {
         let config = EmulatorConfig {
             faults: FaultConfig::uniform(0.2, 11),
@@ -231,24 +232,44 @@ proptest! {
 /// batteries with γ = 0 — nothing worth transforming at home, so their
 /// shards' capacity is free for the rebalance to fill, every slot.
 /// Selected devices report an observation, so estimator traffic is
-/// routed to migrated owners throughout the run.
+/// routed to migrated owners throughout the run. Every call the
+/// executor makes is logged.
 struct SkewedDriver {
     devices: usize,
     demanding: usize,
     slots: usize,
+    /// Slots between a decision's gather and its application.
+    lag: usize,
     staged: Option<Vec<bool>>,
     gathered: Vec<GatheredSlot>,
     solved: Vec<SolvedSlot>,
+    calls: Vec<(&'static str, usize)>,
 }
 
 impl SkewedDriver {
+    /// One slot ahead: slot t plays the newest decision solved for a
+    /// slot before t.
     fn new(devices: usize, demanding: usize, slots: usize) -> Self {
-        Self { devices, demanding, slots, staged: None, gathered: Vec::new(), solved: Vec::new() }
+        Self::with_lag(devices, demanding, slots, 1)
+    }
+
+    fn with_lag(devices: usize, demanding: usize, slots: usize, lag: usize) -> Self {
+        Self {
+            devices,
+            demanding,
+            slots,
+            lag,
+            staged: None,
+            gathered: Vec::new(),
+            solved: Vec::new(),
+            calls: Vec::new(),
+        }
     }
 }
 
 impl SlotSource for SkewedDriver {
     fn begin_slot(&mut self, slot: usize) -> Option<BankOps> {
+        self.calls.push(("begin_slot", slot));
         (slot < self.slots)
             .then(|| BankOps { forgets: Vec::new(), queries: (0..self.devices).collect() })
     }
@@ -260,6 +281,7 @@ impl SlotSource for SkewedDriver {
         _recycled: Option<DeviceFleet>,
     ) -> Option<GatheredSlot> {
         const CAPACITY_J: f64 = 55_440.0;
+        self.calls.push(("gather", slot));
         let mut fleet = DeviceFleet::new();
         for (d, &(mean, _)) in posteriors.iter().enumerate() {
             let (battery, gamma) = if d < self.demanding {
@@ -290,18 +312,18 @@ impl SlotSource for SkewedDriver {
 
 impl SlotSink for SkewedDriver {
     fn solved(&mut self, solved: &SolvedSlot) {
+        self.calls.push(("solved", solved.slot));
         self.staged = Some(solved.schedule.selected.clone());
         self.solved.push(solved.clone());
     }
 
     fn apply(&mut self, slot: usize) -> SlotFeedback {
-        // One slot ahead: slot t plays the newest decision solved for a
-        // slot before t, whichever executor delivered it and when.
+        self.calls.push(("apply", slot));
         let observations = self
             .solved
             .iter()
             .rev()
-            .find(|solved| solved.slot < slot)
+            .find(|solved| solved.slot + self.lag <= slot)
             .iter()
             .flat_map(|solved| &solved.schedule.selected)
             .enumerate()
@@ -319,6 +341,45 @@ fn timeless(mut schedule: FleetSchedule) -> FleetSchedule {
         report.stats.runtime = std::time::Duration::ZERO;
     }
     schedule
+}
+
+/// One delivery order: whoever runs the shards, the executor makes the
+/// same driver calls in the same sequence, with `solved(t)` between
+/// `gather(t)` and `apply(t)` — so a sink may apply a decision in the
+/// slot it was gathered for (lag 0) under either executor, and both
+/// produce the same decisions and the same final estimators.
+#[test]
+fn both_executors_call_the_driver_in_one_order() {
+    for num_shards in [1usize, 2, 3] {
+        let (demanding, slots) = (12, 5);
+        let devices = demanding * num_shards;
+        let expected: Vec<(&str, usize)> = (0..slots)
+            .flat_map(|t| [("begin_slot", t), ("gather", t), ("solved", t), ("apply", t)])
+            .chain([("begin_slot", slots)])
+            .collect();
+        let runtime = SlotRuntime::new(RuntimeConfig {
+            fleet: FleetConfig { num_shards, ..FleetConfig::default() },
+            ..RuntimeConfig::default()
+        });
+        for lag in [0usize, 1] {
+            let case = format!("{num_shards} shards, lag {lag}");
+            let estimators = vec![GammaEstimator::paper_default(); devices];
+            let mut inline = SkewedDriver::with_lag(devices, demanding, slots, lag);
+            let inline_report = runtime.run_sequential(&mut inline, estimators.clone());
+            let mut workers = SkewedDriver::with_lag(devices, demanding, slots, lag);
+            let workers_report = runtime.run(&mut workers, estimators);
+
+            assert_eq!(inline.calls, expected, "{case}: inline executor");
+            assert_eq!(workers.calls, expected, "{case}: worker executor");
+            assert_eq!(workers.gathered, inline.gathered, "{case}");
+            let decisions = |d: &SkewedDriver| -> Vec<FleetSchedule> {
+                d.solved.iter().map(|s| timeless(s.schedule.clone())).collect()
+            };
+            assert_eq!(decisions(&workers), decisions(&inline), "{case}");
+            assert_eq!(workers_report.estimators, inline_report.estimators, "{case}");
+            assert_eq!(workers_report.summary.workers_lost, 0, "{case}");
+        }
+    }
 }
 
 /// The one fleet in the root suite whose rebalance moves somebody: the
@@ -377,15 +438,11 @@ fn executors_agree_when_the_rebalance_migrates() {
             assert_eq!(timeless(direct), timeless(seq.schedule.clone()), "{case}");
 
             // Ownership follows `migrated_in`, shard by shard in order.
-            // The horizon's last solve is joined while draining and
-            // moves nothing.
             moved_per_slot.push(owner.clone());
-            if seq.slot + 1 < slots {
-                for report in &seq.schedule.shards {
-                    for &row in &report.migrated_in {
-                        estimator_moves += usize::from(owner[g.device_ids[row]] != report.shard);
-                        owner[g.device_ids[row]] = report.shard;
-                    }
+            for report in &seq.schedule.shards {
+                for &row in &report.migrated_in {
+                    estimator_moves += usize::from(owner[g.device_ids[row]] != report.shard);
+                    owner[g.device_ids[row]] = report.shard;
                 }
             }
         }

@@ -180,6 +180,32 @@ fn opt_out_budget_and_parse_errors_end_the_connection() {
     shutdown(handle);
 }
 
+#[test]
+fn one_tick_serves_the_slots_decision() {
+    // A slot's decision is published inside that slot: sessions, one
+    // tick, and the schedule is there — no second tick to flush it.
+    let (handle, addr) = boot(config());
+    let mut conn = Conn::open(addr);
+    for d in 0..3 {
+        let arrive = format!("{{\"action\":\"arrive\",\"device\":{d},\"energy_j\":9000,\"gamma\":0.4}}");
+        assert_eq!(conn.request("POST", "/v1/sessions", &arrive).status, 202);
+    }
+    assert_eq!(conn.request("GET", "/v1/schedule/0", "").status, 404, "nothing decided before the tick");
+    assert_eq!(conn.request("POST", "/v1/tick", "{}").status, 202);
+    let ticked = Instant::now();
+    let decision = loop {
+        let reply = conn.request("GET", "/v1/schedule/0", "");
+        if reply.status == 200 {
+            break text(&reply);
+        }
+        assert!(ticked.elapsed() < CLIENT_TIMEOUT, "slot 0 undecided {:?} after its only tick", ticked.elapsed());
+        std::thread::sleep(Duration::from_millis(2));
+    };
+    assert!(decision.contains("\"slot\":0") && decision.contains("\"tier\":\"exact\""), "{decision}");
+    drop(conn);
+    shutdown(handle);
+}
+
 /// A client that reconnects once when its kept-alive connection turns
 /// out to have been closed under it — what any persistent HTTP client
 /// does, and what an evicted one has to.
