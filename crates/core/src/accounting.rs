@@ -1,0 +1,110 @@
+//! Per-row accounting of a standing decision: the one way eq. 13 and
+//! `energy_saved_j` are totalled.
+//!
+//! A row's eq.-13 term and saving term depend on that row's columns, its
+//! own decision, λ and the curve — nothing else. [`RowAccounting`] keeps
+//! both per row, re-evaluates only the rows named stale, and folds the
+//! totals from the kept terms in index order, bit-identical to
+//! evaluating every row — which is what an empty cache (a cold solve)
+//! does. Derived state: never serialised, rebuilt at full price by
+//! whoever finds none. The terms check λ and the curve themselves; what
+//! their owners (a shard worker's delta memo, the fleet join) must prove
+//! before naming a stale set is that every other row is unchanged.
+
+use crate::fleet::{DeviceFleet, SlotView};
+use crate::kernels::{device_objective_batch, Select};
+use lpvs_survey::curve::AnxietyCurve;
+
+/// Rows per eq.-13 kernel call: stack-resident index and decision
+/// blocks, a multiple of the kernel's lane groups.
+const BLOCK: usize = 512;
+
+/// The eq.-13 term and the saving term (J) of every row of a row list
+/// under its current decision; positional, like the selection.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RowAccounting {
+    objective: Vec<f64>,
+    saving_j: Vec<f64>,
+    /// λ and the curve the kept terms were evaluated under.
+    priced: Option<(f64, AnxietyCurve)>,
+}
+
+impl RowAccounting {
+    /// The terms of `selected` over `view`, every row evaluated.
+    pub fn of(view: SlotView<'_>, selected: &[bool]) -> Self {
+        let mut terms = Self::default();
+        terms.refresh(view.fleet(), Some(view.rows()), view.lambda(), view.curve(), selected, []);
+        terms
+    }
+
+    /// Drops the kept terms (not their allocation): the next refresh
+    /// evaluates every row.
+    pub fn clear(&mut self) {
+        self.objective.clear();
+        self.saving_j.clear();
+    }
+
+    /// Brings the terms up to date with `selected` and returns how many
+    /// rows were re-evaluated. Position `p` is fleet row `rows[p]`, or
+    /// row `p` itself when `rows` is `None` (the whole fleet in order).
+    /// `stale` names the positions whose columns or decision changed
+    /// since the last refresh; kept terms that do not cover `selected`
+    /// position for position (an empty cache), or that were evaluated
+    /// under another λ or curve, make every row stale.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a stale position or its row is out of bounds.
+    pub fn refresh(
+        &mut self,
+        fleet: &DeviceFleet,
+        rows: Option<&[usize]>,
+        lambda: f64,
+        curve: &AnxietyCurve,
+        selected: &[bool],
+        stale: impl IntoIterator<Item = usize>,
+    ) -> usize {
+        let priced = self.priced.as_ref();
+        let kept = self.objective.len() == selected.len()
+            && priced.is_some_and(|(l, c)| l.to_bits() == lambda.to_bits() && c == curve);
+        // The named positions when the terms are kept, else every one.
+        let (named, every) = if kept { (usize::MAX, 0) } else { (0, selected.len()) };
+        let mut stale = stale.into_iter().take(named).chain(0..every);
+        if !kept {
+            self.priced = Some((lambda, curve.clone()));
+            self.objective.resize(selected.len(), 0.0);
+            self.saving_j.resize(selected.len(), 0.0);
+        }
+
+        let cols = fleet.columns();
+        let (mut at, mut row, mut on) = ([0usize; BLOCK], [0usize; BLOCK], [false; BLOCK]);
+        let mut terms = Vec::with_capacity(BLOCK);
+        let mut evaluated = 0;
+        loop {
+            let mut n = 0;
+            for p in stale.by_ref().take(BLOCK) {
+                (at[n], row[n], on[n]) = (p, rows.map_or(p, |r| r[p]), selected[p]);
+                n += 1;
+            }
+            if n == 0 {
+                return evaluated;
+            }
+            terms.clear();
+            let select = Select::PerPosition(&on[..n]);
+            device_objective_batch(&cols, &row[..n], select, lambda, curve, &mut terms);
+            for k in 0..n {
+                self.objective[at[k]] = terms[k];
+                // An unselected row contributes its literal 0.0.
+                self.saving_j[at[k]] = if on[k] { fleet.saving_j(row[k]) } else { 0.0 };
+            }
+            evaluated += n;
+        }
+    }
+
+    /// `(objective, energy_saved_j)`: both columns folded in index order
+    /// from `Sum`'s identity, so the bits are those of summing freshly
+    /// evaluated terms.
+    pub fn fold(&self) -> (f64, f64) {
+        (self.objective.iter().sum(), self.saving_j.iter().sum())
+    }
+}

@@ -13,12 +13,13 @@
 //!   and the shard-local dirty rows, solves a small residual problem
 //!   over the dirty rows only, merges it with the standing clean-row
 //!   decisions, and re-runs Phase-2 swapping restricted to the dirty
-//!   frontier. The shard and the residual are both
-//!   [`SlotView`](crate::fleet::SlotView)s of the fleet the caller
-//!   already holds — the residual is the same columns over the dirty
-//!   rows with reduced capacities — so nothing is extracted or copied;
-//!   the only whole-shard work left is the eq.-13 and savings
-//!   accounting of the merged selection.
+//!   frontier. The shard and the residual are both [`SlotView`]s of
+//!   the fleet the caller already holds — the residual is the same
+//!   columns over the dirty rows with reduced capacities — so nothing
+//!   is extracted or copied, and the merged selection is accounted
+//!   through the caller's kept [`RowAccounting`], which re-evaluates
+//!   eq. 13 and the saving for the frontier and the flipped rows only
+//!   ([`solve_incremental`]).
 //!
 //! The correctness argument, in layers:
 //!
@@ -38,8 +39,9 @@
 //! reuses the previous schedule verbatim, which is bit-identical to a
 //! cold solve by solver determinism (same problem → same answer).
 
+use crate::accounting::RowAccounting;
 use crate::budget::SlotBudget;
-use crate::fleet::{DeviceFleet, DirtyFrontier};
+use crate::fleet::{DeviceFleet, DirtyFrontier, SlotView};
 use crate::phase2::run_phase2_over;
 use crate::scheduler::{Degradation, LpvsScheduler, Schedule, ScheduleStats, SchedulerConfig};
 use lpvs_survey::curve::AnxietyCurve;
@@ -107,10 +109,8 @@ impl From<DirtyFrontier> for SlotDelta {
 ///   merged schedule reports the worse of this and the sub-solve's
 ///   rung, so a reused greedy-tier decision is never relabelled exact.
 ///
-/// Falls back to a cold full-shard solve internally if the merged
-/// selection somehow violates capacity (defence in depth — the
-/// residual-capacity algebra makes this unreachable up to f64
-/// rounding).
+/// This is [`solve_incremental`] over the shard's view with no kept
+/// terms: the merged selection is accounted over every row.
 ///
 /// # Panics
 ///
@@ -130,27 +130,50 @@ pub fn solve_shard_incremental(
     curve: &AnxietyCurve,
     budget: &SlotBudget,
 ) -> Schedule {
-    assert_eq!(
-        previous_selected.len(),
-        indices.len(),
-        "previous selection does not cover the shard"
-    );
+    let view = fleet.slot_view(indices, compute_capacity, storage_capacity_gb, lambda, curve);
+    let mut terms = RowAccounting::default();
+    solve_incremental(
+        scheduler, view, local_dirty, previous_selected, previous_degradation, budget, &mut terms,
+    )
+}
+
+/// [`solve_shard_incremental`] over a view, with the caller's kept
+/// accounting: `terms` is empty, or the terms of `previous_selected`
+/// over this view's rows as they were before `local_dirty` changed.
+/// Only the dirty rows and the rows whose decision flipped are
+/// re-evaluated (every row when `terms` is empty; the count goes to
+/// `delta_accounting_rows_total{owner="shard"}`), and `terms` is left
+/// describing the returned selection.
+///
+/// Falls back to a cold full-shard solve internally if the merged
+/// selection somehow violates capacity (defence in depth — the
+/// residual-capacity algebra makes this unreachable up to f64
+/// rounding), leaving `terms` empty.
+pub fn solve_incremental(
+    scheduler: &LpvsScheduler,
+    view: SlotView<'_>,
+    local_dirty: &[usize],
+    previous_selected: &[bool],
+    previous_degradation: Degradation,
+    budget: &SlotBudget,
+    terms: &mut RowAccounting,
+) -> Schedule {
+    assert_eq!(previous_selected.len(), view.len(), "previous selection does not cover the shard");
     let start = Instant::now();
     let mut span = lpvs_obs::span!(
         "delta.incremental",
-        "devices" => indices.len(),
+        "devices" => view.len(),
         "frontier" => local_dirty.len()
     );
-    let view = fleet.slot_view(indices, compute_capacity, storage_capacity_gb, lambda, curve);
 
     // Capacity the clean rows' standing selections already consume.
     let mut g_clean = 0.0;
     let mut h_clean = 0.0;
-    let mut is_dirty = vec![false; indices.len()];
+    let mut is_dirty = vec![false; view.len()];
     for &local in local_dirty {
         is_dirty[local] = true;
     }
-    for local in 0..indices.len() {
+    for local in 0..view.len() {
         if previous_selected[local] && !is_dirty[local] {
             let [g, h] = view.cost(local);
             g_clean += g;
@@ -161,13 +184,13 @@ pub fn solve_shard_incremental(
     // Residual sub-problem over the dirty rows only, warm-started with
     // their previous decisions. Phase-2 is deferred to the merged
     // selection so swaps see the frontier, not the sub-problem.
-    let dirty_rows: Vec<usize> = local_dirty.iter().map(|&l| indices[l]).collect();
-    let sub_view = fleet.slot_view(
+    let dirty_rows: Vec<usize> = local_dirty.iter().map(|&l| view.rows()[l]).collect();
+    let sub_view = view.fleet().slot_view(
         &dirty_rows,
-        (compute_capacity - g_clean).max(0.0),
-        (storage_capacity_gb - h_clean).max(0.0),
-        lambda,
-        curve,
+        (view.compute_capacity() - g_clean).max(0.0),
+        (view.storage_capacity_gb() - h_clean).max(0.0),
+        view.lambda(),
+        view.curve(),
     );
     let sub_warm: Vec<bool> = local_dirty.iter().map(|&l| previous_selected[l]).collect();
     let sub_scheduler = LpvsScheduler::new(SchedulerConfig {
@@ -184,6 +207,7 @@ pub fn solve_shard_incremental(
     if !view.capacity_feasible(&selected) {
         // Unreachable up to rounding; a cold solve is always sound.
         span.record("cold_fallback", 1.0);
+        terms.clear();
         return scheduler.schedule_view(view, Some(previous_selected), budget);
     }
 
@@ -193,11 +217,21 @@ pub fn solve_shard_incremental(
         Default::default()
     };
 
+    // A kept term is stale where the row's columns moved (the frontier)
+    // or its decision did.
+    let stale = (0..view.len()).filter(|&p| is_dirty[p] || selected[p] != previous_selected[p]);
+    let (fleet, rows) = (view.fleet(), Some(view.rows()));
+    let accounted = terms.refresh(fleet, rows, view.lambda(), view.curve(), &selected, stale) as u64;
+    if lpvs_obs::enabled() {
+        lpvs_obs::add_labeled("delta_accounting_rows_total", &[("owner", "shard")], accounted);
+    }
+    let (objective, energy_saved_j) = terms.fold();
+
     let degradation = previous_degradation.max(sub.stats.degradation);
     span.record("tier", degradation.severity() as f64);
     let stats = ScheduleStats {
-        objective: view.objective_value(&selected),
-        energy_saved_j: view.energy_saved_j(&selected),
+        objective,
+        energy_saved_j,
         infeasible_devices: sub.stats.infeasible_devices,
         phase1_nodes: sub.stats.phase1_nodes,
         phase1_pivots: sub.stats.phase1_pivots,

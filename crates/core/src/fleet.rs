@@ -43,7 +43,8 @@
 //! contract is load-bearing for delta solving: a clean bit promises the
 //! row is bit-identical to what it was when the bit was last cleared.
 
-use crate::kernels::{self, FleetColumns, Select};
+use crate::accounting::RowAccounting;
+use crate::kernels::FleetColumns;
 use crate::problem::{safe_capacity, DeviceRequest, SlotProblem};
 use lpvs_display::spec::DisplayKind;
 use lpvs_survey::curve::AnxietyCurve;
@@ -686,8 +687,8 @@ impl DeviceFleet {
     }
 
     // The two per-row energy accessors below are accounting helpers, not
-    // solve-path code: the fleet join totals `energy_saved_j` over the
-    // selected rows with `saving_j`, and the benchmark package
+    // solve-path code: `RowAccounting` takes a selected row's saving term
+    // from `saving_j`, and the benchmark package
     // (`crates/bench/src/bin/e2e`) derives `energy_saving` from both.
 
     /// Untransformed slot energy `Σ p·Δ` (J) of row `i`.
@@ -754,6 +755,11 @@ impl<'a> SlotView<'a> {
         self.rows
     }
 
+    /// The fleet the rows index into.
+    pub(crate) fn fleet(&self) -> &'a DeviceFleet {
+        self.fleet
+    }
+
     /// The fleet columns the rows index into.
     pub(crate) fn columns(&self) -> FleetColumns<'a> {
         self.fleet.columns()
@@ -815,34 +821,15 @@ impl<'a> SlotView<'a> {
         g <= self.compute_capacity + 1e-9 && h <= self.storage_capacity_gb + 1e-9
     }
 
-    /// The joint objective (eq. 13) of a positional selection: per-row
-    /// terms from the batch kernel, summed left to right in shard order.
+    /// The joint objective (eq. 13) of a positional selection: the
+    /// objective half of [`RowAccounting`] with every row evaluated.
     ///
     /// # Panics
     ///
     /// Panics if `selected.len() != self.len()`.
     pub fn objective_value(&self, selected: &[bool]) -> f64 {
         assert_eq!(selected.len(), self.len(), "selection has wrong length");
-        let mut terms = Vec::new();
-        let select = Select::PerPosition(selected);
-        kernels::device_objective_batch(
-            &self.columns(),
-            self.rows,
-            select,
-            self.lambda,
-            self.curve,
-            &mut terms,
-        );
-        terms.iter().sum()
-    }
-
-    /// Energy saved by a positional selection (J): per-row `γ · Σ p·Δ`
-    /// from the batch kernel, summed left to right in shard order.
-    pub(crate) fn energy_saved_j(&self, selected: &[bool]) -> f64 {
-        let mut feasible = Vec::new();
-        let mut savings = Vec::new();
-        kernels::transform_savings_batch(&self.columns(), self.rows, &mut feasible, &mut savings);
-        savings.iter().zip(selected).map(|(s, &x)| if x { *s } else { 0.0 }).sum()
+        RowAccounting::of(*self, selected).fold().0
     }
 }
 

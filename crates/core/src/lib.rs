@@ -46,7 +46,9 @@
 //!   and eq. (13) that every solve runs on;
 //! * [`delta`] — delta-aware incremental solving: [`SlotDelta`] change
 //!   sets and the residual sub-solve that re-solves only the dirty
-//!   frontier of a shard.
+//!   frontier of a shard;
+//! * [`accounting`] — [`RowAccounting`]: the per-row eq.-13 and saving
+//!   terms every total is folded from, refreshed where rows changed.
 //!
 //! # One solve-path representation
 //!
@@ -88,6 +90,7 @@
 
 #![warn(missing_docs)]
 
+pub mod accounting;
 pub mod backend;
 pub mod baseline;
 pub mod budget;
@@ -103,6 +106,7 @@ pub mod problem;
 pub mod provision;
 pub mod scheduler;
 
+pub use accounting::RowAccounting;
 pub use backend::{
     backend_for, ladder_from, solver_ladder, ExactBackend, GreedyBackend, LagrangianBackend,
     SolverBackend, WarmStart,
@@ -110,7 +114,7 @@ pub use backend::{
 pub use baseline::{Policy, SelectionPolicy};
 pub use budget::SlotBudget;
 pub use compact::CompactedDevice;
-pub use delta::{solve_shard_incremental, SlotDelta};
+pub use delta::{solve_incremental, solve_shard_incremental, SlotDelta};
 pub use explain::{explain, Explanation, Reason};
 pub use fleet::{DeviceFleet, DirtyFrontier, FleetDevice, SlotView};
 pub use kernels::{

@@ -1,5 +1,6 @@
 //! The LPVS scheduler: Phase-1 + Phase-2 with instrumentation.
 
+use crate::accounting::RowAccounting;
 use crate::backend::{backend_for, ladder_from, SolverBackend, WarmStart};
 use crate::budget::SlotBudget;
 use crate::fleet::{with_problem_view, SlotView};
@@ -489,9 +490,10 @@ impl Phases {
         rejected: usize,
         start: Instant,
     ) -> Schedule {
+        let (objective, energy_saved_j) = RowAccounting::of(view, &self.selected).fold();
         let stats = ScheduleStats {
-            objective: view.objective_value(&self.selected),
-            energy_saved_j: view.energy_saved_j(&self.selected),
+            objective,
+            energy_saved_j,
             infeasible_devices: self.infeasible_devices,
             phase1_nodes: self.phase1_nodes,
             phase1_pivots: self.phase1_pivots,

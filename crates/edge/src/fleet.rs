@@ -30,7 +30,9 @@
 //! scheduler — the equivalence proptest in `tests/fleet.rs` pins this.
 
 use crate::server::EdgeServer;
+use lpvs_core::accounting::RowAccounting;
 use lpvs_core::budget::SlotBudget;
+use lpvs_core::delta::SlotDelta;
 use lpvs_core::fleet::DeviceFleet;
 use lpvs_core::scheduler::{Degradation, LpvsScheduler, Schedule, ScheduleStats, SchedulerConfig};
 use lpvs_core::Phase2Stats;
@@ -38,10 +40,6 @@ use lpvs_survey::curve::AnxietyCurve;
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
-
-/// Rows per eq.-13 kernel call in the fleet-wide accounting: a
-/// stack-resident index block, a multiple of the kernel's lane groups.
-const ACCOUNTING_BLOCK: usize = 512;
 
 /// How the fleet is split across shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
@@ -124,6 +122,60 @@ impl FleetSchedule {
     /// Number of devices selected fleet-wide.
     pub fn num_selected(&self) -> usize {
         self.selected.iter().filter(|&&x| x).count()
+    }
+}
+
+/// What a join keeps between slots: the fleet-wide [`RowAccounting`] of
+/// the decision it last assembled, and what proves the next slot
+/// extends it — a [`SlotDelta`] whose epoch is the kept one `+ 1` (no
+/// missed frontier) over a fleet of the same size; the terms themselves
+/// check λ and the curve. That is the continuity a shard's delta memo
+/// demands minus the capacities, which move a row's *decision*, never
+/// its terms: a changed decision is found by comparing against the kept
+/// selection, which is also how rebalance migrations are caught.
+/// Anything else re-evaluates every row. Derived state, never
+/// persisted: a resumed run's first join pays full price, once.
+#[derive(Debug, Default)]
+pub struct JoinMemo {
+    /// Epoch of the delta the kept terms consumed; `None` keeps nothing.
+    epoch: Option<u64>,
+    /// The decision the kept terms describe, fleet order.
+    selected: Vec<bool>,
+    terms: RowAccounting,
+}
+
+impl JoinMemo {
+    /// `(objective, energy_saved_j)` of `selected` over the whole fleet,
+    /// re-evaluating the delta's frontier and the flipped rows when the
+    /// slot extends the kept terms and every row otherwise.
+    fn total(
+        &mut self,
+        fleet: &DeviceFleet,
+        lambda: f64,
+        curve: &AnxietyCurve,
+        delta: Option<&SlotDelta>,
+        selected: &[bool],
+    ) -> (f64, f64) {
+        let extends = self.selected.len() == selected.len()
+            && delta.is_some_and(|d| self.epoch.is_some_and(|kept| d.epoch == kept + 1));
+        if !extends {
+            self.terms.clear();
+            self.selected.clear();
+        }
+        let dirty = delta.filter(|_| extends).map_or(&[][..], |d| &d.dirty);
+        let flipped = (self.selected.iter().zip(selected).enumerate())
+            .filter(|(i, (was, now))| was != now && dirty.binary_search(i).is_err())
+            .map(|(i, _)| i);
+        let stale = dirty.iter().copied().chain(flipped);
+        let accounted = self.terms.refresh(fleet, None, lambda, curve, selected, stale) as u64;
+        if lpvs_obs::enabled() {
+            lpvs_obs::add_labeled("delta_accounting_rows_total", &[("owner", "join")], accounted);
+        }
+        // Only a delta-carrying slot can be extended.
+        self.epoch = delta.map(|d| d.epoch);
+        self.selected.clear();
+        self.selected.extend_from_slice(if delta.is_some() { selected } else { &[] });
+        self.terms.fold()
     }
 }
 
@@ -291,7 +343,7 @@ impl FleetScheduler {
         })
         .unwrap_or_default();
 
-        let schedule = self.assemble(fleet, servers, &shards, results, lambda, curve, start);
+        let schedule = self.assemble(fleet, servers, shards, results, lambda, curve, start, None);
         fleet_span.record("migrations", schedule.migrations as f64);
         schedule
     }
@@ -324,67 +376,47 @@ impl FleetScheduler {
     /// [`schedule_with_servers`](Self::schedule_with_servers), exposed
     /// so runtimes that keep their own persistent shard workers (the
     /// pipelined slot runtime) join results through the **same** code
-    /// path and stay bit-identical to the scoped-thread scheduler.
+    /// path and stay bit-identical to the scoped-thread scheduler. With
+    /// the caller's [`JoinMemo`] and the slot's delta as `kept`, a slot
+    /// that extends the memo accounts only the rows that changed.
     #[allow(clippy::too_many_arguments)]
     pub fn assemble(
         &self,
         fleet: &DeviceFleet,
         servers: &[EdgeServer],
-        shards: &[Vec<usize>],
+        shards: Vec<Vec<usize>>,
         results: Vec<Option<Schedule>>,
         lambda: f64,
         curve: &AnxietyCurve,
         start: Instant,
+        kept: Option<(&mut JoinMemo, &SlotDelta)>,
     ) -> FleetSchedule {
         let mut selected = vec![false; fleet.len()];
         let mut reports = Vec::with_capacity(shards.len());
         let mut results = results.into_iter();
-        for (s, indices) in shards.iter().enumerate() {
+        for (s, devices) in shards.into_iter().enumerate() {
             let schedule = results
                 .next()
                 .flatten()
-                .unwrap_or_else(|| Self::passthrough_schedule(indices.len()));
-            for (&global, &x) in indices.iter().zip(&schedule.selected) {
+                .unwrap_or_else(|| Self::passthrough_schedule(devices.len()));
+            for (&global, &x) in devices.iter().zip(&schedule.selected) {
                 selected[global] = x;
             }
             reports.push(ShardReport {
                 shard: s,
-                devices: indices.clone(),
+                devices,
                 stats: schedule.stats,
                 migrated_in: Vec::new(),
             });
         }
 
-        let migrations =
-            self.rebalance(fleet, servers, shards, lambda, curve, &mut selected, &mut reports);
+        let migrations = self.rebalance(fleet, servers, lambda, curve, &mut selected, &mut reports);
 
-        // Fleet-wide accounting in one pass: eq. 13 through the batched
-        // kernel a block of rows at a time, savings for selected rows
-        // only. Per-row terms and the index-order fold from `Sum`'s
-        // identity match the whole-fleet vectors bit-for-bit.
-        let cols = fleet.columns();
-        let mut rows = [0usize; ACCOUNTING_BLOCK];
-        let mut terms = Vec::with_capacity(ACCOUNTING_BLOCK);
-        let mut objective = -0.0;
-        for start in (0..fleet.len()).step_by(ACCOUNTING_BLOCK) {
-            let block = &mut rows[..ACCOUNTING_BLOCK.min(fleet.len() - start)];
-            block.iter_mut().enumerate().for_each(|(k, row)| *row = start + k);
-            terms.clear();
-            lpvs_core::device_objective_batch(
-                &cols,
-                block,
-                lpvs_core::Select::PerRow(&selected),
-                lambda,
-                curve,
-                &mut terms,
-            );
-            objective = terms.iter().fold(objective, |sum, term| sum + term);
-        }
-        let energy_saved_j: f64 = selected
-            .iter()
-            .enumerate()
-            .map(|(i, &x)| if x { fleet.saving_j(i) } else { 0.0 })
-            .sum();
+        // Fleet-wide accounting; `None` evaluates every row, keeps none.
+        let (objective, energy_saved_j) = match kept {
+            Some((memo, delta)) => memo.total(fleet, lambda, curve, Some(delta), &selected),
+            None => JoinMemo::default().total(fleet, lambda, curve, None, &selected),
+        };
 
         if lpvs_obs::enabled() {
             lpvs_obs::add("fleet_migrations_total", migrations as u64);
@@ -411,12 +443,10 @@ impl FleetScheduler {
     /// scanned in descending anxiety order; each is migrated to the
     /// foreign shard with the most free compute that admits it.
     /// Returns the number of accepted migrations.
-    #[allow(clippy::too_many_arguments)]
     fn rebalance(
         &self,
         fleet: &DeviceFleet,
         servers: &[EdgeServer],
-        shards: &[Vec<usize>],
         lambda: f64,
         curve: &AnxietyCurve,
         selected: &mut [bool],
@@ -432,9 +462,9 @@ impl FleetScheduler {
         // every admission must succeed.
         let mut usage: Vec<EdgeServer> = servers.to_vec();
         let mut home = vec![usize::MAX; fleet.len()];
-        for (s, indices) in shards.iter().enumerate() {
+        for (s, report) in reports.iter().enumerate() {
             usage[s].reset_slot();
-            for &i in indices {
+            for &i in &report.devices {
                 home[i] = s;
                 if selected[i] {
                     let admitted = usage[s].try_admit(fleet.compute_cost(i), fleet.storage_cost_gb(i));
@@ -538,7 +568,7 @@ impl FleetScheduler {
 ///
 /// Both inputs must be ascending: `indices` is a shard's global rows in
 /// shard order (both partitioners emit them ascending) and `dirty` is a
-/// [`SlotDelta`](lpvs_core::delta::SlotDelta)'s ascending frontier. A
+/// [`SlotDelta`]'s ascending frontier. A
 /// single sorted merge, O(|indices| + |dirty|), so taking a shard's
 /// frontier never costs more than scanning the shard.
 pub fn shard_frontier(indices: &[usize], dirty: &[usize]) -> Vec<usize> {

@@ -455,6 +455,7 @@ pub(crate) fn memo_from_bytes(bytes: &[u8]) -> Result<ShardDeltaMemo, CodecError
         storage_capacity_gb,
         lambda,
         schedule: Schedule { selected, stats },
+        accounting: Default::default(),
     })
 }
 
@@ -1111,6 +1112,7 @@ mod tests {
                     runtime: Duration::ZERO,
                 },
             },
+            accounting: Default::default(),
         }
     }
 

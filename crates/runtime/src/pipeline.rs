@@ -60,7 +60,7 @@ use lpvs_bayes::{BayesBank, GammaEstimator};
 use lpvs_obs::{FlightRing, SpanContext};
 use lpvs_core::fleet::DeviceFleet;
 use lpvs_core::scheduler::{Degradation, Schedule};
-use lpvs_edge::fleet::{FleetConfig, FleetSchedule, FleetScheduler, Partitioner};
+use lpvs_edge::fleet::{FleetConfig, FleetSchedule, FleetScheduler, JoinMemo, Partitioner};
 use lpvs_edge::server::EdgeServer;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -277,6 +277,10 @@ struct Hub {
     /// set when an estimator migration moves γ state into or out of a
     /// shard's bank, drained at dispatch.
     force_cold: Vec<bool>,
+    /// The join's kept per-row accounting: a delta-carrying slot that
+    /// extends it re-evaluates only the rows that changed. Starts
+    /// empty, on a resume too.
+    join: JoinMemo,
 }
 
 impl Hub {
@@ -600,6 +604,7 @@ impl SlotRuntime {
             workers_lost: 0,
             rings,
             force_cold: vec![false; k],
+            join: JoinMemo::default(),
         };
         let mut sup = Supervisor::new(store, k);
         let interval = self.config.checkpoints.as_ref().map(|c| c.interval);
@@ -861,13 +866,6 @@ impl SlotRuntime {
     /// Builds shard `s`'s slice of `pending` (first dispatch and
     /// re-dispatch alike — the attempt counter comes from `pending`).
     fn shard_job(pending: &PendingSolve, s: usize) -> SolveJob {
-        // Same guard as the scoped path: warm starts only carry over
-        // when the population is unchanged.
-        let warm = pending
-            .gathered
-            .warm
-            .as_deref()
-            .filter(|p| p.len() == pending.gathered.fleet.len());
         SolveJob {
             slot: pending.slot,
             attempt: pending.attempts[s],
@@ -875,7 +873,6 @@ impl SlotRuntime {
             indices: pending.shards[s].clone(),
             compute_capacity: pending.servers[s].compute_capacity(),
             storage_capacity_gb: pending.servers[s].storage_capacity_gb(),
-            warm: warm.map(|p| pending.shards[s].iter().map(|&i| p[i]).collect()),
             force_cold: pending.force_cold[s],
             ctx: pending.ctx,
         }
@@ -1088,11 +1085,12 @@ impl SlotRuntime {
         let schedule = self.scheduler.assemble(
             &gathered.fleet,
             &servers,
-            &shards,
+            shards,
             results,
             gathered.lambda,
             &gathered.curve,
             dispatched_at,
+            gathered.delta.as_ref().map(|delta| (&mut hub.join, delta)),
         );
         if lpvs_obs::enabled() {
             let assembled = wait.elapsed().as_secs_f64() - waited;

@@ -25,7 +25,8 @@
 use crate::GatheredSlot;
 use crossbeam::channel::{Receiver, Sender};
 use lpvs_bayes::{BayesBank, GammaEstimator};
-use lpvs_core::delta::solve_shard_incremental;
+use lpvs_core::accounting::RowAccounting;
+use lpvs_core::delta::solve_incremental;
 use lpvs_core::scheduler::{LpvsScheduler, Schedule, SchedulerConfig};
 use lpvs_edge::fleet::shard_frontier;
 use lpvs_obs::{FlightKind, FlightRing, SpanContext};
@@ -79,6 +80,11 @@ pub struct ShardDeltaMemo {
     pub lambda: f64,
     /// The shard schedule the memo reuses or extends.
     pub schedule: Schedule,
+    /// Per-row eq.-13 and saving terms of `schedule`, so an incremental
+    /// solve re-evaluates its frontier only. Derived, never persisted:
+    /// empty on a memo decoded from a checkpoint or left by a cold
+    /// solve, until the next incremental solve rebuilds every row once.
+    pub(crate) accounting: RowAccounting,
 }
 
 /// Fraction gate: the incremental path only pays off while the dirty
@@ -105,8 +111,6 @@ pub(crate) struct SolveJob {
     pub compute_capacity: f64,
     /// This shard's split of the edge storage capacity (GB).
     pub storage_capacity_gb: f64,
-    /// Warm start for this shard's slice, in slice order.
-    pub warm: Option<Vec<bool>>,
     /// Invalidate the shard's delta memo before solving: the hub sets
     /// this after a cross-shard estimator migration touched the shard
     /// (and on re-dispatch after a death) — recovery correctness must
@@ -260,10 +264,10 @@ pub(crate) fn spawn_worker(
                         }
                     }
                     let slot = job.slot;
-                    let schedule = solve_slice(&scheduler, shard, &job, &mut state.memo, &ring);
-                    // Release the shared buffer before announcing, so
-                    // the hub's handle is unique once all shards report.
-                    drop(job);
+                    // Consumes the job, and with it the shared buffer's
+                    // handle — released before announcing, so the hub's
+                    // is unique once all shards report.
+                    let schedule = solve_slice(&scheduler, shard, job, &mut state.memo, &ring);
                     ring.push(
                         FlightKind::SpanEnd,
                         "solve",
@@ -391,7 +395,7 @@ fn classify_delta(
 fn solve_slice(
     scheduler: &LpvsScheduler,
     shard: usize,
-    job: &SolveJob,
+    job: SolveJob,
     memo: &mut Option<ShardDeltaMemo>,
     ring: &FlightRing,
 ) -> Option<Schedule> {
@@ -403,7 +407,7 @@ fn solve_slice(
         "shard" => shard, "slot" => job.slot, "devices" => job.indices.len()
     );
     let started = std::time::Instant::now();
-    let (path, local_dirty, reset) = classify_delta(job, memo);
+    let (path, local_dirty, reset) = classify_delta(&job, memo);
     if let Some(reason) = reset {
         *memo = None;
         ring.push(FlightKind::DeltaReset, reason, job.slot as f64, shard as f64);
@@ -418,8 +422,15 @@ fn solve_slice(
             local_dirty.len() as f64,
         );
         lpvs_obs::inc_labeled("delta_solve_total", &[("path", path.label())]);
+        // A cold solve accounts every row, a reuse none, an incremental
+        // one counts its own (`solve_incremental`).
+        let rows = if path == DeltaPath::Cold { job.indices.len() as u64 } else { 0 };
+        lpvs_obs::add_labeled("delta_accounting_rows_total", &[("owner", "shard")], rows);
     }
 
+    let g = &job.gathered;
+    let (compute, storage_gb) = (job.compute_capacity, job.storage_capacity_gb);
+    let view = || g.fleet.slot_view(&job.indices, compute, storage_gb, g.lambda, &g.curve);
     let schedule = match path {
         DeltaPath::Reuse => {
             // Bit-identical to a cold solve by solver determinism: the
@@ -427,47 +438,51 @@ fn solve_slice(
             memo.as_ref().map(|m| m.schedule.clone())
         }
         DeltaPath::Incremental => {
-            let m = memo.as_ref().expect("incremental path requires a memo");
+            let m = memo.as_mut().expect("incremental path requires a memo");
             catch_unwind(AssertUnwindSafe(|| {
-                solve_shard_incremental(
-                    scheduler,
-                    &job.gathered.fleet,
-                    &job.indices,
-                    &local_dirty,
-                    &m.schedule.selected,
-                    m.schedule.stats.degradation,
-                    job.compute_capacity,
-                    job.storage_capacity_gb,
-                    job.gathered.lambda,
-                    &job.gathered.curve,
-                    &job.gathered.budget,
-                )
+                let (was, rung) = (&m.schedule.selected, m.schedule.stats.degradation);
+                let terms = &mut m.accounting;
+                solve_incremental(scheduler, view(), &local_dirty, was, rung, &g.budget, terms)
             }))
             .ok()
         }
         DeltaPath::Cold => catch_unwind(AssertUnwindSafe(|| {
-            let view = job.gathered.fleet.slot_view(
-                &job.indices,
-                job.compute_capacity,
-                job.storage_capacity_gb,
-                job.gathered.lambda,
-                &job.gathered.curve,
-            );
-            scheduler.schedule_view(view, job.warm.as_deref(), &job.gathered.budget)
+            // Same guard as the scoped path: warm starts only carry over
+            // when the population is unchanged.
+            let warm: Option<Vec<bool>> = g
+                .warm
+                .as_deref()
+                .filter(|p| p.len() == g.fleet.len())
+                .map(|p| job.indices.iter().map(|&i| p[i]).collect());
+            scheduler.schedule_view(view(), warm.as_deref(), &g.budget)
         }))
         .ok(),
     };
 
     // Refresh the memo: every successful delta-carrying solve becomes
     // the next slot's baseline; panics and delta-less slots clear it.
-    *memo = match (&schedule, job.gathered.delta.as_ref()) {
-        (Some(schedule), Some(delta)) => Some(ShardDeltaMemo {
-            epoch: delta.epoch,
-            indices: job.indices.clone(),
-            compute_capacity: job.compute_capacity,
-            storage_capacity_gb: job.storage_capacity_gb,
-            lambda: job.gathered.lambda,
-            schedule: (*schedule).clone(),
+    *memo = match (&schedule, g.delta.as_ref()) {
+        (Some(schedule), Some(delta)) => Some(match memo.take() {
+            // Reuse and incremental: the memo's rows, capacities and λ
+            // are this job's (`classify_delta`), its terms followed the
+            // decision, and only a new decision needs copying.
+            Some(mut kept) if path != DeltaPath::Cold => {
+                kept.epoch = delta.epoch;
+                if path == DeltaPath::Incremental {
+                    kept.schedule.clone_from(schedule);
+                }
+                kept
+            }
+            // A cold solve starts over, and keeps no terms.
+            _ => ShardDeltaMemo {
+                epoch: delta.epoch,
+                compute_capacity: compute,
+                storage_capacity_gb: storage_gb,
+                lambda: g.lambda,
+                schedule: schedule.clone(),
+                accounting: RowAccounting::default(),
+                indices: job.indices,
+            },
         }),
         _ => None,
     };

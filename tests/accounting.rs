@@ -1,0 +1,376 @@
+//! A steady slot accounts its churn, not its fleet — in counted rows,
+//! not wall clock.
+//!
+//! `delta_accounting_rows_total{owner}` counts every row whose eq.-13
+//! and saving terms were re-evaluated, on the shard workers and at the
+//! join. Read slot by slot it pins the cost model of the per-row
+//! accounting (`lpvs::core::accounting::RowAccounting`): a slot that
+//! extends the previous one evaluates its dirty frontier plus the rows
+//! whose decision flipped, and everything that breaks the chain — the
+//! first slot, a forced cold solve, a population change, a resume —
+//! evaluates every row exactly once and then returns to the frontier.
+//! That the totals folded from kept terms are, bit for bit, those of
+//! evaluating every row is `tests/delta.rs`'s matrix.
+//!
+//! Mutation checks, made by hand when this file was written (the style
+//! of `tests/solve_linear.rs`): a `refresh` that re-evaluates every row
+//! fails every count below; a join that ignores flipped rows fails
+//! `tests/delta.rs`'s bit-identity matrix.
+//!
+//! Lives in its own test binary, serialized, because the counter is
+//! read from the process-global recorder.
+
+use lpvs::core::fleet::DeviceFleet;
+use lpvs::core::problem::DeviceRequest;
+use lpvs::core::scheduler::Degradation;
+use lpvs::edge::fleet::{FleetConfig, Partitioner};
+use lpvs::runtime::{
+    BankOps, CheckpointConfig, GatheredSlot, RuntimeConfig, SlotFeedback, SlotReplay, SlotRuntime,
+    SlotSink, SlotSource, SolvedSlot, StageFaults, SyntheticConfig, SyntheticDriver,
+    SyntheticRecord,
+};
+use std::sync::Mutex;
+
+static RECORDER: Mutex<()> = Mutex::new(());
+
+const DEVICES: usize = 2_000;
+const SHARDS: usize = 2;
+const SHARD_ROWS: u64 = (DEVICES / SHARDS) as u64;
+
+/// Cumulative readings of the counters a slot is judged by.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct Reading {
+    shard_rows: u64,
+    join_rows: u64,
+    cold: u64,
+    incremental: u64,
+    reuse: u64,
+}
+
+impl Reading {
+    fn now() -> Self {
+        let metrics = lpvs::obs::installed().expect("recorder installed").metrics().snapshot();
+        let rows = |owner| {
+            metrics.counter_labeled("delta_accounting_rows_total", &[("owner", owner)]).unwrap_or(0)
+        };
+        let path =
+            |path| metrics.counter_labeled("delta_solve_total", &[("path", path)]).unwrap_or(0);
+        Self {
+            shard_rows: rows("shard"),
+            join_rows: rows("join"),
+            cold: path("cold"),
+            incremental: path("incremental"),
+            reuse: path("reuse"),
+        }
+    }
+
+    fn since(self, earlier: Self) -> Self {
+        Self {
+            shard_rows: self.shard_rows - earlier.shard_rows,
+            join_rows: self.join_rows - earlier.join_rows,
+            cold: self.cold - earlier.cold,
+            incremental: self.incremental - earlier.incremental,
+            reuse: self.reuse - earlier.reuse,
+        }
+    }
+}
+
+/// What one slot did, as the counters and the driver saw it.
+#[derive(Debug, Clone, Default)]
+struct SlotCount {
+    slot: usize,
+    /// Rows in the slot's delta.
+    frontier: u64,
+    /// Rows whose assembled decision differs from the previous slot's.
+    flipped: u64,
+    counted: Reading,
+}
+
+/// `SyntheticDriver` behind the driver traits, reading the counters as
+/// each decision lands. From slot `grow_at` on, every gathered fleet
+/// carries one extra (constant) row — a population change the source's
+/// delta does not mention.
+struct Counting {
+    inner: SyntheticDriver,
+    grow_at: Option<usize>,
+    frontier: u64,
+    last: Reading,
+    previous: Vec<bool>,
+    slots: Vec<SlotCount>,
+}
+
+impl Counting {
+    fn new(config: SyntheticConfig) -> Self {
+        Self {
+            inner: SyntheticDriver::new(config),
+            grow_at: None,
+            frontier: 0,
+            last: Reading::now(),
+            previous: Vec::new(),
+            slots: Vec::new(),
+        }
+    }
+}
+
+impl SlotSource for Counting {
+    fn begin_slot(&mut self, slot: usize) -> Option<BankOps> {
+        self.inner.begin_slot(slot)
+    }
+
+    fn gather(
+        &mut self,
+        slot: usize,
+        posteriors: &[(f64, f64)],
+        recycled: Option<DeviceFleet>,
+    ) -> Option<GatheredSlot> {
+        let mut gathered = self.inner.gather(slot, posteriors, recycled)?;
+        self.frontier = gathered.delta.as_ref().map_or(0, |d| d.len() as u64);
+        if self.grow_at.is_some_and(|at| slot >= at) {
+            // The recycled buffer was refilled from the source, so the
+            // extra row is appended afresh — bit-identical — every slot.
+            gathered.fleet.push_request(DeviceRequest::uniform(
+                1.0, 10.0, 30, 20_000.0, 55_440.0, 0.3, 1.0, 0.1,
+            ));
+            gathered.device_ids.push(DEVICES);
+        }
+        Some(gathered)
+    }
+}
+
+impl SlotSink for Counting {
+    fn solved(&mut self, solved: &SolvedSlot) {
+        let now = Reading::now();
+        let selected = &solved.schedule.selected;
+        let flipped = if self.previous.len() == selected.len() {
+            selected.iter().zip(&self.previous).filter(|(a, b)| a != b).count() as u64
+        } else {
+            selected.len() as u64
+        };
+        self.slots.push(SlotCount {
+            slot: solved.slot,
+            frontier: self.frontier,
+            flipped,
+            counted: now.since(self.last),
+        });
+        self.last = now;
+        self.previous.clone_from(selected);
+        self.inner.solved(solved);
+    }
+
+    fn apply(&mut self, slot: usize) -> SlotFeedback {
+        self.inner.apply(slot)
+    }
+}
+
+impl SlotReplay for Counting {
+    fn stage_decision(
+        &mut self,
+        slot: usize,
+        device_ids: &[usize],
+        selected: &[bool],
+        tier: Degradation,
+    ) {
+        self.previous = selected.to_vec();
+        self.inner.stage_decision(slot, device_ids, selected, tier);
+    }
+
+    fn replay_slot(&mut self, slot: usize) {
+        self.inner.replay_slot(slot);
+    }
+}
+
+fn steady(slots: usize, seed: u64) -> SyntheticConfig {
+    SyntheticConfig::steady(DEVICES, slots, seed)
+}
+
+fn runtime(faults: Option<StageFaults>, checkpoints: Option<CheckpointConfig>) -> RuntimeConfig {
+    RuntimeConfig {
+        fleet: FleetConfig {
+            num_shards: SHARDS,
+            partitioner: Partitioner::Locality,
+            ..FleetConfig::default()
+        },
+        stage_faults: faults,
+        checkpoints,
+        ..RuntimeConfig::default()
+    }
+}
+
+/// The decisions of the same workload, uninterrupted and uncounted.
+fn uninterrupted_records(config: &SyntheticConfig) -> Vec<SyntheticRecord> {
+    let mut driver = SyntheticDriver::new(config.clone());
+    let estimators = driver.estimators();
+    SlotRuntime::new(runtime(None, None)).run(&mut driver, estimators);
+    driver.records().to_vec()
+}
+
+/// Holds the recorder for one test: enabled and zeroed on entry,
+/// disabled on exit.
+struct Recording(#[allow(dead_code)] std::sync::MutexGuard<'static, ()>);
+
+impl Recording {
+    fn start() -> Self {
+        let guard = RECORDER.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        lpvs::obs::init().reset();
+        Self(guard)
+    }
+}
+
+impl Drop for Recording {
+    fn drop(&mut self) {
+        lpvs::obs::set_enabled(false);
+    }
+}
+
+/// A slot that extends the one before it on both owners: each evaluates
+/// its frontier and what flipped, never more — and, with twenty rows
+/// moving, never nothing.
+fn assert_costs_its_churn(s: &SlotCount, case: &str) {
+    let bound = s.frontier + s.flipped;
+    assert!(s.frontier > 0, "{case}: slot {} has no frontier to price", s.slot);
+    assert_eq!(s.counted.cold, 0, "{case}: slot {} solved cold", s.slot);
+    assert!(
+        s.counted.shard_rows >= 1 && s.counted.shard_rows <= bound,
+        "{case}: slot {} accounted {} rows on the shards for a frontier of {} and {} flips",
+        s.slot, s.counted.shard_rows, s.frontier, s.flipped
+    );
+    assert!(
+        s.counted.join_rows >= s.frontier && s.counted.join_rows <= bound,
+        "{case}: slot {} accounted {} rows at the join for a frontier of {} and {} flips",
+        s.slot, s.counted.join_rows, s.frontier, s.flipped
+    );
+}
+
+#[test]
+fn a_steady_slot_accounts_its_frontier_and_its_flips() {
+    let _recording = Recording::start();
+    let mut driver = Counting::new(steady(8, 17));
+    let estimators = driver.inner.estimators();
+    SlotRuntime::new(runtime(None, None)).run(&mut driver, estimators);
+
+    let slots = &driver.slots;
+    assert_eq!(slots.len(), 8);
+    // Slot 0: all-dirty, cold everywhere, every row once on each owner.
+    assert_eq!(slots[0].counted.cold, SHARDS as u64);
+    assert_eq!(slots[0].counted.shard_rows, DEVICES as u64);
+    assert_eq!(slots[0].counted.join_rows, DEVICES as u64);
+    // Slot 1: the cold solves kept no terms, so each shard's first
+    // incremental solve rebuilds them — every row, once. The join kept
+    // its own and is already down to the frontier.
+    assert_eq!(slots[1].counted.incremental, SHARDS as u64);
+    assert_eq!(slots[1].counted.shard_rows, DEVICES as u64);
+    assert!(slots[1].counted.join_rows <= slots[1].frontier + slots[1].flipped);
+    for s in &slots[2..] {
+        assert_eq!(s.counted.incremental, SHARDS as u64, "slot {}", s.slot);
+        assert_costs_its_churn(s, "steady");
+    }
+}
+
+#[test]
+fn a_forced_cold_solve_accounts_its_shard_once_and_rebuilds_once() {
+    let _recording = Recording::start();
+    // Seeded so that shards die (and are re-dispatched cold) on some
+    // slots but never on two consecutive ones, which keeps "was cold
+    // last slot" and "is cold now" countable apart.
+    let faults = StageFaults::new(0.08, 17);
+    let mut driver = Counting::new(steady(12, 17));
+    let estimators = driver.inner.estimators();
+    let report = SlotRuntime::new(runtime(Some(faults), None)).run(&mut driver, estimators);
+    assert_eq!(report.summary.recovery.fell_back, None);
+    assert!(report.summary.workers_lost > 0, "the fault seed must kill a worker");
+
+    let slots = &driver.slots;
+    let mut forced = 0;
+    for pair in slots[1..].windows(2) {
+        let (before, s) = (&pair[0], &pair[1]);
+        assert!(before.counted.cold == 0 || s.counted.cold == 0, "pick another fault seed");
+        // A shard solved cold this slot (the respawned worker has no
+        // memo) or last slot (its memo has no kept terms): its rows
+        // are accounted in full, once each time.
+        let in_full = (s.counted.cold + before.counted.cold) * SHARD_ROWS;
+        forced += s.counted.cold;
+        if in_full == 0 {
+            assert_costs_its_churn(s, "faults");
+            continue;
+        }
+        let rest = s.counted.shard_rows.checked_sub(in_full).expect("a full shard is accounted");
+        assert!(rest <= s.frontier + s.flipped, "slot {}: {rest} beyond the full shards", s.slot);
+        // Worker deaths never reach the join's kept terms.
+        assert!(s.counted.join_rows <= s.frontier + s.flipped, "slot {}", s.slot);
+    }
+    assert!(forced > 0, "no slot past the second was forced cold");
+}
+
+#[test]
+fn a_population_change_accounts_every_row_once() {
+    let _recording = Recording::start();
+    let mut driver = Counting::new(steady(8, 29));
+    driver.grow_at = Some(4);
+    let mut estimators = driver.inner.estimators();
+    estimators.push(estimators[0].clone());
+    SlotRuntime::new(runtime(None, None)).run(&mut driver, estimators);
+
+    let slots = &driver.slots;
+    let grown = DEVICES as u64 + 1;
+    for s in &slots[2..4] {
+        assert_costs_its_churn(s, "before growth");
+    }
+    // The fleet grew: every shard's row list moved (cold), the join's
+    // kept terms no longer cover the fleet (every row).
+    assert_eq!(slots[4].counted.cold, SHARDS as u64);
+    assert_eq!(slots[4].counted.shard_rows, grown);
+    assert_eq!(slots[4].counted.join_rows, grown);
+    // Then one rebuild on the shards, and back to the frontier.
+    assert_eq!(slots[5].counted.shard_rows, grown);
+    assert!(slots[5].counted.join_rows <= slots[5].frontier + slots[5].flipped);
+    for s in &slots[6..] {
+        assert_costs_its_churn(s, "after growth");
+    }
+}
+
+#[test]
+fn a_resumed_run_rebuilds_its_terms_once_then_accounts_its_frontier() {
+    let _recording = Recording::start();
+    let config = steady(10, 41);
+    let baseline = uninterrupted_records(&config);
+
+    let dir = std::env::temp_dir().join(format!("lpvs-accounting-it-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let checkpoints = CheckpointConfig { interval: 2, ..CheckpointConfig::new(&dir) };
+
+    // Halt after slot 5: slots 2..=5 rode kept terms on both owners, so
+    // the terms are live when the hub stops.
+    let mut halted = Counting::new(config.clone());
+    let estimators = halted.inner.estimators();
+    let report = SlotRuntime::new(RuntimeConfig {
+        halt_after_slot: Some(5),
+        ..runtime(None, Some(checkpoints.clone()))
+    })
+    .run(&mut halted, estimators);
+    assert_eq!(report.summary.slots, 6);
+    for s in &halted.slots[2..] {
+        assert_costs_its_churn(s, "before the halt");
+    }
+
+    let mut resumed = Counting::new(config);
+    let report = SlotRuntime::new(runtime(None, Some(checkpoints)))
+        .resume(&mut resumed)
+        .expect("resume from manifest");
+    let _ = std::fs::remove_dir_all(&dir);
+    let at = report.summary.recovery.resumed_at.expect("a resumed run says where");
+    assert_eq!(resumed.inner.records(), &baseline[..], "resumed run diverged");
+
+    // The restored memos continue the incremental chain but carry no
+    // terms, and the join starts empty: the first slot after the resume
+    // accounts every row once on each owner, the second its frontier.
+    let slots = &resumed.slots;
+    assert_eq!(slots[0].slot, at);
+    assert_eq!(slots[0].counted.cold, 0);
+    assert_eq!(slots[0].counted.incremental, SHARDS as u64);
+    assert_eq!(slots[0].counted.shard_rows, DEVICES as u64);
+    assert_eq!(slots[0].counted.join_rows, DEVICES as u64);
+    assert!(slots.len() >= 3, "the resume must leave slots to run");
+    for s in &slots[1..] {
+        assert_costs_its_churn(s, "after the resume");
+    }
+}

@@ -9,16 +9,24 @@
 //! under injected worker deaths. And the incremental chain must survive
 //! a hub halt + resume: the restored delta memo (snapshot v2) continues
 //! exactly where the halted run left off, so the resumed run is
-//! bit-identical to one that never stopped.
+//! bit-identical to one that never stopped. Last, the totals: every
+//! `objective` and `energy_saved_j` a delta-carrying run reports — folded
+//! from per-row terms kept across slots — is, bit for bit, what the row
+//! functions give when every row is evaluated from scratch.
 
+use lpvs::bayes::GammaEstimator;
+use lpvs::core::budget::SlotBudget;
+use lpvs::core::delta::SlotDelta;
 use lpvs::core::fleet::{DeviceFleet, FleetDevice};
+use lpvs::core::objective::device_objective;
 use lpvs::core::problem::DeviceRequest;
 use lpvs::display::spec::DisplayKind;
-use lpvs::edge::fleet::{FleetConfig, Partitioner};
+use lpvs::edge::fleet::{shard_frontier, FleetConfig, FleetSchedule, Partitioner};
 use lpvs::runtime::{
-    CheckpointConfig, RuntimeConfig, SlotRuntime, StageFaults, SyntheticConfig, SyntheticDriver,
-    SyntheticRecord,
+    BankOps, CheckpointConfig, GatheredSlot, RuntimeConfig, SlotFeedback, SlotRuntime, SlotSink,
+    SlotSource, SolvedSlot, StageFaults, SyntheticConfig, SyntheticDriver, SyntheticRecord,
 };
+use lpvs::survey::curve::AnxietyCurve;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -262,5 +270,279 @@ fn halted_and_resumed_delta_runs_are_bit_identical() {
              ({shards} shards, {partitioner:?})"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Any driver behind the driver traits, keeping what the totals are
+/// checked against: each slot's gathered problem and the decision
+/// delivered for it.
+struct Capture<D> {
+    inner: D,
+    slots: Vec<(GatheredSlot, FleetSchedule)>,
+    gathered: Option<GatheredSlot>,
+}
+
+impl<D> Capture<D> {
+    fn new(inner: D) -> Self {
+        Self { inner, slots: Vec::new(), gathered: None }
+    }
+}
+
+impl<D: SlotSource> SlotSource for Capture<D> {
+    fn begin_slot(&mut self, slot: usize) -> Option<BankOps> {
+        self.inner.begin_slot(slot)
+    }
+
+    fn gather(
+        &mut self,
+        slot: usize,
+        posteriors: &[(f64, f64)],
+        recycled: Option<DeviceFleet>,
+    ) -> Option<GatheredSlot> {
+        let gathered = self.inner.gather(slot, posteriors, recycled);
+        self.gathered.clone_from(&gathered);
+        gathered
+    }
+}
+
+impl<D: SlotSink> SlotSink for Capture<D> {
+    fn solved(&mut self, solved: &SolvedSlot) {
+        let gathered = self.gathered.take().expect("a decision follows its gather");
+        self.slots.push((gathered, solved.schedule.clone()));
+        self.inner.solved(solved);
+    }
+
+    fn apply(&mut self, slot: usize) -> SlotFeedback {
+        self.inner.apply(slot)
+    }
+}
+
+/// Runs `driver` on the worker executor and returns what it captured.
+fn captured<D: SlotSource + SlotSink>(
+    driver: D,
+    devices: usize,
+    shards: usize,
+    partitioner: Partitioner,
+) -> Vec<(GatheredSlot, FleetSchedule)> {
+    let mut capture = Capture::new(driver);
+    let runtime = SlotRuntime::new(RuntimeConfig {
+        fleet: FleetConfig { num_shards: shards, partitioner, ..FleetConfig::default() },
+        ..RuntimeConfig::default()
+    });
+    let report = runtime.run(&mut capture, vec![GammaEstimator::paper_default(); devices]);
+    assert_eq!(report.summary.recovery.fell_back, None);
+    capture.slots
+}
+
+/// Eq. 13 and the saving of `decisions` (row, decision) pairs by the
+/// row functions, every row evaluated, summed in the order given.
+fn from_scratch(g: &GatheredSlot, decisions: impl Iterator<Item = (usize, bool)>) -> (u64, u64) {
+    let (terms, savings): (Vec<f64>, Vec<f64>) = decisions
+        .map(|(row, x)| {
+            let request = g.fleet.device_request(row);
+            let saving = if x { request.saving_j() } else { 0.0 };
+            (device_objective(&request, x, g.lambda, &g.curve), saving)
+        })
+        .unzip();
+    (terms.iter().sum::<f64>().to_bits(), savings.iter().sum::<f64>().to_bits())
+}
+
+/// Every total of `schedule` — the fleet's and each shard's — against
+/// the row functions over every row. A shard's own totals describe its
+/// own solve, before the rebalance migrated anything into it.
+fn assert_totals_are_from_scratch(g: &GatheredSlot, schedule: &FleetSchedule, case: &str) {
+    let selected = &schedule.selected;
+    let fleet_wide = from_scratch(g, selected.iter().copied().enumerate());
+    assert_eq!(
+        (schedule.objective.to_bits(), schedule.energy_saved_j.to_bits()),
+        fleet_wide,
+        "{case}: slot {} fleet totals", g.slot
+    );
+    let migrated: BTreeSet<usize> =
+        schedule.shards.iter().flat_map(|r| r.migrated_in.iter().copied()).collect();
+    for report in &schedule.shards {
+        let own = report.devices.iter().map(|&row| (row, selected[row] && !migrated.contains(&row)));
+        assert_eq!(
+            (report.stats.objective.to_bits(), report.stats.energy_saved_j.to_bits()),
+            from_scratch(g, own),
+            "{case}: slot {} shard {} totals", g.slot, report.shard
+        );
+    }
+}
+
+/// What of a decision is the same however it was reached: the
+/// selection, the migrations and every total. (Solver work counters are
+/// not — a reused memo reports the work of the solve it reuses.)
+fn outcome(schedule: &FleetSchedule) -> impl PartialEq + std::fmt::Debug {
+    let shards: Vec<_> = schedule
+        .shards
+        .iter()
+        .map(|r| {
+            let stats = &r.stats;
+            let totals = (stats.objective.to_bits(), stats.energy_saved_j.to_bits());
+            (r.devices.clone(), r.migrated_in.clone(), totals, stats.degradation, stats.rejected_devices)
+        })
+        .collect();
+    let totals = (schedule.objective.to_bits(), schedule.energy_saved_j.to_bits());
+    (schedule.selected.clone(), schedule.migrations, totals, shards)
+}
+
+/// Whether any shard of this slot rode the incremental path: a
+/// non-empty local frontier within the quarter-of-the-shard gate.
+fn rode_incremental(g: &GatheredSlot, schedule: &FleetSchedule) -> bool {
+    let delta = g.delta.as_ref().expect("delta-enabled run");
+    g.slot > 0
+        && schedule.shards.iter().any(|r| {
+            let local = shard_frontier(&r.devices, &delta.dirty).len();
+            local > 0 && local * 4 <= r.devices.len()
+        })
+}
+
+/// The bit-identity matrix of the kept accounting. Every cell: each
+/// total a delta-carrying run delivers equals the from-scratch row
+/// oracle — reuse, incremental and gated-cold slots alike, with Hash
+/// interleaving the shards so the fleet's index-order fold is no
+/// concatenation of shard folds. And wherever no shard ever rode the
+/// incremental path (whose *decisions* legitimately differ from a cold
+/// solve's), the whole outcome equals the delta-less run's.
+#[test]
+fn kept_totals_are_bit_identical_to_evaluating_every_row() {
+    let (devices, slots) = (180, 6);
+    let mut compared_to_cold = 0;
+    let mut incremental_runs = 0;
+    for fraction in [0.0, 0.01, 0.2, 0.26, 0.5, 1.0] {
+        for shards in [2usize, 3] {
+            for partitioner in [Partitioner::Locality, Partitioner::Hash] {
+                for seed in [5u64, 23, 71] {
+                    let case = format!("{fraction} × {shards} × {partitioner:?} × seed {seed}");
+                    let mut config = SyntheticConfig::steady(devices, slots, seed);
+                    config.mutation_fraction = fraction;
+                    let cold_config = SyntheticConfig { delta_enabled: false, ..config.clone() };
+                    let delta = captured(SyntheticDriver::new(config), devices, shards, partitioner);
+                    assert_eq!(delta.len(), slots, "{case}");
+                    for (g, schedule) in &delta {
+                        assert_totals_are_from_scratch(g, schedule, &case);
+                    }
+                    if delta.iter().any(|(g, schedule)| rode_incremental(g, schedule)) {
+                        incremental_runs += 1;
+                        continue;
+                    }
+                    let cold =
+                        captured(SyntheticDriver::new(cold_config), devices, shards, partitioner);
+                    for ((_, a), (_, b)) in delta.iter().zip(&cold) {
+                        assert_eq!(outcome(a), outcome(b), "{case}");
+                    }
+                    compared_to_cold += 1;
+                }
+            }
+        }
+    }
+    // Neither half may pass vacuously: the frozen and all-dirty fleets
+    // never ride the incremental path, the 1 % and 20 % ones always do.
+    assert!(compared_to_cold >= 24, "only {compared_to_cold} runs compared against cold");
+    assert!(incremental_runs >= 24, "only {incremental_runs} runs rode the incremental path");
+}
+
+/// `tests/runtime.rs`'s skewed workload on a persistent fleet that ships
+/// its delta: the first `demanding` rows run low on battery (a quarter
+/// of them move every slot), the rest idle on full batteries with γ = 0,
+/// so their shards' spare capacity is refilled by the rebalance every
+/// slot — with different rows as the batteries rotate. A migrated row
+/// is clean and unselected by its own shard; only the join's comparison
+/// against the decision it last totalled finds it.
+struct SkewedDelta {
+    demanding: usize,
+    slots: usize,
+    delta_enabled: bool,
+    fleet: DeviceFleet,
+    staged: Option<Vec<bool>>,
+}
+
+impl SkewedDelta {
+    const CAPACITY_J: f64 = 55_440.0;
+
+    fn battery_j(d: usize, slot: usize) -> f64 {
+        (0.06 + 0.012 * ((7 * d + 3 * slot) % 20) as f64) * Self::CAPACITY_J
+    }
+
+    fn new(devices: usize, demanding: usize, slots: usize, delta_enabled: bool) -> Self {
+        let mut fleet = DeviceFleet::new();
+        for d in 0..devices {
+            let (energy_j, gamma) =
+                if d < demanding { (Self::battery_j(d, 0), 0.35) } else { (0.9 * Self::CAPACITY_J, 0.0) };
+            fleet.push_request(DeviceRequest::uniform(
+                1.5, 10.0, 30, energy_j, Self::CAPACITY_J, gamma, 1.5, 0.1125,
+            ));
+        }
+        Self { demanding, slots, delta_enabled, fleet, staged: None }
+    }
+}
+
+impl SlotSource for SkewedDelta {
+    fn begin_slot(&mut self, slot: usize) -> Option<BankOps> {
+        (slot < self.slots).then(BankOps::default)
+    }
+
+    fn gather(
+        &mut self,
+        slot: usize,
+        _posteriors: &[(f64, f64)],
+        _recycled: Option<DeviceFleet>,
+    ) -> Option<GatheredSlot> {
+        for d in (0..self.demanding).filter(|d| (d + slot).is_multiple_of(4)) {
+            self.fleet.set_energy_j(d, Self::battery_j(d, slot));
+        }
+        let delta = self.delta_enabled.then(|| SlotDelta::from(self.fleet.dirty_frontier()));
+        self.fleet.clear_dirty();
+        Some(GatheredSlot {
+            slot,
+            fleet: self.fleet.clone(),
+            device_ids: (0..self.fleet.len()).collect(),
+            compute_capacity: 24.0,
+            storage_capacity_gb: 2.7,
+            lambda: 2.0,
+            curve: AnxietyCurve::paper_shape(),
+            budget: SlotBudget::unbounded(),
+            warm: self.staged.clone(),
+            delta,
+        })
+    }
+}
+
+impl SlotSink for SkewedDelta {
+    fn solved(&mut self, solved: &SolvedSlot) {
+        self.staged = Some(solved.schedule.selected.clone());
+    }
+
+    fn apply(&mut self, _slot: usize) -> SlotFeedback {
+        SlotFeedback::default()
+    }
+}
+
+/// Under migrations every slot, the join's kept terms still total what
+/// a from-scratch evaluation does — and the delta-less run of the same
+/// workload, which keeps nothing, agrees with the oracle too.
+#[test]
+fn kept_totals_follow_rows_the_rebalance_migrates() {
+    let (devices, demanding, slots) = (60, 24, 8);
+    for (shards, partitioner) in [(2usize, Partitioner::Locality), (3, Partitioner::Locality)] {
+        let case = format!("skewed × {shards} × {partitioner:?}");
+        let mut moved = BTreeSet::new();
+        for delta_enabled in [true, false] {
+            let driver = SkewedDelta::new(devices, demanding, slots, delta_enabled);
+            let run = captured(driver, devices, shards, partitioner);
+            assert_eq!(run.len(), slots, "{case}");
+            for (g, schedule) in &run {
+                assert!(
+                    (4..=16).contains(&schedule.migrations),
+                    "{case}: slot {} migrated {}", g.slot, schedule.migrations
+                );
+                assert_totals_are_from_scratch(g, schedule, &case);
+                if delta_enabled {
+                    moved.insert(schedule.shards.iter().flat_map(|r| r.migrated_in.clone()).collect::<Vec<_>>());
+                }
+            }
+        }
+        assert!(moved.len() > 1, "{case}: the same rows migrated every slot");
     }
 }

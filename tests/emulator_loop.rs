@@ -159,7 +159,7 @@ fn every_grid_cell_reproduces_its_golden_digest() {
 #[test]
 fn baselines_ignore_the_pipelined_flag() {
     // Baselines decide inside gather, so there is nothing for the
-    // staged executor to overlap: the flag neither adds a decision lag
+    // worker executor to solve: the flag neither adds a decision lag
     // nor a runtime summary.
     for policy in [Policy::NoTransform, Policy::Random { seed: 5 }, Policy::LowestBattery] {
         // Configurations of three grid cells (36 per policy, 9 per lag ×
@@ -202,7 +202,7 @@ fn pipelining_implies_one_slot_ahead() {
 fn executors_agree_at_a_fifty_percent_fault_rate() {
     // Half of all devices drop, half of all γ reports are corrupt and
     // every other slot is browned out or stalled: the inline and the
-    // staged executor still walk the same ladder, slot for slot.
+    // worker executor still walk the same ladder, slot for slot.
     let config = EmulatorConfig {
         devices: 18,
         slots: 10,

@@ -567,11 +567,12 @@ fn the_gated_join_equals_the_straight_line_join() {
                 let got = scheduler.assemble(
                     &fleet,
                     &servers,
-                    &shards,
+                    shards.clone(),
                     results,
                     lambda,
                     &curve,
                     std::time::Instant::now(),
+                    None,
                 );
                 assert_eq!(got.selected, want.selected, "{case}");
                 assert_eq!(got.migrations, want.migrations, "{case}");

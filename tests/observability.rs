@@ -54,6 +54,10 @@ fn faulty_emulation_produces_full_telemetry() {
         assert_eq!(metrics.histogram(series).map(|h| h.count), Some(slots as u64), "{series}");
     }
     assert_eq!(metrics.counter("runtime_slots_total"), Some(slots as u64));
+    // The emulator ships no delta, so the join accounts every row it is
+    // handed, every slot (faults shrink the fleet, so not 16 a slot).
+    let accounted = metrics.counter_labeled("delta_accounting_rows_total", &[("owner", "join")]);
+    assert!(accounted >= Some(slots as u64) && accounted <= Some(16 * slots as u64));
 
     // Every exercised degradation tier has both a counter and a
     // latency histogram, and they agree on the sample count.
@@ -91,8 +95,8 @@ fn faulty_emulation_produces_full_telemetry() {
     // Prometheus text: every metric appears with a TYPE header, and
     // histograms end in a +Inf bucket plus sum/count.
     let prom = render_prometheus(metrics);
-    for (name, _) in &metrics.counters {
-        assert!(prom.contains(&format!("# TYPE {name} counter")), "no TYPE line for {name}");
+    for (key, _) in &metrics.counters {
+        assert!(prom.contains(&format!("# TYPE {} counter", key.name)), "no TYPE line for {key}");
     }
     for (key, h) in &metrics.histograms {
         let name = &key.name;

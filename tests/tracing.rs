@@ -143,6 +143,14 @@ fn pipelined_run_exports_causally_linked_chrome_trace() {
     assert_eq!(stage("assemble"), stage("join"));
     assert_eq!(stage("join"), metrics.histogram("runtime_solve_wait_seconds").map(|h| h.count));
     assert!(metrics.gauge("fleet_rebalance_candidates").is_some());
+    // No delta from the emulator: every join accounts every gathered
+    // row (at most 16 a slot), and the workers' cold solves account the
+    // connected ones among them. `tests/accounting.rs` pins the counts
+    // slot by slot on a delta-carrying run.
+    let accounted =
+        |owner| metrics.counter_labeled("delta_accounting_rows_total", &[("owner", owner)]);
+    assert!(accounted("join") >= stage("join") && accounted("join") <= stage("join").map(|j| 16 * j));
+    assert!(accounted("shard") > Some(0) && accounted("shard") <= accounted("join"));
 
     // Every worker-side solve span is a child inside its slot's trace,
     // with shard attribution, on a thread other than the hub's.
