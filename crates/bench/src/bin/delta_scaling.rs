@@ -23,14 +23,18 @@
 //!   cost ≤ 10% over plain cold (the same ten runs: −11…+2 %, i.e.
 //!   noise: a few milliseconds of memo upkeep on a ≈ 0.10 s cold slot).
 //!
-//! Before any timing, one recorder-on pass asserts the property no
-//! shared runner's clock can blur: from slot 2 on, each owner of kept
-//! terms (shard workers, join) re-evaluates at most frontier + flipped
-//! rows a slot (`delta_accounting_rows_total`).
+//! Before any timing, one recorder-on pass per regime asserts what no
+//! shared runner's clock can blur: once the recycled buffer is back
+//! (slot 1 on) a gather copies at most its frontier's rows
+//! (`fleet_refill_rows_total`), and on the steady regime, from slot 2
+//! on, each owner of kept terms (shard workers, join) re-evaluates at
+//! most frontier + flipped rows a slot (`delta_accounting_rows_total`).
 //!
 //! Per-slot solve times come from the report's slot-resolved runtimes
 //! with slot 0 excluded (the first solve is cold by construction in
-//! both modes). Writes `BENCH_delta.json` at the repository root.
+//! both modes); the gather column is the delta run's `gather` stage,
+//! stamped by the same adapter, beside the rows it copied per slot in
+//! the counted pass. Writes `BENCH_delta.json` at the repository root.
 //! `--smoke` runs a reduced sweep for CI (the counted assertion, no
 //! ratio assertions: shared runners are too noisy for wall-clock bounds).
 
@@ -41,6 +45,7 @@ use lpvs_runtime::{
     BankOps, GatheredSlot, RuntimeConfig, SlotFeedback, SlotRuntime, SlotSink, SlotSource,
     SolvedSlot, SyntheticConfig, SyntheticDriver,
 };
+use std::time::Instant;
 
 const SHARDS: usize = 4;
 const STEADY_FRACTION: f64 = 0.01;
@@ -61,44 +66,67 @@ fn runtime() -> SlotRuntime {
     })
 }
 
-/// Mean per-slot solve seconds over the steady-state tail (slot 0 — the
-/// unavoidable all-dirty cold solve — excluded).
-fn tail_slot_secs(devices: usize, slots: usize, fraction: f64, delta_enabled: bool) -> f64 {
-    let mut config = SyntheticConfig::steady(devices, slots, 4242);
-    config.mutation_fraction = fraction;
-    config.delta_enabled = delta_enabled;
-    let mut driver = SyntheticDriver::new(config);
-    let estimators = driver.estimators();
-    let report = runtime().run(&mut driver, estimators);
-    assert_eq!(report.summary.solved_slots, slots, "every slot must dispatch a solve");
-    let tail: Vec<f64> = report
-        .slot_solve_runtimes
-        .iter()
-        .filter(|(slot, _)| *slot > 0)
-        .map(|(_, runtime)| runtime.as_secs_f64())
-        .collect();
+/// Mean over the steady-state tail (slot 0 — the unavoidable all-dirty
+/// cold solve and full copy — excluded).
+fn tail_mean(per_slot: impl Iterator<Item = f64>) -> f64 {
+    let tail: Vec<f64> = per_slot.skip(1).collect();
     assert!(!tail.is_empty(), "horizon too short to have a steady-state tail");
     tail.iter().sum::<f64>() / tail.len() as f64
 }
 
-/// `delta_accounting_rows_total` as `[shard, join]`, cumulative.
-fn accounted_rows() -> [u64; 2] {
-    let metrics = lpvs_obs::installed().expect("recorder installed").metrics().snapshot();
-    ["shard", "join"].map(|owner| {
-        metrics.counter_labeled("delta_accounting_rows_total", &[("owner", owner)]).unwrap_or(0)
-    })
+/// One run of the workload behind the stamping adapter; returns the
+/// adapter and the mean per-slot solve seconds of the tail.
+fn run(devices: usize, slots: usize, fraction: f64, delta_enabled: bool) -> (Stamped, f64) {
+    let mut config = SyntheticConfig::steady(devices, slots, 4242);
+    config.mutation_fraction = fraction;
+    config.delta_enabled = delta_enabled;
+    let inner = SyntheticDriver::new(config);
+    let estimators = inner.estimators();
+    let mut driver = Stamped {
+        inner,
+        steady: fraction == STEADY_FRACTION,
+        gather_secs: Vec::new(),
+        copied: Vec::new(),
+        frontier: 0,
+        rows: [0; 2],
+        previous: Vec::new(),
+    };
+    let report = runtime().run(&mut driver, estimators);
+    assert_eq!(report.summary.solved_slots, slots, "every slot must dispatch a solve");
+    let solve = tail_mean(report.slot_solve_runtimes.iter().map(|(_, t)| t.as_secs_f64()));
+    (driver, solve)
 }
 
-/// The synthetic driver, checking as each decision lands that the slot
-/// accounted no more rows than it had cause to.
-struct Counted {
+/// Cumulative `delta_accounting_rows_total` as `[shard, join]`, and
+/// `fleet_refill_rows_total` over both paths.
+fn counted_rows() -> ([u64; 2], u64) {
+    let metrics = lpvs_obs::installed().expect("recorder installed").metrics().snapshot();
+    let accounted = ["shard", "join"].map(|owner| {
+        metrics.counter_labeled("delta_accounting_rows_total", &[("owner", owner)]).unwrap_or(0)
+    });
+    let copied = ["patched", "full"]
+        .map(|path| metrics.counter_labeled("fleet_refill_rows_total", &[("path", path)]).unwrap_or(0));
+    (accounted, copied[0] + copied[1])
+}
+
+/// The synthetic driver, stamping each gather's wall clock and — when
+/// the recorder is on — checking as each stage lands that the slot
+/// copied and accounted no more rows than it had cause to.
+struct Stamped {
     inner: SyntheticDriver,
+    /// Whether the accounting bound applies (past the incremental gate
+    /// every shard solves cold and accounts in full).
+    steady: bool,
+    /// Seconds each gather took, slot order.
+    gather_secs: Vec<f64>,
+    /// Rows each gather copied, slot order (recorder-on runs only).
+    copied: Vec<u64>,
     frontier: u64,
     rows: [u64; 2],
     previous: Vec<bool>,
 }
 
-impl SlotSource for Counted {
+impl SlotSource for Stamped {
     fn begin_slot(&mut self, slot: usize) -> Option<BankOps> {
         self.inner.begin_slot(slot)
     }
@@ -109,17 +137,33 @@ impl SlotSource for Counted {
         posteriors: &[(f64, f64)],
         recycled: Option<DeviceFleet>,
     ) -> Option<GatheredSlot> {
+        let before = if lpvs_obs::enabled() { counted_rows().1 } else { 0 };
+        let start = Instant::now();
         let gathered = self.inner.gather(slot, posteriors, recycled)?;
+        self.gather_secs.push(start.elapsed().as_secs_f64());
         self.frontier = gathered.delta.as_ref().map_or(0, |d| d.len() as u64);
+        if lpvs_obs::enabled() {
+            let copied = counted_rows().1 - before;
+            // Slot 0 has no buffer to patch; from then on one circulates.
+            assert!(
+                slot == 0 || copied <= self.frontier,
+                "slot {slot}: the gather copied {copied} rows for a frontier of {}",
+                self.frontier
+            );
+            self.copied.push(copied);
+        }
         Some(gathered)
     }
 }
 
-impl SlotSink for Counted {
+impl SlotSink for Stamped {
     fn solved(&mut self, solved: &SolvedSlot) {
+        if !(lpvs_obs::enabled() && self.steady) {
+            return self.inner.solved(solved);
+        }
         let selected = &solved.schedule.selected;
         let flipped = selected.iter().zip(&self.previous).filter(|(a, b)| a != b).count() as u64;
-        let now = accounted_rows();
+        let now = counted_rows().0;
         // Slot 0 is all-dirty and slot 1 rebuilds the shards' terms;
         // from then on a steady slot costs its churn.
         if solved.slot >= 2 {
@@ -142,21 +186,20 @@ impl SlotSink for Counted {
     }
 }
 
-/// The counted property no shared runner's clock can blur: on steady
-/// slots each owner re-evaluates at most frontier + flipped rows.
-fn assert_steady_slots_cost_their_churn(devices: usize, slots: usize) {
+/// The counted properties no shared runner's clock can blur (asserted
+/// by the adapter as the run goes); returns rows copied per tail slot.
+fn counted_pass(devices: usize, slots: usize, regime: &str, fraction: f64) -> f64 {
     lpvs_obs::init().reset();
-    let inner = SyntheticDriver::new(SyntheticConfig::steady(devices, slots, 4242));
-    let estimators = inner.estimators();
-    let mut driver = Counted { inner, frontier: 0, rows: [0; 2], previous: Vec::new() };
-    runtime().run(&mut driver, estimators);
+    let (driver, _) = run(devices, slots, fraction, true);
     lpvs_obs::set_enabled(false);
-    let total = accounted_rows();
+    let (accounted, _) = counted_rows();
+    let copied = tail_mean(driver.copied.iter().map(|&rows| rows as f64));
     println!(
-        "accounting at N={devices}: {} rows on the shards, {} at the join over {slots} slots \
-         (every slot in full would be {})\n",
-        total[0], total[1], devices * slots
+        "counted at N={devices}, {regime}: {copied:.0} rows copied a slot; {} rows accounted on \
+         the shards, {} at the join over {slots} slots (every slot in full would be {})",
+        accounted[0], accounted[1], devices * slots
     );
+    copied
 }
 
 struct Row {
@@ -165,6 +208,10 @@ struct Row {
     fraction: f64,
     cold_secs: f64,
     delta_secs: f64,
+    /// Mean `gather` stage of the delta run's tail slots.
+    gather_secs: f64,
+    /// Rows a tail slot's gather copied (counted pass).
+    copied_per_slot: f64,
 }
 
 impl Row {
@@ -188,29 +235,36 @@ fn main() {
          {SHARDS} shards × {slots} slots{}\n",
         if smoke { " (smoke)" } else { "" }
     );
-    assert_steady_slots_cost_their_churn(sizes[0], slots);
+    let mut cells = Vec::new();
+    for &devices in sizes {
+        for (regime, fraction) in [("steady", STEADY_FRACTION), ("churn", CHURN_FRACTION)] {
+            cells.push((devices, regime, fraction, counted_pass(devices, slots, regime, fraction)));
+        }
+    }
     println!(
-        "{:>9} {:>8} {:>10} {:>12} {:>12} {:>9}",
-        "devices", "regime", "mutation", "cold (s)", "delta (s)", "speedup"
+        "\n{:>9} {:>8} {:>10} {:>12} {:>12} {:>9} {:>12} {:>12}",
+        "devices", "regime", "mutation", "cold (s)", "delta (s)", "speedup", "gather (ms)", "copied/slot"
     );
 
     let mut rows: Vec<Row> = Vec::new();
-    for &devices in sizes {
-        for (regime, fraction) in [("steady", STEADY_FRACTION), ("churn", CHURN_FRACTION)] {
-            let cold_secs = tail_slot_secs(devices, slots, fraction, false);
-            let delta_secs = tail_slot_secs(devices, slots, fraction, true);
-            let row = Row { devices, regime, fraction, cold_secs, delta_secs };
-            println!(
-                "{:>9} {:>8} {:>10} {:>12.6} {:>12.6} {:>8.2}x",
-                row.devices,
-                row.regime,
-                format!("{:.0}%", 100.0 * row.fraction),
-                row.cold_secs,
-                row.delta_secs,
-                row.speedup(),
-            );
-            rows.push(row);
-        }
+    for (devices, regime, fraction, copied_per_slot) in cells {
+        let (_, cold_secs) = run(devices, slots, fraction, false);
+        let (stamped, delta_secs) = run(devices, slots, fraction, true);
+        let gather_secs = tail_mean(stamped.gather_secs.iter().copied());
+        let row =
+            Row { devices, regime, fraction, cold_secs, delta_secs, gather_secs, copied_per_slot };
+        println!(
+            "{:>9} {:>8} {:>10} {:>12.6} {:>12.6} {:>8.2}x {:>12.3} {:>12.0}",
+            row.devices,
+            row.regime,
+            format!("{:.0}%", 100.0 * row.fraction),
+            row.cold_secs,
+            row.delta_secs,
+            row.speedup(),
+            1e3 * row.gather_secs,
+            row.copied_per_slot,
+        );
+        rows.push(row);
     }
 
     let largest = *sizes.last().expect("nonempty sweep");
@@ -250,6 +304,8 @@ fn main() {
                             ("cold_slot_secs", Json::Num(r.cold_secs)),
                             ("delta_slot_secs", Json::Num(r.delta_secs)),
                             ("speedup", Json::Num(r.speedup())),
+                            ("gather_slot_secs", Json::Num(r.gather_secs)),
+                            ("rows_copied_per_slot", Json::Num(r.copied_per_slot)),
                         ])
                     })
                     .collect(),

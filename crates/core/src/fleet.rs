@@ -680,6 +680,53 @@ impl DeviceFleet {
         }
     }
 
+    /// Ships this slot's snapshot — the gather step of a driver that owns
+    /// a persistent fleet. Captures the [`DirtyFrontier`], consumes it
+    /// ([`clear_dirty`](Self::clear_dirty)) and brings `recycled`, the
+    /// buffer shipped last slot, up to date; returns the frontier and
+    /// the buffer, equal to `self` in rows, dirty bits and epoch.
+    ///
+    /// A buffer whose epoch is the frontier's and whose chunk layout (so
+    /// also row count) is this fleet's is the snapshot shipped one epoch
+    /// ago: by the dirty-bit contract only the frontier's rows can
+    /// differ, and only they are copied — every column, chunk range
+    /// included, so no setter has to be known here. Anything else (no
+    /// buffer, an epoch gap, another layout) is a full `clone_from`.
+    pub fn ship_snapshot(&mut self, recycled: Option<DeviceFleet>) -> (DirtyFrontier, DeviceFleet) {
+        let frontier = self.dirty_frontier();
+        self.clear_dirty();
+        let mut buffer = recycled.unwrap_or_default();
+        let patched =
+            buffer.epoch == frontier.epoch && buffer.chunk_offsets == self.chunk_offsets;
+        if patched {
+            for &i in &frontier.indices {
+                let (rates, secs) = self.chunks(i);
+                let chunks = self.chunk_range(i);
+                buffer.power_rates_w[chunks.clone()].copy_from_slice(rates);
+                buffer.chunk_secs[chunks].copy_from_slice(secs);
+                buffer.energy_j[i] = self.energy_j[i];
+                buffer.capacity_j[i] = self.capacity_j[i];
+                buffer.gamma_mean[i] = self.gamma_mean[i];
+                buffer.gamma_std[i] = self.gamma_std[i];
+                buffer.compute_cost[i] = self.compute_cost[i];
+                buffer.storage_cost_gb[i] = self.storage_cost_gb[i];
+                buffer.display[i] = self.display[i];
+                buffer.connected[i] = self.connected[i];
+            }
+            buffer.epoch = self.epoch;
+            debug_assert!(
+                buffer == *self && buffer.dirty == self.dirty && buffer.epoch == self.epoch,
+                "patched snapshot diverged from its source"
+            );
+        } else {
+            buffer.clone_from(self);
+        }
+        // Rows copied, by path (a no-op unless the recorder is enabled).
+        let (path, rows) = if patched { ("patched", frontier.len()) } else { ("full", self.len()) };
+        lpvs_obs::add_labeled("fleet_refill_rows_total", &[("path", path)], rows as u64);
+        (frontier, buffer)
+    }
+
     /// Battery fraction of row `i`, clamped to `[0, 1]` like
     /// [`DeviceRequest::battery_fraction`].
     pub fn battery_fraction(&self, i: usize) -> f64 {

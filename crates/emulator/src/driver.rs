@@ -67,6 +67,9 @@ pub(crate) struct EmulatorDriver {
     /// Fleet-order device ids of the slot handed to the executor, until
     /// its solve comes back.
     dispatched: Option<Vec<usize>>,
+    /// The recycled fleet buffer, parked across slots that dispatch no
+    /// solve so the next one that does refills it.
+    parked: Option<DeviceFleet>,
     /// Decisions (by device) awaiting their application slot.
     staged: Vec<(usize, Vec<bool>)>,
     /// The decision currently in force.
@@ -101,6 +104,7 @@ impl EmulatorDriver {
             lag,
             scratch: None,
             dispatched: None,
+            parked: None,
             staged: Vec::new(),
             pending: vec![false; n],
             previous_by_device: None,
@@ -205,6 +209,7 @@ impl SlotSource for EmulatorDriver {
     ) -> Option<GatheredSlot> {
         let scratch = self.scratch.take().expect("gather follows begin_slot");
         debug_assert_eq!(scratch.slot, slot, "gather out of step with begin_slot");
+        self.parked = recycled.or(self.parked.take());
         let _span = lpvs_obs::span!(
             "emu.gather", "slot" => slot, "devices" => scratch.watching.len()
         );
@@ -279,7 +284,7 @@ impl SlotSource for EmulatorDriver {
             // The one rows→columns loader neutralises and disconnects
             // rows with corrupt telemetry, and the shard views clamp
             // capacities and λ, so the problem's own values travel.
-            let mut fleet = recycled.unwrap_or_default();
+            let mut fleet = self.parked.take().unwrap_or_default();
             fleet.rebuild_from_problem(&problem);
             self.dispatched = Some(scratch.watching.clone());
             Some(GatheredSlot {
@@ -411,5 +416,35 @@ impl SlotReplay for EmulatorDriver {
         if self.begin_slot(slot).is_some() {
             let _ = self.apply(slot);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::EmulatorConfig;
+    use lpvs_core::baseline::Policy;
+
+    #[test]
+    fn an_idle_slot_parks_the_recycled_buffer_for_the_next_solve() {
+        let config = EmulatorConfig { devices: 6, slots: 3, ..EmulatorConfig::default() };
+        let mut driver = EmulatorDriver::new(Emulator::new(config, Policy::Lpvs), 0);
+        let slot = |driver: &mut EmulatorDriver, slot, recycled| {
+            let queries = driver.begin_slot(slot).expect("in horizon").queries.len();
+            let gathered = driver.gather(slot, &vec![(0.3, 0.1); queries], recycled);
+            driver.apply(slot);
+            gathered.map(|g| g.fleet)
+        };
+        let shipped = slot(&mut driver, 0, None).expect("watched slot");
+        let columns = shipped.chunks(0).0.as_ptr();
+        // Nobody watches slot 1: no solve, and the buffer handed back
+        // for it stays with the driver.
+        driver.emu.cluster.devices_mut().iter_mut().for_each(Device::disconnect);
+        assert!(slot(&mut driver, 1, Some(shipped)).is_none());
+        assert!(driver.parked.is_some(), "the idle slot dropped the buffer");
+        // The runtime has nothing to hand back at slot 2.
+        driver.emu.cluster.devices_mut().iter_mut().for_each(Device::reconnect);
+        let refilled = slot(&mut driver, 2, None).expect("watched slot");
+        assert_eq!(refilled.chunks(0).0.as_ptr(), columns, "columns were reallocated");
     }
 }

@@ -169,8 +169,13 @@ pub trait SlotSource {
 
     /// Gathers slot `slot` into a solvable problem. `posteriors[i]` is
     /// the `(mean, std)` answer to `queries[i]` from [`BankOps`].
-    /// `recycled` is the previous solve's fleet buffer to refill in
-    /// place; `None` until a slot has been solved.
+    /// `recycled` is the buffer this source shipped as
+    /// [`GatheredSlot::fleet`] for the last *solved* slot, untouched, to
+    /// be brought up to date in place ([`DeviceFleet::ship_snapshot`]
+    /// patches in the dirty rows when its epoch shows no gather was
+    /// missed) — or `None`: before the first solve, at a resume, when a
+    /// worker still held it, or after an idle slot (it is handed over
+    /// once; a source that wants it for its next solve keeps it).
     /// Returns `None` for an idle slot (nobody watching — no solve is
     /// dispatched, but [`SlotSink::apply`] still runs).
     fn gather(

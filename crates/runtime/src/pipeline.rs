@@ -14,7 +14,8 @@
 //!                      Solve, so the snapshot is exactly the
 //!                      post-prepare bank); the hub persists the bytes,
 //!                      with the shard's fleet slice, during join(t)
-//!  gather(t)           source fills the recycled buffer
+//!  gather(t)           source brings the recycled buffer up to date
+//!                      (a persistent fleet patches its dirty rows in)
 //!  dispatch(t)         partition + fan the shared Arc<GatheredSlot> out
 //!  join(t)             block on the shard results, assemble them
 //!                      through FleetScheduler::assemble, deliver
@@ -26,7 +27,10 @@
 //! No solve outlives its slot, so `solved(t)` always precedes
 //! `apply(t)` and one fleet buffer circulates. The hub recovers it via
 //! `Arc::try_unwrap`, which is guaranteed to succeed because every
-//! worker drops its handle *before* announcing its result.
+//! worker drops its handle *before* announcing its result, and hands it
+//! to the next gather exactly as the source shipped it — nothing on the
+//! solve path writes to it — so a source may treat it as its own last
+//! snapshot ([`DeviceFleet::ship_snapshot`] checks the epoch anyway).
 //!
 //! ## Supervision
 //!

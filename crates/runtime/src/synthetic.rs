@@ -94,9 +94,8 @@ pub struct SyntheticDriver {
     config: SyntheticConfig,
     fleet: DeviceFleet,
     curve: AnxietyCurve,
-    /// Previous slot's full-fleet selection, for warm starts.
-    previous: Option<Vec<bool>>,
-    /// Every decision delivered (or staged on resume), slot order.
+    /// Every decision delivered (or staged on resume), slot order; the
+    /// last one is the next gather's warm start.
     records: Vec<SyntheticRecord>,
 }
 
@@ -148,7 +147,6 @@ impl SyntheticDriver {
             config,
             fleet,
             curve: AnxietyCurve::paper_shape(),
-            previous: None,
             records: Vec::new(),
         }
     }
@@ -206,18 +204,7 @@ impl SlotSource for SyntheticDriver {
         _posteriors: &[(f64, f64)],
         recycled: Option<DeviceFleet>,
     ) -> Option<GatheredSlot> {
-        let delta = self.config.delta_enabled.then(|| SlotDelta::from(self.fleet.dirty_frontier()));
-        self.fleet.clear_dirty();
-        // Refill the recycled buffer in place when one came back, else
-        // clone — either way the workers get this slot's snapshot while
-        // the driver keeps mutating its own copy.
-        let fleet = match recycled {
-            Some(mut buffer) => {
-                buffer.clone_from(&self.fleet);
-                buffer
-            }
-            None => self.fleet.clone(),
-        };
+        let (frontier, fleet) = self.fleet.ship_snapshot(recycled);
         Some(GatheredSlot {
             slot,
             fleet,
@@ -227,15 +214,14 @@ impl SlotSource for SyntheticDriver {
             lambda: self.config.lambda,
             curve: self.curve.clone(),
             budget: SlotBudget::default(),
-            warm: self.previous.clone(),
-            delta,
+            warm: self.records.last().map(|r| r.selected.clone()),
+            delta: self.config.delta_enabled.then(|| SlotDelta::from(frontier)),
         })
     }
 }
 
 impl SlotSink for SyntheticDriver {
     fn solved(&mut self, solved: &SolvedSlot) {
-        self.previous = Some(solved.schedule.selected.clone());
         self.records.push(SyntheticRecord {
             slot: solved.slot,
             selected: solved.schedule.selected.clone(),
@@ -256,7 +242,6 @@ impl SlotReplay for SyntheticDriver {
         selected: &[bool],
         tier: Degradation,
     ) {
-        self.previous = Some(selected.to_vec());
         self.records.push(SyntheticRecord { slot, selected: selected.to_vec(), tier });
     }
 

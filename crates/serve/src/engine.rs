@@ -822,15 +822,7 @@ impl SlotSource for ServeEngine {
             self.fleet.set_gamma(d, mean, std);
         }
 
-        let delta = Some(SlotDelta::from(self.fleet.dirty_frontier()));
-        self.fleet.clear_dirty();
-        let fleet = match recycled {
-            Some(mut buffer) => {
-                buffer.clone_from(&self.fleet);
-                buffer
-            }
-            None => self.fleet.clone(),
-        };
+        let (frontier, fleet) = self.fleet.ship_snapshot(recycled);
         let mut budget = SlotBudget::unbounded();
         if self.shed > Degradation::Exact {
             budget = budget.with_solver_floor(self.shed);
@@ -847,7 +839,7 @@ impl SlotSource for ServeEngine {
             curve: self.curve.clone(),
             budget,
             warm: self.previous.clone(),
-            delta,
+            delta: Some(SlotDelta::from(frontier)),
         })
     }
 }
