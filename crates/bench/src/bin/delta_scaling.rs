@@ -11,12 +11,17 @@
 //!   steady-state case, where almost every row's Phase-1 answer is
 //!   still valid. With the per-row eq.-13 and saving terms kept beside
 //!   the delta memo and the join, such a slot re-evaluates its frontier
-//!   and folds the rest: ten full runs on a 2-core host read
-//!   15.5–17.4× at 100k devices (median 16.9×, quartiles 16.8–17.2)
-//!   against the near-linear cold solve — it was 3.2× while every
-//!   steady slot still re-evaluated the whole slice twice. The floor
-//!   asserted below, 10×, is the lowest of those runs less the 35 % this
-//!   host drifts when it is loaded; ROADMAP's bar was 8×.
+//!   and folds the rest. The speedup is *cold ÷ steady* seconds, so it
+//!   moves when either side does, and both are reported next to it:
+//!   it read 15.5–17.4× at 100k devices while a cold slot cost ≈ 100 ms,
+//!   and reads 9.8–13.7× (fourteen full runs on the 2-core host, median
+//!   12.1×, quartiles 11.0–12.8; 8.7–13.8× over 28 more on a loaded one)
+//!   now that a cold slot sorts each order once and costs ≈ 65 ms — over
+//!   the same steady slot (5.9 ms, quartiles 5.4–6.6; 6.8 ms against the
+//!   parent commit's 6.9 ms in ten alternating pairs under load). The
+//!   steady seconds are what `bench_baselines.json` gates beside the
+//!   ratio; the ratio's floor asserted below, 5.5×, is the lowest of all
+//!   those runs less the 35 % this host drifts when it is loaded.
 //! - **churn**: half the fleet mutates per slot — past the incremental
 //!   fraction gate, so every slot solves cold *through* the delta
 //!   machinery, which then keeps no per-row terms. The bookkeeping must
@@ -51,7 +56,7 @@ const SHARDS: usize = 4;
 const STEADY_FRACTION: f64 = 0.01;
 const CHURN_FRACTION: f64 = 0.5;
 /// Steady-state slots must be at least this much cheaper than cold.
-const TARGET_SPEEDUP: f64 = 10.0;
+const TARGET_SPEEDUP: f64 = 5.5;
 /// Churn-heavy slots may cost at most this ratio of plain cold.
 const TARGET_CHURN_RATIO: f64 = 1.10;
 
@@ -277,8 +282,10 @@ fn main() {
         .find(|r| r.devices == largest && r.regime == "churn")
         .expect("churn row at the largest size");
     println!(
-        "\nN={largest}: steady-state speedup {:.2}x (target ≥ {TARGET_SPEEDUP}x), \
-         churn ratio {:.3} (target ≤ {TARGET_CHURN_RATIO})",
+        "\nN={largest}: steady slot {:.3} ms against a cold slot of {:.3} ms — speedup {:.2}x \
+         (target ≥ {TARGET_SPEEDUP}x), churn ratio {:.3} (target ≤ {TARGET_CHURN_RATIO})",
+        1e3 * steady.delta_secs,
+        1e3 * steady.cold_secs,
         steady.speedup(),
         churn.ratio(),
     );
@@ -291,6 +298,8 @@ fn main() {
         ("target_speedup", Json::Num(TARGET_SPEEDUP)),
         ("target_churn_ratio", Json::Num(TARGET_CHURN_RATIO)),
         ("steady_speedup_at_largest", Json::Num(steady.speedup())),
+        ("steady_cold_slot_secs_at_largest", Json::Num(steady.cold_secs)),
+        ("steady_delta_slot_secs_at_largest", Json::Num(steady.delta_secs)),
         ("churn_ratio_at_largest", Json::Num(churn.ratio())),
         (
             "rows",

@@ -7,12 +7,15 @@
 //! totals from the kept terms in index order, bit-identical to
 //! evaluating every row — which is what an empty cache (a cold solve)
 //! does. Derived state: never serialised, rebuilt at full price by
-//! whoever finds none. The terms check λ and the curve themselves; what
+//! whoever finds none — but a cold solve whose Phase-2 scored every row
+//! under both decisions picks its terms from those (`from_scored`). The
+//! terms check λ and the curve themselves; what
 //! their owners (a shard worker's delta memo, the fleet join) must prove
 //! before naming a stale set is that every other row is unchanged.
 
 use crate::fleet::{DeviceFleet, SlotView};
 use crate::kernels::{device_objective_batch, Select};
+use crate::phase2::Scored;
 use lpvs_survey::curve::AnxietyCurve;
 
 /// Rows per eq.-13 kernel call: stack-resident index and decision
@@ -35,6 +38,21 @@ impl RowAccounting {
         let mut terms = Self::default();
         terms.refresh(view.fleet(), Some(view.rows()), view.lambda(), view.curve(), selected, []);
         terms
+    }
+
+    /// [`RowAccounting::of`], bit for bit, picked from the terms Phase-2
+    /// scored for every position under both decisions (the `on` column
+    /// becomes the objective column). `selected` is the final selection:
+    /// a row masked out after Phase-2 reads `off`.
+    pub(crate) fn from_scored(view: SlotView<'_>, selected: &[bool], scored: Scored) -> Self {
+        let Scored { off, on: mut objective } = scored;
+        for (p, _) in selected.iter().enumerate().filter(|(_, &x)| !x) {
+            objective[p] = off[p];
+        }
+        let fleet = view.fleet();
+        let saving = |(&x, &row): (&bool, &usize)| if x { fleet.saving_j(row) } else { 0.0 };
+        let saving_j = selected.iter().zip(view.rows()).map(saving).collect();
+        Self { objective, saving_j, priced: Some((view.lambda(), view.curve().clone())) }
     }
 
     /// Drops the kept terms (not their allocation): the next refresh

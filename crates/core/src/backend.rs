@@ -196,6 +196,7 @@ impl SolverBackend for ExactBackend {
             record_warm_outcome(warm_used);
         }
         let solution = search.solve()?;
+        lpvs_obs::add("solver_orders_sorted_total", solution.stats.orders_sorted as u64);
         Ok(Phase1Result {
             energy_saved_j: solution.objective,
             nodes: solution.stats.nodes,

@@ -23,6 +23,14 @@
 //! delta), the lowest device index is evicted — exactly what a scan of
 //! the victims in index order keeping the first strict minimum would
 //! choose, and what `tests/solve_linear.rs` pins against that scan.
+//!
+//! The first fitting victim has the least delta and every tie shares
+//! it, so a least delta that is rejected (`≥ −1e-12`) ends the candidate
+//! after **one probe**; only a swap that will be accepted probes on.
+//!
+//! The terms scored under both decisions are handed back with the stats
+//! (`phase2_scored`): a cold solve accounts its final selection from
+//! them (`RowAccounting::from_scored`), not from a third kernel pass.
 
 use crate::fleet::{with_problem_view, SlotView};
 use crate::kernels::{self, Select};
@@ -34,7 +42,8 @@ use serde::{Deserialize, Serialize};
 pub struct Phase2Stats {
     /// Victim probes evaluated: fitting (candidate, victim) pairs whose
     /// delta was computed, plus one per pure-addition test that fit.
-    /// The victim index probes one pair per candidate unless deltas tie.
+    /// One pair per candidate, plus the tie probes of each swap that is
+    /// going to be accepted.
     pub swaps_tried: usize,
     /// Swaps that improved the objective and were kept.
     pub swaps_accepted: usize,
@@ -69,10 +78,11 @@ impl VictimIndex {
     /// Indexes the scope: `loss[slot]` orders it, `cost(slot)` is a
     /// slot's (compute, storage) cost if it is currently selected.
     fn build(loss: &[f64], cost: impl Fn(usize) -> Option<[f64; 2]>) -> Self {
-        let mut order: Vec<usize> = (0..loss.len()).collect();
-        order.sort_unstable_by(|&a, &b| {
-            loss[a].partial_cmp(&loss[b]).expect("finite objective terms").then(a.cmp(&b))
+        let mut keyed: Vec<(f64, usize)> = loss.iter().copied().zip(0..).collect();
+        keyed.sort_unstable_by(|a, b| {
+            a.0.partial_cmp(&b.0).expect("finite objective terms").then(a.1.cmp(&b.1))
         });
+        let order: Vec<usize> = keyed.into_iter().map(|(_, slot)| slot).collect();
         let mut position = vec![0; loss.len()];
         for (p, &slot) in order.iter().enumerate() {
             position[slot] = p;
@@ -157,6 +167,22 @@ pub fn run_phase2_over(
     selected: &mut [bool],
     allowed: Option<&[usize]>,
 ) -> Phase2Stats {
+    phase2_scored(view, selected, allowed).0
+}
+
+/// Each scoped row's eq.-13 term with the transform off and on, in
+/// scope order, as Phase-2 evaluated them.
+pub(crate) struct Scored {
+    pub(crate) off: Vec<f64>,
+    pub(crate) on: Vec<f64>,
+}
+
+/// [`run_phase2_over`], handing back the terms it scored.
+pub(crate) fn phase2_scored(
+    view: SlotView<'_>,
+    selected: &mut [bool],
+    allowed: Option<&[usize]>,
+) -> (Phase2Stats, Scored) {
     assert_eq!(selected.len(), view.len(), "selection has wrong length");
     let mut stats = Phase2Stats::default();
     let n = view.len();
@@ -179,6 +205,7 @@ pub fn run_phase2_over(
     // scoped rows are scored (out-of-scope rows are never read as
     // candidates *or* victims), so a delta solve pays O(frontier·K),
     // not O(N·K). Values are bit-identical to the per-row evaluators.
+    let score_span = lpvs_obs::span!("sched.phase2.score");
     let (lambda, curve, cols) = (view.lambda(), view.curve(), view.columns());
     let mut off = Vec::new();
     let mut on = Vec::new();
@@ -186,6 +213,9 @@ pub fn run_phase2_over(
     kernels::device_objective_batch(&cols, &rows, Select::Uniform(false), lambda, curve, &mut off);
     kernels::device_objective_batch(&cols, &rows, Select::Uniform(true), lambda, curve, &mut on);
     kernels::transform_feasible_batch(&cols, &rows, &mut feasible);
+    let kernel_rows = 2 * rows.len() as u64;
+    lpvs_obs::add_labeled("sched_objective_rows_total", &[("stage", "phase2")], kernel_rows);
+    drop(score_span);
     // What evicting a device costs the objective.
     let loss: Vec<f64> = off.iter().zip(&on).map(|(off, on)| off - on).collect();
 
@@ -209,8 +239,11 @@ pub fn run_phase2_over(
     candidates.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite anxiety"));
 
     let cost = |slot: usize| view.cost(scope[slot]);
+    let index_span = lpvs_obs::span!("sched.phase2.index");
     let mut victims = VictimIndex::build(&loss, |slot| selected[scope[slot]].then(|| cost(slot)));
+    drop(index_span);
 
+    let _probe_span = lpvs_obs::span!("sched.phase2.probe");
     for (_, cand) in candidates {
         let [g_cand, h_cand] = cost(cand);
         let gain_in = on[cand] - off[cand]; // negative = improvement
@@ -234,41 +267,42 @@ pub fn run_phase2_over(
         // Δ = (on − off)[cand] + (off − on)[victim]: the first fitting
         // victim in loss order. Δ is monotone in the loss, so only
         // later victims rounding to the *same* Δ can still win, on
-        // their index.
+        // their index — and only if that Δ is accepted at all.
         let fits = |[g_victim, h_victim]: [f64; 2]| {
             g_used - g_victim + g_cand <= view.compute_capacity() + 1e-9
                 && h_used - h_victim + h_cand <= view.storage_capacity_gb() + 1e-9
         };
-        let mut best: Option<(usize, f64)> = None;
-        let mut from = 0;
-        while let Some(p) = victims.first_fit(from, &fits) {
+        let Some(first) = victims.first_fit(0, &fits) else { continue };
+        stats.swaps_tried += 1;
+        let mut victim = victims.order[first];
+        let delta = gain_in + loss[victim];
+        let accepted = delta < -1e-12;
+        if !accepted {
+            continue;
+        }
+        // Victims of one very loss come in slot order: the first that
+        // fits is the lowest, the rest cannot improve on it.
+        let past = |last: usize| victims.order.partition_point(|&slot| loss[slot] <= loss[last]);
+        let mut last = victim;
+        while let Some(p) = victims.first_fit(past(last), &fits) {
             stats.swaps_tried += 1;
-            let victim = victims.order[p];
-            let delta = gain_in + loss[victim];
-            match best {
-                None => best = Some((victim, delta)),
-                Some((b, d)) if d == delta => best = Some((b.min(victim), d)),
-                Some(_) => break,
+            last = victims.order[p];
+            if gain_in + loss[last] != delta {
+                break;
             }
-            // Victims of this very loss come in slot order: the first
-            // that fits is the lowest, the rest cannot improve on it.
-            from = victims.order.partition_point(|&slot| loss[slot] <= loss[victim]);
+            victim = victim.min(last);
         }
-        if let Some((victim, delta)) = best {
-            if delta < -1e-12 {
-                let [g_victim, h_victim] = cost(victim);
-                selected[scope[victim]] = false;
-                selected[scope[cand]] = true;
-                victims.set(victim, None);
-                victims.set(cand, Some(cost(cand)));
-                g_used += g_cand - g_victim;
-                h_used += h_cand - h_victim;
-                stats.swaps_accepted += 1;
-            }
-        }
+        let [g_victim, h_victim] = cost(victim);
+        selected[scope[victim]] = false;
+        selected[scope[cand]] = true;
+        victims.set(victim, None);
+        victims.set(cand, Some(cost(cand)));
+        g_used += g_cand - g_victim;
+        h_used += h_cand - h_victim;
+        stats.swaps_accepted += 1;
     }
 
-    stats
+    (stats, Scored { off, on })
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@ use crate::backend::{backend_for, ladder_from, SolverBackend, WarmStart};
 use crate::budget::SlotBudget;
 use crate::fleet::{with_problem_view, SlotView};
 use crate::phase1::{Phase1Config, Phase1Solver};
-use crate::phase2::{run_phase2_over, Phase2Stats};
+use crate::phase2::{phase2_scored, Phase2Stats, Scored};
 use crate::problem::SlotProblem;
 use lpvs_solver::SolverError;
 use serde::{Deserialize, Serialize};
@@ -285,17 +285,18 @@ impl LpvsScheduler {
             phase1
         };
         let mut selected = phase1.selected;
-        let phase2 = if self.config.enable_phase2 {
+        let (phase2, scored) = if self.config.enable_phase2 {
             let mut span = lpvs_obs::span!("sched.phase2");
-            let phase2 = run_phase2_over(view, &mut selected, None);
+            let (phase2, scored) = phase2_scored(view, &mut selected, None);
             span.record("swaps_tried", phase2.swaps_tried as f64);
             span.record("swaps_accepted", phase2.swaps_accepted as f64);
-            phase2
+            (phase2, Some(scored))
         } else {
-            Phase2Stats::default()
+            (Phase2Stats::default(), None)
         };
         Ok(Phases {
             selected,
+            scored,
             infeasible_devices: phase1.infeasible_devices,
             phase1_nodes: phase1.nodes,
             phase1_pivots: phase1.pivots,
@@ -461,9 +462,11 @@ impl LpvsScheduler {
 /// selection is accounted for. The resilient path masks rejected
 /// devices out of the selection first, so eq. 13 and the energy sum —
 /// each a pass over every device's chunks — run once, on the selection
-/// that is returned.
+/// that is returned — and, when Phase-2 scored the whole view, on the
+/// terms it kept (`scored`) rather than on the kernel again.
 struct Phases {
     selected: Vec<bool>,
+    scored: Option<Scored>,
     infeasible_devices: usize,
     phase1_nodes: usize,
     phase1_pivots: usize,
@@ -475,6 +478,7 @@ impl Phases {
     fn unsolved(selected: Vec<bool>) -> Self {
         Self {
             selected,
+            scored: None,
             infeasible_devices: 0,
             phase1_nodes: 0,
             phase1_pivots: 0,
@@ -490,7 +494,20 @@ impl Phases {
         rejected: usize,
         start: Instant,
     ) -> Schedule {
-        let (objective, energy_saved_j) = RowAccounting::of(view, &self.selected).fold();
+        let _span = lpvs_obs::span!("sched.account");
+        let terms = match self.scored {
+            Some(scored) => {
+                let kept = RowAccounting::from_scored(view, &self.selected, scored);
+                debug_assert_eq!(kept, RowAccounting::of(view, &self.selected));
+                kept
+            }
+            None => {
+                let rows = view.len() as u64;
+                lpvs_obs::add_labeled("sched_objective_rows_total", &[("stage", "account")], rows);
+                RowAccounting::of(view, &self.selected)
+            }
+        };
+        let (objective, energy_saved_j) = terms.fold();
         let stats = ScheduleStats {
             objective,
             energy_saved_j,

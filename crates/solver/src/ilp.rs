@@ -4,11 +4,16 @@
 //! each node the LP relaxation is solved; the node is pruned when the
 //! relaxation is infeasible or its bound cannot beat the incumbent.
 //! Branching picks the most fractional variable. The initial incumbent
-//! comes from greedy rounding
-//! ([`crate::knapsack::greedy_multi_knapsack`]) so that pruning starts
-//! working immediately — on LPVS Phase-1 instances (two knapsack rows)
-//! the relaxation has at most two fractional variables and the tree
-//! stays tiny even for the 5,000-device clusters of the paper's Fig. 10.
+//! comes from the greedy pass of [`crate::knapsack`] so that pruning
+//! starts working immediately — on LPVS Phase-1 instances (two knapsack
+//! rows) the relaxation has at most two fractional variables and the
+//! tree stays tiny even for the 5,000-device clusters of the paper's
+//! Fig. 10.
+//!
+//! A knapsack-shaped solve sorts the scaled-density order once — the
+//! greedy seed and every node's rounding refill walk it — and
+//! [`crate::relax`] sorts a row's order the first time a node needs it;
+//! [`IlpStats::orders_sorted`] counts them all.
 //!
 //! Which relaxation solver a node gets is decided by the program's
 //! shape alone: knapsack-shaped programs over at most two rows (the
@@ -16,7 +21,7 @@
 //! every other program (`≥` / `=` rows, negative data, more rows)
 //! builds a bounded-variable tableau for [`crate::simplex`].
 
-use crate::knapsack::greedy_multi_knapsack;
+use crate::knapsack::{density_order, greedy_in_order, GreedyOutcome};
 use crate::problem::{BinaryProgram, BinarySolution, Sense};
 use crate::relax::KnapsackRelaxation;
 use crate::simplex::LinearProgram;
@@ -48,6 +53,10 @@ pub struct IlpStats {
     /// True if a caller-supplied [`BranchBound::warm_start`] hint was
     /// feasible and adopted as the incumbent at the time it was offered.
     pub warm_start_used: bool,
+    /// Orders sorted: the shared density order of a knapsack-shaped
+    /// program plus each row order the relaxation needed (a row that
+    /// never binds is not sorted; the bisection's inner sorts not counted).
+    pub orders_sorted: usize,
 }
 
 /// Branch-and-bound solver over a [`BinaryProgram`].
@@ -63,8 +72,10 @@ pub struct BranchBound<'a> {
     /// Incumbent objective in minimization form.
     incumbent_cost: f64,
     stats: IlpStats,
-    /// Profitable variables by descending density (knapsack-shaped
-    /// programs only), for LP-rounding incumbents.
+    /// Value per variable (maximization form, clipped at 0) and the
+    /// profitable ones by descending scaled density, knapsack-shaped
+    /// programs only: the greedy seed and every rounding refill walk it.
+    values: Vec<f64>,
     density_order: Vec<usize>,
 }
 
@@ -88,6 +99,7 @@ impl<'a> BranchBound<'a> {
             incumbent: None,
             incumbent_cost: f64::INFINITY,
             stats: IlpStats::default(),
+            values: Vec::new(),
             density_order: Vec::new(),
         }
     }
@@ -129,9 +141,9 @@ impl<'a> BranchBound<'a> {
     pub fn solve(mut self) -> Result<BinarySolution, SolverError> {
         let knapsack_shaped = self.program.is_knapsack_shaped();
         if knapsack_shaped {
-            self.density_order = density_order(self.program);
+            self.seed_greedy_incumbent();
         }
-        self.seed_greedy_incumbent();
+        let shared_orders = self.stats.orders_sorted;
         let greedy_cost = self.incumbent_cost;
         let relaxation = KnapsackRelaxation::of(self.program);
         // A node's fixings over the program's own (knapsack path only).
@@ -162,7 +174,9 @@ impl<'a> BranchBound<'a> {
                     for &(var, v) in &node.fixings {
                         fixings[var] = Some(v);
                     }
-                    knapsack.solve(&fixings).map(|r| {
+                    let relaxed = knapsack.solve(&fixings);
+                    self.stats.orders_sorted = shared_orders + knapsack.orders_sorted();
+                    relaxed.map(|r| {
                         let bound = match self.program.sense() {
                             Sense::Minimize => r.objective,
                             Sense::Maximize => -r.objective,
@@ -239,8 +253,8 @@ impl<'a> BranchBound<'a> {
     /// density; adopts the result if it beats the incumbent.
     fn try_rounding_incumbent(&mut self, lp_x: &[f64]) {
         let p = self.program;
-        let mut x: Vec<bool> = lp_x.iter().map(|&v| v > 1.0 - 1e-6).collect();
-        let mut residual: Vec<f64> = p
+        let x: Vec<bool> = lp_x.iter().map(|&v| v > 1.0 - 1e-6).collect();
+        let residual: Vec<f64> = p
             .rows()
             .iter()
             .map(|row| {
@@ -256,22 +270,9 @@ impl<'a> BranchBound<'a> {
         if residual.iter().any(|&r| r < -1e-9) {
             return; // numerically over capacity: skip
         }
-        for &i in &self.density_order {
-            if x[i] || self.program.fixings()[i] == Some(false) {
-                continue;
-            }
-            let fits = p
-                .rows()
-                .iter()
-                .zip(&residual)
-                .all(|(row, &r)| row.coeffs[i] <= r + 1e-12);
-            if fits {
-                x[i] = true;
-                for (r, row) in residual.iter_mut().zip(p.rows()) {
-                    *r -= row.coeffs[i];
-                }
-            }
-        }
+        let mut rounded = GreedyOutcome { x, value: 0.0, residual };
+        rounded.refill(&self.density_order, &self.values, &capacity_rows(p), p.fixings());
+        let x = rounded.x;
         let cost = self.cost_at(&x);
         if cost < self.incumbent_cost && p.is_feasible(&x) {
             self.incumbent_cost = cost;
@@ -279,21 +280,18 @@ impl<'a> BranchBound<'a> {
         }
     }
 
-    /// Greedy rounding used as the root incumbent. Only applies when all
-    /// rows are `≤` with nonnegative coefficients (the multi-knapsack
-    /// shape); otherwise the search starts cold.
+    /// Sorts the density order and seeds the root incumbent with the
+    /// greedy pass over it — for the multi-knapsack shape (all rows `≤`,
+    /// nonnegative data); any other search starts cold.
     fn seed_greedy_incumbent(&mut self) {
         let p = self.program;
-        if !p.is_knapsack_shaped() {
-            return;
-        }
         // Greedy maximizes value; in minimization form profitable
         // variables are those with negative cost.
-        let values: Vec<f64> = self.cost.iter().map(|c| (-c).max(0.0)).collect();
-        let rows: Vec<(&[f64], f64)> =
-            p.rows().iter().map(|r| (r.coeffs.as_slice(), r.rhs)).collect();
-        let fixed = p.fixings();
-        let greedy = greedy_multi_knapsack(&values, &rows, fixed);
+        self.values = self.cost.iter().map(|c| (-c).max(0.0)).collect();
+        let rows = capacity_rows(p);
+        self.density_order = density_order(&self.values, &rows);
+        self.stats.orders_sorted += 1;
+        let greedy = greedy_in_order(&self.density_order, &self.values, &rows, p.fixings());
         if p.is_feasible(&greedy.x) {
             let cost = self.cost_at(&greedy.x);
             if cost < self.incumbent_cost {
@@ -328,31 +326,9 @@ impl<'a> BranchBound<'a> {
     }
 }
 
-/// Profitable variables by descending scaled density (the greedy order
-/// used to refill capacity after LP rounding).
-fn density_order(p: &BinaryProgram) -> Vec<usize> {
-    let profitable = |i: usize| match p.sense() {
-        Sense::Maximize => p.objective()[i] > 0.0,
-        Sense::Minimize => p.objective()[i] < 0.0,
-    };
-    let density = |i: usize| -> f64 {
-        let scaled: f64 = p
-            .rows()
-            .iter()
-            .map(|r| if r.rhs > 0.0 { r.coeffs[i] / r.rhs } else { f64::INFINITY })
-            .sum();
-        let value = p.objective()[i].abs();
-        if scaled <= 0.0 {
-            f64::INFINITY
-        } else {
-            value / scaled
-        }
-    };
-    let mut order: Vec<usize> = (0..p.num_vars()).filter(|&i| profitable(i)).collect();
-    order.sort_by(|&a, &b| {
-        density(b).partial_cmp(&density(a)).unwrap_or(std::cmp::Ordering::Equal)
-    });
-    order
+/// A knapsack-shaped program's rows as [`crate::knapsack`] takes them.
+fn capacity_rows(p: &BinaryProgram) -> Vec<(&[f64], f64)> {
+    p.rows().iter().map(|r| (r.coeffs.as_slice(), r.rhs)).collect()
 }
 
 /// Index of the variable farthest from integrality, if any.

@@ -52,31 +52,23 @@ pub fn greedy_multi_knapsack(
     rows: &[(&[f64], f64)],
     fixings: &[Option<bool>],
 ) -> GreedyOutcome {
-    let n = values.len();
-    assert_eq!(fixings.len(), n, "fixings length mismatch");
+    assert_eq!(fixings.len(), values.len(), "fixings length mismatch");
     for (w, _) in rows {
-        assert_eq!(w.len(), n, "row weight length mismatch");
+        assert_eq!(w.len(), values.len(), "row weight length mismatch");
     }
+    greedy_in_order(&density_order(values, rows), values, rows, fixings)
+}
 
-    let mut x = vec![false; n];
-    let mut residual: Vec<f64> = rows.iter().map(|&(_, cap)| cap).collect();
-    let mut value = 0.0;
+/// Descending key, ties to the lowest index — what a stable sort of the
+/// indices by key produces — and total: a NaN key sorts, first.
+pub(crate) fn by_density(a: &(f64, usize), b: &(f64, usize)) -> std::cmp::Ordering {
+    b.0.total_cmp(&a.0).then(a.1.cmp(&b.1))
+}
 
-    // Apply pinned-in items first.
-    for i in 0..n {
-        if fixings[i] == Some(true) {
-            x[i] = true;
-            value += values[i];
-            for (r, &(w, _)) in residual.iter_mut().zip(rows) {
-                *r -= w[i];
-            }
-        }
-    }
-
-    // Rank free items by scaled density.
-    let mut order: Vec<usize> = (0..n)
-        .filter(|&i| fixings[i].is_none() && values[i] > 0.0)
-        .collect();
+/// The items worth taking (`value > 0`) by descending scaled density,
+/// each key computed once. Fixings are left to the walks, so one order
+/// serves the greedy pass and the branch-and-bound's rounding refills.
+pub(crate) fn density_order(values: &[f64], rows: &[(&[f64], f64)]) -> Vec<usize> {
     let density = |i: usize| -> f64 {
         let scaled: f64 = rows
             .iter()
@@ -88,23 +80,57 @@ pub fn greedy_multi_knapsack(
             values[i] / scaled
         }
     };
-    order.sort_by(|&a, &b| density(b).partial_cmp(&density(a)).unwrap_or(std::cmp::Ordering::Equal));
+    let mut keyed: Vec<(f64, usize)> =
+        (0..values.len()).filter(|&i| values[i] > 0.0).map(|i| (density(i), i)).collect();
+    keyed.sort_unstable_by(by_density);
+    keyed.into_iter().map(|(_, i)| i).collect()
+}
 
-    for i in order {
-        let fits = rows
-            .iter()
-            .zip(&residual)
-            .all(|(&(w, _), &r)| w[i] <= r + 1e-12);
-        if fits {
-            x[i] = true;
-            value += values[i];
-            for (r, &(w, _)) in residual.iter_mut().zip(rows) {
-                *r -= w[i];
-            }
+/// The greedy pass over a precomputed [`density_order`]: pinned-in items
+/// first, then every free item of the order that still fits.
+pub(crate) fn greedy_in_order(
+    order: &[usize],
+    values: &[f64],
+    rows: &[(&[f64], f64)],
+    fixings: &[Option<bool>],
+) -> GreedyOutcome {
+    let mut out = GreedyOutcome {
+        x: vec![false; values.len()],
+        value: 0.0,
+        residual: rows.iter().map(|&(_, cap)| cap).collect(),
+    };
+    for i in (0..values.len()).filter(|&i| fixings[i] == Some(true)) {
+        out.take(i, values, rows);
+    }
+    out.refill(order, values, rows, fixings);
+    out
+}
+
+impl GreedyOutcome {
+    fn take(&mut self, i: usize, values: &[f64], rows: &[(&[f64], f64)]) {
+        self.x[i] = true;
+        self.value += values[i];
+        for (r, &(w, _)) in self.residual.iter_mut().zip(rows) {
+            *r -= w[i];
         }
     }
 
-    GreedyOutcome { x, value, residual }
+    /// Walks `order` and takes every item neither taken already nor
+    /// pinned out that fits the residual on every row.
+    pub(crate) fn refill(
+        &mut self,
+        order: &[usize],
+        values: &[f64],
+        rows: &[(&[f64], f64)],
+        fixings: &[Option<bool>],
+    ) {
+        for &i in order {
+            let open = !self.x[i] && fixings[i] != Some(false);
+            if open && rows.iter().zip(&self.residual).all(|(&(w, _), &r)| w[i] <= r + 1e-12) {
+                self.take(i, values, rows);
+            }
+        }
+    }
 }
 
 /// Exact single-constraint 0/1 knapsack by dynamic programming over a

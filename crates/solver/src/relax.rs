@@ -23,14 +23,19 @@
 //!   relaxation for *every* `μ` by weak duality — branch-and-bound
 //!   pruning stays sound whatever the convergence.
 //!
-//! The density orders are computed once per program and reused by every
-//! branch-and-bound node, so a node whose relaxation has one binding row
-//! costs O(n). [`crate::ilp`] uses this for every program
-//! [`KnapsackRelaxation::of`] accepts and keeps the general simplex for
-//! the rest (`≥` / `=` rows, negative data, more than two rows).
+//! A row's density order is sorted the first time a solve reads it and
+//! reused by every later branch-and-bound node, so a node with one
+//! binding row costs O(n) and a row that never binds is never sorted:
+//! the second row's order is read only once the first row's fill
+//! overfills it, the multiplier search walks the first row's alone.
+//! [`crate::ilp`] uses this for every program [`KnapsackRelaxation::of`]
+//! accepts and keeps the general simplex for the rest (`≥` / `=` rows,
+//! negative data, more than two rows).
 
+use crate::knapsack::by_density;
 use crate::problem::{BinaryProgram, Sense};
 use crate::SolverError;
+use std::sync::OnceLock;
 
 /// Items fixed to 1 may overfill a row by this much before the
 /// fixings count as infeasible.
@@ -83,8 +88,8 @@ pub struct KnapsackRelaxation<'a> {
     /// Value per item in maximization form.
     values: Vec<f64>,
     /// Per row, the profitable items by descending `value / weight`
-    /// (weightless items first, ties to the lowest index).
-    orders: Vec<Vec<usize>>,
+    /// (weightless items first, ties to the lowest index), on first use.
+    orders: Vec<OnceLock<Vec<usize>>>,
 }
 
 /// One-row fractional knapsack solution inside [`KnapsackRelaxation`].
@@ -113,11 +118,6 @@ fn density(value: f64, weight: f64) -> f64 {
     } else {
         f64::INFINITY
     }
-}
-
-/// Descending density, ties to the lowest index.
-fn by_density(a: &(f64, usize), b: &(f64, usize)) -> std::cmp::Ordering {
-    b.0.total_cmp(&a.0).then(a.1.cmp(&b.1))
 }
 
 /// Takes `items` (in density order) whole while `weights` fit in
@@ -175,23 +175,30 @@ impl<'a> KnapsackRelaxation<'a> {
             Sense::Maximize => program.objective().to_vec(),
             Sense::Minimize => program.objective().iter().map(|c| -c).collect(),
         };
-        let orders = program
-            .rows()
-            .iter()
-            .map(|row| {
-                let mut keyed: Vec<(f64, usize)> = (0..values.len())
-                    .filter(|&i| values[i] > 0.0)
-                    .map(|i| (density(values[i], row.coeffs[i]), i))
-                    .collect();
-                keyed.sort_unstable_by(by_density);
-                keyed.into_iter().map(|(_, i)| i).collect()
-            })
-            .collect();
+        let orders = program.rows().iter().map(|_| OnceLock::new()).collect();
         Some(Self {
             program,
             values,
             orders,
         })
+    }
+
+    /// The density order of `row`, sorted by the first call.
+    fn order(&self, row: usize) -> &[usize] {
+        self.orders[row].get_or_init(|| {
+            let coeffs = &self.program.rows()[row].coeffs;
+            let mut keyed: Vec<(f64, usize)> = (0..self.values.len())
+                .filter(|&i| self.values[i] > 0.0)
+                .map(|i| (density(self.values[i], coeffs[i]), i))
+                .collect();
+            keyed.sort_unstable_by(by_density);
+            keyed.into_iter().map(|(_, i)| i).collect()
+        })
+    }
+
+    /// How many row orders the solves so far had to sort.
+    pub(crate) fn orders_sorted(&self) -> usize {
+        self.orders.iter().filter(|order| order.get().is_some()).count()
     }
 
     /// Solves the relaxation with each variable free (`None`) or fixed
@@ -243,7 +250,7 @@ impl<'a> KnapsackRelaxation<'a> {
             }
             [row] => {
                 let f = fill(
-                    free(&self.orders[0], fixings),
+                    free(self.order(0), fixings),
                     value_of,
                     &row.coeffs,
                     capacity[0],
@@ -253,7 +260,7 @@ impl<'a> KnapsackRelaxation<'a> {
             [first, second] => {
                 // One binding row: optimal as soon as the other holds.
                 let on_first = fill(
-                    free(&self.orders[0], fixings),
+                    free(self.order(0), fixings),
                     value_of,
                     &first.coeffs,
                     capacity[0],
@@ -263,7 +270,7 @@ impl<'a> KnapsackRelaxation<'a> {
                     (on_first.x, on_first.value, vec![on_first.price, 0.0])
                 } else {
                     let on_second = fill(
-                        free(&self.orders[1], fixings),
+                        free(self.order(1), fixings),
                         value_of,
                         &second.coeffs,
                         capacity[1],
@@ -308,7 +315,7 @@ impl<'a> KnapsackRelaxation<'a> {
     ) -> (Vec<f64>, f64, Vec<f64>) {
         let rows = self.program.rows();
         let (a, b) = (&rows[0].coeffs, &rows[1].coeffs);
-        let items: Vec<usize> = free(&self.orders[0], fixings).collect();
+        let items: Vec<usize> = free(self.order(0), fixings).collect();
         let mut keyed: Vec<(f64, usize)> = Vec::with_capacity(items.len());
         let mut at = |mu: f64| -> DualPoint {
             let reduced = |i: usize| self.values[i] - mu * b[i];

@@ -12,17 +12,32 @@
 //! That the totals folded from kept terms are, bit for bit, those of
 //! evaluating every row is `tests/delta.rs`'s matrix.
 //!
+//! A cold solve is the other end of the same model: Phase-2 scores
+//! every row under both decisions, and the accounting of the selection
+//! that is returned picks from those terms instead of running the
+//! eq.-13 kernel a third time (`sched_objective_rows_total{stage}`:
+//! two evaluations a row under `phase2`, none under `account`), bit for
+//! bit what evaluating every row gives.
+//!
 //! Mutation checks, made by hand when this file was written (the style
 //! of `tests/solve_linear.rs`): a `refresh` that re-evaluates every row
 //! fails every count below; a join that ignores flipped rows fails
-//! `tests/delta.rs`'s bit-identity matrix.
+//! `tests/delta.rs`'s bit-identity matrix; a `from_scored` that swaps
+//! `on` and `off` fails every solver-rung case of
+//! `a_cold_solve_accounts_from_the_terms_phase2_scored`, one handed the
+//! selection as it stood before rejected rows were masked out fails its
+//! disconnected case, and an `into_schedule` that evaluates anyway fails
+//! `a_cold_solve_scores_each_row_twice_and_accounts_none`.
 //!
 //! Lives in its own test binary, serialized, because the counter is
 //! read from the process-global recorder.
 
-use lpvs::core::fleet::DeviceFleet;
-use lpvs::core::problem::DeviceRequest;
-use lpvs::core::scheduler::Degradation;
+use lpvs::core::accounting::RowAccounting;
+use lpvs::core::budget::SlotBudget;
+use lpvs::core::fleet::{DeviceFleet, SlotView};
+use lpvs::core::problem::{DeviceRequest, SlotProblem};
+use lpvs::core::scheduler::{Degradation, LpvsScheduler, SchedulerConfig};
+use lpvs::emulator::experiment::synthetic_problem;
 use lpvs::edge::fleet::{FleetConfig, Partitioner};
 use lpvs::runtime::{
     BankOps, CheckpointConfig, GatheredSlot, RuntimeConfig, SlotFeedback, SlotReplay, SlotRuntime,
@@ -373,4 +388,125 @@ fn a_resumed_run_rebuilds_its_terms_once_then_accounts_its_frontier() {
     for s in &slots[1..] {
         assert_costs_its_churn(s, "after the resume");
     }
+}
+
+/// A cold problem's fleet, and the view of all of it.
+fn whole_view<'a>(problem: &'a SlotProblem, fleet: &'a DeviceFleet, rows: &'a [usize]) -> SlotView<'a> {
+    fleet.slot_view(
+        rows,
+        problem.compute_capacity,
+        problem.storage_capacity_gb,
+        problem.lambda,
+        &problem.curve,
+    )
+}
+
+#[test]
+fn a_cold_solve_accounts_from_the_terms_phase2_scored() {
+    // Not counted, but its solves would be: keep out of the recorder's way.
+    let _serial = RECORDER.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let clean = synthetic_problem(600, 240.0, 1.0, 7);
+    let mut corrupt = clean.clone();
+    corrupt.requests[3].gamma = f64::NAN;
+    corrupt.requests[7].energy_j = -50.0;
+    corrupt.requests[11].power_rates_w[0] = f64::INFINITY;
+    let full = LpvsScheduler::paper_default();
+    let phase1_only =
+        LpvsScheduler::new(SchedulerConfig { enable_phase2: false, ..SchedulerConfig::default() });
+    let standing = full.schedule(&clean).unwrap().selected;
+    let no_time = SlotBudget::unbounded().with_deadline_secs(0.0);
+    let rows: Vec<usize> = (0..clean.len()).collect();
+
+    // Healthy telemetry on rows the fleet calls disconnected: both
+    // phases select them (the best savers in the cluster), the resilient
+    // path masks them out *after* Phase-2, and the accounting must
+    // describe the selection that is returned.
+    let mut unplugged = DeviceFleet::from_problem(&clean);
+    let savers: Vec<usize> = (0..clean.len()).filter(|&i| standing[i]).take(5).collect();
+    for &i in &savers {
+        unplugged.set_connected(i, false);
+    }
+
+    struct Case<'a> {
+        name: &'a str,
+        problem: &'a SlotProblem,
+        /// Solve over this fleet instead of the problem's own columns.
+        fleet: Option<&'a DeviceFleet>,
+        scheduler: &'a LpvsScheduler,
+        previous: Option<&'a [bool]>,
+        budget: SlotBudget,
+        rung: Degradation,
+    }
+    let case = |name, problem, scheduler| Case {
+        name,
+        problem,
+        fleet: None,
+        scheduler,
+        previous: None,
+        budget: SlotBudget::unbounded(),
+        rung: Degradation::Exact,
+    };
+    let cases = [
+        case("clean", &clean, &full),
+        case("corrupt rows", &corrupt, &full),
+        Case { fleet: Some(&unplugged), ..case("disconnected rows", &clean, &full) },
+        case("phase-2 off", &clean, &phase1_only),
+        Case {
+            previous: Some(&standing),
+            budget: no_time,
+            rung: Degradation::ReusedPrevious,
+            ..case("reuse", &clean, &full)
+        },
+        Case { budget: no_time, rung: Degradation::Passthrough, ..case("passthrough", &clean, &full) },
+    ];
+    for Case { name, problem, fleet, scheduler, previous, budget, rung } in cases {
+        let loaded = DeviceFleet::from_problem(problem);
+        let view = whole_view(problem, fleet.unwrap_or(&loaded), &rows);
+        let schedule = scheduler.schedule_view(view, previous, &budget);
+        assert_eq!(schedule.stats.degradation, rung, "{name}");
+        let (objective, saved) = RowAccounting::of(view, &schedule.selected).fold();
+        assert_eq!(schedule.stats.objective.to_bits(), objective.to_bits(), "{name}: objective");
+        assert_eq!(schedule.stats.energy_saved_j.to_bits(), saved.to_bits(), "{name}: saving");
+        if fleet.is_none() {
+            // The row entry loads the same columns and says the same.
+            let by_rows = scheduler.schedule_resilient(problem, previous, &budget);
+            assert_eq!(by_rows.selected, schedule.selected, "{name}");
+            assert_eq!(by_rows.stats.objective.to_bits(), objective.to_bits(), "{name}: row entry");
+            assert_eq!(by_rows.stats.energy_saved_j.to_bits(), saved.to_bits(), "{name}: row entry");
+        }
+    }
+
+    // The disconnected case is a case: the mask removed rows both
+    // phases select (they are in `standing`, solved from the same columns).
+    let view = whole_view(&clean, &unplugged, &rows);
+    let masked = full.schedule_view(view, None, &SlotBudget::unbounded());
+    assert_eq!(masked.stats.rejected_devices, savers.len());
+    assert!(savers.iter().all(|&i| !masked.selected[i]));
+}
+
+#[test]
+fn a_cold_solve_scores_each_row_twice_and_accounts_none() {
+    let _recording = Recording::start();
+    let counted = |stage| {
+        let metrics = lpvs::obs::installed().expect("recorder installed").metrics().snapshot();
+        metrics.counter_labeled("sched_objective_rows_total", &[("stage", stage)]).unwrap_or(0)
+    };
+    let n = 1_500;
+    let problem = synthetic_problem(n, 0.4 * n as f64, 1.0, 7);
+    let budget = SlotBudget::unbounded();
+
+    // Phase-2 on: `off` and `on` for every row, and nothing again.
+    let full = LpvsScheduler::paper_default().schedule_resilient(&problem, None, &budget);
+    assert!(full.stats.phase2.swaps_tried > 0);
+    assert_eq!((counted("phase2"), counted("account")), (2 * n as u64, 0));
+
+    // Phase-2 off keeps no terms, a rung below the solvers never had
+    // any: the selection is evaluated, once a row.
+    let phase1_only =
+        LpvsScheduler::new(SchedulerConfig { enable_phase2: false, ..SchedulerConfig::default() });
+    phase1_only.schedule_resilient(&problem, None, &budget);
+    assert_eq!((counted("phase2"), counted("account")), (2 * n as u64, n as u64));
+    let no_time = budget.with_deadline_secs(0.0);
+    LpvsScheduler::paper_default().schedule_resilient(&problem, Some(&full.selected), &no_time);
+    assert_eq!((counted("phase2"), counted("account")), (2 * n as u64, 2 * n as u64));
 }

@@ -4,16 +4,62 @@
 //! and well-formed Prometheus exposition text.
 //!
 //! Lives in its own integration-test binary so the process-global
-//! recorder cannot interfere with other tests.
+//! recorder cannot interfere with other tests; the tests in it take
+//! turns.
 
 use lpvs::core::baseline::Policy;
 use lpvs::core::scheduler::Degradation;
 use lpvs::emulator::engine::{Emulator, EmulatorConfig};
 use lpvs::emulator::faults::FaultConfig;
+use lpvs::core::phase1::{solve_phase1, Phase1Config};
+use lpvs::core::problem::{DeviceRequest, SlotProblem};
+use lpvs::core::provision::price_capacity;
 use lpvs::obs::sink::{events_from_jsonl, events_to_jsonl, render_prometheus};
+use lpvs::survey::curve::AnxietyCurve;
+use std::sync::{Mutex, PoisonError};
+
+static RECORDER: Mutex<()> = Mutex::new(());
+
+/// What a cold solve sorts, counted: the exact tier publishes
+/// `IlpStats::orders_sorted` — the density order the greedy seed and the
+/// rounding refills share, plus each row order the relaxation needed.
+/// A row that never binds is never sorted, however many nodes run.
+#[test]
+fn a_phase1_solve_sorts_the_orders_it_reads() {
+    let _turn = RECORDER.lock().unwrap_or_else(PoisonError::into_inner);
+    let problem = |storage_share: f64| {
+        let n = 300;
+        let cost = |i: usize, stride: usize| 0.5 + ((i * stride) % 17) as f64 / 10.0;
+        let total = |stride: usize| (0..n).map(|i| cost(i, stride)).sum::<f64>();
+        let mut p = SlotProblem::new(
+            0.3 * total(5),
+            storage_share * total(11),
+            1.0,
+            AnxietyCurve::paper_shape(),
+        );
+        for i in 0..n {
+            let gamma = 0.15 + ((i * 7) % 30) as f64 / 100.0;
+            p.push(DeviceRequest::uniform(1.2, 10.0, 30, 30_000.0, 55_440.0, gamma, cost(i, 5), cost(i, 11)));
+        }
+        p
+    };
+    // (storage capacity as a share of the fleet's cost, rows that bind)
+    for (storage_share, binding) in [(2.0, 1), (0.3, 2)] {
+        let p = problem(storage_share);
+        let prices = price_capacity(&p).unwrap();
+        let priced = [prices.compute_j_per_unit, prices.storage_j_per_gb];
+        assert_eq!(priced.iter().filter(|&&d| d > 0.0).count(), binding, "{priced:?}");
+        lpvs::obs::init().reset();
+        solve_phase1(&p, &Phase1Config::default()).unwrap();
+        lpvs::obs::set_enabled(false);
+        let metrics = lpvs::obs::installed().expect("recorder installed").metrics().snapshot();
+        assert_eq!(metrics.counter("solver_orders_sorted_total"), Some(1 + binding as u64));
+    }
+}
 
 #[test]
 fn faulty_emulation_produces_full_telemetry() {
+    let _turn = RECORDER.lock().unwrap_or_else(PoisonError::into_inner);
     let recorder = lpvs::obs::init();
     recorder.reset();
     let slots = 10;

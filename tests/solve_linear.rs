@@ -1,9 +1,19 @@
 //! The near-linear slot solve is the quadratic one, decision for
 //! decision: the Phase-2 victim index against the victim scan it
 //! replaced, the knapsack relaxation against the general simplex, the
-//! branch-and-bound on top of it against brute force — and a guard, in
-//! counted work rather than wall clock, that the cold solve stays
+//! branch-and-bound on top of it against brute force, the shared
+//! density order against the comparator sort it replaced — and a guard,
+//! in counted work rather than wall clock, that the cold solve stays
 //! linear in the cluster size.
+//!
+//! Mutation checks, made by hand when the one-probe rule went in: a
+//! probe loop that stops after the first fitting victim of an *accepted*
+//! swap fails `an_accepted_swap_still_probes_its_ties` (and the
+//! proptest's near-duplicated fleets); one that probes twice per
+//! rejected candidate fails the tightened bound of
+//! `cold_slot_work_is_linear_in_the_cluster_size`; a density order that
+//! breaks ties by descending index fails
+//! `density_order_is_the_stable_comparator_sort`.
 
 use lpvs::core::compact::compact_device;
 use lpvs::core::fleet::DeviceFleet;
@@ -14,7 +24,8 @@ use lpvs::core::problem::{DeviceRequest, SlotProblem};
 use lpvs::core::scheduler::LpvsScheduler;
 use lpvs::emulator::experiment::synthetic_problem;
 use lpvs::solver::{
-    BinaryProgram, KnapsackRelaxation, LinearProgram, Relation, Sense, SolverError,
+    greedy_multi_knapsack, BinaryProgram, KnapsackRelaxation, LinearProgram, Relation, Sense,
+    SolverError,
 };
 use lpvs::survey::curve::AnxietyCurve;
 use proptest::prelude::*;
@@ -136,6 +147,28 @@ fn run_phase2_scanning(
     stats
 }
 
+/// The victim index and the victim scan from one starting selection:
+/// `(indexed selection, its stats, scanned selection, its stats)`.
+fn phase2_both_ways(
+    problem: &SlotProblem,
+    start: Vec<bool>,
+    frontier: Option<&[usize]>,
+) -> (Vec<bool>, Phase2Stats, Vec<bool>, Phase2Stats) {
+    let fleet = DeviceFleet::from_problem(problem);
+    let rows: Vec<usize> = (0..problem.len()).collect();
+    let view = fleet.slot_view(
+        &rows,
+        problem.compute_capacity,
+        problem.storage_capacity_gb,
+        problem.lambda,
+        &problem.curve,
+    );
+    let (mut indexed, mut scanned) = (start.clone(), start);
+    let ours = run_phase2_over(view, &mut indexed, frontier);
+    let theirs = run_phase2_scanning(problem, &mut scanned, frontier);
+    (indexed, ours, scanned, theirs)
+}
+
 /// SplitMix64: the tests' own coin, seeded per case by proptest.
 fn coin(state: &mut u64) -> f64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -143,6 +176,53 @@ fn coin(state: &mut u64) -> f64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// `greedy_multi_knapsack` as it was before the density order was
+/// shared, verbatim: a stable sort whose comparator recomputes both
+/// keys. Returns `(x, value, residual)`.
+fn greedy_with_comparator_sort(
+    values: &[f64],
+    rows: &[(&[f64], f64)],
+    fixings: &[Option<bool>],
+) -> (Vec<bool>, f64, Vec<f64>) {
+    let n = values.len();
+    let mut x = vec![false; n];
+    let mut residual: Vec<f64> = rows.iter().map(|&(_, cap)| cap).collect();
+    let mut value = 0.0;
+    for i in 0..n {
+        if fixings[i] == Some(true) {
+            x[i] = true;
+            value += values[i];
+            for (r, &(w, _)) in residual.iter_mut().zip(rows) {
+                *r -= w[i];
+            }
+        }
+    }
+    let mut order: Vec<usize> =
+        (0..n).filter(|&i| fixings[i].is_none() && values[i] > 0.0).collect();
+    let density = |i: usize| -> f64 {
+        let scaled: f64 = rows
+            .iter()
+            .map(|&(w, cap)| if cap > 0.0 { w[i] / cap } else { f64::INFINITY })
+            .sum();
+        if scaled <= 0.0 {
+            f64::INFINITY
+        } else {
+            values[i] / scaled
+        }
+    };
+    order.sort_by(|&a, &b| density(b).partial_cmp(&density(a)).unwrap_or(std::cmp::Ordering::Equal));
+    for i in order {
+        if rows.iter().zip(&residual).all(|(&(w, _), &r)| w[i] <= r + 1e-12) {
+            x[i] = true;
+            value += values[i];
+            for (r, &(w, _)) in residual.iter_mut().zip(rows) {
+                *r -= w[i];
+            }
+        }
+    }
+    (x, value, residual)
 }
 
 prop_compose! {
@@ -326,8 +406,74 @@ prop_compose! {
     }
 }
 
+prop_compose! {
+    /// A greedy instance whose items repeat a small palette, so that
+    /// equal densities are the rule; weights may be zero (`+∞` density)
+    /// and a capacity may be zero (every key on that row `0` or `+∞`).
+    fn arb_tied_knapsack()(
+        palette in prop::collection::vec((0.5f64..20.0, 0.0f64..5.0, 0.0f64..5.0), 1..5),
+        picks in prop::collection::vec((0usize..5, 0.0f64..1.0), 1..40),
+        num_rows in 1usize..3,
+        share1 in prop_oneof![Just(0.0), Just(1.5), 0.05f64..0.95],
+        share2 in prop_oneof![Just(0.0), Just(1.5), 0.05f64..0.95],
+    ) -> Knapsack {
+        let items: Vec<(f64, f64, f64, f64)> = picks
+            .iter()
+            .map(|&(kind, u)| {
+                let (v, a, b) = palette[kind % palette.len()];
+                // A third of the items weigh nothing on the first row,
+                // a few are worth nothing.
+                (if u > 0.97 { 0.0 } else { v }, if u < 0.33 { 0.0 } else { a }, b, u)
+            })
+            .collect();
+        let row = |w: Vec<f64>, share: f64| {
+            let cap = share * w.iter().sum::<f64>();
+            (w, cap)
+        };
+        let rows = [
+            row(items.iter().map(|t| t.1).collect(), share1),
+            row(items.iter().map(|t| t.2).collect(), share2),
+        ];
+        Knapsack {
+            values: items.iter().map(|t| t.0).collect(),
+            rows: rows[..num_rows].to_vec(),
+            fixings: items
+                .iter()
+                .map(|t| match (t.3 * 1e3) as usize % 10 {
+                    0 => Some(true),
+                    1 | 2 => Some(false),
+                    _ => None,
+                })
+                .collect(),
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The shared density order — keys computed once, `(key desc, index
+    /// asc)` — is the order the stable comparator sort produced: the
+    /// greedy pass over it takes the same items, sums the same value
+    /// and leaves the same residual, bit for bit, under equal
+    /// densities, weightless items, zero capacities and fixings.
+    #[test]
+    fn density_order_is_the_stable_comparator_sort(k in arb_tied_knapsack()) {
+        let rows: Vec<(&[f64], f64)> = k.rows.iter().map(|(w, cap)| (w.as_slice(), *cap)).collect();
+        let ours = greedy_multi_knapsack(&k.values, &rows, &k.fixings);
+        let (x, value, residual) = greedy_with_comparator_sort(&k.values, &rows, &k.fixings);
+        prop_assert_eq!(&ours.x, &x);
+        prop_assert_eq!(ours.value.to_bits(), value.to_bits());
+        let bits = |r: &[f64]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&ours.residual), bits(&residual));
+        // The branch-and-bound walks the same order: its seed is this
+        // pass, so it never ends below it.
+        if k.rows.iter().all(|(_, cap)| *cap > 0.0) && !k.fixings.contains(&Some(true)) {
+            let solution = k.program().solve().unwrap();
+            prop_assert!(solution.objective >= ours.value - 1e-9);
+            prop_assert!(solution.stats.orders_sorted >= 1);
+        }
+    }
 
     /// The victim index takes the decisions of the victim scan: same
     /// selection, same accepted swaps, same additions — with one row or
@@ -336,19 +482,8 @@ proptest! {
     #[test]
     fn victim_index_decides_like_the_victim_scan(case in arb_phase2_case()) {
         let (problem, start, frontier) = case;
-        let mut indexed = start.clone();
-        let mut scanned = start;
-        let fleet = DeviceFleet::from_problem(&problem);
-        let rows: Vec<usize> = (0..problem.len()).collect();
-        let view = fleet.slot_view(
-            &rows,
-            problem.compute_capacity,
-            problem.storage_capacity_gb,
-            problem.lambda,
-            &problem.curve,
-        );
-        let ours = run_phase2_over(view, &mut indexed, frontier.as_deref());
-        let theirs = run_phase2_scanning(&problem, &mut scanned, frontier.as_deref());
+        let (indexed, ours, scanned, theirs) =
+            phase2_both_ways(&problem, start, frontier.as_deref());
         prop_assert_eq!(indexed, scanned);
         prop_assert_eq!(ours.swaps_accepted, theirs.swaps_accepted);
         prop_assert_eq!(ours.additions, theirs.additions);
@@ -427,17 +562,101 @@ proptest! {
     }
 }
 
+/// A key that is not a number — `∞ / ∞`, from a caller of the public
+/// greedy entry that did not sanitize — is ordered like any other: the
+/// comparator sort could be handed an inconsistent order here (and
+/// `sort_by` may panic on one); the keyed sort cannot.
+#[test]
+fn a_nan_density_neither_panics_nor_overfills() {
+    let values = [f64::INFINITY, 3.0, f64::INFINITY, 2.0, 5.0];
+    let tight = [1.0, 0.0, 0.0, 1.0, 0.0];
+    let roomy = [1.0, 1.0, 1.0, 1.0, 4.0];
+    let rows = [(&tight[..], 0.0), (&roomy[..], 3.0)];
+    let out = greedy_multi_knapsack(&values, &rows, &[None; 5]);
+    // Items 0 and 3 need capacity the first row does not have; item 2
+    // (a NaN key as well) and item 1 fit; item 4 no longer does.
+    assert_eq!(out.x, vec![false, true, true, false, false]);
+    assert!(out.residual.iter().all(|&r| r >= 0.0), "{:?}", out.residual);
+}
+
+/// Builds the problem `[small, small, big]` of the one-probe tests:
+/// capacity for two, the two small devices selected, λ = 0 so that a
+/// device's eviction loss is `γ · Σ p·Δ` and nothing else.
+fn two_small_one_big(gamma_0: f64, gamma_1: f64, big: DeviceRequest) -> SlotProblem {
+    let small =
+        |gamma: f64| DeviceRequest::uniform(0.5, 10.0, 1, 0.5 * CAPACITY_J, CAPACITY_J, gamma, 1.0, 0.1);
+    let mut problem = SlotProblem::new(2.0, 1e9, 0.0, AnxietyCurve::paper_shape());
+    problem.push(small(gamma_0));
+    problem.push(small(gamma_1));
+    problem.push(big);
+    problem
+}
+
+/// Both Phase-2 implementations from `[true, true, false]`.
+fn swap_both_ways(problem: &SlotProblem) -> (Vec<bool>, Phase2Stats, Vec<bool>, Phase2Stats) {
+    phase2_both_ways(problem, vec![true, true, false], None)
+}
+
+/// The one-probe rule's rejected side: when the first fitting victim's
+/// delta is not accepted — exactly 0, or negative but inside the 1e-12
+/// threshold — the candidate costs one probe, and the decision is the
+/// scan's.
+#[test]
+fn a_rejected_least_delta_costs_one_probe() {
+    let (gamma, next) = (0.3, 0.3 * (1.0 + 4.0 * f64::EPSILON));
+    let small = |gamma: f64| {
+        DeviceRequest::uniform(0.5, 10.0, 1, 0.5 * CAPACITY_J, CAPACITY_J, gamma, 1.0, 0.1)
+    };
+    // A candidate identical to its cheapest victim (Δ = 0.0), and one a
+    // few ulps of γ better than it (−1e-12 < Δ < 0).
+    let better = 0.3 * (1.0 + 8.0 * f64::EPSILON);
+    for (candidate, exactly_zero) in [(small(gamma), true), (small(better), false)] {
+        let problem = two_small_one_big(next, gamma, candidate);
+        let terms = |i: usize, on: bool| device_objective(&problem.requests[i], on, 0.0, &problem.curve);
+        let delta = (terms(2, true) - terms(2, false)) + (terms(1, false) - terms(1, true));
+        let inside = if exactly_zero { delta == 0.0 } else { (-1e-12..0.0).contains(&delta) };
+        assert!(inside, "Δ = {delta:e}");
+        let (indexed, ours, scanned, theirs) = swap_both_ways(&problem);
+        assert_eq!(indexed, vec![true, true, false]);
+        assert_eq!((indexed, ours.swaps_accepted), (scanned, theirs.swaps_accepted));
+        assert_eq!(ours.swaps_tried, 1, "a rejected least delta was probed for ties");
+    }
+}
+
+/// The accepted side: two victims whose distinct losses round to one
+/// *accepted* delta. The cheaper one comes first in loss order but has
+/// the higher index, so only the tie probe finds the victim the scan
+/// evicts.
+#[test]
+fn an_accepted_swap_still_probes_its_ties() {
+    let (gamma, next) = (0.3, 0.3 * (1.0 + 4.0 * f64::EPSILON));
+    let big = DeviceRequest::uniform(2.0, 10.0, 12, 0.5 * CAPACITY_J, CAPACITY_J, 0.45, 1.0, 0.1);
+    let problem = two_small_one_big(next, gamma, big);
+    let terms = |i: usize, on: bool| device_objective(&problem.requests[i], on, 0.0, &problem.curve);
+    let loss = |i: usize| terms(i, false) - terms(i, true);
+    let gain = terms(2, true) - terms(2, false);
+    assert!(loss(1) < loss(0), "device 1 must be the cheaper eviction");
+    assert_eq!(gain + loss(0), gain + loss(1), "the two losses must round to one delta");
+    assert!(gain + loss(1) < -1e-12);
+
+    let (indexed, ours, scanned, theirs) = swap_both_ways(&problem);
+    assert_eq!(indexed, vec![false, true, true], "the lowest index among the ties is evicted");
+    assert_eq!((indexed, ours.swaps_accepted), (scanned, theirs.swaps_accepted));
+    assert_eq!(ours.swaps_tried, 2, "first fit + its tie");
+}
+
 /// The paper's Fig. 10 bar, in counted work: a cold slot expands one
-/// branch-and-bound node, pivots nothing, and probes a number of
-/// victims linear in the cluster size.
+/// branch-and-bound node, pivots nothing, and probes each candidate
+/// once — candidates plus the tie probes of the swaps it accepts, so at
+/// most one probe per device.
 #[test]
 fn cold_slot_work_is_linear_in_the_cluster_size() {
-    for n in [2_000usize, 8_000] {
+    for n in [2_000usize, 8_000, 16_000] {
         let problem = synthetic_problem(n, 0.4 * n as f64, 1.0, 7);
         let schedule = LpvsScheduler::paper_default().schedule(&problem).unwrap();
         let stats = schedule.stats;
         assert!(
-            stats.phase2.swaps_tried <= 4 * n,
+            stats.phase2.swaps_tried <= n,
             "N={n}: {} victim probes",
             stats.phase2.swaps_tried
         );
