@@ -8,8 +8,11 @@
 //! evaluating every row — which is what an empty cache (a cold solve)
 //! does. Derived state: never serialised, rebuilt at full price by
 //! whoever finds none — but a cold solve whose Phase-2 scored every row
-//! under both decisions picks its terms from those (`from_scored`). The
-//! terms check λ and the curve themselves; what
+//! under both decisions picks its terms from those (`from_scored`), and
+//! a row is evaluated by one owner a slot: the shard that solved it
+//! hands its terms on ([`RowAccounting::shipment`]) and the fleet join
+//! adopts them ([`RowAccounting::adopt`]) instead of calling the kernel
+//! again. The terms check λ and the curve themselves; what
 //! their owners (a shard worker's delta memo, the fleet join) must prove
 //! before naming a stale set is that every other row is unchanged.
 
@@ -21,6 +24,11 @@ use lpvs_survey::curve::AnxietyCurve;
 /// Rows per eq.-13 kernel call: stack-resident index and decision
 /// blocks, a multiple of the kernel's lane groups.
 const BLOCK: usize = 512;
+
+/// Terms handed from the cache that evaluated them to another one:
+/// `(position, eq.-13 term, saving term in J)` each. Positions are the
+/// sender's (a shard's are shard-local).
+pub type ShardTerms = Vec<(usize, f64, f64)>;
 
 /// The eq.-13 term and the saving term (J) of every row of a row list
 /// under its current decision; positional, like the selection.
@@ -62,6 +70,33 @@ impl RowAccounting {
         self.saving_j.clear();
     }
 
+    /// The kept terms at `positions`, to be adopted by another cache.
+    pub fn shipment(&self, positions: impl IntoIterator<Item = usize>) -> ShardTerms {
+        positions.into_iter().map(|p| (p, self.objective[p], self.saving_j[p])).collect()
+    }
+
+    /// Takes position `at`'s terms from whoever evaluated them — under
+    /// this cache's λ and curve, on the row's current columns and
+    /// decision: the caller's to prove, as with a stale set.
+    pub fn adopt(&mut self, at: usize, objective: f64, saving_j: f64) {
+        (self.objective[at], self.saving_j[at]) = (objective, saving_j);
+    }
+
+    /// Whether the kept terms cover `len` positions under `lambda` and
+    /// `curve`. When they do not, the cache is re-priced and re-sized
+    /// and every position of it is stale.
+    pub fn keep(&mut self, len: usize, lambda: f64, curve: &AnxietyCurve) -> bool {
+        let priced = self.priced.as_ref();
+        let kept = self.objective.len() == len
+            && priced.is_some_and(|(l, c)| l.to_bits() == lambda.to_bits() && c == curve);
+        if !kept {
+            self.priced = Some((lambda, curve.clone()));
+            self.objective.resize(len, 0.0);
+            self.saving_j.resize(len, 0.0);
+        }
+        kept
+    }
+
     /// Brings the terms up to date with `selected` and returns how many
     /// rows were re-evaluated. Position `p` is fleet row `rows[p]`, or
     /// row `p` itself when `rows` is `None` (the whole fleet in order).
@@ -82,17 +117,10 @@ impl RowAccounting {
         selected: &[bool],
         stale: impl IntoIterator<Item = usize>,
     ) -> usize {
-        let priced = self.priced.as_ref();
-        let kept = self.objective.len() == selected.len()
-            && priced.is_some_and(|(l, c)| l.to_bits() == lambda.to_bits() && c == curve);
         // The named positions when the terms are kept, else every one.
+        let kept = self.keep(selected.len(), lambda, curve);
         let (named, every) = if kept { (usize::MAX, 0) } else { (0, selected.len()) };
         let mut stale = stale.into_iter().take(named).chain(0..every);
-        if !kept {
-            self.priced = Some((lambda, curve.clone()));
-            self.objective.resize(selected.len(), 0.0);
-            self.saving_j.resize(selected.len(), 0.0);
-        }
 
         let cols = fleet.columns();
         let (mut at, mut row, mut on) = ([0usize; BLOCK], [0usize; BLOCK], [false; BLOCK]);

@@ -19,6 +19,7 @@
 //!   is extracted or copied, and the merged selection is accounted
 //!   through the caller's kept [`RowAccounting`], which re-evaluates
 //!   eq. 13 and the saving for the frontier and the flipped rows only
+//!   and hands those terms back for the fleet join to adopt
 //!   ([`solve_incremental`]).
 //!
 //! The correctness argument, in layers:
@@ -39,7 +40,7 @@
 //! reuses the previous schedule verbatim, which is bit-identical to a
 //! cold solve by solver determinism (same problem → same answer).
 
-use crate::accounting::RowAccounting;
+use crate::accounting::{RowAccounting, ShardTerms};
 use crate::budget::SlotBudget;
 use crate::fleet::{DeviceFleet, DirtyFrontier, SlotView};
 use crate::phase2::run_phase2_over;
@@ -135,6 +136,7 @@ pub fn solve_shard_incremental(
     solve_incremental(
         scheduler, view, local_dirty, previous_selected, previous_degradation, budget, &mut terms,
     )
+    .0
 }
 
 /// [`solve_shard_incremental`] over a view, with the caller's kept
@@ -143,12 +145,13 @@ pub fn solve_shard_incremental(
 /// Only the dirty rows and the rows whose decision flipped are
 /// re-evaluated (every row when `terms` is empty; the count goes to
 /// `delta_accounting_rows_total{owner="shard"}`), and `terms` is left
-/// describing the returned selection.
+/// describing the returned selection; the re-evaluated rows' terms are
+/// returned beside it, by position in the view.
 ///
 /// Falls back to a cold full-shard solve internally if the merged
 /// selection somehow violates capacity (defence in depth — the
 /// residual-capacity algebra makes this unreachable up to f64
-/// rounding), leaving `terms` empty.
+/// rounding), leaving `terms` empty and returning none.
 pub fn solve_incremental(
     scheduler: &LpvsScheduler,
     view: SlotView<'_>,
@@ -157,7 +160,7 @@ pub fn solve_incremental(
     previous_degradation: Degradation,
     budget: &SlotBudget,
     terms: &mut RowAccounting,
-) -> Schedule {
+) -> (Schedule, ShardTerms) {
     assert_eq!(previous_selected.len(), view.len(), "previous selection does not cover the shard");
     let start = Instant::now();
     let mut span = lpvs_obs::span!(
@@ -208,7 +211,7 @@ pub fn solve_incremental(
         // Unreachable up to rounding; a cold solve is always sound.
         span.record("cold_fallback", 1.0);
         terms.clear();
-        return scheduler.schedule_view(view, Some(previous_selected), budget);
+        return (scheduler.schedule_view(view, Some(previous_selected), budget), Vec::new());
     }
 
     let phase2 = if scheduler.config().enable_phase2 {
@@ -219,12 +222,18 @@ pub fn solve_incremental(
 
     // A kept term is stale where the row's columns moved (the frontier)
     // or its decision did.
-    let stale = (0..view.len()).filter(|&p| is_dirty[p] || selected[p] != previous_selected[p]);
+    let stale: Vec<usize> =
+        (0..view.len()).filter(|&p| is_dirty[p] || selected[p] != previous_selected[p]).collect();
     let (fleet, rows) = (view.fleet(), Some(view.rows()));
-    let accounted = terms.refresh(fleet, rows, view.lambda(), view.curve(), &selected, stale) as u64;
-    if lpvs_obs::enabled() {
-        lpvs_obs::add_labeled("delta_accounting_rows_total", &[("owner", "shard")], accounted);
-    }
+    let named = stale.iter().copied();
+    let accounted = terms.refresh(fleet, rows, view.lambda(), view.curve(), &selected, named);
+    lpvs_obs::add_labeled("delta_accounting_rows_total", &[("owner", "shard")], accounted as u64);
+    // An empty cache was rebuilt: every row is fresh, not only the named.
+    let shipped = if accounted == stale.len() {
+        terms.shipment(stale)
+    } else {
+        terms.shipment(0..view.len())
+    };
     let (objective, energy_saved_j) = terms.fold();
 
     let degradation = previous_degradation.max(sub.stats.degradation);
@@ -240,7 +249,7 @@ pub fn solve_incremental(
         rejected_devices: sub.stats.rejected_devices,
         runtime: start.elapsed(),
     };
-    Schedule { selected, stats }
+    (Schedule { selected, stats }, shipped)
 }
 
 #[cfg(test)]

@@ -262,7 +262,7 @@ impl LpvsScheduler {
         let start = Instant::now();
         with_problem_view(problem, |view| {
             let phases = self.run_phases(backend, phase1_config, view, previous)?;
-            Ok(phases.into_schedule(view, backend.rung(), 0, start))
+            Ok(phases.into_schedule(view, backend.rung(), 0, start).0)
         })
     }
 
@@ -324,7 +324,7 @@ impl LpvsScheduler {
     ) -> Schedule {
         let start = Instant::now();
         let slot_span = lpvs_obs::span!("sched.slot", "devices" => problem.len());
-        with_problem_view(problem, |view| self.resilient(view, previous, budget, start, slot_span))
+        with_problem_view(problem, |view| self.resilient(view, previous, budget, start, slot_span).0)
     }
 
     /// [`schedule_resilient`](Self::schedule_resilient) for callers that
@@ -356,6 +356,19 @@ impl LpvsScheduler {
         previous: Option<&[bool]>,
         budget: &SlotBudget,
     ) -> Schedule {
+        self.schedule_view_accounted(view, previous, budget).0
+    }
+
+    /// [`schedule_view`](Self::schedule_view), and the per-row terms its
+    /// totals were folded from — the selection's [`RowAccounting`] over
+    /// `view`, for a caller that keeps or ships them instead of
+    /// evaluating every row again.
+    pub fn schedule_view_accounted(
+        &self,
+        view: SlotView<'_>,
+        previous: Option<&[bool]>,
+        budget: &SlotBudget,
+    ) -> (Schedule, RowAccounting) {
         let start = Instant::now();
         let slot_span = lpvs_obs::span!("sched.slot", "devices" => view.len());
         self.resilient(view, previous, budget, start, slot_span)
@@ -371,7 +384,7 @@ impl LpvsScheduler {
         budget: &SlotBudget,
         start: Instant,
         mut slot_span: lpvs_obs::SpanGuard,
-    ) -> Schedule {
+    ) -> (Schedule, RowAccounting) {
         let n = view.len();
         let valid: Vec<bool> = (0..n).map(|position| view.accepted(position)).collect();
         let rejected = valid.iter().filter(|&&ok| !ok).count();
@@ -486,14 +499,15 @@ impl Phases {
         }
     }
 
-    /// Accounts for the selection on `view` and stamps the outcome.
+    /// Accounts for the selection on `view` and stamps the outcome;
+    /// the terms ride along for whoever keeps them.
     fn into_schedule(
         self,
         view: SlotView<'_>,
         rung: Degradation,
         rejected: usize,
         start: Instant,
-    ) -> Schedule {
+    ) -> (Schedule, RowAccounting) {
         let _span = lpvs_obs::span!("sched.account");
         let terms = match self.scored {
             Some(scored) => {
@@ -519,7 +533,7 @@ impl Phases {
             rejected_devices: rejected,
             runtime: start.elapsed(),
         };
-        Schedule { selected: self.selected, stats }
+        (Schedule { selected: self.selected, stats }, terms)
     }
 }
 
@@ -534,8 +548,8 @@ fn finish_resilient(
     rejected: usize,
     start: Instant,
     mut slot_span: lpvs_obs::SpanGuard,
-) -> Schedule {
-    let schedule = phases.into_schedule(view, rung, rejected, start);
+) -> (Schedule, RowAccounting) {
+    let (schedule, terms) = phases.into_schedule(view, rung, rejected, start);
     let stats = &schedule.stats;
     slot_span.record("tier", rung.severity() as f64);
     if lpvs_obs::enabled() {
@@ -551,7 +565,7 @@ fn finish_resilient(
             stats.runtime.as_secs_f64(),
         );
     }
-    schedule
+    (schedule, terms)
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@
 //! scheduler — the equivalence proptest in `tests/fleet.rs` pins this.
 
 use crate::server::EdgeServer;
-use lpvs_core::accounting::RowAccounting;
+use lpvs_core::accounting::{RowAccounting, ShardTerms};
 use lpvs_core::budget::SlotBudget;
 use lpvs_core::delta::SlotDelta;
 use lpvs_core::fleet::DeviceFleet;
@@ -132,9 +132,11 @@ impl FleetSchedule {
 /// check λ and the curve. That is the continuity a shard's delta memo
 /// demands minus the capacities, which move a row's *decision*, never
 /// its terms: a changed decision is found by comparing against the kept
-/// selection, which is also how rebalance migrations are caught.
-/// Anything else re-evaluates every row. Derived state, never
-/// persisted: a resumed run's first join pays full price, once.
+/// selection. Anything else makes every row stale. A stale row's terms
+/// come from the shard that just solved it when it shipped them
+/// ([`ShardTerms`]) and from the kernel otherwise, so a missing shipment
+/// costs time, never correctness. Derived state, never persisted: a
+/// resumed run's first join starts from nothing, once.
 #[derive(Debug, Default)]
 pub struct JoinMemo {
     /// Epoch of the delta the kept terms consumed; `None` keeps nothing.
@@ -145,32 +147,58 @@ pub struct JoinMemo {
 }
 
 impl JoinMemo {
-    /// `(objective, energy_saved_j)` of `selected` over the whole fleet,
-    /// re-evaluating the delta's frontier and the flipped rows when the
-    /// slot extends the kept terms and every row otherwise.
+    /// `(objective, energy_saved_j)` of `selected` over the whole fleet.
+    /// One stale rule: the delta's frontier and the flipped rows when
+    /// the slot extends the kept terms, every row otherwise — less the
+    /// rows the terms shipped with `kept` cover (shard `s`'s by position
+    /// in `reports[s].devices`), which are adopted as they are, plus
+    /// every row the rebalance moved in, which its shard shipped
+    /// unselected. No `kept`: every row, and nothing to extend next slot.
     fn total(
         &mut self,
         fleet: &DeviceFleet,
         lambda: f64,
         curve: &AnxietyCurve,
-        delta: Option<&SlotDelta>,
         selected: &[bool],
+        reports: &[ShardReport],
+        kept: Option<(&SlotDelta, &[ShardTerms])>,
     ) -> (f64, f64) {
-        let extends = self.selected.len() == selected.len()
+        let (delta, shipped) = kept.map_or((None, &[][..]), |(delta, shipped)| (Some(delta), shipped));
+        let n = selected.len();
+        let extends = self.terms.keep(n, lambda, curve)
+            && self.selected.len() == n
             && delta.is_some_and(|d| self.epoch.is_some_and(|kept| d.epoch == kept + 1));
         if !extends {
-            self.terms.clear();
             self.selected.clear();
         }
-        let dirty = delta.filter(|_| extends).map_or(&[][..], |d| &d.dirty);
-        let flipped = (self.selected.iter().zip(selected).enumerate())
-            .filter(|(i, (was, now))| was != now && dirty.binary_search(i).is_err())
-            .map(|(i, _)| i);
-        let stale = dirty.iter().copied().chain(flipped);
-        let accounted = self.terms.refresh(fleet, None, lambda, curve, selected, stale) as u64;
-        if lpvs_obs::enabled() {
-            lpvs_obs::add_labeled("delta_accounting_rows_total", &[("owner", "join")], accounted);
+        let mut covered = vec![false; n];
+        let mut adopted = 0;
+        for (report, terms) in reports.iter().zip(shipped) {
+            for &(p, objective, saving_j) in terms {
+                self.terms.adopt(report.devices[p], objective, saving_j);
+                covered[report.devices[p]] = true;
+            }
+            adopted += terms.len() as u64;
         }
+        // Marked so the stale rule names them once, at its end; a
+        // shipped term that does not stand was not adopted.
+        let moved = || reports.iter().flat_map(|r| r.migrated_in.iter().copied());
+        for i in moved() {
+            adopted -= u64::from(std::mem::replace(&mut covered[i], true));
+        }
+
+        let (dirty, every) = match delta {
+            Some(d) if extends => (&d.dirty[..], 0),
+            _ => (&[][..], n),
+        };
+        let uncovered = |i: &usize| !covered[*i];
+        let flipped = (self.selected.iter().zip(selected).enumerate())
+            .filter(|(i, (was, now))| was != now && uncovered(i) && dirty.binary_search(i).is_err())
+            .map(|(i, _)| i);
+        let stale = dirty.iter().copied().chain(0..every).filter(uncovered).chain(flipped).chain(moved());
+        let accounted = self.terms.refresh(fleet, None, lambda, curve, selected, stale) as u64;
+        lpvs_obs::add_labeled("delta_accounting_rows_total", &[("owner", "join")], accounted);
+        lpvs_obs::add_labeled("delta_accounting_rows_total", &[("owner", "shipped")], adopted);
         // Only a delta-carrying slot can be extended.
         self.epoch = delta.map(|d| d.epoch);
         self.selected.clear();
@@ -377,8 +405,10 @@ impl FleetScheduler {
     /// so runtimes that keep their own persistent shard workers (the
     /// pipelined slot runtime) join results through the **same** code
     /// path and stay bit-identical to the scoped-thread scheduler. With
-    /// the caller's [`JoinMemo`] and the slot's delta as `kept`, a slot
-    /// that extends the memo accounts only the rows that changed.
+    /// the caller's [`JoinMemo`], the slot's delta and what each shard
+    /// shipped (one [`ShardTerms`] a shard, empty for none) as `kept`, a
+    /// slot that extends the memo accounts only the rows that changed,
+    /// and of those only the ones no shard already evaluated.
     #[allow(clippy::too_many_arguments)]
     pub fn assemble(
         &self,
@@ -389,7 +419,7 @@ impl FleetScheduler {
         lambda: f64,
         curve: &AnxietyCurve,
         start: Instant,
-        kept: Option<(&mut JoinMemo, &SlotDelta)>,
+        kept: Option<(&mut JoinMemo, &SlotDelta, &[ShardTerms])>,
     ) -> FleetSchedule {
         let mut selected = vec![false; fleet.len()];
         let mut reports = Vec::with_capacity(shards.len());
@@ -413,10 +443,11 @@ impl FleetScheduler {
         let migrations = self.rebalance(fleet, servers, lambda, curve, &mut selected, &mut reports);
 
         // Fleet-wide accounting; `None` evaluates every row, keeps none.
-        let (objective, energy_saved_j) = match kept {
-            Some((memo, delta)) => memo.total(fleet, lambda, curve, Some(delta), &selected),
-            None => JoinMemo::default().total(fleet, lambda, curve, None, &selected),
+        let (memo, kept) = match kept {
+            Some((memo, delta, shipped)) => (memo, Some((delta, shipped))),
+            None => (&mut JoinMemo::default(), None),
         };
+        let (objective, energy_saved_j) = memo.total(fleet, lambda, curve, &selected, &reports, kept);
 
         if lpvs_obs::enabled() {
             lpvs_obs::add("fleet_migrations_total", migrations as u64);

@@ -17,10 +17,14 @@
 //!  gather(t)           source brings the recycled buffer up to date
 //!                      (a persistent fleet patches its dirty rows in)
 //!  dispatch(t)         partition + fan the shared Arc<GatheredSlot> out
-//!  join(t)             block on the shard results, assemble them
-//!                      through FleetScheduler::assemble, deliver
-//!                      solved(t), migrate estimators after the
-//!                      rebalance, recycle the fleet buffer
+//!                      (a worker yields while the fan-out lasts, so
+//!                      every shard's job is queued before any runs)
+//!  join(t)             block on the shard results and the per-row
+//!                      terms shipped beside them, assemble both
+//!                      through FleetScheduler::assemble (which adopts
+//!                      the terms instead of re-evaluating the rows),
+//!                      deliver solved(t), migrate estimators after
+//!                      the rebalance, recycle the fleet buffer
 //!  apply(t)            sink plays slot t
 //! ```
 //!
@@ -62,11 +66,13 @@ use crate::{BankOps, CheckpointConfig, CheckpointError, SlotReplay, SlotSink, Sl
 use crossbeam::channel::{bounded, Receiver, Sender};
 use lpvs_bayes::{BayesBank, GammaEstimator};
 use lpvs_obs::{FlightRing, SpanContext};
+use lpvs_core::accounting::ShardTerms;
 use lpvs_core::fleet::DeviceFleet;
 use lpvs_core::scheduler::{Degradation, Schedule};
 use lpvs_edge::fleet::{FleetConfig, FleetSchedule, FleetScheduler, JoinMemo, Partitioner};
 use lpvs_edge::server::EdgeServer;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -285,6 +291,10 @@ struct Hub {
     /// extends it re-evaluates only the rows that changed. Starts
     /// empty, on a resume too.
     join: JoinMemo,
+    /// Raised while `dispatch` fans a slot out; a worker holding a job
+    /// yields until it drops. Publishes nothing — the jobs travel by
+    /// channel — so relaxed.
+    fanning: Arc<AtomicBool>,
 }
 
 impl Hub {
@@ -583,6 +593,7 @@ impl SlotRuntime {
         let (event_tx, events) = bounded(4 * k + 4);
         let rings: Vec<Arc<FlightRing>> =
             (0..k).map(|_| Arc::new(FlightRing::with_default_capacity())).collect();
+        let fanning = Arc::new(AtomicBool::new(false));
         let workers: Vec<WorkerHandle> = shards
             .into_iter()
             .enumerate()
@@ -593,6 +604,7 @@ impl SlotRuntime {
                     self.config.fleet.scheduler,
                     faults,
                     Arc::clone(&rings[s]),
+                    Arc::clone(&fanning),
                     rx,
                     event_tx.clone(),
                 );
@@ -609,6 +621,7 @@ impl SlotRuntime {
             rings,
             force_cold: vec![false; k],
             join: JoinMemo::default(),
+            fanning,
         };
         let mut sup = Supervisor::new(store, k);
         let interval = self.config.checkpoints.as_ref().map(|c| c.interval);
@@ -909,11 +922,24 @@ impl SlotRuntime {
             dispatched_at,
             ctx,
         };
-        for (s, worker) in hub.workers.iter().enumerate() {
+        let jobs: Vec<SolveJob> = (0..k).map(|s| Self::shard_job(&pending, s)).collect();
+        let mut first_sent = None;
+        hub.fanning.store(true, Ordering::Relaxed);
+        for (worker, job) in hub.workers.iter().zip(jobs) {
             // A send failure means the worker died; the join step will
             // see its Down event (or its pre-marked dead handle) and
             // degrade the shard to passthrough.
-            let _ = worker.send(WorkerMsg::Solve(Self::shard_job(&pending, s)));
+            let _ = worker.send(WorkerMsg::Solve(job));
+            first_sent.get_or_insert_with(Instant::now);
+        }
+        hub.fanning.store(false, Ordering::Relaxed);
+        if lpvs_obs::enabled() {
+            // First `send` returned → last one did: a woken worker that
+            // displaced the hub mid-fan-out shows up here.
+            let skew = first_sent.map_or(0.0, |at| at.elapsed().as_secs_f64());
+            lpvs_obs::observe("runtime_dispatch_skew_seconds", skew);
+            let spent = dispatched_at.elapsed().as_secs_f64();
+            lpvs_obs::observe_labeled("runtime_stage_seconds", &[("stage", "dispatch")], spent);
         }
         pending
     }
@@ -985,15 +1011,17 @@ impl SlotRuntime {
         let wait = Instant::now();
         let k = hub.workers.len();
         let mut results: Vec<Option<Schedule>> = (0..k).map(|_| None).collect();
+        let mut shipped: Vec<ShardTerms> = vec![Vec::new(); k];
         // Shards already buried (e.g. a death noticed while requesting
         // checkpoints) are passthrough from the start.
         let mut accounted: Vec<bool> = hub.workers.iter().map(|w| w.commands.is_none()).collect();
         let mut remaining = accounted.iter().filter(|&&a| !a).count();
         while remaining > 0 {
             match hub.events.recv() {
-                Ok(WorkerEvent::Solved { shard, slot, schedule }) => {
+                Ok(WorkerEvent::Solved { shard, slot, schedule, terms }) => {
                     debug_assert_eq!(slot, pending.slot, "stale solve result");
                     results[shard] = schedule.map(|b| *b);
+                    shipped[shard] = terms;
                     if !accounted[shard] {
                         accounted[shard] = true;
                         remaining -= 1;
@@ -1045,6 +1073,7 @@ impl SlotRuntime {
                                 self.config.fleet.scheduler,
                                 faults,
                                 Arc::clone(&hub.rings[s]),
+                                Arc::clone(&hub.fanning),
                                 rx,
                                 hub.event_tx.clone(),
                             );
@@ -1094,7 +1123,7 @@ impl SlotRuntime {
             gathered.lambda,
             &gathered.curve,
             dispatched_at,
-            gathered.delta.as_ref().map(|delta| (&mut hub.join, delta)),
+            gathered.delta.as_ref().map(|delta| (&mut hub.join, delta, &shipped[..])),
         );
         if lpvs_obs::enabled() {
             let assembled = wait.elapsed().as_secs_f64() - waited;

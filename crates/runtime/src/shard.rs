@@ -8,7 +8,12 @@
 //!   staleness forgets, answer posterior queries;
 //! * `WorkerMsg::Solve` — run the resilient scheduler on this shard's
 //!   slice of the shared [`GatheredSlot`] (solver panics are contained:
-//!   the shard degrades to passthrough, the worker survives);
+//!   the shard degrades to passthrough, the worker survives) and ship
+//!   the per-row terms the solve evaluated home beside the schedule, so
+//!   the join adopts them instead of evaluating those rows again. The
+//!   worker yields while the hub is still fanning the slot out: woken
+//!   on the hub's CPU it would displace a hub that has other shards'
+//!   jobs to send, and every shard would wait on that one;
 //! * `WorkerMsg::MigrateOut`/`WorkerMsg::MigrateIn` — move one
 //!   estimator to follow a cross-shard rebalance migration;
 //! * `WorkerMsg::Finish` — ship the bank home and exit.
@@ -25,12 +30,13 @@
 use crate::GatheredSlot;
 use crossbeam::channel::{Receiver, Sender};
 use lpvs_bayes::{BayesBank, GammaEstimator};
-use lpvs_core::accounting::RowAccounting;
+use lpvs_core::accounting::{RowAccounting, ShardTerms};
 use lpvs_core::delta::solve_incremental;
 use lpvs_core::scheduler::{LpvsScheduler, Schedule, SchedulerConfig};
 use lpvs_edge::fleet::shard_frontier;
 use lpvs_obs::{FlightKind, FlightRing, SpanContext};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -82,8 +88,8 @@ pub struct ShardDeltaMemo {
     pub schedule: Schedule,
     /// Per-row eq.-13 and saving terms of `schedule`, so an incremental
     /// solve re-evaluates its frontier only. Derived, never persisted:
-    /// empty on a memo decoded from a checkpoint or left by a cold
-    /// solve, until the next incremental solve rebuilds every row once.
+    /// empty on a memo decoded from a checkpoint, until the next
+    /// incremental solve rebuilds every row once.
     pub(crate) accounting: RowAccounting,
 }
 
@@ -155,8 +161,10 @@ pub(crate) enum WorkerMsg {
 /// Events workers send the hub on the shared event channel.
 pub(crate) enum WorkerEvent {
     /// A solve completed. `None` means the solver panicked and the
-    /// shard degrades to passthrough for this slot.
-    Solved { shard: usize, slot: usize, schedule: Option<Box<Schedule>> },
+    /// shard degrades to passthrough for this slot. `terms` are the
+    /// rows the solve evaluated, shard-local: every row after a cold
+    /// solve, the refreshed ones after an incremental one, else none.
+    Solved { shard: usize, slot: usize, schedule: Option<Box<Schedule>>, terms: ShardTerms },
     /// The worker's bank (and delta memo, when one is live), encoded
     /// for checkpointing as of `prepare(slot)`.
     Checkpointed { shard: usize, slot: usize, bank: Vec<u8>, memo: Option<Vec<u8>> },
@@ -203,6 +211,7 @@ pub(crate) fn spawn_worker(
     scheduler: SchedulerConfig,
     stage_faults: Option<(f64, u64, u32)>,
     ring: Arc<FlightRing>,
+    fanning: Arc<AtomicBool>,
     commands: Receiver<WorkerMsg>,
     events: Sender<WorkerEvent>,
 ) -> JoinHandle<()> {
@@ -238,6 +247,12 @@ pub(crate) fn spawn_worker(
                     }
                 }
                 WorkerMsg::Solve(job) => {
+                    // Hand the CPU back to a hub still fanning out: every
+                    // shard's job is queued before any shard runs one.
+                    // (One yield is a hint the scheduler may decline.)
+                    while fanning.load(Ordering::Relaxed) {
+                        std::thread::yield_now();
+                    }
                     ring.push(
                         FlightKind::SpanBegin,
                         "solve",
@@ -267,15 +282,20 @@ pub(crate) fn spawn_worker(
                     // Consumes the job, and with it the shared buffer's
                     // handle — released before announcing, so the hub's
                     // is unique once all shards report.
-                    let schedule = solve_slice(&scheduler, shard, job, &mut state.memo, &ring);
+                    let (schedule, terms) =
+                        solve_slice(&scheduler, shard, job, &mut state.memo, &ring).unzip();
                     ring.push(
                         FlightKind::SpanEnd,
                         "solve",
                         slot as f64,
                         if schedule.is_some() { 1.0 } else { 0.0 },
                     );
-                    let event =
-                        WorkerEvent::Solved { shard, slot, schedule: schedule.map(Box::new) };
+                    let event = WorkerEvent::Solved {
+                        shard,
+                        slot,
+                        schedule: schedule.map(Box::new),
+                        terms: terms.unwrap_or_default(),
+                    };
                     if events.send(event).is_err() {
                         return;
                     }
@@ -398,7 +418,7 @@ fn solve_slice(
     job: SolveJob,
     memo: &mut Option<ShardDeltaMemo>,
     ring: &FlightRing,
-) -> Option<Schedule> {
+) -> Option<(Schedule, ShardTerms)> {
     // Parented on the hub's slot span via the shipped context, so the
     // solve shows up under its slot's trace instead of as an orphan
     // root on the worker thread.
@@ -431,11 +451,13 @@ fn solve_slice(
     let g = &job.gathered;
     let (compute, storage_gb) = (job.compute_capacity, job.storage_capacity_gb);
     let view = || g.fleet.slot_view(&job.indices, compute, storage_gb, g.lambda, &g.curve);
-    let schedule = match path {
+    // A cold solve's terms, kept with its memo.
+    let mut fresh = RowAccounting::default();
+    let solved = match path {
         DeltaPath::Reuse => {
             // Bit-identical to a cold solve by solver determinism: the
             // problem is unchanged, so the answer is too.
-            memo.as_ref().map(|m| m.schedule.clone())
+            memo.as_ref().map(|m| (m.schedule.clone(), Vec::new()))
         }
         DeltaPath::Incremental => {
             let m = memo.as_mut().expect("incremental path requires a memo");
@@ -454,15 +476,21 @@ fn solve_slice(
                 .as_deref()
                 .filter(|p| p.len() == g.fleet.len())
                 .map(|p| job.indices.iter().map(|&i| p[i]).collect());
-            scheduler.schedule_view(view(), warm.as_deref(), &g.budget)
+            let (schedule, terms) =
+                scheduler.schedule_view_accounted(view(), warm.as_deref(), &g.budget);
+            // Without a delta the join keeps nothing, and adopts nothing.
+            let rows = if g.delta.is_some() { job.indices.len() } else { 0 };
+            let shipped = terms.shipment(0..rows);
+            fresh = terms;
+            (schedule, shipped)
         }))
         .ok(),
     };
 
     // Refresh the memo: every successful delta-carrying solve becomes
     // the next slot's baseline; panics and delta-less slots clear it.
-    *memo = match (&schedule, g.delta.as_ref()) {
-        (Some(schedule), Some(delta)) => Some(match memo.take() {
+    *memo = match (&solved, g.delta.as_ref()) {
+        (Some((schedule, _)), Some(delta)) => Some(match memo.take() {
             // Reuse and incremental: the memo's rows, capacities and λ
             // are this job's (`classify_delta`), its terms followed the
             // decision, and only a new decision needs copying.
@@ -473,21 +501,21 @@ fn solve_slice(
                 }
                 kept
             }
-            // A cold solve starts over, and keeps no terms.
+            // A cold solve starts over, from the terms it evaluated.
             _ => ShardDeltaMemo {
                 epoch: delta.epoch,
                 compute_capacity: compute,
                 storage_capacity_gb: storage_gb,
                 lambda: g.lambda,
                 schedule: schedule.clone(),
-                accounting: RowAccounting::default(),
+                accounting: fresh,
                 indices: job.indices,
             },
         }),
         _ => None,
     };
 
-    span.record("ok", if schedule.is_some() { 1.0 } else { 0.0 });
+    span.record("ok", if solved.is_some() { 1.0 } else { 0.0 });
     if lpvs_obs::enabled() {
         lpvs_obs::observe_labeled(
             "runtime_stage_seconds",
@@ -495,7 +523,7 @@ fn solve_slice(
             started.elapsed().as_secs_f64(),
         );
     }
-    schedule
+    solved
 }
 
 #[cfg(test)]

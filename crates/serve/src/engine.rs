@@ -27,6 +27,11 @@
 //! with exactly the ops, shed floor, and γ updates of the original run.
 //! Ops acknowledged but not yet bound to a slot marker survive in the
 //! journal tail and are re-queued on boot.
+//!
+//! A record is encoded only when a journal is open, and a live slot is
+//! not retained: the engine holds the slots its journal had at boot —
+//! to re-run them — and nothing of the ones it has served since, so its
+//! memory does not grow with uptime (`serve_journal_retained_ops`).
 
 use crate::shed::{floor_from_label, shed_floor};
 use lpvs_bayes::GammaEstimator;
@@ -382,7 +387,7 @@ impl Shared {
     }
 }
 
-/// One slot's journaled record, parsed at boot.
+/// One slot's journaled record, parsed at boot (a live slot has none).
 #[derive(Debug, Clone, Default)]
 struct SlotJournal {
     ops: Vec<Op>,
@@ -616,17 +621,20 @@ impl ServeEngine {
         self.applied
     }
 
-    /// Highest slot the journal already covers, if any. Slots at or
-    /// below this re-run from the journal instead of the live queue.
+    /// Highest slot the journal covered when this engine booted, if
+    /// any. Slots at or below this re-run from the journal instead of
+    /// the live queue; the slots served since are not counted.
     pub fn journaled_through(&self) -> Option<usize> {
         self.journaled.len().checked_sub(1)
     }
 
-    fn journal_lines(&mut self, lines: &[String]) {
+    /// Appends one record — the lines `encode` returns — in one write
+    /// and one flush. With no journal open `encode` is never called.
+    fn journal_lines(&mut self, encode: impl FnOnce() -> Vec<String>) {
         let Some(file) = self.journal_file.as_mut() else { return };
         let mut buf = String::new();
-        for line in lines {
-            buf.push_str(line);
+        for line in encode() {
+            buf.push_str(&line);
             buf.push('\n');
         }
         // Fail-stop on journal I/O errors would lose availability for a
@@ -736,26 +744,22 @@ impl SlotSource for ServeEngine {
             self.shared.set_phase(Phase::Live);
             let (ops, shed) = self.drain_live()?;
             let queries = std::mem::take(&mut self.next_queries);
-            let mut lines: Vec<String> = ops.iter().map(|o| o.to_json().to_string()).collect();
-            lines.push(
-                Json::obj([
-                    ("op", Json::Str("slot".into())),
-                    ("slot", Json::Num(slot as f64)),
-                    ("ops", Json::Num(ops.len() as f64)),
-                    ("shed", Json::Str(shed.label().into())),
-                    (
-                        "queries",
-                        Json::Arr(queries.iter().map(|&d| Json::Num(d as f64)).collect()),
-                    ),
-                ])
-                .to_string(),
-            );
-            self.journal_lines(&lines);
-            self.journaled.push(SlotJournal {
-                ops: ops.clone(),
-                shed,
-                queries: queries.clone(),
-                gamma: None,
+            self.journal_lines(|| {
+                let mut lines: Vec<String> = ops.iter().map(|o| o.to_json().to_string()).collect();
+                lines.push(
+                    Json::obj([
+                        ("op", Json::Str("slot".into())),
+                        ("slot", Json::Num(slot as f64)),
+                        ("ops", Json::Num(ops.len() as f64)),
+                        ("shed", Json::Str(shed.label().into())),
+                        (
+                            "queries",
+                            Json::Arr(queries.iter().map(|&d| Json::Num(d as f64)).collect()),
+                        ),
+                    ])
+                    .to_string(),
+                );
+                lines
             });
             (ops, shed, queries)
         };
@@ -768,6 +772,8 @@ impl SlotSource for ServeEngine {
                 "serve_shed_floor",
                 shed.severity() as f64,
             );
+            let retained: usize = self.journaled.iter().map(|j| j.ops.len()).sum();
+            lpvs_obs::gauge_set("serve_journal_retained_ops", retained as f64);
         }
         Some(BankOps { forgets: Vec::new(), queries })
     }
@@ -779,7 +785,7 @@ impl SlotSource for ServeEngine {
         recycled: Option<DeviceFleet>,
     ) -> Option<GatheredSlot> {
         // Fold the queried posteriors into the fleet rows. On a re-run
-        // the journaled values are replayed verbatim; live slots record
+        // the journaled values are replayed verbatim; live slots journal
         // what they wrote so a future re-run can do the same.
         let journaled_gamma = self.journaled.get(slot).and_then(|j| j.gamma.clone());
         let updates: Vec<(usize, f64, f64)> = match journaled_gamma {
@@ -791,30 +797,17 @@ impl SlotSource for ServeEngine {
                     .zip(posteriors)
                     .map(|(&d, &(mean, std))| (d, mean, std))
                     .collect();
-                let line = Json::obj([
-                    ("op", Json::Str("gamma".into())),
-                    ("slot", Json::Num(slot as f64)),
-                    (
-                        "updates",
-                        Json::Arr(
-                            updates
-                                .iter()
-                                .map(|&(d, m, s)| {
-                                    Json::Arr(vec![
-                                        Json::Num(d as f64),
-                                        Json::Num(m),
-                                        Json::Num(s),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ])
-                .to_string();
-                self.journal_lines(&[line]);
-                if let Some(j) = self.journaled.get_mut(slot) {
-                    j.gamma = Some(updates.clone());
-                }
+                self.journal_lines(|| {
+                    let triple = |&(d, m, s): &(usize, f64, f64)| {
+                        Json::Arr(vec![Json::Num(d as f64), Json::Num(m), Json::Num(s)])
+                    };
+                    let line = Json::obj([
+                        ("op", Json::Str("gamma".into())),
+                        ("slot", Json::Num(slot as f64)),
+                        ("updates", Json::Arr(updates.iter().map(triple).collect())),
+                    ]);
+                    vec![line.to_string()]
+                });
                 updates
             }
         };

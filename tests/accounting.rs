@@ -2,15 +2,22 @@
 //! not wall clock.
 //!
 //! `delta_accounting_rows_total{owner}` counts every row whose eq.-13
-//! and saving terms were re-evaluated, on the shard workers and at the
-//! join. Read slot by slot it pins the cost model of the per-row
-//! accounting (`lpvs::core::accounting::RowAccounting`): a slot that
-//! extends the previous one evaluates its dirty frontier plus the rows
-//! whose decision flipped, and everything that breaks the chain — the
-//! first slot, a forced cold solve, a population change, a resume —
-//! evaluates every row exactly once and then returns to the frontier.
-//! That the totals folded from kept terms are, bit for bit, those of
-//! evaluating every row is `tests/delta.rs`'s matrix.
+//! and saving terms were re-evaluated, on the shard workers (`shard`)
+//! and at the join (`join`), and every row whose terms the join adopted
+//! from the shard that had just evaluated them (`shipped`). Read slot by
+//! slot it pins the cost model of the per-row accounting
+//! (`lpvs::core::accounting::RowAccounting`): a row is evaluated by one
+//! owner a slot. A shard that extends the previous slot evaluates its
+//! dirty frontier plus the rows whose decision flipped; what breaks its
+//! chain — the first slot, a forced cold solve, a population change —
+//! evaluates every row of it exactly once, in the solve itself, and
+//! keeps the terms (only a memo restored from a checkpoint has none,
+//! and rebuilds them once). The join evaluates what no shard shipped:
+//! the rows the rebalance moved in after their shard had shipped them
+//! unselected, the rows no shard owns, and the rows of a shard that
+//! shipped nothing. That the totals folded from kept and adopted terms
+//! are, bit for bit, those of evaluating every row is `tests/delta.rs`'s
+//! matrix and, for hand-made shipments, the `assemble` cases below.
 //!
 //! A cold solve is the other end of the same model: Phase-2 scores
 //! every row under both decisions, and the accounting of the selection
@@ -19,7 +26,16 @@
 //! two evaluations a row under `phase2`, none under `account`), bit for
 //! bit what evaluating every row gives.
 //!
-//! Mutation checks, made by hand when this file was written (the style
+//! Mutation checks, made by hand in the release profile (where the
+//! `debug_assert`s that would catch them first are compiled out): a
+//! cold solve that ships `on` for an unselected row fails
+//! `an_unselected_row_ships_its_off_term`; a join that trusts the
+//! shipment of a migrated-in row fails
+//! `a_migrated_in_row_is_re_accounted_by_the_join`; a join that
+//! evaluates nothing (its stale rule's uncovered part dropped) fails
+//! `a_shard_that_ships_nothing_is_evaluated_by_the_join` and
+//! `a_dirty_row_no_shard_owns_is_evaluated_by_the_join`.
+//! Earlier ones, made when this file was written (the style
 //! of `tests/solve_linear.rs`): a `refresh` that re-evaluates every row
 //! fails every count below; a join that ignores flipped rows fails
 //! `tests/delta.rs`'s bit-identity matrix; a `from_scored` that swaps
@@ -38,7 +54,12 @@ use lpvs::core::fleet::{DeviceFleet, SlotView};
 use lpvs::core::problem::{DeviceRequest, SlotProblem};
 use lpvs::core::scheduler::{Degradation, LpvsScheduler, SchedulerConfig};
 use lpvs::emulator::experiment::synthetic_problem;
-use lpvs::edge::fleet::{FleetConfig, Partitioner};
+use lpvs::core::accounting::ShardTerms;
+use lpvs::core::delta::SlotDelta;
+use lpvs::core::scheduler::Schedule;
+use lpvs::edge::fleet::{FleetConfig, FleetSchedule, FleetScheduler, JoinMemo, Partitioner};
+use lpvs::edge::server::EdgeServer;
+use lpvs::survey::curve::AnxietyCurve;
 use lpvs::runtime::{
     BankOps, CheckpointConfig, GatheredSlot, RuntimeConfig, SlotFeedback, SlotReplay, SlotRuntime,
     SlotSink, SlotSource, SolvedSlot, StageFaults, SyntheticConfig, SyntheticDriver,
@@ -57,6 +78,7 @@ const SHARD_ROWS: u64 = (DEVICES / SHARDS) as u64;
 struct Reading {
     shard_rows: u64,
     join_rows: u64,
+    shipped_rows: u64,
     cold: u64,
     incremental: u64,
     reuse: u64,
@@ -73,6 +95,7 @@ impl Reading {
         Self {
             shard_rows: rows("shard"),
             join_rows: rows("join"),
+            shipped_rows: rows("shipped"),
             cold: path("cold"),
             incremental: path("incremental"),
             reuse: path("reuse"),
@@ -83,6 +106,7 @@ impl Reading {
         Self {
             shard_rows: self.shard_rows - earlier.shard_rows,
             join_rows: self.join_rows - earlier.join_rows,
+            shipped_rows: self.shipped_rows - earlier.shipped_rows,
             cold: self.cold - earlier.cold,
             incremental: self.incremental - earlier.incremental,
             reuse: self.reuse - earlier.reuse,
@@ -98,6 +122,8 @@ struct SlotCount {
     frontier: u64,
     /// Rows whose assembled decision differs from the previous slot's.
     flipped: u64,
+    /// Rows the rebalance moved into a foreign shard.
+    migrations: u64,
     counted: Reading,
 }
 
@@ -165,6 +191,7 @@ impl SlotSink for Counting {
             slot: solved.slot,
             frontier: self.frontier,
             flipped,
+            migrations: solved.schedule.migrations as u64,
             counted: now.since(self.last),
         });
         self.last = now;
@@ -237,9 +264,27 @@ impl Drop for Recording {
     }
 }
 
-/// A slot that extends the one before it on both owners: each evaluates
-/// its frontier and what flipped, never more — and, with twenty rows
-/// moving, never nothing.
+/// What the join is left with when every shard shipped what it
+/// evaluated: the rows the rebalance moved in, and (every row of the
+/// synthetic fleet being connected) nothing else; whatever the shards
+/// evaluated it adopted, less those.
+fn assert_join_adopts_the_shards_rows(s: &SlotCount, case: &str) {
+    assert!(
+        s.counted.join_rows <= s.migrations,
+        "{case}: slot {} accounted {} rows at the join for {} migrations",
+        s.slot, s.counted.join_rows, s.migrations
+    );
+    let shipped = s.counted.shipped_rows;
+    assert!(
+        shipped <= s.counted.shard_rows && shipped + s.migrations >= s.counted.shard_rows,
+        "{case}: slot {} adopted {shipped} rows of the {} the shards evaluated ({} migrations)",
+        s.slot, s.counted.shard_rows, s.migrations
+    );
+}
+
+/// A slot that extends the one before it: the shards evaluate the
+/// frontier and what flipped, never more — and, with twenty rows
+/// moving, never nothing — and the join adopts that.
 fn assert_costs_its_churn(s: &SlotCount, case: &str) {
     let bound = s.frontier + s.flipped;
     assert!(s.frontier > 0, "{case}: slot {} has no frontier to price", s.slot);
@@ -249,11 +294,7 @@ fn assert_costs_its_churn(s: &SlotCount, case: &str) {
         "{case}: slot {} accounted {} rows on the shards for a frontier of {} and {} flips",
         s.slot, s.counted.shard_rows, s.frontier, s.flipped
     );
-    assert!(
-        s.counted.join_rows >= s.frontier && s.counted.join_rows <= bound,
-        "{case}: slot {} accounted {} rows at the join for a frontier of {} and {} flips",
-        s.slot, s.counted.join_rows, s.frontier, s.flipped
-    );
+    assert_join_adopts_the_shards_rows(s, case);
 }
 
 #[test]
@@ -265,28 +306,24 @@ fn a_steady_slot_accounts_its_frontier_and_its_flips() {
 
     let slots = &driver.slots;
     assert_eq!(slots.len(), 8);
-    // Slot 0: all-dirty, cold everywhere, every row once on each owner.
+    // Slot 0: all-dirty, cold everywhere, every row once — on its shard.
+    // The join evaluates the rows no shard owns: here, none.
     assert_eq!(slots[0].counted.cold, SHARDS as u64);
     assert_eq!(slots[0].counted.shard_rows, DEVICES as u64);
-    assert_eq!(slots[0].counted.join_rows, DEVICES as u64);
-    // Slot 1: the cold solves kept no terms, so each shard's first
-    // incremental solve rebuilds them — every row, once. The join kept
-    // its own and is already down to the frontier.
-    assert_eq!(slots[1].counted.incremental, SHARDS as u64);
-    assert_eq!(slots[1].counted.shard_rows, DEVICES as u64);
-    assert!(slots[1].counted.join_rows <= slots[1].frontier + slots[1].flipped);
-    for s in &slots[2..] {
+    assert_join_adopts_the_shards_rows(&slots[0], "steady");
+    // Slot 1 on: the cold solves kept their terms, so the first
+    // incremental solve is already down to the frontier.
+    for s in &slots[1..] {
         assert_eq!(s.counted.incremental, SHARDS as u64, "slot {}", s.slot);
         assert_costs_its_churn(s, "steady");
     }
 }
 
 #[test]
-fn a_forced_cold_solve_accounts_its_shard_once_and_rebuilds_once() {
+fn a_forced_cold_solve_accounts_its_shard_once_and_keeps_its_terms() {
     let _recording = Recording::start();
     // Seeded so that shards die (and are re-dispatched cold) on some
-    // slots but never on two consecutive ones, which keeps "was cold
-    // last slot" and "is cold now" countable apart.
+    // slots past the first.
     let faults = StageFaults::new(0.08, 17);
     let mut driver = Counting::new(steady(12, 17));
     let estimators = driver.inner.estimators();
@@ -296,24 +333,23 @@ fn a_forced_cold_solve_accounts_its_shard_once_and_rebuilds_once() {
 
     let slots = &driver.slots;
     let mut forced = 0;
-    for pair in slots[1..].windows(2) {
-        let (before, s) = (&pair[0], &pair[1]);
-        assert!(before.counted.cold == 0 || s.counted.cold == 0, "pick another fault seed");
-        // A shard solved cold this slot (the respawned worker has no
-        // memo) or last slot (its memo has no kept terms): its rows
-        // are accounted in full, once each time.
-        let in_full = (s.counted.cold + before.counted.cold) * SHARD_ROWS;
+    for s in &slots[1..] {
         forced += s.counted.cold;
-        if in_full == 0 {
+        if s.counted.cold == 0 {
             assert_costs_its_churn(s, "faults");
             continue;
         }
+        // A shard solved cold this slot (the respawned worker has no
+        // memo): its rows are accounted in full, once, and the slot
+        // after it is an ordinary one — the solve kept its terms.
+        let in_full = s.counted.cold * SHARD_ROWS;
         let rest = s.counted.shard_rows.checked_sub(in_full).expect("a full shard is accounted");
         assert!(rest <= s.frontier + s.flipped, "slot {}: {rest} beyond the full shards", s.slot);
-        // Worker deaths never reach the join's kept terms.
-        assert!(s.counted.join_rows <= s.frontier + s.flipped, "slot {}", s.slot);
+        // Worker deaths never reach the join: the respawned shard ships
+        // every row it solved.
+        assert_join_adopts_the_shards_rows(s, "faults");
     }
-    assert!(forced > 0, "no slot past the second was forced cold");
+    assert!(forced > 0, "no slot past the first was forced cold");
 }
 
 #[test]
@@ -327,18 +363,17 @@ fn a_population_change_accounts_every_row_once() {
 
     let slots = &driver.slots;
     let grown = DEVICES as u64 + 1;
-    for s in &slots[2..4] {
+    for s in &slots[1..4] {
         assert_costs_its_churn(s, "before growth");
     }
-    // The fleet grew: every shard's row list moved (cold), the join's
-    // kept terms no longer cover the fleet (every row).
+    // The fleet grew: every shard's row list moved (cold: every row,
+    // once), and the join's kept terms no longer cover the fleet — but
+    // every row of it was just shipped.
     assert_eq!(slots[4].counted.cold, SHARDS as u64);
     assert_eq!(slots[4].counted.shard_rows, grown);
-    assert_eq!(slots[4].counted.join_rows, grown);
-    // Then one rebuild on the shards, and back to the frontier.
-    assert_eq!(slots[5].counted.shard_rows, grown);
-    assert!(slots[5].counted.join_rows <= slots[5].frontier + slots[5].flipped);
-    for s in &slots[6..] {
+    assert_join_adopts_the_shards_rows(&slots[4], "growth");
+    // And straight back to the frontier.
+    for s in &slots[5..] {
         assert_costs_its_churn(s, "after growth");
     }
 }
@@ -363,7 +398,7 @@ fn a_resumed_run_rebuilds_its_terms_once_then_accounts_its_frontier() {
     })
     .run(&mut halted, estimators);
     assert_eq!(report.summary.slots, 6);
-    for s in &halted.slots[2..] {
+    for s in &halted.slots[1..] {
         assert_costs_its_churn(s, "before the halt");
     }
 
@@ -377,13 +412,14 @@ fn a_resumed_run_rebuilds_its_terms_once_then_accounts_its_frontier() {
 
     // The restored memos continue the incremental chain but carry no
     // terms, and the join starts empty: the first slot after the resume
-    // accounts every row once on each owner, the second its frontier.
+    // accounts every row once — on its shard, which ships the rebuilt
+    // terms whole — the second its frontier.
     let slots = &resumed.slots;
     assert_eq!(slots[0].slot, at);
     assert_eq!(slots[0].counted.cold, 0);
     assert_eq!(slots[0].counted.incremental, SHARDS as u64);
     assert_eq!(slots[0].counted.shard_rows, DEVICES as u64);
-    assert_eq!(slots[0].counted.join_rows, DEVICES as u64);
+    assert_join_adopts_the_shards_rows(&slots[0], "at the resume");
     assert!(slots.len() >= 3, "the resume must leave slots to run");
     for s in &slots[1..] {
         assert_costs_its_churn(s, "after the resume");
@@ -509,4 +545,226 @@ fn a_cold_solve_scores_each_row_twice_and_accounts_none() {
     let no_time = budget.with_deadline_secs(0.0);
     LpvsScheduler::paper_default().schedule_resilient(&problem, Some(&full.selected), &no_time);
     assert_eq!((counted("phase2"), counted("account")), (2 * n as u64, 2 * n as u64));
+}
+
+// --- the join, handed shipments by hand -------------------------------
+
+/// A fleet whose last shard has room to spare (the slack regime of
+/// `tests/fleet.rs`): low batteries with real savings everywhere, every
+/// shard but the last offered a third of what its rows ask for. Rows 3
+/// and 40 are disconnected — no shard owns them.
+struct JoinCase {
+    fleet: DeviceFleet,
+    scheduler: FleetScheduler,
+    servers: Vec<EdgeServer>,
+    lambda: f64,
+    curve: AnxietyCurve,
+    memo: JoinMemo,
+}
+
+const JOIN_ROWS: usize = 180;
+const UNOWNED: [usize; 2] = [3, 40];
+
+impl JoinCase {
+    fn new() -> Self {
+        let mut fleet = DeviceFleet::new();
+        for i in 0..JOIN_ROWS {
+            fleet.push_request(DeviceRequest::uniform(
+                0.6 + 0.01 * (i % 50) as f64,
+                10.0,
+                30,
+                (0.05 + 0.004 * (i % 90) as f64) * 55_440.0,
+                55_440.0,
+                0.15 + 0.002 * (i % 100) as f64,
+                1.0,
+                0.1,
+            ));
+        }
+        for i in UNOWNED {
+            fleet.set_connected(i, false);
+        }
+        fleet.clear_dirty();
+        let config = FleetConfig { num_shards: 3, ..FleetConfig::default() };
+        let mut servers = vec![EdgeServer::new(20.0, 1e6); 3];
+        servers[2] = EdgeServer::new(70.0, 1e6);
+        Self {
+            fleet,
+            scheduler: FleetScheduler::new(config),
+            servers,
+            lambda: 1.5,
+            curve: AnxietyCurve::paper_shape(),
+            memo: JoinMemo::default(),
+        }
+    }
+
+    /// The slot's delta, as a gather would capture it.
+    fn delta(&mut self) -> SlotDelta {
+        let delta = SlotDelta::from(self.fleet.dirty_frontier());
+        self.fleet.clear_dirty();
+        delta
+    }
+
+    /// Solves every shard cold; each ships every row it solved.
+    fn solve(&self) -> (Vec<Vec<usize>>, Vec<Option<Schedule>>, Vec<ShardTerms>) {
+        let shards = self.scheduler.partition(&self.fleet);
+        let solver = LpvsScheduler::new(self.scheduler.config().scheduler);
+        let (results, shipped) = shards
+            .iter()
+            .zip(&self.servers)
+            .map(|(rows, server)| {
+                let view = self.fleet.slot_view(
+                    rows,
+                    server.compute_capacity(),
+                    server.storage_capacity_gb(),
+                    self.lambda,
+                    &self.curve,
+                );
+                let (schedule, terms) =
+                    solver.schedule_view_accounted(view, None, &SlotBudget::unbounded());
+                (Some(schedule), terms.shipment(0..rows.len()))
+            })
+            .unzip();
+        (shards, results, shipped)
+    }
+
+    /// Joins through the kept memo and returns the schedule with the
+    /// rows the join evaluated itself and the rows it adopted; the
+    /// totals are checked against every row evaluated afresh.
+    fn join(
+        &mut self,
+        delta: &SlotDelta,
+        shards: Vec<Vec<usize>>,
+        results: Vec<Option<Schedule>>,
+        shipped: &[ShardTerms],
+        case: &str,
+    ) -> (FleetSchedule, u64, u64) {
+        let before = Reading::now();
+        let got = self.scheduler.assemble(
+            &self.fleet,
+            &self.servers,
+            shards,
+            results,
+            self.lambda,
+            &self.curve,
+            std::time::Instant::now(),
+            Some((&mut self.memo, delta, shipped)),
+        );
+        let counted = Reading::now().since(before);
+        let rows: Vec<usize> = (0..self.fleet.len()).collect();
+        let whole = self.fleet.slot_view(&rows, 1e9, 1e9, self.lambda, &self.curve);
+        let (objective, saved) = RowAccounting::of(whole, &got.selected).fold();
+        assert_eq!(got.objective.to_bits(), objective.to_bits(), "{case}: objective");
+        assert_eq!(got.energy_saved_j.to_bits(), saved.to_bits(), "{case}: saving");
+        (got, counted.join_rows, counted.shipped_rows)
+    }
+}
+
+#[test]
+fn a_migrated_in_row_is_re_accounted_by_the_join() {
+    let _recording = Recording::start();
+    let mut case = JoinCase::new();
+    let owned = (JOIN_ROWS - UNOWNED.len()) as u64;
+    // Slot 0 (nothing kept) and slot 1 (extends it, a few rows dirty):
+    // every shard ships every row, the rebalance then selects rows
+    // their shards shipped as unselected.
+    for slot in 0..2 {
+        if slot == 1 {
+            for i in [10, 70, 130] {
+                case.fleet.set_energy_j(i, 0.3 * 55_440.0);
+            }
+        }
+        let delta = case.delta();
+        let (shards, results, shipped) = case.solve();
+        let (got, evaluated, adopted) =
+            case.join(&delta, shards, results, &shipped, &format!("slot {slot}"));
+        let moved = got.migrations as u64;
+        assert!(moved > 0, "slot {slot}: the regime must migrate");
+        // The join evaluates what moved in — and, with nothing kept,
+        // the rows no shard owns.
+        let unowned = if slot == 0 { UNOWNED.len() as u64 } else { 0 };
+        assert_eq!(evaluated, moved + unowned, "slot {slot}");
+        assert_eq!(adopted, owned - moved, "slot {slot}");
+    }
+}
+
+#[test]
+fn a_shard_that_ships_nothing_is_evaluated_by_the_join() {
+    let _recording = Recording::start();
+    let mut case = JoinCase::new();
+    let delta = case.delta();
+    let (shards, mut results, mut shipped) = case.solve();
+    // Shard 0 died (passthrough, nothing shipped); shard 1 solved but
+    // ships nothing, as an incremental solve's cold fallback does.
+    results[0] = None;
+    shipped[0].clear();
+    shipped[1].clear();
+    let unshipped = (shards[0].len() + shards[1].len() + UNOWNED.len()) as u64;
+    let last = shards[2].clone();
+    let (got, evaluated, adopted) = case.join(&delta, shards, results, &shipped, "slot 0");
+    assert_eq!(got.shards[0].stats.degradation, Degradation::Passthrough);
+    // Every row of the two silent shards and every unowned row, once —
+    // moved or not — and of the shard that shipped, the rows that moved
+    // out of it (into the dead shard's room).
+    let moved = got.shards.iter().flat_map(|r| &r.migrated_in);
+    let from_last = moved.filter(|i| last.contains(i)).count() as u64;
+    assert!(got.migrations > 0);
+    assert_eq!(evaluated, unshipped + from_last);
+    assert_eq!(adopted, last.len() as u64 - from_last);
+
+    // The next slot extends this one with an empty frontier and again
+    // no shipment from shards 0 and 1: the kept terms stand, and the
+    // join evaluates the flips only (shard 0 is alive again).
+    let delta = case.delta();
+    let (shards, results, mut shipped) = case.solve();
+    shipped[0].clear();
+    shipped[1].clear();
+    let (_, evaluated, _) = case.join(&delta, shards, results, &shipped, "slot 1");
+    assert!(evaluated > 0 && evaluated < unshipped, "flips only: {evaluated}");
+}
+
+#[test]
+fn a_dirty_row_no_shard_owns_is_evaluated_by_the_join() {
+    let _recording = Recording::start();
+    let mut case = JoinCase::new();
+    let delta = case.delta();
+    let (shards, results, shipped) = case.solve();
+    case.join(&delta, shards, results, &shipped, "slot 0");
+
+    // A disconnected row's battery moves: no shard solves it, nobody
+    // ships it, and its eq.-13 term (its anxiety) changed.
+    case.fleet.set_energy_j(UNOWNED[1], 0.9 * 55_440.0);
+    case.fleet.set_energy_j(77, 0.2 * 55_440.0);
+    let delta = case.delta();
+    assert_eq!(delta.dirty, vec![UNOWNED[1], 77]);
+    let (shards, results, shipped) = case.solve();
+    let (got, evaluated, _) = case.join(&delta, shards, results, &shipped, "slot 1");
+    assert_eq!(evaluated, 1 + got.migrations as u64);
+}
+
+#[test]
+fn an_unselected_row_ships_its_off_term() {
+    let _serial = RECORDER.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    // Rows both phases select and the resilient path then masks out
+    // (disconnected): the terms that ride beside the schedule — kept by
+    // a cold shard, shipped to the join — are those of the selection
+    // that is returned, in release builds too.
+    let problem = synthetic_problem(600, 240.0, 1.0, 7);
+    let standing = LpvsScheduler::paper_default().schedule(&problem).unwrap().selected;
+    let mut fleet = DeviceFleet::from_problem(&problem);
+    let masked: Vec<usize> = (0..problem.len()).filter(|&i| standing[i]).take(5).collect();
+    for &i in &masked {
+        fleet.set_connected(i, false);
+    }
+    let rows: Vec<usize> = (0..problem.len()).collect();
+    let view = whole_view(&problem, &fleet, &rows);
+    let (schedule, terms) = LpvsScheduler::paper_default().schedule_view_accounted(
+        view,
+        None,
+        &SlotBudget::unbounded(),
+    );
+    assert!(schedule.num_selected() > 0 && masked.iter().all(|&i| !schedule.selected[i]));
+    let fresh = RowAccounting::of(view, &schedule.selected);
+    assert_eq!(terms, fresh);
+    assert_eq!(terms.shipment(0..rows.len()), fresh.shipment(0..rows.len()));
+    assert!(terms.shipment(masked).iter().all(|&(_, _, saving)| saving == 0.0));
 }

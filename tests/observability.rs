@@ -14,7 +14,9 @@ use lpvs::emulator::faults::FaultConfig;
 use lpvs::core::phase1::{solve_phase1, Phase1Config};
 use lpvs::core::problem::{DeviceRequest, SlotProblem};
 use lpvs::core::provision::price_capacity;
+use lpvs::edge::fleet::FleetConfig;
 use lpvs::obs::sink::{events_from_jsonl, events_to_jsonl, render_prometheus};
+use lpvs::runtime::{RuntimeConfig, SlotRuntime, SyntheticConfig, SyntheticDriver};
 use lpvs::survey::curve::AnxietyCurve;
 use std::sync::{Mutex, PoisonError};
 
@@ -55,6 +57,45 @@ fn a_phase1_solve_sorts_the_orders_it_reads() {
         let metrics = lpvs::obs::installed().expect("recorder installed").metrics().snapshot();
         assert_eq!(metrics.counter("solver_orders_sorted_total"), Some(1 + binding as u64));
     }
+}
+
+/// Which stage ate the slot, and who accounted each row: the worker
+/// executor times its fan-out (`dispatch`, and the skew between its
+/// first and last send) beside the other stages, and on a slot where
+/// every row is dirty each row's terms are either adopted from the
+/// shard that solved it (`shipped`) or evaluated by the join — once.
+#[test]
+fn a_worker_run_times_its_dispatch_and_counts_each_row_once() {
+    let _turn = RECORDER.lock().unwrap_or_else(PoisonError::into_inner);
+    let (devices, slots) = (600, 5);
+    let config = SyntheticConfig { mutation_fraction: 1.0, ..SyntheticConfig::steady(devices, slots, 3) };
+    let mut driver = SyntheticDriver::new(config);
+    let estimators = driver.estimators();
+    let runtime = RuntimeConfig {
+        fleet: FleetConfig { num_shards: 2, ..FleetConfig::default() },
+        ..RuntimeConfig::default()
+    };
+    lpvs::obs::init().reset();
+    SlotRuntime::new(runtime).run(&mut driver, estimators);
+    lpvs::obs::set_enabled(false);
+    let metrics = lpvs::obs::installed().expect("recorder installed").metrics().snapshot();
+
+    for stage in ["gather", "dispatch", "join", "assemble", "apply"] {
+        let samples = metrics
+            .histogram_labeled("runtime_stage_seconds", &[("stage", stage)])
+            .unwrap_or_else(|| panic!("missing runtime_stage_seconds{{stage={stage}}}"));
+        assert_eq!(samples.count, slots as u64, "stage {stage}");
+    }
+    let skew = metrics.histogram("runtime_dispatch_skew_seconds").expect("skew histogram");
+    assert_eq!(skew.count, slots as u64);
+    assert!(skew.sum >= 0.0 && skew.sum.is_finite());
+
+    let rows = |owner| {
+        metrics.counter_labeled("delta_accounting_rows_total", &[("owner", owner)]).unwrap_or(0)
+    };
+    assert_eq!(rows("shard"), (devices * slots) as u64, "every shard solved cold, every slot");
+    assert_eq!(rows("shipped") + rows("join"), (devices * slots) as u64);
+    assert!(rows("shipped") > rows("join"), "the join adopts what the shards evaluated");
 }
 
 #[test]
