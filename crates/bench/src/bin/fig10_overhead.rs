@@ -172,7 +172,7 @@ fn timed<R>(f: impl FnOnce() -> R) -> f64 {
     t.elapsed().as_secs_f64()
 }
 
-/// The Phase-1 program of a problem, as the exact backend builds it, and
+/// The Phase-1 program of a problem, as the exact solver builds it, and
 /// the same data as the greedy entry takes it.
 struct Phase1Inputs {
     ilp: BinaryProgram,

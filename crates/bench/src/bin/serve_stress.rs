@@ -98,6 +98,21 @@ impl Client {
     }
 }
 
+/// Whether `GET /healthz` reports the slot loop live. It answers 200
+/// while the server is still recovering too, and sessions are refused
+/// with 503 until the first live slot begins.
+fn is_live(addr: SocketAddr) -> bool {
+    let probe = || -> std::io::Result<bool> {
+        let mut conn = BufReader::new(TcpStream::connect_timeout(&addr, Duration::from_secs(5))?);
+        conn.get_ref().set_read_timeout(Some(Duration::from_secs(5)))?;
+        conn.get_mut().write_all(&render_request("GET", "/healthz", "", true))?;
+        let response = read_response(&mut conn)?;
+        let body = String::from_utf8_lossy(&response.body);
+        Ok(response.status == 200 && body.contains("\"status\":\"live\""))
+    };
+    probe().unwrap_or(false)
+}
+
 struct LevelStats {
     rps_target: f64,
     total: u64,
@@ -312,13 +327,10 @@ fn main() {
 
     // Wait for the slot loop to go live, then admit the session
     // population the telemetry stream will mutate.
-    let mut control = Client::new(addr, true);
-    loop {
-        if let Some((200, _)) = control.timed_request("GET", "/healthz", "") {
-            break;
-        }
+    while !is_live(addr) {
         std::thread::sleep(Duration::from_millis(10));
     }
+    let mut control = Client::new(addr, true);
     let mut admitted = 0usize;
     for device in 0..devices {
         let body = format!(

@@ -14,8 +14,8 @@
 //!   cache;
 //! * a shard is a [`SlotView`] — the fleet's columns plus the shard's
 //!   row list and capacities, borrowed, `Copy` — and that view is the
-//!   *only* thing the solve path reads: the scheduler, all three Phase-1
-//!   backends, Phase-2 and the eq.-13 accounting run on it without ever
+//!   *only* thing the solve path reads: the scheduler, both Phase-1
+//!   solvers, Phase-2 and the eq.-13 accounting run on it without ever
 //!   materializing a row;
 //! * per-device rows round-trip to [`DeviceRequest`] bit-exactly, so the
 //!   row-taking entry points (which load a [`SlotProblem`] into a

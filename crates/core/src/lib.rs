@@ -21,10 +21,8 @@
 //!   verify the equivalence claim;
 //! * [`phase1`] — Phase-1 (§V-C): energy-saving maximization as a 0/1
 //!   ILP over the capacity knapsacks, solved exactly with
-//!   [`lpvs_solver`]'s branch-and-bound (or greedily, for ablation);
-//! * [`backend`] — the [`SolverBackend`] trait the Phase-1 paths
-//!   (exact / Lagrangian / greedy) implement; the resilient scheduler's
-//!   degradation ladder is a walk over these backends;
+//!   [`lpvs_solver`]'s branch-and-bound, or greedily — for ablation, and
+//!   as the resilient scheduler's fallback rung;
 //! * [`phase2`] — Phase-2 (§V-C): anxiety-driven swapping that trades
 //!   selected devices for high-anxiety ones whenever the full
 //!   λ-weighted objective improves;
@@ -52,7 +50,7 @@
 //!
 //! # One solve-path representation
 //!
-//! The engine — every [`SolverBackend`], [`run_phase2_over`], the
+//! The engine — both Phase-1 solvers, [`run_phase2_over`], the
 //! eq.-13 accounting, [`LpvsScheduler::schedule_view`],
 //! [`solve_shard_incremental`] — takes a [`SlotView`]: fleet columns,
 //! a row list, capacities, λ, curve; borrowed and `Copy`. Callers that
@@ -91,7 +89,6 @@
 #![warn(missing_docs)]
 
 pub mod accounting;
-pub mod backend;
 pub mod baseline;
 pub mod budget;
 pub mod compact;
@@ -107,10 +104,6 @@ pub mod provision;
 pub mod scheduler;
 
 pub use accounting::RowAccounting;
-pub use backend::{
-    backend_for, ladder_from, solver_ladder, ExactBackend, GreedyBackend, LagrangianBackend,
-    SolverBackend, WarmStart,
-};
 pub use baseline::{Policy, SelectionPolicy};
 pub use budget::SlotBudget;
 pub use compact::CompactedDevice;

@@ -1,10 +1,9 @@
 //! The LPVS scheduler: Phase-1 + Phase-2 with instrumentation.
 
 use crate::accounting::RowAccounting;
-use crate::backend::{backend_for, ladder_from, SolverBackend, WarmStart};
 use crate::budget::SlotBudget;
 use crate::fleet::{with_problem_view, SlotView};
-use crate::phase1::{Phase1Config, Phase1Solver};
+use crate::phase1::{self, Phase1Config, Phase1Solver};
 use crate::phase2::{phase2_scored, Phase2Stats, Scored};
 use crate::problem::SlotProblem;
 use lpvs_solver::SolverError;
@@ -17,12 +16,17 @@ use std::time::{Duration, Instant};
 /// schedule.
 ///
 /// [`LpvsScheduler::schedule_resilient`] walks the rungs in order —
-/// exact branch-and-bound, Lagrangian relaxation, greedy knapsack,
-/// reuse of the previous slot's selection, and finally the
-/// no-transform passthrough — until one yields a capacity-feasible
-/// selection within the slot budget. The ordering is by solution
-/// quality, so `Ord` compares severity: `Exact < Lagrangian < … <
-/// Passthrough`.
+/// exact branch-and-bound, greedy knapsack, reuse of the previous
+/// slot's selection, and finally the no-transform passthrough — until
+/// one yields a capacity-feasible selection within the slot budget.
+/// Each rung costs less than the one above it. The ordering is by
+/// solution quality, so `Ord` compares severity: `Exact < Greedy <
+/// ReusedPrevious < Passthrough`.
+///
+/// A discriminant is the rung's [`severity`](Self::severity), which
+/// checkpoints, digests and the `tier` span field record. Severity 1 is
+/// a retired rung: decoders map data that carries it to `Greedy`, the
+/// next rung down.
 #[derive(
     Debug,
     Clone,
@@ -39,23 +43,20 @@ use std::time::{Duration, Instant};
 pub enum Degradation {
     /// The exact branch-and-bound Phase-1 finished within budget.
     #[default]
-    Exact,
-    /// Fell back to the Lagrangian relaxation.
-    Lagrangian,
+    Exact = 0,
     /// Fell back to the greedy multi-knapsack.
-    Greedy,
+    Greedy = 2,
     /// No solver finished; the previous slot's (still-feasible)
     /// selection was reused.
-    ReusedPrevious,
+    ReusedPrevious = 3,
     /// Nothing usable: every stream passes through untransformed.
-    Passthrough,
+    Passthrough = 4,
 }
 
 impl Degradation {
     /// All rungs, best first.
-    pub const ALL: [Degradation; 5] = [
+    pub const ALL: [Degradation; 4] = [
         Degradation::Exact,
-        Degradation::Lagrangian,
         Degradation::Greedy,
         Degradation::ReusedPrevious,
         Degradation::Passthrough,
@@ -75,7 +76,6 @@ impl Degradation {
     pub fn label(self) -> &'static str {
         match self {
             Degradation::Exact => "exact",
-            Degradation::Lagrangian => "lagrangian",
             Degradation::Greedy => "greedy",
             Degradation::ReusedPrevious => "reused-previous",
             Degradation::Passthrough => "passthrough",
@@ -86,6 +86,14 @@ impl Degradation {
 impl fmt::Display for Degradation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.label())
+    }
+}
+
+/// The ladder rung a Phase-1 solver occupies.
+fn rung_of(solver: Phase1Solver) -> Degradation {
+    match solver {
+        Phase1Solver::Exact => Degradation::Exact,
+        Phase1Solver::Greedy => Degradation::Greedy,
     }
 }
 
@@ -149,8 +157,8 @@ pub struct ScheduleStats {
     pub phase1_nodes: usize,
     /// Inner solver work in Phase-1: general-simplex pivots summed over
     /// all LP relaxations (exact path; 0 while the knapsack relaxation
-    /// serves every node, see [`Phase1Result::pivots`]) or subgradient
-    /// iterations (Lagrangian path).
+    /// serves every node, see [`Phase1Result::pivots`]); 0 on every
+    /// other rung.
     ///
     /// [`Phase1Result::pivots`]: crate::phase1::Phase1Result::pivots
     pub phase1_pivots: usize,
@@ -230,7 +238,9 @@ impl LpvsScheduler {
 
     /// [`LpvsScheduler::schedule`] seeded with the previous slot's
     /// selection, biasing ties toward the standing decisions (fewer
-    /// transform restarts across slots).
+    /// transform restarts across slots). Like every row-taking entry
+    /// point this is an adapter: it loads the problem into columns once
+    /// and runs the same phases the resilient ladder runs per rung.
     ///
     /// # Errors
     ///
@@ -240,46 +250,27 @@ impl LpvsScheduler {
         problem: &SlotProblem,
         previous: Option<&[bool]>,
     ) -> Result<Schedule, SolverError> {
-        let backend = backend_for(self.config.phase1.solver);
-        self.schedule_with_backend(backend.as_ref(), &self.config.phase1, problem, previous)
-    }
-
-    /// [`LpvsScheduler::schedule_warm`] with an explicit Phase-1
-    /// backend and configuration. Like every row-taking entry point
-    /// this is an adapter: it loads the problem into columns once and
-    /// runs the same phases the resilient ladder runs per rung.
-    ///
-    /// # Errors
-    ///
-    /// As [`LpvsScheduler::schedule`].
-    pub fn schedule_with_backend(
-        &self,
-        backend: &dyn SolverBackend,
-        phase1_config: &Phase1Config,
-        problem: &SlotProblem,
-        previous: Option<&[bool]>,
-    ) -> Result<Schedule, SolverError> {
         let start = Instant::now();
+        let phase1_config = &self.config.phase1;
         with_problem_view(problem, |view| {
-            let phases = self.run_phases(backend, phase1_config, view, previous)?;
-            Ok(phases.into_schedule(view, backend.rung(), 0, start).0)
+            let phases = self.run_phases(phase1_config, view, previous)?;
+            Ok(phases.into_schedule(view, rung_of(phase1_config.solver), 0, start).0)
         })
     }
 
-    /// Phase-1 on `backend`, then Phase-2 if configured: the decision
-    /// without its accounting, which [`Phases::into_schedule`] does once
-    /// the caller has settled on the final selection.
+    /// Phase-1 with `phase1_config`'s solver, then Phase-2 if
+    /// configured: the decision without its accounting, which
+    /// [`Phases::into_schedule`] does once the caller has settled on the
+    /// final selection.
     fn run_phases(
         &self,
-        backend: &dyn SolverBackend,
         phase1_config: &Phase1Config,
         view: SlotView<'_>,
         previous: Option<&[bool]>,
     ) -> Result<Phases, SolverError> {
         let phase1 = {
             let mut span = lpvs_obs::span!("sched.phase1", "devices" => view.len());
-            let warm = previous.map(|selected| WarmStart { selected });
-            let phase1 = backend.solve(view, phase1_config, warm)?;
+            let phase1 = phase1::solve_view(view, phase1_config, previous)?;
             span.record("nodes", phase1.nodes as f64);
             span.record("pivots", phase1.pivots as f64);
             phase1
@@ -338,10 +329,9 @@ impl LpvsScheduler {
     /// capacity-feasible selection within `budget`:
     ///
     /// 1. the configured solver (exact branch-and-bound by default),
-    /// 2. Lagrangian relaxation,
-    /// 3. greedy multi-knapsack,
-    /// 4. the previous slot's selection, if still feasible,
-    /// 5. no-transform passthrough (always feasible).
+    /// 2. greedy multi-knapsack,
+    /// 3. the previous slot's selection, if still feasible,
+    /// 4. no-transform passthrough (always feasible).
     ///
     /// The winning rung lands in [`ScheduleStats::degradation`] and
     /// the number of rejected devices (rows the fleet marks
@@ -400,45 +390,37 @@ impl LpvsScheduler {
         };
 
         // Solver rungs, starting from the configured solver so the
-        // ladder never silently *upgrades* an ablation configuration.
-        // Each rung is a boxed [`SolverBackend`]; walking the ladder is
-        // walking the slice. A budget's solver floor (the load-shedding
-        // knob) additionally skips every rung cheaper in severity than
-        // the floor, so a shed slot starts directly at the forced rung.
+        // ladder never silently *upgrades* an ablation configuration (a
+        // greedy-configured scheduler must not fall "up" to exact). A
+        // budget's solver floor (the load-shedding knob) starts the walk
+        // lower still, so a shed slot goes directly to the forced rung.
         let floor = budget.solver_floor.unwrap_or(Degradation::Exact);
-        let ladder = ladder_from(self.config.phase1.solver);
-        for backend in &ladder {
-            if backend.rung() < floor {
+        let first = floor.max(rung_of(self.config.phase1.solver));
+        for solver in [Phase1Solver::Exact, Phase1Solver::Greedy] {
+            let rung = rung_of(solver);
+            if rung < first {
                 continue;
             }
             if out_of_time() {
                 break;
             }
-            let phase1 = Phase1Config { node_limit, ..self.config.phase1 };
+            let phase1 = Phase1Config { solver, node_limit, ..self.config.phase1 };
             // Defense in depth: a view is solver-safe by construction,
             // but a rung that panics anyway is a rung that failed, not
             // a dead slot.
-            let attempt = catch_unwind(AssertUnwindSafe(|| {
-                self.run_phases(backend.as_ref(), &phase1, view, previous)
-            }));
+            let attempt =
+                catch_unwind(AssertUnwindSafe(|| self.run_phases(&phase1, view, previous)));
             if let Ok(Ok(mut phases)) = attempt {
                 for (x, &ok) in phases.selected.iter_mut().zip(&valid) {
                     *x = *x && ok;
                 }
                 if view.capacity_feasible(&phases.selected) {
-                    return finish_resilient(
-                        view,
-                        phases,
-                        backend.rung(),
-                        rejected,
-                        start,
-                        slot_span,
-                    );
+                    return finish_resilient(view, phases, rung, rejected, start, slot_span);
                 }
             }
         }
 
-        // Rung 4: reuse the previous slot's selection if it is still
+        // Reuse the previous slot's selection if it is still
         // feasible for today's (possibly browned-out) capacities — and
         // the floor permits it (a Passthrough floor sheds even reuse).
         if let Some(previous) = previous.filter(|_| floor <= Degradation::ReusedPrevious) {
@@ -458,7 +440,7 @@ impl LpvsScheduler {
             }
         }
 
-        // Rung 5: passthrough. The empty selection satisfies every
+        // Passthrough. The empty selection satisfies every
         // capacity row, so this rung cannot fail.
         finish_resilient(
             view,

@@ -290,8 +290,8 @@ mod tests {
         assert_eq!(r.degraded_slots(), 3);
         let counts = r.degradation_counts();
         assert_eq!(counts[0], (Degradation::Exact, 2));
-        assert_eq!(counts[2], (Degradation::Greedy, 2));
-        assert_eq!(counts[3], (Degradation::ReusedPrevious, 1));
+        assert_eq!(counts[1], (Degradation::Greedy, 2));
+        assert_eq!(counts[2], (Degradation::ReusedPrevious, 1));
         // Runs of degraded slots: [1,2] and [4] → mean 1.5.
         assert_eq!(r.mean_recovery_slots(), Some(1.5));
     }

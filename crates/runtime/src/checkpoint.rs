@@ -376,7 +376,6 @@ pub struct LoggedDecision {
 fn degradation_to_u8(tier: Degradation) -> u8 {
     match tier {
         Degradation::Exact => 0,
-        Degradation::Lagrangian => 1,
         Degradation::Greedy => 2,
         Degradation::ReusedPrevious => 3,
         Degradation::Passthrough => 4,
@@ -386,8 +385,9 @@ fn degradation_to_u8(tier: Degradation) -> u8 {
 fn degradation_from_u8(byte: u8) -> Result<Degradation, CodecError> {
     Ok(match byte {
         0 => Degradation::Exact,
-        1 => Degradation::Lagrangian,
-        2 => Degradation::Greedy,
+        // Tag 1 was the Lagrangian rung, since retired from the ladder:
+        // a record written while it existed loads as the next rung down.
+        1 | 2 => Degradation::Greedy,
         3 => Degradation::ReusedPrevious,
         4 => Degradation::Passthrough,
         _ => return Err(CodecError::Malformed("degradation tag")),
@@ -1107,7 +1107,7 @@ mod tests {
                     phase1_nodes: 7,
                     phase1_pivots: 41,
                     phase2: Phase2Stats { swaps_tried: 5, swaps_accepted: 2, additions: 1 },
-                    degradation: Degradation::Lagrangian,
+                    degradation: Degradation::Greedy,
                     rejected_devices: 0,
                     runtime: Duration::ZERO,
                 },
@@ -1126,6 +1126,53 @@ mod tests {
         let snap = ShardSnapshot::decode(&sealed).expect("decode");
         assert_eq!(snap.memo, Some(memo));
         assert_eq!(snap.bank, bank);
+    }
+
+    #[test]
+    fn a_retired_tier_tag_decodes_as_greedy_and_an_unknown_one_fails_closed() {
+        // A memo, then the same memo in a v2 snapshot, whose tier tag
+        // is rewritten: 1 was written while the ladder had a rung
+        // between exact and greedy, 5 never was.
+        let retag = |tag: u8| {
+            let mut bytes = memo_to_bytes(&sample_memo());
+            let at = bytes.len() - 9; // the tag, then `rejected_devices`
+            assert_eq!(bytes[at], 2, "the sample memo is greedy");
+            bytes[at] = tag;
+            bytes
+        };
+        assert_eq!(memo_from_bytes(&retag(1)), Ok(sample_memo()));
+        let bank = bank_to_bytes(&learned_bank(3, 0.0));
+        let sealed = ShardSnapshot::seal(0, 8, &bank, None, Some(&retag(1)));
+        assert_eq!(ShardSnapshot::decode(&sealed).expect("v2 decodes").memo, Some(sample_memo()));
+        assert_eq!(memo_from_bytes(&retag(5)), Err(CodecError::Malformed("degradation tag")));
+
+        // The decision log: a tag-1 frame reads as greedy, and a tag-5
+        // frame ends the log like any frame that does not decode.
+        let frame = |slot: usize, tag: u8| {
+            let mut payload = Writer::with_capacity(64);
+            payload.put_usize(slot);
+            payload.put_u8(tag);
+            payload.put_usizes(&[4, 9]);
+            payload.put_bools(&[true, false]);
+            let payload = payload.into_bytes();
+            let mut w = Writer::with_capacity(16 + payload.len());
+            w.put_usize(payload.len());
+            w.put_u64(crc64(&payload));
+            let mut bytes = w.into_bytes();
+            bytes.extend_from_slice(&payload);
+            bytes
+        };
+        let dir = scratch("retired-tag");
+        fs::write(dir.join("decisions.log"), [frame(0, 1), frame(1, 5), frame(2, 0)].concat())
+            .unwrap();
+        let mut store = CheckpointStore::create(&CheckpointConfig::new(&dir), 1).expect("create");
+        let greedy = LoggedDecision {
+            slot: 0,
+            tier: Degradation::Greedy,
+            device_ids: vec![4, 9],
+            selected: vec![true, false],
+        };
+        assert_eq!(store.read_decisions().expect("read"), vec![greedy]);
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! occupancy of the bounded telemetry queue maps onto the lowest rung
 //! of the resilient scheduler's degradation ladder
 //! ([`SlotBudget::with_solver_floor`]), so a loaded edge jumps straight
-//! to the Lagrangian relaxation, the greedy knapsack, or selection
-//! reuse instead of paying for branch-and-bound it cannot afford.
+//! to the greedy knapsack or to selection reuse instead of paying for
+//! branch-and-bound it cannot afford. Each rung is cheaper than the one
+//! above it, so a higher floor never makes a slot slower.
 //!
 //! Only when the queue is *full* does the service reject — and counts
 //! it, so the stress harness can report the shed fraction at each
@@ -18,9 +19,7 @@
 
 use lpvs_core::scheduler::Degradation;
 
-/// Occupancy at which shedding starts (Lagrangian floor).
-pub const SHED_LAGRANGIAN: f64 = 0.5;
-/// Occupancy at which the floor rises to the greedy knapsack.
+/// Occupancy at which shedding starts (greedy-knapsack floor).
 pub const SHED_GREEDY: f64 = 0.75;
 /// Occupancy at which the floor rises to selection reuse.
 pub const SHED_REUSE: f64 = 0.9;
@@ -36,8 +35,6 @@ pub fn shed_floor(occupancy: f64) -> Degradation {
         Degradation::ReusedPrevious
     } else if occupancy >= SHED_GREEDY {
         Degradation::Greedy
-    } else if occupancy >= SHED_LAGRANGIAN {
-        Degradation::Lagrangian
     } else {
         Degradation::Exact
     }
@@ -46,6 +43,11 @@ pub fn shed_floor(occupancy: f64) -> Degradation {
 /// Parses a [`Degradation::label`] back to its rung — the journal's
 /// on-disk representation of a slot's shed floor.
 pub fn floor_from_label(label: &str) -> Option<Degradation> {
+    // Journals written while the ladder had a Lagrangian rung between
+    // exact and greedy may name it; it replays as the next rung down.
+    if label == "lagrangian" {
+        return Some(Degradation::Greedy);
+    }
     Degradation::ALL.into_iter().find(|d| d.label() == label)
 }
 
@@ -62,8 +64,7 @@ mod tests {
             last = f;
         }
         assert_eq!(shed_floor(0.0), Degradation::Exact);
-        assert_eq!(shed_floor(0.49), Degradation::Exact);
-        assert_eq!(shed_floor(0.5), Degradation::Lagrangian);
+        assert_eq!(shed_floor(0.74), Degradation::Exact);
         assert_eq!(shed_floor(0.75), Degradation::Greedy);
         assert_eq!(shed_floor(0.9), Degradation::ReusedPrevious);
         assert_eq!(shed_floor(1.0), Degradation::ReusedPrevious);
@@ -81,6 +82,7 @@ mod tests {
         for d in Degradation::ALL {
             assert_eq!(floor_from_label(d.label()), Some(d));
         }
+        assert_eq!(floor_from_label("lagrangian"), Some(Degradation::Greedy));
         assert_eq!(floor_from_label("warp-speed"), None);
     }
 }

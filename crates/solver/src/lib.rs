@@ -22,9 +22,8 @@
 //!   used both as ablation baselines and to seed the B&B incumbent.
 //! * [`lagrangian`] — subgradient ascent on the Lagrangian dual of the
 //!   multi-knapsack, yielding a certified (bound, incumbent) pair in
-//!   linear time per iteration.
-//! * [`presolve`](mod@presolve) — exact logical reductions (singleton/footprint
-//!   fixing, redundant-row elimination) run before the search.
+//!   linear time per iteration. The scheduler does not call it; the
+//!   end-to-end benchmark still times it.
 //! * [`problem`] — a validated builder for 0/1 programs shared by the
 //!   exact and heuristic paths.
 //!
@@ -52,7 +51,6 @@
 pub mod ilp;
 pub mod knapsack;
 pub mod lagrangian;
-pub mod presolve;
 pub mod problem;
 pub mod relax;
 pub mod simplex;
@@ -60,7 +58,6 @@ pub mod simplex;
 pub use ilp::{BranchBound, IlpStats};
 pub use knapsack::{dp_knapsack, greedy_multi_knapsack, GreedyOutcome};
 pub use lagrangian::{lagrangian_knapsack, LagrangianSolution};
-pub use presolve::{presolve, Presolve};
 pub use problem::{BinaryProgram, BinarySolution, Relation, Sense};
 pub use relax::{KnapsackRelaxation, RelaxedKnapsack};
 pub use simplex::{LinearProgram, LpSolution, LpStatus, Simplex};

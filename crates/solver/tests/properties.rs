@@ -3,8 +3,7 @@
 //! certificates on randomized instances.
 
 use lpvs_solver::{
-    greedy_multi_knapsack, lagrangian_knapsack, presolve, BinaryProgram, LinearProgram,
-    Relation, Sense,
+    greedy_multi_knapsack, lagrangian_knapsack, BinaryProgram, LinearProgram, Relation, Sense,
 };
 use proptest::prelude::*;
 
@@ -111,17 +110,6 @@ proptest! {
             "primal {} above optimum {exact}", lag.objective);
         prop_assert!(lag.upper_bound >= exact - 1e-6,
             "bound {} below optimum {exact}", lag.upper_bound);
-    }
-
-    /// Presolve never changes the optimal objective.
-    #[test]
-    fn presolve_preserves_optimum(inst in arb_instance()) {
-        let exact = brute_force(&inst);
-        let mut reduced = program(&inst);
-        let _ = presolve(&mut reduced);
-        let sol = reduced.solve().unwrap();
-        prop_assert!((sol.objective - exact).abs() < 1e-6,
-            "presolved {} vs exact {exact}", sol.objective);
     }
 
     /// A relative gap never returns a solution worse than (1−gap)·opt.

@@ -73,8 +73,8 @@ proptest! {
     /// Fleet entry ≡ row entry: solving a view of an arbitrary row
     /// subset (any order, disconnected rows elsewhere in the fleet)
     /// equals materializing those rows and solving the problem — the
-    /// selection and every statistic but the wall clock — on all three
-    /// backends, cold and warm-started from an arbitrary hint, under a
+    /// selection and every statistic but the wall clock — on both
+    /// Phase-1 solvers, cold and warm-started from an arbitrary hint, under a
     /// solver floor and a node cap.
     #[test]
     fn fleet_entry_matches_the_row_entry(
@@ -86,7 +86,6 @@ proptest! {
         lambda in 0.0f64..8.0,
         floor in prop_oneof![
             Just(None),
-            Just(Some(Degradation::Lagrangian)),
             Just(Some(Degradation::Greedy)),
             Just(Some(Degradation::ReusedPrevious)),
         ],
@@ -110,7 +109,7 @@ proptest! {
 
         let problem = fleet.subproblem(&rows, capacity, storage, lambda, &curve);
         let view = fleet.slot_view(&rows, capacity, storage, lambda, &curve);
-        for solver in [Phase1Solver::Exact, Phase1Solver::Lagrangian, Phase1Solver::Greedy] {
+        for solver in [Phase1Solver::Exact, Phase1Solver::Greedy] {
             let scheduler = LpvsScheduler::new(SchedulerConfig {
                 phase1: Phase1Config { solver, ..Phase1Config::default() },
                 ..SchedulerConfig::default()

@@ -204,6 +204,40 @@ fn a_journal_is_byte_equal_to_the_parents_and_reruns_to_the_same_decisions() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// Slot 1's marker as a server wrote it while the ladder still had a
+/// Lagrangian rung between exact and greedy, shedding onto that rung.
+const RETIRED_RUNG_MARKER: &str =
+    r#"{"op":"slot","ops":3,"queries":[],"shed":"lagrangian","slot":1}"#;
+
+#[test]
+fn a_journal_naming_the_retired_rung_replays_under_a_greedy_floor() {
+    let _serial = RECORDER.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    lpvs::obs::init().reset();
+    let root = scratch("retired");
+    // The contract journal's first two slots, slot 1 shed onto `shed`.
+    let rerun = |shed: &str| {
+        let journal = root.join(format!("{shed}.journal"));
+        let marker = RETIRED_RUNG_MARKER.replace("lagrangian", shed);
+        let lines = CONTRACT_JOURNAL[..10].iter().map(|&line| match line {
+            r#"{"op":"slot","ops":3,"queries":[],"shed":"exact","slot":1}"# => marker.as_str(),
+            line => line,
+        });
+        let text: String = lines.flat_map(|line| [line, "\n"]).collect();
+        std::fs::write(&journal, text).expect("journal written");
+        let mut engine = Scripted::new(8, 2, Some(&journal), |_| unreachable!("no live slot"));
+        assert_eq!(engine.engine.journaled_through(), Some(1));
+        engine.run();
+        engine.decisions()
+    };
+    let retired = rerun("lagrangian");
+    assert_eq!(retired.len(), 2);
+    assert_eq!(retired[&1].shed, Degradation::Greedy);
+    assert!(retired[&1].tier >= Degradation::Greedy, "{:?}", retired[&1]);
+    assert_eq!(retired, rerun("greedy"), "the retired rung replays as greedy");
+    lpvs::obs::set_enabled(false);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 const DEVICES: usize = 64;
 
 /// Slot 0 admits everyone; every later slot is a full round of

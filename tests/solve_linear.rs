@@ -2,9 +2,10 @@
 //! decision: the Phase-2 victim index against the victim scan it
 //! replaced, the knapsack relaxation against the general simplex, the
 //! branch-and-bound on top of it against brute force, the shared
-//! density order against the comparator sort it replaced — and a guard,
+//! density order against the comparator sort it replaced — and guards,
 //! in counted work rather than wall clock, that the cold solve stays
-//! linear in the cluster size.
+//! linear in the cluster size and that every fallback rung does less
+//! work than the exact one.
 //!
 //! Mutation checks, made by hand when the one-probe rule went in: a
 //! probe loop that stops after the first fitting victim of an *accepted*
@@ -13,15 +14,18 @@
 //! rejected candidate fails the tightened bound of
 //! `cold_slot_work_is_linear_in_the_cluster_size`; a density order that
 //! breaks ties by descending index fails
-//! `density_order_is_the_stable_comparator_sort`.
+//! `density_order_is_the_stable_comparator_sort`; a greedy rung that
+//! reports 200 pivots (a subgradient loop's iterations) fails
+//! `every_rung_below_exact_does_less_work`.
 
+use lpvs::core::budget::SlotBudget;
 use lpvs::core::compact::compact_device;
 use lpvs::core::fleet::DeviceFleet;
 use lpvs::core::objective::device_objective;
 use lpvs::core::phase1::{solve_phase1, Phase1Config};
 use lpvs::core::phase2::{run_phase2_over, Phase2Stats};
 use lpvs::core::problem::{DeviceRequest, SlotProblem};
-use lpvs::core::scheduler::LpvsScheduler;
+use lpvs::core::scheduler::{Degradation, LpvsScheduler};
 use lpvs::emulator::experiment::synthetic_problem;
 use lpvs::solver::{
     greedy_multi_knapsack, BinaryProgram, KnapsackRelaxation, LinearProgram, Relation, Sense,
@@ -662,5 +666,29 @@ fn cold_slot_work_is_linear_in_the_cluster_size() {
         );
         assert_eq!(stats.phase1_pivots, 0, "N={n}");
         assert_eq!(stats.phase1_nodes, 1, "N={n}");
+    }
+}
+
+/// The ladder's cost is monotone, in counted work: a rung below exact —
+/// forced by the budget's solver floor — expands no branch-and-bound
+/// node, pivots nothing and probes at most one victim per device, and
+/// the reuse and passthrough rungs probe none.
+#[test]
+fn every_rung_below_exact_does_less_work() {
+    let scheduler = LpvsScheduler::paper_default();
+    for n in [2_000usize, 8_000, 16_000] {
+        let problem = synthetic_problem(n, 0.4 * n as f64, 1.0, 7);
+        let standing = scheduler.schedule(&problem).unwrap().selected;
+        for rung in [Degradation::Greedy, Degradation::ReusedPrevious, Degradation::Passthrough] {
+            let budget = SlotBudget::unbounded().with_solver_floor(rung);
+            let stats = scheduler.schedule_resilient(&problem, Some(&standing), &budget).stats;
+            assert_eq!(stats.degradation, rung, "N={n}");
+            assert_eq!((stats.phase1_nodes, stats.phase1_pivots), (0, 0), "N={n}, {rung}");
+            let probes = stats.phase2.swaps_tried;
+            assert!(probes <= n, "N={n}, {rung}: {probes} victim probes");
+            if rung > Degradation::Greedy {
+                assert_eq!(probes, 0, "N={n}, {rung}");
+            }
+        }
     }
 }
