@@ -3,8 +3,9 @@
 //! overhead check (recording disabled vs. enabled on the same slots) and
 //! the cold slot decomposed into its stages at the benchmark's largest
 //! size, so the next cold-slot change starts from a committed table:
-//! load / compact / orders + seed / bound / Phase-2 score / index /
-//! probe / account. The scheduler's stages are its own spans; the three
+//! load / compact (the one fused score walk) / orders + seed / bound /
+//! Phase-2 rank / index / probe / account. The scheduler's stages are
+//! its own spans; the three
 //! solver rows time the solver crate's public entry points on the same
 //! Phase-1 program (`lpvs-solver` records no spans).
 //!
@@ -236,16 +237,16 @@ fn cold_slot_stages(n: usize, reps: usize) -> Vec<(&'static str, &'static str, f
 
     vec![
         ("load", "span sched.sanitize: rows → columns", span("sched.sanitize")),
-        ("compact", "span sched.compact: savings + feasibility kernel", span("sched.compact")),
+        ("compact", "span sched.compact: one walk a row (feasibility, saving, eq.-13 off/on)", span("sched.compact")),
         ("orders_seed", "greedy_multi_knapsack: density order + greedy pass", seed),
         ("bound", "KnapsackRelaxation::of(..).solve(..): row order + fill", bound),
         ("bnb", "BranchBound::solve, whole (orders + seed + bound + rounding)", search),
-        ("phase1", "span sched.phase1 (compact + program + B&B)", span("sched.phase1")),
-        ("phase2", "span sched.phase2, whole (score + index + candidates + probe)", span("sched.phase2")),
-        ("phase2_score", "span sched.phase2.score: eq.-13 off/on + feasibility", span("sched.phase2.score")),
-        ("phase2_index", "span sched.phase2.index: sort by loss + segment tree", span("sched.phase2.index")),
+        ("phase1", "span sched.phase1 (program + B&B, on the compact score)", span("sched.phase1")),
+        ("phase2", "span sched.phase2, whole (rank + index + probe)", span("sched.phase2")),
+        ("phase2_rank", "span sched.phase2.rank: capacity used + candidates by anxiety", span("sched.phase2.rank")),
+        ("phase2_index", "span sched.phase2.index: loss, its order + segment tree", span("sched.phase2.index")),
         ("phase2_probe", "span sched.phase2.probe: one descent per candidate", span("sched.phase2.probe")),
-        ("account", "span sched.account: terms picked from Phase-2's", span("sched.account")),
+        ("account", "span sched.account: terms picked from the compact score", span("sched.account")),
         ("slot", "span sched.slot, whole", span("sched.slot")),
     ]
 }

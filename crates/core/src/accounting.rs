@@ -7,8 +7,9 @@
 //! totals from the kept terms in index order, bit-identical to
 //! evaluating every row — which is what an empty cache (a cold solve)
 //! does. Derived state: never serialised, rebuilt at full price by
-//! whoever finds none — but a cold solve whose Phase-2 scored every row
-//! under both decisions picks its terms from those (`from_scored`), and
+//! whoever finds none — but a cold solve that scored every row under
+//! both decisions, before Phase-1, picks its terms from that score
+//! (`from_scored`), and
 //! a row is evaluated by one owner a slot: the shard that solved it
 //! hands its terms on ([`RowAccounting::shipment`]) and the fleet join
 //! adopts them ([`RowAccounting::adopt`]) instead of calling the kernel
@@ -17,8 +18,7 @@
 //! before naming a stale set is that every other row is unchanged.
 
 use crate::fleet::{DeviceFleet, SlotView};
-use crate::kernels::{device_objective_batch, Select};
-use crate::phase2::Scored;
+use crate::kernels::{device_objective_batch, Scores, Select};
 use lpvs_survey::curve::AnxietyCurve;
 
 /// Rows per eq.-13 kernel call: stack-resident index and decision
@@ -48,18 +48,16 @@ impl RowAccounting {
         terms
     }
 
-    /// [`RowAccounting::of`], bit for bit, picked from the terms Phase-2
-    /// scored for every position under both decisions (the `on` column
-    /// becomes the objective column). `selected` is the final selection:
-    /// a row masked out after Phase-2 reads `off`.
-    pub(crate) fn from_scored(view: SlotView<'_>, selected: &[bool], scored: Scored) -> Self {
-        let Scored { off, on: mut objective } = scored;
+    /// [`RowAccounting::of`], bit for bit, picked from a score of every
+    /// position ([`kernels::score_rows`](crate::kernels::score_rows)):
+    /// the `on` and `saving` columns become the kept ones, and an
+    /// unselected row reads `off` and a saving of 0.0. `selected` is the
+    /// final selection, so a row masked out after Phase-2 reads them too.
+    pub(crate) fn from_scored(view: SlotView<'_>, selected: &[bool], scores: Scores) -> Self {
+        let Scores { off, on: mut objective, saving: mut saving_j, .. } = scores;
         for (p, _) in selected.iter().enumerate().filter(|(_, &x)| !x) {
-            objective[p] = off[p];
+            (objective[p], saving_j[p]) = (off[p], 0.0);
         }
-        let fleet = view.fleet();
-        let saving = |(&x, &row): (&bool, &usize)| if x { fleet.saving_j(row) } else { 0.0 };
-        let saving_j = selected.iter().zip(view.rows()).map(saving).collect();
         Self { objective, saving_j, priced: Some((view.lambda(), view.curve().clone())) }
     }
 

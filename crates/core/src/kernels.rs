@@ -20,8 +20,18 @@
 //!   lane** (4 × f64): each lane walks its own device's chunks in
 //!   playback order, so every lane performs *exactly* the scalar
 //!   reduction — same order, same operations, no FMA contraction. It
-//!   earns 6–10× on the kernel and the kernel runs three times per
-//!   slot, so it stays.
+//!   earns 6–10× on the kernel, and the kernel runs once per cold slot,
+//!   so it stays;
+//! * [`score_rows`] fuses them: **one walk** of each row's chunks with
+//!   independent accumulators — constraint (11)'s two prefix masses,
+//!   eq. (13) with the transform off and on — giving every output the
+//!   three kernels give, bit for bit, on both paths. The transform-off
+//!   chain's prefix *is* constraint (11)'s `total` (its ψ is `1·p`), so
+//!   that sum is kept once. The per-chunk steps are shared
+//!   `#[inline(always)]` helpers (`scalar::compact_step`,
+//!   `scalar::objective_step` and their AVX2 mirrors), so no equation
+//!   has a second implementation. A cold slot scores its view with it
+//!   once, and compact, Phase-2 and the accounting all read that score.
 //!
 //! ## The bit-identity contract
 //!
@@ -152,6 +162,47 @@ pub struct FleetColumns<'a> {
 }
 
 impl<'a> FleetColumns<'a> {
+    /// A view over caller-owned columns — for columns that are not a
+    /// [`DeviceFleet`](crate::fleet::DeviceFleet)'s, such as the
+    /// zero-chunk rows a fleet never stores. Device `i`'s chunks are
+    /// `chunk_offsets[i]..chunk_offsets[i + 1]` of the two chunk columns.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `chunk_offsets` starts at 0, never decreases and
+    /// ends at the chunk columns' common length, and the three
+    /// per-device columns hold one entry per device. The values must be
+    /// what a fleet admits
+    /// ([`DeviceRequest::is_valid`](crate::problem::DeviceRequest::is_valid)):
+    /// rates finite and ≥ 0, durations finite and > 0, energy finite and
+    /// ≥ 0, capacity finite and > 0, γ in `[0, 1)` — else a battery
+    /// fraction is NaN, which the two paths would not handle alike.
+    pub fn new(
+        chunk_offsets: &'a [usize],
+        power_rates_w: &'a [f64],
+        chunk_secs: &'a [f64],
+        energy_j: &'a [f64],
+        capacity_j: &'a [f64],
+        gamma_mean: &'a [f64],
+    ) -> Self {
+        assert_eq!(chunk_offsets.first(), Some(&0), "offsets must start at 0");
+        assert!(chunk_offsets.windows(2).all(|w| w[0] <= w[1]), "offsets must not decrease");
+        let chunks = power_rates_w.len();
+        assert_eq!(chunk_offsets.last(), Some(&chunks), "offsets must cover the rates");
+        assert_eq!(chunk_secs.len(), power_rates_w.len(), "one duration per rate");
+        let n = chunk_offsets.len() - 1;
+        assert!(
+            energy_j.len() == n && capacity_j.len() == n && gamma_mean.len() == n,
+            "one energy, capacity and γ per device"
+        );
+        assert!(power_rates_w.iter().all(|p| p.is_finite() && *p >= 0.0), "rates finite, ≥ 0");
+        assert!(chunk_secs.iter().all(|d| d.is_finite() && *d > 0.0), "durations finite, > 0");
+        assert!(energy_j.iter().all(|e| e.is_finite() && *e >= 0.0), "energy finite, ≥ 0");
+        assert!(capacity_j.iter().all(|c| c.is_finite() && *c > 0.0), "capacity finite, > 0");
+        assert!(gamma_mean.iter().all(|g| (0.0..1.0).contains(g)), "γ in [0, 1)");
+        Self { chunk_offsets, power_rates_w, chunk_secs, energy_j, capacity_j, gamma_mean }
+    }
+
     /// Number of devices in the view.
     pub fn len(&self) -> usize {
         self.chunk_offsets.len() - 1
@@ -233,8 +284,8 @@ pub fn transform_feasible_batch(cols: &FleetColumns<'_>, indices: &[usize], out:
 /// the constraint-(11) verdict to `out_feasible` and the transform
 /// saving `γ · Σ p·Δ` (J) to `out_savings` — bit-identical to
 /// [`DeviceRequest::saving_j`](crate::problem::DeviceRequest::saving_j).
-/// This is the Phase-1 candidate-scoring kernel (the compact/gather
-/// stage scores every device on both quantities).
+/// The two Phase-1 inputs alone, for callers that build a Phase-1
+/// program by hand; a solve takes them from [`score_rows`].
 ///
 /// # Panics
 ///
@@ -291,10 +342,123 @@ pub fn device_objective_batch_with(
     }
 }
 
+/// Every per-row output of the batch kernels, one entry per scored row
+/// in row-list order.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Scores {
+    /// Constraint-(11) verdict, as [`transform_feasible_batch`] gives it.
+    pub feasible: Vec<bool>,
+    /// Transform saving `γ · Σ p·Δ` (J), as [`transform_savings_batch`]
+    /// gives it.
+    pub saving: Vec<f64>,
+    /// Eq.-13 term untransformed, as [`device_objective_batch`] gives it
+    /// under `Select::Uniform(false)`.
+    pub off: Vec<f64>,
+    /// Eq.-13 term transformed, as [`device_objective_batch`] gives it
+    /// under `Select::Uniform(true)`.
+    pub on: Vec<f64>,
+}
+
+impl Scores {
+    fn with_capacity(n: usize) -> Self {
+        Self {
+            feasible: Vec::with_capacity(n),
+            saving: Vec::with_capacity(n),
+            off: Vec::with_capacity(n),
+            on: Vec::with_capacity(n),
+        }
+    }
+
+    /// Appends row `i`'s outputs from its walk's accumulators.
+    #[inline(always)]
+    fn push(&mut self, cols: &FleetColumns<'_>, i: usize, [total, weighted, off, on]: [f64; 4]) {
+        self.feasible.push(scalar::row_feasible(cols, i, total, weighted));
+        self.saving.push(cols.gamma_mean[i] * total);
+        self.off.push(off);
+        self.on.push(on);
+    }
+}
+
+/// Feasibility, saving and both eq.-13 terms of every row in `rows`, in
+/// one walk of each row's chunks — bit for bit what
+/// [`transform_savings_batch`] and two [`device_objective_batch`] calls
+/// (transform off, transform on) give. Runs on [`active_path`].
+///
+/// # Panics
+///
+/// Panics if any row is out of bounds for the columns.
+pub fn score_rows(
+    cols: &FleetColumns<'_>,
+    rows: &[usize],
+    lambda: f64,
+    curve: &AnxietyCurve,
+) -> Scores {
+    score_rows_with(active_path(), cols, rows, lambda, curve)
+}
+
+/// [`score_rows`] on an explicit path (for tests/benches).
+pub fn score_rows_with(
+    path: KernelPath,
+    cols: &FleetColumns<'_>,
+    rows: &[usize],
+    lambda: f64,
+    curve: &AnxietyCurve,
+) -> Scores {
+    let mut out = Scores::with_capacity(rows.len());
+    match path {
+        #[cfg(target_arch = "x86_64")]
+        KernelPath::Avx2 => {
+            // SAFETY: `Avx2` is only handed out after CPU detection, and
+            // the columns keep every row's chunk range in bounds.
+            unsafe { avx2::score_rows(cols, rows, lambda, curve, &mut out) }
+        }
+        _ => scalar::score_rows(cols, rows, lambda, curve, &mut out),
+    }
+    out
+}
+
+/// Adds the chunk steps one walk of `rows` takes to
+/// `sched_chunk_steps_total{stage}` — the scheduler's count of what its
+/// kernels read — when recording is on.
+pub(crate) fn count_chunk_steps(stage: &str, cols: &FleetColumns<'_>, rows: &[usize]) {
+    if lpvs_obs::enabled() {
+        let offsets = cols.chunk_offsets;
+        let steps: usize = rows.iter().map(|&i| offsets[i + 1] - offsets[i]).sum();
+        lpvs_obs::add_labeled("sched_chunk_steps_total", &[("stage", stage)], steps as u64);
+    }
+}
+
 /// Portable per-row loops — the reference semantics both paths share.
 mod scalar {
-    use super::{FleetColumns, Select};
+    use super::{FleetColumns, Scores, Select};
     use lpvs_survey::curve::AnxietyCurve;
+
+    /// One chunk of constraint (11)'s prefix masses, in the exact
+    /// accumulation order of `compact_device`: `total += p·Δ`,
+    /// `weighted += ((K − κ)·p)·Δ`, with `km = K − κ`.
+    #[inline(always)]
+    pub(super) fn compact_step(total: &mut f64, weighted: &mut f64, km: f64, p: f64, d: f64) {
+        *total += p * d;
+        *weighted += km * p * d;
+    }
+
+    /// One chunk's eq.-13 term, `(ψ + λ·φ(max(e(1) − prefix, 0) / cap))·Δ`,
+    /// at transformed power `psi` on a battery the earlier chunks drained
+    /// by `prefix_j`.
+    #[inline(always)]
+    pub(super) fn objective_step(
+        psi: f64,
+        d: f64,
+        prefix_j: f64,
+        energy_j: f64,
+        capacity_j: f64,
+        lambda: f64,
+        curve: &AnxietyCurve,
+    ) -> f64 {
+        let energy = (energy_j - prefix_j).max(0.0);
+        let anxiety = curve.phi(energy / capacity_j);
+        (psi + lambda * anxiety) * d
+    }
 
     /// One row of constraint (11): `(total, weighted)` prefix masses in
     /// the exact accumulation order of `compact_device`.
@@ -309,9 +473,8 @@ mod scalar {
         // bit-identical to the `compact_device` formulation while
         // avoiding a u64→f64 conversion in the inner loop.
         let mut km = k - 1.0;
-        for (p, d) in rates.iter().zip(secs) {
-            total += p * d;
-            weighted += km * p * d;
+        for (&p, &d) in rates.iter().zip(secs) {
+            compact_step(&mut total, &mut weighted, km, p, d);
             km -= 1.0;
         }
         (total, weighted)
@@ -365,28 +528,56 @@ mod scalar {
             let capacity_j = cols.capacity_j[i];
             let mut prefix_j = 0.0;
             let mut total = 0.0;
-            for (p, d) in rates.iter().zip(secs) {
+            for (&p, &d) in rates.iter().zip(secs) {
                 let psi = factor * p;
-                let energy = (energy_j - prefix_j).max(0.0);
-                let anxiety = curve.phi(energy / capacity_j);
-                total += (psi + lambda * anxiety) * d;
+                total += objective_step(psi, d, prefix_j, energy_j, capacity_j, lambda, curve);
                 prefix_j += psi * d;
             }
             out.push(total);
         }
     }
+
+    /// The fused walk: constraint (11)'s `total` and `weighted`, eq. 13
+    /// untransformed (ψ = `1·p` = `p`, so its prefix is `total` before
+    /// the chunk) and transformed (its own prefix), each accumulator in
+    /// its kernel's order.
+    pub(super) fn score_rows(
+        cols: &FleetColumns<'_>,
+        rows: &[usize],
+        lambda: f64,
+        curve: &AnxietyCurve,
+        out: &mut Scores,
+    ) {
+        for &i in rows {
+            let (rates, secs) = cols.chunks(i);
+            let (energy_j, capacity_j) = (cols.energy_j[i], cols.capacity_j[i]);
+            let factor = 1.0 - cols.gamma_mean[i];
+            let mut km = rates.len() as f64 - 1.0;
+            let (mut total, mut weighted) = (0.0, 0.0);
+            let (mut off, mut on, mut on_prefix) = (0.0, 0.0, 0.0);
+            for (&p, &d) in rates.iter().zip(secs) {
+                off += objective_step(p, d, total, energy_j, capacity_j, lambda, curve);
+                let psi = factor * p;
+                on += objective_step(psi, d, on_prefix, energy_j, capacity_j, lambda, curve);
+                on_prefix += psi * d;
+                compact_step(&mut total, &mut weighted, km, p, d);
+                km -= 1.0;
+            }
+            out.push(cols, i, [total, weighted, off, on]);
+        }
+    }
 }
 
-/// AVX2 lane-per-device eq. (13) kernel. Four devices ride one
-/// `__m256d`; each lane's chunk walk is the scalar reduction verbatim
-/// (separate `mul`/`add` intrinsics — never FMA — in the scalar
+/// AVX2 lane-per-device eq. (13) and fused score kernels. Four devices
+/// ride one `__m256d`; each lane's chunk walk is the scalar reduction
+/// verbatim (separate `mul`/`add` intrinsics — never FMA — in the scalar
 /// association order), so results are bit-identical to the scalar path.
 /// Lanes whose device has fewer chunks than the group maximum are
 /// masked: their gathers return `+0.0` and contribute exact no-ops to
-/// both accumulators.
+/// every accumulator.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{FleetColumns, Select};
+    use super::{FleetColumns, Scores, Select};
     use lpvs_survey::curve::AnxietyCurve;
     use std::arch::x86_64::*;
 
@@ -476,6 +667,135 @@ mod avx2 {
         _mm256_blendv_pd(r, v0, low)
     }
 
+    /// `scalar::objective_step` on four lanes, operation for operation.
+    /// (`#[inline]`, not `always`: a `target_feature` function may not
+    /// be `inline(always)`; every caller is AVX2 code, so it inlines.)
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn objective_step4(
+        psi: __m256d,
+        d: __m256d,
+        prefix: __m256d,
+        energy_j: __m256d,
+        capacity: __m256d,
+        lam: __m256d,
+        values: &[f64; 100],
+    ) -> __m256d {
+        // energy = max(e(1) − prefix, 0) — exact scalar mirror.
+        let energy = _mm256_max_pd(_mm256_sub_pd(energy_j, prefix), _mm256_setzero_pd());
+        let anxiety = phi4(values, _mm256_div_pd(energy, capacity));
+        // (ψ + λ·anxiety)·d
+        _mm256_mul_pd(_mm256_add_pd(psi, _mm256_mul_pd(lam, anxiety)), d)
+    }
+
+    /// `scalar::compact_step` on four lanes. A masked lane (`p = d = 0`,
+    /// `km < 0` once exhausted) adds `+0.0` and `−0.0`: exact no-ops.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn compact_step4(
+        total: &mut __m256d,
+        weighted: &mut __m256d,
+        km: __m256d,
+        p: __m256d,
+        d: __m256d,
+    ) {
+        *total = _mm256_add_pd(*total, _mm256_mul_pd(p, d));
+        *weighted = _mm256_add_pd(*weighted, _mm256_mul_pd(_mm256_mul_pd(km, p), d));
+    }
+
+    /// Each lane's first flat chunk position, as a vector (the walk
+    /// advances it by one per chunk step).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn start_vec(g: &Group) -> __m256i {
+        let s = |l: usize| g.starts[l] as i64;
+        _mm256_set_epi64x(s(3), s(2), s(1), s(0))
+    }
+
+    /// The lanes still walking at chunk step `j`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn live(len: __m256i, j: usize) -> __m256d {
+        _mm256_castsi256_pd(_mm256_cmpgt_epi64(len, _mm256_set1_epi64x(j as i64)))
+    }
+
+    /// `scalar::score_rows` four rows at a time: the five accumulators
+    /// ride the same lanes, so each chunk's `p` and `d` are gathered
+    /// once for all of them.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2. The gathers read only live lanes at
+    /// positions inside their row's chunk range, which the columns'
+    /// offsets keep inside the chunk columns (`FleetColumns::new`
+    /// checks this; a fleet's columns hold it by construction), and
+    /// `group` indexes the offsets with bounds checks first.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn score_rows(
+        cols: &FleetColumns<'_>,
+        rows: &[usize],
+        lambda: f64,
+        curve: &AnxietyCurve,
+        out: &mut Scores,
+    ) {
+        let rates = cols.power_rates_w.as_ptr();
+        let secs = cols.chunk_secs.as_ptr();
+        let values = curve.values();
+        let zero = _mm256_setzero_pd();
+        let one = _mm256_set1_pd(1.0);
+        let one_i = _mm256_set1_epi64x(1);
+        let lam = _mm256_set1_pd(lambda);
+        let mut groups = rows.chunks_exact(LANES);
+        for idx in &mut groups {
+            let g = group(cols, idx);
+            let factor = _mm256_sub_pd(one, gather_lane(idx, cols.gamma_mean));
+            let energy_j = gather_lane(idx, cols.energy_j);
+            let capacity = gather_lane(idx, cols.capacity_j);
+            let len = len_vec(&g);
+            let k = |l: usize| g.lens[l] as f64;
+            let mut km = _mm256_sub_pd(_mm256_set_pd(k(3), k(2), k(1), k(0)), one);
+            let mut pos = start_vec(&g);
+            let (mut total, mut weighted) = (zero, zero);
+            let (mut off, mut on, mut on_prefix) = (zero, zero, zero);
+            for j in 0..g.max_len {
+                let live = live(len, j);
+                let p = _mm256_mask_i64gather_pd::<8>(zero, rates, pos, live);
+                let d = _mm256_mask_i64gather_pd::<8>(zero, secs, pos, live);
+                let step = objective_step4(p, d, total, energy_j, capacity, lam, values);
+                off = _mm256_add_pd(off, step);
+                let psi = _mm256_mul_pd(factor, p);
+                let step = objective_step4(psi, d, on_prefix, energy_j, capacity, lam, values);
+                on = _mm256_add_pd(on, step);
+                on_prefix = _mm256_add_pd(on_prefix, _mm256_mul_pd(psi, d));
+                compact_step4(&mut total, &mut weighted, km, p, d);
+                km = _mm256_sub_pd(km, one);
+                pos = _mm256_add_epi64(pos, one_i);
+            }
+            let (total, weighted) = (to_array(total), to_array(weighted));
+            let (off, on) = (to_array(off), to_array(on));
+            for (l, &i) in idx.iter().enumerate() {
+                out.push(cols, i, [total[l], weighted[l], off[l], on[l]]);
+            }
+        }
+        super::scalar::score_rows(cols, groups.remainder(), lambda, curve, out);
+    }
+
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn device_objective(
         cols: &FleetColumns<'_>,
@@ -505,26 +825,16 @@ mod avx2 {
             let energy_j = gather_lane(idx, cols.energy_j);
             let capacity = gather_lane(idx, cols.capacity_j);
             let len = len_vec(&g);
-            let mut pos = _mm256_set_epi64x(
-                g.starts[3] as i64,
-                g.starts[2] as i64,
-                g.starts[1] as i64,
-                g.starts[0] as i64,
-            );
+            let mut pos = start_vec(&g);
             let mut prefix = zero;
             let mut total = zero;
             for j in 0..g.max_len {
-                let live =
-                    _mm256_castsi256_pd(_mm256_cmpgt_epi64(len, _mm256_set1_epi64x(j as i64)));
+                let live = live(len, j);
                 let p = _mm256_mask_i64gather_pd::<8>(zero, rates, pos, live);
                 let d = _mm256_mask_i64gather_pd::<8>(zero, secs, pos, live);
                 let psi = _mm256_mul_pd(factor, p);
-                // energy = max(e(1) − prefix, 0) — exact scalar mirror.
-                let energy = _mm256_max_pd(_mm256_sub_pd(energy_j, prefix), zero);
-                let anxiety = phi4(values, _mm256_div_pd(energy, capacity));
-                // total += (ψ + λ·anxiety)·d
-                let t = _mm256_mul_pd(_mm256_add_pd(psi, _mm256_mul_pd(lam, anxiety)), d);
-                total = _mm256_add_pd(total, t);
+                let step = objective_step4(psi, d, prefix, energy_j, capacity, lam, values);
+                total = _mm256_add_pd(total, step);
                 // prefix += ψ·d
                 prefix = _mm256_add_pd(prefix, _mm256_mul_pd(psi, d));
                 pos = _mm256_add_epi64(pos, one_i);

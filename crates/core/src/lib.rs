@@ -41,7 +41,8 @@
 //!   [`SlotView`] over it, with per-row dirty bits and epoch counters
 //!   feeding the delta path;
 //! * [`kernels`] — the batched columnar kernels for constraint (11)
-//!   and eq. (13) that every solve runs on;
+//!   and eq. (13) that every solve runs on, and [`score_rows`], which
+//!   gives all of them in one walk of each row's chunks;
 //! * [`delta`] — delta-aware incremental solving: [`SlotDelta`] change
 //!   sets and the residual sub-solve that re-solves only the dirty
 //!   frontier of a shard;
@@ -111,8 +112,8 @@ pub use delta::{solve_incremental, solve_shard_incremental, SlotDelta};
 pub use explain::{explain, Explanation, Reason};
 pub use fleet::{DeviceFleet, DirtyFrontier, FleetDevice, SlotView};
 pub use kernels::{
-    active_path, detected_path, device_objective_batch, set_forced_path, transform_feasible_batch,
-    transform_savings_batch, FleetColumns, KernelPath, Select,
+    active_path, detected_path, device_objective_batch, score_rows, set_forced_path,
+    transform_feasible_batch, transform_savings_batch, FleetColumns, KernelPath, Scores, Select,
 };
 pub use objective::{device_objective, objective_value, objective_value_recursive};
 pub use phase1::{solve_phase1, Phase1Config, Phase1Result, Phase1Solver};

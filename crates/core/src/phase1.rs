@@ -17,7 +17,7 @@
 //! never makes an infeasible selection possible.
 
 use crate::fleet::{with_problem_view, SlotView};
-use crate::kernels;
+use crate::kernels::{self, Scores};
 use crate::problem::SlotProblem;
 use lpvs_solver::{BinaryProgram, Relation, Sense, SolverError};
 use serde::{Deserialize, Serialize};
@@ -113,17 +113,36 @@ pub fn solve_phase1_warm(
     config: &Phase1Config,
     hint: Option<&[bool]>,
 ) -> Result<Phase1Result, SolverError> {
-    with_problem_view(problem, |view| solve_view(view, config, hint))
+    with_problem_view(problem, |view| {
+        let mut scores = score_view(view);
+        solve(view, config, hint, &mut scores.saving, &scores.feasible)
+    })
 }
 
-/// Phase-1 over a view with the configured solver, warm-started from
-/// `hint` (positional, like the view's rows; see the module docs for
-/// the contract). An offered hint bumps
-/// `delta_warm_start_{hit,miss}_total` once.
-pub(crate) fn solve_view(
+/// Information compacting (paper §V-B): every row's feasibility, saving
+/// and eq.-13 terms under both decisions, in one walk of its chunks
+/// ([`kernels::score_rows`]). A solve scores its view once, and Phase-1,
+/// Phase-2 and the accounting of the final selection all read it.
+pub(crate) fn score_view(view: SlotView<'_>) -> Scores {
+    let _span = lpvs_obs::span!("sched.compact", "devices" => view.len());
+    let cols = view.columns();
+    kernels::count_chunk_steps("score", &cols, view.rows());
+    kernels::score_rows(&cols, view.rows(), view.lambda(), view.curve())
+}
+
+/// Phase-1 over a view with the configured solver, on the savings and
+/// verdicts of its score ([`score_view`], positional like the view's
+/// rows), warm-started from `hint` (see the module docs for the
+/// contract). An offered hint bumps `delta_warm_start_{hit,miss}_total`
+/// once. The exact solver lends `savings` to its program and takes it
+/// back, so a solve that succeeds leaves the column as it came, for
+/// Phase-2 and the accounting (one that fails may leave it empty).
+pub(crate) fn solve(
     view: SlotView<'_>,
     config: &Phase1Config,
     hint: Option<&[bool]>,
+    savings: &mut Vec<f64>,
+    feasible: &[bool],
 ) -> Result<Phase1Result, SolverError> {
     if view.is_empty() {
         return Ok(Phase1Result {
@@ -135,9 +154,11 @@ pub(crate) fn solve_view(
             warm_start_used: false,
         });
     }
-    let inputs = Compacted::gather(view);
-    let cleaned = hint.filter(|h| h.len() == inputs.feasible.len()).map(|h| {
-        h.iter().zip(&inputs.feasible).map(|(&x, &ok)| x && ok).collect::<Vec<bool>>()
+    let infeasible_devices = feasible.iter().filter(|&&f| !f).count();
+    let (g, h): (Vec<f64>, Vec<f64>) =
+        (0..view.len()).map(|position| view.cost(position).into()).unzip();
+    let cleaned = hint.filter(|h| h.len() == feasible.len()).map(|h| {
+        h.iter().zip(feasible).map(|(&x, &ok)| x && ok).collect::<Vec<bool>>()
     });
     let record_warm = |used: bool| match hint {
         Some(_) if used => lpvs_obs::inc("delta_warm_start_hit_total"),
@@ -146,8 +167,7 @@ pub(crate) fn solve_view(
     };
     match config.solver {
         Phase1Solver::Exact => {
-            let Compacted { savings, feasible, g, h, infeasible_devices } = inputs;
-            let mut ilp = BinaryProgram::new(Sense::Maximize, savings)?;
+            let mut ilp = BinaryProgram::new(Sense::Maximize, std::mem::take(savings))?;
             ilp.add_constraint(g, Relation::Le, view.compute_capacity())?;
             ilp.add_constraint(h, Relation::Le, view.storage_capacity_gb())?;
             for (i, &ok) in feasible.iter().enumerate() {
@@ -161,6 +181,7 @@ pub(crate) fn solve_view(
             let warm_start_used = cleaned.is_some_and(|x| search.warm_start(x));
             record_warm(warm_start_used);
             let solution = search.solve()?;
+            *savings = ilp.into_objective();
             lpvs_obs::add("solver_orders_sorted_total", solution.stats.orders_sorted as u64);
             Ok(Phase1Result {
                 energy_saved_j: solution.objective,
@@ -172,18 +193,27 @@ pub(crate) fn solve_view(
             })
         }
         Phase1Solver::Greedy => {
+            let savings = savings.as_slice();
             let fixings: Vec<Option<bool>> =
-                inputs.feasible.iter().map(|&ok| (!ok).then_some(false)).collect();
+                feasible.iter().map(|&ok| (!ok).then_some(false)).collect();
             let rows = [
-                (inputs.g.as_slice(), view.compute_capacity()),
-                (inputs.h.as_slice(), view.storage_capacity_gb()),
+                (g.as_slice(), view.compute_capacity()),
+                (h.as_slice(), view.storage_capacity_gb()),
             ];
-            let mut selected =
-                lpvs_solver::greedy_multi_knapsack(&inputs.savings, &rows, &fixings).x;
-            let mut energy_saved_j = inputs.saved_j(&selected);
+            let mut selected = lpvs_solver::greedy_multi_knapsack(savings, &rows, &fixings).x;
+            let saved_j = |x: &[bool]| -> f64 {
+                savings.iter().zip(x).map(|(s, &x)| if x { *s } else { 0.0 }).sum()
+            };
+            let fits = |x: &[bool]| {
+                let used = |costs: &[f64]| -> f64 {
+                    costs.iter().zip(x).map(|(c, &v)| if v { *c } else { 0.0 }).sum()
+                };
+                used(&g) <= view.compute_capacity() && used(&h) <= view.storage_capacity_gb()
+            };
+            let mut energy_saved_j = saved_j(&selected);
             let mut warm_start_used = false;
-            if let Some(x) = cleaned.filter(|x| inputs.fits(view, x)) {
-                let hint_saving = inputs.saved_j(&x);
+            if let Some(x) = cleaned.filter(|x| fits(x)) {
+                let hint_saving = saved_j(&x);
                 if hint_saving > energy_saved_j {
                     (selected, energy_saved_j, warm_start_used) = (x, hint_saving, true);
                 }
@@ -192,52 +222,12 @@ pub(crate) fn solve_view(
             Ok(Phase1Result {
                 selected,
                 energy_saved_j,
-                infeasible_devices: inputs.infeasible_devices,
+                infeasible_devices,
                 nodes: 0,
                 pivots: 0,
                 warm_start_used,
             })
         }
-    }
-}
-
-/// Per-device inputs of both solvers: savings coefficients,
-/// energy-feasibility verdicts, and the two capacity rows. Gathered once
-/// per solve via information compacting (paper §V-B), touching each
-/// device's chunk table a single time.
-struct Compacted {
-    savings: Vec<f64>,
-    feasible: Vec<bool>,
-    g: Vec<f64>,
-    h: Vec<f64>,
-    infeasible_devices: usize,
-}
-
-impl Compacted {
-    fn gather(view: SlotView<'_>) -> Self {
-        let _span = lpvs_obs::span!("sched.compact", "devices" => view.len());
-        // Candidate scoring is one pass of the batched columnar kernel
-        // (savings + feasibility together) — bit-identical to the
-        // per-row `saving_j` / `compact_device` oracles.
-        let mut savings = Vec::new();
-        let mut feasible = Vec::new();
-        kernels::transform_savings_batch(&view.columns(), view.rows(), &mut feasible, &mut savings);
-        let infeasible_devices = feasible.iter().filter(|&&f| !f).count();
-        let (g, h) = (0..view.len()).map(|position| view.cost(position).into()).unzip();
-        Self { savings, feasible, g, h, infeasible_devices }
-    }
-
-    /// Sums the savings of a selection.
-    fn saved_j(&self, selected: &[bool]) -> f64 {
-        self.savings.iter().zip(selected).map(|(s, &x)| if x { *s } else { 0.0 }).sum()
-    }
-
-    /// Whether a selection fits both capacity rows.
-    fn fits(&self, view: SlotView<'_>, x: &[bool]) -> bool {
-        let used = |costs: &[f64]| -> f64 {
-            costs.iter().zip(x).map(|(c, &v)| if v { *c } else { 0.0 }).sum()
-        };
-        used(&self.g) <= view.compute_capacity() && used(&self.h) <= view.storage_capacity_gb()
     }
 }
 

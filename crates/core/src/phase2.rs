@@ -28,13 +28,26 @@
 //! it, so a least delta that is rejected (`≥ −1e-12`) ends the candidate
 //! after **one probe**; only a swap that will be accepted probes on.
 //!
-//! The terms scored under both decisions are handed back with the stats
-//! (`phase2_scored`): a cold solve accounts its final selection from
-//! them (`RowAccounting::from_scored`), not from a third kernel pass.
+//! **Scoring.** Phase-2 reads each in-scope row's transform feasibility
+//! and its eq.-13 term under both decisions, all from one walk of the
+//! row's chunks ([`kernels::score_rows`]). A full solve scores its view
+//! once, before Phase-1, and hands that score to Phase-1, to Phase-2
+//! (`run_phase2_scored`: no kernel runs here) and to the accounting of
+//! the final selection (`RowAccounting::from_scored`). The scoped run
+//! of the delta path ([`run_phase2_over`] with a frontier) scores its
+//! frontier itself, in the same one walk.
+//!
+//! **Orders.** The candidate ranking and the eviction-loss order are
+//! integer-key sorts (`lpvs_solver::knapsack::partial_key_order`): each
+//! key is packed once, with its position, into a `u128`, and no
+//! comparator runs. They order as the `partial_cmp` comparators they
+//! replaced did — −0.0 ties +0.0, ties go to the lowest position, and a
+//! NaN key panics, which the resilient ladder turns into its next rung.
 
 use crate::fleet::{with_problem_view, SlotView};
-use crate::kernels::{self, Select};
+use crate::kernels::{self, Scores};
 use crate::problem::SlotProblem;
+use lpvs_solver::knapsack::{partial_key_order, Direction};
 use serde::{Deserialize, Serialize};
 
 /// Statistics of one Phase-2 run.
@@ -75,19 +88,21 @@ struct VictimIndex {
 const NO_VICTIM: [f64; 2] = [f64::NEG_INFINITY; 2];
 
 impl VictimIndex {
-    /// Indexes the scope: `loss[slot]` orders it, `cost(slot)` is a
-    /// slot's (compute, storage) cost if it is currently selected.
-    fn build(loss: &[f64], cost: impl Fn(usize) -> Option<[f64; 2]>) -> Self {
-        let mut keyed: Vec<(f64, usize)> = loss.iter().copied().zip(0..).collect();
-        keyed.sort_unstable_by(|a, b| {
-            a.0.partial_cmp(&b.0).expect("finite objective terms").then(a.1.cmp(&b.1))
-        });
-        let order: Vec<usize> = keyed.into_iter().map(|(_, slot)| slot).collect();
-        let mut position = vec![0; loss.len()];
+    /// Indexes the `n` slots of the scope: `loss(slot)` orders them,
+    /// `cost(slot)` is a slot's (compute, storage) cost if it is
+    /// currently selected.
+    fn build(
+        n: usize,
+        loss: impl Fn(usize) -> f64,
+        cost: impl Fn(usize) -> Option<[f64; 2]>,
+    ) -> Self {
+        let keyed = (0..n).map(|slot| (loss(slot), slot));
+        let order = partial_key_order(keyed, Direction::Ascending, "finite objective terms");
+        let mut position = vec![0; n];
         for (p, &slot) in order.iter().enumerate() {
             position[slot] = p;
         }
-        let leaves = loss.len().next_power_of_two();
+        let leaves = n.next_power_of_two();
         let mut max_cost = vec![NO_VICTIM; 2 * leaves];
         for (p, &slot) in order.iter().enumerate() {
             max_cost[leaves + p] = cost(slot).unwrap_or(NO_VICTIM);
@@ -167,30 +182,12 @@ pub fn run_phase2_over(
     selected: &mut [bool],
     allowed: Option<&[usize]>,
 ) -> Phase2Stats {
-    phase2_scored(view, selected, allowed).0
-}
-
-/// Each scoped row's eq.-13 term with the transform off and on, in
-/// scope order, as Phase-2 evaluated them.
-pub(crate) struct Scored {
-    pub(crate) off: Vec<f64>,
-    pub(crate) on: Vec<f64>,
-}
-
-/// [`run_phase2_over`], handing back the terms it scored.
-pub(crate) fn phase2_scored(
-    view: SlotView<'_>,
-    selected: &mut [bool],
-    allowed: Option<&[usize]>,
-) -> (Phase2Stats, Scored) {
     assert_eq!(selected.len(), view.len(), "selection has wrong length");
-    let mut stats = Phase2Stats::default();
-    let n = view.len();
     // The scope in ascending position order, so that slot order is
     // device order wherever a tie falls back on it. Everything below is
     // sized by the scope, not the view.
     let scope: Vec<usize> = match allowed {
-        None => (0..n).collect(),
+        None => (0..view.len()).collect(),
         Some(positions) => {
             let mut scope = positions.to_vec();
             scope.sort_unstable();
@@ -198,28 +195,59 @@ pub(crate) fn phase2_scored(
             scope
         }
     };
-    let rows: Vec<usize> = scope.iter().map(|&p| view.rows()[p]).collect();
-
-    // Per-device objective contributions under both decisions, plus
-    // transform feasibility, via the batched columnar kernels — only
-    // scoped rows are scored (out-of-scope rows are never read as
+    // Only scoped rows are scored (out-of-scope rows are never read as
     // candidates *or* victims), so a delta solve pays O(frontier·K),
-    // not O(N·K). Values are bit-identical to the per-row evaluators.
-    let score_span = lpvs_obs::span!("sched.phase2.score");
-    let (lambda, curve, cols) = (view.lambda(), view.curve(), view.columns());
-    let mut off = Vec::new();
-    let mut on = Vec::new();
-    let mut feasible = Vec::new();
-    kernels::device_objective_batch(&cols, &rows, Select::Uniform(false), lambda, curve, &mut off);
-    kernels::device_objective_batch(&cols, &rows, Select::Uniform(true), lambda, curve, &mut on);
-    kernels::transform_feasible_batch(&cols, &rows, &mut feasible);
-    let kernel_rows = 2 * rows.len() as u64;
-    lpvs_obs::add_labeled("sched_objective_rows_total", &[("stage", "phase2")], kernel_rows);
-    drop(score_span);
-    // What evicting a device costs the objective.
-    let loss: Vec<f64> = off.iter().zip(&on).map(|(off, on)| off - on).collect();
+    // not O(N·K) — in one walk of each row's chunks.
+    let scores = {
+        let _span = lpvs_obs::span!("sched.phase2.score");
+        let rows: Vec<usize> = scope.iter().map(|&p| view.rows()[p]).collect();
+        let cols = view.columns();
+        kernels::count_chunk_steps("score", &cols, &rows);
+        kernels::score_rows(&cols, &rows, view.lambda(), view.curve())
+    };
+    swap(view, selected, &scope, &scores)
+}
 
-    // Current capacity usage.
+/// Phase-2 over the whole view on a score of all of it (positional, like
+/// the view) — a full solve's, made once before Phase-1.
+pub(crate) fn run_phase2_scored(
+    view: SlotView<'_>,
+    selected: &mut [bool],
+    scores: &Scores,
+) -> Phase2Stats {
+    assert_eq!(selected.len(), view.len(), "selection has wrong length");
+    let scope: Vec<usize> = (0..view.len()).collect();
+    swap(view, selected, &scope, scores)
+}
+
+/// Positions by descending anxiety degree, ties to the lowest position:
+/// Phase-2's candidate ranking, which the fleet rebalance shares. Keys
+/// are `(φ, position)` pairs.
+///
+/// # Panics
+///
+/// Panics if an anxiety degree is NaN.
+pub fn rank_by_anxiety(keyed: impl IntoIterator<Item = (f64, usize)>) -> Vec<usize> {
+    partial_key_order(keyed, Direction::Descending, "finite anxiety")
+}
+
+/// The swap loop over `scope` (ascending view positions), reading each
+/// scoped row's feasibility and eq.-13 terms from `scores` by its slot
+/// in the scope.
+fn swap(
+    view: SlotView<'_>,
+    selected: &mut [bool],
+    scope: &[usize],
+    scores: &Scores,
+) -> Phase2Stats {
+    let mut stats = Phase2Stats::default();
+    let Scores { feasible, off, on, .. } = scores;
+    let curve = view.curve();
+
+    // Candidates: unselected, transform-feasible, in-scope devices by
+    // descending anxiety degree (ties in device order); and the current
+    // capacity usage.
+    let rank_span = lpvs_obs::span!("sched.phase2.rank");
     let mut g_used = 0.0;
     let mut h_used = 0.0;
     for (position, &x) in selected.iter().enumerate() {
@@ -229,22 +257,23 @@ pub(crate) fn phase2_scored(
             h_used += h;
         }
     }
-
-    // Candidates: unselected, transform-feasible, in-scope devices by
-    // descending anxiety degree (ties in device order).
-    let mut candidates: Vec<(f64, usize)> = (0..scope.len())
-        .filter(|&slot| !selected[scope[slot]] && feasible[slot])
-        .map(|slot| (curve.phi(view.battery_fraction(scope[slot])), slot))
-        .collect();
-    candidates.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite anxiety"));
+    let candidates = rank_by_anxiety(
+        (0..scope.len())
+            .filter(|&slot| !selected[scope[slot]] && feasible[slot])
+            .map(|slot| (curve.phi(view.battery_fraction(scope[slot])), slot)),
+    );
+    drop(rank_span);
 
     let cost = |slot: usize| view.cost(scope[slot]);
+    // What evicting a device costs the objective.
+    let loss = |slot: usize| off[slot] - on[slot];
     let index_span = lpvs_obs::span!("sched.phase2.index");
-    let mut victims = VictimIndex::build(&loss, |slot| selected[scope[slot]].then(|| cost(slot)));
+    let mut victims =
+        VictimIndex::build(scope.len(), loss, |slot| selected[scope[slot]].then(|| cost(slot)));
     drop(index_span);
 
     let _probe_span = lpvs_obs::span!("sched.phase2.probe");
-    for (_, cand) in candidates {
+    for cand in candidates {
         let [g_cand, h_cand] = cost(cand);
         let gain_in = on[cand] - off[cand]; // negative = improvement
 
@@ -275,19 +304,19 @@ pub(crate) fn phase2_scored(
         let Some(first) = victims.first_fit(0, &fits) else { continue };
         stats.swaps_tried += 1;
         let mut victim = victims.order[first];
-        let delta = gain_in + loss[victim];
+        let delta = gain_in + loss(victim);
         let accepted = delta < -1e-12;
         if !accepted {
             continue;
         }
         // Victims of one very loss come in slot order: the first that
         // fits is the lowest, the rest cannot improve on it.
-        let past = |last: usize| victims.order.partition_point(|&slot| loss[slot] <= loss[last]);
+        let past = |last: usize| victims.order.partition_point(|&slot| loss(slot) <= loss(last));
         let mut last = victim;
         while let Some(p) = victims.first_fit(past(last), &fits) {
             stats.swaps_tried += 1;
             last = victims.order[p];
-            if gain_in + loss[last] != delta {
+            if gain_in + loss(last) != delta {
                 break;
             }
             victim = victim.min(last);
@@ -301,8 +330,7 @@ pub(crate) fn phase2_scored(
         h_used += h_cand - h_victim;
         stats.swaps_accepted += 1;
     }
-
-    (stats, Scored { off, on })
+    stats
 }
 
 #[cfg(test)]

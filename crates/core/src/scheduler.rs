@@ -3,8 +3,9 @@
 use crate::accounting::RowAccounting;
 use crate::budget::SlotBudget;
 use crate::fleet::{with_problem_view, SlotView};
+use crate::kernels::{self, Scores};
 use crate::phase1::{self, Phase1Config, Phase1Solver};
-use crate::phase2::{phase2_scored, Phase2Stats, Scored};
+use crate::phase2::{run_phase2_scored, Phase2Stats};
 use crate::problem::SlotProblem;
 use lpvs_solver::SolverError;
 use serde::{Deserialize, Serialize};
@@ -262,32 +263,39 @@ impl LpvsScheduler {
     /// configured: the decision without its accounting, which
     /// [`Phases::into_schedule`] does once the caller has settled on the
     /// final selection.
+    ///
+    /// Every stage reads one score of the view ([`phase1::score_view`]):
+    /// Phase-1 borrows its savings and verdicts, Phase-2 its verdicts and
+    /// eq.-13 terms, and the score rides on in the returned [`Phases`] to
+    /// the accounting.
     fn run_phases(
         &self,
         phase1_config: &Phase1Config,
         view: SlotView<'_>,
         previous: Option<&[bool]>,
     ) -> Result<Phases, SolverError> {
+        let mut scores = phase1::score_view(view);
         let phase1 = {
             let mut span = lpvs_obs::span!("sched.phase1", "devices" => view.len());
-            let phase1 = phase1::solve_view(view, phase1_config, previous)?;
+            let Scores { saving, feasible, .. } = &mut scores;
+            let phase1 = phase1::solve(view, phase1_config, previous, saving, feasible)?;
             span.record("nodes", phase1.nodes as f64);
             span.record("pivots", phase1.pivots as f64);
             phase1
         };
         let mut selected = phase1.selected;
-        let (phase2, scored) = if self.config.enable_phase2 {
+        let phase2 = if self.config.enable_phase2 {
             let mut span = lpvs_obs::span!("sched.phase2");
-            let (phase2, scored) = phase2_scored(view, &mut selected, None);
+            let phase2 = run_phase2_scored(view, &mut selected, &scores);
             span.record("swaps_tried", phase2.swaps_tried as f64);
             span.record("swaps_accepted", phase2.swaps_accepted as f64);
-            (phase2, Some(scored))
+            phase2
         } else {
-            (Phase2Stats::default(), None)
+            Phase2Stats::default()
         };
         Ok(Phases {
             selected,
-            scored,
+            scores: Some(scores),
             infeasible_devices: phase1.infeasible_devices,
             phase1_nodes: phase1.nodes,
             phase1_pivots: phase1.pivots,
@@ -455,13 +463,13 @@ impl LpvsScheduler {
 
 /// What the two phases decided and the work it took, before the
 /// selection is accounted for. The resilient path masks rejected
-/// devices out of the selection first, so eq. 13 and the energy sum —
-/// each a pass over every device's chunks — run once, on the selection
-/// that is returned — and, when Phase-2 scored the whole view, on the
-/// terms it kept (`scored`) rather than on the kernel again.
+/// devices out of the selection first, so eq. 13 and the energy sum
+/// are totalled once, on the selection that is returned — from the
+/// view's score (`scores`) when a solver rung made one, else by the
+/// kernel.
 struct Phases {
     selected: Vec<bool>,
-    scored: Option<Scored>,
+    scores: Option<Scores>,
     infeasible_devices: usize,
     phase1_nodes: usize,
     phase1_pivots: usize,
@@ -473,7 +481,7 @@ impl Phases {
     fn unsolved(selected: Vec<bool>) -> Self {
         Self {
             selected,
-            scored: None,
+            scores: None,
             infeasible_devices: 0,
             phase1_nodes: 0,
             phase1_pivots: 0,
@@ -491,15 +499,14 @@ impl Phases {
         start: Instant,
     ) -> (Schedule, RowAccounting) {
         let _span = lpvs_obs::span!("sched.account");
-        let terms = match self.scored {
-            Some(scored) => {
-                let kept = RowAccounting::from_scored(view, &self.selected, scored);
+        let terms = match self.scores {
+            Some(scores) => {
+                let kept = RowAccounting::from_scored(view, &self.selected, scores);
                 debug_assert_eq!(kept, RowAccounting::of(view, &self.selected));
                 kept
             }
             None => {
-                let rows = view.len() as u64;
-                lpvs_obs::add_labeled("sched_objective_rows_total", &[("stage", "account")], rows);
+                kernels::count_chunk_steps("account", &view.columns(), view.rows());
                 RowAccounting::of(view, &self.selected)
             }
         };

@@ -523,50 +523,26 @@ impl FleetScheduler {
             return 0;
         }
 
-        // Survivors in descending anxiety order (Phase-2's ranking),
-        // index-ascending on ties for determinism; φ is evaluated once
-        // per row, not per comparison. Feasibility and the eq.-13 gains
-        // run through the batched kernels.
-        let cols = fleet.columns();
-        let mut feasible = Vec::new();
-        lpvs_core::transform_feasible_batch(&cols, &gated, &mut feasible);
-        let mut ranked: Vec<(f64, usize)> = gated
-            .into_iter()
-            .zip(feasible)
-            .filter(|&(_, f)| f)
-            .map(|(i, _)| (curve.phi(fleet.battery_fraction(i)), i))
-            .collect();
-        ranked.sort_unstable_by(|a, b| {
-            b.0.partial_cmp(&a.0).expect("finite anxiety").then(a.1.cmp(&b.1))
-        });
-        let candidates: Vec<usize> = ranked.into_iter().map(|(_, i)| i).collect();
-        let mut on = Vec::new();
-        let mut off = Vec::new();
-        lpvs_core::device_objective_batch(
-            &cols,
-            &candidates,
-            lpvs_core::Select::Uniform(true),
-            lambda,
-            curve,
-            &mut on,
-        );
-        lpvs_core::device_objective_batch(
-            &cols,
-            &candidates,
-            lpvs_core::Select::Uniform(false),
-            lambda,
-            curve,
-            &mut off,
+        // The feasible survivors in descending anxiety order (Phase-2's
+        // ranking, ties to the lowest row: `gated` ascends); φ is
+        // evaluated once per row. Feasibility and the eq.-13 gains come
+        // from one walk of each gated row's chunks.
+        let scores = lpvs_core::score_rows(&fleet.columns(), &gated, lambda, curve);
+        let candidates = lpvs_core::phase2::rank_by_anxiety(
+            (0..gated.len())
+                .filter(|&k| scores.feasible[k])
+                .map(|k| (curve.phi(fleet.battery_fraction(gated[k])), k)),
         );
 
         let mut migrations = 0;
-        for (k, &i) in candidates.iter().enumerate() {
+        for k in candidates {
             if migrations >= self.config.max_migrations {
                 break;
             }
+            let i = gated[k];
             // The Phase-2 pure-addition criterion: transforming must
             // strictly improve the device's eq.-13 contribution.
-            let gain_in = on[k] - off[k];
+            let gain_in = scores.on[k] - scores.off[k];
             if gain_in >= -1e-12 {
                 continue;
             }

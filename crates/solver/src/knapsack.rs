@@ -59,10 +59,91 @@ pub fn greedy_multi_knapsack(
     greedy_in_order(&density_order(values, rows), values, rows, fixings)
 }
 
-/// Descending key, ties to the lowest index — what a stable sort of the
-/// indices by key produces — and total: a NaN key sorts, first.
-pub(crate) fn by_density(a: &(f64, usize), b: &(f64, usize)) -> std::cmp::Ordering {
-    b.0.total_cmp(&a.0).then(a.1.cmp(&b.1))
+/// Which way a [`key_order`] runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Direction {
+    /// Least key first.
+    Ascending,
+    /// Greatest key first.
+    Descending,
+}
+
+/// The indices of `keyed` ordered by key, ties to the lowest index:
+/// the order a stable sort by [`f64::total_cmp`] produces, NaN and −0.0
+/// included (descending, a positive NaN sorts first and +0.0 before
+/// −0.0).
+///
+/// Each `(key, index)` is packed once into a `u128` key — the key's
+/// bits mapped to their total order in the high half (flipped for
+/// descending), the index in the low half — and the integers are sorted:
+/// no float comparator runs, and no two packed keys are equal, so the
+/// unstable sort is the stable order. The `u128` is held as its
+/// `(high, low)` halves, which order as it does: a pair laid out like the
+/// `(f64, usize)` pairs it replaces, so the index column is collected in
+/// place (a `u128`'s 16-byte alignment would cost a second buffer) and
+/// the buffer then shrunk to the order's own size, which lives on in an
+/// index or a branch-and-bound.
+///
+/// # Example
+///
+/// ```
+/// use lpvs_solver::knapsack::{key_order, Direction};
+///
+/// let keyed = [(2.0, 0), (f64::NAN, 1), (2.0, 2), (-0.0, 3), (0.0, 4)];
+/// assert_eq!(key_order(keyed, Direction::Descending), vec![1, 0, 2, 4, 3]);
+/// assert_eq!(key_order(keyed, Direction::Ascending), vec![3, 4, 0, 2, 1]);
+/// ```
+pub fn key_order(
+    keyed: impl IntoIterator<Item = (f64, usize)>,
+    direction: Direction,
+) -> Vec<usize> {
+    let mut packed: Vec<Packed> =
+        keyed.into_iter().map(|(key, i)| pack(key, i, direction)).collect();
+    packed.sort_unstable();
+    let mut order: Vec<usize> = packed.into_iter().map(unpack).collect();
+    order.shrink_to_fit();
+    order
+}
+
+/// [`key_order`] for keys a `partial_cmp(..).expect(what)` comparator
+/// ordered: −0.0 ties +0.0 (`+ 0.0` maps the one to the other), and a
+/// NaN key panics with `what`.
+///
+/// # Panics
+///
+/// Panics if any key is NaN.
+pub fn partial_key_order(
+    keyed: impl IntoIterator<Item = (f64, usize)>,
+    direction: Direction,
+    what: &str,
+) -> Vec<usize> {
+    let normalized = keyed.into_iter().map(|(key, i)| {
+        assert!(!key.is_nan(), "{what}");
+        (key + 0.0, i)
+    });
+    key_order(normalized, direction)
+}
+
+/// A [`key_order`] entry: the `u128` key `high << 64 | low` as its
+/// `(high, low)` halves.
+pub(crate) type Packed = (u64, u64);
+
+/// One [`key_order`] entry: the order of the result is `total_cmp`
+/// order of the key (negative keys have every bit flipped, the others
+/// their sign bit set), then index order.
+pub(crate) fn pack(key: f64, index: usize, direction: Direction) -> Packed {
+    let bits = key.to_bits();
+    let total = if bits >> 63 == 1 { !bits } else { bits | 1 << 63 };
+    let total = match direction {
+        Direction::Ascending => total,
+        Direction::Descending => !total,
+    };
+    (total, index as u64)
+}
+
+/// The index a [`pack`]ed entry carries.
+pub(crate) fn unpack((_, index): Packed) -> usize {
+    index as usize
 }
 
 /// The items worth taking (`value > 0`) by descending scaled density,
@@ -80,10 +161,8 @@ pub(crate) fn density_order(values: &[f64], rows: &[(&[f64], f64)]) -> Vec<usize
             values[i] / scaled
         }
     };
-    let mut keyed: Vec<(f64, usize)> =
-        (0..values.len()).filter(|&i| values[i] > 0.0).map(|i| (density(i), i)).collect();
-    keyed.sort_unstable_by(by_density);
-    keyed.into_iter().map(|(_, i)| i).collect()
+    let keyed = (0..values.len()).filter(|&i| values[i] > 0.0).map(|i| (density(i), i));
+    key_order(keyed, Direction::Descending)
 }
 
 /// The greedy pass over a precomputed [`density_order`]: pinned-in items

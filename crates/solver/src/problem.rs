@@ -138,6 +138,12 @@ impl BinaryProgram {
         &self.objective
     }
 
+    /// The objective coefficients as declared, handed back to a caller
+    /// that lent them to the program for one solve.
+    pub fn into_objective(self) -> Vec<f64> {
+        self.objective
+    }
+
     /// Optimization sense.
     pub fn sense(&self) -> Sense {
         self.sense

@@ -32,7 +32,7 @@
 //! accepts and keeps the general simplex for the rest (`≥` / `=` rows,
 //! negative data, more than two rows).
 
-use crate::knapsack::by_density;
+use crate::knapsack::{key_order, pack, unpack, Direction, Packed};
 use crate::problem::{BinaryProgram, Sense};
 use crate::SolverError;
 use std::sync::OnceLock;
@@ -187,12 +187,10 @@ impl<'a> KnapsackRelaxation<'a> {
     fn order(&self, row: usize) -> &[usize] {
         self.orders[row].get_or_init(|| {
             let coeffs = &self.program.rows()[row].coeffs;
-            let mut keyed: Vec<(f64, usize)> = (0..self.values.len())
+            let keyed = (0..self.values.len())
                 .filter(|&i| self.values[i] > 0.0)
-                .map(|i| (density(self.values[i], coeffs[i]), i))
-                .collect();
-            keyed.sort_unstable_by(by_density);
-            keyed.into_iter().map(|(_, i)| i).collect()
+                .map(|i| (density(self.values[i], coeffs[i]), i));
+            key_order(keyed, Direction::Descending)
         })
     }
 
@@ -316,7 +314,8 @@ impl<'a> KnapsackRelaxation<'a> {
         let rows = self.program.rows();
         let (a, b) = (&rows[0].coeffs, &rows[1].coeffs);
         let items: Vec<usize> = free(self.order(0), fixings).collect();
-        let mut keyed: Vec<(f64, usize)> = Vec::with_capacity(items.len());
+        // `key_order`'s packed keys, in one buffer across the bisection.
+        let mut keyed: Vec<Packed> = Vec::with_capacity(items.len());
         let mut at = |mu: f64| -> DualPoint {
             let reduced = |i: usize| self.values[i] - mu * b[i];
             keyed.clear();
@@ -324,10 +323,10 @@ impl<'a> KnapsackRelaxation<'a> {
                 items
                     .iter()
                     .filter(|&&i| reduced(i) > 0.0)
-                    .map(|&i| (density(reduced(i), a[i]), i)),
+                    .map(|&i| pack(density(reduced(i), a[i]), i, Direction::Descending)),
             );
-            keyed.sort_unstable_by(by_density);
-            let f = fill(keyed.iter().map(|&(_, i)| i), reduced, a, capacity[0]);
+            keyed.sort_unstable();
+            let f = fill(keyed.iter().map(|&k| unpack(k)), reduced, a, capacity[0]);
             let slack = capacity[1] - usage(b, &f.x);
             DualPoint {
                 mu,

@@ -19,12 +19,13 @@
 //! are, bit for bit, those of evaluating every row is `tests/delta.rs`'s
 //! matrix and, for hand-made shipments, the `assemble` cases below.
 //!
-//! A cold solve is the other end of the same model: Phase-2 scores
-//! every row under both decisions, and the accounting of the selection
-//! that is returned picks from those terms instead of running the
-//! eq.-13 kernel a third time (`sched_objective_rows_total{stage}`:
-//! two evaluations a row under `phase2`, none under `account`), bit for
-//! bit what evaluating every row gives.
+//! A cold solve is the other end of the same model: it scores every row
+//! once — feasibility, saving and eq. 13 under both decisions, in one
+//! walk of the row's chunks — and Phase-1, Phase-2 and the accounting of
+//! the selection that is returned all read that score instead of running
+//! a kernel again (`sched_chunk_steps_total{stage}`: Σ K_n chunk steps
+//! under `score`, none under `compact` or `account`), bit for bit what
+//! evaluating every row gives.
 //!
 //! Mutation checks, made by hand in the release profile (where the
 //! `debug_assert`s that would catch them first are compiled out): a
@@ -43,7 +44,8 @@
 //! `a_cold_solve_accounts_from_the_terms_phase2_scored`, one handed the
 //! selection as it stood before rejected rows were masked out fails its
 //! disconnected case, and an `into_schedule` that evaluates anyway fails
-//! `a_cold_solve_scores_each_row_twice_and_accounts_none`.
+//! `a_cold_solve_walks_each_chunk_table_once_and_accounts_none` (named
+//! for the two walks a row it then pinned, before the score was fused).
 //!
 //! Lives in its own test binary, serialized, because the counter is
 //! read from the process-global recorder.
@@ -521,30 +523,48 @@ fn a_cold_solve_accounts_from_the_terms_phase2_scored() {
 }
 
 #[test]
-fn a_cold_solve_scores_each_row_twice_and_accounts_none() {
+fn a_cold_solve_walks_each_chunk_table_once_and_accounts_none() {
     let _recording = Recording::start();
-    let counted = |stage| {
+    let walked = || {
         let metrics = lpvs::obs::installed().expect("recorder installed").metrics().snapshot();
-        metrics.counter_labeled("sched_objective_rows_total", &[("stage", stage)]).unwrap_or(0)
+        let steps = |stage| {
+            metrics.counter_labeled("sched_chunk_steps_total", &[("stage", stage)]).unwrap_or(0)
+        };
+        (steps("score"), steps("account"))
     };
     let n = 1_500;
     let problem = synthetic_problem(n, 0.4 * n as f64, 1.0, 7);
+    let chunks: u64 = problem.requests.iter().map(|r| r.num_chunks() as u64).sum();
+    assert!(chunks > n as u64, "rows of one chunk would not tell a walk from a row");
     let budget = SlotBudget::unbounded();
 
-    // Phase-2 on: `off` and `on` for every row, and nothing again.
+    // Phase-2 on: one walk of every chunk table, in the score every
+    // stage reads, and nothing again.
     let full = LpvsScheduler::paper_default().schedule_resilient(&problem, None, &budget);
     assert!(full.stats.phase2.swaps_tried > 0);
-    assert_eq!((counted("phase2"), counted("account")), (2 * n as u64, 0));
+    assert_eq!(walked(), (chunks, 0));
 
-    // Phase-2 off keeps no terms, a rung below the solvers never had
-    // any: the selection is evaluated, once a row.
+    // Phase-2 off reads the same one score, and so does the greedy
+    // rung a floor forces.
     let phase1_only =
         LpvsScheduler::new(SchedulerConfig { enable_phase2: false, ..SchedulerConfig::default() });
     phase1_only.schedule_resilient(&problem, None, &budget);
-    assert_eq!((counted("phase2"), counted("account")), (2 * n as u64, n as u64));
+    assert_eq!(walked(), (2 * chunks, 0));
+    let floor = budget.with_solver_floor(Degradation::Greedy);
+    let greedy = LpvsScheduler::paper_default().schedule_resilient(&problem, None, &floor);
+    assert_eq!(greedy.stats.degradation, Degradation::Greedy);
+    assert_eq!(walked(), (3 * chunks, 0));
+
+    // A rung below the solvers scored nothing: its selection is
+    // evaluated, once a row.
     let no_time = budget.with_deadline_secs(0.0);
-    LpvsScheduler::paper_default().schedule_resilient(&problem, Some(&full.selected), &no_time);
-    assert_eq!((counted("phase2"), counted("account")), (2 * n as u64, 2 * n as u64));
+    let reuse =
+        LpvsScheduler::paper_default().schedule_resilient(&problem, Some(&full.selected), &no_time);
+    assert_eq!(reuse.stats.degradation, Degradation::ReusedPrevious);
+    assert_eq!(walked(), (3 * chunks, chunks));
+    let passthrough = LpvsScheduler::paper_default().schedule_resilient(&problem, None, &no_time);
+    assert_eq!(passthrough.stats.degradation, Degradation::Passthrough);
+    assert_eq!(walked(), (3 * chunks, 2 * chunks));
 }
 
 // --- the join, handed shipments by hand -------------------------------

@@ -1,21 +1,22 @@
 //! Property tests for the batched columnar kernels: on every kernel
-//! path (portable scalar, and AVX2 where the host detects it — only the
-//! objective kernel has one), the batch entry points must be
-//! **bit-for-bit identical** to the per-row reference walks — across
-//! rejected rows, ragged chunk counts, and arbitrary dirty/clean index
-//! mixes — and whole sharded schedules must not change when the vector
+//! path (portable scalar, and AVX2 where the host detects it — the
+//! objective and the fused score kernel have one), the batch entry
+//! points must be **bit-for-bit identical** to the per-row reference
+//! walks — across rejected rows, ragged chunk counts, and arbitrary
+//! dirty/clean index mixes — the fused score to the single-purpose
+//! kernels, and whole sharded schedules must not change when the vector
 //! path is swapped out.
 
 use lpvs::core::budget::SlotBudget;
 use lpvs::core::compact::compact_device;
 use lpvs::core::fleet::DeviceFleet;
 use lpvs::core::kernels::{
-    device_objective_batch_with, transform_feasible_batch, transform_savings_batch,
-    with_problem_columns,
+    device_objective_batch_with, score_rows_with, transform_feasible_batch,
+    transform_savings_batch, with_problem_columns,
 };
 use lpvs::core::objective::device_objective;
 use lpvs::core::problem::{DeviceRequest, SlotProblem};
-use lpvs::core::{detected_path, set_forced_path, KernelPath, Select};
+use lpvs::core::{detected_path, set_forced_path, FleetColumns, KernelPath, Select};
 use lpvs::edge::fleet::FleetScheduler;
 use lpvs::edge::server::EdgeServer;
 use lpvs::survey::curve::AnxietyCurve;
@@ -69,6 +70,65 @@ prop_compose! {
 /// (subsets, duplicates, any order), like a delta frontier.
 fn frontier(fleet: &DeviceFleet, raw: &[usize]) -> Vec<usize> {
     raw.iter().map(|&r| r % fleet.len()).collect()
+}
+
+/// Column storage a `FleetColumns` borrows — including what a fleet
+/// never stores: rows of zero chunks.
+#[derive(Debug, Clone, Default)]
+struct RawColumns {
+    offsets: Vec<usize>,
+    rates: Vec<f64>,
+    secs: Vec<f64>,
+    energy: Vec<f64>,
+    capacity: Vec<f64>,
+    gamma: Vec<f64>,
+}
+
+impl RawColumns {
+    fn columns(&self) -> FleetColumns<'_> {
+        FleetColumns::new(
+            &self.offsets,
+            &self.rates,
+            &self.secs,
+            &self.energy,
+            &self.capacity,
+            &self.gamma,
+        )
+    }
+}
+
+prop_compose! {
+    /// One row's `(rates, durations, battery J, γ)`: zero to 39 chunks
+    /// of varying power, γ often exactly 0, and batteries often so low
+    /// (or empty) that the slot drains them — the `max(0)` clamp.
+    fn arb_raw_row()(
+        chunks in prop_oneof![Just(0usize), 1usize..6, 1usize..40],
+        watts in 0.3f64..2.0,
+        secs in 2.0f64..12.0,
+        battery in prop_oneof![Just(0.0), 0.0f64..0.003, 0.0f64..1.0],
+        gamma in prop_oneof![Just(0.0), 0.0f64..0.49],
+        wobble in 0usize..11,
+    ) -> (Vec<f64>, Vec<f64>, f64, f64) {
+        let rate = |c: usize| watts * (0.6 + 0.08 * ((c * 7 + wobble) % 11) as f64);
+        let rates = (0..chunks).map(rate).collect();
+        let durations = (0..chunks).map(|c| secs + (c % 3) as f64).collect();
+        (rates, durations, battery * CAPACITY_J, gamma)
+    }
+}
+
+prop_compose! {
+    fn arb_raw_columns()(rows in prop::collection::vec(arb_raw_row(), 1..23)) -> RawColumns {
+        let mut raw = RawColumns { offsets: vec![0], ..RawColumns::default() };
+        for (rates, durations, energy, gamma) in rows {
+            raw.rates.extend(rates);
+            raw.secs.extend(durations);
+            raw.offsets.push(raw.rates.len());
+            raw.energy.push(energy);
+            raw.capacity.push(CAPACITY_J);
+            raw.gamma.push(gamma);
+        }
+        raw
+    }
 }
 
 proptest! {
@@ -161,6 +221,39 @@ proptest! {
             for (g, w) in got.iter().zip(&expect) {
                 prop_assert!(g.to_bits() == w.to_bits(), "path {} diverged", path.name());
             }
+        }
+    }
+
+    /// The fused score ≡ the single-purpose kernels, bit for bit, on
+    /// every path: feasibility and saving as `transform_savings_batch`
+    /// gives them, `off` and `on` as `device_objective_batch` under each
+    /// uniform decision — over zero-chunk rows, odd lane tails (any
+    /// index count), γ = 0, drained batteries and λ = 0.
+    #[test]
+    fn fused_scores_match_the_single_purpose_kernels_bitwise(
+        raw in arb_raw_columns(),
+        picks in prop::collection::vec(0usize..4096, 0..61),
+        lambda in prop_oneof![Just(0.0), 0.0f64..8.0],
+    ) {
+        let cols = raw.columns();
+        let indices: Vec<usize> = picks.iter().map(|&r| r % cols.len()).collect();
+        let curve = AnxietyCurve::paper_shape();
+        let (mut feasible, mut saving) = (Vec::new(), Vec::new());
+        transform_savings_batch(&cols, &indices, &mut feasible, &mut saving);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for path in paths() {
+            let objective = |x: bool| {
+                let mut out = Vec::new();
+                device_objective_batch_with(
+                    path, &cols, &indices, Select::Uniform(x), lambda, &curve, &mut out,
+                );
+                out
+            };
+            let fused = score_rows_with(path, &cols, &indices, lambda, &curve);
+            prop_assert_eq!(&fused.feasible, &feasible);
+            prop_assert!(bits(&fused.saving) == bits(&saving), "saving on {}", path.name());
+            prop_assert!(bits(&fused.off) == bits(&objective(false)), "off on {}", path.name());
+            prop_assert!(bits(&fused.on) == bits(&objective(true)), "on on {}", path.name());
         }
     }
 
@@ -258,4 +351,21 @@ fn empty_chunk_rows_agree_with_per_row_on_every_path() {
             assert_eq!(got, want, "path {}", path.name());
         }
     });
+}
+
+/// Caller-built columns hold what a fleet admits: an empty battery of
+/// capacity 0 (a battery fraction of 0/0 = NaN) is refused at
+/// construction, before either path reads it.
+#[test]
+#[should_panic(expected = "capacity finite, > 0")]
+fn caller_columns_refuse_a_zero_capacity() {
+    let raw = RawColumns {
+        offsets: vec![0, 1],
+        rates: vec![1.0],
+        secs: vec![10.0],
+        energy: vec![0.0],
+        capacity: vec![0.0],
+        gamma: vec![0.2],
+    };
+    raw.columns();
 }

@@ -16,7 +16,10 @@
 //! breaks ties by descending index fails
 //! `density_order_is_the_stable_comparator_sort`; a greedy rung that
 //! reports 200 pivots (a subgradient loop's iterations) fails
-//! `every_rung_below_exact_does_less_work`.
+//! `every_rung_below_exact_does_less_work`. Made when the orders became
+//! integer-key sorts: a `partial_key_order` — the path Phase-2's
+//! candidate ranking and loss order share — without its `+ 0.0`
+//! normalization fails `integer_key_orders_are_the_comparator_sorts`.
 
 use lpvs::core::budget::SlotBudget;
 use lpvs::core::compact::compact_device;
@@ -27,10 +30,12 @@ use lpvs::core::phase2::{run_phase2_over, Phase2Stats};
 use lpvs::core::problem::{DeviceRequest, SlotProblem};
 use lpvs::core::scheduler::{Degradation, LpvsScheduler};
 use lpvs::emulator::experiment::synthetic_problem;
+use lpvs::solver::knapsack::{key_order, partial_key_order, Direction};
 use lpvs::solver::{
     greedy_multi_knapsack, BinaryProgram, KnapsackRelaxation, LinearProgram, Relation, Sense,
     SolverError,
 };
+use std::cmp::Ordering;
 use lpvs::survey::curve::AnxietyCurve;
 use proptest::prelude::*;
 
@@ -470,12 +475,60 @@ proptest! {
         prop_assert_eq!(ours.value.to_bits(), value.to_bits());
         let bits = |r: &[f64]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(bits(&ours.residual), bits(&residual));
+        // The order itself, sorted as packed integer keys, is the
+        // stable comparator sort of the same densities — the zero-weight
+        // items' +∞ keys and the zero-capacity rows' 0 keys included.
+        let density = |i: usize| -> f64 {
+            let scaled: f64 = rows
+                .iter()
+                .map(|&(w, cap)| if cap > 0.0 { w[i] / cap } else { f64::INFINITY })
+                .sum();
+            if scaled <= 0.0 { f64::INFINITY } else { k.values[i] / scaled }
+        };
+        let keyed: Vec<(f64, usize)> = (0..k.values.len()).map(|i| (density(i), i)).collect();
+        let mut stable: Vec<usize> = (0..keyed.len()).collect();
+        stable.sort_by(|&a, &b| keyed[b].0.partial_cmp(&keyed[a].0).unwrap_or(Ordering::Equal));
+        prop_assert_eq!(key_order(keyed.iter().copied(), Direction::Descending), stable);
         // The branch-and-bound walks the same order: its seed is this
         // pass, so it never ends below it.
         if k.rows.iter().all(|(_, cap)| *cap > 0.0) && !k.fixings.contains(&Some(true)) {
             let solution = k.program().solve().unwrap();
             prop_assert!(solution.objective >= ours.value - 1e-9);
             prop_assert!(solution.stats.orders_sorted >= 1);
+        }
+    }
+
+    /// Both integer-key orders are the comparator sorts they replaced,
+    /// both ways: `key_order` the stable sort by `total_cmp` (NaN and
+    /// −0.0 ordered), `partial_key_order` the stable sort by
+    /// `partial_cmp` (−0.0 ties +0.0) on keys without a NaN — over ties,
+    /// ±0.0 and ±∞.
+    #[test]
+    fn integer_key_orders_are_the_comparator_sorts(
+        picks in prop::collection::vec(0usize..AWKWARD.len(), 0..40),
+    ) {
+        let keys: Vec<f64> = picks.iter().map(|&p| AWKWARD[p]).collect();
+        let keyed = || keys.iter().copied().zip(0..);
+        let stable = |cmp: &dyn Fn(f64, f64) -> Ordering| {
+            let mut order: Vec<usize> = (0..keys.len()).collect();
+            order.sort_by(|&a, &b| cmp(keys[a], keys[b]));
+            order
+        };
+        for direction in [Direction::Ascending, Direction::Descending] {
+            let oriented = |o: Ordering| match direction {
+                Direction::Ascending => o,
+                Direction::Descending => o.reverse(),
+            };
+            prop_assert_eq!(
+                key_order(keyed(), direction),
+                stable(&|a, b| oriented(a.total_cmp(&b)))
+            );
+            if keys.iter().all(|k| !k.is_nan()) {
+                prop_assert_eq!(
+                    partial_key_order(keyed(), direction, "no NaN"),
+                    stable(&|a, b| oriented(a.partial_cmp(&b).unwrap()))
+                );
+            }
         }
     }
 
@@ -581,6 +634,33 @@ fn a_nan_density_neither_panics_nor_overfills() {
     // (a NaN key as well) and item 1 fit; item 4 no longer does.
     assert_eq!(out.x, vec![false, true, true, false, false]);
     assert!(out.residual.iter().all(|&r| r >= 0.0), "{:?}", out.residual);
+}
+
+/// Keys that tie, and the floats a comparator can disagree on: both
+/// zeros, both infinities, a NaN of each sign, the smallest subnormal.
+const AWKWARD: [f64; 11] = [
+    0.0,
+    -0.0,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::NAN,
+    -f64::NAN,
+    1.5,
+    1.5,
+    -2.0,
+    5e-324,
+    f64::MAX,
+];
+
+/// A NaN key still panics where a `partial_cmp(..).expect(..)`
+/// comparator did — the panic the resilient ladder turns into its next
+/// rung.
+#[test]
+fn a_nan_partial_key_panics() {
+    let keyed = [(1.0, 0), (f64::NAN, 1), (2.0, 2)];
+    let ranked =
+        std::panic::catch_unwind(|| partial_key_order(keyed, Direction::Descending, "finite"));
+    assert!(ranked.is_err());
 }
 
 /// Builds the problem `[small, small, big]` of the one-probe tests:
