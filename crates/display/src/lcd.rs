@@ -90,9 +90,15 @@ impl LcdPowerModel {
     /// panel term swings mildly with mean content luminance (pixel
     /// drive).
     pub fn power_watts(&self, frame: &FrameStats) -> f64 {
+        self.power_at_mean_luma(frame.mean_luma())
+    }
+
+    /// Display power in watts for content of mean encoded luminance
+    /// `mean_luma` — the one figure of a frame this model reads.
+    pub fn power_at_mean_luma(&self, mean_luma: f64) -> f64 {
         let backlight =
             self.backlight_floor_w + self.backlight_max_w * self.backlight;
-        let content = 1.0 + PANEL_CONTENT_SWING * (frame.mean_luma() - 0.5);
+        let content = 1.0 + PANEL_CONTENT_SWING * (mean_luma - 0.5);
         backlight + self.panel_w * content
     }
 

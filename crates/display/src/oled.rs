@@ -93,7 +93,12 @@ impl OledPowerModel {
 
     /// Display power in watts when showing `frame`.
     pub fn power_watts(&self, frame: &FrameStats) -> f64 {
-        let lm = frame.linear_mean();
+        self.power_at_linear_mean(frame.linear_mean())
+    }
+
+    /// Display power in watts for content with per-channel linear-light
+    /// means `lm` — all of a frame this model reads.
+    pub fn power_at_linear_mean(&self, lm: [f64; 3]) -> f64 {
         let weighted: f64 = CHANNEL_WEIGHTS.iter().zip(&lm).map(|(w, m)| w * m).sum();
         self.base_w
             + self.brightness * self.emissive_w * self.enabled_fraction * weighted

@@ -154,6 +154,20 @@ impl DisplaySpec {
             DisplayKind::Oled => OledPowerModel::for_spec(self).power_watts(frame),
         }
     }
+
+    /// [`power_watts`](Self::power_watts) of each of `frames`, in
+    /// order, with the panel's model built once.
+    pub fn power_watts_each<'a>(
+        &self,
+        frames: &'a [FrameStats],
+    ) -> impl Iterator<Item = f64> + 'a {
+        let (kind, lcd, oled) =
+            (self.kind, LcdPowerModel::for_spec(self), OledPowerModel::for_spec(self));
+        frames.iter().map(move |frame| match kind {
+            DisplayKind::Lcd => lcd.power_watts(frame),
+            DisplayKind::Oled => oled.power_watts(frame),
+        })
+    }
 }
 
 impl Default for DisplaySpec {

@@ -95,21 +95,23 @@ impl FrameStats {
         );
         let luma = 0.2126 * rgb[0] + 0.7152 * rgb[1] + 0.0722 * rgb[2];
         let center = bin_of(luma);
+        // Triangular kernel around the center bin (a spike at spread 0),
+        // written and normalized only where it lands, clipped to the
+        // grid. The weights are integers, so their sum is exact and
+        // every quotient is the float a pass over all 64 bins gives;
+        // the bins it never reaches keep their `+0.0`.
+        let lo = center.saturating_sub(spread);
+        let hi = center.saturating_add(spread).min(LUMA_BINS - 1);
+        let weight = |i: usize| (spread + 1 - center.abs_diff(i)) as f64;
+        let total: f64 = (lo..=hi).map(weight).sum();
         let mut hist = [0.0; LUMA_BINS];
-        if spread == 0 {
-            hist[center] = 1.0;
-        } else {
-            // Triangular kernel around the center bin.
-            let s = spread as i64;
-            for d in -s..=s {
-                let idx = center as i64 + d;
-                if (0..LUMA_BINS as i64).contains(&idx) {
-                    hist[idx as usize] += (s + 1 - d.abs()) as f64;
-                }
-            }
+        for (i, bin) in hist.iter_mut().enumerate().take(hi + 1).skip(lo) {
+            *bin = weight(i) / total;
         }
+        // v ∈ [0, 1] keeps v^γ in [0, 1]: `new`'s checks hold by
+        // construction.
         let linear = [rgb[0].powf(GAMMA), rgb[1].powf(GAMMA), rgb[2].powf(GAMMA)];
-        Self::new(hist, linear)
+        Self { luma_hist: hist, rgb_linear_mean: linear }
     }
 
     /// Normalized luminance histogram.
@@ -166,12 +168,40 @@ impl FrameStats {
         assert!(scale > 0.0 && scale <= 1.0, "scale must be in (0, 1]");
         let mut hist = [0.0; LUMA_BINS];
         for (i, &p) in self.luma_hist.iter().enumerate() {
-            let boosted = (bin_center(i) / scale).min(1.0);
-            hist[bin_of(boosted)] += p;
+            hist[compensated_bin(i, scale)] += p;
         }
         let gain = (1.0 / scale).powf(GAMMA);
         let linear = self.rgb_linear_mean.map(|m| (m * gain).min(1.0));
         FrameStats { luma_hist: hist, rgb_linear_mean: linear }
+    }
+
+    /// [`compensate`](Self::compensate)`(scale)`'s
+    /// [`mean_luma`](Self::mean_luma), bit for bit, without building
+    /// the compensated statistics: all an LCD's power model reads of
+    /// them.
+    ///
+    /// Only the occupied source bins `lo..=hi` are remapped, in
+    /// ascending order, and only the target bins they reach are summed.
+    /// The remap is monotone, so those targets are `compensated_bin(lo)
+    /// ..= compensated_bin(hi)`. Every skipped term is a `+0.0`: before
+    /// the first kept term (which holds bin `lo`'s positive mass) it
+    /// could only flip the sign of a zero, after it it changes nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 < scale ≤ 1`.
+    pub fn compensated_mean_luma(&self, scale: f64) -> f64 {
+        assert!(scale > 0.0 && scale <= 1.0, "scale must be in (0, 1]");
+        let hist = &self.luma_hist;
+        let lo = hist.iter().position(|&p| p > 0.0).unwrap_or(0);
+        let hi = hist.iter().rposition(|&p| p > 0.0).unwrap_or(LUMA_BINS - 1);
+        let mut compensated = [0.0; LUMA_BINS];
+        for (i, &p) in hist.iter().enumerate().take(hi + 1).skip(lo) {
+            compensated[compensated_bin(i, scale)] += p;
+        }
+        (compensated_bin(lo, scale)..=compensated_bin(hi, scale))
+            .map(|t| compensated[t] * bin_center(t))
+            .sum()
     }
 
     /// Statistics after scaling each encoded channel by the given
@@ -184,21 +214,32 @@ impl FrameStats {
     ///
     /// Panics if any factor is outside `[0, 1]`.
     pub fn scale_channels(&self, factors: [f64; 3]) -> FrameStats {
-        assert!(
-            factors.iter().all(|&f| (0.0..=1.0).contains(&f)),
-            "channel factors must be in [0, 1]"
-        );
-        let linear = [
-            self.rgb_linear_mean[0] * factors[0].powf(GAMMA),
-            self.rgb_linear_mean[1] * factors[1].powf(GAMMA),
-            self.rgb_linear_mean[2] * factors[2].powf(GAMMA),
-        ];
+        let linear = self.scaled_linear_mean(factors);
         let luma_factor = 0.2126 * factors[0] + 0.7152 * factors[1] + 0.0722 * factors[2];
         let mut hist = [0.0; LUMA_BINS];
         for (i, &p) in self.luma_hist.iter().enumerate() {
             hist[bin_of(bin_center(i) * luma_factor)] += p;
         }
         FrameStats { luma_hist: hist, rgb_linear_mean: linear }
+    }
+
+    /// [`scale_channels`](Self::scale_channels)`(factors)`'s
+    /// [`linear_mean`](Self::linear_mean), without remapping the
+    /// histogram: all an OLED's power model reads of the result.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any factor is outside `[0, 1]`.
+    pub(crate) fn scaled_linear_mean(&self, factors: [f64; 3]) -> [f64; 3] {
+        assert!(
+            factors.iter().all(|&f| (0.0..=1.0).contains(&f)),
+            "channel factors must be in [0, 1]"
+        );
+        [
+            self.rgb_linear_mean[0] * factors[0].powf(GAMMA),
+            self.rgb_linear_mean[1] * factors[1].powf(GAMMA),
+            self.rgb_linear_mean[2] * factors[2].powf(GAMMA),
+        ]
     }
 
     /// Pixel-weighted blend of several frames' statistics, e.g. to
@@ -258,6 +299,12 @@ mod hist_serde {
 /// Histogram bin index of an encoded value in `[0, 1]`.
 pub fn bin_of(v: f64) -> usize {
     ((v.clamp(0.0, 1.0) * LUMA_BINS as f64) as usize).min(LUMA_BINS - 1)
+}
+
+/// Bin that source bin `i` lands in after compensation by `1/scale`,
+/// clipped at white; non-decreasing in `i`.
+fn compensated_bin(i: usize, scale: f64) -> usize {
+    bin_of((bin_center(i) / scale).min(1.0))
 }
 
 /// Encoded value at the center of bin `i`.

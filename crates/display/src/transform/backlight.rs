@@ -38,7 +38,7 @@
 use crate::quality::{Distortion, QualityBudget};
 use crate::spec::{DisplayKind, DisplaySpec};
 use crate::stats::{bin_center, FrameStats};
-use crate::transform::{Transform, TransformOutcome};
+use crate::transform::{lcd_watts, Transform, TransformOutcome};
 use serde::{Deserialize, Serialize};
 
 /// Deepest dimming considered: below this the panel's own response
@@ -81,8 +81,10 @@ impl BacklightScaling {
     }
 
     /// Picks the smallest admissible backlight scale for `frame`,
-    /// together with the clipping distortion it causes.
-    fn choose_scale(&self, frame: &FrameStats) -> (f64, Distortion) {
+    /// together with the clipping distortion it causes — `None` where
+    /// no scale below one is admissible and `apply` leaves the frame
+    /// alone.
+    fn choose_scale(&self, frame: &FrameStats) -> Option<(f64, Distortion)> {
         let hist = frame.luma_hist();
         let mean = frame.mean_luma().max(1e-9);
         // Highest occupied bin (a histogram always has mass), and the
@@ -119,7 +121,17 @@ impl BacklightScaling {
                 break;
             }
         }
-        best.unwrap_or((1.0, Distortion::none()))
+        best.filter(|&(s, _)| s < 1.0 - 1e-12)
+    }
+
+    /// Display power of [`apply`](Transform::apply)'s outcome on `spec`,
+    /// bit for bit, without building it: the LCD model reads only the
+    /// backlight knob and the compensated content's mean luma.
+    pub fn transformed_watts(&self, frame: &FrameStats, spec: &DisplaySpec) -> f64 {
+        match self.choose_scale(frame) {
+            Some((scale, _)) => lcd_watts(spec, scale, frame.compensated_mean_luma(scale)),
+            None => lcd_watts(spec, 1.0, frame.mean_luma()),
+        }
     }
 }
 
@@ -133,10 +145,9 @@ impl Transform for BacklightScaling {
     }
 
     fn apply(&self, frame: &FrameStats, _spec: &DisplaySpec) -> TransformOutcome {
-        let (scale, distortion) = self.choose_scale(frame);
-        if scale >= 1.0 - 1e-12 {
+        let Some((scale, distortion)) = self.choose_scale(frame) else {
             return TransformOutcome::identity(frame);
-        }
+        };
         TransformOutcome {
             stats: frame.compensate(scale),
             brightness_scale: scale,

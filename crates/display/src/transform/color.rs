@@ -195,6 +195,32 @@ impl ColorTransform {
         }
         under
     }
+
+    /// [`allocate`](Self::allocate)'s attenuations where `apply` puts
+    /// them into force; `None` where every channel is within tolerance
+    /// of zero and `apply` leaves the frame alone.
+    fn attenuation(&self, frame: &FrameStats) -> Option<[f64; 3]> {
+        let d = self.allocate(frame);
+        if d.iter().all(|&x| x <= TOLERANCE) {
+            return None;
+        }
+        Some(d)
+    }
+
+    /// Linear-light means of [`apply`](Transform::apply)'s outcome, bit
+    /// for bit, without remapping its histogram: all an OLED's power
+    /// model reads of it.
+    pub fn transformed_linear_mean(&self, frame: &FrameStats) -> [f64; 3] {
+        match self.attenuation(frame) {
+            Some(d) => frame.scaled_linear_mean(factors(d)),
+            None => frame.linear_mean(),
+        }
+    }
+}
+
+/// Per-channel scale factors of attenuations `d`.
+fn factors(d: [f64; 3]) -> [f64; 3] {
+    d.map(|x| 1.0 - x)
 }
 
 impl Transform for ColorTransform {
@@ -207,14 +233,12 @@ impl Transform for ColorTransform {
     }
 
     fn apply(&self, frame: &FrameStats, _spec: &DisplaySpec) -> TransformOutcome {
-        let d = self.allocate(frame);
-        if d.iter().all(|&x| x <= TOLERANCE) {
+        let Some(d) = self.attenuation(frame) else {
             return TransformOutcome::identity(frame);
-        }
-        let factors = [1.0 - d[0], 1.0 - d[1], 1.0 - d[2]];
+        };
         let rms = (sum_sq(&d) / 3.0).sqrt();
         TransformOutcome {
-            stats: frame.scale_channels(factors),
+            stats: frame.scale_channels(factors(d)),
             brightness_scale: 1.0,
             enabled_fraction: 1.0,
             distortion: Distortion { color_shift: rms, ..Distortion::none() },

@@ -27,6 +27,8 @@ pub use backlight::BacklightScaling;
 pub use color::ColorTransform;
 pub use subpixel::SubpixelShutoff;
 
+use crate::lcd::LcdPowerModel;
+use crate::oled::OledPowerModel;
 use crate::quality::Distortion;
 use crate::spec::{DisplayKind, DisplaySpec};
 use crate::stats::FrameStats;
@@ -62,25 +64,21 @@ impl TransformOutcome {
     /// Display power in watts when this outcome is shown on `spec`,
     /// with the brightness and subpixel knobs applied.
     pub fn power_watts(&self, spec: &DisplaySpec) -> f64 {
-        let adjusted =
-            spec.with_brightness((spec.brightness * self.brightness_scale).clamp(0.0, 1.0));
         match spec.kind {
-            DisplayKind::Lcd => crate::lcd::LcdPowerModel::for_spec(&adjusted)
-                .power_watts(&self.stats),
-            DisplayKind::Oled => crate::oled::OledPowerModel::for_spec(&adjusted)
-                .with_enabled_fraction(self.enabled_fraction.clamp(f64::MIN_POSITIVE, 1.0))
-                .power_watts(&self.stats),
+            DisplayKind::Lcd => lcd_watts(spec, self.brightness_scale, self.stats.mean_luma()),
+            DisplayKind::Oled => oled_watts(
+                spec,
+                self.brightness_scale,
+                self.enabled_fraction,
+                self.stats.linear_mean(),
+            ),
         }
     }
 
     /// Power-reduction ratio γ relative to showing `original` untouched
     /// on `spec`: `γ = 1 − P_after / P_before`, clamped to `[0, 1)`.
     pub fn reduction_ratio(&self, original: &FrameStats, spec: &DisplaySpec) -> f64 {
-        let before = spec.power_watts(original);
-        if before <= 0.0 {
-            return 0.0;
-        }
-        (1.0 - self.power_watts(spec) / before).clamp(0.0, 1.0 - f64::EPSILON)
+        reduction_ratio_of(spec.power_watts(original), self.power_watts(spec))
     }
 
     /// Chains a second outcome on top of this one (e.g. color transform
@@ -106,6 +104,42 @@ impl TransformOutcome {
             },
         }
     }
+}
+
+/// `γ = 1 − after / before`, clamped to `[0, 1)`; 0 when `before` is
+/// not positive. The ratio of [`TransformOutcome::reduction_ratio`],
+/// for callers that know both powers.
+pub fn reduction_ratio_of(before: f64, after: f64) -> f64 {
+    if before <= 0.0 {
+        return 0.0;
+    }
+    (1.0 - after / before).clamp(0.0, 1.0 - f64::EPSILON)
+}
+
+/// What [`TransformOutcome::power_watts`] computes of an LCD outcome
+/// whose backlight knob is `brightness_scale` and whose content has
+/// mean luma `mean_luma`.
+pub(crate) fn lcd_watts(spec: &DisplaySpec, brightness_scale: f64, mean_luma: f64) -> f64 {
+    LcdPowerModel::for_spec(&scaled_brightness(spec, brightness_scale))
+        .power_at_mean_luma(mean_luma)
+}
+
+/// What [`TransformOutcome::power_watts`] computes of an OLED outcome
+/// with the given knobs whose content has linear-light means
+/// `linear_mean`.
+pub fn oled_watts(
+    spec: &DisplaySpec,
+    brightness_scale: f64,
+    enabled_fraction: f64,
+    linear_mean: [f64; 3],
+) -> f64 {
+    OledPowerModel::for_spec(&scaled_brightness(spec, brightness_scale))
+        .with_enabled_fraction(enabled_fraction.clamp(f64::MIN_POSITIVE, 1.0))
+        .power_at_linear_mean(linear_mean)
+}
+
+fn scaled_brightness(spec: &DisplaySpec, scale: f64) -> DisplaySpec {
+    spec.with_brightness((spec.brightness * scale).clamp(0.0, 1.0))
 }
 
 /// An energy-saving content transform.

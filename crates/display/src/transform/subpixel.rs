@@ -62,14 +62,24 @@ impl SubpixelShutoff {
 
     /// Chooses the shutoff fraction for `spec`: the largest fraction
     /// whose perceived detail loss stays inside the budget, capped at
-    /// the published 21 %.
-    fn choose_shutoff(&self, spec: &DisplaySpec) -> (f64, f64) {
+    /// the published 21 %, with that loss — `None` where it is too
+    /// small to act on and `apply` leaves the frame alone.
+    fn choose_shutoff(&self, spec: &DisplaySpec) -> Option<(f64, f64)> {
         let ppi = Self::ppi(spec);
         // Perceived loss per unit shutoff: 1 at/below retina density,
         // falling as density rises beyond it.
         let visibility = (RETINA_PPI / ppi).min(1.0);
         let shutoff = (self.budget.max_resolution_loss / visibility).min(MAX_SHUTOFF);
-        (shutoff, shutoff * visibility)
+        if shutoff <= 1e-12 {
+            return None;
+        }
+        Some((shutoff, shutoff * visibility))
+    }
+
+    /// Fraction of subpixels [`apply`](Transform::apply)'s outcome
+    /// leaves enabled on `spec` (1 where it shuts nothing off).
+    pub fn enabled_fraction(&self, spec: &DisplaySpec) -> f64 {
+        self.choose_shutoff(spec).map_or(1.0, |(shutoff, _)| 1.0 - shutoff)
     }
 }
 
@@ -83,10 +93,9 @@ impl Transform for SubpixelShutoff {
     }
 
     fn apply(&self, frame: &FrameStats, spec: &DisplaySpec) -> TransformOutcome {
-        let (shutoff, perceived_loss) = self.choose_shutoff(spec);
-        if shutoff <= 1e-12 {
+        let Some((shutoff, perceived_loss)) = self.choose_shutoff(spec) else {
             return TransformOutcome::identity(frame);
-        }
+        };
         TransformOutcome {
             stats: frame.clone(),
             brightness_scale: 1.0,

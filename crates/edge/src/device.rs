@@ -144,7 +144,13 @@ impl Device {
     /// display power scaled by `display_scale` (1.0 = untransformed;
     /// `1 − γ` when transformed).
     pub fn power_rate_watts(&self, frame: &FrameStats, display_scale: f64) -> f64 {
-        self.spec.power_watts(frame) * display_scale + self.non_display_w
+        self.power_rate_at(self.spec.power_watts(frame), display_scale)
+    }
+
+    /// [`power_rate_watts`](Self::power_rate_watts) for content whose
+    /// untransformed display power `display_watts` is already known.
+    pub fn power_rate_at(&self, display_watts: f64, display_scale: f64) -> f64 {
+        display_watts * display_scale + self.non_display_w
     }
 
     /// Plays `seconds` of content with the given display scale,
@@ -167,13 +173,27 @@ impl Device {
         display_scale: f64,
         include_floor: bool,
     ) -> f64 {
+        let display_watts = self.spec.power_watts(frame);
+        self.play_at(display_watts, seconds, display_scale, include_floor)
+    }
+
+    /// [`play_with`](Self::play_with) for content whose untransformed
+    /// display power `display_watts` is already known — the one drain
+    /// implementation.
+    pub fn play_at(
+        &mut self,
+        display_watts: f64,
+        seconds: f64,
+        display_scale: f64,
+        include_floor: bool,
+    ) -> f64 {
         if !self.is_watching() || seconds <= 0.0 {
             return 0.0;
         }
         let watts = if include_floor {
-            self.power_rate_watts(frame, display_scale)
+            self.power_rate_at(display_watts, display_scale)
         } else {
-            self.spec.power_watts(frame) * display_scale
+            display_watts * display_scale
         };
         // Seconds until the give-up threshold is crossed.
         let threshold_j =

@@ -53,6 +53,22 @@ struct Scratch {
     watching: Vec<usize>,
     /// Full playback windows, one per watching device.
     windows: Vec<Vec<FrameStats>>,
+    /// The windows' untransformed display powers, back to back, priced
+    /// once for gather, encode and playback (one buffer a slot, not one
+    /// per window, which fragments the heap).
+    powers: Vec<f64>,
+}
+
+impl Scratch {
+    /// Each window with its untransformed display powers.
+    fn priced(&self) -> impl Iterator<Item = (&[FrameStats], &[f64])> {
+        let mut rest = self.powers.as_slice();
+        self.windows.iter().map(move |window| {
+            let (powers, tail) = rest.split_at(window.len());
+            rest = tail;
+            (window.as_slice(), powers)
+        })
+    }
 }
 
 /// The [`Emulator`] adapted to the runtime's source/sink traits.
@@ -191,13 +207,29 @@ impl SlotSource for EmulatorDriver {
             .collect();
         let watching: Vec<usize> =
             (0..self.n).filter(|&i| self.emu.cluster.devices()[i].is_watching()).collect();
-        let windows: Vec<Vec<FrameStats>> =
-            watching.iter().map(|&i| self.emu.content_window(i, slot)).collect();
+        let (windows, powers) = {
+            let _span = lpvs_obs::span!(
+                "emu.content", "slot" => slot, "devices" => watching.len()
+            );
+            let devices = self.emu.cluster.devices();
+            let mut powers =
+                Vec::with_capacity(watching.len() * self.emu.config.chunks_per_slot);
+            let windows: Vec<Vec<FrameStats>> = watching
+                .iter()
+                .map(|&i| {
+                    let window = self.emu.content_window(i, slot);
+                    powers.extend(devices[i].spec().power_watts_each(&window));
+                    window
+                })
+                .collect();
+            (windows, powers)
+        };
+        lpvs_obs::add("emu_chunks_synthesized_total", powers.len() as u64);
         let queries = match self.emu.config.gamma_mode {
             GammaMode::Learned => watching.clone(),
             GammaMode::Fixed(_) | GammaMode::Oracle => Vec::new(),
         };
-        self.scratch = Some(Scratch { slot, faults, watching, windows });
+        self.scratch = Some(Scratch { slot, faults, watching, windows, powers });
         Some(BankOps { forgets, queries })
     }
 
@@ -220,11 +252,11 @@ impl SlotSource for EmulatorDriver {
         // The prefetch policy bounds how many chunks the edge holds at
         // the scheduling point (K_m, eq. 1); the remainder arrives
         // during the slot, so playback still covers the full window.
-        let decision_windows: Vec<&[FrameStats]> = scratch
+        let decision_powers: Vec<&[f64]> = scratch
             .watching
             .iter()
-            .zip(&scratch.windows)
-            .map(|(&i, w)| {
+            .zip(scratch.priced())
+            .map(|(&i, (_, w))| {
                 let k = self
                     .emu
                     .config
@@ -240,12 +272,21 @@ impl SlotSource for EmulatorDriver {
         let mut gammas: Vec<f64> = match self.emu.config.gamma_mode {
             GammaMode::Learned => posteriors.iter().map(|&(mean, _)| mean).collect(),
             GammaMode::Fixed(g) => vec![g; scratch.watching.len()],
-            GammaMode::Oracle => scratch
-                .watching
-                .iter()
-                .zip(&decision_windows)
-                .map(|(&i, window)| self.emu.oracle_gamma(i, window))
-                .collect(),
+            GammaMode::Oracle => {
+                lpvs_obs::add(
+                    "emu_chunks_encoded_total",
+                    decision_powers.iter().map(|w| w.len() as u64).sum(),
+                );
+                scratch
+                    .watching
+                    .iter()
+                    .zip(scratch.priced())
+                    .zip(&decision_powers)
+                    .map(|((&i, (window, _)), powers)| {
+                        self.emu.oracle_gamma(i, &window[..powers.len()], powers)
+                    })
+                    .collect()
+            }
         };
         // Corrupt γ reports *after* estimation: the fault models the
         // telemetry link, not the estimator.
@@ -271,7 +312,7 @@ impl SlotSource for EmulatorDriver {
         server.publish_gauges();
         let problem = gather_problem(
             &devices,
-            &decision_windows,
+            &decision_powers,
             &gammas,
             self.emu.config.chunk_secs,
             self.emu.bitrate_kbps,
@@ -345,24 +386,26 @@ impl SlotSink for EmulatorDriver {
         }
 
         let mut selected_count = 0usize;
+        let mut encoded = 0;
         let mut current_by_device = vec![false; self.n];
         let mut observations: Vec<(usize, f64)> = Vec::new();
-        for (w_idx, &dev_idx) in scratch.watching.iter().enumerate() {
+        for (&dev_idx, (window, powers)) in scratch.watching.iter().zip(scratch.priced()) {
             let transform = self.pending[dev_idx];
             if transform {
                 self.ever_selected[dev_idx] = true;
                 selected_count += 1;
                 current_by_device[dev_idx] = true;
             }
-            let (display_j, counter_j, device_j, observed) =
-                self.emu.play_slot_raw(dev_idx, &scratch.windows[w_idx], transform);
-            self.total_display += display_j;
-            self.total_counterfactual += counter_j;
-            self.total_energy += device_j;
-            if let Some(ratio) = observed {
+            let played = self.emu.play_slot_raw(dev_idx, window, powers, transform);
+            self.total_display += played.display_j;
+            self.total_counterfactual += played.counterfactual_j;
+            self.total_energy += played.device_j;
+            encoded += played.encoded;
+            if let Some(ratio) = played.observed {
                 observations.push((dev_idx, ratio));
             }
         }
+        lpvs_obs::add("emu_chunks_encoded_total", encoded);
 
         let churn = self.previous_by_device.as_ref().map(|prev| {
             let flips =

@@ -371,17 +371,23 @@ impl Emulator {
     }
 
     /// Clairvoyant whole-device reduction ratio: encodes the upcoming
-    /// window without touching the battery.
-    pub(crate) fn oracle_gamma(&self, dev_idx: usize, window: &[FrameStats]) -> f64 {
+    /// window — `powers` its chunks' untransformed display powers —
+    /// without touching the battery.
+    pub(crate) fn oracle_gamma(
+        &self,
+        dev_idx: usize,
+        window: &[FrameStats],
+        powers: &[f64],
+    ) -> f64 {
         let device = &self.cluster.devices()[dev_idx];
         let spec = *device.spec();
         let mut orig = 0.0;
         let mut transformed = 0.0;
         let encoder = self.encoder_for(dev_idx);
-        for stats in window {
-            let scale = 1.0 - encoder.reduction_ratio(stats, &spec);
-            orig += device.power_rate_watts(stats, 1.0);
-            transformed += device.power_rate_watts(stats, scale);
+        for (stats, &watts) in window.iter().zip(powers) {
+            let scale = 1.0 - encoder.reduction_ratio(stats, &spec, watts);
+            orig += device.power_rate_at(watts, 1.0);
+            transformed += device.power_rate_at(watts, scale);
         }
         if orig <= 0.0 {
             return 0.0;
@@ -389,8 +395,8 @@ impl Emulator {
         (1.0 - transformed / orig).clamp(0.0, 1.0 - f64::EPSILON)
     }
 
-    /// Plays one device's slot; returns `(display J, counterfactual
-    /// display J, whole-device J, observed Δ_n)`. The last is the raw
+    /// Plays one device's slot — `powers` the window's untransformed
+    /// display powers. The `observed` Δ_n of the result is the raw
     /// whole-device reduction ratio playback measured — `None` when the
     /// device was not transformed or played nothing — which the caller
     /// hands back to the executor as slot feedback: the bank that owns
@@ -400,39 +406,44 @@ impl Emulator {
         &mut self,
         dev_idx: usize,
         window: &[FrameStats],
+        powers: &[f64],
         transform: bool,
-    ) -> (f64, f64, f64, Option<f64>) {
+    ) -> PlayedSlot {
         let mut display_j = 0.0;
-        let mut counter_j = 0.0;
+        let mut counterfactual_j = 0.0;
         let mut device_j = 0.0;
         let mut orig_device_j = 0.0;
+        let mut encoded = 0;
         let spec = *self.cluster.devices()[dev_idx].spec();
 
         let saver = !self.config.display_only_drain
             && self.cluster.devices()[dev_idx].battery().fraction()
                 <= BATTERY_SAVER_THRESHOLD;
-        for stats in window {
+        for (stats, &display_watts) in window.iter().zip(powers) {
             let scale = if transform {
                 let encoder = if saver { &self.saver_encoder } else { &self.encoder };
-                1.0 - encoder.reduction_ratio(stats, &spec)
+                encoded += 1;
+                1.0 - encoder.reduction_ratio(stats, &spec, display_watts)
             } else {
                 1.0
             };
             let device = &mut self.cluster.devices_mut()[dev_idx];
-            let display_watts = spec.power_watts(stats);
             let (device_watts, orig_watts) = if self.config.display_only_drain {
                 (display_watts * scale, display_watts)
             } else {
-                (device.power_rate_watts(stats, scale), device.power_rate_watts(stats, 1.0))
+                (
+                    device.power_rate_at(display_watts, scale),
+                    device.power_rate_at(display_watts, 1.0),
+                )
             };
-            let watched = device.play_with(
-                stats,
+            let watched = device.play_at(
+                display_watts,
                 self.config.chunk_secs,
                 scale,
                 !self.config.display_only_drain,
             );
             display_j += display_watts * scale * watched;
-            counter_j += display_watts * watched;
+            counterfactual_j += display_watts * watched;
             device_j += device_watts * watched;
             orig_device_j += orig_watts * watched;
             if watched <= 0.0 {
@@ -442,8 +453,22 @@ impl Emulator {
 
         let observed =
             (transform && orig_device_j > 0.0).then(|| 1.0 - device_j / orig_device_j);
-        (display_j, counter_j, device_j, observed)
+        PlayedSlot { display_j, counterfactual_j, device_j, observed, encoded }
     }
+}
+
+/// One device's played slot ([`Emulator::play_slot_raw`]).
+pub(crate) struct PlayedSlot {
+    /// Display energy drawn (J).
+    pub(crate) display_j: f64,
+    /// Display energy the same watch time costs untransformed (J).
+    pub(crate) counterfactual_j: f64,
+    /// Whole-device energy drawn (J).
+    pub(crate) device_j: f64,
+    /// The whole-device reduction ratio Δ_n playback measured.
+    pub(crate) observed: Option<f64>,
+    /// Chunks the transform encoder priced.
+    pub(crate) encoded: u64,
 }
 
 /// Maps a budget-cut fault onto a [`SlotBudget`]: the node budget is

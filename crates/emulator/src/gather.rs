@@ -7,7 +7,6 @@
 //! scheduler consumes.
 
 use lpvs_core::problem::{DeviceRequest, SlotProblem};
-use lpvs_display::stats::FrameStats;
 use lpvs_edge::device::Device;
 use lpvs_media::cost::{storage_gb, transform_compute_units};
 use lpvs_survey::curve::AnxietyCurve;
@@ -15,20 +14,23 @@ use std::borrow::Borrow;
 
 /// Builds the slot problem for one scheduling point.
 ///
-/// `chunk_windows[n]` holds the frame statistics of the chunks device
-/// `n` will play this slot (all of equal `chunk_secs` duration) — owned
-/// windows or borrowed prefixes of them, as devices may be owned or
-/// borrowed from the cluster;
+/// `priced_windows[n]` holds the untransformed display powers
+/// ([`DisplaySpec::power_watts_each`]) of the chunks device `n` will
+/// play this slot (all of equal `chunk_secs` duration) — owned windows
+/// or borrowed prefixes of them, as devices may be owned or borrowed
+/// from the cluster;
 /// `gammas[n]` is the current truncated-posterior estimate of device
 /// `n`'s *whole-device* power-reduction ratio.
+///
+/// [`DisplaySpec::power_watts_each`]: lpvs_display::spec::DisplaySpec::power_watts_each
 ///
 /// # Panics
 ///
 /// Panics if the slices disagree in length or a window is empty.
 #[allow(clippy::too_many_arguments)] // mirrors the §VI-B.1 report fields
-pub fn gather_problem<D: Borrow<Device>, W: AsRef<[FrameStats]>>(
+pub fn gather_problem<D: Borrow<Device>, W: AsRef<[f64]>>(
     devices: &[D],
-    chunk_windows: &[W],
+    priced_windows: &[W],
     gammas: &[f64],
     chunk_secs: f64,
     bitrate_kbps: f64,
@@ -37,18 +39,16 @@ pub fn gather_problem<D: Borrow<Device>, W: AsRef<[FrameStats]>>(
     lambda: f64,
     curve: &AnxietyCurve,
 ) -> SlotProblem {
-    assert_eq!(devices.len(), chunk_windows.len(), "one chunk window per device");
+    assert_eq!(devices.len(), priced_windows.len(), "one chunk window per device");
     assert_eq!(devices.len(), gammas.len(), "one gamma per device");
 
     let mut problem =
         SlotProblem::new(compute_capacity, storage_capacity_gb, lambda, curve.clone());
-    for ((device, window), &gamma) in devices.iter().zip(chunk_windows).zip(gammas) {
+    for ((device, window), &gamma) in devices.iter().zip(priced_windows).zip(gammas) {
         let (device, window) = (device.borrow(), window.as_ref());
         assert!(!window.is_empty(), "chunk window must be non-empty");
-        let rates: Vec<f64> = window
-            .iter()
-            .map(|stats| device.power_rate_watts(stats, 1.0))
-            .collect();
+        let rates: Vec<f64> =
+            window.iter().map(|&watts| device.power_rate_at(watts, 1.0)).collect();
         let secs = vec![chunk_secs; window.len()];
         let slot_secs = chunk_secs * window.len() as f64;
         // A healthy report gets the usual γ < 1 nudge; a corrupt one
@@ -79,6 +79,7 @@ mod tests {
     use super::*;
     use lpvs_core::fleet::DeviceFleet;
     use lpvs_display::spec::{DisplaySpec, Resolution};
+    use lpvs_display::stats::FrameStats;
     use lpvs_edge::battery::Battery;
     use lpvs_edge::device::DeviceId;
 
@@ -91,8 +92,11 @@ mod tests {
         )
     }
 
-    fn window(n: usize, luma: f64) -> Vec<FrameStats> {
-        vec![FrameStats::uniform_gray(luma); n]
+    /// `n` flat-gray chunks, priced on the panel every device here
+    /// shares (HD and FHD are both 16:9 on the same diagonal).
+    fn window(n: usize, luma: f64) -> Vec<f64> {
+        let frames = vec![FrameStats::uniform_gray(luma); n];
+        DisplaySpec::oled_phone(Resolution::HD).power_watts_each(&frames).collect()
     }
 
     #[test]

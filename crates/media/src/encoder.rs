@@ -13,7 +13,8 @@ use lpvs_display::quality::QualityBudget;
 use lpvs_display::spec::{DisplayKind, DisplaySpec};
 use lpvs_display::stats::FrameStats;
 use lpvs_display::transform::{
-    BacklightScaling, ColorTransform, SubpixelShutoff, Transform, TransformOutcome,
+    oled_watts, reduction_ratio_of, BacklightScaling, ColorTransform, SubpixelShutoff,
+    Transform, TransformOutcome,
 };
 use serde::{Deserialize, Serialize};
 
@@ -128,9 +129,32 @@ impl TransformEncoder {
 
     /// Realized power-reduction ratio γ of content `stats` transformed
     /// for the target display — [`encode_chunk`](Self::encode_chunk)'s
-    /// `reduction_ratio`, for callers that need no [`EncodedChunk`].
-    pub fn reduction_ratio(&self, stats: &FrameStats, spec: &DisplaySpec) -> f64 {
-        self.transform(stats, spec).reduction_ratio(stats, spec)
+    /// `reduction_ratio`, bit for bit, for callers that need no
+    /// [`EncodedChunk`] and already know the chunk's untransformed
+    /// display power `untransformed_watts` (`spec.power_watts(stats)`).
+    ///
+    /// Only the transformed power is computed, from what the panel's
+    /// model reads of the outcome: the LCD backlight knob and the
+    /// compensated mean luma; the OLED post-transform linear means and
+    /// the shutoff's enabled fraction. Each transform's decision is the
+    /// one its `apply` makes.
+    pub fn reduction_ratio(
+        &self,
+        stats: &FrameStats,
+        spec: &DisplaySpec,
+        untransformed_watts: f64,
+    ) -> f64 {
+        let after = match spec.kind {
+            DisplayKind::Lcd => BacklightScaling::new(self.budget).transformed_watts(stats, spec),
+            // Neither OLED transform turns the brightness knob.
+            DisplayKind::Oled => oled_watts(
+                spec,
+                1.0,
+                SubpixelShutoff::new(self.budget).enabled_fraction(spec),
+                ColorTransform::new(self.budget).transformed_linear_mean(stats),
+            ),
+        };
+        reduction_ratio_of(untransformed_watts, after)
     }
 
     /// Transforms one chunk for the target display.

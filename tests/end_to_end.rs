@@ -25,8 +25,14 @@ fn survey_to_scheduler_pipeline() {
 
     // Cluster + content → slot problem.
     let cluster = ClusterGenerator::paper_setup(12, 5).generate();
-    let windows: Vec<_> = (0..12)
-        .map(|i| ContentModel::new(Genre::Gaming, i as u64).chunk_stats(30))
+    let windows: Vec<Vec<f64>> = cluster
+        .devices()
+        .iter()
+        .enumerate()
+        .map(|(i, d)| {
+            let stats = ContentModel::new(Genre::Gaming, i as u64).chunk_stats(30);
+            d.spec().power_watts_each(&stats).collect()
+        })
         .collect();
     let gammas = vec![0.31; 12];
     let problem = gather_problem(

@@ -9,7 +9,7 @@
 
 use lpvs::core::baseline::Policy;
 use lpvs::core::scheduler::Degradation;
-use lpvs::emulator::engine::{Emulator, EmulatorConfig};
+use lpvs::emulator::engine::{Emulator, EmulatorConfig, GammaMode};
 use lpvs::emulator::faults::FaultConfig;
 use lpvs::core::phase1::{solve_phase1, Phase1Config};
 use lpvs::core::problem::{DeviceRequest, SlotProblem};
@@ -96,6 +96,46 @@ fn a_worker_run_times_its_dispatch_and_counts_each_row_once() {
     assert_eq!(rows("shard"), (devices * slots) as u64, "every shard solved cold, every slot");
     assert_eq!(rows("shipped") + rows("join"), (devices * slots) as u64);
     assert!(rows("shipped") > rows("join"), "the join adopts what the shards evaluated");
+}
+
+/// The emulated slot's content and encoder work, counted exactly: each
+/// watching device's window is synthesized once a slot, the encoder
+/// prices every chunk a transformed device plays, and under Oracle γ
+/// every chunk of every decision window once more. A run where nobody
+/// gives up plays whole windows, so the counts follow from the report.
+#[test]
+fn an_emulated_slot_counts_the_chunks_it_synthesizes_and_encodes() {
+    let _turn = RECORDER.lock().unwrap_or_else(PoisonError::into_inner);
+    // A cohort in which nobody reaches a give-up threshold in 4 slots.
+    let config = EmulatorConfig { devices: 16, slots: 4, seed: 3, ..EmulatorConfig::default() };
+    let run = |config: EmulatorConfig, policy| {
+        lpvs::obs::init().reset();
+        let report = Emulator::new(config, policy).run();
+        lpvs::obs::set_enabled(false);
+        assert!(report.gave_up.iter().all(|&g| !g), "a give-up would cut a window short");
+        let metrics = &report.obs.as_ref().expect("recorder was enabled").metrics;
+        let count = |name| metrics.counter(name).unwrap_or_else(|| panic!("missing {name}"));
+        let selected: u64 = report.slots.iter().map(|s| s.selected as u64).sum();
+        (count("emu_chunks_synthesized_total"), count("emu_chunks_encoded_total"), selected)
+    };
+    let chunks = config.chunks_per_slot as u64;
+    let device_slots = (config.devices * config.slots) as u64;
+
+    let (synthesized, encoded, selected) = run(config, Policy::Lpvs);
+    assert_eq!(synthesized, device_slots * chunks);
+    assert!(selected > 0, "LPVS transformed nobody");
+    assert_eq!(encoded, selected * chunks);
+
+    // Oracle γ encodes each decision window (the full window, with full
+    // prefetch) at gather.
+    let oracle = EmulatorConfig { gamma_mode: GammaMode::Oracle, ..config };
+    let (synthesized, encoded, selected) = run(oracle, Policy::Lpvs);
+    assert_eq!(synthesized, device_slots * chunks);
+    assert_eq!(encoded, (device_slots + selected) * chunks);
+
+    let (synthesized, encoded, _) = run(config, Policy::NoTransform);
+    assert_eq!(synthesized, device_slots * chunks);
+    assert_eq!(encoded, 0);
 }
 
 #[test]

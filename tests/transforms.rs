@@ -12,7 +12,9 @@ use lpvs::display::quality::{Distortion, QualityBudget};
 use lpvs::display::spec::{DisplayKind, DisplaySpec, Resolution};
 use lpvs::display::stats::{bin_center, FrameStats, GAMMA, LUMA_BINS};
 use lpvs::display::strategy::TABLE_I;
-use lpvs::display::transform::{BacklightScaling, ColorTransform, Transform, TransformOutcome};
+use lpvs::display::transform::{
+    BacklightScaling, ColorTransform, SubpixelShutoff, Transform, TransformOutcome,
+};
 use lpvs::media::chunk::{Chunk, ChunkId};
 use lpvs::media::content::{ContentModel, Genre};
 use lpvs::media::encoder::TransformEncoder;
@@ -364,21 +366,85 @@ fn color_saving_is_monotone_in_the_budget() {
 
 // --- (c) the encoder's ratio-only entry point ---------------------------
 
+/// Budgets the priced ratio must follow: the three presets, and one
+/// each that turns the colour transform and the subpixel shutoff off.
+fn pricing_budgets() -> Vec<QualityBudget> {
+    let mut budgets = budgets().to_vec();
+    budgets.push(QualityBudget { max_color_shift: 0.0, ..QualityBudget::default() });
+    budgets.push(QualityBudget { max_resolution_loss: 0.0, ..QualityBudget::default() });
+    budgets
+}
+
+/// White, black and single spikes at both ends of the grid: the frames
+/// whose transforms fall back to (or next to) the identity.
+fn identity_frames() -> Vec<FrameStats> {
+    vec![
+        FrameStats::uniform_gray(1.0),
+        FrameStats::uniform_gray(0.0),
+        histogram(&[(0, 1.0)]),
+        histogram(&[(LUMA_BINS - 1, 1.0)]),
+    ]
+}
+
+/// `TransformEncoder::reduction_ratio`, given the chunk's untransformed
+/// power, computes only the transformed one from what the panel's model
+/// reads; it must equal the full outcome's ratio — the one
+/// `encode_chunk` stores — bit for bit, as must each figure it reads.
 #[test]
 fn reduction_ratio_is_encode_chunk_without_the_chunk() {
-    let specs =
-        [DisplaySpec::lcd_phone(Resolution::FHD), DisplaySpec::oled_phone(Resolution::HD)];
-    let encoders =
-        [TransformEncoder::default(), TransformEncoder::new(QualityBudget::aggressive())];
-    for (n, stats) in corpus(2).into_iter().enumerate() {
-        let chunk = Chunk::new(ChunkId(n as u32), 10.0, stats, 3000.0);
-        for spec in &specs {
-            for encoder in &encoders {
-                let encoded = encoder.encode_chunk(&chunk, spec);
-                let ratio = encoder.reduction_ratio(&chunk.stats, spec);
-                assert_eq!(ratio.to_bits(), encoded.reduction_ratio.to_bits(), "chunk {n}");
-                assert_eq!(encoded.original, chunk);
+    let frames: Vec<FrameStats> = corpus(2).into_iter().chain(identity_frames()).collect();
+    for resolution in Resolution::LADDER {
+        let specs = [DisplaySpec::lcd_phone(resolution), DisplaySpec::oled_phone(resolution)];
+        for budget in pricing_budgets() {
+            let encoder = TransformEncoder::new(budget);
+            for (n, stats) in frames.iter().enumerate() {
+                let chunk = Chunk::new(ChunkId(n as u32), 10.0, stats.clone(), 3000.0);
+                for spec in &specs {
+                    let what = format!("chunk {n}, {spec}, {budget:?}");
+                    let encoded = encoder.encode_chunk(&chunk, spec);
+                    let before = spec.power_watts(stats);
+                    let ratio = encoder.reduction_ratio(stats, spec, before);
+                    assert_eq!(ratio.to_bits(), encoded.reduction_ratio.to_bits(), "{what}");
+                    assert_eq!(
+                        encoded.reduction_ratio.to_bits(),
+                        encoded.outcome.reduction_ratio(stats, spec).to_bits(),
+                        "{what}"
+                    );
+                    assert_eq!(encoded.original, chunk);
+                    assert_priced_figures_match(&budget, stats, spec, &what);
+                }
             }
+        }
+    }
+}
+
+/// The figures the priced ratio reads, each against the outcome `apply`
+/// builds — the clamp in γ would hide a wrong one near zero.
+fn assert_priced_figures_match(
+    budget: &QualityBudget,
+    stats: &FrameStats,
+    spec: &DisplaySpec,
+    what: &str,
+) {
+    match spec.kind {
+        DisplayKind::Lcd => {
+            let t = BacklightScaling::new(*budget);
+            let outcome = t.apply(stats, spec);
+            let watts = t.transformed_watts(stats, spec);
+            assert_eq!(watts.to_bits(), outcome.power_watts(spec).to_bits(), "{what}");
+            if outcome.brightness_scale < 1.0 {
+                let mean = stats.compensated_mean_luma(outcome.brightness_scale);
+                assert_eq!(mean.to_bits(), outcome.stats.mean_luma().to_bits(), "{what}");
+            }
+        }
+        DisplayKind::Oled => {
+            let color = ColorTransform::new(*budget);
+            let linear = color.transformed_linear_mean(stats);
+            let applied = color.apply(stats, spec).stats.linear_mean();
+            assert_eq!(linear.map(f64::to_bits), applied.map(f64::to_bits), "{what}");
+            let shutoff = SubpixelShutoff::new(*budget);
+            let enabled = shutoff.apply(stats, spec).enabled_fraction;
+            assert_eq!(shutoff.enabled_fraction(spec).to_bits(), enabled.to_bits(), "{what}");
         }
     }
 }
