@@ -65,21 +65,6 @@ impl ConjugateUpdate {
             variance * (prior.mean() * prior_precision + observation * obs_precision);
         Gaussian::new(mean, variance)
     }
-
-    /// Posterior after a batch of observations (order-independent).
-    pub fn update_batch(&self, prior: Gaussian, observations: &[f64]) -> Gaussian {
-        let k = observations.len() as f64;
-        if observations.is_empty() {
-            return prior;
-        }
-        let mean_obs = observations.iter().sum::<f64>() / k;
-        let prior_precision = 1.0 / prior.variance();
-        let obs_precision = k / self.observation_variance;
-        let posterior_precision = prior_precision + obs_precision;
-        let variance = 1.0 / posterior_precision;
-        let mean = variance * (prior.mean() * prior_precision + mean_obs * obs_precision);
-        Gaussian::new(mean, variance)
-    }
 }
 
 #[cfg(test)]
@@ -104,24 +89,6 @@ mod tests {
         assert!(post.mean() > 0.2 && post.mean() < 0.6);
         // Equal variances → midpoint.
         assert!((post.mean() - 0.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn batch_equals_sequential() {
-        let rule = ConjugateUpdate::new(0.04);
-        let prior = Gaussian::new(0.31, 12.0);
-        let obs = [0.35, 0.41, 0.38, 0.44];
-        let sequential = obs.iter().fold(prior, |p, &o| rule.update(p, o));
-        let batch = rule.update_batch(prior, &obs);
-        assert!((sequential.mean() - batch.mean()).abs() < 1e-10);
-        assert!((sequential.variance() - batch.variance()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn empty_batch_is_identity() {
-        let rule = ConjugateUpdate::new(0.04);
-        let prior = Gaussian::new(0.31, 12.0);
-        assert_eq!(rule.update_batch(prior, &[]), prior);
     }
 
     #[test]

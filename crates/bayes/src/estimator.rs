@@ -222,13 +222,6 @@ impl GammaEstimator {
         Ok(())
     }
 
-    /// Folds in several observations at once.
-    pub fn observe_batch(&mut self, deltas: &[f64]) {
-        for &d in deltas {
-            self.observe(d);
-        }
-    }
-
     /// Staleness-aware forgetting: widens the belief by
     /// [`FORGET_INFLATION`] per slot spent without a usable
     /// observation (disconnects, rejected telemetry), capped at the
@@ -335,19 +328,6 @@ mod tests {
         a.observe(1.7);
         b.observe(1.0);
         assert_eq!(a.belief(), b.belief());
-    }
-
-    #[test]
-    fn batch_equals_loop() {
-        let mut a = GammaEstimator::paper_default();
-        let mut b = GammaEstimator::paper_default();
-        let obs = [0.3, 0.35, 0.4];
-        a.observe_batch(&obs);
-        for &o in &obs {
-            b.observe(o);
-        }
-        assert_eq!(a, b);
-        assert_eq!(a.observations(), 3);
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! The paper's eq. 18 marginalizes the likelihood over the truncated
 //! prior. With the Gaussian–Gaussian conjugate pair that integral has a
 //! closed form; this module provides composite Simpson quadrature for
-//! non-conjugate likelihoods and for cross-validating the closed forms
-//! in tests.
+//! cross-validating the closed forms in tests.
 
 /// Composite Simpson integration of `f` on `[a, b]` with `n` panels
 /// (rounded up to the next even number).
@@ -37,52 +36,6 @@ pub fn simpson<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, n: usize) -> f64 {
     sum * h / 3.0
 }
 
-/// Adaptive Simpson integration with absolute tolerance `tol`.
-///
-/// Recursion is depth-limited; on hitting the limit the best available
-/// estimate is returned rather than erroring, which suits the smooth
-/// densities this workspace integrates.
-pub fn adaptive_simpson<F: Fn(f64) -> f64 + Copy>(f: F, a: f64, b: f64, tol: f64) -> f64 {
-    #[allow(clippy::too_many_arguments)] // internal: mirrors the textbook recursion
-    fn recurse<F: Fn(f64) -> f64 + Copy>(
-        f: F,
-        a: f64,
-        b: f64,
-        fa: f64,
-        fb: f64,
-        fm: f64,
-        whole: f64,
-        tol: f64,
-        depth: usize,
-    ) -> f64 {
-        let m = 0.5 * (a + b);
-        let lm = 0.5 * (a + m);
-        let rm = 0.5 * (m + b);
-        let flm = f(lm);
-        let frm = f(rm);
-        let left = (m - a) / 6.0 * (fa + 4.0 * flm + fm);
-        let right = (b - m) / 6.0 * (fm + 4.0 * frm + fb);
-        let split = left + right;
-        if depth == 0 || (split - whole).abs() <= 15.0 * tol {
-            split + (split - whole) / 15.0
-        } else {
-            recurse(f, a, m, fa, fm, flm, left, tol / 2.0, depth - 1)
-                + recurse(f, m, b, fm, fb, frm, right, tol / 2.0, depth - 1)
-        }
-    }
-
-    assert!(a <= b, "inverted interval");
-    if a == b {
-        return 0.0;
-    }
-    let m = 0.5 * (a + b);
-    let fa = f(a);
-    let fb = f(b);
-    let fm = f(m);
-    let whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb);
-    recurse(f, a, b, fa, fb, fm, whole, tol, 48)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,22 +57,12 @@ mod tests {
     #[test]
     fn empty_interval_is_zero() {
         assert_eq!(simpson(|x| x.exp(), 2.0, 2.0, 8), 0.0);
-        assert_eq!(adaptive_simpson(|x| x.exp(), 2.0, 2.0, 1e-9), 0.0);
     }
 
     #[test]
     fn transcendental_converges() {
         let v = simpson(f64::sin, 0.0, std::f64::consts::PI, 256);
         assert!((v - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn adaptive_matches_fixed_grid() {
-        let f = |x: f64| (-x * x).exp();
-        let fixed = simpson(f, -4.0, 4.0, 8192);
-        let adaptive = adaptive_simpson(f, -4.0, 4.0, 1e-10);
-        assert!((fixed - adaptive).abs() < 1e-8);
-        assert!((adaptive - std::f64::consts::PI.sqrt()).abs() < 1e-6);
     }
 
     #[test]

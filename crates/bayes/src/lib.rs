@@ -12,9 +12,8 @@
 //!   (eq. 17, computed in closed form as the paper notes);
 //! * [`truncated`] — truncated Gaussian moments on `[γ_L, γ_U]`, giving
 //!   the bounded expectation of eq. 19;
-//! * [`integrate`] — adaptive Simpson quadrature used to evaluate the
-//!   marginal of eq. 18 for non-conjugate likelihoods and to
-//!   cross-check the closed forms in tests;
+//! * [`integrate`] — composite Simpson quadrature, the oracle that
+//!   cross-checks the closed forms in tests;
 //! * [`estimator`] — [`GammaEstimator`], the per-device state machine
 //!   the scheduler actually holds;
 //! * [`bank`] — [`BayesBank`], shard-local collections of estimators

@@ -3,9 +3,9 @@
 //! The paper keeps `γ_n` inside the Table I band `[γ_L, γ_U]`: the
 //! marginal of eq. 18 and the expectation of eq. 19 both integrate over
 //! that interval only. A Gaussian restricted to `[lo, hi]` has
-//! closed-form mass, mean, and variance in terms of the standard normal
-//! pdf/cdf; this module implements them (with quadrature cross-checks
-//! in the tests).
+//! closed-form mass and mean in terms of the standard normal pdf/cdf;
+//! this module implements them (with quadrature cross-checks in the
+//! tests).
 
 use crate::gaussian::Gaussian;
 use serde::{Deserialize, Serialize};
@@ -76,21 +76,6 @@ impl TruncatedGaussian {
         self.parent.pdf(x) / z
     }
 
-    /// Cumulative distribution `P(X ≤ x | lo ≤ X ≤ hi)`.
-    pub fn cdf(&self, x: f64) -> f64 {
-        if x <= self.lo {
-            return 0.0;
-        }
-        if x >= self.hi {
-            return 1.0;
-        }
-        let z = self.mass();
-        if z <= f64::MIN_POSITIVE {
-            return if x >= self.nearest_bound() { 1.0 } else { 0.0 };
-        }
-        (self.parent.cdf(x) - self.parent.cdf(self.lo)) / z
-    }
-
     /// Mean of the truncated distribution — eq. 19 of the paper when
     /// applied to the posterior of `γ_n`.
     pub fn mean(&self) -> f64 {
@@ -104,23 +89,6 @@ impl TruncatedGaussian {
             return self.nearest_bound();
         }
         mu + sd * (std.pdf(alpha) - std.pdf(beta)) / z
-    }
-
-    /// Variance of the truncated distribution.
-    pub fn variance(&self) -> f64 {
-        let mu = self.parent.mean();
-        let sd = self.parent.std_dev();
-        let alpha = (self.lo - mu) / sd;
-        let beta = (self.hi - mu) / sd;
-        let std = Gaussian::standard();
-        let z = std.cdf(beta) - std.cdf(alpha);
-        if z <= f64::MIN_POSITIVE {
-            return 0.0;
-        }
-        let pa = std.pdf(alpha);
-        let pb = std.pdf(beta);
-        let correction = (alpha * pa - beta * pb) / z - ((pa - pb) / z).powi(2);
-        (sd * sd * (1.0 + correction)).max(0.0)
     }
 
     /// Draws one sample by inverse-CDF over the truncated interval.
@@ -178,14 +146,6 @@ mod tests {
     }
 
     #[test]
-    fn variance_matches_quadrature() {
-        let t = TruncatedGaussian::new(Gaussian::new(0.3, 0.05), 0.13, 0.49);
-        let mean = t.mean();
-        let numeric = simpson(|x| (x - mean).powi(2) * t.pdf(x), 0.13, 0.49, 4096);
-        assert!((t.variance() - numeric).abs() < 1e-7);
-    }
-
-    #[test]
     fn mean_stays_inside_bounds() {
         for &mu in &[-100.0, -1.0, 0.0, 0.31, 1.0, 100.0] {
             let t = TruncatedGaussian::new(Gaussian::new(mu, 2.0), 0.13, 0.49);
@@ -201,14 +161,6 @@ mod tests {
         assert_eq!(t.mean(), 0.49);
         let t = TruncatedGaussian::new(Gaussian::new(-100.0, 1.0), 0.13, 0.49);
         assert_eq!(t.mean(), 0.13);
-    }
-
-    #[test]
-    fn cdf_endpoints() {
-        let t = band();
-        assert_eq!(t.cdf(0.0), 0.0);
-        assert_eq!(t.cdf(1.0), 1.0);
-        assert!((t.cdf(0.31) - 0.5).abs() < 1e-2); // near-uniform band
     }
 
     #[test]

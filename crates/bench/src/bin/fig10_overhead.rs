@@ -12,11 +12,11 @@
 //! Writes `BENCH_fig10.json` at the repository root. `--smoke` runs a
 //! reduced sweep for CI.
 
+use lpvs_core::budget::SlotBudget;
 use lpvs_core::kernels;
 use lpvs_core::phase1::Phase1Config;
 use lpvs_core::problem::SlotProblem;
 use lpvs_core::scheduler::LpvsScheduler;
-use lpvs_edge::slot::SlotBudget;
 use lpvs_emulator::experiment::{overhead, synthetic_problem};
 use lpvs_emulator::report::render_overhead;
 use lpvs_obs::json::Json;

@@ -4,8 +4,7 @@
 //! a slot's decision is due. It used to live in `lpvs-edge`; it moved
 //! here when the dependency between the crates was reversed (the edge
 //! crate's [`FleetScheduler`](https://docs.rs/lpvs-edge) now sits *on
-//! top of* the core scheduler), and `lpvs_edge::slot` re-exports it for
-//! compatibility.
+//! top of* the core scheduler).
 
 use crate::scheduler::Degradation;
 use serde::{Deserialize, Serialize};
@@ -70,11 +69,6 @@ impl SlotBudget {
         self.solver_nodes = Some(nodes.max(1).min(self.solver_nodes.unwrap_or(usize::MAX)));
         self
     }
-
-    /// Whether any knob is tightened.
-    pub fn is_bounded(&self) -> bool {
-        self.deadline_secs.is_some() || self.solver_nodes.is_some() || self.solver_floor.is_some()
-    }
 }
 
 #[cfg(test)]
@@ -84,7 +78,6 @@ mod tests {
     #[test]
     fn default_budget_is_unbounded() {
         let b = SlotBudget::unbounded();
-        assert!(!b.is_bounded());
         assert_eq!(b.deadline_secs, None);
         assert_eq!(b.solver_nodes, None);
     }
@@ -92,7 +85,6 @@ mod tests {
     #[test]
     fn budget_knobs_tighten() {
         let b = SlotBudget::unbounded().with_deadline_secs(0.5).with_solver_nodes(16);
-        assert!(b.is_bounded());
         assert_eq!(b.deadline_secs, Some(0.5));
         assert_eq!(b.solver_nodes, Some(16));
         // Negative deadlines clamp to zero rather than panicking.
@@ -114,7 +106,6 @@ mod tests {
     #[test]
     fn solver_floor_bounds_the_budget() {
         let b = SlotBudget::unbounded().with_solver_floor(Degradation::Greedy);
-        assert!(b.is_bounded());
         assert_eq!(b.solver_floor, Some(Degradation::Greedy));
         assert_eq!(SlotBudget::unbounded().solver_floor, None);
     }

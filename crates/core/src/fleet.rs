@@ -646,11 +646,6 @@ impl DeviceFleet {
         self.dirty[i] = true;
     }
 
-    /// Dirties every row — the forced cold-solve reset.
-    pub fn mark_all_dirty(&mut self) {
-        self.dirty.iter_mut().for_each(|d| *d = true);
-    }
-
     /// Clears every dirty bit and bumps the epoch. Call exactly once
     /// per consumed frontier (the gather step, after
     /// [`dirty_frontier`](Self::dirty_frontier) captured the delta).
@@ -1177,8 +1172,6 @@ mod tests {
         assert_eq!(f.epoch(), 2);
         f.mark_dirty(2);
         assert_eq!(f.dirty_frontier().indices, vec![2]);
-        f.mark_all_dirty();
-        assert_eq!(f.dirty_count(), 4);
     }
 
     #[test]

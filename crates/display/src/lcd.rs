@@ -67,23 +67,6 @@ impl LcdPowerModel {
         }
     }
 
-    /// Returns a copy with the backlight scaled by `scale` (the knob
-    /// backlight-scaling transforms turn).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 ≤ scale ≤ 1`.
-    pub fn with_backlight_scale(mut self, scale: f64) -> Self {
-        assert!((0.0..=1.0).contains(&scale), "backlight scale must be in [0, 1]");
-        self.backlight *= scale;
-        self
-    }
-
-    /// Current backlight luminance setting.
-    pub fn backlight(&self) -> f64 {
-        self.backlight
-    }
-
     /// Display power in watts when showing `frame`.
     ///
     /// The backlight term depends only on the luminance setting; the
@@ -101,12 +84,6 @@ impl LcdPowerModel {
         let content = 1.0 + PANEL_CONTENT_SWING * (mean_luma - 0.5);
         backlight + self.panel_w * content
     }
-
-    /// Power of the backlight subsystem alone (W) — the part a scaling
-    /// transform can reclaim.
-    pub fn backlight_watts(&self) -> f64 {
-        self.backlight_floor_w + self.backlight_max_w * self.backlight
-    }
 }
 
 #[cfg(test)]
@@ -116,19 +93,6 @@ mod tests {
 
     fn model() -> LcdPowerModel {
         LcdPowerModel::for_spec(&DisplaySpec::lcd_phone(Resolution::FHD))
-    }
-
-    #[test]
-    fn power_scales_with_backlight() {
-        let frame = FrameStats::uniform_gray(0.5);
-        let full = model().with_backlight_scale(1.0).power_watts(&frame);
-        let half = model().with_backlight_scale(0.5).power_watts(&frame);
-        let off = model().with_backlight_scale(0.0).power_watts(&frame);
-        assert!(full > half && half > off);
-        // The backlight portion halves exactly (floor and panel remain).
-        let m = model();
-        let saved = m.backlight_watts() - m.with_backlight_scale(0.5).backlight_watts();
-        assert!((saved - 0.5 * m.backlight_max_w * 0.7).abs() < 1e-9);
     }
 
     #[test]
@@ -164,18 +128,5 @@ mod tests {
             LcdPowerModel::for_spec(&big).power_watts(&frame)
                 > LcdPowerModel::for_spec(&small).power_watts(&frame)
         );
-    }
-
-    #[test]
-    fn backlight_watts_isolated() {
-        let m = model();
-        assert!(m.backlight_watts() < m.power_watts(&FrameStats::default()));
-        assert!(m.backlight_watts() > 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "backlight scale")]
-    fn invalid_scale_rejected() {
-        let _ = model().with_backlight_scale(1.2);
     }
 }

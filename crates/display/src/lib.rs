@@ -23,8 +23,6 @@
 //!   darkening (OLED), and subpixel shutoff (OLED);
 //! * [`strategy`] — the Table I strategy registry binding published
 //!   saving ranges to the transform implementations;
-//! * [`colorspace`] — RGB↔HSV conversion and hue-shift metrics used to
-//!   verify the transforms stay in the perceptually validated regime;
 //! * [`quality`] — distortion metrics and budgets shared by the
 //!   transforms.
 //!
@@ -48,24 +46,18 @@
 
 #![warn(missing_docs)]
 
-pub mod calibration;
-pub mod colorspace;
 pub mod component;
 pub mod lcd;
 pub mod oled;
-pub mod profile;
 pub mod quality;
 pub mod spec;
 pub mod stats;
 pub mod strategy;
 pub mod transform;
 
-pub use calibration::{fit_lcd, fit_oled, LcdFit, OledFit};
-pub use colorspace::{hsv_to_rgb, hue_distance, rgb_to_hsv, Hsv};
 pub use component::{ComponentBudget, PhoneComponent};
 pub use lcd::LcdPowerModel;
 pub use oled::OledPowerModel;
-pub use profile::PowerProfile;
 pub use quality::{Distortion, QualityBudget};
 pub use spec::{DisplayKind, DisplaySpec, Resolution};
 pub use stats::FrameStats;

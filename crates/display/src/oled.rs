@@ -86,11 +86,6 @@ impl OledPowerModel {
         self
     }
 
-    /// Panel brightness setting.
-    pub fn brightness(&self) -> f64 {
-        self.brightness
-    }
-
     /// Display power in watts when showing `frame`.
     pub fn power_watts(&self, frame: &FrameStats) -> f64 {
         self.power_at_linear_mean(frame.linear_mean())
@@ -102,18 +97,6 @@ impl OledPowerModel {
         let weighted: f64 = CHANNEL_WEIGHTS.iter().zip(&lm).map(|(w, m)| w * m).sum();
         self.base_w
             + self.brightness * self.emissive_w * self.enabled_fraction * weighted
-    }
-
-    /// Power attributable to one channel (0 = R, 1 = G, 2 = B), in
-    /// watts — useful to show where a color transform saves.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel > 2`.
-    pub fn channel_watts(&self, frame: &FrameStats, channel: usize) -> f64 {
-        assert!(channel < 3, "channel index out of range");
-        let m = frame.linear_mean()[channel];
-        self.brightness * self.emissive_w * self.enabled_fraction * CHANNEL_WEIGHTS[channel] * m
     }
 }
 
@@ -173,15 +156,6 @@ mod tests {
         let cut = m.with_enabled_fraction(0.8).power_watts(&frame);
         let base = m.power_watts(&FrameStats::uniform_gray(0.0));
         assert!(((cut - base) / (full - base) - 0.8).abs() < 1e-9);
-    }
-
-    #[test]
-    fn channel_watts_sum_to_emissive_total() {
-        let m = model();
-        let frame = FrameStats::from_encoded_rgb([0.4, 0.7, 0.2], 3);
-        let sum: f64 = (0..3).map(|c| m.channel_watts(&frame, c)).sum();
-        let base = m.power_watts(&FrameStats::uniform_gray(0.0));
-        assert!((sum - (m.power_watts(&frame) - base)).abs() < 1e-9);
     }
 
     #[test]

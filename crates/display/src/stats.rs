@@ -241,30 +241,6 @@ impl FrameStats {
             self.rgb_linear_mean[2] * factors[2].powf(GAMMA),
         ]
     }
-
-    /// Pixel-weighted blend of several frames' statistics, e.g. to
-    /// summarize a chunk from its frames. Returns `None` on empty input.
-    pub fn blend<'a, I: IntoIterator<Item = &'a FrameStats>>(frames: I) -> Option<FrameStats> {
-        let mut hist = [0.0; LUMA_BINS];
-        let mut linear = [0.0; 3];
-        let mut count = 0usize;
-        for f in frames {
-            for (h, &p) in hist.iter_mut().zip(&f.luma_hist) {
-                *h += p;
-            }
-            for (l, &m) in linear.iter_mut().zip(&f.rgb_linear_mean) {
-                *l += m;
-            }
-            count += 1;
-        }
-        if count == 0 {
-            return None;
-        }
-        for l in &mut linear {
-            *l /= count as f64;
-        }
-        Some(FrameStats::new(hist, linear))
-    }
 }
 
 impl Default for FrameStats {
@@ -379,15 +355,6 @@ mod tests {
         let same = s.scale_channels([1.0, 1.0, 1.0]);
         assert!((same.mean_luma() - s.mean_luma()).abs() < 1e-9);
         assert_eq!(same.linear_mean(), s.linear_mean());
-    }
-
-    #[test]
-    fn blend_averages() {
-        let a = FrameStats::uniform_gray(0.2);
-        let b = FrameStats::uniform_gray(0.8);
-        let m = FrameStats::blend([&a, &b]).unwrap();
-        assert!((m.mean_luma() - 0.5).abs() < 1.0 / LUMA_BINS as f64);
-        assert!(FrameStats::blend(std::iter::empty()).is_none());
     }
 
     #[test]

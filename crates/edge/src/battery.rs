@@ -88,14 +88,6 @@ impl Battery {
         self.remaining_j -= drained;
         drained
     }
-
-    /// Seconds the battery sustains a constant `watts` draw.
-    pub fn seconds_at(&self, watts: f64) -> f64 {
-        if watts <= 0.0 {
-            return f64::INFINITY;
-        }
-        self.remaining_j / watts
-    }
 }
 
 impl Default for Battery {
@@ -132,18 +124,11 @@ mod tests {
     }
 
     #[test]
-    fn seconds_at_constant_draw() {
-        let b = Battery::new(1.0, 0.5); // 1800 J
-        assert!((b.seconds_at(2.0) - 900.0).abs() < 1e-9);
-        assert_eq!(b.seconds_at(0.0), f64::INFINITY);
-    }
-
-    #[test]
     fn playback_time_is_realistic() {
         // A full phone battery with ~1.3 W total draw should stream for
         // many hours (phones realistically manage 8–14 h of video).
         let b = Battery::phone_at(1.0);
-        let hours = b.seconds_at(1.3) / 3600.0;
+        let hours = b.capacity_joules() / 1.3 / 3600.0;
         assert!((8.0..16.0).contains(&hours), "streaming life {hours} h");
     }
 

@@ -110,11 +110,6 @@ impl<K: Eq + Hash + Clone> PrefetchCache<K> {
         }
     }
 
-    /// Capacity in GB.
-    pub fn capacity_gb(&self) -> f64 {
-        self.capacity_gb
-    }
-
     /// Bytes currently cached, in GB.
     pub fn used_gb(&self) -> f64 {
         self.used_gb

@@ -44,11 +44,6 @@ impl VirtualCluster {
         &self.server
     }
 
-    /// Mutable edge server.
-    pub fn server_mut(&mut self) -> &mut EdgeServer {
-        &mut self.server
-    }
-
     /// Devices still actively watching.
     pub fn watching_count(&self) -> usize {
         self.devices.iter().filter(|d| d.is_watching()).count()
@@ -113,14 +108,6 @@ impl ClusterGenerator {
             battery_capacity_wh: Battery::PHONE_CAPACITY_WH,
             giveup_pool: Vec::new(),
         }
-    }
-
-    /// Overrides the Gaussian battery parameters.
-    pub fn with_battery(mut self, mean: f64, std: f64) -> Self {
-        assert!((0.0..=1.0).contains(&mean) && std >= 0.0, "invalid battery parameters");
-        self.battery_mean = mean;
-        self.battery_std = std;
-        self
     }
 
     /// Overrides the edge server sizing (concurrent 720p streams).
@@ -241,15 +228,6 @@ mod tests {
             let f = d.battery().fraction();
             (0.02..=1.0).contains(&f)
         }));
-    }
-
-    #[test]
-    fn custom_battery_parameters_respected() {
-        let vc = ClusterGenerator::paper_setup(2000, 4)
-            .with_battery(0.25, 0.05)
-            .generate();
-        let mean = vc.mean_battery_fraction();
-        assert!((mean - 0.25).abs() < 0.02, "mean battery {mean}");
     }
 
     #[test]

@@ -41,6 +41,11 @@ use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
+/// 2⁶⁴/φ: the multiplier of [`Partitioner::Hash`]'s Fibonacci hashing,
+/// and the increment of the splitmix64 draws the runtime's seeded
+/// faults and synthetic loads make.
+pub const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// How the fleet is split across shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum Partitioner {
@@ -52,6 +57,38 @@ pub enum Partitioner {
     /// balancing with no locality assumption. Within a shard, devices
     /// keep their fleet order.
     Hash,
+}
+
+impl Partitioner {
+    /// Splits `items` across `k` shards, handing each placed run to
+    /// `place(shard, run)` in ascending item order: one run per shard
+    /// under [`Locality`](Self::Locality), one item per run under
+    /// [`Hash`](Self::Hash). The one implementation of both rules, so
+    /// [`FleetScheduler::partition`] and every home-shard map agree.
+    pub fn split(self, items: &[usize], k: usize, mut place: impl FnMut(usize, &[usize])) {
+        match self {
+            Partitioner::Locality => {
+                // Balanced contiguous ranges: the first `n % k` shards
+                // take one extra item.
+                let base = items.len() / k;
+                let extra = items.len() % k;
+                let mut start = 0;
+                for s in 0..k {
+                    let size = base + usize::from(s < extra);
+                    place(s, &items[start..start + size]);
+                    start += size;
+                }
+            }
+            Partitioner::Hash => {
+                // Fibonacci hashing: deterministic, well-scattered, and
+                // independent of the shard count's divisors.
+                for i in items {
+                    let h = (*i as u64).wrapping_mul(GOLDEN_GAMMA) >> 17;
+                    place((h % k as u64) as usize, std::slice::from_ref(i));
+                }
+            }
+        }
+    }
 }
 
 /// Fleet-scheduler configuration.
@@ -242,29 +279,9 @@ impl FleetScheduler {
         let k = self.config.num_shards;
         let connected: Vec<usize> = (0..fleet.len()).filter(|&i| fleet.connected(i)).collect();
         let mut shards = vec![Vec::new(); k];
-        match self.config.partitioner {
-            Partitioner::Locality => {
-                // Balanced contiguous ranges: the first `n % k` shards
-                // take one extra device.
-                let n = connected.len();
-                let base = n / k;
-                let extra = n % k;
-                let mut start = 0;
-                for (s, shard) in shards.iter_mut().enumerate() {
-                    let size = base + usize::from(s < extra);
-                    shard.extend_from_slice(&connected[start..start + size]);
-                    start += size;
-                }
-            }
-            Partitioner::Hash => {
-                // Fibonacci hashing: deterministic, well-scattered, and
-                // independent of the shard count's divisors.
-                for &i in &connected {
-                    let h = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 17;
-                    shards[(h % k as u64) as usize].push(i);
-                }
-            }
-        }
+        self.config
+            .partitioner
+            .split(&connected, k, |s, run| shards[s].extend_from_slice(run));
         shards
     }
 

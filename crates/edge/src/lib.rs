@@ -15,7 +15,6 @@
 //!   as in §VI-B);
 //! * [`cache`] — the CDN→edge prefetch cache deciding how many chunks
 //!   `K_m` of each video are available at a scheduling point;
-//! * [`slot`] — the 5-minute scheduling clock (paper Remark 1);
 //! * [`fleet`] — the provider-scale [`FleetScheduler`]: a columnar
 //!   device fleet partitioned across N edge shards, each running the
 //!   full resilient pipeline on its own thread, with a bounded
@@ -40,7 +39,6 @@ pub mod cluster;
 pub mod device;
 pub mod fleet;
 pub mod server;
-pub mod slot;
 
 pub use battery::Battery;
 pub use cache::{PrefetchCache, PrefetchPolicy};
@@ -48,4 +46,3 @@ pub use cluster::{ClusterGenerator, VirtualCluster};
 pub use device::{Device, DeviceId};
 pub use fleet::{FleetConfig, FleetSchedule, FleetScheduler, Partitioner, ShardReport};
 pub use server::EdgeServer;
-pub use slot::SlotClock;

@@ -39,13 +39,13 @@ use crate::faults::FaultConfig;
 use crate::metrics::{EmulationReport, SlotRecord};
 use lpvs_bayes::GammaEstimator;
 use lpvs_core::baseline::Policy;
+use lpvs_core::budget::SlotBudget;
 use lpvs_core::scheduler::{LpvsScheduler, SchedulerConfig};
 use lpvs_display::quality::QualityBudget;
 use lpvs_display::stats::FrameStats;
 use lpvs_edge::cache::PrefetchPolicy;
 use lpvs_edge::cluster::{ClusterGenerator, VirtualCluster};
 use lpvs_edge::fleet::{FleetConfig, Partitioner};
-use lpvs_edge::slot::SlotBudget;
 use lpvs_media::content::{ContentModel, Genre};
 use lpvs_media::encoder::TransformEncoder;
 use lpvs_media::ladder::BitrateLadder;

@@ -297,46 +297,6 @@ pub fn trace_driven(
     max_slots: usize,
     seed: u64,
 ) -> TraceDrivenReport {
-    trace_driven_sharded(trace, max_sessions, max_slots, seed, 1)
-}
-
-/// [`trace_driven`] with each session's virtual cluster served by
-/// `num_edges` edge shards instead of one monolithic server (same total
-/// capacity, split evenly; see `EmulatorConfig::num_edges`). With
-/// `num_edges = 1` this **is** `trace_driven`.
-pub fn trace_driven_sharded(
-    trace: &Trace,
-    max_sessions: usize,
-    max_slots: usize,
-    seed: u64,
-    num_edges: usize,
-) -> TraceDrivenReport {
-    trace_driven_with(trace, max_sessions, max_slots, seed, num_edges, false)
-}
-
-/// [`trace_driven_sharded`] with each session's slot loop driven
-/// through `lpvs-runtime`'s shard workers with shard-local Bayes banks
-/// (`EmulatorConfig::pipelined`). Decisions apply one slot after they
-/// are computed — the flag implies it — identical to an inline run's
-/// `one_slot_ahead` mode.
-pub fn trace_driven_pipelined(
-    trace: &Trace,
-    max_sessions: usize,
-    max_slots: usize,
-    seed: u64,
-    num_edges: usize,
-) -> TraceDrivenReport {
-    trace_driven_with(trace, max_sessions, max_slots, seed, num_edges, true)
-}
-
-fn trace_driven_with(
-    trace: &Trace,
-    max_sessions: usize,
-    max_slots: usize,
-    seed: u64,
-    num_edges: usize,
-    pipelined: bool,
-) -> TraceDrivenReport {
     let mut eligible: Vec<(u32, usize, usize)> = trace
         .sessions()
         .filter_map(|(c, s)| {
@@ -360,8 +320,6 @@ fn trace_driven_with(
                     seed: seed ^ u64::from(channel),
                     server_streams: 100,
                     lambda: 1.0,
-                    num_edges,
-                    pipelined,
                     ..EmulatorConfig::default()
                 };
                 let (with, without) = run_pair(config, Policy::Lpvs);
@@ -550,21 +508,6 @@ mod tests {
             assert!(r.energy_saving > 0.0);
         }
         assert!(report.weighted_energy_saving > 0.0);
-    }
-
-    #[test]
-    fn trace_driven_sharded_serves_sessions_across_edges() {
-        let trace = lpvs_trace::generator::TraceGenerator::new(120, 19).generate();
-        let mono = trace_driven(&trace, 2, 3, 7);
-        // One shard is literally the monolithic run.
-        let one = trace_driven_sharded(&trace, 2, 3, 7, 1);
-        assert_eq!(mono, one);
-        // Multiple edges still serve every session productively.
-        let multi = trace_driven_sharded(&trace, 2, 3, 7, 4);
-        assert_eq!(multi.rows.len(), mono.rows.len());
-        for r in &multi.rows {
-            assert!(r.energy_saving > 0.0, "sharded session saved nothing");
-        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! The plan is pure data. The [`engine`](crate::engine) applies it —
 //! disconnecting devices, corrupting the γ vector *after* the
 //! estimators produce it, deriving browned-out capacities, and
-//! tightening the [`SlotBudget`](lpvs_edge::slot::SlotBudget) handed
+//! tightening the [`SlotBudget`](lpvs_core::budget::SlotBudget) handed
 //! to the resilient scheduler.
 
 use rand::rngs::StdRng;

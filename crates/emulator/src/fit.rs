@@ -47,11 +47,6 @@ impl LineFit {
         let r_squared = if ss_tot <= 0.0 { 1.0 } else { 1.0 - ss_res / ss_tot };
         Self { slope, intercept, r_squared }
     }
-
-    /// Predicted y at `x`.
-    pub fn predict(&self, x: f64) -> f64 {
-        self.slope * x + self.intercept
-    }
 }
 
 impl std::fmt::Display for LineFit {
@@ -79,7 +74,6 @@ mod tests {
         assert!((fit.slope - 0.055).abs() < 1e-12);
         assert!((fit.intercept + 0.324).abs() < 1e-12);
         assert!((fit.r_squared - 1.0).abs() < 1e-12);
-        assert!((fit.predict(100.0) - 5.176).abs() < 1e-9);
     }
 
     #[test]

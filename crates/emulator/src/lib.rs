@@ -54,11 +54,9 @@ pub mod fit;
 pub mod gather;
 pub mod metrics;
 pub(crate) mod driver;
-pub mod qoe;
 pub mod report;
 
 pub use engine::{CheckpointSpec, Emulator, EmulatorConfig};
 pub use faults::{FaultConfig, FaultPlan, GammaCorruption, SlotFaults};
 pub use fit::LineFit;
 pub use metrics::{EmulationReport, SlotRecord};
-pub use qoe::{mean_qoe, qoe_scores, QoeWeights};

@@ -74,11 +74,6 @@ impl Chunk {
     pub fn energy_joules(&self, spec: &DisplaySpec) -> f64 {
         self.power_rate_watts(spec) * self.duration_secs
     }
-
-    /// Encoded size of the chunk in megabytes.
-    pub fn size_mb(&self) -> f64 {
-        self.bitrate_kbps * self.duration_secs / 8.0 / 1000.0
-    }
 }
 
 #[cfg(test)]
@@ -101,12 +96,6 @@ mod tests {
     fn brighter_chunk_draws_more_on_oled() {
         let spec = DisplaySpec::oled_phone(Resolution::HD);
         assert!(chunk(0.9).power_rate_watts(&spec) > chunk(0.2).power_rate_watts(&spec));
-    }
-
-    #[test]
-    fn size_from_bitrate() {
-        // 3000 kbit/s × 10 s = 30 Mbit = 3.75 MB.
-        assert!((chunk(0.5).size_mb() - 3.75).abs() < 1e-12);
     }
 
     #[test]

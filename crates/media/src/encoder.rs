@@ -169,13 +169,6 @@ impl TransformEncoder {
         let chunks = video.chunks().iter().map(|c| self.encode_chunk(c, spec)).collect();
         EncodedVideo { chunks }
     }
-
-    /// Transforms an arbitrary chunk window (the `K_m` chunks available
-    /// at a scheduling point).
-    pub fn encode_window(&self, window: &[Chunk], spec: &DisplaySpec) -> EncodedVideo {
-        let chunks = window.iter().map(|c| self.encode_chunk(c, spec)).collect();
-        EncodedVideo { chunks }
-    }
 }
 
 impl Default for TransformEncoder {
@@ -242,23 +235,5 @@ mod tests {
         let spec = DisplaySpec::oled_phone(Resolution::HD);
         let encoded = TransformEncoder::default().encode(&video(), &spec);
         assert!(encoded.peak_perceptual_score() < 0.4);
-    }
-
-    #[test]
-    fn window_encoding_matches_full_prefix() {
-        let v = video();
-        let spec = DisplaySpec::oled_phone(Resolution::HD);
-        let enc = TransformEncoder::default();
-        let full = enc.encode(&v, &spec);
-        let window = enc.encode_window(v.window(0, 5), &spec);
-        assert_eq!(window.chunks().len(), 5);
-        assert_eq!(window.chunks()[..], full.chunks()[..5]);
-    }
-
-    #[test]
-    fn empty_window_mean_ratio_is_zero() {
-        let spec = DisplaySpec::oled_phone(Resolution::HD);
-        let encoded = TransformEncoder::default().encode_window(&[], &spec);
-        assert_eq!(encoded.mean_reduction_ratio(), 0.0);
     }
 }

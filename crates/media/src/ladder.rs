@@ -1,9 +1,9 @@
 //! Live-streaming bitrate/resolution ladder.
 //!
 //! Twitch-style services publish each stream at a ladder of
-//! resolutions, each with a target bitrate. The trace records bitrates;
-//! this module maps them to resolutions (and back) so the emulator can
-//! assign display-appropriate variants to devices (paper §VI-B:
+//! resolutions, each with a target bitrate. This module maps a
+//! resolution to its rung's bitrate so the emulator can price the
+//! display-appropriate variant each device is assigned (paper §VI-B:
 //! "randomly choosing from available display resolutions under the
 //! supported bitrates").
 
@@ -20,8 +20,6 @@ use serde::{Deserialize, Serialize};
 ///
 /// let ladder = BitrateLadder::default();
 /// assert_eq!(ladder.bitrate_kbps(Resolution::HD), 3000.0);
-/// // A 4.5 Mbit/s source supports up to 720p.
-/// assert_eq!(ladder.best_resolution_under(4500.0), Some(Resolution::HD));
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BitrateLadder {
@@ -45,11 +43,6 @@ impl BitrateLadder {
         Self { rungs }
     }
 
-    /// Rungs in ascending resolution order.
-    pub fn rungs(&self) -> &[(Resolution, f64)] {
-        &self.rungs
-    }
-
     /// Target bitrate for `resolution` (exact rung, or interpolated by
     /// pixel count for off-ladder resolutions).
     pub fn bitrate_kbps(&self, resolution: Resolution) -> f64 {
@@ -63,25 +56,6 @@ impl BitrateLadder {
             .min_by_key(|(r, _)| r.pixels().abs_diff(resolution.pixels()))
             .expect("ladder is non-empty");
         nearest.1 * resolution.pixels() as f64 / nearest.0.pixels() as f64
-    }
-
-    /// Highest resolution whose rung bitrate fits within
-    /// `available_kbps`, if any.
-    pub fn best_resolution_under(&self, available_kbps: f64) -> Option<Resolution> {
-        self.rungs
-            .iter()
-            .rev()
-            .find(|(_, b)| *b <= available_kbps)
-            .map(|(r, _)| *r)
-    }
-
-    /// All resolutions whose rung bitrate fits within `available_kbps`.
-    pub fn resolutions_under(&self, available_kbps: f64) -> Vec<Resolution> {
-        self.rungs
-            .iter()
-            .filter(|(_, b)| *b <= available_kbps)
-            .map(|(r, _)| *r)
-            .collect()
     }
 }
 
@@ -106,27 +80,8 @@ mod tests {
     #[test]
     fn default_ladder_is_ascending() {
         let l = BitrateLadder::default();
-        assert_eq!(l.rungs().len(), 5);
-        assert!(l.rungs().windows(2).all(|w| w[0].1 < w[1].1));
-    }
-
-    #[test]
-    fn best_resolution_picks_highest_fitting() {
-        let l = BitrateLadder::default();
-        assert_eq!(l.best_resolution_under(25_000.0), Some(Resolution::UHD));
-        assert_eq!(l.best_resolution_under(7000.0), Some(Resolution::FHD));
-        assert_eq!(l.best_resolution_under(1200.0), Some(Resolution::SD));
-        assert_eq!(l.best_resolution_under(500.0), None);
-    }
-
-    #[test]
-    fn resolutions_under_lists_all_fitting() {
-        let l = BitrateLadder::default();
-        assert_eq!(
-            l.resolutions_under(6500.0),
-            vec![Resolution::SD, Resolution::HD, Resolution::FHD]
-        );
-        assert!(l.resolutions_under(100.0).is_empty());
+        assert_eq!(l.rungs.len(), 5);
+        assert!(l.rungs.windows(2).all(|w| w[0].1 < w[1].1));
     }
 
     #[test]

@@ -11,8 +11,6 @@
 //!   realistic per-chunk statistics (gaming is dark and saturated,
 //!   sports bright, talk shows mid-key, …);
 //! * [`ladder`] — the live-streaming bitrate/resolution ladder;
-//! * [`abr`] — a buffer-aware adaptive-bitrate controller deriving
-//!   per-viewer resolutions from network conditions;
 //! * [`cost`] — the transforming resource-cost functions `g(·)` and
 //!   `h(·)` of paper §IV-D, calibrated to the Wowza transcoding
 //!   benchmarks the paper cites (≈ 100 concurrent 720p streams per
@@ -46,20 +44,16 @@
 
 #![warn(missing_docs)]
 
-pub mod abr;
 pub mod chunk;
 pub mod content;
 pub mod cost;
 pub mod encoder;
 pub mod ladder;
-pub mod network;
 pub mod video;
 
-pub use abr::AbrController;
 pub use chunk::{Chunk, ChunkId};
 pub use content::{ContentModel, Genre};
 pub use cost::{storage_gb, transform_compute_units, EdgeBudgetCalibration};
 pub use encoder::{EncodedChunk, EncodedVideo, TransformEncoder};
 pub use ladder::BitrateLadder;
-pub use network::BandwidthModel;
 pub use video::{Video, VideoId};

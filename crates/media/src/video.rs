@@ -65,16 +65,6 @@ impl Video {
         let end = (from + count).min(self.chunks.len());
         &self.chunks[start..end]
     }
-
-    /// Total duration in seconds.
-    pub fn duration_secs(&self) -> f64 {
-        self.chunks.iter().map(|c| c.duration_secs).sum()
-    }
-
-    /// Total encoded size in megabytes.
-    pub fn size_mb(&self) -> f64 {
-        self.chunks.iter().map(Chunk::size_mb).sum()
-    }
 }
 
 #[cfg(test)]
@@ -89,13 +79,6 @@ mod tests {
             })
             .collect();
         Video::new(VideoId(9), Resolution::HD, chunks)
-    }
-
-    #[test]
-    fn duration_and_size_accumulate() {
-        let v = video(30);
-        assert!((v.duration_secs() - 300.0).abs() < 1e-9);
-        assert!((v.size_mb() - 30.0 * 3.75).abs() < 1e-9);
     }
 
     #[test]

@@ -10,8 +10,7 @@
 //!
 //! One process-global recorder slot, in the style of the `log` crate:
 //!
-//! - [`install`] a collecting [`Recorder`] (or call [`init`] to
-//!   install-and-enable a fresh one);
+//! - [`init`] installs and enables a collecting [`Recorder`];
 //! - instrumented code opens spans with [`span!`] and bumps metrics
 //!   with [`inc`]/[`gauge_set`]/[`observe`];
 //! - when recording is disabled — the default — every instrumented
@@ -50,7 +49,7 @@ pub use metrics::{
 };
 pub use recorder::{NoopRecorder, ObsSnapshot, Record, Recorder};
 pub use span::{
-    current_context, current_thread_id, span_metric_name, SpanContext, SpanEvent, SpanGuard,
+    current_thread_id, span_metric_name, SpanContext, SpanEvent, SpanGuard,
 };
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -66,17 +65,6 @@ static NOOP: NoopRecorder = NoopRecorder;
 /// measured from this monotonic instant (fixed on first use).
 pub fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
-}
-
-/// Installs `recorder` as the process-global recorder and enables
-/// recording. Returns `false` if a recorder was already installed
-/// (the existing one stays; installation is once per process).
-pub fn install(recorder: Arc<Recorder>) -> bool {
-    let fresh = GLOBAL.set(recorder).is_ok();
-    if fresh {
-        set_enabled(true);
-    }
-    fresh
 }
 
 /// Installs a fresh recorder if none exists, enables recording, and
@@ -375,25 +363,6 @@ mod tests {
             let events = recorder.events();
             let rooted = events.iter().find(|e| e.name == "test.rooted").unwrap();
             assert_eq!(rooted.parent, None);
-        });
-    }
-
-    #[test]
-    fn current_context_tracks_the_innermost_span() {
-        with_clean_recorder(|_recorder| {
-            assert_eq!(current_context(), None);
-            let outer = span!("test.outer");
-            assert_eq!(current_context(), outer.context());
-            {
-                let inner = span!("test.inner");
-                assert_eq!(current_context(), inner.context());
-                assert_eq!(
-                    current_context().map(|c| c.trace),
-                    outer.context().map(|c| c.trace),
-                    "nested spans share the root's trace"
-                );
-            }
-            assert_eq!(current_context(), outer.context());
         });
     }
 

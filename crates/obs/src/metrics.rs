@@ -414,15 +414,6 @@ impl MetricsRegistry {
         map.entry(key).or_insert_with(|| Arc::new(Histogram::latency())).clone()
     }
 
-    /// The histogram registered under `name` with explicit bounds
-    /// (applied only on first registration).
-    pub fn histogram_with(&self, name: &str, bounds: &[f64]) -> Arc<Histogram> {
-        let mut map = self.histograms.lock();
-        map.entry(SeriesKey::plain(name))
-            .or_insert_with(|| Arc::new(Histogram::with_bounds(bounds.to_vec())))
-            .clone()
-    }
-
     /// Immutable copy of every registered instrument.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
@@ -505,20 +496,6 @@ impl MetricsSnapshot {
         self.histograms.iter().find(|(k, _)| *k == key).map(|(_, h)| h)
     }
 
-    /// Folds every labeled series of histogram `name` (including the
-    /// unlabeled one) into one merged snapshot — the aggregate view
-    /// after a label fan-out. `None` when no series matches.
-    pub fn histogram_across_labels(&self, name: &str) -> Option<HistogramSnapshot> {
-        self.histograms
-            .iter()
-            .filter(|(k, _)| k.name == name)
-            .map(|(_, h)| h)
-            .fold(None, |acc: Option<HistogramSnapshot>, h| match acc {
-                Some(m) => Some(m.merged(h)),
-                None => Some(h.clone()),
-            })
-    }
-
     /// Merges two snapshots: counters and histogram buckets add,
     /// gauges take the other side's value (last write wins). Series
     /// present on only one side carry over unchanged.
@@ -593,21 +570,6 @@ mod tests {
             SeriesKey::escape_label_value("a\\b\"c\nd"),
             "a\\\\b\\\"c\\nd"
         );
-    }
-
-    #[test]
-    fn histogram_across_labels_merges_the_fan_out() {
-        let reg = MetricsRegistry::new();
-        reg.histogram_labeled("solve_seconds", &[("shard", "0")]).record(0.1);
-        reg.histogram_labeled("solve_seconds", &[("shard", "1")]).record(0.3);
-        reg.histogram("solve_seconds").record(0.2);
-        let snap = reg.snapshot();
-        let merged = snap.histogram_across_labels("solve_seconds").unwrap();
-        assert_eq!(merged.count, 3);
-        assert!((merged.sum - 0.6).abs() < 1e-12);
-        assert_eq!(merged.min, Some(0.1));
-        assert_eq!(merged.max, Some(0.3));
-        assert!(snap.histogram_across_labels("missing").is_none());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The crate keeps one process-global recorder slot, guarded by a
 //! relaxed [`AtomicBool`](std::sync::atomic::AtomicBool) so that every instrumented call site pays
 //! exactly one atomic load when recording is disabled (the
-//! [`NoopRecorder`] regime). [`install`](crate::install) swaps in a
+//! [`NoopRecorder`] regime). [`init`](crate::init) swaps in a
 //! collecting [`Recorder`]; [`set_enabled`](crate::set_enabled) toggles
 //! collection without losing what was already gathered.
 

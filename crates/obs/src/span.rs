@@ -15,7 +15,7 @@
 //! thread-local stack. Parentage never leaks across threads
 //! *implicitly* — a bare [`crate::span!`] on a new thread starts a new
 //! trace — but it can be handed off *deliberately*: capture a
-//! [`SpanContext`] with [`SpanGuard::context`] or [`current_context`],
+//! [`SpanContext`] with [`SpanGuard::context`],
 //! ship it across the channel hop, and open the remote span with
 //! [`crate::start_span_with`]. That is how shard-worker solve spans
 //! stay children of the hub's slot span.
@@ -28,7 +28,7 @@ use std::time::Instant;
 /// A portable reference to an open span: the pair of ids a child span
 /// needs to attach to it from another thread.
 ///
-/// Capture one with [`SpanGuard::context`] (or [`current_context`]),
+/// Capture one with [`SpanGuard::context`],
 /// send it across a channel, and open the remote child with
 /// [`crate::start_span_with`]. `Copy`, 16 bytes, freely shippable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -108,19 +108,6 @@ thread_local! {
 /// Dense id of the current thread (for span attribution).
 pub fn current_thread_id() -> u64 {
     THREAD_ID.with(|id| *id)
-}
-
-/// The context of the innermost span open on this thread, if any.
-///
-/// Capture it before spawning (or before sending work over a channel)
-/// to parent remote spans under the current one.
-pub fn current_context() -> Option<SpanContext> {
-    SPAN_STACK.with(|stack| {
-        stack
-            .borrow()
-            .last()
-            .map(|&(span, trace)| SpanContext { trace, span })
-    })
 }
 
 #[derive(Debug)]

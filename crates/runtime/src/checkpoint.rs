@@ -32,13 +32,14 @@
 //!   deaths, retries, replayed slots, and checkpoint generations that
 //!   replaces the old boolean-ish `fell_back` field.
 
-use crate::shard::ShardDeltaMemo;
+use crate::shard::{splitmix64, unit, ShardDeltaMemo};
 use lpvs_bayes::codec::bank_from_bytes;
 use lpvs_bayes::{BayesBank, GammaEstimator};
 use lpvs_codec::{crc64, CodecError, Reader, Writer};
 use lpvs_core::fleet::DeviceFleet;
 use lpvs_core::phase2::Phase2Stats;
 use lpvs_core::scheduler::{Degradation, Schedule, ScheduleStats};
+use lpvs_edge::fleet::GOLDEN_GAMMA;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
@@ -872,12 +873,7 @@ fn corruption_hits(seed: u64, shard: usize, gen: u64, rate: f64) -> bool {
     if rate <= 0.0 {
         return false;
     }
-    let mut z = seed ^ gen.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ ((shard as u64) << 48);
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    ((z >> 11) as f64) / ((1u64 << 53) as f64) < rate
+    unit(splitmix64(seed ^ gen.wrapping_mul(GOLDEN_GAMMA) ^ ((shard as u64) << 48))) < rate
 }
 
 /// How far down the recovery ladder a run ended up.
@@ -1049,7 +1045,6 @@ impl RecoveryReport {
         }
     }
 }
-
 
 #[cfg(test)]
 mod tests {

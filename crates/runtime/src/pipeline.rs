@@ -69,7 +69,7 @@ use lpvs_obs::{FlightRing, SpanContext};
 use lpvs_core::accounting::ShardTerms;
 use lpvs_core::fleet::DeviceFleet;
 use lpvs_core::scheduler::{Degradation, Schedule};
-use lpvs_edge::fleet::{FleetConfig, FleetSchedule, FleetScheduler, JoinMemo, Partitioner};
+use lpvs_edge::fleet::{FleetConfig, FleetSchedule, FleetScheduler, JoinMemo};
 use lpvs_edge::server::EdgeServer;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -455,28 +455,13 @@ impl SlotRuntime {
     /// Home shard of every device under the configured partitioner —
     /// the initial bank split, before any migration.
     pub fn home_shards(&self, devices: usize) -> Vec<usize> {
-        let k = self.config.fleet.num_shards;
+        let all: Vec<usize> = (0..devices).collect();
         let mut owner = vec![0usize; devices];
-        match self.config.fleet.partitioner {
-            Partitioner::Locality => {
-                let base = devices / k;
-                let extra = devices % k;
-                let mut start = 0;
-                for s in 0..k {
-                    let size = base + usize::from(s < extra);
-                    for o in &mut owner[start..start + size] {
-                        *o = s;
-                    }
-                    start += size;
-                }
+        self.config.fleet.partitioner.split(&all, self.config.fleet.num_shards, |s, run| {
+            for &d in run {
+                owner[d] = s;
             }
-            Partitioner::Hash => {
-                for (d, o) in owner.iter_mut().enumerate() {
-                    let h = (d as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 17;
-                    *o = (h % k as u64) as usize;
-                }
-            }
-        }
+        });
         owner
     }
 

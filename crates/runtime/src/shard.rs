@@ -33,7 +33,7 @@ use lpvs_bayes::{BayesBank, GammaEstimator};
 use lpvs_core::accounting::{RowAccounting, ShardTerms};
 use lpvs_core::delta::solve_incremental;
 use lpvs_core::scheduler::{LpvsScheduler, Schedule, SchedulerConfig};
-use lpvs_edge::fleet::shard_frontier;
+use lpvs_edge::fleet::{shard_frontier, GOLDEN_GAMMA};
 use lpvs_obs::{FlightKind, FlightRing, SpanContext};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -181,13 +181,23 @@ pub(crate) fn stage_fault_hits(seed: u64, slot: usize, shard: usize, rate: f64) 
     if rate <= 0.0 {
         return false;
     }
-    // splitmix64 over the (seed, slot, shard) triple.
-    let mut z = seed ^ (slot as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ ((shard as u64) << 32);
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    unit(splitmix64(seed ^ (slot as u64).wrapping_mul(GOLDEN_GAMMA) ^ ((shard as u64) << 32)))
+        < rate
+}
+
+/// splitmix64's step and finalizer over a pre-salted word: the
+/// no-RNG-stream recipe behind stage faults, checkpoint corruption and
+/// synthetic mutations, so draw `k` never depends on the draws before it.
+pub(crate) fn splitmix64(z: u64) -> u64 {
+    let mut z = z.wrapping_add(GOLDEN_GAMMA);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    ((z >> 11) as f64) / ((1u64 << 53) as f64) < rate
+    z ^ (z >> 31)
+}
+
+/// A uniform draw in `[0, 1)` from one mixed word.
+pub(crate) fn unit(word: u64) -> f64 {
+    ((word >> 11) as f64) / ((1u64 << 53) as f64)
 }
 
 /// Ships the shard state home if the worker unwinds or returns without

@@ -18,6 +18,7 @@
 //! exactly as the original gather did, keeping the fleet epoch — and
 //! with it the delta chain — contiguous across the restart.
 
+use crate::shard::{splitmix64, unit};
 use crate::{
     BankOps, GatheredSlot, SlotFeedback, SlotReplay, SlotSink, SlotSource, SolvedSlot,
 };
@@ -27,6 +28,7 @@ use lpvs_core::delta::SlotDelta;
 use lpvs_core::fleet::{DeviceFleet, FleetDevice};
 use lpvs_core::problem::DeviceRequest;
 use lpvs_core::scheduler::Degradation;
+use lpvs_edge::fleet::GOLDEN_GAMMA;
 use lpvs_survey::curve::AnxietyCurve;
 
 /// Battery capacity every synthetic device reports (J) — the paper's
@@ -103,19 +105,11 @@ pub struct SyntheticDriver {
 /// no-RNG-stream recipe as stage faults, so mutation `k` of a slot
 /// never depends on how many came before it.
 fn mix(seed: u64, slot: usize, device: usize, salt: u64) -> u64 {
-    let mut z = seed
-        ^ (slot as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ ((device as u64) << 24)
-        ^ salt.wrapping_mul(0xD6E8_FEB8_6659_FD93);
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// A uniform draw in `[0, 1)` from one mixed word.
-fn unit(word: u64) -> f64 {
-    ((word >> 11) as f64) / ((1u64 << 53) as f64)
+    splitmix64(
+        seed ^ (slot as u64).wrapping_mul(GOLDEN_GAMMA)
+            ^ ((device as u64) << 24)
+            ^ salt.wrapping_mul(0xD6E8_FEB8_6659_FD93),
+    )
 }
 
 impl SyntheticDriver {

@@ -47,7 +47,7 @@ use lpvs_runtime::{BankOps, GatheredSlot, SlotFeedback, SlotReplay, SlotSink, Sl
 use lpvs_survey::curve::AnxietyCurve;
 use std::collections::{BTreeMap, VecDeque};
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -516,7 +516,12 @@ impl ServeEngine {
     /// disconnected; admission state is rebuilt from the journal so the
     /// HTTP layer starts from the same session set the previous
     /// incarnation held.
-    pub fn new(config: EngineConfig, shared: Arc<Shared>) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// The journal cannot be opened for appending; `shared` is left
+    /// untouched.
+    pub fn new(config: EngineConfig, shared: Arc<Shared>) -> io::Result<Self> {
         assert!(config.max_devices > 0, "serve fleet must be nonempty");
         let mut fleet = DeviceFleet::with_capacity(config.max_devices, 30);
         for _ in 0..config.max_devices {
@@ -535,6 +540,11 @@ impl ServeEngine {
             fleet.set_connected(d, false);
         }
 
+        let journal_file = config
+            .journal
+            .as_ref()
+            .map(|p| OpenOptions::new().create(true).append(true).open(p))
+            .transpose()?;
         let parsed = config
             .journal
             .as_ref()
@@ -581,14 +591,7 @@ impl ServeEngine {
         }
         // Brownout at *engine* level replays per-slot (ops are applied
         // in slot order), so start from 1.0 like the original run did.
-        let journal_file = config.journal.as_ref().map(|p| {
-            OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(p)
-                .expect("op journal must be writable")
-        });
-        Self {
+        Ok(Self {
             config,
             shared,
             fleet,
@@ -602,7 +605,7 @@ impl ServeEngine {
             journal_file,
             journaled: parsed.slots,
             applied: 0,
-        }
+        })
     }
 
     /// The configuration.

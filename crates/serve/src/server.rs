@@ -392,13 +392,14 @@ fn refuse(refused: Refused) {
 ///
 /// # Errors
 ///
-/// Propagates the bind error; everything after the bind is spawned.
+/// Propagates the bind error and an op journal that cannot be opened
+/// for appending; everything after those is spawned.
 pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
     lpvs_obs::init();
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     let shared = Shared::new(&config.engine, config.ops_queue);
-    let engine = ServeEngine::new(config.engine.clone(), Arc::clone(&shared));
+    let engine = ServeEngine::new(config.engine.clone(), Arc::clone(&shared))?;
     let workers = config.http_workers.max(1);
     let conns = Arc::new(ConnQueue::new(config.conn_queue, workers));
     let mut threads = Vec::new();

@@ -19,9 +19,7 @@
 //!   with interpolation, shape analysis (convex above 20 %, concave
 //!   below, sharp rise at 20 %), and reference shapes;
 //! * [`summary`] — whole-survey statistics backing Table II and the
-//!   §III-A headline numbers;
-//! * [`analysis`] — bootstrap confidence bands for the curve and
-//!   correlations between the battery-behaviour questions.
+//!   §III-A headline numbers.
 //!
 //! # Example
 //!
@@ -39,7 +37,6 @@
 
 #![warn(missing_docs)]
 
-pub mod analysis;
 pub mod curve;
 pub mod demographics;
 pub mod extraction;
@@ -47,7 +44,6 @@ pub mod generator;
 pub mod participant;
 pub mod summary;
 
-pub use analysis::{bootstrap_curve_band, charge_giveup_correlation, CurveBand};
 pub use curve::AnxietyCurve;
 pub use extraction::extract_curve;
 pub use generator::SurveyGenerator;

@@ -99,13 +99,6 @@ impl SurveySummary {
         lost as f64 / self.respondents as f64
     }
 
-    /// Fraction of users who charge at or above `level`.
-    pub fn charge_at_or_above(&self, level: u8) -> f64 {
-        let level = level.clamp(1, 100) as usize;
-        let n: usize = self.charge_hist[level - 1..].iter().sum();
-        n as f64 / self.respondents as f64
-    }
-
     /// Table II rows as `(subject, count, percent)` in the paper's
     /// print order.
     pub fn table2_rows(&self) -> Vec<(String, usize, f64)> {
@@ -184,12 +177,6 @@ mod tests {
             .unwrap();
         let share = student as f64 / 2032.0;
         assert!((share - 0.5039).abs() < 0.05, "student share {share}");
-    }
-
-    #[test]
-    fn charge_levels_all_anxious_at_one_percent() {
-        let s = summary();
-        assert!((s.charge_at_or_above(1) - 1.0).abs() < 1e-12);
     }
 
     #[test]

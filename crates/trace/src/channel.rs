@@ -54,16 +54,6 @@ impl Channel {
     pub fn sessions(&self) -> &[Session] {
         &self.sessions
     }
-
-    /// Viewer count at a global slot, if the channel is live then.
-    pub fn viewers_at(&self, slot: u64) -> Option<u32> {
-        self.sessions.iter().find_map(|s| s.viewers_at(slot))
-    }
-
-    /// Total broadcast minutes across sessions.
-    pub fn broadcast_minutes(&self) -> f64 {
-        self.sessions.iter().map(Session::duration_minutes).sum()
-    }
 }
 
 /// A full dataset: many channels.
@@ -131,19 +121,6 @@ mod tests {
             6000.0,
             vec![Session::new(0, vec![5, 6]), Session::new(10, vec![7])],
         )
-    }
-
-    #[test]
-    fn viewers_at_scans_sessions() {
-        let c = channel();
-        assert_eq!(c.viewers_at(1), Some(6));
-        assert_eq!(c.viewers_at(5), None);
-        assert_eq!(c.viewers_at(10), Some(7));
-    }
-
-    #[test]
-    fn broadcast_minutes_accumulate() {
-        assert!((channel().broadcast_minutes() - 15.0).abs() < 1e-12);
     }
 
     #[test]

@@ -2,11 +2,9 @@
 //!
 //! Live-streaming audiences breathe with the day: evening prime time
 //! carries several times the 5 a.m. trough. The base generator is
-//! time-homogeneous; this module layers a smooth diurnal envelope on a
-//! trace so capacity studies see realistic peak/trough dynamics.
-
-use crate::channel::{Channel, Trace};
-use crate::session::Session;
+//! time-homogeneous; this module's smooth diurnal envelope scales a
+//! load by the hour so capacity studies see realistic peak/trough
+//! dynamics.
 
 /// Slots per day at the 5-minute sampling interval.
 pub const SLOTS_PER_DAY: u64 = 288;
@@ -40,43 +38,9 @@ pub fn diurnal_factor(slot: u64, trough: f64, peak: f64) -> f64 {
     mid + amplitude * phase.cos()
 }
 
-/// Applies the diurnal envelope to every viewer sample of a trace
-/// (counts scale with the factor at each sample's global slot, floored
-/// at one viewer).
-pub fn apply_diurnal(trace: &Trace, trough: f64, peak: f64) -> Trace {
-    let channels = trace
-        .channels()
-        .iter()
-        .map(|c| {
-            let sessions = c
-                .sessions()
-                .iter()
-                .map(|s| {
-                    let viewers: Vec<u32> = s
-                        .viewers()
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &v)| {
-                            let slot = s.start_slot() + i as u64;
-                            let scaled =
-                                f64::from(v) * diurnal_factor(slot, trough, peak);
-                            scaled.round().max(1.0) as u32
-                        })
-                        .collect();
-                    Session::new(s.start_slot(), viewers)
-                })
-                .collect();
-            Channel::new(c.id(), c.bitrate_kbps(), sessions)
-        })
-        .collect();
-    Trace::new(channels)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generator::TraceGenerator;
-    use crate::summary::TraceSummary;
 
     #[test]
     fn factor_peaks_in_the_evening() {
@@ -95,35 +59,6 @@ mod tests {
             let b = diurnal_factor(slot + SLOTS_PER_DAY, 0.5, 1.5);
             assert!((a - b).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn modulation_preserves_structure() {
-        let trace = TraceGenerator::new(80, 21).generate();
-        let modulated = apply_diurnal(&trace, 0.4, 1.6);
-        assert_eq!(trace.channels().len(), modulated.channels().len());
-        assert_eq!(trace.session_count(), modulated.session_count());
-        // Durations and start slots untouched.
-        for (a, b) in trace.sessions().zip(modulated.sessions()) {
-            assert_eq!(a.1.start_slot(), b.1.start_slot());
-            assert_eq!(a.1.duration_slots(), b.1.duration_slots());
-        }
-    }
-
-    #[test]
-    fn modulation_moves_total_watch_time() {
-        let trace = TraceGenerator::new(120, 9).generate();
-        let boosted = apply_diurnal(&trace, 1.5, 2.5); // strictly amplifying
-        let before = TraceSummary::from_trace(&trace).viewer_minutes;
-        let after = TraceSummary::from_trace(&boosted).viewer_minutes;
-        assert!(after > before * 1.4, "{before} → {after}");
-    }
-
-    #[test]
-    fn viewers_never_drop_to_zero() {
-        let trace = TraceGenerator::new(40, 2).generate();
-        let modulated = apply_diurnal(&trace, 0.01, 1.0);
-        assert!(modulated.sessions().all(|(_, s)| s.viewers().iter().all(|&v| v >= 1)));
     }
 
     #[test]

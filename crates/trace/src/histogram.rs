@@ -41,11 +41,6 @@ impl DurationHistogram {
         Self { bin_minutes, counts }
     }
 
-    /// Bin width in minutes.
-    pub fn bin_minutes(&self) -> f64 {
-        self.bin_minutes
-    }
-
     /// Counts per bin (bin `i` covers `[i·w, (i+1)·w)` minutes).
     pub fn counts(&self) -> &[usize] {
         &self.counts
@@ -54,35 +49,6 @@ impl DurationHistogram {
     /// Total sessions histogrammed.
     pub fn total(&self) -> usize {
         self.counts.iter().sum()
-    }
-
-    /// Fraction of sessions within `[lo, hi)` minutes, on bin
-    /// granularity.
-    pub fn fraction_between(&self, lo: f64, hi: f64) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let lo_bin = (lo / self.bin_minutes).floor() as usize;
-        let hi_bin = (hi / self.bin_minutes).ceil() as usize;
-        let inside: usize = self
-            .counts
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i >= lo_bin && *i < hi_bin)
-            .map(|(_, &c)| c)
-            .sum();
-        inside as f64 / total as f64
-    }
-
-    /// Index of the modal bin.
-    pub fn mode_bin(&self) -> usize {
-        self.counts
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &c)| c)
-            .map(|(i, _)| i)
-            .unwrap_or(0)
     }
 
     /// Rows `(bin start minutes, bin end minutes, count)` for printing.
@@ -122,14 +88,6 @@ mod tests {
         // Bins: [0,30): 1 session (10 min); [30,60): 2; [60,90): 1.
         assert_eq!(h.counts(), &[1, 2, 1]);
         assert_eq!(h.total(), 4);
-        assert_eq!(h.mode_bin(), 1);
-    }
-
-    #[test]
-    fn fraction_between_works() {
-        let h = DurationHistogram::from_trace(&toy_trace(), 30.0);
-        assert!((h.fraction_between(30.0, 90.0) - 0.75).abs() < 1e-12);
-        assert_eq!(h.fraction_between(900.0, 1200.0), 0.0);
     }
 
     #[test]
@@ -151,7 +109,6 @@ mod tests {
     fn empty_trace_yields_empty_histogram() {
         let h = DurationHistogram::from_trace(&Trace::default(), 30.0);
         assert_eq!(h.total(), 0);
-        assert_eq!(h.fraction_between(0.0, 600.0), 0.0);
     }
 
     #[test]

@@ -15,6 +15,8 @@
 //! * [`csv`] — a line-oriented serialization so traces round-trip to
 //!   disk, and so anyone holding the real dataset can import it;
 //! * [`histogram`] — the session-duration histogram behind Fig. 5;
+//! * [`diurnal`] — the time-of-day viewership envelope capacity
+//!   studies scale their load by;
 //! * [`summary`] — dataset-level statistics.
 //!
 //! # Example
@@ -40,7 +42,7 @@ pub mod summary;
 
 pub use channel::{Channel, ChannelId, Trace};
 pub use csv::{parse_trace, write_trace, TraceParseError};
-pub use diurnal::{apply_diurnal, diurnal_factor};
+pub use diurnal::diurnal_factor;
 pub use generator::TraceGenerator;
 pub use histogram::DurationHistogram;
 pub use session::Session;
@@ -49,9 +51,6 @@ pub use summary::TraceSummary;
 /// Sampling interval of the dataset (and the LPVS scheduling period):
 /// 5 minutes.
 pub const SLOT_MINUTES: f64 = 5.0;
-
-/// Sampling interval in seconds.
-pub const SLOT_SECONDS: f64 = SLOT_MINUTES * 60.0;
 
 /// Maximum retained session length: 10 hours = 120 slots (the paper's
 /// filtering rule).
@@ -69,7 +68,6 @@ mod tests {
 
     #[test]
     fn constants_are_consistent() {
-        assert_eq!(SLOT_SECONDS, 300.0);
         assert_eq!(MAX_SESSION_SLOTS as f64 * SLOT_MINUTES, 600.0);
         assert!((PAPER_SESSIONS as f64 / PAPER_CHANNELS as f64 - 3.04).abs() < 0.01);
     }

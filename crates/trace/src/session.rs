@@ -52,14 +52,6 @@ impl Session {
         &self.viewers
     }
 
-    /// Viewer count at a global slot, if the session is live then.
-    pub fn viewers_at(&self, slot: u64) -> Option<u32> {
-        if slot < self.start_slot {
-            return None;
-        }
-        self.viewers.get((slot - self.start_slot) as usize).copied()
-    }
-
     /// Duration in slots.
     pub fn duration_slots(&self) -> u32 {
         self.viewers.len() as u32
@@ -98,10 +90,6 @@ mod tests {
     #[test]
     fn slot_indexing() {
         let s = Session::new(100, vec![1, 2, 3]);
-        assert_eq!(s.viewers_at(99), None);
-        assert_eq!(s.viewers_at(100), Some(1));
-        assert_eq!(s.viewers_at(102), Some(3));
-        assert_eq!(s.viewers_at(103), None);
         assert_eq!(s.end_slot(), 103);
     }
 

@@ -1,8 +1,7 @@
 //! Operator's view of one scheduling slot: who got the transform and
-//! why, what the edge capacity went to, what each stream's power
-//! profile looks like — and the slot's telemetry (a Perfetto-loadable
-//! Chrome trace, metrics in Prometheus exposition, JSONL span export,
-//! and the blackbox flight-recorder depth).
+//! why, and what the edge capacity went to — and the slot's telemetry
+//! (a Perfetto-loadable Chrome trace, metrics in Prometheus exposition,
+//! JSONL span export, and the blackbox flight-recorder depth).
 //!
 //! Run with: `cargo run --example operator_dashboard`
 //!
@@ -10,44 +9,23 @@
 //! `obs_events.jsonl`, and `obs_metrics.prom` to the current
 //! directory.
 //!
-//! With `--scrape <addr>` it renders a *running* `lpvs-serve` instead
-//! of an in-process snapshot: pulls `/metrics` over plain TCP, parses
-//! the Prometheus text back into a metrics snapshot, and prints the
-//! operator tables (`cargo run --example operator_dashboard --
-//! --scrape localhost:7070`).
+//! To render a *running* `lpvs-serve` instead of an in-process
+//! snapshot, scrape it with the `lpvs-obs` bin:
+//! `cargo run -p lpvs-obs --bin operator-dashboard -- --scrape localhost:7070`.
 
+use lpvs::core::budget::SlotBudget;
 use lpvs::core::explain::{explain, Reason};
 use lpvs::core::fleet::DeviceFleet;
 use lpvs::core::problem::{DeviceRequest, SlotProblem};
 use lpvs::core::scheduler::LpvsScheduler;
-use lpvs::display::profile::PowerProfile;
 use lpvs::display::spec::{DisplayKind, DisplaySpec, Resolution};
 use lpvs::edge::fleet::FleetScheduler;
 use lpvs::edge::server::EdgeServer;
-use lpvs::edge::slot::SlotBudget;
 use lpvs::media::content::{ContentModel, Genre};
 use lpvs::obs::sink;
 use lpvs::survey::curve::AnxietyCurve;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(pos) = args.iter().position(|a| a == "--scrape") {
-        let addr = args.get(pos + 1).unwrap_or_else(|| {
-            eprintln!("--scrape needs an address (host:port of a running lpvs-serve)");
-            std::process::exit(2);
-        });
-        let text = lpvs::obs::dashboard::scrape(addr).unwrap_or_else(|e| {
-            eprintln!("scrape {addr} failed: {e}");
-            std::process::exit(1);
-        });
-        let snapshot = lpvs::obs::dashboard::parse_prometheus(&text).unwrap_or_else(|e| {
-            eprintln!("could not parse exposition text from {addr}: {e}");
-            std::process::exit(1);
-        });
-        print!("{}", lpvs::obs::dashboard::render_dashboard(&snapshot, addr));
-        return;
-    }
-
     let recorder = lpvs::obs::init();
     let cap = 55_440.0;
     let curve = AnxietyCurve::paper_shape();
@@ -66,7 +44,6 @@ fn main() {
     ];
 
     let mut problem = SlotProblem::new(6.0, 2.0, 1.0, curve.clone());
-    let mut profiles = Vec::new();
     for (i, &(_, kind, resolution, genre, battery)) in fleet.iter().enumerate() {
         let spec = match kind {
             DisplayKind::Oled => DisplaySpec::oled_phone(resolution),
@@ -74,7 +51,6 @@ fn main() {
         };
         let stats = ContentModel::new(genre, i as u64).chunk_stats(30);
         let rates: Vec<f64> = stats.iter().map(|s| spec.power_watts(s) + 0.558).collect();
-        profiles.push(PowerProfile::of(&stats, 10.0, &spec));
         problem.push(DeviceRequest::new(
             rates,
             vec![10.0; 30],
@@ -94,10 +70,10 @@ fn main() {
     let explanation = explain(&problem, &schedule.selected);
 
     println!(
-        "{:>13} | {:>5} | {:>6} | {:>8} | {:>7} | {:>18} | power profile",
+        "{:>13} | {:>5} | {:>6} | {:>8} | {:>7} | {:>18}",
         "viewer", "panel", "rung", "battery", "anxiety", "decision"
     );
-    println!("{}", "-".repeat(110));
+    println!("{}", "-".repeat(72));
     for (i, &(name, kind, resolution, _, battery)) in fleet.iter().enumerate() {
         let decision = match explanation.reasons[i] {
             Reason::Selected { saving_j, .. } => format!("transform (−{saving_j:.0} J)"),
@@ -106,17 +82,16 @@ fn main() {
             Reason::NoBenefit => "skip: no benefit".to_owned(),
         };
         println!(
-            "{:>13} | {:>5} | {:>6} | {:>7.0}% | {:>7.2} | {:>18} | {}",
+            "{:>13} | {:>5} | {:>6} | {:>7.0}% | {:>7.2} | {:>18}",
             name,
             kind.to_string(),
             resolution.short_name(),
             battery * 100.0,
             curve.phi(battery),
             decision,
-            profiles[i].sparkline(),
         );
     }
-    println!("{}", "-".repeat(110));
+    println!("{}", "-".repeat(72));
     println!("{}", explanation.summary());
     println!(
         "slot: {:.0} J saved, objective {:.0}, tier {}, {} B&B nodes / {} pivots, \

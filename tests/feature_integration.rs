@@ -1,18 +1,17 @@
 //! Integration of the extension features: warm-started scheduling,
-//! schedule explanations, power profiles, survey analysis, and the
-//! ABR/network pipeline — all through the public façade.
+//! schedule explanations, per-genre display power and the survey's
+//! extraction confidence — through the public façade.
 
 use lpvs::core::explain::{explain, Reason};
 use lpvs::core::scheduler::LpvsScheduler;
-use lpvs::display::profile::PowerProfile;
 use lpvs::display::spec::{DisplaySpec, Resolution};
 use lpvs::emulator::experiment::synthetic_problem;
-use lpvs::media::abr::AbrController;
 use lpvs::media::content::{ContentModel, Genre};
-use lpvs::media::ladder::BitrateLadder;
-use lpvs::media::network::BandwidthModel;
-use lpvs::survey::analysis::{bootstrap_curve_band, charge_giveup_correlation};
+use lpvs::survey::curve::LEVELS;
+use lpvs::survey::extraction::extract_curve;
 use lpvs::survey::generator::SurveyGenerator;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 #[test]
 fn warm_started_slots_have_low_churn() {
@@ -54,50 +53,49 @@ fn explanations_cover_every_device() {
 
 #[test]
 fn power_profiles_show_genre_character() {
+    // Per-chunk OLED power of 120 chunks per genre: sports is brighter
+    // on average; music stages are burstier (higher peak-to-mean).
     let spec = DisplaySpec::oled_phone(Resolution::FHD);
-    let sports = PowerProfile::of(
-        &ContentModel::new(Genre::Sports, 5).chunk_stats(120),
-        10.0,
-        &spec,
-    );
-    let music = PowerProfile::of(
-        &ContentModel::new(Genre::Music, 5).chunk_stats(120),
-        10.0,
-        &spec,
-    );
-    // Sports is brighter on average; music stages are burstier.
-    assert!(sports.mean_watts() > music.mean_watts());
-    assert!(music.burstiness() > sports.burstiness());
-    assert_eq!(sports.sparkline().chars().count(), 120);
+    let watts = |genre| -> Vec<f64> {
+        ContentModel::new(genre, 5).chunk_stats(120).iter().map(|f| spec.power_watts(f)).collect()
+    };
+    let mean = |w: &[f64]| w.iter().sum::<f64>() / w.len() as f64;
+    let burstiness = |w: &[f64]| w.iter().copied().fold(0.0, f64::max) / mean(w);
+    let (sports, music) = (watts(Genre::Sports), watts(Genre::Music));
+    assert_eq!(sports.len(), 120);
+    assert!(sports.iter().chain(&music).all(|w| w.is_finite() && *w > 0.0));
+    assert!(mean(&sports) > mean(&music));
+    assert!(burstiness(&music) > burstiness(&sports));
 }
 
 #[test]
 fn survey_analysis_quantifies_extraction_confidence() {
+    // Bootstrap the §III-B extraction: resample the cohort with
+    // replacement 40 times; the pointwise 95 % band of the extracted
+    // curve stays within ±0.05 at every battery level.
     let cohort = SurveyGenerator::paper_cohort(23).generate();
-    let band = bootstrap_curve_band(&cohort, 40, 0.05, 6);
-    assert!(band.max_half_width() < 0.05);
-    // The two battery-behaviour questions correlate positively.
-    let r = charge_giveup_correlation(&cohort).unwrap();
-    assert!(r > 0.1 && r < 1.0, "correlation {r}");
-}
-
-#[test]
-fn network_abr_power_pipeline_holds_together() {
-    // Throughput → rung → per-chunk power: the resolution the viewer
-    // ends up with must track the link state, and the power profile of
-    // the delivered stream must be finite and positive throughout.
-    let mut link = BandwidthModel::cellular(17);
-    let mut abr = AbrController::new(BitrateLadder::default());
-    let content = ContentModel::new(Genre::Gaming, 17);
-    let stats = content.chunk_stats(100);
-    let mut watts = Vec::new();
-    for frame in &stats {
-        let rung = abr.next_resolution(link.sample_kbps(), 10.0);
-        let spec = DisplaySpec::oled_phone(rung);
-        watts.push(spec.power_watts(frame));
+    let mut rng = StdRng::seed_from_u64(6);
+    let mut samples: Vec<Vec<f64>> = vec![Vec::new(); LEVELS];
+    for _ in 0..40 {
+        let draw = (0..cohort.len()).map(|_| cohort[rng.gen_range(0..cohort.len())].charge_level);
+        for (level, &v) in samples.iter_mut().zip(extract_curve(draw).values()) {
+            level.push(v);
+        }
     }
-    assert!(watts.iter().all(|w| w.is_finite() && *w > 0.0));
-    let profile = PowerProfile::from_samples(watts.iter().map(|&w| (10.0, w)).collect());
-    assert!(profile.energy_joules() > 0.0);
-    assert!(profile.burstiness() >= 1.0);
+    let rank = |sorted: &[f64], q: f64| sorted[((sorted.len() as f64 - 1.0) * q).round() as usize];
+    for (i, level) in samples.iter_mut().enumerate() {
+        level.sort_by(f64::total_cmp);
+        let half_width = (rank(level, 0.975) - rank(level, 0.025)) / 2.0;
+        assert!(half_width < 0.05, "level {}: half-width {half_width}", i + 1);
+    }
+    // The two battery-behaviour questions correlate positively.
+    let xs: Vec<f64> = cohort.iter().map(|p| f64::from(p.charge_level)).collect();
+    let ys: Vec<f64> = cohort.iter().map(|p| f64::from(p.giveup_level)).collect();
+    let n = xs.len() as f64;
+    let (mx, my) = (xs.iter().sum::<f64>() / n, ys.iter().sum::<f64>() / n);
+    let sxy: f64 = xs.iter().zip(&ys).map(|(x, y)| (x - mx) * (y - my)).sum();
+    let sxx: f64 = xs.iter().map(|x| (x - mx).powi(2)).sum();
+    let syy: f64 = ys.iter().map(|y| (y - my).powi(2)).sum();
+    let r = sxy / (sxx * syy).sqrt();
+    assert!(r > 0.1 && r < 1.0, "correlation {r}");
 }

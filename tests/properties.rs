@@ -216,7 +216,7 @@ proptest! {
     fn resilient_scheduler_never_panics_and_stays_feasible(
         problem in junk_problem()
     ) {
-        use lpvs::edge::slot::SlotBudget;
+        use lpvs::core::budget::SlotBudget;
         let schedule = LpvsScheduler::paper_default()
             .schedule_resilient(&problem, None, &SlotBudget::unbounded());
         prop_assert_eq!(schedule.selected.len(), problem.len());
@@ -236,7 +236,7 @@ proptest! {
         nodes in 1usize..16,
         stalled in proptest::arbitrary::any::<bool>()
     ) {
-        use lpvs::edge::slot::SlotBudget;
+        use lpvs::core::budget::SlotBudget;
         let mut budget = SlotBudget::unbounded().with_solver_nodes(nodes);
         if stalled {
             budget = budget.with_deadline_secs(0.0);

@@ -563,7 +563,8 @@ impl Scripted {
             ..EngineConfig::sized(SESSIONS)
         };
         let shared = Shared::new(&config, 4_096);
-        Self { engine: ServeEngine::new(config, Arc::clone(&shared)), shared }
+        let engine = ServeEngine::new(config, Arc::clone(&shared)).expect("journal opens");
+        Self { engine, shared }
     }
 
     fn decisions(&self) -> BTreeMap<usize, Decision> {

@@ -467,3 +467,33 @@ fn executors_agree_when_the_rebalance_migrates() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+/// The runtime's home-shard map and the fleet scheduler's partition are
+/// one rule: on an all-connected fleet, device `i` is homed on shard `s`
+/// exactly when the partition puts `i` in shard `s`.
+#[test]
+fn home_shards_agree_with_the_partition() {
+    for partitioner in [Partitioner::Locality, Partitioner::Hash] {
+        for n in [0usize, 1, 7, 100, 1001] {
+            let mut fleet = DeviceFleet::new();
+            for _ in 0..n {
+                fleet.push_request(DeviceRequest::uniform(
+                    1.5, 10.0, 3, 20_000.0, 55_440.0, 0.3, 1.5, 0.1125,
+                ));
+            }
+            for k in [1usize, 2, 3, 8] {
+                let config = FleetConfig { num_shards: k, partitioner, ..FleetConfig::default() };
+                let parts = FleetScheduler::new(config).partition(&fleet);
+                let owner = SlotRuntime::new(RuntimeConfig { fleet: config, ..RuntimeConfig::default() })
+                    .home_shards(n);
+                assert_eq!(parts.len(), k);
+                assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), n);
+                for (s, part) in parts.iter().enumerate() {
+                    for &i in part {
+                        assert_eq!(owner[i], s, "{partitioner:?} n={n} k={k}: device {i}");
+                    }
+                }
+            }
+        }
+    }
+}

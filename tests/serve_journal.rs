@@ -21,7 +21,7 @@ use lpvs::runtime::{
     SolvedSlot,
 };
 use lpvs_serve::engine::Decision;
-use lpvs_serve::{EngineConfig, Op, ServeEngine, Shared};
+use lpvs_serve::{serve, EngineConfig, Op, ServeConfig, ServeEngine, Shared};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -66,7 +66,7 @@ impl<F: Fn(usize) -> Vec<Op>> Scripted<F> {
             ..EngineConfig::sized(devices)
         };
         let shared = Shared::new(&config, 4_096);
-        let engine = ServeEngine::new(config, Arc::clone(&shared));
+        let engine = ServeEngine::new(config, Arc::clone(&shared)).expect("journal opens");
         Self { engine, shared, script, slots, retained: Vec::new() }
     }
 
@@ -293,4 +293,16 @@ fn a_live_slot_is_not_retained() {
     assert_eq!(third.engine.journaled_through(), Some(12));
     lpvs::obs::set_enabled(false);
     let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_journal_that_cannot_be_opened_is_an_error_not_a_panic() {
+    // `serve` enables the process-global recorder the other tests read.
+    let _serial = RECORDER.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let dir = scratch("unopenable");
+    let mut config = ServeConfig::loopback(4);
+    config.engine.journal = Some(dir.clone());
+    let booted = std::panic::catch_unwind(|| serve(config)).expect("serve must not panic");
+    assert!(booted.is_err(), "a directory is not an appendable journal");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -19,11 +19,11 @@
 //! recorder is shared; tests serialize on a local mutex.
 
 use lpvs::core::baseline::Policy;
+use lpvs::core::budget::SlotBudget;
 use lpvs::core::fleet::DeviceFleet;
 use lpvs::core::problem::{DeviceRequest, SlotProblem};
 use lpvs::edge::fleet::FleetScheduler;
 use lpvs::edge::server::EdgeServer;
-use lpvs::edge::slot::SlotBudget;
 use lpvs::emulator::engine::{Emulator, EmulatorConfig};
 use lpvs::emulator::faults::FaultConfig;
 use lpvs::obs::json::Json;
