@@ -11,7 +11,7 @@
 //! Every operation moves estimators without touching their beliefs, so
 //! any split/migrate/merge choreography preserves every posterior's
 //! (mean, std) **exactly** — the property `tests/runtime.rs` pins with
-//! a proptest over 1–4 shards and both fleet partitioners.
+//! a proptest over 1–4 shards and scattered ownership maps.
 
 use crate::estimator::GammaEstimator;
 use serde::{Deserialize, Serialize};

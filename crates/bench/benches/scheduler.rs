@@ -2,7 +2,8 @@
 //! the solver-path ablation (exact ILP vs. greedy knapsack).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use lpvs_core::scheduler::LpvsScheduler;
+use lpvs_core::phase1::{Phase1Config, Phase1Solver};
+use lpvs_core::scheduler::{LpvsScheduler, SchedulerConfig};
 use lpvs_emulator::experiment::synthetic_problem;
 use std::hint::black_box;
 
@@ -26,7 +27,10 @@ fn bench_solver_paths(c: &mut Criterion) {
         b.iter(|| scheduler.schedule(black_box(&problem)).unwrap());
     });
     group.bench_function("greedy_knapsack", |b| {
-        let scheduler = LpvsScheduler::greedy();
+        let scheduler = LpvsScheduler::new(SchedulerConfig {
+            phase1: Phase1Config { solver: Phase1Solver::Greedy, ..Phase1Config::default() },
+            ..SchedulerConfig::default()
+        });
         b.iter(|| scheduler.schedule(black_box(&problem)).unwrap());
     });
     group.finish();

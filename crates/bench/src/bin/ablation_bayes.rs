@@ -29,7 +29,7 @@ fn main() {
     );
     println!("{}", "-".repeat(62));
     for (name, mode) in [
-        ("fixed prior (0.31)", GammaMode::Fixed(0.31)),
+        ("fixed prior (0.31)", GammaMode::Fixed),
         ("Bayesian (paper)", GammaMode::Learned),
         ("oracle", GammaMode::Oracle),
     ] {

@@ -31,14 +31,7 @@ fn main() {
         ),
         (
             "instant, popularity-boosted",
-            EmulatorConfig {
-                prefetch: PrefetchPolicy::PopularityBoosted {
-                    base: 8,
-                    per_hundred_viewers: 4,
-                    max_chunks: 30,
-                },
-                ..base
-            },
+            EmulatorConfig { prefetch: PrefetchPolicy::PopularityBoosted, ..base },
         ),
         (
             "one-slot-ahead, 10-chunk window",

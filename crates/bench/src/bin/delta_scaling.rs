@@ -50,7 +50,7 @@
 //! ratio assertions: shared runners are too noisy for wall-clock bounds).
 
 use lpvs_core::fleet::DeviceFleet;
-use lpvs_edge::fleet::{FleetConfig, Partitioner};
+use lpvs_edge::fleet::FleetConfig;
 use lpvs_obs::json::Json;
 use lpvs_runtime::{
     BankOps, GatheredSlot, RuntimeConfig, SlotFeedback, SlotRuntime, SlotSink, SlotSource,
@@ -70,7 +70,6 @@ fn runtime() -> SlotRuntime {
     SlotRuntime::new(RuntimeConfig {
         fleet: FleetConfig {
             num_shards: SHARDS,
-            partitioner: Partitioner::Locality,
             ..FleetConfig::default()
         },
         ..RuntimeConfig::default()

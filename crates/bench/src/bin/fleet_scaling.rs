@@ -14,7 +14,7 @@
 use lpvs_core::budget::SlotBudget;
 use lpvs_core::fleet::DeviceFleet;
 use lpvs_core::scheduler::LpvsScheduler;
-use lpvs_edge::fleet::{FleetConfig, FleetScheduler, Partitioner};
+use lpvs_edge::fleet::{FleetConfig, FleetScheduler};
 use lpvs_edge::server::EdgeServer;
 use lpvs_emulator::experiment::synthetic_problem;
 use lpvs_obs::json::Json;
@@ -75,7 +75,6 @@ fn main() {
         for &k in shard_counts.iter().filter(|&&k| k > 1) {
             let sharded = FleetScheduler::new(FleetConfig {
                 num_shards: k,
-                partitioner: Partitioner::Locality,
                 ..FleetConfig::default()
             });
             if !smoke {

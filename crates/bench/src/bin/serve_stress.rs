@@ -319,7 +319,6 @@ fn main() {
     let mut config = ServeConfig::loopback(devices);
     config.tick = TickMode::Interval(Duration::from_millis(100));
     config.http_workers = 4;
-    config.conn_queue = 64;
     config.ops_queue = 256;
     let http_workers = config.http_workers;
     let handle = serve(config).expect("bind loopback server");

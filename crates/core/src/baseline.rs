@@ -7,7 +7,6 @@
 //! gets the transform.
 
 use crate::compact::compact_device;
-use crate::objective::objective_value;
 use crate::problem::SlotProblem;
 use crate::scheduler::LpvsScheduler;
 use rand::rngs::StdRng;
@@ -41,12 +40,6 @@ pub enum Policy {
     /// Admit devices by descending energy saving (a pure-greedy LPVS
     /// Phase-1 without the ILP).
     HighestSaving,
-    /// Exhaustive search over all subsets (exponential — only for tiny
-    /// clusters; falls back to LPVS above `max_devices`).
-    Oracle {
-        /// Largest cluster the oracle will enumerate.
-        max_devices: usize,
-    },
     /// The full LPVS scheduler.
     Lpvs,
     /// LPVS with Phase-2 swapping disabled (the `ablation_phase2`
@@ -61,7 +54,6 @@ impl SelectionPolicy for Policy {
             Policy::Random { .. } => "random",
             Policy::LowestBattery => "lowest-battery",
             Policy::HighestSaving => "highest-saving",
-            Policy::Oracle { .. } => "oracle",
             Policy::Lpvs => "lpvs",
             Policy::LpvsPhase1Only => "lpvs-phase1-only",
         }
@@ -95,7 +87,6 @@ impl SelectionPolicy for Policy {
                 });
                 admit_in_order(problem, &order)
             }
-            Policy::Oracle { max_devices } => oracle_select(problem, max_devices),
             Policy::Lpvs => LpvsScheduler::paper_default()
                 .schedule(problem)
                 .map(|s| s.selected)
@@ -133,37 +124,37 @@ fn admit_in_order(problem: &SlotProblem, order: &[usize]) -> Vec<bool> {
     selected
 }
 
-/// Exhaustive minimization of the full objective (eq. 13).
-fn oracle_select(problem: &SlotProblem, max_devices: usize) -> Vec<bool> {
-    let n = problem.len();
-    if n > max_devices || n >= usize::BITS as usize {
-        return Policy::Lpvs.select(problem);
-    }
-    let feasible: Vec<bool> = (0..n)
-        .map(|i| compact_device(&problem.requests[i]).transform_feasible)
-        .collect();
-    let mut best = (vec![false; n], objective_value(problem, &vec![false; n]));
-    for mask in 1usize..(1 << n) {
-        let sel: Vec<bool> = (0..n).map(|i| mask & (1 << i) != 0).collect();
-        if sel.iter().zip(&feasible).any(|(&x, &f)| x && !f) {
-            continue;
-        }
-        if !problem.capacity_feasible(&sel) {
-            continue;
-        }
-        let v = objective_value(problem, &sel);
-        if v < best.1 {
-            best = (sel, v);
-        }
-    }
-    best.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::objective::objective_value;
     use crate::problem::DeviceRequest;
     use lpvs_survey::curve::AnxietyCurve;
+
+    /// Exhaustive minimization of the full objective (eq. 13): the
+    /// reference every policy is held against on small clusters.
+    fn oracle_select(problem: &SlotProblem) -> Vec<bool> {
+        let n = problem.len();
+        assert!(n <= 16, "the oracle enumerates 2^n subsets");
+        let feasible: Vec<bool> = (0..n)
+            .map(|i| compact_device(&problem.requests[i]).transform_feasible)
+            .collect();
+        let mut best = (vec![false; n], objective_value(problem, &vec![false; n]));
+        for mask in 1usize..(1 << n) {
+            let sel: Vec<bool> = (0..n).map(|i| mask & (1 << i) != 0).collect();
+            if sel.iter().zip(&feasible).any(|(&x, &f)| x && !f) {
+                continue;
+            }
+            if !problem.capacity_feasible(&sel) {
+                continue;
+            }
+            let v = objective_value(problem, &sel);
+            if v < best.1 {
+                best = (sel, v);
+            }
+        }
+        best.0
+    }
 
     fn device(watts: f64, gamma: f64, fraction: f64) -> DeviceRequest {
         DeviceRequest::uniform(
@@ -195,7 +186,6 @@ mod tests {
             Policy::Random { seed: 1 },
             Policy::LowestBattery,
             Policy::HighestSaving,
-            Policy::Oracle { max_devices: 10 },
             Policy::Lpvs,
         ] {
             let sel = policy.select(&p);
@@ -227,7 +217,7 @@ mod tests {
     #[test]
     fn oracle_dominates_every_policy_on_the_objective() {
         let p = problem(2.0, 2.0);
-        let oracle = objective_value(&p, &Policy::Oracle { max_devices: 10 }.select(&p));
+        let oracle = objective_value(&p, &oracle_select(&p));
         for policy in [
             Policy::NoTransform,
             Policy::Random { seed: 3 },
@@ -255,17 +245,6 @@ mod tests {
         }
         let random_mean = random_total / 10.0;
         assert!(lpvs < random_mean, "lpvs {lpvs} vs random mean {random_mean}");
-    }
-
-    #[test]
-    fn oracle_falls_back_on_large_clusters() {
-        let mut p = problem(2.0, 1.0);
-        for i in 0..20 {
-            p.push(device(1.0, 0.3, 0.3 + 0.02 * i as f64));
-        }
-        // max_devices 4 < 24 ⇒ falls back to LPVS rather than 2²⁴ masks.
-        let sel = Policy::Oracle { max_devices: 4 }.select(&p);
-        assert_eq!(sel, Policy::Lpvs.select(&p));
     }
 
     #[test]

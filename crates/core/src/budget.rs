@@ -22,8 +22,9 @@ pub struct SlotBudget {
     /// `None` means no deadline. A deadline of zero forces the
     /// scheduler straight to its cheapest fallbacks.
     pub deadline_secs: Option<f64>,
-    /// Cap on branch-and-bound nodes for this slot. `None` leaves the
-    /// configured node limit in force; a cap only ever tightens it.
+    /// Cap on branch-and-bound nodes for this slot, written by
+    /// [`cut`](Self::cut). `None` leaves the configured node limit in
+    /// force; a cap only ever tightens it.
     pub solver_nodes: Option<usize>,
     /// Lowest ladder rung the resilient scheduler may *start* at —
     /// the load-shedding knob. `Some(rung)` skips every rung cheaper
@@ -44,12 +45,6 @@ impl SlotBudget {
     /// Budget with a wall-clock deadline in seconds.
     pub fn with_deadline_secs(mut self, secs: f64) -> Self {
         self.deadline_secs = Some(secs.max(0.0));
-        self
-    }
-
-    /// Budget with a branch-and-bound node cap.
-    pub fn with_solver_nodes(mut self, nodes: usize) -> Self {
-        self.solver_nodes = Some(nodes);
         self
     }
 
@@ -83,10 +78,9 @@ mod tests {
     }
 
     #[test]
-    fn budget_knobs_tighten() {
-        let b = SlotBudget::unbounded().with_deadline_secs(0.5).with_solver_nodes(16);
+    fn deadline_tightens() {
+        let b = SlotBudget::unbounded().with_deadline_secs(0.5);
         assert_eq!(b.deadline_secs, Some(0.5));
-        assert_eq!(b.solver_nodes, Some(16));
         // Negative deadlines clamp to zero rather than panicking.
         assert_eq!(SlotBudget::unbounded().with_deadline_secs(-1.0).deadline_secs, Some(0.0));
     }
@@ -98,7 +92,9 @@ mod tests {
         assert_eq!(SlotBudget::unbounded().cut(f64::NAN, 128).solver_nodes, Some(1));
         // A cut never loosens an existing cap.
         assert_eq!(
-            SlotBudget::unbounded().with_solver_nodes(8).cut(0.5, 128).solver_nodes,
+            SlotBudget { solver_nodes: Some(8), ..SlotBudget::unbounded() }
+                .cut(0.5, 128)
+                .solver_nodes,
             Some(8)
         );
     }

@@ -99,11 +99,11 @@ pub fn detected_path() -> KernelPath {
     KernelPath::Scalar
 }
 
+/// `LPVS_KERNELS=scalar` forces the portable path; any other value
+/// leaves detection in charge.
 fn env_path() -> Option<KernelPath> {
-    *ENV_PATH.get_or_init(|| match std::env::var("LPVS_KERNELS").ok().as_deref() {
-        Some("scalar") => Some(KernelPath::Scalar),
-        Some("avx2") => Some(KernelPath::Avx2),
-        _ => None,
+    *ENV_PATH.get_or_init(|| {
+        (std::env::var("LPVS_KERNELS").as_deref() == Ok("scalar")).then_some(KernelPath::Scalar)
     })
 }
 
@@ -121,8 +121,8 @@ pub fn set_forced_path(path: Option<KernelPath>) {
 }
 
 /// The path batch calls take right now: programmatic override, then the
-/// `LPVS_KERNELS` env var, then CPU detection. An AVX2 request on a
-/// CPU without AVX2 resolves to scalar.
+/// `LPVS_KERNELS=scalar` env var, then CPU detection. An AVX2 override
+/// on a CPU without AVX2 resolves to scalar.
 pub fn active_path() -> KernelPath {
     let requested = match FORCED.load(Ordering::Relaxed) {
         1 => Some(KernelPath::Scalar),

@@ -29,8 +29,8 @@
 //! * [`scheduler`] — [`LpvsScheduler`] tying the phases together, with
 //!   configuration switches for every ablation DESIGN.md names;
 //! * [`baseline`] — the comparison policies: no transform, random
-//!   selection, greedy lowest-battery, greedy highest-saving, and an
-//!   exhaustive oracle for small clusters;
+//!   selection, greedy lowest-battery and greedy highest-saving (its
+//!   tests hold them against an exhaustive eq.-13 oracle);
 //! * [`explain`](mod@crate::explain) — per-device explanations of a schedule (selected /
 //!   lost on capacity / energy-infeasible / no benefit);
 //! * [`provision`] — capacity shadow prices from the Phase-1 LP

@@ -214,14 +214,6 @@ impl LpvsScheduler {
         Self::new(SchedulerConfig { enable_phase2: false, ..SchedulerConfig::default() })
     }
 
-    /// Greedy-knapsack variant (ablation `ablation_solver`).
-    pub fn greedy() -> Self {
-        Self::new(SchedulerConfig {
-            phase1: Phase1Config { solver: Phase1Solver::Greedy, ..Phase1Config::default() },
-            ..SchedulerConfig::default()
-        })
-    }
-
     /// Active configuration.
     pub fn config(&self) -> &SchedulerConfig {
         &self.config
@@ -811,7 +803,7 @@ mod tests {
     #[test]
     fn resilient_node_cut_keeps_feasibility() {
         let p = random_problem(60, 20.0, 1.0, 23);
-        let budget = SlotBudget::unbounded().with_solver_nodes(1);
+        let budget = SlotBudget { solver_nodes: Some(1), ..SlotBudget::unbounded() };
         let s = LpvsScheduler::paper_default().schedule_resilient(&p, None, &budget);
         assert!(p.capacity_feasible(&s.selected));
         assert!(s.num_selected() > 0);

@@ -24,18 +24,19 @@ pub enum PrefetchPolicy {
         /// Chunks prefetched beyond the playhead.
         chunks: usize,
     },
-    /// A base window widened for popular channels: the window grows by
-    /// `per_hundred_viewers` chunks per 100 concurrent viewers, capped
-    /// at `max_chunks`.
-    PopularityBoosted {
-        /// Base look-ahead window.
-        base: usize,
-        /// Extra chunks per 100 viewers.
-        per_hundred_viewers: usize,
-        /// Hard cap on the window.
-        max_chunks: usize,
-    },
+    /// An 8-chunk window widened for popular channels: 4 more chunks
+    /// per 100 concurrent viewers, capped at 30 (one slot).
+    PopularityBoosted,
 }
+
+/// Base look-ahead window of [`PrefetchPolicy::PopularityBoosted`].
+const BOOST_BASE: usize = 8;
+
+/// Extra chunks per 100 viewers of [`PrefetchPolicy::PopularityBoosted`].
+const BOOST_PER_HUNDRED_VIEWERS: usize = 4;
+
+/// Cap on the window of [`PrefetchPolicy::PopularityBoosted`].
+const BOOST_MAX_CHUNKS: usize = 30;
 
 impl PrefetchPolicy {
     /// Number of chunks available at a scheduling point for a video of
@@ -49,17 +50,11 @@ impl PrefetchPolicy {
         match *self {
             PrefetchPolicy::Full => remaining,
             PrefetchPolicy::Window { chunks } => remaining.min(chunks),
-            PrefetchPolicy::PopularityBoosted { base, per_hundred_viewers, max_chunks } => {
-                let boost = (viewers as usize / 100) * per_hundred_viewers;
-                remaining.min((base + boost).min(max_chunks))
+            PrefetchPolicy::PopularityBoosted => {
+                let boost = (viewers as usize / 100) * BOOST_PER_HUNDRED_VIEWERS;
+                remaining.min((BOOST_BASE + boost).min(BOOST_MAX_CHUNKS))
             }
         }
-    }
-}
-
-impl Default for PrefetchPolicy {
-    fn default() -> Self {
-        PrefetchPolicy::Window { chunks: 30 }
     }
 }
 
@@ -264,14 +259,11 @@ mod tests {
 
     #[test]
     fn policy_popularity_boosts_and_caps() {
-        let p = PrefetchPolicy::PopularityBoosted {
-            base: 10,
-            per_hundred_viewers: 5,
-            max_chunks: 40,
-        };
-        assert_eq!(p.available_chunks(1000, 0, 50), 10); // no boost yet
-        assert_eq!(p.available_chunks(1000, 0, 250), 20); // +2 × 5
-        assert_eq!(p.available_chunks(1000, 0, 100_000), 40); // capped
+        let p = PrefetchPolicy::PopularityBoosted;
+        assert_eq!(p.available_chunks(1000, 0, 50), 8); // no boost yet
+        assert_eq!(p.available_chunks(1000, 0, 250), 16); // +2 × 4
+        assert_eq!(p.available_chunks(1000, 0, 100_000), 30); // capped
+        assert_eq!(p.available_chunks(12, 0, 100_000), 12); // what was produced
     }
 
     #[test]

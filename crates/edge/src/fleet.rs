@@ -6,9 +6,8 @@
 //! [`FleetScheduler`] closes that gap in three steps:
 //!
 //! 1. **Partition** — the columnar [`DeviceFleet`] is split across `N`
-//!    shards, either by *locality* (contiguous index ranges, modeling
-//!    devices already grouped by base station) or by *hash*
-//!    (deterministic scatter, modeling provider-side load balancing).
+//!    shards by *locality*: contiguous index ranges, modeling devices
+//!    already grouped by base station.
 //! 2. **Solve** — each shard is a zero-copy
 //!    [`SlotView`](lpvs_core::fleet::SlotView) of the fleet (its row
 //!    list plus its own server's capacities) and runs the full
@@ -41,52 +40,35 @@ use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-/// 2⁶⁴/φ: the multiplier of [`Partitioner::Hash`]'s Fibonacci hashing,
-/// and the increment of the splitmix64 draws the runtime's seeded
+/// 2⁶⁴/φ: the increment of the splitmix64 draws the runtime's seeded
 /// faults and synthetic loads make.
 pub const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// How the fleet is split across shards.
+/// How the fleet is split across shards: contiguous index ranges, the
+/// devices already grouped by base station. The one rule every caller
+/// uses; the type stays so a [`FleetConfig`] names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum Partitioner {
     /// Contiguous index ranges — devices are already grouped by base
     /// station.
     #[default]
     Locality,
-    /// Deterministic multiplicative-hash scatter — provider-side load
-    /// balancing with no locality assumption. Within a shard, devices
-    /// keep their fleet order.
-    Hash,
 }
 
 impl Partitioner {
-    /// Splits `items` across `k` shards, handing each placed run to
-    /// `place(shard, run)` in ascending item order: one run per shard
-    /// under [`Locality`](Self::Locality), one item per run under
-    /// [`Hash`](Self::Hash). The one implementation of both rules, so
-    /// [`FleetScheduler::partition`] and every home-shard map agree.
+    /// Splits `items` across `k` shards in balanced contiguous runs,
+    /// handing each to `place(shard, run)` in ascending item order: the
+    /// first `items.len() % k` shards take one extra item. The one
+    /// implementation of the rule, so [`FleetScheduler::partition`] and
+    /// every home-shard map agree.
     pub fn split(self, items: &[usize], k: usize, mut place: impl FnMut(usize, &[usize])) {
-        match self {
-            Partitioner::Locality => {
-                // Balanced contiguous ranges: the first `n % k` shards
-                // take one extra item.
-                let base = items.len() / k;
-                let extra = items.len() % k;
-                let mut start = 0;
-                for s in 0..k {
-                    let size = base + usize::from(s < extra);
-                    place(s, &items[start..start + size]);
-                    start += size;
-                }
-            }
-            Partitioner::Hash => {
-                // Fibonacci hashing: deterministic, well-scattered, and
-                // independent of the shard count's divisors.
-                for i in items {
-                    let h = (*i as u64).wrapping_mul(GOLDEN_GAMMA) >> 17;
-                    place((h % k as u64) as usize, std::slice::from_ref(i));
-                }
-            }
+        let base = items.len() / k;
+        let extra = items.len() % k;
+        let mut start = 0;
+        for s in 0..k {
+            let size = base + usize::from(s < extra);
+            place(s, &items[start..start + size]);
+            start += size;
         }
     }
 }
@@ -591,7 +573,7 @@ impl FleetScheduler {
 /// returning *shard-local* positions (indexes into `indices`).
 ///
 /// Both inputs must be ascending: `indices` is a shard's global rows in
-/// shard order (both partitioners emit them ascending) and `dirty` is a
+/// shard order (the partitioner emits them ascending) and `dirty` is a
 /// [`SlotDelta`]'s ascending frontier. A
 /// single sorted merge, O(|indices| + |dirty|), so taking a shard's
 /// frontier never costs more than scanning the shard.
@@ -659,25 +641,14 @@ mod tests {
     }
 
     #[test]
-    fn hash_partition_covers_every_connected_device_once() {
+    fn locality_partition_covers_every_connected_device_once() {
         let mut f = fleet(200, 2);
         f.set_connected(17, false);
-        let s = FleetScheduler::new(FleetConfig {
-            num_shards: 4,
-            partitioner: Partitioner::Hash,
-            ..FleetConfig::default()
-        });
-        let parts = s.partition(&f);
-        let mut all: Vec<usize> = parts.iter().flatten().copied().collect();
-        all.sort_unstable();
+        let parts = FleetScheduler::with_shards(4).partition(&f);
+        let all: Vec<usize> = parts.iter().flatten().copied().collect();
         let expected: Vec<usize> = (0..200).filter(|&i| i != 17).collect();
         assert_eq!(all, expected);
-        // The scatter actually spreads load.
-        assert!(parts.iter().all(|p| !p.is_empty()));
-        // Within-shard order is fleet order.
-        for p in &parts {
-            assert!(p.windows(2).all(|w| w[0] < w[1]));
-        }
+        assert_eq!(parts.iter().map(Vec::len).collect::<Vec<_>>(), [50, 50, 50, 49]);
     }
 
     #[test]
@@ -856,25 +827,22 @@ mod tests {
 
     #[test]
     fn shard_frontiers_cover_the_whole_dirty_set() {
-        // Across both partitioners, every dirty row lands in exactly
-        // one shard's local frontier.
-        let f = fleet(97, 11);
-        for partitioner in [Partitioner::Locality, Partitioner::Hash] {
-            let sched = FleetScheduler::new(FleetConfig {
-                num_shards: 3,
-                partitioner,
-                ..FleetConfig::default()
-            });
-            let shards = sched.partition(&f);
-            let dirty: Vec<usize> = (0..97).step_by(7).collect();
-            let mut seen = 0;
-            for shard in &shards {
-                for local in shard_frontier(shard, &dirty) {
-                    assert!(dirty.contains(&shard[local]));
-                    seen += 1;
-                }
-            }
-            assert_eq!(seen, dirty.len(), "{partitioner:?} lost dirty rows");
+        // Every dirty row lands in exactly one shard's local frontier,
+        // disconnected rows mid-range included.
+        let mut f = fleet(97, 11);
+        for i in [30, 31, 50] {
+            f.set_connected(i, false);
         }
+        let shards = FleetScheduler::with_shards(3).partition(&f);
+        let dirty: Vec<usize> =
+            (0..97).step_by(7).filter(|&i| f.connected(i)).collect();
+        let mut seen = 0;
+        for shard in &shards {
+            for local in shard_frontier(shard, &dirty) {
+                assert!(dirty.contains(&shard[local]));
+                seen += 1;
+            }
+        }
+        assert_eq!(seen, dirty.len(), "lost dirty rows");
     }
 }

@@ -29,7 +29,9 @@
 //! [`SlotRecord`]s and the same final γ posteriors, bit for bit
 //! (`tests/runtime.rs`, `tests/emulator_loop.rs`).
 
-use crate::engine::{slot_budget, slots_delta, Emulator, GammaMode};
+use crate::engine::{
+    slot_budget, slots_delta, Emulator, GammaMode, CHUNKS_PER_SLOT, CHUNK_SECS, FIXED_GAMMA,
+};
 use crate::faults::{FaultPlan, GammaCorruption, SlotFaults};
 use crate::gather::gather_problem;
 use crate::metrics::{EmulationReport, SlotRecord};
@@ -212,8 +214,7 @@ impl SlotSource for EmulatorDriver {
                 "emu.content", "slot" => slot, "devices" => watching.len()
             );
             let devices = self.emu.cluster.devices();
-            let mut powers =
-                Vec::with_capacity(watching.len() * self.emu.config.chunks_per_slot);
+            let mut powers = Vec::with_capacity(watching.len() * CHUNKS_PER_SLOT);
             let windows: Vec<Vec<FrameStats>> = watching
                 .iter()
                 .map(|&i| {
@@ -227,7 +228,7 @@ impl SlotSource for EmulatorDriver {
         lpvs_obs::add("emu_chunks_synthesized_total", powers.len() as u64);
         let queries = match self.emu.config.gamma_mode {
             GammaMode::Learned => watching.clone(),
-            GammaMode::Fixed(_) | GammaMode::Oracle => Vec::new(),
+            GammaMode::Fixed | GammaMode::Oracle => Vec::new(),
         };
         self.scratch = Some(Scratch { slot, faults, watching, windows, powers });
         Some(BankOps { forgets, queries })
@@ -271,7 +272,7 @@ impl SlotSource for EmulatorDriver {
             scratch.watching.iter().map(|&i| &self.emu.cluster.devices()[i]).collect();
         let mut gammas: Vec<f64> = match self.emu.config.gamma_mode {
             GammaMode::Learned => posteriors.iter().map(|&(mean, _)| mean).collect(),
-            GammaMode::Fixed(g) => vec![g; scratch.watching.len()],
+            GammaMode::Fixed => vec![FIXED_GAMMA; scratch.watching.len()],
             GammaMode::Oracle => {
                 lpvs_obs::add(
                     "emu_chunks_encoded_total",
@@ -314,7 +315,7 @@ impl SlotSource for EmulatorDriver {
             &devices,
             &decision_powers,
             &gammas,
-            self.emu.config.chunk_secs,
+            CHUNK_SECS,
             self.emu.bitrate_kbps,
             server.compute_capacity(),
             server.storage_capacity_gb(),

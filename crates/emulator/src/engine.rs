@@ -45,7 +45,7 @@ use lpvs_display::quality::QualityBudget;
 use lpvs_display::stats::FrameStats;
 use lpvs_edge::cache::PrefetchPolicy;
 use lpvs_edge::cluster::{ClusterGenerator, VirtualCluster};
-use lpvs_edge::fleet::{FleetConfig, Partitioner};
+use lpvs_edge::fleet::FleetConfig;
 use lpvs_media::content::{ContentModel, Genre};
 use lpvs_media::encoder::TransformEncoder;
 use lpvs_media::ladder::BitrateLadder;
@@ -64,12 +64,16 @@ use serde::{Deserialize, Serialize};
 pub enum GammaMode {
     /// Online Bayesian learning (the paper's mechanism).
     Learned,
-    /// A fixed value for every device (e.g. the prior mean 0.31).
-    Fixed(f64),
+    /// The prior mean, 0.31, for every device.
+    Fixed,
     /// Clairvoyant: measure the true ratio by encoding the upcoming
     /// window during gathering (expensive, upper-bounds the others).
     Oracle,
 }
+
+/// The γ of [`GammaMode::Fixed`]: the prior mean of the paper's
+/// estimator.
+pub(crate) const FIXED_GAMMA: f64 = 0.31;
 
 /// Emulation parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -84,12 +88,6 @@ pub struct EmulatorConfig {
     pub lambda: f64,
     /// Edge capacity in concurrent 720p transforms (100 = AirFrame).
     pub server_streams: usize,
-    /// Chunk duration in seconds.
-    pub chunk_secs: f64,
-    /// Chunks per 5-minute slot.
-    pub chunks_per_slot: usize,
-    /// Transform quality budget.
-    pub quality: QualityBudget,
     /// Battery capacity in Wh (15.4 = a typical phone; Fig. 9 uses a
     /// smaller effective video budget to land on the paper's TPV scale).
     pub battery_capacity_wh: f64,
@@ -115,13 +113,13 @@ pub struct EmulatorConfig {
     pub faults: FaultConfig,
     /// Which of the runtime's executors drives the slot stages: the
     /// one that solves on persistent shard workers with shard-local γ
-    /// banks, instead of the inline one. The flag also implies
-    /// `one_slot_ahead` — a lag this driver keeps for the flag's
-    /// history (the executor once overlapped solve and apply; it no
-    /// longer imposes a lag) — so a pipelined run reproduces the inline
-    /// `one_slot_ahead` run bit-for-bit. Baseline policies ignore the
-    /// flag: they decide while gathering, so no executor solves for
-    /// them.
+    /// banks, instead of the inline one. Only the worker executor
+    /// checkpoints and respawns dead shards; the inline one is faster
+    /// on the paper's day (DESIGN.md §7). The flag changes who runs the
+    /// stages, never the decision lag — that is `one_slot_ahead`'s — so
+    /// a pipelined run reproduces the inline run of the same lag bit
+    /// for bit. Baseline policies ignore the flag: they decide while
+    /// gathering, so no executor solves for them.
     pub pipelined: bool,
     /// Edge shards serving the cluster: every LPVS slot is scheduled
     /// through the sharded fleet path
@@ -143,9 +141,6 @@ impl Default for EmulatorConfig {
             seed: 42,
             lambda: 1.0,
             server_streams: 100,
-            chunk_secs: 10.0,
-            chunks_per_slot: 30,
-            quality: QualityBudget::default(),
             battery_capacity_wh: 15.4,
             gamma_mode: GammaMode::Learned,
             display_only_drain: false,
@@ -157,6 +152,12 @@ impl Default for EmulatorConfig {
         }
     }
 }
+
+/// Chunk duration in seconds: the paper's 10 s chunks.
+pub(crate) const CHUNK_SECS: f64 = 10.0;
+
+/// Chunks per 5-minute slot: 30 chunks of [`CHUNK_SECS`].
+pub(crate) const CHUNKS_PER_SLOT: usize = 30;
 
 /// A budget-cut fault retaining less than this fraction of the solve
 /// budget models a stall: the decision deadline passes before the
@@ -182,8 +183,6 @@ pub struct CheckpointSpec {
     pub dir: std::path::PathBuf,
     /// Checkpoint every this many slots.
     pub interval: usize,
-    /// Snapshot generations retained per shard.
-    pub generations: usize,
     /// Stop the run after this slot completes (a simulated hub crash,
     /// for resume tests).
     pub halt_after: Option<usize>,
@@ -192,12 +191,11 @@ pub struct CheckpointSpec {
 }
 
 impl CheckpointSpec {
-    /// A spec with the runtime's default interval and generation count.
+    /// A spec with the runtime's default interval.
     pub fn new(dir: impl Into<std::path::PathBuf>) -> Self {
         Self {
             dir: dir.into(),
             interval: lpvs_runtime::checkpoint::DEFAULT_INTERVAL,
-            generations: lpvs_runtime::checkpoint::DEFAULT_GENERATIONS,
             halt_after: None,
             resume: false,
         }
@@ -256,7 +254,7 @@ impl Emulator {
             cluster,
             genres,
             curve,
-            encoder: TransformEncoder::new(config.quality),
+            encoder: TransformEncoder::new(QualityBudget::default()),
             saver_encoder: TransformEncoder::new(QualityBudget::aggressive()),
             bitrate_kbps: BitrateLadder::default().bitrate_kbps(
                 lpvs_display::spec::Resolution::HD,
@@ -320,7 +318,6 @@ impl Emulator {
         let runtime = SlotRuntime::new(RuntimeConfig {
             fleet: FleetConfig {
                 num_shards: self.config.num_edges,
-                partitioner: Partitioner::Locality,
                 // A baseline never hands the executor a slot to solve.
                 scheduler: scheduler.map_or_else(SchedulerConfig::default, |s| *s.config()),
                 ..FleetConfig::default()
@@ -333,15 +330,13 @@ impl Emulator {
             checkpoints: spec.as_ref().map(|s| CheckpointConfig {
                 dir: s.dir.clone(),
                 interval: s.interval,
-                generations: s.generations,
                 corruption: (faults.checkpoint_corrupt_rate > 0.0)
                     .then_some((faults.checkpoint_corrupt_rate, faults.seed ^ CORRUPTION_SEED_SALT)),
             }),
             halt_after_slot: spec.as_ref().and_then(|s| s.halt_after),
-            ..RuntimeConfig::default()
         });
         let estimators = vec![GammaEstimator::paper_default(); self.config.devices];
-        let lag = usize::from(pipelined || self.config.one_slot_ahead);
+        let lag = usize::from(self.config.one_slot_ahead);
         let mut driver = EmulatorDriver::new(self, lag);
         let report = if !pipelined {
             runtime.run_sequential(&mut driver, estimators)
@@ -367,7 +362,7 @@ impl Emulator {
             .wrapping_add((device as u64) << 20)
             .wrapping_add(slot as u64);
         ContentModel::new(self.genres[device], stream_seed)
-            .chunk_stats(self.config.chunks_per_slot)
+            .chunk_stats(CHUNKS_PER_SLOT)
     }
 
     /// Clairvoyant whole-device reduction ratio: encodes the upcoming
@@ -438,7 +433,7 @@ impl Emulator {
             };
             let watched = device.play_at(
                 display_watts,
-                self.config.chunk_secs,
+                CHUNK_SECS,
                 scale,
                 !self.config.display_only_drain,
             );
@@ -569,9 +564,9 @@ mod tests {
     }
 
     #[test]
-    fn oracle_gamma_beats_or_matches_fixed_pessimistic_guess() {
-        // A wildly wrong fixed γ misallocates a *tight* server; the
-        // oracle cannot do worse on realized energy.
+    fn oracle_gamma_beats_or_matches_the_fixed_prior() {
+        // A fixed γ misallocates a *tight* server; the oracle cannot do
+        // worse on realized energy.
         let base = EmulatorConfig {
             devices: 16,
             slots: 5,
@@ -585,7 +580,7 @@ mod tests {
         )
         .run();
         let fixed = Emulator::new(
-            EmulatorConfig { gamma_mode: GammaMode::Fixed(0.01), ..base },
+            EmulatorConfig { gamma_mode: GammaMode::Fixed, ..base },
             Policy::Lpvs,
         )
         .run();
@@ -726,11 +721,7 @@ mod tests {
         let healthy = Emulator::new(base, Policy::NoTransform).run();
         let flaky = Emulator::new(
             EmulatorConfig {
-                faults: FaultConfig {
-                    disconnect_rate: 0.3,
-                    reconnect_rate: 0.3,
-                    ..FaultConfig::none()
-                },
+                faults: FaultConfig { disconnect_rate: 0.3, ..FaultConfig::none() },
                 ..base
             },
             Policy::NoTransform,

@@ -30,6 +30,13 @@ const FAULT_SEED_SALT: u64 = 0xFA17_1A7E_D00D_5EED;
 /// budget-cut fault.
 const MAX_RETAINED_FRACTION: f64 = 0.35;
 
+/// Per-slot probability that a disconnected device comes back.
+const RECONNECT_RATE: f64 = 0.5;
+
+/// Fraction of capacity retained in the *worst* brownout; the factor
+/// is drawn uniformly from `[BROWNOUT_FLOOR, 1)`.
+const BROWNOUT_FLOOR: f64 = 0.25;
+
 /// How a corrupt γ report is malformed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum GammaCorruption {
@@ -52,17 +59,14 @@ pub struct FaultConfig {
     /// Seed for the fault RNG (salted, so it is independent of the
     /// emulator's trace seed even when numerically equal).
     pub seed: u64,
-    /// Per-device, per-slot probability of dropping off the link.
+    /// Per-device, per-slot probability of dropping off the link; a
+    /// dropped device comes back with probability 0.5 each slot.
     pub disconnect_rate: f64,
-    /// Per-slot probability that a disconnected device comes back.
-    pub reconnect_rate: f64,
     /// Per-device, per-slot probability of a corrupt γ report.
     pub gamma_corruption_rate: f64,
-    /// Per-slot probability of an edge brownout.
+    /// Per-slot probability of an edge brownout, which keeps at least
+    /// a quarter of the server's capacity.
     pub brownout_rate: f64,
-    /// Fraction of capacity retained in the *worst* brownout; the
-    /// factor is drawn uniformly from `[floor, 1)`.
-    pub brownout_floor: f64,
     /// Per-slot probability of a solver-budget cut.
     pub budget_cut_rate: f64,
     /// Per-(slot, shard) probability of a *pipeline stage crash*: a
@@ -91,10 +95,8 @@ impl FaultConfig {
         FaultConfig {
             seed: 0,
             disconnect_rate: 0.0,
-            reconnect_rate: 0.0,
             gamma_corruption_rate: 0.0,
             brownout_rate: 0.0,
-            brownout_floor: 0.25,
             budget_cut_rate: 0.0,
             stage_fault_rate: 0.0,
             stage_fault_repeat: 0,
@@ -111,10 +113,8 @@ impl FaultConfig {
         FaultConfig {
             seed,
             disconnect_rate: rate,
-            reconnect_rate: 0.5,
             gamma_corruption_rate: rate,
             brownout_rate: rate,
-            brownout_floor: 0.25,
             budget_cut_rate: rate,
             // Stage faults kill pipeline workers rather than corrupt
             // telemetry; the sweeps that turn this profile compare
@@ -194,18 +194,13 @@ impl FaultPlan {
             return FaultPlan { slots: vec![SlotFaults::none(); slots] };
         }
         let mut rng = StdRng::seed_from_u64(config.seed ^ FAULT_SEED_SALT);
-        let floor = if config.brownout_floor.is_finite() {
-            config.brownout_floor.clamp(0.0, 1.0)
-        } else {
-            0.0
-        };
         let mut down = vec![false; devices];
         let mut plan = Vec::with_capacity(slots);
         for _ in 0..slots {
             let mut slot = SlotFaults::none();
             for (dev, down) in down.iter_mut().enumerate() {
                 if *down {
-                    if rng.gen_bool(p(config.reconnect_rate)) {
+                    if rng.gen_bool(RECONNECT_RATE) {
                         *down = false;
                         slot.reconnects.push(dev);
                     }
@@ -224,7 +219,7 @@ impl FaultPlan {
                 }
             }
             if rng.gen_bool(p(config.brownout_rate)) {
-                slot.brownout_factor = Some(rng.gen_range(floor..1.0_f64));
+                slot.brownout_factor = Some(rng.gen_range(BROWNOUT_FLOOR..1.0_f64));
             }
             if rng.gen_bool(p(config.budget_cut_rate)) {
                 slot.budget_cut = Some(rng.gen_range(0.0..MAX_RETAINED_FRACTION));

@@ -16,7 +16,7 @@
 //!   executor runs them on the caller's thread for every policy; the
 //!   shard workers with shard-local Bayes banks
 //!   (`EmulatorConfig::pipelined`) run the same code in the same order
-//!   and are bit-identical to the inline one-slot-ahead run;
+//!   and are bit-identical to the inline run of the same lag;
 //! * [`metrics`] — per-slot and end-to-end accounting: display energy
 //!   (actual vs. untransformed counterfactual), anxiety, watch time,
 //!   abandonment;

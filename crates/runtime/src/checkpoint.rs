@@ -10,8 +10,8 @@
 //!   the generation unusable and the recovery ladder moves on.
 //! * **[`CheckpointStore`]** — per-shard generation directories
 //!   (`shard-{s}/gen-{g:08}.ckpt`), written temp-then-rename so a crash
-//!   mid-write never leaves a half snapshot under a valid name, with a
-//!   bounded number of generations retained. Optional deterministic
+//!   mid-write never leaves a half snapshot under a valid name, with
+//!   the three newest generations retained. Optional deterministic
 //!   corruption injection (a fault mode, not an accident model) flips
 //!   the last payload byte of selected generations *after* the CRC is
 //!   computed, so the checksum rejects them on load.
@@ -51,8 +51,8 @@ use std::time::Duration;
 /// Default checkpoint cadence: one round every this many slots.
 pub const DEFAULT_INTERVAL: usize = 8;
 
-/// Default number of snapshot generations retained per shard.
-pub const DEFAULT_GENERATIONS: usize = 3;
+/// Snapshot generations retained per shard.
+const GENERATIONS: usize = 3;
 
 /// Magic number of a shard snapshot file (`"LPVSCKPT"`).
 pub const SNAPSHOT_MAGIC: u64 = 0x4C50_5653_434B_5054;
@@ -80,8 +80,6 @@ pub struct CheckpointConfig {
     pub dir: PathBuf,
     /// Slots between checkpoint rounds (≥ 1).
     pub interval: usize,
-    /// Snapshot generations retained per shard (≥ 1).
-    pub generations: usize,
     /// Deterministic corruption injection: `(rate, seed)` — each
     /// written generation is corrupted with probability `rate`, hashed
     /// per `(seed, shard, gen)` so runs reproduce bit-for-bit.
@@ -89,30 +87,9 @@ pub struct CheckpointConfig {
 }
 
 impl CheckpointConfig {
-    /// A config rooted at `dir` with the default cadence and retention.
+    /// A config rooted at `dir` with the default cadence.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Self {
-            dir: dir.into(),
-            interval: DEFAULT_INTERVAL,
-            generations: DEFAULT_GENERATIONS,
-            corruption: None,
-        }
-    }
-}
-
-/// How the supervisor retries a dead shard before giving up.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RecoveryConfig {
-    /// Respawns allowed per shard per slot before the hub abandons the
-    /// pipeline and falls back to the inline sequential engine.
-    pub max_retries: u32,
-    /// Base of the exponential respawn backoff (`backoff << attempt`).
-    pub backoff: Duration,
-}
-
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        Self { max_retries: 5, backoff: Duration::from_micros(200) }
+        Self { dir: dir.into(), interval: DEFAULT_INTERVAL, corruption: None }
     }
 }
 
@@ -504,7 +481,6 @@ struct PendingRound {
 /// The on-disk checkpoint store: snapshots, manifest, decision log.
 pub struct CheckpointStore {
     dir: PathBuf,
-    keep: usize,
     corruption: Option<(f64, u64)>,
     shards: Vec<ShardFiles>,
     round: Option<PendingRound>,
@@ -528,7 +504,6 @@ impl CheckpointStore {
     /// [`CheckpointError::Io`] on directory or scan trouble.
     pub fn create(config: &CheckpointConfig, shards: usize) -> Result<Self, CheckpointError> {
         assert!(config.interval >= 1, "checkpoint interval must be >= 1");
-        assert!(config.generations >= 1, "must retain at least one generation");
         let mut shard_files = Vec::with_capacity(shards);
         for s in 0..shards {
             let dir = config.dir.join(format!("shard-{s}"));
@@ -549,7 +524,6 @@ impl CheckpointStore {
         }
         Ok(Self {
             dir: config.dir.clone(),
-            keep: config.generations,
             corruption: config.corruption,
             shards: shard_files,
             round: None,
@@ -617,7 +591,7 @@ impl CheckpointStore {
         fs::write(&tmp, &bytes)?;
         fs::rename(&tmp, &path)?;
         files.gens.push(Generation { gen, slot, mark, path });
-        while files.gens.len() > self.keep {
+        while files.gens.len() > GENERATIONS {
             let evicted = files.gens.remove(0);
             let _ = fs::remove_file(&evicted.path);
         }
@@ -1222,10 +1196,9 @@ mod tests {
     #[test]
     fn store_keeps_bounded_generations_and_restores_newest() {
         let dir = scratch("gens");
-        let mut config = CheckpointConfig::new(&dir);
-        config.generations = 2;
+        let config = CheckpointConfig::new(&dir);
         let mut store = CheckpointStore::create(&config, 1).expect("create");
-        for (round, slot) in [(0u64, 0usize), (1, 8), (2, 16)] {
+        for (round, slot) in [(0u64, 0usize), (1, 8), (2, 16), (3, 24)] {
             store.begin_round(slot, vec![round * 10]);
             let bank = learned_bank(4, round as f64 * 0.02);
             let marks = store
@@ -1233,19 +1206,19 @@ mod tests {
                 .expect("persist");
             assert!(marks.is_some(), "single-shard round completes immediately");
         }
-        // Only the two newest generations remain on disk.
+        // Only the three newest generations remain on disk.
         let files: Vec<_> = fs::read_dir(dir.join("shard-0"))
             .unwrap()
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
             .collect();
-        assert_eq!(files.len(), 2, "retention bound violated: {files:?}");
+        assert_eq!(files.len(), GENERATIONS, "retention bound violated: {files:?}");
         assert!(!files.contains(&"gen-00000000.ckpt".to_string()));
         let (generation, snap) = store.restore_latest(0).expect("restore");
-        assert_eq!(generation.gen, 2);
-        assert_eq!(generation.mark, 20);
-        assert_eq!(snap.slot, 16);
-        assert_eq!(snap.bank, learned_bank(4, 0.04));
-        assert_eq!(store.checkpoints_written(), 3);
+        assert_eq!(generation.gen, 3);
+        assert_eq!(generation.mark, 30);
+        assert_eq!(snap.slot, 24);
+        assert_eq!(snap.bank, learned_bank(4, 0.06));
+        assert_eq!(store.checkpoints_written(), 4);
     }
 
     #[test]

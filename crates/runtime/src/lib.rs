@@ -76,7 +76,7 @@ pub mod synthetic;
 
 pub use checkpoint::{
     flight_to_jsonl, CheckpointConfig, CheckpointError, CheckpointStore, FlightReason,
-    FlightRecording, LoggedDecision, RecoveryConfig, RecoveryReport, RecoveryTier, RunManifest,
+    FlightRecording, LoggedDecision, RecoveryReport, RecoveryTier, RunManifest,
     ShardRecovery, ShardSnapshot,
 };
 pub use pipeline::{RuntimeConfig, RuntimeReport, RuntimeSummary, SlotRuntime, StageFaults};

@@ -58,8 +58,8 @@
 //!    sequential [`FleetScheduler`] path.
 
 use crate::checkpoint::{
-    CheckpointStore, FlightReason, FlightRecording, JournalOp, LoggedDecision, RecoveryConfig,
-    RecoveryReport, ShardJournal,
+    CheckpointStore, FlightReason, FlightRecording, JournalOp, LoggedDecision, RecoveryReport,
+    ShardJournal,
 };
 use crate::shard::{spawn_worker, ShardState, SolveJob, WorkerEvent, WorkerMsg};
 use crate::{BankOps, CheckpointConfig, CheckpointError, SlotReplay, SlotSink, SlotSource, SolvedSlot};
@@ -93,12 +93,12 @@ pub struct StageFaults {
     pub repeat: u32,
 }
 
-impl StageFaults {
-    /// Single-death faults at `rate`, salted by `seed`.
-    pub fn new(rate: f64, seed: u64) -> Self {
-        Self { rate, seed, repeat: 0 }
-    }
-}
+/// Respawns allowed per shard per slot before the hub abandons the
+/// workers and falls back to the inline sequential engine.
+const MAX_RETRIES: u32 = 5;
+
+/// Base of the exponential respawn backoff (`RESPAWN_BACKOFF << attempt`).
+const RESPAWN_BACKOFF: Duration = Duration::from_micros(200);
 
 /// Runtime configuration.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -110,8 +110,6 @@ pub struct RuntimeConfig {
     /// Optional injected worker crashes (exercises the recovery
     /// ladder).
     pub stage_faults: Option<StageFaults>,
-    /// Supervisor retry budget and backoff.
-    pub recovery: RecoveryConfig,
     /// Periodic shard checkpointing; `None` disables the store (worker
     /// deaths then restore from the shipped in-flight state).
     pub checkpoints: Option<CheckpointConfig>,
@@ -1031,7 +1029,7 @@ impl SlotRuntime {
                     // the worker did right up to its death.
                     sup.record_flight(&hub.rings, s, pending.slot, FlightReason::WorkerDeath);
                     let attempt = pending.attempts[s];
-                    let restored = if accounted[s] || attempt >= self.config.recovery.max_retries {
+                    let restored = if accounted[s] || attempt >= MAX_RETRIES {
                         None
                     } else {
                         self.restore_bank(sup, &hub.rings, s, &pending, &state)
@@ -1040,9 +1038,7 @@ impl SlotRuntime {
                         Some(bank) => {
                             // Exponential backoff before the respawn —
                             // the attempt bound keeps the shift sane.
-                            std::thread::sleep(
-                                self.config.recovery.backoff * (1u32 << attempt.min(10)),
-                            );
+                            std::thread::sleep(RESPAWN_BACKOFF * (1u32 << attempt.min(10)));
                             if let Some(old) = hub.workers[s].thread.take() {
                                 let _ = old.join();
                             }

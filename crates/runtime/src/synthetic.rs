@@ -35,6 +35,12 @@ use lpvs_survey::curve::AnxietyCurve;
 /// 55 440 J (a 3.85 V, 4 Ah pack).
 const CAPACITY_J: f64 = 55_440.0;
 
+/// Edge compute capacity per slot, per fleet row.
+const COMPUTE_PER_DEVICE: f64 = 0.22;
+
+/// Edge storage capacity per slot, per fleet row (GB).
+const STORAGE_GB_PER_DEVICE: f64 = 2.0;
+
 /// Configuration of a [`SyntheticDriver`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SyntheticConfig {
@@ -53,17 +59,14 @@ pub struct SyntheticConfig {
     /// `delta: None` — the identical workload forced down the cold
     /// path.
     pub delta_enabled: bool,
-    /// Edge compute capacity per slot.
-    pub compute_capacity: f64,
-    /// Edge storage capacity per slot (GB).
-    pub storage_capacity_gb: f64,
     /// Regularization λ.
     pub lambda: f64,
 }
 
 impl SyntheticConfig {
     /// A small steady-state workload: `devices` devices, `slots` slots,
-    /// 1% of the fleet mutating per slot, deltas on.
+    /// 1% of the fleet mutating per slot, deltas on. The edge has 0.22
+    /// compute units and 2 GB of storage per device.
     pub fn steady(devices: usize, slots: usize, seed: u64) -> Self {
         Self {
             devices,
@@ -71,8 +74,6 @@ impl SyntheticConfig {
             mutation_fraction: 0.01,
             seed,
             delta_enabled: true,
-            compute_capacity: 0.22 * devices as f64,
-            storage_capacity_gb: 2.0 * devices as f64,
             lambda: 1.0,
         }
     }
@@ -203,8 +204,8 @@ impl SlotSource for SyntheticDriver {
             slot,
             fleet,
             device_ids: (0..self.config.devices).collect(),
-            compute_capacity: self.config.compute_capacity,
-            storage_capacity_gb: self.config.storage_capacity_gb,
+            compute_capacity: COMPUTE_PER_DEVICE * self.config.devices as f64,
+            storage_capacity_gb: STORAGE_GB_PER_DEVICE * self.config.devices as f64,
             lambda: self.config.lambda,
             curve: self.curve.clone(),
             budget: SlotBudget::default(),

@@ -76,8 +76,7 @@ use crate::engine::{
 use crate::http::{error_body, parse_request, render_reply, render_response, HttpError, HttpLimits, Request};
 use lpvs_bayes::codec::bank_to_bytes;
 use lpvs_bayes::BayesBank;
-use lpvs_core::scheduler::SchedulerConfig;
-use lpvs_edge::fleet::{FleetConfig, Partitioner};
+use lpvs_edge::fleet::FleetConfig;
 use lpvs_obs::json::Json;
 use lpvs_runtime::{CheckpointConfig, CheckpointStore, RuntimeConfig, SlotRuntime};
 use std::collections::VecDeque;
@@ -114,8 +113,6 @@ pub struct ServeConfig {
     pub checkpoint_interval: usize,
     /// Resume from an existing manifest/journal when present.
     pub resume: bool,
-    /// Bound on queued (accepted, unparsed) connections.
-    pub conn_queue: usize,
     /// Bound on queued telemetry/session ops awaiting a slot.
     pub ops_queue: usize,
     /// HTTP worker threads.
@@ -139,7 +136,6 @@ impl ServeConfig {
             checkpoint_dir: None,
             checkpoint_interval: 4,
             resume: false,
-            conn_queue: 64,
             ops_queue: 256,
             http_workers: 4,
             request_deadline: Duration::from_secs(2),
@@ -180,6 +176,9 @@ impl ServerHandle {
         }
     }
 }
+
+/// Bound on queued (accepted, unparsed) connections.
+const CONN_QUEUE: usize = 64;
 
 /// Requests one connection may carry before the server answers
 /// `connection: close`, so no client holds a worker of the fixed pool
@@ -392,25 +391,33 @@ fn refuse(refused: Refused) {
 ///
 /// # Errors
 ///
-/// Propagates the bind error and an op journal that cannot be opened
-/// for appending; everything after those is spawned.
+/// Propagates a checkpoint store that cannot be created, the bind
+/// error and an op journal that cannot be opened for appending;
+/// everything after those is spawned.
 pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
     lpvs_obs::init();
+    let runtime = slot_runtime(&config);
+    // The slot loop opens the same store again; one it could not create
+    // would stop every slot after this function returned `Ok`.
+    if let Some(checkpoints) = runtime.config().checkpoints.as_ref() {
+        CheckpointStore::create(checkpoints, runtime.config().fleet.num_shards)
+            .map_err(std::io::Error::other)?;
+    }
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     let shared = Shared::new(&config.engine, config.ops_queue);
     let engine = ServeEngine::new(config.engine.clone(), Arc::clone(&shared))?;
     let workers = config.http_workers.max(1);
-    let conns = Arc::new(ConnQueue::new(config.conn_queue, workers));
+    let conns = Arc::new(ConnQueue::new(CONN_QUEUE, workers));
     let mut threads = Vec::new();
 
     // --- runtime thread (always index 0; join() relies on it) --------
     {
         let shared = Arc::clone(&shared);
         let conns = Arc::clone(&conns);
-        let cfg = config.clone();
+        let resume = config.resume;
         threads.push(std::thread::spawn(move || {
-            run_slot_loop(cfg, engine, &shared);
+            run_slot_loop(&runtime, resume, engine, &shared);
             // Slot loop is done: tear the HTTP layer down so join()
             // (and an orphaned accept thread) can finish.
             conns.stop();
@@ -469,29 +476,29 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
     Ok(ServerHandle { addr, shared, conns, threads })
 }
 
-/// Builds the runtime, runs (or resumes) the slot loop, and seals the
-/// final checkpoint round on the way out.
-fn run_slot_loop(config: ServeConfig, mut engine: ServeEngine, shared: &Shared) {
-    let runtime = SlotRuntime::new(RuntimeConfig {
+/// The slot runtime a server drives.
+fn slot_runtime(config: &ServeConfig) -> SlotRuntime {
+    SlotRuntime::new(RuntimeConfig {
         fleet: FleetConfig {
             num_shards: config.shards.max(1),
-            partitioner: Partitioner::Locality,
-            scheduler: SchedulerConfig::default(),
             // Ownership must never drift from the home partition: the
             // final seal splits the merged estimators by home shard.
             max_migrations: 0,
+            ..FleetConfig::default()
         },
-        stage_faults: None,
-        recovery: Default::default(),
         checkpoints: config.checkpoint_dir.as_ref().map(|dir| {
             let mut c = CheckpointConfig::new(dir);
             c.interval = config.checkpoint_interval.max(1);
             c
         }),
-        halt_after_slot: None,
-    });
+        ..RuntimeConfig::default()
+    })
+}
 
-    let report = if config.resume {
+/// Runs (or resumes) the slot loop, and seals the final checkpoint
+/// round on the way out.
+fn run_slot_loop(runtime: &SlotRuntime, resume: bool, mut engine: ServeEngine, shared: &Shared) {
+    let report = if resume {
         match runtime.resume(&mut engine) {
             Ok(report) => report,
             // No manifest yet (killed before the first checkpoint

@@ -59,7 +59,7 @@ use lpvs::emulator::experiment::synthetic_problem;
 use lpvs::core::accounting::ShardTerms;
 use lpvs::core::delta::SlotDelta;
 use lpvs::core::scheduler::Schedule;
-use lpvs::edge::fleet::{FleetConfig, FleetSchedule, FleetScheduler, JoinMemo, Partitioner};
+use lpvs::edge::fleet::{FleetConfig, FleetSchedule, FleetScheduler, JoinMemo};
 use lpvs::edge::server::EdgeServer;
 use lpvs::survey::curve::AnxietyCurve;
 use lpvs::runtime::{
@@ -231,7 +231,6 @@ fn runtime(faults: Option<StageFaults>, checkpoints: Option<CheckpointConfig>) -
     RuntimeConfig {
         fleet: FleetConfig {
             num_shards: SHARDS,
-            partitioner: Partitioner::Locality,
             ..FleetConfig::default()
         },
         stage_faults: faults,
@@ -326,7 +325,7 @@ fn a_forced_cold_solve_accounts_its_shard_once_and_keeps_its_terms() {
     let _recording = Recording::start();
     // Seeded so that shards die (and are re-dispatched cold) on some
     // slots past the first.
-    let faults = StageFaults::new(0.08, 17);
+    let faults = StageFaults { rate: 0.08, seed: 17, repeat: 0 };
     let mut driver = Counting::new(steady(12, 17));
     let estimators = driver.inner.estimators();
     let report = SlotRuntime::new(runtime(Some(faults), None)).run(&mut driver, estimators);

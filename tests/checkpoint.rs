@@ -2,7 +2,8 @@
 //!
 //! The snapshot codec must be lossless down to the bit: restoring a
 //! sealed shard snapshot reproduces every fleet column and every γ
-//! posterior exactly, for any shard count and either partitioner. On
+//! posterior exactly, for any shard count, slices that skip rows
+//! included. On
 //! top of that, the recovery ladder must be *semantically invisible* —
 //! a pipelined run that loses workers repeatedly, restores them from
 //! (possibly corrupted) checkpoints, or is halted and resumed
@@ -14,7 +15,7 @@ use lpvs::core::baseline::Policy;
 use lpvs::core::fleet::{DeviceFleet, FleetDevice};
 use lpvs::core::problem::DeviceRequest;
 use lpvs::display::spec::DisplayKind;
-use lpvs::edge::fleet::{FleetConfig, Partitioner};
+use lpvs::edge::fleet::FleetConfig;
 use lpvs::emulator::engine::{CheckpointSpec, Emulator, EmulatorConfig};
 use lpvs::emulator::FaultConfig;
 use lpvs::runtime::{
@@ -90,19 +91,19 @@ proptest! {
 
     /// Tentpole invariant: `restore(snapshot(state))` is the identity,
     /// bit-for-bit — every fleet column and every posterior — across
-    /// 1–4 shards and both partitioners.
+    /// 1–4 shards, with and without mid-range rows (disconnected, so no
+    /// shard solves them) missing from the shard slices.
     #[test]
     fn snapshot_restore_is_bit_exact_for_every_column_and_posterior(
         n in 1usize..32,
         shards in 1usize..=4,
-        hash_partitioner in any::<bool>(),
+        gapped in any::<bool>(),
         seed in any::<u64>(),
         observations in prop::collection::vec((0usize..32, 0.0f64..0.9), 0..48),
     ) {
-        let partitioner =
-            if hash_partitioner { Partitioner::Hash } else { Partitioner::Locality };
+        let gaps = if gapped { vec![n / 4, n / 4 + 1, 2 * n / 3] } else { vec![] };
         let runtime = SlotRuntime::new(RuntimeConfig {
-            fleet: FleetConfig { num_shards: shards, partitioner, ..FleetConfig::default() },
+            fleet: FleetConfig { num_shards: shards, ..FleetConfig::default() },
             ..RuntimeConfig::default()
         });
         let owner = runtime.home_shards(n);
@@ -115,7 +116,8 @@ proptest! {
         }
 
         for (s, bank) in banks.iter().enumerate() {
-            let indices: Vec<usize> = (0..n).filter(|&d| owner[d] == s).collect();
+            let indices: Vec<usize> =
+                (0..n).filter(|&d| owner[d] == s && !gaps.contains(&d)).collect();
             let slice = fleet.slice_rows(&indices);
             let bytes =
                 ShardSnapshot::seal(s, 7, &bank_to_bytes(bank), Some((&indices, &slice)), None);
@@ -147,7 +149,7 @@ proptest! {
 #[test]
 fn a_flipped_byte_is_rejected_and_an_older_generation_restores() {
     let dir = scratch("corrupt");
-    let config = CheckpointConfig { interval: 1, generations: 3, ..CheckpointConfig::new(&dir) };
+    let config = CheckpointConfig { interval: 1, ..CheckpointConfig::new(&dir) };
     let mut store = CheckpointStore::create(&config, 1).expect("store");
 
     let old = BayesBank::from_estimators(learned_estimators(5, &[(0, 0.3), (3, 0.5)]));

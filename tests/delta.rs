@@ -5,8 +5,8 @@
 //! in the dirty frontier — and *only* mutated rows may appear there. At
 //! the runtime level, shipping an empty delta must be semantically
 //! invisible: a steady-state run with deltas enabled reproduces the
-//! cold baseline bit-for-bit, across 1–4 shards, both partitioners, and
-//! under injected worker deaths. And the incremental chain must survive
+//! cold baseline bit-for-bit, across 1–4 shards, with and without rows
+//! disconnected mid-range, and under injected worker deaths. And the incremental chain must survive
 //! a hub halt + resume: the restored delta memo (snapshot v2) continues
 //! exactly where the halted run left off, so the resumed run is
 //! bit-identical to one that never stopped. Last, the totals: every
@@ -21,10 +21,12 @@ use lpvs::core::fleet::{DeviceFleet, FleetDevice};
 use lpvs::core::objective::device_objective;
 use lpvs::core::problem::DeviceRequest;
 use lpvs::display::spec::DisplayKind;
-use lpvs::edge::fleet::{shard_frontier, FleetConfig, FleetSchedule, Partitioner};
+use lpvs::edge::fleet::{shard_frontier, FleetConfig, FleetSchedule};
+use lpvs::core::scheduler::Degradation;
 use lpvs::runtime::{
-    BankOps, CheckpointConfig, GatheredSlot, RuntimeConfig, SlotFeedback, SlotRuntime, SlotSink,
-    SlotSource, SolvedSlot, StageFaults, SyntheticConfig, SyntheticDriver, SyntheticRecord,
+    BankOps, CheckpointConfig, GatheredSlot, RuntimeConfig, SlotFeedback, SlotReplay,
+    SlotRuntime, SlotSink, SlotSource, SolvedSlot, StageFaults, SyntheticConfig,
+    SyntheticDriver, SyntheticRecord,
 };
 use lpvs::survey::curve::AnxietyCurve;
 use proptest::prelude::*;
@@ -43,24 +45,98 @@ fn scratch(tag: &str) -> std::path::PathBuf {
     dir
 }
 
+/// A driver whose gathered fleets have rows disconnected mid-range.
+/// The partition skips a disconnected row, so every shard's rows skip
+/// the gap: shards are not contiguous in fleet index, the rows between
+/// them belong to no shard, and the fleet's index-order fold is no
+/// concatenation of shard folds.
+struct Gapped<D> {
+    inner: D,
+    gaps: Vec<usize>,
+}
+
+impl<D> Gapped<D> {
+    /// Rows a quarter and two thirds of the way into the fleet; no gaps
+    /// unless `gapped`.
+    fn new(inner: D, devices: usize, gapped: bool) -> Self {
+        let gaps = if gapped { vec![devices / 4, devices / 4 + 1, 2 * devices / 3] } else { vec![] };
+        Self { inner, gaps }
+    }
+}
+
+impl<D: SlotSource> SlotSource for Gapped<D> {
+    fn begin_slot(&mut self, slot: usize) -> Option<BankOps> {
+        self.inner.begin_slot(slot)
+    }
+
+    fn gather(
+        &mut self,
+        slot: usize,
+        posteriors: &[(f64, f64)],
+        recycled: Option<DeviceFleet>,
+    ) -> Option<GatheredSlot> {
+        // A buffer with the gaps written in is no longer the inner
+        // driver's last snapshot: it refills from nothing.
+        let recycled = if self.gaps.is_empty() { recycled } else { None };
+        let mut gathered = self.inner.gather(slot, posteriors, recycled)?;
+        for &row in &self.gaps {
+            gathered.fleet.set_connected(row, false);
+        }
+        Some(gathered)
+    }
+}
+
+impl<D: SlotSink> SlotSink for Gapped<D> {
+    fn solved(&mut self, solved: &SolvedSlot) {
+        self.inner.solved(solved);
+    }
+
+    fn apply(&mut self, slot: usize) -> SlotFeedback {
+        self.inner.apply(slot)
+    }
+}
+
+impl<D: SlotReplay> SlotReplay for Gapped<D> {
+    fn stage_decision(
+        &mut self,
+        slot: usize,
+        device_ids: &[usize],
+        selected: &[bool],
+        tier: Degradation,
+    ) {
+        self.inner.stage_decision(slot, device_ids, selected, tier);
+    }
+
+    fn replay_slot(&mut self, slot: usize) {
+        self.inner.replay_slot(slot);
+    }
+}
+
+/// The synthetic driver for `config`, with mid-range rows disconnected
+/// when `gapped`.
+fn synthetic(config: SyntheticConfig, gapped: bool) -> Gapped<SyntheticDriver> {
+    let devices = config.devices;
+    Gapped::new(SyntheticDriver::new(config), devices, gapped)
+}
+
 /// Drives a synthetic workload through the pipelined runtime and
 /// returns every delivered decision.
 fn run_records(
     config: SyntheticConfig,
     shards: usize,
-    partitioner: Partitioner,
+    gapped: bool,
     faults: Option<StageFaults>,
 ) -> Vec<SyntheticRecord> {
-    let mut driver = SyntheticDriver::new(config);
-    let estimators = driver.estimators();
+    let mut driver = synthetic(config, gapped);
+    let estimators = driver.inner.estimators();
     let runtime = SlotRuntime::new(RuntimeConfig {
-        fleet: FleetConfig { num_shards: shards, partitioner, ..FleetConfig::default() },
+        fleet: FleetConfig { num_shards: shards, ..FleetConfig::default() },
         stage_faults: faults,
         ..RuntimeConfig::default()
     });
     let report = runtime.run(&mut driver, estimators);
     assert_eq!(report.summary.recovery.fell_back, None, "recovery ladder bottomed out");
-    driver.records().to_vec()
+    driver.inner.records().to_vec()
 }
 
 /// A fleet with clean dirty bits, ready for targeted mutation.
@@ -142,31 +218,29 @@ proptest! {
     /// A frozen fleet ships an empty delta every steady-state slot, and
     /// the reuse path must be invisible: the delta-enabled run delivers
     /// the same selection and tier as the identical workload forced
-    /// down the cold path — for any shard count, either partitioner,
-    /// with and without injected worker deaths.
+    /// down the cold path — for any shard count, with and without rows
+    /// disconnected mid-range, with and without injected worker deaths.
     #[test]
     fn empty_delta_slots_are_bit_identical_to_cold(
         devices in 16usize..48,
         shards in 1usize..=4,
-        hash_partitioner in any::<bool>(),
+        gapped in any::<bool>(),
         faulty in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        let partitioner =
-            if hash_partitioner { Partitioner::Hash } else { Partitioner::Locality };
-        let faults = faulty.then(|| StageFaults::new(0.25, seed ^ 0xFA17));
+        let faults = faulty.then_some(StageFaults { rate: 0.25, seed: seed ^ 0xFA17, repeat: 0 });
         let mut config = SyntheticConfig::steady(devices, 6, seed);
         config.mutation_fraction = 0.0;
         let delta = run_records(
             SyntheticConfig { delta_enabled: true, ..config.clone() },
             shards,
-            partitioner,
+            gapped,
             faults,
         );
         let cold = run_records(
             SyntheticConfig { delta_enabled: false, ..config },
             shards,
-            partitioner,
+            gapped,
             faults,
         );
         prop_assert_eq!(delta, cold);
@@ -182,8 +256,8 @@ fn delta_runs_are_deterministic_for_identical_seeds() {
     for fraction in [0.15, 0.6] {
         let mut config = SyntheticConfig::steady(56, 8, 9);
         config.mutation_fraction = fraction;
-        let a = run_records(config.clone(), 2, Partitioner::Locality, None);
-        let b = run_records(config, 2, Partitioner::Locality, None);
+        let a = run_records(config.clone(), 2, false, None);
+        let b = run_records(config, 2, false, None);
         assert_eq!(a, b, "fraction {fraction} diverged across identical runs");
         assert_eq!(a.len(), 8);
         for (i, record) in a.iter().enumerate() {
@@ -202,7 +276,7 @@ fn steady_state_slots_ride_the_reuse_and_incremental_paths() {
     recorder.reset();
     let mut config = SyntheticConfig::steady(48, 10, 33);
     config.mutation_fraction = 0.05;
-    let _ = run_records(config, 2, Partitioner::Locality, None);
+    let _ = run_records(config, 2, false, None);
     lpvs::obs::set_enabled(false);
     let metrics = recorder.metrics().snapshot();
     let reuse = metrics.counter_labeled("delta_solve_total", &[("path", "reuse")]).unwrap_or(0);
@@ -223,22 +297,20 @@ fn steady_state_slots_ride_the_reuse_and_incremental_paths() {
 /// bit-identical to an uninterrupted run *with delta solving enabled*:
 /// the restored memo (snapshot v2) continues the incremental chain, and
 /// replayed slots rebuild the same fleet epochs the halted run saw.
-/// Injected worker deaths ride along on the multi-shard case, so
-/// death → cold-resolve → memo rebuild is exercised across the restart.
+/// Injected worker deaths and rows disconnected mid-range ride along on
+/// the multi-shard case, so death → cold-resolve → memo rebuild is
+/// exercised across the restart on shards that skip rows.
 #[test]
 fn halted_and_resumed_delta_runs_are_bit_identical() {
-    let cases = [
-        (1usize, Partitioner::Locality, None),
-        (3usize, Partitioner::Hash, Some(StageFaults::new(0.2, 5))),
-    ];
-    for (shards, partitioner, faults) in cases {
+    let faults = StageFaults { rate: 0.2, seed: 5, repeat: 0 };
+    let cases = [(1usize, false, None), (3usize, true, Some(faults))];
+    for (shards, gapped, faults) in cases {
         let mut config = SyntheticConfig::steady(48, 10, 13);
         config.mutation_fraction = 0.2;
-        let baseline = run_records(config.clone(), shards, partitioner, faults);
+        let baseline = run_records(config.clone(), shards, gapped, faults);
 
         let dir = scratch("resume");
-        let fleet =
-            FleetConfig { num_shards: shards, partitioner, ..FleetConfig::default() };
+        let fleet = FleetConfig { num_shards: shards, ..FleetConfig::default() };
         let checkpoints = CheckpointConfig {
             interval: 2,
             ..CheckpointConfig::new(&dir)
@@ -248,10 +320,9 @@ fn halted_and_resumed_delta_runs_are_bit_identical() {
             stage_faults: faults,
             checkpoints: Some(checkpoints.clone()),
             halt_after_slot: Some(5),
-            ..RuntimeConfig::default()
         });
-        let mut driver = SyntheticDriver::new(config.clone());
-        let estimators = driver.estimators();
+        let mut driver = synthetic(config.clone(), gapped);
+        let estimators = driver.inner.estimators();
         let report = halted.run(&mut driver, estimators);
         assert!(report.summary.slots < 10, "halt_after_slot did not stop the run");
 
@@ -261,13 +332,13 @@ fn halted_and_resumed_delta_runs_are_bit_identical() {
             checkpoints: Some(checkpoints),
             ..RuntimeConfig::default()
         });
-        let mut resumed = SyntheticDriver::new(config);
+        let mut resumed = synthetic(config, gapped);
         resumer.resume(&mut resumed).expect("resume from manifest");
         assert_eq!(
-            resumed.records(),
+            resumed.inner.records(),
             &baseline[..],
             "resumed run diverged from the uninterrupted baseline \
-             ({shards} shards, {partitioner:?})"
+             ({shards} shards, gapped {gapped})"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -322,11 +393,10 @@ fn captured<D: SlotSource + SlotSink>(
     driver: D,
     devices: usize,
     shards: usize,
-    partitioner: Partitioner,
 ) -> Vec<(GatheredSlot, FleetSchedule)> {
     let mut capture = Capture::new(driver);
     let runtime = SlotRuntime::new(RuntimeConfig {
-        fleet: FleetConfig { num_shards: shards, partitioner, ..FleetConfig::default() },
+        fleet: FleetConfig { num_shards: shards, ..FleetConfig::default() },
         ..RuntimeConfig::default()
     });
     let report = runtime.run(&mut capture, vec![GammaEstimator::paper_default(); devices]);
@@ -400,8 +470,8 @@ fn rode_incremental(g: &GatheredSlot, schedule: &FleetSchedule) -> bool {
 
 /// The bit-identity matrix of the kept accounting. Every cell: each
 /// total a delta-carrying run delivers equals the from-scratch row
-/// oracle — reuse, incremental and gated-cold slots alike, with Hash
-/// interleaving the shards so the fleet's index-order fold is no
+/// oracle — reuse, incremental and gated-cold slots alike, with rows
+/// disconnected mid-range so the fleet's index-order fold is no
 /// concatenation of shard folds. And wherever no shard ever rode the
 /// incremental path (whose *decisions* legitimately differ from a cold
 /// solve's), the whole outcome equals the delta-less run's.
@@ -412,13 +482,13 @@ fn kept_totals_are_bit_identical_to_evaluating_every_row() {
     let mut incremental_runs = 0;
     for fraction in [0.0, 0.01, 0.2, 0.26, 0.5, 1.0] {
         for shards in [2usize, 3] {
-            for partitioner in [Partitioner::Locality, Partitioner::Hash] {
+            for gapped in [false, true] {
                 for seed in [5u64, 23, 71] {
-                    let case = format!("{fraction} × {shards} × {partitioner:?} × seed {seed}");
+                    let case = format!("{fraction} × {shards} × gapped {gapped} × seed {seed}");
                     let mut config = SyntheticConfig::steady(devices, slots, seed);
                     config.mutation_fraction = fraction;
                     let cold_config = SyntheticConfig { delta_enabled: false, ..config.clone() };
-                    let delta = captured(SyntheticDriver::new(config), devices, shards, partitioner);
+                    let delta = captured(synthetic(config, gapped), devices, shards);
                     assert_eq!(delta.len(), slots, "{case}");
                     for (g, schedule) in &delta {
                         assert_totals_are_from_scratch(g, schedule, &case);
@@ -427,8 +497,7 @@ fn kept_totals_are_bit_identical_to_evaluating_every_row() {
                         incremental_runs += 1;
                         continue;
                     }
-                    let cold =
-                        captured(SyntheticDriver::new(cold_config), devices, shards, partitioner);
+                    let cold = captured(synthetic(cold_config, gapped), devices, shards);
                     for ((_, a), (_, b)) in delta.iter().zip(&cold) {
                         assert_eq!(outcome(a), outcome(b), "{case}");
                     }
@@ -525,12 +594,12 @@ impl SlotSink for SkewedDelta {
 #[test]
 fn kept_totals_follow_rows_the_rebalance_migrates() {
     let (devices, demanding, slots) = (60, 24, 8);
-    for (shards, partitioner) in [(2usize, Partitioner::Locality), (3, Partitioner::Locality)] {
-        let case = format!("skewed × {shards} × {partitioner:?}");
+    for shards in [2usize, 3] {
+        let case = format!("skewed × {shards}");
         let mut moved = BTreeSet::new();
         for delta_enabled in [true, false] {
             let driver = SkewedDelta::new(devices, demanding, slots, delta_enabled);
-            let run = captured(driver, devices, shards, partitioner);
+            let run = captured(driver, devices, shards);
             assert_eq!(run.len(), slots, "{case}");
             for (g, schedule) in &run {
                 assert!(

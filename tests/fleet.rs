@@ -9,7 +9,7 @@ use lpvs::core::fleet::DeviceFleet;
 use lpvs::core::phase1::{Phase1Config, Phase1Solver};
 use lpvs::core::problem::{DeviceRequest, SlotProblem};
 use lpvs::core::scheduler::{Degradation, LpvsScheduler, Schedule, SchedulerConfig};
-use lpvs::edge::fleet::{FleetConfig, FleetSchedule, FleetScheduler, Partitioner, ShardReport};
+use lpvs::edge::fleet::{FleetConfig, FleetSchedule, FleetScheduler, ShardReport};
 use lpvs::edge::server::EdgeServer;
 use lpvs::survey::curve::AnxietyCurve;
 use proptest::prelude::*;
@@ -158,24 +158,24 @@ proptest! {
     }
 
     /// Every shard of a multi-shard schedule respects its own server's
-    /// capacity pair — including after the rebalancing pass — for both
-    /// partitioners.
+    /// capacity pair — including after the rebalancing pass — with and
+    /// without rows disconnected mid-range.
     #[test]
     fn multi_shard_fleet_is_per_shard_feasible(
         fleet in arb_fleet(),
         num_shards in 2usize..5,
-        hash in any::<bool>(),
+        gapped in any::<bool>(),
         capacity in 0.5f64..20.0,
         storage in 0.1f64..3.0,
         lambda in 0.0f64..8.0,
     ) {
+        let mut fleet = fleet;
+        if gapped {
+            disconnect_mid_range(&mut fleet);
+        }
         let curve = AnxietyCurve::paper_shape();
         let server = EdgeServer::new(capacity, storage);
-        let scheduler = FleetScheduler::new(FleetConfig {
-            num_shards,
-            partitioner: if hash { Partitioner::Hash } else { Partitioner::Locality },
-            ..FleetConfig::default()
-        });
+        let scheduler = FleetScheduler::with_shards(num_shards);
         let out = scheduler.schedule(
             &fleet, &server, lambda, &curve, None, &SlotBudget::unbounded(),
         );
@@ -486,6 +486,16 @@ fn regime_fleet(n: usize, seed: u64, unit_costs: bool) -> DeviceFleet {
     fleet
 }
 
+/// Disconnects rows a quarter and two thirds of the way into `fleet`:
+/// the partition skips them, so the shards around them are not
+/// contiguous in fleet index.
+fn disconnect_mid_range(fleet: &mut DeviceFleet) {
+    let n = fleet.len();
+    for row in [n / 4, n / 4 + 1, 2 * n / 3].into_iter().filter(|&row| row < n) {
+        fleet.set_connected(row, false);
+    }
+}
+
 /// Total `(compute, storage)` cost of `rows`.
 fn load(fleet: &DeviceFleet, rows: impl Iterator<Item = usize>) -> (f64, f64) {
     rows.fold((0.0, 0.0), |(g, h), i| (g + fleet.compute_cost(i), h + fleet.storage_cost_gb(i)))
@@ -494,9 +504,9 @@ fn load(fleet: &DeviceFleet, rows: impl Iterator<Item = usize>) -> (f64, f64) {
 /// The shipped join against the straight-line oracle: same selection,
 /// same migrations into the same shards in the same order, same bits in
 /// both totals — whether nothing, something, next to nothing, a bounded
-/// number or only what storage allows can move; 2, 3 and 8 shards; both
-/// partitioners; one dead shard (all of its capacity free) among the
-/// eight.
+/// number or only what storage allows can move; 2, 3 and 8 shards; with
+/// and without a block of rows disconnected mid-range; one dead shard
+/// (all of its capacity free) among the eight.
 #[test]
 fn the_gated_join_equals_the_straight_line_join() {
     let curve = AnxietyCurve::paper_shape();
@@ -506,17 +516,19 @@ fn the_gated_join_equals_the_straight_line_join() {
         [Slack::None, Slack::OneShard, Slack::Sliver, Slack::HitsTheBound, Slack::StorageOnly]
     {
         for num_shards in [2usize, 3, 8] {
-            for partitioner in [Partitioner::Locality, Partitioner::Hash] {
+            for gapped in [false, true] {
                 seed += 1;
-                let case = format!("{slack:?}, {num_shards} shards, {partitioner:?}, seed {seed}");
+                let case = format!("{slack:?}, {num_shards} shards, gapped {gapped}, seed {seed}");
                 let config = FleetConfig {
                     num_shards,
-                    partitioner,
                     max_migrations: if slack == Slack::HitsTheBound { 5 } else { 64 },
                     ..FleetConfig::default()
                 };
                 let scheduler = FleetScheduler::new(config);
-                let fleet = regime_fleet(60 * num_shards, seed, slack == Slack::None);
+                let mut fleet = regime_fleet(60 * num_shards, seed, slack == Slack::None);
+                if gapped {
+                    disconnect_mid_range(&mut fleet);
+                }
                 let shards = scheduler.partition(&fleet);
                 let lambda = 0.5 + (seed % 4) as f64;
 

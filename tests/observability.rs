@@ -118,7 +118,8 @@ fn an_emulated_slot_counts_the_chunks_it_synthesizes_and_encodes() {
         let selected: u64 = report.slots.iter().map(|s| s.selected as u64).sum();
         (count("emu_chunks_synthesized_total"), count("emu_chunks_encoded_total"), selected)
     };
-    let chunks = config.chunks_per_slot as u64;
+    // The paper's 30 ten-second chunks per 5-minute slot.
+    let chunks = 30;
     let device_slots = (config.devices * config.slots) as u64;
 
     let (synthesized, encoded, selected) = run(config, Policy::Lpvs);

@@ -237,7 +237,7 @@ proptest! {
         stalled in proptest::arbitrary::any::<bool>()
     ) {
         use lpvs::core::budget::SlotBudget;
-        let mut budget = SlotBudget::unbounded().with_solver_nodes(nodes);
+        let mut budget = SlotBudget { solver_nodes: Some(nodes), ..SlotBudget::unbounded() };
         if stalled {
             budget = budget.with_deadline_secs(0.0);
         }

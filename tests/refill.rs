@@ -36,7 +36,7 @@ use lpvs::core::fleet::{DeviceFleet, FleetDevice};
 use lpvs::core::problem::{DeviceRequest, SlotProblem};
 use lpvs::core::scheduler::Degradation;
 use lpvs::display::spec::DisplayKind;
-use lpvs::edge::fleet::{FleetConfig, Partitioner};
+use lpvs::edge::fleet::FleetConfig;
 use lpvs::runtime::{
     BankOps, CheckpointConfig, GatheredSlot, RuntimeConfig, SlotFeedback, SlotReplay, SlotRuntime,
     SlotSink, SlotSource, SolvedSlot, StageFaults, SyntheticConfig, SyntheticDriver,
@@ -399,7 +399,6 @@ fn runtime(faults: Option<StageFaults>, checkpoints: Option<CheckpointConfig>) -
     RuntimeConfig {
         fleet: FleetConfig {
             num_shards: 2,
-            partitioner: Partitioner::Locality,
             ..FleetConfig::default()
         },
         stage_faults: faults,

@@ -91,7 +91,7 @@ fn emulator_survives_everyone_abandoning() {
 
 #[test]
 fn emulator_all_gamma_modes_run() {
-    for mode in [GammaMode::Learned, GammaMode::Fixed(0.31), GammaMode::Oracle] {
+    for mode in [GammaMode::Learned, GammaMode::Fixed, GammaMode::Oracle] {
         let config = EmulatorConfig {
             devices: 6,
             slots: 3,

@@ -15,7 +15,7 @@
 
 use lpvs::core::fleet::DeviceFleet;
 use lpvs::core::scheduler::Degradation;
-use lpvs::edge::fleet::{FleetConfig, Partitioner};
+use lpvs::edge::fleet::FleetConfig;
 use lpvs::runtime::{
     BankOps, GatheredSlot, RuntimeConfig, SlotFeedback, SlotRuntime, SlotSink, SlotSource,
     SolvedSlot,
@@ -39,7 +39,6 @@ fn runtime() -> RuntimeConfig {
     RuntimeConfig {
         fleet: FleetConfig {
             num_shards: 2,
-            partitioner: Partitioner::Locality,
             ..FleetConfig::default()
         },
         ..RuntimeConfig::default()
@@ -304,5 +303,20 @@ fn a_journal_that_cannot_be_opened_is_an_error_not_a_panic() {
     config.engine.journal = Some(dir.clone());
     let booted = std::panic::catch_unwind(|| serve(config)).expect("serve must not panic");
     assert!(booted.is_err(), "a directory is not an appendable journal");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_checkpoint_directory_that_cannot_be_created_is_an_error() {
+    // The slot loop runs on a thread `serve` spawns; a store it could
+    // not create would stop every slot after `serve` returned `Ok`.
+    let _serial = RECORDER.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let dir = scratch("uncreatable");
+    let file = dir.join("a-file");
+    std::fs::write(&file, b"not a directory").expect("write");
+    let mut config = ServeConfig::loopback(4);
+    config.checkpoint_dir = Some(file.join("checkpoints"));
+    let booted = std::panic::catch_unwind(|| serve(config)).expect("serve must not panic");
+    assert!(booted.is_err(), "a path under a regular file is not a checkpoint store");
     let _ = std::fs::remove_dir_all(&dir);
 }
