@@ -52,12 +52,12 @@ fn main() {
         Degradation::ALL
             .iter()
             .map(|tier| {
-                let name = tier.label().replace('-', "_");
+                let name = tier.label();
                 let count = snapshot
                     .metrics
-                    .counter(&format!("sched_tier_{name}_total"))
+                    .counter_labeled("sched_tier_total", &[("tier", name)])
                     .unwrap_or(0);
-                (name, Json::Num(count as f64))
+                (name.to_owned(), Json::Num(count as f64))
             })
             .collect(),
     );

@@ -7,7 +7,7 @@
 //! (11):
 //!
 //! ```text
-//! K·e(1) − Σ_κ (K − κ)·ψ(κ)·Δ_κ  ≥  Σ_κ (1 − γ)·p(κ)·Δ_κ
+//! K·e(1) − Σ_κ (K − κ)·ψ(κ)·Δ  ≥  Σ_κ (1 − γ)·p(κ)·Δ
 //! ```
 //!
 //! which depends only on per-device prefix sums computable once. This
@@ -22,9 +22,9 @@ use serde::{Deserialize, Serialize};
 /// Per-device quantities produced by information compacting.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CompactedDevice {
-    /// `Σ p(κ)·Δ_κ` — untransformed slot energy (J).
+    /// `Σ p(κ)·Δ` — untransformed slot energy (J).
     pub total_energy_j: f64,
-    /// `Σ (K − κ)·p(κ)·Δ_κ` — the weighted prefix mass of eq. (11) at
+    /// `Σ (K − κ)·p(κ)·Δ` — the weighted prefix mass of eq. (11) at
     /// the untransformed rate (J).
     pub weighted_energy_j: f64,
     /// Whether transforming this device satisfies the compacted energy
@@ -40,12 +40,8 @@ pub fn compact_device(request: &DeviceRequest) -> CompactedDevice {
     let k = request.num_chunks() as f64;
     let mut total = 0.0;
     let mut weighted = 0.0;
-    for (idx, (p, d)) in request
-        .power_rates_w
-        .iter()
-        .zip(&request.chunk_secs)
-        .enumerate()
-    {
+    let d = request.chunk_secs;
+    for (idx, p) in request.power_rates_w.iter().enumerate() {
         let kappa = (idx + 1) as f64; // chunks are 1-indexed in the paper
         total += p * d;
         weighted += (k - kappa) * p * d;
@@ -79,13 +75,14 @@ fn compacted_feasible(
 }
 
 /// Chunk-level reference: walks the recursion of eqs. (4)–(5) directly,
-/// checking `e(κ) ≥ ψ(κ)·Δ_κ` before each chunk. Used to validate the
+/// checking `e(κ) ≥ ψ(κ)·Δ` before each chunk. Used to validate the
 /// compacting and by the `ablation_compacting` bench as the naive
 /// baseline.
 pub fn chunk_level_feasible(request: &DeviceRequest, transformed: bool) -> bool {
     let factor = if transformed { 1.0 - request.gamma } else { 1.0 };
     let mut energy = request.energy_j;
-    for (p, d) in request.power_rates_w.iter().zip(&request.chunk_secs) {
+    let d = request.chunk_secs;
+    for p in &request.power_rates_w {
         let need = factor * p * d;
         if energy < need - 1e-9 {
             return false;
@@ -175,7 +172,7 @@ mod tests {
         for energy in [100.0, 200.0, 280.0, 300.0, 350.0, 400.0] {
             let r = DeviceRequest::new(
                 rates.clone(),
-                vec![10.0; 30],
+                10.0,
                 energy,
                 55_440.0,
                 0.3,
@@ -195,7 +192,7 @@ mod tests {
         // weighted = (2−1)·2·10 + (2−2)·3·10 = 20.
         let r = DeviceRequest::new(
             vec![2.0, 3.0],
-            vec![10.0, 10.0],
+            10.0,
             1000.0,
             2000.0,
             0.2,

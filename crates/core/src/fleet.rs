@@ -6,8 +6,8 @@
 //! per-device scalars (battery level, γ posterior, resource costs)
 //! without ever touching the per-chunk arrays. [`DeviceFleet`] stores
 //! the same information as parallel columns — one `Vec` per field, with
-//! the per-chunk rates/durations flattened behind an offsets array — so
-//! that:
+//! the per-chunk power rates flattened behind an offsets array and one
+//! chunk duration Δ per row (a request's chunks share it) — so that:
 //!
 //! * scalar scans (anxiety ranking, feasibility filters, partition
 //!   hashing) are cache-linear and never drag chunk data through the
@@ -76,9 +76,9 @@ impl FleetDevice {
 
 /// Columnar store of per-device slot state for an entire fleet.
 ///
-/// Parallel arrays, one per field; per-chunk data is flattened with an
-/// offsets array (`chunk_offsets[i]..chunk_offsets[i+1]` indexes device
-/// `i`'s chunks). All rows are validated on insertion, so every
+/// Parallel arrays, one per field; the per-chunk rates are flattened
+/// with an offsets array (`chunk_offsets[i]..chunk_offsets[i+1]` indexes
+/// device `i`'s chunks). All rows are validated on insertion, so every
 /// accessor may assume [`DeviceRequest::is_valid`] invariants.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct DeviceFleet {
@@ -86,7 +86,7 @@ pub struct DeviceFleet {
     chunk_offsets: Vec<usize>,
     /// Flattened per-chunk power rates `p(κ)` (W), all devices.
     power_rates_w: Vec<f64>,
-    /// Flattened per-chunk durations Δ_κ (s), all devices.
+    /// Chunk duration Δ (s) per device.
     chunk_secs: Vec<f64>,
     /// Reported remaining energy `e(1)` (J).
     energy_j: Vec<f64>,
@@ -184,7 +184,7 @@ impl DeviceFleet {
         Self {
             chunk_offsets,
             power_rates_w: Vec::with_capacity(devices * chunks_hint),
-            chunk_secs: Vec::with_capacity(devices * chunks_hint),
+            chunk_secs: Vec::with_capacity(devices),
             energy_j: Vec::with_capacity(devices),
             capacity_j: Vec::with_capacity(devices),
             gamma_mean: Vec::with_capacity(devices),
@@ -238,8 +238,8 @@ impl DeviceFleet {
         connected: bool,
     ) -> usize {
         self.power_rates_w.extend_from_slice(&request.power_rates_w);
-        self.chunk_secs.extend_from_slice(&request.chunk_secs);
         self.chunk_offsets.push(self.power_rates_w.len());
+        self.chunk_secs.push(request.chunk_secs);
         self.energy_j.push(request.energy_j);
         self.capacity_j.push(request.capacity_j);
         self.gamma_mean.push(request.gamma);
@@ -305,10 +305,9 @@ impl DeviceFleet {
     /// float is copied, never recomputed, so a round-trip through the
     /// fleet is bit-identical.
     pub fn device_request(&self, i: usize) -> DeviceRequest {
-        let chunks = self.chunk_range(i);
         DeviceRequest::from_telemetry(
-            self.power_rates_w[chunks.clone()].to_vec(),
-            self.chunk_secs[chunks].to_vec(),
+            self.rates(i).to_vec(),
+            self.chunk_secs[i],
             self.energy_j[i],
             self.capacity_j[i],
             self.gamma_mean[i],
@@ -396,12 +395,10 @@ impl DeviceFleet {
         let total_chunks: usize = indices.iter().map(|&i| self.num_chunks(i)).sum();
         let mut out = Self::with_capacity(indices.len(), 0);
         out.power_rates_w.reserve(total_chunks);
-        out.chunk_secs.reserve(total_chunks);
         for &i in indices {
-            let chunks = self.chunk_range(i);
-            out.power_rates_w.extend_from_slice(&self.power_rates_w[chunks.clone()]);
-            out.chunk_secs.extend_from_slice(&self.chunk_secs[chunks]);
+            out.power_rates_w.extend_from_slice(self.rates(i));
             out.chunk_offsets.push(out.power_rates_w.len());
+            out.chunk_secs.push(self.chunk_secs[i]);
             out.energy_j.push(self.energy_j[i]);
             out.capacity_j.push(self.capacity_j[i]);
             out.gamma_mean.push(self.gamma_mean[i]);
@@ -451,7 +448,8 @@ impl DeviceFleet {
     ///
     /// [`lpvs_codec::CodecError::Truncated`] on short input;
     /// [`lpvs_codec::CodecError::Malformed`] on inconsistent column
-    /// lengths, non-monotonic chunk offsets, or an unknown display tag.
+    /// lengths, non-monotonic chunk offsets, a chunk duration that is
+    /// not finite and positive, or an unknown display tag.
     pub fn decode(r: &mut lpvs_codec::Reader<'_>) -> Result<DeviceFleet, lpvs_codec::CodecError> {
         use lpvs_codec::CodecError;
         let chunk_offsets = r.usizes()?;
@@ -486,10 +484,8 @@ impl DeviceFleet {
         {
             return Err(CodecError::Malformed("chunk offsets"));
         }
-        if chunk_secs.len() != power_rates_w.len() {
-            return Err(CodecError::Malformed("chunk column lengths"));
-        }
         let scalar_columns = [
+            chunk_secs.len(),
             energy_j.len(),
             capacity_j.len(),
             gamma_mean.len(),
@@ -501,6 +497,9 @@ impl DeviceFleet {
         ];
         if scalar_columns.iter().any(|&len| len != n) {
             return Err(CodecError::Malformed("scalar column lengths"));
+        }
+        if !chunk_secs.iter().all(|d| d.is_finite() && *d > 0.0) {
+            return Err(CodecError::Malformed("chunk durations"));
         }
         Ok(DeviceFleet {
             // Dirty state is not persisted: a decoded fleet is
@@ -526,10 +525,14 @@ impl DeviceFleet {
         self.chunk_offsets[i]..self.chunk_offsets[i + 1]
     }
 
-    /// Per-chunk `(rates, durations)` slices of row `i`.
-    pub fn chunks(&self, i: usize) -> (&[f64], &[f64]) {
-        let r = self.chunk_range(i);
-        (&self.power_rates_w[r.clone()], &self.chunk_secs[r])
+    /// Per-chunk power rates `p(κ)` (W) of row `i`.
+    pub fn rates(&self, i: usize) -> &[f64] {
+        &self.power_rates_w[self.chunk_range(i)]
+    }
+
+    /// Chunk duration Δ (s) of row `i`, shared by all its chunks.
+    pub fn chunk_secs(&self, i: usize) -> f64 {
+        self.chunk_secs[i]
     }
 
     /// Number of chunks `K` of row `i`.
@@ -695,10 +698,8 @@ impl DeviceFleet {
             buffer.epoch == frontier.epoch && buffer.chunk_offsets == self.chunk_offsets;
         if patched {
             for &i in &frontier.indices {
-                let (rates, secs) = self.chunks(i);
-                let chunks = self.chunk_range(i);
-                buffer.power_rates_w[chunks.clone()].copy_from_slice(rates);
-                buffer.chunk_secs[chunks].copy_from_slice(secs);
+                buffer.power_rates_w[self.chunk_range(i)].copy_from_slice(self.rates(i));
+                buffer.chunk_secs[i] = self.chunk_secs[i];
                 buffer.energy_j[i] = self.energy_j[i];
                 buffer.capacity_j[i] = self.capacity_j[i];
                 buffer.gamma_mean[i] = self.gamma_mean[i];
@@ -733,10 +734,11 @@ impl DeviceFleet {
     // from `saving_j`, and the benchmark package
     // (`crates/bench/src/bin/e2e`) derives `energy_saving` from both.
 
-    /// Untransformed slot energy `Σ p·Δ` (J) of row `i`.
+    /// Untransformed slot energy `Σ p·Δ` (J) of row `i`, summed per
+    /// chunk like [`DeviceRequest::untransformed_energy_j`].
     pub fn untransformed_energy_j(&self, i: usize) -> f64 {
-        let (rates, secs) = self.chunks(i);
-        rates.iter().zip(secs).map(|(p, d)| p * d).sum()
+        let d = self.chunk_secs[i];
+        self.rates(i).iter().map(|p| p * d).sum()
     }
 
     /// Energy saved over the slot if row `i` is transformed (J).
@@ -917,7 +919,7 @@ mod tests {
         let chunks = rng.gen_range(5..40);
         DeviceRequest::new(
             (0..chunks).map(|_| rng.gen_range(0.4..2.5)).collect(),
-            (0..chunks).map(|_| rng.gen_range(2.0..12.0)).collect(),
+            rng.gen_range(2.0..12.0),
             rng.gen_range(0.0..55_440.0),
             55_440.0,
             rng.gen_range(0.05..0.6),
@@ -984,7 +986,7 @@ mod tests {
             p.push(request(200 + i));
         }
         p.requests[1].gamma = f64::NAN;
-        p.requests[3].chunk_secs.pop();
+        p.requests[3].chunk_secs = 0.0;
         let (clean, valid) = p.sanitize();
         // Refill a fleet that held something else: same rows either way.
         let mut f = fleet(9);
@@ -1100,7 +1102,7 @@ mod tests {
         let mut w = lpvs_codec::Writer::new();
         w.put_usizes(&[0, 2]); // one device, two chunks…
         w.put_f64s(&[1.0, 2.0]);
-        w.put_f64s(&[1.0, 2.0]);
+        w.put_f64s(&[10.0]);
         for _ in 0..6 {
             w.put_f64s(&[]); // …but zero-length scalar columns
         }

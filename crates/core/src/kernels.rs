@@ -44,9 +44,10 @@
 //! (asserted by unit tests here, proptests in `tests/kernels.rs`, and
 //! schedule-level checks at 1–4 shards). Devices in a lane group may
 //! have different chunk counts; exhausted lanes are masked so their
-//! gathers return `+0.0`, which is an exact no-op on both accumulators
-//! (all contributions are nonnegative, so neither accumulator can ever
-//! hold `-0.0`).
+//! rate gathers return `+0.0` and their row Δ (loaded once per group)
+//! is masked to `+0.0` at every step, which is an exact no-op on both
+//! accumulators (all contributions are nonnegative, so neither
+//! accumulator can ever hold `-0.0`).
 //!
 //! ## Path selection
 //!
@@ -142,7 +143,7 @@ pub fn active_path() -> KernelPath {
     }
 }
 
-/// Borrowed view of the five columns the batch kernels read. Obtained
+/// Borrowed view of the six columns the batch kernels read. Obtained
 /// from [`DeviceFleet::columns`](crate::fleet::DeviceFleet::columns)
 /// (zero-copy).
 #[derive(Debug, Clone, Copy)]
@@ -151,7 +152,7 @@ pub struct FleetColumns<'a> {
     pub(crate) chunk_offsets: &'a [usize],
     /// Flattened per-chunk power rates (W).
     pub(crate) power_rates_w: &'a [f64],
-    /// Flattened per-chunk durations (s).
+    /// Chunk duration Δ (s) per device.
     pub(crate) chunk_secs: &'a [f64],
     /// Remaining energy `e(1)` (J) per device.
     pub(crate) energy_j: &'a [f64],
@@ -165,13 +166,14 @@ impl<'a> FleetColumns<'a> {
     /// A view over caller-owned columns — for columns that are not a
     /// [`DeviceFleet`](crate::fleet::DeviceFleet)'s, such as the
     /// zero-chunk rows a fleet never stores. Device `i`'s chunks are
-    /// `chunk_offsets[i]..chunk_offsets[i + 1]` of the two chunk columns.
+    /// `chunk_offsets[i]..chunk_offsets[i + 1]` of the rate column, each
+    /// `chunk_secs[i]` long.
     ///
     /// # Panics
     ///
     /// Panics unless `chunk_offsets` starts at 0, never decreases and
-    /// ends at the chunk columns' common length, and the three
-    /// per-device columns hold one entry per device. The values must be
+    /// ends at the rate column's length, and the four per-device columns
+    /// hold one entry per device. The values must be
     /// what a fleet admits
     /// ([`DeviceRequest::is_valid`](crate::problem::DeviceRequest::is_valid)):
     /// rates finite and ≥ 0, durations finite and > 0, energy finite and
@@ -189,11 +191,10 @@ impl<'a> FleetColumns<'a> {
         assert!(chunk_offsets.windows(2).all(|w| w[0] <= w[1]), "offsets must not decrease");
         let chunks = power_rates_w.len();
         assert_eq!(chunk_offsets.last(), Some(&chunks), "offsets must cover the rates");
-        assert_eq!(chunk_secs.len(), power_rates_w.len(), "one duration per rate");
         let n = chunk_offsets.len() - 1;
         assert!(
-            energy_j.len() == n && capacity_j.len() == n && gamma_mean.len() == n,
-            "one energy, capacity and γ per device"
+            [chunk_secs.len(), energy_j.len(), capacity_j.len(), gamma_mean.len()] == [n; 4],
+            "one duration, energy, capacity and γ per device"
         );
         assert!(power_rates_w.iter().all(|p| p.is_finite() && *p >= 0.0), "rates finite, ≥ 0");
         assert!(chunk_secs.iter().all(|d| d.is_finite() && *d > 0.0), "durations finite, > 0");
@@ -213,10 +214,11 @@ impl<'a> FleetColumns<'a> {
         self.len() == 0
     }
 
+    /// Row `i`'s per-chunk rates and its chunk duration.
     #[inline]
-    fn chunks(&self, i: usize) -> (&'a [f64], &'a [f64]) {
+    fn chunks(&self, i: usize) -> (&'a [f64], f64) {
         let r = self.chunk_offsets[i]..self.chunk_offsets[i + 1];
-        (&self.power_rates_w[r.clone()], &self.chunk_secs[r])
+        (&self.power_rates_w[r], self.chunk_secs[i])
     }
 }
 
@@ -277,7 +279,11 @@ impl<'a> Select<'a> {
 /// Panics if any index is out of bounds for the columns.
 pub fn transform_feasible_batch(cols: &FleetColumns<'_>, indices: &[usize], out: &mut Vec<bool>) {
     out.reserve(indices.len());
-    scalar::transform_feasible(cols, indices, out);
+    for &i in indices {
+        let (rates, d) = cols.chunks(i);
+        let (total, weighted) = scalar::row_compact(rates, d);
+        out.push(scalar::row_feasible(cols, i, total, weighted));
+    }
 }
 
 /// Batched feasibility **and** savings in one pass: per index, appends
@@ -298,7 +304,12 @@ pub fn transform_savings_batch(
 ) {
     out_feasible.reserve(indices.len());
     out_savings.reserve(indices.len());
-    scalar::transform_savings(cols, indices, out_feasible, out_savings);
+    for &i in indices {
+        let (rates, d) = cols.chunks(i);
+        let (total, weighted) = scalar::row_compact(rates, d);
+        out_feasible.push(scalar::row_feasible(cols, i, total, weighted));
+        out_savings.push(cols.gamma_mean[i] * total);
+    }
 }
 
 /// Batched eq. (13) objective contributions: appends one value per
@@ -463,7 +474,7 @@ mod scalar {
     /// One row of constraint (11): `(total, weighted)` prefix masses in
     /// the exact accumulation order of `compact_device`.
     #[inline(always)]
-    pub(super) fn row_compact(rates: &[f64], secs: &[f64]) -> (f64, f64) {
+    pub(super) fn row_compact(rates: &[f64], d: f64) -> (f64, f64) {
         let k = rates.len() as f64;
         let mut total = 0.0;
         let mut weighted = 0.0;
@@ -473,7 +484,7 @@ mod scalar {
         // bit-identical to the `compact_device` formulation while
         // avoiding a u64→f64 conversion in the inner loop.
         let mut km = k - 1.0;
-        for (&p, &d) in rates.iter().zip(secs) {
+        for &p in rates {
             compact_step(&mut total, &mut weighted, km, p, d);
             km -= 1.0;
         }
@@ -487,32 +498,6 @@ mod scalar {
         k * cols.energy_j[i] - factor * weighted >= factor * total - 1e-9
     }
 
-    pub(super) fn transform_feasible(
-        cols: &FleetColumns<'_>,
-        indices: &[usize],
-        out: &mut Vec<bool>,
-    ) {
-        for &i in indices {
-            let (rates, secs) = cols.chunks(i);
-            let (total, weighted) = row_compact(rates, secs);
-            out.push(row_feasible(cols, i, total, weighted));
-        }
-    }
-
-    pub(super) fn transform_savings(
-        cols: &FleetColumns<'_>,
-        indices: &[usize],
-        out_feasible: &mut Vec<bool>,
-        out_savings: &mut Vec<f64>,
-    ) {
-        for &i in indices {
-            let (rates, secs) = cols.chunks(i);
-            let (total, weighted) = row_compact(rates, secs);
-            out_feasible.push(row_feasible(cols, i, total, weighted));
-            out_savings.push(cols.gamma_mean[i] * total);
-        }
-    }
-
     pub(super) fn device_objective(
         cols: &FleetColumns<'_>,
         indices: &[usize],
@@ -523,12 +508,12 @@ mod scalar {
     ) {
         for (k, &i) in indices.iter().enumerate() {
             let factor = if selected.at(k, i) { 1.0 - cols.gamma_mean[i] } else { 1.0 };
-            let (rates, secs) = cols.chunks(i);
+            let (rates, d) = cols.chunks(i);
             let energy_j = cols.energy_j[i];
             let capacity_j = cols.capacity_j[i];
             let mut prefix_j = 0.0;
             let mut total = 0.0;
-            for (&p, &d) in rates.iter().zip(secs) {
+            for &p in rates {
                 let psi = factor * p;
                 total += objective_step(psi, d, prefix_j, energy_j, capacity_j, lambda, curve);
                 prefix_j += psi * d;
@@ -549,13 +534,13 @@ mod scalar {
         out: &mut Scores,
     ) {
         for &i in rows {
-            let (rates, secs) = cols.chunks(i);
+            let (rates, d) = cols.chunks(i);
             let (energy_j, capacity_j) = (cols.energy_j[i], cols.capacity_j[i]);
             let factor = 1.0 - cols.gamma_mean[i];
             let mut km = rates.len() as f64 - 1.0;
             let (mut total, mut weighted) = (0.0, 0.0);
             let (mut off, mut on, mut on_prefix) = (0.0, 0.0, 0.0);
-            for (&p, &d) in rates.iter().zip(secs) {
+            for &p in rates {
                 off += objective_step(p, d, total, energy_j, capacity_j, lambda, curve);
                 let psi = factor * p;
                 on += objective_step(psi, d, on_prefix, energy_j, capacity_j, lambda, curve);
@@ -573,8 +558,8 @@ mod scalar {
 /// verbatim (separate `mul`/`add` intrinsics — never FMA — in the scalar
 /// association order), so results are bit-identical to the scalar path.
 /// Lanes whose device has fewer chunks than the group maximum are
-/// masked: their gathers return `+0.0` and contribute exact no-ops to
-/// every accumulator.
+/// masked: their rate gathers return `+0.0`, their Δ is masked to
+/// `+0.0`, and they contribute exact no-ops to every accumulator.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::{FleetColumns, Scores, Select};
@@ -724,7 +709,9 @@ mod avx2 {
         _mm256_set_epi64x(s(3), s(2), s(1), s(0))
     }
 
-    /// The lanes still walking at chunk step `j`.
+    /// The lanes still walking at chunk step `j`: all-ones bits, else
+    /// zero — so `_mm256_and_pd` with it turns an exhausted lane's value
+    /// into `+0.0`.
     ///
     /// # Safety
     ///
@@ -736,14 +723,14 @@ mod avx2 {
     }
 
     /// `scalar::score_rows` four rows at a time: the five accumulators
-    /// ride the same lanes, so each chunk's `p` and `d` are gathered
-    /// once for all of them.
+    /// ride the same lanes, so each chunk's `p` is gathered once for all
+    /// of them, and each row's Δ once per group.
     ///
     /// # Safety
     ///
-    /// The CPU must support AVX2. The gathers read only live lanes at
-    /// positions inside their row's chunk range, which the columns'
-    /// offsets keep inside the chunk columns (`FleetColumns::new`
+    /// The CPU must support AVX2. The rate gathers read only live lanes
+    /// at positions inside their row's chunk range, which the columns'
+    /// offsets keep inside the rate column (`FleetColumns::new`
     /// checks this; a fleet's columns hold it by construction), and
     /// `group` indexes the offsets with bounds checks first.
     #[target_feature(enable = "avx2")]
@@ -755,7 +742,6 @@ mod avx2 {
         out: &mut Scores,
     ) {
         let rates = cols.power_rates_w.as_ptr();
-        let secs = cols.chunk_secs.as_ptr();
         let values = curve.values();
         let zero = _mm256_setzero_pd();
         let one = _mm256_set1_pd(1.0);
@@ -767,6 +753,7 @@ mod avx2 {
             let factor = _mm256_sub_pd(one, gather_lane(idx, cols.gamma_mean));
             let energy_j = gather_lane(idx, cols.energy_j);
             let capacity = gather_lane(idx, cols.capacity_j);
+            let secs = gather_lane(idx, cols.chunk_secs);
             let len = len_vec(&g);
             let k = |l: usize| g.lens[l] as f64;
             let mut km = _mm256_sub_pd(_mm256_set_pd(k(3), k(2), k(1), k(0)), one);
@@ -776,7 +763,7 @@ mod avx2 {
             for j in 0..g.max_len {
                 let live = live(len, j);
                 let p = _mm256_mask_i64gather_pd::<8>(zero, rates, pos, live);
-                let d = _mm256_mask_i64gather_pd::<8>(zero, secs, pos, live);
+                let d = _mm256_and_pd(secs, live);
                 let step = objective_step4(p, d, total, energy_j, capacity, lam, values);
                 off = _mm256_add_pd(off, step);
                 let psi = _mm256_mul_pd(factor, p);
@@ -806,7 +793,6 @@ mod avx2 {
         out: &mut Vec<f64>,
     ) {
         let rates = cols.power_rates_w.as_ptr();
-        let secs = cols.chunk_secs.as_ptr();
         let values = curve.values();
         let zero = _mm256_setzero_pd();
         let one_i = _mm256_set1_epi64x(1);
@@ -824,6 +810,7 @@ mod avx2 {
             let factor = _mm256_set_pd(fac(3), fac(2), fac(1), fac(0));
             let energy_j = gather_lane(idx, cols.energy_j);
             let capacity = gather_lane(idx, cols.capacity_j);
+            let secs = gather_lane(idx, cols.chunk_secs);
             let len = len_vec(&g);
             let mut pos = start_vec(&g);
             let mut prefix = zero;
@@ -831,7 +818,7 @@ mod avx2 {
             for j in 0..g.max_len {
                 let live = live(len, j);
                 let p = _mm256_mask_i64gather_pd::<8>(zero, rates, pos, live);
-                let d = _mm256_mask_i64gather_pd::<8>(zero, secs, pos, live);
+                let d = _mm256_and_pd(secs, live);
                 let psi = _mm256_mul_pd(factor, p);
                 let step = objective_step4(psi, d, prefix, energy_j, capacity, lam, values);
                 total = _mm256_add_pd(total, step);
@@ -855,18 +842,18 @@ mod tests {
     use crate::objective::device_objective;
     use crate::problem::DeviceRequest;
 
-    /// A deterministic fleet with mixed chunk counts, batteries, rates,
-    /// and γ — including rows on the feasibility boundary.
+    /// A deterministic fleet with mixed chunk counts, durations,
+    /// batteries, rates, and γ — including rows on the feasibility
+    /// boundary.
     fn mixed_fleet() -> DeviceFleet {
         let mut fleet = DeviceFleet::new();
         for d in 0..53 {
             let chunks = 1 + d % 9;
             let rates: Vec<f64> = (0..chunks).map(|c| 0.6 + 0.07 * ((c + d) % 11) as f64).collect();
-            let secs: Vec<f64> = (0..chunks).map(|c| 5.0 + (c % 3) as f64).collect();
             let energy = 40.0 * (d % 17) as f64;
             let request = DeviceRequest::new(
                 rates,
-                secs,
+                5.0 + (d % 3) as f64,
                 energy,
                 55_440.0,
                 0.05 + 0.009 * (d % 23) as f64,

@@ -4,15 +4,15 @@
 //! term plus λ times the anxiety at the predicted energy status:
 //!
 //! ```text
-//! Σ_n Σ_κ ( ψ_n(κ)·Δ_κ  +  λ·φ(e_n(κ)/capacity)·Δ_κ )
+//! Σ_n Σ_κ ( ψ_n(κ)·Δ_n  +  λ·φ(e_n(κ)/capacity)·Δ_n )
 //! ```
 //!
-//! Both terms are weighted by the chunk duration so λ is in joules per
-//! anxiety-second (the paper's unweighted sums coincide with this up to
-//! a constant when chunks share a duration, which they do in the
-//! 5-minute-slot emulation). Crucially the objective is **separable per
-//! device**, which is what makes Phase-2's swap evaluation O(K) instead
-//! of O(N·K).
+//! Both terms are weighted by the device's chunk duration Δ_n (one per
+//! request) so λ is in joules per anxiety-second (the paper's
+//! unweighted sums coincide with this up to a constant when every
+//! device shares Δ, as in the 5-minute-slot emulation). Crucially the
+//! objective is **separable per device**, which is what makes Phase-2's
+//! swap evaluation O(K) instead of O(N·K).
 //!
 //! Two evaluators are provided: the compacted form of eq. (13), which
 //! predicts `e(κ)` from the initial report and a running prefix sum,
@@ -36,9 +36,10 @@ pub fn device_objective(
     curve: &AnxietyCurve,
 ) -> f64 {
     let factor = if selected { 1.0 - request.gamma } else { 1.0 };
-    let mut prefix_j = 0.0; // Σ_{i<κ} ψ(i)·Δ_i
+    let d = request.chunk_secs;
+    let mut prefix_j = 0.0; // Σ_{i<κ} ψ(i)·Δ
     let mut total = 0.0;
-    for (p, d) in request.power_rates_w.iter().zip(&request.chunk_secs) {
+    for p in &request.power_rates_w {
         let psi = factor * p;
         // e(κ) = e(1) − prefix (eq. 12d), clamped at empty.
         let energy = (request.energy_j - prefix_j).max(0.0);
@@ -73,8 +74,8 @@ pub fn objective_value_recursive(problem: &SlotProblem, selected: &[bool]) -> f6
     let mut total = 0.0;
     for (r, &x) in problem.requests.iter().zip(selected) {
         let factor = if x { 1.0 - r.gamma } else { 1.0 };
-        let mut energy = r.energy_j;
-        for (p, d) in r.power_rates_w.iter().zip(&r.chunk_secs) {
+        let (d, mut energy) = (r.chunk_secs, r.energy_j);
+        for p in &r.power_rates_w {
             let psi = factor * p;
             let anxiety = problem.curve.phi(energy / r.capacity_j);
             total += (psi + problem.lambda * anxiety) * d;
@@ -96,7 +97,7 @@ mod tests {
         p.push(DeviceRequest::uniform(0.9, 10.0, 30, 30_000.0, 55_440.0, 0.25, 1.0, 0.1));
         p.push(DeviceRequest::new(
             (0..30).map(|i| 0.7 + 0.04 * (i % 5) as f64).collect(),
-            vec![10.0; 30],
+            10.0,
             15_000.0,
             55_440.0,
             0.4,

@@ -16,8 +16,8 @@ pub struct DeviceRequest {
     /// Untransformed whole-device power rate `p(κ)` (W) per available
     /// chunk, in playback order.
     pub power_rates_w: Vec<f64>,
-    /// Duration Δ_κ (s) of each chunk (same length as the rates).
-    pub chunk_secs: Vec<f64>,
+    /// Duration Δ (s) of every chunk: the request's chunks share one.
+    pub chunk_secs: f64,
     /// Reported remaining energy `e(1)` in joules.
     pub energy_j: f64,
     /// Battery capacity in joules (to express energies as the battery
@@ -36,44 +36,21 @@ impl DeviceRequest {
     ///
     /// # Panics
     ///
-    /// Panics if the rate/duration vectors mismatch or are empty, any
-    /// value is non-finite or negative, γ is outside `[0, 1)`, or the
-    /// capacity is not positive.
+    /// Panics unless the request [is valid](Self::is_valid): at least one
+    /// chunk, γ in `[0, 1)`, finite nonnegative rates, energy and costs,
+    /// and a finite positive chunk duration and capacity.
     pub fn new(
         power_rates_w: Vec<f64>,
-        chunk_secs: Vec<f64>,
+        chunk_secs: f64,
         energy_j: f64,
         capacity_j: f64,
         gamma: f64,
         compute_cost: f64,
         storage_cost_gb: f64,
     ) -> Self {
-        assert_eq!(
-            power_rates_w.len(),
-            chunk_secs.len(),
-            "one duration per power rate required"
-        );
         assert!(!power_rates_w.is_empty(), "a request carries at least one chunk");
-        assert!(
-            power_rates_w.iter().all(|p| p.is_finite() && *p >= 0.0),
-            "power rates must be nonnegative"
-        );
-        assert!(
-            chunk_secs.iter().all(|d| d.is_finite() && *d > 0.0),
-            "chunk durations must be positive"
-        );
-        assert!(energy_j.is_finite() && energy_j >= 0.0, "energy must be nonnegative");
-        assert!(capacity_j.is_finite() && capacity_j > 0.0, "capacity must be positive");
         assert!((0.0..1.0).contains(&gamma), "gamma must be in [0, 1)");
-        assert!(
-            compute_cost.is_finite() && compute_cost >= 0.0,
-            "compute cost must be nonnegative"
-        );
-        assert!(
-            storage_cost_gb.is_finite() && storage_cost_gb >= 0.0,
-            "storage cost must be nonnegative"
-        );
-        Self {
+        let request = Self::from_telemetry(
             power_rates_w,
             chunk_secs,
             energy_j,
@@ -81,7 +58,9 @@ impl DeviceRequest {
             gamma,
             compute_cost,
             storage_cost_gb,
-        }
+        );
+        assert!(request.is_valid(), "values must be finite and ≥ 0, Δ and capacity > 0");
+        request
     }
 
     /// Convenience constructor: `chunks` equal chunks of `watts` power
@@ -99,7 +78,7 @@ impl DeviceRequest {
     ) -> Self {
         Self::new(
             vec![watts; chunks],
-            vec![secs; chunks],
+            secs,
             energy_j,
             capacity_j,
             gamma,
@@ -118,7 +97,7 @@ impl DeviceRequest {
     #[allow(clippy::too_many_arguments)]
     pub fn from_telemetry(
         power_rates_w: Vec<f64>,
-        chunk_secs: Vec<f64>,
+        chunk_secs: f64,
         energy_j: f64,
         capacity_j: f64,
         gamma: f64,
@@ -137,16 +116,16 @@ impl DeviceRequest {
     }
 
     /// True when every field satisfies the invariants
-    /// [`DeviceRequest::new`] asserts: matched non-empty vectors,
-    /// finite nonnegative rates/energies/costs, positive durations and
+    /// [`DeviceRequest::new`] asserts: non-empty rates, finite
+    /// nonnegative rates/energies/costs, a finite positive duration and
     /// capacity, γ ∈ [0, 1). Raw telemetry
     /// ([`DeviceRequest::from_telemetry`]) failing this check is
     /// rejected by the resilient scheduler's sanitization pass.
     pub fn is_valid(&self) -> bool {
         !self.power_rates_w.is_empty()
-            && self.power_rates_w.len() == self.chunk_secs.len()
             && self.power_rates_w.iter().all(|p| p.is_finite() && *p >= 0.0)
-            && self.chunk_secs.iter().all(|d| d.is_finite() && *d > 0.0)
+            && self.chunk_secs.is_finite()
+            && self.chunk_secs > 0.0
             && self.energy_j.is_finite()
             && self.energy_j >= 0.0
             && self.capacity_j.is_finite()
@@ -163,7 +142,7 @@ impl DeviceRequest {
     /// rows→columns loader to keep device indices stable while
     /// neutralizing rejected telemetry.
     pub(crate) fn inert() -> Self {
-        Self::new(vec![0.0], vec![1.0], 1.0, 1.0, 0.0, 0.0, 0.0)
+        Self::new(vec![0.0], 1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
     }
 
     /// Number of available chunks `K` for this device.
@@ -171,13 +150,9 @@ impl DeviceRequest {
         self.power_rates_w.len()
     }
 
-    /// Untransformed slot energy `Σ p(κ)·Δ_κ` (J).
+    /// Untransformed slot energy `Σ p(κ)·Δ` (J), summed per chunk.
     pub fn untransformed_energy_j(&self) -> f64 {
-        self.power_rates_w
-            .iter()
-            .zip(&self.chunk_secs)
-            .map(|(p, d)| p * d)
-            .sum()
+        self.power_rates_w.iter().map(|p| p * self.chunk_secs).sum()
     }
 
     /// Energy saved over the slot if transformed: `γ · Σ p·Δ` (J).
@@ -363,15 +338,15 @@ mod tests {
         assert!(!corrupt(|r| r.compute_cost = f64::NAN));
         assert!(!corrupt(|r| r.storage_cost_gb = -0.1));
         assert!(!corrupt(|r| r.power_rates_w = vec![]));
-        assert!(!corrupt(|r| r.chunk_secs[0] = 0.0));
-        assert!(!corrupt(|r| r.power_rates_w.push(1.0)));
+        assert!(!corrupt(|r| r.chunk_secs = 0.0));
+        assert!(!corrupt(|r| r.chunk_secs = f64::NAN));
     }
 
     #[test]
     fn from_telemetry_carries_garbage_unvalidated() {
         let r = DeviceRequest::from_telemetry(
             vec![1.0],
-            vec![10.0],
+            10.0,
             f64::NAN,
             55_440.0,
             f64::NAN,
@@ -415,6 +390,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one chunk")]
     fn empty_request_rejected() {
-        let _ = DeviceRequest::new(vec![], vec![], 1.0, 1.0, 0.2, 0.0, 0.0);
+        let _ = DeviceRequest::new(vec![], 1.0, 1.0, 1.0, 0.2, 0.0, 0.0);
     }
 }

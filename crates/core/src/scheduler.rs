@@ -534,17 +534,13 @@ fn finish_resilient(
     let stats = &schedule.stats;
     slot_span.record("tier", rung.severity() as f64);
     if lpvs_obs::enabled() {
-        // Metric names cannot carry the dash in "reused-previous".
-        let tier = rung.label().replace('-', "_");
+        let tier = [("tier", rung.label())];
         lpvs_obs::inc("sched_runs_total");
-        lpvs_obs::inc(&format!("sched_tier_{tier}_total"));
+        lpvs_obs::inc_labeled("sched_tier_total", &tier);
         lpvs_obs::add("sched_rejected_devices_total", rejected as u64);
         lpvs_obs::add("sched_phase1_nodes_total", stats.phase1_nodes as u64);
         lpvs_obs::add("sched_simplex_pivots_total", stats.phase1_pivots as u64);
-        lpvs_obs::observe(
-            &format!("sched_tier_{tier}_seconds"),
-            stats.runtime.as_secs_f64(),
-        );
+        lpvs_obs::observe_labeled("sched_tier_seconds", &tier, stats.runtime.as_secs_f64());
     }
     (schedule, terms)
 }

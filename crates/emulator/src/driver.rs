@@ -480,7 +480,7 @@ mod tests {
             gathered.map(|g| g.fleet)
         };
         let shipped = slot(&mut driver, 0, None).expect("watched slot");
-        let columns = shipped.chunks(0).0.as_ptr();
+        let columns = shipped.rates(0).as_ptr();
         // Nobody watches slot 1: no solve, and the buffer handed back
         // for it stays with the driver.
         driver.emu.cluster.devices_mut().iter_mut().for_each(Device::disconnect);
@@ -489,6 +489,6 @@ mod tests {
         // The runtime has nothing to hand back at slot 2.
         driver.emu.cluster.devices_mut().iter_mut().for_each(Device::reconnect);
         let refilled = slot(&mut driver, 2, None).expect("watched slot");
-        assert_eq!(refilled.chunks(0).0.as_ptr(), columns, "columns were reallocated");
+        assert_eq!(refilled.rates(0).as_ptr(), columns, "columns were reallocated");
     }
 }

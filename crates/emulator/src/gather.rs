@@ -49,7 +49,6 @@ pub fn gather_problem<D: Borrow<Device>, W: AsRef<[f64]>>(
         assert!(!window.is_empty(), "chunk window must be non-empty");
         let rates: Vec<f64> =
             window.iter().map(|&watts| device.power_rate_at(watts, 1.0)).collect();
-        let secs = vec![chunk_secs; window.len()];
         let slot_secs = chunk_secs * window.len() as f64;
         // A healthy report gets the usual γ < 1 nudge; a corrupt one
         // (NaN, negative, above one) is carried through raw so the
@@ -63,7 +62,7 @@ pub fn gather_problem<D: Borrow<Device>, W: AsRef<[f64]>>(
         };
         problem.push(DeviceRequest::from_telemetry(
             rates,
-            secs,
+            chunk_secs,
             device.energy_status_joules(),
             device.battery().capacity_joules(),
             gamma,

@@ -67,7 +67,12 @@ pub const MANIFEST_MAGIC: u64 = 0x4C50_5653_4D41_4E46;
 /// Version-1 files (no memo section) still decode — their memo restores
 /// as `None`, which the runtime treats as all-dirty: the first solve
 /// after such a restore is cold.
-pub const SNAPSHOT_VERSION: u32 = 2;
+///
+/// Version 3 stores a fleet slice's chunk duration once per row, not
+/// once per chunk. Version-1/2 slices still decode: a row whose
+/// durations are all bit-equal becomes that one Δ, any other row fails
+/// closed ([`CodecError::Malformed`]).
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// The oldest on-disk format version [`ShardSnapshot::decode`] still
 /// accepts.
@@ -192,12 +197,17 @@ impl ShardSnapshot {
         if crc64(payload) != crc {
             return Err(CodecError::BadChecksum);
         }
+        let upgraded;
         let mut p = Reader::new(payload);
         let shard = p.usize_()?;
         let slot = p.usize_()?;
         let bank = bank_from_bytes(p.bytes()?)?;
         let fleet = if p.bool_()? {
             let device_ids = p.usizes()?;
+            if version < 3 {
+                upgraded = upgrade_legacy_fleet(&mut p)?;
+                p = Reader::new(&upgraded);
+            }
             let fleet = DeviceFleet::decode(&mut p)?;
             if device_ids.len() != fleet.len() {
                 return Err(CodecError::Malformed("fleet slice id count"));
@@ -216,6 +226,28 @@ impl ShardSnapshot {
         p.expect_end()?;
         Ok(ShardSnapshot { shard, slot, bank, fleet, memo })
     }
+}
+
+/// Rewrites the rest of a version-1/2 payload, from its fleet slice on,
+/// in the version-3 layout. Every runtime that sealed one gave a row's
+/// chunks one Δ, so a row whose per-chunk durations are not all
+/// bit-equal (or that has no chunks) is malformed.
+fn upgrade_legacy_fleet(p: &mut Reader<'_>) -> Result<Vec<u8>, CodecError> {
+    let (offsets, rates, secs) = (p.usizes()?, p.f64s()?, p.f64s()?);
+    let malformed = CodecError::Malformed("legacy chunk durations");
+    let row = |w: &[usize]| match secs.get(w[0]..w[1]).and_then(<[f64]>::split_first) {
+        Some((d, rest)) if rest.iter().all(|x| x.to_bits() == d.to_bits()) => Ok(*d),
+        _ => Err(malformed),
+    };
+    let row_secs: Vec<f64> = offsets.windows(2).map(row).collect::<Result<_, _>>()?;
+    if secs.len() != rates.len() {
+        return Err(malformed);
+    }
+    let mut w = Writer::new();
+    w.put_usizes(&offsets);
+    w.put_f64s(&rates);
+    w.put_f64s(&row_secs);
+    Ok([w.bytes(), p.raw(p.remaining())?].concat())
 }
 
 /// Why a checkpoint operation failed.
@@ -1099,7 +1131,7 @@ mod tests {
 
     #[test]
     fn a_retired_tier_tag_decodes_as_greedy_and_an_unknown_one_fails_closed() {
-        // A memo, then the same memo in a v2 snapshot, whose tier tag
+        // A memo, then the same memo in a snapshot, whose tier tag
         // is rewritten: 1 was written while the ladder had a rung
         // between exact and greedy, 5 never was.
         let retag = |tag: u8| {
@@ -1112,7 +1144,7 @@ mod tests {
         assert_eq!(memo_from_bytes(&retag(1)), Ok(sample_memo()));
         let bank = bank_to_bytes(&learned_bank(3, 0.0));
         let sealed = ShardSnapshot::seal(0, 8, &bank, None, Some(&retag(1)));
-        assert_eq!(ShardSnapshot::decode(&sealed).expect("v2 decodes").memo, Some(sample_memo()));
+        assert_eq!(ShardSnapshot::decode(&sealed).expect("decodes").memo, Some(sample_memo()));
         assert_eq!(memo_from_bytes(&retag(5)), Err(CodecError::Malformed("degradation tag")));
 
         // The decision log: a tag-1 frame reads as greedy, and a tag-5
@@ -1188,7 +1220,7 @@ mod tests {
         bytes[0] ^= 0xFF;
         assert_eq!(ShardSnapshot::decode(&bytes), Err(CodecError::BadMagic));
         let mut bytes = clean.clone();
-        bytes[8] ^= 0x01;
+        bytes[8..12].copy_from_slice(&(SNAPSHOT_VERSION + 1).to_le_bytes());
         assert!(matches!(ShardSnapshot::decode(&bytes), Err(CodecError::BadVersion(_))));
         assert_eq!(ShardSnapshot::decode(&clean[..20]), Err(CodecError::Truncated));
     }

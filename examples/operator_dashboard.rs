@@ -53,7 +53,7 @@ fn main() {
         let rates: Vec<f64> = stats.iter().map(|s| spec.power_watts(s) + 0.558).collect();
         problem.push(DeviceRequest::new(
             rates,
-            vec![10.0; 30],
+            10.0,
             battery * cap,
             cap,
             0.31,

@@ -18,9 +18,11 @@ use lpvs::display::spec::DisplayKind;
 use lpvs::edge::fleet::FleetConfig;
 use lpvs::emulator::engine::{CheckpointSpec, Emulator, EmulatorConfig};
 use lpvs::emulator::FaultConfig;
+use lpvs::runtime::checkpoint::SNAPSHOT_MAGIC;
 use lpvs::runtime::{
     CheckpointConfig, CheckpointStore, RuntimeConfig, ShardSnapshot, SlotRuntime,
 };
+use lpvs_codec::{crc64, CodecError, Writer};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -58,7 +60,7 @@ fn fleet_row(seed: u64) -> FleetDevice {
     let chunks = rng.gen_range(1..12);
     let request = DeviceRequest::new(
         (0..chunks).map(|_| rng.gen_range(0.3..3.0)).collect(),
-        (0..chunks).map(|_| rng.gen_range(1.0..15.0)).collect(),
+        rng.gen_range(1.0..15.0),
         rng.gen_range(0.0..55_440.0),
         55_440.0,
         rng.gen_range(0.0..0.95),
@@ -144,6 +146,180 @@ proptest! {
             }
         }
     }
+}
+
+/// Hand-seals a shard snapshot of `fleet` stamped `version`: every
+/// column as the fleet codec writes it, except the duration column,
+/// which holds `durations(row)` for each row in turn — one Δ a row in
+/// the version-3 layout, one a chunk in the version-1/2 layout. Version
+/// 1 has no memo section.
+fn seal_by_hand(
+    version: u32,
+    device_ids: &[usize],
+    fleet: &DeviceFleet,
+    durations: impl Fn(usize) -> Vec<f64>,
+) -> Vec<u8> {
+    let rows = 0..fleet.len();
+    let per_row = |column: fn(&DeviceFleet, usize) -> f64| -> Vec<f64> {
+        rows.clone().map(|i| column(fleet, i)).collect()
+    };
+    let mut offsets = vec![0];
+    let (mut rates, mut secs) = (Vec::new(), Vec::new());
+    for i in rows.clone() {
+        rates.extend_from_slice(fleet.rates(i));
+        secs.extend(durations(i));
+        offsets.push(rates.len());
+    }
+    let mut p = Writer::new();
+    p.put_usize(0); // shard
+    p.put_usize(5); // slot
+    p.put_bytes(&bank_to_bytes(&BayesBank::from_estimators(learned_estimators(3, &[]))));
+    p.put_bool(true);
+    p.put_usizes(device_ids);
+    p.put_usizes(&offsets);
+    p.put_f64s(&rates);
+    p.put_f64s(&secs);
+    for column in [
+        DeviceFleet::energy_j,
+        DeviceFleet::capacity_j,
+        DeviceFleet::gamma_mean,
+        DeviceFleet::gamma_std,
+        DeviceFleet::compute_cost,
+        DeviceFleet::storage_cost_gb,
+    ] {
+        p.put_f64s(&per_row(column));
+    }
+    p.put_usize(fleet.len());
+    for i in rows.clone() {
+        p.put_u8(u8::from(fleet.display(i) == DisplayKind::Oled));
+    }
+    p.put_bools(&rows.map(|i| fleet.connected(i)).collect::<Vec<_>>());
+    if version >= 2 {
+        p.put_bool(false); // no memo
+    }
+    let payload = p.into_bytes();
+    let mut w = Writer::new();
+    w.put_u64(SNAPSHOT_MAGIC);
+    w.put_u32(version);
+    w.put_usize(payload.len());
+    w.put_u64(crc64(&payload));
+    let mut bytes = w.into_bytes();
+    bytes.extend_from_slice(&payload);
+    bytes
+}
+
+/// A slice of awkward rows (mixed chunk counts, one Δ each) and its ids.
+fn mixed_slice() -> (Vec<usize>, DeviceFleet) {
+    let mut fleet = DeviceFleet::new();
+    for d in 0..24 {
+        fleet.push(fleet_row(0xC0DE + d));
+    }
+    let ids: Vec<usize> = (0..fleet.len()).filter(|d| d % 5 != 1).collect();
+    let slice = fleet.slice_rows(&ids);
+    (ids, slice)
+}
+
+/// Row `i`'s Δ, once (the version-3 layout).
+fn row_secs(fleet: &DeviceFleet) -> impl Fn(usize) -> Vec<f64> + '_ {
+    |i| vec![fleet.chunk_secs(i)]
+}
+
+/// Row `i`'s Δ, once per chunk (the version-1/2 layout).
+fn chunk_secs(fleet: &DeviceFleet) -> impl Fn(usize) -> Vec<f64> + '_ {
+    |i| vec![fleet.chunk_secs(i); fleet.num_chunks(i)]
+}
+
+/// Snapshots sealed before chunk durations became a row scalar: a row
+/// whose per-chunk durations are all one Δ decodes to that Δ, so a v1
+/// or v2 snapshot restores the same slice as its v3 re-seal.
+#[test]
+fn a_legacy_snapshot_with_uniform_rows_decodes_to_its_v3_reseal() {
+    let (ids, slice) = mixed_slice();
+    // The hand sealer writes the layout `ShardSnapshot::seal` does.
+    let bank = bank_to_bytes(&BayesBank::from_estimators(learned_estimators(3, &[])));
+    let v3 = ShardSnapshot::seal(0, 5, &bank, Some((&ids, &slice)), None);
+    assert_eq!(seal_by_hand(3, &ids, &slice, row_secs(&slice)), v3);
+    for version in [1, 2] {
+        let legacy = seal_by_hand(version, &ids, &slice, chunk_secs(&slice));
+        let decoded = ShardSnapshot::decode(&legacy).expect("legacy snapshot decodes");
+        let restored = decoded.fleet.clone().expect("legacy snapshot carried a slice");
+        assert_eq!(restored.fleet, slice, "v{version}");
+        assert_eq!(restored.device_ids, ids);
+        let bank = bank_to_bytes(&decoded.bank);
+        let resealed = ShardSnapshot::seal(
+            decoded.shard,
+            decoded.slot,
+            &bank,
+            Some((&restored.device_ids, &restored.fleet)),
+            None,
+        );
+        let again = ShardSnapshot::decode(&resealed).expect("v3 re-seal decodes");
+        assert_eq!(again.fleet, Some(restored), "v{version}");
+        assert_eq!(again.bank, decoded.bank);
+    }
+}
+
+/// A legacy row whose chunks disagree on Δ — by one ulp in one chunk —
+/// has no row scalar to become, so the snapshot fails closed.
+#[test]
+fn a_legacy_snapshot_with_a_mixed_duration_row_fails_closed() {
+    let (ids, slice) = mixed_slice();
+    let row = (0..slice.len()).find(|&i| slice.num_chunks(i) >= 2).expect("a multi-chunk row");
+    let mixed = |i: usize| {
+        let mut secs = chunk_secs(&slice)(i);
+        if i == row {
+            secs[1] = f64::from_bits(secs[1].to_bits() + 1);
+        }
+        secs
+    };
+    for version in [1, 2] {
+        assert_eq!(
+            ShardSnapshot::decode(&seal_by_hand(version, &ids, &slice, mixed)),
+            Err(CodecError::Malformed("legacy chunk durations")),
+            "v{version}"
+        );
+    }
+}
+
+/// A v3 snapshot holds one finite, positive Δ per row: a duration per
+/// chunk, or a Δ that is zero, negative or not finite, is malformed.
+#[test]
+fn a_v3_snapshot_rejects_a_bad_duration_column() {
+    let (ids, slice) = mixed_slice();
+    assert_eq!(
+        ShardSnapshot::decode(&seal_by_hand(3, &ids, &slice, chunk_secs(&slice))),
+        Err(CodecError::Malformed("scalar column lengths"))
+    );
+    for bad in [0.0, -10.0, f64::NAN, f64::INFINITY] {
+        let secs = |i: usize| vec![if i == 2 { bad } else { slice.chunk_secs(i) }];
+        assert_eq!(
+            ShardSnapshot::decode(&seal_by_hand(3, &ids, &slice, secs)),
+            Err(CodecError::Malformed("chunk durations")),
+            "Δ = {bad}"
+        );
+    }
+}
+
+/// A v3 snapshot stores a device's Δ once instead of once per chunk:
+/// at K = 30 it is 8·(K − 1) bytes a device smaller than v2.
+#[test]
+fn v3_snapshots_are_eight_bytes_per_extra_chunk_smaller_than_v2() {
+    const K: usize = 30;
+    let mut fleet = DeviceFleet::new();
+    for d in 0..40 {
+        let mut row = fleet_row(d);
+        row.request = DeviceRequest::uniform(1.1, 10.0, K, 20_000.0, 55_440.0, 0.3, 1.0, 0.1);
+        fleet.push(row);
+    }
+    let ids: Vec<usize> = (0..fleet.len()).collect();
+    let v2 = seal_by_hand(2, &ids, &fleet, chunk_secs(&fleet));
+    let bank = bank_to_bytes(&BayesBank::from_estimators(learned_estimators(3, &[])));
+    let v3 = ShardSnapshot::seal(0, 5, &bank, Some((&ids, &fleet)), None);
+    assert_eq!(v2.len() - v3.len(), fleet.len() * 8 * (K - 1));
+    assert_eq!(
+        ShardSnapshot::decode(&v2).expect("v2 decodes"),
+        ShardSnapshot::decode(&v3).expect("v3 decodes")
+    );
 }
 
 #[test]

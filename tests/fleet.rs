@@ -295,7 +295,7 @@ fn corrupt_rows_are_rejected_and_masked_at_the_row_entry() {
         ));
     }
     problem.requests[4].gamma = f64::NAN;
-    problem.requests[11].chunk_secs.truncate(7);
+    problem.requests[11].chunk_secs = f64::NAN;
     problem.requests[19].capacity_j = -CAPACITY_J;
     let corrupt = [4usize, 11, 19];
     let (clean, valid) = problem.sanitize();

@@ -73,7 +73,7 @@ fn frontier(fleet: &DeviceFleet, raw: &[usize]) -> Vec<usize> {
 }
 
 /// Column storage a `FleetColumns` borrows — including what a fleet
-/// never stores: rows of zero chunks.
+/// never stores: rows of zero chunks (which still carry a Δ).
 #[derive(Debug, Clone, Default)]
 struct RawColumns {
     offsets: Vec<usize>,
@@ -98,9 +98,10 @@ impl RawColumns {
 }
 
 prop_compose! {
-    /// One row's `(rates, durations, battery J, γ)`: zero to 39 chunks
-    /// of varying power, γ often exactly 0, and batteries often so low
-    /// (or empty) that the slot drains them — the `max(0)` clamp.
+    /// One row's `(rates, duration, battery J, γ)`: zero to 39 chunks
+    /// of varying power, one Δ per row, γ often exactly 0, and batteries
+    /// often so low (or empty) that the slot drains them — the `max(0)`
+    /// clamp.
     fn arb_raw_row()(
         chunks in prop_oneof![Just(0usize), 1usize..6, 1usize..40],
         watts in 0.3f64..2.0,
@@ -108,21 +109,20 @@ prop_compose! {
         battery in prop_oneof![Just(0.0), 0.0f64..0.003, 0.0f64..1.0],
         gamma in prop_oneof![Just(0.0), 0.0f64..0.49],
         wobble in 0usize..11,
-    ) -> (Vec<f64>, Vec<f64>, f64, f64) {
+    ) -> (Vec<f64>, f64, f64, f64) {
         let rate = |c: usize| watts * (0.6 + 0.08 * ((c * 7 + wobble) % 11) as f64);
         let rates = (0..chunks).map(rate).collect();
-        let durations = (0..chunks).map(|c| secs + (c % 3) as f64).collect();
-        (rates, durations, battery * CAPACITY_J, gamma)
+        (rates, secs, battery * CAPACITY_J, gamma)
     }
 }
 
 prop_compose! {
     fn arb_raw_columns()(rows in prop::collection::vec(arb_raw_row(), 1..23)) -> RawColumns {
         let mut raw = RawColumns { offsets: vec![0], ..RawColumns::default() };
-        for (rates, durations, energy, gamma) in rows {
+        for (rates, secs, energy, gamma) in rows {
             raw.rates.extend(rates);
-            raw.secs.extend(durations);
             raw.offsets.push(raw.rates.len());
+            raw.secs.push(secs);
             raw.energy.push(energy);
             raw.capacity.push(CAPACITY_J);
             raw.gamma.push(gamma);
@@ -308,7 +308,7 @@ fn empty_chunk_rows_agree_with_per_row_on_every_path() {
         let chunks = [0, 3, 0, 1, 9, 0, 30, 5][d % 8];
         problem.push(DeviceRequest::from_telemetry(
             vec![0.9 + 0.05 * d as f64; chunks],
-            vec![10.0; chunks],
+            10.0,
             2_000.0 + 400.0 * d as f64,
             CAPACITY_J,
             if d % 5 == 4 { f64::NAN } else { 0.1 + 0.01 * d as f64 },

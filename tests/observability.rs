@@ -194,15 +194,16 @@ fn faulty_emulation_produces_full_telemetry() {
     let mut tiers_hit = 0;
     let mut tier_total = 0;
     for tier in Degradation::ALL {
-        let name = tier.label().replace('-', "_");
-        let count = metrics.counter(&format!("sched_tier_{name}_total")).unwrap_or(0);
+        let name = tier.label();
+        let labels = [("tier", name)];
+        let count = metrics.counter_labeled("sched_tier_total", &labels).unwrap_or(0);
         tier_total += count;
         if count == 0 {
             continue;
         }
         tiers_hit += 1;
         let h = metrics
-            .histogram(&format!("sched_tier_{name}_seconds"))
+            .histogram_labeled("sched_tier_seconds", &labels)
             .unwrap_or_else(|| panic!("tier {name} ran {count}x but has no latency histogram"));
         assert_eq!(h.count, count, "tier {name}: histogram/counter disagree");
     }

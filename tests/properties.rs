@@ -179,7 +179,7 @@ prop_compose! {
     ) -> DeviceRequest {
         DeviceRequest::from_telemetry(
             vec![watts; chunks],
-            vec![secs; chunks],
+            secs,
             energy * 10_000.0,
             capacity * 10_000.0,
             gamma,

@@ -102,7 +102,7 @@ fn draw(slot: usize, row: usize, salt: u64) -> f64 {
 fn request(row: usize, chunks: usize, salt: u64) -> DeviceRequest {
     DeviceRequest::new(
         (0..chunks).map(|k| 0.5 + draw(k, row, salt)).collect(),
-        (0..chunks).map(|k| 4.0 + 8.0 * draw(k, row, salt + 1)).collect(),
+        4.0 + 8.0 * draw(0, row, salt + 1),
         50_000.0 * draw(0, row, salt + 2),
         55_440.0 - salt as f64,
         0.05 + 0.5 * draw(0, row, salt + 3),

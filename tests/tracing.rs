@@ -48,7 +48,7 @@ fn tiny_fleet(devices: usize) -> DeviceFleet {
     for i in 0..devices {
         problem.push(DeviceRequest::new(
             vec![1.1 + 0.05 * (i % 7) as f64; 12],
-            vec![10.0; 12],
+            10.0,
             4_000.0 + 300.0 * i as f64,
             55_440.0,
             0.31,
