@@ -10,7 +10,8 @@
 //! * [`stats`] — compact per-frame content statistics (luminance
 //!   histogram + RGB channel moments) that every power model and
 //!   transform in this workspace consumes, so no actual pixel buffers
-//!   ever need to exist;
+//!   ever need to exist — and, for synthetic content, the 32-byte
+//!   `CompactStats` (luma bin + linear means) the emulator prices;
 //! * [`lcd`] — a DLS-style backlight-dominated LCD power model
 //!   (Chang et al., the paper's ref. \[20\]);
 //! * [`oled`] — a per-channel OLED power model where blue subpixels

@@ -7,7 +7,7 @@
 
 use crate::lcd::LcdPowerModel;
 use crate::oled::OledPowerModel;
-use crate::stats::FrameStats;
+use crate::stats::{CompactStats, FrameStats};
 use serde::{Deserialize, Serialize};
 
 /// Panel technology of a display.
@@ -155,17 +155,20 @@ impl DisplaySpec {
         }
     }
 
-    /// [`power_watts`](Self::power_watts) of each of `frames`, in
-    /// order, with the panel's model built once.
-    pub fn power_watts_each<'a>(
+    /// [`power_watts`](Self::power_watts) of each chunk's
+    /// [`expand`](CompactStats::expand)ed statistics, in order, bit for
+    /// bit, with the panel's model built once and no histogram built:
+    /// the LCD model reads the kernel's mean luma from its table, the
+    /// OLED model the chunk's linear means.
+    pub fn compact_power_watts_each<'a>(
         &self,
-        frames: &'a [FrameStats],
+        chunks: &'a [CompactStats],
     ) -> impl Iterator<Item = f64> + 'a {
         let (kind, lcd, oled) =
             (self.kind, LcdPowerModel::for_spec(self), OledPowerModel::for_spec(self));
-        frames.iter().map(move |frame| match kind {
-            DisplayKind::Lcd => lcd.power_watts(frame),
-            DisplayKind::Oled => oled.power_watts(frame),
+        chunks.iter().map(move |chunk| match kind {
+            DisplayKind::Lcd => lcd.power_at_mean_luma(chunk.mean_luma()),
+            DisplayKind::Oled => oled.power_at_linear_mean(chunk.linear_mean()),
         })
     }
 }

@@ -9,14 +9,30 @@
 //! light (Crayon, paper ref. \[17\]) — so working at this level preserves
 //! the power behaviour while letting the emulator synthesize millions
 //! of chunks cheaply.
+//!
+//! Synthetic content is cheaper still. Every chunk the content model
+//! makes has the same histogram shape — a triangular kernel of
+//! [`KERNEL_SPREAD`] bins either side of its centre bin — so a
+//! [`CompactStats`] carries only that centre bin and the three linear
+//! means (32 B rather than a [`FrameStats`]' 536 B), and
+//! [`CompactStats::expand`] rebuilds the histogram when a caller needs
+//! it. What the LCD model reads of the histogram is then a function of
+//! the bin alone: [`CompactStats::mean_luma`] reads it from a table
+//! built once, as `BacklightScaling::kernel_table` does for its
+//! decisions.
 
 use serde::{Deserialize, Serialize};
+use std::sync::LazyLock;
 
 /// Number of luminance histogram bins.
 pub const LUMA_BINS: usize = 64;
 
 /// Display gamma used to convert encoded pixel values to linear light.
 pub const GAMMA: f64 = 2.2;
+
+/// Bins either side of the centre the synthetic content kernel spreads
+/// over: the one spread of every chunk [`CompactStats`] describes.
+pub const KERNEL_SPREAD: usize = 6;
 
 /// Content statistics of one frame (or one chunk, averaged).
 ///
@@ -89,14 +105,14 @@ impl FrameStats {
     ///
     /// Panics if any channel value is outside `[0, 1]`.
     pub fn from_encoded_rgb(rgb: [f64; 3], spread: usize) -> Self {
-        assert!(
-            rgb.iter().all(|&v| (0.0..=1.0).contains(&v)),
-            "channel values must be in [0, 1]"
-        );
-        let luma = 0.2126 * rgb[0] + 0.7152 * rgb[1] + 0.0722 * rgb[2];
-        let center = bin_of(luma);
-        // Triangular kernel around the center bin (a spike at spread 0),
-        // written and normalized only where it lands, clipped to the
+        let compact = CompactStats::from_encoded_rgb(rgb);
+        Self::kernel(compact.bin(), spread, compact.rgb_linear_mean)
+    }
+
+    /// The triangular kernel of `spread` bins around `center` (a spike
+    /// at spread 0), with the given linear means.
+    fn kernel(center: usize, spread: usize, rgb_linear_mean: [f64; 3]) -> Self {
+        // Written and normalized only where it lands, clipped to the
         // grid. The weights are integers, so their sum is exact and
         // every quotient is the float a pass over all 64 bins gives;
         // the bins it never reaches keep their `+0.0`.
@@ -108,10 +124,7 @@ impl FrameStats {
         for (i, bin) in hist.iter_mut().enumerate().take(hi + 1).skip(lo) {
             *bin = weight(i) / total;
         }
-        // v ∈ [0, 1] keeps v^γ in [0, 1]: `new`'s checks hold by
-        // construction.
-        let linear = [rgb[0].powf(GAMMA), rgb[1].powf(GAMMA), rgb[2].powf(GAMMA)];
-        Self { luma_hist: hist, rgb_linear_mean: linear }
+        Self { luma_hist: hist, rgb_linear_mean }
     }
 
     /// Normalized luminance histogram.
@@ -214,32 +227,13 @@ impl FrameStats {
     ///
     /// Panics if any factor is outside `[0, 1]`.
     pub fn scale_channels(&self, factors: [f64; 3]) -> FrameStats {
-        let linear = self.scaled_linear_mean(factors);
+        let linear = scaled_linear_mean(self.rgb_linear_mean, factors);
         let luma_factor = 0.2126 * factors[0] + 0.7152 * factors[1] + 0.0722 * factors[2];
         let mut hist = [0.0; LUMA_BINS];
         for (i, &p) in self.luma_hist.iter().enumerate() {
             hist[bin_of(bin_center(i) * luma_factor)] += p;
         }
         FrameStats { luma_hist: hist, rgb_linear_mean: linear }
-    }
-
-    /// [`scale_channels`](Self::scale_channels)`(factors)`'s
-    /// [`linear_mean`](Self::linear_mean), without remapping the
-    /// histogram: all an OLED's power model reads of the result.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any factor is outside `[0, 1]`.
-    pub(crate) fn scaled_linear_mean(&self, factors: [f64; 3]) -> [f64; 3] {
-        assert!(
-            factors.iter().all(|&f| (0.0..=1.0).contains(&f)),
-            "channel factors must be in [0, 1]"
-        );
-        [
-            self.rgb_linear_mean[0] * factors[0].powf(GAMMA),
-            self.rgb_linear_mean[1] * factors[1].powf(GAMMA),
-            self.rgb_linear_mean[2] * factors[2].powf(GAMMA),
-        ]
     }
 }
 
@@ -248,6 +242,97 @@ impl Default for FrameStats {
     fn default() -> Self {
         Self::uniform_gray(0.5)
     }
+}
+
+/// A synthetic chunk as the panel models read it: the centre bin of its
+/// [`KERNEL_SPREAD`] kernel and its linear-light means.
+///
+/// # Example
+///
+/// ```
+/// use lpvs_display::stats::{CompactStats, FrameStats, KERNEL_SPREAD};
+///
+/// let rgb = [0.4, 0.5, 0.3];
+/// let chunk = CompactStats::from_encoded_rgb(rgb);
+/// assert_eq!(chunk.expand(), FrameStats::from_encoded_rgb(rgb, KERNEL_SPREAD));
+/// assert_eq!(chunk.mean_luma(), chunk.expand().mean_luma());
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CompactStats {
+    /// Luminance bin of the encoded means' Rec. 709 luma.
+    bin: u8,
+    /// Mean *linear-light* value per RGB channel (mean of `v^γ`).
+    rgb_linear_mean: [f64; 3],
+}
+
+impl CompactStats {
+    /// The chunk whose encoded per-channel means are `rgb`:
+    /// [`FrameStats::from_encoded_rgb`]`(rgb, KERNEL_SPREAD)`, compact.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any channel value is outside `[0, 1]`.
+    pub fn from_encoded_rgb(rgb: [f64; 3]) -> Self {
+        assert!(
+            rgb.iter().all(|&v| (0.0..=1.0).contains(&v)),
+            "channel values must be in [0, 1]"
+        );
+        let luma = 0.2126 * rgb[0] + 0.7152 * rgb[1] + 0.0722 * rgb[2];
+        // v ∈ [0, 1] keeps v^γ in [0, 1]: `FrameStats::new`'s checks
+        // hold by construction.
+        let linear = [rgb[0].powf(GAMMA), rgb[1].powf(GAMMA), rgb[2].powf(GAMMA)];
+        Self { bin: bin_of(luma) as u8, rgb_linear_mean: linear }
+    }
+
+    /// Centre bin of the chunk's luminance kernel.
+    pub fn bin(&self) -> usize {
+        usize::from(self.bin)
+    }
+
+    /// Mean linear-light value per RGB channel.
+    pub fn linear_mean(&self) -> [f64; 3] {
+        self.rgb_linear_mean
+    }
+
+    /// [`expand`](Self::expand)`()`'s [`FrameStats::mean_luma`], bit for
+    /// bit, read from a table of the kernel built once.
+    pub fn mean_luma(&self) -> f64 {
+        static MEAN_LUMA: LazyLock<[f64; LUMA_BINS]> =
+            LazyLock::new(|| std::array::from_fn(|bin| kernel_stats(bin).mean_luma()));
+        MEAN_LUMA[self.bin()]
+    }
+
+    /// The full statistics: the [`KERNEL_SPREAD`] kernel around the
+    /// chunk's bin, with its linear means.
+    pub fn expand(&self) -> FrameStats {
+        FrameStats::kernel(self.bin(), KERNEL_SPREAD, self.rgb_linear_mean)
+    }
+}
+
+/// The [`KERNEL_SPREAD`] kernel around `bin` (black linear means): all
+/// of a synthetic chunk an LCD's figures read.
+pub(crate) fn kernel_stats(bin: usize) -> FrameStats {
+    FrameStats::kernel(bin, KERNEL_SPREAD, [0.0; 3])
+}
+
+/// Linear-light means `linear` after scaling each encoded channel by
+/// `factors` in `[0, 1]`: [`FrameStats::scale_channels`]' linear means,
+/// without remapping a histogram — all an OLED's power model reads of
+/// the result.
+///
+/// # Panics
+///
+/// Panics if any factor is outside `[0, 1]`.
+pub(crate) fn scaled_linear_mean(linear: [f64; 3], factors: [f64; 3]) -> [f64; 3] {
+    assert!(
+        factors.iter().all(|&f| (0.0..=1.0).contains(&f)),
+        "channel factors must be in [0, 1]"
+    );
+    [
+        linear[0] * factors[0].powf(GAMMA),
+        linear[1] * factors[1].powf(GAMMA),
+        linear[2] * factors[2].powf(GAMMA),
+    ]
 }
 
 // Referenced via `#[serde(with = "hist_serde")]`; the vendored derive
@@ -364,6 +449,12 @@ mod tests {
         }
         assert_eq!(bin_of(-0.5), 0);
         assert_eq!(bin_of(1.5), LUMA_BINS - 1);
+    }
+
+    #[test]
+    fn a_compact_chunk_is_a_bin_and_three_means() {
+        assert_eq!(std::mem::size_of::<CompactStats>(), 32);
+        assert_eq!(std::mem::size_of::<FrameStats>(), 536);
     }
 
     #[test]

@@ -37,7 +37,7 @@
 
 use crate::quality::{Distortion, QualityBudget};
 use crate::spec::{DisplayKind, DisplaySpec};
-use crate::stats::{bin_center, FrameStats};
+use crate::stats::{bin_center, kernel_stats, CompactStats, FrameStats, LUMA_BINS};
 use crate::transform::{lcd_watts, Transform, TransformOutcome};
 use serde::{Deserialize, Serialize};
 
@@ -124,14 +124,45 @@ impl BacklightScaling {
         best.filter(|&(s, _)| s < 1.0 - 1e-12)
     }
 
+    /// The backlight scale [`apply`](Transform::apply) picks for `frame`
+    /// and the mean luma of the content it shows at that scale —
+    /// `(1, frame.mean_luma())` where it leaves the frame alone: all an
+    /// LCD's power model reads of the outcome.
+    fn decision(&self, frame: &FrameStats) -> (f64, f64) {
+        match self.choose_scale(frame) {
+            Some((scale, _)) => (scale, frame.compensated_mean_luma(scale)),
+            None => (1.0, frame.mean_luma()),
+        }
+    }
+
     /// Display power of [`apply`](Transform::apply)'s outcome on `spec`,
     /// bit for bit, without building it: the LCD model reads only the
     /// backlight knob and the compensated content's mean luma.
     pub fn transformed_watts(&self, frame: &FrameStats, spec: &DisplaySpec) -> f64 {
-        match self.choose_scale(frame) {
-            Some((scale, _)) => lcd_watts(spec, scale, frame.compensated_mean_luma(scale)),
-            None => lcd_watts(spec, 1.0, frame.mean_luma()),
-        }
+        let (scale, mean_luma) = self.decision(frame);
+        lcd_watts(spec, scale, mean_luma)
+    }
+
+    /// This transform's decision for every synthetic chunk, made once
+    /// per centre bin: the decision reads only the histogram, and a
+    /// [`CompactStats`] chunk's histogram is its bin's kernel.
+    pub fn kernel_table(&self) -> BacklightTable {
+        BacklightTable(std::array::from_fn(|bin| self.decision(&kernel_stats(bin))))
+    }
+}
+
+/// [`BacklightScaling`]'s decision for each [`CompactStats`] centre bin:
+/// the backlight scale and the mean luma shown at it.
+#[derive(Debug, Clone)]
+pub struct BacklightTable([(f64, f64); LUMA_BINS]);
+
+impl BacklightTable {
+    /// [`BacklightScaling::transformed_watts`] of `chunk`'s
+    /// [`expand`](CompactStats::expand)ed statistics, bit for bit: a
+    /// table read and the panel model.
+    pub fn transformed_watts(&self, chunk: &CompactStats, spec: &DisplaySpec) -> f64 {
+        let (scale, mean_luma) = self.0[chunk.bin()];
+        lcd_watts(spec, scale, mean_luma)
     }
 }
 
@@ -161,7 +192,6 @@ impl Transform for BacklightScaling {
 mod tests {
     use super::*;
     use crate::spec::Resolution;
-    use crate::stats::LUMA_BINS;
 
     fn spec() -> DisplaySpec {
         DisplaySpec::lcd_phone(Resolution::FHD)

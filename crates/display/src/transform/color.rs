@@ -48,13 +48,18 @@
 use crate::oled::CHANNEL_WEIGHTS;
 use crate::quality::{Distortion, QualityBudget};
 use crate::spec::{DisplayKind, DisplaySpec};
-use crate::stats::{FrameStats, GAMMA};
+use crate::stats::{scaled_linear_mean, FrameStats, GAMMA};
 use crate::transform::{Transform, TransformOutcome};
 use serde::{Deserialize, Serialize};
+use std::sync::LazyLock;
 
 /// Largest per-channel attenuation considered, to keep hue shifts in
 /// the regime the perceptual studies validated.
 const MAX_ATTENUATION: f64 = 0.45;
+
+/// `(1 − cap)^(γ−1)`: the gain at which a channel's root reaches the
+/// cap, a constant of the model computed once rather than per chunk.
+static CAP_GAIN: LazyLock<f64> = LazyLock::new(|| (1.0 - MAX_ATTENUATION).powf(GAMMA - 1.0));
 
 /// The solve's one tolerance. Both Newton iterations stop once their
 /// root is within this *relative* distance — so the multiplier `k`, and
@@ -131,7 +136,12 @@ impl ColorTransform {
     /// tolerance of equality, or less when the attenuation cap binds
     /// first. All zeros for a black frame or a zero budget.
     pub fn allocate(&self, frame: &FrameStats) -> [f64; 3] {
-        let g = frame.linear_mean();
+        self.allocate_linear(frame.linear_mean())
+    }
+
+    /// [`allocate`](Self::allocate) for content whose linear-light means
+    /// are `g`: the allocation reads nothing else of a frame.
+    fn allocate_linear(&self, g: [f64; 3]) -> [f64; 3] {
         let shift_budget = self.budget.max_color_shift;
         if shift_budget <= 0.0 {
             return [0.0; 3];
@@ -150,8 +160,7 @@ impl ColorTransform {
         // Multiplier at which each channel reaches the cap (infinite
         // for a dead channel). At the largest finite one every live
         // channel is capped: if even that fits, the cap binds first.
-        let cap_gain = (1.0 - MAX_ATTENUATION).powf(GAMMA - 1.0);
-        let k_cap = value.map(|v| MAX_ATTENUATION / (v * cap_gain));
+        let k_cap = value.map(|v| MAX_ATTENUATION / (v * *CAP_GAIN));
         let saturated = value.map(|v| if v > 0.0 { MAX_ATTENUATION } else { 0.0 });
         if sum_sq(&saturated) <= target_ss {
             return saturated;
@@ -196,24 +205,25 @@ impl ColorTransform {
         under
     }
 
-    /// [`allocate`](Self::allocate)'s attenuations where `apply` puts
-    /// them into force; `None` where every channel is within tolerance
-    /// of zero and `apply` leaves the frame alone.
-    fn attenuation(&self, frame: &FrameStats) -> Option<[f64; 3]> {
-        let d = self.allocate(frame);
+    /// [`allocate_linear`](Self::allocate_linear)'s attenuations where
+    /// `apply` puts them into force; `None` where every channel is
+    /// within tolerance of zero and `apply` leaves the frame alone.
+    fn attenuation(&self, linear_mean: [f64; 3]) -> Option<[f64; 3]> {
+        let d = self.allocate_linear(linear_mean);
         if d.iter().all(|&x| x <= TOLERANCE) {
             return None;
         }
         Some(d)
     }
 
-    /// Linear-light means of [`apply`](Transform::apply)'s outcome, bit
-    /// for bit, without remapping its histogram: all an OLED's power
-    /// model reads of it.
-    pub fn transformed_linear_mean(&self, frame: &FrameStats) -> [f64; 3] {
-        match self.attenuation(frame) {
-            Some(d) => frame.scaled_linear_mean(factors(d)),
-            None => frame.linear_mean(),
+    /// Linear-light means of [`apply`](Transform::apply)'s outcome on
+    /// content whose linear-light means are `linear_mean`, bit for bit,
+    /// without remapping a histogram: all an OLED's power model reads of
+    /// the outcome, from all its allocation reads of the frame.
+    pub fn transformed_linear_mean(&self, linear_mean: [f64; 3]) -> [f64; 3] {
+        match self.attenuation(linear_mean) {
+            Some(d) => scaled_linear_mean(linear_mean, factors(d)),
+            None => linear_mean,
         }
     }
 }
@@ -233,7 +243,7 @@ impl Transform for ColorTransform {
     }
 
     fn apply(&self, frame: &FrameStats, _spec: &DisplaySpec) -> TransformOutcome {
-        let Some(d) = self.attenuation(frame) else {
+        let Some(d) = self.attenuation(frame.linear_mean()) else {
             return TransformOutcome::identity(frame);
         };
         let rms = (sum_sq(&d) / 3.0).sqrt();

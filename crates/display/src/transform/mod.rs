@@ -23,7 +23,7 @@ mod backlight;
 mod color;
 mod subpixel;
 
-pub use backlight::BacklightScaling;
+pub use backlight::{BacklightScaling, BacklightTable};
 pub use color::ColorTransform;
 pub use subpixel::SubpixelShutoff;
 

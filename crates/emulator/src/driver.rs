@@ -39,7 +39,7 @@ use lpvs_bayes::GAMMA_PRIOR_MEAN;
 use lpvs_core::baseline::SelectionPolicy;
 use lpvs_core::fleet::DeviceFleet;
 use lpvs_core::scheduler::Degradation;
-use lpvs_display::stats::FrameStats;
+use lpvs_display::stats::CompactStats;
 use lpvs_edge::device::Device;
 use lpvs_runtime::pipeline::RuntimeReport;
 use lpvs_runtime::{
@@ -53,23 +53,18 @@ struct Scratch {
     faults: SlotFaults,
     /// Device indices watching this slot.
     watching: Vec<usize>,
-    /// Full playback windows, one per watching device.
-    windows: Vec<Vec<FrameStats>>,
-    /// The windows' untransformed display powers, back to back, priced
-    /// once for gather, encode and playback (one buffer a slot, not one
-    /// per window, which fragments the heap).
+    /// Full playback windows, one per watching device, back to back
+    /// ([`CHUNKS_PER_SLOT`] chunks each).
+    chunks: Vec<CompactStats>,
+    /// The chunks' untransformed display powers, priced once for
+    /// gather, encode and playback.
     powers: Vec<f64>,
 }
 
 impl Scratch {
     /// Each window with its untransformed display powers.
-    fn priced(&self) -> impl Iterator<Item = (&[FrameStats], &[f64])> {
-        let mut rest = self.powers.as_slice();
-        self.windows.iter().map(move |window| {
-            let (powers, tail) = rest.split_at(window.len());
-            rest = tail;
-            (window.as_slice(), powers)
-        })
+    fn priced(&self) -> impl Iterator<Item = (&[CompactStats], &[f64])> {
+        self.chunks.chunks(CHUNKS_PER_SLOT).zip(self.powers.chunks(CHUNKS_PER_SLOT))
     }
 }
 
@@ -209,28 +204,26 @@ impl SlotSource for EmulatorDriver {
             .collect();
         let watching: Vec<usize> =
             (0..self.n).filter(|&i| self.emu.cluster.devices()[i].is_watching()).collect();
-        let (windows, powers) = {
+        let (chunks, powers) = {
             let _span = lpvs_obs::span!(
                 "emu.content", "slot" => slot, "devices" => watching.len()
             );
             let devices = self.emu.cluster.devices();
+            let mut chunks = Vec::with_capacity(watching.len() * CHUNKS_PER_SLOT);
             let mut powers = Vec::with_capacity(watching.len() * CHUNKS_PER_SLOT);
-            let windows: Vec<Vec<FrameStats>> = watching
-                .iter()
-                .map(|&i| {
-                    let window = self.emu.content_window(i, slot);
-                    powers.extend(devices[i].spec().power_watts_each(&window));
-                    window
-                })
-                .collect();
-            (windows, powers)
+            for &i in &watching {
+                let start = chunks.len();
+                chunks.extend(self.emu.content_window(i, slot));
+                powers.extend(devices[i].spec().compact_power_watts_each(&chunks[start..]));
+            }
+            (chunks, powers)
         };
         lpvs_obs::add("emu_chunks_synthesized_total", powers.len() as u64);
         let queries = match self.emu.config.gamma_mode {
             GammaMode::Learned => watching.clone(),
             GammaMode::Fixed | GammaMode::Oracle => Vec::new(),
         };
-        self.scratch = Some(Scratch { slot, faults, watching, windows, powers });
+        self.scratch = Some(Scratch { slot, faults, watching, chunks, powers });
         Some(BankOps { forgets, queries })
     }
 

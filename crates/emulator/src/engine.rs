@@ -42,12 +42,12 @@ use lpvs_core::baseline::Policy;
 use lpvs_core::budget::SlotBudget;
 use lpvs_core::scheduler::{LpvsScheduler, SchedulerConfig};
 use lpvs_display::quality::QualityBudget;
-use lpvs_display::stats::FrameStats;
+use lpvs_display::stats::CompactStats;
 use lpvs_edge::cache::PrefetchPolicy;
 use lpvs_edge::cluster::{ClusterGenerator, VirtualCluster};
 use lpvs_edge::fleet::FleetConfig;
 use lpvs_media::content::{ContentModel, Genre};
-use lpvs_media::encoder::TransformEncoder;
+use lpvs_media::encoder::KernelEncoder;
 use lpvs_media::ladder::BitrateLadder;
 use lpvs_runtime::checkpoint::CheckpointConfig;
 use lpvs_runtime::pipeline::{RuntimeConfig, SlotRuntime, StageFaults};
@@ -209,8 +209,8 @@ pub struct Emulator {
     pub(crate) cluster: VirtualCluster,
     genres: Vec<Genre>,
     pub(crate) curve: AnxietyCurve,
-    encoder: TransformEncoder,
-    saver_encoder: TransformEncoder,
+    encoder: KernelEncoder,
+    saver_encoder: KernelEncoder,
     pub(crate) bitrate_kbps: f64,
     /// Synthetic per-device channel viewer counts (drives
     /// popularity-boosted prefetch).
@@ -254,8 +254,8 @@ impl Emulator {
             cluster,
             genres,
             curve,
-            encoder: TransformEncoder::new(QualityBudget::default()),
-            saver_encoder: TransformEncoder::new(QualityBudget::aggressive()),
+            encoder: KernelEncoder::new(QualityBudget::default()),
+            saver_encoder: KernelEncoder::new(QualityBudget::aggressive()),
             bitrate_kbps: BitrateLadder::default().bitrate_kbps(
                 lpvs_display::spec::Resolution::HD,
             ),
@@ -276,7 +276,7 @@ impl Emulator {
     /// paper-faithful energy model (`display_only_drain`) keeps the
     /// uniform default budget, matching the paper's single operating
     /// point.
-    fn encoder_for(&self, dev_idx: usize) -> &TransformEncoder {
+    fn encoder_for(&self, dev_idx: usize) -> &KernelEncoder {
         let saver = !self.config.display_only_drain
             && self.cluster.devices()[dev_idx].battery().fraction() <= BATTERY_SAVER_THRESHOLD;
         if saver {
@@ -354,7 +354,11 @@ impl Emulator {
     /// Synthesizes the chunk window device `i` plays in `slot`. The
     /// content stream is deterministic per (seed, device, slot) so
     /// paired runs under different policies replay identical footage.
-    pub(crate) fn content_window(&self, device: usize, slot: usize) -> Vec<FrameStats> {
+    pub(crate) fn content_window(
+        &self,
+        device: usize,
+        slot: usize,
+    ) -> impl Iterator<Item = CompactStats> {
         let stream_seed = self
             .config
             .seed
@@ -362,7 +366,8 @@ impl Emulator {
             .wrapping_add((device as u64) << 20)
             .wrapping_add(slot as u64);
         ContentModel::new(self.genres[device], stream_seed)
-            .chunk_stats(CHUNKS_PER_SLOT)
+            .compact_chunks()
+            .take(CHUNKS_PER_SLOT)
     }
 
     /// Clairvoyant whole-device reduction ratio: encodes the upcoming
@@ -371,16 +376,15 @@ impl Emulator {
     pub(crate) fn oracle_gamma(
         &self,
         dev_idx: usize,
-        window: &[FrameStats],
+        window: &[CompactStats],
         powers: &[f64],
     ) -> f64 {
         let device = &self.cluster.devices()[dev_idx];
-        let spec = *device.spec();
         let mut orig = 0.0;
         let mut transformed = 0.0;
-        let encoder = self.encoder_for(dev_idx);
-        for (stats, &watts) in window.iter().zip(powers) {
-            let scale = 1.0 - encoder.reduction_ratio(stats, &spec, watts);
+        let encoder = self.encoder_for(dev_idx).on(device.spec());
+        for (chunk, &watts) in window.iter().zip(powers) {
+            let scale = 1.0 - encoder.reduction_ratio(chunk, watts);
             orig += device.power_rate_at(watts, 1.0);
             transformed += device.power_rate_at(watts, scale);
         }
@@ -400,7 +404,7 @@ impl Emulator {
     pub(crate) fn play_slot_raw(
         &mut self,
         dev_idx: usize,
-        window: &[FrameStats],
+        window: &[CompactStats],
         powers: &[f64],
         transform: bool,
     ) -> PlayedSlot {
@@ -414,11 +418,11 @@ impl Emulator {
         let saver = !self.config.display_only_drain
             && self.cluster.devices()[dev_idx].battery().fraction()
                 <= BATTERY_SAVER_THRESHOLD;
-        for (stats, &display_watts) in window.iter().zip(powers) {
+        let encoder = if saver { &self.saver_encoder } else { &self.encoder }.on(&spec);
+        for (chunk, &display_watts) in window.iter().zip(powers) {
             let scale = if transform {
-                let encoder = if saver { &self.saver_encoder } else { &self.encoder };
                 encoded += 1;
-                1.0 - encoder.reduction_ratio(stats, &spec, display_watts)
+                1.0 - encoder.reduction_ratio(chunk, display_watts)
             } else {
                 1.0
             };

@@ -15,14 +15,14 @@ use std::borrow::Borrow;
 /// Builds the slot problem for one scheduling point.
 ///
 /// `priced_windows[n]` holds the untransformed display powers
-/// ([`DisplaySpec::power_watts_each`]) of the chunks device `n` will
-/// play this slot (all of equal `chunk_secs` duration) — owned windows
-/// or borrowed prefixes of them, as devices may be owned or borrowed
-/// from the cluster;
+/// ([`DisplaySpec::compact_power_watts_each`]) of the chunks device `n`
+/// will play this slot (all of equal `chunk_secs` duration) — owned
+/// windows or borrowed prefixes of them, as devices may be owned or
+/// borrowed from the cluster;
 /// `gammas[n]` is the current truncated-posterior estimate of device
 /// `n`'s *whole-device* power-reduction ratio.
 ///
-/// [`DisplaySpec::power_watts_each`]: lpvs_display::spec::DisplaySpec::power_watts_each
+/// [`DisplaySpec::compact_power_watts_each`]: lpvs_display::spec::DisplaySpec::compact_power_watts_each
 ///
 /// # Panics
 ///
@@ -94,8 +94,8 @@ mod tests {
     /// `n` flat-gray chunks, priced on the panel every device here
     /// shares (HD and FHD are both 16:9 on the same diagonal).
     fn window(n: usize, luma: f64) -> Vec<f64> {
-        let frames = vec![FrameStats::uniform_gray(luma); n];
-        DisplaySpec::oled_phone(Resolution::HD).power_watts_each(&frames).collect()
+        let gray = FrameStats::uniform_gray(luma);
+        vec![DisplaySpec::oled_phone(Resolution::HD).power_watts(&gray); n]
     }
 
     #[test]

@@ -10,13 +10,21 @@
 //! matching these first- and second-order statistics exercises the same
 //! power dynamics as decoded pixels would (DESIGN.md §2).
 //!
+//! Each chunk is drawn as encoded RGB means whose histogram is the
+//! display crate's one synthetic kernel around their luma bin, so the
+//! model synthesizes [`CompactStats`] — the bin and the three linear
+//! means, all the panel models read — and
+//! [`chunk_stats`](ContentModel::chunk_stats) expands them through that
+//! kernel. The emulator prices the compact chunks directly.
+//!
 //! [`FrameStats`]: lpvs_display::stats::FrameStats
+//! [`CompactStats`]: lpvs_display::stats::CompactStats
 
 use crate::chunk::{Chunk, ChunkId};
 use crate::ladder::BitrateLadder;
 use crate::video::{Video, VideoId};
 use lpvs_display::spec::Resolution;
-use lpvs_display::stats::FrameStats;
+use lpvs_display::stats::{CompactStats, FrameStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -139,15 +147,20 @@ impl ContentModel {
         Genre::Gaming
     }
 
-    /// Synthesizes per-chunk frame statistics for `count` chunks.
-    pub fn chunk_stats(&self, count: usize) -> Vec<FrameStats> {
+    /// The model's chunks, endlessly, as the panel models read them:
+    /// each chunk's [`KERNEL_SPREAD`] kernel is fixed by its luma bin, so
+    /// the bin and the three linear means are all that is synthesized.
+    /// The `n` first are [`chunk_stats`](Self::chunk_stats)`(n)`, compact.
+    ///
+    /// [`KERNEL_SPREAD`]: lpvs_display::stats::KERNEL_SPREAD
+    pub fn compact_chunks(&self) -> impl Iterator<Item = CompactStats> {
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0x5eed_c0de);
         let anchors = self.genre.scene_lumas();
         let bias = self.genre.color_bias();
+        let cut_rate = self.genre.cut_rate();
         let mut scene = rng.gen_range(0..3usize);
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            if rng.gen_bool(self.genre.cut_rate()) {
+        std::iter::repeat_with(move || {
+            if rng.gen_bool(cut_rate) {
                 scene = rng.gen_range(0..3usize);
             }
             let jitter: f64 = rng.gen_range(-0.05..0.05);
@@ -157,13 +170,20 @@ impl ContentModel {
                 (luma * bias[1]).clamp(0.0, 1.0),
                 (luma * bias[2]).clamp(0.0, 1.0),
             ];
-            out.push(FrameStats::from_encoded_rgb(rgb, 6));
-        }
-        out
+            CompactStats::from_encoded_rgb(rgb)
+        })
+    }
+
+    /// Synthesizes per-chunk frame statistics for `count` chunks: the
+    /// [`compact_chunks`](Self::compact_chunks), expanded.
+    pub fn chunk_stats(&self, count: usize) -> Vec<FrameStats> {
+        self.compact_chunks().take(count).map(|c| c.expand()).collect()
     }
 
     /// Synthesizes a whole video of `duration_secs` split into chunks
-    /// of `chunk_secs`, at the ladder bitrate for `resolution`.
+    /// of `chunk_secs`, at the ladder bitrate for `resolution`. The last
+    /// chunk carries whatever remains, so the chunks' durations sum to
+    /// `duration_secs`.
     ///
     /// # Panics
     ///
@@ -176,13 +196,22 @@ impl ContentModel {
         chunk_secs: f64,
     ) -> Video {
         assert!(duration_secs > 0.0 && chunk_secs > 0.0, "durations must be positive");
-        let count = (duration_secs / chunk_secs).ceil() as usize;
+        let mut count = ((duration_secs / chunk_secs).ceil() as usize).max(1);
+        // A quotient rounded a hair above a whole number would leave the
+        // last chunk nothing to carry.
+        if (count - 1) as f64 * chunk_secs >= duration_secs {
+            count -= 1;
+        }
+        let last_secs = duration_secs - (count - 1) as f64 * chunk_secs;
         let bitrate = BitrateLadder::default().bitrate_kbps(resolution);
         let stats = self.chunk_stats(count);
         let chunks = stats
             .into_iter()
             .enumerate()
-            .map(|(i, s)| Chunk::new(ChunkId(i as u32), chunk_secs, s, bitrate))
+            .map(|(i, s)| {
+                let secs = if i + 1 == count { last_secs } else { chunk_secs };
+                Chunk::new(ChunkId(i as u32), secs, s, bitrate)
+            })
             .collect();
         Video::new(VideoId(id), resolution, chunks)
     }
@@ -267,6 +296,27 @@ mod tests {
             .count() as f64
             / n as f64;
         assert!((gaming - 0.55).abs() < 0.02, "gaming share {gaming}");
+    }
+
+    #[test]
+    fn a_video_is_as_long_as_asked() {
+        let model = ContentModel::new(Genre::Talk, 2);
+        let secs = |duration, chunk| -> Vec<f64> {
+            let video = model.video(1, Resolution::HD, duration, chunk);
+            video.chunks().iter().map(|c| c.duration_secs).collect()
+        };
+        assert_eq!(secs(65.0, 10.0), [10.0, 10.0, 10.0, 10.0, 10.0, 10.0, 5.0]);
+        assert_eq!(secs(60.0, 10.0), [10.0; 6]);
+        assert_eq!(secs(7.5, 10.0), [7.5]);
+        // Quotients that round either side of a whole number.
+        for (duration, chunk) in [(0.3, 0.1), (1.0, 0.1), (0.1 * 3.0, 0.1)] {
+            let secs = secs(duration, chunk);
+            let total: f64 = secs.iter().sum();
+            assert!((total - duration).abs() < 1e-12, "{duration} s in {chunk} s: {total} s");
+            let (last, full) = secs.split_last().expect("at least one chunk");
+            assert!(full.iter().all(|&s| s == chunk), "{duration} s in {chunk} s");
+            assert!(*last > 0.0 && *last <= chunk + 1e-12, "{duration} s: last chunk {last} s");
+        }
     }
 
     #[test]

@@ -11,10 +11,10 @@ use crate::chunk::Chunk;
 use crate::video::Video;
 use lpvs_display::quality::QualityBudget;
 use lpvs_display::spec::{DisplayKind, DisplaySpec};
-use lpvs_display::stats::FrameStats;
+use lpvs_display::stats::{CompactStats, FrameStats};
 use lpvs_display::transform::{
-    oled_watts, reduction_ratio_of, BacklightScaling, ColorTransform, SubpixelShutoff,
-    Transform, TransformOutcome,
+    oled_watts, reduction_ratio_of, BacklightScaling, BacklightTable, ColorTransform,
+    SubpixelShutoff, Transform, TransformOutcome,
 };
 use serde::{Deserialize, Serialize};
 
@@ -151,7 +151,7 @@ impl TransformEncoder {
                 spec,
                 1.0,
                 SubpixelShutoff::new(self.budget).enabled_fraction(spec),
-                ColorTransform::new(self.budget).transformed_linear_mean(stats),
+                ColorTransform::new(self.budget).transformed_linear_mean(stats.linear_mean()),
             ),
         };
         reduction_ratio_of(untransformed_watts, after)
@@ -174,6 +174,91 @@ impl TransformEncoder {
 impl Default for TransformEncoder {
     fn default() -> Self {
         Self::new(QualityBudget::default())
+    }
+}
+
+/// [`TransformEncoder::reduction_ratio`] for the chunks the content
+/// model synthesizes ([`CompactStats`]), bit for bit on their
+/// [`expand`](CompactStats::expand)ed statistics. The LCD decision reads
+/// only the histogram, which a synthetic chunk's bin fixes, so it is
+/// made once per bin when the encoder is built and looked up per chunk;
+/// the OLED allocation reads the linear means, which no two chunks
+/// share, so it is solved per chunk.
+///
+/// # Example
+///
+/// ```
+/// use lpvs_media::content::{ContentModel, Genre};
+/// use lpvs_media::encoder::{KernelEncoder, TransformEncoder};
+/// use lpvs_display::quality::QualityBudget;
+/// use lpvs_display::spec::{DisplaySpec, Resolution};
+///
+/// let spec = DisplaySpec::lcd_phone(Resolution::HD);
+/// let budget = QualityBudget::default();
+/// let encoder = KernelEncoder::new(budget);
+/// let on_spec = encoder.on(&spec);
+/// for chunk in ContentModel::new(Genre::Movie, 1).compact_chunks().take(30) {
+///     let stats = chunk.expand();
+///     let watts = spec.power_watts(&stats);
+///     let full = TransformEncoder::new(budget).reduction_ratio(&stats, &spec, watts);
+///     assert_eq!(on_spec.reduction_ratio(&chunk, watts), full);
+/// }
+/// ```
+#[derive(Debug, Clone)]
+pub struct KernelEncoder {
+    backlight: BacklightTable,
+    color: ColorTransform,
+    shutoff: SubpixelShutoff,
+}
+
+impl KernelEncoder {
+    /// The encoder for `budget`, its LCD decisions made for every bin.
+    pub fn new(budget: QualityBudget) -> Self {
+        Self {
+            backlight: BacklightScaling::new(budget).kernel_table(),
+            color: ColorTransform::new(budget),
+            shutoff: SubpixelShutoff::new(budget),
+        }
+    }
+
+    /// The encoder bound to the display `spec` plays on, with the
+    /// subpixel shutoff — a function of the panel alone — decided once
+    /// for all the chunks it prices.
+    pub fn on(&self, spec: &DisplaySpec) -> SpecEncoder<'_> {
+        let enabled_fraction = match spec.kind {
+            DisplayKind::Lcd => 1.0,
+            DisplayKind::Oled => self.shutoff.enabled_fraction(spec),
+        };
+        SpecEncoder { encoder: self, spec: *spec, enabled_fraction }
+    }
+}
+
+/// A [`KernelEncoder`] bound to one display ([`KernelEncoder::on`]).
+#[derive(Debug, Clone, Copy)]
+pub struct SpecEncoder<'a> {
+    encoder: &'a KernelEncoder,
+    spec: DisplaySpec,
+    enabled_fraction: f64,
+}
+
+impl SpecEncoder<'_> {
+    /// Realized power-reduction ratio γ of `chunk` transformed for this
+    /// display, whose untransformed display power is
+    /// `untransformed_watts`: [`TransformEncoder::reduction_ratio`] of
+    /// the expanded chunk, bit for bit.
+    pub fn reduction_ratio(&self, chunk: &CompactStats, untransformed_watts: f64) -> f64 {
+        let spec = &self.spec;
+        let after = match spec.kind {
+            DisplayKind::Lcd => self.encoder.backlight.transformed_watts(chunk, spec),
+            // Neither OLED transform turns the brightness knob.
+            DisplayKind::Oled => oled_watts(
+                spec,
+                1.0,
+                self.enabled_fraction,
+                self.encoder.color.transformed_linear_mean(chunk.linear_mean()),
+            ),
+        };
+        reduction_ratio_of(untransformed_watts, after)
     }
 }
 

@@ -54,6 +54,6 @@ pub mod video;
 pub use chunk::{Chunk, ChunkId};
 pub use content::{ContentModel, Genre};
 pub use cost::{storage_gb, transform_compute_units, EdgeBudgetCalibration};
-pub use encoder::{EncodedChunk, EncodedVideo, TransformEncoder};
+pub use encoder::{EncodedChunk, EncodedVideo, KernelEncoder, SpecEncoder, TransformEncoder};
 pub use ladder::BitrateLadder;
 pub use video::{Video, VideoId};

@@ -31,7 +31,7 @@ fn survey_to_scheduler_pipeline() {
         .enumerate()
         .map(|(i, d)| {
             let stats = ContentModel::new(Genre::Gaming, i as u64).chunk_stats(30);
-            d.spec().power_watts_each(&stats).collect()
+            stats.iter().map(|f| d.spec().power_watts(f)).collect()
         })
         .collect();
     let gammas = vec![0.31; 12];

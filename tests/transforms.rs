@@ -439,7 +439,7 @@ fn assert_priced_figures_match(
         }
         DisplayKind::Oled => {
             let color = ColorTransform::new(*budget);
-            let linear = color.transformed_linear_mean(stats);
+            let linear = color.transformed_linear_mean(stats.linear_mean());
             let applied = color.apply(stats, spec).stats.linear_mean();
             assert_eq!(linear.map(f64::to_bits), applied.map(f64::to_bits), "{what}");
             let shutoff = SubpixelShutoff::new(*budget);
