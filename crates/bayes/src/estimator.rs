@@ -195,7 +195,6 @@ impl GammaEstimator {
         let delta = if delta.is_nan() { 0.0 } else { delta };
         self.belief = floor_variance(self.rule.update(self.belief, delta));
         self.observations += 1;
-        self.publish_update();
     }
 
     /// Validating variant of [`GammaEstimator::observe`]: the belief is
@@ -209,16 +208,13 @@ impl GammaEstimator {
     /// on rejection.
     pub fn try_observe(&mut self, delta: f64) -> Result<(), ObservationError> {
         if !delta.is_finite() {
-            lpvs_obs::inc("bayes_reject_total");
             return Err(ObservationError::NotFinite);
         }
         if !(0.0..=1.0).contains(&delta) {
-            lpvs_obs::inc("bayes_reject_total");
             return Err(ObservationError::OutOfRange(delta));
         }
         self.belief = floor_variance(self.rule.update(self.belief, delta));
         self.observations += 1;
-        self.publish_update();
         Ok(())
     }
 
@@ -236,17 +232,6 @@ impl GammaEstimator {
         let inflated =
             (self.belief.variance() * FORGET_INFLATION.powi(stale_slots as i32)).min(ceiling);
         self.belief = Gaussian::new(self.belief.mean(), inflated);
-        lpvs_obs::inc("bayes_forget_total");
-    }
-
-    /// Publishes one accepted posterior update to the telemetry
-    /// registry: the update counter plus the remaining-uncertainty
-    /// distribution across the fleet.
-    fn publish_update(&self) {
-        if lpvs_obs::enabled() {
-            lpvs_obs::inc("bayes_observe_total");
-            lpvs_obs::observe("bayes_posterior_std", self.uncertainty());
-        }
     }
 }
 

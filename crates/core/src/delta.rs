@@ -163,11 +163,6 @@ pub fn solve_incremental(
 ) -> (Schedule, ShardTerms) {
     assert_eq!(previous_selected.len(), view.len(), "previous selection does not cover the shard");
     let start = Instant::now();
-    let mut span = lpvs_obs::span!(
-        "delta.incremental",
-        "devices" => view.len(),
-        "frontier" => local_dirty.len()
-    );
 
     // Capacity the clean rows' standing selections already consume.
     let mut g_clean = 0.0;
@@ -209,7 +204,6 @@ pub fn solve_incremental(
     }
     if !view.capacity_feasible(&selected) {
         // Unreachable up to rounding; a cold solve is always sound.
-        span.record("cold_fallback", 1.0);
         terms.clear();
         return (scheduler.schedule_view(view, Some(previous_selected), budget), Vec::new());
     }
@@ -237,7 +231,6 @@ pub fn solve_incremental(
     let (objective, energy_saved_j) = terms.fold();
 
     let degradation = previous_degradation.max(sub.stats.degradation);
-    span.record("tier", degradation.severity() as f64);
     let stats = ScheduleStats {
         objective,
         energy_saved_j,

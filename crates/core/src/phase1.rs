@@ -81,6 +81,12 @@ pub struct Phase1Result {
     /// hint replaced the greedy selection). Always `false` when no hint
     /// was offered.
     pub warm_start_used: bool,
+    /// Whether the selection is certified optimal within
+    /// [`Phase1Config::relative_gap`]: the exact path's branch-and-bound
+    /// closed before [`Phase1Config::node_limit`] (`false` when it
+    /// handed back the incumbent it had at the cap). The greedy path
+    /// certifies nothing (`false`); an empty view is trivially optimal.
+    pub certified: bool,
 }
 
 /// Solves Phase-1 for the slot problem.
@@ -152,6 +158,7 @@ pub(crate) fn solve(
             nodes: 0,
             pivots: 0,
             warm_start_used: false,
+            certified: true,
         });
     }
     let infeasible_devices = feasible.iter().filter(|&&f| !f).count();
@@ -183,6 +190,10 @@ pub(crate) fn solve(
             let solution = search.solve()?;
             *savings = ilp.into_objective();
             lpvs_obs::add("solver_orders_sorted_total", solution.stats.orders_sorted as u64);
+            let certified = !solution.stats.hit_node_limit;
+            if !certified {
+                lpvs_obs::inc("sched_phase1_uncertified_total");
+            }
             Ok(Phase1Result {
                 energy_saved_j: solution.objective,
                 nodes: solution.stats.nodes,
@@ -190,6 +201,7 @@ pub(crate) fn solve(
                 selected: solution.x,
                 infeasible_devices,
                 warm_start_used,
+                certified,
             })
         }
         Phase1Solver::Greedy => {
@@ -226,6 +238,7 @@ pub(crate) fn solve(
                 nodes: 0,
                 pivots: 0,
                 warm_start_used,
+                certified: false,
             })
         }
     }

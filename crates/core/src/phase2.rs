@@ -199,7 +199,6 @@ pub fn run_phase2_over(
     // candidates *or* victims), so a delta solve pays O(frontier·K),
     // not O(N·K) — in one walk of each row's chunks.
     let scores = {
-        let _span = lpvs_obs::span!("sched.phase2.score");
         let rows: Vec<usize> = scope.iter().map(|&p| view.rows()[p]).collect();
         let cols = view.columns();
         kernels::count_chunk_steps("score", &cols, &rows);

@@ -272,7 +272,6 @@ impl LpvsScheduler {
             let Scores { saving, feasible, .. } = &mut scores;
             let phase1 = phase1::solve(view, phase1_config, previous, saving, feasible)?;
             span.record("nodes", phase1.nodes as f64);
-            span.record("pivots", phase1.pivots as f64);
             phase1
         };
         let mut selected = phase1.selected;
@@ -520,8 +519,7 @@ impl Phases {
 
 /// Computes the final-selection metrics on the view, stamps the ladder
 /// outcome into the stats, and publishes the run's telemetry (tier
-/// counters, solver-work counters, per-tier latency) before closing the
-/// slot span.
+/// counters, per-tier latency) before closing the slot span.
 fn finish_resilient(
     view: SlotView<'_>,
     phases: Phases,
@@ -537,9 +535,6 @@ fn finish_resilient(
         let tier = [("tier", rung.label())];
         lpvs_obs::inc("sched_runs_total");
         lpvs_obs::inc_labeled("sched_tier_total", &tier);
-        lpvs_obs::add("sched_rejected_devices_total", rejected as u64);
-        lpvs_obs::add("sched_phase1_nodes_total", stats.phase1_nodes as u64);
-        lpvs_obs::add("sched_simplex_pivots_total", stats.phase1_pivots as u64);
         lpvs_obs::observe_labeled("sched_tier_seconds", &tier, stats.runtime.as_secs_f64());
     }
     (schedule, terms)

@@ -325,12 +325,11 @@ impl FleetScheduler {
             "one server per configured shard required"
         );
         let start = Instant::now();
-        let mut fleet_span =
-            lpvs_obs::span!("fleet.slot", "devices" => fleet.len(), "shards" => servers.len());
-        // Captured before the scoped threads spawn: implicit parentage
-        // never crosses threads, so each shard span is handed the slot
-        // context explicitly and joins this trace instead of orphaning.
-        let slot_ctx = fleet_span.context();
+        // The caller's open span (an executor's `runtime.slot`), captured
+        // before the scoped threads spawn: implicit parentage never
+        // crosses threads, so each shard span is handed it explicitly
+        // and joins the caller's trace instead of orphaning.
+        let slot_ctx = lpvs_obs::current_context();
 
         let shards = self.partition(fleet);
         // A warm start only applies when the population is unchanged.
@@ -370,9 +369,7 @@ impl FleetScheduler {
         })
         .unwrap_or_default();
 
-        let schedule = self.assemble(fleet, servers, shards, results, lambda, curve, start, None);
-        fleet_span.record("migrations", schedule.migrations as f64);
-        schedule
+        self.assemble(fleet, servers, shards, results, lambda, curve, start, None)
     }
 
     /// The per-shard schedule a dead or faulted shard degrades to:
@@ -448,21 +445,12 @@ impl FleetScheduler {
         };
         let (objective, energy_saved_j) = memo.total(fleet, lambda, curve, &selected, &reports, kept);
 
-        if lpvs_obs::enabled() {
-            lpvs_obs::add("fleet_migrations_total", migrations as u64);
-            lpvs_obs::inc("fleet_slots_total");
-            lpvs_obs::gauge_set("fleet_shards", servers.len() as f64);
-            lpvs_obs::observe("fleet_slot_seconds", start.elapsed().as_secs_f64());
-        }
+        // One sample a fleet slot under either executor: `start` is the
+        // scoped path's entry or the worker executor's dispatch.
+        let runtime = start.elapsed();
+        lpvs_obs::observe("fleet_slot_seconds", runtime.as_secs_f64());
 
-        FleetSchedule {
-            selected,
-            shards: reports,
-            migrations,
-            objective,
-            energy_saved_j,
-            runtime: start.elapsed(),
-        }
+        FleetSchedule { selected, shards: reports, migrations, objective, energy_saved_j, runtime }
     }
 
     /// Bounded cross-shard rebalancing (the anxiety-repair pass of
@@ -485,8 +473,6 @@ impl FleetScheduler {
         if self.config.max_migrations == 0 || servers.len() < 2 {
             return 0;
         }
-        let _span = lpvs_obs::span!("fleet.rebalance", "shards" => servers.len());
-
         // Reconstruct per-shard usage through the servers' own
         // admission control; shard schedules are capacity-feasible, so
         // every admission must succeed.

@@ -151,16 +151,11 @@ impl EdgeServer {
         }
     }
 
-    /// Publishes this server's current capacity and utilization as
-    /// telemetry gauges (no-op when recording is disabled). Callers
-    /// decide the cadence — the emulator publishes once per slot,
-    /// after admission settles.
-    pub fn publish_gauges(&self) {
-        if lpvs_obs::enabled() {
-            lpvs_obs::gauge_set("edge_compute_capacity", self.compute_capacity);
-            lpvs_obs::gauge_set("edge_storage_capacity_gb", self.storage_capacity_gb);
-            lpvs_obs::gauge_set("edge_compute_utilization", self.compute_utilization());
-        }
+    /// Publishes this server's compute capacity as a telemetry gauge
+    /// (no-op when recording is disabled). Callers decide the cadence —
+    /// the emulator publishes once per slot.
+    pub fn publish_capacity(&self) {
+        lpvs_obs::gauge_set("edge_compute_capacity", self.compute_capacity);
     }
 }
 

@@ -303,7 +303,7 @@ impl SlotSource for EmulatorDriver {
                 *self.emu.cluster.server()
             }
         };
-        server.publish_gauges();
+        server.publish_capacity();
         let problem = gather_problem(
             &devices,
             &decision_powers,

@@ -1,15 +1,11 @@
-//! `operator-dashboard` — render LPVS metrics as operator tables.
+//! `operator-dashboard` — render a running `lpvs-serve`'s metrics as
+//! operator tables.
 //!
-//! Two modes:
-//!
-//! - **in-process** (default): installs a recorder, records a small
-//!   self-sample, and renders the resulting snapshot — the embedding
-//!   path library users get by calling
-//!   `lpvs_obs::dashboard::render_dashboard` on their own registry;
-//! - **`--scrape <addr>`**: pulls `/metrics` from a running
-//!   `lpvs-serve` over plain TCP, parses the Prometheus text back into
-//!   a snapshot, and renders the same tables (`--raw` dumps the
-//!   exposition text verbatim instead).
+//! `--scrape <addr>` pulls `/metrics` over plain TCP, parses the
+//! Prometheus text back into a snapshot, and renders it (`--raw` dumps
+//! the exposition text verbatim instead). Library users render their
+//! own registry with `lpvs_obs::dashboard::render_dashboard`
+//! (`examples/operator_dashboard.rs`).
 
 use lpvs_obs::dashboard::{parse_prometheus, render_dashboard, scrape};
 use std::io::Write;
@@ -19,7 +15,7 @@ fn emit(text: &str) {
     let _ = std::io::stdout().write_all(text.as_bytes());
 }
 
-const USAGE: &str = "usage: operator-dashboard [--scrape <addr>] [--raw]\n\
+const USAGE: &str = "usage: operator-dashboard --scrape <addr> [--raw]\n\
        --scrape <addr>  pull /metrics from a running lpvs-serve at host:port\n\
        --raw            with --scrape, print the raw exposition text";
 
@@ -50,40 +46,26 @@ fn main() {
         }
     }
 
-    match scrape_addr {
-        Some(addr) => {
-            let text = match scrape(&addr) {
-                Ok(text) => text,
-                Err(e) => {
-                    eprintln!("scrape {addr} failed: {e}");
-                    std::process::exit(1);
-                }
-            };
-            if raw {
-                emit(&text);
-                return;
-            }
-            match parse_prometheus(&text) {
-                Ok(snapshot) => emit(&render_dashboard(&snapshot, &addr)),
-                Err(e) => {
-                    eprintln!("could not parse exposition text from {addr}: {e}");
-                    std::process::exit(1);
-                }
-            }
+    let Some(addr) = scrape_addr else {
+        eprintln!("--scrape is required\n{USAGE}");
+        std::process::exit(2);
+    };
+    let text = match scrape(&addr) {
+        Ok(text) => text,
+        Err(e) => {
+            eprintln!("scrape {addr} failed: {e}");
+            std::process::exit(1);
         }
-        None => {
-            // No server to scrape: demonstrate the in-process path on a
-            // freshly recorded self-sample.
-            let recorder = lpvs_obs::init();
-            {
-                let mut span = lpvs_obs::span!("dashboard.selfcheck");
-                lpvs_obs::inc("dashboard_selfchecks_total");
-                lpvs_obs::gauge_set("dashboard_sample_gauge", 1.0);
-                span.record("ok", 1.0);
-            }
-            let snapshot = recorder.snapshot().metrics;
-            emit(&render_dashboard(&snapshot, "in-process self-sample"));
-            emit("\n(hint: --scrape <addr> renders a running lpvs-serve instead)\n");
+    };
+    if raw {
+        emit(&text);
+        return;
+    }
+    match parse_prometheus(&text) {
+        Ok(snapshot) => emit(&render_dashboard(&snapshot, &addr)),
+        Err(e) => {
+            eprintln!("could not parse exposition text from {addr}: {e}");
+            std::process::exit(1);
         }
     }
 }

@@ -10,7 +10,7 @@
 //!   [`sink::render_prometheus`] up to the min/max fields the
 //!   exposition format does not carry).
 //!
-//! The `operator-dashboard` binary wires both together.
+//! The `operator-dashboard` binary renders the scraped source.
 //!
 //! [`sink::render_prometheus`]: crate::sink::render_prometheus
 
@@ -335,7 +335,7 @@ mod tests {
         reg.counter("requests_total").add(41);
         reg.counter_labeled("requests_total", &[("route", "/v1/telemetry")]).add(7);
         reg.gauge("occupancy").set(0.625);
-        reg.gauge_labeled("tier", &[("shard", "0")]).set(2.0);
+        reg.gauge_for(SeriesKey::with_labels("tier", &[("shard", "0")])).set(2.0);
         for v in [0.001, 0.004, 0.004, 0.2] {
             reg.histogram("request_seconds").record(v);
         }
@@ -359,7 +359,7 @@ mod tests {
     #[test]
     fn escaped_labels_and_nonfinite_gauges_survive() {
         let reg = MetricsRegistry::new();
-        reg.gauge_labeled("weird", &[("path", "a\\b\"c\nd")]).set(f64::INFINITY);
+        reg.gauge_for(SeriesKey::with_labels("weird", &[("path", "a\\b\"c\nd")])).set(f64::INFINITY);
         let parsed = parse_prometheus(&render_prometheus(&reg.snapshot())).expect("parse");
         assert_eq!(parsed.gauges.len(), 1);
         assert_eq!(parsed.gauges[0].0.labels[0].1, "a\\b\"c\nd");

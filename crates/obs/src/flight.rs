@@ -2,13 +2,11 @@
 //! N telemetry events.
 //!
 //! Every shard worker carries a [`FlightRing`]; the hub holds a clone
-//! of the handle. The worker pushes tiny [`FlightEvent`]s (span edges,
-//! bank ops, checkpoint seals) on its hot path — one `fetch_add` plus
+//! of the handle. The worker pushes tiny [`FlightEvent`]s (a solve's
+//! begin and end, its death) on its hot path — one `fetch_add` plus
 //! one slot write, no locks, overwriting the oldest entry once full —
 //! and when the worker dies, the supervisor snapshots the ring into
-//! the postmortem record. The recorder-global ring does the same for
-//! span ends, so a dashboard can report blackbox depth even without a
-//! runtime.
+//! the postmortem record.
 //!
 //! ## Concurrency model
 //!
@@ -42,52 +40,19 @@ pub enum FlightKind {
     SpanBegin,
     /// A span (stage) completed.
     SpanEnd,
-    /// A Bayes-bank mutation batch (observe/forget) was applied.
-    BankOp,
-    /// A checkpoint snapshot was sealed and handed to the supervisor.
-    CheckpointSeal,
-    /// An estimator migrated in or out of the shard.
-    Migrate,
     /// The worker noticed it was about to die (injected stage fault).
     Death,
-    /// The hub abandoned the pipeline for the sequential fallback.
-    Fallback,
-    /// A persisted checkpoint generation failed validation.
-    CorruptCheckpoint,
-    /// The shard's delta memo was invalidated and the slot forced back
-    /// to an all-dirty cold solve (migration, death/respawn, population
-    /// change, or stale epoch).
-    DeltaReset,
 }
 
 impl FlightKind {
+    const ALL: [FlightKind; 3] = [FlightKind::SpanBegin, FlightKind::SpanEnd, FlightKind::Death];
+
     fn code(self) -> u64 {
-        match self {
-            FlightKind::SpanBegin => 0,
-            FlightKind::SpanEnd => 1,
-            FlightKind::BankOp => 2,
-            FlightKind::CheckpointSeal => 3,
-            FlightKind::Migrate => 4,
-            FlightKind::Death => 5,
-            FlightKind::Fallback => 6,
-            FlightKind::CorruptCheckpoint => 7,
-            FlightKind::DeltaReset => 8,
-        }
+        self as u64
     }
 
     fn from_code(code: u64) -> Option<Self> {
-        Some(match code {
-            0 => FlightKind::SpanBegin,
-            1 => FlightKind::SpanEnd,
-            2 => FlightKind::BankOp,
-            3 => FlightKind::CheckpointSeal,
-            4 => FlightKind::Migrate,
-            5 => FlightKind::Death,
-            6 => FlightKind::Fallback,
-            7 => FlightKind::CorruptCheckpoint,
-            8 => FlightKind::DeltaReset,
-            _ => return None,
-        })
+        Self::ALL.get(code as usize).copied()
     }
 
     /// Short lowercase tag for text dumps.
@@ -95,13 +60,7 @@ impl FlightKind {
         match self {
             FlightKind::SpanBegin => "span_begin",
             FlightKind::SpanEnd => "span_end",
-            FlightKind::BankOp => "bank_op",
-            FlightKind::CheckpointSeal => "checkpoint_seal",
-            FlightKind::Migrate => "migrate",
             FlightKind::Death => "death",
-            FlightKind::Fallback => "fallback",
-            FlightKind::CorruptCheckpoint => "corrupt_checkpoint",
-            FlightKind::DeltaReset => "delta_reset",
         }
     }
 }
@@ -334,16 +293,6 @@ impl FlightRing {
     }
 }
 
-/// Renders flight events as JSON Lines for postmortem dumps.
-pub fn events_to_jsonl(events: &[FlightEvent]) -> String {
-    let mut out = String::new();
-    for event in events {
-        out.push_str(&event.to_json().to_string());
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,7 +302,7 @@ mod tests {
     fn ring_retains_the_newest_suffix_in_order() {
         let ring = FlightRing::new(4);
         for i in 0..10 {
-            ring.push(FlightKind::BankOp, "observe", i as f64, 0.0);
+            ring.push(FlightKind::SpanEnd, "observe", i as f64, 0.0);
         }
         assert_eq!(ring.total(), 10);
         assert_eq!(ring.depth(), 4);
@@ -381,25 +330,13 @@ mod tests {
     #[test]
     fn reset_empties_the_ring() {
         let ring = FlightRing::new(2);
-        ring.push(FlightKind::CheckpointSeal, "seal", 0.0, 0.0);
+        ring.push(FlightKind::SpanEnd, "seal", 0.0, 0.0);
         ring.reset();
         assert_eq!(ring.depth(), 0);
         assert!(ring.snapshot().is_empty());
-        ring.push(FlightKind::CheckpointSeal, "seal", 5.0, 0.0);
+        ring.push(FlightKind::SpanEnd, "seal", 5.0, 0.0);
         assert_eq!(ring.snapshot().len(), 1);
         assert_eq!(ring.snapshot()[0].seq, 0);
-    }
-
-    #[test]
-    fn jsonl_dump_is_valid_json_per_line() {
-        let ring = FlightRing::new(4);
-        ring.push(FlightKind::Migrate, "migrate_in", 2.0, 17.0);
-        let text = events_to_jsonl(&ring.snapshot());
-        assert_eq!(text.lines().count(), 1);
-        let parsed = Json::parse(text.lines().next().unwrap()).unwrap();
-        assert_eq!(parsed.get("kind").and_then(Json::as_str), Some("migrate"));
-        assert_eq!(parsed.get("label").and_then(Json::as_str), Some("migrate_in"));
-        assert_eq!(parsed.get("a").and_then(Json::as_f64), Some(2.0));
     }
 
     #[test]
@@ -414,7 +351,7 @@ mod tests {
             writers.push(std::thread::spawn(move || {
                 for i in 0..500u64 {
                     let v = (t * 1000 + i) as f64;
-                    ring.push(FlightKind::BankOp, "op", v, v);
+                    ring.push(FlightKind::SpanEnd, "op", v, v);
                 }
             }));
         }
@@ -424,7 +361,7 @@ mod tests {
                 for _ in 0..200 {
                     for event in ring.snapshot() {
                         assert_eq!(event.a, event.b, "torn slot leaked out");
-                        assert_eq!(event.kind, FlightKind::BankOp);
+                        assert_eq!(event.kind, FlightKind::SpanEnd);
                         assert_eq!(event.label, "op");
                     }
                 }

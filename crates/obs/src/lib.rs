@@ -2,7 +2,7 @@
 //!
 //! Structured tracing spans, a metrics registry (counters, gauges,
 //! latency histograms with quantile estimation), and text sinks
-//! (JSONL span export, Prometheus exposition) for the slot scheduler
+//! (Chrome trace export, Prometheus exposition) for the slot scheduler
 //! and emulator. No external dependencies beyond the workspace's
 //! vendored facades.
 //!
@@ -16,7 +16,7 @@
 //! - when recording is disabled — the default — every instrumented
 //!   call site costs exactly **one relaxed atomic load** and touches
 //!   nothing else ([`NoopRecorder`] regime);
-//! - export with [`sink::events_to_jsonl`] and
+//! - export with [`sink::events_to_chrome_trace`] and
 //!   [`sink::render_prometheus`].
 //!
 //! ## Example
@@ -130,6 +130,19 @@ pub fn start_span_with(name: &'static str, parent: Option<SpanContext>) -> SpanG
     }
 }
 
+/// The context of the innermost span open on this thread, for a
+/// scoped-thread hop whose caller owns the enclosing span: children
+/// opened with [`span_in!`] on the other threads join its trace. `None`
+/// when recording is disabled or no span is open.
+#[inline]
+pub fn current_context() -> Option<SpanContext> {
+    if enabled() {
+        span::current_context()
+    } else {
+        None
+    }
+}
+
 /// Increments counter `name` by 1 (no-op when disabled).
 #[inline]
 pub fn inc(name: &str) {
@@ -180,16 +193,6 @@ pub fn add_labeled(name: &str, labels: &[(&str, &str)], n: u64) {
     if enabled() {
         if let Some(registry) = global().registry() {
             registry.counter_labeled(name, labels).add(n);
-        }
-    }
-}
-
-/// Sets the gauge series `name{labels}` (no-op when disabled).
-#[inline]
-pub fn gauge_set_labeled(name: &str, labels: &[(&str, &str)], value: f64) {
-    if enabled() {
-        if let Some(registry) = global().registry() {
-            registry.gauge_labeled(name, labels).set(value);
         }
     }
 }
@@ -281,20 +284,6 @@ mod tests {
             let snap = recorder.snapshot();
             let hist = snap.metrics.histogram("test_fielded_seconds").unwrap();
             assert_eq!(hist.count, 1);
-        });
-    }
-
-    #[test]
-    fn live_spans_round_trip_through_jsonl() {
-        with_clean_recorder(|recorder| {
-            {
-                let _outer = span!("test.slot", "slot" => 3.0);
-                let _inner = span!("test.phase1");
-            }
-            let events = recorder.events();
-            let text = sink::events_to_jsonl(&events);
-            let restored = sink::events_from_jsonl(&text).unwrap();
-            assert_eq!(restored, events);
         });
     }
 

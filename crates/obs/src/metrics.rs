@@ -385,11 +385,6 @@ impl MetricsRegistry {
         self.gauge_for(SeriesKey::plain(name))
     }
 
-    /// The gauge series `name{labels}`, creating it on first use.
-    pub fn gauge_labeled(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        self.gauge_for(SeriesKey::with_labels(name, labels))
-    }
-
     /// The gauge registered under an explicit [`SeriesKey`].
     pub fn gauge_for(&self, key: SeriesKey) -> Arc<Gauge> {
         self.gauges.lock().entry(key).or_default().clone()

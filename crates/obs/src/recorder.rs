@@ -7,14 +7,10 @@
 //! collecting [`Recorder`]; [`set_enabled`](crate::set_enabled) toggles
 //! collection without losing what was already gathered.
 
-use crate::flight::{FlightKind, FlightRing};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use crate::span::{span_metric_name, SpanEvent};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-
-/// Capacity of the recorder's own blackbox ring (span-end edges).
-const RECORDER_FLIGHT_CAPACITY: usize = 256;
 
 /// Destination for completed spans and home of the metrics registry.
 ///
@@ -22,8 +18,6 @@ const RECORDER_FLIGHT_CAPACITY: usize = 256;
 /// instrumented code only ever talks to `dyn Record` through
 /// [`crate::global`].
 pub trait Record: Send + Sync {
-    /// Whether this recorder keeps anything at all.
-    fn is_enabled(&self) -> bool;
     /// Accepts one completed span.
     fn record_span(&self, event: SpanEvent);
     /// The metrics registry, if this recorder has one.
@@ -35,10 +29,6 @@ pub trait Record: Send + Sync {
 pub struct NoopRecorder;
 
 impl Record for NoopRecorder {
-    fn is_enabled(&self) -> bool {
-        false
-    }
-
     fn record_span(&self, _event: SpanEvent) {}
 
     fn registry(&self) -> Option<&MetricsRegistry> {
@@ -48,35 +38,17 @@ impl Record for NoopRecorder {
 
 /// A thread-safe collecting recorder: spans into a vector, durations
 /// into per-span-name latency histograms, metrics into a
-/// [`MetricsRegistry`], and span-end edges into a process-wide
-/// blackbox [`FlightRing`].
-#[derive(Debug)]
+/// [`MetricsRegistry`].
+#[derive(Debug, Default)]
 pub struct Recorder {
     events: Mutex<Vec<SpanEvent>>,
     metrics: MetricsRegistry,
-    flight: FlightRing,
-}
-
-impl Default for Recorder {
-    fn default() -> Self {
-        Self {
-            events: Mutex::default(),
-            metrics: MetricsRegistry::default(),
-            flight: FlightRing::new(RECORDER_FLIGHT_CAPACITY),
-        }
-    }
 }
 
 impl Recorder {
     /// An empty recorder.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The recorder's own blackbox: the last few hundred span-end
-    /// edges, retained even after [`Self::drain_events`].
-    pub fn flight(&self) -> &FlightRing {
-        &self.flight
     }
 
     /// Copy of the span events collected so far.
@@ -107,29 +79,18 @@ impl Recorder {
         }
     }
 
-    /// Clears events, metrics, and the blackbox (fresh start between
-    /// runs).
+    /// Clears events and metrics (fresh start between runs).
     pub fn reset(&self) {
         self.events.lock().clear();
         self.metrics.reset();
-        self.flight.reset();
     }
 }
 
 impl Record for Recorder {
-    fn is_enabled(&self) -> bool {
-        true
-    }
-
     fn record_span(&self, event: SpanEvent) {
         self.metrics
             .histogram(&span_metric_name(&event.name))
             .record(event.duration_us as f64 / 1e6);
-        // Span names are &'static at every call site, but they arrive
-        // here as owned strings; the blackbox keeps a generic edge
-        // label and carries the ids in the numeric attachments.
-        self.flight
-            .push(FlightKind::SpanEnd, "span", event.trace as f64, event.duration_us as f64);
         self.events.lock().push(event);
     }
 
@@ -142,7 +103,7 @@ impl Record for Recorder {
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct ObsSnapshot {
     /// Span events collected (the full stream stays on the recorder;
-    /// export it with [`crate::sink::events_to_jsonl`]).
+    /// export it with [`crate::sink::events_to_chrome_trace`]).
     pub span_events: usize,
     /// Every counter, gauge, and histogram at snapshot time.
     pub metrics: MetricsSnapshot,
@@ -187,17 +148,16 @@ mod tests {
         r.metrics().counter("c").inc();
         assert_eq!(r.drain_events().len(), 1);
         assert_eq!(r.event_count(), 0);
-        // The blackbox survives the drain but not the reset.
-        assert_eq!(r.flight().depth(), 1);
+        // The drain keeps the span-folded histogram; the reset does not.
+        assert_eq!(r.snapshot().metrics.histogram("a_seconds").map(|h| h.count), Some(1));
         r.reset();
         assert!(r.snapshot().metrics.counters.is_empty());
-        assert_eq!(r.flight().depth(), 0);
+        assert!(r.snapshot().metrics.histograms.is_empty());
     }
 
     #[test]
     fn noop_recorder_drops_everything() {
         let noop = NoopRecorder;
-        assert!(!noop.is_enabled());
         noop.record_span(event("a", 1));
         assert!(noop.registry().is_none());
     }

@@ -1,114 +1,15 @@
-//! Telemetry sinks: JSONL span export, Chrome/Perfetto trace-event
-//! JSON, and Prometheus text exposition.
+//! Telemetry sinks: Chrome/Perfetto trace-event JSON for spans, and
+//! Prometheus text exposition for metrics.
 //!
 //! All formats are plain text so a run's telemetry can be inspected
 //! with standard tools (`jq`, `promtool`, the Perfetto UI, a text
 //! editor) without any LPVS-specific tooling.
 
-use crate::json::{Json, JsonError};
+use crate::json::Json;
 use crate::metrics::{HistogramSnapshot, MetricsSnapshot, SeriesKey};
 use crate::span::SpanEvent;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
-
-/// Serializes one span event to a single-line JSON object.
-pub fn event_to_json(event: &SpanEvent) -> Json {
-    Json::obj([
-        ("name", Json::Str(event.name.clone())),
-        ("trace", Json::Num(event.trace as f64)),
-        ("id", Json::Num(event.id as f64)),
-        (
-            "parent",
-            match event.parent {
-                Some(p) => Json::Num(p as f64),
-                None => Json::Null,
-            },
-        ),
-        ("thread", Json::Num(event.thread as f64)),
-        ("start_us", Json::Num(event.start_us as f64)),
-        ("duration_us", Json::Num(event.duration_us as f64)),
-        (
-            "fields",
-            Json::Arr(
-                event
-                    .fields
-                    .iter()
-                    .map(|(k, v)| Json::Arr(vec![Json::Str(k.clone()), Json::Num(*v)]))
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// Reconstructs a span event from its JSON object form.
-pub fn event_from_json(value: &Json) -> Result<SpanEvent, JsonError> {
-    let missing = |what: &str| JsonError {
-        message: format!("span event missing or malformed field '{what}'"),
-        offset: 0,
-    };
-    let fields = value
-        .get("fields")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| missing("fields"))?
-        .iter()
-        .map(|pair| {
-            let pair = pair.as_arr().filter(|p| p.len() == 2);
-            match pair {
-                Some([k, v]) => match (k.as_str(), v.as_f64()) {
-                    (Some(k), Some(v)) => Ok((k.to_owned(), v)),
-                    _ => Err(missing("fields")),
-                },
-                _ => Err(missing("fields")),
-            }
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(SpanEvent {
-        name: value
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| missing("name"))?
-            .to_owned(),
-        // Absent in pre-trace-id exports; trace 0 marks "unknown".
-        trace: value.get("trace").and_then(Json::as_u64).unwrap_or(0),
-        id: value.get("id").and_then(Json::as_u64).ok_or_else(|| missing("id"))?,
-        parent: match value.get("parent") {
-            Some(Json::Null) | None => None,
-            Some(p) => Some(p.as_u64().ok_or_else(|| missing("parent"))?),
-        },
-        thread: value
-            .get("thread")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| missing("thread"))?,
-        start_us: value
-            .get("start_us")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| missing("start_us"))?,
-        duration_us: value
-            .get("duration_us")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| missing("duration_us"))?,
-        fields,
-    })
-}
-
-/// Renders span events as JSON Lines: one compact object per line,
-/// trailing newline after the last event.
-pub fn events_to_jsonl(events: &[SpanEvent]) -> String {
-    let mut out = String::new();
-    for event in events {
-        let _ = writeln!(out, "{}", event_to_json(event));
-    }
-    out
-}
-
-/// Parses JSON Lines produced by [`events_to_jsonl`]. Blank lines are
-/// skipped; any malformed line is an error.
-pub fn events_from_jsonl(text: &str) -> Result<Vec<SpanEvent>, JsonError> {
-    text.lines()
-        .filter(|line| !line.trim().is_empty())
-        .map(|line| event_from_json(&Json::parse(line)?))
-        .collect()
-}
 
 /// Renders span events as Chrome trace-event JSON — the format the
 /// Perfetto UI (<https://ui.perfetto.dev>) and `chrome://tracing` load
@@ -263,26 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_round_trips_events() {
-        let events = sample_events();
-        let text = events_to_jsonl(&events);
-        assert_eq!(text.lines().count(), 2);
-        for line in text.lines() {
-            assert!(Json::parse(line).is_ok());
-        }
-        assert_eq!(events_from_jsonl(&text).unwrap(), events);
-    }
-
-    #[test]
-    fn jsonl_skips_blank_lines_rejects_garbage() {
-        let events = sample_events();
-        let text = format!("\n{}\n", events_to_jsonl(&events));
-        assert_eq!(events_from_jsonl(&text).unwrap(), events);
-        assert!(events_from_jsonl("{\"name\": \"x\"}\n").is_err());
-        assert!(events_from_jsonl("not json\n").is_err());
-    }
-
-    #[test]
     fn prometheus_exposition_shape() {
         let registry = MetricsRegistry::new();
         registry.counter("sched_runs_total").add(3);
@@ -382,15 +263,6 @@ mod tests {
         assert!(text.contains("g_nan NaN\n"));
         assert!(text.contains("g_pinf +Inf\n"));
         assert!(text.contains("g_ninf -Inf\n"));
-    }
-
-    #[test]
-    fn jsonl_tolerates_missing_trace_field() {
-        // Pre-trace-id exports lack "trace"; they parse with trace 0.
-        let line = "{\"name\":\"x\",\"id\":1,\"parent\":null,\"thread\":1,\
-                    \"start_us\":0,\"duration_us\":5,\"fields\":[]}\n";
-        let events = events_from_jsonl(line).unwrap();
-        assert_eq!(events[0].trace, 0);
     }
 
     #[test]

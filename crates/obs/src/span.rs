@@ -15,8 +15,9 @@
 //! thread-local stack. Parentage never leaks across threads
 //! *implicitly* — a bare [`crate::span!`] on a new thread starts a new
 //! trace — but it can be handed off *deliberately*: capture a
-//! [`SpanContext`] with [`SpanGuard::context`],
-//! ship it across the channel hop, and open the remote span with
+//! [`SpanContext`] with [`SpanGuard::context`] (or
+//! [`crate::current_context`] for the innermost open span), ship it
+//! across the channel hop, and open the remote span with
 //! [`crate::start_span_with`]. That is how shard-worker solve spans
 //! stay children of the hub's slot span.
 
@@ -103,6 +104,11 @@ thread_local! {
     // Each entry is the (span id, trace id) of an open span on this
     // thread; children read their parent and trace from the top.
     static SPAN_STACK: RefCell<Vec<(u64, u64)>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The context of the innermost span open on this thread, if any.
+pub(crate) fn current_context() -> Option<SpanContext> {
+    SPAN_STACK.with(|stack| stack.borrow().last().map(|&(span, trace)| SpanContext { trace, span }))
 }
 
 /// Dense id of the current thread (for span attribution).

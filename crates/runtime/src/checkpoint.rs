@@ -628,10 +628,7 @@ impl CheckpointStore {
             let _ = fs::remove_file(&evicted.path);
         }
         self.checkpoints_written += 1;
-        if lpvs_obs::enabled() {
-            lpvs_obs::inc("recovery_checkpoints_total");
-            lpvs_obs::observe("recovery_checkpoint_seconds", started.elapsed().as_secs_f64());
-        }
+        lpvs_obs::observe("recovery_checkpoint_seconds", started.elapsed().as_secs_f64());
 
         let round = self.round.as_mut().expect("round checked above");
         round.done[shard] = true;

@@ -195,7 +195,7 @@ impl SlotLoop {
     ) -> Option<crate::GatheredSlot> {
         let start = Instant::now();
         let gathered = driver.gather(slot, posteriors, self.recycled.take());
-        observe_stage("runtime_gather_seconds", "gather", start);
+        observe_stage("gather", start);
         gathered
     }
 
@@ -203,16 +203,14 @@ impl SlotLoop {
     fn apply<D: SlotSink>(&mut self, driver: &mut D, slot: usize) {
         let start = Instant::now();
         self.feedback = driver.apply(slot).observations;
-        observe_stage("runtime_apply_seconds", "apply", start);
-        lpvs_obs::inc("runtime_slots_total");
+        observe_stage("apply", start);
         self.slots += 1;
     }
 }
 
-fn observe_stage(series: &str, stage: &str, start: Instant) {
+fn observe_stage(stage: &str, start: Instant) {
     if lpvs_obs::enabled() {
         let secs = start.elapsed().as_secs_f64();
-        lpvs_obs::observe(series, secs);
         lpvs_obs::observe_labeled("runtime_stage_seconds", &[("stage", stage)], secs);
     }
 }
@@ -518,7 +516,6 @@ impl SlotRuntime {
         if manifest.generations.len() != k {
             return Err(CheckpointError::Manifest("manifest shard count mismatch"));
         }
-        let restore_start = Instant::now();
         let mut shards = Vec::with_capacity(k);
         for (s, &gen) in manifest.generations.iter().enumerate() {
             let snapshot = store.load_generation(s, gen)?;
@@ -550,10 +547,6 @@ impl SlotRuntime {
                 driver.stage_decision(d.slot, &d.device_ids, &d.selected, d.tier);
             }
             driver.replay_slot(t);
-        }
-        if lpvs_obs::enabled() {
-            lpvs_obs::observe("recovery_restore_seconds", restore_start.elapsed().as_secs_f64());
-            lpvs_obs::gauge_set("recovery_restored_slots", slot as f64);
         }
         Ok(self.run_from(driver, shards, owner, slot, Some(store), Some(slot)))
     }
@@ -799,8 +792,8 @@ impl SlotRuntime {
         ops: &BankOps,
         run: &mut SlotLoop,
     ) {
-        // The same root the worker loop opens per slot, so `fleet.slot`
-        // and the driver's spans have a parent under either executor.
+        // The same root the worker loop opens per slot, so the shard
+        // spans and the driver's have a parent under either executor.
         let _slot_span = lpvs_obs::span!("runtime.slot", "slot" => slot);
         run.learn(bank);
         for &(d, stale) in &ops.forgets {
@@ -940,7 +933,6 @@ impl SlotRuntime {
         pending: &PendingSolve,
         shipped: &ShardState,
     ) -> Option<BayesBank> {
-        let started = Instant::now();
         let bank = if let Some(store) = sup.store.as_mut() {
             // `restore_latest` walks generations newest-first, skipping
             // any that fail checksum/decode. If it skipped (or ran out
@@ -971,9 +963,6 @@ impl SlotRuntime {
             sup.report.shards[shard].inflight_restores += 1;
             shipped.bank.clone()
         };
-        if lpvs_obs::enabled() {
-            lpvs_obs::observe("recovery_restore_seconds", started.elapsed().as_secs_f64());
-        }
         Some(bank)
     }
 
@@ -1017,7 +1006,6 @@ impl SlotRuntime {
                     let s = state.shard;
                     hub.workers_lost += 1;
                     sup.report.shards[s].deaths += 1;
-                    lpvs_obs::inc("recovery_deaths_total");
                     if lpvs_obs::enabled() {
                         lpvs_obs::inc_labeled(
                             "runtime_worker_deaths_total",
@@ -1108,7 +1096,6 @@ impl SlotRuntime {
         );
         if lpvs_obs::enabled() {
             let assembled = wait.elapsed().as_secs_f64() - waited;
-            lpvs_obs::observe("runtime_solve_wait_seconds", waited);
             lpvs_obs::observe_labeled("runtime_stage_seconds", &[("stage", "join")], waited);
             lpvs_obs::observe_labeled("runtime_stage_seconds", &[("stage", "assemble")], assembled);
         }

@@ -239,12 +239,6 @@ pub(crate) fn spawn_worker(
                         "observations" => observations.len(),
                         "forgets" => forgets.len()
                     );
-                    ring.push(
-                        FlightKind::BankOp,
-                        "prepare",
-                        observations.len() as f64,
-                        forgets.len() as f64,
-                    );
                     for (d, ratio) in observations {
                         state.bank.observe_or_forget(d, ratio);
                     }
@@ -293,7 +287,7 @@ pub(crate) fn spawn_worker(
                     // handle — released before announcing, so the hub's
                     // is unique once all shards report.
                     let (schedule, terms) =
-                        solve_slice(&scheduler, shard, job, &mut state.memo, &ring).unzip();
+                        solve_slice(&scheduler, shard, job, &mut state.memo).unzip();
                     ring.push(
                         FlightKind::SpanEnd,
                         "solve",
@@ -313,7 +307,6 @@ pub(crate) fn spawn_worker(
                 WorkerMsg::Checkpoint { slot } => {
                     let bank = lpvs_bayes::codec::bank_to_bytes(&state.bank);
                     let memo = state.memo.as_ref().map(crate::checkpoint::memo_to_bytes);
-                    ring.push(FlightKind::CheckpointSeal, "seal", slot as f64, bank.len() as f64);
                     if events
                         .send(WorkerEvent::Checkpointed { shard, slot, bank, memo })
                         .is_err()
@@ -326,13 +319,11 @@ pub(crate) fn spawn_worker(
                         .bank
                         .take(device)
                         .expect("migration routed through the ownership map");
-                    ring.push(FlightKind::Migrate, "out", device as f64, 0.0);
                     if reply.send(est).is_err() {
                         return;
                     }
                 }
                 WorkerMsg::MigrateIn { device, estimator } => {
-                    ring.push(FlightKind::Migrate, "in", device as f64, 0.0);
                     state.bank.insert(device, estimator);
                 }
                 WorkerMsg::Finish => {
@@ -372,46 +363,37 @@ impl DeltaPath {
 
 /// Decides the solve path for a job against the shard's memo. Returns
 /// the path plus the shard-local dirty positions (for the incremental
-/// path) and, when a live memo had to be discarded, the reset reason
-/// for the flight ring.
-fn classify_delta(
-    job: &SolveJob,
-    memo: &Option<ShardDeltaMemo>,
-) -> (DeltaPath, Vec<usize>, Option<&'static str>) {
+/// path) and whether a live memo has to be discarded (a forced cold
+/// solve, a population, epoch or capacity change).
+fn classify_delta(job: &SolveJob, memo: &Option<ShardDeltaMemo>) -> (DeltaPath, Vec<usize>, bool) {
     let Some(delta) = job.gathered.delta.as_ref() else {
         // Sources that don't track deltas solve cold every slot; no
-        // memo was promised, so nothing is "reset".
-        return (DeltaPath::Cold, Vec::new(), None);
+        // memo was promised, so nothing is reset.
+        return (DeltaPath::Cold, Vec::new(), false);
     };
-    if job.force_cold {
-        return (DeltaPath::Cold, Vec::new(), memo.is_some().then_some("force_cold"));
-    }
     let Some(memo) = memo.as_ref() else {
-        return (DeltaPath::Cold, Vec::new(), None);
+        return (DeltaPath::Cold, Vec::new(), false);
     };
-    if memo.indices != job.indices {
-        return (DeltaPath::Cold, Vec::new(), Some("population"));
-    }
-    if delta.epoch != memo.epoch + 1 {
-        return (DeltaPath::Cold, Vec::new(), Some("stale_epoch"));
-    }
-    if memo.compute_capacity.to_bits() != job.compute_capacity.to_bits()
+    if job.force_cold
+        || memo.indices != job.indices
+        || delta.epoch != memo.epoch + 1
+        || memo.compute_capacity.to_bits() != job.compute_capacity.to_bits()
         || memo.storage_capacity_gb.to_bits() != job.storage_capacity_gb.to_bits()
         || memo.lambda.to_bits() != job.gathered.lambda.to_bits()
     {
-        return (DeltaPath::Cold, Vec::new(), Some("capacity"));
+        return (DeltaPath::Cold, Vec::new(), true);
     }
     let local = shard_frontier(&job.indices, &delta.dirty);
     if local.is_empty() {
-        (DeltaPath::Reuse, local, None)
+        (DeltaPath::Reuse, local, false)
     } else if local.len() * MAX_INCREMENTAL_FRACTION_DEN
         > job.indices.len() * MAX_INCREMENTAL_FRACTION_NUM
     {
         // Past the gate a cold solve is cheaper; the memo survives and
         // stays continuous (it is refreshed from this solve).
-        (DeltaPath::Cold, local, None)
+        (DeltaPath::Cold, local, false)
     } else {
-        (DeltaPath::Incremental, local, None)
+        (DeltaPath::Incremental, local, false)
     }
 }
 
@@ -427,7 +409,6 @@ fn solve_slice(
     shard: usize,
     job: SolveJob,
     memo: &mut Option<ShardDeltaMemo>,
-    ring: &FlightRing,
 ) -> Option<(Schedule, ShardTerms)> {
     // Parented on the hub's slot span via the shipped context, so the
     // solve shows up under its slot's trace instead of as an orphan
@@ -438,19 +419,11 @@ fn solve_slice(
     );
     let started = std::time::Instant::now();
     let (path, local_dirty, reset) = classify_delta(&job, memo);
-    if let Some(reason) = reset {
+    if reset {
         *memo = None;
-        ring.push(FlightKind::DeltaReset, reason, job.slot as f64, shard as f64);
-        lpvs_obs::inc("delta_reset_total");
     }
     span.record("frontier", local_dirty.len() as f64);
     if lpvs_obs::enabled() {
-        let shard_label = shard.to_string();
-        lpvs_obs::gauge_set_labeled(
-            "delta_dirty_devices",
-            &[("shard", &shard_label)],
-            local_dirty.len() as f64,
-        );
         lpvs_obs::inc_labeled("delta_solve_total", &[("path", path.label())]);
         // A cold solve accounts every row, a reuse none, an incremental
         // one counts its own (`solve_incremental`).

@@ -357,9 +357,6 @@ impl Shared {
         q.ops.push_back(op);
         let occupancy = q.ops.len() as f64 / q.capacity as f64;
         q.shed_high_water = q.shed_high_water.max(shed_floor(occupancy));
-        if lpvs_obs::enabled() {
-            lpvs_obs::gauge_set("serve_queue_depth", q.ops.len() as f64);
-        }
         drop(q);
         self.clock.notify_all();
         true
@@ -643,8 +640,8 @@ impl ServeEngine {
         // Fail-stop on journal I/O errors would lose availability for a
         // durability feature; log-and-continue keeps serving (the op was
         // acknowledged as at-most-once anyway).
-        if file.write_all(buf.as_bytes()).and_then(|()| file.sync_data()).is_err() {
-            lpvs_obs::inc("serve_journal_errors_total");
+        if let Err(e) = file.write_all(buf.as_bytes()).and_then(|()| file.sync_data()) {
+            eprintln!("lpvs-serve: journal append failed: {e}");
         }
     }
 
@@ -711,9 +708,6 @@ impl ServeEngine {
         }
         let ops: Vec<Op> = q.ops.drain(..).collect();
         let shed = std::mem::replace(&mut q.shed_high_water, Degradation::Exact);
-        if lpvs_obs::enabled() {
-            lpvs_obs::gauge_set("serve_queue_depth", 0.0);
-        }
         Some((ops, shed))
     }
 
@@ -732,6 +726,14 @@ impl ServeEngine {
 
 impl SlotSource for ServeEngine {
     fn begin_slot(&mut self, slot: usize) -> Option<BankOps> {
+        // `/metrics` renders the histograms spans fold into; no endpoint
+        // exports the span events themselves, so the last slot's are
+        // dropped here instead of piling up for the life of the server.
+        if lpvs_obs::enabled() {
+            if let Some(recorder) = lpvs_obs::installed() {
+                recorder.drain_events();
+            }
+        }
         if let Some(h) = self.config.horizon {
             if slot >= h {
                 return None;
@@ -771,10 +773,6 @@ impl SlotSource for ServeEngine {
         self.queries = queries.clone();
         if lpvs_obs::enabled() {
             lpvs_obs::inc("serve_slots_total");
-            lpvs_obs::gauge_set(
-                "serve_shed_floor",
-                shed.severity() as f64,
-            );
             let retained: usize = self.journaled.iter().map(|j| j.ops.len()).sum();
             lpvs_obs::gauge_set("serve_journal_retained_ops", retained as f64);
         }
@@ -863,9 +861,6 @@ impl SlotSink for ServeEngine {
         {
             let mut status = self.shared.status.lock().expect("status poisoned");
             status.slots = self.applied;
-        }
-        if lpvs_obs::enabled() {
-            lpvs_obs::gauge_set("serve_slot", slot as f64);
         }
         SlotFeedback { observations }
     }

@@ -592,39 +592,32 @@ fn handle_connection(
                 Err(_) => break Close::Error,
             }
         }
-        let (endpoint, status, content_type, body, verdict) =
+        let (status, content_type, body, verdict) =
             match parse_request(&mut stream, limits, started + deadline) {
                 Ok(req) => {
-                    let endpoint = endpoint_of(&req);
                     let (status, content_type, body) = route(&req, shared, max_devices);
                     let verdict = if !req.keep_alive {
                         Some(Close::Client)
-                    } else if endpoint == "shutdown" {
+                    } else if req.path == "/v1/shutdown" {
                         Some(Close::Drain)
                     } else if served + 1 >= REQUESTS_PER_CONNECTION {
                         Some(Close::Budget)
                     } else {
                         conns.must_yield()
                     };
-                    (endpoint, status, content_type, body, verdict)
+                    (status, content_type, body, verdict)
                 }
                 // The peer hung up (or was reset) before a whole request.
                 Err(HttpError::ConnectionClosed) => break Close::Client,
                 Err(e) => {
                     let status = e.status();
                     let body = error_body(status, "malformed request");
-                    ("parse", status, "application/json", body, Some(Close::Error))
+                    (status, "application/json", body, Some(Close::Error))
                 }
             };
         let written = stream.write_all(&render_reply(status, content_type, &body, verdict.is_none()));
         served += 1;
-        if lpvs_obs::enabled() {
-            lpvs_obs::observe("serve_request_seconds", started.elapsed().as_secs_f64());
-            lpvs_obs::inc_labeled(
-                "serve_requests_total",
-                &[("endpoint", endpoint), ("status", &status.to_string())],
-            );
-        }
+        lpvs_obs::observe("serve_request_seconds", started.elapsed().as_secs_f64());
         match (written, verdict) {
             (Err(_), _) => break Close::Error,
             (Ok(()), Some(close)) => break close,
@@ -635,21 +628,6 @@ fn handle_connection(
         lpvs_obs::inc("serve_connections_total");
         lpvs_obs::observe("serve_connection_requests", served as f64);
         lpvs_obs::inc_labeled("serve_connection_close_total", &[("reason", close.label())]);
-    }
-}
-
-/// Static endpoint label for metrics (bounded cardinality).
-fn endpoint_of(req: &Request) -> &'static str {
-    match req.path.as_str() {
-        "/v1/telemetry" => "telemetry",
-        "/v1/sessions" => "sessions",
-        "/v1/brownout" => "brownout",
-        "/v1/tick" => "tick",
-        "/v1/shutdown" => "shutdown",
-        "/metrics" => "metrics",
-        "/healthz" => "healthz",
-        p if p.starts_with("/v1/schedule/") => "schedule",
-        _ => "other",
     }
 }
 
@@ -832,7 +810,6 @@ fn post_session(req: &Request, shared: &Shared, max_devices: usize) -> Routed {
             }
             if !adm.fits_one() {
                 adm.rejected += 1;
-                lpvs_obs::inc("serve_sessions_rejected_total");
                 return json_err(429, "admission control: no capacity");
             }
             // Reserve before enqueueing so a concurrent arrival can't
@@ -842,13 +819,8 @@ fn post_session(req: &Request, shared: &Shared, max_devices: usize) -> Routed {
             adm.compute_reserved += crate::engine::SESSION_COMPUTE_COST;
             adm.storage_reserved_gb += crate::engine::SESSION_STORAGE_GB;
             adm.accepted += 1;
-            let active = adm.active_sessions();
             drop(adm);
             if shared.enqueue(Op::Arrive { device, energy_j, gamma, oled }) {
-                if lpvs_obs::enabled() {
-                    lpvs_obs::inc("serve_sessions_accepted_total");
-                    lpvs_obs::gauge_set("serve_sessions_active", active as f64);
-                }
                 json_ok(202, Json::obj([("admitted", Json::Bool(true))]))
             } else {
                 let mut adm = shared.admission.lock().expect("admission poisoned");
@@ -868,11 +840,7 @@ fn post_session(req: &Request, shared: &Shared, max_devices: usize) -> Routed {
                 adm.active[device] = false;
                 adm.compute_reserved -= crate::engine::SESSION_COMPUTE_COST;
                 adm.storage_reserved_gb -= crate::engine::SESSION_STORAGE_GB;
-                let active = adm.active_sessions();
                 drop(adm);
-                if lpvs_obs::enabled() {
-                    lpvs_obs::gauge_set("serve_sessions_active", active as f64);
-                }
                 json_ok(202, Json::obj([("departed", Json::Bool(true))]))
             } else {
                 json_err(429, "telemetry queue full — shed")

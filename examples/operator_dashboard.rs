@@ -1,13 +1,12 @@
 //! Operator's view of one scheduling slot: who got the transform and
 //! why, and what the edge capacity went to — and the slot's telemetry
-//! (a Perfetto-loadable Chrome trace, metrics in Prometheus exposition,
-//! JSONL span export, and the blackbox flight-recorder depth).
+//! (a Perfetto-loadable Chrome trace and metrics in Prometheus
+//! exposition).
 //!
 //! Run with: `cargo run --example operator_dashboard`
 //!
-//! Writes `obs_trace.json` (open it at <https://ui.perfetto.dev>),
-//! `obs_events.jsonl`, and `obs_metrics.prom` to the current
-//! directory.
+//! Writes `obs_trace.json` (open it at <https://ui.perfetto.dev>) and
+//! `obs_metrics.prom` to the current directory.
 //!
 //! To render a *running* `lpvs-serve` instead of an in-process
 //! snapshot, scrape it with the `lpvs-obs` bin:
@@ -104,9 +103,10 @@ fn main() {
         schedule.stats.runtime
     );
 
-    // Drive the same fleet through the 2-shard scoped-thread scheduler
-    // so the trace shows the cross-thread handoff: each `fleet.shard`
-    // span runs on a worker thread yet is parented under `fleet.slot`.
+    // Drive the same fleet through the 2-shard scoped-thread scheduler:
+    // each `fleet.shard` span runs on its own thread and is parented
+    // under the span the caller has open — in an executor the slot's
+    // `runtime.slot`; here there is none, so each shard roots a trace.
     let device_fleet = DeviceFleet::from_problem(&problem);
     let server = EdgeServer::new(6.0, 2.0);
     let fleet_schedule = FleetScheduler::with_shards(2).schedule(
@@ -139,11 +139,6 @@ fn main() {
         traces.len(),
         orphans,
     );
-    println!(
-        "flight recorder: {}/{} blackbox events retained",
-        recorder.flight().depth(),
-        recorder.flight().capacity(),
-    );
 
     let metrics = recorder.metrics().snapshot();
     println!("\nmetrics (Prometheus exposition):");
@@ -151,13 +146,10 @@ fn main() {
 
     std::fs::write("obs_trace.json", sink::events_to_chrome_trace(&events))
         .expect("write obs_trace.json");
-    std::fs::write("obs_events.jsonl", sink::events_to_jsonl(&events))
-        .expect("write obs_events.jsonl");
     std::fs::write("obs_metrics.prom", sink::render_prometheus(&metrics))
         .expect("write obs_metrics.prom");
     println!(
-        "\nwrote obs_trace.json ({} spans — open at https://ui.perfetto.dev), \
-         obs_events.jsonl, obs_metrics.prom",
+        "\nwrote obs_trace.json ({} spans — open at https://ui.perfetto.dev) and obs_metrics.prom",
         events.len()
     );
 }

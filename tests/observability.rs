@@ -1,24 +1,38 @@
 //! End-to-end telemetry: a recorder-enabled emulator run must yield
 //! per-stage latency histograms, a latency histogram for every
-//! degradation tier the run exercised, a lossless JSONL span export,
-//! and well-formed Prometheus exposition text.
+//! degradation tier the run exercised, and well-formed Prometheus
+//! exposition text; every series any run emits is a row of DESIGN
+//! §5c's table, and every row is emitted or names the test that reads
+//! it.
 //!
 //! Lives in its own integration-test binary so the process-global
 //! recorder cannot interfere with other tests; the tests in it take
 //! turns.
 
 use lpvs::core::baseline::Policy;
-use lpvs::core::scheduler::Degradation;
-use lpvs::emulator::engine::{Emulator, EmulatorConfig, GammaMode};
-use lpvs::emulator::faults::FaultConfig;
+use lpvs::core::budget::SlotBudget;
+use lpvs::core::fleet::DeviceFleet;
 use lpvs::core::phase1::{solve_phase1, Phase1Config};
 use lpvs::core::problem::{DeviceRequest, SlotProblem};
 use lpvs::core::provision::price_capacity;
-use lpvs::edge::fleet::FleetConfig;
-use lpvs::obs::sink::{events_from_jsonl, events_to_jsonl, render_prometheus};
+use lpvs::core::scheduler::Degradation;
+use lpvs::display::spec::Resolution;
+use lpvs::edge::fleet::{FleetConfig, FleetScheduler};
+use lpvs::edge::server::EdgeServer;
+use lpvs::emulator::engine::{CheckpointSpec, Emulator, EmulatorConfig, GammaMode};
+use lpvs::emulator::faults::FaultConfig;
+use lpvs::obs::dashboard::parse_prometheus;
+use lpvs::obs::sink::render_prometheus;
+use lpvs::obs::{span_metric_name, MetricsSnapshot, SeriesKey, SpanEvent};
 use lpvs::runtime::{RuntimeConfig, SlotRuntime, SyntheticConfig, SyntheticDriver};
 use lpvs::survey::curve::AnxietyCurve;
+use lpvs_serve::http::{read_response, render_request, Response};
+use lpvs_serve::{serve, ServeConfig, ServerHandle};
+use std::collections::{BTreeMap, BTreeSet};
+use std::io::{BufReader, Write};
+use std::net::TcpStream;
 use std::sync::{Mutex, PoisonError};
+use std::time::Duration;
 
 static RECORDER: Mutex<()> = Mutex::new(());
 
@@ -174,14 +188,31 @@ fn faulty_emulation_produces_full_telemetry() {
     // The executor's own stage series, one sample per slot — from the
     // inline executor too (this run is inline), so the default emulator
     // path has a gather / apply breakdown.
-    for (stage, series) in [("gather", "runtime_gather_seconds"), ("apply", "runtime_apply_seconds")] {
+    for stage in ["gather", "apply"] {
         let labeled = metrics
             .histogram_labeled("runtime_stage_seconds", &[("stage", stage)])
             .unwrap_or_else(|| panic!("missing runtime_stage_seconds{{stage={stage}}}"));
         assert_eq!(labeled.count, slots as u64, "stage {stage}");
-        assert_eq!(metrics.histogram(series).map(|h| h.count), Some(slots as u64), "{series}");
     }
-    assert_eq!(metrics.counter("runtime_slots_total"), Some(slots as u64));
+
+    // The emulator's three stages are spans, one a slot; the driver's
+    // gather and apply hang from the executor's slot span (begin_slot
+    // runs before the executor opens it).
+    let events = recorder.events();
+    assert_eq!(events.len(), snapshot.span_events);
+    let runtime_slots: Vec<u64> =
+        events.iter().filter(|e| e.name == "runtime.slot").map(|e| e.id).collect();
+    assert_eq!(runtime_slots.len(), slots);
+    for stage in ["emu.content", "emu.gather", "emu.apply"] {
+        let spans: Vec<_> = events.iter().filter(|e| e.name == stage).collect();
+        assert_eq!(spans.len(), slots, "{stage}: one span a slot");
+        if stage != "emu.content" {
+            assert!(
+                spans.iter().all(|e| e.parent.is_some_and(|p| runtime_slots.contains(&p))),
+                "{stage} must be a child of runtime.slot"
+            );
+        }
+    }
     // The emulator ships no delta, so the join accounts every row it is
     // handed, every slot (faults shrink the fleet, so not 16 a slot).
     let accounted = metrics.counter_labeled("delta_accounting_rows_total", &[("owner", "join")]);
@@ -210,16 +241,12 @@ fn faulty_emulation_produces_full_telemetry() {
     assert_eq!(tier_total, runs, "every run lands in exactly one tier");
     assert!(tiers_hit >= 2, "25% faults should push the ladder past its exact rung");
 
-    // Edge gauges were published (brownouts move the factor below 1).
-    assert!(metrics.gauge("edge_brownout_factor").is_some());
-    assert!(metrics.gauge("edge_compute_capacity").is_some());
-
-    // JSONL export is lossless.
-    let events = recorder.events();
-    assert_eq!(events.len(), snapshot.span_events);
-    let jsonl = events_to_jsonl(&events);
-    let back = events_from_jsonl(&jsonl).expect("exported JSONL must parse");
-    assert_eq!(back, events);
+    // Edge gauges hold the last slot's brownout factor and the compute
+    // capacity the scheduler was offered under it.
+    let factor = metrics.gauge("edge_brownout_factor").expect("brownout factor published");
+    assert!((0.0..=1.0).contains(&factor), "factor {factor}");
+    let capacity = metrics.gauge("edge_compute_capacity").expect("capacity published");
+    assert!(capacity.is_finite() && capacity >= 0.0, "capacity {capacity}");
 
     // Prometheus text: every metric appears with a TYPE header, and
     // histograms end in a +Inf bucket plus sum/count.
@@ -232,5 +259,327 @@ fn faulty_emulation_produces_full_telemetry() {
         let inf = key.label_block(&[("le", "+Inf")]);
         assert!(prom.contains(&format!("{name}_bucket{inf} {}", h.count)), "{key}");
         assert!(prom.contains(&format!("{name}_count{} {}", key.label_block(&[]), h.count)), "{key}");
+    }
+}
+
+fn small_fleet(devices: usize) -> DeviceFleet {
+    let mut problem = SlotProblem::new(8.0, 4.0, 1.0, AnxietyCurve::paper_shape());
+    for i in 0..devices {
+        let watts = 1.1 + 0.05 * (i % 7) as f64;
+        let energy_j = 4_000.0 + 300.0 * i as f64;
+        problem.push(DeviceRequest::uniform(watts, 10.0, 12, energy_j, 55_440.0, 0.31, 2.0, 0.11));
+    }
+    DeviceFleet::from_problem(&problem)
+}
+
+/// `fleet_slot_seconds` is `FleetSchedule::runtime`: one sample a fleet
+/// slot, whether the scoped path or the worker executor joined it.
+#[test]
+fn one_fleet_slot_sample_per_fleet_slot() {
+    let _turn = RECORDER.lock().unwrap_or_else(PoisonError::into_inner);
+    let slots = 3;
+    let fleet = small_fleet(12);
+    let server = EdgeServer::new(8.0, 4.0);
+    let curve = AnxietyCurve::paper_shape();
+    let budget = SlotBudget::unbounded();
+    for shards in [1, 2] {
+        let recorder = lpvs::obs::init();
+        recorder.reset();
+        for _ in 0..slots {
+            FleetScheduler::with_shards(shards).schedule(&fleet, &server, 1.0, &curve, None, &budget);
+        }
+        lpvs::obs::set_enabled(false);
+        let samples = recorder.metrics().snapshot().histogram("fleet_slot_seconds").map(|h| h.count);
+        assert_eq!(samples, Some(slots as u64), "scoped path, {shards} shards");
+    }
+
+    let mut driver = SyntheticDriver::new(SyntheticConfig::steady(200, slots, 3));
+    let estimators = driver.estimators();
+    let runtime = RuntimeConfig {
+        fleet: FleetConfig { num_shards: 2, ..FleetConfig::default() },
+        ..RuntimeConfig::default()
+    };
+    let recorder = lpvs::obs::init();
+    recorder.reset();
+    let report = SlotRuntime::new(runtime).run(&mut driver, estimators);
+    lpvs::obs::set_enabled(false);
+    assert_eq!(report.summary.solved_slots, slots);
+    let samples = recorder.metrics().snapshot().histogram("fleet_slot_seconds").map(|h| h.count);
+    assert_eq!(samples, Some(slots as u64), "worker executor");
+}
+
+/// A Phase-1 solve whose branch-and-bound hits its node cap hands back
+/// an incumbent it could not certify; the exact arm says so in its
+/// result and counts it.
+#[test]
+fn phase1_counts_the_solves_it_could_not_certify() {
+    let _turn = RECORDER.lock().unwrap_or_else(PoisonError::into_inner);
+    // Four compute classes (the four resolutions' transform cost)
+    // against 100 units: the relaxation's root leaves a fractional row.
+    let resolutions = [Resolution::SD, Resolution::HD, Resolution::FHD, Resolution::QHD];
+    let mut classes = SlotProblem::new(100.0, 1e9, 1.0, AnxietyCurve::paper_shape());
+    for i in 0..200 {
+        let compute = lpvs::media::cost::transform_compute_units(resolutions[i % 4], 30.0);
+        let gamma = 0.15 + ((i * 7) % 30) as f64 / 100.0;
+        let watts = 1.2 + 0.01 * (i % 13) as f64;
+        classes.push(DeviceRequest::uniform(watts, 10.0, 30, 30_000.0, 55_440.0, gamma, compute, 0.11));
+    }
+    let solve = |problem: &SlotProblem, config: Phase1Config| {
+        lpvs::obs::init().reset();
+        let result = solve_phase1(problem, &config).unwrap();
+        lpvs::obs::set_enabled(false);
+        let metrics = lpvs::obs::installed().expect("recorder installed").metrics().snapshot();
+        (result.certified, metrics.counter("sched_phase1_uncertified_total").unwrap_or(0))
+    };
+    let capped = Phase1Config { node_limit: 1, ..Phase1Config::default() };
+    assert_eq!(solve(&classes, capped), (false, 1));
+    // The Fig. 10 shape closes within the default budget.
+    let fig10 = lpvs::emulator::experiment::synthetic_problem(2_000, 100.0, 1.0, 7);
+    assert_eq!(solve(&fig10, Phase1Config::default()), (true, 0));
+}
+
+/// One keep-alive connection to an in-process `lpvs-serve`.
+struct Client(BufReader<TcpStream>);
+
+impl Client {
+    fn boot(config: ServeConfig) -> (ServerHandle, Client) {
+        let handle = serve(config).expect("bind");
+        let stream = TcpStream::connect(handle.addr).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+        let mut client = Client(BufReader::new(stream));
+        while !text(&client.request("GET", "/healthz", "")).contains("\"live\"") {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        (handle, client)
+    }
+
+    fn request(&mut self, method: &str, path: &str, body: &str) -> Response {
+        self.0.get_mut().write_all(&render_request(method, path, body, false)).expect("send");
+        read_response(&mut self.0).expect("framed response")
+    }
+
+    fn post(&mut self, path: &str, body: &str) {
+        let reply = self.request("POST", path, body);
+        assert_eq!(reply.status, 202, "{path}: {}", text(&reply));
+    }
+
+    /// Ticks slot `t` and waits until its decision is published.
+    fn run_slot(&mut self, t: usize) {
+        self.post("/v1/tick", "{}");
+        while self.request("GET", &format!("/v1/schedule/{t}"), "").status != 200 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    fn shutdown(mut self, handle: ServerHandle) {
+        assert_eq!(self.request("POST", "/v1/shutdown", "{}").status, 200);
+        handle.join();
+        lpvs::obs::set_enabled(false);
+    }
+}
+
+fn text(response: &Response) -> String {
+    String::from_utf8_lossy(&response.body).into_owned()
+}
+
+/// Four sessions, then slots in which device `t % 4` reports: a slot
+/// with a dirty row solves (one with none reuses the last decision).
+fn serve_slots(client: &mut Client, slots: usize, mut after: impl FnMut(usize)) {
+    for d in 0..4 {
+        let arrive = format!("{{\"action\":\"arrive\",\"device\":{d},\"energy_j\":9000,\"gamma\":0.4}}");
+        client.post("/v1/sessions", &arrive);
+    }
+    for t in 0..slots {
+        client.post("/v1/telemetry", &format!("{{\"device\":{},\"energy_j\":{}}}", t % 4, 8_000 - t));
+        client.run_slot(t);
+        after(t);
+    }
+}
+
+/// `/metrics` is all `lpvs-serve` exports, so the recorder holds no more
+/// than the slot in flight's span events, however long the server runs —
+/// and the histograms the spans fold into count every slot.
+#[test]
+fn a_server_keeps_one_slots_spans() {
+    let _turn = RECORDER.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut config = ServeConfig::loopback(8);
+    config.shards = 1;
+    let (handle, mut client) = Client::boot(config);
+    let recorder = lpvs::obs::installed().expect("serve installs the recorder");
+    recorder.reset();
+    let slots = 200;
+    let mut held = Vec::with_capacity(slots);
+    serve_slots(&mut client, slots, |_| held.push(recorder.event_count()));
+    let metrics = recorder.metrics().snapshot();
+    client.shutdown(handle);
+
+    assert_eq!(metrics.histogram("sched_slot_seconds").map(|h| h.count), Some(slots as u64));
+    // A slot's worth: the span samples the run folded, per slot — twice
+    // that, since a reading may land before the next slot's drain and the
+    // cold first slot opens more spans than the incremental ones after it.
+    let spans: u64 = inventory()
+        .iter()
+        .filter(|row| row.kind == "span")
+        .filter_map(|row| metrics.histogram(&span_metric_name(&row.name)).map(|h| h.count))
+        .sum();
+    let per_slot = spans.div_ceil(slots as u64) as usize;
+    assert!(per_slot >= 3, "a served slot opens runtime.slot, .prepare, .solve at least");
+    assert!(held.iter().all(|&n| n <= 2 * per_slot), "{per_slot} span events a slot, held {held:?}");
+}
+
+/// One row of DESIGN §5c's table.
+struct Row {
+    name: String,
+    kind: String,
+    labels: BTreeSet<String>,
+    read_by: String,
+}
+
+fn inventory() -> Vec<Row> {
+    let design = include_str!("../DESIGN.md");
+    let start = design.find("## 5c. Observability").expect("DESIGN §5c");
+    let end = start + design[start..].find("\n## 6.").expect("DESIGN §6");
+    let ticked = |cell: &str| -> Vec<String> {
+        cell.split('`').skip(1).step_by(2).map(str::to_owned).collect()
+    };
+    design[start..end]
+        .lines()
+        .filter(|line| line.starts_with("| `"))
+        .map(|line| {
+            let cells: Vec<&str> = line.trim_matches('|').split('|').map(str::trim).collect();
+            assert_eq!(cells.len(), 5, "a table row has five cells: {line}");
+            Row {
+                name: ticked(cells[0]).remove(0),
+                kind: cells[1].to_owned(),
+                labels: ticked(cells[2]).into_iter().collect(),
+                read_by: cells[4].to_owned(),
+            }
+        })
+        .collect()
+}
+
+/// What runs emitted: each series' kind and label keys, and span names.
+#[derive(Default)]
+struct Emitted {
+    series: BTreeMap<String, (&'static str, BTreeSet<String>)>,
+    spans: BTreeSet<String>,
+}
+
+impl Emitted {
+    fn metrics(&mut self, metrics: &MetricsSnapshot) {
+        let mut add = |key: &SeriesKey, kind: &'static str| {
+            let entry = self.series.entry(key.name.clone()).or_insert((kind, BTreeSet::new()));
+            assert_eq!(entry.0, kind, "{} is emitted as two kinds", key.name);
+            entry.1.extend(key.labels.iter().map(|(k, _)| k.clone()));
+        };
+        metrics.counters.iter().for_each(|(key, _)| add(key, "counter"));
+        metrics.gauges.iter().for_each(|(key, _)| add(key, "gauge"));
+        metrics.histograms.iter().for_each(|(key, _)| add(key, "histogram"));
+    }
+
+    fn events(&mut self, events: &[SpanEvent]) {
+        self.spans.extend(events.iter().map(|e| e.name.clone()));
+    }
+}
+
+/// The table is the telemetry, both ways: whatever an emulated slot
+/// (inline and on shard workers with checkpoints and faults), a fleet
+/// schedule and a served slot emit is a row with that kind and those
+/// labels, and every row is emitted by one of them or names the test
+/// that asserts it.
+#[test]
+fn the_telemetry_inventory_is_the_design_table() {
+    let _turn = RECORDER.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut emitted = Emitted::default();
+    let record = |emitted: &mut Emitted, run: &dyn Fn()| {
+        let recorder = lpvs::obs::init();
+        recorder.reset();
+        run();
+        lpvs::obs::set_enabled(false);
+        emitted.metrics(&recorder.metrics().snapshot());
+        emitted.events(&recorder.drain_events());
+    };
+
+    let faults = FaultConfig::uniform(0.25, 2020 ^ 0xFA17);
+    let inline = EmulatorConfig { devices: 16, slots: 6, seed: 2020, faults, ..EmulatorConfig::default() };
+    record(&mut emitted, &|| drop(Emulator::new(inline, Policy::Lpvs).run()));
+
+    let dir = std::env::temp_dir().join(format!("lpvs-observability-it-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let workers = EmulatorConfig {
+        devices: 16,
+        slots: 12,
+        seed: 7,
+        one_slot_ahead: true,
+        pipelined: true,
+        num_edges: 2,
+        faults: FaultConfig {
+            stage_fault_rate: 0.25,
+            stage_fault_repeat: 1,
+            checkpoint_corrupt_rate: 0.5,
+            ..FaultConfig::none()
+        },
+        ..EmulatorConfig::default()
+    };
+    let spec = CheckpointSpec { interval: 2, ..CheckpointSpec::new(&dir) };
+    record(&mut emitted, &|| drop(Emulator::new(workers, Policy::Lpvs).with_checkpoints(spec.clone()).run()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let fleet = small_fleet(12);
+    let server = EdgeServer::new(8.0, 4.0);
+    let curve = AnxietyCurve::paper_shape();
+    let budget = SlotBudget::unbounded();
+    record(&mut emitted, &|| {
+        FleetScheduler::with_shards(2).schedule(&fleet, &server, 1.0, &curve, None, &budget);
+    });
+
+    let (handle, mut client) = Client::boot(ServeConfig::loopback(8));
+    lpvs::obs::installed().expect("serve installs the recorder").reset();
+    serve_slots(&mut client, 1, |_| {});
+    let mut scrape = || parse_prometheus(&text(&client.request("GET", "/metrics", ""))).expect("exposition parses");
+    let (first, scraped) = (scrape(), scrape());
+    client.shutdown(handle);
+    // Every answered request is a sample: the second scrape sees the
+    // first one's (and the 4 arrivals, the report, the tick, the polls).
+    let requests = |m: &MetricsSnapshot| m.histogram("serve_request_seconds").map_or(0, |h| h.count);
+    assert!(requests(&first) >= 7 && requests(&scraped) > requests(&first));
+    emitted.metrics(&scraped);
+
+    let rows = inventory();
+    let row = |name: &str| rows.iter().find(|r| r.name == name);
+    for span in &emitted.spans {
+        assert!(row(span).is_some_and(|r| r.kind == "span"), "span {span} is not a span row of DESIGN §5c");
+    }
+    for (name, (kind, labels)) in &emitted.series {
+        let fold = rows.iter().find(|r| r.kind == "span" && span_metric_name(&r.name) == *name);
+        if fold.is_some() {
+            assert_eq!((*kind, labels.len()), ("histogram", 0), "{name} is a span fold");
+            continue;
+        }
+        let r = row(name).unwrap_or_else(|| panic!("{name} ({kind}) is emitted but is no row of DESIGN §5c"));
+        assert_eq!(r.kind, *kind, "{name}: the table says {}", r.kind);
+        assert!(labels.is_subset(&r.labels), "{name}: labels {labels:?}, the table lists {:?}", r.labels);
+    }
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    for r in &rows {
+        let seen = match r.kind.as_str() {
+            "span" => emitted.spans.contains(&r.name) || emitted.series.contains_key(&span_metric_name(&r.name)),
+            _ => emitted.series.contains_key(&r.name),
+        };
+        if seen {
+            continue;
+        }
+        // Not emitted here: the row must name a test that reads it.
+        let asserted = r.read_by.split('`').skip(1).step_by(2).any(|cite| {
+            let Some((file, test)) = cite.split_once(".rs").map(|(f, rest)| (format!("{f}.rs"), rest)) else {
+                return false;
+            };
+            let source = std::fs::read_to_string(root.join(&file)).unwrap_or_default();
+            let test = test.trim_start_matches("::");
+            file.contains("tests/")
+                && source.contains(&r.name)
+                && (test.is_empty() || source.contains(&format!("fn {test}(")))
+        });
+        assert!(asserted, "{} is emitted by no run here and names no test that reads it", r.name);
     }
 }
