@@ -5,11 +5,11 @@
 //! point in the sharded slot loop. A [`BayesBank`] is the unit that
 //! breaks it up: an ordered map from global device id to
 //! [`GammaEstimator`], cheap to [`split`](BayesBank::split) across
-//! shards, to migrate entry-by-entry during cross-shard rebalancing,
-//! and to [`merge`](BayesBank::merge) back for reporting.
+//! shards and to [`merge`](BayesBank::merge) back for reporting. An
+//! estimator stays in the bank it was split into for the whole run.
 //!
-//! Every operation moves estimators without touching their beliefs, so
-//! any split/migrate/merge choreography preserves every posterior's
+//! Splitting and merging move estimators without touching their
+//! beliefs, so a split/merge round trip preserves every posterior's
 //! (mean, std) **exactly** — the property `tests/runtime.rs` pins with
 //! a proptest over 1–4 shards and scattered ownership maps.
 
@@ -70,16 +70,9 @@ impl BayesBank {
         (est.expected(), est.uncertainty())
     }
 
-    /// Inserts (or replaces) device `d`'s estimator — the receiving end
-    /// of a migration.
+    /// Inserts (or replaces) device `d`'s estimator.
     pub fn insert(&mut self, d: usize, estimator: GammaEstimator) {
         self.estimators.insert(d, estimator);
-    }
-
-    /// Removes and returns device `d`'s estimator — the sending end of
-    /// a migration. `None` if this bank does not own `d`.
-    pub fn take(&mut self, d: usize) -> Option<GammaEstimator> {
-        self.estimators.remove(&d)
     }
 
     /// Folds one observed power-reduction ratio into device `d`'s
@@ -133,8 +126,7 @@ impl BayesBank {
     ///
     /// # Panics
     ///
-    /// Panics if two banks claim the same device — a migration that
-    /// duplicated instead of moved.
+    /// Panics if two banks claim the same device.
     pub fn merge<I: IntoIterator<Item = BayesBank>>(banks: I) -> BayesBank {
         let mut merged = BayesBank::new();
         for bank in banks {
@@ -194,19 +186,6 @@ mod tests {
     }
 
     #[test]
-    fn migration_moves_without_mutating() {
-        let mut banks = bank(6).split(2, |d| d % 2);
-        let before = banks[0].get(4).unwrap().clone();
-        let est = banks[0].take(4).expect("shard 0 owns device 4");
-        assert_eq!(est, before);
-        let (tail, head) = banks.split_at_mut(1);
-        head[0].insert(4, est);
-        assert!(tail[0].get(4).is_none());
-        assert_eq!(head[0].get(4), Some(&before));
-        assert_eq!(head[0].posterior(4), (before.expected(), before.uncertainty()));
-    }
-
-    #[test]
     fn observe_or_forget_mirrors_the_engine_policy() {
         let mut a = bank(1);
         let mut direct = a.get(0).unwrap().clone();
@@ -237,8 +216,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "not dense")]
     fn sparse_bank_cannot_densify() {
-        let mut b = bank(3);
-        let _ = b.take(1);
+        // Device 1 split off: the bank holds 0 and 2.
+        let b = bank(3).split(2, |d| usize::from(d == 1)).swap_remove(0);
         let _ = b.into_dense();
     }
 }

@@ -17,7 +17,7 @@
 //! * [`estimator`] — [`GammaEstimator`], the per-device state machine
 //!   the scheduler actually holds;
 //! * [`bank`] — [`BayesBank`], shard-local collections of estimators
-//!   that split/migrate/merge without ever touching a posterior, so the
+//!   that split and merge without ever touching a posterior, so the
 //!   pipelined runtime can own γ state per shard.
 //!
 //! # Example

@@ -800,7 +800,7 @@ impl<'a> SlotView<'a> {
     }
 
     /// The fleet the rows index into.
-    pub(crate) fn fleet(&self) -> &'a DeviceFleet {
+    pub fn fleet(&self) -> &'a DeviceFleet {
         self.fleet
     }
 

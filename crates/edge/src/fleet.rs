@@ -8,15 +8,13 @@
 //! 1. **Partition** — the columnar [`DeviceFleet`] is split across `N`
 //!    shards by *locality*: contiguous index ranges, modeling devices
 //!    already grouped by base station.
-//! 2. **Solve** — each shard is a zero-copy
-//!    [`SlotView`](lpvs_core::fleet::SlotView) of the fleet (its row
-//!    list plus its own server's capacities) and runs the full
-//!    resilient pipeline
-//!    ([`LpvsScheduler::schedule_view`](lpvs_core::scheduler::LpvsScheduler::schedule_view))
-//!    — shard 0 on the calling thread, the others on scoped threads of
-//!    their own. Shards never share mutable state; results are joined
-//!    in shard order, so the outcome is deterministic regardless of
-//!    thread interleaving.
+//! 2. **Solve** — each shard is a zero-copy [`SlotView`] of the fleet
+//!    (its row list plus its own server's capacities) and runs the full
+//!    resilient pipeline through [`solve_cold_shard`], the body the
+//!    slot runtime's shard workers call too — shard 0 on the calling
+//!    thread, the others on scoped threads of their own. Shards never
+//!    share mutable state; results are joined in shard order, so the
+//!    outcome is deterministic regardless of thread interleaving.
 //! 3. **Rebalance** — a bounded cross-shard pass migrates marginal
 //!    low-battery viewers from saturated shards to shards with spare
 //!    capacity, reusing Phase-2's pure-addition criterion (the
@@ -32,7 +30,7 @@ use crate::server::EdgeServer;
 use lpvs_core::accounting::{RowAccounting, ShardTerms};
 use lpvs_core::budget::SlotBudget;
 use lpvs_core::delta::SlotDelta;
-use lpvs_core::fleet::DeviceFleet;
+use lpvs_core::fleet::{DeviceFleet, SlotView};
 use lpvs_core::scheduler::{Degradation, LpvsScheduler, Schedule, ScheduleStats, SchedulerConfig};
 use lpvs_core::Phase2Stats;
 use lpvs_survey::curve::AnxietyCurve;
@@ -332,20 +330,13 @@ impl FleetScheduler {
         let slot_ctx = lpvs_obs::current_context();
 
         let shards = self.partition(fleet);
-        // A warm start only applies when the population is unchanged.
-        let previous = previous.filter(|p| p.len() == fleet.len());
-        let warm: Vec<Option<Vec<bool>>> = shards
-            .iter()
-            .map(|indices| previous.map(|p| indices.iter().map(|&i| p[i]).collect()))
-            .collect();
 
         // Shard 0 on the calling thread — which would otherwise only
         // block in `join` — and one scoped thread for each of the
         // others, all through the same closure over views of the one
         // fleet; results in shard order make the gather deterministic
         // without any shared mutable state. A panicking shard is `None`
-        // (passthrough) wherever it ran: `catch_unwind(..).ok()` is
-        // `join().ok()` for the caller's own shard.
+        // (passthrough) wherever it ran.
         let scheduler = LpvsScheduler::new(self.config.scheduler);
         let solve = |s: usize| {
             let _span = lpvs_obs::span_in!(
@@ -358,14 +349,14 @@ impl FleetScheduler {
                 lambda,
                 curve,
             );
-            scheduler.schedule_view(view, warm[s].as_deref(), budget)
+            solve_cold_shard(&scheduler, view, previous, budget).map(|(schedule, _)| schedule)
         };
         let results: Vec<Option<Schedule>> = crossbeam::thread::scope(|scope| {
             let solve = &solve;
             let handles: Vec<_> =
                 (1..shards.len()).map(|s| scope.spawn(move |_| solve(s))).collect();
-            let first = catch_unwind(AssertUnwindSafe(|| solve(0))).ok();
-            std::iter::once(first).chain(handles.into_iter().map(|h| h.join().ok())).collect()
+            let rest = handles.into_iter().map(|h| h.join().ok().flatten());
+            std::iter::once(solve(0)).chain(rest).collect()
         })
         .unwrap_or_default();
 
@@ -553,6 +544,27 @@ impl FleetScheduler {
         }
         migrations
     }
+}
+
+/// One shard's cold solve — the body both runners share: the scoped
+/// threads of [`FleetScheduler::schedule_with_servers`] and the slot
+/// runtime's shard workers. `previous` is the last selection in fleet
+/// order; it warm-starts the shard with its own slice, but only when
+/// the population is unchanged. A solver panic is contained: `None`,
+/// which the join degrades to passthrough.
+pub fn solve_cold_shard(
+    scheduler: &LpvsScheduler,
+    view: SlotView<'_>,
+    previous: Option<&[bool]>,
+    budget: &SlotBudget,
+) -> Option<(Schedule, RowAccounting)> {
+    let warm: Option<Vec<bool>> = previous
+        .filter(|p| p.len() == view.fleet().len())
+        .map(|p| view.rows().iter().map(|&i| p[i]).collect());
+    catch_unwind(AssertUnwindSafe(|| {
+        scheduler.schedule_view_accounted(view, warm.as_deref(), budget)
+    }))
+    .ok()
 }
 
 /// Intersects a shard's device list with a fleet-wide dirty set,

@@ -72,7 +72,7 @@ pub struct EmulationReport {
     #[serde(skip, default)]
     pub scheduler_runtime: Duration,
     /// Pipelined-runtime counters (`None` for sequential runs):
-    /// shards, estimator migrations, workers lost, fallback slot.
+    /// shards, workers lost, fallback slot.
     pub runtime: Option<RuntimeSummary>,
     /// Telemetry snapshot taken when the run finished — `None` when no
     /// recorder was enabled. The counters and histograms are cumulative

@@ -34,7 +34,7 @@
 
 use crate::shard::{splitmix64, unit, ShardDeltaMemo};
 use lpvs_bayes::codec::bank_from_bytes;
-use lpvs_bayes::{BayesBank, GammaEstimator};
+use lpvs_bayes::BayesBank;
 use lpvs_codec::{crc64, CodecError, Reader, Writer};
 use lpvs_core::fleet::DeviceFleet;
 use lpvs_core::phase2::Phase2Stats;
@@ -293,10 +293,6 @@ pub enum JournalOp {
     Observe(usize, f64),
     /// Inflate a device's posterior by `stale` slots of staleness.
     Forget(usize, u32),
-    /// The device's estimator migrated out of this shard.
-    Take(usize),
-    /// The device's estimator migrated into this shard.
-    Insert(usize, GammaEstimator),
 }
 
 /// The hub-side write-ahead log of one shard's bank operations.
@@ -357,10 +353,6 @@ impl ShardJournal {
             match op {
                 JournalOp::Observe(d, ratio) => bank.observe_or_forget(*d, *ratio),
                 JournalOp::Forget(d, stale) => bank.forget(*d, *stale),
-                JournalOp::Take(d) => {
-                    let _ = bank.take(*d);
-                }
-                JournalOp::Insert(d, est) => bank.insert(*d, est.clone()),
             }
             applied += 1;
         }
@@ -1053,6 +1045,7 @@ impl RecoveryReport {
 mod tests {
     use super::*;
     use lpvs_bayes::codec::bank_to_bytes;
+    use lpvs_bayes::GammaEstimator;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Fresh scratch directory per test (no tempfile crate: the
@@ -1297,9 +1290,7 @@ mod tests {
         let ops = [
             JournalOp::Observe(1, 0.27),
             JournalOp::Forget(3, 2),
-            JournalOp::Take(0),
-            JournalOp::Insert(9, GammaEstimator::paper_default()),
-            JournalOp::Observe(9, 0.41),
+            JournalOp::Observe(4, 0.41),
         ];
         for op in &ops {
             journal.push(op.clone());
@@ -1307,9 +1298,7 @@ mod tests {
         // Mirror the ops on the live bank.
         live.observe_or_forget(1, 0.27);
         live.forget(3, 2);
-        let _ = live.take(0);
-        live.insert(9, GammaEstimator::paper_default());
-        live.observe_or_forget(9, 0.41);
+        live.observe_or_forget(4, 0.41);
 
         let mut restored = snapshot.clone();
         assert_eq!(journal.replay_onto(&mut restored, mark), ops.len());
@@ -1322,7 +1311,7 @@ mod tests {
         partial.observe_or_forget(1, 0.27);
         partial.forget(3, 2);
         let mut restored = partial;
-        assert_eq!(journal.replay_onto(&mut restored, mid), 3);
+        assert_eq!(journal.replay_onto(&mut restored, mid), ops.len() - 2);
         assert_eq!(restored, live);
     }
 

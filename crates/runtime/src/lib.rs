@@ -17,10 +17,10 @@
 //!   plain std threads on `crossbeam` bounded channels — each own a
 //!   [`ShardState`]: the shard-local
 //!   [`BayesBank`](lpvs_bayes::BayesBank) of γ estimators and the delta
-//!   memo of its last solve. Estimators physically migrate between
-//!   workers alongside cross-shard rebalancing, so the slot path has
-//!   **no global Bayes bank and no cross-shard lock** — shards exchange
-//!   state only through migration messages. The gathered slot travels
+//!   memo of its last solve. Each estimator stays in its home shard's
+//!   bank for the whole run — the cross-shard rebalance moves
+//!   *decisions*, never γ state — so the slot path has **no global
+//!   Bayes bank and no cross-shard lock**. The gathered slot travels
 //!   as one shared columnar [`DeviceFleet`]; the hub takes the buffer
 //!   back once every worker has dropped its handle and hands it to the
 //!   next gather.
@@ -112,8 +112,8 @@ pub struct GatheredSlot {
     /// Sanitized columnar population: rows the monolithic path would
     /// reject are present but marked disconnected.
     pub fleet: DeviceFleet,
-    /// Global device id of each fleet row (fleet order). Estimator
-    /// migrations and γ routing are keyed on these.
+    /// Global device id of each fleet row (fleet order). The decision
+    /// log and the checkpointed fleet slices are keyed on these.
     pub device_ids: Vec<usize>,
     /// Edge compute capacity the slot sees (post-brownout).
     pub compute_capacity: f64,

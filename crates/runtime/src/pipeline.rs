@@ -23,8 +23,7 @@
 //!                      terms shipped beside them, assemble both
 //!                      through FleetScheduler::assemble (which adopts
 //!                      the terms instead of re-evaluating the rows),
-//!                      deliver solved(t), migrate estimators after
-//!                      the rebalance, recycle the fleet buffer
+//!                      deliver solved(t), recycle the fleet buffer
 //!  apply(t)            sink plays slot t
 //! ```
 //!
@@ -130,8 +129,6 @@ pub struct RuntimeSummary {
     pub slots: usize,
     /// Slots that dispatched a solve (idle slots excluded).
     pub solved_slots: usize,
-    /// Estimators physically moved between shard banks.
-    pub estimator_migrations: usize,
     /// Workers lost to faults or panics (respawned or not).
     pub workers_lost: usize,
     /// Structured recovery account: per-shard deaths/retries/replays,
@@ -166,7 +163,6 @@ struct SlotLoop {
     recycled: Option<DeviceFleet>,
     slots: usize,
     solved_slots: usize,
-    estimator_migrations: usize,
     solve_runtime: Duration,
     slot_solve_runtimes: Vec<(usize, Duration)>,
 }
@@ -228,10 +224,6 @@ struct PendingSolve {
     servers: Vec<EdgeServer>,
     /// Per-shard dispatch attempt for this slot (bumped on respawn).
     attempts: Vec<u32>,
-    /// Per-shard memo invalidation: set at dispatch when the hub knows
-    /// the shard's warm state cannot be trusted (an estimator migration
-    /// touched it), and on every re-dispatch after a death.
-    force_cold: Vec<bool>,
     dispatched_at: Instant,
     /// The slot span's context, shipped with every (re-)dispatch so
     /// worker-side solve spans join the slot's trace.
@@ -268,8 +260,9 @@ struct Hub {
     /// Kept so the supervisor can wire respawned workers onto the same
     /// event stream.
     event_tx: Sender<WorkerEvent>,
-    /// Device → shard whose bank currently owns its estimator. Starts
-    /// as the home partition; updated as migrations follow rebalances.
+    /// Device → shard whose bank owns its estimator, fixed for the
+    /// run: the home partition, or on a resume whatever the restored
+    /// banks hold.
     owner: Vec<usize>,
     /// States recovered from permanently dead workers, pending the
     /// merge.
@@ -279,10 +272,6 @@ struct Hub {
     /// actions here; the ring survives respawns (the replacement worker
     /// writes into the same ring), so a recording spans the death.
     rings: Vec<Arc<FlightRing>>,
-    /// Shards whose next dispatch must invalidate the delta memo —
-    /// set when an estimator migration moves γ state into or out of a
-    /// shard's bank, drained at dispatch.
-    force_cold: Vec<bool>,
     /// The join's kept per-row accounting: a delta-carrying slot that
     /// extends it re-evaluates only the rows that changed. Starts
     /// empty, on a resume too.
@@ -318,8 +307,7 @@ struct Supervisor {
 
 /// Capacity of a worker's command channel. The hub joins every solve
 /// before the next slot begins, so a worker never has more than one
-/// slot's commands queued; a burst of migrations blocks the hub's send
-/// until the worker has taken them.
+/// slot's commands queued.
 const COMMAND_DEPTH: usize = 4;
 
 /// Cap on blackbox recordings kept in one report — enough for every
@@ -449,7 +437,7 @@ impl SlotRuntime {
     }
 
     /// Home shard of every device under the configured partitioner —
-    /// the initial bank split, before any migration.
+    /// the bank split, which holds for the whole run.
     pub fn home_shards(&self, devices: usize) -> Vec<usize> {
         let all: Vec<usize> = (0..devices).collect();
         let mut owner = vec![0usize; devices];
@@ -526,7 +514,9 @@ impl SlotRuntime {
             shards.push((snapshot.bank, snapshot.memo));
         }
         // The ownership map is implicit in the restored banks: whatever
-        // shard holds a device's estimator owns it.
+        // shard holds a device's estimator owns it. That is the home
+        // split, unless the store was written by a build that moved
+        // estimators — then the moved owner keeps it.
         let devices = shards
             .iter()
             .flat_map(|(bank, _)| bank.devices())
@@ -595,7 +585,6 @@ impl SlotRuntime {
             lost: Vec::new(),
             workers_lost: 0,
             rings,
-            force_cold: vec![false; k],
             join: JoinMemo::default(),
             fanning,
         };
@@ -609,8 +598,8 @@ impl SlotRuntime {
         // maintenance (the snapshot was taken right after it), so the
         // first iteration must not re-apply forgets.
         let mut skip_maintenance = resumed_at.is_some();
-        // Whether every worker survived the last join and its
-        // migrations; a death seen at join(t) sends slot t + 1 inline.
+        // Whether every worker survived the last join; a death seen at
+        // join(t) sends slot t + 1 inline.
         let mut healthy = true;
 
         while let Some(mut ops) = driver.begin_slot(slot) {
@@ -689,8 +678,7 @@ impl SlotRuntime {
                 slot_span.record("joined_migrations", collected.solved.schedule.migrations as f64);
                 driver.solved(&collected.solved);
                 sup.log_decision(&collected);
-                healthy = hub.all_alive()
-                    && self.migrate_estimators(&mut hub, &mut sup, &collected, &mut run).is_ok();
+                healthy = hub.all_alive();
                 run.recycled = collected.buffer;
             }
 
@@ -738,7 +726,6 @@ impl SlotRuntime {
                 shards: k,
                 slots: run.slots,
                 solved_slots: run.solved_slots,
-                estimator_migrations: run.estimator_migrations,
                 workers_lost: hub.workers_lost,
                 recovery: sup.into_report(resumed_at),
             },
@@ -772,7 +759,6 @@ impl SlotRuntime {
                 shards: self.config.fleet.num_shards,
                 slots: run.slots,
                 solved_slots: run.solved_slots,
-                estimator_migrations: 0,
                 workers_lost: 0,
                 recovery: RecoveryReport::default(),
             },
@@ -866,14 +852,11 @@ impl SlotRuntime {
             indices: pending.shards[s].clone(),
             compute_capacity: pending.servers[s].compute_capacity(),
             storage_capacity_gb: pending.servers[s].storage_capacity_gb(),
-            force_cold: pending.force_cold[s],
             ctx: pending.ctx,
         }
     }
 
-    /// Partitions a gathered slot and fans it out to the workers. Any
-    /// pending per-shard memo invalidations (estimator migrations since
-    /// the last dispatch) ride along as `force_cold` and are cleared.
+    /// Partitions a gathered slot and fans it out to the workers.
     fn dispatch(
         &self,
         hub: &mut Hub,
@@ -887,17 +870,8 @@ impl SlotRuntime {
         let server = EdgeServer::new(gathered.compute_capacity, gathered.storage_capacity_gb);
         let servers = FleetScheduler::split_server(&server, k);
         let dispatched_at = Instant::now();
-        let force_cold = std::mem::replace(&mut hub.force_cold, vec![false; k]);
-        let pending = PendingSolve {
-            slot,
-            gathered,
-            shards,
-            servers,
-            attempts: vec![0; k],
-            force_cold,
-            dispatched_at,
-            ctx,
-        };
+        let pending =
+            PendingSolve { slot, gathered, shards, servers, attempts: vec![0; k], dispatched_at, ctx };
         let jobs: Vec<SolveJob> = (0..k).map(|s| Self::shard_job(&pending, s)).collect();
         let mut first_sent = None;
         hub.fanning.store(true, Ordering::Relaxed);
@@ -1034,9 +1008,9 @@ impl SlotRuntime {
                             let faults =
                                 self.config.stage_faults.map(|f| (f.rate, f.seed, f.repeat));
                             // The respawned worker starts with no delta
-                            // memo, and the re-dispatch forces a cold
-                            // solve: recovery correctness never depends
-                            // on warm state.
+                            // memo, so the re-dispatch solves cold:
+                            // recovery correctness never depends on
+                            // warm state.
                             let thread = spawn_worker(
                                 ShardState::new(s, bank),
                                 self.config.fleet.scheduler,
@@ -1051,7 +1025,6 @@ impl SlotRuntime {
                             sup.report.shards[s].retries += 1;
                             lpvs_obs::inc("recovery_respawns_total");
                             pending.attempts[s] = attempt + 1;
-                            pending.force_cold[s] = true;
                             let _ = hub.workers[s].send(WorkerMsg::Solve(Self::shard_job(&pending, s)));
                             // Not accounted: the respawned worker's
                             // Solved event closes this shard out.
@@ -1108,46 +1081,6 @@ impl SlotRuntime {
             Err(arc) => (None, arc.device_ids.clone()),
         };
         Collected { solved: SolvedSlot { slot, schedule, tier }, buffer, device_ids }
-    }
-
-    /// Moves estimators between shard banks to follow the cross-shard
-    /// rebalance: a device migrated into a foreign shard takes its γ
-    /// state along, keeping γ routing shard-local. Round-trips are
-    /// sequenced through the hub in shard order for determinism; each
-    /// hop is journaled so snapshots can be replayed forward across it.
-    fn migrate_estimators(
-        &self,
-        hub: &mut Hub,
-        sup: &mut Supervisor,
-        collected: &Collected,
-        run: &mut SlotLoop,
-    ) -> Result<(), ()> {
-        for report in &collected.solved.schedule.shards {
-            for &fleet_idx in &report.migrated_in {
-                let device = collected.device_ids[fleet_idx];
-                let from = hub.owner[device];
-                let to = report.shard;
-                if from == to {
-                    continue;
-                }
-                let (reply_tx, reply_rx) = bounded(1);
-                hub.workers[from].send(WorkerMsg::MigrateOut { device, reply: reply_tx })?;
-                let estimator = reply_rx.recv().map_err(|_| ())?;
-                sup.journal(from, JournalOp::Take(device));
-                sup.journal(to, JournalOp::Insert(device, estimator.clone()));
-                hub.workers[to].send(WorkerMsg::MigrateIn { device, estimator })?;
-                hub.owner[device] = to;
-                // γ state moved across banks: both shards' standing
-                // solves are built on posteriors that no longer live
-                // where the memo assumed, so their next dispatch is
-                // forced cold (all-dirty).
-                hub.force_cold[from] = true;
-                hub.force_cold[to] = true;
-                run.estimator_migrations += 1;
-                lpvs_obs::inc("runtime_migrations_total");
-            }
-        }
-        Ok(())
     }
 
     /// Routes one slot's bank maintenance and γ queries to the owning

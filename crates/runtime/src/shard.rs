@@ -14,9 +14,12 @@
 //!   worker yields while the hub is still fanning the slot out: woken
 //!   on the hub's CPU it would displace a hub that has other shards'
 //!   jobs to send, and every shard would wait on that one;
-//! * `WorkerMsg::MigrateOut`/`WorkerMsg::MigrateIn` — move one
-//!   estimator to follow a cross-shard rebalance migration;
+//! * `WorkerMsg::Checkpoint` — encode the bank (and the delta memo)
+//!   and ship the bytes home for the hub to seal;
 //! * `WorkerMsg::Finish` — ship the bank home and exit.
+//!
+//! The bank holds the same devices from spawn to exit: estimators
+//! never move between shards.
 //!
 //! FIFO ordering is the determinism backbone: a worker sees its bank
 //! operations in exactly the order the hub issued them, slot by slot.
@@ -29,11 +32,11 @@
 
 use crate::GatheredSlot;
 use crossbeam::channel::{Receiver, Sender};
-use lpvs_bayes::{BayesBank, GammaEstimator};
+use lpvs_bayes::BayesBank;
 use lpvs_core::accounting::{RowAccounting, ShardTerms};
 use lpvs_core::delta::solve_incremental;
 use lpvs_core::scheduler::{LpvsScheduler, Schedule, SchedulerConfig};
-use lpvs_edge::fleet::{shard_frontier, GOLDEN_GAMMA};
+use lpvs_edge::fleet::{shard_frontier, solve_cold_shard, GOLDEN_GAMMA};
 use lpvs_obs::{FlightKind, FlightRing, SpanContext};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -41,8 +44,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Everything a shard worker owns: identity plus its γ bank and the
-/// delta memo of its last solve. Migrated wholesale when a worker dies
-/// or finishes.
+/// delta memo of its last solve. Shipped home wholesale when a worker
+/// dies or finishes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardState {
     /// Shard index.
@@ -50,8 +53,8 @@ pub struct ShardState {
     /// γ estimators for the devices this shard is home to.
     pub bank: BayesBank,
     /// The previous slot's solve, kept for delta reuse. `None` until
-    /// the first delta-carrying solve succeeds, and after any
-    /// invalidation.
+    /// the first delta-carrying solve succeeds, after any invalidation,
+    /// and in a respawned worker.
     pub memo: Option<ShardDeltaMemo>,
 }
 
@@ -117,11 +120,6 @@ pub(crate) struct SolveJob {
     pub compute_capacity: f64,
     /// This shard's split of the edge storage capacity (GB).
     pub storage_capacity_gb: f64,
-    /// Invalidate the shard's delta memo before solving: the hub sets
-    /// this after a cross-shard estimator migration touched the shard
-    /// (and on re-dispatch after a death) — recovery correctness must
-    /// never depend on warm state.
-    pub force_cold: bool,
     /// The hub's `runtime.slot` span context, handed across the
     /// channel so the worker's solve span joins the slot's trace.
     pub ctx: Option<SpanContext>,
@@ -149,11 +147,6 @@ pub(crate) enum WorkerMsg {
     /// them. Queued between `Prepare` and `Solve`, so the snapshot
     /// captures the bank exactly as of `prepare(slot)`.
     Checkpoint { slot: usize },
-    /// Hand device `device`'s estimator to the hub (it is moving to
-    /// another shard).
-    MigrateOut { device: usize, reply: Sender<GammaEstimator> },
-    /// Adopt device `device`'s estimator from another shard.
-    MigrateIn { device: usize, estimator: GammaEstimator },
     /// Ship the bank home ([`WorkerEvent::Finished`]) and exit.
     Finish,
 }
@@ -314,18 +307,6 @@ pub(crate) fn spawn_worker(
                         return;
                     }
                 }
-                WorkerMsg::MigrateOut { device, reply } => {
-                    let est = state
-                        .bank
-                        .take(device)
-                        .expect("migration routed through the ownership map");
-                    if reply.send(est).is_err() {
-                        return;
-                    }
-                }
-                WorkerMsg::MigrateIn { device, estimator } => {
-                    state.bank.insert(device, estimator);
-                }
                 WorkerMsg::Finish => {
                     let state = courier.state.take().expect("state present at Finish");
                     let _ = events.send(WorkerEvent::Finished { state });
@@ -363,8 +344,9 @@ impl DeltaPath {
 
 /// Decides the solve path for a job against the shard's memo. Returns
 /// the path plus the shard-local dirty positions (for the incremental
-/// path) and whether a live memo has to be discarded (a forced cold
-/// solve, a population, epoch or capacity change).
+/// path) and whether a live memo has to be discarded (a population,
+/// epoch or capacity change). No flag rides beside the job: a
+/// respawned worker has no memo, so its first solve is cold here.
 fn classify_delta(job: &SolveJob, memo: &Option<ShardDeltaMemo>) -> (DeltaPath, Vec<usize>, bool) {
     let Some(delta) = job.gathered.delta.as_ref() else {
         // Sources that don't track deltas solve cold every slot; no
@@ -374,8 +356,7 @@ fn classify_delta(job: &SolveJob, memo: &Option<ShardDeltaMemo>) -> (DeltaPath, 
     let Some(memo) = memo.as_ref() else {
         return (DeltaPath::Cold, Vec::new(), false);
     };
-    if job.force_cold
-        || memo.indices != job.indices
+    if memo.indices != job.indices
         || delta.epoch != memo.epoch + 1
         || memo.compute_capacity.to_bits() != job.compute_capacity.to_bits()
         || memo.storage_capacity_gb.to_bits() != job.storage_capacity_gb.to_bits()
@@ -451,23 +432,15 @@ fn solve_slice(
             }))
             .ok()
         }
-        DeltaPath::Cold => catch_unwind(AssertUnwindSafe(|| {
-            // Same guard as the scoped path: warm starts only carry over
-            // when the population is unchanged.
-            let warm: Option<Vec<bool>> = g
-                .warm
-                .as_deref()
-                .filter(|p| p.len() == g.fleet.len())
-                .map(|p| job.indices.iter().map(|&i| p[i]).collect());
-            let (schedule, terms) =
-                scheduler.schedule_view_accounted(view(), warm.as_deref(), &g.budget);
-            // Without a delta the join keeps nothing, and adopts nothing.
-            let rows = if g.delta.is_some() { job.indices.len() } else { 0 };
-            let shipped = terms.shipment(0..rows);
-            fresh = terms;
-            (schedule, shipped)
-        }))
-        .ok(),
+        DeltaPath::Cold => solve_cold_shard(scheduler, view(), g.warm.as_deref(), &g.budget).map(
+            |(schedule, terms)| {
+                // Without a delta the join keeps nothing, and adopts nothing.
+                let rows = if g.delta.is_some() { job.indices.len() } else { 0 };
+                let shipped = terms.shipment(0..rows);
+                fresh = terms;
+                (schedule, shipped)
+            },
+        ),
     };
 
     // Refresh the memo: every successful delta-carrying solve becomes

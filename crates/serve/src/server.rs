@@ -481,8 +481,10 @@ fn slot_runtime(config: &ServeConfig) -> SlotRuntime {
     SlotRuntime::new(RuntimeConfig {
         fleet: FleetConfig {
             num_shards: config.shards.max(1),
-            // Ownership must never drift from the home partition: the
-            // final seal splits the merged estimators by home shard.
+            // No rebalance: turning it on would change the served
+            // decisions, an output change to be made on its own, with
+            // the benchmark's selection hashes re-baselined. (Ownership
+            // needs nothing from it — estimators never leave home.)
             max_migrations: 0,
             ..FleetConfig::default()
         },
@@ -516,9 +518,10 @@ fn run_slot_loop(runtime: &SlotRuntime, resume: bool, mut engine: ServeEngine, s
 
     // --- final seal ----------------------------------------------------
     // One more checkpoint round at the slot a resumed run would re-enter
-    // at. Valid because migrations are disabled (ownership == home
-    // partition) and the drain already folded the last slot's feedback,
-    // so the merged estimators are exactly the post-prepare(T) banks.
+    // at. Valid because estimators never leave their home shard and the
+    // drain already folded the last slot's feedback, so the merged
+    // estimators split by home shard are exactly the post-prepare(T)
+    // banks.
     if let Some(ckpt) = runtime.config().checkpoints.as_ref() {
         let k = runtime.config().fleet.num_shards;
         let owner = runtime.home_shards(report.estimators.len());

@@ -7,7 +7,9 @@
 //! top of that, the recovery ladder must be *semantically invisible* —
 //! a pipelined run that loses workers repeatedly, restores them from
 //! (possibly corrupted) checkpoints, or is halted and resumed
-//! mid-horizon still reproduces the sequential engine bit-for-bit.
+//! mid-horizon still reproduces the sequential engine bit-for-bit. A
+//! store whose banks hold estimators away from their home shard still
+//! resumes: ownership is whatever the restored banks hold.
 
 use lpvs::bayes::codec::bank_to_bytes;
 use lpvs::bayes::{BayesBank, GammaEstimator};
@@ -19,8 +21,10 @@ use lpvs::edge::fleet::FleetConfig;
 use lpvs::emulator::engine::{CheckpointSpec, Emulator, EmulatorConfig};
 use lpvs::emulator::FaultConfig;
 use lpvs::runtime::checkpoint::SNAPSHOT_MAGIC;
+use lpvs::core::scheduler::Degradation;
 use lpvs::runtime::{
-    CheckpointConfig, CheckpointStore, RuntimeConfig, ShardSnapshot, SlotRuntime,
+    BankOps, CheckpointConfig, CheckpointStore, GatheredSlot, RuntimeConfig, ShardSnapshot,
+    SlotFeedback, SlotReplay, SlotRuntime, SlotSink, SlotSource, SolvedSlot,
 };
 use lpvs_codec::{crc64, CodecError, Writer};
 use proptest::prelude::*;
@@ -469,4 +473,93 @@ fn a_halted_run_resumes_mid_horizon_bit_identically() {
     assert!(at <= 5 && at.is_multiple_of(2), "resume enters at the newest complete round, got {at}");
     assert_eq!(resumed.slots.len(), 12, "the resumed run completes the horizon");
     assert_bit_identical(&uninterrupted, &resumed);
+}
+
+/// Asks every device's γ each slot, solves nothing, and reports one
+/// observation per device — bank traffic only, with the answers kept.
+struct Querying {
+    devices: usize,
+    slots: usize,
+    /// The posteriors each gather was handed, slot order.
+    answers: Vec<Vec<(f64, f64)>>,
+}
+
+const OBSERVED: f64 = 0.3;
+
+impl SlotSource for Querying {
+    fn begin_slot(&mut self, slot: usize) -> Option<BankOps> {
+        (slot < self.slots)
+            .then(|| BankOps { forgets: Vec::new(), queries: (0..self.devices).collect() })
+    }
+
+    fn gather(
+        &mut self,
+        _slot: usize,
+        posteriors: &[(f64, f64)],
+        _recycled: Option<DeviceFleet>,
+    ) -> Option<GatheredSlot> {
+        self.answers.push(posteriors.to_vec());
+        None
+    }
+}
+
+impl SlotSink for Querying {
+    fn solved(&mut self, _solved: &SolvedSlot) {
+        unreachable!("every slot is idle");
+    }
+
+    fn apply(&mut self, _slot: usize) -> SlotFeedback {
+        SlotFeedback { observations: (0..self.devices).map(|d| (d, OBSERVED)).collect() }
+    }
+}
+
+impl SlotReplay for Querying {
+    fn stage_decision(&mut self, _: usize, _: &[usize], _: &[bool], _: Degradation) {}
+
+    fn replay_slot(&mut self, _slot: usize) {}
+}
+
+/// A store sealed with a device's estimator in a foreign shard's bank —
+/// what a build that moved estimators after the rebalance could leave —
+/// resumes with the estimator where it is: the owner map comes from the
+/// restored banks, so the device's γ queries and observations reach
+/// that bank (a query at its home bank would kill the worker there).
+#[test]
+fn a_resumed_store_routes_a_foreign_device_to_the_bank_that_holds_it() {
+    let dir = scratch("foreign");
+    let checkpoints = CheckpointConfig::new(&dir);
+    let runtime = SlotRuntime::new(RuntimeConfig {
+        fleet: FleetConfig { num_shards: 2, ..FleetConfig::default() },
+        checkpoints: Some(checkpoints.clone()),
+        ..RuntimeConfig::default()
+    });
+    let (devices, foreign, sealed_at) = (6, 4, 3);
+    let estimators = learned_estimators(devices, &[(1, 0.2), (foreign, 0.45), (foreign, 0.47)]);
+    let home = runtime.home_shards(devices);
+    assert_eq!(home[foreign], 1);
+    let banks = BayesBank::from_estimators(estimators.clone())
+        .split(2, |d| if d == foreign { 0 } else { home[d] });
+    let mut store = CheckpointStore::create(&checkpoints, 2).expect("store opens");
+    store.begin_round(sealed_at, vec![0, 0]);
+    for (s, bank) in banks.iter().enumerate() {
+        store.persist_shard(s, sealed_at, &bank_to_bytes(bank), None, None).expect("persist");
+    }
+
+    let mut driver = Querying { devices, slots: sealed_at + 2, answers: Vec::new() };
+    let report = runtime.resume(&mut driver).expect("resume from the sealed round");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(report.summary.recovery.resumed_at, Some(sealed_at));
+    assert_eq!((report.summary.workers_lost, report.summary.recovery.fell_back), (0, None));
+
+    // Each slot's answers are the bank after the observations before it.
+    let mut reference = BayesBank::from_estimators(estimators);
+    for answers in &driver.answers {
+        let expected: Vec<(f64, f64)> = (0..devices).map(|d| reference.posterior(d)).collect();
+        assert_eq!(answers, &expected);
+        for d in 0..devices {
+            reference.observe_or_forget(d, OBSERVED);
+        }
+    }
+    assert_eq!(driver.answers.len(), 2);
+    assert_eq!(report.estimators, reference.into_dense());
 }

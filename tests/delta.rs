@@ -12,7 +12,10 @@
 //! bit-identical to one that never stopped. Last, the totals: every
 //! `objective` and `energy_saved_j` a delta-carrying run reports — folded
 //! from per-row terms kept across slots — is, bit for bit, what the row
-//! functions give when every row is evaluated from scratch.
+//! functions give when every row is evaluated from scratch — also while
+//! the rebalance moves rows across shards that solve incrementally. And
+//! recovery needs no flag to drop warm state: a respawned worker has no
+//! memo, so its re-dispatched solve is cold.
 
 use lpvs::bayes::GammaEstimator;
 use lpvs::core::budget::SlotBudget;
@@ -23,15 +26,44 @@ use lpvs::core::problem::DeviceRequest;
 use lpvs::display::spec::DisplayKind;
 use lpvs::edge::fleet::{shard_frontier, FleetConfig, FleetSchedule};
 use lpvs::core::scheduler::Degradation;
+use lpvs::obs::Recorder;
 use lpvs::runtime::{
-    BankOps, CheckpointConfig, GatheredSlot, RuntimeConfig, SlotFeedback, SlotReplay,
-    SlotRuntime, SlotSink, SlotSource, SolvedSlot, StageFaults, SyntheticConfig,
+    BankOps, CheckpointConfig, FlightReason, GatheredSlot, RuntimeConfig, SlotFeedback,
+    SlotReplay, SlotRuntime, SlotSink, SlotSource, SolvedSlot, StageFaults, SyntheticConfig,
     SyntheticDriver, SyntheticRecord,
 };
 use lpvs::survey::curve::AnxietyCurve;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+/// The process-global recorder counts every solve in this binary while
+/// it is enabled. A test that reads its counters holds the write side
+/// and runs alone; every other test that drives the runtime holds the
+/// read side. Poisoning is irrelevant — the guard carries no data.
+static RECORDER: RwLock<()> = RwLock::new(());
+
+fn quiet() -> RwLockReadGuard<'static, ()> {
+    RECORDER.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A reset, enabled recorder and the guard that keeps every other
+/// runtime test out while it counts.
+fn recording() -> (RwLockWriteGuard<'static, ()>, Arc<Recorder>) {
+    let guard = RECORDER.write().unwrap_or_else(PoisonError::into_inner);
+    let recorder = lpvs::obs::init();
+    recorder.reset();
+    (guard, recorder)
+}
+
+/// `delta_solve_total` by path — `[reuse, incremental, cold]` — since
+/// the last reset.
+fn solve_paths(recorder: &Recorder) -> [u64; 3] {
+    let metrics = recorder.metrics().snapshot();
+    ["reuse", "incremental", "cold"]
+        .map(|path| metrics.counter_labeled("delta_solve_total", &[("path", path)]).unwrap_or(0))
+}
 
 /// A fresh scratch directory per test invocation (no tempfile crate).
 fn scratch(tag: &str) -> std::path::PathBuf {
@@ -228,6 +260,7 @@ proptest! {
         faulty in any::<bool>(),
         seed in any::<u64>(),
     ) {
+        let _quiet = quiet();
         let faults = faulty.then_some(StageFaults { rate: 0.25, seed: seed ^ 0xFA17, repeat: 0 });
         let mut config = SyntheticConfig::steady(devices, 6, seed);
         config.mutation_fraction = 0.0;
@@ -253,6 +286,7 @@ proptest! {
 /// same decisions — and structurally sound.
 #[test]
 fn delta_runs_are_deterministic_for_identical_seeds() {
+    let _quiet = quiet();
     for fraction in [0.15, 0.6] {
         let mut config = SyntheticConfig::steady(56, 8, 9);
         config.mutation_fraction = fraction;
@@ -272,17 +306,13 @@ fn delta_runs_are_deterministic_for_identical_seeds() {
 /// because every slot quietly solved cold.
 #[test]
 fn steady_state_slots_ride_the_reuse_and_incremental_paths() {
-    let recorder = lpvs::obs::init();
-    recorder.reset();
+    let (_guard, recorder) = recording();
     let mut config = SyntheticConfig::steady(48, 10, 33);
     config.mutation_fraction = 0.05;
     let _ = run_records(config, 2, false, None);
     lpvs::obs::set_enabled(false);
     let metrics = recorder.metrics().snapshot();
-    let reuse = metrics.counter_labeled("delta_solve_total", &[("path", "reuse")]).unwrap_or(0);
-    let incremental =
-        metrics.counter_labeled("delta_solve_total", &[("path", "incremental")]).unwrap_or(0);
-    let cold = metrics.counter_labeled("delta_solve_total", &[("path", "cold")]).unwrap_or(0);
+    let [reuse, incremental, cold] = solve_paths(&recorder);
     assert!(cold >= 2, "slot 0 solves cold on every shard (saw {cold})");
     assert!(
         reuse + incremental > 0,
@@ -302,6 +332,7 @@ fn steady_state_slots_ride_the_reuse_and_incremental_paths() {
 /// exercised across the restart on shards that skip rows.
 #[test]
 fn halted_and_resumed_delta_runs_are_bit_identical() {
+    let _quiet = quiet();
     let faults = StageFaults { rate: 0.2, seed: 5, repeat: 0 };
     let cases = [(1usize, false, None), (3usize, true, Some(faults))];
     for (shards, gapped, faults) in cases {
@@ -477,6 +508,7 @@ fn rode_incremental(g: &GatheredSlot, schedule: &FleetSchedule) -> bool {
 /// solve's), the whole outcome equals the delta-less run's.
 #[test]
 fn kept_totals_are_bit_identical_to_evaluating_every_row() {
+    let _quiet = quiet();
     let (devices, slots) = (180, 6);
     let mut compared_to_cold = 0;
     let mut incremental_runs = 0;
@@ -589,17 +621,22 @@ impl SlotSink for SkewedDelta {
 }
 
 /// Under migrations every slot, the join's kept terms still total what
-/// a from-scratch evaluation does — and the delta-less run of the same
-/// workload, which keeps nothing, agrees with the oracle too.
+/// a from-scratch evaluation does — on a delta leg whose shards solve
+/// incrementally while the rebalance moves rows across them — and the
+/// delta-less run of the same workload, which keeps nothing, agrees
+/// with the oracle too.
 #[test]
 fn kept_totals_follow_rows_the_rebalance_migrates() {
+    let (_guard, recorder) = recording();
     let (devices, demanding, slots) = (60, 24, 8);
     for shards in [2usize, 3] {
         let case = format!("skewed × {shards}");
         let mut moved = BTreeSet::new();
         for delta_enabled in [true, false] {
+            recorder.reset();
             let driver = SkewedDelta::new(devices, demanding, slots, delta_enabled);
             let run = captured(driver, devices, shards);
+            let [_, incremental, cold] = solve_paths(&recorder);
             assert_eq!(run.len(), slots, "{case}");
             for (g, schedule) in &run {
                 assert!(
@@ -611,7 +648,66 @@ fn kept_totals_follow_rows_the_rebalance_migrates() {
                     moved.insert(schedule.shards.iter().flat_map(|r| r.migrated_in.clone()).collect::<Vec<_>>());
                 }
             }
+            if delta_enabled {
+                assert!(incremental > 0, "{case}: no shard solved incrementally (cold {cold})");
+            } else {
+                assert_eq!((incremental, cold), (0, (shards * slots) as u64), "{case}: delta-less");
+            }
         }
         assert!(moved.len() > 1, "{case}: the same rows migrated every slot");
     }
+    lpvs::obs::set_enabled(false);
+}
+
+/// Recovery drops warm state without being told to: a respawned worker
+/// starts with no memo, so the slot re-dispatched to it solves cold.
+/// On a steady delta run whose stage faults kill workers that hold a
+/// live memo, every cold solve is slot 0's, a retry's, or one the
+/// fraction gate sends cold — counted from the captured frontiers.
+#[test]
+fn a_respawned_worker_solves_cold_without_a_flag() {
+    let (_guard, recorder) = recording();
+    let (devices, slots, shards) = (96, 12, 2);
+    let mut config = SyntheticConfig::steady(devices, slots, 17);
+    config.mutation_fraction = 0.2;
+    let mut capture = Capture::new(SyntheticDriver::new(config));
+    let runtime = SlotRuntime::new(RuntimeConfig {
+        fleet: FleetConfig { num_shards: shards, ..FleetConfig::default() },
+        stage_faults: Some(StageFaults { rate: 0.2, seed: 16, repeat: 0 }),
+        ..RuntimeConfig::default()
+    });
+    let report = runtime.run(&mut capture, vec![GammaEstimator::paper_default(); devices]);
+    let [reuse, incremental, cold] = solve_paths(&recorder);
+    lpvs::obs::set_enabled(false);
+
+    let recovery = &report.summary.recovery;
+    assert_eq!(recovery.fell_back, None);
+    let deaths: Vec<(usize, usize)> = recovery
+        .flight
+        .iter()
+        .filter(|r| r.reason == FlightReason::WorkerDeath)
+        .map(|r| (r.slot, r.shard))
+        .collect();
+    assert_eq!(deaths.len(), recovery.total_deaths() as usize);
+    // After slot 0 every shard holds the memo of its last solve.
+    assert!(!deaths.is_empty() && deaths.iter().all(|&(slot, _)| slot > 0), "{deaths:?}");
+    let retries: u32 = recovery.shards.iter().map(|s| s.retries).sum();
+    assert_eq!(retries as usize, deaths.len(), "one respawn a death");
+
+    // The solves that kept their memo: cold only past the gate.
+    let gated = capture
+        .slots
+        .iter()
+        .filter(|(g, _)| g.slot > 0)
+        .flat_map(|(g, schedule)| {
+            let dirty = &g.delta.as_ref().expect("delta-enabled run").dirty;
+            schedule
+                .shards
+                .iter()
+                .filter(|r| !deaths.contains(&(g.slot, r.shard)))
+                .filter(move |r| shard_frontier(&r.devices, dirty).len() * 4 > r.devices.len())
+        })
+        .count();
+    assert!(gated > 0 && reuse + incremental > 0, "gated {gated}, reuse {reuse}, incremental {incremental}");
+    assert_eq!(cold, (shards + retries as usize + gated) as u64);
 }
