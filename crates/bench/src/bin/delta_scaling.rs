@@ -33,19 +33,20 @@
 //!   does — so the ratio now sits *below* 1 by about that pass, and the
 //!   bookkeeping must still cost ≤ 10% over plain cold.
 //!
-//! Before any timing, one recorder-on pass per regime asserts what no
-//! shared runner's clock can blur: once the recycled buffer is back
-//! (slot 1 on) a gather copies at most its frontier's rows
-//! (`fleet_refill_rows_total`), and on the steady regime, from slot 1
-//! on, the shard workers re-evaluate at most frontier + flipped rows a
-//! slot and the join at most the rows the rebalance moved — the rest
-//! it adopts from the shards (`delta_accounting_rows_total`).
+//! The timed delta run also asserts, as each stage lands, what no
+//! shared runner's clock can blur — read off the records the run hands
+//! its driver, the gathered slot's copied rows and the delivered
+//! schedule's `SlotWork`: once the recycled buffer is back (slot 1 on)
+//! a gather copies at most its frontier's rows, and on the steady
+//! regime, from slot 1 on, the shard workers re-evaluate at most
+//! frontier + flipped rows a slot and the join at most the rows the
+//! rebalance moved — the rest it adopts from the shards.
 //!
 //! Per-slot solve times come from the report's slot-resolved runtimes
 //! with slot 0 excluded (the first solve is cold by construction in
 //! both modes); the gather column is the delta run's `gather` stage,
-//! stamped by the same adapter, beside the rows it copied per slot in
-//! the counted pass. Writes `BENCH_delta.json` at the repository root.
+//! stamped by the same adapter, beside the rows it copied per slot.
+//! Writes `BENCH_delta.json` at the repository root.
 //! `--smoke` runs a reduced sweep for CI (the counted assertion, no
 //! ratio assertions: shared runners are too noisy for wall-clock bounds).
 
@@ -94,11 +95,11 @@ fn run(devices: usize, slots: usize, fraction: f64, delta_enabled: bool) -> (Sta
     let estimators = inner.estimators();
     let mut driver = Stamped {
         inner,
-        steady: fraction == STEADY_FRACTION,
+        steady: delta_enabled && fraction == STEADY_FRACTION,
         gather_secs: Vec::new(),
         copied: Vec::new(),
         frontier: 0,
-        rows: [0; 2],
+        accounted: [0; 2],
         previous: Vec::new(),
     };
     let report = runtime().run(&mut driver, estimators);
@@ -107,32 +108,22 @@ fn run(devices: usize, slots: usize, fraction: f64, delta_enabled: bool) -> (Sta
     (driver, solve)
 }
 
-/// Cumulative `delta_accounting_rows_total` as `[shard, join]`, and
-/// `fleet_refill_rows_total` over both paths.
-fn counted_rows() -> ([u64; 2], u64) {
-    let metrics = lpvs_obs::installed().expect("recorder installed").metrics().snapshot();
-    let accounted = ["shard", "join"].map(|owner| {
-        metrics.counter_labeled("delta_accounting_rows_total", &[("owner", owner)]).unwrap_or(0)
-    });
-    let copied = ["patched", "full"]
-        .map(|path| metrics.counter_labeled("fleet_refill_rows_total", &[("path", path)]).unwrap_or(0));
-    (accounted, copied[0] + copied[1])
-}
-
-/// The synthetic driver, stamping each gather's wall clock and — when
-/// the recorder is on — checking as each stage lands that the slot
-/// copied and accounted no more rows than it had cause to.
+/// The synthetic driver, stamping each gather's wall clock and — on a
+/// delta run — checking as each stage lands that the slot copied and
+/// accounted no more rows than it had cause to.
 struct Stamped {
     inner: SyntheticDriver,
-    /// Whether the accounting bound applies (past the incremental gate
-    /// every shard solves cold and accounts in full).
+    /// Whether the accounting bound applies: a delta run short of the
+    /// incremental gate (past it, or without a delta, every shard solves
+    /// cold and accounts in full).
     steady: bool,
     /// Seconds each gather took, slot order.
     gather_secs: Vec<f64>,
-    /// Rows each gather copied, slot order (recorder-on runs only).
+    /// Rows each gather copied, slot order.
     copied: Vec<u64>,
     frontier: u64,
-    rows: [u64; 2],
+    /// Rows accounted over the run as `[shard, join]`.
+    accounted: [u64; 2],
     previous: Vec<bool>,
 }
 
@@ -147,50 +138,47 @@ impl SlotSource for Stamped {
         posteriors: &[(f64, f64)],
         recycled: Option<DeviceFleet>,
     ) -> Option<GatheredSlot> {
-        let before = if lpvs_obs::enabled() { counted_rows().1 } else { 0 };
         let start = Instant::now();
         let gathered = self.inner.gather(slot, posteriors, recycled)?;
         self.gather_secs.push(start.elapsed().as_secs_f64());
         self.frontier = gathered.delta.as_ref().map_or(0, |d| d.len() as u64);
-        if lpvs_obs::enabled() {
-            let copied = counted_rows().1 - before;
-            // Slot 0 has no buffer to patch; from then on one circulates.
-            assert!(
-                slot == 0 || copied <= self.frontier,
-                "slot {slot}: the gather copied {copied} rows for a frontier of {}",
-                self.frontier
-            );
-            self.copied.push(copied);
-        }
+        let copied = gathered.refilled.patched + gathered.refilled.full;
+        // Slot 0 has no buffer to patch; from then on one circulates (a
+        // delta-less run ships no frontier to bound it by).
+        assert!(
+            gathered.delta.is_none() || slot == 0 || copied <= self.frontier,
+            "slot {slot}: the gather copied {copied} rows for a frontier of {}",
+            self.frontier
+        );
+        self.copied.push(copied);
         Some(gathered)
     }
 }
 
 impl SlotSink for Stamped {
     fn solved(&mut self, solved: &SolvedSlot) {
-        if !(lpvs_obs::enabled() && self.steady) {
+        let rows = solved.schedule.work.rows_accounted;
+        let counted = [rows.shard, rows.join];
+        self.accounted = [self.accounted[0] + counted[0], self.accounted[1] + counted[1]];
+        if !self.steady {
             return self.inner.solved(solved);
         }
         let selected = &solved.schedule.selected;
         let flipped = selected.iter().zip(&self.previous).filter(|(a, b)| a != b).count() as u64;
-        let now = counted_rows().0;
         // Slot 0 is all-dirty (and its cold solves keep their terms);
         // from then on a steady slot costs its churn on the shards, and
         // at the join what the rebalance moved after the shards shipped.
         if solved.slot >= 1 {
             let bounds = [self.frontier + flipped, solved.schedule.migrations as u64];
-            for ((owner, bound), (now, before)) in
-                ["shard", "join"].iter().zip(bounds).zip(now.iter().zip(self.rows))
-            {
+            for ((owner, bound), rows) in ["shard", "join"].iter().zip(bounds).zip(counted) {
                 assert!(
-                    now - before <= bound,
-                    "slot {}: {owner} accounted {} rows for a frontier of {}, {flipped} flips and \
+                    rows <= bound,
+                    "slot {}: {owner} accounted {rows} rows for a frontier of {}, {flipped} flips and \
                      {} migrations",
-                    solved.slot, now - before, self.frontier, bounds[1]
+                    solved.slot, self.frontier, bounds[1]
                 );
             }
         }
-        self.rows = now;
         self.previous.clone_from(selected);
         self.inner.solved(solved);
     }
@@ -198,22 +186,6 @@ impl SlotSink for Stamped {
     fn apply(&mut self, slot: usize) -> SlotFeedback {
         self.inner.apply(slot)
     }
-}
-
-/// The counted properties no shared runner's clock can blur (asserted
-/// by the adapter as the run goes); returns rows copied per tail slot.
-fn counted_pass(devices: usize, slots: usize, regime: &str, fraction: f64) -> f64 {
-    lpvs_obs::init().reset();
-    let (driver, _) = run(devices, slots, fraction, true);
-    lpvs_obs::set_enabled(false);
-    let (accounted, _) = counted_rows();
-    let copied = tail_mean(driver.copied.iter().map(|&rows| rows as f64));
-    println!(
-        "counted at N={devices}, {regime}: {copied:.0} rows copied a slot; {} rows accounted on \
-         the shards, {} at the join over {slots} slots (every slot in full would be {})",
-        accounted[0], accounted[1], devices * slots
-    );
-    copied
 }
 
 struct Row {
@@ -224,7 +196,7 @@ struct Row {
     delta_secs: f64,
     /// Mean `gather` stage of the delta run's tail slots.
     gather_secs: f64,
-    /// Rows a tail slot's gather copied (counted pass).
+    /// Rows a tail slot's gather copied (delta run).
     copied_per_slot: f64,
 }
 
@@ -249,24 +221,36 @@ fn main() {
          {SHARDS} shards × {slots} slots{}\n",
         if smoke { " (smoke)" } else { "" }
     );
-    let mut cells = Vec::new();
+    let mut rows: Vec<Row> = Vec::new();
     for &devices in sizes {
         for (regime, fraction) in [("steady", STEADY_FRACTION), ("churn", CHURN_FRACTION)] {
-            cells.push((devices, regime, fraction, counted_pass(devices, slots, regime, fraction)));
+            let (_, cold_secs) = run(devices, slots, fraction, false);
+            let (stamped, delta_secs) = run(devices, slots, fraction, true);
+            let gather_secs = tail_mean(stamped.gather_secs.iter().copied());
+            let copied_per_slot = tail_mean(stamped.copied.iter().map(|&rows| rows as f64));
+            let [shard, join] = stamped.accounted;
+            println!(
+                "counted at N={devices}, {regime}: {copied_per_slot:.0} rows copied a slot; {shard} \
+                 rows accounted on the shards, {join} at the join over {slots} slots (every slot in \
+                 full would be {})",
+                devices * slots
+            );
+            rows.push(Row {
+                devices,
+                regime,
+                fraction,
+                cold_secs,
+                delta_secs,
+                gather_secs,
+                copied_per_slot,
+            });
         }
     }
     println!(
         "\n{:>9} {:>8} {:>10} {:>12} {:>12} {:>9} {:>12} {:>12}",
         "devices", "regime", "mutation", "cold (s)", "delta (s)", "speedup", "gather (ms)", "copied/slot"
     );
-
-    let mut rows: Vec<Row> = Vec::new();
-    for (devices, regime, fraction, copied_per_slot) in cells {
-        let (_, cold_secs) = run(devices, slots, fraction, false);
-        let (stamped, delta_secs) = run(devices, slots, fraction, true);
-        let gather_secs = tail_mean(stamped.gather_secs.iter().copied());
-        let row =
-            Row { devices, regime, fraction, cold_secs, delta_secs, gather_secs, copied_per_slot };
+    for row in &rows {
         println!(
             "{:>9} {:>8} {:>10} {:>12.6} {:>12.6} {:>8.2}x {:>12.3} {:>12.0}",
             row.devices,
@@ -278,7 +262,6 @@ fn main() {
             1e3 * row.gather_secs,
             row.copied_per_slot,
         );
-        rows.push(row);
     }
 
     let largest = *sizes.last().expect("nonempty sweep");

@@ -143,8 +143,9 @@ pub fn solve_shard_incremental(
 /// accounting: `terms` is empty, or the terms of `previous_selected`
 /// over this view's rows as they were before `local_dirty` changed.
 /// Only the dirty rows and the rows whose decision flipped are
-/// re-evaluated (every row when `terms` is empty; the count goes to
-/// `delta_accounting_rows_total{owner="shard"}`), and `terms` is left
+/// re-evaluated (every row when `terms` is empty; the count is the
+/// `shard` rows of the returned schedule's work, beside the residual
+/// solve's work and the frontier's Phase-2 score), and `terms` is left
 /// describing the returned selection; the re-evaluated rows' terms are
 /// returned beside it, by position in the view.
 ///
@@ -196,6 +197,7 @@ pub fn solve_incremental(
         ..*scheduler.config()
     });
     let sub = sub_scheduler.schedule_view(sub_view, Some(&sub_warm), budget);
+    let mut work = sub.work;
 
     // Merge: clean rows keep their standing decision.
     let mut selected = previous_selected.to_vec();
@@ -205,11 +207,15 @@ pub fn solve_incremental(
     if !view.capacity_feasible(&selected) {
         // Unreachable up to rounding; a cold solve is always sound.
         terms.clear();
-        return (scheduler.schedule_view(view, Some(previous_selected), budget), Vec::new());
+        let mut cold = scheduler.schedule_view(view, Some(previous_selected), budget);
+        cold.work += work;
+        return (cold, Vec::new());
     }
 
     let phase2 = if scheduler.config().enable_phase2 {
-        run_phase2_over(view, &mut selected, Some(local_dirty))
+        let (stats, steps) = run_phase2_over(view, &mut selected, Some(local_dirty));
+        work.chunk_steps.score += steps;
+        stats
     } else {
         Default::default()
     };
@@ -221,7 +227,7 @@ pub fn solve_incremental(
     let (fleet, rows) = (view.fleet(), Some(view.rows()));
     let named = stale.iter().copied();
     let accounted = terms.refresh(fleet, rows, view.lambda(), view.curve(), &selected, named);
-    lpvs_obs::add_labeled("delta_accounting_rows_total", &[("owner", "shard")], accounted as u64);
+    work.rows_accounted.shard += accounted as u64;
     // An empty cache was rebuilt: every row is fresh, not only the named.
     let shipped = if accounted == stale.len() {
         terms.shipment(stale)
@@ -242,7 +248,7 @@ pub fn solve_incremental(
         rejected_devices: sub.stats.rejected_devices,
         runtime: start.elapsed(),
     };
-    (Schedule { selected, stats }, shipped)
+    (Schedule { selected, stats, work }, shipped)
 }
 
 #[cfg(test)]

@@ -46,6 +46,7 @@
 use crate::accounting::RowAccounting;
 use crate::kernels::FleetColumns;
 use crate::problem::{safe_capacity, DeviceRequest, SlotProblem};
+use crate::work::RowsRefilled;
 use lpvs_display::spec::DisplayKind;
 use lpvs_survey::curve::AnxietyCurve;
 use serde::{Deserialize, Serialize};
@@ -681,8 +682,9 @@ impl DeviceFleet {
     /// Ships this slot's snapshot — the gather step of a driver that owns
     /// a persistent fleet. Captures the [`DirtyFrontier`], consumes it
     /// ([`clear_dirty`](Self::clear_dirty)) and brings `recycled`, the
-    /// buffer shipped last slot, up to date; returns the frontier and
-    /// the buffer, equal to `self` in rows, dirty bits and epoch.
+    /// buffer shipped last slot, up to date; returns the frontier, the
+    /// buffer, equal to `self` in rows, dirty bits and epoch, and the
+    /// rows it copied by path — the gather stage's cost in rows.
     ///
     /// A buffer whose epoch is the frontier's and whose chunk layout (so
     /// also row count) is this fleet's is the snapshot shipped one epoch
@@ -690,7 +692,10 @@ impl DeviceFleet {
     /// differ, and only they are copied — every column, chunk range
     /// included, so no setter has to be known here. Anything else (no
     /// buffer, an epoch gap, another layout) is a full `clone_from`.
-    pub fn ship_snapshot(&mut self, recycled: Option<DeviceFleet>) -> (DirtyFrontier, DeviceFleet) {
+    pub fn ship_snapshot(
+        &mut self,
+        recycled: Option<DeviceFleet>,
+    ) -> (DirtyFrontier, DeviceFleet, RowsRefilled) {
         let frontier = self.dirty_frontier();
         self.clear_dirty();
         let mut buffer = recycled.unwrap_or_default();
@@ -717,10 +722,8 @@ impl DeviceFleet {
         } else {
             buffer.clone_from(self);
         }
-        // Rows copied, by path (a no-op unless the recorder is enabled).
-        let (path, rows) = if patched { ("patched", frontier.len()) } else { ("full", self.len()) };
-        lpvs_obs::add_labeled("fleet_refill_rows_total", &[("path", path)], rows as u64);
-        (frontier, buffer)
+        let (patched, full) = if patched { (frontier.len(), 0) } else { (0, self.len()) };
+        (frontier, buffer, RowsRefilled { patched: patched as u64, full: full as u64 })
     }
 
     /// Battery fraction of row `i`, clamped to `[0, 1]` like

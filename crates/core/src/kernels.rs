@@ -428,15 +428,11 @@ pub fn score_rows_with(
     out
 }
 
-/// Adds the chunk steps one walk of `rows` takes to
-/// `sched_chunk_steps_total{stage}` — the scheduler's count of what its
-/// kernels read — when recording is on.
-pub(crate) fn count_chunk_steps(stage: &str, cols: &FleetColumns<'_>, rows: &[usize]) {
-    if lpvs_obs::enabled() {
-        let offsets = cols.chunk_offsets;
-        let steps: usize = rows.iter().map(|&i| offsets[i + 1] - offsets[i]).sum();
-        lpvs_obs::add_labeled("sched_chunk_steps_total", &[("stage", stage)], steps as u64);
-    }
+/// The chunk steps one walk of `rows` takes — the scheduler's count of
+/// what its kernels read ([`SlotWork::chunk_steps`](crate::work::SlotWork::chunk_steps)).
+pub(crate) fn chunk_steps(cols: &FleetColumns<'_>, rows: &[usize]) -> u64 {
+    let offsets = cols.chunk_offsets;
+    rows.iter().map(|&i| (offsets[i + 1] - offsets[i]) as u64).sum()
 }
 
 /// Portable per-row loops — the reference semantics both paths share.

@@ -47,7 +47,9 @@
 //!   sets and the residual sub-solve that re-solves only the dirty
 //!   frontier of a shard;
 //! * [`accounting`] — [`RowAccounting`]: the per-row eq.-13 and saving
-//!   terms every total is folded from, refreshed where rows changed.
+//!   terms every total is folded from, refreshed where rows changed;
+//! * [`work`] — [`SlotWork`]: what a solve did, counted, returned beside
+//!   its decision and published once a slot by the slot runtime.
 //!
 //! # One solve-path representation
 //!
@@ -103,6 +105,7 @@ pub mod phase2;
 pub mod problem;
 pub mod provision;
 pub mod scheduler;
+pub mod work;
 
 pub use accounting::RowAccounting;
 pub use baseline::{Policy, SelectionPolicy};
@@ -121,3 +124,4 @@ pub use phase2::{run_phase2, run_phase2_over, Phase2Stats};
 pub use problem::{DeviceRequest, SlotProblem};
 pub use provision::{price_capacity, CapacityPrices};
 pub use scheduler::{LpvsScheduler, Schedule, ScheduleStats, SchedulerConfig};
+pub use work::SlotWork;

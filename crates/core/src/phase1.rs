@@ -19,6 +19,7 @@
 use crate::fleet::{with_problem_view, SlotView};
 use crate::kernels::{self, Scores};
 use crate::problem::SlotProblem;
+use crate::work::SlotWork;
 use lpvs_solver::{BinaryProgram, Relation, Sense, SolverError};
 use serde::{Deserialize, Serialize};
 
@@ -76,17 +77,18 @@ pub struct Phase1Result {
     /// with `lpvs_solver::relax`, which pivots nothing, so it reports 0
     /// as well — `nodes` is its work counter.
     pub pivots: usize,
-    /// Whether a supplied warm-start hint was actually adopted (exact
-    /// path: the cleaned hint seeded the incumbent; greedy path: the
-    /// hint replaced the greedy selection). Always `false` when no hint
-    /// was offered.
-    pub warm_start_used: bool,
     /// Whether the selection is certified optimal within
     /// [`Phase1Config::relative_gap`]: the exact path's branch-and-bound
     /// closed before [`Phase1Config::node_limit`] (`false` when it
     /// handed back the incumbent it had at the cap). The greedy path
     /// certifies nothing (`false`); an empty view is trivially optimal.
     pub certified: bool,
+    /// What the solve did, counted: sorted orders, an uncertified solve,
+    /// an offered hint adopted (the exact path's incumbent, or the
+    /// greedy path's selection) or not — and, from [`solve_phase1`], the
+    /// chunk steps of scoring the problem.
+    #[serde(skip)]
+    pub work: SlotWork,
 }
 
 /// Solves Phase-1 for the slot problem.
@@ -120,29 +122,34 @@ pub fn solve_phase1_warm(
     hint: Option<&[bool]>,
 ) -> Result<Phase1Result, SolverError> {
     with_problem_view(problem, |view| {
-        let mut scores = score_view(view);
-        solve(view, config, hint, &mut scores.saving, &scores.feasible)
+        let mut work = SlotWork::default();
+        let mut scores = score_view(view, &mut work);
+        let mut result = solve(view, config, hint, &mut scores.saving, &scores.feasible)?;
+        result.work += work;
+        Ok(result)
     })
 }
 
 /// Information compacting (paper §V-B): every row's feasibility, saving
 /// and eq.-13 terms under both decisions, in one walk of its chunks
-/// ([`kernels::score_rows`]). A solve scores its view once, and Phase-1,
-/// Phase-2 and the accounting of the final selection all read it.
-pub(crate) fn score_view(view: SlotView<'_>) -> Scores {
+/// ([`kernels::score_rows`]), whose steps go to `work`. A solve scores
+/// its view once, and Phase-1, Phase-2 and the accounting of the final
+/// selection all read it.
+pub(crate) fn score_view(view: SlotView<'_>, work: &mut SlotWork) -> Scores {
     let _span = lpvs_obs::span!("sched.compact", "devices" => view.len());
     let cols = view.columns();
-    kernels::count_chunk_steps("score", &cols, view.rows());
+    work.chunk_steps.score += kernels::chunk_steps(&cols, view.rows());
     kernels::score_rows(&cols, view.rows(), view.lambda(), view.curve())
 }
 
 /// Phase-1 over a view with the configured solver, on the savings and
 /// verdicts of its score ([`score_view`], positional like the view's
 /// rows), warm-started from `hint` (see the module docs for the
-/// contract). An offered hint bumps `delta_warm_start_{hit,miss}_total`
-/// once. The exact solver lends `savings` to its program and takes it
-/// back, so a solve that succeeds leaves the column as it came, for
-/// Phase-2 and the accounting (one that fails may leave it empty).
+/// contract). An offered hint counts once in the result's
+/// [`SlotWork::warm_start`], a hit or a miss. The exact solver lends
+/// `savings` to its program and takes it back, so a solve that succeeds
+/// leaves the column as it came, for Phase-2 and the accounting (one
+/// that fails may leave it empty).
 pub(crate) fn solve(
     view: SlotView<'_>,
     config: &Phase1Config,
@@ -157,8 +164,8 @@ pub(crate) fn solve(
             infeasible_devices: 0,
             nodes: 0,
             pivots: 0,
-            warm_start_used: false,
             certified: true,
+            work: SlotWork::default(),
         });
     }
     let infeasible_devices = feasible.iter().filter(|&&f| !f).count();
@@ -167,9 +174,10 @@ pub(crate) fn solve(
     let cleaned = hint.filter(|h| h.len() == feasible.len()).map(|h| {
         h.iter().zip(feasible).map(|(&x, &ok)| x && ok).collect::<Vec<bool>>()
     });
-    let record_warm = |used: bool| match hint {
-        Some(_) if used => lpvs_obs::inc("delta_warm_start_hit_total"),
-        Some(_) => lpvs_obs::inc("delta_warm_start_miss_total"),
+    let mut work = SlotWork::default();
+    let mut record_warm = |used: bool| match hint {
+        Some(_) if used => work.warm_start.hit += 1,
+        Some(_) => work.warm_start.miss += 1,
         None => {}
     };
     match config.solver {
@@ -189,19 +197,17 @@ pub(crate) fn solve(
             record_warm(warm_start_used);
             let solution = search.solve()?;
             *savings = ilp.into_objective();
-            lpvs_obs::add("solver_orders_sorted_total", solution.stats.orders_sorted as u64);
             let certified = !solution.stats.hit_node_limit;
-            if !certified {
-                lpvs_obs::inc("sched_phase1_uncertified_total");
-            }
+            work.orders_sorted += solution.stats.orders_sorted as u64;
+            work.uncertified += u64::from(!certified);
             Ok(Phase1Result {
                 energy_saved_j: solution.objective,
                 nodes: solution.stats.nodes,
                 pivots: solution.stats.simplex_iterations,
                 selected: solution.x,
                 infeasible_devices,
-                warm_start_used,
                 certified,
+                work,
             })
         }
         Phase1Solver::Greedy => {
@@ -237,8 +243,8 @@ pub(crate) fn solve(
                 infeasible_devices,
                 nodes: 0,
                 pivots: 0,
-                warm_start_used,
                 certified: false,
+                work,
             })
         }
     }
@@ -338,12 +344,12 @@ mod tests {
         assert!(hinted.energy_saved_j >= cold.energy_saved_j - 1e-9
             || (hinted.energy_saved_j - cold.energy_saved_j).abs()
                 <= 1e-3 * cold.energy_saved_j.abs());
-        assert!(hinted.warm_start_used, "feasible hint must engage the warm path");
-        assert!(!cold.warm_start_used, "no hint offered, none used");
+        assert_eq!(hinted.work.warm_start.hit, 1, "feasible hint must engage the warm path");
+        assert_eq!(cold.work.warm_start, Default::default(), "no hint offered, none counted");
         // A malformed hint (wrong length) is ignored, not fatal.
         let odd = solve_phase1_warm(&p, &Phase1Config::default(), Some(&[true])).unwrap();
         assert_eq!(odd.selected.len(), 3);
-        assert!(!odd.warm_start_used);
+        assert_eq!((odd.work.warm_start.hit, odd.work.warm_start.miss), (0, 1));
     }
 
     #[test]
@@ -358,7 +364,7 @@ mod tests {
         assert!(p.capacity_feasible(&hinted.selected));
         // An over-capacity hint is rejected and reported unused.
         let over = solve_phase1_warm(&p, &config, Some(&[true, true, true])).unwrap();
-        assert!(!over.warm_start_used, "greedy adopted an infeasible hint");
+        assert_eq!(over.work.warm_start.hit, 0, "greedy adopted an infeasible hint");
         assert!(p.capacity_feasible(&over.selected));
         assert_eq!(over.selected, cold.selected);
     }

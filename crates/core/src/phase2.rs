@@ -163,7 +163,7 @@ impl VictimIndex {
 ///
 /// Panics if `selected.len()` differs from the device count.
 pub fn run_phase2(problem: &SlotProblem, selected: &mut [bool]) -> Phase2Stats {
-    with_problem_view(problem, |view| run_phase2_over(view, selected, None))
+    with_problem_view(problem, |view| run_phase2_over(view, selected, None).0)
 }
 
 /// Phase-2 over a view, optionally restricted to a subset of its
@@ -171,7 +171,8 @@ pub fn run_phase2(problem: &SlotProblem, selected: &mut [bool]) -> Phase2Stats {
 /// (devices swapped *in*) and victims (devices swapped *out*) must lie
 /// in `allowed`, so rows outside the frontier keep their standing
 /// decision verbatim: the pure-addition criterion holds with respect to
-/// every clean row. `allowed: None` swaps over the whole view.
+/// every clean row. `allowed: None` swaps over the whole view. Returns
+/// the swap statistics and the chunk steps of scoring the scope.
 ///
 /// # Panics
 ///
@@ -181,7 +182,7 @@ pub fn run_phase2_over(
     view: SlotView<'_>,
     selected: &mut [bool],
     allowed: Option<&[usize]>,
-) -> Phase2Stats {
+) -> (Phase2Stats, u64) {
     assert_eq!(selected.len(), view.len(), "selection has wrong length");
     // The scope in ascending position order, so that slot order is
     // device order wherever a tie falls back on it. Everything below is
@@ -198,13 +199,12 @@ pub fn run_phase2_over(
     // Only scoped rows are scored (out-of-scope rows are never read as
     // candidates *or* victims), so a delta solve pays O(frontier·K),
     // not O(N·K) — in one walk of each row's chunks.
-    let scores = {
+    let (scores, steps) = {
         let rows: Vec<usize> = scope.iter().map(|&p| view.rows()[p]).collect();
         let cols = view.columns();
-        kernels::count_chunk_steps("score", &cols, &rows);
-        kernels::score_rows(&cols, &rows, view.lambda(), view.curve())
+        (kernels::score_rows(&cols, &rows, view.lambda(), view.curve()), kernels::chunk_steps(&cols, &rows))
     };
-    swap(view, selected, &scope, &scores)
+    (swap(view, selected, &scope, &scores), steps)
 }
 
 /// Phase-2 over the whole view on a score of all of it (positional, like
@@ -470,7 +470,7 @@ mod tests {
         let mut scoped = start;
         let every: Vec<usize> = (0..p.len()).collect();
         let a = run_phase2(&p, &mut all);
-        let b = with_problem_view(&p, |view| run_phase2_over(view, &mut scoped, Some(&every)));
+        let (b, _) = with_problem_view(&p, |view| run_phase2_over(view, &mut scoped, Some(&every)));
         assert_eq!(all, scoped);
         assert_eq!(a, b);
     }

@@ -7,6 +7,7 @@ use crate::kernels::{self, Scores};
 use crate::phase1::{self, Phase1Config, Phase1Solver};
 use crate::phase2::{run_phase2_scored, Phase2Stats};
 use crate::problem::SlotProblem;
+use crate::work::SlotWork;
 use lpvs_solver::SolverError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -120,6 +121,10 @@ pub struct Schedule {
     pub selected: Vec<bool>,
     /// Run statistics.
     pub stats: ScheduleStats,
+    /// What the solve did, counted, over every rung it tried — beside
+    /// `stats`, which snapshots encode, not in it.
+    #[serde(skip)]
+    pub work: SlotWork,
 }
 
 impl Schedule {
@@ -246,8 +251,9 @@ impl LpvsScheduler {
         let start = Instant::now();
         let phase1_config = &self.config.phase1;
         with_problem_view(problem, |view| {
-            let phases = self.run_phases(phase1_config, view, previous)?;
-            Ok(phases.into_schedule(view, rung_of(phase1_config.solver), 0, start).0)
+            let mut work = SlotWork::default();
+            let phases = self.run_phases(phase1_config, view, previous, &mut work)?;
+            Ok(phases.into_schedule(view, rung_of(phase1_config.solver), 0, start, work).0)
         })
     }
 
@@ -259,19 +265,22 @@ impl LpvsScheduler {
     /// Every stage reads one score of the view ([`phase1::score_view`]):
     /// Phase-1 borrows its savings and verdicts, Phase-2 its verdicts and
     /// eq.-13 terms, and the score rides on in the returned [`Phases`] to
-    /// the accounting.
+    /// the accounting. The counts go to `work` as the stages finish, so a
+    /// rung that fails keeps what it did.
     fn run_phases(
         &self,
         phase1_config: &Phase1Config,
         view: SlotView<'_>,
         previous: Option<&[bool]>,
+        work: &mut SlotWork,
     ) -> Result<Phases, SolverError> {
-        let mut scores = phase1::score_view(view);
+        let mut scores = phase1::score_view(view, work);
         let phase1 = {
             let mut span = lpvs_obs::span!("sched.phase1", "devices" => view.len());
             let Scores { saving, feasible, .. } = &mut scores;
             let phase1 = phase1::solve(view, phase1_config, previous, saving, feasible)?;
             span.record("nodes", phase1.nodes as f64);
+            *work += phase1.work;
             phase1
         };
         let mut selected = phase1.selected;
@@ -395,6 +404,7 @@ impl LpvsScheduler {
         // lower still, so a shed slot goes directly to the forced rung.
         let floor = budget.solver_floor.unwrap_or(Degradation::Exact);
         let first = floor.max(rung_of(self.config.phase1.solver));
+        let mut work = SlotWork::default();
         for solver in [Phase1Solver::Exact, Phase1Solver::Greedy] {
             let rung = rung_of(solver);
             if rung < first {
@@ -407,14 +417,15 @@ impl LpvsScheduler {
             // Defense in depth: a view is solver-safe by construction,
             // but a rung that panics anyway is a rung that failed, not
             // a dead slot.
-            let attempt =
-                catch_unwind(AssertUnwindSafe(|| self.run_phases(&phase1, view, previous)));
+            let attempt = catch_unwind(AssertUnwindSafe(|| {
+                self.run_phases(&phase1, view, previous, &mut work)
+            }));
             if let Ok(Ok(mut phases)) = attempt {
                 for (x, &ok) in phases.selected.iter_mut().zip(&valid) {
                     *x = *x && ok;
                 }
                 if view.capacity_feasible(&phases.selected) {
-                    return finish_resilient(view, phases, rung, rejected, start, slot_span);
+                    return finish_resilient(view, phases, rung, rejected, start, slot_span, work);
                 }
             }
         }
@@ -434,6 +445,7 @@ impl LpvsScheduler {
                         rejected,
                         start,
                         slot_span,
+                        work,
                     );
                 }
             }
@@ -448,6 +460,7 @@ impl LpvsScheduler {
             rejected,
             start,
             slot_span,
+            work,
         )
     }
 }
@@ -480,14 +493,15 @@ impl Phases {
         }
     }
 
-    /// Accounts for the selection on `view` and stamps the outcome;
-    /// the terms ride along for whoever keeps them.
+    /// Accounts for the selection on `view` and stamps the outcome and
+    /// the solve's `work`; the terms ride along for whoever keeps them.
     fn into_schedule(
         self,
         view: SlotView<'_>,
         rung: Degradation,
         rejected: usize,
         start: Instant,
+        mut work: SlotWork,
     ) -> (Schedule, RowAccounting) {
         let _span = lpvs_obs::span!("sched.account");
         let terms = match self.scores {
@@ -497,7 +511,7 @@ impl Phases {
                 kept
             }
             None => {
-                kernels::count_chunk_steps("account", &view.columns(), view.rows());
+                work.chunk_steps.account += kernels::chunk_steps(&view.columns(), view.rows());
                 RowAccounting::of(view, &self.selected)
             }
         };
@@ -513,7 +527,7 @@ impl Phases {
             rejected_devices: rejected,
             runtime: start.elapsed(),
         };
-        (Schedule { selected: self.selected, stats }, terms)
+        (Schedule { selected: self.selected, stats, work }, terms)
     }
 }
 
@@ -527,8 +541,9 @@ fn finish_resilient(
     rejected: usize,
     start: Instant,
     mut slot_span: lpvs_obs::SpanGuard,
+    work: SlotWork,
 ) -> (Schedule, RowAccounting) {
-    let (schedule, terms) = phases.into_schedule(view, rung, rejected, start);
+    let (schedule, terms) = phases.into_schedule(view, rung, rejected, start, work);
     let stats = &schedule.stats;
     slot_span.record("tier", rung.severity() as f64);
     if lpvs_obs::enabled() {
@@ -664,7 +679,7 @@ mod tests {
         // Equal lengths still report: identical selections churn 0.
         assert_eq!(s.churn_vs(&s.selected), Some(0.0));
         // An empty schedule has no churn to report either.
-        let empty = Schedule { selected: vec![], stats: s.stats };
+        let empty = Schedule { selected: vec![], stats: s.stats, work: s.work };
         assert_eq!(empty.churn_vs(&[]), None);
     }
 

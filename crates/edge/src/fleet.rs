@@ -32,6 +32,7 @@ use lpvs_core::budget::SlotBudget;
 use lpvs_core::delta::SlotDelta;
 use lpvs_core::fleet::{DeviceFleet, SlotView};
 use lpvs_core::scheduler::{Degradation, LpvsScheduler, Schedule, ScheduleStats, SchedulerConfig};
+use lpvs_core::work::{RowsAccounted, SlotWork};
 use lpvs_core::Phase2Stats;
 use lpvs_survey::curve::AnxietyCurve;
 use serde::{Deserialize, Serialize};
@@ -111,6 +112,10 @@ pub struct ShardReport {
     /// The shard scheduler's run statistics (rung reached, objective,
     /// Phase-1/2 work).
     pub stats: ScheduleStats,
+    /// The shard solve's counted work ([`Schedule::work`]; a worker adds
+    /// the delta path it took and the rows it accounted before solving).
+    #[serde(skip)]
+    pub work: SlotWork,
     /// Global indices of devices migrated *into* this shard by the
     /// rebalancing pass (their load counts against this shard's server,
     /// not their home shard's).
@@ -133,6 +138,11 @@ pub struct FleetSchedule {
     /// Wall-clock time for the whole fleet slot (partition + parallel
     /// solve + rebalance).
     pub runtime: Duration,
+    /// The slot's counted work: every shard's, plus the rows the join
+    /// evaluated and adopted; the slot runtime adds the rows its gather
+    /// copied before it delivers and publishes the schedule.
+    #[serde(skip)]
+    pub work: SlotWork,
 }
 
 impl FleetSchedule {
@@ -171,6 +181,7 @@ impl JoinMemo {
     /// in `reports[s].devices`), which are adopted as they are, plus
     /// every row the rebalance moved in, which its shard shipped
     /// unselected. No `kept`: every row, and nothing to extend next slot.
+    /// Returns the totals and the rows evaluated and adopted.
     fn total(
         &mut self,
         fleet: &DeviceFleet,
@@ -179,7 +190,7 @@ impl JoinMemo {
         selected: &[bool],
         reports: &[ShardReport],
         kept: Option<(&SlotDelta, &[ShardTerms])>,
-    ) -> (f64, f64) {
+    ) -> (f64, f64, RowsAccounted) {
         let (delta, shipped) = kept.map_or((None, &[][..]), |(delta, shipped)| (Some(delta), shipped));
         let n = selected.len();
         let extends = self.terms.keep(n, lambda, curve)
@@ -213,14 +224,13 @@ impl JoinMemo {
             .filter(|(i, (was, now))| was != now && uncovered(i) && dirty.binary_search(i).is_err())
             .map(|(i, _)| i);
         let stale = dirty.iter().copied().chain(0..every).filter(uncovered).chain(flipped).chain(moved());
-        let accounted = self.terms.refresh(fleet, None, lambda, curve, selected, stale) as u64;
-        lpvs_obs::add_labeled("delta_accounting_rows_total", &[("owner", "join")], accounted);
-        lpvs_obs::add_labeled("delta_accounting_rows_total", &[("owner", "shipped")], adopted);
+        let join = self.terms.refresh(fleet, None, lambda, curve, selected, stale) as u64;
         // Only a delta-carrying slot can be extended.
         self.epoch = delta.map(|d| d.epoch);
         self.selected.clear();
         self.selected.extend_from_slice(if delta.is_some() { selected } else { &[] });
-        self.terms.fold()
+        let (objective, energy_saved_j) = self.terms.fold();
+        (objective, energy_saved_j, RowsAccounted { join, shipped: adopted, ..RowsAccounted::default() })
     }
 }
 
@@ -379,6 +389,7 @@ impl FleetScheduler {
                 rejected_devices: devices,
                 runtime: Duration::ZERO,
             },
+            work: SlotWork::default(),
         }
     }
 
@@ -410,6 +421,7 @@ impl FleetScheduler {
     ) -> FleetSchedule {
         let mut selected = vec![false; fleet.len()];
         let mut reports = Vec::with_capacity(shards.len());
+        let mut work = SlotWork::default();
         let mut results = results.into_iter();
         for (s, devices) in shards.into_iter().enumerate() {
             let schedule = results
@@ -419,10 +431,12 @@ impl FleetScheduler {
             for (&global, &x) in devices.iter().zip(&schedule.selected) {
                 selected[global] = x;
             }
+            work += schedule.work;
             reports.push(ShardReport {
                 shard: s,
                 devices,
                 stats: schedule.stats,
+                work: schedule.work,
                 migrated_in: Vec::new(),
             });
         }
@@ -434,14 +448,15 @@ impl FleetScheduler {
             Some((memo, delta, shipped)) => (memo, Some((delta, shipped))),
             None => (&mut JoinMemo::default(), None),
         };
-        let (objective, energy_saved_j) = memo.total(fleet, lambda, curve, &selected, &reports, kept);
+        let (objective, energy_saved_j, rows) = memo.total(fleet, lambda, curve, &selected, &reports, kept);
+        work += SlotWork { rows_accounted: rows, ..SlotWork::default() };
 
         // One sample a fleet slot under either executor: `start` is the
         // scoped path's entry or the worker executor's dispatch.
         let runtime = start.elapsed();
         lpvs_obs::observe("fleet_slot_seconds", runtime.as_secs_f64());
 
-        FleetSchedule { selected, shards: reports, migrations, objective, energy_saved_j, runtime }
+        FleetSchedule { selected, shards: reports, migrations, objective, energy_saved_j, runtime, work }
     }
 
     /// Bounded cross-shard rebalancing (the anxiety-repair pass of

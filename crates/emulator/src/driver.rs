@@ -339,6 +339,7 @@ impl SlotSource for EmulatorDriver {
                 // slot, so it cannot attest to a change set — every
                 // shard solves cold, exactly as before deltas existed.
                 delta: None,
+                refilled: Default::default(),
             })
         } else {
             // Baselines keep their plain `select` path — no sanitizer,

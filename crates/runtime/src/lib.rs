@@ -87,6 +87,7 @@ use lpvs_core::budget::SlotBudget;
 use lpvs_core::delta::SlotDelta;
 use lpvs_core::fleet::DeviceFleet;
 use lpvs_core::scheduler::Degradation;
+use lpvs_core::work::RowsRefilled;
 use lpvs_edge::fleet::FleetSchedule;
 use lpvs_survey::curve::AnxietyCurve;
 use serde::{Deserialize, Serialize};
@@ -134,6 +135,10 @@ pub struct GatheredSlot {
     /// trace emulator rebuilds its fleet every slot), which forces
     /// every shard down the cold path.
     pub delta: Option<SlotDelta>,
+    /// Rows the gather copied into `fleet` ([`DeviceFleet::ship_snapshot`]);
+    /// zero for a source that builds its fleet afresh. The runtime adds
+    /// them to the slot's delivered `FleetSchedule::work`.
+    pub refilled: RowsRefilled,
 }
 
 /// A completed fleet solve, delivered to [`SlotSink::solved`] once all

@@ -68,6 +68,7 @@ use lpvs_obs::{FlightRing, SpanContext};
 use lpvs_core::accounting::ShardTerms;
 use lpvs_core::fleet::DeviceFleet;
 use lpvs_core::scheduler::{Degradation, Schedule};
+use lpvs_core::work::RowsRefilled;
 use lpvs_edge::fleet::{FleetConfig, FleetSchedule, FleetScheduler, JoinMemo};
 use lpvs_edge::server::EdgeServer;
 use serde::{Deserialize, Serialize};
@@ -154,7 +155,8 @@ pub struct RuntimeReport {
 }
 
 /// What a slot loop — either executor's — carries from one slot to the
-/// next, and its counters.
+/// next, and its counters; it publishes each solved slot's
+/// [`SlotWork`](lpvs_core::work::SlotWork).
 #[derive(Default)]
 struct SlotLoop {
     /// Playback observations of the last applied slot, not yet in a bank.
@@ -168,10 +170,14 @@ struct SlotLoop {
 }
 
 impl SlotLoop {
-    fn count_solved(&mut self, slot: usize, runtime: Duration) {
-        self.solve_runtime += runtime;
+    /// Counts a joined solve, completes its work with the rows its
+    /// gather copied, and publishes the record the driver is handed.
+    fn count_solved(&mut self, slot: usize, refilled: RowsRefilled, schedule: &mut FleetSchedule) {
+        self.solve_runtime += schedule.runtime;
         self.solved_slots += 1;
-        self.slot_solve_runtimes.push((slot, runtime));
+        self.slot_solve_runtimes.push((slot, schedule.runtime));
+        schedule.work.rows_refilled = refilled;
+        schedule.work.publish();
     }
 
     /// Folds the pending observations into an inline bank.
@@ -799,10 +805,10 @@ impl SlotRuntime {
     ) {
         if let Some(g) = run.gather(driver, slot, posteriors) {
             let server = EdgeServer::new(g.compute_capacity, g.storage_capacity_gb);
-            let schedule =
+            let mut schedule =
                 scheduler.schedule(&g.fleet, &server, g.lambda, &g.curve, g.warm.as_deref(), &g.budget);
             let tier = worst_tier(&schedule);
-            run.count_solved(slot, schedule.runtime);
+            run.count_solved(slot, g.refilled, &mut schedule);
             driver.solved(&SolvedSlot { slot, schedule, tier });
             run.recycled = Some(g.fleet);
         }
@@ -966,7 +972,7 @@ impl SlotRuntime {
             match hub.events.recv() {
                 Ok(WorkerEvent::Solved { shard, slot, schedule, terms }) => {
                     debug_assert_eq!(slot, pending.slot, "stale solve result");
-                    results[shard] = schedule.map(|b| *b);
+                    results[shard] = Some(*schedule);
                     shipped[shard] = terms;
                     if !accounted[shard] {
                         accounted[shard] = true;
@@ -1057,7 +1063,7 @@ impl SlotRuntime {
         // workers, `assemble` is the hub working alone while they idle.
         let waited = wait.elapsed().as_secs_f64();
         let PendingSolve { slot, gathered, shards, servers, dispatched_at, .. } = pending;
-        let schedule = self.scheduler.assemble(
+        let mut schedule = self.scheduler.assemble(
             &gathered.fleet,
             &servers,
             shards,
@@ -1073,7 +1079,7 @@ impl SlotRuntime {
             lpvs_obs::observe_labeled("runtime_stage_seconds", &[("stage", "assemble")], assembled);
         }
         let tier = worst_tier(&schedule);
-        run.count_solved(slot, schedule.runtime);
+        run.count_solved(slot, gathered.refilled, &mut schedule);
         // Every worker dropped its handle before reporting, so ours is
         // unique and the buffer comes back for the next gather.
         let (buffer, device_ids) = match Arc::try_unwrap(gathered) {

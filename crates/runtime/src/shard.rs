@@ -11,6 +11,8 @@
 //!   the shard degrades to passthrough, the worker survives) and ship
 //!   the per-row terms the solve evaluated home beside the schedule, so
 //!   the join adopts them instead of evaluating those rows again. The
+//!   schedule's [`SlotWork`] carries the delta path the worker took and
+//!   the rows it accounted, counted before the solve runs. The
 //!   worker yields while the hub is still fanning the slot out: woken
 //!   on the hub's CPU it would displace a hub that has other shards'
 //!   jobs to send, and every shard would wait on that one;
@@ -36,7 +38,8 @@ use lpvs_bayes::BayesBank;
 use lpvs_core::accounting::{RowAccounting, ShardTerms};
 use lpvs_core::delta::solve_incremental;
 use lpvs_core::scheduler::{LpvsScheduler, Schedule, SchedulerConfig};
-use lpvs_edge::fleet::{shard_frontier, solve_cold_shard, GOLDEN_GAMMA};
+use lpvs_core::work::SlotWork;
+use lpvs_edge::fleet::{shard_frontier, solve_cold_shard, FleetScheduler, GOLDEN_GAMMA};
 use lpvs_obs::{FlightKind, FlightRing, SpanContext};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -153,11 +156,11 @@ pub(crate) enum WorkerMsg {
 
 /// Events workers send the hub on the shared event channel.
 pub(crate) enum WorkerEvent {
-    /// A solve completed. `None` means the solver panicked and the
-    /// shard degrades to passthrough for this slot. `terms` are the
-    /// rows the solve evaluated, shard-local: every row after a cold
-    /// solve, the refreshed ones after an incremental one, else none.
-    Solved { shard: usize, slot: usize, schedule: Option<Box<Schedule>>, terms: ShardTerms },
+    /// A solve completed — a passthrough schedule when the solver
+    /// panicked. `terms` are the rows the solve evaluated, shard-local:
+    /// every row after a cold solve, the refreshed ones after an
+    /// incremental one, else none.
+    Solved { shard: usize, slot: usize, schedule: Box<Schedule>, terms: ShardTerms },
     /// The worker's bank (and delta memo, when one is live), encoded
     /// for checkpointing as of `prepare(slot)`.
     Checkpointed { shard: usize, slot: usize, bank: Vec<u8>, memo: Option<Vec<u8>> },
@@ -275,22 +278,28 @@ pub(crate) fn spawn_worker(
                             return;
                         }
                     }
-                    let slot = job.slot;
+                    let (slot, rows) = (job.slot, job.indices.len());
                     // Consumes the job, and with it the shared buffer's
                     // handle — released before announcing, so the hub's
                     // is unique once all shards report.
+                    let mut work = SlotWork::default();
                     let (schedule, terms) =
-                        solve_slice(&scheduler, shard, job, &mut state.memo).unzip();
+                        solve_slice(&scheduler, shard, job, &mut state.memo, &mut work).unzip();
                     ring.push(
                         FlightKind::SpanEnd,
                         "solve",
                         slot as f64,
                         if schedule.is_some() { 1.0 } else { 0.0 },
                     );
+                    // A panicked solve is the join's passthrough, still
+                    // carrying the path and rows counted before it ran.
+                    let mut schedule =
+                        schedule.unwrap_or_else(|| FleetScheduler::passthrough_schedule(rows));
+                    schedule.work += work;
                     let event = WorkerEvent::Solved {
                         shard,
                         slot,
-                        schedule: schedule.map(Box::new),
+                        schedule: Box::new(schedule),
                         terms: terms.unwrap_or_default(),
                     };
                     if events.send(event).is_err() {
@@ -330,16 +339,6 @@ enum DeltaPath {
     /// Full re-solve (no delta, no memo, invalidated memo, or a
     /// frontier too large to pay off).
     Cold,
-}
-
-impl DeltaPath {
-    fn label(self) -> &'static str {
-        match self {
-            DeltaPath::Reuse => "reuse",
-            DeltaPath::Incremental => "incremental",
-            DeltaPath::Cold => "cold",
-        }
-    }
 }
 
 /// Decides the solve path for a job against the shard's memo. Returns
@@ -384,12 +383,15 @@ fn classify_delta(job: &SolveJob, memo: &Option<ShardDeltaMemo>) -> (DeltaPath, 
 /// the shard changed. A solver panic is
 /// contained here — the shard reports `None` (→ passthrough), the memo
 /// is dropped, and the worker stays up, mirroring the scoped-thread
-/// fleet path where a dead shard thread degrades the same way.
+/// fleet path where a dead shard thread degrades the same way. The path
+/// and the rows it accounts go to `work` before the solve runs, so a
+/// solve that panics still reports them.
 fn solve_slice(
     scheduler: &LpvsScheduler,
     shard: usize,
     job: SolveJob,
     memo: &mut Option<ShardDeltaMemo>,
+    work: &mut SlotWork,
 ) -> Option<(Schedule, ShardTerms)> {
     // Parented on the hub's slot span via the shipped context, so the
     // solve shows up under its slot's trace instead of as an orphan
@@ -404,12 +406,16 @@ fn solve_slice(
         *memo = None;
     }
     span.record("frontier", local_dirty.len() as f64);
-    if lpvs_obs::enabled() {
-        lpvs_obs::inc_labeled("delta_solve_total", &[("path", path.label())]);
-        // A cold solve accounts every row, a reuse none, an incremental
-        // one counts its own (`solve_incremental`).
-        let rows = if path == DeltaPath::Cold { job.indices.len() as u64 } else { 0 };
-        lpvs_obs::add_labeled("delta_accounting_rows_total", &[("owner", "shard")], rows);
+    // A cold solve accounts every row, a reuse none, an incremental one
+    // counts its own (`solve_incremental`).
+    let paths = &mut work.delta_path;
+    match path {
+        DeltaPath::Reuse => paths.reuse += 1,
+        DeltaPath::Incremental => paths.incremental += 1,
+        DeltaPath::Cold => {
+            paths.cold += 1;
+            work.rows_accounted.shard += job.indices.len() as u64;
+        }
     }
 
     let g = &job.gathered;
@@ -420,8 +426,9 @@ fn solve_slice(
     let solved = match path {
         DeltaPath::Reuse => {
             // Bit-identical to a cold solve by solver determinism: the
-            // problem is unchanged, so the answer is too.
-            memo.as_ref().map(|m| (m.schedule.clone(), Vec::new()))
+            // problem is unchanged, so the answer is too — and no work
+            // was done for it.
+            memo.as_ref().map(|m| (Schedule { work: SlotWork::default(), ..m.schedule.clone() }, vec![]))
         }
         DeltaPath::Incremental => {
             let m = memo.as_mut().expect("incremental path requires a memo");

@@ -199,7 +199,7 @@ impl SlotSource for SyntheticDriver {
         _posteriors: &[(f64, f64)],
         recycled: Option<DeviceFleet>,
     ) -> Option<GatheredSlot> {
-        let (frontier, fleet) = self.fleet.ship_snapshot(recycled);
+        let (frontier, fleet, refilled) = self.fleet.ship_snapshot(recycled);
         Some(GatheredSlot {
             slot,
             fleet,
@@ -211,6 +211,7 @@ impl SlotSource for SyntheticDriver {
             budget: SlotBudget::default(),
             warm: self.records.last().map(|r| r.selected.clone()),
             delta: self.config.delta_enabled.then(|| SlotDelta::from(frontier)),
+            refilled,
         })
     }
 }

@@ -628,6 +628,12 @@ impl ServeEngine {
         self.journaled.len().checked_sub(1)
     }
 
+    /// Ops the re-run journal holds (`serve_journal_retained_ops`): the
+    /// slots it had at boot; a live slot adds none.
+    pub fn retained_ops(&self) -> usize {
+        self.journaled.iter().map(|j| j.ops.len()).sum()
+    }
+
     /// Appends one record — the lines `encode` returns — in one write
     /// and one flush. With no journal open `encode` is never called.
     fn journal_lines(&mut self, encode: impl FnOnce() -> Vec<String>) {
@@ -773,8 +779,7 @@ impl SlotSource for ServeEngine {
         self.queries = queries.clone();
         if lpvs_obs::enabled() {
             lpvs_obs::inc("serve_slots_total");
-            let retained: usize = self.journaled.iter().map(|j| j.ops.len()).sum();
-            lpvs_obs::gauge_set("serve_journal_retained_ops", retained as f64);
+            lpvs_obs::gauge_set("serve_journal_retained_ops", self.retained_ops() as f64);
         }
         Some(BankOps { forgets: Vec::new(), queries })
     }
@@ -816,7 +821,7 @@ impl SlotSource for ServeEngine {
             self.fleet.set_gamma(d, mean, std);
         }
 
-        let (frontier, fleet) = self.fleet.ship_snapshot(recycled);
+        let (frontier, fleet, refilled) = self.fleet.ship_snapshot(recycled);
         let mut budget = SlotBudget::unbounded();
         if self.shed > Degradation::Exact {
             budget = budget.with_solver_floor(self.shed);
@@ -834,6 +839,7 @@ impl SlotSource for ServeEngine {
             budget,
             warm: self.previous.clone(),
             delta: Some(SlotDelta::from(frontier)),
+            refilled,
         })
     }
 }

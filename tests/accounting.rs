@@ -1,11 +1,12 @@
 //! A steady slot accounts its churn, not its fleet — in counted rows,
 //! not wall clock.
 //!
-//! `delta_accounting_rows_total{owner}` counts every row whose eq.-13
-//! and saving terms were re-evaluated, on the shard workers (`shard`)
-//! and at the join (`join`), and every row whose terms the join adopted
-//! from the shard that had just evaluated them (`shipped`). Read slot by
-//! slot it pins the cost model of the per-row accounting
+//! The `rows_accounted` of a delivered schedule's `SlotWork` (published
+//! as `delta_accounting_rows_total{owner}`) counts every row whose
+//! eq.-13 and saving terms were re-evaluated, on the shard workers
+//! (`shard`) and at the join (`join`), and every row whose terms the
+//! join adopted from the shard that had just evaluated them (`shipped`).
+//! Read slot by slot it pins the cost model of the per-row accounting
 //! (`lpvs::core::accounting::RowAccounting`): a row is evaluated by one
 //! owner a slot. A shard that extends the previous slot evaluates its
 //! dirty frontier plus the rows whose decision flipped; what breaks its
@@ -23,8 +24,8 @@
 //! once — feasibility, saving and eq. 13 under both decisions, in one
 //! walk of the row's chunks — and Phase-1, Phase-2 and the accounting of
 //! the selection that is returned all read that score instead of running
-//! a kernel again (`sched_chunk_steps_total{stage}`: Σ K_n chunk steps
-//! under `score`, none under `compact` or `account`), bit for bit what
+//! a kernel again (the solve's `SlotWork::chunk_steps`: Σ K_n chunk
+//! steps under `score`, none under `account`), bit for bit what
 //! evaluating every row gives.
 //!
 //! Mutation checks, made by hand in the release profile (where the
@@ -46,9 +47,6 @@
 //! disconnected case, and an `into_schedule` that evaluates anyway fails
 //! `a_cold_solve_walks_each_chunk_table_once_and_accounts_none` (named
 //! for the two walks a row it then pinned, before the score was fused).
-//!
-//! Lives in its own test binary, serialized, because the counter is
-//! read from the process-global recorder.
 
 use lpvs::core::accounting::RowAccounting;
 use lpvs::core::budget::SlotBudget;
@@ -59,6 +57,7 @@ use lpvs::emulator::experiment::synthetic_problem;
 use lpvs::core::accounting::ShardTerms;
 use lpvs::core::delta::SlotDelta;
 use lpvs::core::scheduler::Schedule;
+use lpvs::core::work::SlotWork;
 use lpvs::edge::fleet::{FleetConfig, FleetSchedule, FleetScheduler, JoinMemo};
 use lpvs::edge::server::EdgeServer;
 use lpvs::survey::curve::AnxietyCurve;
@@ -67,56 +66,12 @@ use lpvs::runtime::{
     SlotSink, SlotSource, SolvedSlot, StageFaults, SyntheticConfig, SyntheticDriver,
     SyntheticRecord,
 };
-use std::sync::Mutex;
-
-static RECORDER: Mutex<()> = Mutex::new(());
 
 const DEVICES: usize = 2_000;
 const SHARDS: usize = 2;
 const SHARD_ROWS: u64 = (DEVICES / SHARDS) as u64;
 
-/// Cumulative readings of the counters a slot is judged by.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-struct Reading {
-    shard_rows: u64,
-    join_rows: u64,
-    shipped_rows: u64,
-    cold: u64,
-    incremental: u64,
-    reuse: u64,
-}
-
-impl Reading {
-    fn now() -> Self {
-        let metrics = lpvs::obs::installed().expect("recorder installed").metrics().snapshot();
-        let rows = |owner| {
-            metrics.counter_labeled("delta_accounting_rows_total", &[("owner", owner)]).unwrap_or(0)
-        };
-        let path =
-            |path| metrics.counter_labeled("delta_solve_total", &[("path", path)]).unwrap_or(0);
-        Self {
-            shard_rows: rows("shard"),
-            join_rows: rows("join"),
-            shipped_rows: rows("shipped"),
-            cold: path("cold"),
-            incremental: path("incremental"),
-            reuse: path("reuse"),
-        }
-    }
-
-    fn since(self, earlier: Self) -> Self {
-        Self {
-            shard_rows: self.shard_rows - earlier.shard_rows,
-            join_rows: self.join_rows - earlier.join_rows,
-            shipped_rows: self.shipped_rows - earlier.shipped_rows,
-            cold: self.cold - earlier.cold,
-            incremental: self.incremental - earlier.incremental,
-            reuse: self.reuse - earlier.reuse,
-        }
-    }
-}
-
-/// What one slot did, as the counters and the driver saw it.
+/// What one slot did, as its record and the driver saw it.
 #[derive(Debug, Clone, Default)]
 struct SlotCount {
     slot: usize,
@@ -126,18 +81,17 @@ struct SlotCount {
     flipped: u64,
     /// Rows the rebalance moved into a foreign shard.
     migrations: u64,
-    counted: Reading,
+    counted: SlotWork,
 }
 
-/// `SyntheticDriver` behind the driver traits, reading the counters as
-/// each decision lands. From slot `grow_at` on, every gathered fleet
+/// `SyntheticDriver` behind the driver traits, keeping each delivered
+/// decision's record. From slot `grow_at` on, every gathered fleet
 /// carries one extra (constant) row — a population change the source's
 /// delta does not mention.
 struct Counting {
     inner: SyntheticDriver,
     grow_at: Option<usize>,
     frontier: u64,
-    last: Reading,
     previous: Vec<bool>,
     slots: Vec<SlotCount>,
 }
@@ -148,7 +102,6 @@ impl Counting {
             inner: SyntheticDriver::new(config),
             grow_at: None,
             frontier: 0,
-            last: Reading::now(),
             previous: Vec::new(),
             slots: Vec::new(),
         }
@@ -182,7 +135,6 @@ impl SlotSource for Counting {
 
 impl SlotSink for Counting {
     fn solved(&mut self, solved: &SolvedSlot) {
-        let now = Reading::now();
         let selected = &solved.schedule.selected;
         let flipped = if self.previous.len() == selected.len() {
             selected.iter().zip(&self.previous).filter(|(a, b)| a != b).count() as u64
@@ -194,9 +146,8 @@ impl SlotSink for Counting {
             frontier: self.frontier,
             flipped,
             migrations: solved.schedule.migrations as u64,
-            counted: now.since(self.last),
+            counted: solved.schedule.work,
         });
-        self.last = now;
         self.previous.clone_from(selected);
         self.inner.solved(solved);
     }
@@ -247,39 +198,21 @@ fn uninterrupted_records(config: &SyntheticConfig) -> Vec<SyntheticRecord> {
     driver.records().to_vec()
 }
 
-/// Holds the recorder for one test: enabled and zeroed on entry,
-/// disabled on exit.
-struct Recording(#[allow(dead_code)] std::sync::MutexGuard<'static, ()>);
-
-impl Recording {
-    fn start() -> Self {
-        let guard = RECORDER.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        lpvs::obs::init().reset();
-        Self(guard)
-    }
-}
-
-impl Drop for Recording {
-    fn drop(&mut self) {
-        lpvs::obs::set_enabled(false);
-    }
-}
-
 /// What the join is left with when every shard shipped what it
 /// evaluated: the rows the rebalance moved in, and (every row of the
 /// synthetic fleet being connected) nothing else; whatever the shards
 /// evaluated it adopted, less those.
 fn assert_join_adopts_the_shards_rows(s: &SlotCount, case: &str) {
+    let rows = s.counted.rows_accounted;
     assert!(
-        s.counted.join_rows <= s.migrations,
+        rows.join <= s.migrations,
         "{case}: slot {} accounted {} rows at the join for {} migrations",
-        s.slot, s.counted.join_rows, s.migrations
+        s.slot, rows.join, s.migrations
     );
-    let shipped = s.counted.shipped_rows;
     assert!(
-        shipped <= s.counted.shard_rows && shipped + s.migrations >= s.counted.shard_rows,
-        "{case}: slot {} adopted {shipped} rows of the {} the shards evaluated ({} migrations)",
-        s.slot, s.counted.shard_rows, s.migrations
+        rows.shipped <= rows.shard && rows.shipped + s.migrations >= rows.shard,
+        "{case}: slot {} adopted {} rows of the {} the shards evaluated ({} migrations)",
+        s.slot, rows.shipped, rows.shard, s.migrations
     );
 }
 
@@ -287,20 +220,19 @@ fn assert_join_adopts_the_shards_rows(s: &SlotCount, case: &str) {
 /// frontier and what flipped, never more — and, with twenty rows
 /// moving, never nothing — and the join adopts that.
 fn assert_costs_its_churn(s: &SlotCount, case: &str) {
-    let bound = s.frontier + s.flipped;
+    let (bound, shard) = (s.frontier + s.flipped, s.counted.rows_accounted.shard);
     assert!(s.frontier > 0, "{case}: slot {} has no frontier to price", s.slot);
-    assert_eq!(s.counted.cold, 0, "{case}: slot {} solved cold", s.slot);
+    assert_eq!(s.counted.delta_path.cold, 0, "{case}: slot {} solved cold", s.slot);
     assert!(
-        s.counted.shard_rows >= 1 && s.counted.shard_rows <= bound,
-        "{case}: slot {} accounted {} rows on the shards for a frontier of {} and {} flips",
-        s.slot, s.counted.shard_rows, s.frontier, s.flipped
+        shard >= 1 && shard <= bound,
+        "{case}: slot {} accounted {shard} rows on the shards for a frontier of {} and {} flips",
+        s.slot, s.frontier, s.flipped
     );
     assert_join_adopts_the_shards_rows(s, case);
 }
 
 #[test]
 fn a_steady_slot_accounts_its_frontier_and_its_flips() {
-    let _recording = Recording::start();
     let mut driver = Counting::new(steady(8, 17));
     let estimators = driver.inner.estimators();
     SlotRuntime::new(runtime(None, None)).run(&mut driver, estimators);
@@ -309,20 +241,19 @@ fn a_steady_slot_accounts_its_frontier_and_its_flips() {
     assert_eq!(slots.len(), 8);
     // Slot 0: all-dirty, cold everywhere, every row once — on its shard.
     // The join evaluates the rows no shard owns: here, none.
-    assert_eq!(slots[0].counted.cold, SHARDS as u64);
-    assert_eq!(slots[0].counted.shard_rows, DEVICES as u64);
+    assert_eq!(slots[0].counted.delta_path.cold, SHARDS as u64);
+    assert_eq!(slots[0].counted.rows_accounted.shard, DEVICES as u64);
     assert_join_adopts_the_shards_rows(&slots[0], "steady");
     // Slot 1 on: the cold solves kept their terms, so the first
     // incremental solve is already down to the frontier.
     for s in &slots[1..] {
-        assert_eq!(s.counted.incremental, SHARDS as u64, "slot {}", s.slot);
+        assert_eq!(s.counted.delta_path.incremental, SHARDS as u64, "slot {}", s.slot);
         assert_costs_its_churn(s, "steady");
     }
 }
 
 #[test]
 fn a_forced_cold_solve_accounts_its_shard_once_and_keeps_its_terms() {
-    let _recording = Recording::start();
     // Seeded so that shards die (and are re-dispatched cold) on some
     // slots past the first.
     let faults = StageFaults { rate: 0.08, seed: 17, repeat: 0 };
@@ -335,16 +266,16 @@ fn a_forced_cold_solve_accounts_its_shard_once_and_keeps_its_terms() {
     let slots = &driver.slots;
     let mut forced = 0;
     for s in &slots[1..] {
-        forced += s.counted.cold;
-        if s.counted.cold == 0 {
+        forced += s.counted.delta_path.cold;
+        if s.counted.delta_path.cold == 0 {
             assert_costs_its_churn(s, "faults");
             continue;
         }
         // A shard solved cold this slot (the respawned worker has no
         // memo): its rows are accounted in full, once, and the slot
         // after it is an ordinary one — the solve kept its terms.
-        let in_full = s.counted.cold * SHARD_ROWS;
-        let rest = s.counted.shard_rows.checked_sub(in_full).expect("a full shard is accounted");
+        let in_full = s.counted.delta_path.cold * SHARD_ROWS;
+        let rest = s.counted.rows_accounted.shard.checked_sub(in_full).expect("a full shard is accounted");
         assert!(rest <= s.frontier + s.flipped, "slot {}: {rest} beyond the full shards", s.slot);
         // Worker deaths never reach the join: the respawned shard ships
         // every row it solved.
@@ -355,7 +286,6 @@ fn a_forced_cold_solve_accounts_its_shard_once_and_keeps_its_terms() {
 
 #[test]
 fn a_population_change_accounts_every_row_once() {
-    let _recording = Recording::start();
     let mut driver = Counting::new(steady(8, 29));
     driver.grow_at = Some(4);
     let mut estimators = driver.inner.estimators();
@@ -370,8 +300,8 @@ fn a_population_change_accounts_every_row_once() {
     // The fleet grew: every shard's row list moved (cold: every row,
     // once), and the join's kept terms no longer cover the fleet — but
     // every row of it was just shipped.
-    assert_eq!(slots[4].counted.cold, SHARDS as u64);
-    assert_eq!(slots[4].counted.shard_rows, grown);
+    assert_eq!(slots[4].counted.delta_path.cold, SHARDS as u64);
+    assert_eq!(slots[4].counted.rows_accounted.shard, grown);
     assert_join_adopts_the_shards_rows(&slots[4], "growth");
     // And straight back to the frontier.
     for s in &slots[5..] {
@@ -381,7 +311,6 @@ fn a_population_change_accounts_every_row_once() {
 
 #[test]
 fn a_resumed_run_rebuilds_its_terms_once_then_accounts_its_frontier() {
-    let _recording = Recording::start();
     let config = steady(10, 41);
     let baseline = uninterrupted_records(&config);
 
@@ -417,9 +346,9 @@ fn a_resumed_run_rebuilds_its_terms_once_then_accounts_its_frontier() {
     // terms whole — the second its frontier.
     let slots = &resumed.slots;
     assert_eq!(slots[0].slot, at);
-    assert_eq!(slots[0].counted.cold, 0);
-    assert_eq!(slots[0].counted.incremental, SHARDS as u64);
-    assert_eq!(slots[0].counted.shard_rows, DEVICES as u64);
+    assert_eq!(slots[0].counted.delta_path.cold, 0);
+    assert_eq!(slots[0].counted.delta_path.incremental, SHARDS as u64);
+    assert_eq!(slots[0].counted.rows_accounted.shard, DEVICES as u64);
     assert_join_adopts_the_shards_rows(&slots[0], "at the resume");
     assert!(slots.len() >= 3, "the resume must leave slots to run");
     for s in &slots[1..] {
@@ -440,8 +369,6 @@ fn whole_view<'a>(problem: &'a SlotProblem, fleet: &'a DeviceFleet, rows: &'a [u
 
 #[test]
 fn a_cold_solve_accounts_from_the_terms_phase2_scored() {
-    // Not counted, but its solves would be: keep out of the recorder's way.
-    let _serial = RECORDER.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let clean = synthetic_problem(600, 240.0, 1.0, 7);
     let mut corrupt = clean.clone();
     corrupt.requests[3].gamma = f64::NAN;
@@ -523,14 +450,7 @@ fn a_cold_solve_accounts_from_the_terms_phase2_scored() {
 
 #[test]
 fn a_cold_solve_walks_each_chunk_table_once_and_accounts_none() {
-    let _recording = Recording::start();
-    let walked = || {
-        let metrics = lpvs::obs::installed().expect("recorder installed").metrics().snapshot();
-        let steps = |stage| {
-            metrics.counter_labeled("sched_chunk_steps_total", &[("stage", stage)]).unwrap_or(0)
-        };
-        (steps("score"), steps("account"))
-    };
+    let walked = |s: &Schedule| (s.work.chunk_steps.score, s.work.chunk_steps.account);
     let n = 1_500;
     let problem = synthetic_problem(n, 0.4 * n as f64, 1.0, 7);
     let chunks: u64 = problem.requests.iter().map(|r| r.num_chunks() as u64).sum();
@@ -541,18 +461,17 @@ fn a_cold_solve_walks_each_chunk_table_once_and_accounts_none() {
     // stage reads, and nothing again.
     let full = LpvsScheduler::paper_default().schedule_resilient(&problem, None, &budget);
     assert!(full.stats.phase2.swaps_tried > 0);
-    assert_eq!(walked(), (chunks, 0));
+    assert_eq!(walked(&full), (chunks, 0));
 
     // Phase-2 off reads the same one score, and so does the greedy
     // rung a floor forces.
     let phase1_only =
         LpvsScheduler::new(SchedulerConfig { enable_phase2: false, ..SchedulerConfig::default() });
-    phase1_only.schedule_resilient(&problem, None, &budget);
-    assert_eq!(walked(), (2 * chunks, 0));
+    assert_eq!(walked(&phase1_only.schedule_resilient(&problem, None, &budget)), (chunks, 0));
     let floor = budget.with_solver_floor(Degradation::Greedy);
     let greedy = LpvsScheduler::paper_default().schedule_resilient(&problem, None, &floor);
     assert_eq!(greedy.stats.degradation, Degradation::Greedy);
-    assert_eq!(walked(), (3 * chunks, 0));
+    assert_eq!(walked(&greedy), (chunks, 0));
 
     // A rung below the solvers scored nothing: its selection is
     // evaluated, once a row.
@@ -560,10 +479,10 @@ fn a_cold_solve_walks_each_chunk_table_once_and_accounts_none() {
     let reuse =
         LpvsScheduler::paper_default().schedule_resilient(&problem, Some(&full.selected), &no_time);
     assert_eq!(reuse.stats.degradation, Degradation::ReusedPrevious);
-    assert_eq!(walked(), (3 * chunks, chunks));
+    assert_eq!(walked(&reuse), (0, chunks));
     let passthrough = LpvsScheduler::paper_default().schedule_resilient(&problem, None, &no_time);
     assert_eq!(passthrough.stats.degradation, Degradation::Passthrough);
-    assert_eq!(walked(), (3 * chunks, 2 * chunks));
+    assert_eq!(walked(&passthrough), (0, chunks));
 }
 
 // --- the join, handed shipments by hand -------------------------------
@@ -657,7 +576,6 @@ impl JoinCase {
         shipped: &[ShardTerms],
         case: &str,
     ) -> (FleetSchedule, u64, u64) {
-        let before = Reading::now();
         let got = self.scheduler.assemble(
             &self.fleet,
             &self.servers,
@@ -668,19 +586,18 @@ impl JoinCase {
             std::time::Instant::now(),
             Some((&mut self.memo, delta, shipped)),
         );
-        let counted = Reading::now().since(before);
+        let counted = got.work.rows_accounted;
         let rows: Vec<usize> = (0..self.fleet.len()).collect();
         let whole = self.fleet.slot_view(&rows, 1e9, 1e9, self.lambda, &self.curve);
         let (objective, saved) = RowAccounting::of(whole, &got.selected).fold();
         assert_eq!(got.objective.to_bits(), objective.to_bits(), "{case}: objective");
         assert_eq!(got.energy_saved_j.to_bits(), saved.to_bits(), "{case}: saving");
-        (got, counted.join_rows, counted.shipped_rows)
+        (got, counted.join, counted.shipped)
     }
 }
 
 #[test]
 fn a_migrated_in_row_is_re_accounted_by_the_join() {
-    let _recording = Recording::start();
     let mut case = JoinCase::new();
     let owned = (JOIN_ROWS - UNOWNED.len()) as u64;
     // Slot 0 (nothing kept) and slot 1 (extends it, a few rows dirty):
@@ -708,7 +625,6 @@ fn a_migrated_in_row_is_re_accounted_by_the_join() {
 
 #[test]
 fn a_shard_that_ships_nothing_is_evaluated_by_the_join() {
-    let _recording = Recording::start();
     let mut case = JoinCase::new();
     let delta = case.delta();
     let (shards, mut results, mut shipped) = case.solve();
@@ -743,7 +659,6 @@ fn a_shard_that_ships_nothing_is_evaluated_by_the_join() {
 
 #[test]
 fn a_dirty_row_no_shard_owns_is_evaluated_by_the_join() {
-    let _recording = Recording::start();
     let mut case = JoinCase::new();
     let delta = case.delta();
     let (shards, results, shipped) = case.solve();
@@ -762,7 +677,6 @@ fn a_dirty_row_no_shard_owns_is_evaluated_by_the_join() {
 
 #[test]
 fn an_unselected_row_ships_its_off_term() {
-    let _serial = RECORDER.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     // Rows both phases select and the resilient path then masks out
     // (disconnected): the terms that ride beside the schedule — kept by
     // a cold shard, shipped to the join — are those of the selection

@@ -26,44 +26,16 @@ use lpvs::core::problem::DeviceRequest;
 use lpvs::display::spec::DisplayKind;
 use lpvs::edge::fleet::{shard_frontier, FleetConfig, FleetSchedule};
 use lpvs::core::scheduler::Degradation;
-use lpvs::obs::Recorder;
+use lpvs::core::work::{DeltaPaths, SlotWork};
 use lpvs::runtime::{
-    BankOps, CheckpointConfig, FlightReason, GatheredSlot, RuntimeConfig, SlotFeedback,
-    SlotReplay, SlotRuntime, SlotSink, SlotSource, SolvedSlot, StageFaults, SyntheticConfig,
-    SyntheticDriver, SyntheticRecord,
+    BankOps, CheckpointConfig, FlightReason, GatheredSlot, RuntimeConfig, RuntimeReport,
+    SlotFeedback, SlotReplay, SlotRuntime, SlotSink, SlotSource, SolvedSlot, StageFaults,
+    SyntheticConfig, SyntheticDriver, SyntheticRecord,
 };
 use lpvs::survey::curve::AnxietyCurve;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
-
-/// The process-global recorder counts every solve in this binary while
-/// it is enabled. A test that reads its counters holds the write side
-/// and runs alone; every other test that drives the runtime holds the
-/// read side. Poisoning is irrelevant — the guard carries no data.
-static RECORDER: RwLock<()> = RwLock::new(());
-
-fn quiet() -> RwLockReadGuard<'static, ()> {
-    RECORDER.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// A reset, enabled recorder and the guard that keeps every other
-/// runtime test out while it counts.
-fn recording() -> (RwLockWriteGuard<'static, ()>, Arc<Recorder>) {
-    let guard = RECORDER.write().unwrap_or_else(PoisonError::into_inner);
-    let recorder = lpvs::obs::init();
-    recorder.reset();
-    (guard, recorder)
-}
-
-/// `delta_solve_total` by path — `[reuse, incremental, cold]` — since
-/// the last reset.
-fn solve_paths(recorder: &Recorder) -> [u64; 3] {
-    let metrics = recorder.metrics().snapshot();
-    ["reuse", "incremental", "cold"]
-        .map(|path| metrics.counter_labeled("delta_solve_total", &[("path", path)]).unwrap_or(0))
-}
 
 /// A fresh scratch directory per test invocation (no tempfile crate).
 fn scratch(tag: &str) -> std::path::PathBuf {
@@ -77,26 +49,30 @@ fn scratch(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// A driver whose gathered fleets have rows disconnected mid-range.
-/// The partition skips a disconnected row, so every shard's rows skip
-/// the gap: shards are not contiguous in fleet index, the rows between
-/// them belong to no shard, and the fleet's index-order fold is no
-/// concatenation of shard folds.
-struct Gapped<D> {
+/// Any driver behind the driver traits, keeping what the totals are
+/// checked against — each slot's gathered problem and the decision
+/// delivered for it — its gathered fleets, when asked, with rows
+/// disconnected mid-range. The partition skips a disconnected row, so
+/// every shard's rows skip the gap: shards are not contiguous in fleet
+/// index, the rows between them belong to no shard, and the fleet's
+/// index-order fold is no concatenation of shard folds.
+struct Capture<D> {
     inner: D,
     gaps: Vec<usize>,
+    slots: Vec<(GatheredSlot, FleetSchedule)>,
+    gathered: Option<GatheredSlot>,
 }
 
-impl<D> Gapped<D> {
-    /// Rows a quarter and two thirds of the way into the fleet; no gaps
-    /// unless `gapped`.
+impl<D> Capture<D> {
+    /// Gaps at rows a quarter and two thirds of the way into the fleet;
+    /// none unless `gapped`.
     fn new(inner: D, devices: usize, gapped: bool) -> Self {
         let gaps = if gapped { vec![devices / 4, devices / 4 + 1, 2 * devices / 3] } else { vec![] };
-        Self { inner, gaps }
+        Self { inner, gaps, slots: Vec::new(), gathered: None }
     }
 }
 
-impl<D: SlotSource> SlotSource for Gapped<D> {
+impl<D: SlotSource> SlotSource for Capture<D> {
     fn begin_slot(&mut self, slot: usize) -> Option<BankOps> {
         self.inner.begin_slot(slot)
     }
@@ -114,12 +90,15 @@ impl<D: SlotSource> SlotSource for Gapped<D> {
         for &row in &self.gaps {
             gathered.fleet.set_connected(row, false);
         }
+        self.gathered = Some(gathered.clone());
         Some(gathered)
     }
 }
 
-impl<D: SlotSink> SlotSink for Gapped<D> {
+impl<D: SlotSink> SlotSink for Capture<D> {
     fn solved(&mut self, solved: &SolvedSlot) {
+        let gathered = self.gathered.take().expect("a decision follows its gather");
+        self.slots.push((gathered, solved.schedule.clone()));
         self.inner.solved(solved);
     }
 
@@ -128,7 +107,7 @@ impl<D: SlotSink> SlotSink for Gapped<D> {
     }
 }
 
-impl<D: SlotReplay> SlotReplay for Gapped<D> {
+impl<D: SlotReplay> SlotReplay for Capture<D> {
     fn stage_decision(
         &mut self,
         slot: usize,
@@ -146,9 +125,28 @@ impl<D: SlotReplay> SlotReplay for Gapped<D> {
 
 /// The synthetic driver for `config`, with mid-range rows disconnected
 /// when `gapped`.
-fn synthetic(config: SyntheticConfig, gapped: bool) -> Gapped<SyntheticDriver> {
+fn synthetic(config: SyntheticConfig, gapped: bool) -> Capture<SyntheticDriver> {
     let devices = config.devices;
-    Gapped::new(SyntheticDriver::new(config), devices, gapped)
+    Capture::new(SyntheticDriver::new(config), devices, gapped)
+}
+
+/// Drives `driver` on the worker executor — `shards` shards, `devices`
+/// estimators at the prior, `faults` injected — to the end of its
+/// horizon, which the recovery ladder must reach without falling back.
+fn run<D: SlotSource + SlotSink>(
+    driver: &mut Capture<D>,
+    devices: usize,
+    shards: usize,
+    faults: Option<StageFaults>,
+) -> RuntimeReport {
+    let runtime = SlotRuntime::new(RuntimeConfig {
+        fleet: FleetConfig { num_shards: shards, ..FleetConfig::default() },
+        stage_faults: faults,
+        ..RuntimeConfig::default()
+    });
+    let report = runtime.run(driver, vec![GammaEstimator::paper_default(); devices]);
+    assert_eq!(report.summary.recovery.fell_back, None, "recovery ladder bottomed out");
+    report
 }
 
 /// Drives a synthetic workload through the pipelined runtime and
@@ -159,15 +157,9 @@ fn run_records(
     gapped: bool,
     faults: Option<StageFaults>,
 ) -> Vec<SyntheticRecord> {
+    let devices = config.devices;
     let mut driver = synthetic(config, gapped);
-    let estimators = driver.inner.estimators();
-    let runtime = SlotRuntime::new(RuntimeConfig {
-        fleet: FleetConfig { num_shards: shards, ..FleetConfig::default() },
-        stage_faults: faults,
-        ..RuntimeConfig::default()
-    });
-    let report = runtime.run(&mut driver, estimators);
-    assert_eq!(report.summary.recovery.fell_back, None, "recovery ladder bottomed out");
+    run(&mut driver, devices, shards, faults);
     driver.inner.records().to_vec()
 }
 
@@ -260,7 +252,6 @@ proptest! {
         faulty in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        let _quiet = quiet();
         let faults = faulty.then_some(StageFaults { rate: 0.25, seed: seed ^ 0xFA17, repeat: 0 });
         let mut config = SyntheticConfig::steady(devices, 6, seed);
         config.mutation_fraction = 0.0;
@@ -286,7 +277,6 @@ proptest! {
 /// same decisions — and structurally sound.
 #[test]
 fn delta_runs_are_deterministic_for_identical_seeds() {
-    let _quiet = quiet();
     for fraction in [0.15, 0.6] {
         let mut config = SyntheticConfig::steady(56, 8, 9);
         config.mutation_fraction = fraction;
@@ -306,21 +296,14 @@ fn delta_runs_are_deterministic_for_identical_seeds() {
 /// because every slot quietly solved cold.
 #[test]
 fn steady_state_slots_ride_the_reuse_and_incremental_paths() {
-    let (_guard, recorder) = recording();
     let mut config = SyntheticConfig::steady(48, 10, 33);
     config.mutation_fraction = 0.05;
-    let _ = run_records(config, 2, false, None);
-    lpvs::obs::set_enabled(false);
-    let metrics = recorder.metrics().snapshot();
-    let [reuse, incremental, cold] = solve_paths(&recorder);
-    assert!(cold >= 2, "slot 0 solves cold on every shard (saw {cold})");
-    assert!(
-        reuse + incremental > 0,
-        "no steady-state slot rode the delta path (reuse {reuse}, incremental {incremental})"
-    );
-    let hits = metrics.counter("delta_warm_start_hit_total").unwrap_or(0);
-    let misses = metrics.counter("delta_warm_start_miss_total").unwrap_or(0);
-    assert!(hits + misses > 0, "warm-start plumbing never reached the exact tier");
+    let work = total_work(&captured(synthetic(config, false), 48, 2));
+    let paths = work.delta_path;
+    assert!(paths.cold >= 2, "slot 0 solves cold on every shard (saw {paths:?})");
+    assert!(paths.reuse + paths.incremental > 0, "no steady-state slot rode the delta path ({paths:?})");
+    let warm = work.warm_start;
+    assert!(warm.hit + warm.miss > 0, "warm-start plumbing never reached the exact tier");
 }
 
 /// Halting mid-horizon and resuming from the checkpoint store must be
@@ -332,7 +315,6 @@ fn steady_state_slots_ride_the_reuse_and_incremental_paths() {
 /// exercised across the restart on shards that skip rows.
 #[test]
 fn halted_and_resumed_delta_runs_are_bit_identical() {
-    let _quiet = quiet();
     let faults = StageFaults { rate: 0.2, seed: 5, repeat: 0 };
     let cases = [(1usize, false, None), (3usize, true, Some(faults))];
     for (shards, gapped, faults) in cases {
@@ -375,64 +357,23 @@ fn halted_and_resumed_delta_runs_are_bit_identical() {
     }
 }
 
-/// Any driver behind the driver traits, keeping what the totals are
-/// checked against: each slot's gathered problem and the decision
-/// delivered for it.
-struct Capture<D> {
-    inner: D,
-    slots: Vec<(GatheredSlot, FleetSchedule)>,
-    gathered: Option<GatheredSlot>,
+/// The work of a run's delivered decisions, summed.
+fn total_work(slots: &[(GatheredSlot, FleetSchedule)]) -> SlotWork {
+    let mut work = SlotWork::default();
+    for (_, schedule) in slots {
+        work += schedule.work;
+    }
+    work
 }
 
-impl<D> Capture<D> {
-    fn new(inner: D) -> Self {
-        Self { inner, slots: Vec::new(), gathered: None }
-    }
-}
-
-impl<D: SlotSource> SlotSource for Capture<D> {
-    fn begin_slot(&mut self, slot: usize) -> Option<BankOps> {
-        self.inner.begin_slot(slot)
-    }
-
-    fn gather(
-        &mut self,
-        slot: usize,
-        posteriors: &[(f64, f64)],
-        recycled: Option<DeviceFleet>,
-    ) -> Option<GatheredSlot> {
-        let gathered = self.inner.gather(slot, posteriors, recycled);
-        self.gathered.clone_from(&gathered);
-        gathered
-    }
-}
-
-impl<D: SlotSink> SlotSink for Capture<D> {
-    fn solved(&mut self, solved: &SolvedSlot) {
-        let gathered = self.gathered.take().expect("a decision follows its gather");
-        self.slots.push((gathered, solved.schedule.clone()));
-        self.inner.solved(solved);
-    }
-
-    fn apply(&mut self, slot: usize) -> SlotFeedback {
-        self.inner.apply(slot)
-    }
-}
-
-/// Runs `driver` on the worker executor and returns what it captured.
+/// Runs `driver` fault-free and returns what it captured.
 fn captured<D: SlotSource + SlotSink>(
-    driver: D,
+    mut driver: Capture<D>,
     devices: usize,
     shards: usize,
 ) -> Vec<(GatheredSlot, FleetSchedule)> {
-    let mut capture = Capture::new(driver);
-    let runtime = SlotRuntime::new(RuntimeConfig {
-        fleet: FleetConfig { num_shards: shards, ..FleetConfig::default() },
-        ..RuntimeConfig::default()
-    });
-    let report = runtime.run(&mut capture, vec![GammaEstimator::paper_default(); devices]);
-    assert_eq!(report.summary.recovery.fell_back, None);
-    capture.slots
+    run(&mut driver, devices, shards, None);
+    driver.slots
 }
 
 /// Eq. 13 and the saving of `decisions` (row, decision) pairs by the
@@ -488,15 +429,10 @@ fn outcome(schedule: &FleetSchedule) -> impl PartialEq + std::fmt::Debug {
     (schedule.selected.clone(), schedule.migrations, totals, shards)
 }
 
-/// Whether any shard of this slot rode the incremental path: a
-/// non-empty local frontier within the quarter-of-the-shard gate.
-fn rode_incremental(g: &GatheredSlot, schedule: &FleetSchedule) -> bool {
-    let delta = g.delta.as_ref().expect("delta-enabled run");
-    g.slot > 0
-        && schedule.shards.iter().any(|r| {
-            let local = shard_frontier(&r.devices, &delta.dirty).len();
-            local > 0 && local * 4 <= r.devices.len()
-        })
+/// Whether any shard of this slot rode the incremental path, as its
+/// worker reported it.
+fn rode_incremental(schedule: &FleetSchedule) -> bool {
+    schedule.shards.iter().any(|r| r.work.delta_path.incremental > 0)
 }
 
 /// The bit-identity matrix of the kept accounting. Every cell: each
@@ -508,7 +444,6 @@ fn rode_incremental(g: &GatheredSlot, schedule: &FleetSchedule) -> bool {
 /// solve's), the whole outcome equals the delta-less run's.
 #[test]
 fn kept_totals_are_bit_identical_to_evaluating_every_row() {
-    let _quiet = quiet();
     let (devices, slots) = (180, 6);
     let mut compared_to_cold = 0;
     let mut incremental_runs = 0;
@@ -525,7 +460,7 @@ fn kept_totals_are_bit_identical_to_evaluating_every_row() {
                     for (g, schedule) in &delta {
                         assert_totals_are_from_scratch(g, schedule, &case);
                     }
-                    if delta.iter().any(|(g, schedule)| rode_incremental(g, schedule)) {
+                    if delta.iter().any(|(_, schedule)| rode_incremental(schedule)) {
                         incremental_runs += 1;
                         continue;
                     }
@@ -606,6 +541,7 @@ impl SlotSource for SkewedDelta {
             budget: SlotBudget::unbounded(),
             warm: self.staged.clone(),
             delta,
+            refilled: Default::default(),
         })
     }
 }
@@ -627,16 +563,14 @@ impl SlotSink for SkewedDelta {
 /// with the oracle too.
 #[test]
 fn kept_totals_follow_rows_the_rebalance_migrates() {
-    let (_guard, recorder) = recording();
     let (devices, demanding, slots) = (60, 24, 8);
     for shards in [2usize, 3] {
         let case = format!("skewed × {shards}");
         let mut moved = BTreeSet::new();
         for delta_enabled in [true, false] {
-            recorder.reset();
             let driver = SkewedDelta::new(devices, demanding, slots, delta_enabled);
-            let run = captured(driver, devices, shards);
-            let [_, incremental, cold] = solve_paths(&recorder);
+            let run = captured(Capture::new(driver, devices, false), devices, shards);
+            let DeltaPaths { incremental, cold, .. } = total_work(&run).delta_path;
             assert_eq!(run.len(), slots, "{case}");
             for (g, schedule) in &run {
                 assert!(
@@ -656,7 +590,6 @@ fn kept_totals_follow_rows_the_rebalance_migrates() {
         }
         assert!(moved.len() > 1, "{case}: the same rows migrated every slot");
     }
-    lpvs::obs::set_enabled(false);
 }
 
 /// Recovery drops warm state without being told to: a respawned worker
@@ -666,22 +599,14 @@ fn kept_totals_follow_rows_the_rebalance_migrates() {
 /// fraction gate sends cold — counted from the captured frontiers.
 #[test]
 fn a_respawned_worker_solves_cold_without_a_flag() {
-    let (_guard, recorder) = recording();
     let (devices, slots, shards) = (96, 12, 2);
     let mut config = SyntheticConfig::steady(devices, slots, 17);
     config.mutation_fraction = 0.2;
-    let mut capture = Capture::new(SyntheticDriver::new(config));
-    let runtime = SlotRuntime::new(RuntimeConfig {
-        fleet: FleetConfig { num_shards: shards, ..FleetConfig::default() },
-        stage_faults: Some(StageFaults { rate: 0.2, seed: 16, repeat: 0 }),
-        ..RuntimeConfig::default()
-    });
-    let report = runtime.run(&mut capture, vec![GammaEstimator::paper_default(); devices]);
-    let [reuse, incremental, cold] = solve_paths(&recorder);
-    lpvs::obs::set_enabled(false);
+    let mut capture = synthetic(config, false);
+    let report = run(&mut capture, devices, shards, Some(StageFaults { rate: 0.2, seed: 16, repeat: 0 }));
+    let DeltaPaths { reuse, incremental, cold } = total_work(&capture.slots).delta_path;
 
     let recovery = &report.summary.recovery;
-    assert_eq!(recovery.fell_back, None);
     let deaths: Vec<(usize, usize)> = recovery
         .flight
         .iter()

@@ -357,6 +357,7 @@ fn straight_line_assemble(
             shard: s,
             devices: indices.clone(),
             stats: schedule.stats,
+            work: schedule.work,
             migrated_in: Vec::new(),
         });
     }
@@ -431,6 +432,7 @@ fn straight_line_assemble(
         objective,
         energy_saved_j,
         runtime: std::time::Duration::ZERO,
+        work: Default::default(),
     }
 }
 

@@ -15,7 +15,8 @@ use lpvs::core::fleet::DeviceFleet;
 use lpvs::core::phase1::{solve_phase1, Phase1Config};
 use lpvs::core::problem::{DeviceRequest, SlotProblem};
 use lpvs::core::provision::price_capacity;
-use lpvs::core::scheduler::Degradation;
+use lpvs::core::scheduler::{Degradation, SchedulerConfig};
+use lpvs::core::work::{ChunkSteps, DeltaPaths, RowsAccounted, RowsRefilled, SlotWork, WarmStarts};
 use lpvs::display::spec::Resolution;
 use lpvs::edge::fleet::{FleetConfig, FleetScheduler};
 use lpvs::edge::server::EdgeServer;
@@ -24,7 +25,10 @@ use lpvs::emulator::faults::FaultConfig;
 use lpvs::obs::dashboard::parse_prometheus;
 use lpvs::obs::sink::render_prometheus;
 use lpvs::obs::{span_metric_name, MetricsSnapshot, SeriesKey, SpanEvent};
-use lpvs::runtime::{RuntimeConfig, SlotRuntime, SyntheticConfig, SyntheticDriver};
+use lpvs::runtime::{
+    BankOps, GatheredSlot, RuntimeConfig, SlotFeedback, SlotRuntime, SlotSink, SlotSource,
+    SolvedSlot, StageFaults, SyntheticConfig, SyntheticDriver,
+};
 use lpvs::survey::curve::AnxietyCurve;
 use lpvs_serve::http::{read_response, render_request, Response};
 use lpvs_serve::{serve, ServeConfig, ServerHandle};
@@ -36,10 +40,12 @@ use std::time::Duration;
 
 static RECORDER: Mutex<()> = Mutex::new(());
 
-/// What a cold solve sorts, counted: the exact tier publishes
-/// `IlpStats::orders_sorted` — the density order the greedy seed and the
-/// rounding refills share, plus each row order the relaxation needed.
-/// A row that never binds is never sorted, however many nodes run.
+/// What a cold solve sorts, counted: the exact tier returns
+/// `IlpStats::orders_sorted` in its work record — the density order the
+/// greedy seed and the rounding refills share, plus each row order the
+/// relaxation needed. A row that never binds is never sorted, however
+/// many nodes run. The counts come from the record; the lock is held
+/// because the solve still opens spans a recording test would keep.
 #[test]
 fn a_phase1_solve_sorts_the_orders_it_reads() {
     let _turn = RECORDER.lock().unwrap_or_else(PoisonError::into_inner);
@@ -65,11 +71,8 @@ fn a_phase1_solve_sorts_the_orders_it_reads() {
         let prices = price_capacity(&p).unwrap();
         let priced = [prices.compute_j_per_unit, prices.storage_j_per_gb];
         assert_eq!(priced.iter().filter(|&&d| d > 0.0).count(), binding, "{priced:?}");
-        lpvs::obs::init().reset();
-        solve_phase1(&p, &Phase1Config::default()).unwrap();
-        lpvs::obs::set_enabled(false);
-        let metrics = lpvs::obs::installed().expect("recorder installed").metrics().snapshot();
-        assert_eq!(metrics.counter("solver_orders_sorted_total"), Some(1 + binding as u64));
+        let result = solve_phase1(&p, &Phase1Config::default()).unwrap();
+        assert_eq!(result.work.orders_sorted, 1 + binding as u64);
     }
 }
 
@@ -310,7 +313,8 @@ fn one_fleet_slot_sample_per_fleet_slot() {
 
 /// A Phase-1 solve whose branch-and-bound hits its node cap hands back
 /// an incumbent it could not certify; the exact arm says so in its
-/// result and counts it.
+/// result and counts it in its work record (the lock only keeps its
+/// spans out of a recording test's).
 #[test]
 fn phase1_counts_the_solves_it_could_not_certify() {
     let _turn = RECORDER.lock().unwrap_or_else(PoisonError::into_inner);
@@ -325,17 +329,141 @@ fn phase1_counts_the_solves_it_could_not_certify() {
         classes.push(DeviceRequest::uniform(watts, 10.0, 30, 30_000.0, 55_440.0, gamma, compute, 0.11));
     }
     let solve = |problem: &SlotProblem, config: Phase1Config| {
-        lpvs::obs::init().reset();
         let result = solve_phase1(problem, &config).unwrap();
-        lpvs::obs::set_enabled(false);
-        let metrics = lpvs::obs::installed().expect("recorder installed").metrics().snapshot();
-        (result.certified, metrics.counter("sched_phase1_uncertified_total").unwrap_or(0))
+        (result.certified, result.work.uncertified)
     };
     let capped = Phase1Config { node_limit: 1, ..Phase1Config::default() };
     assert_eq!(solve(&classes, capped), (false, 1));
     // The Fig. 10 shape closes within the default budget.
     let fig10 = lpvs::emulator::experiment::synthetic_problem(2_000, 100.0, 1.0, 7);
     assert_eq!(solve(&fig10, Phase1Config::default()), (true, 0));
+}
+
+/// A driver that folds the records its runtime hands it: every solved
+/// slot's `work`, which must carry the rows its gather copied. Slot 3
+/// gets no time, so its solves fall below the solver rungs and account
+/// their selection with a kernel; every compute capacity is scaled by
+/// `squeeze`.
+struct Folding<D> {
+    inner: D,
+    squeeze: f64,
+    copied: RowsRefilled,
+    work: SlotWork,
+}
+
+impl<D: SlotSource> SlotSource for Folding<D> {
+    fn begin_slot(&mut self, slot: usize) -> Option<BankOps> {
+        self.inner.begin_slot(slot)
+    }
+
+    fn gather(
+        &mut self,
+        slot: usize,
+        posteriors: &[(f64, f64)],
+        recycled: Option<DeviceFleet>,
+    ) -> Option<GatheredSlot> {
+        let mut gathered = self.inner.gather(slot, posteriors, recycled)?;
+        if slot == 3 {
+            gathered.budget = gathered.budget.with_deadline_secs(0.0);
+        }
+        gathered.compute_capacity *= self.squeeze;
+        self.copied = gathered.refilled;
+        Some(gathered)
+    }
+}
+
+impl<D: SlotSink> SlotSink for Folding<D> {
+    fn solved(&mut self, solved: &SolvedSlot) {
+        assert_eq!(solved.schedule.work.rows_refilled, self.copied, "slot {}", solved.slot);
+        self.work += solved.schedule.work;
+        self.inner.solved(solved);
+    }
+
+    fn apply(&mut self, slot: usize) -> SlotFeedback {
+        self.inner.apply(slot)
+    }
+}
+
+/// The eight solve-work series, read back into a record.
+fn published(metrics: &MetricsSnapshot) -> SlotWork {
+    let total = |name| metrics.counter(name).unwrap_or(0);
+    let by = |name, key, value| metrics.counter_labeled(name, &[(key, value)]).unwrap_or(0);
+    let (steps, path) = (|s| by("sched_chunk_steps_total", "stage", s), |p| by("delta_solve_total", "path", p));
+    let (rows, copied) =
+        (|o| by("delta_accounting_rows_total", "owner", o), |p| by("fleet_refill_rows_total", "path", p));
+    SlotWork {
+        chunk_steps: ChunkSteps { score: steps("score"), account: steps("account") },
+        orders_sorted: total("solver_orders_sorted_total"),
+        uncertified: total("sched_phase1_uncertified_total"),
+        warm_start: WarmStarts { hit: total("delta_warm_start_hit_total"), miss: total("delta_warm_start_miss_total") },
+        delta_path: DeltaPaths { reuse: path("reuse"), incremental: path("incremental"), cold: path("cold") },
+        rows_accounted: RowsAccounted { shard: rows("shard"), join: rows("join"), shipped: rows("shipped") },
+        rows_refilled: RowsRefilled { patched: copied("patched"), full: copied("full") },
+    }
+}
+
+/// The registry is the fold of the records. On a delta-carrying fleet
+/// whose stage faults kill workers that are respawned, one whose faults
+/// exhaust the retry budget so the run finishes inline, and the same
+/// fleet on the inline executor under a one-node Phase-1 cap (and a
+/// capacity no whole number of unit-cost rows fills), each of the eight
+/// solve-work series holds what the driver summed from the `work`
+/// delivered to `solved()`, the gather's copied rows included.
+#[test]
+fn the_registry_is_the_fold_of_the_records() {
+    let _turn = RECORDER.lock().unwrap_or_else(PoisonError::into_inner);
+    let config = SyntheticConfig { mutation_fraction: 0.05, ..SyntheticConfig::steady(400, 10, 11) };
+    let fleet = FleetConfig { num_shards: 2, ..FleetConfig::default() };
+    let faults = |seed, repeat| Some(StageFaults { rate: 0.15, seed, repeat });
+    let mut capped = SchedulerConfig::default();
+    (capped.phase1.node_limit, capped.phase1.relative_gap) = (1, 0.0);
+    let cases = [
+        ("respawned workers", 1.0, RuntimeConfig { fleet, stage_faults: faults(16, 0), ..RuntimeConfig::default() }),
+        ("inline fallback", 1.0, RuntimeConfig { fleet, stage_faults: faults(5, u32::MAX), ..RuntimeConfig::default() }),
+        (
+            "inline executor",
+            1.013,
+            RuntimeConfig { fleet: FleetConfig { scheduler: capped, ..fleet }, ..RuntimeConfig::default() },
+        ),
+    ];
+    for (case, squeeze, runtime) in cases {
+        let inner = SyntheticDriver::new(config.clone());
+        let mut driver = Folding { inner, squeeze, copied: RowsRefilled::default(), work: SlotWork::default() };
+        let estimators = driver.inner.estimators();
+        let recorder = lpvs::obs::init();
+        recorder.reset();
+        let runtime = SlotRuntime::new(runtime);
+        let report = if case == "inline executor" {
+            runtime.run_sequential(&mut driver, estimators)
+        } else {
+            runtime.run(&mut driver, estimators)
+        };
+        lpvs::obs::set_enabled(false);
+        assert_eq!(published(&recorder.metrics().snapshot()), driver.work, "{case}");
+
+        // Not vacuous: every stage, path and owner the case reaches counted.
+        let (w, lost, fell_back) = (driver.work, report.summary.workers_lost, report.summary.recovery.fell_back);
+        let (steps, copied, paths) = (w.chunk_steps, w.rows_refilled, w.delta_path);
+        let every = [steps.score, steps.account, w.orders_sorted, copied.patched, copied.full, w.warm_start.hit];
+        let reached = match case {
+            "respawned workers" => lost > 0 && fell_back.is_none() && paths.incremental * paths.cold > 0,
+            "inline fallback" => fell_back.is_some() && w.rows_accounted.join * w.rows_accounted.shipped > 0,
+            _ => w.uncertified > 0 && paths == DeltaPaths::default(),
+        };
+        assert!(reached && every.iter().all(|&n| n > 0), "{case}: {w:?}");
+    }
+
+    // A bare fleet schedule or shipped snapshot returns its counts and
+    // publishes none of them.
+    let recorder = lpvs::obs::init();
+    recorder.reset();
+    let (mut fleet, server, curve) = (small_fleet(12), EdgeServer::new(8.0, 4.0), AnxietyCurve::paper_shape());
+    let bare = FleetScheduler::with_shards(2).schedule(&fleet, &server, 1.0, &curve, None, &SlotBudget::unbounded());
+    let (_, _, copied) = fleet.ship_snapshot(None);
+    lpvs::obs::set_enabled(false);
+    assert!(bare.work.chunk_steps.score > 0 && bare.work.rows_accounted.join == 12, "{:?}", bare.work);
+    assert_eq!(copied, RowsRefilled { patched: 0, full: 12 });
+    assert_eq!(published(&recorder.metrics().snapshot()), SlotWork::default());
 }
 
 /// One keep-alive connection to an in-process `lpvs-serve`.

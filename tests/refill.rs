@@ -14,10 +14,8 @@
 //! * every break of the chain — no buffer, a skipped gather, another
 //!   length, another chunk layout, a resume, the inline fallback — ends
 //!   equal too, on the full path where the chain really broke;
-//! * in counted rows (`fleet_refill_rows_total{path}`), a steady slot
-//!   copies exactly its frontier;
-//! * `lpvs-serve` decides the same slot by slot uninterrupted, re-run
-//!   from its journal, and resumed from a checkpoint.
+//! * in counted rows (what `ship_snapshot` returns, carried on as
+//!   `GatheredSlot::refilled`), a steady slot copies exactly its frontier;
 //!
 //! Debug builds also compare every patched buffer to its source in full
 //! inside `ship_snapshot`; the assertions here hold in release too.
@@ -28,13 +26,11 @@
 //! for the four columns a setter reaches); a patch that forgets to
 //! advance the epoch fails the matrix at its first patched slot and every
 //! later slot falls to the full path, failing the counts.
-//!
-//! Own test binary, serialized: the counter is read from the
-//! process-global recorder.
 
 use lpvs::core::fleet::{DeviceFleet, FleetDevice};
 use lpvs::core::problem::{DeviceRequest, SlotProblem};
 use lpvs::core::scheduler::Degradation;
+use lpvs::core::work::RowsRefilled;
 use lpvs::display::spec::DisplayKind;
 use lpvs::edge::fleet::FleetConfig;
 use lpvs::runtime::{
@@ -42,51 +38,6 @@ use lpvs::runtime::{
     SlotSink, SlotSource, SolvedSlot, StageFaults, SyntheticConfig, SyntheticDriver,
 };
 use lpvs::survey::curve::AnxietyCurve;
-use lpvs_serve::engine::Decision;
-use lpvs_serve::{EngineConfig, Op, ServeEngine, Shared};
-use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
-
-static RECORDER: Mutex<()> = Mutex::new(());
-
-/// Holds the recorder for one test: enabled and zeroed on entry,
-/// disabled on exit.
-struct Recording(#[allow(dead_code)] std::sync::MutexGuard<'static, ()>);
-
-impl Recording {
-    fn start() -> Self {
-        let guard = RECORDER.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        lpvs::obs::init().reset();
-        Self(guard)
-    }
-}
-
-impl Drop for Recording {
-    fn drop(&mut self) {
-        lpvs::obs::set_enabled(false);
-    }
-}
-
-/// Rows copied so far, by path.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-struct Copied {
-    patched: u64,
-    full: u64,
-}
-
-impl Copied {
-    fn now() -> Self {
-        let metrics = lpvs::obs::installed().expect("recorder installed").metrics().snapshot();
-        let rows =
-            |path| metrics.counter_labeled("fleet_refill_rows_total", &[("path", path)]).unwrap_or(0);
-        Self { patched: rows("patched"), full: rows("full") }
-    }
-
-    fn since(self, earlier: Self) -> Self {
-        Self { patched: self.patched - earlier.patched, full: self.full - earlier.full }
-    }
-}
 
 /// splitmix64 of a `(slot, row, salt)` triple as a draw in `[0, 1)`.
 fn draw(slot: usize, row: usize, salt: u64) -> f64 {
@@ -183,7 +134,6 @@ fn assert_shipped(shipped: &DeviceFleet, source: &DeviceFleet, case: &str) {
 
 #[test]
 fn the_shipped_buffer_is_the_source_for_every_setter_and_fraction() {
-    let _recording = Recording::start();
     const ROWS: usize = 400;
     for fraction in [0.0, 0.01, 0.25, 0.5, 1.0] {
         for (salt, setter) in Setter::ALL.into_iter().enumerate() {
@@ -199,16 +149,14 @@ fn the_shipped_buffer_is_the_source_for_every_setter_and_fraction() {
                     }
                 }
                 let expected = fleet.dirty_frontier();
-                let before = Copied::now();
-                let (frontier, shipped) = fleet.ship_snapshot(buffer.take());
-                let copied = Copied::now().since(before);
+                let (frontier, shipped, copied) = fleet.ship_snapshot(buffer.take());
                 assert_eq!(frontier, expected, "{case}, slot {slot}");
                 assert_shipped(&shipped, &fleet, &format!("{case}, slot {slot}"));
                 let want = if slot == 0 {
                     // Born dirty, nothing to patch: every row, once.
-                    Copied { patched: 0, full: ROWS as u64 }
+                    RowsRefilled { patched: 0, full: ROWS as u64 }
                 } else {
-                    Copied { patched: frontier.len() as u64, full: 0 }
+                    RowsRefilled { patched: frontier.len() as u64, full: 0 }
                 };
                 assert_eq!(copied, want, "{case}, slot {slot}");
                 buffer = Some(shipped);
@@ -228,21 +176,18 @@ fn the_shipped_buffer_is_the_source_for_every_setter_and_fraction() {
 /// equal in every column.
 #[test]
 fn a_rebuilt_source_is_patched_in_every_column() {
-    let _recording = Recording::start();
     let mut fleet = varied_fleet(60, mixed_chunks);
-    let (_, buffer) = fleet.ship_snapshot(None);
+    let (_, buffer, _) = fleet.ship_snapshot(None);
     fleet.rebuild_from_problem(&other_problem(60, mixed_chunks));
     assert_ne!(buffer, fleet);
-    let before = Copied::now();
-    let (frontier, shipped) = fleet.ship_snapshot(Some(buffer));
-    assert_eq!(Copied::now().since(before), Copied { patched: 60, full: 0 });
+    let (frontier, shipped, copied) = fleet.ship_snapshot(Some(buffer));
+    assert_eq!(copied, RowsRefilled { patched: 60, full: 0 });
     assert_eq!(frontier.len(), 60);
     assert_shipped(&shipped, &fleet, "rebuilt in place");
 }
 
 #[test]
 fn every_broken_chain_takes_the_full_copy_and_ends_equal() {
-    let _recording = Recording::start();
     const ROWS: usize = 48;
     // A foreign buffer that *would* pass the epoch test: cleared as
     // often as the source, so only its shape gives it away.
@@ -259,7 +204,7 @@ fn every_broken_chain_takes_the_full_copy_and_ends_equal() {
         (
             "a skipped gather",
             Box::new(|fleet| {
-                let (_, stale) = fleet.ship_snapshot(None);
+                let (_, stale, _) = fleet.ship_snapshot(None);
                 fleet.set_energy_j(1, 7.0);
                 let _ = fleet.ship_snapshot(None);
                 Some(stale)
@@ -272,7 +217,7 @@ fn every_broken_chain_takes_the_full_copy_and_ends_equal() {
         (
             "another chunk layout",
             Box::new(|fleet| {
-                let (_, buffer) = fleet.ship_snapshot(None);
+                let (_, buffer, _) = fleet.ship_snapshot(None);
                 fleet.rebuild_from_problem(&other_problem(ROWS, |row| 2 + row % 4));
                 Some(buffer)
             }),
@@ -290,37 +235,32 @@ fn every_broken_chain_takes_the_full_copy_and_ends_equal() {
         fleet.set_connected(3, true);
         fleet.set_energy_j(9, 1_234.5);
         let expected = fleet.dirty_frontier();
-        let before = Copied::now();
-        let (frontier, shipped) = fleet.ship_snapshot(buffer);
-        assert_eq!(
-            Copied::now().since(before),
-            Copied { patched: 0, full: ROWS as u64 },
-            "{case}: not the full path"
-        );
+        let (frontier, shipped, copied) = fleet.ship_snapshot(buffer);
+        assert_eq!(copied, RowsRefilled { patched: 0, full: ROWS as u64 }, "{case}: not the full path");
         assert_eq!(frontier, expected, "{case}");
         assert_shipped(&shipped, &fleet, case);
 
         // The chain is whole again from the next slot on.
         fleet.set_energy_j(2, 99.0);
-        let before = Copied::now();
-        let (_, shipped) = fleet.ship_snapshot(Some(shipped));
-        assert_eq!(Copied::now().since(before), Copied { patched: 1, full: 0 }, "{case}");
+        let (_, shipped, copied) = fleet.ship_snapshot(Some(shipped));
+        assert_eq!(copied, RowsRefilled { patched: 1, full: 0 }, "{case}");
         assert_shipped(&shipped, &fleet, case);
     }
 }
 
-/// One gathered slot as the counters and the oracle saw it.
+/// One gathered slot as its record and the oracle saw it.
 #[derive(Debug, Clone, Copy)]
 struct Gathered {
     slot: usize,
     frontier: u64,
-    copied: Copied,
+    copied: RowsRefilled,
 }
 
 /// `SyntheticDriver` next to a shadow of itself that never gets a
 /// buffer back: the shadow always ships a full clone, so whatever path
 /// the driver under test took, its whole `GatheredSlot` — snapshot,
-/// delta, warm start — must equal the shadow's.
+/// delta, warm start — must equal the shadow's, but for the rows it
+/// copied getting there.
 struct Shadowed {
     inner: SyntheticDriver,
     shadow: SyntheticDriver,
@@ -350,15 +290,14 @@ impl SlotSource for Shadowed {
         posteriors: &[(f64, f64)],
         recycled: Option<DeviceFleet>,
     ) -> Option<GatheredSlot> {
-        let want = self.shadow.gather(slot, posteriors, None).expect("synthetic slots are never idle");
-        let before = Copied::now();
+        let mut want = self.shadow.gather(slot, posteriors, None).expect("synthetic slots are never idle");
         let got = self.inner.gather(slot, posteriors, recycled).expect("never idle");
-        let copied = Copied::now().since(before);
+        want.refilled = got.refilled;
         assert_eq!(got, want, "slot {slot}: the gathered slot differs from a full clone's");
         assert_eq!(got.fleet.epoch(), want.fleet.epoch(), "slot {slot}");
         assert_eq!(got.fleet.dirty_count(), 0, "slot {slot}");
         let frontier = got.delta.as_ref().expect("deltas are on").len() as u64;
-        self.gathers.push(Gathered { slot, frontier, copied });
+        self.gathers.push(Gathered { slot, frontier, copied: got.refilled });
         Some(got)
     }
 }
@@ -408,25 +347,18 @@ fn runtime(faults: Option<StageFaults>, checkpoints: Option<CheckpointConfig>) -
 }
 
 fn assert_full(g: &Gathered, case: &str) {
-    let want = Copied { patched: 0, full: DEVICES as u64 };
+    let want = RowsRefilled { patched: 0, full: DEVICES as u64 };
     assert_eq!(g.copied, want, "{case}: slot {} did not copy the fleet once", g.slot);
 }
 
 fn assert_copies_its_frontier(g: &Gathered, case: &str) {
     assert!(g.frontier > 0, "{case}: slot {} has no frontier to price", g.slot);
-    let want = Copied { patched: g.frontier, full: 0 };
+    let want = RowsRefilled { patched: g.frontier, full: 0 };
     assert_eq!(g.copied, want, "{case}: slot {} did not copy exactly its frontier", g.slot);
-}
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("lpvs-refill-it-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 #[test]
 fn a_steady_slot_copies_exactly_its_frontier() {
-    let _recording = Recording::start();
     for sequential in [false, true] {
         let mut driver = Shadowed::new(SyntheticConfig::steady(DEVICES, 8, 17));
         let estimators = driver.inner.estimators();
@@ -447,9 +379,9 @@ fn a_steady_slot_copies_exactly_its_frontier() {
 
 #[test]
 fn a_resumed_run_copies_the_fleet_once_then_its_frontier() {
-    let _recording = Recording::start();
     let config = SyntheticConfig::steady(DEVICES, 10, 41);
-    let dir = scratch("resume");
+    let dir = std::env::temp_dir().join(format!("lpvs-refill-it-{}-resume", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     let checkpoints = CheckpointConfig { interval: 2, ..CheckpointConfig::new(&dir) };
 
     let mut uninterrupted = SyntheticDriver::new(config.clone());
@@ -483,7 +415,6 @@ fn a_resumed_run_copies_the_fleet_once_then_its_frontier() {
 
 #[test]
 fn the_inline_fallback_keeps_shipping_the_source() {
-    let _recording = Recording::start();
     // Every respawn of a faulted (slot, shard) dies again, so the retry
     // budget runs out and the remaining slots run inline.
     let faults = StageFaults { rate: 0.15, seed: 5, repeat: u32::MAX };
@@ -501,179 +432,4 @@ fn the_inline_fallback_keeps_shipping_the_source() {
     for g in &driver.gathers[1..] {
         assert_copies_its_frontier(g, "fallback");
     }
-}
-
-// --- lpvs-serve --------------------------------------------------------
-
-const SESSIONS: usize = 48;
-const SERVE_SLOTS: usize = 9;
-
-/// The ops of slot `slot`: everyone arrives, then a rotating telemetry
-/// stream with γ observations, a panel change, a departure and a
-/// return, and a brownout that comes and goes.
-fn script(slot: usize) -> Vec<Op> {
-    if slot == 0 {
-        return (0..SESSIONS)
-            .map(|device| Op::Arrive {
-                device,
-                energy_j: 4_000.0 + 900.0 * device as f64,
-                gamma: 0.2 + 0.005 * device as f64,
-                oled: device % 4 == 0,
-            })
-            .collect();
-    }
-    let mut ops: Vec<Op> = (0..5)
-        .map(|k| {
-            let device = (7 * slot + 11 * k) % SESSIONS;
-            Op::Telemetry {
-                device,
-                energy_j: Some(30_000.0 - 2_500.0 * slot as f64 - 100.0 * device as f64),
-                gamma: (k == 0).then_some((0.3 + 0.02 * slot as f64, 0.05)),
-                oled: (k == 1).then_some(slot.is_multiple_of(2)),
-                observed: (k >= 2).then_some(0.25 + 0.01 * (slot + k) as f64),
-            }
-        })
-        .collect();
-    match slot {
-        3 => ops.push(Op::Depart { device: 5 }),
-        4 => ops.push(Op::Brownout { factor: 0.5 }),
-        6 => {
-            ops.push(Op::Brownout { factor: 1.0 });
-            ops.push(Op::Arrive { device: 5, energy_j: 9_000.0, gamma: 0.4, oled: false });
-        }
-        _ => {}
-    }
-    ops
-}
-
-/// The engine with its clients scripted in: a live slot's ops are
-/// queued and its tick posted right before the engine asks for them; a
-/// journaled slot is left to the journal.
-struct Scripted {
-    engine: ServeEngine,
-    shared: Arc<Shared>,
-}
-
-impl Scripted {
-    fn new(journal: Option<&Path>) -> Self {
-        let config = EngineConfig {
-            horizon: Some(SERVE_SLOTS),
-            journal: journal.map(Path::to_path_buf),
-            ..EngineConfig::sized(SESSIONS)
-        };
-        let shared = Shared::new(&config, 4_096);
-        let engine = ServeEngine::new(config, Arc::clone(&shared)).expect("journal opens");
-        Self { engine, shared }
-    }
-
-    fn decisions(&self) -> BTreeMap<usize, Decision> {
-        self.shared.schedules.lock().expect("schedule log").clone()
-    }
-}
-
-impl SlotSource for Scripted {
-    fn begin_slot(&mut self, slot: usize) -> Option<BankOps> {
-        let live = self.engine.journaled_through().is_none_or(|through| slot > through);
-        if live && slot < SERVE_SLOTS {
-            for op in script(slot) {
-                assert!(self.shared.enqueue(op), "the queue is sized for the script");
-            }
-            self.shared.tick();
-        }
-        self.engine.begin_slot(slot)
-    }
-
-    fn gather(
-        &mut self,
-        slot: usize,
-        posteriors: &[(f64, f64)],
-        recycled: Option<DeviceFleet>,
-    ) -> Option<GatheredSlot> {
-        let before = Copied::now();
-        let gathered = self.engine.gather(slot, posteriors, recycled)?;
-        let copied = Copied::now().since(before);
-        let frontier = gathered.delta.as_ref().expect("serve ships deltas").len() as u64;
-        // Either path, never both; patched means the frontier exactly.
-        assert!(
-            copied == Copied { patched: frontier, full: 0 }
-                || copied == Copied { patched: 0, full: SESSIONS as u64 },
-            "slot {slot}: copied {copied:?} for a frontier of {frontier}"
-        );
-        Some(gathered)
-    }
-}
-
-impl SlotSink for Scripted {
-    fn solved(&mut self, solved: &SolvedSlot) {
-        self.engine.solved(solved);
-    }
-
-    fn apply(&mut self, slot: usize) -> SlotFeedback {
-        self.engine.apply(slot)
-    }
-}
-
-impl SlotReplay for Scripted {
-    fn stage_decision(
-        &mut self,
-        slot: usize,
-        device_ids: &[usize],
-        selected: &[bool],
-        tier: Degradation,
-    ) {
-        self.engine.stage_decision(slot, device_ids, selected, tier);
-    }
-
-    fn replay_slot(&mut self, slot: usize) {
-        self.engine.replay_slot(slot);
-    }
-}
-
-#[test]
-fn serve_decides_the_same_uninterrupted_rerun_and_resumed() {
-    let _recording = Recording::start();
-    let root = scratch("serve");
-    std::fs::create_dir_all(&root).expect("mkdir");
-    let run = |driver: &mut Scripted, config: RuntimeConfig| {
-        let estimators = driver.engine.estimators();
-        SlotRuntime::new(config).run(driver, estimators)
-    };
-
-    let mut uninterrupted = Scripted::new(None);
-    run(&mut uninterrupted, runtime(None, None));
-    let reference = uninterrupted.decisions();
-    assert_eq!(reference.len(), SERVE_SLOTS);
-    assert!(
-        reference.values().any(|d| !d.selected.is_empty()),
-        "the script must give the solver something to select"
-    );
-
-    // A journaled run, then a fresh engine re-running that journal from
-    // slot 0 with no clients at all.
-    let journal = root.join("ops.journal");
-    let mut journaled = Scripted::new(Some(&journal));
-    run(&mut journaled, runtime(None, None));
-    assert_eq!(journaled.decisions(), reference, "journaling changed a decision");
-    let mut rerun = Scripted::new(Some(&journal));
-    assert_eq!(rerun.engine.journaled_through(), Some(SERVE_SLOTS - 1));
-    run(&mut rerun, runtime(None, None));
-    assert_eq!(rerun.decisions(), reference, "the journaled re-run diverged");
-
-    // A checkpointed run killed after slot 5, resumed by a fresh engine:
-    // decided slots replay, the rest re-run from the journal or live.
-    let journal = root.join("halted.journal");
-    let checkpoints = CheckpointConfig { interval: 2, ..CheckpointConfig::new(root.join("ckpt")) };
-    let mut halted = Scripted::new(Some(&journal));
-    run(
-        &mut halted,
-        RuntimeConfig { halt_after_slot: Some(5), ..runtime(None, Some(checkpoints.clone())) },
-    );
-    assert_eq!(halted.decisions().len(), 6);
-    let mut resumed = Scripted::new(Some(&journal));
-    let report = SlotRuntime::new(runtime(None, Some(checkpoints)))
-        .resume(&mut resumed)
-        .expect("resume from manifest");
-    assert!(report.summary.recovery.resumed_at.is_some_and(|at| at > 0 && at <= 5));
-    assert_eq!(resumed.decisions(), reference, "the checkpoint resume diverged");
-    let _ = std::fs::remove_dir_all(&root);
 }

@@ -16,6 +16,7 @@ use lpvs::core::baseline::Policy;
 use lpvs::core::budget::SlotBudget;
 use lpvs::core::fleet::DeviceFleet;
 use lpvs::core::problem::DeviceRequest;
+use lpvs::core::work::SlotWork;
 use lpvs::edge::fleet::{FleetConfig, FleetSchedule, FleetScheduler};
 use lpvs::edge::server::EdgeServer;
 use lpvs::emulator::engine::{Emulator, EmulatorConfig};
@@ -306,6 +307,7 @@ impl SlotSource for SkewedDriver {
             budget: SlotBudget::unbounded(),
             warm: self.staged.clone(),
             delta: None,
+            refilled: Default::default(),
         };
         self.gathered.push(gathered.clone());
         Some(gathered)
@@ -336,14 +338,19 @@ impl SlotSink for SkewedDriver {
     }
 }
 
-/// A fleet schedule with its wall-clock readings blanked.
+/// A fleet schedule with its wall-clock readings and its counted work
+/// blanked: both describe how the decision was reached, not the
+/// decision (only workers count a delta path and ship terms).
 fn timeless(mut schedule: FleetSchedule) -> FleetSchedule {
     schedule.runtime = std::time::Duration::ZERO;
+    schedule.work = SlotWork::default();
     for report in &mut schedule.shards {
         report.stats.runtime = std::time::Duration::ZERO;
+        report.work = SlotWork::default();
     }
     schedule
 }
+
 
 /// One delivery order: whoever runs the shards, the executor makes the
 /// same driver calls in the same sequence, with `solved(t)` between
@@ -474,6 +481,11 @@ fn executors_agree_when_the_rebalance_migrates() {
             assert_eq!(pipe.slot, seq.slot, "{case}");
             assert_eq!(pipe.tier, seq.tier, "{case}");
             assert_eq!(timeless(pipe.schedule.clone()), timeless(seq.schedule.clone()), "{case}");
+            // What each shard's solver did does not depend on who ran it.
+            let solver = |w: &SlotWork| (w.chunk_steps, w.orders_sorted, w.warm_start, w.uncertified);
+            for (p, s) in pipe.schedule.shards.iter().zip(&seq.schedule.shards) {
+                assert_eq!(solver(&p.work), solver(&s.work), "{case}, shard {}", p.shard);
+            }
             let direct = scoped.schedule_with_servers(
                 &g.fleet,
                 &FleetScheduler::split_server(

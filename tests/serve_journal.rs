@@ -9,24 +9,25 @@
 //! one build is booted by the next), and a second engine booted on it
 //! re-runs the same slots to the same decisions.
 //!
-//! Drives the engine through `SlotRuntime` with no sockets, as
-//! `tests/refill.rs` does; its own binary because the retained-ops
-//! gauge is read from the process-global recorder.
+//! It also decides the same slot by slot uninterrupted, re-run from its
+//! journal, and resumed from a checkpoint, and each gather copies its
+//! frontier or its fleet into the snapshot it ships, never both.
+//!
+//! Drives the engine through `SlotRuntime` with no sockets.
 
 use lpvs::core::fleet::DeviceFleet;
 use lpvs::core::scheduler::Degradation;
+use lpvs::core::work::RowsRefilled;
 use lpvs::edge::fleet::FleetConfig;
 use lpvs::runtime::{
-    BankOps, GatheredSlot, RuntimeConfig, SlotFeedback, SlotRuntime, SlotSink, SlotSource,
-    SolvedSlot,
+    BankOps, CheckpointConfig, GatheredSlot, RuntimeConfig, RuntimeReport, SlotFeedback,
+    SlotReplay, SlotRuntime, SlotSink, SlotSource, SolvedSlot,
 };
 use lpvs_serve::engine::Decision;
 use lpvs_serve::{serve, EngineConfig, Op, ServeConfig, ServeEngine, Shared};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
-
-static RECORDER: Mutex<()> = Mutex::new(());
+use std::sync::Arc;
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("lpvs-serve-journal-{tag}-{}", std::process::id()));
@@ -48,13 +49,13 @@ fn runtime() -> RuntimeConfig {
 /// The engine with its clients scripted in: a live slot's ops are
 /// queued and its tick posted right before the engine asks for them; a
 /// slot the journal already holds is left to the journal. Reads the
-/// retained-ops gauge after every `begin_slot`.
+/// ops the engine retains after every `begin_slot`.
 struct Scripted<F: Fn(usize) -> Vec<Op>> {
     engine: ServeEngine,
     shared: Arc<Shared>,
     script: F,
     slots: usize,
-    retained: Vec<f64>,
+    retained: Vec<usize>,
 }
 
 impl<F: Fn(usize) -> Vec<Op>> Scripted<F> {
@@ -69,9 +70,9 @@ impl<F: Fn(usize) -> Vec<Op>> Scripted<F> {
         Self { engine, shared, script, slots, retained: Vec::new() }
     }
 
-    fn run(&mut self) {
+    fn run(&mut self, config: RuntimeConfig) -> RuntimeReport {
         let estimators = self.engine.estimators();
-        SlotRuntime::new(runtime()).run(self, estimators);
+        SlotRuntime::new(config).run(self, estimators)
     }
 
     fn decisions(&self) -> BTreeMap<usize, Decision> {
@@ -89,8 +90,7 @@ impl<F: Fn(usize) -> Vec<Op>> SlotSource for Scripted<F> {
             self.shared.tick();
         }
         let ops = self.engine.begin_slot(slot)?;
-        let metrics = lpvs::obs::installed().expect("recorder installed").metrics().snapshot();
-        self.retained.push(metrics.gauge("serve_journal_retained_ops").expect("gauge published"));
+        self.retained.push(self.engine.retained_ops());
         Some(ops)
     }
 
@@ -100,7 +100,13 @@ impl<F: Fn(usize) -> Vec<Op>> SlotSource for Scripted<F> {
         posteriors: &[(f64, f64)],
         recycled: Option<DeviceFleet>,
     ) -> Option<GatheredSlot> {
-        self.engine.gather(slot, posteriors, recycled)
+        let gathered = self.engine.gather(slot, posteriors, recycled)?;
+        // Either path, never both; patched means the frontier exactly.
+        let frontier = gathered.delta.as_ref().expect("serve ships deltas").len() as u64;
+        let (copied, rows) = (gathered.refilled, gathered.fleet.len() as u64);
+        let either = [RowsRefilled { patched: frontier, full: 0 }, RowsRefilled { patched: 0, full: rows }];
+        assert!(either.contains(&copied), "slot {slot}: copied {copied:?} for a frontier of {frontier}");
+        Some(gathered)
     }
 }
 
@@ -111,6 +117,22 @@ impl<F: Fn(usize) -> Vec<Op>> SlotSink for Scripted<F> {
 
     fn apply(&mut self, slot: usize) -> SlotFeedback {
         self.engine.apply(slot)
+    }
+}
+
+impl<F: Fn(usize) -> Vec<Op>> SlotReplay for Scripted<F> {
+    fn stage_decision(
+        &mut self,
+        slot: usize,
+        device_ids: &[usize],
+        selected: &[bool],
+        tier: Degradation,
+    ) {
+        self.engine.stage_decision(slot, device_ids, selected, tier);
+    }
+
+    fn replay_slot(&mut self, slot: usize) {
+        self.engine.replay_slot(slot);
     }
 }
 
@@ -172,19 +194,17 @@ const CONTRACT_JOURNAL: [&str; 20] = [
 
 #[test]
 fn a_journal_is_byte_equal_to_the_parents_and_reruns_to_the_same_decisions() {
-    let _serial = RECORDER.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    lpvs::obs::init().reset();
     let root = scratch("contract");
     let journal = root.join("ops.journal");
 
     let mut unjournaled = Scripted::new(8, 5, None, contract_script);
-    unjournaled.run();
+    unjournaled.run(runtime());
     let reference = unjournaled.decisions();
     assert_eq!(reference.len(), 5);
     assert!(reference.values().any(|d| !d.selected.is_empty()), "nothing to decide");
 
     let mut journaled = Scripted::new(8, 5, Some(&journal), contract_script);
-    journaled.run();
+    journaled.run(runtime());
     assert_eq!(journaled.decisions(), reference, "journaling changed a decision");
     let golden: String = CONTRACT_JOURNAL.iter().flat_map(|line| [line, "\n"]).collect();
     let written = std::fs::read_to_string(&journal).expect("journal written");
@@ -195,11 +215,10 @@ fn a_journal_is_byte_equal_to_the_parents_and_reruns_to_the_same_decisions() {
     // writing nothing new.
     let mut rerun = Scripted::new(8, 5, Some(&journal), |_| unreachable!("no live slot"));
     assert_eq!(rerun.engine.journaled_through(), Some(4));
-    rerun.run();
+    rerun.run(runtime());
     assert_eq!(rerun.decisions(), reference, "the journaled re-run diverged");
     assert!(reference.values().all(|d| d.tier == Degradation::Exact));
     assert_eq!(std::fs::read_to_string(&journal).expect("journal"), golden);
-    lpvs::obs::set_enabled(false);
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -210,8 +229,6 @@ const RETIRED_RUNG_MARKER: &str =
 
 #[test]
 fn a_journal_naming_the_retired_rung_replays_under_a_greedy_floor() {
-    let _serial = RECORDER.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    lpvs::obs::init().reset();
     let root = scratch("retired");
     // The contract journal's first two slots, slot 1 shed onto `shed`.
     let rerun = |shed: &str| {
@@ -225,7 +242,7 @@ fn a_journal_naming_the_retired_rung_replays_under_a_greedy_floor() {
         std::fs::write(&journal, text).expect("journal written");
         let mut engine = Scripted::new(8, 2, Some(&journal), |_| unreachable!("no live slot"));
         assert_eq!(engine.engine.journaled_through(), Some(1));
-        engine.run();
+        engine.run(runtime());
         engine.decisions()
     };
     let retired = rerun("lagrangian");
@@ -233,7 +250,6 @@ fn a_journal_naming_the_retired_rung_replays_under_a_greedy_floor() {
     assert_eq!(retired[&1].shed, Degradation::Greedy);
     assert!(retired[&1].tier >= Degradation::Greedy, "{:?}", retired[&1]);
     assert_eq!(retired, rerun("greedy"), "the retired rung replays as greedy");
-    lpvs::obs::set_enabled(false);
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -261,28 +277,26 @@ fn telemetry_script(slot: usize) -> Vec<Op> {
 
 #[test]
 fn a_live_slot_is_not_retained() {
-    let _serial = RECORDER.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    lpvs::obs::init().reset();
     let root = scratch("retained");
     let journal = root.join("ops.journal");
 
     // No journal: nothing is ever held, however long the server lives.
     let mut plain = Scripted::new(DEVICES, 10, None, telemetry_script);
-    plain.run();
-    assert_eq!(plain.retained, vec![0.0; 10]);
+    plain.run(runtime());
+    assert_eq!(plain.retained, vec![0; 10]);
 
     // A journaled server that started empty holds nothing either: what
     // it writes it does not keep.
     let mut first = Scripted::new(DEVICES, 4, Some(&journal), telemetry_script);
-    first.run();
-    assert_eq!(first.retained, vec![0.0; 4]);
+    first.run(runtime());
+    assert_eq!(first.retained, vec![0; 4]);
 
     // Booted on those four slots it holds their ops, and nine live
     // slots of telemetry later still exactly those.
-    let booted = (4 * DEVICES) as f64;
+    let booted = 4 * DEVICES;
     let mut second = Scripted::new(DEVICES, 13, Some(&journal), telemetry_script);
     assert_eq!(second.engine.journaled_through(), Some(3));
-    second.run();
+    second.run(runtime());
     assert_eq!(second.retained.len(), 13);
     assert_eq!(second.retained[0], booted);
     assert!(second.retained.windows(2).all(|w| w[1] <= w[0]), "{:?}", second.retained);
@@ -290,14 +304,11 @@ fn a_live_slot_is_not_retained() {
     // The live slots went to the file all the same.
     let third = Scripted::new(DEVICES, 13, Some(&journal), telemetry_script);
     assert_eq!(third.engine.journaled_through(), Some(12));
-    lpvs::obs::set_enabled(false);
     let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]
 fn a_journal_that_cannot_be_opened_is_an_error_not_a_panic() {
-    // `serve` enables the process-global recorder the other tests read.
-    let _serial = RECORDER.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let dir = scratch("unopenable");
     let mut config = ServeConfig::loopback(4);
     config.engine.journal = Some(dir.clone());
@@ -310,7 +321,6 @@ fn a_journal_that_cannot_be_opened_is_an_error_not_a_panic() {
 fn a_checkpoint_directory_that_cannot_be_created_is_an_error() {
     // The slot loop runs on a thread `serve` spawns; a store it could
     // not create would stop every slot after `serve` returned `Ok`.
-    let _serial = RECORDER.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let dir = scratch("uncreatable");
     let file = dir.join("a-file");
     std::fs::write(&file, b"not a directory").expect("write");
@@ -319,4 +329,90 @@ fn a_checkpoint_directory_that_cannot_be_created_is_an_error() {
     let booted = std::panic::catch_unwind(|| serve(config)).expect("serve must not panic");
     assert!(booted.is_err(), "a path under a regular file is not a checkpoint store");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+const SESSIONS: usize = 48;
+const SERVE_SLOTS: usize = 9;
+
+/// The ops of slot `slot`: everyone arrives, then a rotating telemetry
+/// stream with γ observations, a panel change, a departure and a
+/// return, and a brownout that comes and goes.
+fn script(slot: usize) -> Vec<Op> {
+    if slot == 0 {
+        return (0..SESSIONS)
+            .map(|device| Op::Arrive {
+                device,
+                energy_j: 4_000.0 + 900.0 * device as f64,
+                gamma: 0.2 + 0.005 * device as f64,
+                oled: device % 4 == 0,
+            })
+            .collect();
+    }
+    let mut ops: Vec<Op> = (0..5)
+        .map(|k| {
+            let device = (7 * slot + 11 * k) % SESSIONS;
+            Op::Telemetry {
+                device,
+                energy_j: Some(30_000.0 - 2_500.0 * slot as f64 - 100.0 * device as f64),
+                gamma: (k == 0).then_some((0.3 + 0.02 * slot as f64, 0.05)),
+                oled: (k == 1).then_some(slot.is_multiple_of(2)),
+                observed: (k >= 2).then_some(0.25 + 0.01 * (slot + k) as f64),
+            }
+        })
+        .collect();
+    match slot {
+        3 => ops.push(Op::Depart { device: 5 }),
+        4 => ops.push(Op::Brownout { factor: 0.5 }),
+        6 => {
+            ops.push(Op::Brownout { factor: 1.0 });
+            ops.push(Op::Arrive { device: 5, energy_j: 9_000.0, gamma: 0.4, oled: false });
+        }
+        _ => {}
+    }
+    ops
+}
+
+#[test]
+fn serve_decides_the_same_uninterrupted_rerun_and_resumed() {
+    let root = scratch("serve");
+    let scripted = |journal: Option<&Path>| Scripted::new(SESSIONS, SERVE_SLOTS, journal, script);
+
+    let mut uninterrupted = scripted(None);
+    uninterrupted.run(runtime());
+    let reference = uninterrupted.decisions();
+    assert_eq!(reference.len(), SERVE_SLOTS);
+    assert!(
+        reference.values().any(|d| !d.selected.is_empty()),
+        "the script must give the solver something to select"
+    );
+
+    // A journaled run, then a fresh engine re-running that journal from
+    // slot 0 with no clients at all.
+    let journal = root.join("ops.journal");
+    let mut journaled = scripted(Some(&journal));
+    journaled.run(runtime());
+    assert_eq!(journaled.decisions(), reference, "journaling changed a decision");
+    let mut rerun = scripted(Some(&journal));
+    assert_eq!(rerun.engine.journaled_through(), Some(SERVE_SLOTS - 1));
+    rerun.run(runtime());
+    assert_eq!(rerun.decisions(), reference, "the journaled re-run diverged");
+
+    // A checkpointed run killed after slot 5, resumed by a fresh engine:
+    // decided slots replay, the rest re-run from the journal or live.
+    let journal = root.join("halted.journal");
+    let checkpoints = CheckpointConfig { interval: 2, ..CheckpointConfig::new(root.join("ckpt")) };
+    let mut halted = scripted(Some(&journal));
+    halted.run(RuntimeConfig {
+        halt_after_slot: Some(5),
+        checkpoints: Some(checkpoints.clone()),
+        ..runtime()
+    });
+    assert_eq!(halted.decisions().len(), 6);
+    let mut resumed = scripted(Some(&journal));
+    let report = SlotRuntime::new(RuntimeConfig { checkpoints: Some(checkpoints), ..runtime() })
+        .resume(&mut resumed)
+        .expect("resume from manifest");
+    assert!(report.summary.recovery.resumed_at.is_some_and(|at| at > 0 && at <= 5));
+    assert_eq!(resumed.decisions(), reference, "the checkpoint resume diverged");
+    let _ = std::fs::remove_dir_all(&root);
 }

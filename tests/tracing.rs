@@ -212,30 +212,6 @@ fn pipelined_run_exports_causally_linked_chrome_trace() {
     }
 }
 
-/// `fleet_refill_rows_total{path}` is the gather stage's cost in rows:
-/// what `ship_snapshot` copied, split by how. `tests/refill.rs` pins it
-/// slot by slot through both drivers.
-#[test]
-fn shipped_snapshots_count_the_rows_they_copy_by_path() {
-    let _guard = serialize();
-    lpvs::obs::init().reset();
-    let mut fleet = tiny_fleet(16);
-    let (_, buffer) = fleet.ship_snapshot(None);
-    fleet.set_energy_j(3, 1.0);
-    fleet.set_connected(9, false);
-    let (frontier, buffer) = fleet.ship_snapshot(Some(buffer));
-    lpvs::obs::set_enabled(false);
-    // Off means uncounted, like every other series.
-    fleet.mark_dirty(0);
-    let _ = fleet.ship_snapshot(Some(buffer));
-
-    assert_eq!(frontier.indices, vec![3, 9]);
-    let metrics = lpvs::obs::installed().expect("recorder installed").metrics().snapshot();
-    let copied = |path| metrics.counter_labeled("fleet_refill_rows_total", &[("path", path)]);
-    assert_eq!(copied("full"), Some(16));
-    assert_eq!(copied("patched"), Some(2));
-}
-
 #[test]
 fn killed_worker_leaves_a_flight_recording() {
     let _guard = serialize();
