@@ -83,10 +83,11 @@ pub struct FleetConfig {
     pub scheduler: SchedulerConfig,
     /// Upper bound on cross-shard migrations per slot: caps how much
     /// churn a single slot can inject, and `0` skips the pass. It does
-    /// not bound the pass's cost, which is one O(N · shards) scan for
-    /// rows some foreign shard still has room for, then O(M log M)
-    /// ranking plus two eq.-13 kernel passes over the M survivors —
-    /// M = 0 whenever every shard's knapsack is full.
+    /// not bound the pass's cost: an O(shards²) gate over the shards'
+    /// [`ShardLoad`]s, closed whenever every shard's knapsack is full;
+    /// an open one adds an O(N · shards) scan for rows some foreign
+    /// shard still has room for, then O(M log M) ranking plus two eq.-13
+    /// kernel passes over the M survivors.
     pub max_migrations: usize,
 }
 
@@ -120,6 +121,45 @@ pub struct ShardReport {
     /// rebalancing pass (their load counts against this shard's server,
     /// not their home shard's).
     pub migrated_in: Vec<usize>,
+    /// This shard's [`ShardLoad`] before anything migrated in; `None`
+    /// when the join runs no rebalance.
+    #[serde(skip)]
+    pub load: Option<ShardLoad>,
+}
+
+/// One shard's standing after its own solve, as the rebalance's gate
+/// reads it. [`EdgeServer::fits`] is monotone in both costs, so a server
+/// that does not fit `(least_compute, least_storage_gb)` fits none of the
+/// shard's unselected rows.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ShardLoad {
+    /// The shard's server after `try_admit` of its selection in shard order.
+    pub server: EdgeServer,
+    /// Least compute cost among the unselected connected rows (`∞`: none).
+    pub least_compute: f64,
+    /// Least storage cost (GB) among the same rows (`∞`: none).
+    pub least_storage_gb: f64,
+}
+
+impl ShardLoad {
+    /// The load of the shard whose `rows` (fleet indices, shard order)
+    /// decided `selected` (shard-local; rows past its end are unselected,
+    /// so a passthrough is `&[]`) against `server`.
+    pub fn of(fleet: &DeviceFleet, server: &EdgeServer, rows: &[usize], selected: &[bool]) -> Self {
+        let (mut server, mut least_compute, mut least_storage_gb) = (*server, f64::INFINITY, f64::INFINITY);
+        server.reset_slot();
+        for (k, &i) in rows.iter().enumerate() {
+            let (g, h) = (fleet.compute_cost(i), fleet.storage_cost_gb(i));
+            if selected.get(k) == Some(&true) {
+                let admitted = server.try_admit(g, h);
+                debug_assert!(admitted, "shard schedule exceeded its own capacity");
+            } else if fleet.connected(i) {
+                least_compute = least_compute.min(g);
+                least_storage_gb = least_storage_gb.min(h);
+            }
+        }
+        Self { server, least_compute, least_storage_gb }
+    }
 }
 
 /// A fleet-wide scheduling decision for one slot.
@@ -348,6 +388,7 @@ impl FleetScheduler {
         // without any shared mutable state. A panicking shard is `None`
         // (passthrough) wherever it ran.
         let scheduler = LpvsScheduler::new(self.config.scheduler);
+        let rebalances = self.rebalances(servers.len());
         let solve = |s: usize| {
             let _span = lpvs_obs::span_in!(
                 slot_ctx, "fleet.shard", "shard" => s, "devices" => shards[s].len()
@@ -359,9 +400,11 @@ impl FleetScheduler {
                 lambda,
                 curve,
             );
-            solve_cold_shard(&scheduler, view, previous, budget).map(|(schedule, _)| schedule)
+            let (schedule, _) = solve_cold_shard(&scheduler, view, previous, budget)?;
+            let load = rebalances.then(|| ShardLoad::of(fleet, &servers[s], &shards[s], &schedule.selected));
+            Some((schedule, load))
         };
-        let results: Vec<Option<Schedule>> = crossbeam::thread::scope(|scope| {
+        let results: Vec<Option<(Schedule, Option<ShardLoad>)>> = crossbeam::thread::scope(|scope| {
             let solve = &solve;
             let handles: Vec<_> =
                 (1..shards.len()).map(|s| scope.spawn(move |_| solve(s))).collect();
@@ -393,10 +436,19 @@ impl FleetScheduler {
         }
     }
 
+    /// Whether a join over `shards` shards rebalances, so its shards
+    /// report a [`ShardLoad`]: it takes a foreign shard and a nonzero
+    /// [`FleetConfig::max_migrations`].
+    pub fn rebalances(&self, shards: usize) -> bool {
+        self.config.max_migrations > 0 && shards >= 2
+    }
+
     /// Joins per-shard schedules into a fleet-wide decision: scatter
     /// into global order, run the bounded cross-shard rebalance, and
     /// total the objective. A `None` result (a shard whose solver died)
     /// degrades to [`passthrough_schedule`](Self::passthrough_schedule).
+    /// A result carries the [`ShardLoad`] its shard reported, if any; the
+    /// join computes the rest.
     ///
     /// This is the second half of
     /// [`schedule_with_servers`](Self::schedule_with_servers), exposed
@@ -413,7 +465,7 @@ impl FleetScheduler {
         fleet: &DeviceFleet,
         servers: &[EdgeServer],
         shards: Vec<Vec<usize>>,
-        results: Vec<Option<Schedule>>,
+        results: Vec<Option<(Schedule, Option<ShardLoad>)>>,
         lambda: f64,
         curve: &AnxietyCurve,
         start: Instant,
@@ -423,21 +475,29 @@ impl FleetScheduler {
         let mut reports = Vec::with_capacity(shards.len());
         let mut work = SlotWork::default();
         let mut results = results.into_iter();
+        let rebalances = self.rebalances(servers.len());
         for (s, devices) in shards.into_iter().enumerate() {
-            let schedule = results
+            let (schedule, delivered) = results
                 .next()
                 .flatten()
-                .unwrap_or_else(|| Self::passthrough_schedule(devices.len()));
+                .unwrap_or_else(|| (Self::passthrough_schedule(devices.len()), None));
             for (&global, &x) in devices.iter().zip(&schedule.selected) {
                 selected[global] = x;
             }
             work += schedule.work;
+            let load = rebalances.then(|| {
+                let replay = || ShardLoad::of(fleet, &servers[s], &devices, &schedule.selected);
+                let load = delivered.unwrap_or_else(replay);
+                debug_assert_eq!(load, replay(), "shard {s}'s load is not its schedule's");
+                load
+            });
             reports.push(ShardReport {
                 shard: s,
                 devices,
                 stats: schedule.stats,
                 work: schedule.work,
                 migrated_in: Vec::new(),
+                load,
             });
         }
 
@@ -476,37 +536,40 @@ impl FleetScheduler {
         selected: &mut [bool],
         reports: &mut [ShardReport],
     ) -> usize {
-        if self.config.max_migrations == 0 || servers.len() < 2 {
+        if !self.rebalances(servers.len()) {
             return 0;
         }
-        // Reconstruct per-shard usage through the servers' own
-        // admission control; shard schedules are capacity-feasible, so
-        // every admission must succeed.
-        let mut usage: Vec<EdgeServer> = servers.to_vec();
-        let mut home = vec![usize::MAX; fleet.len()];
-        for (s, report) in reports.iter().enumerate() {
-            usage[s].reset_slot();
-            for &i in &report.devices {
-                home[i] = s;
-                if selected[i] {
-                    let admitted = usage[s].try_admit(fleet.compute_cost(i), fleet.storage_cost_gb(i));
-                    debug_assert!(admitted, "shard schedule exceeded its own capacity");
-                }
-            }
-        }
+        let load = |r: &ShardReport| r.load.expect("the join loads every shard it rebalances");
+        let mut usage: Vec<EdgeServer> = reports.iter().map(|r| load(r).server).collect();
 
         // The gate: only a row some foreign shard has room for right
         // now can ever migrate. `try_admit` only adds, so free capacity
         // never grows during the pass and a row that fits nowhere here
-        // fits nowhere later — dropping it is exact. Full knapsacks (the
-        // scheduler's normal end state) leave nothing to rank or score.
-        let gated: Vec<usize> = (0..fleet.len())
-            .filter(|&i| !selected[i] && fleet.connected(i) && home[i] != usize::MAX)
-            .filter(|&i| {
-                let (g, h) = (fleet.compute_cost(i), fleet.storage_cost_gb(i));
-                usage.iter().enumerate().any(|(s, server)| s != home[i] && server.fits(g, h))
-            })
-            .collect();
+        // fits nowhere later — dropping it is exact. The loads decide
+        // first, in O(shards²): a home shard whose cheapest pair no
+        // foreign server fits has no row that fits. Full knapsacks (the
+        // scheduler's normal end state) close it without reading a row.
+        let open = reports.iter().map(load).enumerate().any(|(s, l)| {
+            (usage.iter().enumerate()).any(|(t, u)| t != s && u.fits(l.least_compute, l.least_storage_gb))
+        });
+        // Debug builds scan a closed gate too, to prove it empty.
+        let (mut home, mut gated) = (Vec::new(), Vec::new());
+        if open || cfg!(debug_assertions) {
+            home = vec![usize::MAX; fleet.len()];
+            for (s, report) in reports.iter().enumerate() {
+                for &i in &report.devices {
+                    home[i] = s;
+                }
+            }
+            gated = (0..fleet.len())
+                .filter(|&i| !selected[i] && fleet.connected(i) && home[i] != usize::MAX)
+                .filter(|&i| {
+                    let (g, h) = (fleet.compute_cost(i), fleet.storage_cost_gb(i));
+                    usage.iter().enumerate().any(|(s, server)| s != home[i] && server.fits(g, h))
+                })
+                .collect();
+        }
+        debug_assert!(open || gated.is_empty(), "the load gate closed over a row a foreign shard fits");
         if lpvs_obs::enabled() {
             lpvs_obs::gauge_set("fleet_rebalance_candidates", gated.len() as f64);
         }

@@ -44,5 +44,5 @@ pub use battery::Battery;
 pub use cache::{PrefetchCache, PrefetchPolicy};
 pub use cluster::{ClusterGenerator, VirtualCluster};
 pub use device::{Device, DeviceId};
-pub use fleet::{FleetConfig, FleetSchedule, FleetScheduler, Partitioner, ShardReport};
+pub use fleet::{FleetConfig, FleetSchedule, FleetScheduler, Partitioner, ShardLoad, ShardReport};
 pub use server::EdgeServer;

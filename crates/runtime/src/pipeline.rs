@@ -69,7 +69,7 @@ use lpvs_core::accounting::ShardTerms;
 use lpvs_core::fleet::DeviceFleet;
 use lpvs_core::scheduler::{Degradation, Schedule};
 use lpvs_core::work::RowsRefilled;
-use lpvs_edge::fleet::{FleetConfig, FleetSchedule, FleetScheduler, JoinMemo};
+use lpvs_edge::fleet::{FleetConfig, FleetSchedule, FleetScheduler, JoinMemo, ShardLoad};
 use lpvs_edge::server::EdgeServer;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -230,6 +230,7 @@ struct PendingSolve {
     servers: Vec<EdgeServer>,
     /// Per-shard dispatch attempt for this slot (bumped on respawn).
     attempts: Vec<u32>,
+    /// Taken before the partition: the fleet slot's clock.
     dispatched_at: Instant,
     /// The slot span's context, shipped with every (re-)dispatch so
     /// worker-side solve spans join the slot's trace.
@@ -850,7 +851,7 @@ impl SlotRuntime {
 
     /// Builds shard `s`'s slice of `pending` (first dispatch and
     /// re-dispatch alike — the attempt counter comes from `pending`).
-    fn shard_job(pending: &PendingSolve, s: usize) -> SolveJob {
+    fn shard_job(&self, pending: &PendingSolve, s: usize) -> SolveJob {
         SolveJob {
             slot: pending.slot,
             attempt: pending.attempts[s],
@@ -858,6 +859,7 @@ impl SlotRuntime {
             indices: pending.shards[s].clone(),
             compute_capacity: pending.servers[s].compute_capacity(),
             storage_capacity_gb: pending.servers[s].storage_capacity_gb(),
+            load: self.scheduler.rebalances(pending.servers.len()),
             ctx: pending.ctx,
         }
     }
@@ -870,15 +872,17 @@ impl SlotRuntime {
         g: crate::GatheredSlot,
         ctx: Option<SpanContext>,
     ) -> PendingSolve {
+        // The fleet slot starts before the partition, as on the scoped
+        // path, so both executors time one span.
+        let dispatched_at = Instant::now();
         let k = hub.workers.len();
         let gathered = Arc::new(g);
         let shards = self.scheduler.partition(&gathered.fleet);
         let server = EdgeServer::new(gathered.compute_capacity, gathered.storage_capacity_gb);
         let servers = FleetScheduler::split_server(&server, k);
-        let dispatched_at = Instant::now();
         let pending =
             PendingSolve { slot, gathered, shards, servers, attempts: vec![0; k], dispatched_at, ctx };
-        let jobs: Vec<SolveJob> = (0..k).map(|s| Self::shard_job(&pending, s)).collect();
+        let jobs: Vec<SolveJob> = (0..k).map(|s| self.shard_job(&pending, s)).collect();
         let mut first_sent = None;
         hub.fanning.store(true, Ordering::Relaxed);
         for (worker, job) in hub.workers.iter().zip(jobs) {
@@ -962,7 +966,7 @@ impl SlotRuntime {
     ) -> Collected {
         let wait = Instant::now();
         let k = hub.workers.len();
-        let mut results: Vec<Option<Schedule>> = (0..k).map(|_| None).collect();
+        let mut results: Vec<Option<(Schedule, Option<ShardLoad>)>> = (0..k).map(|_| None).collect();
         let mut shipped: Vec<ShardTerms> = vec![Vec::new(); k];
         // Shards already buried (e.g. a death noticed while requesting
         // checkpoints) are passthrough from the start.
@@ -970,9 +974,9 @@ impl SlotRuntime {
         let mut remaining = accounted.iter().filter(|&&a| !a).count();
         while remaining > 0 {
             match hub.events.recv() {
-                Ok(WorkerEvent::Solved { shard, slot, schedule, terms }) => {
+                Ok(WorkerEvent::Solved { shard, slot, schedule, terms, load }) => {
                     debug_assert_eq!(slot, pending.slot, "stale solve result");
-                    results[shard] = Some(*schedule);
+                    results[shard] = Some((*schedule, load));
                     shipped[shard] = terms;
                     if !accounted[shard] {
                         accounted[shard] = true;
@@ -1031,7 +1035,7 @@ impl SlotRuntime {
                             sup.report.shards[s].retries += 1;
                             lpvs_obs::inc("recovery_respawns_total");
                             pending.attempts[s] = attempt + 1;
-                            let _ = hub.workers[s].send(WorkerMsg::Solve(Self::shard_job(&pending, s)));
+                            let _ = hub.workers[s].send(WorkerMsg::Solve(self.shard_job(&pending, s)));
                             // Not accounted: the respawned worker's
                             // Solved event closes this shard out.
                         }

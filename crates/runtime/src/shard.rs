@@ -10,12 +10,13 @@
 //!   slice of the shared [`GatheredSlot`] (solver panics are contained:
 //!   the shard degrades to passthrough, the worker survives) and ship
 //!   the per-row terms the solve evaluated home beside the schedule, so
-//!   the join adopts them instead of evaluating those rows again. The
-//!   schedule's [`SlotWork`] carries the delta path the worker took and
-//!   the rows it accounted, counted before the solve runs. The
-//!   worker yields while the hub is still fanning the slot out: woken
-//!   on the hub's CPU it would displace a hub that has other shards'
-//!   jobs to send, and every shard would wait on that one;
+//!   the join adopts them instead of evaluating those rows again, and,
+//!   when the join rebalances, the [`ShardLoad`] of the schedule it
+//!   sends. The schedule's [`SlotWork`] carries the delta path the
+//!   worker took and the rows it accounted, counted before the solve
+//!   runs. The worker yields while the hub is still fanning the slot
+//!   out: woken on the hub's CPU it would displace a hub that has other
+//!   shards' jobs to send, and every shard would wait on that one;
 //! * `WorkerMsg::Checkpoint` — encode the bank (and the delta memo)
 //!   and ship the bytes home for the hub to seal;
 //! * `WorkerMsg::Finish` — ship the bank home and exit.
@@ -39,7 +40,8 @@ use lpvs_core::accounting::{RowAccounting, ShardTerms};
 use lpvs_core::delta::solve_incremental;
 use lpvs_core::scheduler::{LpvsScheduler, Schedule, SchedulerConfig};
 use lpvs_core::work::SlotWork;
-use lpvs_edge::fleet::{shard_frontier, solve_cold_shard, FleetScheduler, GOLDEN_GAMMA};
+use lpvs_edge::fleet::{shard_frontier, solve_cold_shard, FleetScheduler, ShardLoad, GOLDEN_GAMMA};
+use lpvs_edge::server::EdgeServer;
 use lpvs_obs::{FlightKind, FlightRing, SpanContext};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -123,6 +125,9 @@ pub(crate) struct SolveJob {
     pub compute_capacity: f64,
     /// This shard's split of the edge storage capacity (GB).
     pub storage_capacity_gb: f64,
+    /// Whether the join rebalances, so the shard reports its
+    /// [`ShardLoad`] ([`FleetScheduler::rebalances`]).
+    pub load: bool,
     /// The hub's `runtime.slot` span context, handed across the
     /// channel so the worker's solve span joins the slot's trace.
     pub ctx: Option<SpanContext>,
@@ -159,8 +164,8 @@ pub(crate) enum WorkerEvent {
     /// A solve completed — a passthrough schedule when the solver
     /// panicked. `terms` are the rows the solve evaluated, shard-local:
     /// every row after a cold solve, the refreshed ones after an
-    /// incremental one, else none.
-    Solved { shard: usize, slot: usize, schedule: Box<Schedule>, terms: ShardTerms },
+    /// incremental one, else none. `load` is the schedule's, if asked.
+    Solved { shard: usize, slot: usize, schedule: Box<Schedule>, terms: ShardTerms, load: Option<ShardLoad> },
     /// The worker's bank (and delta memo, when one is live), encoded
     /// for checkpointing as of `prepare(slot)`.
     Checkpointed { shard: usize, slot: usize, bank: Vec<u8>, memo: Option<Vec<u8>> },
@@ -283,8 +288,8 @@ pub(crate) fn spawn_worker(
                     // handle — released before announcing, so the hub's
                     // is unique once all shards report.
                     let mut work = SlotWork::default();
-                    let (schedule, terms) =
-                        solve_slice(&scheduler, shard, job, &mut state.memo, &mut work).unzip();
+                    let (solved, load) = solve_slice(&scheduler, shard, job, &mut state.memo, &mut work);
+                    let (schedule, terms) = solved.unzip();
                     ring.push(
                         FlightKind::SpanEnd,
                         "solve",
@@ -301,6 +306,7 @@ pub(crate) fn spawn_worker(
                         slot,
                         schedule: Box::new(schedule),
                         terms: terms.unwrap_or_default(),
+                        load,
                     };
                     if events.send(event).is_err() {
                         return;
@@ -385,14 +391,16 @@ fn classify_delta(job: &SolveJob, memo: &Option<ShardDeltaMemo>) -> (DeltaPath, 
 /// is dropped, and the worker stays up, mirroring the scoped-thread
 /// fleet path where a dead shard thread degrades the same way. The path
 /// and the rows it accounts go to `work` before the solve runs, so a
-/// solve that panics still reports them.
+/// solve that panics still reports them. The [`ShardLoad`], when the job
+/// asks for one, is that of the schedule the worker sends: a panicked
+/// solve's passthrough selects nothing.
 fn solve_slice(
     scheduler: &LpvsScheduler,
     shard: usize,
     job: SolveJob,
     memo: &mut Option<ShardDeltaMemo>,
     work: &mut SlotWork,
-) -> Option<(Schedule, ShardTerms)> {
+) -> (Option<(Schedule, ShardTerms)>, Option<ShardLoad>) {
     // Parented on the hub's slot span via the shipped context, so the
     // solve shows up under its slot's trace instead of as an orphan
     // root on the worker thread.
@@ -450,6 +458,10 @@ fn solve_slice(
         ),
     };
 
+    let selected = solved.as_ref().map_or(&[][..], |(schedule, _)| &schedule.selected);
+    let server = EdgeServer::new(compute, storage_gb);
+    let load = job.load.then(|| ShardLoad::of(&g.fleet, &server, &job.indices, selected));
+
     // Refresh the memo: every successful delta-carrying solve becomes
     // the next slot's baseline; panics and delta-less slots clear it.
     *memo = match (&solved, g.delta.as_ref()) {
@@ -486,7 +498,7 @@ fn solve_slice(
             started.elapsed().as_secs_f64(),
         );
     }
-    solved
+    (solved, load)
 }
 
 #[cfg(test)]

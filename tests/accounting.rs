@@ -580,7 +580,8 @@ impl JoinCase {
             &self.fleet,
             &self.servers,
             shards,
-            results,
+            // No shard reports a load: the join computes every one.
+            results.into_iter().map(|r| r.map(|schedule| (schedule, None))).collect(),
             self.lambda,
             &self.curve,
             std::time::Instant::now(),

@@ -9,7 +9,7 @@ use lpvs::core::fleet::DeviceFleet;
 use lpvs::core::phase1::{Phase1Config, Phase1Solver};
 use lpvs::core::problem::{DeviceRequest, SlotProblem};
 use lpvs::core::scheduler::{Degradation, LpvsScheduler, Schedule, SchedulerConfig};
-use lpvs::edge::fleet::{FleetConfig, FleetSchedule, FleetScheduler, ShardReport};
+use lpvs::edge::fleet::{FleetConfig, FleetSchedule, FleetScheduler, ShardLoad, ShardReport};
 use lpvs::edge::server::EdgeServer;
 use lpvs::survey::curve::AnxietyCurve;
 use proptest::prelude::*;
@@ -329,8 +329,43 @@ fn corrupt_rows_are_rejected_and_masked_at_the_row_entry() {
     assert_eq!(timeless(scheduler.schedule_view(view, None, &budget)), timeless(shut));
 }
 
+/// The hub's replay of one shard, as the join ran it before the shards
+/// reported their loads: the shard's server with every selected row of
+/// the scattered fleet-order `selected` admitted in shard order, and the
+/// least costs among its unselected connected rows.
+fn replay_load(fleet: &DeviceFleet, server: &EdgeServer, rows: &[usize], selected: &[bool]) -> ShardLoad {
+    let mut server = *server;
+    server.reset_slot();
+    let (mut least_compute, mut least_storage_gb) = (f64::INFINITY, f64::INFINITY);
+    for &i in rows {
+        let (g, h) = (fleet.compute_cost(i), fleet.storage_cost_gb(i));
+        if selected[i] {
+            assert!(server.try_admit(g, h));
+        } else if fleet.connected(i) {
+            least_compute = least_compute.min(g);
+            least_storage_gb = least_storage_gb.min(h);
+        }
+    }
+    ShardLoad { server, least_compute, least_storage_gb }
+}
+
+/// Every float of a load, as bits.
+fn load_bits(load: &ShardLoad) -> [u64; 6] {
+    let s = &load.server;
+    [
+        s.compute_capacity(),
+        s.storage_capacity_gb(),
+        s.compute_used(),
+        s.storage_used_gb(),
+        load.least_compute,
+        load.least_storage_gb,
+    ]
+    .map(f64::to_bits)
+}
+
 /// The join as it was before its cost was made to follow what can
-/// migrate, kept as the oracle: every unselected connected row is a
+/// migrate, kept as the oracle: every shard's load is the hub's replay,
+/// every unselected connected row is a
 /// candidate, the sort evaluates φ inside the comparator, every
 /// candidate gets both eq.-13 gains, and the totals run over whole-fleet
 /// vectors.
@@ -359,21 +394,21 @@ fn straight_line_assemble(
             stats: schedule.stats,
             work: schedule.work,
             migrated_in: Vec::new(),
+            load: None,
         });
     }
 
     let cols = fleet.columns();
     let mut migrations = 0;
     if config.max_migrations > 0 && servers.len() >= 2 {
-        let mut usage: Vec<EdgeServer> = servers.to_vec();
+        let mut usage: Vec<EdgeServer> = Vec::new();
         let mut home = vec![usize::MAX; fleet.len()];
         for (s, indices) in shards.iter().enumerate() {
-            usage[s].reset_slot();
+            let load = replay_load(fleet, &servers[s], indices, &selected);
+            usage.push(load.server);
+            reports[s].load = Some(load);
             for &i in indices {
                 home[i] = s;
-                if selected[i] {
-                    assert!(usage[s].try_admit(fleet.compute_cost(i), fleet.storage_cost_gb(i)));
-                }
             }
         }
         let mut candidates: Vec<usize> = (0..fleet.len())
@@ -503,9 +538,59 @@ fn load(fleet: &DeviceFleet, rows: impl Iterator<Item = usize>) -> (f64, f64) {
     rows.fold((0.0, 0.0), |(g, h), i| (g + fleet.compute_cost(i), h + fleet.storage_cost_gb(i)))
 }
 
-/// The shipped join against the straight-line oracle: same selection,
-/// same migrations into the same shards in the same order, same bits in
-/// both totals — whether nothing, something, next to nothing, a bounded
+/// Joins `results` twice, once with the loads the shard bodies deliver
+/// and once with none (the join computes each), and holds both to the
+/// straight-line oracle: same selection, same migrations into the same
+/// shards in the same order, the same whole reports (loads included),
+/// same bits in both totals. A dead shard (`None`) delivers no load.
+fn check_join(
+    case: &str,
+    config: &FleetConfig,
+    fleet: &DeviceFleet,
+    servers: &[EdgeServer],
+    shards: &[Vec<usize>],
+    results: Vec<Option<Schedule>>,
+    lambda: f64,
+) -> FleetSchedule {
+    let curve = AnxietyCurve::paper_shape();
+    let want = straight_line_assemble(config, fleet, servers, shards, &results, lambda, &curve);
+    let delivered: Vec<_> = (results.iter().zip(shards).zip(servers))
+        .map(|((result, rows), server)| {
+            result.clone().map(|schedule| {
+                let load = ShardLoad::of(fleet, server, rows, &schedule.selected);
+                (schedule, Some(load))
+            })
+        })
+        .collect();
+    let bare = results.into_iter().map(|result| result.map(|schedule| (schedule, None))).collect();
+    let scheduler = FleetScheduler::new(*config);
+    let mut joined = None;
+    for (results, loads) in [(delivered, "delivered"), (bare, "computed")] {
+        let now = std::time::Instant::now();
+        let got = scheduler.assemble(fleet, servers, shards.to_vec(), results, lambda, &curve, now, None);
+        assert_eq!(got.selected, want.selected, "{case}, {loads} loads");
+        assert_eq!(got.migrations, want.migrations, "{case}, {loads} loads");
+        // Whole reports: stats as solved, `migrated_in` in order, loads.
+        assert_eq!(got.shards, want.shards, "{case}, {loads} loads");
+        assert_eq!(got.objective.to_bits(), want.objective.to_bits(), "{case}, {loads} loads");
+        assert_eq!(got.energy_saved_j.to_bits(), want.energy_saved_j.to_bits(), "{case}, {loads} loads");
+        joined = Some(got);
+    }
+    joined.expect("both joins ran")
+}
+
+/// Whether the rebalance's load gate is open on `schedule`: some
+/// foreign shard's server fits a home shard's cheapest pair.
+fn load_gate_open(schedule: &FleetSchedule) -> bool {
+    let loads: Vec<ShardLoad> = schedule.shards.iter().map(|r| r.load.expect("a rebalanced join")).collect();
+    loads.iter().enumerate().any(|(s, load)| {
+        (loads.iter().enumerate())
+            .any(|(t, other)| t != s && other.server.fits(load.least_compute, load.least_storage_gb))
+    })
+}
+
+/// The shipped join against the straight-line oracle ([`check_join`]),
+/// whether nothing, something, next to nothing, a bounded
 /// number or only what storage allows can move; 2, 3 and 8 shards; with
 /// and without a block of rows disconnected mid-range; one dead shard
 /// (all of its capacity free) among the eight.
@@ -574,31 +659,16 @@ fn the_gated_join_equals_the_straight_line_join() {
                     results[2] = None;
                 }
 
-                let want = straight_line_assemble(
-                    &config, &fleet, &servers, &shards, &results, lambda, &curve,
-                );
-                let got = scheduler.assemble(
-                    &fleet,
-                    &servers,
-                    shards.clone(),
-                    results,
-                    lambda,
-                    &curve,
-                    std::time::Instant::now(),
-                    None,
-                );
-                assert_eq!(got.selected, want.selected, "{case}");
-                assert_eq!(got.migrations, want.migrations, "{case}");
-                // Whole reports: stats as solved, `migrated_in` in order.
-                assert_eq!(got.shards, want.shards, "{case}");
-                assert_eq!(got.objective.to_bits(), want.objective.to_bits(), "{case}");
-                assert_eq!(got.energy_saved_j.to_bits(), want.energy_saved_j.to_bits(), "{case}");
-
+                let got = check_join(&case, &config, &fleet, &servers, &shards, results, lambda);
                 let moved = got.migrations;
+                assert!(moved == 0 || load_gate_open(&got), "{case}: a migration passed a closed gate");
                 match slack {
                     // A dead shard's capacity is all free, so the
                     // saturated regime only holds while every shard lives.
-                    Slack::None if num_shards < 8 => assert_eq!(moved, 0, "{case}"),
+                    Slack::None if num_shards < 8 => {
+                        assert_eq!(moved, 0, "{case}");
+                        assert!(!load_gate_open(&got), "{case}: full knapsacks close the load gate");
+                    }
                     Slack::None => assert!(moved > 0, "{case}: a dead shard is all room"),
                     Slack::HitsTheBound => assert_eq!(moved, 5, "{case}"),
                     Slack::OneShard | Slack::Sliver | Slack::StorageOnly if num_shards < 8 => {
@@ -607,6 +677,73 @@ fn the_gated_join_equals_the_straight_line_join() {
                     Slack::OneShard | Slack::Sliver | Slack::StorageOnly => {
                         assert!(moved > 0, "{case}");
                     }
+                }
+            }
+        }
+    }
+}
+
+/// Shard 0's cheapest compute and cheapest storage come from different
+/// rows, and shard 1 has room for that pair but for neither row: the
+/// load gate opens, the scan finds no candidate, and the join still
+/// equals the oracle with nothing moved.
+#[test]
+fn a_cheapest_pair_from_two_rows_opens_the_gate_onto_no_candidate() {
+    // (compute, storage): shard 0 = rows 0–2, shard 1 = rows 3–4.
+    let costs = [(4.0, 0.1), (1.0, 0.3), (3.0, 0.05), (1.0, 0.1), (1.0, 0.1)];
+    let mut fleet = DeviceFleet::new();
+    for (g, h) in costs {
+        fleet.push_request(DeviceRequest::uniform(1.5, 10.0, 30, 0.2 * CAPACITY_J, CAPACITY_J, 0.3, g, h));
+    }
+    let config = FleetConfig { num_shards: 2, ..FleetConfig::default() };
+    let shards = FleetScheduler::new(config).partition(&fleet);
+    assert_eq!(shards, [vec![0, 1, 2], vec![3, 4]]);
+    // Shard 0 is full with row 0; shard 1 keeps (2, 0.1) free after
+    // rows 3 and 4.
+    let servers = [EdgeServer::new(4.0, 0.1), EdgeServer::new(4.0, 0.3)];
+    let decided =
+        |selected: Vec<bool>| Some(Schedule { selected, ..FleetScheduler::passthrough_schedule(0) });
+    let results = vec![decided(vec![true, false, false]), decided(vec![true, true])];
+
+    let got = check_join("split cheapest pair", &config, &fleet, &servers, &shards, results, 1.0);
+    let load = got.shards[0].load.expect("a rebalanced join");
+    assert_eq!((load.least_compute, load.least_storage_gb), (1.0, 0.05), "row 1's g, row 2's h");
+    assert!(load_gate_open(&got), "shard 1 fits the pair");
+    let foreign = got.shards[1].load.expect("a rebalanced join").server;
+    for i in [1, 2] {
+        assert!(!foreign.fits(fleet.compute_cost(i), fleet.storage_cost_gb(i)), "row {i} fits shard 1");
+    }
+    assert_eq!(got.migrations, 0);
+}
+
+/// `ShardLoad::of` over a shard's own selection is the hub's replay over
+/// the scattered fleet selection, bit for bit: for solved shards under
+/// tight and loose servers, gapped fleets and the passthrough selection
+/// a dead shard degrades to.
+#[test]
+fn a_shard_load_is_the_hub_replay() {
+    let curve = AnxietyCurve::paper_shape();
+    let solver = LpvsScheduler::paper_default();
+    for (seed, num_shards) in [(3u64, 2usize), (4, 3), (5, 8)] {
+        let mut fleet = regime_fleet(50 * num_shards, seed, false);
+        disconnect_mid_range(&mut fleet);
+        let shards = FleetScheduler::with_shards(num_shards).partition(&fleet);
+        for fraction in [0.1, 0.4, 2.0] {
+            for (s, rows) in shards.iter().enumerate() {
+                let (g, h) = load(&fleet, rows.iter().copied());
+                let server = EdgeServer::new(fraction * g, fraction * h);
+                let (c, s_gb) = (server.compute_capacity(), server.storage_capacity_gb());
+                let view = fleet.slot_view(rows, c, s_gb, 1.5, &curve);
+                let solved = solver.schedule_view(view, None, &SlotBudget::unbounded()).selected;
+                for local in [solved, vec![false; rows.len()]] {
+                    let mut selected = vec![false; fleet.len()];
+                    for (&i, &x) in rows.iter().zip(&local) {
+                        selected[i] = x;
+                    }
+                    let case = format!("seed {seed}, shard {s} of {num_shards}, {fraction}× its rows");
+                    let want = replay_load(&fleet, &server, rows, &selected);
+                    let got = ShardLoad::of(&fleet, &server, rows, &local);
+                    assert_eq!(load_bits(&got), load_bits(&want), "{case}");
                 }
             }
         }

@@ -16,14 +16,15 @@ use lpvs::core::baseline::Policy;
 use lpvs::core::budget::SlotBudget;
 use lpvs::core::fleet::DeviceFleet;
 use lpvs::core::problem::DeviceRequest;
+use lpvs::core::scheduler::Degradation;
 use lpvs::core::work::SlotWork;
-use lpvs::edge::fleet::{FleetConfig, FleetSchedule, FleetScheduler};
+use lpvs::edge::fleet::{FleetConfig, FleetSchedule, FleetScheduler, ShardLoad, ShardReport};
 use lpvs::edge::server::EdgeServer;
 use lpvs::emulator::engine::{Emulator, EmulatorConfig};
 use lpvs::emulator::FaultConfig;
 use lpvs::runtime::{
     BankOps, CheckpointConfig, CheckpointStore, GatheredSlot, RuntimeConfig, SlotFeedback, SlotRuntime,
-    SlotSink, SlotSource, SolvedSlot,
+    SlotSink, SlotSource, SolvedSlot, StageFaults,
 };
 use lpvs::survey::curve::AnxietyCurve;
 use proptest::prelude::*;
@@ -485,7 +486,10 @@ fn executors_agree_when_the_rebalance_migrates() {
             let solver = |w: &SlotWork| (w.chunk_steps, w.orders_sorted, w.warm_start, w.uncertified);
             for (p, s) in pipe.schedule.shards.iter().zip(&seq.schedule.shards) {
                 assert_eq!(solver(&p.work), solver(&s.work), "{case}, shard {}", p.shard);
+                assert!(p.load.is_some(), "{case}, shard {}: a worker reports its load", p.shard);
+                assert_eq!(p.load, s.load, "{case}, shard {}", p.shard);
             }
+            assert!(load_gate_open(&pipe.schedule), "{case}: migrations pass an open gate");
             let direct = scoped.schedule_with_servers(
                 &g.fleet,
                 &FleetScheduler::split_server(
@@ -512,6 +516,87 @@ fn executors_agree_when_the_rebalance_migrates() {
             assert_eq!(banks, &home, "{num_shards} shards: the banks sealed at slot {slot}");
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Whether the rebalance's load gate is open on `schedule`: some
+/// foreign shard's server fits a home shard's cheapest pair.
+fn load_gate_open(schedule: &FleetSchedule) -> bool {
+    let loads: Vec<ShardLoad> = schedule.shards.iter().map(|r| r.load.expect("a rebalanced join")).collect();
+    loads.iter().enumerate().any(|(s, load)| {
+        (loads.iter().enumerate())
+            .any(|(t, other)| t != s && other.server.fits(load.least_compute, load.least_storage_gb))
+    })
+}
+
+/// Each shard's load recomputed from a delivered slot: its server split
+/// from the gathered capacity, with the selection its own solve made
+/// (the delivered one less the rows the rebalance moved away).
+fn replayed_loads(g: &GatheredSlot, schedule: &FleetSchedule) -> Vec<Option<ShardLoad>> {
+    let server = EdgeServer::new(g.compute_capacity, g.storage_capacity_gb);
+    let servers = FleetScheduler::split_server(&server, schedule.shards.len());
+    let moved: Vec<usize> = schedule.shards.iter().flat_map(|r| r.migrated_in.iter().copied()).collect();
+    (schedule.shards.iter().zip(&servers))
+        .map(|(report, server)| {
+            let own: Vec<bool> =
+                report.devices.iter().map(|i| schedule.selected[*i] && !moved.contains(i)).collect();
+            Some(ShardLoad::of(&g.fleet, server, &report.devices, &own))
+        })
+        .collect()
+}
+
+/// The worker executor delivers the loads the scoped shard bodies do.
+/// On a saturated fleet (every device wants a transform) every knapsack
+/// is full, nothing migrates and the load gate is closed. Under stage
+/// faults a respawned worker's re-dispatched solve delivers the load,
+/// and the slots stay the scoped executor's; when a shard is buried,
+/// its passthrough load is the join's own, and every delivered load
+/// is still its schedule's replay.
+#[test]
+fn executors_deliver_the_same_loads_when_the_gate_closes_and_under_faults() {
+    let (num_shards, demanding, slots) = (2usize, 20, 6);
+    let devices = demanding * num_shards;
+    let fleet = FleetConfig { num_shards, ..FleetConfig::default() };
+    let estimators = vec![GammaEstimator::paper_default(); devices];
+    let faults = |repeat| StageFaults { rate: 0.3, seed: 5, repeat };
+    for (case, saturated, stage_faults) in [
+        ("saturated", true, None),
+        ("respawned", false, Some(faults(0))),
+        ("buried", false, Some(faults(u32::MAX))),
+    ] {
+        let wanting = if saturated { devices } else { demanding };
+        let mut sequential = SkewedDriver::new(devices, wanting, slots);
+        SlotRuntime::new(RuntimeConfig { fleet, ..RuntimeConfig::default() })
+            .run_sequential(&mut sequential, estimators.clone());
+        let mut workers = SkewedDriver::new(devices, wanting, slots);
+        let report = SlotRuntime::new(RuntimeConfig { fleet, stage_faults, ..RuntimeConfig::default() })
+            .run(&mut workers, estimators.clone());
+        assert_eq!(workers.solved.len(), slots, "{case}");
+
+        let recovery = &report.summary.recovery;
+        let buried = recovery.fell_back.is_some();
+        assert_eq!(buried, case == "buried", "{case}: {recovery:?}");
+        if stage_faults.is_some() {
+            assert!(recovery.shards.iter().any(|s| s.retries > 0), "{case}: no worker was respawned");
+        }
+        let mut passthrough = 0;
+        for ((pipe, seq), g) in workers.solved.iter().zip(&sequential.solved).zip(&workers.gathered) {
+            let slot = format!("{case}, slot {}", pipe.slot);
+            let loads: Vec<Option<ShardLoad>> = pipe.schedule.shards.iter().map(|r| r.load).collect();
+            assert_eq!(loads, replayed_loads(g, &pipe.schedule), "{slot}");
+            assert_eq!(load_gate_open(&pipe.schedule), !saturated, "{slot}");
+            if saturated {
+                assert_eq!(pipe.schedule.migrations, 0, "{slot}");
+            }
+            if buried {
+                let dead = |r: &&ShardReport| r.stats.degradation == Degradation::Passthrough;
+                passthrough += pipe.schedule.shards.iter().filter(dead).count();
+            } else {
+                let seq_loads: Vec<Option<ShardLoad>> = seq.schedule.shards.iter().map(|r| r.load).collect();
+                assert_eq!(loads, seq_loads, "{slot}");
+            }
+        }
+        assert_eq!(passthrough > 0, buried, "{case}: a buried shard degrades its slot to passthrough");
     }
 }
 
