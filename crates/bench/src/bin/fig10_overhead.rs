@@ -3,11 +3,11 @@
 //! overhead check (recording disabled vs. enabled on the same slots) and
 //! the cold slot decomposed into its stages at the benchmark's largest
 //! size, so the next cold-slot change starts from a committed table:
-//! load / compact (the one fused score walk) / orders + seed / bound /
-//! Phase-2 rank / index / probe / account. The scheduler's stages are
-//! its own spans; the three
-//! solver rows time the solver crate's public entry points on the same
-//! Phase-1 program (`lpvs-solver` records no spans).
+//! load / compact (the one fused score walk) / Phase-1 / Phase-2 rank /
+//! index / probe / account, the laps of one solve, which add up to its
+//! `slot` row exactly. Three more rows time the solver crate's public
+//! entry points on the same Phase-1 program (orders + seed / bound /
+//! B&B), standalone re-runs: `lpvs-solver` takes no laps.
 //!
 //! Writes `BENCH_fig10.json` at the repository root. `--smoke` runs a
 //! reduced sweep for CI.
@@ -20,6 +20,7 @@ use lpvs_core::scheduler::LpvsScheduler;
 use lpvs_emulator::experiment::{overhead, synthetic_problem};
 use lpvs_emulator::report::render_overhead;
 use lpvs_obs::json::Json;
+use lpvs_runtime::telemetry::record_spans;
 use lpvs_solver::{
     greedy_multi_knapsack, BinaryProgram, BranchBound, KnapsackRelaxation, Relation, Sense,
 };
@@ -50,9 +51,9 @@ fn main() {
          (paper: >5,000)"
     );
 
-    // Telemetry overhead: the same slot problem scheduled with the
-    // recorder off (NoopRecorder fast path: one atomic load per
-    // instrumented site) and on (spans + histograms collected).
+    // Telemetry overhead: the same slot problem scheduled and its spans
+    // recorded from its laps, with the recorder off (one atomic load)
+    // and on (spans + histograms collected).
     let probe_n = if smoke { 200 } else { 1000 };
     let probe = ObsProbe::measure(probe_n);
     println!(
@@ -66,7 +67,7 @@ fn main() {
 
     let stage_n = if smoke { 2_000 } else { 16_000 };
     let stages = cold_slot_stages(stage_n, if smoke { 3 } else { 9 });
-    println!("\ncold slot at N={stage_n}, stage by stage (median, ms):");
+    println!("\ncold slot at N={stage_n}, stage by stage (the median solve's laps; re-runs: median, ms):");
     for (stage, what, secs) in &stages {
         println!("  {stage:<18} {:>8.3}   {what}", 1e3 * secs);
     }
@@ -120,7 +121,8 @@ fn main() {
     println!("wrote {path}");
 }
 
-/// Paired timing of the resilient scheduler with recording off and on:
+/// Paired timing of the resilient scheduler, its spans recorded from its
+/// laps as the slot runtime records them, with recording off and on:
 /// alternating rounds, the median round of each side and the median of
 /// the rounds' paired overheads — a slot at the probe size is well under
 /// a millisecond, so a single block of five repetitions a side measured
@@ -146,7 +148,8 @@ impl ObsProbe {
         recorder.reset();
         let round = |enabled: bool| {
             lpvs_obs::set_enabled(enabled);
-            let run = || (0..reps).for_each(|_| drop(scheduler.schedule_resilient(&problem, None, &budget)));
+            let solve = || record_spans(&scheduler.schedule_resilient(&problem, None, &budget).laps, None);
+            let run = || (0..reps).for_each(|_| solve());
             timed(run) / reps as f64
         };
         let (noop, enabled): (Vec<f64>, Vec<f64>) =
@@ -207,23 +210,19 @@ fn phase1_inputs(problem: &SlotProblem) -> Phase1Inputs {
 }
 
 /// One cold `schedule_resilient` at `n` devices, `reps` times, as
-/// `(stage, how it was timed, median seconds)`.
+/// `(stage, how it was timed, seconds)`: the laps of the median solve
+/// (by its total), whose sum is the `slot` row, and the medians of the
+/// solver's standalone re-runs.
 fn cold_slot_stages(n: usize, reps: usize) -> Vec<(&'static str, &'static str, f64)> {
     let scheduler = LpvsScheduler::paper_default();
     let problem = synthetic_problem(n, 0.4 * n as f64, 1.0, 7);
     let budget = SlotBudget::unbounded();
     let _ = scheduler.schedule_resilient(&problem, None, &budget);
 
-    let recorder = lpvs_obs::init();
-    recorder.reset();
-    for _ in 0..reps {
-        let _ = scheduler.schedule_resilient(&problem, None, &budget);
-    }
-    lpvs_obs::set_enabled(false);
-    let events = recorder.events();
-    let span = |name: &str| {
-        median(events.iter().filter(|e| e.name == name).map(|e| 1e-6 * e.duration_us as f64).collect())
-    };
+    let mut solves: Vec<_> = (0..reps).map(|_| scheduler.schedule_resilient(&problem, None, &budget).laps).collect();
+    solves.sort_by_key(|laps| laps.total());
+    let laps = &solves[reps / 2];
+    let lap = |stage| laps.time(|s| s == stage).as_secs_f64();
 
     let Phase1Inputs { ilp, savings, g, h, fixings } = phase1_inputs(&problem);
     let rows = [(g.as_slice(), problem.compute_capacity), (h.as_slice(), problem.storage_capacity_gb)];
@@ -235,18 +234,22 @@ fn cold_slot_stages(n: usize, reps: usize) -> Vec<(&'static str, &'static str, f
     });
     let search = solver(&|| drop(BranchBound::new(black_box(&ilp)).solve()));
 
-    vec![
-        ("load", "span sched.sanitize: rows → columns", span("sched.sanitize")),
-        ("compact", "span sched.compact: one walk a row (feasibility, saving, eq.-13 off/on)", span("sched.compact")),
-        ("orders_seed", "greedy_multi_knapsack: density order + greedy pass", seed),
-        ("bound", "KnapsackRelaxation::of(..).solve(..): row order + fill", bound),
-        ("bnb", "BranchBound::solve, whole (orders + seed + bound + rounding)", search),
-        ("phase1", "span sched.phase1 (program + B&B, on the compact score)", span("sched.phase1")),
-        ("phase2", "span sched.phase2, whole (rank + index + probe)", span("sched.phase2")),
-        ("phase2_rank", "span sched.phase2.rank: capacity used + candidates by anxiety", span("sched.phase2.rank")),
-        ("phase2_index", "span sched.phase2.index: loss, its order + segment tree", span("sched.phase2.index")),
-        ("phase2_probe", "span sched.phase2.probe: one descent per candidate", span("sched.phase2.probe")),
-        ("account", "span sched.account: terms picked from the compact score", span("sched.account")),
-        ("slot", "span sched.slot, whole", span("sched.slot")),
-    ]
+    let laps_timed = [
+        ("load", "lap load: rows → columns", lap("sched.sanitize")),
+        ("compact", "lap compact: one walk a row (feasibility, saving, eq.-13 off/on)", lap("sched.compact")),
+        ("phase1", "lap phase1 (program + B&B, on the compact score)", lap("sched.phase1")),
+        ("phase2_rank", "lap rank: capacity used + candidates by anxiety", lap("sched.phase2.rank")),
+        ("phase2_index", "lap index: loss, its order + segment tree", lap("sched.phase2.index")),
+        ("phase2_probe", "lap probe: one descent per candidate", lap("sched.phase2.probe")),
+        ("account", "lap account: terms picked from the compact score", lap("sched.account")),
+    ];
+    assert_eq!(laps.ends.len(), laps_timed.len(), "a cold exact solve takes one lap a stage");
+    let slot = laps_timed.iter().map(|&(.., secs)| secs).sum();
+    let rerun = [
+        ("orders_seed", "re-run greedy_multi_knapsack: density order + greedy pass", seed),
+        ("bound", "re-run KnapsackRelaxation::of(..).solve(..): row order + fill", bound),
+        ("bnb", "re-run BranchBound::solve, whole (orders + seed + bound + rounding)", search),
+    ];
+    let whole = ("slot", "the laps' sum: ScheduleStats::runtime of the median solve", slot);
+    laps_timed.into_iter().chain(rerun).chain([whole]).collect()
 }

@@ -45,9 +45,9 @@ use crate::budget::SlotBudget;
 use crate::fleet::{DeviceFleet, DirtyFrontier, SlotView};
 use crate::phase2::run_phase2_over;
 use crate::scheduler::{Degradation, LpvsScheduler, Schedule, ScheduleStats, SchedulerConfig};
+use crate::work::Laps;
 use lpvs_survey::curve::AnxietyCurve;
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// The change set of one slot: which fleet rows mutated since the
 /// previous gather, stamped with the fleet epoch the frontier was
@@ -163,7 +163,7 @@ pub fn solve_incremental(
     terms: &mut RowAccounting,
 ) -> (Schedule, ShardTerms) {
     assert_eq!(previous_selected.len(), view.len(), "previous selection does not cover the shard");
-    let start = Instant::now();
+    let mut laps = Laps::start();
 
     // Capacity the clean rows' standing selections already consume.
     let mut g_clean = 0.0;
@@ -197,6 +197,7 @@ pub fn solve_incremental(
         ..*scheduler.config()
     });
     let sub = sub_scheduler.schedule_view(sub_view, Some(&sub_warm), budget);
+    laps.splice("delta", &sub.laps);
     let mut work = sub.work;
 
     // Merge: clean rows keep their standing decision.
@@ -208,12 +209,16 @@ pub fn solve_incremental(
         // Unreachable up to rounding; a cold solve is always sound.
         terms.clear();
         let mut cold = scheduler.schedule_view(view, Some(previous_selected), budget);
+        laps.splice("delta", &cold.laps);
         cold.work += work;
+        cold.stats.runtime = laps.total();
+        cold.laps = laps;
         return (cold, Vec::new());
     }
 
+    laps.lap("delta");
     let phase2 = if scheduler.config().enable_phase2 {
-        let (stats, steps) = run_phase2_over(view, &mut selected, Some(local_dirty));
+        let (stats, steps) = run_phase2_over(view, &mut selected, Some(local_dirty), &mut laps);
         work.chunk_steps.score += steps;
         stats
     } else {
@@ -235,6 +240,7 @@ pub fn solve_incremental(
         terms.shipment(0..view.len())
     };
     let (objective, energy_saved_j) = terms.fold();
+    laps.lap("delta");
 
     let degradation = previous_degradation.max(sub.stats.degradation);
     let stats = ScheduleStats {
@@ -246,9 +252,9 @@ pub fn solve_incremental(
         phase2,
         degradation,
         rejected_devices: sub.stats.rejected_devices,
-        runtime: start.elapsed(),
+        runtime: laps.total(),
     };
-    (Schedule { selected, stats, work }, shipped)
+    (Schedule { selected, stats, work, laps }, shipped)
 }
 
 #[cfg(test)]

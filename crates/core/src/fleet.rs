@@ -293,7 +293,6 @@ impl DeviceFleet {
     /// indices stay aligned with the problem while the row can never be
     /// selected; every other row is stored bit-exactly, connected.
     pub fn rebuild_from_problem(&mut self, problem: &SlotProblem) {
-        let _span = lpvs_obs::span!("sched.sanitize");
         self.clear();
         let inert = DeviceRequest::inert();
         for request in &problem.requests {

@@ -48,8 +48,9 @@
 //!   frontier of a shard;
 //! * [`accounting`] — [`RowAccounting`]: the per-row eq.-13 and saving
 //!   terms every total is folded from, refreshed where rows changed;
-//! * [`work`] — [`SlotWork`]: what a solve did, counted, returned beside
-//!   its decision and published once a slot by the slot runtime.
+//! * [`work`] — [`SlotWork`] and [`Laps`](work::Laps): what a solve did,
+//!   counted and timed, returned beside its decision; this crate writes no
+//!   telemetry, the slot runtime publishes both once a slot.
 //!
 //! # One solve-path representation
 //!

@@ -136,7 +136,6 @@ pub fn solve_phase1_warm(
 /// its view once, and Phase-1, Phase-2 and the accounting of the final
 /// selection all read it.
 pub(crate) fn score_view(view: SlotView<'_>, work: &mut SlotWork) -> Scores {
-    let _span = lpvs_obs::span!("sched.compact", "devices" => view.len());
     let cols = view.columns();
     work.chunk_steps.score += kernels::chunk_steps(&cols, view.rows());
     kernels::score_rows(&cols, view.rows(), view.lambda(), view.curve())

@@ -47,6 +47,7 @@
 use crate::fleet::{with_problem_view, SlotView};
 use crate::kernels::{self, Scores};
 use crate::problem::SlotProblem;
+use crate::work::Laps;
 use lpvs_solver::knapsack::{partial_key_order, Direction};
 use serde::{Deserialize, Serialize};
 
@@ -163,7 +164,7 @@ impl VictimIndex {
 ///
 /// Panics if `selected.len()` differs from the device count.
 pub fn run_phase2(problem: &SlotProblem, selected: &mut [bool]) -> Phase2Stats {
-    with_problem_view(problem, |view| run_phase2_over(view, selected, None).0)
+    with_problem_view(problem, |view| run_phase2_over(view, selected, None, &mut Laps::default()).0)
 }
 
 /// Phase-2 over a view, optionally restricted to a subset of its
@@ -172,7 +173,7 @@ pub fn run_phase2(problem: &SlotProblem, selected: &mut [bool]) -> Phase2Stats {
 /// in `allowed`, so rows outside the frontier keep their standing
 /// decision verbatim: the pure-addition criterion holds with respect to
 /// every clean row. `allowed: None` swaps over the whole view. Returns
-/// the swap statistics and the chunk steps of scoring the scope.
+/// the swap statistics and the chunk steps of scoring the scope (lapped with the ranking).
 ///
 /// # Panics
 ///
@@ -182,6 +183,7 @@ pub fn run_phase2_over(
     view: SlotView<'_>,
     selected: &mut [bool],
     allowed: Option<&[usize]>,
+    laps: &mut Laps,
 ) -> (Phase2Stats, u64) {
     assert_eq!(selected.len(), view.len(), "selection has wrong length");
     // The scope in ascending position order, so that slot order is
@@ -204,7 +206,7 @@ pub fn run_phase2_over(
         let cols = view.columns();
         (kernels::score_rows(&cols, &rows, view.lambda(), view.curve()), kernels::chunk_steps(&cols, &rows))
     };
-    (swap(view, selected, &scope, &scores), steps)
+    (swap(view, selected, &scope, &scores, laps), steps)
 }
 
 /// Phase-2 over the whole view on a score of all of it (positional, like
@@ -213,10 +215,11 @@ pub(crate) fn run_phase2_scored(
     view: SlotView<'_>,
     selected: &mut [bool],
     scores: &Scores,
+    laps: &mut Laps,
 ) -> Phase2Stats {
     assert_eq!(selected.len(), view.len(), "selection has wrong length");
     let scope: Vec<usize> = (0..view.len()).collect();
-    swap(view, selected, &scope, scores)
+    swap(view, selected, &scope, scores, laps)
 }
 
 /// Positions by descending anxiety degree, ties to the lowest position:
@@ -232,12 +235,13 @@ pub fn rank_by_anxiety(keyed: impl IntoIterator<Item = (f64, usize)>) -> Vec<usi
 
 /// The swap loop over `scope` (ascending view positions), reading each
 /// scoped row's feasibility and eq.-13 terms from `scores` by its slot
-/// in the scope.
+/// in the scope; its rank, index and probe stages go to `laps`.
 fn swap(
     view: SlotView<'_>,
     selected: &mut [bool],
     scope: &[usize],
     scores: &Scores,
+    laps: &mut Laps,
 ) -> Phase2Stats {
     let mut stats = Phase2Stats::default();
     let Scores { feasible, off, on, .. } = scores;
@@ -246,7 +250,6 @@ fn swap(
     // Candidates: unselected, transform-feasible, in-scope devices by
     // descending anxiety degree (ties in device order); and the current
     // capacity usage.
-    let rank_span = lpvs_obs::span!("sched.phase2.rank");
     let mut g_used = 0.0;
     let mut h_used = 0.0;
     for (position, &x) in selected.iter().enumerate() {
@@ -261,17 +264,15 @@ fn swap(
             .filter(|&slot| !selected[scope[slot]] && feasible[slot])
             .map(|slot| (curve.phi(view.battery_fraction(scope[slot])), slot)),
     );
-    drop(rank_span);
+    laps.lap("sched.phase2.rank");
 
     let cost = |slot: usize| view.cost(scope[slot]);
     // What evicting a device costs the objective.
     let loss = |slot: usize| off[slot] - on[slot];
-    let index_span = lpvs_obs::span!("sched.phase2.index");
     let mut victims =
         VictimIndex::build(scope.len(), loss, |slot| selected[scope[slot]].then(|| cost(slot)));
-    drop(index_span);
+    laps.lap("sched.phase2.index");
 
-    let _probe_span = lpvs_obs::span!("sched.phase2.probe");
     for cand in candidates {
         let [g_cand, h_cand] = cost(cand);
         let gain_in = on[cand] - off[cand]; // negative = improvement
@@ -329,6 +330,7 @@ fn swap(
         h_used += h_cand - h_victim;
         stats.swaps_accepted += 1;
     }
+    laps.lap("sched.phase2.probe");
     stats
 }
 
@@ -448,7 +450,7 @@ mod tests {
         p.push(device(1.0, 0.30, 0.08));
         p.push(device(1.0, 0.25, 0.50));
         let mut sel = vec![true, false, false];
-        with_problem_view(&p, |view| run_phase2_over(view, &mut sel, Some(&[2])));
+        with_problem_view(&p, |view| run_phase2_over(view, &mut sel, Some(&[2]), &mut Laps::default()));
         assert!(sel[0], "out-of-scope selection was evicted");
         assert!(!sel[1], "out-of-scope candidate was admitted");
 
@@ -470,7 +472,7 @@ mod tests {
         let mut scoped = start;
         let every: Vec<usize> = (0..p.len()).collect();
         let a = run_phase2(&p, &mut all);
-        let (b, _) = with_problem_view(&p, |view| run_phase2_over(view, &mut scoped, Some(&every)));
+        let (b, _) = with_problem_view(&p, |view| run_phase2_over(view, &mut scoped, Some(&every), &mut Laps::default()));
         assert_eq!(all, scoped);
         assert_eq!(a, b);
     }

@@ -1,4 +1,4 @@
-//! The LPVS scheduler: Phase-1 + Phase-2 with instrumentation.
+//! The LPVS scheduler: Phase-1 + Phase-2, counted ([`SlotWork`]) and timed ([`Laps`]).
 
 use crate::accounting::RowAccounting;
 use crate::budget::SlotBudget;
@@ -7,12 +7,12 @@ use crate::kernels::{self, Scores};
 use crate::phase1::{self, Phase1Config, Phase1Solver};
 use crate::phase2::{run_phase2_scored, Phase2Stats};
 use crate::problem::SlotProblem;
-use crate::work::SlotWork;
+use crate::work::{Laps, SlotWork};
 use lpvs_solver::SolverError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Which rung of the graceful-degradation ladder produced a slot's
 /// schedule.
@@ -115,7 +115,7 @@ impl Default for SchedulerConfig {
 }
 
 /// A scheduling decision for one slot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Schedule {
     /// Transform decision per device.
     pub selected: Vec<bool>,
@@ -125,6 +125,9 @@ pub struct Schedule {
     /// `stats`, which snapshots encode, not in it.
     #[serde(skip)]
     pub work: SlotWork,
+    /// Where the solve spent its time; its laps add up to `stats.runtime`.
+    #[serde(skip)]
+    pub laps: Laps,
 }
 
 impl Schedule {
@@ -151,7 +154,7 @@ impl Schedule {
 }
 
 /// Instrumentation of one scheduling run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct ScheduleStats {
     /// Final objective value (eq. 13).
     pub objective: f64,
@@ -179,7 +182,7 @@ pub struct ScheduleStats {
     /// Devices whose telemetry failed validation and were excluded
     /// from scheduling (resilient path only).
     pub rejected_devices: usize,
-    /// Wall-clock time of the whole scheduling run.
+    /// Wall-clock time of the whole scheduling run: its laps' sum.
     #[serde(skip, default)]
     pub runtime: Duration,
 }
@@ -248,12 +251,13 @@ impl LpvsScheduler {
         problem: &SlotProblem,
         previous: Option<&[bool]>,
     ) -> Result<Schedule, SolverError> {
-        let start = Instant::now();
+        let mut laps = Laps::start();
         let phase1_config = &self.config.phase1;
         with_problem_view(problem, |view| {
+            laps.lap("sched.sanitize");
             let mut work = SlotWork::default();
-            let phases = self.run_phases(phase1_config, view, previous, &mut work)?;
-            Ok(phases.into_schedule(view, rung_of(phase1_config.solver), 0, start, work).0)
+            let phases = self.run_phases(phase1_config, view, previous, &mut work, &mut laps)?;
+            Ok(phases.into_schedule(view, rung_of(phase1_config.solver), 0, work, laps).0)
         })
     }
 
@@ -265,31 +269,26 @@ impl LpvsScheduler {
     /// Every stage reads one score of the view ([`phase1::score_view`]):
     /// Phase-1 borrows its savings and verdicts, Phase-2 its verdicts and
     /// eq.-13 terms, and the score rides on in the returned [`Phases`] to
-    /// the accounting. The counts go to `work` as the stages finish, so a
-    /// rung that fails keeps what it did.
+    /// the accounting. The counts go to `work` and the time to `laps` as
+    /// the stages finish, so a rung that fails keeps what it did.
     fn run_phases(
         &self,
         phase1_config: &Phase1Config,
         view: SlotView<'_>,
         previous: Option<&[bool]>,
         work: &mut SlotWork,
+        laps: &mut Laps,
     ) -> Result<Phases, SolverError> {
         let mut scores = phase1::score_view(view, work);
-        let phase1 = {
-            let mut span = lpvs_obs::span!("sched.phase1", "devices" => view.len());
-            let Scores { saving, feasible, .. } = &mut scores;
-            let phase1 = phase1::solve(view, phase1_config, previous, saving, feasible)?;
-            span.record("nodes", phase1.nodes as f64);
-            *work += phase1.work;
-            phase1
-        };
+        laps.lap("sched.compact");
+        let Scores { saving, feasible, .. } = &mut scores;
+        let phase1 = phase1::solve(view, phase1_config, previous, saving, feasible);
+        laps.lap("sched.phase1");
+        let phase1 = phase1?;
+        *work += phase1.work;
         let mut selected = phase1.selected;
         let phase2 = if self.config.enable_phase2 {
-            let mut span = lpvs_obs::span!("sched.phase2");
-            let phase2 = run_phase2_scored(view, &mut selected, &scores);
-            span.record("swaps_tried", phase2.swaps_tried as f64);
-            span.record("swaps_accepted", phase2.swaps_accepted as f64);
-            phase2
+            run_phase2_scored(view, &mut selected, &scores, laps)
         } else {
             Phase2Stats::default()
         };
@@ -321,9 +320,11 @@ impl LpvsScheduler {
         previous: Option<&[bool]>,
         budget: &SlotBudget,
     ) -> Schedule {
-        let start = Instant::now();
-        let slot_span = lpvs_obs::span!("sched.slot", "devices" => problem.len());
-        with_problem_view(problem, |view| self.resilient(view, previous, budget, start, slot_span).0)
+        let mut laps = Laps::start();
+        with_problem_view(problem, |view| {
+            laps.lap("sched.sanitize");
+            self.resilient(view, previous, budget, laps).0
+        })
     }
 
     /// [`schedule_resilient`](Self::schedule_resilient) for callers that
@@ -367,34 +368,30 @@ impl LpvsScheduler {
         previous: Option<&[bool]>,
         budget: &SlotBudget,
     ) -> (Schedule, RowAccounting) {
-        let start = Instant::now();
-        let slot_span = lpvs_obs::span!("sched.slot", "devices" => view.len());
-        self.resilient(view, previous, budget, start, slot_span)
+        self.resilient(view, previous, budget, Laps::start())
     }
 
-    /// The degradation ladder over a view; `start` and `slot_span` were
-    /// opened by the entry point, so a row entry's load counts against
-    /// the deadline and falls inside the slot span.
+    /// The degradation ladder over a view, on the clock the entry point
+    /// started, so a row entry's load counts against the deadline and
+    /// falls inside the run its laps mark.
     fn resilient(
         &self,
         view: SlotView<'_>,
         previous: Option<&[bool]>,
         budget: &SlotBudget,
-        start: Instant,
-        mut slot_span: lpvs_obs::SpanGuard,
+        mut laps: Laps,
     ) -> (Schedule, RowAccounting) {
         let n = view.len();
         let valid: Vec<bool> = (0..n).map(|position| view.accepted(position)).collect();
         let rejected = valid.iter().filter(|&&ok| !ok).count();
-        slot_span.record("rejected", rejected as f64);
         let node_limit = budget
             .solver_nodes
             .map_or(self.config.phase1.node_limit, |cap| {
                 cap.clamp(1, self.config.phase1.node_limit.max(1))
             });
-        let out_of_time = || match budget.deadline_secs {
-            Some(d) => start.elapsed().as_secs_f64() >= d,
-            None => false,
+        let out_of_time = |laps: &Laps| match (budget.deadline_secs, laps.start) {
+            (Some(d), Some(start)) => start.elapsed().as_secs_f64() >= d,
+            _ => false,
         };
 
         // Solver rungs, starting from the configured solver so the
@@ -410,7 +407,7 @@ impl LpvsScheduler {
             if rung < first {
                 continue;
             }
-            if out_of_time() {
+            if out_of_time(&laps) {
                 break;
             }
             let phase1 = Phase1Config { solver, node_limit, ..self.config.phase1 };
@@ -418,14 +415,14 @@ impl LpvsScheduler {
             // but a rung that panics anyway is a rung that failed, not
             // a dead slot.
             let attempt = catch_unwind(AssertUnwindSafe(|| {
-                self.run_phases(&phase1, view, previous, &mut work)
+                self.run_phases(&phase1, view, previous, &mut work, &mut laps)
             }));
             if let Ok(Ok(mut phases)) = attempt {
                 for (x, &ok) in phases.selected.iter_mut().zip(&valid) {
                     *x = *x && ok;
                 }
                 if view.capacity_feasible(&phases.selected) {
-                    return finish_resilient(view, phases, rung, rejected, start, slot_span, work);
+                    return finish_resilient(view, phases, rung, rejected, laps, work);
                 }
             }
         }
@@ -443,8 +440,7 @@ impl LpvsScheduler {
                         Phases::unsolved(reused),
                         Degradation::ReusedPrevious,
                         rejected,
-                        start,
-                        slot_span,
+                        laps,
                         work,
                     );
                 }
@@ -458,8 +454,7 @@ impl LpvsScheduler {
             Phases::unsolved(vec![false; n]),
             Degradation::Passthrough,
             rejected,
-            start,
-            slot_span,
+            laps,
             work,
         )
     }
@@ -493,17 +488,16 @@ impl Phases {
         }
     }
 
-    /// Accounts for the selection on `view` and stamps the outcome and
-    /// the solve's `work`; the terms ride along for whoever keeps them.
+    /// Accounts for the selection on `view` (the last lap) and stamps the
+    /// outcome; the terms ride along for whoever keeps them.
     fn into_schedule(
         self,
         view: SlotView<'_>,
         rung: Degradation,
         rejected: usize,
-        start: Instant,
         mut work: SlotWork,
+        mut laps: Laps,
     ) -> (Schedule, RowAccounting) {
-        let _span = lpvs_obs::span!("sched.account");
         let terms = match self.scores {
             Some(scores) => {
                 let kept = RowAccounting::from_scored(view, &self.selected, scores);
@@ -516,6 +510,7 @@ impl Phases {
             }
         };
         let (objective, energy_saved_j) = terms.fold();
+        laps.lap("sched.account");
         let stats = ScheduleStats {
             objective,
             energy_saved_j,
@@ -525,33 +520,24 @@ impl Phases {
             phase2: self.phase2,
             degradation: rung,
             rejected_devices: rejected,
-            runtime: start.elapsed(),
+            runtime: laps.total(),
         };
-        (Schedule { selected: self.selected, stats, work }, terms)
+        (Schedule { selected: self.selected, stats, work, laps }, terms)
     }
 }
 
 /// Computes the final-selection metrics on the view, stamps the ladder
-/// outcome into the stats, and publishes the run's telemetry (tier
-/// counters, per-tier latency) before closing the slot span.
+/// outcome into the stats, and marks every lap as one run of the ladder.
 fn finish_resilient(
     view: SlotView<'_>,
     phases: Phases,
     rung: Degradation,
     rejected: usize,
-    start: Instant,
-    mut slot_span: lpvs_obs::SpanGuard,
+    laps: Laps,
     work: SlotWork,
 ) -> (Schedule, RowAccounting) {
-    let (schedule, terms) = phases.into_schedule(view, rung, rejected, start, work);
-    let stats = &schedule.stats;
-    slot_span.record("tier", rung.severity() as f64);
-    if lpvs_obs::enabled() {
-        let tier = [("tier", rung.label())];
-        lpvs_obs::inc("sched_runs_total");
-        lpvs_obs::inc_labeled("sched_tier_total", &tier);
-        lpvs_obs::observe_labeled("sched_tier_seconds", &tier, stats.runtime.as_secs_f64());
-    }
+    let (mut schedule, terms) = phases.into_schedule(view, rung, rejected, work, laps);
+    schedule.laps.runs.push((0, schedule.laps.ends.len(), rung));
     (schedule, terms)
 }
 
@@ -679,7 +665,7 @@ mod tests {
         // Equal lengths still report: identical selections churn 0.
         assert_eq!(s.churn_vs(&s.selected), Some(0.0));
         // An empty schedule has no churn to report either.
-        let empty = Schedule { selected: vec![], stats: s.stats, work: s.work };
+        let empty = Schedule { selected: vec![], stats: s.stats, ..Schedule::default() };
         assert_eq!(empty.churn_vs(&[]), None);
     }
 

@@ -1,13 +1,15 @@
-//! What a slot's solve did, counted: the [`SlotWork`] record.
+//! What a slot's solve did, counted and timed: the [`SlotWork`] and
+//! [`Laps`] records.
 //!
-//! A stage that does countable work adds it to the record of the value
-//! it returns ([`Schedule::work`](crate::scheduler::Schedule::work),
-//! summed per shard and per fleet slot by `lpvs-edge`). The slot runtime
-//! publishes each solved slot's record once ([`SlotWork::publish`]), so
-//! the registry is the fold of the records, and a bare solver or fleet
-//! call publishes none of these series.
+//! A stage adds its counts to the record of the value it returns
+//! ([`Schedule::work`](crate::scheduler::Schedule::work), summed per
+//! shard and per fleet slot by `lpvs-edge`) and charges its time to its
+//! [`Laps`]. The slot runtime publishes both once a solved slot, so a
+//! bare solver or fleet call writes no telemetry.
 
+use crate::scheduler::Degradation;
 use std::ops::AddAssign;
+use std::time::{Duration, Instant};
 
 /// Chunk steps the kernels walked, by stage.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -101,35 +103,55 @@ impl AddAssign for SlotWork {
     }
 }
 
-impl SlotWork {
-    /// Adds the record to its eight series — their only writer, called
-    /// once a solved slot by the slot runtime. A zero count is not
-    /// added, so a series exists once something was counted in it. A
-    /// no-op while the recorder is off, like every other write.
-    pub fn publish(&self) {
-        if !lpvs_obs::enabled() {
-            return;
+/// Where a solve, a shard or a slot spent its time: one clock, read once
+/// a lap, each lap charged to the stage that just ended, so the laps add
+/// up to [`total`](Self::total) exactly. A solver stage is named for its
+/// span (`sched.compact`); a shard's own work around its solve is
+/// `shard`, a delta solve's `delta`, the hub's `partition`, `dispatch`,
+/// `solve` / `join`, `rebalance`, `total`. The default is a stopped clock.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Laps {
+    /// When the first lap started.
+    pub start: Option<Instant>,
+    /// Each lap's stage and the instant it ended, in order.
+    pub ends: Vec<(&'static str, Instant)>,
+    /// Each resilient solve among the laps (`sched.slot`): laps
+    /// `from..to` and the rung it reached.
+    pub runs: Vec<(usize, usize, Degradation)>,
+}
+
+impl Laps {
+    /// A clock started now, with room for a shard's laps around a delta solve.
+    pub fn start() -> Self {
+        Self { start: Some(Instant::now()), ends: Vec::with_capacity(16), runs: Vec::new() }
+    }
+
+    /// Charges the time since the previous lap to `stage`.
+    pub fn lap(&mut self, stage: &'static str) {
+        if self.start.is_some() {
+            self.ends.push((stage, Instant::now()));
         }
-        let (steps, warm, paths, rows, copied) =
-            (self.chunk_steps, self.warm_start, self.delta_path, self.rows_accounted, self.rows_refilled);
-        let series = [
-            ("sched_chunk_steps_total", Some(("stage", "score")), steps.score),
-            ("sched_chunk_steps_total", Some(("stage", "account")), steps.account),
-            ("solver_orders_sorted_total", None, self.orders_sorted),
-            ("sched_phase1_uncertified_total", None, self.uncertified),
-            ("delta_warm_start_hit_total", None, warm.hit),
-            ("delta_warm_start_miss_total", None, warm.miss),
-            ("delta_solve_total", Some(("path", "reuse")), paths.reuse),
-            ("delta_solve_total", Some(("path", "incremental")), paths.incremental),
-            ("delta_solve_total", Some(("path", "cold")), paths.cold),
-            ("delta_accounting_rows_total", Some(("owner", "shard")), rows.shard),
-            ("delta_accounting_rows_total", Some(("owner", "join")), rows.join),
-            ("delta_accounting_rows_total", Some(("owner", "shipped")), rows.shipped),
-            ("fleet_refill_rows_total", Some(("path", "patched")), copied.patched),
-            ("fleet_refill_rows_total", Some(("path", "full")), copied.full),
-        ];
-        for (name, label, n) in series.into_iter().filter(|&(_, _, n)| n > 0) {
-            lpvs_obs::add_labeled(name, label.as_slice(), n);
-        }
+    }
+
+    /// The sum of the laps whose stage `keep` admits.
+    pub fn time(&self, keep: impl Fn(&str) -> bool) -> Duration {
+        let starts = self.start.into_iter().chain(self.ends.iter().map(|&(_, end)| end));
+        self.ends.iter().zip(starts).filter(|((stage, _), _)| keep(stage)).map(|(&(_, end), start)| end - start).sum()
+    }
+
+    /// The sum of the laps: from the start to the last lap's end.
+    pub fn total(&self) -> Duration {
+        self.time(|_| true)
+    }
+
+    /// Continues this clock with `inner`, a clock that started later:
+    /// the time from this clock's last lap (or its start) to `inner`'s
+    /// start goes to `gap`, then `inner`'s laps follow as they were taken.
+    pub fn splice(&mut self, gap: &'static str, inner: &Laps) {
+        let (Some(_), Some(start)) = (self.start, inner.start) else { return };
+        self.ends.push((gap, start));
+        let shift = self.ends.len();
+        self.ends.extend_from_slice(&inner.ends);
+        self.runs.extend(inner.runs.iter().map(|&(from, to, tier)| (from + shift, to + shift, tier)));
     }
 }

@@ -32,12 +32,11 @@ use lpvs_core::budget::SlotBudget;
 use lpvs_core::delta::SlotDelta;
 use lpvs_core::fleet::{DeviceFleet, SlotView};
 use lpvs_core::scheduler::{Degradation, LpvsScheduler, Schedule, ScheduleStats, SchedulerConfig};
-use lpvs_core::work::{RowsAccounted, SlotWork};
-use lpvs_core::Phase2Stats;
+use lpvs_core::work::{Laps, RowsAccounted, SlotWork};
 use lpvs_survey::curve::AnxietyCurve;
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// 2⁶⁴/φ: the increment of the splitmix64 draws the runtime's seeded
 /// faults and synthetic loads make.
@@ -117,6 +116,9 @@ pub struct ShardReport {
     /// the delta path it took and the rows it accounted before solving).
     #[serde(skip)]
     pub work: SlotWork,
+    /// The solver's laps between the `shard` laps of whoever ran it.
+    #[serde(skip)]
+    pub laps: Laps,
     /// Global indices of devices migrated *into* this shard by the
     /// rebalancing pass (their load counts against this shard's server,
     /// not their home shard's).
@@ -175,9 +177,14 @@ pub struct FleetSchedule {
     pub objective: f64,
     /// Fleet-wide energy saved by the final selection (J).
     pub energy_saved_j: f64,
-    /// Wall-clock time for the whole fleet slot (partition + parallel
-    /// solve + rebalance).
+    /// Wall-clock time for the whole fleet slot: the sum of `laps`.
     pub runtime: Duration,
+    /// The hub's laps: partition, (dispatch,) solve, rebalance, total.
+    #[serde(skip)]
+    pub laps: Laps,
+    /// Rows the rebalance's gate let through, if it ran.
+    #[serde(skip)]
+    pub candidates: Option<usize>,
     /// The slot's counted work: every shard's, plus the rows the join
     /// evaluated and adopted; the slot runtime adds the rows its gather
     /// copied before it delivers and publishes the schedule.
@@ -372,14 +379,9 @@ impl FleetScheduler {
             self.config.num_shards,
             "one server per configured shard required"
         );
-        let start = Instant::now();
-        // The caller's open span (an executor's `runtime.slot`), captured
-        // before the scoped threads spawn: implicit parentage never
-        // crosses threads, so each shard span is handed it explicitly
-        // and joins the caller's trace instead of orphaning.
-        let slot_ctx = lpvs_obs::current_context();
-
+        let mut laps = Laps::start();
         let shards = self.partition(fleet);
+        laps.lap("partition");
 
         // Shard 0 on the calling thread — which would otherwise only
         // block in `join` — and one scoped thread for each of the
@@ -390,9 +392,7 @@ impl FleetScheduler {
         let scheduler = LpvsScheduler::new(self.config.scheduler);
         let rebalances = self.rebalances(servers.len());
         let solve = |s: usize| {
-            let _span = lpvs_obs::span_in!(
-                slot_ctx, "fleet.shard", "shard" => s, "devices" => shards[s].len()
-            );
+            let mut own = Laps::start();
             let view = fleet.slot_view(
                 &shards[s],
                 servers[s].compute_capacity(),
@@ -400,8 +400,11 @@ impl FleetScheduler {
                 lambda,
                 curve,
             );
-            let (schedule, _) = solve_cold_shard(&scheduler, view, previous, budget)?;
+            let (mut schedule, _) = solve_cold_shard(&scheduler, view, previous, budget)?;
             let load = rebalances.then(|| ShardLoad::of(fleet, &servers[s], &shards[s], &schedule.selected));
+            own.splice("shard", &schedule.laps);
+            own.lap("shard");
+            schedule.laps = own;
             Some((schedule, load))
         };
         let results: Vec<Option<(Schedule, Option<ShardLoad>)>> = crossbeam::thread::scope(|scope| {
@@ -412,28 +415,16 @@ impl FleetScheduler {
             std::iter::once(solve(0)).chain(rest).collect()
         })
         .unwrap_or_default();
+        laps.lap("solve");
 
-        self.assemble(fleet, servers, shards, results, lambda, curve, start, None)
+        self.assemble(fleet, servers, shards, results, lambda, curve, laps, None)
     }
 
     /// The per-shard schedule a dead or faulted shard degrades to:
     /// passthrough (nobody transformed, every device rejected).
     pub fn passthrough_schedule(devices: usize) -> Schedule {
-        Schedule {
-            selected: vec![false; devices],
-            stats: ScheduleStats {
-                objective: 0.0,
-                energy_saved_j: 0.0,
-                infeasible_devices: 0,
-                phase1_nodes: 0,
-                phase1_pivots: 0,
-                phase2: Phase2Stats::default(),
-                degradation: Degradation::Passthrough,
-                rejected_devices: devices,
-                runtime: Duration::ZERO,
-            },
-            work: SlotWork::default(),
-        }
+        let stats = ScheduleStats { degradation: Degradation::Passthrough, rejected_devices: devices, ..ScheduleStats::default() };
+        Schedule { selected: vec![false; devices], stats, ..Schedule::default() }
     }
 
     /// Whether a join over `shards` shards rebalances, so its shards
@@ -448,7 +439,7 @@ impl FleetScheduler {
     /// total the objective. A `None` result (a shard whose solver died)
     /// degrades to [`passthrough_schedule`](Self::passthrough_schedule).
     /// A result carries the [`ShardLoad`] its shard reported, if any; the
-    /// join computes the rest.
+    /// join computes the rest, and laps the hub's clock `laps` on.
     ///
     /// This is the second half of
     /// [`schedule_with_servers`](Self::schedule_with_servers), exposed
@@ -468,7 +459,7 @@ impl FleetScheduler {
         results: Vec<Option<(Schedule, Option<ShardLoad>)>>,
         lambda: f64,
         curve: &AnxietyCurve,
-        start: Instant,
+        mut laps: Laps,
         kept: Option<(&mut JoinMemo, &SlotDelta, &[ShardTerms])>,
     ) -> FleetSchedule {
         let mut selected = vec![false; fleet.len()];
@@ -496,12 +487,14 @@ impl FleetScheduler {
                 devices,
                 stats: schedule.stats,
                 work: schedule.work,
+                laps: schedule.laps,
                 migrated_in: Vec::new(),
                 load,
             });
         }
 
-        let migrations = self.rebalance(fleet, servers, lambda, curve, &mut selected, &mut reports);
+        let (migrations, candidates) = self.rebalance(fleet, servers, lambda, curve, &mut selected, &mut reports);
+        laps.lap("rebalance");
 
         // Fleet-wide accounting; `None` evaluates every row, keeps none.
         let (memo, kept) = match kept {
@@ -510,13 +503,9 @@ impl FleetScheduler {
         };
         let (objective, energy_saved_j, rows) = memo.total(fleet, lambda, curve, &selected, &reports, kept);
         work += SlotWork { rows_accounted: rows, ..SlotWork::default() };
+        laps.lap("total");
 
-        // One sample a fleet slot under either executor: `start` is the
-        // scoped path's entry or the worker executor's dispatch.
-        let runtime = start.elapsed();
-        lpvs_obs::observe("fleet_slot_seconds", runtime.as_secs_f64());
-
-        FleetSchedule { selected, shards: reports, migrations, objective, energy_saved_j, runtime, work }
+        FleetSchedule { selected, shards: reports, migrations, objective, energy_saved_j, runtime: laps.total(), laps, candidates, work }
     }
 
     /// Bounded cross-shard rebalancing (the anxiety-repair pass of
@@ -526,7 +515,7 @@ impl FleetScheduler {
     /// λ-weighted objective (the Phase-2 pure-addition criterion),
     /// scanned in descending anxiety order; each is migrated to the
     /// foreign shard with the most free compute that admits it.
-    /// Returns the number of accepted migrations.
+    /// Returns the accepted migrations and, if it ran, the gated rows.
     fn rebalance(
         &self,
         fleet: &DeviceFleet,
@@ -535,9 +524,9 @@ impl FleetScheduler {
         curve: &AnxietyCurve,
         selected: &mut [bool],
         reports: &mut [ShardReport],
-    ) -> usize {
+    ) -> (usize, Option<usize>) {
         if !self.rebalances(servers.len()) {
-            return 0;
+            return (0, None);
         }
         let load = |r: &ShardReport| r.load.expect("the join loads every shard it rebalances");
         let mut usage: Vec<EdgeServer> = reports.iter().map(|r| load(r).server).collect();
@@ -570,11 +559,8 @@ impl FleetScheduler {
                 .collect();
         }
         debug_assert!(open || gated.is_empty(), "the load gate closed over a row a foreign shard fits");
-        if lpvs_obs::enabled() {
-            lpvs_obs::gauge_set("fleet_rebalance_candidates", gated.len() as f64);
-        }
         if gated.is_empty() {
-            return 0;
+            return (0, Some(0));
         }
 
         // The feasible survivors in descending anxiety order (Phase-2's
@@ -620,7 +606,7 @@ impl FleetScheduler {
                 migrations += 1;
             }
         }
-        migrations
+        (migrations, Some(gated.len()))
     }
 }
 

@@ -138,7 +138,6 @@ impl EdgeServer {
     /// treated as a full brownout, the fail-safe direction.
     pub fn browned_out(&self, factor: f64) -> EdgeServer {
         let factor = if factor.is_finite() { factor.clamp(0.0, 1.0) } else { 0.0 };
-        lpvs_obs::gauge_set("edge_brownout_factor", factor);
         EdgeServer::new(self.compute_capacity * factor, self.storage_capacity_gb * factor)
     }
 
@@ -149,13 +148,6 @@ impl EdgeServer {
         } else {
             self.compute_used / self.compute_capacity
         }
-    }
-
-    /// Publishes this server's compute capacity as a telemetry gauge
-    /// (no-op when recording is disabled). Callers decide the cadence —
-    /// the emulator publishes once per slot.
-    pub fn publish_capacity(&self) {
-        lpvs_obs::gauge_set("edge_compute_capacity", self.compute_capacity);
     }
 }
 

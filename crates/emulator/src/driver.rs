@@ -296,14 +296,10 @@ impl SlotSource for EmulatorDriver {
         }
         // A brownout derates the capacities the scheduler sees; the
         // physical server is unchanged.
-        let server = match scratch.faults.brownout_factor {
-            Some(f) => self.emu.cluster.server().browned_out(f),
-            None => {
-                lpvs_obs::gauge_set("edge_brownout_factor", 1.0);
-                *self.emu.cluster.server()
-            }
-        };
-        server.publish_capacity();
+        let factor = scratch.faults.brownout_factor.unwrap_or(1.0);
+        let server = self.emu.cluster.server().browned_out(factor);
+        lpvs_obs::gauge_set("edge_brownout_factor", factor);
+        lpvs_obs::gauge_set("edge_compute_capacity", server.compute_capacity());
         let problem = gather_problem(
             &devices,
             &decision_powers,
@@ -320,7 +316,9 @@ impl SlotSource for EmulatorDriver {
             // rows with corrupt telemetry, and the shard views clamp
             // capacities and λ, so the problem's own values travel.
             let mut fleet = self.parked.take().unwrap_or_default();
+            let load = lpvs_obs::span!("sched.sanitize");
             fleet.rebuild_from_problem(&problem);
+            drop(load);
             self.dispatched = Some(scratch.watching.clone());
             Some(GatheredSlot {
                 slot,

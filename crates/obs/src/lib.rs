@@ -49,7 +49,7 @@ pub use metrics::{
 };
 pub use recorder::{NoopRecorder, ObsSnapshot, Record, Recorder};
 pub use span::{
-    current_thread_id, span_metric_name, SpanContext, SpanEvent, SpanGuard,
+    current_thread_id, record_span, span_metric_name, SpanContext, SpanEvent, SpanGuard,
 };
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -127,19 +127,6 @@ pub fn start_span_with(name: &'static str, parent: Option<SpanContext>) -> SpanG
         SpanGuard::open_in(name, ctx)
     } else {
         SpanGuard::open(name)
-    }
-}
-
-/// The context of the innermost span open on this thread, for a
-/// scoped-thread hop whose caller owns the enclosing span: children
-/// opened with [`span_in!`] on the other threads join its trace. `None`
-/// when recording is disabled or no span is open.
-#[inline]
-pub fn current_context() -> Option<SpanContext> {
-    if enabled() {
-        span::current_context()
-    } else {
-        None
     }
 }
 

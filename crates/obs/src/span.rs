@@ -15,11 +15,11 @@
 //! thread-local stack. Parentage never leaks across threads
 //! *implicitly* — a bare [`crate::span!`] on a new thread starts a new
 //! trace — but it can be handed off *deliberately*: capture a
-//! [`SpanContext`] with [`SpanGuard::context`] (or
-//! [`crate::current_context`] for the innermost open span), ship it
-//! across the channel hop, and open the remote span with
+//! [`SpanContext`] with [`SpanGuard::context`], ship it across the
+//! channel hop, and open the remote span with
 //! [`crate::start_span_with`]. That is how shard-worker solve spans
-//! stay children of the hub's slot span.
+//! stay children of the hub's slot span. A span timed elsewhere is
+//! recorded after the fact with [`crate::record_span`].
 
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -210,7 +210,7 @@ impl SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(active) = self.inner.take() else { return };
-        let duration = active.start.elapsed();
+        let end = Instant::now();
         SPAN_STACK.with(|stack| {
             let mut stack = stack.borrow_mut();
             // The guard discipline (RAII, one thread) makes this span
@@ -220,23 +220,44 @@ impl Drop for SpanGuard {
                 stack.truncate(pos);
             }
         });
-        let start_us = active
-            .start
-            .duration_since(crate::epoch())
-            .as_micros()
-            .min(u64::MAX as u128) as u64;
-        let event = SpanEvent {
-            name: active.name.to_owned(),
-            trace: active.trace,
-            id: active.id,
-            parent: active.parent,
-            thread: current_thread_id(),
-            start_us,
-            duration_us: duration.as_micros().min(u64::MAX as u128) as u64,
-            fields: active.fields,
-        };
-        crate::global().record_span(event);
+        let ctx = SpanContext { trace: active.trace, span: active.id };
+        emit(active.name, ctx, active.parent, active.start, end, active.fields);
     }
+}
+
+/// Records the span `ctx` names, `start..end`, on this thread.
+fn emit(name: &'static str, ctx: SpanContext, parent: Option<u64>, start: Instant, end: Instant, fields: Vec<(String, f64)>) {
+    let micros = |d: std::time::Duration| d.as_micros().min(u64::MAX as u128) as u64;
+    crate::global().record_span(SpanEvent {
+        name: name.to_owned(),
+        trace: ctx.trace,
+        id: ctx.span,
+        parent,
+        thread: current_thread_id(),
+        start_us: micros(start.duration_since(crate::epoch())),
+        duration_us: micros(end.saturating_duration_since(start)),
+        fields,
+    });
+}
+
+/// Records a span timed elsewhere, `start..end` on this thread, under
+/// `parent` or else the span open here, as a guard open over it would
+/// have; returns its context for the spans inside it (`None` when off).
+pub fn record_span(
+    name: &'static str,
+    parent: Option<SpanContext>,
+    start: Instant,
+    end: Instant,
+    fields: Vec<(String, f64)>,
+) -> Option<SpanContext> {
+    if !crate::enabled() {
+        return None;
+    }
+    let parent = parent.or_else(current_context);
+    let trace = parent.map_or_else(|| NEXT_TRACE_ID.fetch_add(1, Ordering::Relaxed), |p| p.trace);
+    let ctx = SpanContext { trace, span: NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed) };
+    emit(name, ctx, parent.map(|p| p.span), start, end, fields);
+    Some(ctx)
 }
 
 /// Opens a span: `span!("sched.phase1")`, optionally with initial

@@ -456,7 +456,7 @@ pub(crate) fn memo_from_bytes(bytes: &[u8]) -> Result<ShardDeltaMemo, CodecError
         compute_capacity,
         storage_capacity_gb,
         lambda,
-        schedule: Schedule { selected, stats, work: Default::default() },
+        schedule: Schedule { selected, stats, ..Schedule::default() },
         accounting: Default::default(),
     })
 }
@@ -1102,7 +1102,7 @@ mod tests {
                     rejected_devices: 0,
                     runtime: Duration::ZERO,
                 },
-                work: Default::default(),
+                ..Schedule::default()
             },
             accounting: Default::default(),
         }

@@ -73,6 +73,7 @@ pub mod checkpoint;
 pub mod pipeline;
 pub mod shard;
 pub mod synthetic;
+pub mod telemetry;
 
 pub use checkpoint::{
     flight_to_jsonl, CheckpointConfig, CheckpointError, CheckpointStore, FlightReason,

@@ -68,7 +68,7 @@ use lpvs_obs::{FlightRing, SpanContext};
 use lpvs_core::accounting::ShardTerms;
 use lpvs_core::fleet::DeviceFleet;
 use lpvs_core::scheduler::{Degradation, Schedule};
-use lpvs_core::work::RowsRefilled;
+use lpvs_core::work::{Laps, RowsRefilled};
 use lpvs_edge::fleet::{FleetConfig, FleetSchedule, FleetScheduler, JoinMemo, ShardLoad};
 use lpvs_edge::server::EdgeServer;
 use serde::{Deserialize, Serialize};
@@ -76,6 +76,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use crate::telemetry::{observe_stage, publish};
 
 /// Deterministic worker-crash injection: each (slot, shard) pair dies
 /// with probability `rate`, derived by hashing against `seed` so runs
@@ -155,8 +156,8 @@ pub struct RuntimeReport {
 }
 
 /// What a slot loop — either executor's — carries from one slot to the
-/// next, and its counters; it publishes each solved slot's
-/// [`SlotWork`](lpvs_core::work::SlotWork).
+/// next, and its counters; it publishes each solved slot's records
+/// ([`crate::telemetry`]) and times its own gather and apply.
 #[derive(Default)]
 struct SlotLoop {
     /// Playback observations of the last applied slot, not yet in a bank.
@@ -171,13 +172,20 @@ struct SlotLoop {
 
 impl SlotLoop {
     /// Counts a joined solve, completes its work with the rows its
-    /// gather copied, and publishes the record the driver is handed.
+    /// gather copied, and publishes the records the driver is handed.
     fn count_solved(&mut self, slot: usize, refilled: RowsRefilled, schedule: &mut FleetSchedule) {
+        // One clock: the hub's laps are the slot's runtime, and a shard's
+        // laps but its own are its solve's.
+        debug_assert_eq!(schedule.laps.time(|_| true), schedule.runtime, "slot {slot}");
+        for report in &schedule.shards {
+            let solve = report.laps.time(|stage| stage != "shard");
+            debug_assert_eq!(solve, report.stats.runtime, "slot {slot}, shard {}", report.shard);
+        }
         self.solve_runtime += schedule.runtime;
         self.solved_slots += 1;
         self.slot_solve_runtimes.push((slot, schedule.runtime));
         schedule.work.rows_refilled = refilled;
-        schedule.work.publish();
+        publish(schedule);
     }
 
     /// Folds the pending observations into an inline bank.
@@ -195,25 +203,20 @@ impl SlotLoop {
         slot: usize,
         posteriors: &[(f64, f64)],
     ) -> Option<crate::GatheredSlot> {
-        let start = Instant::now();
+        let mut laps = Laps::start();
         let gathered = driver.gather(slot, posteriors, self.recycled.take());
-        observe_stage("gather", start);
+        laps.lap("gather");
+        observe_stage(&[("stage", "gather")], laps.total());
         gathered
     }
 
     /// `apply(slot)`, timed and counted; keeps what the banks learn.
     fn apply<D: SlotSink>(&mut self, driver: &mut D, slot: usize) {
-        let start = Instant::now();
+        let mut laps = Laps::start();
         self.feedback = driver.apply(slot).observations;
-        observe_stage("apply", start);
+        laps.lap("apply");
+        observe_stage(&[("stage", "apply")], laps.total());
         self.slots += 1;
-    }
-}
-
-fn observe_stage(stage: &str, start: Instant) {
-    if lpvs_obs::enabled() {
-        let secs = start.elapsed().as_secs_f64();
-        lpvs_obs::observe_labeled("runtime_stage_seconds", &[("stage", stage)], secs);
     }
 }
 
@@ -230,8 +233,8 @@ struct PendingSolve {
     servers: Vec<EdgeServer>,
     /// Per-shard dispatch attempt for this slot (bumped on respawn).
     attempts: Vec<u32>,
-    /// Taken before the partition: the fleet slot's clock.
-    dispatched_at: Instant,
+    /// The fleet slot's clock, started before the partition.
+    laps: Laps,
     /// The slot span's context, shipped with every (re-)dispatch so
     /// worker-side solve spans join the slot's trace.
     ctx: Option<SpanContext>,
@@ -873,15 +876,16 @@ impl SlotRuntime {
         ctx: Option<SpanContext>,
     ) -> PendingSolve {
         // The fleet slot starts before the partition, as on the scoped
-        // path, so both executors time one span.
-        let dispatched_at = Instant::now();
+        // path, so both executors time the same stages.
+        let mut laps = Laps::start();
         let k = hub.workers.len();
         let gathered = Arc::new(g);
         let shards = self.scheduler.partition(&gathered.fleet);
+        laps.lap("partition");
         let server = EdgeServer::new(gathered.compute_capacity, gathered.storage_capacity_gb);
         let servers = FleetScheduler::split_server(&server, k);
-        let pending =
-            PendingSolve { slot, gathered, shards, servers, attempts: vec![0; k], dispatched_at, ctx };
+        let mut pending =
+            PendingSolve { slot, gathered, shards, servers, attempts: vec![0; k], laps, ctx };
         let jobs: Vec<SolveJob> = (0..k).map(|s| self.shard_job(&pending, s)).collect();
         let mut first_sent = None;
         hub.fanning.store(true, Ordering::Relaxed);
@@ -893,13 +897,12 @@ impl SlotRuntime {
             first_sent.get_or_insert_with(Instant::now);
         }
         hub.fanning.store(false, Ordering::Relaxed);
+        pending.laps.lap("dispatch");
         if lpvs_obs::enabled() {
             // First `send` returned → last one did: a woken worker that
             // displaced the hub mid-fan-out shows up here.
             let skew = first_sent.map_or(0.0, |at| at.elapsed().as_secs_f64());
             lpvs_obs::observe("runtime_dispatch_skew_seconds", skew);
-            let spent = dispatched_at.elapsed().as_secs_f64();
-            lpvs_obs::observe_labeled("runtime_stage_seconds", &[("stage", "dispatch")], spent);
         }
         pending
     }
@@ -964,7 +967,6 @@ impl SlotRuntime {
         mut pending: PendingSolve,
         run: &mut SlotLoop,
     ) -> Collected {
-        let wait = Instant::now();
         let k = hub.workers.len();
         let mut results: Vec<Option<(Schedule, Option<ShardLoad>)>> = (0..k).map(|_| None).collect();
         let mut shipped: Vec<ShardTerms> = vec![Vec::new(); k];
@@ -1063,10 +1065,10 @@ impl SlotRuntime {
             }
         }
 
-        // Two stages, two series: `join` is the hub blocked on its
-        // workers, `assemble` is the hub working alone while they idle.
-        let waited = wait.elapsed().as_secs_f64();
-        let PendingSolve { slot, gathered, shards, servers, dispatched_at, .. } = pending;
+        // The hub blocked on its workers is the slot's solve lap; the
+        // join adds the hub working alone while they idle.
+        let PendingSolve { slot, gathered, shards, servers, mut laps, .. } = pending;
+        laps.lap("join");
         let mut schedule = self.scheduler.assemble(
             &gathered.fleet,
             &servers,
@@ -1074,14 +1076,9 @@ impl SlotRuntime {
             results,
             gathered.lambda,
             &gathered.curve,
-            dispatched_at,
+            laps,
             gathered.delta.as_ref().map(|delta| (&mut hub.join, delta, &shipped[..])),
         );
-        if lpvs_obs::enabled() {
-            let assembled = wait.elapsed().as_secs_f64() - waited;
-            lpvs_obs::observe_labeled("runtime_stage_seconds", &[("stage", "join")], waited);
-            lpvs_obs::observe_labeled("runtime_stage_seconds", &[("stage", "assemble")], assembled);
-        }
         let tier = worst_tier(&schedule);
         run.count_solved(slot, gathered.refilled, &mut schedule);
         // Every worker dropped its handle before reporting, so ours is

@@ -38,8 +38,8 @@ use crossbeam::channel::{Receiver, Sender};
 use lpvs_bayes::BayesBank;
 use lpvs_core::accounting::{RowAccounting, ShardTerms};
 use lpvs_core::delta::solve_incremental;
-use lpvs_core::scheduler::{LpvsScheduler, Schedule, SchedulerConfig};
-use lpvs_core::work::SlotWork;
+use lpvs_core::scheduler::{LpvsScheduler, Schedule, ScheduleStats, SchedulerConfig};
+use lpvs_core::work::{Laps, SlotWork};
 use lpvs_edge::fleet::{shard_frontier, solve_cold_shard, FleetScheduler, ShardLoad, GOLDEN_GAMMA};
 use lpvs_edge::server::EdgeServer;
 use lpvs_obs::{FlightKind, FlightRing, SpanContext};
@@ -47,6 +47,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Everything a shard worker owns: identity plus its γ bank and the
 /// delta memo of its last solve. Shipped home wholesale when a worker
@@ -283,24 +284,17 @@ pub(crate) fn spawn_worker(
                             return;
                         }
                     }
-                    let (slot, rows) = (job.slot, job.indices.len());
+                    let slot = job.slot;
                     // Consumes the job, and with it the shared buffer's
                     // handle — released before announcing, so the hub's
                     // is unique once all shards report.
-                    let mut work = SlotWork::default();
-                    let (solved, load) = solve_slice(&scheduler, shard, job, &mut state.memo, &mut work);
-                    let (schedule, terms) = solved.unzip();
+                    let (schedule, terms, load) = solve_slice(&scheduler, shard, job, &mut state.memo);
                     ring.push(
                         FlightKind::SpanEnd,
                         "solve",
                         slot as f64,
-                        if schedule.is_some() { 1.0 } else { 0.0 },
+                        if terms.is_some() { 1.0 } else { 0.0 },
                     );
-                    // A panicked solve is the join's passthrough, still
-                    // carrying the path and rows counted before it ran.
-                    let mut schedule =
-                        schedule.unwrap_or_else(|| FleetScheduler::passthrough_schedule(rows));
-                    schedule.work += work;
                     let event = WorkerEvent::Solved {
                         shard,
                         slot,
@@ -386,21 +380,23 @@ fn classify_delta(job: &SolveJob, memo: &Option<ShardDeltaMemo>) -> (DeltaPath, 
 /// Runs the resilient scheduler on one shard's slice — a view of the
 /// shared gathered fleet, never a copy of it — cold, incrementally over
 /// the dirty frontier, or by reusing the memo outright when nothing in
-/// the shard changed. A solver panic is
-/// contained here — the shard reports `None` (→ passthrough), the memo
-/// is dropped, and the worker stays up, mirroring the scoped-thread
-/// fleet path where a dead shard thread degrades the same way. The path
-/// and the rows it accounts go to `work` before the solve runs, so a
-/// solve that panics still reports them. The [`ShardLoad`], when the job
-/// asks for one, is that of the schedule the worker sends: a panicked
-/// solve's passthrough selects nothing.
+/// the shard changed. A solver panic is contained here — the shard
+/// sends the join's passthrough and no terms, the memo is dropped, and
+/// the worker stays up, mirroring the scoped-thread fleet path where a
+/// dead shard thread degrades the same way. The path and the rows it
+/// accounts are counted before the solve runs, so a solve that panics
+/// still reports them. The worker's own work around the solve is its
+/// `shard` laps, and the solve's spans are recorded from the
+/// laps under `runtime.solve`. The [`ShardLoad`], when the job asks for
+/// one, is that of the schedule the worker sends: a panicked solve's
+/// passthrough selects nothing.
 fn solve_slice(
     scheduler: &LpvsScheduler,
     shard: usize,
     job: SolveJob,
     memo: &mut Option<ShardDeltaMemo>,
-    work: &mut SlotWork,
-) -> (Option<(Schedule, ShardTerms)>, Option<ShardLoad>) {
+) -> (Schedule, Option<ShardTerms>, Option<ShardLoad>) {
+    let mut own = Laps::start();
     // Parented on the hub's slot span via the shipped context, so the
     // solve shows up under its slot's trace instead of as an orphan
     // root on the worker thread.
@@ -408,7 +404,7 @@ fn solve_slice(
         job.ctx, "runtime.solve",
         "shard" => shard, "slot" => job.slot, "devices" => job.indices.len()
     );
-    let started = std::time::Instant::now();
+    let (mut work, rows) = (SlotWork::default(), job.indices.len());
     let (path, local_dirty, reset) = classify_delta(&job, memo);
     if reset {
         *memo = None;
@@ -435,8 +431,11 @@ fn solve_slice(
         DeltaPath::Reuse => {
             // Bit-identical to a cold solve by solver determinism: the
             // problem is unchanged, so the answer is too — and no work
-            // was done for it.
-            memo.as_ref().map(|m| (Schedule { work: SlotWork::default(), ..m.schedule.clone() }, vec![]))
+            // was done for it, nor time taken.
+            memo.as_ref().map(|m| {
+                let stats = ScheduleStats { runtime: Duration::ZERO, ..m.schedule.stats };
+                (Schedule { selected: m.schedule.selected.clone(), stats, ..Schedule::default() }, vec![])
+            })
         }
         DeltaPath::Incremental => {
             let m = memo.as_mut().expect("incremental path requires a memo");
@@ -491,14 +490,14 @@ fn solve_slice(
     };
 
     span.record("ok", if solved.is_some() { 1.0 } else { 0.0 });
-    if lpvs_obs::enabled() {
-        lpvs_obs::observe_labeled(
-            "runtime_stage_seconds",
-            &[("stage", "solve"), ("shard", &shard.to_string())],
-            started.elapsed().as_secs_f64(),
-        );
-    }
-    (solved, load)
+    let (schedule, terms) = solved.unzip();
+    let mut schedule = schedule.unwrap_or_else(|| FleetScheduler::passthrough_schedule(rows));
+    schedule.work += work;
+    own.splice("shard", &schedule.laps);
+    own.lap("shard");
+    schedule.laps = own;
+    crate::telemetry::record_spans(&schedule.laps, None);
+    (schedule, terms, load)
 }
 
 #[cfg(test)]

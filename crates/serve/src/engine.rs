@@ -828,6 +828,7 @@ impl SlotSource for ServeEngine {
         }
         let envelope = EdgeServer::new(self.config.compute_capacity, self.config.storage_capacity_gb)
             .browned_out(self.brownout);
+        lpvs_obs::gauge_set("edge_brownout_factor", self.brownout);
         Some(GatheredSlot {
             slot,
             fleet,

@@ -22,6 +22,7 @@ use lpvs::edge::fleet::FleetScheduler;
 use lpvs::edge::server::EdgeServer;
 use lpvs::media::content::{ContentModel, Genre};
 use lpvs::obs::sink;
+use lpvs::runtime::telemetry;
 use lpvs::survey::curve::AnxietyCurve;
 
 fn main() {
@@ -66,6 +67,9 @@ fn main() {
         None,
         &SlotBudget::unbounded(),
     );
+    // The solver writes no telemetry; it returns its laps, and the slot
+    // runtime's publisher records their spans — called directly here.
+    telemetry::record_spans(&schedule.laps, None);
     let explanation = explain(&problem, &schedule.selected);
 
     println!(
@@ -103,10 +107,11 @@ fn main() {
         schedule.stats.runtime
     );
 
-    // Drive the same fleet through the 2-shard scoped-thread scheduler:
-    // each `fleet.shard` span runs on its own thread and is parented
-    // under the span the caller has open — in an executor the slot's
-    // `runtime.slot`; here there is none, so each shard roots a trace.
+    // Drive the same fleet through the 2-shard scoped-thread scheduler
+    // and publish it as a slot loop does: each shard's `fleet.shard` span
+    // is recorded from its laps under the span the caller has open — in
+    // an executor the slot's `runtime.slot`; here there is none, so each
+    // shard roots a trace.
     let device_fleet = DeviceFleet::from_problem(&problem);
     let server = EdgeServer::new(6.0, 2.0);
     let fleet_schedule = FleetScheduler::with_shards(2).schedule(
@@ -117,6 +122,7 @@ fn main() {
         None,
         &SlotBudget::unbounded(),
     );
+    telemetry::publish(&fleet_schedule);
     println!(
         "\n2-shard fleet pass: {:.0} J saved across {} shards",
         fleet_schedule.shards.iter().map(|s| s.stats.energy_saved_j).sum::<f64>(),

@@ -584,7 +584,7 @@ impl JoinCase {
             results.into_iter().map(|r| r.map(|schedule| (schedule, None))).collect(),
             self.lambda,
             &self.curve,
-            std::time::Instant::now(),
+            lpvs::core::work::Laps::start(),
             Some((&mut self.memo, delta, shipped)),
         );
         let counted = got.work.rows_accounted;

@@ -60,10 +60,11 @@ fn monolithic_schedule(
     LpvsScheduler::paper_default().schedule_resilient(&problem, None, &SlotBudget::unbounded())
 }
 
-/// A schedule with its wall-clock reading blanked, so two runs compare
+/// A schedule with its wall-clock readings blanked, so two runs compare
 /// on the decision and every other statistic.
 fn timeless(mut schedule: Schedule) -> Schedule {
     schedule.stats.runtime = std::time::Duration::ZERO;
+    schedule.laps = Default::default();
     schedule
 }
 
@@ -393,6 +394,7 @@ fn straight_line_assemble(
             devices: indices.clone(),
             stats: schedule.stats,
             work: schedule.work,
+            laps: schedule.laps,
             migrated_in: Vec::new(),
             load: None,
         });
@@ -467,6 +469,8 @@ fn straight_line_assemble(
         objective,
         energy_saved_j,
         runtime: std::time::Duration::ZERO,
+        laps: Default::default(),
+        candidates: None,
         work: Default::default(),
     }
 }
@@ -566,8 +570,8 @@ fn check_join(
     let scheduler = FleetScheduler::new(*config);
     let mut joined = None;
     for (results, loads) in [(delivered, "delivered"), (bare, "computed")] {
-        let now = std::time::Instant::now();
-        let got = scheduler.assemble(fleet, servers, shards.to_vec(), results, lambda, &curve, now, None);
+        let clock = lpvs::core::work::Laps::start();
+        let got = scheduler.assemble(fleet, servers, shards.to_vec(), results, lambda, &curve, clock, None);
         assert_eq!(got.selected, want.selected, "{case}, {loads} loads");
         assert_eq!(got.migrations, want.migrations, "{case}, {loads} loads");
         // Whole reports: stats as solved, `migrated_in` in order, loads.

@@ -15,10 +15,10 @@ use lpvs::core::fleet::DeviceFleet;
 use lpvs::core::phase1::{solve_phase1, Phase1Config};
 use lpvs::core::problem::{DeviceRequest, SlotProblem};
 use lpvs::core::provision::price_capacity;
-use lpvs::core::scheduler::{Degradation, SchedulerConfig};
+use lpvs::core::scheduler::{Degradation, LpvsScheduler, SchedulerConfig};
 use lpvs::core::work::{ChunkSteps, DeltaPaths, RowsAccounted, RowsRefilled, SlotWork, WarmStarts};
 use lpvs::display::spec::Resolution;
-use lpvs::edge::fleet::{FleetConfig, FleetScheduler};
+use lpvs::edge::fleet::{FleetConfig, FleetSchedule, FleetScheduler};
 use lpvs::edge::server::EdgeServer;
 use lpvs::emulator::engine::{CheckpointSpec, Emulator, EmulatorConfig, GammaMode};
 use lpvs::emulator::faults::FaultConfig;
@@ -31,6 +31,7 @@ use lpvs::runtime::{
 };
 use lpvs::survey::curve::AnxietyCurve;
 use lpvs_serve::http::{read_response, render_request, Response};
+use lpvs_serve::engine::Admission;
 use lpvs_serve::{serve, ServeConfig, ServerHandle};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufReader, Write};
@@ -44,11 +45,10 @@ static RECORDER: Mutex<()> = Mutex::new(());
 /// `IlpStats::orders_sorted` in its work record — the density order the
 /// greedy seed and the rounding refills share, plus each row order the
 /// relaxation needed. A row that never binds is never sorted, however
-/// many nodes run. The counts come from the record; the lock is held
-/// because the solve still opens spans a recording test would keep.
+/// many nodes run. The counts come from the record; a solve writes no
+/// telemetry, so this test needs no turn at the recorder.
 #[test]
 fn a_phase1_solve_sorts_the_orders_it_reads() {
-    let _turn = RECORDER.lock().unwrap_or_else(PoisonError::into_inner);
     let problem = |storage_share: f64| {
         let n = 300;
         let cost = |i: usize, stride: usize| 0.5 + ((i * stride) % 17) as f64 / 10.0;
@@ -276,48 +276,36 @@ fn small_fleet(devices: usize) -> DeviceFleet {
 }
 
 /// `fleet_slot_seconds` is `FleetSchedule::runtime`: one sample a fleet
-/// slot, whether the scoped path or the worker executor joined it.
+/// slot, whether the scoped path (the inline executor's) or the worker
+/// executor joined it.
 #[test]
 fn one_fleet_slot_sample_per_fleet_slot() {
     let _turn = RECORDER.lock().unwrap_or_else(PoisonError::into_inner);
     let slots = 3;
-    let fleet = small_fleet(12);
-    let server = EdgeServer::new(8.0, 4.0);
-    let curve = AnxietyCurve::paper_shape();
-    let budget = SlotBudget::unbounded();
-    for shards in [1, 2] {
+    for (shards, workers) in [(1, false), (2, false), (2, true)] {
+        let mut driver = SyntheticDriver::new(SyntheticConfig::steady(200, slots, 3));
+        let estimators = driver.estimators();
+        let fleet = FleetConfig { num_shards: shards, ..FleetConfig::default() };
+        let runtime = SlotRuntime::new(RuntimeConfig { fleet, ..RuntimeConfig::default() });
         let recorder = lpvs::obs::init();
         recorder.reset();
-        for _ in 0..slots {
-            FleetScheduler::with_shards(shards).schedule(&fleet, &server, 1.0, &curve, None, &budget);
-        }
+        let report = if workers {
+            runtime.run(&mut driver, estimators)
+        } else {
+            runtime.run_sequential(&mut driver, estimators)
+        };
         lpvs::obs::set_enabled(false);
+        assert_eq!(report.summary.solved_slots, slots);
         let samples = recorder.metrics().snapshot().histogram("fleet_slot_seconds").map(|h| h.count);
-        assert_eq!(samples, Some(slots as u64), "scoped path, {shards} shards");
+        assert_eq!(samples, Some(slots as u64), "{shards} shards, workers: {workers}");
     }
-
-    let mut driver = SyntheticDriver::new(SyntheticConfig::steady(200, slots, 3));
-    let estimators = driver.estimators();
-    let runtime = RuntimeConfig {
-        fleet: FleetConfig { num_shards: 2, ..FleetConfig::default() },
-        ..RuntimeConfig::default()
-    };
-    let recorder = lpvs::obs::init();
-    recorder.reset();
-    let report = SlotRuntime::new(runtime).run(&mut driver, estimators);
-    lpvs::obs::set_enabled(false);
-    assert_eq!(report.summary.solved_slots, slots);
-    let samples = recorder.metrics().snapshot().histogram("fleet_slot_seconds").map(|h| h.count);
-    assert_eq!(samples, Some(slots as u64), "worker executor");
 }
 
 /// A Phase-1 solve whose branch-and-bound hits its node cap hands back
 /// an incumbent it could not certify; the exact arm says so in its
-/// result and counts it in its work record (the lock only keeps its
-/// spans out of a recording test's).
+/// result and counts it in its work record.
 #[test]
 fn phase1_counts_the_solves_it_could_not_certify() {
-    let _turn = RECORDER.lock().unwrap_or_else(PoisonError::into_inner);
     // Four compute classes (the four resolutions' transform cost)
     // against 100 units: the relaxation's root leaves a fractional row.
     let resolutions = [Resolution::SD, Resolution::HD, Resolution::FHD, Resolution::QHD];
@@ -340,15 +328,66 @@ fn phase1_counts_the_solves_it_could_not_certify() {
 }
 
 /// A driver that folds the records its runtime hands it: every solved
-/// slot's `work`, which must carry the rows its gather copied. Slot 3
-/// gets no time, so its solves fall below the solver rungs and account
-/// their selection with a kernel; every compute capacity is scaled by
-/// `squeeze`.
+/// slot's `work`, which must carry the rows its gather copied, and its
+/// laps. Slot 3 gets no time, so its solves fall below the solver rungs
+/// and account their selection with a kernel; every compute capacity is
+/// scaled by `squeeze`.
 struct Folding<D> {
     inner: D,
     squeeze: f64,
     copied: RowsRefilled,
     work: SlotWork,
+    timed: Timing,
+}
+
+/// Sample counts and sums of the timing series, by series.
+type Timing = BTreeMap<String, (u64, f64)>;
+
+/// Adds one sample of `secs` to series `name{labels}`.
+fn sample(timing: &mut Timing, name: &str, labels: &[(&str, &str)], secs: f64) {
+    let entry = timing.entry(SeriesKey::with_labels(name, labels).to_string()).or_default();
+    *entry = (entry.0 + 1, entry.1 + secs);
+}
+
+/// What the registry's timing series must hold for a delivered slot:
+/// one tier sample per shard run, its slot's `fleet_slot_seconds`, and
+/// — a slot the workers solved has a dispatch lap — the hub's three
+/// stages and one `solve` per shard that delivered laps.
+fn fold_timing(timing: &mut Timing, schedule: &FleetSchedule) {
+    sample(timing, "fleet_slot_seconds", &[], schedule.runtime.as_secs_f64());
+    let dispatched = schedule.laps.ends.iter().any(|&(stage, _)| stage == "dispatch");
+    for stage in ["dispatch", "join", "assemble"].into_iter().filter(|_| dispatched) {
+        sample(timing, "runtime_stage_seconds", &[("stage", stage)], 0.0);
+    }
+    for report in &schedule.shards {
+        for &(from, to, rung) in &report.laps.runs {
+            let start = if from == 0 { report.laps.start } else { Some(report.laps.ends[from - 1].1) };
+            let secs = (report.laps.ends[to - 1].1 - start.unwrap()).as_secs_f64();
+            sample(timing, "sched_runs_total", &[], 0.0);
+            sample(timing, "sched_tier_total", &[("tier", rung.label())], 0.0);
+            sample(timing, "sched_tier_seconds", &[("tier", rung.label())], secs);
+        }
+        if dispatched && !report.laps.ends.is_empty() {
+            let shard = report.shard.to_string();
+            sample(timing, "runtime_stage_seconds", &[("stage", "solve"), ("shard", &shard)], 0.0);
+        }
+    }
+}
+
+/// The timing series as the registry holds them: counter values, and
+/// histogram sample counts and sums — but a stage histogram's sum,
+/// which no record carries.
+fn published_timing(metrics: &MetricsSnapshot) -> Timing {
+    let timed = ["sched_runs_total", "sched_tier_total", "sched_tier_seconds", "fleet_slot_seconds"];
+    let counters = metrics.counters.iter().filter(|(key, _)| timed.contains(&key.name.as_str()));
+    let mut timing: Timing = counters.map(|(key, n)| (key.to_string(), (*n, 0.0))).collect();
+    for (key, h) in &metrics.histograms {
+        let stage = key.name == "runtime_stage_seconds";
+        if stage || timed.contains(&key.name.as_str()) {
+            timing.insert(key.to_string(), (h.count, if stage { 0.0 } else { h.sum }));
+        }
+    }
+    timing
 }
 
 impl<D: SlotSource> SlotSource for Folding<D> {
@@ -376,6 +415,7 @@ impl<D: SlotSink> SlotSink for Folding<D> {
     fn solved(&mut self, solved: &SolvedSlot) {
         assert_eq!(solved.schedule.work.rows_refilled, self.copied, "slot {}", solved.slot);
         self.work += solved.schedule.work;
+        fold_timing(&mut self.timed, &solved.schedule);
         self.inner.solved(solved);
     }
 
@@ -408,7 +448,9 @@ fn published(metrics: &MetricsSnapshot) -> SlotWork {
 /// fleet on the inline executor under a one-node Phase-1 cap (and a
 /// capacity no whole number of unit-cost rows fills), each of the eight
 /// solve-work series holds what the driver summed from the `work`
-/// delivered to `solved()`, the gather's copied rows included.
+/// delivered to `solved()`, the gather's copied rows included, and the
+/// tier series, `fleet_slot_seconds` and the stage histograms hold what
+/// it folded from the laps (a gather and an apply a slot beside them).
 #[test]
 fn the_registry_is_the_fold_of_the_records() {
     let _turn = RECORDER.lock().unwrap_or_else(PoisonError::into_inner);
@@ -428,7 +470,8 @@ fn the_registry_is_the_fold_of_the_records() {
     ];
     for (case, squeeze, runtime) in cases {
         let inner = SyntheticDriver::new(config.clone());
-        let mut driver = Folding { inner, squeeze, copied: RowsRefilled::default(), work: SlotWork::default() };
+        let (copied, work, timed) = (RowsRefilled::default(), SlotWork::default(), Timing::new());
+        let mut driver = Folding { inner, squeeze, copied, work, timed };
         let estimators = driver.inner.estimators();
         let recorder = lpvs::obs::init();
         recorder.reset();
@@ -439,7 +482,13 @@ fn the_registry_is_the_fold_of_the_records() {
             runtime.run(&mut driver, estimators)
         };
         lpvs::obs::set_enabled(false);
-        assert_eq!(published(&recorder.metrics().snapshot()), driver.work, "{case}");
+        let metrics = recorder.metrics().snapshot();
+        assert_eq!(published(&metrics), driver.work, "{case}");
+        for stage in ["gather", "apply"] {
+            let key = SeriesKey::with_labels("runtime_stage_seconds", &[("stage", stage)]).to_string();
+            driver.timed.insert(key, (report.summary.slots as u64, 0.0));
+        }
+        assert_eq!(published_timing(&metrics), driver.timed, "{case}");
 
         // Not vacuous: every stage, path and owner the case reaches counted.
         let (w, lost, fell_back) = (driver.work, report.summary.workers_lost, report.summary.recovery.fell_back);
@@ -453,17 +502,24 @@ fn the_registry_is_the_fold_of_the_records() {
         assert!(reached && every.iter().all(|&n| n > 0), "{case}: {w:?}");
     }
 
-    // A bare fleet schedule or shipped snapshot returns its counts and
-    // publishes none of them.
+    // A bare fleet schedule, solve or shipped snapshot returns its
+    // counts and its laps, and writes no series and no span.
     let recorder = lpvs::obs::init();
     recorder.reset();
     let (mut fleet, server, curve) = (small_fleet(12), EdgeServer::new(8.0, 4.0), AnxietyCurve::paper_shape());
-    let bare = FleetScheduler::with_shards(2).schedule(&fleet, &server, 1.0, &curve, None, &SlotBudget::unbounded());
+    let budget = SlotBudget::unbounded();
+    let bare = FleetScheduler::with_shards(2).schedule(&fleet, &server, 1.0, &curve, None, &budget);
+    let all: Vec<usize> = (0..fleet.len()).collect();
+    let view = fleet.slot_view(&all, 8.0, 4.0, 1.0, &curve);
+    let solve = LpvsScheduler::paper_default().schedule_view(view, None, &budget);
     let (_, _, copied) = fleet.ship_snapshot(None);
     lpvs::obs::set_enabled(false);
     assert!(bare.work.chunk_steps.score > 0 && bare.work.rows_accounted.join == 12, "{:?}", bare.work);
     assert_eq!(copied, RowsRefilled { patched: 0, full: 12 });
-    assert_eq!(published(&recorder.metrics().snapshot()), SlotWork::default());
+    assert!(bare.shards.iter().all(|r| r.laps.runs.len() == 1) && solve.laps.runs.len() == 1);
+    let metrics = recorder.metrics().snapshot();
+    assert!(metrics.counters.is_empty() && metrics.gauges.is_empty() && metrics.histograms.is_empty());
+    assert_eq!(recorder.event_count(), 0);
 }
 
 /// One keep-alive connection to an in-process `lpvs-serve`.
@@ -553,6 +609,40 @@ fn a_server_keeps_one_slots_spans() {
     let per_slot = spans.div_ceil(slots as u64) as usize;
     assert!(per_slot >= 3, "a served slot opens runtime.slot, .prepare, .solve at least");
     assert!(held.iter().all(|&n| n <= 2 * per_slot), "{per_slot} span events a slot, held {held:?}");
+}
+
+/// The brownout gauge is the served slot's: the engine's gather writes
+/// it once a slot, so a brownout op reaches `/metrics` with the next
+/// slot, and an admission check — made once per session request —
+/// writes nothing.
+#[test]
+fn a_brownout_reaches_metrics_with_the_next_slot() {
+    let _turn = RECORDER.lock().unwrap_or_else(PoisonError::into_inner);
+    let (handle, mut client) = Client::boot(ServeConfig::loopback(8));
+    let factor = |client: &mut Client| {
+        let scraped = parse_prometheus(&text(&client.request("GET", "/metrics", ""))).expect("exposition parses");
+        scraped.gauge("edge_brownout_factor")
+    };
+    serve_slots(&mut client, 1, |_| {});
+    assert_eq!(factor(&mut client), Some(1.0));
+    client.post("/v1/brownout", "{\"factor\":0.5}");
+    assert_eq!(factor(&mut client), Some(1.0), "no slot has gathered under the brownout yet");
+    client.post("/v1/telemetry", "{\"device\":1,\"energy_j\":7000}");
+    client.run_slot(1);
+    assert_eq!(factor(&mut client), Some(0.5));
+
+    let admission = Admission {
+        server: EdgeServer::new(8.0, 4.0),
+        brownout: 0.25,
+        compute_reserved: 0.0,
+        storage_reserved_gb: 0.0,
+        active: vec![false; 8],
+        accepted: 0,
+        rejected: 0,
+    };
+    assert!(lpvs::obs::enabled() && admission.fits_one());
+    assert_eq!(factor(&mut client), Some(0.5), "an admission check wrote the gauge");
+    client.shutdown(handle);
 }
 
 /// One row of DESIGN §5c's table.

@@ -24,7 +24,7 @@ use lpvs::emulator::engine::{Emulator, EmulatorConfig};
 use lpvs::emulator::FaultConfig;
 use lpvs::runtime::{
     BankOps, CheckpointConfig, CheckpointStore, GatheredSlot, RuntimeConfig, SlotFeedback, SlotRuntime,
-    SlotSink, SlotSource, SolvedSlot, StageFaults,
+    SlotSink, SlotSource, SolvedSlot, StageFaults, SyntheticConfig, SyntheticDriver,
 };
 use lpvs::survey::curve::AnxietyCurve;
 use proptest::prelude::*;
@@ -345,9 +345,11 @@ impl SlotSink for SkewedDriver {
 fn timeless(mut schedule: FleetSchedule) -> FleetSchedule {
     schedule.runtime = std::time::Duration::ZERO;
     schedule.work = SlotWork::default();
+    schedule.laps = Default::default();
     for report in &mut schedule.shards {
         report.stats.runtime = std::time::Duration::ZERO;
         report.work = SlotWork::default();
+        report.laps = Default::default();
     }
     schedule
 }
@@ -626,4 +628,82 @@ fn home_shards_agree_with_the_partition() {
             }
         }
     }
+}
+
+/// A sink that checks every delivered slot's clock: the hub's laps add
+/// up to `FleetSchedule::runtime` and each shard's solver laps (all but
+/// its own `Shard` laps) to its `ScheduleStats::runtime` — equalities of
+/// durations, since one clock telescopes — and counts what it checked.
+struct Telescoping<D> {
+    inner: D,
+    slots: usize,
+    runs: usize,
+}
+
+impl<D: SlotSource> SlotSource for Telescoping<D> {
+    fn begin_slot(&mut self, slot: usize) -> Option<BankOps> {
+        self.inner.begin_slot(slot)
+    }
+
+    fn gather(
+        &mut self,
+        slot: usize,
+        posteriors: &[(f64, f64)],
+        recycled: Option<DeviceFleet>,
+    ) -> Option<GatheredSlot> {
+        self.inner.gather(slot, posteriors, recycled)
+    }
+}
+
+impl<D: SlotSink> SlotSink for Telescoping<D> {
+    fn solved(&mut self, solved: &SolvedSlot) {
+        let schedule = &solved.schedule;
+        assert_eq!(schedule.laps.time(|_| true), schedule.runtime, "slot {}", solved.slot);
+        assert_eq!(schedule.laps.total(), schedule.runtime, "slot {}", solved.slot);
+        for report in &schedule.shards {
+            let solver = report.laps.time(|stage| stage != "shard");
+            assert_eq!(solver, report.stats.runtime, "slot {}, shard {}", solved.slot, report.shard);
+            self.runs += report.laps.runs.len();
+        }
+        self.slots += 1;
+        self.inner.solved(solved);
+    }
+
+    fn apply(&mut self, slot: usize) -> SlotFeedback {
+        self.inner.apply(slot)
+    }
+}
+
+/// Stages telescope: on every slot the worker executor, the inline
+/// executor and the sequential fallback deliver — cold, incremental and
+/// reused shards, respawned and dead workers among them — the laps add
+/// up to the runtimes, exactly. The slot loop asserts the same on every
+/// slot it delivers in debug builds, which is what checks the emulated
+/// day's.
+#[test]
+fn every_delivered_slot_s_stages_add_up_to_its_runtime() {
+    let config = SyntheticConfig { mutation_fraction: 0.05, ..SyntheticConfig::steady(400, 10, 11) };
+    let fleet = FleetConfig { num_shards: 2, ..FleetConfig::default() };
+    let faults = |repeat| Some(StageFaults { rate: 0.15, seed: 5, repeat });
+    for (case, runtime, workers) in [
+        ("worker executor", RuntimeConfig { fleet, stage_faults: faults(0), ..RuntimeConfig::default() }, true),
+        ("inline executor", RuntimeConfig { fleet, ..RuntimeConfig::default() }, false),
+        ("sequential fallback", RuntimeConfig { fleet, stage_faults: faults(u32::MAX), ..RuntimeConfig::default() }, true),
+    ] {
+        let mut driver = Telescoping { inner: SyntheticDriver::new(config.clone()), slots: 0, runs: 0 };
+        let estimators = driver.inner.estimators();
+        let runtime = SlotRuntime::new(runtime);
+        let report = if workers {
+            runtime.run(&mut driver, estimators)
+        } else {
+            runtime.run_sequential(&mut driver, estimators)
+        };
+        assert_eq!(driver.slots, report.summary.solved_slots, "{case}");
+        assert!(driver.slots == 10 && driver.runs > 0, "{case}: {} slots, {} runs", driver.slots, driver.runs);
+        assert_eq!(report.summary.recovery.fell_back.is_some(), case == "sequential fallback", "{case}");
+    }
+
+    let day = EmulatorConfig { devices: 40, slots: 96, seed: 3, pipelined: true, num_edges: 2, ..EmulatorConfig::default() };
+    let report = Emulator::new(day, Policy::Lpvs).run();
+    assert_eq!(report.runtime.map(|summary| summary.solved_slots), Some(96));
 }

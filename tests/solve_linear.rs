@@ -173,7 +173,7 @@ fn phase2_both_ways(
         &problem.curve,
     );
     let (mut indexed, mut scanned) = (start.clone(), start);
-    let (ours, _) = run_phase2_over(view, &mut indexed, frontier);
+    let (ours, _) = run_phase2_over(view, &mut indexed, frontier, &mut Default::default());
     let theirs = run_phase2_scanning(problem, &mut scanned, frontier);
     (indexed, ours, scanned, theirs)
 }

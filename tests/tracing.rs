@@ -2,11 +2,11 @@
 //!
 //! Three guarantees from the observability layer:
 //!
-//! 1. **No orphan spans** — shard work spawned on other threads
-//!    (crossbeam scoped threads in the fleet path, persistent workers
-//!    in the runtime path) is parented under its slot's span via the
-//!    explicit [`SpanContext`](lpvs::obs::SpanContext) handoff, never
-//!    left as a root on a foreign thread.
+//! 1. **No orphan spans** — shard work is parented under its slot's
+//!    span: the persistent workers' via the explicit
+//!    [`SpanContext`](lpvs::obs::SpanContext) handoff, the scoped
+//!    threads' recorded by the slot loop on its own thread from the
+//!    laps the shards return, never left as a root anywhere.
 //! 2. **Perfetto export** — a pipelined 2-shard run renders to valid
 //!    Chrome trace-event JSON in which every solve span carries shard
 //!    attribution and its slot's trace id.
@@ -21,18 +21,15 @@
 //! recorder is shared; tests serialize on a local mutex.
 
 use lpvs::core::baseline::Policy;
-use lpvs::core::budget::SlotBudget;
-use lpvs::core::fleet::DeviceFleet;
-use lpvs::core::problem::{DeviceRequest, SlotProblem};
-use lpvs::edge::fleet::FleetScheduler;
-use lpvs::edge::server::EdgeServer;
+use lpvs::edge::fleet::FleetConfig;
 use lpvs::emulator::engine::{CheckpointSpec, Emulator, EmulatorConfig};
 use lpvs::emulator::faults::FaultConfig;
 use lpvs::obs::json::Json;
 use lpvs::obs::sink::events_to_chrome_trace;
 use lpvs::obs::{MetricsSnapshot, SpanEvent};
-use lpvs::runtime::{FlightReason, RuntimeSummary};
-use lpvs::survey::curve::AnxietyCurve;
+use lpvs::runtime::{
+    FlightReason, RuntimeConfig, RuntimeSummary, SlotRuntime, SyntheticConfig, SyntheticDriver,
+};
 use std::sync::Mutex;
 
 /// Serializes tests that drive the process-global recorder. Poisoning
@@ -42,23 +39,6 @@ static RECORDER: Mutex<()> = Mutex::new(());
 
 fn serialize() -> std::sync::MutexGuard<'static, ()> {
     RECORDER.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-fn tiny_fleet(devices: usize) -> DeviceFleet {
-    let curve = AnxietyCurve::paper_shape();
-    let mut problem = SlotProblem::new(8.0, 4.0, 1.0, curve);
-    for i in 0..devices {
-        problem.push(DeviceRequest::new(
-            vec![1.1 + 0.05 * (i % 7) as f64; 12],
-            10.0,
-            4_000.0 + 300.0 * i as f64,
-            55_440.0,
-            0.31,
-            2.0,
-            0.11,
-        ));
-    }
-    DeviceFleet::from_problem(&problem)
 }
 
 fn drained_events() -> Vec<SpanEvent> {
@@ -71,21 +51,12 @@ fn scoped_shard_spans_are_never_orphans() {
     let recorder = lpvs::obs::init();
     recorder.reset();
 
-    let fleet = tiny_fleet(12);
-    let server = EdgeServer::new(8.0, 4.0);
-    let curve = AnxietyCurve::paper_shape();
-    {
-        // The caller owns the slot span, as an executor's `runtime.slot`.
-        let _slot = lpvs::obs::span!("runtime.slot", "slot" => 0);
-        FleetScheduler::with_shards(2).schedule(
-            &fleet,
-            &server,
-            1.0,
-            &curve,
-            None,
-            &SlotBudget::unbounded(),
-        );
-    }
+    // The inline executor solves through the scoped threads; its slot
+    // loop records their spans from the delivered laps, after the join.
+    let mut driver = SyntheticDriver::new(SyntheticConfig::steady(12, 1, 3));
+    let estimators = driver.estimators();
+    let fleet = FleetConfig { num_shards: 2, ..FleetConfig::default() };
+    SlotRuntime::new(RuntimeConfig { fleet, ..RuntimeConfig::default() }).run_sequential(&mut driver, estimators);
     lpvs::obs::set_enabled(false);
     let events = drained_events();
 
@@ -93,22 +64,15 @@ fn scoped_shard_spans_are_never_orphans() {
     let shards: Vec<&SpanEvent> = events.iter().filter(|e| e.name == "fleet.shard").collect();
     assert_eq!(shards.len(), 2, "one fleet.shard span per shard");
     for shard in &shards {
-        assert_eq!(
-            shard.parent,
-            Some(slot.id),
-            "fleet.shard must be parented under the caller's span across the scoped-thread hop"
-        );
+        assert_eq!(shard.parent, Some(slot.id), "fleet.shard must be parented under the slot's span");
         assert_eq!(shard.trace, slot.trace, "shard spans join the slot's trace");
-        let shard_id = shard.fields.iter().find(|(k, _)| k == "shard").map(|&(_, v)| v);
-        assert_eq!(
-            shard.thread == slot.thread,
-            shard_id == Some(0.0),
-            "shard 0 runs on the caller's thread, every other shard on a worker thread"
-        );
+        assert_eq!(shard.thread, slot.thread, "the slot loop records every shard's spans on its own thread");
         assert!(
             shard.fields.iter().any(|(k, _)| k == "shard"),
             "shard spans carry shard attribution"
         );
+        let solve = events.iter().find(|e| e.name == "sched.slot" && e.parent == Some(shard.id));
+        assert!(solve.is_some_and(|s| shard.start_us <= s.start_us && s.end_us() <= shard.end_us()));
     }
     // The regression this pins: no span in the slot's trace is a
     // parentless root except the slot span itself.
