@@ -238,9 +238,9 @@ fn cold_slot_stages(n: usize, reps: usize) -> Vec<(&'static str, &'static str, f
         ("load", "lap load: rows → columns", lap("sched.sanitize")),
         ("compact", "lap compact: one walk a row (feasibility, saving, eq.-13 off/on)", lap("sched.compact")),
         ("phase1", "lap phase1 (program + B&B, on the compact score)", lap("sched.phase1")),
-        ("phase2_rank", "lap rank: capacity used + candidates by anxiety", lap("sched.phase2.rank")),
-        ("phase2_index", "lap index: loss, its order + segment tree", lap("sched.phase2.index")),
-        ("phase2_probe", "lap probe: one descent per candidate", lap("sched.phase2.probe")),
+        ("phase2_rank", "lap rank: capacity used, floor, live set by anxiety", lap("sched.phase2.rank")),
+        ("phase2_index", "lap index: selected + live losses, order + tree", lap("sched.phase2.index")),
+        ("phase2_probe", "lap probe: ≤ one descent per live candidate", lap("sched.phase2.probe")),
         ("account", "lap account: terms picked from the compact score", lap("sched.account")),
     ];
     assert_eq!(laps.ends.len(), laps_timed.len(), "a cold exact solve takes one lap a stage");

@@ -26,7 +26,12 @@
 //!
 //! The first fitting victim has the least delta and every tie shares
 //! it, so a least delta that is rejected (`≥ −1e-12`) ends the candidate
-//! after **one probe**; only a swap that will be accepted probes on.
+//! after **one probe**; only a swap that will be accepted probes on. And
+//! that victim's loss is at least the *floor*, the least selected loss,
+//! so a gain the floor rejects needs no probe at all. A pass ranks and
+//! indexes only its *live set*, the candidates a pure addition or the
+//! starting floor admits, and falls back once to every candidate and row
+//! when the state loosens (DESIGN §4c).
 //!
 //! **Scoring.** Phase-2 reads each in-scope row's transform feasibility
 //! and its eq.-13 term under both decisions, all from one walk of the
@@ -54,10 +59,11 @@ use serde::{Deserialize, Serialize};
 /// Statistics of one Phase-2 run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct Phase2Stats {
-    /// Victim probes evaluated: fitting (candidate, victim) pairs whose
-    /// delta was computed, plus one per pure-addition test that fit.
-    /// One pair per candidate, plus the tie probes of each swap that is
-    /// going to be accepted.
+    /// Victim probes made: fitting (candidate, victim) pairs whose
+    /// delta was computed, plus one per pure-addition test that fit. A
+    /// candidate outside the live set, or whose gain the floor already
+    /// rejects, costs none; the rest cost one, plus the tie probes of
+    /// a swap that is going to be accepted.
     pub swaps_tried: usize,
     /// Swaps that improved the objective and were kept.
     pub swaps_accepted: usize,
@@ -66,7 +72,7 @@ pub struct Phase2Stats {
     pub additions: usize,
 }
 
-/// The in-scope devices ordered by eviction loss, with a max-(compute,
+/// The devices a pass can select, ordered by eviction loss, with a max-(compute,
 /// storage) segment tree over the *selected* ones, answering "which is
 /// the cheapest selected device to evict that frees at least this much
 /// of both rows" by a leftmost-fit descent.
@@ -76,9 +82,9 @@ pub struct Phase2Stats {
 struct VictimIndex {
     /// Slot per position: ascending `(loss, slot)`.
     order: Vec<usize>,
-    /// Position per slot.
+    /// Position per slot (`usize::MAX` off the index).
     position: Vec<usize>,
-    /// Number of leaves (a power of two ≥ the scope size).
+    /// Number of leaves (a power of two ≥ the member count).
     leaves: usize,
     /// Heap-ordered tree, root at 1: per node the largest compute and
     /// storage cost among the selected leaves below it, −∞ if none (an
@@ -89,21 +95,22 @@ struct VictimIndex {
 const NO_VICTIM: [f64; 2] = [f64::NEG_INFINITY; 2];
 
 impl VictimIndex {
-    /// Indexes the `n` slots of the scope: `loss(slot)` orders them,
-    /// `cost(slot)` is a slot's (compute, storage) cost if it is
+    /// Indexes `members`, slots of a scope of `n`: `loss(slot)` orders
+    /// them, `cost(slot)` is a slot's (compute, storage) cost if it is
     /// currently selected.
-    fn build(
+    fn new(
         n: usize,
+        members: Vec<usize>,
         loss: impl Fn(usize) -> f64,
         cost: impl Fn(usize) -> Option<[f64; 2]>,
     ) -> Self {
-        let keyed = (0..n).map(|slot| (loss(slot), slot));
+        let keyed = members.into_iter().map(|slot| (loss(slot), slot));
         let order = partial_key_order(keyed, Direction::Ascending, "finite objective terms");
-        let mut position = vec![0; n];
+        let mut position = vec![usize::MAX; n];
         for (p, &slot) in order.iter().enumerate() {
             position[slot] = p;
         }
-        let leaves = n.next_power_of_two();
+        let leaves = order.len().next_power_of_two();
         let mut max_cost = vec![NO_VICTIM; 2 * leaves];
         for (p, &slot) in order.iter().enumerate() {
             max_cost[leaves + p] = cost(slot).unwrap_or(NO_VICTIM);
@@ -206,7 +213,7 @@ pub fn run_phase2_over(
         let cols = view.columns();
         (kernels::score_rows(&cols, &rows, view.lambda(), view.curve()), kernels::chunk_steps(&cols, &rows))
     };
-    (swap(view, selected, &scope, &scores, laps), steps)
+    (swap(view, selected, &scope, &scores, laps, false), steps)
 }
 
 /// Phase-2 over the whole view on a score of all of it (positional, like
@@ -219,7 +226,7 @@ pub(crate) fn run_phase2_scored(
 ) -> Phase2Stats {
     assert_eq!(selected.len(), view.len(), "selection has wrong length");
     let scope: Vec<usize> = (0..view.len()).collect();
-    swap(view, selected, &scope, scores, laps)
+    swap(view, selected, &scope, scores, laps, false)
 }
 
 /// Positions by descending anxiety degree, ties to the lowest position:
@@ -235,100 +242,152 @@ pub fn rank_by_anxiety(keyed: impl IntoIterator<Item = (f64, usize)>) -> Vec<usi
 
 /// The swap loop over `scope` (ascending view positions), reading each
 /// scoped row's feasibility and eq.-13 terms from `scores` by its slot
-/// in the scope; its rank, index and probe stages go to `laps`.
+/// in the scope; its rank, index and probe stages go to `laps`. It starts
+/// from the live set or, when `complete`, from every candidate and scope
+/// row; debug builds rerun each pass complete and compare the decisions.
 fn swap(
     view: SlotView<'_>,
     selected: &mut [bool],
     scope: &[usize],
     scores: &Scores,
     laps: &mut Laps,
+    mut complete: bool,
 ) -> Phase2Stats {
+    let start = (cfg!(debug_assertions) && !complete).then(|| selected.to_vec());
     let mut stats = Phase2Stats::default();
     let Scores { feasible, off, on, .. } = scores;
     let curve = view.curve();
+    let (compute, storage) = (view.compute_capacity() + 1e-9, view.storage_capacity_gb() + 1e-9);
+    let room = |[g, h]: [f64; 2], g_used: f64, h_used: f64| g_used + g <= compute && h_used + h <= storage;
 
-    // Candidates: unselected, transform-feasible, in-scope devices by
-    // descending anxiety degree (ties in device order); and the current
-    // capacity usage.
-    let mut g_used = 0.0;
-    let mut h_used = 0.0;
-    for (position, &x) in selected.iter().enumerate() {
-        if x {
-            let [g, h] = view.cost(position);
-            g_used += g;
-            h_used += h;
+    // The current capacity usage.
+    let [mut g_used, mut h_used] = (0..view.len()).filter(|&position| selected[position]).fold([0.0; 2], |[g, h], position| {
+        let [dg, dh] = view.cost(position);
+        [g + dg, h + dh]
+    });
+    let cost = |slot: usize| view.cost(scope[slot]);
+    // What evicting a device costs the objective; admitting it gains
+    // the negation (negative = improvement).
+    let loss = |slot: usize| off[slot] - on[slot];
+    let gain = |slot: usize| on[slot] - off[slot];
+    // The selected in-scope devices, whose least loss is the floor (no
+    // selected device is cheaper to evict), and the candidates:
+    // unselected, transform-feasible, in-scope devices.
+    let (chosen, candidates): (Vec<usize>, Vec<usize>) = (0..scope.len())
+        .filter(|&slot| selected[scope[slot]] || feasible[slot])
+        .partition(|&slot| selected[scope[slot]]);
+    let live_floor = chosen.iter().map(|&slot| loss(slot)).fold(f64::INFINITY, f64::min);
+    let mut floor = live_floor;
+
+    // The live candidates can change the selection from the start, by a
+    // pure addition or by a swap whose gain clears the floor; `cheapest`
+    // is the componentwise least cost of the others an addition would help.
+    let mut cheapest = [f64::INFINITY; 2];
+    let live: Vec<usize> = candidates.iter().copied().filter(|&slot| {
+        if complete || gain(slot) + live_floor < -1e-12 {
+            return true;
         }
-    }
-    let candidates = rank_by_anxiety(
-        (0..scope.len())
-            .filter(|&slot| !selected[scope[slot]] && feasible[slot])
-            .map(|slot| (curve.phi(view.battery_fraction(scope[slot])), slot)),
-    );
+        let ([g, h], addable) = (cost(slot), gain(slot) < -1e-12);
+        let fits = addable && room([g, h], g_used, h_used);
+        if addable && !fits {
+            cheapest = [cheapest[0].min(g), cheapest[1].min(h)];
+        }
+        fits
+    }).collect();
+    // By descending anxiety degree, ties in device order.
+    let rank = |slots: &[usize]| {
+        rank_by_anxiety(slots.iter().map(|&slot| (curve.phi(view.battery_fraction(scope[slot])), slot)))
+    };
+    let mut ranked = rank(&live);
     laps.lap("sched.phase2.rank");
 
-    let cost = |slot: usize| view.cost(scope[slot]);
-    // What evicting a device costs the objective.
-    let loss = |slot: usize| off[slot] - on[slot];
-    let mut victims =
-        VictimIndex::build(scope.len(), loss, |slot| selected[scope[slot]].then(|| cost(slot)));
+    // Every device that can be selected during the loop: the selected
+    // ones and the live candidates.
+    let index = |selected: &[bool], members: Vec<usize>| {
+        VictimIndex::new(scope.len(), members, loss, |slot| selected[scope[slot]].then(|| cost(slot)))
+    };
+    let members = if complete { (0..scope.len()).collect() } else { [chosen, live].concat() };
+    let mut victims = index(selected, members);
     laps.lap("sched.phase2.index");
 
-    for cand in candidates {
+    let mut next = 0;
+    while let Some(&cand) = ranked.get(next) {
+        next += 1;
         let [g_cand, h_cand] = cost(cand);
-        let gain_in = on[cand] - off[cand]; // negative = improvement
-
-        // Pure addition when slack allows.
-        if g_used + g_cand <= view.compute_capacity() + 1e-9
-            && h_used + h_cand <= view.storage_capacity_gb() + 1e-9
-        {
-            stats.swaps_tried += 1;
-            if gain_in < -1e-12 {
-                selected[scope[cand]] = true;
-                victims.set(cand, Some(cost(cand)));
-                g_used += g_cand;
-                h_used += h_cand;
-                stats.additions += 1;
+        let gain_in = gain(cand);
+        let used = (g_used, h_used);
+        'probe: {
+            // Pure addition when slack allows.
+            if room([g_cand, h_cand], g_used, h_used) {
+                stats.swaps_tried += 1;
+                if gain_in < -1e-12 {
+                    selected[scope[cand]] = true;
+                    victims.set(cand, Some([g_cand, h_cand]));
+                    g_used += g_cand;
+                    h_used += h_cand;
+                    stats.additions += 1;
+                    floor = floor.min(loss(cand));
+                }
+                break 'probe;
             }
-            continue;
-        }
-
-        // Otherwise evict for the best total delta
-        // Δ = (on − off)[cand] + (off − on)[victim]: the first fitting
-        // victim in loss order. Δ is monotone in the loss, so only
-        // later victims rounding to the *same* Δ can still win, on
-        // their index — and only if that Δ is accepted at all.
-        let fits = |[g_victim, h_victim]: [f64; 2]| {
-            g_used - g_victim + g_cand <= view.compute_capacity() + 1e-9
-                && h_used - h_victim + h_cand <= view.storage_capacity_gb() + 1e-9
-        };
-        let Some(first) = victims.first_fit(0, &fits) else { continue };
-        stats.swaps_tried += 1;
-        let mut victim = victims.order[first];
-        let delta = gain_in + loss(victim);
-        let accepted = delta < -1e-12;
-        if !accepted {
-            continue;
-        }
-        // Victims of one very loss come in slot order: the first that
-        // fits is the lowest, the rest cannot improve on it.
-        let past = |last: usize| victims.order.partition_point(|&slot| loss(slot) <= loss(last));
-        let mut last = victim;
-        while let Some(p) = victims.first_fit(past(last), &fits) {
+            // Otherwise evict for the best total delta
+            // Δ = (on − off)[cand] + (off − on)[victim]: the first fitting
+            // victim in loss order, unless the floor already rejects Δ. Δ
+            // is monotone in the loss, so only later victims rounding to
+            // the *same* Δ can still win, on their index — and only if
+            // that Δ is accepted at all.
+            let fits = |[g_victim, h_victim]: [f64; 2]| {
+                g_used - g_victim + g_cand <= compute && h_used - h_victim + h_cand <= storage
+            };
+            let fitting = if gain_in + floor < -1e-12 { victims.first_fit(0, &fits) } else { None };
+            let Some(first) = fitting else { break 'probe };
             stats.swaps_tried += 1;
-            last = victims.order[p];
-            if gain_in + loss(last) != delta {
-                break;
+            let mut victim = victims.order[first];
+            let delta = gain_in + loss(victim);
+            if delta >= -1e-12 {
+                break 'probe;
             }
-            victim = victim.min(last);
+            // Victims of one very loss come in slot order: the first that
+            // fits is the lowest, the rest cannot improve on it.
+            let past = |last: usize| victims.order.partition_point(|&slot| loss(slot) <= loss(last));
+            let mut last = victim;
+            while let Some(p) = victims.first_fit(past(last), &fits) {
+                stats.swaps_tried += 1;
+                last = victims.order[p];
+                if gain_in + loss(last) != delta {
+                    break;
+                }
+                victim = victim.min(last);
+            }
+            let [g_victim, h_victim] = cost(victim);
+            selected[scope[victim]] = false;
+            selected[scope[cand]] = true;
+            victims.set(victim, None);
+            victims.set(cand, Some([g_cand, h_cand]));
+            g_used += g_cand - g_victim;
+            h_used += h_cand - h_victim;
+            stats.swaps_accepted += 1;
+            // An accepted Δ means the candidate's loss exceeds its
+            // victim's: the floor can only rise, to the least selected loss.
+            let least = victims.first_fit(0, &|[g, _]: [f64; 2]| g > f64::NEG_INFINITY);
+            floor = least.map_or(f64::INFINITY, |p| loss(victims.order[p]));
         }
-        let [g_victim, h_victim] = cost(victim);
-        selected[scope[victim]] = false;
-        selected[scope[cand]] = true;
-        victims.set(victim, None);
-        victims.set(cand, Some(cost(cand)));
-        g_used += g_cand - g_victim;
-        h_used += h_cand - h_victim;
-        stats.swaps_accepted += 1;
+        // The live set holds while the state only tightens. Once an
+        // addition takes the floor below the live set's, or freed
+        // capacity can let another candidate in, fall back to every
+        // candidate and every row, once.
+        let freed = g_used < used.0 || h_used < used.1;
+        if !complete && (floor < live_floor || freed && room(cheapest, g_used, h_used)) {
+            complete = true;
+            ranked = rank(&candidates);
+            next = ranked.iter().position(|&slot| slot == cand).expect("a ranked candidate") + 1;
+            victims = index(selected, (0..scope.len()).collect());
+        }
+    }
+    if let Some(mut check) = start {
+        let full = swap(view, &mut check, scope, scores, &mut Laps::default(), true);
+        let decided = |stats: Phase2Stats| (stats.swaps_accepted, stats.additions);
+        debug_assert!(check == selected && decided(full) == decided(stats), "the live set missed a decision");
     }
     laps.lap("sched.phase2.probe");
     stats

@@ -20,6 +20,14 @@
 //! integer-key sorts: a `partial_key_order` — the path Phase-2's
 //! candidate ranking and loss order share — without its `+ 0.0`
 //! normalization fails `integer_key_orders_are_the_comparator_sorts`.
+//! Made when Phase-2 started from its live set, in release builds: a
+//! pass that does not fall back when an addition lowers the floor fails
+//! `an_addition_that_lowers_the_floor_falls_back` (and nothing else —
+//! the proptest does not reach that case); one that ignores freed room
+//! fails `a_swap_that_frees_room_for_an_addition_falls_back` and the
+//! victim-scan proptest; a live set without the pure additions that fit
+//! at the start fails the proptest and the floor case; a floor that is
+//! not re-read after an accepted swap fails the unit-cost probe pin.
 
 use lpvs::core::budget::SlotBudget;
 use lpvs::core::compact::compact_device;
@@ -681,12 +689,12 @@ fn swap_both_ways(problem: &SlotProblem) -> (Vec<bool>, Phase2Stats, Vec<bool>, 
     phase2_both_ways(problem, vec![true, true, false], None)
 }
 
-/// The one-probe rule's rejected side: when the first fitting victim's
-/// delta is not accepted — exactly 0, or negative but inside the 1e-12
-/// threshold — the candidate costs one probe, and the decision is the
-/// scan's.
+/// The floor's side of the one-probe rule: when the cheapest selected
+/// device makes room and its delta is not accepted — exactly 0, or
+/// negative but inside the 1e-12 threshold — the floor alone rejects the
+/// candidate, before any probe, and the decision is the scan's.
 #[test]
-fn a_rejected_least_delta_costs_one_probe() {
+fn a_floor_rejected_least_delta_costs_no_probe() {
     let (gamma, next) = (0.3, 0.3 * (1.0 + 4.0 * f64::EPSILON));
     let small = |gamma: f64| {
         DeviceRequest::uniform(0.5, 10.0, 1, 0.5 * CAPACITY_J, CAPACITY_J, gamma, 1.0, 0.1)
@@ -703,8 +711,41 @@ fn a_rejected_least_delta_costs_one_probe() {
         let (indexed, ours, scanned, theirs) = swap_both_ways(&problem);
         assert_eq!(indexed, vec![true, true, false]);
         assert_eq!((indexed, ours.swaps_accepted), (scanned, theirs.swaps_accepted));
-        assert_eq!(ours.swaps_tried, 1, "a rejected least delta was probed for ties");
+        assert_eq!(ours.swaps_tried, 0, "the floor rejects the least delta");
     }
+}
+
+/// A slot problem at λ = 0 (a device's eviction loss is `γ · Σ p·Δ`)
+/// from `(γ, battery fraction, [compute, storage])` rows: a lower
+/// battery is a more anxious candidate.
+fn costed_rows(capacity: [f64; 2], rows: &[(f64, f64, [f64; 2])]) -> SlotProblem {
+    let mut problem = SlotProblem::new(capacity[0], capacity[1], 0.0, AnxietyCurve::paper_shape());
+    for &(gamma, battery, [g, h]) in rows {
+        problem.push(DeviceRequest::uniform(0.5, 10.0, 1, battery * CAPACITY_J, CAPACITY_J, gamma, g, h));
+    }
+    problem
+}
+
+/// The rejected side past the floor: the cheapest selected device is
+/// too small to make room, so the first fitting victim is a costlier
+/// one, and a rejected least delta there costs exactly one probe.
+#[test]
+fn a_rejected_least_delta_costs_one_probe() {
+    // [cheap small, costly big] selected, half a unit of slack; the
+    // candidate beats the small one's loss but needs the big one's room.
+    let problem = costed_rows(
+        [3.0, 1e9],
+        &[(0.1, 0.5, [0.5, 0.1]), (0.3, 0.5, [2.0, 0.1]), (0.2, 0.2, [2.0, 0.1])],
+    );
+    let start = vec![true, true, false];
+    let terms = |i: usize, on: bool| device_objective(&problem.requests[i], on, 0.0, &problem.curve);
+    let loss = |i: usize| terms(i, false) - terms(i, true);
+    let gain = terms(2, true) - terms(2, false);
+    assert!(gain + loss(0) < -1e-12 && gain + loss(1) >= -1e-12);
+    let (indexed, ours, scanned, theirs) = phase2_both_ways(&problem, start.clone(), None);
+    assert_eq!(indexed, start);
+    assert_eq!((indexed, ours.swaps_accepted), (scanned, theirs.swaps_accepted));
+    assert_eq!(ours.swaps_tried, 1, "a rejected least delta was probed for ties");
 }
 
 /// The accepted side: two victims whose distinct losses round to one
@@ -729,10 +770,85 @@ fn an_accepted_swap_still_probes_its_ties() {
     assert_eq!(ours.swaps_tried, 2, "first fit + its tie");
 }
 
+/// Phase-2 both ways from `start`, after checking that row `late` is
+/// outside the starting live set — its gain does not clear the floor
+/// `floor₀` and its pure addition does not fit — so that only the
+/// fallback can admit it; then that it is admitted, as the scan admits it.
+fn admitted_by_the_fallback(problem: &SlotProblem, start: Vec<bool>, late: usize) -> Phase2Stats {
+    let terms = |i: usize, on: bool| device_objective(&problem.requests[i], on, 0.0, &problem.curve);
+    let floor = (0..problem.len()).filter(|&i| start[i]).map(|i| terms(i, false) - terms(i, true));
+    let floor = floor.fold(f64::INFINITY, f64::min);
+    assert!(terms(late, true) - terms(late, false) + floor >= -1e-12, "row {late} clears the floor");
+    let mut added = start.clone();
+    added[late] = true;
+    assert!(!problem.capacity_feasible(&added), "row {late} fits as an addition");
+
+    let (indexed, ours, scanned, theirs) = phase2_both_ways(problem, start, None);
+    assert!(indexed[late], "row {late} was not admitted");
+    assert_eq!((&indexed, ours.swaps_accepted, ours.additions), (&scanned, theirs.swaps_accepted, theirs.additions));
+    ours
+}
+
+/// The first loosening event: an addition lowers the floor. Device 1
+/// joins in the slack, cheaper to lose than the floor; device 2 frees
+/// compute by evicting device 0; and device 3 — whose gain did not
+/// clear the old floor — now swaps out device 1.
+#[test]
+fn an_addition_that_lowers_the_floor_falls_back() {
+    let problem = costed_rows(
+        [2.0, 1.0],
+        &[(0.3, 0.5, [2.0, 0.0]), (0.1, 0.1, [0.0, 1.0]), (0.4, 0.2, [1.0, 0.0]), (0.2, 0.3, [1.0, 1.0])],
+    );
+    let stats = admitted_by_the_fallback(&problem, vec![true, false, false, false], 3);
+    assert_eq!((stats.swaps_accepted, stats.additions), (2, 1));
+}
+
+/// The second: a swap frees room for the cheapest candidate an addition
+/// would help. Device 1 evicts the bigger device 0; device 2, which
+/// neither fitted nor cleared the floor, is then added.
+#[test]
+fn a_swap_that_frees_room_for_an_addition_falls_back() {
+    let problem =
+        costed_rows([2.0, 1e9], &[(0.2, 0.5, [2.0, 0.1]), (0.3, 0.2, [1.0, 0.1]), (0.1, 0.3, [1.0, 0.1])]);
+    let stats = admitted_by_the_fallback(&problem, vec![true, false, false], 2);
+    assert_eq!((stats.swaps_accepted, stats.additions), (1, 1));
+}
+
+/// A seeded unit-cost fleet in the synthetic driver's shape: 0.8–1.1 W
+/// panels, 30 chunks, battery 6–96 %, γ 0.1–0.6, one compute unit and
+/// 0.1 GB a device, 0.22 compute units and 2 GB of edge capacity a
+/// device (storage never binds), λ = 1.
+fn unit_cost_fleet(n: usize, seed: u64) -> SlotProblem {
+    let mut state = seed;
+    let mut problem = SlotProblem::new(0.22 * n as f64, 2.0 * n as f64, 1.0, AnxietyCurve::paper_shape());
+    for d in 0..n {
+        let battery = 0.06 + 0.9 * coin(&mut state);
+        let gamma = 0.1 + 0.5 * coin(&mut state);
+        let watts = 0.8 + 0.05 * (d % 7) as f64;
+        problem.push(DeviceRequest::uniform(watts, 10.0, 30, battery * CAPACITY_J, CAPACITY_J, gamma, 1.0, 0.1));
+    }
+    problem
+}
+
+/// Phase-2 probes only the rows that can change the selection: on a
+/// unit-cost fleet every candidate but a few dozen loses to the floor,
+/// so a cold solve makes a handful of probes where it made one per
+/// candidate (3,125 — 78 % of the fleet — before the live set).
+#[test]
+fn a_unit_cost_cold_solve_probes_only_its_live_candidates() {
+    let n = 4_000;
+    let schedule = LpvsScheduler::paper_default().schedule(&unit_cost_fleet(n, 7)).unwrap();
+    let phase2 = schedule.stats.phase2;
+    assert_eq!((phase2.swaps_tried, phase2.swaps_accepted, phase2.additions), (10, 5, 0));
+    // Swaps keep the count; additions take candidates out.
+    let candidates = schedule.selected.iter().filter(|&&x| !x).count() + phase2.additions;
+    assert!(phase2.swaps_tried * 50 < candidates, "{} probes, {candidates} candidates", phase2.swaps_tried);
+}
+
 /// The paper's Fig. 10 bar, in counted work: a cold slot expands one
-/// branch-and-bound node, pivots nothing, and probes each candidate
-/// once — candidates plus the tie probes of the swaps it accepts, so at
-/// most one probe per device.
+/// branch-and-bound node, pivots nothing, and probes each candidate at
+/// most once — live candidates plus the tie probes of the swaps it
+/// accepts, so at most one probe per device.
 #[test]
 fn cold_slot_work_is_linear_in_the_cluster_size() {
     for n in [2_000usize, 8_000, 16_000] {
