@@ -113,6 +113,13 @@ impl BayesBank {
     /// range.
     pub fn split<F: Fn(usize) -> usize>(self, shards: usize, owner: F) -> Vec<BayesBank> {
         assert!(shards > 0, "cannot split a bank across zero shards");
+        if shards == 1 {
+            // Nothing moves, so the map is kept rather than rebuilt.
+            if let Some(d) = self.devices().find(|&d| owner(d) != 0) {
+                panic!("owner({d}) = {} out of range for {shards} shards", owner(d));
+            }
+            return vec![self];
+        }
         let mut banks = vec![BayesBank::new(); shards];
         for (d, est) in self.estimators {
             let s = owner(d);
@@ -171,9 +178,16 @@ mod tests {
     #[test]
     fn split_then_merge_is_identity() {
         let original = bank(17);
-        let merged =
-            BayesBank::merge(original.clone().split(4, |d| d % 4));
-        assert_eq!(merged, original);
+        for shards in [1, 4] {
+            let merged = BayesBank::merge(original.clone().split(shards, |d| d % shards));
+            assert_eq!(merged, original);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn one_shard_split_rejects_a_foreign_owner() {
+        let _ = bank(3).split(1, |d| d);
     }
 
     #[test]

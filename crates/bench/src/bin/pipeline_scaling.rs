@@ -5,8 +5,9 @@
 //!
 //! * `seq ×1` — the inline executor over one shard: the paper's
 //!   monolithic solve per slot;
-//! * `seq ×4` — the inline executor over the 4-shard `FleetScheduler`
-//!   (shard 0 on the caller, three scoped threads, one γ bank);
+//! * `seq ×4` — the inline executor over 4 shards: the caller holds the
+//!   four shard states and their banks, solves shard 0 and runs the
+//!   others on three scoped threads;
 //! * `pipe ×4` — the worker executor: four persistent supervised shard
 //!   workers, shard-local Bayes banks, results joined by the hub.
 //!
@@ -16,17 +17,14 @@
 //! determinism suite on the way past. Two ratios per size keep the two
 //! effects apart: `speedup` (`seq ×1` ÷ `pipe ×4` seconds) is the
 //! sharding, and moves with the core count; `seq4_over_pipe4`
-//! (`seq ×4` ÷ `pipe ×4` seconds) is scoped threads + one bank against
-//! persistent workers + shard banks — the measurement ROADMAP item
-//! 2(ii) needs; 1.0 means the second way to run the shards costs and
-//! buys nothing. (The field names date from when `pipe ×4` also
-//! overlapped gather ∥ solve ∥ apply; that overlap measured 1.00× and
-//! is gone.) The full run asserts on the second ratio: sharding cannot
-//! meet it. Since PR 24 only the worker executor's shards hand the hub
-//! its CPU back while it fans a slot out, so the second ratio is where
-//! that shows; the emulator ships no delta, so the other thing only
-//! workers do — shipping their per-row terms to the join — does not
-//! enter it.
+//! (`seq ×4` ÷ `pipe ×4` seconds) is scoped threads on the caller's
+//! states against persistent workers holding them — the measurement
+//! ROADMAP item 2(ii) needs; 1.0 means the second way to run the shards
+//! costs and buys nothing. (The field names date from when `pipe ×4`
+//! also overlapped gather ∥ solve ∥ apply; that overlap measured 1.00×
+//! and is gone.) The full run asserts on the second ratio: sharding
+//! cannot meet it. Only the worker executor's fan-out has a hub to hand
+//! its CPU back to, so the second ratio is where that shows.
 //!
 //! Next to the ratios, one recorder-on `pipe ×4` pass per size counts
 //! the **dispatch skew** (`runtime_dispatch_skew_seconds`: the hub's

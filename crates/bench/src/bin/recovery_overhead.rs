@@ -22,6 +22,9 @@
 //! needs per-snapshot timing (`recovery_checkpoint_seconds`, §8), not a
 //! difference of two runs.
 //!
+//! Each checkpointed row also reports the mean size of the snapshots
+//! its store kept (bank and delta memo; no fleet rows).
+//!
 //! A store-level microbench also times the restore path itself — seal,
 //! persist, `restore_latest` — at fleet scale, since end-to-end runs
 //! only exercise it when a worker actually dies.
@@ -58,23 +61,37 @@ struct Row {
     interval: Option<usize>,
     secs: f64,
     checkpoints: usize,
+    /// Mean bytes of the snapshots the store kept.
+    snapshot_bytes: Option<f64>,
     report: EmulationReport,
+}
+
+/// Mean size of the snapshot files under a store's `shard-*` directories.
+fn snapshot_bytes(dir: &std::path::Path) -> Option<f64> {
+    let shards = std::fs::read_dir(dir).ok()?.flatten().map(|shard| shard.path()).filter(|p| p.is_dir());
+    let sizes: Vec<u64> = shards
+        .flat_map(|shard| std::fs::read_dir(shard).into_iter().flatten().flatten())
+        .filter_map(|gen| gen.metadata().ok().map(|m| m.len()))
+        .collect();
+    (!sizes.is_empty()).then(|| sizes.iter().sum::<u64>() as f64 / sizes.len() as f64)
 }
 
 fn run_row(config: EmulatorConfig, interval: Option<usize>) -> Row {
     let mut emu = Emulator::new(config, Policy::Lpvs);
-    if let Some(interval) = interval {
-        emu = emu.with_checkpoints(CheckpointSpec {
-            interval,
-            ..CheckpointSpec::new(scratch_dir(&format!("sweep-{interval}")))
-        });
+    let dir = interval.map(|interval| scratch_dir(&format!("sweep-{interval}")));
+    if let (Some(interval), Some(dir)) = (interval, dir.as_ref()) {
+        emu = emu.with_checkpoints(CheckpointSpec { interval, ..CheckpointSpec::new(dir) });
     }
     let t = Instant::now();
     let report = emu.run();
     let secs = t.elapsed().as_secs_f64();
     let checkpoints =
         report.runtime.as_ref().map_or(0, |s| s.recovery.checkpoints_written);
-    Row { interval, secs, checkpoints, report }
+    let snapshot_bytes = dir.as_deref().and_then(snapshot_bytes);
+    if let Some(dir) = dir {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+    Row { interval, secs, checkpoints, snapshot_bytes, report }
 }
 
 /// Times the restore path at shard scale: a learned bank of `devices`
@@ -90,7 +107,7 @@ fn restore_latency_ms(devices: usize) -> f64 {
     }
     let bank = BayesBank::from_estimators(estimators);
     store.begin_round(0, vec![0]);
-    store.persist_shard(0, 0, &bank_to_bytes(&bank), None, None).expect("persist");
+    store.persist_shard(0, 0, &bank_to_bytes(&bank), None).expect("persist");
     let iterations = 20;
     let t = Instant::now();
     for _ in 0..iterations {
@@ -127,7 +144,7 @@ fn main() {
          4 shards{}\n",
         if smoke { " (smoke)" } else { "" }
     );
-    println!("{:>9} {:>9} {:>12} {:>10}", "interval", "secs", "checkpoints", "overhead");
+    println!("{:>9} {:>9} {:>12} {:>10} {:>11}", "interval", "secs", "checkpoints", "overhead", "snapshot B");
 
     let mut rows: Vec<Row> = Vec::new();
     for &interval in intervals {
@@ -136,11 +153,12 @@ fn main() {
             .first()
             .map(|base: &Row| 100.0 * (row.secs - base.secs) / base.secs);
         println!(
-            "{:>9} {:>9.3} {:>12} {:>10}",
+            "{:>9} {:>9.3} {:>12} {:>10} {:>11}",
             row.interval.map_or("off".into(), |i| i.to_string()),
             row.secs,
             row.checkpoints,
             overhead.map_or("—".into(), |o| format!("{o:+.2}%")),
+            row.snapshot_bytes.map_or("—".into(), |b| format!("{b:.0}")),
         );
         rows.push(row);
     }
@@ -198,6 +216,7 @@ fn main() {
                             ),
                             ("secs", Json::Num(r.secs)),
                             ("checkpoints", Json::Num(r.checkpoints as f64)),
+                            ("snapshot_bytes", r.snapshot_bytes.map_or(Json::Null, Json::Num)),
                             (
                                 "overhead_pct",
                                 Json::Num(100.0 * (r.secs - base.secs) / base.secs),

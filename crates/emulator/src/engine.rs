@@ -19,10 +19,10 @@
 //! holds no loop of its own: it translates the
 //! [`EmulatorConfig`] into a runtime configuration and hands the driver
 //! to one of the runtime's two executors — the inline
-//! [`SlotRuntime::run_sequential`] (every stage on the caller's thread,
-//! one global γ bank) or, for an LPVS policy with `pipelined` set,
-//! [`SlotRuntime::run`] (the same stage order, the solves on persistent
-//! shard workers with shard-local banks).
+//! [`SlotRuntime::run_sequential`] (the caller's thread holds the shard
+//! states and runs the shards) or, for an LPVS policy with `pipelined`
+//! set, [`SlotRuntime::run`] (the same slot loop, the shard states on
+//! persistent supervised workers).
 //!
 //! Determinism: everything derives from `EmulatorConfig::seed`, and the
 //! policy is *not* part of the seed, so paired runs (e.g. LPVS vs.
@@ -306,9 +306,9 @@ impl Emulator {
     /// crate's `EmulatorDriver`) to the worker executor when `pipelined` is
     /// set on an LPVS policy — resuming from the checkpoint store if
     /// asked to — and to the inline executor otherwise. The γ
-    /// estimators live in the executor's banks for the duration of the
-    /// run (shard-local on the workers) and come back merged in the
-    /// report's `gamma_posteriors`. Both executors produce the same
+    /// estimators live in the executor's shard-local banks for the
+    /// duration of the run and come back merged in the report's
+    /// `gamma_posteriors`. Both executors produce the same
     /// report for the same decision lag, bit for bit.
     pub fn run(mut self) -> EmulationReport {
         let scheduler = self.scheduler();

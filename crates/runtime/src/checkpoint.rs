@@ -3,8 +3,8 @@
 //! Everything durable about a pipelined run lives here:
 //!
 //! * **Shard snapshots** — a versioned, checksummed container around a
-//!   shard's [`BayesBank`] (hand-encoded via `lpvs_bayes::codec`) plus,
-//!   when one is in flight, the shard's slice of the gathered fleet.
+//!   shard's [`BayesBank`] (hand-encoded via `lpvs_bayes::codec`) and
+//!   its delta memo (older files may also carry a [`FleetSlice`]).
 //!   Layout: `magic u64 | version u32 | payload_len u64 | crc64 u64 |
 //!   payload`. The CRC covers the payload; a single flipped bit makes
 //!   the generation unusable and the recovery ladder moves on.
@@ -99,8 +99,10 @@ impl CheckpointConfig {
 }
 
 /// A shard's slice of the fleet gathered for the slot a snapshot was
-/// taken in — carried so a respawned worker can be handed back exactly
-/// the rows it was solving.
+/// taken in, as formats 1–3 can carry one. Nothing reads it — a respawn
+/// re-dispatches from the hub's pending solve and a resume re-gathers —
+/// so the runtime seals none; it still decodes, so older files stay
+/// readable.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetSlice {
     /// Global device id of each row, slice order.
@@ -119,8 +121,7 @@ pub struct ShardSnapshot {
     pub slot: usize,
     /// The γ bank, decoded bit-exactly.
     pub bank: BayesBank,
-    /// The in-flight fleet slice, when a solve was pending at snapshot
-    /// time.
+    /// The fleet slice a file carries, if any (the runtime seals none).
     pub fleet: Option<FleetSlice>,
     /// The shard's delta memo at snapshot time (`None` for version-1
     /// files, or when the shard had no live memo). Restoring it lets a
@@ -132,6 +133,7 @@ pub struct ShardSnapshot {
 impl ShardSnapshot {
     /// Seals a snapshot into its on-disk container bytes. `bank_bytes`
     /// is the worker-encoded bank payload (`lpvs_bayes::codec`);
+    /// `fleet` a [`FleetSlice`] to carry (the store passes none);
     /// `memo_bytes` the worker-encoded delta memo (`memo_to_bytes`),
     /// when one was live.
     pub fn seal(
@@ -585,7 +587,6 @@ impl CheckpointStore {
         shard: usize,
         slot: usize,
         bank_bytes: &[u8],
-        fleet: Option<(&[usize], &DeviceFleet)>,
         memo_bytes: Option<&[u8]>,
     ) -> Result<Option<Vec<u64>>, CheckpointError> {
         let started = std::time::Instant::now();
@@ -594,7 +595,7 @@ impl CheckpointStore {
             return Err(CheckpointError::Manifest("snapshot slot outside pending round"));
         }
         let mark = round.marks[shard];
-        let mut bytes = ShardSnapshot::seal(shard, slot, bank_bytes, fleet, memo_bytes);
+        let mut bytes = ShardSnapshot::seal(shard, slot, bank_bytes, None, memo_bytes);
 
         let files = &mut self.shards[shard];
         let gen = files.next_gen;
@@ -1007,9 +1008,14 @@ pub struct RecoveryReport {
     pub generations_rejected: usize,
     /// Slot a restarted hub resumed at, when the run was a resume.
     pub resumed_at: Option<usize>,
-    /// Slot the runtime degraded to the inline sequential path, if it
-    /// did.
+    /// Slot from which the hub held the shard states itself, if the
+    /// workers fell back.
     pub fell_back: Option<usize>,
+    /// Durable writes that failed: snapshots (a failed one leaves its
+    /// generation missing and its round without a manifest), decision
+    /// log appends and flushes.
+    #[serde(default)]
+    pub write_errors: usize,
     /// Blackbox snapshots taken on deaths, fallbacks, and corrupt
     /// restores (capped; timestamps are excluded from equality).
     pub flight: Vec<FlightRecording>,
@@ -1225,7 +1231,7 @@ mod tests {
             store.begin_round(slot, vec![round * 10]);
             let bank = learned_bank(4, round as f64 * 0.02);
             let marks = store
-                .persist_shard(0, slot, &bank_to_bytes(&bank), None, None)
+                .persist_shard(0, slot, &bank_to_bytes(&bank), None)
                 .expect("persist");
             assert!(marks.is_some(), "single-shard round completes immediately");
         }
@@ -1251,10 +1257,10 @@ mod tests {
         let mut store = CheckpointStore::create(&config, 1).expect("create");
         let old = learned_bank(6, 0.0);
         store.begin_round(0, vec![0]);
-        store.persist_shard(0, 0, &bank_to_bytes(&old), None, None).expect("persist");
+        store.persist_shard(0, 0, &bank_to_bytes(&old), None).expect("persist");
         let new = learned_bank(6, 0.03);
         store.begin_round(8, vec![7]);
-        store.persist_shard(0, 8, &bank_to_bytes(&new), None, None).expect("persist");
+        store.persist_shard(0, 8, &bank_to_bytes(&new), None).expect("persist");
         // Flip one byte of the newest generation on disk.
         let newest = dir.join("shard-0").join("gen-00000001.ckpt");
         let mut bytes = fs::read(&newest).unwrap();
@@ -1275,7 +1281,7 @@ mod tests {
         let mut store = CheckpointStore::create(&config, 1).expect("create");
         store.begin_round(0, vec![0]);
         store
-            .persist_shard(0, 0, &bank_to_bytes(&learned_bank(3, 0.0)), None, None)
+            .persist_shard(0, 0, &bank_to_bytes(&learned_bank(3, 0.0)), None)
             .expect("persist");
         assert_eq!(store.checkpoints_corrupted(), 1);
         assert!(store.restore_latest(0).is_none(), "corrupted gen must not restore");
@@ -1325,8 +1331,8 @@ mod tests {
         store.begin_round(16, vec![3, 4]);
         let a = learned_bank(3, 0.0);
         let b = learned_bank(4, 0.05);
-        assert!(store.persist_shard(0, 16, &bank_to_bytes(&a), None, None).expect("persist").is_none());
-        assert!(store.persist_shard(1, 16, &bank_to_bytes(&b), None, None).expect("persist").is_some());
+        assert!(store.persist_shard(0, 16, &bank_to_bytes(&a), None).expect("persist").is_none());
+        assert!(store.persist_shard(1, 16, &bank_to_bytes(&b), None).expect("persist").is_some());
         let manifest = store.read_manifest().expect("read").expect("written");
         assert_eq!(manifest, RunManifest { slot: 16, generations: vec![0, 0] });
         assert_eq!(store.load_generation(1, 0).expect("load").bank, b);

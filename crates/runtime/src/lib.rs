@@ -5,36 +5,42 @@
 //! loop for every caller: a driver implements the stages once
 //! ([`SlotSource`]/[`SlotSink`]) and the runtime calls them in one
 //! order — `begin → gather → solve → solved → apply`, so a slot's
-//! decision is always delivered inside that slot — under either of two
-//! executors, which differ only in *who runs the shards*:
+//! decision is always delivered inside that slot — in one slot loop under
+//! either of two executors, which differ only in *who runs the shards*.
+//! Each shard is a [`ShardState`]: the shard-local
+//! [`BayesBank`](lpvs_bayes::BayesBank) of γ estimators of its home
+//! devices and the delta memo of its last solve, prepared and solved by
+//! one body whoever holds it:
 //!
-//! * **inline** ([`SlotRuntime::run_sequential`]): one global γ bank on
-//!   the caller's thread, the solve through
-//!   [`FleetScheduler`](lpvs_edge::fleet::FleetScheduler)'s scoped
+//! * **inline** ([`SlotRuntime::run_sequential`]): the caller's thread
+//!   holds every state and solves shard 0 itself, the others on scoped
 //!   threads;
-//! * **workers** ([`SlotRuntime::run`]): a **hub** (the caller's
-//!   thread) owns the slot clock, and **persistent shard workers** —
-//!   plain std threads on `crossbeam` bounded channels — each own a
-//!   [`ShardState`]: the shard-local
-//!   [`BayesBank`](lpvs_bayes::BayesBank) of γ estimators and the delta
-//!   memo of its last solve. Each estimator stays in its home shard's
-//!   bank for the whole run — the cross-shard rebalance moves
-//!   *decisions*, never γ state — so the slot path has **no global
-//!   Bayes bank and no cross-shard lock**. The gathered slot travels
-//!   as one shared columnar [`DeviceFleet`]; the hub takes the buffer
-//!   back once every worker has dropped its handle and hands it to the
-//!   next gather.
+//! * **workers** ([`SlotRuntime::run`]): **persistent shard workers** —
+//!   plain std threads on `crossbeam` bounded channels — each hold one,
+//!   and the **hub** (the caller's thread) owns the slot clock and
+//!   supervises them.
+//!
+//! Each estimator stays in its home shard's bank for the whole run — the
+//! cross-shard rebalance moves *decisions*, never γ state — so the slot
+//! path has **no global Bayes bank and no cross-shard lock**. The
+//! gathered slot travels as one shared columnar [`DeviceFleet`]; the hub
+//! takes the buffer back once every shard has dropped its handle and
+//! hands it to the next gather.
 //!
 //! ## Semantics: bit-identical executors
 //!
-//! The two executors produce the same `SlotRecord`s and the same final
-//! γ posteriors, bit for bit, for any driver (`tests/runtime.rs` pins
-//! the call order and the results). The ingredients: per-device
-//! estimator operations arrive in slot order over FIFO channels,
-//! disjoint banks make cross-device order irrelevant, and per-shard
-//! results are joined through the same
+//! The two executors produce the same `SlotRecord`s, the same delivered
+//! `FleetSchedule`s — delta path, reuse and incremental solves included —
+//! and the same final γ posteriors, bit for bit, for any driver whose
+//! solves no wall-clock deadline cuts short, delta-carrying or not
+//! (`tests/runtime.rs` pins the call order and the results on sources
+//! of both kinds). The ingredients: per-device estimator operations reach the
+//! banks in slot order (over FIFO channels to workers), disjoint banks
+//! make cross-device order irrelevant, each shard is solved by the same
+//! body against the same memo, and the per-shard results are joined
+//! through the same
 //! [`FleetScheduler::assemble`](lpvs_edge::fleet::FleetScheduler::assemble)
-//! path as the scoped-thread scheduler. Whether a decision is *applied*
+//! call with the same join memo. Whether a decision is *applied*
 //! in the slot it was gathered for or one slot later (the emulator's
 //! *one-slot-ahead* mode, paper §VI-B.2) is the driver's choice; no
 //! executor imposes a lag.
@@ -53,12 +59,11 @@
 //! journal replay (or, with no store configured, from the state the
 //! dying worker shipped home), and the slot is re-dispatched to it.
 //! Only when a shard's retry budget is exhausted — or every checkpoint
-//! generation fails its checksum — does the hub finish the slot, merge
-//! every bank, and run the remaining slots inline through
-//! the sequential [`FleetScheduler`](lpvs_edge::fleet::FleetScheduler) path. The run's
-//! [`RecoveryReport`] accounts for every death, retry, and replayed
-//! slot; `fell_back` records the abandonment slot when the ladder
-//! bottomed out.
+//! generation fails its checksum — does the hub finish the slot, take
+//! every shard state home, and run the remaining slots as the inline
+//! executor does. The run's [`RecoveryReport`] accounts for every death,
+//! retry, replayed slot and failed durable write; `fell_back` records
+//! the slot the hub took over from when the ladder bottomed out.
 //!
 //! Periodic checkpoint rounds also write a run manifest and decision
 //! log, so a *restarted hub* can [`SlotRuntime::resume`] mid-horizon:
@@ -106,7 +111,7 @@ pub struct BankOps {
 }
 
 /// One slot's gathered problem, ready to solve. Shared read-only with
-/// every shard worker for the duration of the solve.
+/// every shard for the duration of the solve.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GatheredSlot {
     /// Slot index.

@@ -1,36 +1,41 @@
-//! The slot hub and its supervisor.
+//! The slot hub, the shards it drives, and the supervisor.
 //!
-//! [`SlotRuntime::run`] drives a [`SlotSource`]/[`SlotSink`] driver
-//! with the solves on supervised shard workers. The hub (caller's
-//! thread) executes, per slot `t` — the same stage order as the inline
-//! executor ([`SlotRuntime::run_sequential`]):
+//! [`SlotRuntime::run`] and [`SlotRuntime::run_sequential`] enter one
+//! slot loop; they differ only in who holds the [`ShardState`]s — the
+//! persistent shard workers, or the hub itself. The hub (the caller's
+//! thread) executes, per slot `t`:
 //!
 //! ```text
 //!  begin(t)            source advances faults/connectivity
 //!  prepare(t)          route observations(t−1) + forgets(t) + γ queries
-//!                      to the owning shard banks
-//!  checkpoint(t)       every `interval` slots: ask each worker to
-//!                      encode its bank (queued between Prepare and
-//!                      Solve, so the snapshot is exactly the
-//!                      post-prepare bank); the hub persists the bytes,
-//!                      with the shard's fleet slice, during join(t)
+//!                      to the owning shards: sent to workers, applied
+//!                      here to hub-held states (ShardState::prepare)
+//!  checkpoint(t)       workers only, every `interval` slots: ask each
+//!                      worker to encode its bank (queued between Prepare
+//!                      and Solve, so the snapshot is exactly the
+//!                      post-prepare bank); the hub persists the bytes
+//!                      during join(t)
 //!  gather(t)           source brings the recycled buffer up to date
 //!                      (a persistent fleet patches its dirty rows in)
-//!  dispatch(t)         partition + fan the shared Arc<GatheredSlot> out
-//!                      (a worker yields while the fan-out lasts, so
-//!                      every shard's job is queued before any runs)
-//!  join(t)             block on the shard results and the per-row
-//!                      terms shipped beside them, assemble both
-//!                      through FleetScheduler::assemble (which adopts
-//!                      the terms instead of re-evaluating the rows),
-//!                      deliver solved(t), recycle the fleet buffer
+//!  dispatch(t)         partition + build each shard's job over the shared
+//!                      Arc<GatheredSlot>: fanned out to the workers (a
+//!                      worker yields while the fan-out lasts, so every
+//!                      shard's job is queued before any runs), or run
+//!                      here — shard 0 on the hub's thread, the others on
+//!                      scoped threads (ShardState::solve either way)
+//!  join(t)             block on the workers' results, then under either
+//!                      executor assemble the shard schedules and the
+//!                      per-row terms shipped beside them through
+//!                      FleetScheduler::assemble (which adopts the terms
+//!                      instead of re-evaluating the rows), deliver
+//!                      solved(t), recycle the fleet buffer
 //!  apply(t)            sink plays slot t
 //! ```
 //!
 //! No solve outlives its slot, so `solved(t)` always precedes
 //! `apply(t)` and one fleet buffer circulates. The hub recovers it via
 //! `Arc::try_unwrap`, which is guaranteed to succeed because every
-//! worker drops its handle *before* announcing its result, and hands it
+//! shard drops its handle *before* delivering its result, and hands it
 //! to the next gather exactly as the source shipped it — nothing on the
 //! solve path writes to it — so a source may treat it as its own last
 //! snapshot ([`DeviceFleet::ship_snapshot`] checks the epoch anyway).
@@ -52,31 +57,31 @@
 //!    eventually let it through.
 //! 3. Only when the per-shard retry budget is exhausted, or every
 //!    checkpoint generation fails its checksum, does the hub **fall
-//!    back**: finish the slot (dead shards contribute passthrough),
-//!    merge every bank, and run the following slots inline through the
-//!    sequential [`FleetScheduler`] path.
+//!    back**: finish the slot (dead shards contribute passthrough), take
+//!    every shard state home, and hold them itself from the next slot
+//!    on — the inline executor's loop, entered mid-run.
 
 use crate::checkpoint::{
     CheckpointStore, FlightReason, FlightRecording, JournalOp, LoggedDecision, RecoveryReport,
     ShardJournal,
 };
-use crate::shard::{spawn_worker, ShardState, SolveJob, WorkerEvent, WorkerMsg};
+use crate::shard::{spawn_worker, ShardOps, ShardSolved, ShardState, SolveJob, WorkerEvent, WorkerMsg};
+use crate::telemetry::{observe_stage, publish};
 use crate::{BankOps, CheckpointConfig, CheckpointError, SlotReplay, SlotSink, SlotSource, SolvedSlot};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use lpvs_bayes::{BayesBank, GammaEstimator};
-use lpvs_obs::{FlightRing, SpanContext};
 use lpvs_core::accounting::ShardTerms;
 use lpvs_core::fleet::DeviceFleet;
-use lpvs_core::scheduler::{Degradation, Schedule};
+use lpvs_core::scheduler::{Degradation, LpvsScheduler, Schedule};
 use lpvs_core::work::{Laps, RowsRefilled};
 use lpvs_edge::fleet::{FleetConfig, FleetSchedule, FleetScheduler, JoinMemo, ShardLoad};
 use lpvs_edge::server::EdgeServer;
+use lpvs_obs::{FlightRing, SpanContext};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use crate::telemetry::{observe_stage, publish};
 
 /// Deterministic worker-crash injection: each (slot, shard) pair dies
 /// with probability `rate`, derived by hashing against `seed` so runs
@@ -95,7 +100,7 @@ pub struct StageFaults {
 }
 
 /// Respawns allowed per shard per slot before the hub abandons the
-/// workers and falls back to the inline sequential engine.
+/// workers and holds the shard states itself.
 const MAX_RETRIES: u32 = 5;
 
 /// Base of the exponential respawn backoff (`RESPAWN_BACKOFF << attempt`).
@@ -105,18 +110,18 @@ const RESPAWN_BACKOFF: Duration = Duration::from_micros(200);
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RuntimeConfig {
     /// Shard count, partitioner, per-shard scheduler, and rebalance
-    /// bound — shared with the scoped-thread [`FleetScheduler`] so both
-    /// paths solve identically.
+    /// bound.
     pub fleet: FleetConfig,
     /// Optional injected worker crashes (exercises the recovery
     /// ladder).
     pub stage_faults: Option<StageFaults>,
-    /// Periodic shard checkpointing; `None` disables the store (worker
-    /// deaths then restore from the shipped in-flight state).
+    /// Periodic shard checkpointing under the workers; `None` disables
+    /// the store (worker deaths then restore from the shipped in-flight
+    /// state). The inline executor keeps no store.
     pub checkpoints: Option<CheckpointConfig>,
     /// Stop the run after this slot completes — a simulated hub crash
     /// for resume tests (pending checkpoint writes are still drained,
-    /// so the manifest reflects the newest complete round).
+    /// so the manifest reflects the newest complete round). Workers only.
     pub halt_after_slot: Option<usize>,
 }
 
@@ -125,7 +130,7 @@ pub struct RuntimeConfig {
 pub struct RuntimeSummary {
     /// Whether the shard workers ran the solves (false: inline).
     pub pipelined: bool,
-    /// Shard worker count.
+    /// Shard count.
     pub shards: usize,
     /// Slots driven.
     pub slots: usize,
@@ -155,8 +160,8 @@ pub struct RuntimeReport {
     pub slot_solve_runtimes: Vec<(usize, Duration)>,
 }
 
-/// What a slot loop — either executor's — carries from one slot to the
-/// next, and its counters; it publishes each solved slot's records
+/// What the slot loop carries from one slot to the next, and its
+/// counters; it publishes each solved slot's records
 /// ([`crate::telemetry`]) and times its own gather and apply.
 #[derive(Default)]
 struct SlotLoop {
@@ -188,15 +193,7 @@ impl SlotLoop {
         publish(schedule);
     }
 
-    /// Folds the pending observations into an inline bank.
-    fn learn(&mut self, bank: &mut BayesBank) {
-        for (d, ratio) in self.feedback.drain(..) {
-            bank.observe_or_forget(d, ratio);
-        }
-    }
-
-    /// `gather(slot)` into the recycled buffer, timed — the one gather
-    /// call site of both executors, so both emit the same stage series.
+    /// `gather(slot)` into the recycled buffer, timed.
     fn gather<D: SlotSource>(
         &mut self,
         driver: &mut D,
@@ -225,7 +222,7 @@ fn worst_tier(schedule: &FleetSchedule) -> Degradation {
     schedule.shards.iter().map(|r| r.stats.degradation).max().unwrap_or(Degradation::Passthrough)
 }
 
-/// A dispatched, not-yet-joined solve.
+/// A dispatched slot and what its shards have delivered so far.
 struct PendingSolve {
     slot: usize,
     gathered: Arc<crate::GatheredSlot>,
@@ -236,8 +233,20 @@ struct PendingSolve {
     /// The fleet slot's clock, started before the partition.
     laps: Laps,
     /// The slot span's context, shipped with every (re-)dispatch so
-    /// worker-side solve spans join the slot's trace.
+    /// shard-side solve spans join the slot's trace.
     ctx: Option<SpanContext>,
+    /// Each shard's schedule and load; `None` (passthrough) until it
+    /// delivers.
+    results: Vec<Option<(Schedule, Option<ShardLoad>)>>,
+    /// The per-row terms each shard shipped beside its schedule.
+    shipped: Vec<ShardTerms>,
+}
+
+impl PendingSolve {
+    fn deliver(&mut self, shard: usize, (schedule, terms, load): ShardSolved) {
+        self.results[shard] = Some((schedule, load));
+        self.shipped[shard] = terms.unwrap_or_default();
+    }
 }
 
 /// What joining a solve produced.
@@ -263,47 +272,121 @@ impl WorkerHandle {
     }
 }
 
-/// The worker pool plus the routing state the hub keeps about it.
-struct Hub {
+/// Who holds the shard states, and so runs the shards: the one thing
+/// the executors do not share.
+enum Shards {
+    /// The hub itself — the inline executor, and a worker run past its
+    /// fallback. `states[s]` is shard `s`.
+    Held(Vec<ShardState>),
+    /// Supervised persistent workers, one a shard.
+    Workers(Pool),
+}
+
+/// The worker pool.
+struct Pool {
     workers: Vec<WorkerHandle>,
     events: Receiver<WorkerEvent>,
     /// Kept so the supervisor can wire respawned workers onto the same
     /// event stream.
     event_tx: Sender<WorkerEvent>,
-    /// Device → shard whose bank owns its estimator, fixed for the
-    /// run: the home partition, or on a resume whatever the restored
-    /// banks hold.
-    owner: Vec<usize>,
     /// States recovered from permanently dead workers, pending the
-    /// merge.
+    /// drain.
     lost: Vec<ShardState>,
-    workers_lost: usize,
     /// Per-shard blackbox rings. Each worker pushes its last few
     /// actions here; the ring survives respawns (the replacement worker
     /// writes into the same ring), so a recording spans the death.
     rings: Vec<Arc<FlightRing>>,
-    /// The join's kept per-row accounting: a delta-carrying slot that
-    /// extends it re-evaluates only the rows that changed. Starts
-    /// empty, on a resume too.
-    join: JoinMemo,
     /// Raised while `dispatch` fans a slot out; a worker holding a job
     /// yields until it drops. Publishes nothing — the jobs travel by
     /// channel — so relaxed.
     fanning: Arc<AtomicBool>,
 }
 
-impl Hub {
+impl Pool {
     fn all_alive(&self) -> bool {
         self.workers.iter().all(|w| w.commands.is_some())
     }
 
     /// Marks a shard permanently dead and keeps its shipped state for
-    /// the merge.
+    /// the drain.
     fn bury(&mut self, state: ShardState) {
         let s = state.shard;
         self.workers[s].commands = None;
         self.lost.push(state);
     }
+
+    /// Sends each shard its share of a slot's bank operations — all of
+    /// them first, so shards work concurrently — then awaits the answers
+    /// in shard order; `None` when a worker is lost on the way.
+    fn prepare(&self, per: Vec<ShardOps>, ctx: Option<SpanContext>) -> Option<Vec<Vec<(f64, f64)>>> {
+        let mut replies = Vec::with_capacity(per.len());
+        for (worker, ops) in self.workers.iter().zip(per) {
+            let (reply, answers) = bounded(1);
+            let asked = !ops.is_empty();
+            if asked {
+                worker.send(WorkerMsg::Prepare { ops, reply, ctx }).ok()?;
+            }
+            replies.push(asked.then_some(answers));
+        }
+        replies.into_iter().map(|answers| answers.map_or(Some(Vec::new()), |rx| rx.recv().ok())).collect()
+    }
+}
+
+/// The slot loop's routing state, and whoever holds the shards.
+struct Hub {
+    shards: Shards,
+    /// Device → shard whose bank owns its estimator, fixed for the
+    /// run: the home partition, or on a resume whatever the restored
+    /// banks hold.
+    owner: Vec<usize>,
+    /// The join's kept per-row accounting: a delta-carrying slot that
+    /// extends it re-evaluates only the rows that changed. Starts
+    /// empty, on a resume too.
+    join: JoinMemo,
+}
+
+/// Splits one slot's bank operations over `k` shards by `owner`,
+/// keeping each shard's per-device order; also returns, per shard, the
+/// positions its queries hold in `ops.queries`.
+fn route(owner: &[usize], k: usize, ops: &BankOps, observations: &[(usize, f64)]) -> (Vec<ShardOps>, Vec<Vec<usize>>) {
+    let mut per: Vec<ShardOps> = (0..k).map(|_| ShardOps::default()).collect();
+    let mut positions = vec![Vec::new(); k];
+    for &(d, ratio) in observations {
+        per[owner[d]].observations.push((d, ratio));
+    }
+    for &(d, stale) in &ops.forgets {
+        per[owner[d]].forgets.push((d, stale));
+    }
+    for (pos, &d) in ops.queries.iter().enumerate() {
+        per[owner[d]].queries.push(d);
+        positions[owner[d]].push(pos);
+    }
+    (per, positions)
+}
+
+/// Applies each hub-held shard's share of a slot's bank operations.
+fn prepare_held(states: &mut [ShardState], per: Vec<ShardOps>, ctx: Option<SpanContext>) -> Vec<Vec<(f64, f64)>> {
+    let answer = |(state, ops): (&mut ShardState, ShardOps)| {
+        if ops.is_empty() { Vec::new() } else { state.prepare(ops, ctx) }
+    };
+    states.iter_mut().zip(per).map(answer).collect()
+}
+
+/// Solves hub-held shards: shard 0 on the hub's thread — which would
+/// otherwise only wait — and each other on a scoped thread of its own,
+/// so one shard costs no thread at all. A shard whose thread panicked
+/// outside the contained solver delivers nothing (passthrough).
+fn solve_held(scheduler: &LpvsScheduler, states: &mut [ShardState], jobs: Vec<SolveJob>) -> Vec<Option<ShardSolved>> {
+    let Some((first, rest)) = states.split_first_mut() else { return Vec::new() };
+    let mut jobs = jobs.into_iter();
+    let job = jobs.next().expect("one job a shard");
+    crossbeam::thread::scope(|scope| {
+        let handles: Vec<_> =
+            rest.iter_mut().zip(jobs).map(|(state, job)| scope.spawn(move |_| state.solve(scheduler, job))).collect();
+        let first = first.solve(scheduler, job);
+        std::iter::once(Some(first)).chain(handles.into_iter().map(|h| h.join().ok())).collect()
+    })
+    .unwrap_or_default()
 }
 
 /// Everything the supervisor tracks across a run: the checkpoint
@@ -313,6 +396,7 @@ struct Supervisor {
     store: Option<CheckpointStore>,
     journals: Vec<ShardJournal>,
     report: RecoveryReport,
+    workers_lost: usize,
 }
 
 /// Capacity of a worker's command channel. The hub joins every solve
@@ -325,11 +409,14 @@ const COMMAND_DEPTH: usize = 4;
 const MAX_FLIGHT_RECORDINGS: usize = 32;
 
 impl Supervisor {
+    /// A supervisor of `shards` workers (none for the inline executor,
+    /// whose report stays empty).
     fn new(store: Option<CheckpointStore>, shards: usize) -> Self {
         Self {
             store,
             journals: (0..shards).map(|_| ShardJournal::new()).collect(),
             report: RecoveryReport::new(shards),
+            workers_lost: 0,
         }
     }
 
@@ -358,44 +445,38 @@ impl Supervisor {
         self.report.flight.sort_by_key(|r| (r.slot, r.shard));
     }
 
-    /// Journals one shard-bound bank op (no-op without a store — the
-    /// journal only exists to extend snapshots forward in time).
-    fn journal(&mut self, shard: usize, op: JournalOp) {
-        if self.store.is_some() {
-            self.journals[shard].push(op);
+    /// Journals the bank ops bound for each worker (a no-op without a
+    /// store — the journal only exists to extend snapshots forward in
+    /// time).
+    fn journal(&mut self, per: &[ShardOps]) {
+        if self.store.is_none() {
+            return;
+        }
+        for (journal, ops) in self.journals.iter_mut().zip(per) {
+            for &(d, ratio) in &ops.observations {
+                journal.push(JournalOp::Observe(d, ratio));
+            }
+            for &(d, stale) in &ops.forgets {
+                journal.push(JournalOp::Forget(d, stale));
+            }
         }
     }
 
-    /// Persists one worker-encoded snapshot into the pending round.
-    /// `pending` (when its slot matches) contributes the shard's
-    /// in-flight fleet slice. On round completion the journals are
-    /// truncated to the oldest generation still retained.
-    fn persist(
-        &mut self,
-        shard: usize,
-        slot: usize,
-        bank_bytes: &[u8],
-        memo_bytes: Option<&[u8]>,
-        pending: Option<&PendingSolve>,
-    ) {
+    /// Persists one worker-encoded snapshot into the pending round. On
+    /// round completion the journals are truncated to the oldest
+    /// generation still retained. A failed write is counted: its
+    /// generation is missing (the ladder falls through to an older one)
+    /// and its round never completes.
+    fn persist(&mut self, shard: usize, slot: usize, bank_bytes: &[u8], memo_bytes: Option<&[u8]>) {
         let Some(store) = self.store.as_mut() else { return };
-        let fleet_ctx = pending.filter(|p| p.slot == slot).map(|p| {
-            let ids: Vec<usize> =
-                p.shards[shard].iter().map(|&i| p.gathered.device_ids[i]).collect();
-            let slice = p.gathered.fleet.slice_rows(&p.shards[shard]);
-            (ids, slice)
-        });
-        let fleet = fleet_ctx.as_ref().map(|(ids, fl)| (ids.as_slice(), fl));
-        match store.persist_shard(shard, slot, bank_bytes, fleet, memo_bytes) {
+        match store.persist_shard(shard, slot, bank_bytes, memo_bytes) {
             Ok(Some(marks)) => {
                 for (journal, mark) in self.journals.iter_mut().zip(marks) {
                     journal.truncate_to(mark);
                 }
             }
             Ok(None) => {}
-            // A failed write just means this generation is missing; the
-            // ladder falls through to an older one.
-            Err(_) => {}
+            Err(_) => self.report.write_errors += 1,
         }
     }
 
@@ -408,26 +489,34 @@ impl Supervisor {
             device_ids: collected.device_ids.clone(),
             selected: collected.solved.schedule.selected.clone(),
         };
-        let _ = store.log_decision(&decision);
+        if store.log_decision(&decision).is_err() {
+            self.report.write_errors += 1;
+        }
     }
 
-    /// Folds the store's counters into the report and returns it.
-    fn into_report(self, resumed_at: Option<usize>) -> RecoveryReport {
-        let mut report = self.report;
-        if let Some(store) = self.store.as_ref() {
-            report.checkpoints_written = store.checkpoints_written();
-            report.checkpoints_corrupted = store.checkpoints_corrupted();
-            report.generations_rejected = store.generations_rejected();
+    /// Flushes the decision log, folds the store's counters into the
+    /// report and returns it.
+    fn into_report(mut self, resumed_at: Option<usize>) -> RecoveryReport {
+        if let Some(store) = self.store.as_mut() {
+            if store.flush_decisions().is_err() {
+                self.report.write_errors += 1;
+            }
+            self.report.checkpoints_written = store.checkpoints_written();
+            self.report.checkpoints_corrupted = store.checkpoints_corrupted();
+            self.report.generations_rejected = store.generations_rejected();
         }
-        report.resumed_at = resumed_at;
-        report
+        self.report.resumed_at = resumed_at;
+        self.report
     }
 }
 
-/// The slot runtime: one stage order, two executors.
+/// The slot runtime: one slot loop, two executors.
 pub struct SlotRuntime {
     config: RuntimeConfig,
-    scheduler: FleetScheduler,
+    /// Partition, capacity split, rebalance and join.
+    fleet: FleetScheduler,
+    /// What a hub-held shard solves with (a worker builds its own).
+    scheduler: LpvsScheduler,
 }
 
 impl SlotRuntime {
@@ -437,8 +526,8 @@ impl SlotRuntime {
     ///
     /// Panics if the fleet configuration names zero shards.
     pub fn new(config: RuntimeConfig) -> Self {
-        let scheduler = FleetScheduler::new(config.fleet);
-        Self { config, scheduler }
+        let (fleet, scheduler) = (FleetScheduler::new(config.fleet), LpvsScheduler::new(config.fleet.scheduler));
+        Self { config, fleet, scheduler }
     }
 
     /// The configuration.
@@ -459,6 +548,14 @@ impl SlotRuntime {
         owner
     }
 
+    /// `estimators[d]` is device `d`'s γ estimator; they are split into
+    /// shard-local banks by home shard, with no delta memos.
+    fn home_states(&self, estimators: Vec<GammaEstimator>) -> (Vec<ShardState>, Vec<usize>) {
+        let owner = self.home_shards(estimators.len());
+        let banks = BayesBank::from_estimators(estimators).split(self.config.fleet.num_shards, |d| owner[d]);
+        (banks.into_iter().enumerate().map(|(s, bank)| ShardState::new(s, bank)).collect(), owner)
+    }
+
     fn open_store(&self) -> Option<CheckpointStore> {
         self.config.checkpoints.as_ref().map(|cfg| {
             CheckpointStore::create(cfg, self.config.fleet.num_shards)
@@ -466,23 +563,32 @@ impl SlotRuntime {
         })
     }
 
-    /// Runs the driver with the solves on the shard workers, in the
-    /// inline executor's stage order. `estimators[d]` is
-    /// device `d`'s γ estimator; they are split into shard-local banks
-    /// up front and merged back into the report at the end.
+    /// Runs the driver with the shard states on supervised workers.
+    /// `estimators[d]` is device `d`'s γ estimator; they are split into
+    /// shard-local banks up front and merged back into the report at
+    /// the end.
     pub fn run<D: SlotSource + SlotSink>(
         &self,
         driver: &mut D,
         estimators: Vec<GammaEstimator>,
     ) -> RuntimeReport {
-        let k = self.config.fleet.num_shards;
-        let owner = self.home_shards(estimators.len());
-        let shards = BayesBank::from_estimators(estimators)
-            .split(k, |d| owner[d])
-            .into_iter()
-            .map(|bank| (bank, None))
-            .collect();
-        self.run_from(driver, shards, owner, 0, self.open_store(), None)
+        let (states, owner) = self.home_states(estimators);
+        let supervisor = Supervisor::new(self.open_store(), states.len());
+        self.run_from(driver, Shards::Workers(self.spawn(states)), owner, 0, supervisor, None)
+    }
+
+    /// Runs the driver with the shard states on the caller's thread —
+    /// the slot loop of [`Self::run`], its banks split the same way and
+    /// its shards solved by the same body, but no workers: no
+    /// checkpoints, stage faults or respawns. Serves the decisions
+    /// [`Self::run`] serves.
+    pub fn run_sequential<D: SlotSource + SlotSink>(
+        &self,
+        driver: &mut D,
+        estimators: Vec<GammaEstimator>,
+    ) -> RuntimeReport {
+        let (states, owner) = self.home_states(estimators);
+        self.run_from(driver, Shards::Held(states), owner, 0, Supervisor::new(None, 0), None)
     }
 
     /// Resumes a halted run mid-horizon from the checkpoint store's
@@ -514,28 +620,24 @@ impl SlotRuntime {
         if manifest.generations.len() != k {
             return Err(CheckpointError::Manifest("manifest shard count mismatch"));
         }
-        let mut shards = Vec::with_capacity(k);
+        let mut states = Vec::with_capacity(k);
         for (s, &gen) in manifest.generations.iter().enumerate() {
             let snapshot = store.load_generation(s, gen)?;
             // The snapshot's memo is the solve the shard completed just
             // before the checkpoint round, so a resumed run continues
             // the incremental chain exactly where the halted one left
             // it. A v1 snapshot has no memo and resumes cold.
-            shards.push((snapshot.bank, snapshot.memo));
+            states.push(ShardState { shard: s, bank: snapshot.bank, memo: snapshot.memo });
         }
         // The ownership map is implicit in the restored banks: whatever
         // shard holds a device's estimator owns it. That is the home
         // split, unless the store was written by a build that moved
         // estimators — then the moved owner keeps it.
-        let devices = shards
-            .iter()
-            .flat_map(|(bank, _)| bank.devices())
-            .max()
-            .map_or(0, |d| d + 1);
+        let devices = states.iter().flat_map(|state| state.bank.devices()).max().map_or(0, |d| d + 1);
         let mut owner = vec![0usize; devices];
-        for (s, (bank, _)) in shards.iter().enumerate() {
-            for d in bank.devices() {
-                owner[d] = s;
+        for state in &states {
+            for d in state.bank.devices() {
+                owner[d] = state.shard;
             }
         }
         // Replay the decided prefix in the order the run produced it:
@@ -548,153 +650,76 @@ impl SlotRuntime {
             }
             driver.replay_slot(t);
         }
-        Ok(self.run_from(driver, shards, owner, slot, Some(store), Some(slot)))
+        let supervisor = Supervisor::new(Some(store), k);
+        Ok(self.run_from(driver, Shards::Workers(self.spawn(states)), owner, slot, supervisor, Some(slot)))
     }
 
-    /// The worker executor's slot loop, entered at `start_slot` with one
-    /// `(bank, delta memo)` pair per shard already split (memos all
-    /// `None` on a fresh run) and `owner` routing devices to them.
+    /// The slot loop, entered at `start_slot` with the shard states
+    /// already split (memos all `None` on a fresh run) and `owner`
+    /// routing devices to them, held by whoever `shards` names.
     fn run_from<D: SlotSource + SlotSink>(
         &self,
         driver: &mut D,
-        shards: Vec<(BayesBank, Option<crate::shard::ShardDeltaMemo>)>,
+        shards: Shards,
         owner: Vec<usize>,
         start_slot: usize,
-        store: Option<CheckpointStore>,
+        mut sup: Supervisor,
         resumed_at: Option<usize>,
     ) -> RuntimeReport {
-        let k = self.config.fleet.num_shards;
-        let faults = self.config.stage_faults.map(|f| (f.rate, f.seed, f.repeat));
-
-        let (event_tx, events) = bounded(4 * k + 4);
-        let rings: Vec<Arc<FlightRing>> =
-            (0..k).map(|_| Arc::new(FlightRing::with_default_capacity())).collect();
-        let fanning = Arc::new(AtomicBool::new(false));
-        let workers: Vec<WorkerHandle> = shards
-            .into_iter()
-            .enumerate()
-            .map(|(s, (bank, memo))| {
-                let (tx, rx) = bounded(COMMAND_DEPTH);
-                let thread = spawn_worker(
-                    ShardState { shard: s, bank, memo },
-                    self.config.fleet.scheduler,
-                    faults,
-                    Arc::clone(&rings[s]),
-                    Arc::clone(&fanning),
-                    rx,
-                    event_tx.clone(),
-                );
-                WorkerHandle { commands: Some(tx), thread: Some(thread) }
-            })
-            .collect();
-        let mut hub = Hub {
-            workers,
-            events,
-            event_tx,
-            owner,
-            lost: Vec::new(),
-            workers_lost: 0,
-            rings,
-            join: JoinMemo::default(),
-            fanning,
-        };
-        let mut sup = Supervisor::new(store, k);
-        let interval = self.config.checkpoints.as_ref().map(|c| c.interval);
-
+        let pipelined = matches!(shards, Shards::Workers(_));
+        let interval = self.config.checkpoints.as_ref().map(|c| c.interval).filter(|_| pipelined);
+        let halt = self.config.halt_after_slot.filter(|_| pipelined);
+        let mut hub = Hub { shards, owner, join: JoinMemo::default() };
         let mut run = SlotLoop::default();
-        let mut inline: Option<BayesBank> = None;
         let mut slot = start_slot;
         // On a resume, the restored banks already hold `prepare(slot)`'s
         // maintenance (the snapshot was taken right after it), so the
         // first iteration must not re-apply forgets.
         let mut skip_maintenance = resumed_at.is_some();
-        // Whether every worker survived the last join; a death seen at
-        // join(t) sends slot t + 1 inline.
-        let mut healthy = true;
 
         while let Some(mut ops) = driver.begin_slot(slot) {
             if std::mem::take(&mut skip_maintenance) {
                 ops.forgets.clear();
             }
-            if let Some(bank) = inline.as_mut() {
-                // Sequential fallback: the workers are gone, the merged
-                // bank lives here, slots run inline.
-                Self::inline_slot(&self.scheduler, driver, bank, slot, &ops, &mut run);
-                slot += 1;
-                continue;
+            // A shard the ladder could not keep alive at join(t − 1)
+            // sends slot t and the rest to the hub.
+            if matches!(&hub.shards, Shards::Workers(pool) if !pool.all_alive()) {
+                self.fall_back(&mut hub, &mut sup, slot);
             }
 
             let mut slot_span = lpvs_obs::span!("runtime.slot", "slot" => slot);
-            // Captured once per slot; every channel hop out of the hub
-            // (prepare, dispatch, re-dispatch) carries this context so
-            // worker-side spans join the slot's trace.
+            // Captured once per slot; every hop out of the hub (prepare,
+            // dispatch, re-dispatch) carries this context so shard-side
+            // spans join the slot's trace.
             let slot_ctx = slot_span.context();
 
             // --- prepare(t) --------------------------------------------
-            // `ops_consumed`: whether banks saw this slot's maintenance,
-            // so the fallback path knows whether to replay it.
-            let mut ops_consumed = false;
-            let posteriors = if healthy {
-                ops_consumed = true;
-                let observations = std::mem::take(&mut run.feedback);
-                for &(d, ratio) in &observations {
-                    sup.journal(hub.owner[d], JournalOp::Observe(d, ratio));
-                }
-                for &(d, stale) in &ops.forgets {
-                    sup.journal(hub.owner[d], JournalOp::Forget(d, stale));
-                }
-                self.prepare(&hub, &ops, observations, slot_ctx).ok()
-            } else {
-                None
-            };
-
-            let Some(posteriors) = posteriors else {
-                // --- sequential fallback -------------------------------
-                lpvs_obs::inc("runtime_fallback_total");
-                let mut bank = self.drain_and_merge(&mut hub, &mut sup);
-                // Snapshot every shard's blackbox after the drain —
-                // workers are quiescent, so the recording is the
-                // deterministic tail of what each did before the
-                // hub gave up on them (replay runs compare reports).
-                for s in 0..k {
-                    sup.record_flight(&hub.rings, s, slot, FlightReason::Fallback);
-                }
-                if !ops_consumed {
-                    run.learn(&mut bank);
-                    for &(d, stale) in &ops.forgets {
-                        bank.forget(d, stale);
-                    }
-                }
-                let posteriors: Vec<(f64, f64)> =
-                    ops.queries.iter().map(|&d| bank.posterior(d)).collect();
-                sup.report.fell_back = Some(slot);
-                Self::inline_gather_solve_apply(&self.scheduler, driver, slot, &posteriors, &mut run);
-                inline = Some(bank);
-                slot += 1;
-                continue;
-            };
+            let observations = std::mem::take(&mut run.feedback);
+            let posteriors = self.prepare(&mut hub, &mut sup, slot, &ops, &observations, slot_ctx);
 
             // --- checkpoint round(t) -----------------------------------
-            if let Some(interval) = interval {
+            if let (Some(interval), Shards::Workers(pool)) = (interval, &mut hub.shards) {
                 if (slot - start_slot).is_multiple_of(interval) {
-                    self.request_checkpoints(&mut hub, &mut sup, slot);
+                    self.request_checkpoints(pool, &mut sup, slot);
                 }
             }
 
             // --- gather(t) → dispatch(t) → join(t) ---------------------
             if let Some(g) = run.gather(driver, slot, &posteriors) {
-                let pending = self.dispatch(&mut hub, slot, g, slot_ctx);
-                let collected = self.join_solve(&mut hub, &mut sup, pending, &mut run);
+                let mut pending = self.dispatch(&mut hub, slot, g, slot_ctx);
+                if let Shards::Workers(pool) = &mut hub.shards {
+                    self.join_workers(pool, &mut sup, &mut pending);
+                }
+                let collected = self.conclude(&mut hub.join, pending, &mut run);
                 slot_span.record("joined_migrations", collected.solved.schedule.migrations as f64);
                 driver.solved(&collected.solved);
                 sup.log_decision(&collected);
-                healthy = hub.all_alive();
                 run.recycled = collected.buffer;
             }
 
             // --- apply(t) ----------------------------------------------
             run.apply(driver, slot);
-            if self.config.halt_after_slot == Some(slot) {
+            if halt == Some(slot) {
                 // Simulated hub crash: stop driving, but drain cleanly
                 // below so the manifest names the newest complete round.
                 break;
@@ -706,117 +731,119 @@ impl SlotRuntime {
         run.recycled = None;
 
         // --- drain -----------------------------------------------------
-        let estimators = if let Some(mut bank) = inline.take() {
-            run.learn(&mut bank);
-            bank.into_dense()
-        } else {
-            // The last slot's observations still belong in the banks —
-            // the inline executor folds them after its last slot too.
-            // Root a span for them so the worker-side prepare spans
-            // stay parented (no orphans anywhere in the runtime).
-            if !run.feedback.is_empty() {
-                let tail_span =
-                    lpvs_obs::span!("runtime.tail", "observations" => run.feedback.len());
-                let _ = self.prepare(
-                    &hub,
-                    &BankOps::default(),
-                    std::mem::take(&mut run.feedback),
-                    tail_span.context(),
-                );
-            }
-            self.drain_and_merge(&mut hub, &mut sup).into_dense()
+        let k = self.config.fleet.num_shards;
+        let mut states = match hub.shards {
+            Shards::Held(states) => states,
+            Shards::Workers(mut pool) => self.drain(&mut pool, &mut sup),
         };
-        if let Some(store) = sup.store.as_mut() {
-            let _ = store.flush_decisions();
+        // The last slot's observations still belong in the banks. Root a
+        // span for them so their prepare spans stay parented.
+        if !run.feedback.is_empty() {
+            let tail_span = lpvs_obs::span!("runtime.tail", "observations" => run.feedback.len());
+            let (per, _) = route(&hub.owner, k, &BankOps::default(), &run.feedback);
+            prepare_held(&mut states, per, tail_span.context());
         }
-
         RuntimeReport {
             summary: RuntimeSummary {
-                pipelined: true,
+                pipelined,
                 shards: k,
                 slots: run.slots,
                 solved_slots: run.solved_slots,
-                workers_lost: hub.workers_lost,
+                workers_lost: sup.workers_lost,
                 recovery: sup.into_report(resumed_at),
             },
-            estimators,
+            estimators: BayesBank::merge(states.into_iter().map(|state| state.bank)).into_dense(),
             solve_runtime: run.solve_runtime,
             slot_solve_runtimes: run.slot_solve_runtimes,
         }
     }
 
-    /// Runs the driver inline — the stage order of [`Self::run`], but
-    /// the solve through the scoped-thread [`FleetScheduler`] and one
-    /// global bank on the caller's thread. The baseline the worker
-    /// executor is benchmarked and determinism-tested against, and
-    /// what it falls back to.
-    pub fn run_sequential<D: SlotSource + SlotSink>(
+    /// Starts one supervised worker holding `state`.
+    fn start_worker(&self, pool: &Pool, state: ShardState) -> WorkerHandle {
+        let (tx, rx) = bounded(COMMAND_DEPTH);
+        let faults = self.config.stage_faults.map(|f| (f.rate, f.seed, f.repeat));
+        let (ring, fanning) = (Arc::clone(&pool.rings[state.shard]), Arc::clone(&pool.fanning));
+        let thread = spawn_worker(state, self.config.fleet.scheduler, faults, ring, fanning, rx, pool.event_tx.clone());
+        WorkerHandle { commands: Some(tx), thread: Some(thread) }
+    }
+
+    /// Hands each shard state to a worker of its own.
+    fn spawn(&self, states: Vec<ShardState>) -> Pool {
+        let k = states.len();
+        let (event_tx, events) = bounded(4 * k + 4);
+        let mut pool = Pool {
+            workers: Vec::with_capacity(k),
+            events,
+            event_tx,
+            lost: Vec::new(),
+            rings: (0..k).map(|_| Arc::new(FlightRing::with_default_capacity())).collect(),
+            fanning: Arc::new(AtomicBool::new(false)),
+        };
+        for state in states {
+            let worker = self.start_worker(&pool, state);
+            pool.workers.push(worker);
+        }
+        pool
+    }
+
+    /// The bottom of the recovery ladder, at the top of `slot`: every
+    /// worker's state comes home (the buried ones' too) and the hub
+    /// holds them for the rest of the run — memos dropped, so each
+    /// shard's first slot here solves cold.
+    fn fall_back(&self, hub: &mut Hub, sup: &mut Supervisor, slot: usize) {
+        let Shards::Workers(pool) = &mut hub.shards else { return };
+        lpvs_obs::inc("runtime_fallback_total");
+        let mut states = self.drain(pool, sup);
+        // Snapshot every shard's blackbox after the drain — workers are
+        // quiescent, so the recording is the deterministic tail of what
+        // each did before the hub gave up on them (replay runs compare
+        // reports).
+        for s in 0..pool.rings.len() {
+            sup.record_flight(&pool.rings, s, slot, FlightReason::Fallback);
+        }
+        sup.report.fell_back = Some(slot);
+        for state in &mut states {
+            state.memo = None;
+        }
+        hub.shards = Shards::Held(states);
+    }
+
+    /// Routes one slot's bank maintenance and γ queries to the owning
+    /// shards — applied here to hub-held states, journaled and sent to
+    /// workers — and gathers the posterior answers back in query order.
+    /// A worker lost mid-prepare (a panic in its bank: a death anywhere
+    /// else is seen at a join) sends the run to the fallback, and the
+    /// states it takes home answer the queries.
+    fn prepare(
         &self,
-        driver: &mut D,
-        estimators: Vec<GammaEstimator>,
-    ) -> RuntimeReport {
-        let mut bank = BayesBank::from_estimators(estimators);
-        let mut run = SlotLoop::default();
-        let mut slot = 0usize;
-        while let Some(ops) = driver.begin_slot(slot) {
-            Self::inline_slot(&self.scheduler, driver, &mut bank, slot, &ops, &mut run);
-            slot += 1;
-        }
-        run.learn(&mut bank);
-        RuntimeReport {
-            summary: RuntimeSummary {
-                pipelined: false,
-                shards: self.config.fleet.num_shards,
-                slots: run.slots,
-                solved_slots: run.solved_slots,
-                workers_lost: 0,
-                recovery: RecoveryReport::default(),
-            },
-            estimators: bank.into_dense(),
-            solve_runtime: run.solve_runtime,
-            slot_solve_runtimes: run.slot_solve_runtimes,
-        }
-    }
-
-    /// One inline slot: bank maintenance, gather, solve
-    /// through the scoped-thread fleet path, apply.
-    fn inline_slot<D: SlotSource + SlotSink>(
-        scheduler: &FleetScheduler,
-        driver: &mut D,
-        bank: &mut BayesBank,
+        hub: &mut Hub,
+        sup: &mut Supervisor,
         slot: usize,
         ops: &BankOps,
-        run: &mut SlotLoop,
-    ) {
-        // The same root the worker loop opens per slot, so the shard
-        // spans and the driver's have a parent under either executor.
-        let _slot_span = lpvs_obs::span!("runtime.slot", "slot" => slot);
-        run.learn(bank);
-        for &(d, stale) in &ops.forgets {
-            bank.forget(d, stale);
+        observations: &[(usize, f64)],
+        ctx: Option<SpanContext>,
+    ) -> Vec<(f64, f64)> {
+        let (per, positions) = route(&hub.owner, self.config.fleet.num_shards, ops, observations);
+        let answers = match &mut hub.shards {
+            Shards::Held(states) => Some(prepare_held(states, per, ctx)),
+            Shards::Workers(pool) => {
+                sup.journal(&per);
+                pool.prepare(per, ctx)
+            }
+        };
+        let answers = answers.unwrap_or_else(|| {
+            self.fall_back(hub, sup, slot);
+            let Shards::Held(states) = &mut hub.shards else { unreachable!("the fallback holds every shard") };
+            let queries = |at: &Vec<usize>| ShardOps { queries: at.iter().map(|&pos| ops.queries[pos]).collect(), ..ShardOps::default() };
+            prepare_held(states, positions.iter().map(queries).collect(), ctx)
+        });
+        let mut posteriors = vec![(0.0, 0.0); ops.queries.len()];
+        for (at, answers) in positions.iter().zip(answers) {
+            for (&pos, answer) in at.iter().zip(answers) {
+                posteriors[pos] = answer;
+            }
         }
-        let posteriors: Vec<(f64, f64)> = ops.queries.iter().map(|&d| bank.posterior(d)).collect();
-        Self::inline_gather_solve_apply(scheduler, driver, slot, &posteriors, run);
-    }
-
-    /// The gather → solve → solved → apply tail of an inline slot.
-    fn inline_gather_solve_apply<D: SlotSource + SlotSink>(
-        scheduler: &FleetScheduler,
-        driver: &mut D,
-        slot: usize,
-        posteriors: &[(f64, f64)],
-        run: &mut SlotLoop,
-    ) {
-        if let Some(g) = run.gather(driver, slot, posteriors) {
-            let server = EdgeServer::new(g.compute_capacity, g.storage_capacity_gb);
-            let mut schedule =
-                scheduler.schedule(&g.fleet, &server, g.lambda, &g.curve, g.warm.as_deref(), &g.budget);
-            let tier = worst_tier(&schedule);
-            run.count_solved(slot, g.refilled, &mut schedule);
-            driver.solved(&SolvedSlot { slot, schedule, tier });
-            run.recycled = Some(g.fleet);
-        }
-        run.apply(driver, slot);
+        posteriors
     }
 
     /// Requests a checkpoint round: drains any checkpoint bytes still
@@ -824,21 +851,20 @@ impl SlotRuntime {
     /// running), then asks every live worker to encode its bank. The
     /// request is queued between `Prepare(slot)` and `Solve(slot)`, so
     /// the snapshot is exactly the post-prepare bank.
-    fn request_checkpoints(&self, hub: &mut Hub, sup: &mut Supervisor, slot: usize) {
+    fn request_checkpoints(&self, pool: &mut Pool, sup: &mut Supervisor, slot: usize) {
         loop {
-            match hub.events.try_recv() {
+            match pool.events.try_recv() {
                 Ok(WorkerEvent::Checkpointed { shard, slot: ckpt_slot, bank, memo }) => {
-                    sup.persist(shard, ckpt_slot, &bank, memo.as_deref(), None);
+                    sup.persist(shard, ckpt_slot, &bank, memo.as_deref());
                 }
                 Ok(WorkerEvent::Down { state } | WorkerEvent::Finished { state }) => {
                     // No solve is outstanding here, so this death has
                     // nothing to re-dispatch: it is permanent, and the
-                    // next prepare touching the shard triggers the
-                    // fallback.
+                    // next slot falls back.
                     sup.report.shards[state.shard].deaths += 1;
-                    sup.record_flight(&hub.rings, state.shard, slot, FlightReason::WorkerDeath);
-                    hub.workers_lost += 1;
-                    hub.bury(*state);
+                    sup.record_flight(&pool.rings, state.shard, slot, FlightReason::WorkerDeath);
+                    sup.workers_lost += 1;
+                    pool.bury(*state);
                 }
                 Ok(WorkerEvent::Solved { .. }) | Err(_) => break,
             }
@@ -847,7 +873,7 @@ impl SlotRuntime {
         if let Some(store) = sup.store.as_mut() {
             store.begin_round(slot, marks);
         }
-        for worker in &hub.workers {
+        for worker in &pool.workers {
             let _ = worker.send(WorkerMsg::Checkpoint { slot });
         }
     }
@@ -862,12 +888,13 @@ impl SlotRuntime {
             indices: pending.shards[s].clone(),
             compute_capacity: pending.servers[s].compute_capacity(),
             storage_capacity_gb: pending.servers[s].storage_capacity_gb(),
-            load: self.scheduler.rebalances(pending.servers.len()),
+            load: self.fleet.rebalances(pending.servers.len()),
             ctx: pending.ctx,
         }
     }
 
-    /// Partitions a gathered slot and fans it out to the workers.
+    /// Partitions a gathered slot and builds every shard's job, then
+    /// fans the jobs out to the workers or solves the hub-held shards.
     fn dispatch(
         &self,
         hub: &mut Hub,
@@ -875,34 +902,45 @@ impl SlotRuntime {
         g: crate::GatheredSlot,
         ctx: Option<SpanContext>,
     ) -> PendingSolve {
-        // The fleet slot starts before the partition, as on the scoped
-        // path, so both executors time the same stages.
         let mut laps = Laps::start();
-        let k = hub.workers.len();
+        let k = self.config.fleet.num_shards;
         let gathered = Arc::new(g);
-        let shards = self.scheduler.partition(&gathered.fleet);
+        let shards = self.fleet.partition(&gathered.fleet);
         laps.lap("partition");
         let server = EdgeServer::new(gathered.compute_capacity, gathered.storage_capacity_gb);
         let servers = FleetScheduler::split_server(&server, k);
+        let (results, shipped) = ((0..k).map(|_| None).collect(), vec![Vec::new(); k]);
         let mut pending =
-            PendingSolve { slot, gathered, shards, servers, attempts: vec![0; k], laps, ctx };
+            PendingSolve { slot, gathered, shards, servers, attempts: vec![0; k], laps, ctx, results, shipped };
         let jobs: Vec<SolveJob> = (0..k).map(|s| self.shard_job(&pending, s)).collect();
-        let mut first_sent = None;
-        hub.fanning.store(true, Ordering::Relaxed);
-        for (worker, job) in hub.workers.iter().zip(jobs) {
-            // A send failure means the worker died; the join step will
-            // see its Down event (or its pre-marked dead handle) and
-            // degrade the shard to passthrough.
-            let _ = worker.send(WorkerMsg::Solve(job));
-            first_sent.get_or_insert_with(Instant::now);
-        }
-        hub.fanning.store(false, Ordering::Relaxed);
-        pending.laps.lap("dispatch");
-        if lpvs_obs::enabled() {
-            // First `send` returned → last one did: a woken worker that
-            // displaced the hub mid-fan-out shows up here.
-            let skew = first_sent.map_or(0.0, |at| at.elapsed().as_secs_f64());
-            lpvs_obs::observe("runtime_dispatch_skew_seconds", skew);
+        match &mut hub.shards {
+            Shards::Workers(pool) => {
+                let mut first_sent = None;
+                pool.fanning.store(true, Ordering::Relaxed);
+                for (worker, job) in pool.workers.iter().zip(jobs) {
+                    // A send failure means the worker died; the join step
+                    // will see its Down event (or its pre-marked dead
+                    // handle) and degrade the shard to passthrough.
+                    let _ = worker.send(WorkerMsg::Solve(job));
+                    first_sent.get_or_insert_with(Instant::now);
+                }
+                pool.fanning.store(false, Ordering::Relaxed);
+                pending.laps.lap("dispatch");
+                if lpvs_obs::enabled() {
+                    // First `send` returned → last one did: a woken worker
+                    // that displaced the hub mid-fan-out shows up here.
+                    let skew = first_sent.map_or(0.0, |at| at.elapsed().as_secs_f64());
+                    lpvs_obs::observe("runtime_dispatch_skew_seconds", skew);
+                }
+            }
+            Shards::Held(states) => {
+                pending.laps.lap("dispatch");
+                for (s, solved) in solve_held(&self.scheduler, states, jobs).into_iter().enumerate() {
+                    if let Some(solved) = solved {
+                        pending.deliver(s, solved);
+                    }
+                }
+            }
         }
         pending
     }
@@ -953,44 +991,34 @@ impl SlotRuntime {
         Some(bank)
     }
 
-    /// Blocks until every shard has reported on `pending`, then joins
-    /// the results through [`FleetScheduler::assemble`]. A dying worker
-    /// is respawned from its restored bank and the slot re-dispatched
-    /// to it, until its retry budget runs out — only then does the
-    /// shard degrade to passthrough (and the run to the sequential
-    /// fallback, via the health check after this join). Checkpoint
-    /// bytes arriving on the event stream are persisted along the way.
-    fn join_solve(
-        &self,
-        hub: &mut Hub,
-        sup: &mut Supervisor,
-        mut pending: PendingSolve,
-        run: &mut SlotLoop,
-    ) -> Collected {
-        let k = hub.workers.len();
-        let mut results: Vec<Option<(Schedule, Option<ShardLoad>)>> = (0..k).map(|_| None).collect();
-        let mut shipped: Vec<ShardTerms> = vec![Vec::new(); k];
+    /// Blocks until every worker has reported on `pending` (hub-held
+    /// shards deliver at dispatch). A dying worker is respawned from its
+    /// restored bank and the slot re-dispatched to it, until its retry
+    /// budget runs out; only then does the shard degrade to passthrough
+    /// (and the run to the fallback, at the top of the next slot).
+    /// Checkpoint bytes arriving on the event stream are persisted along
+    /// the way.
+    fn join_workers(&self, pool: &mut Pool, sup: &mut Supervisor, pending: &mut PendingSolve) {
         // Shards already buried (e.g. a death noticed while requesting
         // checkpoints) are passthrough from the start.
-        let mut accounted: Vec<bool> = hub.workers.iter().map(|w| w.commands.is_none()).collect();
+        let mut accounted: Vec<bool> = pool.workers.iter().map(|w| w.commands.is_none()).collect();
         let mut remaining = accounted.iter().filter(|&&a| !a).count();
         while remaining > 0 {
-            match hub.events.recv() {
-                Ok(WorkerEvent::Solved { shard, slot, schedule, terms, load }) => {
+            match pool.events.recv() {
+                Ok(WorkerEvent::Solved { shard, slot, solved }) => {
                     debug_assert_eq!(slot, pending.slot, "stale solve result");
-                    results[shard] = Some((*schedule, load));
-                    shipped[shard] = terms;
+                    pending.deliver(shard, *solved);
                     if !accounted[shard] {
                         accounted[shard] = true;
                         remaining -= 1;
                     }
                 }
                 Ok(WorkerEvent::Checkpointed { shard, slot, bank, memo }) => {
-                    sup.persist(shard, slot, &bank, memo.as_deref(), Some(&pending));
+                    sup.persist(shard, slot, &bank, memo.as_deref());
                 }
                 Ok(WorkerEvent::Down { state }) => {
                     let s = state.shard;
-                    hub.workers_lost += 1;
+                    sup.workers_lost += 1;
                     sup.report.shards[s].deaths += 1;
                     if lpvs_obs::enabled() {
                         lpvs_obs::inc_labeled(
@@ -1001,50 +1029,37 @@ impl SlotRuntime {
                     // Blackbox first, before restore/respawn push new
                     // events into the ring: the recording holds what
                     // the worker did right up to its death.
-                    sup.record_flight(&hub.rings, s, pending.slot, FlightReason::WorkerDeath);
+                    sup.record_flight(&pool.rings, s, pending.slot, FlightReason::WorkerDeath);
                     let attempt = pending.attempts[s];
                     let restored = if accounted[s] || attempt >= MAX_RETRIES {
                         None
                     } else {
-                        self.restore_bank(sup, &hub.rings, s, &pending, &state)
+                        self.restore_bank(sup, &pool.rings, s, pending, &state)
                     };
                     match restored {
                         Some(bank) => {
                             // Exponential backoff before the respawn —
                             // the attempt bound keeps the shift sane.
                             std::thread::sleep(RESPAWN_BACKOFF * (1u32 << attempt.min(10)));
-                            if let Some(old) = hub.workers[s].thread.take() {
+                            if let Some(old) = pool.workers[s].thread.take() {
                                 let _ = old.join();
                             }
-                            let (tx, rx) = bounded(COMMAND_DEPTH);
-                            let faults =
-                                self.config.stage_faults.map(|f| (f.rate, f.seed, f.repeat));
                             // The respawned worker starts with no delta
                             // memo, so the re-dispatch solves cold:
                             // recovery correctness never depends on
                             // warm state.
-                            let thread = spawn_worker(
-                                ShardState::new(s, bank),
-                                self.config.fleet.scheduler,
-                                faults,
-                                Arc::clone(&hub.rings[s]),
-                                Arc::clone(&hub.fanning),
-                                rx,
-                                hub.event_tx.clone(),
-                            );
-                            hub.workers[s] =
-                                WorkerHandle { commands: Some(tx), thread: Some(thread) };
+                            pool.workers[s] = self.start_worker(pool, ShardState::new(s, bank));
                             sup.report.shards[s].retries += 1;
                             lpvs_obs::inc("recovery_respawns_total");
                             pending.attempts[s] = attempt + 1;
-                            let _ = hub.workers[s].send(WorkerMsg::Solve(self.shard_job(&pending, s)));
+                            let _ = pool.workers[s].send(WorkerMsg::Solve(self.shard_job(pending, s)));
                             // Not accounted: the respawned worker's
                             // Solved event closes this shard out.
                         }
                         None => {
                             // Retry budget exhausted or no valid
                             // generation: the shard is gone for good.
-                            hub.bury(*state);
+                            pool.bury(*state);
                             if !accounted[s] {
                                 accounted[s] = true;
                                 remaining -= 1;
@@ -1054,8 +1069,8 @@ impl SlotRuntime {
                 }
                 Ok(WorkerEvent::Finished { state }) => {
                     let s = state.shard;
-                    hub.workers_lost += 1;
-                    hub.bury(*state);
+                    sup.workers_lost += 1;
+                    pool.bury(*state);
                     if !accounted[s] {
                         accounted[s] = true;
                         remaining -= 1;
@@ -1064,12 +1079,18 @@ impl SlotRuntime {
                 Err(_) => break, // every worker gone; the rest are passthrough
             }
         }
+    }
 
-        // The hub blocked on its workers is the slot's solve lap; the
-        // join adds the hub working alone while they idle.
-        let PendingSolve { slot, gathered, shards, servers, mut laps, .. } = pending;
+    /// The end of every slot's join, under either executor: the time
+    /// the hub waited on its shards is the `join` lap; the shard
+    /// schedules and the terms shipped beside them are assembled through
+    /// [`FleetScheduler::assemble`]; the slot is counted and published;
+    /// and the fleet buffer comes back — every shard dropped its handle
+    /// before delivering, so the hub's is unique.
+    fn conclude(&self, join: &mut JoinMemo, pending: PendingSolve, run: &mut SlotLoop) -> Collected {
+        let PendingSolve { slot, gathered, shards, servers, mut laps, results, shipped, .. } = pending;
         laps.lap("join");
-        let mut schedule = self.scheduler.assemble(
+        let mut schedule = self.fleet.assemble(
             &gathered.fleet,
             &servers,
             shards,
@@ -1077,12 +1098,10 @@ impl SlotRuntime {
             gathered.lambda,
             &gathered.curve,
             laps,
-            gathered.delta.as_ref().map(|delta| (&mut hub.join, delta, &shipped[..])),
+            gathered.delta.as_ref().map(|delta| (join, delta, &shipped[..])),
         );
         let tier = worst_tier(&schedule);
         run.count_solved(slot, gathered.refilled, &mut schedule);
-        // Every worker dropped its handle before reporting, so ours is
-        // unique and the buffer comes back for the next gather.
         let (buffer, device_ids) = match Arc::try_unwrap(gathered) {
             Ok(g) => (Some(g.fleet), g.device_ids),
             Err(arc) => (None, arc.device_ids.clone()),
@@ -1090,83 +1109,27 @@ impl SlotRuntime {
         Collected { solved: SolvedSlot { slot, schedule, tier }, buffer, device_ids }
     }
 
-    /// Routes one slot's bank maintenance and γ queries to the owning
-    /// shards and gathers the posterior answers back in query order.
-    /// Per-message order (observations, then forgets, then queries)
-    /// mirrors the inline executor's per-device operation order.
-    fn prepare(
-        &self,
-        hub: &Hub,
-        ops: &BankOps,
-        observations: Vec<(usize, f64)>,
-        ctx: Option<SpanContext>,
-    ) -> Result<Vec<(f64, f64)>, ()> {
-        let k = hub.workers.len();
-        let mut per_obs: Vec<Vec<(usize, f64)>> = vec![Vec::new(); k];
-        let mut per_forgets: Vec<Vec<(usize, u32)>> = vec![Vec::new(); k];
-        let mut per_queries: Vec<Vec<usize>> = vec![Vec::new(); k];
-        let mut query_slots: Vec<Vec<usize>> = vec![Vec::new(); k];
-        for (d, ratio) in observations {
-            per_obs[hub.owner[d]].push((d, ratio));
-        }
-        for &(d, stale) in &ops.forgets {
-            per_forgets[hub.owner[d]].push((d, stale));
-        }
-        for (pos, &d) in ops.queries.iter().enumerate() {
-            let s = hub.owner[d];
-            per_queries[s].push(d);
-            query_slots[s].push(pos);
-        }
-
-        // Fan out first so shards work concurrently, then await replies
-        // in shard order.
-        type PosteriorReply = Receiver<Vec<(f64, f64)>>;
-        let mut pending: Vec<(usize, PosteriorReply)> = Vec::new();
-        for s in 0..k {
-            if per_obs[s].is_empty() && per_forgets[s].is_empty() && per_queries[s].is_empty() {
-                continue;
-            }
-            let (reply_tx, reply_rx) = bounded(1);
-            hub.workers[s].send(WorkerMsg::Prepare {
-                observations: std::mem::take(&mut per_obs[s]),
-                forgets: std::mem::take(&mut per_forgets[s]),
-                queries: std::mem::take(&mut per_queries[s]),
-                reply: reply_tx,
-                ctx,
-            })?;
-            pending.push((s, reply_rx));
-        }
-        let mut posteriors = vec![(0.0, 0.0); ops.queries.len()];
-        for (s, reply_rx) in pending {
-            let answers = reply_rx.recv().map_err(|_| ())?;
-            for (&pos, answer) in query_slots[s].iter().zip(answers) {
-                posteriors[pos] = answer;
-            }
-        }
-        Ok(posteriors)
-    }
-
-    /// Finishes every live worker, collects every bank (clean exits and
-    /// casualties alike), joins the threads, and merges the banks.
+    /// Finishes every live worker, takes every state home (clean exits
+    /// and the buried alike) in shard order, and joins the threads.
     /// Checkpoint bytes still in the event stream — a round requested
     /// in an idle slot, which no join carried — are persisted on the
     /// way, so a halted hub's manifest names its last round.
-    fn drain_and_merge(&self, hub: &mut Hub, sup: &mut Supervisor) -> BayesBank {
-        for worker in &mut hub.workers {
+    fn drain(&self, pool: &mut Pool, sup: &mut Supervisor) -> Vec<ShardState> {
+        for worker in &mut pool.workers {
             if let Some(tx) = worker.commands.take() {
                 let _ = tx.send(WorkerMsg::Finish);
             }
         }
-        // The hub's own event_tx clone keeps the channel open, so drain
+        // The pool's own event_tx clone keeps the channel open, so drain
         // by count, not disconnection.
-        let mut states = std::mem::take(&mut hub.lost);
-        while states.len() < hub.workers.len() {
-            match hub.events.recv() {
+        let mut states = std::mem::take(&mut pool.lost);
+        while states.len() < pool.workers.len() {
+            match pool.events.recv() {
                 Ok(WorkerEvent::Finished { state } | WorkerEvent::Down { state }) => {
                     states.push(*state);
                 }
                 Ok(WorkerEvent::Checkpointed { shard, slot, bank, memo }) => {
-                    sup.persist(shard, slot, &bank, memo.as_deref(), None);
+                    sup.persist(shard, slot, &bank, memo.as_deref());
                 }
                 Ok(WorkerEvent::Solved { .. }) => continue,
                 Err(_) => break,
@@ -1174,16 +1137,17 @@ impl SlotRuntime {
         }
         // Late checkpoint bytes can still be queued behind the final
         // states (a worker checkpoints, then finishes).
-        while let Ok(event) = hub.events.try_recv() {
+        while let Ok(event) = pool.events.try_recv() {
             if let WorkerEvent::Checkpointed { shard, slot, bank, memo } = event {
-                sup.persist(shard, slot, &bank, memo.as_deref(), None);
+                sup.persist(shard, slot, &bank, memo.as_deref());
             }
         }
-        for worker in &mut hub.workers {
+        for worker in &mut pool.workers {
             if let Some(thread) = worker.thread.take() {
                 let _ = thread.join();
             }
         }
-        BayesBank::merge(states.into_iter().map(|s| s.bank))
+        states.sort_by_key(|state| state.shard);
+        states
     }
 }

@@ -1,28 +1,36 @@
-//! Persistent shard workers and the state they own.
+//! The shard state and the persistent workers that can hold it.
 //!
-//! Each worker thread owns a [`ShardState`] — its shard id plus the
-//! [`BayesBank`] of γ estimators for the devices it is home to — and
-//! serves a FIFO command stream from the hub:
+//! A [`ShardState`] — its shard id, the [`BayesBank`] of γ estimators
+//! for the devices it is home to, and the delta memo of its last solve —
+//! is the one shard representation under both executors, and it has one
+//! body for each per-shard step:
 //!
-//! * `WorkerMsg::Prepare` — fold last slot's observations, apply
+//! * `ShardState::prepare` — fold last slot's observations, apply
 //!   staleness forgets, answer posterior queries;
-//! * `WorkerMsg::Solve` — run the resilient scheduler on this shard's
+//! * `ShardState::solve` — run the resilient scheduler on this shard's
 //!   slice of the shared [`GatheredSlot`] (solver panics are contained:
-//!   the shard degrades to passthrough, the worker survives) and ship
-//!   the per-row terms the solve evaluated home beside the schedule, so
-//!   the join adopts them instead of evaluating those rows again, and,
-//!   when the join rebalances, the [`ShardLoad`] of the schedule it
-//!   sends. The schedule's [`SlotWork`] carries the delta path the
-//!   worker took and the rows it accounted, counted before the solve
-//!   runs. The worker yields while the hub is still fanning the slot
-//!   out: woken on the hub's CPU it would displace a hub that has other
-//!   shards' jobs to send, and every shard would wait on that one;
+//!   the shard degrades to passthrough) and return the per-row terms the
+//!   solve evaluated beside the schedule, so the join adopts them
+//!   instead of evaluating those rows again, and, when the join
+//!   rebalances, the [`ShardLoad`] of that schedule. The schedule's
+//!   [`SlotWork`] carries the delta path taken and the rows accounted,
+//!   counted before the solve runs.
+//!
+//! The inline executor's hub holds the states and calls both itself. A
+//! persistent worker thread holds one and serves a FIFO command stream
+//! from the hub, calling the same bodies:
+//!
+//! * `WorkerMsg::Prepare` — `ShardState::prepare`, answers sent back;
+//! * `WorkerMsg::Solve` — `ShardState::solve`, the result sent home. The
+//!   worker yields while the hub is still fanning the slot out: woken on
+//!   the hub's CPU it would displace a hub that has other shards' jobs
+//!   to send, and every shard would wait on that one;
 //! * `WorkerMsg::Checkpoint` — encode the bank (and the delta memo)
 //!   and ship the bytes home for the hub to seal;
-//! * `WorkerMsg::Finish` — ship the bank home and exit.
+//! * `WorkerMsg::Finish` — ship the state home and exit.
 //!
-//! The bank holds the same devices from spawn to exit: estimators
-//! never move between shards.
+//! The bank holds the same devices from the split to the merge:
+//! estimators never move between shards.
 //!
 //! FIFO ordering is the determinism backbone: a worker sees its bank
 //! operations in exactly the order the hub issued them, slot by slot.
@@ -30,8 +38,8 @@
 //! If the worker itself dies — an injected stage fault, or a panic
 //! outside the contained solver — the bank is **not** lost: the worker
 //! ships its [`ShardState`] back to the hub on the way down
-//! (`WorkerEvent::Down`), so the hub can merge it and fall back to
-//! the sequential path.
+//! (`WorkerEvent::Down`), so the hub can respawn the shard or, at the
+//! bottom of the ladder, hold the states itself.
 
 use crate::GatheredSlot;
 use crossbeam::channel::{Receiver, Sender};
@@ -49,9 +57,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Everything a shard worker owns: identity plus its γ bank and the
-/// delta memo of its last solve. Shipped home wholesale when a worker
-/// dies or finishes.
+/// One shard: identity plus its γ bank and the delta memo of its last
+/// solve. Held by the hub under the inline executor, by a worker under
+/// [`SlotRuntime::run`](crate::SlotRuntime::run) — which ships it home
+/// wholesale when it dies or finishes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardState {
     /// Shard index.
@@ -60,7 +69,7 @@ pub struct ShardState {
     pub bank: BayesBank,
     /// The previous slot's solve, kept for delta reuse. `None` until
     /// the first delta-carrying solve succeeds, after any invalidation,
-    /// and in a respawned worker.
+    /// in a respawned worker and after the fallback.
     pub memo: Option<ShardDeltaMemo>,
 }
 
@@ -69,7 +78,51 @@ impl ShardState {
     pub fn new(shard: usize, bank: BayesBank) -> Self {
         Self { shard, bank, memo: None }
     }
+
+    /// One slot's maintenance and γ queries for this shard: observations
+    /// (from the *previous* slot's playback) are folded before forgets
+    /// (this slot's staleness), then the queries are answered in order.
+    pub(crate) fn prepare(&mut self, ops: ShardOps, ctx: Option<SpanContext>) -> Vec<(f64, f64)> {
+        let _span = lpvs_obs::span_in!(
+            ctx, "runtime.prepare",
+            "shard" => self.shard,
+            "observations" => ops.observations.len(),
+            "forgets" => ops.forgets.len()
+        );
+        for (d, ratio) in ops.observations {
+            self.bank.observe_or_forget(d, ratio);
+        }
+        for (d, stale) in ops.forgets {
+            self.bank.forget(d, stale);
+        }
+        ops.queries.iter().map(|&d| self.bank.posterior(d)).collect()
+    }
 }
+
+/// One shard's share of a slot's bank operations, routed by the hub.
+#[derive(Debug, Default)]
+pub(crate) struct ShardOps {
+    /// `(device, observed_ratio)` in playback order.
+    pub observations: Vec<(usize, f64)>,
+    /// `(device, stale_slots)` in the source's order.
+    pub forgets: Vec<(usize, u32)>,
+    /// Devices whose posterior is asked for, in query order.
+    pub queries: Vec<usize>,
+}
+
+impl ShardOps {
+    /// Whether there is nothing to apply or answer.
+    pub fn is_empty(&self) -> bool {
+        self.observations.is_empty() && self.forgets.is_empty() && self.queries.is_empty()
+    }
+}
+
+/// What a shard's solve hands the join: its schedule (a passthrough when
+/// the solver panicked), the rows it evaluated — shard-local: every row
+/// after a delta-carrying cold solve, the refreshed ones after an
+/// incremental one, else none; `None` when the solver panicked — and its
+/// load, when the job asked for one.
+pub(crate) type ShardSolved = (Schedule, Option<ShardTerms>, Option<ShardLoad>);
 
 /// What a shard remembers between slots to solve incrementally: the
 /// previous slot's schedule plus everything needed to prove the next
@@ -136,14 +189,10 @@ pub(crate) struct SolveJob {
 
 /// Commands the hub sends a worker (FIFO per worker).
 pub(crate) enum WorkerMsg {
-    /// Estimator maintenance + posterior queries for one slot. Order
-    /// inside the message matters: observations (from the *previous*
-    /// slot's playback) are folded before forgets (this slot's
-    /// staleness), matching the inline executor's per-device order.
+    /// Estimator maintenance + posterior queries for one slot
+    /// ([`ShardState::prepare`]).
     Prepare {
-        observations: Vec<(usize, f64)>,
-        forgets: Vec<(usize, u32)>,
-        queries: Vec<usize>,
+        ops: ShardOps,
         reply: Sender<Vec<(f64, f64)>>,
         /// Slot-span context for causal attribution of the worker-side
         /// maintenance span.
@@ -162,11 +211,8 @@ pub(crate) enum WorkerMsg {
 
 /// Events workers send the hub on the shared event channel.
 pub(crate) enum WorkerEvent {
-    /// A solve completed — a passthrough schedule when the solver
-    /// panicked. `terms` are the rows the solve evaluated, shard-local:
-    /// every row after a cold solve, the refreshed ones after an
-    /// incremental one, else none. `load` is the schedule's, if asked.
-    Solved { shard: usize, slot: usize, schedule: Box<Schedule>, terms: ShardTerms, load: Option<ShardLoad> },
+    /// A solve completed ([`ShardSolved`]).
+    Solved { shard: usize, slot: usize, solved: Box<ShardSolved> },
     /// The worker's bank (and delta memo, when one is live), encoded
     /// for checkpointing as of `prepare(slot)`.
     Checkpointed { shard: usize, slot: usize, bank: Vec<u8>, memo: Option<Vec<u8>> },
@@ -234,21 +280,8 @@ pub(crate) fn spawn_worker(
         while let Ok(msg) = commands.recv() {
             let state = courier.state.as_mut().expect("state is present until Finish");
             match msg {
-                WorkerMsg::Prepare { observations, forgets, queries, reply, ctx } => {
-                    let _span = lpvs_obs::span_in!(
-                        ctx, "runtime.prepare",
-                        "shard" => shard,
-                        "observations" => observations.len(),
-                        "forgets" => forgets.len()
-                    );
-                    for (d, ratio) in observations {
-                        state.bank.observe_or_forget(d, ratio);
-                    }
-                    for (d, stale) in forgets {
-                        state.bank.forget(d, stale);
-                    }
-                    let posteriors = queries.iter().map(|&d| state.bank.posterior(d)).collect();
-                    if reply.send(posteriors).is_err() {
+                WorkerMsg::Prepare { ops, reply, ctx } => {
+                    if reply.send(state.prepare(ops, ctx)).is_err() {
                         return; // hub gone; courier ships the bank
                     }
                 }
@@ -288,21 +321,10 @@ pub(crate) fn spawn_worker(
                     // Consumes the job, and with it the shared buffer's
                     // handle — released before announcing, so the hub's
                     // is unique once all shards report.
-                    let (schedule, terms, load) = solve_slice(&scheduler, shard, job, &mut state.memo);
-                    ring.push(
-                        FlightKind::SpanEnd,
-                        "solve",
-                        slot as f64,
-                        if terms.is_some() { 1.0 } else { 0.0 },
-                    );
-                    let event = WorkerEvent::Solved {
-                        shard,
-                        slot,
-                        schedule: Box::new(schedule),
-                        terms: terms.unwrap_or_default(),
-                        load,
-                    };
-                    if events.send(event).is_err() {
+                    let solved = state.solve(&scheduler, job);
+                    let ok = if solved.1.is_some() { 1.0 } else { 0.0 };
+                    ring.push(FlightKind::SpanEnd, "solve", slot as f64, ok);
+                    if events.send(WorkerEvent::Solved { shard, slot, solved: Box::new(solved) }).is_err() {
                         return;
                     }
                 }
@@ -377,127 +399,124 @@ fn classify_delta(job: &SolveJob, memo: &Option<ShardDeltaMemo>) -> (DeltaPath, 
     }
 }
 
-/// Runs the resilient scheduler on one shard's slice — a view of the
-/// shared gathered fleet, never a copy of it — cold, incrementally over
-/// the dirty frontier, or by reusing the memo outright when nothing in
-/// the shard changed. A solver panic is contained here — the shard
-/// sends the join's passthrough and no terms, the memo is dropped, and
-/// the worker stays up, mirroring the scoped-thread fleet path where a
-/// dead shard thread degrades the same way. The path and the rows it
-/// accounts are counted before the solve runs, so a solve that panics
-/// still reports them. The worker's own work around the solve is its
-/// `shard` laps, and the solve's spans are recorded from the
-/// laps under `runtime.solve`. The [`ShardLoad`], when the job asks for
-/// one, is that of the schedule the worker sends: a panicked solve's
-/// passthrough selects nothing.
-fn solve_slice(
-    scheduler: &LpvsScheduler,
-    shard: usize,
-    job: SolveJob,
-    memo: &mut Option<ShardDeltaMemo>,
-) -> (Schedule, Option<ShardTerms>, Option<ShardLoad>) {
-    let mut own = Laps::start();
-    // Parented on the hub's slot span via the shipped context, so the
-    // solve shows up under its slot's trace instead of as an orphan
-    // root on the worker thread.
-    let mut span = lpvs_obs::span_in!(
-        job.ctx, "runtime.solve",
-        "shard" => shard, "slot" => job.slot, "devices" => job.indices.len()
-    );
-    let (mut work, rows) = (SlotWork::default(), job.indices.len());
-    let (path, local_dirty, reset) = classify_delta(&job, memo);
-    if reset {
-        *memo = None;
-    }
-    span.record("frontier", local_dirty.len() as f64);
-    // A cold solve accounts every row, a reuse none, an incremental one
-    // counts its own (`solve_incremental`).
-    let paths = &mut work.delta_path;
-    match path {
-        DeltaPath::Reuse => paths.reuse += 1,
-        DeltaPath::Incremental => paths.incremental += 1,
-        DeltaPath::Cold => {
-            paths.cold += 1;
-            work.rows_accounted.shard += job.indices.len() as u64;
+impl ShardState {
+    /// Runs the resilient scheduler on this shard's slice — a view of the
+    /// shared gathered fleet, never a copy of it — cold, incrementally
+    /// over the dirty frontier, or by reusing the memo outright when
+    /// nothing in the shard changed. A solver panic is contained here —
+    /// the shard hands the join its passthrough and no terms, and the memo
+    /// is dropped. The path and the rows it accounts are counted before
+    /// the solve runs, so a solve that panics still reports them. The
+    /// shard's own work around the solve is its `shard` laps, and the
+    /// solve's spans are recorded from the laps under `runtime.solve`.
+    /// The [`ShardLoad`], when the job asks for one, is that of the
+    /// schedule returned: a panicked solve's passthrough selects nothing.
+    /// Consumes the job, and with it its handle on the shared buffer.
+    pub(crate) fn solve(&mut self, scheduler: &LpvsScheduler, job: SolveJob) -> ShardSolved {
+        let (shard, memo) = (self.shard, &mut self.memo);
+        let mut own = Laps::start();
+        // Parented on the hub's slot span via the shipped context, so the
+        // solve shows up under its slot's trace instead of as an orphan
+        // root on the shard's thread.
+        let mut span = lpvs_obs::span_in!(
+            job.ctx, "runtime.solve",
+            "shard" => shard, "slot" => job.slot, "devices" => job.indices.len()
+        );
+        let (mut work, rows) = (SlotWork::default(), job.indices.len());
+        let (path, local_dirty, reset) = classify_delta(&job, memo);
+        if reset {
+            *memo = None;
         }
-    }
-
-    let g = &job.gathered;
-    let (compute, storage_gb) = (job.compute_capacity, job.storage_capacity_gb);
-    let view = || g.fleet.slot_view(&job.indices, compute, storage_gb, g.lambda, &g.curve);
-    // A cold solve's terms, kept with its memo.
-    let mut fresh = RowAccounting::default();
-    let solved = match path {
-        DeltaPath::Reuse => {
-            // Bit-identical to a cold solve by solver determinism: the
-            // problem is unchanged, so the answer is too — and no work
-            // was done for it, nor time taken.
-            memo.as_ref().map(|m| {
-                let stats = ScheduleStats { runtime: Duration::ZERO, ..m.schedule.stats };
-                (Schedule { selected: m.schedule.selected.clone(), stats, ..Schedule::default() }, vec![])
-            })
-        }
-        DeltaPath::Incremental => {
-            let m = memo.as_mut().expect("incremental path requires a memo");
-            catch_unwind(AssertUnwindSafe(|| {
-                let (was, rung) = (&m.schedule.selected, m.schedule.stats.degradation);
-                let terms = &mut m.accounting;
-                solve_incremental(scheduler, view(), &local_dirty, was, rung, &g.budget, terms)
-            }))
-            .ok()
-        }
-        DeltaPath::Cold => solve_cold_shard(scheduler, view(), g.warm.as_deref(), &g.budget).map(
-            |(schedule, terms)| {
-                // Without a delta the join keeps nothing, and adopts nothing.
-                let rows = if g.delta.is_some() { job.indices.len() } else { 0 };
-                let shipped = terms.shipment(0..rows);
-                fresh = terms;
-                (schedule, shipped)
-            },
-        ),
-    };
-
-    let selected = solved.as_ref().map_or(&[][..], |(schedule, _)| &schedule.selected);
-    let server = EdgeServer::new(compute, storage_gb);
-    let load = job.load.then(|| ShardLoad::of(&g.fleet, &server, &job.indices, selected));
-
-    // Refresh the memo: every successful delta-carrying solve becomes
-    // the next slot's baseline; panics and delta-less slots clear it.
-    *memo = match (&solved, g.delta.as_ref()) {
-        (Some((schedule, _)), Some(delta)) => Some(match memo.take() {
-            // Reuse and incremental: the memo's rows, capacities and λ
-            // are this job's (`classify_delta`), its terms followed the
-            // decision, and only a new decision needs copying.
-            Some(mut kept) if path != DeltaPath::Cold => {
-                kept.epoch = delta.epoch;
-                if path == DeltaPath::Incremental {
-                    kept.schedule.clone_from(schedule);
-                }
-                kept
+        span.record("frontier", local_dirty.len() as f64);
+        // A cold solve accounts every row, a reuse none, an incremental one
+        // counts its own (`solve_incremental`).
+        let paths = &mut work.delta_path;
+        match path {
+            DeltaPath::Reuse => paths.reuse += 1,
+            DeltaPath::Incremental => paths.incremental += 1,
+            DeltaPath::Cold => {
+                paths.cold += 1;
+                work.rows_accounted.shard += job.indices.len() as u64;
             }
-            // A cold solve starts over, from the terms it evaluated.
-            _ => ShardDeltaMemo {
-                epoch: delta.epoch,
-                compute_capacity: compute,
-                storage_capacity_gb: storage_gb,
-                lambda: g.lambda,
-                schedule: schedule.clone(),
-                accounting: fresh,
-                indices: job.indices,
-            },
-        }),
-        _ => None,
-    };
+        }
 
-    span.record("ok", if solved.is_some() { 1.0 } else { 0.0 });
-    let (schedule, terms) = solved.unzip();
-    let mut schedule = schedule.unwrap_or_else(|| FleetScheduler::passthrough_schedule(rows));
-    schedule.work += work;
-    own.splice("shard", &schedule.laps);
-    own.lap("shard");
-    schedule.laps = own;
-    crate::telemetry::record_spans(&schedule.laps, None);
-    (schedule, terms, load)
+        let g = &job.gathered;
+        let (compute, storage_gb) = (job.compute_capacity, job.storage_capacity_gb);
+        let view = || g.fleet.slot_view(&job.indices, compute, storage_gb, g.lambda, &g.curve);
+        // A cold solve's terms, kept with its memo.
+        let mut fresh = RowAccounting::default();
+        let solved = match path {
+            DeltaPath::Reuse => {
+                // Bit-identical to a cold solve by solver determinism: the
+                // problem is unchanged, so the answer is too — and no work
+                // was done for it, nor time taken.
+                memo.as_ref().map(|m| {
+                    let stats = ScheduleStats { runtime: Duration::ZERO, ..m.schedule.stats };
+                    (Schedule { selected: m.schedule.selected.clone(), stats, ..Schedule::default() }, vec![])
+                })
+            }
+            DeltaPath::Incremental => {
+                let m = memo.as_mut().expect("incremental path requires a memo");
+                catch_unwind(AssertUnwindSafe(|| {
+                    let (was, rung) = (&m.schedule.selected, m.schedule.stats.degradation);
+                    let terms = &mut m.accounting;
+                    solve_incremental(scheduler, view(), &local_dirty, was, rung, &g.budget, terms)
+                }))
+                .ok()
+            }
+            DeltaPath::Cold => solve_cold_shard(scheduler, view(), g.warm.as_deref(), &g.budget).map(
+                |(schedule, terms)| {
+                    // Without a delta the join keeps nothing, and adopts nothing.
+                    let rows = if g.delta.is_some() { job.indices.len() } else { 0 };
+                    let shipped = terms.shipment(0..rows);
+                    fresh = terms;
+                    (schedule, shipped)
+                },
+            ),
+        };
+
+        let selected = solved.as_ref().map_or(&[][..], |(schedule, _)| &schedule.selected);
+        let server = EdgeServer::new(compute, storage_gb);
+        let load = job.load.then(|| ShardLoad::of(&g.fleet, &server, &job.indices, selected));
+
+        // Refresh the memo: every successful delta-carrying solve becomes
+        // the next slot's baseline; panics and delta-less slots clear it.
+        *memo = match (&solved, g.delta.as_ref()) {
+            (Some((schedule, _)), Some(delta)) => Some(match memo.take() {
+                // Reuse and incremental: the memo's rows, capacities and λ
+                // are this job's (`classify_delta`), its terms followed the
+                // decision, and only a new decision needs copying.
+                Some(mut kept) if path != DeltaPath::Cold => {
+                    kept.epoch = delta.epoch;
+                    if path == DeltaPath::Incremental {
+                        kept.schedule.clone_from(schedule);
+                    }
+                    kept
+                }
+                // A cold solve starts over, from the terms it evaluated.
+                _ => ShardDeltaMemo {
+                    epoch: delta.epoch,
+                    compute_capacity: compute,
+                    storage_capacity_gb: storage_gb,
+                    lambda: g.lambda,
+                    schedule: schedule.clone(),
+                    accounting: fresh,
+                    indices: job.indices,
+                },
+            }),
+            _ => None,
+        };
+
+        span.record("ok", if solved.is_some() { 1.0 } else { 0.0 });
+        let (schedule, terms) = solved.unzip();
+        let mut schedule = schedule.unwrap_or_else(|| FleetScheduler::passthrough_schedule(rows));
+        schedule.work += work;
+        own.splice("shard", &schedule.laps);
+        own.lap("shard");
+        schedule.laps = own;
+        crate::telemetry::record_spans(&schedule.laps, None);
+        (schedule, terms, load)
+    }
 }
 
 #[cfg(test)]

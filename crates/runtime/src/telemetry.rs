@@ -1,6 +1,7 @@
 //! The one publisher of a delivered slot's records: its [`SlotWork`] and
-//! its [`Laps`] become series, and spans recorded after the fact
-//! ([`publish`], which the slot loop calls on every solved slot).
+//! its [`Laps`] become series ([`publish`], which the slot loop calls on
+//! every solved slot), and a shard's laps its solve's spans
+//! ([`record_spans`], which the shard body calls).
 
 use lpvs_core::work::{Laps, SlotWork};
 use lpvs_edge::fleet::FleetSchedule;
@@ -45,10 +46,9 @@ fn interval(laps: &Laps, from: usize, to: usize) -> (Instant, Instant) {
     (start, end(to).unwrap_or(start))
 }
 
-/// Folds a delivered fleet slot into the registry — its work, each shard
-/// run's tier, its time and rebalance gate, and for a slot the workers
-/// solved (a `dispatch` lap) the hub's stages and each shard's `solve` —
-/// or, for one the scoped threads solved, records its shards' spans here.
+/// Folds a slot the runtime delivered into the registry — its work,
+/// each shard run's tier, its time and rebalance gate, the hub's stages
+/// and each shard's `solve` (the shards recorded their own spans).
 pub fn publish(schedule: &FleetSchedule) {
     if !lpvs_obs::enabled() {
         return;
@@ -59,12 +59,9 @@ pub fn publish(schedule: &FleetSchedule) {
         lpvs_obs::gauge_set("fleet_rebalance_candidates", gated as f64);
     }
     let hub = &schedule.laps;
-    let dispatched = hub.ends.iter().any(|&(stage, _)| stage == "dispatch");
-    if dispatched {
-        observe_stage(&[("stage", "dispatch")], hub.time(|s| s == "partition" || s == "dispatch"));
-        observe_stage(&[("stage", "join")], hub.time(|s| s == "join"));
-        observe_stage(&[("stage", "assemble")], hub.time(|s| s == "rebalance" || s == "total"));
-    }
+    observe_stage(&[("stage", "dispatch")], hub.time(|s| s == "partition" || s == "dispatch"));
+    observe_stage(&[("stage", "join")], hub.time(|s| s == "join"));
+    observe_stage(&[("stage", "assemble")], hub.time(|s| s == "rebalance" || s == "total"));
     for report in schedule.shards.iter().filter(|report| !report.laps.ends.is_empty()) {
         let laps = &report.laps;
         for &(from, to, rung) in &laps.runs {
@@ -73,13 +70,7 @@ pub fn publish(schedule: &FleetSchedule) {
             lpvs_obs::inc_labeled("sched_tier_total", &tier);
             lpvs_obs::observe_labeled("sched_tier_seconds", &tier, (end - start).as_secs_f64());
         }
-        if dispatched {
-            observe_stage(&[("stage", "solve"), ("shard", &report.shard.to_string())], laps.total());
-        } else {
-            let (start, end) = interval(laps, 0, laps.ends.len());
-            let fields = vec![("shard".into(), report.shard as f64), ("devices".into(), report.devices.len() as f64)];
-            record_spans(laps, lpvs_obs::record_span("fleet.shard", None, start, end, fields));
-        }
+        observe_stage(&[("stage", "solve"), ("shard", &report.shard.to_string())], laps.total());
     }
 }
 

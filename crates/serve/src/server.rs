@@ -530,7 +530,7 @@ fn run_slot_loop(runtime: &SlotRuntime, resume: bool, mut engine: ServeEngine, s
         if let Ok(mut store) = CheckpointStore::create(ckpt, k) {
             store.begin_round(final_slot, vec![0; k]);
             for (s, bank) in banks.iter().enumerate() {
-                let _ = store.persist_shard(s, final_slot, &bank_to_bytes(bank), None, None);
+                let _ = store.persist_shard(s, final_slot, &bank_to_bytes(bank), None);
             }
         }
     }

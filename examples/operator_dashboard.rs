@@ -107,11 +107,11 @@ fn main() {
         schedule.stats.runtime
     );
 
-    // Drive the same fleet through the 2-shard scoped-thread scheduler
-    // and publish it as a slot loop does: each shard's `fleet.shard` span
-    // is recorded from its laps under the span the caller has open — in
-    // an executor the slot's `runtime.slot`; here there is none, so each
-    // shard roots a trace.
+    // Drive the same fleet through the 2-shard scoped-thread scheduler,
+    // publish its records as the slot runtime does, and record each
+    // shard's spans from its laps as the runtime's shard body does —
+    // there under the shard's `runtime.solve`; here there is no open
+    // span, so each shard roots a trace.
     let device_fleet = DeviceFleet::from_problem(&problem);
     let server = EdgeServer::new(6.0, 2.0);
     let fleet_schedule = FleetScheduler::with_shards(2).schedule(
@@ -123,6 +123,9 @@ fn main() {
         &SlotBudget::unbounded(),
     );
     telemetry::publish(&fleet_schedule);
+    for report in &fleet_schedule.shards {
+        telemetry::record_spans(&report.laps, None);
+    }
     println!(
         "\n2-shard fleet pass: {:.0} J saved across {} shards",
         fleet_schedule.shards.iter().map(|s| s.stats.energy_saved_j).sum::<f64>(),

@@ -24,7 +24,8 @@ use lpvs::runtime::checkpoint::SNAPSHOT_MAGIC;
 use lpvs::core::scheduler::Degradation;
 use lpvs::runtime::{
     BankOps, CheckpointConfig, CheckpointStore, GatheredSlot, RuntimeConfig, ShardSnapshot,
-    SlotFeedback, SlotReplay, SlotRuntime, SlotSink, SlotSource, SolvedSlot,
+    SlotFeedback, SlotReplay, SlotRuntime, SlotSink, SlotSource, SolvedSlot, SyntheticConfig,
+    SyntheticDriver,
 };
 use lpvs_codec::{crc64, CodecError, Writer};
 use proptest::prelude::*;
@@ -334,10 +335,10 @@ fn a_flipped_byte_is_rejected_and_an_older_generation_restores() {
 
     let old = BayesBank::from_estimators(learned_estimators(5, &[(0, 0.3), (3, 0.5)]));
     store.begin_round(0, vec![0]);
-    store.persist_shard(0, 0, &bank_to_bytes(&old), None, None).expect("persist gen 0");
+    store.persist_shard(0, 0, &bank_to_bytes(&old), None).expect("persist gen 0");
     let new = BayesBank::from_estimators(learned_estimators(5, &[(0, 0.3), (3, 0.5), (4, 0.2)]));
     store.begin_round(1, vec![0]);
-    store.persist_shard(0, 1, &bank_to_bytes(&new), None, None).expect("persist gen 1");
+    store.persist_shard(0, 1, &bank_to_bytes(&new), None).expect("persist gen 1");
 
     // Flip one byte in the newest snapshot file on disk.
     let newest = std::fs::read_dir(dir.join("shard-0"))
@@ -542,7 +543,7 @@ fn a_resumed_store_routes_a_foreign_device_to_the_bank_that_holds_it() {
     let mut store = CheckpointStore::create(&checkpoints, 2).expect("store opens");
     store.begin_round(sealed_at, vec![0, 0]);
     for (s, bank) in banks.iter().enumerate() {
-        store.persist_shard(s, sealed_at, &bank_to_bytes(bank), None, None).expect("persist");
+        store.persist_shard(s, sealed_at, &bank_to_bytes(bank), None).expect("persist");
     }
 
     let mut driver = Querying { devices, slots: sealed_at + 2, answers: Vec::new() };
@@ -562,4 +563,75 @@ fn a_resumed_store_routes_a_foreign_device_to_the_bank_that_holds_it() {
     }
     assert_eq!(driver.answers.len(), 2);
     assert_eq!(report.estimators, reference.into_dense());
+}
+
+/// A synthetic run whose store loses its `shard-0/` directory once the
+/// first round is sealed: `apply(0)` swaps it for a plain file, so every
+/// later snapshot of shard 0 fails to write (ENOTDIR, whatever the user).
+struct Sabotaged {
+    inner: SyntheticDriver,
+    /// The store to break, if this run breaks it.
+    store: Option<std::path::PathBuf>,
+}
+
+impl SlotSource for Sabotaged {
+    fn begin_slot(&mut self, slot: usize) -> Option<BankOps> {
+        self.inner.begin_slot(slot)
+    }
+
+    fn gather(
+        &mut self,
+        slot: usize,
+        posteriors: &[(f64, f64)],
+        recycled: Option<DeviceFleet>,
+    ) -> Option<GatheredSlot> {
+        self.inner.gather(slot, posteriors, recycled)
+    }
+}
+
+impl SlotSink for Sabotaged {
+    fn solved(&mut self, solved: &SolvedSlot) {
+        self.inner.solved(solved);
+    }
+
+    fn apply(&mut self, slot: usize) -> SlotFeedback {
+        if let Some(dir) = self.store.as_ref().filter(|_| slot == 0) {
+            let shard = dir.join("shard-0");
+            std::fs::remove_dir_all(&shard).expect("the first round wrote shard 0");
+            std::fs::write(&shard, b"").expect("a plain file where the directory was");
+        }
+        self.inner.apply(slot)
+    }
+}
+
+/// A durable write that fails is counted, not dropped, and moves no
+/// decision: with shard 0's directory gone after the first round, each
+/// later round's shard-0 snapshot fails — one error a round — while the
+/// run serves the decisions and estimators of an unbroken one.
+#[test]
+fn failed_checkpoint_writes_are_counted_and_move_no_decision() {
+    let slots = 6;
+    let run = |tag: &str, sabotage: bool| {
+        let dir = scratch(tag);
+        let runtime = SlotRuntime::new(RuntimeConfig {
+            fleet: FleetConfig { num_shards: 2, ..FleetConfig::default() },
+            checkpoints: Some(CheckpointConfig { interval: 1, ..CheckpointConfig::new(&dir) }),
+            ..RuntimeConfig::default()
+        });
+        let inner = SyntheticDriver::new(SyntheticConfig::steady(200, slots, 7));
+        let estimators = inner.estimators();
+        let mut driver = Sabotaged { inner, store: sabotage.then(|| dir.clone()) };
+        let report = runtime.run(&mut driver, estimators);
+        let _ = std::fs::remove_file(dir.join("shard-0"));
+        let _ = std::fs::remove_dir_all(&dir);
+        (driver.inner.records().to_vec(), report)
+    };
+    let (clean, clean_report) = run("writes-clean", false);
+    let (broken, broken_report) = run("writes-broken", true);
+    assert_eq!(broken.len(), slots);
+    assert_eq!(broken, clean, "a failed write moves no decision");
+    assert_eq!(broken_report.estimators, clean_report.estimators);
+    assert_eq!(clean_report.summary.recovery.write_errors, 0);
+    assert_eq!(broken_report.summary.recovery.write_errors, slots - 1, "one failed snapshot a later round");
+    assert_eq!(broken_report.summary.recovery.checkpoints_written, 2 * slots - (slots - 1));
 }

@@ -1,11 +1,13 @@
 //! Slot-runtime invariants.
 //!
 //! The headline claim of `lpvs-runtime` is that its two executors —
-//! inline, or supervised shard workers with shard-local banks — differ
+//! shard states held by the hub, or by supervised shard workers — differ
 //! in *who runs the shards* and in nothing else: the same driver calls
-//! in the same order (`solved(t)` before `apply(t)`), and a pipelined
-//! emulation reproduces the inline one-slot-ahead run **bit-for-bit** —
-//! every `SlotRecord`, every Joule, every final γ posterior. The second
+//! in the same order (`solved(t)` before `apply(t)`), the same delivered
+//! schedules on a source that ships a delta (reuse and incremental
+//! solves included), and a pipelined emulation reproduces the inline
+//! one-slot-ahead run **bit-for-bit** — every `SlotRecord`, every Joule,
+//! every final γ posterior. The second
 //! claim is that shard-local Bayes banks are pure choreography: splitting the
 //! global bank and merging it back preserves every posterior exactly, for
 //! any shard count and any ownership map — and the banks keep their home
@@ -17,7 +19,7 @@ use lpvs::core::budget::SlotBudget;
 use lpvs::core::fleet::DeviceFleet;
 use lpvs::core::problem::DeviceRequest;
 use lpvs::core::scheduler::Degradation;
-use lpvs::core::work::SlotWork;
+use lpvs::core::work::{DeltaPaths, SlotWork};
 use lpvs::edge::fleet::{FleetConfig, FleetSchedule, FleetScheduler, ShardLoad, ShardReport};
 use lpvs::edge::server::EdgeServer;
 use lpvs::emulator::engine::{Emulator, EmulatorConfig};
@@ -339,19 +341,76 @@ impl SlotSink for SkewedDriver {
     }
 }
 
-/// A fleet schedule with its wall-clock readings and its counted work
-/// blanked: both describe how the decision was reached, not the
-/// decision (only workers count a delta path and ship terms).
+/// A fleet schedule with its wall-clock readings blanked: they say how
+/// long the decision took, not what it was or what work made it.
 fn timeless(mut schedule: FleetSchedule) -> FleetSchedule {
     schedule.runtime = std::time::Duration::ZERO;
-    schedule.work = SlotWork::default();
     schedule.laps = Default::default();
     for report in &mut schedule.shards {
         report.stats.runtime = std::time::Duration::ZERO;
-        report.work = SlotWork::default();
         report.laps = Default::default();
     }
     schedule
+}
+
+/// [`timeless`], with the counted work blanked too: the fleet
+/// scheduler's one-shot call keeps no memo and counts no delta path, so
+/// only its decision compares with the runtime's.
+fn workless(schedule: FleetSchedule) -> FleetSchedule {
+    let mut schedule = timeless(schedule);
+    schedule.work = SlotWork::default();
+    for report in &mut schedule.shards {
+        report.work = SlotWork::default();
+    }
+    schedule
+}
+
+/// Any driver, with every call the executor makes on it logged and
+/// every delivered slot kept.
+struct Recorded<D> {
+    inner: D,
+    calls: Vec<(&'static str, usize)>,
+    solved: Vec<SolvedSlot>,
+}
+
+impl<D> Recorded<D> {
+    fn new(inner: D) -> Self {
+        Self { inner, calls: Vec::new(), solved: Vec::new() }
+    }
+
+    fn decisions(&self) -> Vec<FleetSchedule> {
+        self.solved.iter().map(|s| timeless(s.schedule.clone())).collect()
+    }
+}
+
+impl<D: SlotSource> SlotSource for Recorded<D> {
+    fn begin_slot(&mut self, slot: usize) -> Option<BankOps> {
+        self.calls.push(("begin_slot", slot));
+        self.inner.begin_slot(slot)
+    }
+
+    fn gather(
+        &mut self,
+        slot: usize,
+        posteriors: &[(f64, f64)],
+        recycled: Option<DeviceFleet>,
+    ) -> Option<GatheredSlot> {
+        self.calls.push(("gather", slot));
+        self.inner.gather(slot, posteriors, recycled)
+    }
+}
+
+impl<D: SlotSink> SlotSink for Recorded<D> {
+    fn solved(&mut self, solved: &SolvedSlot) {
+        self.calls.push(("solved", solved.slot));
+        self.solved.push(solved.clone());
+        self.inner.solved(solved);
+    }
+
+    fn apply(&mut self, slot: usize) -> SlotFeedback {
+        self.calls.push(("apply", slot));
+        self.inner.apply(slot)
+    }
 }
 
 
@@ -359,7 +418,9 @@ fn timeless(mut schedule: FleetSchedule) -> FleetSchedule {
 /// same driver calls in the same sequence, with `solved(t)` between
 /// `gather(t)` and `apply(t)` — so a sink may apply a decision in the
 /// slot it was gathered for (lag 0) under either executor, and both
-/// produce the same decisions and the same final estimators.
+/// produce the same decisions, made by the same work, and the same
+/// final estimators. On a source that ships a delta every shard takes
+/// the same reuse / incremental / cold path under either executor.
 #[test]
 fn both_executors_call_the_driver_in_one_order() {
     for num_shards in [1usize, 2, 3] {
@@ -390,6 +451,43 @@ fn both_executors_call_the_driver_in_one_order() {
             assert_eq!(decisions(&workers), decisions(&inline), "{case}");
             assert_eq!(workers_report.estimators, inline_report.estimators, "{case}");
             assert_eq!(workers_report.summary.workers_lost, 0, "{case}");
+        }
+    }
+
+    let slots = 8;
+    let expected: Vec<(&str, usize)> = (0..slots)
+        .flat_map(|t| [("begin_slot", t), ("gather", t), ("solved", t), ("apply", t)])
+        .chain([("begin_slot", slots)])
+        .collect();
+    for churn in [0.01, 0.2, 0.5] {
+        for num_shards in [1usize, 2, 3] {
+            for seed in [7, 11] {
+                let case = format!("{churn} churn, {num_shards} shards, seed {seed}");
+                let config = SyntheticConfig { mutation_fraction: churn, ..SyntheticConfig::steady(300, slots, seed) };
+                let runtime = SlotRuntime::new(RuntimeConfig {
+                    fleet: FleetConfig { num_shards, ..FleetConfig::default() },
+                    ..RuntimeConfig::default()
+                });
+                let mut inline = Recorded::new(SyntheticDriver::new(config.clone()));
+                let estimators = inline.inner.estimators();
+                let inline_report = runtime.run_sequential(&mut inline, estimators.clone());
+                let mut workers = Recorded::new(SyntheticDriver::new(config));
+                let workers_report = runtime.run(&mut workers, estimators);
+
+                assert_eq!(inline.calls, expected, "{case}: inline executor");
+                assert_eq!(workers.calls, expected, "{case}: worker executor");
+                assert_eq!(workers.decisions(), inline.decisions(), "{case}");
+                assert_eq!(workers_report.estimators, inline_report.estimators, "{case}");
+                // Not vacuous: below the incremental gate the shards ride
+                // the delta path after the cold first slot.
+                let paths = inline.solved.iter().fold(SlotWork::default(), |mut sum, s| {
+                    sum += s.schedule.work;
+                    sum
+                });
+                let paths = paths.delta_path;
+                assert_eq!(paths.reuse + paths.incremental + paths.cold, (num_shards * slots) as u64, "{case}");
+                assert_eq!(paths.reuse + paths.incremental > 0, churn < 0.25, "{case}: {paths:?}");
+            }
         }
     }
 }
@@ -484,12 +582,8 @@ fn executors_agree_when_the_rebalance_migrates() {
             assert_eq!(pipe.slot, seq.slot, "{case}");
             assert_eq!(pipe.tier, seq.tier, "{case}");
             assert_eq!(timeless(pipe.schedule.clone()), timeless(seq.schedule.clone()), "{case}");
-            // What each shard's solver did does not depend on who ran it.
-            let solver = |w: &SlotWork| (w.chunk_steps, w.orders_sorted, w.warm_start, w.uncertified);
-            for (p, s) in pipe.schedule.shards.iter().zip(&seq.schedule.shards) {
-                assert_eq!(solver(&p.work), solver(&s.work), "{case}, shard {}", p.shard);
+            for p in &pipe.schedule.shards {
                 assert!(p.load.is_some(), "{case}, shard {}: a worker reports its load", p.shard);
-                assert_eq!(p.load, s.load, "{case}, shard {}", p.shard);
             }
             assert!(load_gate_open(&pipe.schedule), "{case}: migrations pass an open gate");
             let direct = scoped.schedule_with_servers(
@@ -503,7 +597,7 @@ fn executors_agree_when_the_rebalance_migrates() {
                 g.warm.as_deref(),
                 &g.budget,
             );
-            assert_eq!(timeless(direct), timeless(seq.schedule.clone()), "{case}");
+            assert_eq!(workless(direct), workless(seq.schedule.clone()), "{case}");
         }
         assert_eq!(pipe_report.estimators, seq_report.estimators, "{num_shards} shards");
 
@@ -706,4 +800,30 @@ fn every_delivered_slot_s_stages_add_up_to_its_runtime() {
     let day = EmulatorConfig { devices: 40, slots: 96, seed: 3, pipelined: true, num_edges: 2, ..EmulatorConfig::default() };
     let report = Emulator::new(day, Policy::Lpvs).run();
     assert_eq!(report.runtime.map(|summary| summary.solved_slots), Some(96));
+}
+
+/// The bottom of the ladder keeps the delta path: once a worker has
+/// exhausted its retries the hub takes every shard state home, solves
+/// each shard cold once — the memos were dropped — and from the next
+/// slot on rides reuse / incremental as any run does.
+#[test]
+fn the_fallback_holds_the_shards_and_keeps_the_delta_path() {
+    let slots = 12;
+    let config = SyntheticConfig::steady(400, slots, 7);
+    let fleet = FleetConfig { num_shards: 2, ..FleetConfig::default() };
+    let stage_faults = Some(StageFaults { rate: 0.15, seed: 5, repeat: u32::MAX });
+    let mut driver = Recorded::new(SyntheticDriver::new(config));
+    let estimators = driver.inner.estimators();
+    let report = SlotRuntime::new(RuntimeConfig { fleet, stage_faults, ..RuntimeConfig::default() })
+        .run(&mut driver, estimators);
+    let fell_back = report.summary.recovery.fell_back.expect("an unrecoverable shard falls back");
+    assert!(fell_back + 3 <= slots, "the fallback at slot {fell_back} leaves too few slots to ride");
+    assert_eq!(driver.solved.len(), slots);
+    let paths = |t: usize| driver.solved[t].schedule.work.delta_path;
+    assert_eq!(paths(fell_back), DeltaPaths { cold: 2, ..DeltaPaths::default() }, "slot {fell_back}");
+    for t in fell_back + 1..slots {
+        let p = paths(t);
+        assert_eq!((p.cold, p.reuse + p.incremental), (0, 2), "slot {t}: {p:?}");
+    }
+    assert!((fell_back + 1..slots).any(|t| paths(t).incremental > 0));
 }

@@ -3,10 +3,9 @@
 //! Three guarantees from the observability layer:
 //!
 //! 1. **No orphan spans** — shard work is parented under its slot's
-//!    span: the persistent workers' via the explicit
-//!    [`SpanContext`](lpvs::obs::SpanContext) handoff, the scoped
-//!    threads' recorded by the slot loop on its own thread from the
-//!    laps the shards return, never left as a root anywhere.
+//!    span via the explicit [`SpanContext`](lpvs::obs::SpanContext)
+//!    handoff, whoever runs the shard — a persistent worker, the hub's
+//!    thread or a scoped one — never left as a root anywhere.
 //! 2. **Perfetto export** — a pipelined 2-shard run renders to valid
 //!    Chrome trace-event JSON in which every solve span carries shard
 //!    attribution and its slot's trace id.
@@ -51,8 +50,9 @@ fn scoped_shard_spans_are_never_orphans() {
     let recorder = lpvs::obs::init();
     recorder.reset();
 
-    // The inline executor solves through the scoped threads; its slot
-    // loop records their spans from the delivered laps, after the join.
+    // The inline executor solves shard 0 on the hub's thread and shard 1
+    // on a scoped thread; each records its solve's spans from its laps
+    // under `runtime.solve`, parented through the job's context.
     let mut driver = SyntheticDriver::new(SyntheticConfig::steady(12, 1, 3));
     let estimators = driver.estimators();
     let fleet = FleetConfig { num_shards: 2, ..FleetConfig::default() };
@@ -61,12 +61,11 @@ fn scoped_shard_spans_are_never_orphans() {
     let events = drained_events();
 
     let slot = events.iter().find(|e| e.name == "runtime.slot").expect("runtime.slot span");
-    let shards: Vec<&SpanEvent> = events.iter().filter(|e| e.name == "fleet.shard").collect();
-    assert_eq!(shards.len(), 2, "one fleet.shard span per shard");
+    let shards: Vec<&SpanEvent> = events.iter().filter(|e| e.name == "runtime.solve").collect();
+    assert_eq!(shards.len(), 2, "one runtime.solve span per shard");
     for shard in &shards {
-        assert_eq!(shard.parent, Some(slot.id), "fleet.shard must be parented under the slot's span");
+        assert_eq!(shard.parent, Some(slot.id), "runtime.solve must be parented under the slot's span");
         assert_eq!(shard.trace, slot.trace, "shard spans join the slot's trace");
-        assert_eq!(shard.thread, slot.thread, "the slot loop records every shard's spans on its own thread");
         assert!(
             shard.fields.iter().any(|(k, _)| k == "shard"),
             "shard spans carry shard attribution"
@@ -74,6 +73,8 @@ fn scoped_shard_spans_are_never_orphans() {
         let solve = events.iter().find(|e| e.name == "sched.slot" && e.parent == Some(shard.id));
         assert!(solve.is_some_and(|s| shard.start_us <= s.start_us && s.end_us() <= shard.end_us()));
     }
+    let on_hub = shards.iter().filter(|shard| shard.thread == slot.thread).count();
+    assert_eq!(on_hub, 1, "shard 0 runs on the hub's thread, shard 1 on a scoped thread");
     // The regression this pins: no span in the slot's trace is a
     // parentless root except the slot span itself.
     let orphans = events
