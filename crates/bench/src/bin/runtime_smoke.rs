@@ -17,10 +17,13 @@ use lpvs_emulator::engine::{CheckpointSpec, Emulator, EmulatorConfig};
 use lpvs_emulator::FaultConfig;
 use lpvs_trace::generator::TraceGenerator;
 
-fn scratch_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("lpvs-runtime-smoke-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+/// The run's checkpoint stores, removed when dropped — a failed assertion included.
+struct Scratch(std::path::PathBuf);
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 fn main() {
@@ -80,13 +83,15 @@ fn main() {
         },
         ..config
     };
-    let spec = |dir| CheckpointSpec { interval: 2, ..CheckpointSpec::new(dir) };
+    let scratch = Scratch(std::env::temp_dir().join(format!("lpvs-runtime-smoke-{}", std::process::id())));
+    let _ = std::fs::remove_dir_all(&scratch.0);
+    let spec = |tag| CheckpointSpec { interval: 2, ..CheckpointSpec::new(scratch.0.join(tag)) };
     // Trace the faulted run only: reset so the control and sequential
     // runs' spans don't dilute the artifact.
     let recorder = lpvs_obs::init();
     recorder.reset();
     let faulted = Emulator::new(faulted_config, Policy::Lpvs)
-        .with_checkpoints(spec(scratch_dir("faulted")))
+        .with_checkpoints(spec("faulted"))
         .run();
     lpvs_obs::set_enabled(false);
     let span_events = recorder.drain_events();
@@ -136,7 +141,7 @@ fn main() {
     // Stage faults and corruption are hash-derived, not sampled: the
     // replay must reproduce the whole recovery story bit-for-bit.
     let replay = Emulator::new(faulted_config, Policy::Lpvs)
-        .with_checkpoints(spec(scratch_dir("replay")))
+        .with_checkpoints(spec("replay"))
         .run();
     let replay_summary = replay.runtime.clone().expect("summary");
     assert_eq!(replay_summary.recovery, summary.recovery);

@@ -29,7 +29,7 @@ pub struct WarmStarts {
     pub miss: u64,
 }
 
-/// Shard solves by the delta path their worker took.
+/// Shard solves by the delta path the shard body took.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeltaPaths {
     /// Nothing in the shard changed: the memo's schedule, verbatim.

@@ -10,11 +10,12 @@
 //!    already grouped by base station.
 //! 2. **Solve** — each shard is a zero-copy [`SlotView`] of the fleet
 //!    (its row list plus its own server's capacities) and runs the full
-//!    resilient pipeline through [`solve_cold_shard`], the body the
-//!    slot runtime's shard workers call too — shard 0 on the calling
-//!    thread, the others on scoped threads of their own. Shards never
-//!    share mutable state; results are joined in shard order, so the
-//!    outcome is deterministic regardless of thread interleaving.
+//!    resilient pipeline through [`solve_shard`], the shard body the
+//!    slot runtime calls too, on the one executor [`run_shards`] —
+//!    shard 0 on the calling thread, the others on scoped threads.
+//!    Shards never share mutable state; results are joined in shard
+//!    order, so the outcome is deterministic regardless of thread
+//!    interleaving.
 //! 3. **Rebalance** — a bounded cross-shard pass migrates marginal
 //!    low-battery viewers from saturated shards to shards with spare
 //!    capacity, reusing Phase-2's pure-addition criterion (the
@@ -25,17 +26,19 @@
 //! With one shard the partition is the identity, no migration target
 //! exists, and the result is **bit-identical** to the monolithic
 //! scheduler — the equivalence proptest in `tests/fleet.rs` pins this.
+//!
+//! [`SlotView`]: lpvs_core::fleet::SlotView
 
 use crate::server::EdgeServer;
+use crate::shard::{run_shards, solve_shard, ShardJob, ShardSolve, SlotInputs};
 use lpvs_core::accounting::{RowAccounting, ShardTerms};
 use lpvs_core::budget::SlotBudget;
 use lpvs_core::delta::SlotDelta;
-use lpvs_core::fleet::{DeviceFleet, SlotView};
+use lpvs_core::fleet::DeviceFleet;
 use lpvs_core::scheduler::{Degradation, LpvsScheduler, Schedule, ScheduleStats, SchedulerConfig};
 use lpvs_core::work::{Laps, RowsAccounted, SlotWork};
 use lpvs_survey::curve::AnxietyCurve;
 use serde::{Deserialize, Serialize};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
 /// 2⁶⁴/φ: the increment of the splitmix64 draws the runtime's seeded
@@ -112,8 +115,8 @@ pub struct ShardReport {
     /// The shard scheduler's run statistics (rung reached, objective,
     /// Phase-1/2 work).
     pub stats: ScheduleStats,
-    /// The shard solve's counted work ([`Schedule::work`]; a worker adds
-    /// the delta path it took and the rows it accounted before solving).
+    /// The shard solve's counted work ([`Schedule::work`]; the shard body
+    /// adds the delta path it took and the rows it accounted).
     #[serde(skip)]
     pub work: SlotWork,
     /// The solver's laps between the `shard` laps of whoever ran it.
@@ -351,15 +354,11 @@ impl FleetScheduler {
         self.schedule_with_servers(fleet, &servers, lambda, curve, previous, budget)
     }
 
-    /// Schedules the fleet against explicit per-shard servers.
-    ///
-    /// Each shard runs the full resilient pipeline — shard 0 on the
-    /// calling thread, every other shard on its own scoped thread, so
-    /// one shard costs no thread at all. The per-slot `budget` applies
-    /// to every shard independently (shards run concurrently, so the
-    /// slot deadline is a per-shard wall-clock bound). A `previous`
-    /// selection in global fleet order warm-starts each shard with its
-    /// own slice.
+    /// Schedules the fleet against explicit per-shard servers: each
+    /// shard solves cold through [`solve_shard`] on [`run_shards`], its
+    /// work one cold path and its rows. The per-slot `budget` applies to
+    /// every shard independently. A `previous` selection in global fleet
+    /// order warm-starts each shard with its own slice.
     ///
     /// # Panics
     ///
@@ -383,38 +382,13 @@ impl FleetScheduler {
         let shards = self.partition(fleet);
         laps.lap("partition");
 
-        // Shard 0 on the calling thread — which would otherwise only
-        // block in `join` — and one scoped thread for each of the
-        // others, all through the same closure over views of the one
-        // fleet; results in shard order make the gather deterministic
-        // without any shared mutable state. A panicking shard is `None`
-        // (passthrough) wherever it ran.
-        let scheduler = LpvsScheduler::new(self.config.scheduler);
-        let rebalances = self.rebalances(servers.len());
-        let solve = |s: usize| {
-            let mut own = Laps::start();
-            let view = fleet.slot_view(
-                &shards[s],
-                servers[s].compute_capacity(),
-                servers[s].storage_capacity_gb(),
-                lambda,
-                curve,
-            );
-            let (mut schedule, _) = solve_cold_shard(&scheduler, view, previous, budget)?;
-            let load = rebalances.then(|| ShardLoad::of(fleet, &servers[s], &shards[s], &schedule.selected));
-            own.splice("shard", &schedule.laps);
-            own.lap("shard");
-            schedule.laps = own;
-            Some((schedule, load))
-        };
-        let results: Vec<Option<(Schedule, Option<ShardLoad>)>> = crossbeam::thread::scope(|scope| {
-            let solve = &solve;
-            let handles: Vec<_> =
-                (1..shards.len()).map(|s| scope.spawn(move |_| solve(s))).collect();
-            let rest = handles.into_iter().map(|h| h.join().ok().flatten());
-            std::iter::once(solve(0)).chain(rest).collect()
-        })
-        .unwrap_or_default();
+        // No delta: every shard solves cold and keeps nothing, so the
+        // memos live for this call.
+        let (scheduler, load) = (LpvsScheduler::new(self.config.scheduler), self.rebalances(servers.len()));
+        let slot = SlotInputs { fleet, lambda, curve, budget, warm: previous, delta: None };
+        let jobs = shards.iter().zip(servers).map(|(rows, &server)| ShardJob { rows: rows.clone(), server, load });
+        let mut memos = vec![None; shards.len()];
+        let results = run_shards(&mut memos, jobs.collect(), |memo, job| solve_shard(&scheduler, memo, &slot, job));
         laps.lap("solve");
 
         self.assemble(fleet, servers, shards, results, lambda, curve, laps, None)
@@ -434,44 +408,41 @@ impl FleetScheduler {
         self.config.max_migrations > 0 && shards >= 2
     }
 
-    /// Joins per-shard schedules into a fleet-wide decision: scatter
-    /// into global order, run the bounded cross-shard rebalance, and
-    /// total the objective. A `None` result (a shard whose solver died)
+    /// Joins per-shard solves into a fleet-wide decision: scatter into
+    /// global order, run the bounded cross-shard rebalance, and total the
+    /// objective. A `None` result (a shard that delivered nothing)
     /// degrades to [`passthrough_schedule`](Self::passthrough_schedule).
     /// A result carries the [`ShardLoad`] its shard reported, if any; the
     /// join computes the rest, and laps the hub's clock `laps` on.
     ///
     /// This is the second half of
     /// [`schedule_with_servers`](Self::schedule_with_servers), exposed
-    /// so runtimes that keep their own persistent shard workers (the
-    /// pipelined slot runtime) join results through the **same** code
-    /// path and stay bit-identical to the scoped-thread scheduler. With
-    /// the caller's [`JoinMemo`], the slot's delta and what each shard
-    /// shipped (one [`ShardTerms`] a shard, empty for none) as `kept`, a
-    /// slot that extends the memo accounts only the rows that changed,
-    /// and of those only the ones no shard already evaluated.
+    /// so the slot runtime, which holds its shards' memos across slots,
+    /// joins results through the **same** code path. With the caller's
+    /// [`JoinMemo`] and the slot's delta as `kept`, a slot that extends
+    /// the memo accounts only the rows that changed, and of those only
+    /// the ones no shard already evaluated and shipped.
     #[allow(clippy::too_many_arguments)]
     pub fn assemble(
         &self,
         fleet: &DeviceFleet,
         servers: &[EdgeServer],
         shards: Vec<Vec<usize>>,
-        results: Vec<Option<(Schedule, Option<ShardLoad>)>>,
+        results: Vec<Option<ShardSolve>>,
         lambda: f64,
         curve: &AnxietyCurve,
         mut laps: Laps,
-        kept: Option<(&mut JoinMemo, &SlotDelta, &[ShardTerms])>,
+        kept: Option<(&mut JoinMemo, &SlotDelta)>,
     ) -> FleetSchedule {
         let mut selected = vec![false; fleet.len()];
-        let mut reports = Vec::with_capacity(shards.len());
+        let (mut reports, mut shipped) = (Vec::with_capacity(shards.len()), Vec::with_capacity(shards.len()));
         let mut work = SlotWork::default();
         let mut results = results.into_iter();
         let rebalances = self.rebalances(servers.len());
         for (s, devices) in shards.into_iter().enumerate() {
-            let (schedule, delivered) = results
-                .next()
-                .flatten()
-                .unwrap_or_else(|| (Self::passthrough_schedule(devices.len()), None));
+            let ShardSolve { schedule, shipped: terms, load: delivered, .. } = (results.next().flatten())
+                .unwrap_or_else(|| ShardSolve { schedule: Self::passthrough_schedule(devices.len()), shipped: None, load: None, frontier: 0 });
+            shipped.push(terms.unwrap_or_default());
             for (&global, &x) in devices.iter().zip(&schedule.selected) {
                 selected[global] = x;
             }
@@ -498,7 +469,7 @@ impl FleetScheduler {
 
         // Fleet-wide accounting; `None` evaluates every row, keeps none.
         let (memo, kept) = match kept {
-            Some((memo, delta, shipped)) => (memo, Some((delta, shipped))),
+            Some((memo, delta)) => (memo, Some((delta, &shipped[..]))),
             None => (&mut JoinMemo::default(), None),
         };
         let (objective, energy_saved_j, rows) = memo.total(fleet, lambda, curve, &selected, &reports, kept);
@@ -608,27 +579,6 @@ impl FleetScheduler {
         }
         (migrations, Some(gated.len()))
     }
-}
-
-/// One shard's cold solve — the body both runners share: the scoped
-/// threads of [`FleetScheduler::schedule_with_servers`] and the slot
-/// runtime's shard workers. `previous` is the last selection in fleet
-/// order; it warm-starts the shard with its own slice, but only when
-/// the population is unchanged. A solver panic is contained: `None`,
-/// which the join degrades to passthrough.
-pub fn solve_cold_shard(
-    scheduler: &LpvsScheduler,
-    view: SlotView<'_>,
-    previous: Option<&[bool]>,
-    budget: &SlotBudget,
-) -> Option<(Schedule, RowAccounting)> {
-    let warm: Option<Vec<bool>> = previous
-        .filter(|p| p.len() == view.fleet().len())
-        .map(|p| view.rows().iter().map(|&i| p[i]).collect());
-    catch_unwind(AssertUnwindSafe(|| {
-        scheduler.schedule_view_accounted(view, warm.as_deref(), budget)
-    }))
-    .ok()
 }
 
 /// Intersects a shard's device list with a fleet-wide dirty set,
@@ -824,6 +774,20 @@ mod tests {
             assert!(!out.selected[i], "disconnected device {i} was scheduled");
         }
         assert!(out.num_selected() > 0);
+    }
+
+    #[test]
+    fn a_one_shot_schedule_counts_one_cold_solve_a_shard() {
+        // No delta, no memo: every shard solves cold and accounts each of
+        // its rows once; a disconnected row belongs to no shard.
+        let mut f = fleet(40, 8);
+        f.set_connected(13, false);
+        for shards in [1, 3] {
+            let s = FleetScheduler::with_shards(shards);
+            let out = s.schedule(&f, &EdgeServer::new(20.0, 2.25), 1.0, &AnxietyCurve::paper_shape(), None, &SlotBudget::unbounded());
+            let cold = lpvs_core::work::DeltaPaths { cold: shards as u64, ..Default::default() };
+            assert_eq!((out.work.delta_path, out.work.rows_accounted.shard), (cold, 39), "{shards} shards");
+        }
     }
 
     #[test]

@@ -17,8 +17,10 @@
 //!   `K_m` of each video are available at a scheduling point;
 //! * [`fleet`] — the provider-scale [`FleetScheduler`]: a columnar
 //!   device fleet partitioned across N edge shards, each running the
-//!   full resilient pipeline on its own thread, with a bounded
-//!   cross-shard anxiety-rebalancing pass.
+//!   full resilient pipeline, with a bounded cross-shard
+//!   anxiety-rebalancing pass;
+//! * [`shard`] — the one shard body and executor that the fleet
+//!   scheduler and the slot runtime both run their shards through.
 //!
 //! # Example
 //!
@@ -39,6 +41,7 @@ pub mod cluster;
 pub mod device;
 pub mod fleet;
 pub mod server;
+pub mod shard;
 
 pub use battery::Battery;
 pub use cache::{PrefetchCache, PrefetchPolicy};

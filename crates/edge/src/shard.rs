@@ -1,0 +1,269 @@
+//! One shard body and one executor for every runner.
+//!
+//! A shard solves its slice of a slot — a zero-copy view of the shared
+//! fleet over its rows and its own server's capacities — through
+//! [`solve_shard`] against the delta memo of its last solve, and a slot's
+//! shards run on [`run_shards`]. [`FleetScheduler::schedule`] holds `k`
+//! empty memos for the one call; the slot runtime holds its memos for
+//! the whole run, on its own threads or its workers'. Who holds the
+//! memos is the only difference between the runners.
+
+use crate::fleet::{shard_frontier, FleetScheduler, ShardLoad};
+use crate::server::EdgeServer;
+use lpvs_core::accounting::{RowAccounting, ShardTerms};
+use lpvs_core::budget::SlotBudget;
+use lpvs_core::delta::{solve_incremental, SlotDelta};
+use lpvs_core::fleet::DeviceFleet;
+use lpvs_core::scheduler::{LpvsScheduler, Schedule, ScheduleStats};
+use lpvs_core::work::{Laps, SlotWork};
+use lpvs_survey::curve::AnxietyCurve;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Duration;
+
+/// What a shard remembers between slots to solve incrementally: the
+/// previous slot's schedule plus everything needed to prove the next
+/// slot is a contiguous extension of it.
+///
+/// The memo is valid for a job exactly when the slot carries a
+/// [`SlotDelta`] whose epoch is `memo.epoch + 1` (no missed frontiers),
+/// the shard's device list is unchanged (same rows, same order — a
+/// connectivity flip or repartition changes it and automatically forces
+/// cold), and the shard's capacities and λ are bit-identical. Anything
+/// else is a cold solve.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ShardDeltaMemo {
+    /// Epoch of the delta this memo's schedule consumed.
+    pub epoch: u64,
+    /// Global fleet indices of the shard at solve time, in shard order.
+    pub indices: Vec<usize>,
+    /// Shard compute capacity at solve time (bit-compared).
+    pub compute_capacity: f64,
+    /// Shard storage capacity at solve time (GB, bit-compared).
+    pub storage_capacity_gb: f64,
+    /// λ at solve time (bit-compared).
+    pub lambda: f64,
+    /// The shard schedule the memo reuses or extends.
+    pub schedule: Schedule,
+    /// Per-row eq.-13 and saving terms of `schedule`, so an incremental
+    /// solve re-evaluates its frontier only. Derived, never persisted:
+    /// empty on a memo decoded from a checkpoint, until the next
+    /// incremental solve rebuilds every row once.
+    pub accounting: RowAccounting,
+}
+
+/// Fraction gate: the incremental path only pays off while the dirty
+/// frontier is small; past a quarter of the shard the residual
+/// sub-solve plus the full-slice Phase-2 costs about as much as a cold
+/// solve, so the shard solves cold (the memo stays continuous).
+const MAX_INCREMENTAL_FRACTION_NUM: usize = 1;
+const MAX_INCREMENTAL_FRACTION_DEN: usize = 4;
+
+/// What every shard of one slot reads, borrowed from whoever gathered it.
+#[derive(Debug, Clone, Copy)]
+pub struct SlotInputs<'a> {
+    /// The slot's fleet, one for every shard.
+    pub fleet: &'a DeviceFleet,
+    /// Regularization λ.
+    pub lambda: f64,
+    /// The cohort's anxiety curve.
+    pub curve: &'a AnxietyCurve,
+    /// Per-shard solver budget: a deadline bounds each shard's wall clock.
+    pub budget: &'a SlotBudget,
+    /// The last selection in fleet order: warm-starts a cold solve with
+    /// the shard's slice, but only when the fleet's size is unchanged.
+    pub warm: Option<&'a [bool]>,
+    /// The slot's change set; `None` solves every shard cold, keeps no memo.
+    pub delta: Option<&'a SlotDelta>,
+}
+
+/// One shard's own inputs.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ShardJob {
+    /// The shard's fleet rows, ascending.
+    pub rows: Vec<usize>,
+    /// The shard's server, whose capacities bound its solve.
+    pub server: EdgeServer,
+    /// Whether the join rebalances, so the shard reports its
+    /// [`ShardLoad`] ([`FleetScheduler::rebalances`]).
+    pub load: bool,
+}
+
+/// What a shard's solve hands the join.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ShardSolve {
+    /// The shard schedule — a passthrough when the solver panicked. Its
+    /// work counts the delta path taken and the rows accounted; its laps
+    /// are the solver's between the shard's own `shard` laps.
+    pub schedule: Schedule,
+    /// The terms of the rows the solve evaluated, shard-local, for the
+    /// join to adopt: every row after a delta-carrying cold solve, the
+    /// refreshed ones after an incremental one; `None` after a panic.
+    pub shipped: Option<ShardTerms>,
+    /// The [`ShardLoad`] of `schedule`, when the job asked for one.
+    pub load: Option<ShardLoad>,
+    /// The shard's rows the slot's delta named dirty (0 with no live memo).
+    pub frontier: usize,
+}
+
+/// How a shard slice was solved this slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum DeltaPath {
+    /// Empty local frontier: the memo's schedule is reused verbatim.
+    Reuse,
+    /// Non-empty frontier within the fraction gate: residual sub-solve
+    /// over the dirty rows merged into the standing selection.
+    Incremental,
+    /// Full re-solve (no delta, no memo, invalidated memo, or a
+    /// frontier too large to pay off).
+    Cold,
+}
+
+/// Decides the solve path for a job against the shard's memo, and
+/// discards a live memo a population, epoch or capacity change broke.
+/// Returns the path plus the shard-local dirty positions (for the
+/// incremental path). No flag rides beside the job: a shard with no memo
+/// (a respawned worker, a one-shot call) solves cold here.
+fn classify_delta(slot: &SlotInputs<'_>, job: &ShardJob, memo: &mut Option<ShardDeltaMemo>) -> (DeltaPath, Vec<usize>) {
+    // Sources that don't track deltas solve cold every slot, and no memo
+    // was promised; a shard with no memo has nothing to extend.
+    let (Some(delta), Some(kept)) = (slot.delta, memo.as_ref()) else { return (DeltaPath::Cold, Vec::new()) };
+    if kept.indices != job.rows
+        || delta.epoch != kept.epoch + 1
+        || kept.compute_capacity.to_bits() != job.server.compute_capacity().to_bits()
+        || kept.storage_capacity_gb.to_bits() != job.server.storage_capacity_gb().to_bits()
+        || kept.lambda.to_bits() != slot.lambda.to_bits()
+    {
+        *memo = None;
+        return (DeltaPath::Cold, Vec::new());
+    }
+    let local = shard_frontier(&job.rows, &delta.dirty);
+    if local.is_empty() {
+        (DeltaPath::Reuse, local)
+    } else if local.len() * MAX_INCREMENTAL_FRACTION_DEN > job.rows.len() * MAX_INCREMENTAL_FRACTION_NUM {
+        // Past the gate a cold solve is cheaper; the memo survives and
+        // stays continuous (it is refreshed from this solve).
+        (DeltaPath::Cold, local)
+    } else {
+        (DeltaPath::Incremental, local)
+    }
+}
+
+/// The shard body: solves the shard's slice cold (warm-started from the
+/// slot's `warm` selection), incrementally over the dirty frontier, or by
+/// reusing the memo outright when nothing in the shard changed. A solver
+/// panic is contained here: the shard hands the join its passthrough and
+/// no terms, and the memo is dropped. The path and the rows it accounts
+/// are counted before the solve runs, so a solve that panics still
+/// reports them; the shard's own work around the solve is its `shard`
+/// laps. The [`ShardLoad`], when the job asks for one, is that of the
+/// schedule returned: a panicked solve's passthrough selects nothing.
+pub fn solve_shard(scheduler: &LpvsScheduler, memo: &mut Option<ShardDeltaMemo>, slot: &SlotInputs<'_>, job: ShardJob) -> ShardSolve {
+    let mut own = Laps::start();
+    let (mut work, rows) = (SlotWork::default(), job.rows.len());
+    let (path, local_dirty) = classify_delta(slot, &job, memo);
+    // A cold solve accounts every row, a reuse none, an incremental one
+    // counts its own (`solve_incremental`).
+    let paths = &mut work.delta_path;
+    match path {
+        DeltaPath::Reuse => paths.reuse += 1,
+        DeltaPath::Incremental => paths.incremental += 1,
+        DeltaPath::Cold => {
+            paths.cold += 1;
+            work.rows_accounted.shard += rows as u64;
+        }
+    }
+
+    let (compute, storage_gb) = (job.server.compute_capacity(), job.server.storage_capacity_gb());
+    let view = || slot.fleet.slot_view(&job.rows, compute, storage_gb, slot.lambda, slot.curve);
+    // A cold solve's terms, kept with its memo.
+    let mut fresh = RowAccounting::default();
+    let solved = match path {
+        DeltaPath::Reuse => {
+            // Bit-identical to a cold solve by solver determinism: the
+            // problem is unchanged, so the answer is too — and no work
+            // was done for it, nor time taken.
+            memo.as_ref().map(|m| {
+                let stats = ScheduleStats { runtime: Duration::ZERO, ..m.schedule.stats };
+                (Schedule { selected: m.schedule.selected.clone(), stats, ..Schedule::default() }, vec![])
+            })
+        }
+        DeltaPath::Incremental => {
+            let m = memo.as_mut().expect("incremental path requires a memo");
+            catch_unwind(AssertUnwindSafe(|| {
+                let (was, rung) = (&m.schedule.selected, m.schedule.stats.degradation);
+                let terms = &mut m.accounting;
+                solve_incremental(scheduler, view(), &local_dirty, was, rung, slot.budget, terms)
+            }))
+            .ok()
+        }
+        DeltaPath::Cold => {
+            let warm = |p: &[bool]| job.rows.iter().map(|&i| p[i]).collect::<Vec<_>>();
+            let (view, warm) = (view(), slot.warm.filter(|p| p.len() == slot.fleet.len()).map(warm));
+            catch_unwind(AssertUnwindSafe(|| scheduler.schedule_view_accounted(view, warm.as_deref(), slot.budget)))
+                .ok()
+                .map(|(schedule, terms)| {
+                    // Without a delta the join keeps nothing, and adopts nothing.
+                    let shipped = terms.shipment(0..if slot.delta.is_some() { rows } else { 0 });
+                    fresh = terms;
+                    (schedule, shipped)
+                })
+        }
+    };
+
+    let selected = solved.as_ref().map_or(&[][..], |(schedule, _)| &schedule.selected);
+    let load = job.load.then(|| ShardLoad::of(slot.fleet, &job.server, &job.rows, selected));
+
+    // Refresh the memo: every successful delta-carrying solve becomes
+    // the next slot's baseline; panics and delta-less slots clear it.
+    *memo = match (&solved, slot.delta) {
+        (Some((schedule, _)), Some(delta)) => Some(match memo.take() {
+            // Reuse and incremental: the memo's rows, capacities and λ
+            // are this job's (`classify_delta`), its terms followed the
+            // decision, and only a new decision needs copying.
+            Some(mut kept) if path != DeltaPath::Cold => {
+                kept.epoch = delta.epoch;
+                if path == DeltaPath::Incremental {
+                    kept.schedule.clone_from(schedule);
+                }
+                kept
+            }
+            // A cold solve starts over, from the terms it evaluated.
+            _ => ShardDeltaMemo {
+                epoch: delta.epoch,
+                compute_capacity: compute,
+                storage_capacity_gb: storage_gb,
+                lambda: slot.lambda,
+                schedule: schedule.clone(),
+                accounting: fresh,
+                indices: job.rows,
+            },
+        }),
+        _ => None,
+    };
+
+    let (schedule, shipped) = solved.unzip();
+    let mut schedule = schedule.unwrap_or_else(|| FleetScheduler::passthrough_schedule(rows));
+    schedule.work += work;
+    own.splice("shard", &schedule.laps);
+    own.lap("shard");
+    schedule.laps = own;
+    ShardSolve { schedule, shipped, load, frontier: local_dirty.len() }
+}
+
+/// The shard executor: `solve(&mut states[s], jobs[s])` for every shard,
+/// in shard order — shard 0 on the calling thread, which would otherwise
+/// only wait, each other on a scoped thread, so one shard costs no thread.
+/// A scoped shard that panicked outside the contained solver is `None`
+/// (the join's passthrough); a panic on the calling thread makes every shard `None`.
+pub fn run_shards<S: Send, J: Send, R: Send>(states: &mut [S], jobs: Vec<J>, solve: impl Fn(&mut S, J) -> R + Sync) -> Vec<Option<R>> {
+    let Some((first, rest)) = states.split_first_mut() else { return Vec::new() };
+    let (mut jobs, solve) = (jobs.into_iter(), &solve);
+    let job = jobs.next().expect("one job a shard");
+    crossbeam::thread::scope(|scope| {
+        let handles: Vec<_> =
+            rest.iter_mut().zip(jobs).map(|(state, job)| scope.spawn(move |_| solve(state, job))).collect();
+        let first = solve(first, job);
+        std::iter::once(Some(first)).chain(handles.into_iter().map(|h| h.join().ok())).collect()
+    })
+    .unwrap_or_default()
+}

@@ -122,11 +122,11 @@ pub struct EmulatorConfig {
     /// gathering, so no executor solves for them.
     pub pipelined: bool,
     /// Edge shards serving the cluster: every LPVS slot is scheduled
-    /// through the sharded fleet path
-    /// ([`FleetScheduler`](lpvs_edge::fleet::FleetScheduler) inline,
-    /// the shard workers when pipelined) — the server's capacity split
-    /// evenly across N shards, each running the full resilient ladder,
-    /// followed by the bounded cross-shard rebalance. With the default
+    /// through the slot runtime's sharded fleet path (the hub holds the
+    /// shards inline, the workers when pipelined; one shard body either
+    /// way) — the server's capacity split evenly across N shards, each
+    /// running the full resilient ladder, followed by the bounded
+    /// cross-shard rebalance. With the default
     /// of 1 the one shard holds the whole cluster and the whole server,
     /// which is the monolithic scheduler bit for bit
     /// (`tests/fleet.rs`).

@@ -32,7 +32,7 @@
 //!   deaths, retries, replayed slots, and checkpoint generations that
 //!   replaces the old boolean-ish `fell_back` field.
 
-use crate::shard::{splitmix64, unit, ShardDeltaMemo};
+use crate::shard::{splitmix64, unit};
 use lpvs_bayes::codec::bank_from_bytes;
 use lpvs_bayes::BayesBank;
 use lpvs_codec::{crc64, CodecError, Reader, Writer};
@@ -40,6 +40,7 @@ use lpvs_core::fleet::DeviceFleet;
 use lpvs_core::phase2::Phase2Stats;
 use lpvs_core::scheduler::{Degradation, Schedule, ScheduleStats};
 use lpvs_edge::fleet::GOLDEN_GAMMA;
+use lpvs_edge::shard::ShardDeltaMemo;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
@@ -1055,15 +1056,24 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Fresh scratch directory per test (no tempfile crate: the
-    /// workspace vendors no such dependency).
-    fn scratch(tag: &str) -> PathBuf {
+    /// workspace vendors no such dependency), and the guard that removes
+    /// it when the test ends, failing or not.
+    fn scratch(tag: &str) -> (PathBuf, Scratch) {
         static COUNTER: AtomicUsize = AtomicUsize::new(0);
         let n = COUNTER.fetch_add(1, Ordering::Relaxed);
         let dir = std::env::temp_dir()
             .join(format!("lpvs-ckpt-{}-{tag}-{n}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).expect("scratch dir");
-        dir
+        (dir.clone(), Scratch(dir))
+    }
+
+    struct Scratch(PathBuf);
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = fs::remove_dir_all(&self.0);
+        }
     }
 
     fn learned_bank(n: usize, salt: f64) -> BayesBank {
@@ -1160,7 +1170,7 @@ mod tests {
             bytes.extend_from_slice(&payload);
             bytes
         };
-        let dir = scratch("retired-tag");
+        let (dir, _scratch) = scratch("retired-tag");
         fs::write(dir.join("decisions.log"), [frame(0, 1), frame(1, 5), frame(2, 0)].concat())
             .unwrap();
         let mut store = CheckpointStore::create(&CheckpointConfig::new(&dir), 1).expect("create");
@@ -1224,7 +1234,7 @@ mod tests {
 
     #[test]
     fn store_keeps_bounded_generations_and_restores_newest() {
-        let dir = scratch("gens");
+        let (dir, _scratch) = scratch("gens");
         let config = CheckpointConfig::new(&dir);
         let mut store = CheckpointStore::create(&config, 1).expect("create");
         for (round, slot) in [(0u64, 0usize), (1, 8), (2, 16), (3, 24)] {
@@ -1252,7 +1262,7 @@ mod tests {
 
     #[test]
     fn corrupt_generation_is_rejected_and_older_one_restores() {
-        let dir = scratch("corrupt");
+        let (dir, _scratch) = scratch("corrupt");
         let config = CheckpointConfig::new(&dir);
         let mut store = CheckpointStore::create(&config, 1).expect("create");
         let old = learned_bank(6, 0.0);
@@ -1275,7 +1285,7 @@ mod tests {
 
     #[test]
     fn injected_corruption_is_deterministic_and_checksum_caught() {
-        let dir = scratch("inject");
+        let (dir, _scratch) = scratch("inject");
         let mut config = CheckpointConfig::new(&dir);
         config.corruption = Some((1.0, 99));
         let mut store = CheckpointStore::create(&config, 1).expect("create");
@@ -1324,7 +1334,7 @@ mod tests {
 
     #[test]
     fn manifest_round_trips_and_continues_generations_across_stores() {
-        let dir = scratch("manifest");
+        let (dir, _scratch) = scratch("manifest");
         let config = CheckpointConfig::new(&dir);
         let mut store = CheckpointStore::create(&config, 2).expect("create");
         assert!(store.read_manifest().expect("read").is_none());
@@ -1344,7 +1354,7 @@ mod tests {
 
     #[test]
     fn decision_log_survives_a_torn_tail_and_dedupes() {
-        let dir = scratch("decisions");
+        let (dir, _scratch) = scratch("decisions");
         let config = CheckpointConfig::new(&dir);
         let mut store = CheckpointStore::create(&config, 1).expect("create");
         let d0 = LoggedDecision {

@@ -10,11 +10,11 @@
 //! Each shard is a [`ShardState`]: the shard-local
 //! [`BayesBank`](lpvs_bayes::BayesBank) of γ estimators of its home
 //! devices and the delta memo of its last solve, prepared and solved by
-//! one body whoever holds it:
+//! one body whoever holds it (the solve: `lpvs_edge::shard::solve_shard`):
 //!
 //! * **inline** ([`SlotRuntime::run_sequential`]): the caller's thread
 //!   holds every state and solves shard 0 itself, the others on scoped
-//!   threads;
+//!   threads (`lpvs_edge::shard::run_shards`);
 //! * **workers** ([`SlotRuntime::run`]): **persistent shard workers** —
 //!   plain std threads on `crossbeam` bounded channels — each hold one,
 //!   and the **hub** (the caller's thread) owns the slot clock and
@@ -86,7 +86,8 @@ pub use checkpoint::{
     ShardRecovery, ShardSnapshot,
 };
 pub use pipeline::{RuntimeConfig, RuntimeReport, RuntimeSummary, SlotRuntime, StageFaults};
-pub use shard::{ShardDeltaMemo, ShardState};
+pub use lpvs_edge::shard::ShardDeltaMemo;
+pub use shard::ShardState;
 pub use synthetic::{SyntheticConfig, SyntheticDriver, SyntheticRecord};
 
 use lpvs_core::budget::SlotBudget;

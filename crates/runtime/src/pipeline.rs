@@ -21,13 +21,14 @@
 //!                      Arc<GatheredSlot>: fanned out to the workers (a
 //!                      worker yields while the fan-out lasts, so every
 //!                      shard's job is queued before any runs), or run
-//!                      here — shard 0 on the hub's thread, the others on
-//!                      scoped threads (ShardState::solve either way)
+//!                      here on run_shards — shard 0 on the hub's thread,
+//!                      the others on scoped threads (ShardState::solve
+//!                      either way)
 //!  join(t)             block on the workers' results, then under either
-//!                      executor assemble the shard schedules and the
-//!                      per-row terms shipped beside them through
-//!                      FleetScheduler::assemble (which adopts the terms
-//!                      instead of re-evaluating the rows), deliver
+//!                      executor assemble the shard solves — schedules,
+//!                      loads and the per-row terms shipped beside them —
+//!                      through FleetScheduler::assemble (which adopts the
+//!                      terms instead of re-evaluating the rows), deliver
 //!                      solved(t), recycle the fleet buffer
 //!  apply(t)            sink plays slot t
 //! ```
@@ -65,17 +66,17 @@ use crate::checkpoint::{
     CheckpointStore, FlightReason, FlightRecording, JournalOp, LoggedDecision, RecoveryReport,
     ShardJournal,
 };
-use crate::shard::{spawn_worker, ShardOps, ShardSolved, ShardState, SolveJob, WorkerEvent, WorkerMsg};
+use crate::shard::{spawn_worker, ShardOps, ShardState, SolveJob, WorkerEvent, WorkerMsg};
 use crate::telemetry::{observe_stage, publish};
 use crate::{BankOps, CheckpointConfig, CheckpointError, SlotReplay, SlotSink, SlotSource, SolvedSlot};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use lpvs_bayes::{BayesBank, GammaEstimator};
-use lpvs_core::accounting::ShardTerms;
 use lpvs_core::fleet::DeviceFleet;
-use lpvs_core::scheduler::{Degradation, LpvsScheduler, Schedule};
+use lpvs_core::scheduler::{Degradation, LpvsScheduler};
 use lpvs_core::work::{Laps, RowsRefilled};
-use lpvs_edge::fleet::{FleetConfig, FleetSchedule, FleetScheduler, JoinMemo, ShardLoad};
+use lpvs_edge::fleet::{FleetConfig, FleetSchedule, FleetScheduler, JoinMemo};
 use lpvs_edge::server::EdgeServer;
+use lpvs_edge::shard::{run_shards, ShardJob, ShardSolve};
 use lpvs_obs::{FlightRing, SpanContext};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -235,18 +236,8 @@ struct PendingSolve {
     /// The slot span's context, shipped with every (re-)dispatch so
     /// shard-side solve spans join the slot's trace.
     ctx: Option<SpanContext>,
-    /// Each shard's schedule and load; `None` (passthrough) until it
-    /// delivers.
-    results: Vec<Option<(Schedule, Option<ShardLoad>)>>,
-    /// The per-row terms each shard shipped beside its schedule.
-    shipped: Vec<ShardTerms>,
-}
-
-impl PendingSolve {
-    fn deliver(&mut self, shard: usize, (schedule, terms, load): ShardSolved) {
-        self.results[shard] = Some((schedule, load));
-        self.shipped[shard] = terms.unwrap_or_default();
-    }
+    /// Each shard's solve; `None` (passthrough) until it delivers.
+    results: Vec<Option<ShardSolve>>,
 }
 
 /// What joining a solve produced.
@@ -370,23 +361,6 @@ fn prepare_held(states: &mut [ShardState], per: Vec<ShardOps>, ctx: Option<SpanC
         if ops.is_empty() { Vec::new() } else { state.prepare(ops, ctx) }
     };
     states.iter_mut().zip(per).map(answer).collect()
-}
-
-/// Solves hub-held shards: shard 0 on the hub's thread — which would
-/// otherwise only wait — and each other on a scoped thread of its own,
-/// so one shard costs no thread at all. A shard whose thread panicked
-/// outside the contained solver delivers nothing (passthrough).
-fn solve_held(scheduler: &LpvsScheduler, states: &mut [ShardState], jobs: Vec<SolveJob>) -> Vec<Option<ShardSolved>> {
-    let Some((first, rest)) = states.split_first_mut() else { return Vec::new() };
-    let mut jobs = jobs.into_iter();
-    let job = jobs.next().expect("one job a shard");
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> =
-            rest.iter_mut().zip(jobs).map(|(state, job)| scope.spawn(move |_| state.solve(scheduler, job))).collect();
-        let first = first.solve(scheduler, job);
-        std::iter::once(Some(first)).chain(handles.into_iter().map(|h| h.join().ok())).collect()
-    })
-    .unwrap_or_default()
 }
 
 /// Everything the supervisor tracks across a run: the checkpoint
@@ -515,8 +489,6 @@ pub struct SlotRuntime {
     config: RuntimeConfig,
     /// Partition, capacity split, rebalance and join.
     fleet: FleetScheduler,
-    /// What a hub-held shard solves with (a worker builds its own).
-    scheduler: LpvsScheduler,
 }
 
 impl SlotRuntime {
@@ -526,8 +498,7 @@ impl SlotRuntime {
     ///
     /// Panics if the fleet configuration names zero shards.
     pub fn new(config: RuntimeConfig) -> Self {
-        let (fleet, scheduler) = (FleetScheduler::new(config.fleet), LpvsScheduler::new(config.fleet.scheduler));
-        Self { config, fleet, scheduler }
+        Self { fleet: FleetScheduler::new(config.fleet), config }
     }
 
     /// The configuration.
@@ -885,10 +856,7 @@ impl SlotRuntime {
             slot: pending.slot,
             attempt: pending.attempts[s],
             gathered: Arc::clone(&pending.gathered),
-            indices: pending.shards[s].clone(),
-            compute_capacity: pending.servers[s].compute_capacity(),
-            storage_capacity_gb: pending.servers[s].storage_capacity_gb(),
-            load: self.fleet.rebalances(pending.servers.len()),
+            shard: ShardJob { rows: pending.shards[s].clone(), server: pending.servers[s], load: self.fleet.rebalances(pending.servers.len()) },
             ctx: pending.ctx,
         }
     }
@@ -909,9 +877,8 @@ impl SlotRuntime {
         laps.lap("partition");
         let server = EdgeServer::new(gathered.compute_capacity, gathered.storage_capacity_gb);
         let servers = FleetScheduler::split_server(&server, k);
-        let (results, shipped) = ((0..k).map(|_| None).collect(), vec![Vec::new(); k]);
-        let mut pending =
-            PendingSolve { slot, gathered, shards, servers, attempts: vec![0; k], laps, ctx, results, shipped };
+        let results = (0..k).map(|_| None).collect();
+        let mut pending = PendingSolve { slot, gathered, shards, servers, attempts: vec![0; k], laps, ctx, results };
         let jobs: Vec<SolveJob> = (0..k).map(|s| self.shard_job(&pending, s)).collect();
         match &mut hub.shards {
             Shards::Workers(pool) => {
@@ -935,11 +902,8 @@ impl SlotRuntime {
             }
             Shards::Held(states) => {
                 pending.laps.lap("dispatch");
-                for (s, solved) in solve_held(&self.scheduler, states, jobs).into_iter().enumerate() {
-                    if let Some(solved) = solved {
-                        pending.deliver(s, solved);
-                    }
-                }
+                let scheduler = LpvsScheduler::new(self.config.fleet.scheduler);
+                pending.results = run_shards(states, jobs, |state, job| state.solve(&scheduler, job));
             }
         }
         pending
@@ -1007,7 +971,7 @@ impl SlotRuntime {
             match pool.events.recv() {
                 Ok(WorkerEvent::Solved { shard, slot, solved }) => {
                     debug_assert_eq!(slot, pending.slot, "stale solve result");
-                    pending.deliver(shard, *solved);
+                    pending.results[shard] = Some(*solved);
                     if !accounted[shard] {
                         accounted[shard] = true;
                         remaining -= 1;
@@ -1088,7 +1052,7 @@ impl SlotRuntime {
     /// and the fleet buffer comes back — every shard dropped its handle
     /// before delivering, so the hub's is unique.
     fn conclude(&self, join: &mut JoinMemo, pending: PendingSolve, run: &mut SlotLoop) -> Collected {
-        let PendingSolve { slot, gathered, shards, servers, mut laps, results, shipped, .. } = pending;
+        let PendingSolve { slot, gathered, shards, servers, mut laps, results, .. } = pending;
         laps.lap("join");
         let mut schedule = self.fleet.assemble(
             &gathered.fleet,
@@ -1098,7 +1062,7 @@ impl SlotRuntime {
             gathered.lambda,
             &gathered.curve,
             laps,
-            gathered.delta.as_ref().map(|delta| (join, delta, &shipped[..])),
+            gathered.delta.as_ref().map(|delta| (join, delta)),
         );
         let tier = worst_tier(&schedule);
         run.count_solved(slot, gathered.refilled, &mut schedule);

@@ -7,16 +7,12 @@
 //!
 //! * `ShardState::prepare` — fold last slot's observations, apply
 //!   staleness forgets, answer posterior queries;
-//! * `ShardState::solve` — run the resilient scheduler on this shard's
-//!   slice of the shared [`GatheredSlot`] (solver panics are contained:
-//!   the shard degrades to passthrough) and return the per-row terms the
-//!   solve evaluated beside the schedule, so the join adopts them
-//!   instead of evaluating those rows again, and, when the join
-//!   rebalances, the [`ShardLoad`] of that schedule. The schedule's
-//!   [`SlotWork`] carries the delta path taken and the rows accounted,
-//!   counted before the solve runs.
+//! * `ShardState::solve` — solve this shard's slice of the shared
+//!   [`GatheredSlot`] through `lpvs-edge`'s shard body, [`solve_shard`],
+//!   against this state's memo, under a `runtime.solve` span.
 //!
-//! The inline executor's hub holds the states and calls both itself. A
+//! The inline executor's hub holds the states and solves them on
+//! `lpvs-edge`'s `run_shards`, as `FleetScheduler::schedule` does. A
 //! persistent worker thread holds one and serves a FIFO command stream
 //! from the hub, calling the same bodies:
 //!
@@ -44,18 +40,13 @@
 use crate::GatheredSlot;
 use crossbeam::channel::{Receiver, Sender};
 use lpvs_bayes::BayesBank;
-use lpvs_core::accounting::{RowAccounting, ShardTerms};
-use lpvs_core::delta::solve_incremental;
-use lpvs_core::scheduler::{LpvsScheduler, Schedule, ScheduleStats, SchedulerConfig};
-use lpvs_core::work::{Laps, SlotWork};
-use lpvs_edge::fleet::{shard_frontier, solve_cold_shard, FleetScheduler, ShardLoad, GOLDEN_GAMMA};
-use lpvs_edge::server::EdgeServer;
+use lpvs_core::scheduler::{LpvsScheduler, SchedulerConfig};
+use lpvs_edge::fleet::GOLDEN_GAMMA;
+use lpvs_edge::shard::{solve_shard, ShardDeltaMemo, ShardJob, ShardSolve, SlotInputs};
 use lpvs_obs::{FlightKind, FlightRing, SpanContext};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// One shard: identity plus its γ bank and the delta memo of its last
 /// solve. Held by the hub under the inline executor, by a worker under
@@ -97,6 +88,24 @@ impl ShardState {
         }
         ops.queries.iter().map(|&d| self.bank.posterior(d)).collect()
     }
+
+    /// [`solve_shard`] against this state's memo, under a `runtime.solve`
+    /// span parented on the hub's slot span, with the solver's spans
+    /// recorded from its laps. Consumes the job, and with it its handle on
+    /// the shared buffer, before the caller announces the result.
+    pub(crate) fn solve(&mut self, scheduler: &LpvsScheduler, job: SolveJob) -> ShardSolve {
+        let mut span = lpvs_obs::span_in!(
+            job.ctx, "runtime.solve",
+            "shard" => self.shard, "slot" => job.slot, "devices" => job.shard.rows.len()
+        );
+        let g = &job.gathered;
+        let slot = SlotInputs { fleet: &g.fleet, lambda: g.lambda, curve: &g.curve, budget: &g.budget, warm: g.warm.as_deref(), delta: g.delta.as_ref() };
+        let solved = solve_shard(scheduler, &mut self.memo, &slot, job.shard);
+        span.record("frontier", solved.frontier as f64);
+        span.record("ok", if solved.shipped.is_some() { 1.0 } else { 0.0 });
+        crate::telemetry::record_spans(&solved.schedule.laps, None);
+        solved
+    }
 }
 
 /// One shard's share of a slot's bank operations, routed by the hub.
@@ -117,51 +126,6 @@ impl ShardOps {
     }
 }
 
-/// What a shard's solve hands the join: its schedule (a passthrough when
-/// the solver panicked), the rows it evaluated — shard-local: every row
-/// after a delta-carrying cold solve, the refreshed ones after an
-/// incremental one, else none; `None` when the solver panicked — and its
-/// load, when the job asked for one.
-pub(crate) type ShardSolved = (Schedule, Option<ShardTerms>, Option<ShardLoad>);
-
-/// What a shard remembers between slots to solve incrementally: the
-/// previous slot's schedule plus everything needed to prove the next
-/// slot is a contiguous extension of it.
-///
-/// The memo is valid for a job exactly when the job carries a
-/// [`SlotDelta`](lpvs_core::delta::SlotDelta) whose epoch is
-/// `memo.epoch + 1` (no missed frontiers), the shard's device list is
-/// unchanged (same rows, same order — a connectivity flip or repartition
-/// changes it and automatically forces cold), and the shard's
-/// capacities and λ are bit-identical. Anything else is a cold solve.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardDeltaMemo {
-    /// Epoch of the delta this memo's schedule consumed.
-    pub epoch: u64,
-    /// Global fleet indices of the shard at solve time, in shard order.
-    pub indices: Vec<usize>,
-    /// Shard compute capacity at solve time (bit-compared).
-    pub compute_capacity: f64,
-    /// Shard storage capacity at solve time (GB, bit-compared).
-    pub storage_capacity_gb: f64,
-    /// λ at solve time (bit-compared).
-    pub lambda: f64,
-    /// The shard schedule the memo reuses or extends.
-    pub schedule: Schedule,
-    /// Per-row eq.-13 and saving terms of `schedule`, so an incremental
-    /// solve re-evaluates its frontier only. Derived, never persisted:
-    /// empty on a memo decoded from a checkpoint, until the next
-    /// incremental solve rebuilds every row once.
-    pub(crate) accounting: RowAccounting,
-}
-
-/// Fraction gate: the incremental path only pays off while the dirty
-/// frontier is small; past a quarter of the shard the residual
-/// sub-solve plus the full-slice Phase-2 costs about as much as a cold
-/// solve, so the worker solves cold (the memo stays continuous).
-const MAX_INCREMENTAL_FRACTION_NUM: usize = 1;
-const MAX_INCREMENTAL_FRACTION_DEN: usize = 4;
-
 /// One shard's slice of a dispatched solve.
 pub(crate) struct SolveJob {
     pub slot: usize,
@@ -173,15 +137,8 @@ pub(crate) struct SolveJob {
     /// announcing its result, so once every shard has reported, the
     /// hub's handle is unique and the buffer can be recycled.
     pub gathered: Arc<GatheredSlot>,
-    /// Global fleet indices of this shard's devices.
-    pub indices: Vec<usize>,
-    /// This shard's split of the edge compute capacity.
-    pub compute_capacity: f64,
-    /// This shard's split of the edge storage capacity (GB).
-    pub storage_capacity_gb: f64,
-    /// Whether the join rebalances, so the shard reports its
-    /// [`ShardLoad`] ([`FleetScheduler::rebalances`]).
-    pub load: bool,
+    /// This shard's rows, its split of the edge server, whether it reports its load.
+    pub shard: ShardJob,
     /// The hub's `runtime.slot` span context, handed across the
     /// channel so the worker's solve span joins the slot's trace.
     pub ctx: Option<SpanContext>,
@@ -211,8 +168,8 @@ pub(crate) enum WorkerMsg {
 
 /// Events workers send the hub on the shared event channel.
 pub(crate) enum WorkerEvent {
-    /// A solve completed ([`ShardSolved`]).
-    Solved { shard: usize, slot: usize, solved: Box<ShardSolved> },
+    /// A solve completed.
+    Solved { shard: usize, slot: usize, solved: Box<ShardSolve> },
     /// The worker's bank (and delta memo, when one is live), encoded
     /// for checkpointing as of `prepare(slot)`.
     Checkpointed { shard: usize, slot: usize, bank: Vec<u8>, memo: Option<Vec<u8>> },
@@ -292,12 +249,7 @@ pub(crate) fn spawn_worker(
                     while fanning.load(Ordering::Relaxed) {
                         std::thread::yield_now();
                     }
-                    ring.push(
-                        FlightKind::SpanBegin,
-                        "solve",
-                        job.slot as f64,
-                        job.indices.len() as f64,
-                    );
+                    ring.push(FlightKind::SpanBegin, "solve", job.slot as f64, job.shard.rows.len() as f64);
                     if let Some((rate, seed, repeat)) = stage_faults {
                         if job.attempt <= repeat && stage_fault_hits(seed, job.slot, shard, rate) {
                             // Simulated worker crash mid-slot: exit
@@ -322,7 +274,7 @@ pub(crate) fn spawn_worker(
                     // handle — released before announcing, so the hub's
                     // is unique once all shards report.
                     let solved = state.solve(&scheduler, job);
-                    let ok = if solved.1.is_some() { 1.0 } else { 0.0 };
+                    let ok = if solved.shipped.is_some() { 1.0 } else { 0.0 };
                     ring.push(FlightKind::SpanEnd, "solve", slot as f64, ok);
                     if events.send(WorkerEvent::Solved { shard, slot, solved: Box::new(solved) }).is_err() {
                         return;
@@ -348,175 +300,6 @@ pub(crate) fn spawn_worker(
         // Command channel disconnected (hub dropped early): the courier
         // ships the bank on the way out.
     })
-}
-
-/// How a shard slice was solved this slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DeltaPath {
-    /// Empty local frontier: the memo's schedule is reused verbatim.
-    Reuse,
-    /// Non-empty frontier within the fraction gate: residual sub-solve
-    /// over the dirty rows merged into the standing selection.
-    Incremental,
-    /// Full re-solve (no delta, no memo, invalidated memo, or a
-    /// frontier too large to pay off).
-    Cold,
-}
-
-/// Decides the solve path for a job against the shard's memo. Returns
-/// the path plus the shard-local dirty positions (for the incremental
-/// path) and whether a live memo has to be discarded (a population,
-/// epoch or capacity change). No flag rides beside the job: a
-/// respawned worker has no memo, so its first solve is cold here.
-fn classify_delta(job: &SolveJob, memo: &Option<ShardDeltaMemo>) -> (DeltaPath, Vec<usize>, bool) {
-    let Some(delta) = job.gathered.delta.as_ref() else {
-        // Sources that don't track deltas solve cold every slot; no
-        // memo was promised, so nothing is reset.
-        return (DeltaPath::Cold, Vec::new(), false);
-    };
-    let Some(memo) = memo.as_ref() else {
-        return (DeltaPath::Cold, Vec::new(), false);
-    };
-    if memo.indices != job.indices
-        || delta.epoch != memo.epoch + 1
-        || memo.compute_capacity.to_bits() != job.compute_capacity.to_bits()
-        || memo.storage_capacity_gb.to_bits() != job.storage_capacity_gb.to_bits()
-        || memo.lambda.to_bits() != job.gathered.lambda.to_bits()
-    {
-        return (DeltaPath::Cold, Vec::new(), true);
-    }
-    let local = shard_frontier(&job.indices, &delta.dirty);
-    if local.is_empty() {
-        (DeltaPath::Reuse, local, false)
-    } else if local.len() * MAX_INCREMENTAL_FRACTION_DEN
-        > job.indices.len() * MAX_INCREMENTAL_FRACTION_NUM
-    {
-        // Past the gate a cold solve is cheaper; the memo survives and
-        // stays continuous (it is refreshed from this solve).
-        (DeltaPath::Cold, local, false)
-    } else {
-        (DeltaPath::Incremental, local, false)
-    }
-}
-
-impl ShardState {
-    /// Runs the resilient scheduler on this shard's slice — a view of the
-    /// shared gathered fleet, never a copy of it — cold, incrementally
-    /// over the dirty frontier, or by reusing the memo outright when
-    /// nothing in the shard changed. A solver panic is contained here —
-    /// the shard hands the join its passthrough and no terms, and the memo
-    /// is dropped. The path and the rows it accounts are counted before
-    /// the solve runs, so a solve that panics still reports them. The
-    /// shard's own work around the solve is its `shard` laps, and the
-    /// solve's spans are recorded from the laps under `runtime.solve`.
-    /// The [`ShardLoad`], when the job asks for one, is that of the
-    /// schedule returned: a panicked solve's passthrough selects nothing.
-    /// Consumes the job, and with it its handle on the shared buffer.
-    pub(crate) fn solve(&mut self, scheduler: &LpvsScheduler, job: SolveJob) -> ShardSolved {
-        let (shard, memo) = (self.shard, &mut self.memo);
-        let mut own = Laps::start();
-        // Parented on the hub's slot span via the shipped context, so the
-        // solve shows up under its slot's trace instead of as an orphan
-        // root on the shard's thread.
-        let mut span = lpvs_obs::span_in!(
-            job.ctx, "runtime.solve",
-            "shard" => shard, "slot" => job.slot, "devices" => job.indices.len()
-        );
-        let (mut work, rows) = (SlotWork::default(), job.indices.len());
-        let (path, local_dirty, reset) = classify_delta(&job, memo);
-        if reset {
-            *memo = None;
-        }
-        span.record("frontier", local_dirty.len() as f64);
-        // A cold solve accounts every row, a reuse none, an incremental one
-        // counts its own (`solve_incremental`).
-        let paths = &mut work.delta_path;
-        match path {
-            DeltaPath::Reuse => paths.reuse += 1,
-            DeltaPath::Incremental => paths.incremental += 1,
-            DeltaPath::Cold => {
-                paths.cold += 1;
-                work.rows_accounted.shard += job.indices.len() as u64;
-            }
-        }
-
-        let g = &job.gathered;
-        let (compute, storage_gb) = (job.compute_capacity, job.storage_capacity_gb);
-        let view = || g.fleet.slot_view(&job.indices, compute, storage_gb, g.lambda, &g.curve);
-        // A cold solve's terms, kept with its memo.
-        let mut fresh = RowAccounting::default();
-        let solved = match path {
-            DeltaPath::Reuse => {
-                // Bit-identical to a cold solve by solver determinism: the
-                // problem is unchanged, so the answer is too — and no work
-                // was done for it, nor time taken.
-                memo.as_ref().map(|m| {
-                    let stats = ScheduleStats { runtime: Duration::ZERO, ..m.schedule.stats };
-                    (Schedule { selected: m.schedule.selected.clone(), stats, ..Schedule::default() }, vec![])
-                })
-            }
-            DeltaPath::Incremental => {
-                let m = memo.as_mut().expect("incremental path requires a memo");
-                catch_unwind(AssertUnwindSafe(|| {
-                    let (was, rung) = (&m.schedule.selected, m.schedule.stats.degradation);
-                    let terms = &mut m.accounting;
-                    solve_incremental(scheduler, view(), &local_dirty, was, rung, &g.budget, terms)
-                }))
-                .ok()
-            }
-            DeltaPath::Cold => solve_cold_shard(scheduler, view(), g.warm.as_deref(), &g.budget).map(
-                |(schedule, terms)| {
-                    // Without a delta the join keeps nothing, and adopts nothing.
-                    let rows = if g.delta.is_some() { job.indices.len() } else { 0 };
-                    let shipped = terms.shipment(0..rows);
-                    fresh = terms;
-                    (schedule, shipped)
-                },
-            ),
-        };
-
-        let selected = solved.as_ref().map_or(&[][..], |(schedule, _)| &schedule.selected);
-        let server = EdgeServer::new(compute, storage_gb);
-        let load = job.load.then(|| ShardLoad::of(&g.fleet, &server, &job.indices, selected));
-
-        // Refresh the memo: every successful delta-carrying solve becomes
-        // the next slot's baseline; panics and delta-less slots clear it.
-        *memo = match (&solved, g.delta.as_ref()) {
-            (Some((schedule, _)), Some(delta)) => Some(match memo.take() {
-                // Reuse and incremental: the memo's rows, capacities and λ
-                // are this job's (`classify_delta`), its terms followed the
-                // decision, and only a new decision needs copying.
-                Some(mut kept) if path != DeltaPath::Cold => {
-                    kept.epoch = delta.epoch;
-                    if path == DeltaPath::Incremental {
-                        kept.schedule.clone_from(schedule);
-                    }
-                    kept
-                }
-                // A cold solve starts over, from the terms it evaluated.
-                _ => ShardDeltaMemo {
-                    epoch: delta.epoch,
-                    compute_capacity: compute,
-                    storage_capacity_gb: storage_gb,
-                    lambda: g.lambda,
-                    schedule: schedule.clone(),
-                    accounting: fresh,
-                    indices: job.indices,
-                },
-            }),
-            _ => None,
-        };
-
-        span.record("ok", if solved.is_some() { 1.0 } else { 0.0 });
-        let (schedule, terms) = solved.unzip();
-        let mut schedule = schedule.unwrap_or_else(|| FleetScheduler::passthrough_schedule(rows));
-        schedule.work += work;
-        own.splice("shard", &schedule.laps);
-        own.lap("shard");
-        schedule.laps = own;
-        crate::telemetry::record_spans(&schedule.laps, None);
-        (schedule, terms, load)
-    }
 }
 
 #[cfg(test)]

@@ -60,6 +60,7 @@ use lpvs::core::scheduler::Schedule;
 use lpvs::core::work::SlotWork;
 use lpvs::edge::fleet::{FleetConfig, FleetSchedule, FleetScheduler, JoinMemo};
 use lpvs::edge::server::EdgeServer;
+use lpvs::edge::shard::ShardSolve;
 use lpvs::survey::curve::AnxietyCurve;
 use lpvs::runtime::{
     BankOps, CheckpointConfig, GatheredSlot, RuntimeConfig, SlotFeedback, SlotReplay, SlotRuntime,
@@ -581,11 +582,13 @@ impl JoinCase {
             &self.servers,
             shards,
             // No shard reports a load: the join computes every one.
-            results.into_iter().map(|r| r.map(|schedule| (schedule, None))).collect(),
+            (results.into_iter().zip(shipped))
+                .map(|(r, terms)| r.map(|schedule| ShardSolve { schedule, shipped: Some(terms.clone()), load: None, frontier: 0 }))
+                .collect(),
             self.lambda,
             &self.curve,
             lpvs::core::work::Laps::start(),
-            Some((&mut self.memo, delta, shipped)),
+            Some((&mut self.memo, delta)),
         );
         let counted = got.work.rows_accounted;
         let rows: Vec<usize> = (0..self.fleet.len()).collect();

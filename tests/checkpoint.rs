@@ -31,10 +31,12 @@ use lpvs_codec::{crc64, CodecError, Writer};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// A fresh scratch directory per test invocation (no tempfile crate).
-fn scratch(tag: &str) -> std::path::PathBuf {
+/// A fresh scratch directory per test invocation (no tempfile crate),
+/// and the guard that removes it when the test ends, failing or not.
+fn scratch(tag: &str) -> (PathBuf, Scratch) {
     static COUNTER: AtomicUsize = AtomicUsize::new(0);
     let dir = std::env::temp_dir().join(format!(
         "lpvs-checkpoint-it-{}-{tag}-{}",
@@ -42,7 +44,15 @@ fn scratch(tag: &str) -> std::path::PathBuf {
         COUNTER.fetch_add(1, Ordering::Relaxed)
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    dir
+    (dir.clone(), Scratch(dir))
+}
+
+struct Scratch(PathBuf);
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 /// Bit-compare everything deterministic about two reports.
@@ -329,7 +339,7 @@ fn v3_snapshots_are_eight_bytes_per_extra_chunk_smaller_than_v2() {
 
 #[test]
 fn a_flipped_byte_is_rejected_and_an_older_generation_restores() {
-    let dir = scratch("corrupt");
+    let (dir, _scratch) = scratch("corrupt");
     let config = CheckpointConfig { interval: 1, ..CheckpointConfig::new(&dir) };
     let mut store = CheckpointStore::create(&config, 1).expect("store");
 
@@ -386,9 +396,9 @@ fn repeated_worker_deaths_recover_from_checkpoints_without_fallback() {
         },
         ..recovery_config()
     };
-    let sequential = Emulator::new(config, Policy::Lpvs).run();
+    let (sequential, (dir, _scratch)) = (Emulator::new(config, Policy::Lpvs).run(), scratch("kill"));
     let pipelined = Emulator::new(EmulatorConfig { pipelined: true, ..config }, Policy::Lpvs)
-        .with_checkpoints(CheckpointSpec { interval: 2, ..CheckpointSpec::new(scratch("kill")) })
+        .with_checkpoints(CheckpointSpec { interval: 2, ..CheckpointSpec::new(&dir) })
         .run();
     let summary = pipelined.runtime.clone().expect("summary");
     assert!(summary.workers_lost > 0, "25% faults over 12x2 must kill a worker");
@@ -419,11 +429,11 @@ fn corrupted_checkpoints_do_not_perturb_the_run() {
         },
         ..recovery_config()
     };
-    let sequential = Emulator::new(config, Policy::Lpvs).run();
+    let (sequential, (dir, _scratch)) = (Emulator::new(config, Policy::Lpvs).run(), scratch("corrupt-run"));
     let pipelined = Emulator::new(EmulatorConfig { pipelined: true, ..config }, Policy::Lpvs)
         .with_checkpoints(CheckpointSpec {
             interval: 2,
-            ..CheckpointSpec::new(scratch("corrupt-run"))
+            ..CheckpointSpec::new(&dir)
         })
         .run();
     let summary = pipelined.runtime.clone().expect("summary");
@@ -452,12 +462,12 @@ fn a_halted_run_resumes_mid_horizon_bit_identically() {
     let uninterrupted = Emulator::new(config, Policy::Lpvs).run();
     assert_bit_identical(&sequential, &uninterrupted);
 
-    let dir = scratch("resume");
+    let (dir, _scratch) = scratch("resume");
     let halted = Emulator::new(config, Policy::Lpvs)
         .with_checkpoints(CheckpointSpec {
             interval: 2,
             halt_after: Some(5),
-            ..CheckpointSpec::new(dir.clone())
+            ..CheckpointSpec::new(&dir)
         })
         .run();
     assert_eq!(halted.slots.len(), 6, "the halted run stops after slot 5");
@@ -466,7 +476,7 @@ fn a_halted_run_resumes_mid_horizon_bit_identically() {
         .with_checkpoints(CheckpointSpec {
             interval: 2,
             resume: true,
-            ..CheckpointSpec::new(dir)
+            ..CheckpointSpec::new(&dir)
         })
         .run();
     let summary = resumed.runtime.clone().expect("summary");
@@ -527,7 +537,7 @@ impl SlotReplay for Querying {
 /// that bank (a query at its home bank would kill the worker there).
 #[test]
 fn a_resumed_store_routes_a_foreign_device_to_the_bank_that_holds_it() {
-    let dir = scratch("foreign");
+    let (dir, _scratch) = scratch("foreign");
     let checkpoints = CheckpointConfig::new(&dir);
     let runtime = SlotRuntime::new(RuntimeConfig {
         fleet: FleetConfig { num_shards: 2, ..FleetConfig::default() },
@@ -548,7 +558,6 @@ fn a_resumed_store_routes_a_foreign_device_to_the_bank_that_holds_it() {
 
     let mut driver = Querying { devices, slots: sealed_at + 2, answers: Vec::new() };
     let report = runtime.resume(&mut driver).expect("resume from the sealed round");
-    let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(report.summary.recovery.resumed_at, Some(sealed_at));
     assert_eq!((report.summary.workers_lost, report.summary.recovery.fell_back), (0, None));
 
@@ -612,7 +621,7 @@ impl SlotSink for Sabotaged {
 fn failed_checkpoint_writes_are_counted_and_move_no_decision() {
     let slots = 6;
     let run = |tag: &str, sabotage: bool| {
-        let dir = scratch(tag);
+        let (dir, _scratch) = scratch(tag);
         let runtime = SlotRuntime::new(RuntimeConfig {
             fleet: FleetConfig { num_shards: 2, ..FleetConfig::default() },
             checkpoints: Some(CheckpointConfig { interval: 1, ..CheckpointConfig::new(&dir) }),
@@ -622,8 +631,6 @@ fn failed_checkpoint_writes_are_counted_and_move_no_decision() {
         let estimators = inner.estimators();
         let mut driver = Sabotaged { inner, store: sabotage.then(|| dir.clone()) };
         let report = runtime.run(&mut driver, estimators);
-        let _ = std::fs::remove_file(dir.join("shard-0"));
-        let _ = std::fs::remove_dir_all(&dir);
         (driver.inner.records().to_vec(), report)
     };
     let (clean, clean_report) = run("writes-clean", false);

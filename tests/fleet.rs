@@ -11,6 +11,7 @@ use lpvs::core::problem::{DeviceRequest, SlotProblem};
 use lpvs::core::scheduler::{Degradation, LpvsScheduler, Schedule, SchedulerConfig};
 use lpvs::edge::fleet::{FleetConfig, FleetSchedule, FleetScheduler, ShardLoad, ShardReport};
 use lpvs::edge::server::EdgeServer;
+use lpvs::edge::shard::ShardSolve;
 use lpvs::survey::curve::AnxietyCurve;
 use proptest::prelude::*;
 
@@ -561,12 +562,14 @@ fn check_join(
     let delivered: Vec<_> = (results.iter().zip(shards).zip(servers))
         .map(|((result, rows), server)| {
             result.clone().map(|schedule| {
-                let load = ShardLoad::of(fleet, server, rows, &schedule.selected);
-                (schedule, Some(load))
+                let load = Some(ShardLoad::of(fleet, server, rows, &schedule.selected));
+                ShardSolve { schedule, shipped: None, load, frontier: 0 }
             })
         })
         .collect();
-    let bare = results.into_iter().map(|result| result.map(|schedule| (schedule, None))).collect();
+    let bare = (results.into_iter())
+        .map(|result| result.map(|schedule| ShardSolve { schedule, shipped: None, load: None, frontier: 0 }))
+        .collect();
     let scheduler = FleetScheduler::new(*config);
     let mut joined = None;
     for (results, loads) in [(delivered, "delivered"), (bare, "computed")] {

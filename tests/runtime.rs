@@ -353,18 +353,6 @@ fn timeless(mut schedule: FleetSchedule) -> FleetSchedule {
     schedule
 }
 
-/// [`timeless`], with the counted work blanked too: the fleet
-/// scheduler's one-shot call keeps no memo and counts no delta path, so
-/// only its decision compares with the runtime's.
-fn workless(schedule: FleetSchedule) -> FleetSchedule {
-    let mut schedule = timeless(schedule);
-    schedule.work = SlotWork::default();
-    for report in &mut schedule.shards {
-        report.work = SlotWork::default();
-    }
-    schedule
-}
-
 /// Any driver, with every call the executor makes on it logged and
 /// every delivered slot kept.
 struct Recorded<D> {
@@ -538,9 +526,11 @@ impl SlotSink for Sealed {
 }
 
 /// The one fleet in the root suite whose rebalance moves somebody: the
-/// pipelined workers, the sequential loop and the scoped-thread
-/// scheduler must agree on the whole `FleetSchedule` of every slot —
-/// `migrated_in` included — while every round the pipeline seals shows
+/// pipelined workers, the sequential loop and the fleet scheduler's
+/// one-shot call must agree on the whole `FleetSchedule` of every slot —
+/// `migrated_in` and the counted work included: the driver ships no
+/// delta, so every runner solves every shard cold through the one shard
+/// body — while every round the pipeline seals shows
 /// each shard bank holding exactly its home devices: the rebalance
 /// moves decisions, never estimators.
 #[test]
@@ -597,7 +587,7 @@ fn executors_agree_when_the_rebalance_migrates() {
                 g.warm.as_deref(),
                 &g.budget,
             );
-            assert_eq!(workless(direct), workless(seq.schedule.clone()), "{case}");
+            assert_eq!(timeless(direct), timeless(seq.schedule.clone()), "{case}");
         }
         assert_eq!(pipe_report.estimators, seq_report.estimators, "{num_shards} shards");
 
