@@ -80,6 +80,12 @@ impl RowAccounting {
         (self.objective[at], self.saving_j[at]) = (objective, saving_j);
     }
 
+    /// Whether terms are kept and were evaluated under a curve other
+    /// than `curve` — a decision priced under another curve.
+    pub fn priced_off(&self, curve: &AnxietyCurve) -> bool {
+        !self.objective.is_empty() && self.priced.as_ref().is_some_and(|(_, c)| c != curve)
+    }
+
     /// Whether the kept terms cover `len` positions under `lambda` and
     /// `curve`. When they do not, the cache is re-priced and re-sized
     /// and every position of it is stale.

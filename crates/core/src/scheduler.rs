@@ -9,6 +9,7 @@ use crate::phase2::{run_phase2_scored, Phase2Stats};
 use crate::problem::SlotProblem;
 use crate::work::{Laps, SlotWork};
 use lpvs_solver::SolverError;
+use lpvs_survey::curve::AnxietyCurve;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -256,7 +257,7 @@ impl LpvsScheduler {
         with_problem_view(problem, |view| {
             laps.lap("sched.sanitize");
             let mut work = SlotWork::default();
-            let phases = self.run_phases(phase1_config, view, previous, &mut work, &mut laps)?;
+            let phases = self.run_phases(phase1_config, view, previous, (None, &[]), &mut work, &mut laps)?;
             Ok(phases.into_schedule(view, rung_of(phase1_config.solver), 0, work, laps).0)
         })
     }
@@ -266,20 +267,26 @@ impl LpvsScheduler {
     /// [`Phases::into_schedule`] does once the caller has settled on the
     /// final selection.
     ///
-    /// Every stage reads one score of the view ([`phase1::score_view`]):
-    /// Phase-1 borrows its savings and verdicts, Phase-2 its verdicts and
-    /// eq.-13 terms, and the score rides on in the returned [`Phases`] to
-    /// the accounting. The counts go to `work` and the time to `laps` as
-    /// the stages finish, so a rung that fails keeps what it did.
+    /// Every stage reads one score of the view: Phase-1 borrows its
+    /// savings and verdicts, Phase-2 its verdicts and eq.-13 terms, and
+    /// the score rides on in the returned [`Phases`] to the accounting.
+    /// The score is [`phase1::score_view`]'s, or `kept`'s with the
+    /// `dirty` positions re-scored when `kept` covers the view
+    /// ([`KeptScore::rescore`]). The counts go to `work` and the time to
+    /// `laps` as the stages finish, so a rung that fails keeps what it did.
     fn run_phases(
         &self,
         phase1_config: &Phase1Config,
         view: SlotView<'_>,
         previous: Option<&[bool]>,
+        (kept, dirty): (Option<KeptScore>, &[usize]),
         work: &mut SlotWork,
         laps: &mut Laps,
     ) -> Result<Phases, SolverError> {
-        let mut scores = phase1::score_view(view, work);
+        let mut scores = match kept.filter(|kept| kept.covers(view)) {
+            Some(kept) => kept.rescore(view, dirty, work),
+            None => phase1::score_view(view, work),
+        };
         laps.lap("sched.compact");
         let Scores { saving, feasible, .. } = &mut scores;
         let phase1 = phase1::solve(view, phase1_config, previous, saving, feasible);
@@ -323,7 +330,7 @@ impl LpvsScheduler {
         let mut laps = Laps::start();
         with_problem_view(problem, |view| {
             laps.lap("sched.sanitize");
-            self.resilient(view, previous, budget, laps).0
+            self.resilient(view, previous, budget, laps, None).0
         })
     }
 
@@ -355,20 +362,30 @@ impl LpvsScheduler {
         previous: Option<&[bool]>,
         budget: &SlotBudget,
     ) -> Schedule {
-        self.schedule_view_accounted(view, previous, budget).0
+        self.schedule_view_accounted(view, previous, budget, None).0
     }
 
     /// [`schedule_view`](Self::schedule_view), and the per-row terms its
     /// totals were folded from — the selection's [`RowAccounting`] over
     /// `view`, for a caller that keeps or ships them instead of
     /// evaluating every row again.
+    ///
+    /// `score` is for a caller that keeps the view's score across solves
+    /// of the same rows: `(kept, dirty)`. When `kept` holds a score of
+    /// `view`'s positions under its λ and curve, the solve re-scores only
+    /// the positions `dirty` names and reads the rest from `kept` — the
+    /// caller's to prove, as with [`RowAccounting::refresh`]'s stale set,
+    /// that every other position's columns are unchanged. On return
+    /// `kept` holds this solve's score (`None` when no solver rung made
+    /// one). With `None` the solve scores every row and keeps nothing.
     pub fn schedule_view_accounted(
         &self,
         view: SlotView<'_>,
         previous: Option<&[bool]>,
         budget: &SlotBudget,
+        score: Option<(&mut Option<KeptScore>, &[usize])>,
     ) -> (Schedule, RowAccounting) {
-        self.resilient(view, previous, budget, Laps::start())
+        self.resilient(view, previous, budget, Laps::start(), score)
     }
 
     /// The degradation ladder over a view, on the clock the entry point
@@ -380,7 +397,12 @@ impl LpvsScheduler {
         previous: Option<&[bool]>,
         budget: &SlotBudget,
         mut laps: Laps,
+        score: Option<(&mut Option<KeptScore>, &[usize])>,
     ) -> (Schedule, RowAccounting) {
+        // The first rung tried takes the kept score; a later one scores
+        // every row again.
+        let (mut score_slot, dirty) = score.unzip();
+        let (mut kept, dirty) = (score_slot.as_mut().and_then(|slot| slot.take()), dirty.unwrap_or_default());
         let n = view.len();
         let valid: Vec<bool> = (0..n).map(|position| view.accepted(position)).collect();
         let rejected = valid.iter().filter(|&&ok| !ok).count();
@@ -414,14 +436,18 @@ impl LpvsScheduler {
             // Defense in depth: a view is solver-safe by construction,
             // but a rung that panics anyway is a rung that failed, not
             // a dead slot.
+            let kept = kept.take();
             let attempt = catch_unwind(AssertUnwindSafe(|| {
-                self.run_phases(&phase1, view, previous, &mut work, &mut laps)
+                self.run_phases(&phase1, view, previous, (kept, dirty), &mut work, &mut laps)
             }));
             if let Ok(Ok(mut phases)) = attempt {
                 for (x, &ok) in phases.selected.iter_mut().zip(&valid) {
                     *x = *x && ok;
                 }
                 if view.capacity_feasible(&phases.selected) {
+                    if let (Some(slot), Some(scores)) = (score_slot.take(), &phases.scores) {
+                        *slot = Some(KeptScore::of(view, scores.clone()));
+                    }
                     return finish_resilient(view, phases, rung, rejected, laps, work);
                 }
             }
@@ -457,6 +483,63 @@ impl LpvsScheduler {
             laps,
             work,
         )
+    }
+}
+
+/// A view's score ([`kernels::score_rows`] of its rows, positional)
+/// kept from one solve for the next solve of the same rows, tagged with
+/// the λ and curve it was scored under
+/// ([`LpvsScheduler::schedule_view_accounted`]). Derived state, never
+/// persisted.
+#[derive(Debug, Clone, PartialEq)]
+pub struct KeptScore {
+    scores: Scores,
+    lambda: f64,
+    curve: AnxietyCurve,
+}
+
+impl KeptScore {
+    fn of(view: SlotView<'_>, scores: Scores) -> Self {
+        Self { scores, lambda: view.lambda(), curve: view.curve().clone() }
+    }
+
+    /// Whether this is a score of as many positions as `view` has, under
+    /// its λ (bit for bit) and curve.
+    fn covers(&self, view: SlotView<'_>) -> bool {
+        self.scores.feasible.len() == view.len()
+            && self.lambda.to_bits() == view.lambda().to_bits()
+            && self.curve == *view.curve()
+    }
+
+    /// The score of `view` with the positions `dirty` walked again and
+    /// every other one kept — bit for bit a score of every row, since a
+    /// row's outputs depend on its own columns, λ and the curve only
+    /// (debug builds score every row and compare). Only the dirty rows'
+    /// chunk steps go to `work`.
+    fn rescore(self, view: SlotView<'_>, dirty: &[usize], work: &mut SlotWork) -> Scores {
+        let (cols, rows) = (view.columns(), view.rows());
+        let dirty_rows: Vec<usize> = dirty.iter().map(|&p| rows[p]).collect();
+        work.chunk_steps.score += kernels::chunk_steps(&cols, &dirty_rows);
+        let fresh = kernels::score_rows(&cols, &dirty_rows, view.lambda(), view.curve());
+        let mut scores = self.scores;
+        for (k, &p) in dirty.iter().enumerate() {
+            scores.feasible[p] = fresh.feasible[k];
+            scores.saving[p] = fresh.saving[k];
+            scores.off[p] = fresh.off[k];
+            scores.on[p] = fresh.on[k];
+        }
+        debug_assert!(
+            {
+                let full = kernels::score_rows(&cols, rows, view.lambda(), view.curve());
+                let bits = |s: &Scores| {
+                    let column = |c: &[f64]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    (s.feasible.clone(), column(&s.saving), column(&s.off), column(&s.on))
+                };
+                bits(&scores) == bits(&full)
+            },
+            "the spliced score diverged from a score of every row"
+        );
+        scores
     }
 }
 

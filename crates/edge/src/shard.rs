@@ -14,7 +14,7 @@ use lpvs_core::accounting::{RowAccounting, ShardTerms};
 use lpvs_core::budget::SlotBudget;
 use lpvs_core::delta::{solve_incremental, SlotDelta};
 use lpvs_core::fleet::DeviceFleet;
-use lpvs_core::scheduler::{LpvsScheduler, Schedule, ScheduleStats};
+use lpvs_core::scheduler::{KeptScore, LpvsScheduler, Schedule, ScheduleStats};
 use lpvs_core::work::{Laps, SlotWork};
 use lpvs_survey::curve::AnxietyCurve;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -28,8 +28,9 @@ use std::time::Duration;
 /// [`SlotDelta`] whose epoch is `memo.epoch + 1` (no missed frontiers),
 /// the shard's device list is unchanged (same rows, same order — a
 /// connectivity flip or repartition changes it and automatically forces
-/// cold), and the shard's capacities and λ are bit-identical. Anything
-/// else is a cold solve.
+/// cold), the shard's capacities and λ are bit-identical, and the slot's
+/// curve is the one the kept terms were priced under. Anything else is a
+/// cold solve.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardDeltaMemo {
     /// Epoch of the delta this memo's schedule consumed.
@@ -49,6 +50,11 @@ pub struct ShardDeltaMemo {
     /// empty on a memo decoded from a checkpoint, until the next
     /// incremental solve rebuilds every row once.
     pub accounting: RowAccounting,
+    /// The last cold solve's score of the shard's rows, so a cold solve
+    /// past the fraction gate re-scores its dirty rows only. Derived,
+    /// never persisted: `None` on a decoded memo and after an
+    /// incremental solve, which changes rows without scoring them all.
+    pub scores: Option<KeptScore>,
 }
 
 /// Fraction gate: the incremental path only pays off while the dirty
@@ -119,7 +125,8 @@ enum DeltaPath {
 }
 
 /// Decides the solve path for a job against the shard's memo, and
-/// discards a live memo a population, epoch or capacity change broke.
+/// discards a live memo a population, epoch, capacity, λ or curve change
+/// broke.
 /// Returns the path plus the shard-local dirty positions (for the
 /// incremental path). No flag rides beside the job: a shard with no memo
 /// (a respawned worker, a one-shot call) solves cold here.
@@ -132,6 +139,7 @@ fn classify_delta(slot: &SlotInputs<'_>, job: &ShardJob, memo: &mut Option<Shard
         || kept.compute_capacity.to_bits() != job.server.compute_capacity().to_bits()
         || kept.storage_capacity_gb.to_bits() != job.server.storage_capacity_gb().to_bits()
         || kept.lambda.to_bits() != slot.lambda.to_bits()
+        || kept.accounting.priced_off(slot.curve)
     {
         *memo = None;
         return (DeltaPath::Cold, Vec::new());
@@ -175,8 +183,10 @@ pub fn solve_shard(scheduler: &LpvsScheduler, memo: &mut Option<ShardDeltaMemo>,
 
     let (compute, storage_gb) = (job.server.compute_capacity(), job.server.storage_capacity_gb());
     let view = || slot.fleet.slot_view(&job.rows, compute, storage_gb, slot.lambda, slot.curve);
-    // A cold solve's terms, kept with its memo.
+    // A cold solve's terms and score, kept with its memo. Past the gate
+    // the memo's score stands for every row but the dirty ones.
     let mut fresh = RowAccounting::default();
+    let mut scored = memo.as_mut().filter(|_| path == DeltaPath::Cold).and_then(|m| m.scores.take());
     let solved = match path {
         DeltaPath::Reuse => {
             // Bit-identical to a cold solve by solver determinism: the
@@ -199,7 +209,9 @@ pub fn solve_shard(scheduler: &LpvsScheduler, memo: &mut Option<ShardDeltaMemo>,
         DeltaPath::Cold => {
             let warm = |p: &[bool]| job.rows.iter().map(|&i| p[i]).collect::<Vec<_>>();
             let (view, warm) = (view(), slot.warm.filter(|p| p.len() == slot.fleet.len()).map(warm));
-            catch_unwind(AssertUnwindSafe(|| scheduler.schedule_view_accounted(view, warm.as_deref(), slot.budget)))
+            // Without a delta no memo is fed, so no score is kept.
+            let score = slot.delta.map(|_| (&mut scored, &local_dirty[..]));
+            catch_unwind(AssertUnwindSafe(|| scheduler.schedule_view_accounted(view, warm.as_deref(), slot.budget, score)))
                 .ok()
                 .map(|(schedule, terms)| {
                     // Without a delta the join keeps nothing, and adopts nothing.
@@ -217,13 +229,15 @@ pub fn solve_shard(scheduler: &LpvsScheduler, memo: &mut Option<ShardDeltaMemo>,
     // the next slot's baseline; panics and delta-less slots clear it.
     *memo = match (&solved, slot.delta) {
         (Some((schedule, _)), Some(delta)) => Some(match memo.take() {
-            // Reuse and incremental: the memo's rows, capacities and λ
-            // are this job's (`classify_delta`), its terms followed the
-            // decision, and only a new decision needs copying.
+            // Reuse and incremental: the memo's rows, capacities, λ and
+            // curve are this job's (`classify_delta`), its terms followed
+            // the decision, and only a new decision needs copying. The
+            // score stands through a reuse, not an incremental solve.
             Some(mut kept) if path != DeltaPath::Cold => {
                 kept.epoch = delta.epoch;
                 if path == DeltaPath::Incremental {
                     kept.schedule.clone_from(schedule);
+                    kept.scores = None;
                 }
                 kept
             }
@@ -235,6 +249,7 @@ pub fn solve_shard(scheduler: &LpvsScheduler, memo: &mut Option<ShardDeltaMemo>,
                 lambda: slot.lambda,
                 schedule: schedule.clone(),
                 accounting: fresh,
+                scores: scored,
                 indices: job.rows,
             },
         }),

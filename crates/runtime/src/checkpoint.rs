@@ -461,6 +461,7 @@ pub(crate) fn memo_from_bytes(bytes: &[u8]) -> Result<ShardDeltaMemo, CodecError
         lambda,
         schedule: Schedule { selected, stats, ..Schedule::default() },
         accounting: Default::default(),
+        scores: None,
     })
 }
 
@@ -1121,6 +1122,7 @@ mod tests {
                 ..Schedule::default()
             },
             accounting: Default::default(),
+            scores: None,
         }
     }
 

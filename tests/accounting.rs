@@ -559,7 +559,7 @@ impl JoinCase {
                     &self.curve,
                 );
                 let (schedule, terms) =
-                    solver.schedule_view_accounted(view, None, &SlotBudget::unbounded());
+                    solver.schedule_view_accounted(view, None, &SlotBudget::unbounded(), None);
                 (Some(schedule), terms.shipment(0..rows.len()))
             })
             .unzip();
@@ -698,6 +698,7 @@ fn an_unselected_row_ships_its_off_term() {
         view,
         None,
         &SlotBudget::unbounded(),
+        None,
     );
     assert!(schedule.num_selected() > 0 && masked.iter().all(|&i| !schedule.selected[i]));
     let fresh = RowAccounting::of(view, &schedule.selected);

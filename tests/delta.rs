@@ -636,3 +636,112 @@ fn a_respawned_worker_solves_cold_without_a_flag() {
     assert!(gated > 0 && reuse + incremental > 0, "gated {gated}, reuse {reuse}, incremental {incremental}");
     assert_eq!(cold, (shards + retries as usize + gated) as u64);
 }
+
+/// The synthetic workload whose cohort's anxiety curve changes from slot
+/// `at` on — nothing else does.
+struct CurveSwap {
+    inner: SyntheticDriver,
+    at: usize,
+}
+
+impl SlotSource for CurveSwap {
+    fn begin_slot(&mut self, slot: usize) -> Option<BankOps> {
+        self.inner.begin_slot(slot)
+    }
+
+    fn gather(
+        &mut self,
+        slot: usize,
+        posteriors: &[(f64, f64)],
+        recycled: Option<DeviceFleet>,
+    ) -> Option<GatheredSlot> {
+        let mut gathered = self.inner.gather(slot, posteriors, recycled)?;
+        if slot >= self.at {
+            gathered.curve = AnxietyCurve::linear();
+        }
+        Some(gathered)
+    }
+}
+
+impl SlotSink for CurveSwap {
+    fn solved(&mut self, solved: &SolvedSlot) {
+        self.inner.solved(solved);
+    }
+
+    fn apply(&mut self, slot: usize) -> SlotFeedback {
+        self.inner.apply(slot)
+    }
+}
+
+/// A memo priced under one curve is no baseline for a slot under
+/// another: on a frozen fleet whose curve changes mid-chain, every shard
+/// solves the changed slot cold, and the whole run equals the delta-less
+/// one — decisions and every total, the shards' own included.
+#[test]
+fn a_curve_change_sends_every_shard_cold() {
+    let (devices, slots, at) = (120, 5, 2);
+    for shards in 1..=3usize {
+        let mut config = SyntheticConfig::steady(devices, slots, 7);
+        config.mutation_fraction = 0.0;
+        let run = |delta_enabled| {
+            let inner = SyntheticDriver::new(SyntheticConfig { delta_enabled, ..config.clone() });
+            captured(Capture::new(CurveSwap { inner, at }, devices, false), devices, shards)
+        };
+        let (delta, cold) = (run(true), run(false));
+        let paths = |slot: usize| delta[slot].1.work.delta_path;
+        let every = shards as u64;
+        assert_eq!(paths(at - 1).reuse, every, "{shards} shards: the frozen fleet rode the memo");
+        assert_eq!(paths(at).cold, every, "{shards} shards: the curve changed under a live memo");
+        assert_eq!(paths(at + 1).reuse, every, "{shards} shards: the memo restarts under the new curve");
+        for ((g, a), (_, b)) in delta.iter().zip(&cold) {
+            assert_eq!(outcome(a), outcome(b), "{shards} shards: slot {}", g.slot);
+        }
+    }
+}
+
+/// Past the fraction gate a shard solves cold on the score its memo
+/// kept, walking only its dirty rows' chunks. Wherever no shard rides
+/// the incremental path, the delta-carrying run equals the delta-less
+/// one slot by slot — selection, tier and every total, bit for bit —
+/// and a shard walks every row's chunks on its first solve, then
+/// exactly its dirty rows'.
+#[test]
+fn past_the_gate_a_shard_rescores_only_its_dirty_rows() {
+    let (devices, slots) = (160, 5);
+    for fraction in [0.5, 0.9] {
+        for shards in 1..=3usize {
+            for seed in [7u64, 11, 13] {
+                let case = format!("{fraction} × {shards} × seed {seed}");
+                let mut config = SyntheticConfig::steady(devices, slots, seed);
+                config.mutation_fraction = fraction;
+                let cold_config = SyntheticConfig { delta_enabled: false, ..config.clone() };
+                let delta = captured(synthetic(config, false), devices, shards);
+                let cold = captured(synthetic(cold_config, false), devices, shards);
+                assert_eq!(total_work(&delta).delta_path.incremental, 0, "{case}");
+                assert_eq!(delta.len(), slots, "{case}");
+                for ((g, a), (_, b)) in delta.iter().zip(&cold) {
+                    assert_eq!(outcome(a), outcome(b), "{case}: slot {}", g.slot);
+                    let dirty = &g.delta.as_ref().expect("delta-enabled run").dirty;
+                    for report in &a.shards {
+                        let rows = &report.devices;
+                        let walked: Vec<usize> = if g.slot == 0 {
+                            rows.clone()
+                        } else {
+                            shard_frontier(rows, dirty).into_iter().map(|p| rows[p]).collect()
+                        };
+                        let chunks: usize = walked.iter().map(|&row| g.fleet.num_chunks(row)).sum();
+                        assert_eq!(
+                            report.work.chunk_steps.score,
+                            chunks as u64,
+                            "{case}: slot {} shard {} walked {} of {} rows",
+                            g.slot,
+                            report.shard,
+                            walked.len(),
+                            rows.len()
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
