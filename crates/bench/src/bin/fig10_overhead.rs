@@ -5,9 +5,11 @@
 //! size, so the next cold-slot change starts from a committed table:
 //! load / compact (the one fused score walk) / Phase-1 / Phase-2 rank /
 //! index / probe / account, the laps of one solve, which add up to its
-//! `slot` row exactly. Three more rows time the solver crate's public
-//! entry points on the same Phase-1 program (orders + seed / bound /
-//! B&B), standalone re-runs: `lpvs-solver` takes no laps.
+//! `slot` row exactly. Three more rows time what the branch-and-bound
+//! does on the same Phase-1 program, in standalone re-runs of the solver
+//! crate's entry points (`lpvs-solver` takes no laps): the greedy seed by
+//! break selection, the root bound read off selected break items, and the
+//! whole solve.
 //!
 //! Writes `BENCH_fig10.json` at the repository root. `--smoke` runs a
 //! reduced sweep for CI.
@@ -21,9 +23,8 @@ use lpvs_emulator::experiment::{overhead, synthetic_problem};
 use lpvs_emulator::report::render_overhead;
 use lpvs_obs::json::Json;
 use lpvs_runtime::telemetry::record_spans;
-use lpvs_solver::{
-    greedy_multi_knapsack, BinaryProgram, BranchBound, KnapsackRelaxation, Relation, Sense,
-};
+use lpvs_solver::knapsack::greedy_selection;
+use lpvs_solver::{BinaryProgram, BranchBound, KnapsackRelaxation, Relation, Sense};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -176,17 +177,8 @@ fn timed<R>(f: impl FnOnce() -> R) -> f64 {
     t.elapsed().as_secs_f64()
 }
 
-/// The Phase-1 program of a problem, as the exact solver builds it, and
-/// the same data as the greedy entry takes it.
-struct Phase1Inputs {
-    ilp: BinaryProgram,
-    savings: Vec<f64>,
-    g: Vec<f64>,
-    h: Vec<f64>,
-    fixings: Vec<Option<bool>>,
-}
-
-fn phase1_inputs(problem: &SlotProblem) -> Phase1Inputs {
+/// The Phase-1 program of a problem, as the exact solver builds it.
+fn phase1_program(problem: &SlotProblem) -> BinaryProgram {
     let indices: Vec<usize> = (0..problem.len()).collect();
     let (mut feasible, mut savings) = (Vec::new(), Vec::new());
     kernels::with_problem_columns(problem, |cols| {
@@ -195,9 +187,9 @@ fn phase1_inputs(problem: &SlotProblem) -> Phase1Inputs {
     let g: Vec<f64> = problem.requests.iter().map(|r| r.compute_cost).collect();
     let h: Vec<f64> = problem.requests.iter().map(|r| r.storage_cost_gb).collect();
     let config = Phase1Config::default();
-    let mut ilp = BinaryProgram::new(Sense::Maximize, savings.clone()).expect("finite savings");
-    ilp.add_constraint(g.clone(), Relation::Le, problem.compute_capacity).expect("compute row");
-    ilp.add_constraint(h.clone(), Relation::Le, problem.storage_capacity_gb).expect("storage row");
+    let mut ilp = BinaryProgram::new(Sense::Maximize, savings).expect("finite savings");
+    ilp.add_constraint(g, Relation::Le, problem.compute_capacity).expect("compute row");
+    ilp.add_constraint(h, Relation::Le, problem.storage_capacity_gb).expect("storage row");
     for (i, &ok) in feasible.iter().enumerate() {
         if !ok {
             ilp.fix(i, false).expect("index in range");
@@ -205,8 +197,7 @@ fn phase1_inputs(problem: &SlotProblem) -> Phase1Inputs {
     }
     ilp.set_node_limit(config.node_limit);
     ilp.set_relative_gap(config.relative_gap);
-    let fixings = feasible.iter().map(|&ok| if ok { None } else { Some(false) }).collect();
-    Phase1Inputs { ilp, savings, g, h, fixings }
+    ilp
 }
 
 /// One cold `schedule_resilient` at `n` devices, `reps` times, as
@@ -224,13 +215,13 @@ fn cold_slot_stages(n: usize, reps: usize) -> Vec<(&'static str, &'static str, f
     let laps = &solves[reps / 2];
     let lap = |stage| laps.time(|s| s == stage).as_secs_f64();
 
-    let Phase1Inputs { ilp, savings, g, h, fixings } = phase1_inputs(&problem);
-    let rows = [(g.as_slice(), problem.compute_capacity), (h.as_slice(), problem.storage_capacity_gb)];
+    let ilp = phase1_program(&problem);
+    let rows: Vec<(&[f64], f64)> = ilp.rows().iter().map(|r| (r.coeffs.as_slice(), r.rhs)).collect();
     let solver = |f: &dyn Fn()| median((0..reps).map(|_| timed(f)).collect());
-    let seed = solver(&|| drop(greedy_multi_knapsack(black_box(&savings), &rows, &fixings)));
+    let seed = solver(&|| drop(greedy_selection(black_box(ilp.objective()), &rows, ilp.fixings())));
     let bound = solver(&|| {
         let relaxation = KnapsackRelaxation::of(&ilp).expect("two ≤ rows");
-        drop(relaxation.solve(black_box(ilp.fixings())));
+        black_box(relaxation.selected_objective(black_box(ilp.fixings())));
     });
     let search = solver(&|| drop(BranchBound::new(black_box(&ilp)).solve()));
 
@@ -246,9 +237,9 @@ fn cold_slot_stages(n: usize, reps: usize) -> Vec<(&'static str, &'static str, f
     assert_eq!(laps.ends.len(), laps_timed.len(), "a cold exact solve takes one lap a stage");
     let slot = laps_timed.iter().map(|&(.., secs)| secs).sum();
     let rerun = [
-        ("orders_seed", "re-run greedy_multi_knapsack: density order + greedy pass", seed),
-        ("bound", "re-run KnapsackRelaxation::of(..).solve(..): row order + fill", bound),
-        ("bnb", "re-run BranchBound::solve, whole (orders + seed + bound + rounding)", search),
+        ("seed", "re-run greedy_selection: the greedy seed by break selection + its tail", seed),
+        ("bound", "re-run KnapsackRelaxation::of(..).selected_objective(..): the root read off break items", bound),
+        ("bnb", "re-run BranchBound::solve, whole (seed + root + prune; sorted orders only on a fallback)", search),
     ];
     let whole = ("slot", "the laps' sum: ScheduleStats::runtime of the median solve", slot);
     laps_timed.into_iter().chain(rerun).chain([whole]).collect()

@@ -197,7 +197,7 @@ pub(crate) fn solve(
             let solution = search.solve()?;
             *savings = ilp.into_objective();
             let certified = !solution.stats.hit_node_limit;
-            work.orders_sorted += solution.stats.orders_sorted as u64;
+            work.keys_sorted += solution.stats.keys_sorted as u64;
             work.uncertified += u64::from(!certified);
             Ok(Phase1Result {
                 energy_saved_j: solution.objective,

@@ -69,8 +69,8 @@ pub struct RowsRefilled {
 pub struct SlotWork {
     /// `sched_chunk_steps_total{stage}`.
     pub chunk_steps: ChunkSteps,
-    /// Orders Phase-1's exact arm sorted (`solver_orders_sorted_total`).
-    pub orders_sorted: u64,
+    /// Keys Phase-1's exact arm sorted (`solver_keys_sorted_total`).
+    pub keys_sorted: u64,
     /// Exact Phase-1 solves whose branch-and-bound hit its node cap
     /// (`sched_phase1_uncertified_total`).
     pub uncertified: u64,
@@ -88,7 +88,7 @@ impl AddAssign for SlotWork {
     fn add_assign(&mut self, other: Self) {
         self.chunk_steps.score += other.chunk_steps.score;
         self.chunk_steps.account += other.chunk_steps.account;
-        self.orders_sorted += other.orders_sorted;
+        self.keys_sorted += other.keys_sorted;
         self.uncertified += other.uncertified;
         self.warm_start.hit += other.warm_start.hit;
         self.warm_start.miss += other.warm_start.miss;

@@ -16,7 +16,7 @@ fn publish_work(work: &SlotWork) {
     let series = [
         ("sched_chunk_steps_total", Some(("stage", "score")), steps.score),
         ("sched_chunk_steps_total", Some(("stage", "account")), steps.account),
-        ("solver_orders_sorted_total", None, work.orders_sorted),
+        ("solver_keys_sorted_total", None, work.keys_sorted),
         ("sched_phase1_uncertified_total", None, work.uncertified),
         ("delta_warm_start_hit_total", None, warm.hit),
         ("delta_warm_start_miss_total", None, warm.miss),

@@ -53,6 +53,7 @@ pub mod knapsack;
 pub mod lagrangian;
 pub mod problem;
 pub mod relax;
+mod select;
 pub mod simplex;
 
 pub use ilp::{BranchBound, IlpStats};

@@ -41,38 +41,55 @@ use std::time::Duration;
 
 static RECORDER: Mutex<()> = Mutex::new(());
 
-/// What a cold solve sorts, counted: the exact tier returns
-/// `IlpStats::orders_sorted` in its work record — the density order the
-/// greedy seed and the rounding refills share, plus each row order the
-/// relaxation needed. A row that never binds is never sorted, however
-/// many nodes run. The counts come from the record; a solve writes no
-/// telemetry, so this test needs no turn at the recorder.
+/// What a cold solve sorts, counted in keys: the exact tier returns
+/// `IlpStats::keys_sorted` in its work record. A root the relaxation
+/// prunes on selected break items sorts only the greedy seed's tail;
+/// a decision at the rounding level sends the seed and the root to the
+/// sorted orders (the density order and the row orders they read), and
+/// both rows binding adds the bisection's inner orders at every node.
+/// The counts come from the record; a solve writes no telemetry, so this
+/// test needs no turn at the recorder.
 #[test]
 fn a_phase1_solve_sorts_the_orders_it_reads() {
-    let problem = |storage_share: f64| {
-        let n = 300;
+    let n = 300;
+    let problem = |unit: bool, storage_share: f64| {
         let cost = |i: usize, stride: usize| 0.5 + ((i * stride) % 17) as f64 / 10.0;
-        let total = |stride: usize| (0..n).map(|i| cost(i, stride)).sum::<f64>();
+        let compute = |i: usize| if unit { 1.0 } else { cost(i, 5) };
+        let total = |cost: &dyn Fn(usize) -> f64| (0..n).map(cost).sum::<f64>();
         let mut p = SlotProblem::new(
-            0.3 * total(5),
-            storage_share * total(11),
+            (0.3 * total(&compute)).floor(),
+            storage_share * total(&|i| cost(i, 11)),
             1.0,
             AnxietyCurve::paper_shape(),
         );
         for i in 0..n {
             let gamma = 0.15 + ((i * 7) % 30) as f64 / 100.0;
-            p.push(DeviceRequest::uniform(1.2, 10.0, 30, 30_000.0, 55_440.0, gamma, cost(i, 5), cost(i, 11)));
+            p.push(DeviceRequest::uniform(1.2, 10.0, 30, 30_000.0, 55_440.0, gamma, compute(i), cost(i, 11)));
         }
         p
     };
-    // (storage capacity as a share of the fleet's cost, rows that bind)
-    for (storage_share, binding) in [(2.0, 1), (0.3, 2)] {
-        let p = problem(storage_share);
+    // (unit compute costs, storage capacity as a share of the fleet's
+    // cost, rows that bind, keys sorted, nodes)
+    let cases = [
+        // Unit costs and ample storage: the break is certain on the
+        // exact compute row, nothing past it fits, and the root is pruned
+        // on its selected bound, so nothing is sorted.
+        (true, 50.0, 1, 0, 1),
+        // The compute row's fill ends exactly at its capacity in floats:
+        // a rounding-level tie, walked in the sorted density and
+        // compute orders.
+        (false, 2.0, 1, 2 * n, 1),
+        // Both rows bind: sorted orders, and 128 bisection steps at most
+        // a node.
+        (false, 0.3, 2, 556_665, 41),
+    ];
+    for (unit, storage_share, binding, keys, nodes) in cases {
+        let p = problem(unit, storage_share);
         let prices = price_capacity(&p).unwrap();
         let priced = [prices.compute_j_per_unit, prices.storage_j_per_gb];
         assert_eq!(priced.iter().filter(|&&d| d > 0.0).count(), binding, "{priced:?}");
         let result = solve_phase1(&p, &Phase1Config::default()).unwrap();
-        assert_eq!(result.work.orders_sorted, 1 + binding as u64);
+        assert_eq!((result.work.keys_sorted, result.nodes), (keys as u64, nodes), "unit {unit}, share {storage_share}");
     }
 }
 
@@ -431,7 +448,7 @@ fn published(metrics: &MetricsSnapshot) -> SlotWork {
         (|o| by("delta_accounting_rows_total", "owner", o), |p| by("fleet_refill_rows_total", "path", p));
     SlotWork {
         chunk_steps: ChunkSteps { score: steps("score"), account: steps("account") },
-        orders_sorted: total("solver_orders_sorted_total"),
+        keys_sorted: total("solver_keys_sorted_total"),
         uncertified: total("sched_phase1_uncertified_total"),
         warm_start: WarmStarts { hit: total("delta_warm_start_hit_total"), miss: total("delta_warm_start_miss_total") },
         delta_path: DeltaPaths { reuse: path("reuse"), incremental: path("incremental"), cold: path("cold") },
@@ -489,15 +506,19 @@ fn the_registry_is_the_fold_of_the_records() {
         assert_eq!(published_timing(&metrics), driver.timed, "{case}");
 
         // Not vacuous: every stage, path and owner the case reaches counted.
+        // Only the capped gap-0 solves sort keys: their roots are not
+        // pruned, so they walk the sorted orders; every default-gap solve
+        // closes at its root on selected break items with no tail.
         let (w, lost, fell_back) = (driver.work, report.summary.workers_lost, report.summary.recovery.fell_back);
         let (steps, copied, paths) = (w.chunk_steps, w.rows_refilled, w.delta_path);
-        let every = [steps.score, steps.account, w.orders_sorted, copied.patched, copied.full, w.warm_start.hit];
+        let every = [steps.score, steps.account, copied.patched, copied.full, w.warm_start.hit];
         let reached = match case {
             "respawned workers" => lost > 0 && fell_back.is_none() && paths.incremental * paths.cold > 0,
             "inline fallback" => fell_back.is_some() && w.rows_accounted.join * w.rows_accounted.shipped > 0,
             _ => w.uncertified > 0 && paths.incremental * paths.cold > 0,
         };
-        assert!(reached && every.iter().all(|&n| n > 0), "{case}: {w:?}");
+        let sorted = if case == "inline executor" { 1_116 } else { 0 };
+        assert!(reached && every.iter().all(|&n| n > 0) && w.keys_sorted == sorted, "{case}: {w:?}");
     }
 
     // A bare fleet schedule, solve or shipped snapshot returns its

@@ -43,6 +43,7 @@ use lpvs::solver::{
     greedy_multi_knapsack, BinaryProgram, KnapsackRelaxation, LinearProgram, Relation, Sense,
     SolverError,
 };
+use std::cell::Cell;
 use std::cmp::Ordering;
 use lpvs::survey::curve::AnxietyCurve;
 use proptest::prelude::*;
@@ -240,6 +241,213 @@ fn greedy_with_comparator_sort(
         }
     }
     (x, value, residual)
+}
+
+/// The root of a branch-and-bound as the sorted walks solve it: the
+/// oracle a root read off selected break items is held to.
+struct SortedRoot {
+    /// The greedy seed: [`greedy_with_comparator_sort`]'s selection.
+    x: Vec<bool>,
+    /// What the greedy pass had left of each row when it broke, if it did.
+    left_at_break: Option<Vec<f64>>,
+    /// The free items past the greedy break that fit what it left: the
+    /// keys a selected seed sorts.
+    tail: usize,
+    /// The relaxation's value, fixed-in items included, when at most
+    /// one row binds: a sorted fractional fill's.
+    value: Option<f64>,
+    /// The second row's slack under the first row's fill, then the
+    /// first row's slack under the second row's fill (two rows only).
+    slacks: (Option<f64>, Option<f64>),
+    /// Whether every decision of the walks — each fit of the greedy
+    /// pass and of the fills at and past their breaks, and the slacks'
+    /// signs — lies farther from its threshold than [`SortedRoot::rounding`]
+    /// times the sums it compares, or compares sums of zeros only.
+    clear: bool,
+    /// A factor under which a decision could round the other way: 10⁻¹¹
+    /// times the instance's steepest price and total value — above the
+    /// `(2n + 8)·ε` by which a fold of up to 20,000 items can round.
+    rounding: f64,
+}
+
+/// `items` by descending density, ties to the lowest index, as the
+/// comparator sorts ordered them.
+fn sorted_by(items: impl Iterator<Item = usize>, density: impl Fn(usize) -> f64) -> Vec<usize> {
+    let mut order: Vec<usize> = items.collect();
+    order.sort_by(|&a, &b| density(b).partial_cmp(&density(a)).unwrap_or(Ordering::Equal));
+    order
+}
+
+/// [`SortedRoot`] of `k`: the comparator-sort greedy pass, then a sorted
+/// fractional fill per row as the relaxation reads them — row 0, and
+/// row 1 when row 0's fill overfills it.
+fn sorted_root(k: &Knapsack) -> SortedRoot {
+    let n = k.values.len();
+    let rows: Vec<(&[f64], f64)> = k.rows.iter().map(|(w, cap)| (w.as_slice(), *cap)).collect();
+    let pinned = || (0..n).filter(|&i| k.fixings[i] == Some(true));
+    let free = |i: &usize| k.fixings[*i].is_none() && k.values[*i] > 0.0;
+    let steepest = k.rows.iter().flat_map(|(w, _)| w).filter(|&&w| w > 0.0).fold(1.0, |m: f64, &w| m.max(1.0 / w));
+    let rounding = 1e-11 * steepest * (k.values.iter().sum::<f64>() + 1.0);
+    let clear = Cell::new(true);
+    // A decision at margin `m` between sums of magnitude `scale`.
+    let decide = |m: f64, scale: f64| {
+        clear.set(clear.get() && (scale == 0.0 || m.abs() > rounding * scale));
+        m
+    };
+    let total: Vec<f64> = rows.iter().map(|&(w, cap)| cap.abs() + w.iter().sum::<f64>() + 1e-12).collect();
+
+    // The greedy pass, and what it decides past its break.
+    let (x, _, _) = greedy_with_comparator_sort(&k.values, &rows, &k.fixings);
+    let mut left: Vec<f64> = rows.iter().map(|&(_, cap)| cap).collect();
+    for i in pinned() {
+        for (r, &(w, _)) in left.iter_mut().zip(&rows) {
+            *r -= w[i];
+        }
+    }
+    let scaled = |i: usize| -> f64 {
+        let scaled: f64 =
+            rows.iter().map(|&(w, cap)| if cap > 0.0 { w[i] / cap } else { f64::INFINITY }).sum();
+        if scaled <= 0.0 { f64::INFINITY } else { k.values[i] / scaled }
+    };
+    let margins = |i: usize, left: &[f64]| -> Vec<f64> {
+        rows.iter().zip(left).map(|(&(w, _), &r)| (r + 1e-12) - w[i]).collect()
+    };
+    let (mut left_at_break, mut tail, mut last) = (None::<Vec<f64>>, 0, None);
+    for i in sorted_by((0..n).filter(free), scaled) {
+        let now = margins(i, &left);
+        let fits = now.iter().all(|&m| m >= 0.0);
+        match &left_at_break {
+            None if fits => last = Some(now),
+            None => {
+                // The break: one row overfilled, and the last item taken
+                // fitting every row.
+                let (row, least) = now.iter().copied().enumerate().fold((0, f64::INFINITY), |a, b| if b.1 < a.1 { b } else { a });
+                decide(least, total[row]);
+                left_at_break = Some(left.clone());
+            }
+            Some(at_break) => {
+                let then = margins(i, at_break);
+                then.iter().zip(&total).for_each(|(&m, &scale)| {
+                    decide(m, scale);
+                });
+                if then.iter().all(|&m| m >= 0.0) {
+                    tail += 1;
+                    now.iter().zip(&total).for_each(|(&m, &scale)| {
+                        decide(m, scale);
+                    });
+                }
+            }
+        }
+        if fits {
+            for (r, &(w, _)) in left.iter_mut().zip(&rows) {
+                *r -= w[i];
+            }
+        }
+    }
+
+    // The last item the pass took fit every row.
+    last.iter().flatten().zip(&total).for_each(|(&m, &scale)| {
+        decide(m, scale);
+    });
+
+    // The relaxation: what the pinned items leave, then sorted fills.
+    let fixed_value: f64 = pinned().map(|i| k.values[i]).fold(0.0, |a, v| a + v);
+    let capacity: Vec<f64> = rows.iter().map(|&(w, cap)| pinned().fold(cap, |c, i| c - w[i])).collect();
+    let infeasible = capacity.iter().any(|&c| c < -1e-9);
+    let capacity: Vec<f64> = capacity.into_iter().map(|c| c.max(0.0)).collect();
+    let fill = |row: usize| -> (Vec<f64>, f64) {
+        let (w, mut remaining) = (rows[row].0, capacity[row]);
+        let density = |i: usize| if w[i] > 0.0 { k.values[i] / w[i] } else { f64::INFINITY };
+        let (mut x, mut value, mut last) = (vec![0.0; n], 0.0, None);
+        for i in sorted_by((0..n).filter(free), density) {
+            let scale = capacity[row] + (capacity[row] - remaining) + w[i];
+            if w[i] <= remaining {
+                last = Some((remaining - w[i], scale));
+                x[i] = 1.0;
+                value += k.values[i];
+                remaining -= w[i];
+            } else {
+                decide(remaining - w[i], scale);
+                x[i] = remaining / w[i];
+                value += k.values[i] * x[i];
+                break;
+            }
+        }
+        last.into_iter().for_each(|(m, scale)| {
+            decide(m, scale);
+        });
+        (x, value)
+    };
+    let usage = |w: &[f64], x: &[f64]| -> f64 { w.iter().zip(x).map(|(w, v)| w * v).sum() };
+    let (value, slacks) = match rows.len() {
+        _ if infeasible => (None, (None, None)),
+        1 => (Some(fill(0).1), (None, None)),
+        _ => {
+            let (on_first, value) = fill(0);
+            let used = usage(rows[1].0, &on_first);
+            let second = decide(capacity[1] - used, capacity[1] + used + total[0]);
+            if second >= 0.0 {
+                (Some(value), (Some(second), None))
+            } else {
+                let (on_second, value) = fill(1);
+                let used = usage(rows[0].0, &on_second);
+                let first = decide(capacity[0] - used, capacity[0] + used + total[1]);
+                ((first >= 0.0).then_some(value), (Some(second), Some(first)))
+            }
+        }
+    };
+    SortedRoot {
+        x,
+        left_at_break,
+        tail,
+        value: value.map(|v| fixed_value + v),
+        slacks,
+        clear: clear.get(),
+        rounding,
+    }
+}
+
+/// Holds a solve of `program` (over `k`) to the sorted walks' root: when
+/// the sorted root is pruned, the solve closes there with the greedy
+/// seed — one node, pruned by bound, the seed's objective bit for bit —
+/// and when every decision is clear of rounding it sorts exactly the
+/// seed's tail; when the sorted root is not pruned, neither is the
+/// solve's. Returns the root's verdict.
+fn holds_to_the_sorted_root(k: &Knapsack, program: &BinaryProgram) -> Result<bool, proptest::TestCaseError> {
+    let root = sorted_root(k);
+    let solution = program.solve();
+    let Some(value) = root.value.or_else(|| {
+        // Both rows bind: the sorted root bisects, and the library's
+        // relaxation is that walk.
+        KnapsackRelaxation::of(program)?.solve(program.fixings()).ok().map(|r| r.objective)
+    }) else {
+        prop_assert_eq!(solution.unwrap_err(), SolverError::Infeasible);
+        return Ok(false);
+    };
+    let solution = solution.expect("the relaxation is feasible");
+    if let (Some(ours), Ok(sorted)) = (root.value, KnapsackRelaxation::of(program).unwrap().solve(program.fixings())) {
+        prop_assert!(ours.to_bits() == sorted.objective.to_bits(), "the oracle's fill is the relaxation's: {} vs {}", ours, sorted.objective);
+    }
+    let incumbent = program.is_feasible(&root.x).then(|| -program.objective_at(&root.x));
+    let pruned = incumbent.is_some_and(|cost| {
+        let threshold = cost - (1e-9 + program.relative_gap() * cost.abs());
+        let bound = -value;
+        bound >= threshold
+    });
+    let stats = solution.stats;
+    if pruned {
+        prop_assert_eq!((stats.nodes, stats.pruned_by_bound), (1, 1));
+        prop_assert_eq!(&solution.x, &root.x);
+        prop_assert_eq!(solution.objective.to_bits(), program.objective_at(&root.x).to_bits());
+        let prune_margin = incumbent.map_or(0.0, |cost| -value - (cost - (1e-9 + program.relative_gap() * cost.abs())));
+        let scale = k.values.iter().sum::<f64>() + k.rows.iter().map(|(w, cap)| cap + w.iter().sum::<f64>()).sum::<f64>();
+        if root.value.is_some() && root.clear && prune_margin > root.rounding * scale {
+            prop_assert_eq!(stats.keys_sorted, root.tail);
+        }
+    } else {
+        prop_assert!(stats.nodes > 1 || stats.pruned_by_bound == 0, "{stats:?}");
+    }
+    Ok(pruned)
 }
 
 prop_compose! {
@@ -500,10 +708,25 @@ proptest! {
         // The branch-and-bound walks the same order: its seed is this
         // pass, so it never ends below it.
         if k.rows.iter().all(|(_, cap)| *cap > 0.0) && !k.fixings.contains(&Some(true)) {
-            let solution = k.program().solve().unwrap();
+            let program = k.program();
+            let solution = program.solve().unwrap();
             prop_assert!(solution.objective >= ours.value - 1e-9);
-            prop_assert!(solution.stats.orders_sorted >= 1);
+            // Its root is the sorted walks' root, and sorts exactly the
+            // seed's tail when it closes clear of rounding.
+            holds_to_the_sorted_root(&k, &program)?;
         }
+    }
+
+    /// A root read off selected break items is the sorted walks' root —
+    /// the same seed, the same prune verdict, the same objective bits,
+    /// and exactly the seed's tail sorted when no decision lies near
+    /// rounding — under equal densities, weightless items, zero
+    /// capacities and fixings, at Phase-1's gap.
+    #[test]
+    fn a_selected_root_is_the_sorted_walks(k in arb_tied_knapsack()) {
+        let mut program = k.program();
+        program.set_relative_gap(1e-3);
+        holds_to_the_sorted_root(&k, &program)?;
     }
 
     /// Both integer-key orders are the comparator sorts they replaced,
@@ -624,6 +847,86 @@ proptest! {
         prop_assert!((solution.objective - best).abs() < 1e-6,
             "b&b {} vs brute force {best}", solution.objective);
         prop_assert_eq!(solution.stats.simplex_iterations, 0);
+    }
+}
+
+/// A `churn-fleet` shard's Phase-1 shape: 16,000 rows of unit compute
+/// cost against capacity for 3,520 of them, ample storage, some rows
+/// fixed out. The greedy pass fills the compute row exactly — it has 0.0
+/// left at its break, so nothing past it fits — and the row sits on the
+/// unit grid, where no sum rounds: the root closes on selected break
+/// items and sorts no key.
+#[test]
+fn a_churn_shard_root_sorts_no_key() {
+    let n = 16_000;
+    let mut state = 7;
+    let values: Vec<f64> = (0..n).map(|_| 50.0 + 100.0 * coin(&mut state)).collect();
+    let storage: Vec<f64> = (0..n).map(|_| 0.05 + 0.2 * coin(&mut state)).collect();
+    let k = Knapsack {
+        values,
+        rows: vec![(vec![1.0; n], 3_520.0), (storage, 1e6)],
+        fixings: (0..n).map(|i| (i % 9 == 4).then_some(false)).collect(),
+    };
+    let mut program = k.program();
+    program.set_relative_gap(1e-3);
+    let root = sorted_root(&k);
+    assert_eq!(root.left_at_break.map(|left| left[0].to_bits()), Some(0.0f64.to_bits()));
+    assert_eq!(root.tail, 0);
+    assert!(holds_to_the_sorted_root(&k, &program).unwrap(), "the sorted root is pruned");
+    assert_eq!(program.solve().unwrap().stats.keys_sorted, 0);
+}
+
+/// A seed sorts only its tail: 33 items of weight 3 leave 1 of 100 free,
+/// the next item by density (weight 4) breaks the pass, and the 20
+/// unit-weight items behind it are the ones that still fit what it left
+/// — 20 keys sorted, one of them taken — on an integer row, where no sum
+/// rounds. The relaxation adds a quarter of the break item, within a 1 %
+/// gap of the seed, so the root closes there.
+#[test]
+fn a_selected_seed_sorts_only_its_tail() {
+    let kinds = [(33, 9.0, 3.0), (5, 8.8, 4.0), (20, 1.0, 1.0)];
+    let items: Vec<(f64, f64)> = kinds.iter().flat_map(|&(m, v, w)| std::iter::repeat_n((v, w), m)).collect();
+    let k = Knapsack {
+        values: items.iter().map(|t| t.0).collect(),
+        rows: vec![(items.iter().map(|t| t.1).collect(), 100.0)],
+        fixings: vec![None; items.len()],
+    };
+    let mut program = k.program();
+    program.set_relative_gap(0.01);
+    let root = sorted_root(&k);
+    assert_eq!((root.left_at_break, root.tail), (Some(vec![1.0]), 20));
+    assert!(holds_to_the_sorted_root(&k, &program).unwrap(), "the sorted root is pruned");
+    let solution = program.solve().unwrap();
+    assert_eq!((solution.stats.keys_sorted, solution.num_selected()), (20, 34));
+}
+
+/// `serve-ingest`'s shape: uniform rows — unit compute, 0.1125 GB
+/// storage — against 72 % of a session envelope's worth of each, so both
+/// rows run out at the same fractional item. Row 0's fill overfills row
+/// 1 by a few 10⁻¹⁴ to 10⁻¹², and row 1's fill leaves row 0 a few
+/// 10⁻¹³ to 10⁻¹¹: signs a sum folded in another order can read the
+/// other way (at 1,860 sessions an unguarded selection reads row 1's
+/// slack as positive; at 2,048, the benchmark's shape, it reads row 0
+/// as overfilled). The solve walks the sorted orders of both rows and
+/// enters no bisection: exactly `2 n` keys.
+#[test]
+fn a_serve_ingest_root_falls_back_to_the_sorted_orders() {
+    for (sessions, n) in [(2_048.0, 1_475), (1_860.0, 1_340)] {
+        let mut state = 11;
+        let values: Vec<f64> = (0..n).map(|_| 10.0 + 5.0 * coin(&mut state)).collect();
+        let k = Knapsack {
+            values,
+            rows: vec![(vec![1.0; n], 0.72 * 1.0 * sessions), (vec![0.1125; n], 0.72 * 0.1125 * sessions)],
+            fixings: vec![None; n],
+        };
+        let mut program = k.program();
+        program.set_relative_gap(1e-3);
+        let root = sorted_root(&k);
+        let (second, first) = (root.slacks.0.unwrap(), root.slacks.1.unwrap());
+        assert!((-1e-11..0.0).contains(&second) && (0.0..1e-10).contains(&first), "{:?}", root.slacks);
+        assert!(!root.clear);
+        assert!(holds_to_the_sorted_root(&k, &program).unwrap(), "the sorted root is pruned");
+        assert_eq!(program.solve().unwrap().stats.keys_sorted, 2 * n, "{sessions} sessions");
     }
 }
 
