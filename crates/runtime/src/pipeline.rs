@@ -18,9 +18,9 @@
 //!  gather(t)           source brings the recycled buffer up to date
 //!                      (a persistent fleet patches its dirty rows in)
 //!  dispatch(t)         partition + build each shard's job over the shared
-//!                      Arc<GatheredSlot>: fanned out to the workers (a
-//!                      worker yields while the fan-out lasts, so every
-//!                      shard's job is queued before any runs), or run
+//!                      Arc<GatheredSlot>: fanned out to the workers
+//!                      (every job is queued before any worker is woken
+//!                      for it, so no shard runs mid-fan-out), or run
 //!                      here on run_shards — shard 0 on the hub's thread,
 //!                      the others on scoped threads (ShardState::solve
 //!                      either way)
@@ -66,7 +66,7 @@ use crate::checkpoint::{
     CheckpointStore, FlightReason, FlightRecording, JournalOp, LoggedDecision, RecoveryReport,
     ShardJournal,
 };
-use crate::shard::{spawn_worker, ShardOps, ShardState, SolveJob, WorkerEvent, WorkerMsg};
+use crate::shard::{spawn_worker, ShardOps, ShardState, SolveJob, WakeUp, WorkerEvent, WorkerMsg};
 use crate::telemetry::{observe_stage, publish};
 use crate::{BankOps, CheckpointConfig, CheckpointError, SlotReplay, SlotSink, SlotSource, SolvedSlot};
 use crossbeam::channel::{bounded, Receiver, Sender};
@@ -79,6 +79,7 @@ use lpvs_edge::server::EdgeServer;
 use lpvs_edge::shard::{run_shards, ShardJob, ShardSolve};
 use lpvs_obs::{FlightRing, SpanContext};
 use serde::{Deserialize, Serialize};
+use std::io::{PipeWriter, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -252,14 +253,32 @@ struct Collected {
 struct WorkerHandle {
     commands: Option<Sender<WorkerMsg>>,
     thread: Option<JoinHandle<()>>,
+    /// One byte per message posted on `commands` wakes the worker
+    /// (`shard::spawn_worker` says why a pipe).
+    wake: PipeWriter,
 }
 
 impl WorkerHandle {
+    /// Posts `msg` and wakes the worker for it.
     fn send(&self, msg: WorkerMsg) -> Result<(), ()> {
+        self.post(msg)?;
+        self.wake();
+        Ok(())
+    }
+
+    /// Queues `msg` without waking the worker: [`WorkerHandle::wake`]
+    /// follows, once per message.
+    fn post(&self, msg: WorkerMsg) -> Result<(), ()> {
         match &self.commands {
             Some(tx) => tx.send(msg).map_err(|_| ()),
             None => Err(()),
         }
+    }
+
+    /// Wakes the worker for one posted message. A write that fails means
+    /// the worker is gone, which the join step sees.
+    fn wake(&self) {
+        let _ = (&self.wake).write_all(&[1]);
     }
 }
 
@@ -287,9 +306,9 @@ struct Pool {
     /// actions here; the ring survives respawns (the replacement worker
     /// writes into the same ring), so a recording spans the death.
     rings: Vec<Arc<FlightRing>>,
-    /// Raised while `dispatch` fans a slot out; a worker holding a job
-    /// yields until it drops. Publishes nothing — the jobs travel by
-    /// channel — so relaxed.
+    /// Raised while `dispatch` wakes the workers for a slot; a worker
+    /// holding a job yields until it drops. Publishes nothing — the jobs
+    /// travel by channel — so relaxed.
     fanning: Arc<AtomicBool>,
 }
 
@@ -733,9 +752,11 @@ impl SlotRuntime {
     fn start_worker(&self, pool: &Pool, state: ShardState) -> WorkerHandle {
         let (tx, rx) = bounded(COMMAND_DEPTH);
         let faults = self.config.stage_faults.map(|f| (f.rate, f.seed, f.repeat));
-        let (ring, fanning) = (Arc::clone(&pool.rings[state.shard]), Arc::clone(&pool.fanning));
-        let thread = spawn_worker(state, self.config.fleet.scheduler, faults, ring, fanning, rx, pool.event_tx.clone());
-        WorkerHandle { commands: Some(tx), thread: Some(thread) }
+        let ring = Arc::clone(&pool.rings[state.shard]);
+        let (pipe, wake) = std::io::pipe().expect("a worker's wake pipe");
+        let woken = WakeUp { pipe, fanning: Arc::clone(&pool.fanning) };
+        let thread = spawn_worker(state, self.config.fleet.scheduler, faults, ring, woken, rx, pool.event_tx.clone());
+        WorkerHandle { commands: Some(tx), thread: Some(thread), wake }
     }
 
     /// Hands each shard state to a worker of its own.
@@ -882,21 +903,27 @@ impl SlotRuntime {
         let jobs: Vec<SolveJob> = (0..k).map(|s| self.shard_job(&pending, s)).collect();
         match &mut hub.shards {
             Shards::Workers(pool) => {
-                let mut first_sent = None;
-                pool.fanning.store(true, Ordering::Relaxed);
+                // Every job is queued before any worker is woken, and a
+                // woken worker yields while the wake-ups last, so no shard
+                // starts while the hub still has workers to wake.
                 for (worker, job) in pool.workers.iter().zip(jobs) {
                     // A send failure means the worker died; the join step
                     // will see its Down event (or its pre-marked dead
                     // handle) and degrade the shard to passthrough.
-                    let _ = worker.send(WorkerMsg::Solve(job));
-                    first_sent.get_or_insert_with(Instant::now);
+                    let _ = worker.post(WorkerMsg::Solve(job));
+                }
+                let mut first_woken = None;
+                pool.fanning.store(true, Ordering::Relaxed);
+                for worker in &pool.workers {
+                    worker.wake();
+                    first_woken.get_or_insert_with(Instant::now);
                 }
                 pool.fanning.store(false, Ordering::Relaxed);
                 pending.laps.lap("dispatch");
                 if lpvs_obs::enabled() {
-                    // First `send` returned → last one did: a woken worker
+                    // First wake-up returned → last one did: a woken worker
                     // that displaced the hub mid-fan-out shows up here.
-                    let skew = first_sent.map_or(0.0, |at| at.elapsed().as_secs_f64());
+                    let skew = first_woken.map_or(0.0, |at| at.elapsed().as_secs_f64());
                     lpvs_obs::observe("runtime_dispatch_skew_seconds", skew);
                 }
             }
@@ -1082,6 +1109,7 @@ impl SlotRuntime {
         for worker in &mut pool.workers {
             if let Some(tx) = worker.commands.take() {
                 let _ = tx.send(WorkerMsg::Finish);
+                worker.wake();
             }
         }
         // The pool's own event_tx clone keeps the channel open, so drain

@@ -18,9 +18,10 @@
 //!
 //! * `WorkerMsg::Prepare` — `ShardState::prepare`, answers sent back;
 //! * `WorkerMsg::Solve` — `ShardState::solve`, the result sent home. The
-//!   worker yields while the hub is still fanning the slot out: woken on
-//!   the hub's CPU it would displace a hub that has other shards' jobs
-//!   to send, and every shard would wait on that one;
+//!   hub queues every shard's job before it wakes any worker, and the
+//!   worker yields while the hub is still waking the others: woken on the
+//!   hub's CPU it would displace a hub that has other workers to wake,
+//!   and every shard would wait on that one;
 //! * `WorkerMsg::Checkpoint` — encode the bank (and the delta memo)
 //!   and ship the bytes home for the hub to seal;
 //! * `WorkerMsg::Finish` — ship the state home and exit.
@@ -44,6 +45,7 @@ use lpvs_core::scheduler::{LpvsScheduler, SchedulerConfig};
 use lpvs_edge::fleet::GOLDEN_GAMMA;
 use lpvs_edge::shard::{solve_shard, ShardDeltaMemo, ShardJob, ShardSolve, SlotInputs};
 use lpvs_obs::{FlightKind, FlightRing, SpanContext};
+use std::io::{PipeReader, Read};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -220,21 +222,36 @@ impl Drop for BankCourier {
     }
 }
 
+/// How the hub wakes a worker: one byte on `pipe` per message it posts,
+/// and `fanning` raised while it wakes the workers for a slot.
+pub(crate) struct WakeUp {
+    pub pipe: PipeReader,
+    pub fanning: Arc<AtomicBool>,
+}
+
 /// Spawns one persistent shard worker.
 pub(crate) fn spawn_worker(
     state: ShardState,
     scheduler: SchedulerConfig,
     stage_faults: Option<(f64, u64, u32)>,
     ring: Arc<FlightRing>,
-    fanning: Arc<AtomicBool>,
+    wake: WakeUp,
     commands: Receiver<WorkerMsg>,
     events: Sender<WorkerEvent>,
 ) -> JoinHandle<()> {
     std::thread::spawn(move || {
+        let WakeUp { pipe: mut wake, fanning } = wake;
         let shard = state.shard;
         let scheduler = LpvsScheduler::new(scheduler);
         let mut courier = BankCourier { events: events.clone(), state: Some(Box::new(state)) };
-        while let Ok(msg) = commands.recv() {
+        // The hub wakes a worker with one byte on its pipe per message
+        // rather than through the channel: a pipe write is a synchronous
+        // wake-up, which Linux places on the writer's CPU when the
+        // writer is all that runs there, or on the wakee's idle one. A
+        // channel wake-up may queue a worker behind the other shard's on
+        // one CPU while the hub's idles through the join — on a two-CPU
+        // host the shards then ran one after the other, slot after slot.
+        while let (Ok(()), Ok(msg)) = (wake.read_exact(&mut [0; 1]), commands.try_recv()) {
             let state = courier.state.as_mut().expect("state is present until Finish");
             match msg {
                 WorkerMsg::Prepare { ops, reply, ctx } => {
@@ -243,9 +260,9 @@ pub(crate) fn spawn_worker(
                     }
                 }
                 WorkerMsg::Solve(job) => {
-                    // Hand the CPU back to a hub still fanning out: every
-                    // shard's job is queued before any shard runs one.
-                    // (One yield is a hint the scheduler may decline.)
+                    // Hand the CPU back to a hub still waking the other
+                    // shards: a wake-up may land on the hub's CPU. (One
+                    // yield is a hint the scheduler may decline.)
                     while fanning.load(Ordering::Relaxed) {
                         std::thread::yield_now();
                     }
