@@ -13,9 +13,9 @@
 //! a row is evaluated by one owner a slot: the shard that solved it
 //! hands its terms on ([`RowAccounting::shipment`]) and the fleet join
 //! adopts them ([`RowAccounting::adopt`]) instead of calling the kernel
-//! again. The terms check λ and the curve themselves; what
-//! their owners (a shard worker's delta memo, the fleet join) must prove
-//! before naming a stale set is that every other row is unchanged.
+//! again. The terms check nothing themselves: their owners (a shard's
+//! delta memo, the fleet join) prove that the slot continues them
+//! ([`Continuity`](crate::delta::Continuity)) and that every other row is unchanged.
 
 use crate::fleet::{DeviceFleet, SlotView};
 use crate::kernels::{device_objective_batch, Scores, Select};
@@ -36,8 +36,6 @@ pub type ShardTerms = Vec<(usize, f64, f64)>;
 pub struct RowAccounting {
     objective: Vec<f64>,
     saving_j: Vec<f64>,
-    /// λ and the curve the kept terms were evaluated under.
-    priced: Option<(f64, AnxietyCurve)>,
 }
 
 impl RowAccounting {
@@ -53,12 +51,12 @@ impl RowAccounting {
     /// the `on` and `saving` columns become the kept ones, and an
     /// unselected row reads `off` and a saving of 0.0. `selected` is the
     /// final selection, so a row masked out after Phase-2 reads them too.
-    pub(crate) fn from_scored(view: SlotView<'_>, selected: &[bool], scores: Scores) -> Self {
+    pub(crate) fn from_scored(selected: &[bool], scores: Scores) -> Self {
         let Scores { off, on: mut objective, saving: mut saving_j, .. } = scores;
         for (p, _) in selected.iter().enumerate().filter(|(_, &x)| !x) {
             (objective[p], saving_j[p]) = (off[p], 0.0);
         }
-        Self { objective, saving_j, priced: Some((view.lambda(), view.curve().clone())) }
+        Self { objective, saving_j }
     }
 
     /// Drops the kept terms (not their allocation): the next refresh
@@ -74,27 +72,17 @@ impl RowAccounting {
     }
 
     /// Takes position `at`'s terms from whoever evaluated them — under
-    /// this cache's λ and curve, on the row's current columns and
+    /// the owner's λ and curve, on the row's current columns and
     /// decision: the caller's to prove, as with a stale set.
     pub fn adopt(&mut self, at: usize, objective: f64, saving_j: f64) {
         (self.objective[at], self.saving_j[at]) = (objective, saving_j);
     }
 
-    /// Whether terms are kept and were evaluated under a curve other
-    /// than `curve` — a decision priced under another curve.
-    pub fn priced_off(&self, curve: &AnxietyCurve) -> bool {
-        !self.objective.is_empty() && self.priced.as_ref().is_some_and(|(_, c)| c != curve)
-    }
-
-    /// Whether the kept terms cover `len` positions under `lambda` and
-    /// `curve`. When they do not, the cache is re-priced and re-sized
-    /// and every position of it is stale.
-    pub fn keep(&mut self, len: usize, lambda: f64, curve: &AnxietyCurve) -> bool {
-        let priced = self.priced.as_ref();
-        let kept = self.objective.len() == len
-            && priced.is_some_and(|(l, c)| l.to_bits() == lambda.to_bits() && c == curve);
+    /// Whether the kept terms cover `len` positions. When they do not,
+    /// the cache is re-sized and every position of it is stale.
+    pub fn keep(&mut self, len: usize) -> bool {
+        let kept = self.objective.len() == len;
         if !kept {
-            self.priced = Some((lambda, curve.clone()));
             self.objective.resize(len, 0.0);
             self.saving_j.resize(len, 0.0);
         }
@@ -105,9 +93,9 @@ impl RowAccounting {
     /// rows were re-evaluated. Position `p` is fleet row `rows[p]`, or
     /// row `p` itself when `rows` is `None` (the whole fleet in order).
     /// `stale` names the positions whose columns or decision changed
-    /// since the last refresh; kept terms that do not cover `selected`
-    /// position for position (an empty cache), or that were evaluated
-    /// under another λ or curve, make every row stale.
+    /// since the last refresh (under the owner's λ and curve); kept
+    /// terms that do not cover `selected` position for position (an
+    /// empty cache) make every row stale.
     ///
     /// # Panics
     ///
@@ -122,7 +110,7 @@ impl RowAccounting {
         stale: impl IntoIterator<Item = usize>,
     ) -> usize {
         // The named positions when the terms are kept, else every one.
-        let kept = self.keep(selected.len(), lambda, curve);
+        let kept = self.keep(selected.len());
         let (named, every) = if kept { (usize::MAX, 0) } else { (0, selected.len()) };
         let mut stale = stale.into_iter().take(named).chain(0..every);
 

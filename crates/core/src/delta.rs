@@ -78,20 +78,34 @@ impl SlotDelta {
     pub fn is_empty(&self) -> bool {
         self.dirty.is_empty()
     }
-
-    /// Dirty fraction of the fleet (0 for an empty fleet).
-    pub fn fraction(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.dirty.len() as f64 / self.total as f64
-        }
-    }
 }
 
 impl From<DirtyFrontier> for SlotDelta {
     fn from(f: DirtyFrontier) -> Self {
         Self { epoch: f.epoch, dirty: f.indices, total: f.total }
+    }
+}
+
+/// What a decision kept across slots was made under: the epoch of the
+/// delta it consumed, λ and the curve. Its owner (a shard's delta memo,
+/// the fleet join) checks [`Continuity::continues`] once a slot; what it
+/// keeps beside the decision is derived under that and checks nothing.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Continuity {
+    /// Epoch of the delta the kept decision consumed.
+    pub epoch: u64,
+    /// λ (bit-compared).
+    pub lambda: f64,
+    /// The anxiety curve.
+    pub curve: AnxietyCurve,
+}
+
+impl Continuity {
+    /// Whether a slot carrying `delta` under `lambda` and `curve` extends
+    /// the kept decision: the next epoch (no missed frontier), λ's bits
+    /// and the curve unchanged.
+    pub fn continues(&self, delta: &SlotDelta, lambda: f64, curve: &AnxietyCurve) -> bool {
+        delta.epoch.checked_sub(1) == Some(self.epoch) && self.lambda.to_bits() == lambda.to_bits() && self.curve == *curve
     }
 }
 

@@ -160,15 +160,6 @@ impl DirtyFrontier {
     pub fn is_empty(&self) -> bool {
         self.indices.is_empty()
     }
-
-    /// Dirty rows as a fraction of the fleet (0 for an empty fleet).
-    pub fn fraction(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.indices.len() as f64 / self.total as f64
-        }
-    }
 }
 
 impl DeviceFleet {

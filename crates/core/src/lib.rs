@@ -112,7 +112,7 @@ pub use accounting::RowAccounting;
 pub use baseline::{Policy, SelectionPolicy};
 pub use budget::SlotBudget;
 pub use compact::CompactedDevice;
-pub use delta::{solve_incremental, solve_shard_incremental, SlotDelta};
+pub use delta::{solve_incremental, solve_shard_incremental, Continuity, SlotDelta};
 pub use explain::{explain, Explanation, Reason};
 pub use fleet::{DeviceFleet, DirtyFrontier, FleetDevice, SlotView};
 pub use kernels::{

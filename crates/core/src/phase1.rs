@@ -141,6 +141,34 @@ pub(crate) fn score_view(view: SlotView<'_>, work: &mut SlotWork) -> Scores {
     kernels::score_rows(&cols, view.rows(), view.lambda(), view.curve())
 }
 
+/// [`score_view`] from a score `kept` of the same positions under the
+/// same λ and curve, with the positions `dirty` walked again and every
+/// other one kept — bit for bit a score of every row, since a row's
+/// outputs depend on its own columns, λ and the curve only (debug
+/// builds score every row and compare). Only the dirty rows' chunk
+/// steps go to `work`.
+pub(crate) fn rescore_view(mut kept: Scores, view: SlotView<'_>, dirty: &[usize], work: &mut SlotWork) -> Scores {
+    let (cols, rows) = (view.columns(), view.rows());
+    let dirty_rows: Vec<usize> = dirty.iter().map(|&p| rows[p]).collect();
+    work.chunk_steps.score += kernels::chunk_steps(&cols, &dirty_rows);
+    let fresh = kernels::score_rows(&cols, &dirty_rows, view.lambda(), view.curve());
+    for (k, &p) in dirty.iter().enumerate() {
+        kept.feasible[p] = fresh.feasible[k];
+        kept.saving[p] = fresh.saving[k];
+        kept.off[p] = fresh.off[k];
+        kept.on[p] = fresh.on[k];
+    }
+    debug_assert!(
+        {
+            let full = kernels::score_rows(&cols, rows, view.lambda(), view.curve());
+            let bits = |s: &Scores| [&s.saving, &s.off, &s.on].map(|c| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+            kept.feasible == full.feasible && bits(&kept) == bits(&full)
+        },
+        "the spliced score diverged from a score of every row"
+    );
+    kept
+}
+
 /// Phase-1 over a view with the configured solver, on the savings and
 /// verdicts of its score ([`score_view`], positional like the view's
 /// rows), warm-started from `hint` (see the module docs for the

@@ -9,7 +9,6 @@ use crate::phase2::{run_phase2_scored, Phase2Stats};
 use crate::problem::SlotProblem;
 use crate::work::{Laps, SlotWork};
 use lpvs_solver::SolverError;
-use lpvs_survey::curve::AnxietyCurve;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -271,20 +270,20 @@ impl LpvsScheduler {
     /// savings and verdicts, Phase-2 its verdicts and eq.-13 terms, and
     /// the score rides on in the returned [`Phases`] to the accounting.
     /// The score is [`phase1::score_view`]'s, or `kept`'s with the
-    /// `dirty` positions re-scored when `kept` covers the view
-    /// ([`KeptScore::rescore`]). The counts go to `work` and the time to
+    /// `dirty` positions re-scored when `kept` is as long as the view
+    /// ([`phase1::rescore_view`]). The counts go to `work` and the time to
     /// `laps` as the stages finish, so a rung that fails keeps what it did.
     fn run_phases(
         &self,
         phase1_config: &Phase1Config,
         view: SlotView<'_>,
         previous: Option<&[bool]>,
-        (kept, dirty): (Option<KeptScore>, &[usize]),
+        (kept, dirty): (Option<Scores>, &[usize]),
         work: &mut SlotWork,
         laps: &mut Laps,
     ) -> Result<Phases, SolverError> {
-        let mut scores = match kept.filter(|kept| kept.covers(view)) {
-            Some(kept) => kept.rescore(view, dirty, work),
+        let mut scores = match kept.filter(|kept| kept.feasible.len() == view.len()) {
+            Some(kept) => phase1::rescore_view(kept, view, dirty, work),
             None => phase1::score_view(view, work),
         };
         laps.lap("sched.compact");
@@ -372,10 +371,11 @@ impl LpvsScheduler {
     ///
     /// `score` is for a caller that keeps the view's score across solves
     /// of the same rows: `(kept, dirty)`. When `kept` holds a score of
-    /// `view`'s positions under its λ and curve, the solve re-scores only
-    /// the positions `dirty` names and reads the rest from `kept` — the
+    /// as many positions as `view` has, the solve re-scores only the
+    /// positions `dirty` names and reads the rest from `kept` — the
     /// caller's to prove, as with [`RowAccounting::refresh`]'s stale set,
-    /// that every other position's columns are unchanged. On return
+    /// that the score was taken of these rows under `view`'s λ and curve
+    /// and that every other position's columns are unchanged. On return
     /// `kept` holds this solve's score (`None` when no solver rung made
     /// one). With `None` the solve scores every row and keeps nothing.
     pub fn schedule_view_accounted(
@@ -383,7 +383,7 @@ impl LpvsScheduler {
         view: SlotView<'_>,
         previous: Option<&[bool]>,
         budget: &SlotBudget,
-        score: Option<(&mut Option<KeptScore>, &[usize])>,
+        score: Option<(&mut Option<Scores>, &[usize])>,
     ) -> (Schedule, RowAccounting) {
         self.resilient(view, previous, budget, Laps::start(), score)
     }
@@ -397,7 +397,7 @@ impl LpvsScheduler {
         previous: Option<&[bool]>,
         budget: &SlotBudget,
         mut laps: Laps,
-        score: Option<(&mut Option<KeptScore>, &[usize])>,
+        score: Option<(&mut Option<Scores>, &[usize])>,
     ) -> (Schedule, RowAccounting) {
         // The first rung tried takes the kept score; a later one scores
         // every row again.
@@ -446,7 +446,7 @@ impl LpvsScheduler {
                 }
                 if view.capacity_feasible(&phases.selected) {
                     if let (Some(slot), Some(scores)) = (score_slot.take(), &phases.scores) {
-                        *slot = Some(KeptScore::of(view, scores.clone()));
+                        *slot = Some(scores.clone());
                     }
                     return finish_resilient(view, phases, rung, rejected, laps, work);
                 }
@@ -483,63 +483,6 @@ impl LpvsScheduler {
             laps,
             work,
         )
-    }
-}
-
-/// A view's score ([`kernels::score_rows`] of its rows, positional)
-/// kept from one solve for the next solve of the same rows, tagged with
-/// the λ and curve it was scored under
-/// ([`LpvsScheduler::schedule_view_accounted`]). Derived state, never
-/// persisted.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KeptScore {
-    scores: Scores,
-    lambda: f64,
-    curve: AnxietyCurve,
-}
-
-impl KeptScore {
-    fn of(view: SlotView<'_>, scores: Scores) -> Self {
-        Self { scores, lambda: view.lambda(), curve: view.curve().clone() }
-    }
-
-    /// Whether this is a score of as many positions as `view` has, under
-    /// its λ (bit for bit) and curve.
-    fn covers(&self, view: SlotView<'_>) -> bool {
-        self.scores.feasible.len() == view.len()
-            && self.lambda.to_bits() == view.lambda().to_bits()
-            && self.curve == *view.curve()
-    }
-
-    /// The score of `view` with the positions `dirty` walked again and
-    /// every other one kept — bit for bit a score of every row, since a
-    /// row's outputs depend on its own columns, λ and the curve only
-    /// (debug builds score every row and compare). Only the dirty rows'
-    /// chunk steps go to `work`.
-    fn rescore(self, view: SlotView<'_>, dirty: &[usize], work: &mut SlotWork) -> Scores {
-        let (cols, rows) = (view.columns(), view.rows());
-        let dirty_rows: Vec<usize> = dirty.iter().map(|&p| rows[p]).collect();
-        work.chunk_steps.score += kernels::chunk_steps(&cols, &dirty_rows);
-        let fresh = kernels::score_rows(&cols, &dirty_rows, view.lambda(), view.curve());
-        let mut scores = self.scores;
-        for (k, &p) in dirty.iter().enumerate() {
-            scores.feasible[p] = fresh.feasible[k];
-            scores.saving[p] = fresh.saving[k];
-            scores.off[p] = fresh.off[k];
-            scores.on[p] = fresh.on[k];
-        }
-        debug_assert!(
-            {
-                let full = kernels::score_rows(&cols, rows, view.lambda(), view.curve());
-                let bits = |s: &Scores| {
-                    let column = |c: &[f64]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    (s.feasible.clone(), column(&s.saving), column(&s.off), column(&s.on))
-                };
-                bits(&scores) == bits(&full)
-            },
-            "the spliced score diverged from a score of every row"
-        );
-        scores
     }
 }
 
@@ -583,7 +526,7 @@ impl Phases {
     ) -> (Schedule, RowAccounting) {
         let terms = match self.scores {
             Some(scores) => {
-                let kept = RowAccounting::from_scored(view, &self.selected, scores);
+                let kept = RowAccounting::from_scored(&self.selected, scores);
                 debug_assert_eq!(kept, RowAccounting::of(view, &self.selected));
                 kept
             }

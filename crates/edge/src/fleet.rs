@@ -33,7 +33,7 @@ use crate::server::EdgeServer;
 use crate::shard::{run_shards, solve_shard, ShardJob, ShardSolve, SlotInputs};
 use lpvs_core::accounting::{RowAccounting, ShardTerms};
 use lpvs_core::budget::SlotBudget;
-use lpvs_core::delta::SlotDelta;
+use lpvs_core::delta::{Continuity, SlotDelta};
 use lpvs_core::fleet::DeviceFleet;
 use lpvs_core::scheduler::{Degradation, LpvsScheduler, Schedule, ScheduleStats, SchedulerConfig};
 use lpvs_core::work::{Laps, RowsAccounted, SlotWork};
@@ -203,21 +203,21 @@ impl FleetSchedule {
 }
 
 /// What a join keeps between slots: the fleet-wide [`RowAccounting`] of
-/// the decision it last assembled, and what proves the next slot
-/// extends it — a [`SlotDelta`] whose epoch is the kept one `+ 1` (no
-/// missed frontier) over a fleet of the same size; the terms themselves
-/// check λ and the curve. That is the continuity a shard's delta memo
-/// demands minus the capacities, which move a row's *decision*, never
-/// its terms: a changed decision is found by comparing against the kept
-/// selection. Anything else makes every row stale. A stale row's terms
-/// come from the shard that just solved it when it shipped them
+/// the decision it last assembled, and the [`Continuity`] that proves the
+/// next slot extends it — a [`SlotDelta`] of the next epoch (no missed
+/// frontier) under the same λ and curve — over a fleet of the same size
+/// (DESIGN §10 states the rule). That is the continuity a shard's delta
+/// memo demands minus the capacities, which move a row's *decision*,
+/// never its terms: a changed decision is found by comparing against the
+/// kept selection. Anything else makes every row stale. A stale row's
+/// terms come from the shard that just solved it when it shipped them
 /// ([`ShardTerms`]) and from the kernel otherwise, so a missing shipment
 /// costs time, never correctness. Derived state, never persisted: a
 /// resumed run's first join starts from nothing, once.
 #[derive(Debug, Default)]
 pub struct JoinMemo {
-    /// Epoch of the delta the kept terms consumed; `None` keeps nothing.
-    epoch: Option<u64>,
+    /// What the kept terms were evaluated under; `None` keeps nothing.
+    continuity: Option<Continuity>,
     /// The decision the kept terms describe, fleet order.
     selected: Vec<bool>,
     terms: RowAccounting,
@@ -243,9 +243,9 @@ impl JoinMemo {
     ) -> (f64, f64, RowsAccounted) {
         let (delta, shipped) = kept.map_or((None, &[][..]), |(delta, shipped)| (Some(delta), shipped));
         let n = selected.len();
-        let extends = self.terms.keep(n, lambda, curve)
+        let extends = self.terms.keep(n)
             && self.selected.len() == n
-            && delta.is_some_and(|d| self.epoch.is_some_and(|kept| d.epoch == kept + 1));
+            && delta.zip(self.continuity.as_ref()).is_some_and(|(d, kept)| kept.continues(d, lambda, curve));
         if !extends {
             self.selected.clear();
         }
@@ -276,7 +276,7 @@ impl JoinMemo {
         let stale = dirty.iter().copied().chain(0..every).filter(uncovered).chain(flipped).chain(moved());
         let join = self.terms.refresh(fleet, None, lambda, curve, selected, stale) as u64;
         // Only a delta-carrying slot can be extended.
-        self.epoch = delta.map(|d| d.epoch);
+        self.continuity = delta.map(|d| Continuity { epoch: d.epoch, lambda, curve: curve.clone() });
         self.selected.clear();
         self.selected.extend_from_slice(if delta.is_some() { selected } else { &[] });
         let (objective, energy_saved_j) = self.terms.fold();

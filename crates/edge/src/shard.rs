@@ -12,9 +12,10 @@ use crate::fleet::{shard_frontier, FleetScheduler, ShardLoad};
 use crate::server::EdgeServer;
 use lpvs_core::accounting::{RowAccounting, ShardTerms};
 use lpvs_core::budget::SlotBudget;
-use lpvs_core::delta::{solve_incremental, SlotDelta};
+use lpvs_core::delta::{solve_incremental, Continuity, SlotDelta};
 use lpvs_core::fleet::DeviceFleet;
-use lpvs_core::scheduler::{KeptScore, LpvsScheduler, Schedule, ScheduleStats};
+use lpvs_core::kernels::Scores;
+use lpvs_core::scheduler::{LpvsScheduler, Schedule, ScheduleStats};
 use lpvs_core::work::{Laps, SlotWork};
 use lpvs_survey::curve::AnxietyCurve;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -25,24 +26,22 @@ use std::time::Duration;
 /// slot is a contiguous extension of it.
 ///
 /// The memo is valid for a job exactly when the slot carries a
-/// [`SlotDelta`] whose epoch is `memo.epoch + 1` (no missed frontiers),
-/// the shard's device list is unchanged (same rows, same order — a
-/// connectivity flip or repartition changes it and automatically forces
-/// cold), the shard's capacities and λ are bit-identical, and the slot's
-/// curve is the one the kept terms were priced under. Anything else is a
-/// cold solve.
+/// [`SlotDelta`] its [`Continuity`] continues (the next epoch — no
+/// missed frontiers — under the same λ bits and curve), the shard's
+/// device list is unchanged (same rows, same order — a connectivity
+/// flip or repartition changes it and automatically forces cold), and
+/// the shard's capacities are bit-identical. Anything else is a cold
+/// solve.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardDeltaMemo {
-    /// Epoch of the delta this memo's schedule consumed.
-    pub epoch: u64,
+    /// The epoch, λ and curve the memo's schedule was solved under.
+    pub continuity: Continuity,
     /// Global fleet indices of the shard at solve time, in shard order.
     pub indices: Vec<usize>,
     /// Shard compute capacity at solve time (bit-compared).
     pub compute_capacity: f64,
     /// Shard storage capacity at solve time (GB, bit-compared).
     pub storage_capacity_gb: f64,
-    /// λ at solve time (bit-compared).
-    pub lambda: f64,
     /// The shard schedule the memo reuses or extends.
     pub schedule: Schedule,
     /// Per-row eq.-13 and saving terms of `schedule`, so an incremental
@@ -54,7 +53,7 @@ pub struct ShardDeltaMemo {
     /// past the fraction gate re-scores its dirty rows only. Derived,
     /// never persisted: `None` on a decoded memo and after an
     /// incremental solve, which changes rows without scoring them all.
-    pub scores: Option<KeptScore>,
+    pub scores: Option<Scores>,
 }
 
 /// Fraction gate: the incremental path only pays off while the dirty
@@ -126,20 +125,17 @@ enum DeltaPath {
 
 /// Decides the solve path for a job against the shard's memo, and
 /// discards a live memo a population, epoch, capacity, λ or curve change
-/// broke.
-/// Returns the path plus the shard-local dirty positions (for the
+/// broke. Returns the path plus the shard-local dirty positions (for the
 /// incremental path). No flag rides beside the job: a shard with no memo
 /// (a respawned worker, a one-shot call) solves cold here.
 fn classify_delta(slot: &SlotInputs<'_>, job: &ShardJob, memo: &mut Option<ShardDeltaMemo>) -> (DeltaPath, Vec<usize>) {
     // Sources that don't track deltas solve cold every slot, and no memo
     // was promised; a shard with no memo has nothing to extend.
     let (Some(delta), Some(kept)) = (slot.delta, memo.as_ref()) else { return (DeltaPath::Cold, Vec::new()) };
-    if kept.indices != job.rows
-        || delta.epoch != kept.epoch + 1
+    if !kept.continuity.continues(delta, slot.lambda, slot.curve)
+        || kept.indices != job.rows
         || kept.compute_capacity.to_bits() != job.server.compute_capacity().to_bits()
         || kept.storage_capacity_gb.to_bits() != job.server.storage_capacity_gb().to_bits()
-        || kept.lambda.to_bits() != slot.lambda.to_bits()
-        || kept.accounting.priced_off(slot.curve)
     {
         *memo = None;
         return (DeltaPath::Cold, Vec::new());
@@ -234,7 +230,7 @@ pub fn solve_shard(scheduler: &LpvsScheduler, memo: &mut Option<ShardDeltaMemo>,
             // the decision, and only a new decision needs copying. The
             // score stands through a reuse, not an incremental solve.
             Some(mut kept) if path != DeltaPath::Cold => {
-                kept.epoch = delta.epoch;
+                kept.continuity.epoch = delta.epoch;
                 if path == DeltaPath::Incremental {
                     kept.schedule.clone_from(schedule);
                     kept.scores = None;
@@ -243,10 +239,9 @@ pub fn solve_shard(scheduler: &LpvsScheduler, memo: &mut Option<ShardDeltaMemo>,
             }
             // A cold solve starts over, from the terms it evaluated.
             _ => ShardDeltaMemo {
-                epoch: delta.epoch,
+                continuity: Continuity { epoch: delta.epoch, lambda: slot.lambda, curve: slot.curve.clone() },
                 compute_capacity: compute,
                 storage_capacity_gb: storage_gb,
-                lambda: slot.lambda,
                 schedule: schedule.clone(),
                 accounting: fresh,
                 scores: scored,

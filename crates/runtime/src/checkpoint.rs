@@ -36,11 +36,13 @@ use crate::shard::{splitmix64, unit};
 use lpvs_bayes::codec::bank_from_bytes;
 use lpvs_bayes::BayesBank;
 use lpvs_codec::{crc64, CodecError, Reader, Writer};
+use lpvs_core::delta::Continuity;
 use lpvs_core::fleet::DeviceFleet;
 use lpvs_core::phase2::Phase2Stats;
 use lpvs_core::scheduler::{Degradation, Schedule, ScheduleStats};
 use lpvs_edge::fleet::GOLDEN_GAMMA;
 use lpvs_edge::shard::ShardDeltaMemo;
+use lpvs_survey::curve::{AnxietyCurve, LEVELS};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
@@ -73,7 +75,10 @@ pub const MANIFEST_MAGIC: u64 = 0x4C50_5653_4D41_4E46;
 /// once per chunk. Version-1/2 slices still decode: a row whose
 /// durations are all bit-equal becomes that one Δ, any other row fails
 /// closed ([`CodecError::Malformed`]).
-pub const SNAPSHOT_VERSION: u32 = 3;
+///
+/// Version 4 writes the memo's whole [`Continuity`], the curve's levels
+/// included; a version-2/3 memo names no curve and restores as `None`.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// The oldest on-disk format version [`ShardSnapshot::decode`] still
 /// accepts.
@@ -124,7 +129,7 @@ pub struct ShardSnapshot {
     pub bank: BayesBank,
     /// The fleet slice a file carries, if any (the runtime seals none).
     pub fleet: Option<FleetSlice>,
-    /// The shard's delta memo at snapshot time (`None` for version-1
+    /// The shard's delta memo at snapshot time (`None` for version-1–3
     /// files, or when the shard had no live memo). Restoring it lets a
     /// resumed run keep solving incrementally; a `None` restore just
     /// means the first post-restore solve is cold.
@@ -219,10 +224,11 @@ impl ShardSnapshot {
         } else {
             None
         };
-        // Version 1 predates delta memos; restoring without one is
-        // always sound (the next solve is simply cold).
+        // Version 1 predates delta memos, and a version-2/3 memo names no
+        // curve; restoring none is always sound (the next solve is cold).
         let memo = if version >= 2 && p.bool_()? {
-            Some(memo_from_bytes(p.bytes()?)?)
+            let bytes = p.bytes()?;
+            (version >= 4).then(|| memo_from_bytes(bytes)).transpose()?
         } else {
             None
         };
@@ -404,12 +410,16 @@ fn degradation_from_u8(byte: u8) -> Result<Degradation, CodecError> {
 /// measurement, not state, and excluding it keeps restored memos
 /// comparable across machines.
 pub(crate) fn memo_to_bytes(memo: &ShardDeltaMemo) -> Vec<u8> {
-    let mut w = Writer::with_capacity(64 + 9 * memo.indices.len() + memo.schedule.selected.len());
-    w.put_u64(memo.epoch);
+    let mut w = Writer::with_capacity(64 + 8 * LEVELS + 9 * memo.indices.len() + memo.schedule.selected.len());
+    let Continuity { epoch, lambda, curve } = &memo.continuity;
+    w.put_u64(*epoch);
     w.put_usizes(&memo.indices);
     w.put_f64(memo.compute_capacity);
     w.put_f64(memo.storage_capacity_gb);
-    w.put_f64(memo.lambda);
+    w.put_f64(*lambda);
+    // The curve itself, not a hash of it: a collision would be a silent
+    // wrong reuse.
+    w.put_f64s(curve.values());
     w.put_bools(&memo.schedule.selected);
     let stats = &memo.schedule.stats;
     w.put_f64(stats.objective);
@@ -433,6 +443,8 @@ pub(crate) fn memo_from_bytes(bytes: &[u8]) -> Result<ShardDeltaMemo, CodecError
     let compute_capacity = r.f64()?;
     let storage_capacity_gb = r.f64()?;
     let lambda = r.f64()?;
+    let levels: Option<[f64; LEVELS]> = r.f64s()?.try_into().ok();
+    let curve = levels.and_then(AnxietyCurve::try_from_levels).ok_or(CodecError::Malformed("memo curve"))?;
     let selected = r.bools()?;
     if selected.len() != indices.len() {
         return Err(CodecError::Malformed("memo selection length"));
@@ -454,11 +466,10 @@ pub(crate) fn memo_from_bytes(bytes: &[u8]) -> Result<ShardDeltaMemo, CodecError
     };
     r.expect_end()?;
     Ok(ShardDeltaMemo {
-        epoch,
+        continuity: Continuity { epoch, lambda, curve },
         indices,
         compute_capacity,
         storage_capacity_gb,
-        lambda,
         schedule: Schedule { selected, stats, ..Schedule::default() },
         accounting: Default::default(),
         scores: None,
@@ -1101,11 +1112,10 @@ mod tests {
 
     fn sample_memo() -> ShardDeltaMemo {
         ShardDeltaMemo {
-            epoch: 17,
+            continuity: Continuity { epoch: 17, lambda: 1.25, curve: AnxietyCurve::paper_shape() },
             indices: vec![2, 5, 9, 11],
             compute_capacity: 3.75,
             storage_capacity_gb: 42.5,
-            lambda: 1.25,
             schedule: Schedule {
                 selected: vec![true, false, true, true],
                 stats: ScheduleStats {
@@ -1134,8 +1144,30 @@ mod tests {
         let bank = learned_bank(4, 0.0);
         let sealed = ShardSnapshot::seal(1, 24, &bank_to_bytes(&bank), None, Some(&bytes));
         let snap = ShardSnapshot::decode(&sealed).expect("decode");
+        let bits = |m: Option<&ShardDeltaMemo>| m.map(|m| m.continuity.curve.values().map(f64::to_bits));
+        assert_eq!(bits(snap.memo.as_ref()), bits(Some(&memo)), "the curve's bits");
         assert_eq!(snap.memo, Some(memo));
         assert_eq!(snap.bank, bank);
+    }
+
+    /// A memo whose curve is no curve, or that ends early, fails the
+    /// snapshot closed.
+    #[test]
+    fn a_junk_or_truncated_memo_fails_closed() {
+        let bytes = memo_to_bytes(&sample_memo());
+        let bank = bank_to_bytes(&learned_bank(3, 0.0));
+        let decode = |memo: &[u8]| ShardSnapshot::decode(&ShardSnapshot::seal(0, 8, &bank, None, Some(memo)));
+        // The first level follows the epoch, the four indices, both
+        // capacities, λ and the level count.
+        let level = 8 + 5 * 8 + 3 * 8 + 8;
+        for junk in [f64::NAN, -0.25, 1.5] {
+            let mut bad = bytes.clone();
+            bad[level..level + 8].copy_from_slice(&junk.to_le_bytes());
+            assert_eq!(decode(&bad), Err(CodecError::Malformed("memo curve")), "level {junk}");
+        }
+        for cut in [0, level + 4, bytes.len() - 1] {
+            assert!(decode(&bytes[..cut]).is_err(), "a memo cut at {cut} decoded");
+        }
     }
 
     #[test]
@@ -1186,7 +1218,7 @@ mod tests {
     }
 
     #[test]
-    fn version_one_snapshots_restore_with_no_memo() {
+    fn snapshots_before_version_four_restore_with_no_memo() {
         // Hand-seal a v1 container: same payload layout minus the memo
         // section, stamped with version 1.
         let bank = learned_bank(6, 0.02);
@@ -1208,6 +1240,12 @@ mod tests {
         assert_eq!(snap.slot, 16);
         assert_eq!(snap.bank, bank);
         assert!(snap.memo.is_none(), "v1 restores to all-dirty (no memo)");
+        // A v2/v3 memo names no curve: skipped, whatever the section holds.
+        for (version, memo) in [(2u32, memo_to_bytes(&sample_memo())), (3, vec![0xAB; 5])] {
+            let mut sealed = ShardSnapshot::seal(3, 16, &bank_to_bytes(&bank), None, Some(&memo));
+            sealed[8..12].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(ShardSnapshot::decode(&sealed).map(|s| s.memo), Ok(None), "v{version}");
+        }
     }
 
     #[test]

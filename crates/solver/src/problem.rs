@@ -201,7 +201,9 @@ impl BinaryProgram {
         Ok(())
     }
 
-    /// Overrides the branch-and-bound node budget (default 100,000).
+    /// Overrides the branch-and-bound node budget (default 100,000),
+    /// with a floor of one node: a limit of 0 sets 1, so the root is
+    /// always bounded.
     pub fn set_node_limit(&mut self, limit: usize) {
         self.node_limit = limit.max(1);
     }
@@ -308,6 +310,15 @@ mod tests {
         assert!(BinaryProgram::new(Sense::Minimize, vec![f64::NAN]).is_err());
         let mut p = BinaryProgram::new(Sense::Minimize, vec![1.0]).unwrap();
         assert!(p.add_constraint(vec![1.0], Relation::Le, f64::INFINITY).is_err());
+    }
+
+    #[test]
+    fn a_node_limit_has_a_floor_of_one() {
+        let mut p = BinaryProgram::new(Sense::Maximize, vec![1.0]).unwrap();
+        p.set_node_limit(0);
+        assert_eq!(p.node_limit(), 1);
+        p.set_node_limit(7);
+        assert_eq!(p.node_limit(), 7);
     }
 
     #[test]

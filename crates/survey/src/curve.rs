@@ -43,11 +43,13 @@ impl AnxietyCurve {
     ///
     /// Panics if any value is outside `[0, 1]` or not finite.
     pub fn from_levels(values: [f64; LEVELS]) -> Self {
-        assert!(
-            values.iter().all(|v| v.is_finite() && (0.0..=1.0).contains(v)),
-            "anxiety values must lie in [0, 1]"
-        );
-        Self { values }
+        Self::try_from_levels(values).expect("anxiety values must lie in [0, 1]")
+    }
+
+    /// [`AnxietyCurve::from_levels`] for untrusted values: `None` if any
+    /// value is outside `[0, 1]` or not finite.
+    pub fn try_from_levels(values: [f64; LEVELS]) -> Option<Self> {
+        values.iter().all(|v| v.is_finite() && (0.0..=1.0).contains(v)).then_some(Self { values })
     }
 
     /// The linear reference curve (the dashed diagonal in Fig. 2):

@@ -20,7 +20,7 @@ use lpvs::display::spec::DisplayKind;
 use lpvs::edge::fleet::FleetConfig;
 use lpvs::emulator::engine::{CheckpointSpec, Emulator, EmulatorConfig};
 use lpvs::emulator::FaultConfig;
-use lpvs::runtime::checkpoint::SNAPSHOT_MAGIC;
+use lpvs::runtime::checkpoint::{SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use lpvs::core::scheduler::Degradation;
 use lpvs::runtime::{
     BankOps, CheckpointConfig, CheckpointStore, GatheredSlot, RuntimeConfig, ShardSnapshot,
@@ -246,14 +246,17 @@ fn chunk_secs(fleet: &DeviceFleet) -> impl Fn(usize) -> Vec<f64> + '_ {
 
 /// Snapshots sealed before chunk durations became a row scalar: a row
 /// whose per-chunk durations are all one Δ decodes to that Δ, so a v1
-/// or v2 snapshot restores the same slice as its v3 re-seal.
+/// or v2 snapshot restores the same slice as its re-seal in the v3
+/// fleet layout (which version 4 keeps).
 #[test]
 fn a_legacy_snapshot_with_uniform_rows_decodes_to_its_v3_reseal() {
     let (ids, slice) = mixed_slice();
     // The hand sealer writes the layout `ShardSnapshot::seal` does.
     let bank = bank_to_bytes(&BayesBank::from_estimators(learned_estimators(3, &[])));
     let v3 = ShardSnapshot::seal(0, 5, &bank, Some((&ids, &slice)), None);
-    assert_eq!(seal_by_hand(3, &ids, &slice, row_secs(&slice)), v3);
+    assert_eq!(seal_by_hand(SNAPSHOT_VERSION, &ids, &slice, row_secs(&slice)), v3);
+    let hand_v3 = ShardSnapshot::decode(&seal_by_hand(3, &ids, &slice, row_secs(&slice)));
+    assert_eq!(hand_v3, ShardSnapshot::decode(&v3), "a v3 file decodes as its v4 twin");
     for version in [1, 2] {
         let legacy = seal_by_hand(version, &ids, &slice, chunk_secs(&slice));
         let decoded = ShardSnapshot::decode(&legacy).expect("legacy snapshot decodes");

@@ -7,7 +7,7 @@
 //! invisible: a steady-state run with deltas enabled reproduces the
 //! cold baseline bit-for-bit, across 1–4 shards, with and without rows
 //! disconnected mid-range, and under injected worker deaths. And the incremental chain must survive
-//! a hub halt + resume: the restored delta memo (snapshot v2) continues
+//! a hub halt + resume: the restored delta memo (snapshot v4) continues
 //! exactly where the halted run left off, so the resumed run is
 //! bit-identical to one that never stopped. Last, the totals: every
 //! `objective` and `energy_saved_j` a delta-carrying run reports — folded
@@ -28,7 +28,7 @@ use lpvs::edge::fleet::{shard_frontier, FleetConfig, FleetSchedule};
 use lpvs::core::scheduler::Degradation;
 use lpvs::core::work::{DeltaPaths, SlotWork};
 use lpvs::runtime::{
-    BankOps, CheckpointConfig, FlightReason, GatheredSlot, RuntimeConfig, RuntimeReport,
+    BankOps, CheckpointConfig, CheckpointStore, FlightReason, GatheredSlot, RuntimeConfig, RuntimeReport,
     SlotFeedback, SlotReplay, SlotRuntime, SlotSink, SlotSource, SolvedSlot, StageFaults,
     SyntheticConfig, SyntheticDriver, SyntheticRecord,
 };
@@ -308,7 +308,7 @@ fn steady_state_slots_ride_the_reuse_and_incremental_paths() {
 
 /// Halting mid-horizon and resuming from the checkpoint store must be
 /// bit-identical to an uninterrupted run *with delta solving enabled*:
-/// the restored memo (snapshot v2) continues the incremental chain, and
+/// the restored memo (snapshot v4) continues the incremental chain, and
 /// replayed slots rebuild the same fleet epochs the halted run saw.
 /// Injected worker deaths and rows disconnected mid-range ride along on
 /// the multi-shard case, so death → cold-resolve → memo rebuild is
@@ -321,40 +321,43 @@ fn halted_and_resumed_delta_runs_are_bit_identical() {
         let mut config = SyntheticConfig::steady(48, 10, 13);
         config.mutation_fraction = 0.2;
         let baseline = run_records(config.clone(), shards, gapped, faults);
-
-        let dir = scratch("resume");
-        let fleet = FleetConfig { num_shards: shards, ..FleetConfig::default() };
-        let checkpoints = CheckpointConfig {
-            interval: 2,
-            ..CheckpointConfig::new(&dir)
-        };
-        let halted = SlotRuntime::new(RuntimeConfig {
-            fleet,
-            stage_faults: faults,
-            checkpoints: Some(checkpoints.clone()),
-            halt_after_slot: Some(5),
-        });
-        let mut driver = synthetic(config.clone(), gapped);
-        let estimators = driver.inner.estimators();
-        let report = halted.run(&mut driver, estimators);
-        assert!(report.summary.slots < 10, "halt_after_slot did not stop the run");
-
-        let resumer = SlotRuntime::new(RuntimeConfig {
-            fleet,
-            stage_faults: faults,
-            checkpoints: Some(checkpoints),
-            ..RuntimeConfig::default()
-        });
-        let mut resumed = synthetic(config, gapped);
-        resumer.resume(&mut resumed).expect("resume from manifest");
+        let (resumed, _) = halt_and_resume(|| synthetic(config.clone(), gapped), 48, shards, faults);
         assert_eq!(
             resumed.inner.records(),
             &baseline[..],
             "resumed run diverged from the uninterrupted baseline \
              ({shards} shards, gapped {gapped})"
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Runs a `make()` driver on `shards` worker shards, checkpointing every
+/// other slot, until the hub halts after slot 5 as a crashed one would,
+/// then resumes a second `make()` driver from the store. Returns the
+/// resumed driver and the slot its run re-entered at.
+fn halt_and_resume<D: SlotSource + SlotSink + SlotReplay>(
+    make: impl Fn() -> D,
+    devices: usize,
+    shards: usize,
+    faults: Option<StageFaults>,
+) -> (D, usize) {
+    let dir = scratch("resume");
+    let checkpoints = CheckpointConfig { interval: 2, ..CheckpointConfig::new(&dir) };
+    let config = |halt_after_slot| RuntimeConfig {
+        fleet: FleetConfig { num_shards: shards, ..FleetConfig::default() },
+        stage_faults: faults,
+        checkpoints: Some(checkpoints.clone()),
+        halt_after_slot,
+    };
+    let estimators = vec![GammaEstimator::paper_default(); devices];
+    let report = SlotRuntime::new(config(Some(5))).run(&mut make(), estimators);
+    assert!(report.summary.slots <= 6, "halt_after_slot did not stop the run");
+    let manifest = CheckpointStore::create(&checkpoints, shards).and_then(|store| store.read_manifest());
+    let at = manifest.expect("the manifest reads").expect("a round completed").slot;
+    let mut resumed = make();
+    SlotRuntime::new(config(None)).resume(&mut resumed).expect("resume from manifest");
+    let _ = std::fs::remove_dir_all(&dir);
+    (resumed, at)
 }
 
 /// The work of a run's delivered decisions, summed.
@@ -637,14 +640,18 @@ fn a_respawned_worker_solves_cold_without_a_flag() {
     assert_eq!(cold, (shards + retries as usize + gated) as u64);
 }
 
-/// The synthetic workload whose cohort's anxiety curve changes from slot
-/// `at` on — nothing else does.
-struct CurveSwap {
+/// A change made to a gathered slot; `true` on the first slot it is made to.
+type Change = fn(&mut GatheredSlot, bool);
+
+/// The synthetic workload with one change made to every slot it gathers
+/// from slot `at` on — nothing else differs.
+struct Break {
     inner: SyntheticDriver,
     at: usize,
+    change: Change,
 }
 
-impl SlotSource for CurveSwap {
+impl SlotSource for Break {
     fn begin_slot(&mut self, slot: usize) -> Option<BankOps> {
         self.inner.begin_slot(slot)
     }
@@ -653,17 +660,19 @@ impl SlotSource for CurveSwap {
         &mut self,
         slot: usize,
         posteriors: &[(f64, f64)],
-        recycled: Option<DeviceFleet>,
+        _recycled: Option<DeviceFleet>,
     ) -> Option<GatheredSlot> {
-        let mut gathered = self.inner.gather(slot, posteriors, recycled)?;
+        // A changed buffer is no longer the driver's last snapshot: every
+        // gather refills from nothing.
+        let mut gathered = self.inner.gather(slot, posteriors, None)?;
         if slot >= self.at {
-            gathered.curve = AnxietyCurve::linear();
+            (self.change)(&mut gathered, slot == self.at);
         }
         Some(gathered)
     }
 }
 
-impl SlotSink for CurveSwap {
+impl SlotSink for Break {
     fn solved(&mut self, solved: &SolvedSlot) {
         self.inner.solved(solved);
     }
@@ -673,29 +682,84 @@ impl SlotSink for CurveSwap {
     }
 }
 
-/// A memo priced under one curve is no baseline for a slot under
-/// another: on a frozen fleet whose curve changes mid-chain, every shard
-/// solves the changed slot cold, and the whole run equals the delta-less
-/// one — decisions and every total, the shards' own included.
+impl SlotReplay for Break {
+    fn stage_decision(&mut self, slot: usize, device_ids: &[usize], selected: &[bool], tier: Degradation) {
+        self.inner.stage_decision(slot, device_ids, selected, tier);
+    }
+
+    fn replay_slot(&mut self, slot: usize) {
+        self.inner.replay_slot(slot);
+    }
+}
+
+/// A run whose slot `delta[at]` does not continue the one before:
+/// every shard solved it cold, the join refreshed every row (adopting
+/// what the shards shipped), the memos restarted under the change, and
+/// every slot equals the delta-less run's (`cold`, aligned).
+fn assert_cold_break(
+    delta: &[(GatheredSlot, FleetSchedule)],
+    cold: &[(GatheredSlot, FleetSchedule)],
+    at: usize,
+    shards: usize,
+    case: &str,
+) {
+    let (g, broken) = &delta[at];
+    let every = shards as u64;
+    assert_eq!(broken.work.delta_path.cold, every, "{case}: the slot continued a memo");
+    let rows = broken.work.rows_accounted;
+    assert_eq!((rows.join + rows.shipped) as usize, g.fleet.len(), "{case}: the join kept rows ({rows:?})");
+    assert_eq!(delta[at + 1].1.work.delta_path.reuse, every, "{case}: the memo did not restart");
+    assert_eq!(delta.len(), cold.len(), "{case}");
+    for ((g, a), (_, b)) in delta.iter().zip(cold) {
+        assert_eq!(outcome(a), outcome(b), "{case}: slot {}", g.slot);
+    }
+}
+
+/// Every way a slot can fail to continue a shard's memo — a missed
+/// frontier, other rows, other capacity bits, other λ bits, another
+/// curve, and another curve on the first slot after a resume, whose
+/// memo came back from a checkpoint — sends every shard cold and makes
+/// the join refresh every row, on a frozen fleet whose slots otherwise
+/// all reuse their memo; the run equals the delta-less one slot by slot.
 #[test]
-fn a_curve_change_sends_every_shard_cold() {
-    let (devices, slots, at) = (120, 5, 2);
+fn every_chain_break_sends_every_shard_cold() {
+    let (devices, slots, at) = (120, 8, 2);
+    let breaks: [(&str, Change); 5] = [
+        ("an epoch gap", |g, _| g.delta.iter_mut().for_each(|d| d.epoch += 1)),
+        ("a changed row list", |g, first| {
+            // One row out of each of up to three contiguous shards.
+            let cut = [0, 40, 80];
+            cut.iter().for_each(|&row| g.fleet.set_connected(row, false));
+            if let Some(delta) = g.delta.as_mut().filter(|_| first) {
+                delta.dirty.extend(cut);
+                delta.dirty.sort_unstable();
+                delta.dirty.dedup();
+            }
+        }),
+        // Four ulps: one may not survive the split across three shards.
+        ("one capacity's bits", |g, _| g.compute_capacity = f64::from_bits(g.compute_capacity.to_bits() + 4)),
+        ("λ's bits", |g, _| g.lambda = g.lambda.next_up()),
+        ("a curve change", |g, _| g.curve = AnxietyCurve::linear()),
+    ];
+    let driver = |delta_enabled, at, change| {
+        let config = SyntheticConfig { mutation_fraction: 0.0, delta_enabled, ..SyntheticConfig::steady(devices, slots, 7) };
+        Capture::new(Break { inner: SyntheticDriver::new(config), at, change }, devices, false)
+    };
     for shards in 1..=3usize {
-        let mut config = SyntheticConfig::steady(devices, slots, 7);
-        config.mutation_fraction = 0.0;
-        let run = |delta_enabled| {
-            let inner = SyntheticDriver::new(SyntheticConfig { delta_enabled, ..config.clone() });
-            captured(Capture::new(CurveSwap { inner, at }, devices, false), devices, shards)
-        };
-        let (delta, cold) = (run(true), run(false));
-        let paths = |slot: usize| delta[slot].1.work.delta_path;
-        let every = shards as u64;
-        assert_eq!(paths(at - 1).reuse, every, "{shards} shards: the frozen fleet rode the memo");
-        assert_eq!(paths(at).cold, every, "{shards} shards: the curve changed under a live memo");
-        assert_eq!(paths(at + 1).reuse, every, "{shards} shards: the memo restarts under the new curve");
-        for ((g, a), (_, b)) in delta.iter().zip(&cold) {
-            assert_eq!(outcome(a), outcome(b), "{shards} shards: slot {}", g.slot);
+        for (case, change) in breaks {
+            let case = format!("{case}, {shards} shards");
+            let delta = captured(driver(true, at, change), devices, shards);
+            let cold = captured(driver(false, at, change), devices, shards);
+            assert_eq!(delta[at - 1].1.work.delta_path.reuse, shards as u64, "{case}: the frozen fleet rode the memo");
+            assert_cold_break(&delta, &cold, at, shards, &case);
         }
+
+        let case = format!("a curve change after a resume, {shards} shards");
+        let curve = breaks[4].1;
+        let (resumed, at) = halt_and_resume(|| driver(true, 4, curve), devices, shards, None);
+        assert_eq!(at, 4, "{case}: the resume re-entered at another slot");
+        let cold = captured(driver(false, at, curve), devices, shards);
+        assert_cold_break(&resumed.slots, &cold[at..], 0, shards, &case);
     }
 }
 
