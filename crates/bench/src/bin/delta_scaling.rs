@@ -9,9 +9,9 @@
 //!
 //! - **steady**: 1% of the fleet mutates per slot — the paper's
 //!   steady-state case, where almost every row's Phase-1 answer is
-//!   still valid. With the per-row eq.-13 and saving terms kept beside
-//!   the delta memo and the join, such a slot re-evaluates its frontier
-//!   and folds the rest. The speedup is *cold ÷ steady* seconds, so it
+//!   still valid. With every row's score kept beside the delta memo and
+//!   its prices beside the join, such a slot scores its frontier and
+//!   folds the rest. The speedup is *cold ÷ steady* seconds, so it
 //!   moves when either side does, and both are reported next to it:
 //!   it read 15.5–17.4× at 100k devices while a cold slot cost ≈ 100 ms,
 //!   and reads 9.8–13.7× (fourteen full runs on the 2-core host, median
@@ -27,10 +27,8 @@
 //!   those runs less the 35 % this host drifts when it is loaded.
 //! - **churn**: half the fleet mutates per slot — past the incremental
 //!   fraction gate, so every slot solves cold *through* the delta
-//!   machinery. The memo keeps the per-row terms the solve evaluated
-//!   and ships them to the join, which adopts them instead of running
-//!   the eq.-13 kernel over every row as the plain cold run's join
-//!   does — so the ratio now sits *below* 1 by about that pass, and the
+//!   machinery. The memo keeps the score the solve ran on, so a cold
+//!   solve past the gate re-scores its dirty rows only, and the
 //!   bookkeeping must still cost ≤ 10% over plain cold.
 //!
 //! The timed delta run also asserts, as each stage lands, what no
@@ -38,9 +36,9 @@
 //! its driver, the gathered slot's copied rows and the delivered
 //! schedule's `SlotWork`: once the recycled buffer is back (slot 1 on)
 //! a gather copies at most its frontier's rows, and on the steady
-//! regime, from slot 1 on, the shard workers re-evaluate at most
-//! frontier + flipped rows a slot and the join at most the rows the
-//! rebalance moved — the rest it adopts from the shards.
+//! regime, from slot 1 on, the shard workers score at most the
+//! frontier's rows a slot and the join at most the frontier rows no
+//! shard owns — the rest it adopts from the shards.
 //!
 //! Per-slot solve times come from the report's slot-resolved runtimes
 //! with slot 0 excluded (the first solve is cold by construction in
@@ -99,8 +97,8 @@ fn run(devices: usize, slots: usize, fraction: f64, delta_enabled: bool) -> (Sta
         gather_secs: Vec::new(),
         copied: Vec::new(),
         frontier: 0,
+        unowned: 0,
         accounted: [0; 2],
-        previous: Vec::new(),
     };
     let report = runtime().run(&mut driver, estimators);
     assert_eq!(report.summary.solved_slots, slots, "every slot must dispatch a solve");
@@ -110,21 +108,23 @@ fn run(devices: usize, slots: usize, fraction: f64, delta_enabled: bool) -> (Sta
 
 /// The synthetic driver, stamping each gather's wall clock and — on a
 /// delta run — checking as each stage lands that the slot copied and
-/// accounted no more rows than it had cause to.
+/// scored no more rows than it had cause to.
 struct Stamped {
     inner: SyntheticDriver,
-    /// Whether the accounting bound applies: a delta run short of the
+    /// Whether the scoring bound applies: a delta run short of the
     /// incremental gate (past it, or without a delta, every shard solves
-    /// cold and accounts in full).
+    /// cold and ships every row).
     steady: bool,
     /// Seconds each gather took, slot order.
     gather_secs: Vec<f64>,
     /// Rows each gather copied, slot order.
     copied: Vec<u64>,
+    /// The slot's frontier rows, and those of them no shard owns (the
+    /// disconnected ones).
     frontier: u64,
-    /// Rows accounted over the run as `[shard, join]`.
+    unowned: u64,
+    /// Rows scored over the run as `[shard, join]`.
     accounted: [u64; 2],
-    previous: Vec<bool>,
 }
 
 impl SlotSource for Stamped {
@@ -141,7 +141,9 @@ impl SlotSource for Stamped {
         let start = Instant::now();
         let gathered = self.inner.gather(slot, posteriors, recycled)?;
         self.gather_secs.push(start.elapsed().as_secs_f64());
-        self.frontier = gathered.delta.as_ref().map_or(0, |d| d.len() as u64);
+        let dirty = gathered.delta.as_ref().map_or(&[][..], |d| &d.dirty[..]);
+        self.frontier = dirty.len() as u64;
+        self.unowned = dirty.iter().filter(|&&i| !gathered.fleet.connected(i)).count() as u64;
         let copied = gathered.refilled.patched + gathered.refilled.full;
         // Slot 0 has no buffer to patch; from then on one circulates (a
         // delta-less run ships no frontier to bound it by).
@@ -160,26 +162,20 @@ impl SlotSink for Stamped {
         let rows = solved.schedule.work.rows_accounted;
         let counted = [rows.shard, rows.join];
         self.accounted = [self.accounted[0] + counted[0], self.accounted[1] + counted[1]];
-        if !self.steady {
-            return self.inner.solved(solved);
-        }
-        let selected = &solved.schedule.selected;
-        let flipped = selected.iter().zip(&self.previous).filter(|(a, b)| a != b).count() as u64;
-        // Slot 0 is all-dirty (and its cold solves keep their terms);
-        // from then on a steady slot costs its churn on the shards, and
-        // at the join what the rebalance moved after the shards shipped.
-        if solved.slot >= 1 {
-            let bounds = [self.frontier + flipped, solved.schedule.migrations as u64];
+        // Slot 0 is all-dirty (and its cold solves keep their score);
+        // from then on a steady slot scores its frontier on the shards,
+        // once — a flipped or migrated row is priced already — and at the
+        // join only the frontier rows no shard shipped.
+        if self.steady && solved.slot >= 1 {
+            let bounds = [self.frontier, self.unowned];
             for ((owner, bound), rows) in ["shard", "join"].iter().zip(bounds).zip(counted) {
                 assert!(
                     rows <= bound,
-                    "slot {}: {owner} accounted {rows} rows for a frontier of {}, {flipped} flips and \
-                     {} migrations",
-                    solved.slot, self.frontier, bounds[1]
+                    "slot {}: {owner} scored {rows} rows for a frontier of {} ({} of them unowned)",
+                    solved.slot, self.frontier, self.unowned
                 );
             }
         }
-        self.previous.clone_from(selected);
         self.inner.solved(solved);
     }
 
@@ -231,7 +227,7 @@ fn main() {
             let [shard, join] = stamped.accounted;
             println!(
                 "counted at N={devices}, {regime}: {copied_per_slot:.0} rows copied a slot; {shard} \
-                 rows accounted on the shards, {join} at the join over {slots} slots (every slot in \
+                 rows scored on the shards, {join} at the join over {slots} slots (every slot in \
                  full would be {})",
                 devices * slots
             );

@@ -16,11 +16,11 @@
 //!   frontier. The shard and the residual are both [`SlotView`]s of
 //!   the fleet the caller already holds — the residual is the same
 //!   columns over the dirty rows with reduced capacities — so nothing
-//!   is extracted or copied, and the merged selection is accounted
-//!   through the caller's kept [`RowAccounting`], which re-evaluates
-//!   eq. 13 and the saving for the frontier and the flipped rows only
-//!   and hands those terms back for the fleet join to adopt
-//!   ([`solve_incremental`]).
+//!   is extracted or copied. The caller's kept score of the shard
+//!   ([`Scores`]) is re-scored at the frontier only, once: the residual
+//!   sub-solve, the frontier's Phase-2 and the totals of the merged
+//!   selection ([`Scores::fold`]) all read it, and the frontier's rows
+//!   of it go on to the fleet join ([`solve_incremental`]).
 //!
 //! The correctness argument, in layers:
 //!
@@ -32,7 +32,7 @@
 //!    capacity the clean rows left behind, so the merged selection can
 //!    never exceed the shard's capacity rows.
 //! 3. Phase-2 runs with both candidates and victims restricted to the
-//!    dirty frontier ([`run_phase2_over`]), so every clean row keeps
+//!    dirty frontier, so every clean row keeps
 //!    its decision verbatim — the pure-addition criterion with respect
 //!    to clean rows.
 //!
@@ -40,12 +40,13 @@
 //! reuses the previous schedule verbatim, which is bit-identical to a
 //! cold solve by solver determinism (same problem → same answer).
 
-use crate::accounting::{RowAccounting, ShardTerms};
 use crate::budget::SlotBudget;
 use crate::fleet::{DeviceFleet, DirtyFrontier, SlotView};
-use crate::phase2::run_phase2_over;
+use crate::kernels::Scores;
+use crate::phase1::score_view;
+use crate::phase2::run_phase2_scored;
 use crate::scheduler::{Degradation, LpvsScheduler, Schedule, ScheduleStats, SchedulerConfig};
-use crate::work::Laps;
+use crate::work::{Laps, SlotWork};
 use lpvs_survey::curve::AnxietyCurve;
 use serde::{Deserialize, Serialize};
 
@@ -64,8 +65,6 @@ pub struct SlotDelta {
     pub epoch: u64,
     /// Ascending global fleet indices of the rows that changed.
     pub dirty: Vec<usize>,
-    /// Fleet size at capture time, for staleness checks.
-    pub total: usize,
 }
 
 impl SlotDelta {
@@ -82,7 +81,7 @@ impl SlotDelta {
 
 impl From<DirtyFrontier> for SlotDelta {
     fn from(f: DirtyFrontier) -> Self {
-        Self { epoch: f.epoch, dirty: f.indices, total: f.total }
+        Self { epoch: f.epoch, dirty: f.indices }
     }
 }
 
@@ -125,7 +124,7 @@ impl Continuity {
 ///   rung, so a reused greedy-tier decision is never relabelled exact.
 ///
 /// This is [`solve_incremental`] over the shard's view with no kept
-/// terms: the merged selection is accounted over every row.
+/// score: every row is scored once.
 ///
 /// # Panics
 ///
@@ -146,27 +145,23 @@ pub fn solve_shard_incremental(
     budget: &SlotBudget,
 ) -> Schedule {
     let view = fleet.slot_view(indices, compute_capacity, storage_capacity_gb, lambda, curve);
-    let mut terms = RowAccounting::default();
-    solve_incremental(
-        scheduler, view, local_dirty, previous_selected, previous_degradation, budget, &mut terms,
-    )
-    .0
+    solve_incremental(scheduler, view, local_dirty, previous_selected, previous_degradation, budget, None).0
 }
 
 /// [`solve_shard_incremental`] over a view, with the caller's kept
-/// accounting: `terms` is empty, or the terms of `previous_selected`
-/// over this view's rows as they were before `local_dirty` changed.
-/// Only the dirty rows and the rows whose decision flipped are
-/// re-evaluated (every row when `terms` is empty; the count is the
-/// `shard` rows of the returned schedule's work, beside the residual
-/// solve's work and the frontier's Phase-2 score), and `terms` is left
-/// describing the returned selection; the re-evaluated rows' terms are
-/// returned beside it, by position in the view.
+/// score: `kept` is `None`, or the score of this view's rows as they
+/// were before `local_dirty` (ascending) changed, under the view's λ
+/// and curve. The dirty rows are scored into it once (every row when
+/// there is none; the rows are the `shard` rows of the returned
+/// schedule's work, their chunk steps its `score` steps), and the
+/// residual sub-solve, the frontier's Phase-2 and the totals all read
+/// that one score, which is returned beside the schedule, every
+/// position current.
 ///
 /// Falls back to a cold full-shard solve internally if the merged
 /// selection somehow violates capacity (defence in depth — the
 /// residual-capacity algebra makes this unreachable up to f64
-/// rounding), leaving `terms` empty and returning none.
+/// rounding), on the same score.
 pub fn solve_incremental(
     scheduler: &LpvsScheduler,
     view: SlotView<'_>,
@@ -174,10 +169,12 @@ pub fn solve_incremental(
     previous_selected: &[bool],
     previous_degradation: Degradation,
     budget: &SlotBudget,
-    terms: &mut RowAccounting,
-) -> (Schedule, ShardTerms) {
+    kept: Option<Scores>,
+) -> (Schedule, Scores) {
     assert_eq!(previous_selected.len(), view.len(), "previous selection does not cover the shard");
     let mut laps = Laps::start();
+    let mut work = SlotWork::default();
+    let scores = score_view(view, kept, local_dirty, &mut work);
 
     // Capacity the clean rows' standing selections already consume.
     let mut g_clean = 0.0;
@@ -195,8 +192,9 @@ pub fn solve_incremental(
     }
 
     // Residual sub-problem over the dirty rows only, warm-started with
-    // their previous decisions. Phase-2 is deferred to the merged
-    // selection so swaps see the frontier, not the sub-problem.
+    // their previous decisions and solved on their entries of the score.
+    // Phase-2 is deferred to the merged selection so swaps see the
+    // frontier, not the sub-problem.
     let dirty_rows: Vec<usize> = local_dirty.iter().map(|&l| view.rows()[l]).collect();
     let sub_view = view.fleet().slot_view(
         &dirty_rows,
@@ -210,9 +208,17 @@ pub fn solve_incremental(
         enable_phase2: false,
         ..*scheduler.config()
     });
-    let sub = sub_scheduler.schedule_view(sub_view, Some(&sub_warm), budget);
+    let pick = |column: &[f64]| local_dirty.iter().map(|&l| column[l]).collect();
+    let frontier = Scores {
+        feasible: local_dirty.iter().map(|&l| scores.feasible[l]).collect(),
+        saving: pick(&scores.saving),
+        off: pick(&scores.off),
+        on: pick(&scores.on),
+    };
+    let (sub, frontier) =
+        sub_scheduler.schedule_view_accounted(sub_view, Some(&sub_warm), budget, Some((frontier, &[])));
     laps.splice("delta", &sub.laps);
-    let mut work = sub.work;
+    work += sub.work;
 
     // Merge: clean rows keep their standing decision.
     let mut selected = previous_selected.to_vec();
@@ -221,39 +227,22 @@ pub fn solve_incremental(
     }
     if !view.capacity_feasible(&selected) {
         // Unreachable up to rounding; a cold solve is always sound.
-        terms.clear();
-        let mut cold = scheduler.schedule_view(view, Some(previous_selected), budget);
+        let (mut cold, scores) =
+            scheduler.schedule_view_accounted(view, Some(previous_selected), budget, Some((scores, &[])));
         laps.splice("delta", &cold.laps);
         cold.work += work;
         cold.stats.runtime = laps.total();
         cold.laps = laps;
-        return (cold, Vec::new());
+        return (cold, scores);
     }
 
     laps.lap("delta");
     let phase2 = if scheduler.config().enable_phase2 {
-        let (stats, steps) = run_phase2_over(view, &mut selected, Some(local_dirty), &mut laps);
-        work.chunk_steps.score += steps;
-        stats
+        run_phase2_scored(view, &mut selected, Some(local_dirty), &frontier, &mut laps)
     } else {
         Default::default()
     };
-
-    // A kept term is stale where the row's columns moved (the frontier)
-    // or its decision did.
-    let stale: Vec<usize> =
-        (0..view.len()).filter(|&p| is_dirty[p] || selected[p] != previous_selected[p]).collect();
-    let (fleet, rows) = (view.fleet(), Some(view.rows()));
-    let named = stale.iter().copied();
-    let accounted = terms.refresh(fleet, rows, view.lambda(), view.curve(), &selected, named);
-    work.rows_accounted.shard += accounted as u64;
-    // An empty cache was rebuilt: every row is fresh, not only the named.
-    let shipped = if accounted == stale.len() {
-        terms.shipment(stale)
-    } else {
-        terms.shipment(0..view.len())
-    };
-    let (objective, energy_saved_j) = terms.fold();
+    let (objective, energy_saved_j) = scores.fold(&selected);
     laps.lap("delta");
 
     let degradation = previous_degradation.max(sub.stats.degradation);
@@ -268,7 +257,7 @@ pub fn solve_incremental(
         rejected_devices: sub.stats.rejected_devices,
         runtime: laps.total(),
     };
-    (Schedule { selected, stats, work, laps }, shipped)
+    (Schedule { selected, stats, work, laps }, scores)
 }
 
 #[cfg(test)]

@@ -43,8 +43,7 @@
 //! contract is load-bearing for delta solving: a clean bit promises the
 //! row is bit-identical to what it was when the bit was last cleared.
 
-use crate::accounting::RowAccounting;
-use crate::kernels::FleetColumns;
+use crate::kernels::{device_objective_batch, FleetColumns, Select};
 use crate::problem::{safe_capacity, DeviceRequest, SlotProblem};
 use crate::work::RowsRefilled;
 use lpvs_display::spec::DisplayKind;
@@ -137,8 +136,7 @@ impl PartialEq for DeviceFleet {
 
 /// The set of dirty rows of a fleet at one instant, captured together
 /// with the epoch it was read at. `indices` are ascending global fleet
-/// indices; `total` is the fleet size, so consumers can reason about
-/// the dirty *fraction* without holding the fleet.
+/// indices.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DirtyFrontier {
     /// Epoch the frontier was captured at (the fleet's epoch *before*
@@ -146,8 +144,6 @@ pub struct DirtyFrontier {
     pub epoch: u64,
     /// Ascending fleet indices of every dirty row.
     pub indices: Vec<usize>,
-    /// Fleet size at capture time.
-    pub total: usize,
 }
 
 impl DirtyFrontier {
@@ -665,7 +661,6 @@ impl DeviceFleet {
         DirtyFrontier {
             epoch: self.epoch,
             indices: (0..self.len()).filter(|&i| self.dirty[i]).collect(),
-            total: self.len(),
         }
     }
 
@@ -723,9 +718,9 @@ impl DeviceFleet {
     }
 
     // The two per-row energy accessors below are accounting helpers, not
-    // solve-path code: `RowAccounting` takes a selected row's saving term
-    // from `saving_j`, and the benchmark package
-    // (`crates/bench/src/bin/e2e`) derives `energy_saving` from both.
+    // solve-path code: debug builds check a solve's folded saving against
+    // `saving_j`, and the benchmark package (`crates/bench/src/bin/e2e`)
+    // derives `energy_saving` from both.
 
     /// Untransformed slot energy `Σ p·Δ` (J) of row `i`, summed per
     /// chunk like [`DeviceRequest::untransformed_energy_j`].
@@ -858,15 +853,18 @@ impl<'a> SlotView<'a> {
         g <= self.compute_capacity + 1e-9 && h <= self.storage_capacity_gb + 1e-9
     }
 
-    /// The joint objective (eq. 13) of a positional selection: the
-    /// objective half of [`RowAccounting`] with every row evaluated.
+    /// The joint objective (eq. 13) of a positional selection, every
+    /// row evaluated and summed in position order from `Sum`'s identity.
     ///
     /// # Panics
     ///
     /// Panics if `selected.len() != self.len()`.
     pub fn objective_value(&self, selected: &[bool]) -> f64 {
         assert_eq!(selected.len(), self.len(), "selection has wrong length");
-        RowAccounting::of(*self, selected).fold().0
+        let mut terms = Vec::with_capacity(self.len());
+        let select = Select::PerPosition(selected);
+        device_objective_batch(&self.columns(), self.rows, select, self.lambda, self.curve, &mut terms);
+        terms.iter().sum()
     }
 }
 
@@ -1128,7 +1126,6 @@ mod tests {
         let frontier = f.dirty_frontier();
         assert_eq!(frontier.indices, vec![0, 1, 2, 3, 4]);
         assert_eq!(frontier.epoch, 0);
-        assert_eq!(frontier.total, 5);
         f.clear_dirty();
         assert_eq!(f.dirty_count(), 0);
         assert_eq!(f.epoch(), 1);

@@ -31,7 +31,8 @@
 //!   `#[inline(always)]` helpers (`scalar::compact_step`,
 //!   `scalar::objective_step` and their AVX2 mirrors), so no equation
 //!   has a second implementation. A cold slot scores its view with it
-//!   once, and compact, Phase-2 and the accounting all read that score.
+//!   once, and compact, Phase-2 and the totals all read that score
+//!   ([`Scores::fold`]).
 //!
 //! ## The bit-identity contract
 //!
@@ -53,8 +54,8 @@
 //!
 //! [`active_path`] resolves, in order: a programmatic override
 //! ([`set_forced_path`], used by benches and the bit-identity tests), the
-//! `LPVS_KERNELS` environment variable (`scalar` | `avx2` | `auto`),
-//! then CPU detection. Requesting AVX2 on a CPU without it falls back
+//! `LPVS_KERNELS` environment variable (`scalar` forces the portable
+//! path; any other value is ignored), then CPU detection. Requesting AVX2 on a CPU without it falls back
 //! to scalar — the choice is a pure performance knob and can never
 //! change results.
 
@@ -378,6 +379,31 @@ impl Scores {
             off: Vec::with_capacity(n),
             on: Vec::with_capacity(n),
         }
+    }
+
+    /// `(objective, energy_saved_j)` of `selected`, positional like the
+    /// score: eq. 13 is Σ (`selected` ? `on` : `off`) and the saving
+    /// Σ (`selected` ? `saving` : 0.0), both folded in position order
+    /// from `Sum`'s identity — the bits of summing every row's freshly
+    /// evaluated term, an empty selection's −0.0 included. The one way
+    /// a total is made, from a solve's score or the join's columns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a priced column is not as long as `selected`.
+    pub fn fold(&self, selected: &[bool]) -> (f64, f64) {
+        let n = selected.len();
+        assert!(self.off.len() == n && self.on.len() == n && self.saving.len() == n, "the score does not cover the selection");
+        // `x ? a : b` by a mask over the bits, so a decision the branch
+        // predictor cannot guess costs no mispredict.
+        let pick = |x: bool, a: f64, b: f64| {
+            let keep = u64::from(x).wrapping_neg();
+            f64::from_bits((a.to_bits() & keep) | (b.to_bits() & !keep))
+        };
+        let rows = || selected.iter().zip(&self.off).zip(&self.on).zip(&self.saving);
+        let objective = rows().map(|(((&x, &off), &on), _)| pick(x, on, off)).sum();
+        let saving = rows().map(|(((&x, _), _), &saving)| pick(x, saving, 0.0)).sum();
+        (objective, saving)
     }
 
     /// Appends row `i`'s outputs from its walk's accumulators.

@@ -42,12 +42,11 @@
 //!   feeding the delta path;
 //! * [`kernels`] — the batched columnar kernels for constraint (11)
 //!   and eq. (13) that every solve runs on, and [`score_rows`], which
-//!   gives all of them in one walk of each row's chunks;
+//!   gives all of them in one walk of each row's chunks: the [`Scores`]
+//!   every total is folded from ([`Scores::fold`]);
 //! * [`delta`] — delta-aware incremental solving: [`SlotDelta`] change
 //!   sets and the residual sub-solve that re-solves only the dirty
 //!   frontier of a shard;
-//! * [`accounting`] — [`RowAccounting`]: the per-row eq.-13 and saving
-//!   terms every total is folded from, refreshed where rows changed;
 //! * [`work`] — [`SlotWork`] and [`Laps`](work::Laps): what a solve did,
 //!   counted and timed, returned beside its decision; this crate writes no
 //!   telemetry, the slot runtime publishes both once a slot.
@@ -55,7 +54,7 @@
 //! # One solve-path representation
 //!
 //! The engine — both Phase-1 solvers, [`run_phase2_over`], the
-//! eq.-13 accounting, [`LpvsScheduler::schedule_view`],
+//! eq.-13 totals, [`LpvsScheduler::schedule_view`],
 //! [`solve_shard_incremental`] — takes a [`SlotView`]: fleet columns,
 //! a row list, capacities, λ, curve; borrowed and `Copy`. Callers that
 //! hold a fleet (`lpvs_edge::fleet`, `lpvs_runtime`) solve views of it
@@ -92,7 +91,6 @@
 
 #![warn(missing_docs)]
 
-pub mod accounting;
 pub mod baseline;
 pub mod budget;
 pub mod compact;
@@ -108,7 +106,6 @@ pub mod provision;
 pub mod scheduler;
 pub mod work;
 
-pub use accounting::RowAccounting;
 pub use baseline::{Policy, SelectionPolicy};
 pub use budget::SlotBudget;
 pub use compact::CompactedDevice;

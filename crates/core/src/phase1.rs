@@ -123,7 +123,7 @@ pub fn solve_phase1_warm(
 ) -> Result<Phase1Result, SolverError> {
     with_problem_view(problem, |view| {
         let mut work = SlotWork::default();
-        let mut scores = score_view(view, &mut work);
+        let mut scores = score_view(view, None, &[], &mut work);
         let mut result = solve(view, config, hint, &mut scores.saving, &scores.feasible)?;
         result.work += work;
         Ok(result)
@@ -132,25 +132,26 @@ pub fn solve_phase1_warm(
 
 /// Information compacting (paper §V-B): every row's feasibility, saving
 /// and eq.-13 terms under both decisions, in one walk of its chunks
-/// ([`kernels::score_rows`]), whose steps go to `work`. A solve scores
-/// its view once, and Phase-1, Phase-2 and the accounting of the final
-/// selection all read it.
-pub(crate) fn score_view(view: SlotView<'_>, work: &mut SlotWork) -> Scores {
-    let cols = view.columns();
-    work.chunk_steps.score += kernels::chunk_steps(&cols, view.rows());
-    kernels::score_rows(&cols, view.rows(), view.lambda(), view.curve())
-}
-
-/// [`score_view`] from a score `kept` of the same positions under the
-/// same λ and curve, with the positions `dirty` walked again and every
-/// other one kept — bit for bit a score of every row, since a row's
-/// outputs depend on its own columns, λ and the curve only (debug
-/// builds score every row and compare). Only the dirty rows' chunk
-/// steps go to `work`.
-pub(crate) fn rescore_view(mut kept: Scores, view: SlotView<'_>, dirty: &[usize], work: &mut SlotWork) -> Scores {
+/// ([`kernels::score_rows`]). A solve scores its view once, and Phase-1,
+/// Phase-2 and the totals of the final selection all read it.
+///
+/// `kept`, when it is as long as the view, is a score of the same
+/// positions under the same λ and curve: only the positions `dirty`
+/// names are walked again and written over it — bit for bit a score of
+/// every row, since a row's outputs depend on its own columns, λ and the
+/// curve only (debug builds score every row and compare). Otherwise every
+/// row is walked. The rows walked go to `work`'s `rows_accounted.shard`
+/// and their chunk steps to its `chunk_steps.score`.
+pub(crate) fn score_view(view: SlotView<'_>, kept: Option<Scores>, dirty: &[usize], work: &mut SlotWork) -> Scores {
     let (cols, rows) = (view.columns(), view.rows());
+    let Some(mut kept) = kept.filter(|kept| kept.feasible.len() == view.len()) else {
+        work.chunk_steps.score += kernels::chunk_steps(&cols, rows);
+        work.rows_accounted.shard += rows.len() as u64;
+        return kernels::score_rows(&cols, rows, view.lambda(), view.curve());
+    };
     let dirty_rows: Vec<usize> = dirty.iter().map(|&p| rows[p]).collect();
     work.chunk_steps.score += kernels::chunk_steps(&cols, &dirty_rows);
+    work.rows_accounted.shard += dirty_rows.len() as u64;
     let fresh = kernels::score_rows(&cols, &dirty_rows, view.lambda(), view.curve());
     for (k, &p) in dirty.iter().enumerate() {
         kept.feasible[p] = fresh.feasible[k];
@@ -175,7 +176,7 @@ pub(crate) fn rescore_view(mut kept: Scores, view: SlotView<'_>, dirty: &[usize]
 /// contract). An offered hint counts once in the result's
 /// [`SlotWork::warm_start`], a hit or a miss. The exact solver lends
 /// `savings` to its program and takes it back, so a solve that succeeds
-/// leaves the column as it came, for Phase-2 and the accounting (one
+/// leaves the column as it came, for Phase-2 and the totals (one
 /// that fails may leave it empty).
 pub(crate) fn solve(
     view: SlotView<'_>,

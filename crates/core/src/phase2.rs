@@ -35,12 +35,12 @@
 //!
 //! **Scoring.** Phase-2 reads each in-scope row's transform feasibility
 //! and its eq.-13 term under both decisions, all from one walk of the
-//! row's chunks ([`kernels::score_rows`]). A full solve scores its view
-//! once, before Phase-1, and hands that score to Phase-1, to Phase-2
-//! (`run_phase2_scored`: no kernel runs here) and to the accounting of
-//! the final selection (`RowAccounting::from_scored`). The scoped run
-//! of the delta path ([`run_phase2_over`] with a frontier) scores its
-//! frontier itself, in the same one walk.
+//! row's chunks ([`kernels::score_rows`]). A solve scores its view once,
+//! before Phase-1, and hands that score to Phase-1, to Phase-2
+//! (`run_phase2_scored`: no kernel runs here) and to the totals of the
+//! final selection (`Scores::fold`); the delta path hands Phase-2 its
+//! frontier's entries of the shard's score the same way. The public
+//! [`run_phase2_over`] scores its scope itself, in the same one walk.
 //!
 //! **Orders.** The candidate ranking and the eviction-loss order are
 //! integer-key sorts (`lpvs_solver::knapsack::partial_key_order`): each
@@ -216,17 +216,27 @@ pub fn run_phase2_over(
     (swap(view, selected, &scope, &scores, laps, false), steps)
 }
 
-/// Phase-2 over the whole view on a score of all of it (positional, like
-/// the view) — a full solve's, made once before Phase-1.
+/// Phase-2 over `scope` (ascending, distinct view positions; `None`:
+/// the whole view) on a score of the scope's rows, slot for slot — a
+/// full solve's, made once before Phase-1, or a delta solve's frontier
+/// entries of its shard's score.
 pub(crate) fn run_phase2_scored(
     view: SlotView<'_>,
     selected: &mut [bool],
+    scope: Option<&[usize]>,
     scores: &Scores,
     laps: &mut Laps,
 ) -> Phase2Stats {
     assert_eq!(selected.len(), view.len(), "selection has wrong length");
-    let scope: Vec<usize> = (0..view.len()).collect();
-    swap(view, selected, &scope, scores, laps, false)
+    let whole: Vec<usize>;
+    let scope = match scope {
+        Some(scope) => scope,
+        None => {
+            whole = (0..view.len()).collect();
+            &whole
+        }
+    };
+    swap(view, selected, scope, scores, laps, false)
 }
 
 /// Positions by descending anxiety degree, ties to the lowest position:

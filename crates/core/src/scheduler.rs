@@ -1,9 +1,8 @@
 //! The LPVS scheduler: Phase-1 + Phase-2, counted ([`SlotWork`]) and timed ([`Laps`]).
 
-use crate::accounting::RowAccounting;
 use crate::budget::SlotBudget;
 use crate::fleet::{with_problem_view, SlotView};
-use crate::kernels::{self, Scores};
+use crate::kernels::Scores;
 use crate::phase1::{self, Phase1Config, Phase1Solver};
 use crate::phase2::{run_phase2_scored, Phase2Stats};
 use crate::problem::SlotProblem;
@@ -262,17 +261,17 @@ impl LpvsScheduler {
     }
 
     /// Phase-1 with `phase1_config`'s solver, then Phase-2 if
-    /// configured: the decision without its accounting, which
-    /// [`Phases::into_schedule`] does once the caller has settled on the
+    /// configured: the decision without its totals, which
+    /// [`Phases::into_schedule`] folds once the caller has settled on the
     /// final selection.
     ///
     /// Every stage reads one score of the view: Phase-1 borrows its
     /// savings and verdicts, Phase-2 its verdicts and eq.-13 terms, and
-    /// the score rides on in the returned [`Phases`] to the accounting.
-    /// The score is [`phase1::score_view`]'s, or `kept`'s with the
-    /// `dirty` positions re-scored when `kept` is as long as the view
-    /// ([`phase1::rescore_view`]). The counts go to `work` and the time to
-    /// `laps` as the stages finish, so a rung that fails keeps what it did.
+    /// the score rides on in the returned [`Phases`] to the totals. The
+    /// score is [`phase1::score_view`]'s: `kept` with the `dirty`
+    /// positions re-scored when it is as long as the view, else a fresh
+    /// one. The counts go to `work` and the time to `laps` as the stages
+    /// finish, so a rung that fails keeps what it did.
     fn run_phases(
         &self,
         phase1_config: &Phase1Config,
@@ -282,10 +281,7 @@ impl LpvsScheduler {
         work: &mut SlotWork,
         laps: &mut Laps,
     ) -> Result<Phases, SolverError> {
-        let mut scores = match kept.filter(|kept| kept.feasible.len() == view.len()) {
-            Some(kept) => phase1::rescore_view(kept, view, dirty, work),
-            None => phase1::score_view(view, work),
-        };
+        let mut scores = phase1::score_view(view, kept, dirty, work);
         laps.lap("sched.compact");
         let Scores { saving, feasible, .. } = &mut scores;
         let phase1 = phase1::solve(view, phase1_config, previous, saving, feasible);
@@ -294,13 +290,13 @@ impl LpvsScheduler {
         *work += phase1.work;
         let mut selected = phase1.selected;
         let phase2 = if self.config.enable_phase2 {
-            run_phase2_scored(view, &mut selected, &scores, laps)
+            run_phase2_scored(view, &mut selected, None, &scores, laps)
         } else {
             Phase2Stats::default()
         };
         Ok(Phases {
             selected,
-            scores: Some(scores),
+            scores,
             infeasible_devices: phase1.infeasible_devices,
             phase1_nodes: phase1.nodes,
             phase1_pivots: phase1.pivots,
@@ -364,28 +360,26 @@ impl LpvsScheduler {
         self.schedule_view_accounted(view, previous, budget, None).0
     }
 
-    /// [`schedule_view`](Self::schedule_view), and the per-row terms its
-    /// totals were folded from — the selection's [`RowAccounting`] over
-    /// `view`, for a caller that keeps or ships them instead of
-    /// evaluating every row again.
+    /// [`schedule_view`](Self::schedule_view), and the score of the view
+    /// its totals were folded from ([`Scores::fold`]), positional like
+    /// the selection, for a caller that keeps or ships it instead of
+    /// scoring a row again.
     ///
-    /// `score` is for a caller that keeps the view's score across solves
-    /// of the same rows: `(kept, dirty)`. When `kept` holds a score of
-    /// as many positions as `view` has, the solve re-scores only the
-    /// positions `dirty` names and reads the rest from `kept` — the
-    /// caller's to prove, as with [`RowAccounting::refresh`]'s stale set,
+    /// `kept` is for a caller that keeps the view's score across solves
+    /// of the same rows: `(score, dirty)`. When the score has as many
+    /// positions as `view`, the solve re-scores only the positions
+    /// `dirty` names and reads the rest from it — the caller's to prove
     /// that the score was taken of these rows under `view`'s λ and curve
-    /// and that every other position's columns are unchanged. On return
-    /// `kept` holds this solve's score (`None` when no solver rung made
-    /// one). With `None` the solve scores every row and keeps nothing.
+    /// and that every other position's columns are unchanged. With `None`
+    /// the solve scores every row.
     pub fn schedule_view_accounted(
         &self,
         view: SlotView<'_>,
         previous: Option<&[bool]>,
         budget: &SlotBudget,
-        score: Option<(&mut Option<Scores>, &[usize])>,
-    ) -> (Schedule, RowAccounting) {
-        self.resilient(view, previous, budget, Laps::start(), score)
+        kept: Option<(Scores, &[usize])>,
+    ) -> (Schedule, Scores) {
+        self.resilient(view, previous, budget, Laps::start(), kept)
     }
 
     /// The degradation ladder over a view, on the clock the entry point
@@ -397,12 +391,12 @@ impl LpvsScheduler {
         previous: Option<&[bool]>,
         budget: &SlotBudget,
         mut laps: Laps,
-        score: Option<(&mut Option<Scores>, &[usize])>,
-    ) -> (Schedule, RowAccounting) {
+        kept: Option<(Scores, &[usize])>,
+    ) -> (Schedule, Scores) {
         // The first rung tried takes the kept score; a later one scores
         // every row again.
-        let (mut score_slot, dirty) = score.unzip();
-        let (mut kept, dirty) = (score_slot.as_mut().and_then(|slot| slot.take()), dirty.unwrap_or_default());
+        let (mut kept, dirty) = kept.unzip();
+        let dirty = dirty.unwrap_or_default();
         let n = view.len();
         let valid: Vec<bool> = (0..n).map(|position| view.accepted(position)).collect();
         let rejected = valid.iter().filter(|&&ok| !ok).count();
@@ -445,13 +439,20 @@ impl LpvsScheduler {
                     *x = *x && ok;
                 }
                 if view.capacity_feasible(&phases.selected) {
-                    if let (Some(slot), Some(scores)) = (score_slot.take(), &phases.scores) {
-                        *slot = Some(scores.clone());
-                    }
                     return finish_resilient(view, phases, rung, rejected, laps, work);
                 }
             }
         }
+
+        // A rung no solver ran scores the view for its totals (the kept
+        // score, if no solver rung took it); the walk is its accounting.
+        let mut unsolved = |selected: Vec<bool>, work: &mut SlotWork| {
+            let mut walked = SlotWork::default();
+            let scores = phase1::score_view(view, kept.take(), dirty, &mut walked);
+            walked.chunk_steps.account = std::mem::take(&mut walked.chunk_steps.score);
+            *work += walked;
+            Phases::unsolved(selected, scores)
+        };
 
         // Reuse the previous slot's selection if it is still
         // feasible for today's (possibly browned-out) capacities — and
@@ -463,7 +464,7 @@ impl LpvsScheduler {
                 if view.capacity_feasible(&reused) && reused.iter().any(|&x| x) {
                     return finish_resilient(
                         view,
-                        Phases::unsolved(reused),
+                        unsolved(reused, &mut work),
                         Degradation::ReusedPrevious,
                         rejected,
                         laps,
@@ -477,7 +478,7 @@ impl LpvsScheduler {
         // capacity row, so this rung cannot fail.
         finish_resilient(
             view,
-            Phases::unsolved(vec![false; n]),
+            unsolved(vec![false; n], &mut work),
             Degradation::Passthrough,
             rejected,
             laps,
@@ -486,15 +487,14 @@ impl LpvsScheduler {
     }
 }
 
-/// What the two phases decided and the work it took, before the
-/// selection is accounted for. The resilient path masks rejected
-/// devices out of the selection first, so eq. 13 and the energy sum
-/// are totalled once, on the selection that is returned — from the
-/// view's score (`scores`) when a solver rung made one, else by the
-/// kernel.
+/// What the two phases decided, the score they read and the work it
+/// took, before the selection is totalled. The resilient path masks
+/// rejected devices out of the selection first, so eq. 13 and the
+/// energy sum are folded once, from the view's score, on the selection
+/// that is returned.
 struct Phases {
     selected: Vec<bool>,
-    scores: Option<Scores>,
+    scores: Scores,
     infeasible_devices: usize,
     phase1_nodes: usize,
     phase1_pivots: usize,
@@ -502,11 +502,12 @@ struct Phases {
 }
 
 impl Phases {
-    /// A selection no solver produced (the reuse and passthrough rungs).
-    fn unsolved(selected: Vec<bool>) -> Self {
+    /// A selection no solver produced (the reuse and passthrough rungs),
+    /// with the score of the view.
+    fn unsolved(selected: Vec<bool>, scores: Scores) -> Self {
         Self {
             selected,
-            scores: None,
+            scores,
             infeasible_devices: 0,
             phase1_nodes: 0,
             phase1_pivots: 0,
@@ -514,28 +515,26 @@ impl Phases {
         }
     }
 
-    /// Accounts for the selection on `view` (the last lap) and stamps the
-    /// outcome; the terms ride along for whoever keeps them.
+    /// Folds the selection's totals from the score (the last lap) and
+    /// stamps the outcome; the score rides along for whoever keeps it.
     fn into_schedule(
         self,
         view: SlotView<'_>,
         rung: Degradation,
         rejected: usize,
-        mut work: SlotWork,
+        work: SlotWork,
         mut laps: Laps,
-    ) -> (Schedule, RowAccounting) {
-        let terms = match self.scores {
-            Some(scores) => {
-                let kept = RowAccounting::from_scored(&self.selected, scores);
-                debug_assert_eq!(kept, RowAccounting::of(view, &self.selected));
-                kept
-            }
-            None => {
-                work.chunk_steps.account += kernels::chunk_steps(&view.columns(), view.rows());
-                RowAccounting::of(view, &self.selected)
-            }
-        };
-        let (objective, energy_saved_j) = terms.fold();
+    ) -> (Schedule, Scores) {
+        let (objective, energy_saved_j) = self.scores.fold(&self.selected);
+        debug_assert_eq!(
+            (objective.to_bits(), energy_saved_j.to_bits()),
+            {
+                let saving = |(&x, &i): (&bool, &usize)| if x { view.fleet().saving_j(i) } else { 0.0 };
+                let saved: f64 = self.selected.iter().zip(view.rows()).map(saving).sum();
+                (view.objective_value(&self.selected).to_bits(), saved.to_bits())
+            },
+            "the score's totals diverged from evaluating every row"
+        );
         laps.lap("sched.account");
         let stats = ScheduleStats {
             objective,
@@ -548,7 +547,7 @@ impl Phases {
             rejected_devices: rejected,
             runtime: laps.total(),
         };
-        (Schedule { selected: self.selected, stats, work, laps }, terms)
+        (Schedule { selected: self.selected, stats, work, laps }, self.scores)
     }
 }
 
@@ -561,10 +560,10 @@ fn finish_resilient(
     rejected: usize,
     laps: Laps,
     work: SlotWork,
-) -> (Schedule, RowAccounting) {
-    let (mut schedule, terms) = phases.into_schedule(view, rung, rejected, work, laps);
+) -> (Schedule, Scores) {
+    let (mut schedule, scores) = phases.into_schedule(view, rung, rejected, work, laps);
     schedule.laps.runs.push((0, schedule.laps.ends.len(), rung));
-    (schedule, terms)
+    (schedule, scores)
 }
 
 #[cfg(test)]

@@ -16,7 +16,8 @@ use std::time::{Duration, Instant};
 pub struct ChunkSteps {
     /// The fused score a solver rung reads, or a delta frontier's score.
     pub score: u64,
-    /// Accounting a selection no score covers (reuse, passthrough).
+    /// The score a rung no solver ran (reuse, passthrough) takes for its
+    /// totals: only the dirty rows' when a kept score came in.
     pub account: u64,
 }
 
@@ -40,12 +41,12 @@ pub struct DeltaPaths {
     pub cold: u64,
 }
 
-/// Rows whose eq.-13 and saving terms were evaluated, by owner.
+/// Rows scored — priced under both decisions — by owner.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RowsAccounted {
-    /// Evaluated by a shard's solve.
+    /// Scored by a solve (a shard's, when read off a fleet slot).
     pub shard: u64,
-    /// Evaluated by the fleet join.
+    /// Scored by the fleet join.
     pub join: u64,
     /// Adopted by the join from the shard that shipped them.
     pub shipped: u64,

@@ -30,11 +30,11 @@
 //! [`SlotView`]: lpvs_core::fleet::SlotView
 
 use crate::server::EdgeServer;
-use crate::shard::{run_shards, solve_shard, ShardJob, ShardSolve, SlotInputs};
-use lpvs_core::accounting::{RowAccounting, ShardTerms};
+use crate::shard::{run_shards, solve_shard, ScoreRows, ShardJob, ShardSolve, SlotInputs};
 use lpvs_core::budget::SlotBudget;
 use lpvs_core::delta::{Continuity, SlotDelta};
 use lpvs_core::fleet::DeviceFleet;
+use lpvs_core::kernels::Scores;
 use lpvs_core::scheduler::{Degradation, LpvsScheduler, Schedule, ScheduleStats, SchedulerConfig};
 use lpvs_core::work::{Laps, RowsAccounted, SlotWork};
 use lpvs_survey::curve::AnxietyCurve;
@@ -115,8 +115,8 @@ pub struct ShardReport {
     /// The shard scheduler's run statistics (rung reached, objective,
     /// Phase-1/2 work).
     pub stats: ScheduleStats,
-    /// The shard solve's counted work ([`Schedule::work`]; the shard body
-    /// adds the delta path it took and the rows it accounted).
+    /// The shard solve's counted work ([`Schedule::work`], the rows it
+    /// scored included; the shard body adds the delta path it took).
     #[serde(skip)]
     pub work: SlotWork,
     /// The solver's laps between the `shard` laps of whoever ran it.
@@ -202,85 +202,68 @@ impl FleetSchedule {
     }
 }
 
-/// What a join keeps between slots: the fleet-wide [`RowAccounting`] of
-/// the decision it last assembled, and the [`Continuity`] that proves the
-/// next slot extends it — a [`SlotDelta`] of the next epoch (no missed
-/// frontier) under the same λ and curve — over a fleet of the same size
-/// (DESIGN §10 states the rule). That is the continuity a shard's delta
-/// memo demands minus the capacities, which move a row's *decision*,
-/// never its terms: a changed decision is found by comparing against the
-/// kept selection. Anything else makes every row stale. A stale row's
-/// terms come from the shard that just solved it when it shipped them
-/// ([`ShardTerms`]) and from the kernel otherwise, so a missing shipment
-/// costs time, never correctness. Derived state, never persisted: a
-/// resumed run's first join starts from nothing, once.
+/// What a join keeps between slots: every fleet row priced under both
+/// decisions — the `off`, `on` and `saving` columns of a [`Scores`] in
+/// fleet order (its verdict column stays empty: the join reads none) —
+/// and the [`Continuity`] that proves the next slot extends them: a
+/// [`SlotDelta`] of the next epoch (no missed frontier) under the same λ
+/// and curve, over a fleet of the same size (DESIGN §10 states the
+/// rule). A row's prices depend on its columns, λ and the curve only —
+/// not on its decision, its shard or the capacities — so a flipped row
+/// or one the rebalance moved in costs nothing. When the slot extends
+/// the columns the delta's dirty rows are stale, else every row; a
+/// stale row's prices come from the shard that just scored it when it
+/// shipped them ([`ScoreRows`]) and from the kernel otherwise, so a
+/// missing shipment costs time, never correctness. Derived state, never
+/// persisted: a resumed run's first join starts from nothing, once.
 #[derive(Debug, Default)]
 pub struct JoinMemo {
-    /// What the kept terms were evaluated under; `None` keeps nothing.
+    /// What the kept prices were taken under; `None` keeps nothing.
     continuity: Option<Continuity>,
-    /// The decision the kept terms describe, fleet order.
-    selected: Vec<bool>,
-    terms: RowAccounting,
+    priced: Scores,
 }
 
 impl JoinMemo {
-    /// `(objective, energy_saved_j)` of `selected` over the whole fleet.
-    /// One stale rule: the delta's frontier and the flipped rows when
-    /// the slot extends the kept terms, every row otherwise — less the
-    /// rows the terms shipped with `kept` cover (shard `s`'s by position
-    /// in `reports[s].devices`), which are adopted as they are, plus
-    /// every row the rebalance moved in, which its shard shipped
-    /// unselected. No `kept`: every row, and nothing to extend next slot.
-    /// Returns the totals and the rows evaluated and adopted.
+    /// `(objective, energy_saved_j)` of `selected` over the whole fleet:
+    /// adopts every score row `shipped` (positions are fleet rows here),
+    /// scores the stale rows none of them covers, and folds. `delta:
+    /// None` makes every row stale and keeps nothing to extend next slot.
+    /// Returns the totals and the rows scored and adopted.
     fn total(
         &mut self,
         fleet: &DeviceFleet,
         lambda: f64,
         curve: &AnxietyCurve,
         selected: &[bool],
-        reports: &[ShardReport],
-        kept: Option<(&SlotDelta, &[ShardTerms])>,
+        shipped: &[ScoreRows],
+        delta: Option<&SlotDelta>,
     ) -> (f64, f64, RowsAccounted) {
-        let (delta, shipped) = kept.map_or((None, &[][..]), |(delta, shipped)| (Some(delta), shipped));
-        let n = selected.len();
-        let extends = self.terms.keep(n)
-            && self.selected.len() == n
+        let (n, priced) = (selected.len(), &mut self.priced);
+        let extends = priced.off.len() == n
             && delta.zip(self.continuity.as_ref()).is_some_and(|(d, kept)| kept.continues(d, lambda, curve));
-        if !extends {
-            self.selected.clear();
+        for column in [&mut priced.off, &mut priced.on, &mut priced.saving] {
+            column.resize(n, 0.0);
         }
-        let mut covered = vec![false; n];
-        let mut adopted = 0;
-        for (report, terms) in reports.iter().zip(shipped) {
-            for &(p, objective, saving_j) in terms {
-                self.terms.adopt(report.devices[p], objective, saving_j);
-                covered[report.devices[p]] = true;
-            }
-            adopted += terms.len() as u64;
-        }
-        // Marked so the stale rule names them once, at its end; a
-        // shipped term that does not stand was not adopted.
-        let moved = || reports.iter().flat_map(|r| r.migrated_in.iter().copied());
-        for i in moved() {
-            adopted -= u64::from(std::mem::replace(&mut covered[i], true));
+        let (mut covered, mut adopted) = (vec![false; n], 0);
+        for &(i, off, on, saving) in shipped.iter().flatten() {
+            (priced.off[i], priced.on[i], priced.saving[i]) = (off, on, saving);
+            covered[i] = true;
+            adopted += 1;
         }
 
-        let (dirty, every) = match delta {
-            Some(d) if extends => (&d.dirty[..], 0),
-            _ => (&[][..], n),
+        let stale: Vec<usize> = match delta {
+            Some(d) if extends => d.dirty.iter().copied().filter(|&i| !covered[i]).collect(),
+            _ => (0..n).filter(|&i| !covered[i]).collect(),
         };
-        let uncovered = |i: &usize| !covered[*i];
-        let flipped = (self.selected.iter().zip(selected).enumerate())
-            .filter(|(i, (was, now))| was != now && uncovered(i) && dirty.binary_search(i).is_err())
-            .map(|(i, _)| i);
-        let stale = dirty.iter().copied().chain(0..every).filter(uncovered).chain(flipped).chain(moved());
-        let join = self.terms.refresh(fleet, None, lambda, curve, selected, stale) as u64;
+        let fresh = lpvs_core::score_rows(&fleet.columns(), &stale, lambda, curve);
+        for (k, &i) in stale.iter().enumerate() {
+            (priced.off[i], priced.on[i], priced.saving[i]) = (fresh.off[k], fresh.on[k], fresh.saving[k]);
+        }
         // Only a delta-carrying slot can be extended.
         self.continuity = delta.map(|d| Continuity { epoch: d.epoch, lambda, curve: curve.clone() });
-        self.selected.clear();
-        self.selected.extend_from_slice(if delta.is_some() { selected } else { &[] });
-        let (objective, energy_saved_j) = self.terms.fold();
-        (objective, energy_saved_j, RowsAccounted { join, shipped: adopted, ..RowsAccounted::default() })
+        let (objective, energy_saved_j) = priced.fold(selected);
+        let rows = RowsAccounted { join: stale.len() as u64, shipped: adopted, ..RowsAccounted::default() };
+        (objective, energy_saved_j, rows)
     }
 }
 
@@ -420,8 +403,8 @@ impl FleetScheduler {
     /// so the slot runtime, which holds its shards' memos across slots,
     /// joins results through the **same** code path. With the caller's
     /// [`JoinMemo`] and the slot's delta as `kept`, a slot that extends
-    /// the memo accounts only the rows that changed, and of those only
-    /// the ones no shard already evaluated and shipped.
+    /// the memo prices only the rows that changed, and of those only the
+    /// ones no shard already scored and shipped.
     #[allow(clippy::too_many_arguments)]
     pub fn assemble(
         &self,
@@ -440,9 +423,14 @@ impl FleetScheduler {
         let mut results = results.into_iter();
         let rebalances = self.rebalances(servers.len());
         for (s, devices) in shards.into_iter().enumerate() {
-            let ShardSolve { schedule, shipped: terms, load: delivered, .. } = (results.next().flatten())
+            let ShardSolve { schedule, shipped: priced, load: delivered, .. } = (results.next().flatten())
                 .unwrap_or_else(|| ShardSolve { schedule: Self::passthrough_schedule(devices.len()), shipped: None, load: None, frontier: 0 });
-            shipped.push(terms.unwrap_or_default());
+            // Shard positions become fleet rows, in place.
+            let mut priced = priced.unwrap_or_default();
+            for row in &mut priced {
+                row.0 = devices[row.0];
+            }
+            shipped.push(priced);
             for (&global, &x) in devices.iter().zip(&schedule.selected) {
                 selected[global] = x;
             }
@@ -467,12 +455,12 @@ impl FleetScheduler {
         let (migrations, candidates) = self.rebalance(fleet, servers, lambda, curve, &mut selected, &mut reports);
         laps.lap("rebalance");
 
-        // Fleet-wide accounting; `None` evaluates every row, keeps none.
-        let (memo, kept) = match kept {
-            Some((memo, delta)) => (memo, Some((delta, &shipped[..]))),
+        // Fleet-wide totals; `None` prices every row, keeps none.
+        let (memo, delta) = match kept {
+            Some((memo, delta)) => (memo, Some(delta)),
             None => (&mut JoinMemo::default(), None),
         };
-        let (objective, energy_saved_j, rows) = memo.total(fleet, lambda, curve, &selected, &reports, kept);
+        let (objective, energy_saved_j, rows) = memo.total(fleet, lambda, curve, &selected, &shipped, delta);
         work += SlotWork { rows_accounted: rows, ..SlotWork::default() };
         laps.lap("total");
 
@@ -778,15 +766,17 @@ mod tests {
 
     #[test]
     fn a_one_shot_schedule_counts_one_cold_solve_a_shard() {
-        // No delta, no memo: every shard solves cold and accounts each of
-        // its rows once; a disconnected row belongs to no shard.
+        // No delta, no memo: every shard solves cold, scores each of its
+        // rows once and ships it; a disconnected row belongs to no shard,
+        // so the join scores it.
         let mut f = fleet(40, 8);
         f.set_connected(13, false);
         for shards in [1, 3] {
             let s = FleetScheduler::with_shards(shards);
             let out = s.schedule(&f, &EdgeServer::new(20.0, 2.25), 1.0, &AnxietyCurve::paper_shape(), None, &SlotBudget::unbounded());
             let cold = lpvs_core::work::DeltaPaths { cold: shards as u64, ..Default::default() };
-            assert_eq!((out.work.delta_path, out.work.rows_accounted.shard), (cold, 39), "{shards} shards");
+            let rows = lpvs_core::work::RowsAccounted { shard: 39, join: 1, shipped: 39 };
+            assert_eq!((out.work.delta_path, out.work.rows_accounted), (cold, rows), "{shards} shards");
         }
     }
 

@@ -10,7 +10,6 @@
 
 use crate::fleet::{shard_frontier, FleetScheduler, ShardLoad};
 use crate::server::EdgeServer;
-use lpvs_core::accounting::{RowAccounting, ShardTerms};
 use lpvs_core::budget::SlotBudget;
 use lpvs_core::delta::{solve_incremental, Continuity, SlotDelta};
 use lpvs_core::fleet::DeviceFleet;
@@ -44,17 +43,18 @@ pub struct ShardDeltaMemo {
     pub storage_capacity_gb: f64,
     /// The shard schedule the memo reuses or extends.
     pub schedule: Schedule,
-    /// Per-row eq.-13 and saving terms of `schedule`, so an incremental
-    /// solve re-evaluates its frontier only. Derived, never persisted:
-    /// empty on a memo decoded from a checkpoint, until the next
-    /// incremental solve rebuilds every row once.
-    pub accounting: RowAccounting,
-    /// The last cold solve's score of the shard's rows, so a cold solve
-    /// past the fraction gate re-scores its dirty rows only. Derived,
-    /// never persisted: `None` on a decoded memo and after an
-    /// incremental solve, which changes rows without scoring them all.
+    /// The score of the shard's rows as of the last solve (positional,
+    /// like the selection), so the next solve — incremental, or cold
+    /// past the fraction gate — re-scores its dirty rows only and folds
+    /// its totals from it. Derived, never persisted: `None` on a memo
+    /// decoded from a checkpoint, until the next solve scores every row
+    /// once.
     pub scores: Option<Scores>,
 }
+
+/// Score rows a shard hands the join: `(position, off, on, saving)`
+/// each, shard-local positions, the columns of [`Scores`].
+pub type ScoreRows = Vec<(usize, f64, f64, f64)>;
 
 /// Fraction gate: the incremental path only pays off while the dirty
 /// frontier is small; past a quarter of the shard the residual
@@ -97,13 +97,14 @@ pub struct ShardJob {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardSolve {
     /// The shard schedule — a passthrough when the solver panicked. Its
-    /// work counts the delta path taken and the rows accounted; its laps
+    /// work counts the delta path taken and the rows scored; its laps
     /// are the solver's between the shard's own `shard` laps.
     pub schedule: Schedule,
-    /// The terms of the rows the solve evaluated, shard-local, for the
-    /// join to adopt: every row after a delta-carrying cold solve, the
-    /// refreshed ones after an incremental one; `None` after a panic.
-    pub shipped: Option<ShardTerms>,
+    /// The score rows the solve priced, for the join to adopt: every
+    /// row after a cold solve, the dirty ones after an incremental one
+    /// (every row, if it had no kept score), none after a reuse; `None`
+    /// after a panic.
+    pub shipped: Option<ScoreRows>,
     /// The [`ShardLoad`] of `schedule`, when the job asked for one.
     pub load: Option<ShardLoad>,
     /// The shard's rows the slot's delta named dirty (0 with no live memo).
@@ -156,33 +157,32 @@ fn classify_delta(slot: &SlotInputs<'_>, job: &ShardJob, memo: &mut Option<Shard
 /// slot's `warm` selection), incrementally over the dirty frontier, or by
 /// reusing the memo outright when nothing in the shard changed. A solver
 /// panic is contained here: the shard hands the join its passthrough and
-/// no terms, and the memo is dropped. The path and the rows it accounts
-/// are counted before the solve runs, so a solve that panics still
-/// reports them; the shard's own work around the solve is its `shard`
-/// laps. The [`ShardLoad`], when the job asks for one, is that of the
-/// schedule returned: a panicked solve's passthrough selects nothing.
+/// no score rows, and the memo is dropped. The path is counted before the
+/// solve runs, so a solve that panics still reports it; the shard's own
+/// work around the solve is its `shard` laps. The [`ShardLoad`], when the
+/// job asks for one, is that of the schedule returned: a panicked solve's
+/// passthrough selects nothing.
 pub fn solve_shard(scheduler: &LpvsScheduler, memo: &mut Option<ShardDeltaMemo>, slot: &SlotInputs<'_>, job: ShardJob) -> ShardSolve {
     let mut own = Laps::start();
     let (mut work, rows) = (SlotWork::default(), job.rows.len());
     let (path, local_dirty) = classify_delta(slot, &job, memo);
-    // A cold solve accounts every row, a reuse none, an incremental one
-    // counts its own (`solve_incremental`).
     let paths = &mut work.delta_path;
     match path {
         DeltaPath::Reuse => paths.reuse += 1,
         DeltaPath::Incremental => paths.incremental += 1,
-        DeltaPath::Cold => {
-            paths.cold += 1;
-            work.rows_accounted.shard += rows as u64;
-        }
+        DeltaPath::Cold => paths.cold += 1,
     }
 
     let (compute, storage_gb) = (job.server.compute_capacity(), job.server.storage_capacity_gb());
     let view = || slot.fleet.slot_view(&job.rows, compute, storage_gb, slot.lambda, slot.curve);
-    // A cold solve's terms and score, kept with its memo. Past the gate
-    // the memo's score stands for every row but the dirty ones.
-    let mut fresh = RowAccounting::default();
-    let mut scored = memo.as_mut().filter(|_| path == DeltaPath::Cold).and_then(|m| m.scores.take());
+    // A memo the slot's delta continues (`classify_delta`) has a score
+    // that stands for every row but the dirty ones, so a solve re-scores
+    // those only; a reuse leaves it where it is. A delta-less slot proves
+    // nothing about the rows: it scores them all.
+    let kept = memo.as_mut().filter(|_| slot.delta.is_some() && path != DeltaPath::Reuse).and_then(|m| m.scores.take());
+    // An incremental solve on a kept score prices its frontier, ships it;
+    // every other solve ships every row.
+    let ship_frontier = path == DeltaPath::Incremental && kept.is_some();
     let solved = match path {
         DeltaPath::Reuse => {
             // Bit-identical to a cold solve by solver determinism: the
@@ -190,68 +190,67 @@ pub fn solve_shard(scheduler: &LpvsScheduler, memo: &mut Option<ShardDeltaMemo>,
             // was done for it, nor time taken.
             memo.as_ref().map(|m| {
                 let stats = ScheduleStats { runtime: Duration::ZERO, ..m.schedule.stats };
-                (Schedule { selected: m.schedule.selected.clone(), stats, ..Schedule::default() }, vec![])
+                (Schedule { selected: m.schedule.selected.clone(), stats, ..Schedule::default() }, None)
             })
         }
         DeltaPath::Incremental => {
-            let m = memo.as_mut().expect("incremental path requires a memo");
-            catch_unwind(AssertUnwindSafe(|| {
-                let (was, rung) = (&m.schedule.selected, m.schedule.stats.degradation);
-                let terms = &mut m.accounting;
-                solve_incremental(scheduler, view(), &local_dirty, was, rung, slot.budget, terms)
-            }))
-            .ok()
+            let m = memo.as_ref().expect("incremental path requires a memo");
+            let (was, rung) = (&m.schedule.selected, m.schedule.stats.degradation);
+            catch_unwind(AssertUnwindSafe(|| solve_incremental(scheduler, view(), &local_dirty, was, rung, slot.budget, kept)))
+                .ok()
+                .map(|(schedule, scores)| (schedule, Some(scores)))
         }
         DeltaPath::Cold => {
             let warm = |p: &[bool]| job.rows.iter().map(|&i| p[i]).collect::<Vec<_>>();
             let (view, warm) = (view(), slot.warm.filter(|p| p.len() == slot.fleet.len()).map(warm));
-            // Without a delta no memo is fed, so no score is kept.
-            let score = slot.delta.map(|_| (&mut scored, &local_dirty[..]));
-            catch_unwind(AssertUnwindSafe(|| scheduler.schedule_view_accounted(view, warm.as_deref(), slot.budget, score)))
+            let kept = kept.map(|scores| (scores, &local_dirty[..]));
+            catch_unwind(AssertUnwindSafe(|| scheduler.schedule_view_accounted(view, warm.as_deref(), slot.budget, kept)))
                 .ok()
-                .map(|(schedule, terms)| {
-                    // Without a delta the join keeps nothing, and adopts nothing.
-                    let shipped = terms.shipment(0..if slot.delta.is_some() { rows } else { 0 });
-                    fresh = terms;
-                    (schedule, shipped)
-                })
+                .map(|(schedule, scores)| (schedule, Some(scores)))
         }
     };
 
-    let selected = solved.as_ref().map_or(&[][..], |(schedule, _)| &schedule.selected);
+    let (schedule, scores) = solved.unzip();
+    let scores = scores.flatten();
+    let shipped = schedule.as_ref().map(|_| {
+        let row = |p: usize, s: &Scores| (p, s.off[p], s.on[p], s.saving[p]);
+        match &scores {
+            Some(s) if ship_frontier => local_dirty.iter().map(|&p| row(p, s)).collect(),
+            Some(s) => (0..rows).map(|p| row(p, s)).collect(),
+            None => Vec::new(),
+        }
+    });
+    let selected = schedule.as_ref().map_or(&[][..], |schedule| &schedule.selected);
     let load = job.load.then(|| ShardLoad::of(slot.fleet, &job.server, &job.rows, selected));
 
     // Refresh the memo: every successful delta-carrying solve becomes
     // the next slot's baseline; panics and delta-less slots clear it.
-    *memo = match (&solved, slot.delta) {
-        (Some((schedule, _)), Some(delta)) => Some(match memo.take() {
+    *memo = match (&schedule, slot.delta) {
+        (Some(schedule), Some(delta)) => Some(match memo.take() {
             // Reuse and incremental: the memo's rows, capacities, λ and
-            // curve are this job's (`classify_delta`), its terms followed
-            // the decision, and only a new decision needs copying. The
-            // score stands through a reuse, not an incremental solve.
+            // curve are this job's (`classify_delta`); an incremental
+            // solve's decision and score replace the kept ones.
             Some(mut kept) if path != DeltaPath::Cold => {
                 kept.continuity.epoch = delta.epoch;
                 if path == DeltaPath::Incremental {
                     kept.schedule.clone_from(schedule);
-                    kept.scores = None;
+                    kept.scores = scores;
                 }
                 kept
             }
-            // A cold solve starts over, from the terms it evaluated.
+            // A cold solve starts over, from the score it solved on.
             _ => ShardDeltaMemo {
                 continuity: Continuity { epoch: delta.epoch, lambda: slot.lambda, curve: slot.curve.clone() },
                 compute_capacity: compute,
                 storage_capacity_gb: storage_gb,
                 schedule: schedule.clone(),
-                accounting: fresh,
-                scores: scored,
+                scores,
                 indices: job.rows,
             },
         }),
         _ => None,
     };
 
-    let (schedule, shipped) = solved.unzip();
     let mut schedule = schedule.unwrap_or_else(|| FleetScheduler::passthrough_schedule(rows));
     schedule.work += work;
     own.splice("shard", &schedule.laps);

@@ -471,7 +471,6 @@ pub(crate) fn memo_from_bytes(bytes: &[u8]) -> Result<ShardDeltaMemo, CodecError
         compute_capacity,
         storage_capacity_gb,
         schedule: Schedule { selected, stats, ..Schedule::default() },
-        accounting: Default::default(),
         scores: None,
     })
 }
@@ -1131,7 +1130,6 @@ mod tests {
                 },
                 ..Schedule::default()
             },
-            accounting: Default::default(),
             scores: None,
         }
     }

@@ -26,9 +26,9 @@
 //!                      either way)
 //!  join(t)             block on the workers' results, then under either
 //!                      executor assemble the shard solves — schedules,
-//!                      loads and the per-row terms shipped beside them —
+//!                      loads and the score rows shipped beside them —
 //!                      through FleetScheduler::assemble (which adopts the
-//!                      terms instead of re-evaluating the rows), deliver
+//!                      rows instead of scoring them again), deliver
 //!                      solved(t), recycle the fleet buffer
 //!  apply(t)            sink plays slot t
 //! ```
@@ -349,9 +349,9 @@ struct Hub {
     /// run: the home partition, or on a resume whatever the restored
     /// banks hold.
     owner: Vec<usize>,
-    /// The join's kept per-row accounting: a delta-carrying slot that
-    /// extends it re-evaluates only the rows that changed. Starts
-    /// empty, on a resume too.
+    /// The join's kept per-row prices: a delta-carrying slot that
+    /// extends them prices only the rows that changed. Starts empty, on
+    /// a resume too.
     join: JoinMemo,
 }
 
@@ -1074,7 +1074,7 @@ impl SlotRuntime {
 
     /// The end of every slot's join, under either executor: the time
     /// the hub waited on its shards is the `join` lap; the shard
-    /// schedules and the terms shipped beside them are assembled through
+    /// schedules and the score rows shipped beside them are assembled through
     /// [`FleetScheduler::assemble`]; the slot is counted and published;
     /// and the fleet buffer comes back — every shard dropped its handle
     /// before delivering, so the hub's is unique.

@@ -1,72 +1,58 @@
-//! A steady slot accounts its churn, not its fleet — in counted rows,
-//! not wall clock.
+//! A steady slot prices its churn, not its fleet — in counted rows and
+//! chunk steps, not wall clock.
 //!
-//! The `rows_accounted` of a delivered schedule's `SlotWork` (published
-//! as `delta_accounting_rows_total{owner}`) counts every row whose
-//! eq.-13 and saving terms were re-evaluated, on the shard workers
-//! (`shard`) and at the join (`join`), and every row whose terms the
-//! join adopted from the shard that had just evaluated them (`shipped`).
-//! Read slot by slot it pins the cost model of the per-row accounting
-//! (`lpvs::core::accounting::RowAccounting`): a row is evaluated by one
-//! owner a slot. A shard that extends the previous slot evaluates its
-//! dirty frontier plus the rows whose decision flipped; what breaks its
-//! chain — the first slot, a forced cold solve, a population change —
-//! evaluates every row of it exactly once, in the solve itself, and
-//! keeps the terms (only a memo restored from a checkpoint has none,
-//! and rebuilds them once). The join evaluates what no shard shipped:
-//! the rows the rebalance moved in after their shard had shipped them
-//! unselected, the rows no shard owns, and the rows of a shard that
-//! shipped nothing. That the totals folded from kept and adopted terms
+//! A row's price is its score (`lpvs::core::kernels::Scores`): its
+//! eq.-13 term under both decisions (`off`, `on`) and its saving, taken
+//! in one walk of its chunks. It depends on the row's columns, λ and the
+//! curve only, never on its decision, so every total is one fold of a
+//! score under a selection (`Scores::fold`), and a row whose decision
+//! flips — in Phase-2, in the rebalance, in a dead shard's passthrough —
+//! costs nothing. The `rows_accounted` of a delivered schedule's
+//! `SlotWork` (published as `delta_accounting_rows_total{owner}`) counts
+//! the rows scored on the shard workers (`shard`) and at the join
+//! (`join`), and the rows the join adopted from the shard that had just
+//! scored them (`shipped`). Read slot by slot it pins the cost model: a
+//! shard that extends the previous slot scores its dirty frontier, once,
+//! and ships it; what breaks its chain — the first slot, a forced cold
+//! solve, a population change — scores every row of it once and ships
+//! every row (a memo restored from a checkpoint keeps no score, and
+//! scores every row once). The join scores only the stale rows no shard
+//! shipped: the dirty rows no shard owns, and the rows of a shard that
+//! shipped nothing. That the totals folded from kept and adopted scores
 //! are, bit for bit, those of evaluating every row is `tests/delta.rs`'s
 //! matrix and, for hand-made shipments, the `assemble` cases below.
 //!
 //! A cold solve is the other end of the same model: it scores every row
-//! once — feasibility, saving and eq. 13 under both decisions, in one
-//! walk of the row's chunks — and Phase-1, Phase-2 and the accounting of
-//! the selection that is returned all read that score instead of running
-//! a kernel again (the solve's `SlotWork::chunk_steps`: Σ K_n chunk
-//! steps under `score`, none under `account`), bit for bit what
-//! evaluating every row gives.
+//! once, and Phase-1, Phase-2 and the totals of the selection that is
+//! returned all read that score (the solve's `SlotWork::chunk_steps`:
+//! Σ K_n chunk steps under `score`, none under `account`).
 //!
 //! Mutation checks, made by hand in the release profile (where the
 //! `debug_assert`s that would catch them first are compiled out): a
-//! cold solve that ships `on` for an unselected row fails
-//! `an_unselected_row_ships_its_off_term`; a join that trusts the
-//! shipment of a migrated-in row fails
-//! `a_migrated_in_row_is_re_accounted_by_the_join`; a join that
-//! evaluates nothing (its stale rule's uncovered part dropped) fails
-//! `a_shard_that_ships_nothing_is_evaluated_by_the_join` and
-//! `a_dirty_row_no_shard_owns_is_evaluated_by_the_join`.
-//! Earlier ones, made when this file was written (the style
-//! of `tests/solve_linear.rs`): a `refresh` that re-evaluates every row
-//! fails every count below; a join that ignores flipped rows fails
-//! `tests/delta.rs`'s bit-identity matrix; a `from_scored` that swaps
-//! `on` and `off` fails every solver-rung case of
-//! `a_cold_solve_accounts_from_the_terms_phase2_scored`, one handed the
-//! selection as it stood before rejected rows were masked out fails its
-//! disconnected case, and an `into_schedule` that evaluates anyway fails
-//! `a_cold_solve_walks_each_chunk_table_once_and_accounts_none` (named
-//! for the two walks a row it then pinned, before the score was fused).
+//! fold that reads `on` for an unselected row fails
+//! `an_unselected_row_folds_its_off_term` (and every solver-rung case of
+//! `a_solve_folds_its_totals_from_the_score_it_ran_on`); a join that
+//! skips the stale rows no shipment covers fails
+//! `a_shard_that_ships_nothing_is_priced_by_the_join` and
+//! `a_dirty_row_no_shard_owns_is_priced_by_the_join`.
 
-use lpvs::core::accounting::RowAccounting;
 use lpvs::core::budget::SlotBudget;
-use lpvs::core::fleet::{DeviceFleet, SlotView};
-use lpvs::core::problem::{DeviceRequest, SlotProblem};
-use lpvs::core::scheduler::{Degradation, LpvsScheduler, SchedulerConfig};
-use lpvs::emulator::experiment::synthetic_problem;
-use lpvs::core::accounting::ShardTerms;
 use lpvs::core::delta::SlotDelta;
-use lpvs::core::scheduler::Schedule;
+use lpvs::core::fleet::{DeviceFleet, SlotView};
+use lpvs::core::kernels::Scores;
+use lpvs::core::problem::{DeviceRequest, SlotProblem};
+use lpvs::core::scheduler::{Degradation, LpvsScheduler, Schedule, SchedulerConfig};
 use lpvs::core::work::SlotWork;
 use lpvs::edge::fleet::{FleetConfig, FleetSchedule, FleetScheduler, JoinMemo};
 use lpvs::edge::server::EdgeServer;
-use lpvs::edge::shard::ShardSolve;
-use lpvs::survey::curve::AnxietyCurve;
+use lpvs::edge::shard::{solve_shard, ScoreRows, ShardDeltaMemo, ShardJob, ShardSolve, SlotInputs};
+use lpvs::emulator::experiment::synthetic_problem;
 use lpvs::runtime::{
     BankOps, CheckpointConfig, GatheredSlot, RuntimeConfig, SlotFeedback, SlotReplay, SlotRuntime,
     SlotSink, SlotSource, SolvedSlot, StageFaults, SyntheticConfig, SyntheticDriver,
     SyntheticRecord,
 };
+use lpvs::survey::curve::AnxietyCurve;
 
 const DEVICES: usize = 2_000;
 const SHARDS: usize = 2;
@@ -78,6 +64,8 @@ struct SlotCount {
     slot: usize,
     /// Rows in the slot's delta.
     frontier: u64,
+    /// Chunk steps of one walk of the delta's rows: Σ K over the frontier.
+    frontier_steps: u64,
     /// Rows whose assembled decision differs from the previous slot's.
     flipped: u64,
     /// Rows the rebalance moved into a foreign shard.
@@ -92,7 +80,7 @@ struct SlotCount {
 struct Counting {
     inner: SyntheticDriver,
     grow_at: Option<usize>,
-    frontier: u64,
+    frontier: (u64, u64),
     previous: Vec<bool>,
     slots: Vec<SlotCount>,
 }
@@ -102,7 +90,7 @@ impl Counting {
         Self {
             inner: SyntheticDriver::new(config),
             grow_at: None,
-            frontier: 0,
+            frontier: (0, 0),
             previous: Vec::new(),
             slots: Vec::new(),
         }
@@ -121,7 +109,9 @@ impl SlotSource for Counting {
         recycled: Option<DeviceFleet>,
     ) -> Option<GatheredSlot> {
         let mut gathered = self.inner.gather(slot, posteriors, recycled)?;
-        self.frontier = gathered.delta.as_ref().map_or(0, |d| d.len() as u64);
+        let dirty = gathered.delta.as_ref().map_or(&[][..], |d| &d.dirty[..]);
+        let steps = dirty.iter().map(|&i| gathered.fleet.num_chunks(i) as u64).sum();
+        self.frontier = (dirty.len() as u64, steps);
         if self.grow_at.is_some_and(|at| slot >= at) {
             // The recycled buffer was refilled from the source, so the
             // extra row is appended afresh — bit-identical — every slot.
@@ -144,7 +134,8 @@ impl SlotSink for Counting {
         };
         self.slots.push(SlotCount {
             slot: solved.slot,
-            frontier: self.frontier,
+            frontier: self.frontier.0,
+            frontier_steps: self.frontier.1,
             flipped,
             migrations: solved.schedule.migrations as u64,
             counted: solved.schedule.work,
@@ -199,62 +190,60 @@ fn uninterrupted_records(config: &SyntheticConfig) -> Vec<SyntheticRecord> {
     driver.records().to_vec()
 }
 
-/// What the join is left with when every shard shipped what it
-/// evaluated: the rows the rebalance moved in, and (every row of the
-/// synthetic fleet being connected) nothing else; whatever the shards
-/// evaluated it adopted, less those.
+/// What the join is left with when every shard shipped what it scored:
+/// the stale rows no shard owns — none, every row of the synthetic
+/// fleet being connected, whatever the rebalance moved — and it adopted
+/// every row the shards scored.
 fn assert_join_adopts_the_shards_rows(s: &SlotCount, case: &str) {
     let rows = s.counted.rows_accounted;
+    assert_eq!(rows.join, 0, "{case}: slot {} scored rows at the join ({} migrations)", s.slot, s.migrations);
     assert!(
-        rows.join <= s.migrations,
-        "{case}: slot {} accounted {} rows at the join for {} migrations",
-        s.slot, rows.join, s.migrations
-    );
-    assert!(
-        rows.shipped <= rows.shard && rows.shipped + s.migrations >= rows.shard,
-        "{case}: slot {} adopted {} rows of the {} the shards evaluated ({} migrations)",
-        s.slot, rows.shipped, rows.shard, s.migrations
+        rows.shipped >= rows.shard,
+        "{case}: slot {} adopted {} rows of the {} the shards scored",
+        s.slot, rows.shipped, rows.shard
     );
 }
 
-/// A slot that extends the one before it: the shards evaluate the
-/// frontier and what flipped, never more — and, with twenty rows
-/// moving, never nothing — and the join adopts that.
+/// A slot that extends the one before it: the shards score the frontier
+/// — exactly, in one walk of its chunks, flips and all — and the join
+/// adopts it.
 fn assert_costs_its_churn(s: &SlotCount, case: &str) {
-    let (bound, shard) = (s.frontier + s.flipped, s.counted.rows_accounted.shard);
+    let (rows, steps) = (s.counted.rows_accounted, s.counted.chunk_steps);
     assert!(s.frontier > 0, "{case}: slot {} has no frontier to price", s.slot);
     assert_eq!(s.counted.delta_path.cold, 0, "{case}: slot {} solved cold", s.slot);
-    assert!(
-        shard >= 1 && shard <= bound,
-        "{case}: slot {} accounted {shard} rows on the shards for a frontier of {} and {} flips",
-        s.slot, s.frontier, s.flipped
+    assert_eq!(
+        (rows.shard, rows.shipped, steps.score),
+        (s.frontier, s.frontier, s.frontier_steps),
+        "{case}: slot {} scored {} rows ({} steps) for a frontier of {} ({} steps) and {} flips",
+        s.slot, rows.shard, steps.score, s.frontier, s.frontier_steps, s.flipped
     );
     assert_join_adopts_the_shards_rows(s, case);
 }
 
 #[test]
-fn a_steady_slot_accounts_its_frontier_and_its_flips() {
+fn a_steady_slot_prices_its_frontier_once() {
     let mut driver = Counting::new(steady(8, 17));
     let estimators = driver.inner.estimators();
     SlotRuntime::new(runtime(None, None)).run(&mut driver, estimators);
 
     let slots = &driver.slots;
     assert_eq!(slots.len(), 8);
-    // Slot 0: all-dirty, cold everywhere, every row once — on its shard.
-    // The join evaluates the rows no shard owns: here, none.
+    // Slot 0: all-dirty, cold everywhere, every row once — on its shard,
+    // which ships it.
     assert_eq!(slots[0].counted.delta_path.cold, SHARDS as u64);
     assert_eq!(slots[0].counted.rows_accounted.shard, DEVICES as u64);
     assert_join_adopts_the_shards_rows(&slots[0], "steady");
-    // Slot 1 on: the cold solves kept their terms, so the first
+    // Slot 1 on: the cold solves kept their score, so the first
     // incremental solve is already down to the frontier.
     for s in &slots[1..] {
         assert_eq!(s.counted.delta_path.incremental, SHARDS as u64, "slot {}", s.slot);
         assert_costs_its_churn(s, "steady");
     }
+    assert!(slots[1..].iter().any(|s| s.flipped > 0), "no decision flipped: the flips would cost nothing vacuously");
 }
 
 #[test]
-fn a_forced_cold_solve_accounts_its_shard_once_and_keeps_its_terms() {
+fn a_forced_cold_solve_prices_its_shard_once_and_keeps_its_score() {
     // Seeded so that shards die (and are re-dispatched cold) on some
     // slots past the first.
     let faults = StageFaults { rate: 0.08, seed: 17, repeat: 0 };
@@ -273,11 +262,11 @@ fn a_forced_cold_solve_accounts_its_shard_once_and_keeps_its_terms() {
             continue;
         }
         // A shard solved cold this slot (the respawned worker has no
-        // memo): its rows are accounted in full, once, and the slot
-        // after it is an ordinary one — the solve kept its terms.
+        // memo): its rows are scored in full, once, and the slot after
+        // it is an ordinary one — the solve kept its score.
         let in_full = s.counted.delta_path.cold * SHARD_ROWS;
-        let rest = s.counted.rows_accounted.shard.checked_sub(in_full).expect("a full shard is accounted");
-        assert!(rest <= s.frontier + s.flipped, "slot {}: {rest} beyond the full shards", s.slot);
+        let rest = s.counted.rows_accounted.shard.checked_sub(in_full).expect("a full shard is scored");
+        assert!(rest <= s.frontier, "slot {}: {rest} beyond the full shards", s.slot);
         // Worker deaths never reach the join: the respawned shard ships
         // every row it solved.
         assert_join_adopts_the_shards_rows(s, "faults");
@@ -286,7 +275,7 @@ fn a_forced_cold_solve_accounts_its_shard_once_and_keeps_its_terms() {
 }
 
 #[test]
-fn a_population_change_accounts_every_row_once() {
+fn a_population_change_prices_every_row_once() {
     let mut driver = Counting::new(steady(8, 29));
     driver.grow_at = Some(4);
     let mut estimators = driver.inner.estimators();
@@ -299,10 +288,11 @@ fn a_population_change_accounts_every_row_once() {
         assert_costs_its_churn(s, "before growth");
     }
     // The fleet grew: every shard's row list moved (cold: every row,
-    // once), and the join's kept terms no longer cover the fleet — but
+    // once), and the join's kept prices no longer cover the fleet — but
     // every row of it was just shipped.
     assert_eq!(slots[4].counted.delta_path.cold, SHARDS as u64);
     assert_eq!(slots[4].counted.rows_accounted.shard, grown);
+    assert_eq!(slots[4].counted.rows_accounted.shipped, grown);
     assert_join_adopts_the_shards_rows(&slots[4], "growth");
     // And straight back to the frontier.
     for s in &slots[5..] {
@@ -311,7 +301,7 @@ fn a_population_change_accounts_every_row_once() {
 }
 
 #[test]
-fn a_resumed_run_rebuilds_its_terms_once_then_accounts_its_frontier() {
+fn a_resumed_run_scores_every_row_once_then_prices_its_frontier() {
     let config = steady(10, 41);
     let baseline = uninterrupted_records(&config);
 
@@ -319,8 +309,8 @@ fn a_resumed_run_rebuilds_its_terms_once_then_accounts_its_frontier() {
     let _ = std::fs::remove_dir_all(&dir);
     let checkpoints = CheckpointConfig { interval: 2, ..CheckpointConfig::new(&dir) };
 
-    // Halt after slot 5: slots 2..=5 rode kept terms on both owners, so
-    // the terms are live when the hub stops.
+    // Halt after slot 5: slots 2..=5 rode kept scores on both owners, so
+    // the scores are live when the hub stops.
     let mut halted = Counting::new(config.clone());
     let estimators = halted.inner.estimators();
     let report = SlotRuntime::new(RuntimeConfig {
@@ -342,19 +332,29 @@ fn a_resumed_run_rebuilds_its_terms_once_then_accounts_its_frontier() {
     assert_eq!(resumed.inner.records(), &baseline[..], "resumed run diverged");
 
     // The restored memos continue the incremental chain but carry no
-    // terms, and the join starts empty: the first slot after the resume
-    // accounts every row once — on its shard, which ships the rebuilt
-    // terms whole — the second its frontier.
+    // score, and the join starts empty: the first slot after the resume
+    // scores every row once — on its shard, which ships it whole — the
+    // second its frontier.
     let slots = &resumed.slots;
     assert_eq!(slots[0].slot, at);
     assert_eq!(slots[0].counted.delta_path.cold, 0);
     assert_eq!(slots[0].counted.delta_path.incremental, SHARDS as u64);
     assert_eq!(slots[0].counted.rows_accounted.shard, DEVICES as u64);
+    assert_eq!(slots[0].counted.rows_accounted.shipped, DEVICES as u64);
     assert_join_adopts_the_shards_rows(&slots[0], "at the resume");
     assert!(slots.len() >= 3, "the resume must leave slots to run");
     for s in &slots[1..] {
         assert_costs_its_churn(s, "after the resume");
     }
+}
+
+/// The totals of `selected` over `view`, every row evaluated afresh: eq.
+/// 13 by the kernel, the saving a selected row's `saving_j` and an
+/// unselected one's 0.0, each summed in position order.
+fn from_scratch(view: SlotView<'_>, selected: &[bool]) -> (f64, f64) {
+    let fleet = view.fleet();
+    let saving = |(&x, &i): (&bool, &usize)| if x { fleet.saving_j(i) } else { 0.0 };
+    (view.objective_value(selected), selected.iter().zip(view.rows()).map(saving).sum())
 }
 
 /// A cold problem's fleet, and the view of all of it.
@@ -369,7 +369,7 @@ fn whole_view<'a>(problem: &'a SlotProblem, fleet: &'a DeviceFleet, rows: &'a [u
 }
 
 #[test]
-fn a_cold_solve_accounts_from_the_terms_phase2_scored() {
+fn a_solve_folds_its_totals_from_the_score_it_ran_on() {
     let clean = synthetic_problem(600, 240.0, 1.0, 7);
     let mut corrupt = clean.clone();
     corrupt.requests[3].gamma = f64::NAN;
@@ -384,8 +384,8 @@ fn a_cold_solve_accounts_from_the_terms_phase2_scored() {
 
     // Healthy telemetry on rows the fleet calls disconnected: both
     // phases select them (the best savers in the cluster), the resilient
-    // path masks them out *after* Phase-2, and the accounting must
-    // describe the selection that is returned.
+    // path masks them out *after* Phase-2, and the totals must describe
+    // the selection that is returned.
     let mut unplugged = DeviceFleet::from_problem(&clean);
     let savers: Vec<usize> = (0..clean.len()).filter(|&i| standing[i]).take(5).collect();
     for &i in &savers {
@@ -427,11 +427,13 @@ fn a_cold_solve_accounts_from_the_terms_phase2_scored() {
     for Case { name, problem, fleet, scheduler, previous, budget, rung } in cases {
         let loaded = DeviceFleet::from_problem(problem);
         let view = whole_view(problem, fleet.unwrap_or(&loaded), &rows);
-        let schedule = scheduler.schedule_view(view, previous, &budget);
+        let (schedule, scores) = scheduler.schedule_view_accounted(view, previous, &budget, None);
         assert_eq!(schedule.stats.degradation, rung, "{name}");
-        let (objective, saved) = RowAccounting::of(view, &schedule.selected).fold();
+        let (objective, saved) = from_scratch(view, &schedule.selected);
         assert_eq!(schedule.stats.objective.to_bits(), objective.to_bits(), "{name}: objective");
         assert_eq!(schedule.stats.energy_saved_j.to_bits(), saved.to_bits(), "{name}: saving");
+        // The score handed back is the view's, whichever rung made it.
+        assert_eq!(scores, lpvs::core::score_rows(&view.fleet().columns(), &rows, problem.lambda, &problem.curve), "{name}");
         if fleet.is_none() {
             // The row entry loads the same columns and says the same.
             let by_rows = scheduler.schedule_resilient(problem, previous, &budget);
@@ -474,8 +476,8 @@ fn a_cold_solve_walks_each_chunk_table_once_and_accounts_none() {
     assert_eq!(greedy.stats.degradation, Degradation::Greedy);
     assert_eq!(walked(&greedy), (chunks, 0));
 
-    // A rung below the solvers scored nothing: its selection is
-    // evaluated, once a row.
+    // A rung below the solvers scores the view for its totals, once a
+    // row, and counts the walk as accounting.
     let no_time = budget.with_deadline_secs(0.0);
     let reuse =
         LpvsScheduler::paper_default().schedule_resilient(&problem, Some(&full.selected), &no_time);
@@ -544,7 +546,7 @@ impl JoinCase {
     }
 
     /// Solves every shard cold; each ships every row it solved.
-    fn solve(&self) -> (Vec<Vec<usize>>, Vec<Option<Schedule>>, Vec<ShardTerms>) {
+    fn solve(&self) -> (Vec<Vec<usize>>, Vec<Option<Schedule>>, Vec<ScoreRows>) {
         let shards = self.scheduler.partition(&self.fleet);
         let solver = LpvsScheduler::new(self.scheduler.config().scheduler);
         let (results, shipped) = shards
@@ -558,55 +560,63 @@ impl JoinCase {
                     self.lambda,
                     &self.curve,
                 );
-                let (schedule, terms) =
+                let (schedule, scores) =
                     solver.schedule_view_accounted(view, None, &SlotBudget::unbounded(), None);
-                (Some(schedule), terms.shipment(0..rows.len()))
+                (Some(schedule), ship(&scores))
             })
             .unzip();
         (shards, results, shipped)
     }
 
     /// Joins through the kept memo and returns the schedule with the
-    /// rows the join evaluated itself and the rows it adopted; the
-    /// totals are checked against every row evaluated afresh.
-    fn join(
+    /// rows the join scored itself and the rows it adopted; the totals
+    /// are checked against every row evaluated afresh.
+    fn join(&mut self, delta: &SlotDelta, shards: Vec<Vec<usize>>, results: Vec<Option<ShardSolve>>, case: &str) -> (FleetSchedule, u64, u64) {
+        let clock = lpvs::core::work::Laps::start();
+        let (servers, lambda) = (&self.servers, self.lambda);
+        let got = self.scheduler.assemble(&self.fleet, servers, shards, results, lambda, &self.curve, clock, Some((&mut self.memo, delta)));
+        self.check(&got, case);
+        (got.clone(), got.work.rows_accounted.join, got.work.rows_accounted.shipped)
+    }
+
+    /// [`Self::join`] of results solved apart, each shipping `shipped`.
+    fn join_shipped(
         &mut self,
         delta: &SlotDelta,
         shards: Vec<Vec<usize>>,
         results: Vec<Option<Schedule>>,
-        shipped: &[ShardTerms],
+        shipped: &[ScoreRows],
         case: &str,
     ) -> (FleetSchedule, u64, u64) {
-        let got = self.scheduler.assemble(
-            &self.fleet,
-            &self.servers,
-            shards,
-            // No shard reports a load: the join computes every one.
-            (results.into_iter().zip(shipped))
-                .map(|(r, terms)| r.map(|schedule| ShardSolve { schedule, shipped: Some(terms.clone()), load: None, frontier: 0 }))
-                .collect(),
-            self.lambda,
-            &self.curve,
-            lpvs::core::work::Laps::start(),
-            Some((&mut self.memo, delta)),
-        );
-        let counted = got.work.rows_accounted;
+        // No shard reports a load: the join computes every one.
+        let results = (results.into_iter().zip(shipped))
+            .map(|(r, rows)| r.map(|schedule| ShardSolve { schedule, shipped: Some(rows.clone()), load: None, frontier: 0 }))
+            .collect();
+        self.join(delta, shards, results, case)
+    }
+
+    /// The fleet totals of `got` are those of evaluating every row afresh.
+    fn check(&self, got: &FleetSchedule, case: &str) {
         let rows: Vec<usize> = (0..self.fleet.len()).collect();
         let whole = self.fleet.slot_view(&rows, 1e9, 1e9, self.lambda, &self.curve);
-        let (objective, saved) = RowAccounting::of(whole, &got.selected).fold();
+        let (objective, saved) = from_scratch(whole, &got.selected);
         assert_eq!(got.objective.to_bits(), objective.to_bits(), "{case}: objective");
         assert_eq!(got.energy_saved_j.to_bits(), saved.to_bits(), "{case}: saving");
-        (got, counted.join, counted.shipped)
     }
 }
 
+/// Every row of a shard's score, as the shard body ships it.
+fn ship(scores: &Scores) -> ScoreRows {
+    (0..scores.off.len()).map(|p| (p, scores.off[p], scores.on[p], scores.saving[p])).collect()
+}
+
 #[test]
-fn a_migrated_in_row_is_re_accounted_by_the_join() {
+fn a_migrated_in_row_costs_the_join_nothing() {
     let mut case = JoinCase::new();
     let owned = (JOIN_ROWS - UNOWNED.len()) as u64;
     // Slot 0 (nothing kept) and slot 1 (extends it, a few rows dirty):
     // every shard ships every row, the rebalance then selects rows
-    // their shards shipped as unselected.
+    // their shards shipped as unselected — priced under both decisions.
     for slot in 0..2 {
         if slot == 1 {
             for i in [10, 70, 130] {
@@ -615,58 +625,52 @@ fn a_migrated_in_row_is_re_accounted_by_the_join() {
         }
         let delta = case.delta();
         let (shards, results, shipped) = case.solve();
-        let (got, evaluated, adopted) =
-            case.join(&delta, shards, results, &shipped, &format!("slot {slot}"));
-        let moved = got.migrations as u64;
-        assert!(moved > 0, "slot {slot}: the regime must migrate");
-        // The join evaluates what moved in — and, with nothing kept,
-        // the rows no shard owns.
+        let (got, scored, adopted) = case.join_shipped(&delta, shards, results, &shipped, &format!("slot {slot}"));
+        assert!(got.migrations > 0, "slot {slot}: the regime must migrate");
+        // With nothing kept the join scores the rows no shard owns; on
+        // a slot that extends it, nothing.
         let unowned = if slot == 0 { UNOWNED.len() as u64 } else { 0 };
-        assert_eq!(evaluated, moved + unowned, "slot {slot}");
-        assert_eq!(adopted, owned - moved, "slot {slot}");
+        assert_eq!((scored, adopted), (unowned, owned), "slot {slot}");
     }
 }
 
 #[test]
-fn a_shard_that_ships_nothing_is_evaluated_by_the_join() {
+fn a_shard_that_ships_nothing_is_priced_by_the_join() {
     let mut case = JoinCase::new();
     let delta = case.delta();
     let (shards, mut results, mut shipped) = case.solve();
     // Shard 0 died (passthrough, nothing shipped); shard 1 solved but
-    // ships nothing, as an incremental solve's cold fallback does.
+    // ships nothing.
     results[0] = None;
     shipped[0].clear();
     shipped[1].clear();
     let unshipped = (shards[0].len() + shards[1].len() + UNOWNED.len()) as u64;
-    let last = shards[2].clone();
-    let (got, evaluated, adopted) = case.join(&delta, shards, results, &shipped, "slot 0");
+    let last = shards[2].len() as u64;
+    let (got, scored, adopted) = case.join_shipped(&delta, shards, results, &shipped, "slot 0");
     assert_eq!(got.shards[0].stats.degradation, Degradation::Passthrough);
-    // Every row of the two silent shards and every unowned row, once —
-    // moved or not — and of the shard that shipped, the rows that moved
-    // out of it (into the dead shard's room).
-    let moved = got.shards.iter().flat_map(|r| &r.migrated_in);
-    let from_last = moved.filter(|i| last.contains(i)).count() as u64;
+    // Every row of the two silent shards and every unowned row, once;
+    // what moved into the dead shard's room was priced by its shipment.
     assert!(got.migrations > 0);
-    assert_eq!(evaluated, unshipped + from_last);
-    assert_eq!(adopted, last.len() as u64 - from_last);
+    assert_eq!((scored, adopted), (unshipped, last));
 
     // The next slot extends this one with an empty frontier and again
-    // no shipment from shards 0 and 1: the kept terms stand, and the
-    // join evaluates the flips only (shard 0 is alive again).
+    // no shipment from shards 0 and 1: the kept prices stand, and the
+    // decisions that flipped (shard 0 is alive again) cost nothing.
     let delta = case.delta();
     let (shards, results, mut shipped) = case.solve();
     shipped[0].clear();
     shipped[1].clear();
-    let (_, evaluated, _) = case.join(&delta, shards, results, &shipped, "slot 1");
-    assert!(evaluated > 0 && evaluated < unshipped, "flips only: {evaluated}");
+    let (flipped, scored, _) = case.join_shipped(&delta, shards, results, &shipped, "slot 1");
+    assert_ne!(flipped.selected, got.selected, "no decision flipped");
+    assert_eq!(scored, 0);
 }
 
 #[test]
-fn a_dirty_row_no_shard_owns_is_evaluated_by_the_join() {
+fn a_dirty_row_no_shard_owns_is_priced_by_the_join() {
     let mut case = JoinCase::new();
     let delta = case.delta();
     let (shards, results, shipped) = case.solve();
-    case.join(&delta, shards, results, &shipped, "slot 0");
+    case.join_shipped(&delta, shards, results, &shipped, "slot 0");
 
     // A disconnected row's battery moves: no shard solves it, nobody
     // ships it, and its eq.-13 term (its anxiety) changed.
@@ -675,16 +679,96 @@ fn a_dirty_row_no_shard_owns_is_evaluated_by_the_join() {
     let delta = case.delta();
     assert_eq!(delta.dirty, vec![UNOWNED[1], 77]);
     let (shards, results, shipped) = case.solve();
-    let (got, evaluated, _) = case.join(&delta, shards, results, &shipped, "slot 1");
-    assert_eq!(evaluated, 1 + got.migrations as u64);
+    let (got, scored, _) = case.join_shipped(&delta, shards, results, &shipped, "slot 1");
+    assert!(got.migrations > 0);
+    assert_eq!(scored, 1);
+}
+
+/// One incremental slot with flips and a migration, through the shard
+/// body itself: each dirty row's chunks are walked once — the residual
+/// sub-solve, the frontier's Phase-2 and the totals all read the one
+/// score — and the join, adopting the frontier the shards shipped,
+/// scores nothing, whatever flipped or moved.
+#[test]
+fn an_incremental_slot_walks_its_frontier_once_and_the_join_scores_nothing() {
+    let mut case = JoinCase::new();
+    let scheduler = LpvsScheduler::new(case.scheduler.config().scheduler);
+    let budget = SlotBudget::unbounded();
+    let mut memos: Vec<Option<ShardDeltaMemo>> = vec![None; case.servers.len()];
+    let mut last = Vec::new();
+    // Rows born dirty (slot 0, cold), then a slot where selected rows of
+    // the first two shards charge up and an unselected one drains.
+    for slot in 0..2 {
+        if slot == 1 {
+            let selected: Vec<usize> = (0..JOIN_ROWS).filter(|&i| last[i]).collect();
+            for &i in [selected[0], selected[1], selected[selected.len() / 2]].iter() {
+                case.fleet.set_energy_j(i, 0.95 * 55_440.0);
+            }
+            let drained = (0..JOIN_ROWS).find(|&i| !last[i] && !UNOWNED.contains(&i)).expect("an unselected row");
+            case.fleet.set_energy_j(drained, 0.04 * 55_440.0);
+        }
+        let (delta, fleet) = (case.delta(), &case.fleet);
+        let shards = case.scheduler.partition(fleet);
+        let inputs = SlotInputs { fleet, lambda: case.lambda, curve: &case.curve, budget: &budget, warm: None, delta: Some(&delta) };
+        let results = (shards.iter().zip(&case.servers).zip(&mut memos))
+            .map(|((rows, &server), memo)| {
+                let job = ShardJob { rows: rows.clone(), server, load: true };
+                Some(solve_shard(&scheduler, memo, &inputs, job))
+            })
+            .collect();
+        let frontier_steps: u64 = delta.dirty.iter().map(|&i| fleet.num_chunks(i) as u64).sum();
+        let (got, scored, adopted) = case.join(&delta, shards, results, &format!("slot {slot}"));
+        if slot == 1 {
+            let paths = got.work.delta_path;
+            assert!(paths.incremental >= 1 && paths.cold == 0, "{paths:?}");
+            let flips = got.selected.iter().zip(&last).filter(|(a, b)| a != b).count();
+            assert!(flips > 0 && got.migrations > 0, "{flips} flips, {} migrations", got.migrations);
+            assert_eq!(got.work.chunk_steps.score, frontier_steps, "the frontier walked more than once");
+            assert_eq!((got.work.rows_accounted.shard, scored, adopted), (delta.len() as u64, 0, delta.len() as u64));
+        }
+        last = got.selected;
+    }
+}
+
+/// A memo's score stands only where a delta says what changed: a slot
+/// that carries none, after one that kept a memo, scores every row again
+/// and totals what its rows are now.
+#[test]
+fn a_delta_less_slot_scores_every_row_afresh() {
+    let mut case = JoinCase::new();
+    let scheduler = LpvsScheduler::new(case.scheduler.config().scheduler);
+    let budget = SlotBudget::unbounded();
+    let mut memos: Vec<Option<ShardDeltaMemo>> = vec![None; case.servers.len()];
+    let delta = case.delta();
+    for slot in 0..2 {
+        if slot == 1 {
+            for i in [10, 70, 130] {
+                case.fleet.set_energy_j(i, 0.9 * 55_440.0);
+            }
+        }
+        let fleet = &case.fleet;
+        let delta = (slot == 0).then_some(&delta);
+        let inputs = SlotInputs { fleet, lambda: case.lambda, curve: &case.curve, budget: &budget, warm: None, delta };
+        for ((rows, &server), memo) in case.scheduler.partition(fleet).iter().zip(&case.servers).zip(&mut memos) {
+            let job = ShardJob { rows: rows.clone(), server, load: false };
+            let solved = solve_shard(&scheduler, memo, &inputs, job);
+            let view = fleet.slot_view(rows, server.compute_capacity(), server.storage_capacity_gb(), case.lambda, &case.curve);
+            let (objective, saved) = from_scratch(view, &solved.schedule.selected);
+            let stats = solved.schedule.stats;
+            assert_eq!((stats.objective.to_bits(), stats.energy_saved_j.to_bits()), (objective.to_bits(), saved.to_bits()), "slot {slot}");
+            assert_eq!(solved.schedule.work.rows_accounted.shard, rows.len() as u64, "slot {slot}");
+            assert_eq!(memo.is_some(), slot == 0, "only a delta-carrying solve keeps a memo");
+        }
+    }
 }
 
 #[test]
-fn an_unselected_row_ships_its_off_term() {
+fn an_unselected_row_folds_its_off_term() {
     // Rows both phases select and the resilient path then masks out
-    // (disconnected): the terms that ride beside the schedule — kept by
-    // a cold shard, shipped to the join — are those of the selection
-    // that is returned, in release builds too.
+    // (disconnected): the score that rides beside the schedule — kept by
+    // a shard, shipped to the join — prices both decisions, and the
+    // totals fold each row at the decision that is returned, in release
+    // builds too.
     let problem = synthetic_problem(600, 240.0, 1.0, 7);
     let standing = LpvsScheduler::paper_default().schedule(&problem).unwrap().selected;
     let mut fleet = DeviceFleet::from_problem(&problem);
@@ -694,15 +778,17 @@ fn an_unselected_row_ships_its_off_term() {
     }
     let rows: Vec<usize> = (0..problem.len()).collect();
     let view = whole_view(&problem, &fleet, &rows);
-    let (schedule, terms) = LpvsScheduler::paper_default().schedule_view_accounted(
+    let (schedule, scores) = LpvsScheduler::paper_default().schedule_view_accounted(
         view,
         None,
         &SlotBudget::unbounded(),
         None,
     );
     assert!(schedule.num_selected() > 0 && masked.iter().all(|&i| !schedule.selected[i]));
-    let fresh = RowAccounting::of(view, &schedule.selected);
-    assert_eq!(terms, fresh);
-    assert_eq!(terms.shipment(0..rows.len()), fresh.shipment(0..rows.len()));
-    assert!(terms.shipment(masked).iter().all(|&(_, _, saving)| saving == 0.0));
+    let (objective, saved) = from_scratch(view, &schedule.selected);
+    let folded = scores.fold(&schedule.selected);
+    assert_eq!((folded.0.to_bits(), folded.1.to_bits()), (objective.to_bits(), saved.to_bits()));
+    assert_eq!((schedule.stats.objective.to_bits(), schedule.stats.energy_saved_j.to_bits()), (objective.to_bits(), saved.to_bits()));
+    // A masked row's `on` is not its term: it was priced transformed.
+    assert!(masked.iter().all(|&p| scores.on[p] != scores.off[p] && scores.saving[p] > 0.0));
 }

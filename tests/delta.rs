@@ -227,7 +227,6 @@ proptest! {
         }
         let frontier = fleet.dirty_frontier();
         prop_assert_eq!(frontier.epoch, epoch);
-        prop_assert_eq!(frontier.total, n);
         let expected: Vec<usize> = touched.iter().copied().collect();
         prop_assert_eq!(&frontier.indices, &expected);
         fleet.clear_dirty();
